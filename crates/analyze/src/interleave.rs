@@ -28,10 +28,20 @@
 //! `merge_in_claim_order` bug-injection knob it reintroduces the
 //! classic staging-merge race and must observe a divergence — proof
 //! that the harness can detect the failure class it guards against.
+//!
+//! ## The live leg
+//!
+//! Scripted schedules replay the executor single-threaded. Next to
+//! them, [`exhaustive_check`] and every timing of
+//! [`fault_timing_sweep`] run the workload once on a *live*
+//! [`ShardedExecutor`] with `LIVE_WORKERS` real threads, on
+//! parameters dense enough that production shard sizing (256 messages
+//! per shard) really cuts shards — asserted through the run's balance
+//! telemetry, so the leg cannot silently degrade to the inline path.
 
 use drw_congest::{
-    run_node_local, EngineConfig, ExecutorKind, FaultPlan, ParallelExecutor, RoundExecutor,
-    RunReport, ScriptedSchedule, ScriptedTiming, ShardedExecutor,
+    run_node_local, EngineConfig, FaultPlan, RunReport, ScriptedSchedule, ScriptedTiming,
+    ShardedExecutor,
 };
 use drw_core::{ShortWalksProtocol, WalkState};
 use drw_graph::generators;
@@ -96,14 +106,17 @@ struct Observed {
     digest: Vec<usize>,
 }
 
-fn run_sequential(p: &InterleaveParams) -> Result<Observed, String> {
+/// Runs the short-walk workload under `run` and digests its end state.
+fn observe(
+    p: &InterleaveParams,
+    run: impl FnOnce(&drw_graph::Graph, &mut ShortWalksProtocol<'_>) -> Result<RunReport, String>,
+) -> Result<Observed, String> {
     let g = generators::torus2d(p.rows, p.cols);
-    let cfg = EngineConfig::default();
     let mut state = WalkState::new(g.n());
     let report = {
         let mut proto =
             ShortWalksProtocol::new(&mut state, vec![p.walks_per_node; g.n()], p.lambda, false);
-        run_node_local(&g, &cfg, p.seed, &mut proto).map_err(|e| e.to_string())?
+        run(&g, &mut proto)?
     };
     Ok(Observed {
         report,
@@ -111,23 +124,59 @@ fn run_sequential(p: &InterleaveParams) -> Result<Observed, String> {
     })
 }
 
-/// One run on the thread-pool parallel executor — the backend whose
-/// *live* claim interleavings the scripted schedules model.
-fn run_parallel(p: &InterleaveParams) -> Result<Observed, String> {
-    let g = generators::torus2d(p.rows, p.cols);
-    let cfg = EngineConfig::default();
-    let mut state = WalkState::new(g.n());
-    let report = {
-        let mut proto =
-            ShortWalksProtocol::new(&mut state, vec![p.walks_per_node; g.n()], p.lambda, false);
-        ParallelExecutor::default()
-            .run_node_local(&g, &cfg, p.seed, &mut proto)
-            .map_err(|e| e.to_string())?
-    };
-    Ok(Observed {
-        report,
-        digest: digest(&state, g.n()),
+/// The default engine configuration, optionally under a fault plan.
+fn engine_cfg(plan: Option<FaultPlan>) -> EngineConfig {
+    EngineConfig {
+        faults: plan,
+        ..EngineConfig::default()
+    }
+}
+
+/// One run on the sequential reference backend.
+fn run_sequential(p: &InterleaveParams, plan: Option<FaultPlan>) -> Result<Observed, String> {
+    let cfg = engine_cfg(plan);
+    observe(p, |g, proto| {
+        run_node_local(g, &cfg, p.seed, proto).map_err(|e| e.to_string())
     })
+}
+
+/// Worker threads of the live leg.
+const LIVE_WORKERS: usize = 2;
+
+/// The live leg: the workload on a real multi-threaded
+/// [`ShardedExecutor`] against its own sequential reference, on a torus
+/// of at least 16×16 with at least 8 walks per node — ~1000 deliveries
+/// per round, several production-sized shards. Errors on a divergence,
+/// and on a run that never sharded (the leg would be vacuous).
+fn live_sharded_check(p: &InterleaveParams, plan: Option<FaultPlan>) -> Result<(), String> {
+    let dense = InterleaveParams {
+        rows: p.rows.max(16),
+        cols: p.cols.max(16),
+        walks_per_node: p.walks_per_node.max(8),
+        ..p.clone()
+    };
+    let reference = run_sequential(&dense, plan)?;
+    let cfg = engine_cfg(plan);
+    let live = observe(&dense, |g, proto| {
+        ShardedExecutor::new(LIVE_WORKERS)
+            .run_node_local(g, &cfg, dense.seed, proto)
+            .map_err(|e| e.to_string())
+    })?;
+    let balance = live.report.balance.as_ref();
+    if balance.is_none_or(|b| b.rounds_measured == 0) {
+        return Err(format!(
+            "live sharded run on a {}x{} torus never sharded a round; the leg is vacuous",
+            dense.rows, dense.cols
+        ));
+    }
+    if live != reference {
+        return Err(format!(
+            "live sharded executor ({LIVE_WORKERS} workers) diverged from the sequential \
+             reference: sequential report {:?} vs sharded {:?}",
+            reference.report, live.report
+        ));
+    }
+    Ok(())
 }
 
 fn run_scripted(
@@ -145,53 +194,22 @@ fn run_scripted_items<'a>(
     order: &'a mut dyn FnMut(u64, usize) -> Vec<usize>,
     item_order: Option<&'a mut dyn FnMut(u64, usize, usize) -> Vec<usize>>,
 ) -> Result<Observed, String> {
-    let g = generators::torus2d(p.rows, p.cols);
-    let cfg = EngineConfig::default();
-    let mut state = WalkState::new(g.n());
-    let report = {
-        let mut proto =
-            ShortWalksProtocol::new(&mut state, vec![p.walks_per_node; g.n()], p.lambda, false);
+    let schedule = ScriptedSchedule {
+        msgs_per_shard: p.msgs_per_shard,
+        merge_in_claim_order,
+        scramble_item_order,
+        order,
+        item_order,
+    };
+    observe(p, |g, proto| {
         ShardedExecutor::run_node_local_scripted(
-            &g,
-            &cfg,
+            g,
+            &EngineConfig::default(),
             p.seed,
-            &mut proto,
-            ScriptedSchedule {
-                msgs_per_shard: p.msgs_per_shard,
-                merge_in_claim_order,
-                scramble_item_order,
-                order,
-                item_order,
-            },
+            proto,
+            schedule,
         )
-        .map_err(|e| e.to_string())?
-    };
-    Ok(Observed {
-        report,
-        digest: digest(&state, g.n()),
-    })
-}
-
-/// One run of the short-walk workload on a production executor under a
-/// fault plan — the fault-timing sweep's unit of observation.
-fn run_faulty(
-    p: &InterleaveParams,
-    plan: FaultPlan,
-    executor: ExecutorKind,
-) -> Result<Observed, String> {
-    let g = generators::torus2d(p.rows, p.cols);
-    let cfg = EngineConfig::default()
-        .with_executor(executor)
-        .with_faults(plan);
-    let mut state = WalkState::new(g.n());
-    let report = {
-        let mut proto =
-            ShortWalksProtocol::new(&mut state, vec![p.walks_per_node; g.n()], p.lambda, false);
-        run_node_local(&g, &cfg, p.seed, &mut proto).map_err(|e| e.to_string())?
-    };
-    Ok(Observed {
-        report,
-        digest: digest(&state, g.n()),
+        .map_err(|e| e.to_string())
     })
 }
 
@@ -237,19 +255,11 @@ fn unrank(mut k: u128, s: usize) -> Vec<usize> {
 /// engine failure; `Ok` carries the coverage statistics (with
 /// `divergent == 0`).
 pub fn exhaustive_check(p: &InterleaveParams) -> Result<InterleaveOutcome, String> {
-    let baseline = run_sequential(p)?;
+    let baseline = run_sequential(p, None)?;
 
-    // The parallel (thread-pool) executor under whatever live
-    // interleaving this machine produces: one more backend that must
-    // land on the sequential result.
-    let par = run_parallel(p)?;
-    if par != baseline {
-        return Err(format!(
-            "parallel executor diverged from the sequential reference: \
-             sequential report {:?} vs parallel {:?}",
-            baseline.report, par.report
-        ));
-    }
+    // The same executor under whatever live interleaving this machine
+    // produces must land on the sequential result too.
+    live_sharded_check(p, None)?;
 
     // Probe pass: identity schedule, recording each round's shard
     // count. Doubles as the cross-executor conformance check.
@@ -317,7 +327,7 @@ pub fn exhaustive_check(p: &InterleaveParams) -> Result<InterleaveOutcome, Strin
 /// detect the race class it exists for. Returns the number of
 /// schedules tried and whether a divergence was observed.
 pub fn bug_injection_detects(p: &InterleaveParams, tries: u64) -> Result<(u64, bool), String> {
-    let baseline = run_sequential(p)?;
+    let baseline = run_sequential(p, None)?;
     let mut tried = 0u64;
     for i in 0..tries {
         // Walk the schedule space from the far end: reversed-ish
@@ -372,7 +382,7 @@ pub struct ItemInterleaveOutcome {
 /// distinct schedule). Every schedule must be bit-identical to the
 /// sequential reference.
 pub fn item_exhaustive_check(p: &InterleaveParams) -> Result<ItemInterleaveOutcome, String> {
-    let baseline = run_sequential(p)?;
+    let baseline = run_sequential(p, None)?;
 
     // Probe pass: identity claim + item orders, recording each shard
     // visit's item count. Claim order is identity on every run, so the
@@ -456,7 +466,7 @@ pub fn item_exhaustive_check(p: &InterleaveParams) -> Result<ItemInterleaveOutco
 /// short-walk workload produces whenever a node forwards two tokens to
 /// the same neighbour. Returns (schedules tried, divergence seen).
 pub fn item_bug_injection_detects(p: &InterleaveParams, tries: u64) -> Result<(u64, bool), String> {
-    let baseline = run_sequential(p)?;
+    let baseline = run_sequential(p, None)?;
     let mut tried = 0u64;
     for i in 0..tries {
         // Reversed item permutations put every item of a ≥2-item shard
@@ -499,8 +509,8 @@ pub struct FaultTimingOutcome {
     /// Distinct end-state digests across the swept timings — evidence
     /// the schedule knob actually moves faults (≥ 2 on a lossy plan).
     pub distinct_outcomes: usize,
-    /// Timings where the three backends disagreed or the retransmit
-    /// ledger failed conservation. Zero on a healthy engine.
+    /// Timings where the backends disagreed or the retransmit ledger
+    /// failed conservation. Zero on a healthy engine.
     pub divergent: u64,
 }
 
@@ -509,13 +519,13 @@ fn timing_plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with_drops(80).with_delays(50, 3)
 }
 
-/// Sweeps `count` scripted fault timings. Per timing, the run must be
-/// bit-identical across sequential/parallel/sharded backends and the
-/// retransmit ledger must conserve (`dropped == retransmitted`);
+/// Sweeps `count` scripted fault timings. Per timing, the retransmit
+/// ledger must conserve (`dropped == retransmitted`) and the live
+/// sharded leg must be bit-identical to its sequential reference;
 /// index 0 must reproduce the unscripted baseline exactly.
 pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimingOutcome, String> {
     let plan = timing_plan(p.seed ^ 0x5EED_FA17);
-    let baseline = run_faulty(p, plan, ExecutorKind::Sequential)?;
+    let baseline = run_sequential(p, Some(plan))?;
     if baseline.report.faults.total() == 0 {
         return Err("fault plan injected nothing; the sweep would be vacuous".into());
     }
@@ -524,7 +534,7 @@ pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimin
     let mut timings_run = 0u64;
     for index in 0..count {
         let timed = plan.with_timing(ScriptedTiming::new(index));
-        let seq = run_faulty(p, timed, ExecutorKind::Sequential)?;
+        let seq = run_sequential(p, Some(timed))?;
         if index == 0 && seq != baseline {
             return Err(format!(
                 "timing index 0 is not the identity: report {:?} vs baseline {:?}",
@@ -538,15 +548,7 @@ pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimin
                 f.dropped, f.retransmitted
             ));
         }
-        for exec in [ExecutorKind::Parallel, ExecutorKind::Sharded] {
-            let got = run_faulty(p, timed, exec)?;
-            if got != seq {
-                return Err(format!(
-                    "timing #{index} diverged on {exec:?}: report {:?} vs sequential {:?}",
-                    got.report, seq.report
-                ));
-            }
-        }
+        live_sharded_check(p, Some(timed)).map_err(|e| format!("timing #{index}: {e}"))?;
         if !digests.contains(&seq.digest) {
             digests.push(seq.digest);
         }
@@ -574,7 +576,7 @@ pub fn timing_bug_injection_detects(
             index,
             ledger_misses_moved: true,
         });
-        let got = run_faulty(p, timed, ExecutorKind::Sequential)?;
+        let got = run_sequential(p, Some(timed))?;
         tried += 1;
         if got.report.faults.retransmitted < got.report.faults.dropped {
             return Ok((tried, true));

@@ -95,9 +95,11 @@ pub struct StaticReport {
 }
 
 /// Recursively collects `.rs` files under `root` in sorted order,
-/// skipping build output, VCS internals and the analyzer's own fixture
+/// skipping build output, VCS internals, the analyzer's own fixture
 /// trees (fixtures are analyzed explicitly by pointing `--root` at
-/// them).
+/// them) and the standalone `benchmark/` package (its own cargo
+/// workspace, frozen by `BENCHMARK.json`'s `paths` — findings there
+/// could not be acted on from this workspace).
 pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -112,7 +114,10 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
                 .and_then(|n| n.to_str())
                 .unwrap_or_default();
             if path.is_dir() {
-                if matches!(name, "target" | ".git" | "fixtures" | ".claude") {
+                if matches!(
+                    name,
+                    "target" | ".git" | "fixtures" | ".claude" | "benchmark"
+                ) {
                     continue;
                 }
                 stack.push(path);

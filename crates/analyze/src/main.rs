@@ -307,7 +307,7 @@ fn main() -> ExitCode {
                 println!(
                     "drw-analyze: fault-timing check: {} scripted timings swept \
                      ({} distinct end states), every timing bit-identical across \
-                     sequential/parallel/sharded backends",
+                     sequential and live sharded backends",
                     out.timings_run, out.distinct_outcomes,
                 );
             }

@@ -121,7 +121,7 @@ fn bench_walk_with_regeneration(c: &mut Criterion) {
 
 /// The tentpole acceptance workload: one long walk on a 64x64 torus
 /// (n = 4096), where Phase 1 moves ~16k tokens per round — enough
-/// receive-phase work for the parallel executor to show its worth. Both
+/// receive-phase work for the sharded executor to show its worth. Both
 /// backends compute bit-identical results; only wall-clock differs.
 fn bench_executor_backends(c: &mut Criterion) {
     let torus = generators::torus2d(64, 64);
@@ -130,7 +130,7 @@ fn bench_executor_backends(c: &mut Criterion) {
     group.sample_size(5);
     for (name, kind) in [
         ("sequential", ExecutorKind::Sequential),
-        ("parallel", ExecutorKind::Parallel),
+        ("sharded", ExecutorKind::Sharded),
     ] {
         let cfg = SingleWalkConfig {
             engine: drw_congest::EngineConfig::default().with_executor(kind),

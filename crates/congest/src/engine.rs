@@ -1,13 +1,13 @@
 //! Engine configuration, run statistics, and the executor dispatch.
 //!
 //! The round loop itself lives in [`crate::executor`]; this module owns
-//! what every backend shares — [`EngineConfig`], [`RunReport`],
+//! what every run shares — [`EngineConfig`], [`RunReport`],
 //! [`RunError`] — and the [`run_protocol`] / [`run_node_local`] entry
-//! points that dispatch to the backend selected by
+//! points that pick the receive phase: by protocol trait, then by
 //! [`EngineConfig::executor`].
 
 use crate::executor::{
-    ExecutorKind, ParallelExecutor, RoundExecutor, SequentialExecutor, ShardedExecutor,
+    run_node_local_inline, run_rounds, ExecutorKind, PlainReceive, ShardedExecutor,
 };
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::message::WireCensus;
@@ -34,12 +34,14 @@ pub struct EngineConfig {
     /// (edge, round) pair, how many messages were delivered (index = load,
     /// clamped to the histogram's last bucket). Costs a little time.
     pub record_edge_loads: bool,
-    /// Which round-executor backend runs the protocol. Both backends
-    /// produce bit-identical results; this only affects wall-clock time.
+    /// Which backend runs the receive phase of node-local protocols.
+    /// Sequential and sharded runs are bit-identical; this only affects
+    /// wall-clock time.
     pub executor: ExecutorKind,
-    /// Worker-thread count for [`ExecutorKind::Parallel`] (`0` = one per
-    /// available CPU). Results never depend on it — the determinism test
-    /// suite forces several counts and asserts bit-identical runs.
+    /// Worker-thread count for [`ExecutorKind::Sharded`] (`0` = one per
+    /// available CPU; ignored by `Sequential`). Results never depend on
+    /// it — the determinism test suite forces several counts and asserts
+    /// bit-identical runs.
     pub parallel_workers: usize,
     /// Seeded fault schedule applied at delivery time (`None` = the
     /// perfect network). Faulty runs stay deterministic and
@@ -80,32 +82,16 @@ impl EngineConfig {
         }
     }
 
-    /// Default configuration on the parallel backend.
-    pub fn parallel() -> Self {
-        EngineConfig {
-            executor: ExecutorKind::Parallel,
-            ..EngineConfig::default()
-        }
-    }
-
-    /// Default configuration on the sharded work-stealing backend.
-    pub fn sharded() -> Self {
-        EngineConfig {
-            executor: ExecutorKind::Sharded,
-            ..EngineConfig::default()
-        }
-    }
-
     /// This configuration with the given executor backend.
     pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
         self.executor = executor;
         self
     }
 
-    /// This configuration with the parallel backend and a forced worker
+    /// This configuration with the sharded backend and a forced worker
     /// count (`0` = one per available CPU).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.executor = ExecutorKind::Parallel;
+        self.executor = ExecutorKind::Sharded;
         self.parallel_workers = workers;
         self
     }
@@ -249,7 +235,7 @@ pub struct RunReport {
     /// Peak bytes held per engine subsystem (telemetry; not compared).
     pub memory: MemoryReport,
     /// Shard work distribution, populated by [`ExecutorKind::Sharded`]
-    /// only (telemetry; not compared).
+    /// runs of node-local protocols only (telemetry; not compared).
     pub balance: Option<WorkBalance>,
 }
 
@@ -267,14 +253,13 @@ impl PartialEq for RunReport {
     }
 }
 
-/// Runs `protocol` on `graph` to completion under the backend selected
-/// by `cfg.executor`.
+/// Runs a plain [`Protocol`] on `graph` to completion.
 ///
-/// A plain [`Protocol`]'s receive hook takes `&mut self`, which no
-/// backend may shard; under [`ExecutorKind::Parallel`] such protocols
-/// execute with the sequential receive discipline (identical results).
-/// Protocols wanting the parallel receive phase implement
-/// [`NodeLocalProtocol`] and go through [`run_node_local`].
+/// A plain protocol's receive hook takes `&mut self`, which no backend
+/// may shard, so `cfg.executor` does not matter here: nodes are visited
+/// in ascending order on the calling thread. Protocols wanting the
+/// sharded receive phase implement [`NodeLocalProtocol`] and go through
+/// [`run_node_local`].
 ///
 /// Returns the run statistics; the protocol struct itself holds whatever
 /// results it computed.
@@ -290,20 +275,14 @@ pub fn run_protocol<P: Protocol>(
     seed: u64,
     protocol: &mut P,
 ) -> Result<RunReport, RunError> {
-    match cfg.executor {
-        ExecutorKind::Sequential => SequentialExecutor.run(graph, cfg, seed, protocol),
-        ExecutorKind::Parallel => {
-            ParallelExecutor::new(cfg.parallel_workers).run(graph, cfg, seed, protocol)
-        }
-        ExecutorKind::Sharded => {
-            ShardedExecutor::new(cfg.parallel_workers).run(graph, cfg, seed, protocol)
-        }
-    }
+    run_rounds(graph, cfg, seed, &mut PlainReceive(protocol))
 }
 
 /// Runs a [`NodeLocalProtocol`] on `graph` to completion under the
-/// backend selected by `cfg.executor`, sharding the receive phase
-/// across threads when that backend is [`ExecutorKind::Parallel`].
+/// backend selected by `cfg.executor`: every round inline in ascending
+/// node order under [`ExecutorKind::Sequential`], heavy rounds sharded
+/// across `cfg.parallel_workers` threads under
+/// [`ExecutorKind::Sharded`] — with bit-identical results.
 ///
 /// # Errors
 ///
@@ -315,10 +294,7 @@ pub fn run_node_local<P: NodeLocalProtocol>(
     protocol: &mut P,
 ) -> Result<RunReport, RunError> {
     match cfg.executor {
-        ExecutorKind::Sequential => SequentialExecutor.run_node_local(graph, cfg, seed, protocol),
-        ExecutorKind::Parallel => {
-            ParallelExecutor::new(cfg.parallel_workers).run_node_local(graph, cfg, seed, protocol)
-        }
+        ExecutorKind::Sequential => run_node_local_inline(graph, cfg, seed, protocol),
         ExecutorKind::Sharded => {
             ShardedExecutor::new(cfg.parallel_workers).run_node_local(graph, cfg, seed, protocol)
         }
@@ -566,14 +542,12 @@ mod tests {
     #[test]
     fn quiescent_protocol_takes_zero_rounds() {
         // Satellite edge case: `start` stages nothing, so the run ends
-        // immediately with a pristine report — under both backends.
-        for cfg in [EngineConfig::default(), EngineConfig::parallel()] {
-            let g = generators::path(3);
-            let report = run_protocol(&g, &cfg, 1, &mut Idle).unwrap();
-            assert_eq!(report.rounds, 0);
-            assert_eq!(report.messages, 0);
-            assert_eq!(report.max_edge_backlog, 0);
-        }
+        // immediately with a pristine report.
+        let g = generators::path(3);
+        let report = run_protocol(&g, &EngineConfig::default(), 1, &mut Idle).unwrap();
+        assert_eq!(report.rounds, 0);
+        assert_eq!(report.messages, 0);
+        assert_eq!(report.max_edge_backlog, 0);
     }
 
     #[test]
@@ -626,27 +600,17 @@ mod tests {
                 r.faults.delayed > 0
             })
             .expect("a 70% delay rate must fire within 64 schedules");
-        for exec in [
-            ExecutorKind::Sequential,
-            ExecutorKind::Parallel,
-            ExecutorKind::Sharded,
-        ] {
-            let mut p = Burst { k: 1, received: 0 };
-            let cfg = EngineConfig::default()
-                .with_executor(exec)
-                .with_faults(FaultPlan::new(seed_with_delay).with_delays(700, 5).lossy());
-            let report = run_protocol(&g, &cfg, 1, &mut p).unwrap();
-            assert_eq!(
-                p.received, 1,
-                "{exec:?}: delayed message lost at quiescence"
-            );
-            assert!(report.faults.delayed > 0, "{exec:?}");
-            assert!(
-                report.rounds >= 6,
-                "{exec:?}: a 5-round delay must cost at least 5 extra rounds (got {})",
-                report.rounds
-            );
-        }
+        let mut p = Burst { k: 1, received: 0 };
+        let cfg = EngineConfig::default()
+            .with_faults(FaultPlan::new(seed_with_delay).with_delays(700, 5).lossy());
+        let report = run_protocol(&g, &cfg, 1, &mut p).unwrap();
+        assert_eq!(p.received, 1, "delayed message lost at quiescence");
+        assert!(report.faults.delayed > 0);
+        assert!(
+            report.rounds >= 6,
+            "a 5-round delay must cost at least 5 extra rounds (got {})",
+            report.rounds
+        );
     }
 
     #[test]
@@ -671,44 +635,14 @@ mod tests {
     }
 
     #[test]
-    fn faulty_runs_are_identical_across_backends() {
-        // The fault schedule is keyed by logical message identity, so
-        // every backend injects exactly the same faults — protocol
-        // results and fault counters included.
-        let g = generators::torus2d(4, 5);
-        let plan = FaultPlan::new(11).with_drops(80).with_delays(50, 3);
-        let run = |exec: ExecutorKind| {
-            let mut p = Flood {
-                seen: vec![false; g.n()],
-            };
-            let cfg = EngineConfig::default()
-                .with_executor(exec)
-                .with_faults(plan);
-            let report = run_protocol(&g, &cfg, 9, &mut p).unwrap();
-            (report, p.seen)
-        };
-        let (seq_report, seq_seen) = run(ExecutorKind::Sequential);
-        assert!(seq_report.faults.total() > 0, "{:?}", seq_report.faults);
-        assert!(seq_seen.iter().all(|&s| s), "healed flood reaches everyone");
-        for exec in [ExecutorKind::Parallel, ExecutorKind::Sharded] {
-            let (report, seen) = run(exec);
-            assert_eq!(report, seq_report, "{exec:?}");
-            assert_eq!(report.faults, seq_report.faults, "{exec:?}");
-            assert_eq!(seen, seq_seen, "{exec:?}");
-        }
-    }
-
-    #[test]
     fn scripted_fault_timing_is_deterministic_and_identity_at_zero() {
         use crate::fault::ScriptedTiming;
         let g = generators::torus2d(4, 5);
-        let run = |plan: FaultPlan, exec: ExecutorKind| {
+        let run = |plan: FaultPlan| {
             let mut p = Flood {
                 seen: vec![false; g.n()],
             };
-            let cfg = EngineConfig::default()
-                .with_executor(exec)
-                .with_faults(plan);
+            let cfg = EngineConfig::default().with_faults(plan);
             let report = run_protocol(&g, &cfg, 9, &mut p).unwrap();
             (report, p.seen)
         };
@@ -716,29 +650,20 @@ mod tests {
 
         // Index 0 is the unpermuted baseline: bit-identical to no
         // timing mode at all.
-        let baseline = run(plan, ExecutorKind::Sequential);
-        let timed0 = run(
-            plan.with_timing(ScriptedTiming::new(0)),
-            ExecutorKind::Sequential,
-        );
-        assert_eq!(baseline, timed0);
+        assert_eq!(run(plan), run(plan.with_timing(ScriptedTiming::new(0))));
 
-        // Every timing index is deterministic and backend-independent;
-        // the budget moves, the conservation invariant holds.
+        // Every timing index is deterministic; the budget moves, the
+        // conservation invariant holds.
         for index in [1u64, 7, 40] {
             let timed = plan.with_timing(ScriptedTiming::new(index));
-            let (seq_report, seq_seen) = run(timed, ExecutorKind::Sequential);
+            let (seq_report, seq_seen) = run(timed);
             assert!(seq_report.faults.total() > 0);
             assert_eq!(
                 seq_report.faults.dropped, seq_report.faults.retransmitted,
                 "healed ARQ ledger must balance under timing {index}"
             );
             assert!(seq_seen.iter().all(|&s| s), "healed flood reaches everyone");
-            for exec in [ExecutorKind::Parallel, ExecutorKind::Sharded] {
-                let got = run(timed, exec);
-                assert_eq!(got.0, seq_report, "timing {index} on {exec:?}");
-                assert_eq!(got.1, seq_seen, "timing {index} on {exec:?}");
-            }
+            assert_eq!(run(timed), (seq_report, seq_seen), "timing {index}");
         }
     }
 
@@ -925,12 +850,12 @@ mod tests {
         fn engine_config_round_trips_through_json() {
             let cfg = EngineConfig {
                 edge_capacity: None,
-                executor: crate::ExecutorKind::Parallel,
+                executor: crate::ExecutorKind::Sharded,
                 faults: Some(FaultPlan::drops(3, 50)),
                 ..EngineConfig::default()
             };
             let json = serde_json::to_string(&cfg).unwrap();
-            assert!(json.contains("\"executor\":\"parallel\""), "{json}");
+            assert!(json.contains("\"executor\":\"sharded\""), "{json}");
             assert!(json.contains("\"edge_capacity\":null"), "{json}");
             assert!(json.contains("\"drop_per_mille\":50"), "{json}");
             let back: EngineConfig = serde_json::from_str(&json).unwrap();

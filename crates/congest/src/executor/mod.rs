@@ -1,71 +1,59 @@
-//! Pluggable round executors.
+//! The round loop and its backends.
 //!
-//! The engine's round loop — deliver queued messages, fire the global
+//! One function, `round::run_rounds`, spells out what a synchronous
+//! CONGEST round is — deliver queued messages, fire the global
 //! `on_round` hook, fire per-node receive handlers, stage the resulting
-//! sends — is a *strategy*, not a hardcoded function. [`RoundExecutor`]
-//! captures it; three backends implement it:
+//! sends — over the `queue::FlatQueue` flat bucketed message queue (a
+//! CSR-style single-backing-`Vec` structure). Only the receive phase
+//! varies, and it has exactly two forms:
 //!
-//! - [`SequentialExecutor`] — the reference implementation: one thread,
-//!   receiving nodes visited in ascending id order;
-//! - [`ParallelExecutor`] — shards the receive phase of
-//!   [`crate::NodeLocalProtocol`]s across OS threads with a
-//!   deterministic merge, producing bit-identical results;
-//! - [`ShardedExecutor`] — like `ParallelExecutor`, but splits the
-//!   receive phase into load-balanced shards that idle threads *claim*
-//!   (work stealing) instead of pre-assigned chunks, and records the
-//!   per-shard work distribution in the run report.
+//! - a plain [`crate::Protocol`]'s `&mut self` handler, run in ascending
+//!   node order on the calling thread under **every** backend (nothing
+//!   proves its nodes independent, so nothing may shard it);
+//! - a [`crate::NodeLocalProtocol`]'s node-local handler, which
+//!   [`ExecutorKind::Sequential`] runs inline in ascending node order
+//!   (the reference) and [`ExecutorKind::Sharded`] ([`ShardedExecutor`])
+//!   splits into load-balanced shards that idle threads *claim* (work
+//!   stealing), merging their sends back in node order — bit-identical
+//!   results, plus per-shard work counts in the run report.
 //!
-//! Callers normally do not name a backend: they set
-//! [`ExecutorKind`] on [`crate::EngineConfig`] and go through
-//! [`crate::run_protocol`] / [`crate::run_node_local`] (or
-//! [`crate::Runner`]), which dispatch here. Both backends share the
-//! `queue::FlatQueue` flat bucketed message queue — a CSR-style
-//! single-backing-`Vec` structure that replaced the seed engine's
-//! per-edge `VecDeque`s.
+//! Callers normally do not name a backend: they set [`ExecutorKind`] on
+//! [`crate::EngineConfig`] and go through [`crate::run_protocol`] /
+//! [`crate::run_node_local`] (or [`crate::Runner`]), which dispatch
+//! here.
 
 pub(crate) mod queue;
 
-mod parallel;
-mod sequential;
+mod round;
 mod sharded;
 
-pub use parallel::ParallelExecutor;
-pub use sequential::SequentialExecutor;
+pub(crate) use round::{run_rounds, PlainReceive};
+pub(crate) use sharded::run_node_local_inline;
 pub use sharded::{ScriptedSchedule, ShardedExecutor};
-
-use crate::engine::{EngineConfig, RunError, RunReport};
-use crate::node_local::NodeLocalProtocol;
-use crate::protocol::Protocol;
-use drw_graph::Graph;
 
 /// Which round-executor backend a run uses.
 ///
-/// Both backends are deterministic and produce identical results for
-/// the same graph, seed and protocol; the choice affects wall-clock
+/// The two backends are deterministic and produce identical results
+/// for the same graph, seed and protocol; the choice affects wall-clock
 /// time only. `Sequential` is the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
     /// One thread, ascending node order (the reference backend).
     #[default]
     Sequential,
-    /// Receive phase of node-local protocols sharded across all
-    /// available CPUs; plain protocols fall back to the sequential
-    /// discipline.
-    Parallel,
     /// Receive phase split into load-balanced work-stealing shards that
     /// idle threads claim dynamically; records per-shard work counts in
-    /// [`crate::RunReport`]'s `balance` telemetry. Plain protocols fall
-    /// back to the sequential discipline.
+    /// [`crate::RunReport`]'s `balance` telemetry. Plain protocols keep
+    /// the sequential receive discipline.
     Sharded,
 }
 
 impl ExecutorKind {
-    /// Parses `"sequential"` / `"parallel"` / `"sharded"` (as used by
-    /// experiment harness environment variables).
+    /// Parses `"sequential"` / `"sharded"` (as used by experiment
+    /// harness environment variables).
     pub fn from_name(name: &str) -> Option<ExecutorKind> {
         match name.to_ascii_lowercase().as_str() {
             "sequential" | "seq" => Some(ExecutorKind::Sequential),
-            "parallel" | "par" => Some(ExecutorKind::Parallel),
             "sharded" | "shard" => Some(ExecutorKind::Sharded),
             _ => None,
         }
@@ -75,7 +63,6 @@ impl ExecutorKind {
     pub fn name(&self) -> &'static str {
         match self {
             ExecutorKind::Sequential => "sequential",
-            ExecutorKind::Parallel => "parallel",
             ExecutorKind::Sharded => "sharded",
         }
     }
@@ -103,39 +90,4 @@ impl serde::Deserialize for ExecutorKind {
             other => Err(serde::Error(format!("expected string, got {other:?}"))),
         }
     }
-}
-
-/// A strategy for driving a protocol's round loop to completion.
-///
-/// Contract: for the same `(graph, cfg, seed, protocol)` every
-/// implementation must return the same [`RunReport`] and leave the
-/// protocol in the same final state as [`SequentialExecutor`] — backends
-/// may reorganize *how* work is done, never *what* is computed.
-pub trait RoundExecutor {
-    /// Runs a plain [`Protocol`] to completion.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::MaxRoundsExceeded`] or [`RunError::OversizedMessage`].
-    fn run<P: Protocol>(
-        &self,
-        graph: &Graph,
-        cfg: &EngineConfig,
-        seed: u64,
-        protocol: &mut P,
-    ) -> Result<RunReport, RunError>;
-
-    /// Runs a [`NodeLocalProtocol`] to completion, sharding the receive
-    /// phase if the backend supports it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RoundExecutor::run`].
-    fn run_node_local<P: NodeLocalProtocol>(
-        &self,
-        graph: &Graph,
-        cfg: &EngineConfig,
-        seed: u64,
-        protocol: &mut P,
-    ) -> Result<RunReport, RunError>;
 }

@@ -1,13 +1,14 @@
-//! The sharded work-stealing round executor.
+//! The node-local receive phase and its sharded work-stealing backend.
 //!
-//! Where [`super::ParallelExecutor`] pre-assigns each worker one
-//! contiguous chunk of the round's receiving nodes, this backend splits
-//! the receive phase into *load-balanced shards* — contiguous runs of
-//! nodes sized by their actual inbox message counts — and lets threads
-//! **claim** shards from a shared atomic cursor as they go idle. A
-//! thread that finishes a cheap shard immediately steals the next
-//! unclaimed one, so a straggler shard never serializes the round behind
-//! it.
+//! A [`NodeLocalProtocol`]'s handlers can reach only their own node's
+//! state, RNG stream and inbox, so a round's receive phase may be cut
+//! into *load-balanced shards* — contiguous runs of receiving nodes
+//! sized by their actual inbox message counts — that threads **claim**
+//! from a shared atomic cursor as they go idle. A thread that finishes
+//! a cheap shard immediately steals the next unclaimed one, so a
+//! straggler shard never serializes the round behind it. A round too
+//! light to yield two shards runs inline on the calling thread; under
+//! [`crate::ExecutorKind::Sequential`] every round does.
 //!
 //! Two properties make this deterministic:
 //!
@@ -15,8 +16,8 @@
 //!    (which are deterministic), never on thread scheduling.
 //! 2. Each shard stages its sends into a private buffer, and the buffers
 //!    are concatenated in shard order — ascending node order, exactly
-//!    the sequential staging order — regardless of which thread ran
-//!    which shard, or in what real-time order shards finished.
+//!    the order the inline path stages in — regardless of which thread
+//!    ran which shard, or in what real-time order shards finished.
 //!
 //! The per-shard message loads are recorded in
 //! [`crate::RunReport`]'s [`crate::WorkBalance`] telemetry. Because the
@@ -27,13 +28,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use super::queue::FlatQueue;
-use super::RoundExecutor;
+use super::round::{run_rounds, ReceivePhase};
 use crate::engine::{EngineConfig, RunError, RunReport, WorkBalance};
 use crate::message::Envelope;
 use crate::node_local::{NodeCtx, NodeLocalProtocol};
-use crate::protocol::{Ctx, Protocol};
-use crate::rng::NodeRngs;
+use crate::protocol::Ctx;
 use drw_graph::Graph;
 use rand::rngs::StdRng;
 
@@ -47,8 +46,7 @@ const MSGS_PER_SHARD: u64 = 256;
 const MAX_SHARDS: usize = 64;
 
 /// Executes the receive phase of node-local protocols as load-balanced
-/// work-stealing shards. Plain [`Protocol`]s fall back to the sequential
-/// discipline (their `&mut self` receive hook cannot be sharded).
+/// work-stealing shards.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedExecutor {
     threads: usize,
@@ -62,12 +60,7 @@ impl ShardedExecutor {
         ShardedExecutor { threads }
     }
 
-    /// An executor sized to the machine.
-    pub fn auto() -> Self {
-        ShardedExecutor::new(0)
-    }
-
-    /// The resolved worker count.
+    /// The resolved worker count (at least 1).
     pub fn threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
@@ -76,12 +69,6 @@ impl ShardedExecutor {
                 .map(|p| p.get())
                 .unwrap_or(1)
         }
-    }
-}
-
-impl Default for ShardedExecutor {
-    fn default() -> Self {
-        ShardedExecutor::auto()
     }
 }
 
@@ -134,8 +121,11 @@ impl<'a> ScriptedSchedule<'a> {
     }
 }
 
-/// How a round's shard tasks are claimed by execution contexts.
+/// How a round's receive work is cut into shards and claimed.
 enum ClaimMode<'a> {
+    /// [`crate::ExecutorKind::Sequential`]: never shard — every round
+    /// runs inline, and no balance telemetry is reported.
+    Inline,
     /// Production: up to `n` OS threads race on an atomic cursor.
     Threads(usize),
     /// Interleaving-checker mode: shards execute one at a time in a
@@ -147,18 +137,28 @@ enum ClaimMode<'a> {
 impl ClaimMode<'_> {
     fn msgs_per_shard(&self) -> u64 {
         match self {
+            ClaimMode::Inline => u64::MAX,
             ClaimMode::Threads(_) => MSGS_PER_SHARD,
             ClaimMode::Scripted(s) => s.msgs_per_shard.max(1),
         }
     }
 }
 
-/// One receiving node's slice of the round (see `parallel.rs`).
+/// One receiving node's slice of the round: its state, RNG stream and
+/// inbox, carved out for exclusive access by one worker.
 struct WorkItem<'a, P: NodeLocalProtocol> {
     node: usize,
     state: &'a mut P::NodeState,
     rng: &'a mut StdRng,
     inbox: &'a mut Vec<Envelope<P::Msg>>,
+}
+
+/// Splits `rest[offset]` off as an exclusive borrow and advances `rest`
+/// past it.
+fn carve<'a, T>(rest: &mut &'a mut [T], offset: usize) -> &'a mut T {
+    let (head, tail) = std::mem::take(rest).split_at_mut(offset + 1);
+    *rest = tail;
+    &mut head[offset]
 }
 
 /// A claimed unit of receive work: its nodes and its private staging
@@ -194,37 +194,29 @@ fn partition_by_load(counts: &[usize], total: usize, max_shards: usize) -> (Vec<
     (sizes, loads)
 }
 
-impl RoundExecutor for ShardedExecutor {
-    fn run<P: Protocol>(
+impl ShardedExecutor {
+    /// Runs a [`NodeLocalProtocol`] to completion, sharding the receive
+    /// phase of every round heavy enough to yield two shards.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::MaxRoundsExceeded`] or [`RunError::OversizedMessage`].
+    pub fn run_node_local<P: NodeLocalProtocol>(
         &self,
         graph: &Graph,
         cfg: &EngineConfig,
         seed: u64,
         protocol: &mut P,
     ) -> Result<RunReport, RunError> {
-        // Same reasoning as the parallel backend: a plain protocol's
-        // receive hook takes `&mut self` and cannot be sharded.
-        super::SequentialExecutor.run(graph, cfg, seed, protocol)
-    }
-
-    fn run_node_local<P: NodeLocalProtocol>(
-        &self,
-        graph: &Graph,
-        cfg: &EngineConfig,
-        seed: u64,
-        protocol: &mut P,
-    ) -> Result<RunReport, RunError> {
-        run_impl(
+        run(
             graph,
             cfg,
             seed,
             protocol,
-            &mut ClaimMode::Threads(self.threads().max(1)),
+            ClaimMode::Threads(self.threads()),
         )
     }
-}
 
-impl ShardedExecutor {
     /// Runs a node-local protocol through the sharded receive path with
     /// a **scripted** shard-claim order — the hook behind `drw-analyze`'s
     /// exhaustive interleaving checker.
@@ -236,8 +228,9 @@ impl ShardedExecutor {
     /// executes the shards of every round in the order `order(round,
     /// shard_count)` dictates (any permutation of `0..shard_count`).
     /// Enumerating those permutations and asserting bit-identical
-    /// results against [`super::SequentialExecutor`] turns the executor
-    /// contract into a bounded race check at shard granularity.
+    /// results against the [`crate::ExecutorKind::Sequential`] reference
+    /// turns the executor contract into a bounded race check at shard
+    /// granularity.
     ///
     /// The schedule's `item_order` extends the scripting *inside* each
     /// claimed shard: items (receiving nodes) execute in the scripted
@@ -265,7 +258,7 @@ impl ShardedExecutor {
     ///
     /// # Errors
     ///
-    /// Same as [`RoundExecutor::run_node_local`].
+    /// Same as [`ShardedExecutor::run_node_local`].
     pub fn run_node_local_scripted<P: NodeLocalProtocol>(
         graph: &Graph,
         cfg: &EngineConfig,
@@ -273,289 +266,279 @@ impl ShardedExecutor {
         protocol: &mut P,
         schedule: ScriptedSchedule<'_>,
     ) -> Result<RunReport, RunError> {
-        run_impl(
-            graph,
-            cfg,
-            seed,
-            protocol,
-            &mut ClaimMode::Scripted(schedule),
-        )
+        run(graph, cfg, seed, protocol, ClaimMode::Scripted(schedule))
     }
 }
 
-fn run_impl<P: NodeLocalProtocol>(
+/// [`crate::ExecutorKind::Sequential`] for a node-local protocol: the
+/// same receive phase with every round inline.
+pub(crate) fn run_node_local_inline<P: NodeLocalProtocol>(
     graph: &Graph,
     cfg: &EngineConfig,
     seed: u64,
     protocol: &mut P,
-    mode: &mut ClaimMode<'_>,
 ) -> Result<RunReport, RunError> {
-    let n = graph.n();
-    let mut rngs = NodeRngs::new(seed, n);
-    let mut queue: FlatQueue<P::Msg> = FlatQueue::for_graph(graph);
-    let mut inbox: Vec<Vec<Envelope<P::Msg>>> = vec![Vec::new(); n];
-    let mut active: Vec<usize> = Vec::new();
-    let mut report = RunReport::default();
-    let mut balance = WorkBalance::default();
-    if cfg.record_edge_loads {
-        report.edge_load_histogram = vec![0; super::queue::LOAD_HISTOGRAM_BUCKETS];
+    run(graph, cfg, seed, protocol, ClaimMode::Inline)
+}
+
+fn run<P: NodeLocalProtocol>(
+    graph: &Graph,
+    cfg: &EngineConfig,
+    seed: u64,
+    protocol: &mut P,
+    mode: ClaimMode<'_>,
+) -> Result<RunReport, RunError> {
+    let mut phase = NodeLocalReceive {
+        protocol,
+        mode,
+        balance: WorkBalance::default(),
+    };
+    let mut report = run_rounds(graph, cfg, seed, &mut phase)?;
+    if !matches!(phase.mode, ClaimMode::Inline) {
+        report.balance = Some(phase.balance);
+    }
+    Ok(report)
+}
+
+/// The receive phase of a [`NodeLocalProtocol`] under one [`ClaimMode`].
+struct NodeLocalReceive<'p, 's, P> {
+    protocol: &'p mut P,
+    mode: ClaimMode<'s>,
+    balance: WorkBalance,
+}
+
+impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, P> {
+    type Msg = P::Msg;
+
+    fn start(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
+        self.protocol.start(ctx);
     }
 
-    // Round 0 is sequential: `start` sees the full context.
-    let mut ctx = Ctx::new(graph, 0, &mut rngs);
-    protocol.start(&mut ctx);
-    let mut staged_buf = ctx.staged;
-    queue.stage(&mut staged_buf, cfg, 1, &mut report)?;
+    fn is_done(&self) -> bool {
+        self.protocol.is_done()
+    }
 
-    let mut round: u64 = 0;
-    // `is_idle`, not emptiness: fault-delayed messages parked for
-    // future rounds must keep the loop alive (see the sequential
-    // reference executor).
-    while !queue.is_idle() {
-        if protocol.is_done() {
-            break;
-        }
-        round += 1;
-        if round > cfg.max_rounds {
-            return Err(RunError::MaxRoundsExceeded(cfg.max_rounds));
-        }
+    fn on_round(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
+        self.protocol.on_round(ctx);
+    }
 
-        active.clear();
-        let delivered = queue.deliver(graph, cfg, round, &mut report, &mut inbox, &mut active);
-        active.sort_unstable();
-
-        // Global hook first, sequentially, exactly like the
-        // sequential executor; its stages precede all node stages.
-        let mut ctx = Ctx::with_staged(graph, round, &mut rngs, staged_buf);
-        protocol.on_round(&mut ctx);
-        let mut staged = ctx.staged;
+    fn receive(
+        &mut self,
+        ctx: &mut Ctx<'_, P::Msg>,
+        active: &[usize],
+        inbox: &mut [Vec<Envelope<P::Msg>>],
+        delivered: u64,
+    ) {
+        let (graph, round) = (ctx.graph, ctx.round);
+        let staged = &mut ctx.staged;
+        let (shared, states) = self.protocol.parts();
+        debug_assert_eq!(states.len(), graph.n(), "one NodeState per node required");
 
         // The shard count is a deterministic function of the round's
         // delivery volume — never of thread count or scheduling.
-        let want_shards = ((delivered / mode.msgs_per_shard()) as usize)
+        let want_shards = ((delivered / self.mode.msgs_per_shard()) as usize)
             .clamp(1, MAX_SHARDS)
             .min(active.len().max(1));
         if want_shards < 2 {
-            // Inline receive phase: identical to the sequential
-            // backend by construction.
-            balance.rounds_inline += 1;
-            let (shared, states) = protocol.parts();
-            for &node in &active {
-                let mut nctx = NodeCtx::new(graph, round, node, rngs.node(node), &mut staged);
+            self.balance.rounds_inline += 1;
+            for &node in active {
+                let mut nctx = NodeCtx::new(graph, round, node, ctx.rngs.node(node), staged);
                 P::on_receive_local(shared, &mut states[node], node, &inbox[node], &mut nctx);
                 inbox[node].clear(); // keep the allocation for next round
             }
+            return;
+        }
+
+        let counts: Vec<usize> = active.iter().map(|&v| inbox[v].len()).collect();
+        let (sizes, loads) = partition_by_load(&counts, delivered as usize, want_shards);
+
+        if sizes.len() >= 2 {
+            self.balance.rounds_measured += 1;
+            let max = *loads.iter().max().expect("at least two shards") as f64;
+            let mean = delivered as f64 / loads.len() as f64;
+            self.balance.worst_max_over_mean = self.balance.worst_max_over_mean.max(max / mean);
+            if self.balance.shard_messages.len() < loads.len() {
+                self.balance.shard_messages.resize(loads.len(), 0);
+            }
+            for (slot, &l) in self.balance.shard_messages.iter_mut().zip(&loads) {
+                *slot += l;
+            }
         } else {
-            let counts: Vec<usize> = active.iter().map(|&v| inbox[v].len()).collect();
-            let (sizes, loads) = partition_by_load(&counts, delivered as usize, want_shards);
+            self.balance.rounds_inline += 1;
+        }
 
-            if sizes.len() >= 2 {
-                balance.rounds_measured += 1;
-                let max = *loads.iter().max().expect("at least two shards") as f64;
-                let mean = delivered as f64 / loads.len() as f64;
-                balance.worst_max_over_mean = balance.worst_max_over_mean.max(max / mean);
-                if balance.shard_messages.len() < loads.len() {
-                    balance.shard_messages.resize(loads.len(), 0);
-                }
-                for (slot, &l) in balance.shard_messages.iter_mut().zip(&loads) {
-                    *slot += l;
-                }
-            } else {
-                balance.rounds_inline += 1;
-            }
+        // Carve disjoint &mut views for each receiving node out of the
+        // state, RNG and inbox slices (safe: `active` is sorted and
+        // deduplicated, so the carves never overlap).
+        let mut items: Vec<WorkItem<'_, P>> = Vec::with_capacity(active.len());
+        let mut rest_states: &mut [P::NodeState] = states;
+        let mut rest_rngs: &mut [StdRng] = ctx.rngs.as_mut_slice();
+        let mut rest_inbox: &mut [Vec<Envelope<P::Msg>>] = inbox;
+        let mut consumed = 0usize;
+        for &node in active {
+            let offset = node - consumed;
+            consumed = node + 1;
+            items.push(WorkItem {
+                node,
+                state: carve(&mut rest_states, offset),
+                rng: carve(&mut rest_rngs, offset),
+                inbox: carve(&mut rest_inbox, offset),
+            });
+        }
 
-            let (shared, states) = protocol.parts();
-            debug_assert_eq!(states.len(), n, "one NodeState per node required");
-
-            // Carve disjoint &mut views for each receiving node (same
-            // split_at_mut walk as the parallel backend).
-            let mut items: Vec<WorkItem<'_, P>> = Vec::with_capacity(active.len());
-            let mut rest_states: &mut [P::NodeState] = states;
-            let mut rest_rngs: &mut [StdRng] = rngs.as_mut_slice();
-            let mut rest_inbox: &mut [Vec<Envelope<P::Msg>>] = &mut inbox;
-            let mut consumed = 0usize;
-            for &node in &active {
-                let offset = node - consumed;
-                let (_, tail) = std::mem::take(&mut rest_states).split_at_mut(offset);
-                let (head, tail) = tail.split_at_mut(1);
-                rest_states = tail;
-                let (_, rtail) = std::mem::take(&mut rest_rngs).split_at_mut(offset);
-                let (rhead, rtail) = rtail.split_at_mut(1);
-                rest_rngs = rtail;
-                let (_, itail) = std::mem::take(&mut rest_inbox).split_at_mut(offset);
-                let (ihead, itail) = itail.split_at_mut(1);
-                rest_inbox = itail;
-                consumed = node + 1;
-                items.push(WorkItem {
-                    node,
-                    state: &mut head[0],
-                    rng: &mut rhead[0],
-                    inbox: &mut ihead[0],
-                });
-            }
-
-            // Group items into shard tasks (contiguous, so shard
-            // order == ascending node order).
-            let mut item_iter = items.into_iter();
-            let tasks: Vec<Mutex<ShardTask<'_, P>>> = sizes
-                .iter()
-                .map(|&sz| {
-                    Mutex::new(ShardTask {
-                        items: item_iter.by_ref().take(sz).collect(),
-                        out: Vec::new(),
-                    })
+        // Group items into shard tasks (contiguous, so shard
+        // order == ascending node order).
+        let mut item_iter = items.into_iter();
+        let tasks: Vec<Mutex<ShardTask<'_, P>>> = sizes
+            .iter()
+            .map(|&sz| {
+                Mutex::new(ShardTask {
+                    items: item_iter.by_ref().take(sz).collect(),
+                    out: Vec::new(),
                 })
-                .collect();
-            debug_assert!(item_iter.next().is_none(), "partition covers all items");
+            })
+            .collect();
+        debug_assert!(item_iter.next().is_none(), "partition covers all items");
 
-            let run_shard =
-                |task: &mut ShardTask<'_, P>, item_perm: Option<&[usize]>, scramble: bool| {
-                    let ShardTask { items, out } = task;
-                    let len = items.len();
-                    let mut run_item = |j: usize, reversed: bool| {
-                        let item = &mut items[j];
-                        let start = out.len();
-                        let mut nctx = NodeCtx::new(graph, round, item.node, item.rng, out);
-                        P::on_receive_local(shared, item.state, item.node, item.inbox, &mut nctx);
-                        item.inbox.clear(); // keep the allocation
-                        if reversed {
-                            // Injected race (`scramble_item_order`): an
-                            // out-of-position item's batch lands reversed,
-                            // losing per-edge FIFO the way an unordered
-                            // per-item result channel would.
-                            out[start..].reverse();
-                        }
-                    };
-                    match item_perm {
-                        None => {
-                            for j in 0..len {
-                                run_item(j, false);
-                            }
-                        }
-                        Some(perm) => {
-                            assert_eq!(perm.len(), len, "item order must cover every item");
-                            let mut seen = vec![false; len];
-                            for (pos, &j) in perm.iter().enumerate() {
-                                assert!(
-                                    j < len && !std::mem::replace(&mut seen[j], true),
-                                    "item order must be a permutation of 0..{len}",
-                                );
-                                run_item(j, scramble && j != pos);
-                            }
-                        }
+        let run_shard =
+            |task: &mut ShardTask<'_, P>, item_perm: Option<&[usize]>, scramble: bool| {
+                let ShardTask { items, out } = task;
+                let len = items.len();
+                let mut run_item = |j: usize, reversed: bool| {
+                    let item = &mut items[j];
+                    let start = out.len();
+                    let mut nctx = NodeCtx::new(graph, round, item.node, item.rng, out);
+                    P::on_receive_local(shared, item.state, item.node, item.inbox, &mut nctx);
+                    item.inbox.clear(); // keep the allocation
+                    if reversed {
+                        // Injected race (`scramble_item_order`): an
+                        // out-of-position item's batch lands reversed,
+                        // losing per-edge FIFO the way an unordered
+                        // per-item result channel would.
+                        out[start..].reverse();
                     }
                 };
-
-            // Claim order is the executor's one nondeterministic
-            // degree of freedom; results must never depend on it.
-            let mut claim_order: Option<Vec<usize>> = None;
-            match mode {
-                ClaimMode::Threads(max_threads) => {
-                    let threads = (*max_threads).min(tasks.len());
-                    if threads < 2 {
-                        // One worker: claim shards in order on this
-                        // thread. Loads were still recorded above —
-                        // balance telemetry does not depend on real
-                        // parallelism.
-                        for task in &tasks {
-                            run_shard(&mut task.lock().expect("shard lock"), None, false);
+                match item_perm {
+                    None => {
+                        for j in 0..len {
+                            run_item(j, false);
                         }
-                    } else {
-                        let cursor = AtomicUsize::new(0);
-                        std::thread::scope(|scope| {
-                            for _ in 0..threads {
-                                scope.spawn(|| loop {
-                                    // Work stealing: each idle thread
-                                    // claims the next unclaimed shard.
-                                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                    let Some(task) = tasks.get(i) else { break };
-                                    run_shard(&mut task.lock().expect("shard lock"), None, false);
-                                });
-                            }
-                        });
+                    }
+                    Some(perm) => {
+                        assert_eq!(perm.len(), len, "item order must cover every item");
+                        let mut seen = vec![false; len];
+                        for (pos, &j) in perm.iter().enumerate() {
+                            assert!(
+                                j < len && !std::mem::replace(&mut seen[j], true),
+                                "item order must be a permutation of 0..{len}",
+                            );
+                            run_item(j, scramble && j != pos);
+                        }
                     }
                 }
-                ClaimMode::Scripted(sched) => {
-                    let perm = (sched.order)(round, tasks.len());
-                    let mut seen = vec![false; tasks.len()];
-                    assert_eq!(
-                        perm.len(),
-                        tasks.len(),
-                        "claim order must cover every shard"
-                    );
-                    for &i in &perm {
-                        assert!(
-                            i < tasks.len() && !std::mem::replace(&mut seen[i], true),
-                            "claim order must be a permutation of 0..{}",
-                            tasks.len()
-                        );
-                        let mut task = tasks[i].lock().expect("shard lock");
-                        let item_perm = sched
-                            .item_order
-                            .as_mut()
-                            .map(|f| f(round, i, task.items.len()));
-                        run_shard(&mut task, item_perm.as_deref(), sched.scramble_item_order);
+            };
+
+        // Claim order is the executor's one nondeterministic
+        // degree of freedom; results must never depend on it.
+        let mut claim_order: Option<Vec<usize>> = None;
+        match &mut self.mode {
+            ClaimMode::Inline => unreachable!("inline mode never yields two shards"),
+            ClaimMode::Threads(max_threads) => {
+                let threads = (*max_threads).min(tasks.len());
+                if threads < 2 {
+                    // One worker: claim shards in order on this
+                    // thread. Loads were still recorded above —
+                    // balance telemetry does not depend on real
+                    // parallelism.
+                    for task in &tasks {
+                        run_shard(&mut task.lock().expect("shard lock"), None, false);
                     }
-                    claim_order = Some(perm);
+                } else {
+                    let cursor = AtomicUsize::new(0);
+                    std::thread::scope(|scope| {
+                        for _ in 0..threads {
+                            scope.spawn(|| loop {
+                                // Work stealing: each idle thread
+                                // claims the next unclaimed shard.
+                                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                                let Some(task) = tasks.get(i) else { break };
+                                run_shard(&mut task.lock().expect("shard lock"), None, false);
+                            });
+                        }
+                    });
                 }
             }
-            // Concatenate in shard order — the sequential staging
-            // order, whatever the claim interleaving was. (The
-            // checker's bug-injection knob merges in claim order
-            // instead, reintroducing the race this merge rule
-            // exists to prevent.)
-            let mut outs: Vec<Vec<(usize, P::Msg)>> = tasks
-                .into_iter()
-                .map(|t| t.into_inner().expect("all shard workers joined").out)
-                .collect();
-            let buggy_merge = matches!(mode, ClaimMode::Scripted(s) if s.merge_in_claim_order);
-            if let (true, Some(perm)) = (buggy_merge, &claim_order) {
-                // Injected race: arrival-order merge. A shard claimed
-                // at its own staging position appends intact; one
-                // claimed out of position lands with its batch
-                // reversed, losing per-edge FIFO order the way an
-                // unordered result channel would. Schedule-dependent
-                // by construction: the identity schedule is benign.
-                for (pos, &i) in perm.iter().enumerate() {
-                    if i == pos {
-                        staged.append(&mut outs[i]);
-                    } else {
-                        staged.extend(outs[i].drain(..).rev());
-                    }
+            ClaimMode::Scripted(sched) => {
+                let perm = (sched.order)(round, tasks.len());
+                let mut seen = vec![false; tasks.len()];
+                assert_eq!(
+                    perm.len(),
+                    tasks.len(),
+                    "claim order must cover every shard"
+                );
+                for &i in &perm {
+                    assert!(
+                        i < tasks.len() && !std::mem::replace(&mut seen[i], true),
+                        "claim order must be a permutation of 0..{}",
+                        tasks.len()
+                    );
+                    let mut task = tasks[i].lock().expect("shard lock");
+                    let item_perm = sched
+                        .item_order
+                        .as_mut()
+                        .map(|f| f(round, i, task.items.len()));
+                    run_shard(&mut task, item_perm.as_deref(), sched.scramble_item_order);
                 }
-            } else {
-                for out in &mut outs {
-                    staged.append(out);
-                }
+                claim_order = Some(perm);
             }
         }
-        staged_buf = staged;
-        queue.stage(&mut staged_buf, cfg, round + 1, &mut report)?;
+        // Concatenate in shard order — the inline staging order,
+        // whatever the claim interleaving was. (The checker's
+        // bug-injection knob merges in claim order instead,
+        // reintroducing the race this merge rule exists to prevent.)
+        let mut outs: Vec<Vec<(usize, P::Msg)>> = tasks
+            .into_iter()
+            .map(|t| t.into_inner().expect("all shard workers joined").out)
+            .collect();
+        let buggy_merge = matches!(&self.mode, ClaimMode::Scripted(s) if s.merge_in_claim_order);
+        if let (true, Some(perm)) = (buggy_merge, &claim_order) {
+            // Injected race: arrival-order merge. A shard claimed
+            // at its own staging position appends intact; one
+            // claimed out of position lands with its batch
+            // reversed, losing per-edge FIFO order the way an
+            // unordered result channel would. Schedule-dependent
+            // by construction: the identity schedule is benign.
+            for (pos, &i) in perm.iter().enumerate() {
+                if i == pos {
+                    staged.append(&mut outs[i]);
+                } else {
+                    staged.extend(outs[i].drain(..).rev());
+                }
+            }
+        } else {
+            for out in &mut outs {
+                staged.append(out);
+            }
+        }
     }
-
-    report.rounds = round;
-    report.memory = super::sequential::memory_report(
-        queue.capacity_bytes(),
-        &inbox,
-        rngs.len(),
-        staged_buf.capacity() * std::mem::size_of::<(usize, P::Msg)>(),
-    );
-    report.balance = Some(balance);
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::SequentialExecutor;
     use crate::message::Message;
     use drw_graph::generators;
     use rand::Rng;
 
-    /// Same message-dense gossip as the parallel executor's test: every
-    /// round each node broadcasts a private draw to all neighbors, so on
+    /// A message-dense node-local gossip: for `ttl` rounds every node
+    /// draws from its private RNG and sends the draw to every neighbor;
+    /// nodes fold received values into a running digest. On
     /// `complete(48)` every round delivers 2256 messages — enough for
-    /// several shards per round even on one CPU.
+    /// several shards per round, so the threaded claim path genuinely
+    /// runs even when `available_parallelism` is 1. With `beacon` set,
+    /// the global hook also has node 0 send the round number to node 1:
+    /// same edge, one stage ahead of node 0's own send, so node 1's
+    /// (order-sensitive) fold sees the hook-before-node staging order.
     #[derive(Clone, Debug)]
     struct Gossip(u64);
     impl Message for Gossip {}
@@ -568,6 +551,7 @@ mod tests {
 
     struct DenseGossip {
         ttl: u64,
+        beacon: bool,
         nodes: Vec<Digest>,
     }
 
@@ -586,6 +570,12 @@ mod tests {
             }
         }
 
+        fn on_round(&mut self, ctx: &mut Ctx<'_, Gossip>) {
+            if self.beacon && ctx.round() <= self.ttl {
+                ctx.send(0, 1, Gossip(ctx.round()));
+            }
+        }
+
         fn parts(&mut self) -> (&u64, &mut [Digest]) {
             (&self.ttl, &mut self.nodes)
         }
@@ -594,8 +584,8 @@ mod tests {
             ttl: &u64,
             state: &mut Digest,
             _node: usize,
-            inbox: &[crate::Envelope<Gossip>],
-            ctx: &mut crate::NodeCtx<'_, Gossip>,
+            inbox: &[Envelope<Gossip>],
+            ctx: &mut NodeCtx<'_, Gossip>,
         ) {
             for env in inbox {
                 state.received += 1;
@@ -611,10 +601,64 @@ mod tests {
         }
     }
 
+    /// The same gossip through the plain-protocol receive phase.
+    impl crate::Protocol for DenseGossip {
+        type Msg = Gossip;
+
+        fn start(&mut self, ctx: &mut Ctx<'_, Gossip>) {
+            NodeLocalProtocol::start(self, ctx);
+        }
+
+        fn on_round(&mut self, ctx: &mut Ctx<'_, Gossip>) {
+            NodeLocalProtocol::on_round(self, ctx);
+        }
+
+        fn on_receive(&mut self, v: usize, inbox: &[Envelope<Gossip>], ctx: &mut Ctx<'_, Gossip>) {
+            let mut nctx = NodeCtx::new(ctx.graph, ctx.round, v, ctx.rngs.node(v), &mut ctx.staged);
+            Self::on_receive_local(&self.ttl, &mut self.nodes[v], v, inbox, &mut nctx);
+        }
+    }
+
     fn mk(n: usize) -> DenseGossip {
         DenseGossip {
             ttl: 6,
+            beacon: false,
             nodes: vec![Digest::default(); n],
+        }
+    }
+
+    #[test]
+    fn both_receive_phases_agree_under_lossy_delays_with_a_staging_hook() {
+        // Drops are permanent and delays park messages past the last
+        // send, so the run ends only if parked messages keep the loop
+        // alive — on the plain and the node-local receive phase alike.
+        let g = generators::complete(48);
+        let plan = crate::FaultPlan::new(7)
+            .with_drops(30)
+            .with_delays(60, 4)
+            .lossy();
+        let base = EngineConfig::default().with_faults(plan);
+        let mk = || DenseGossip {
+            beacon: true,
+            ..mk(48)
+        };
+        let mut reference = mk();
+        let want = crate::run_protocol(&g, &base, 21, &mut reference).unwrap();
+        assert!(want.faults.dropped > 0 && want.faults.delayed > 0);
+        for cfg in [
+            base.clone(),
+            base.clone().with_workers(1),
+            base.clone().with_workers(4),
+        ] {
+            let mut plain = mk();
+            let got = crate::run_protocol(&g, &cfg, 21, &mut plain).unwrap();
+            assert_eq!((&got, &plain.nodes), (&want, &reference.nodes), "{cfg:?}");
+            let mut local = mk();
+            let got = crate::run_node_local(&g, &cfg, 21, &mut local).unwrap();
+            assert_eq!((&got, &local.nodes), (&want, &reference.nodes), "{cfg:?}");
+            assert_eq!(got.rounds, want.rounds, "{cfg:?}");
+            let sharded = got.balance.is_some_and(|b| b.rounds_measured > 0);
+            assert_eq!(sharded, cfg.executor == crate::ExecutorKind::Sharded);
         }
     }
 
@@ -623,9 +667,8 @@ mod tests {
         let g = generators::complete(48);
         let cfg = EngineConfig::default();
         let mut seq = mk(48);
-        let r_seq = SequentialExecutor
-            .run_node_local(&g, &cfg, 11, &mut seq)
-            .unwrap();
+        let r_seq = run_node_local_inline(&g, &cfg, 11, &mut seq).unwrap();
+        assert!(r_seq.balance.is_none(), "sequential runs have no shards");
         for threads in [1, 2, 3, 4, 16] {
             let mut sha = mk(48);
             let r_sha = ShardedExecutor::new(threads)
@@ -634,6 +677,12 @@ mod tests {
             assert_eq!(r_seq, r_sha, "{threads} threads: report");
             assert_eq!(seq.nodes, sha.nodes, "{threads} threads: node digests");
         }
+    }
+
+    #[test]
+    fn thread_counts_resolve() {
+        assert_eq!(ShardedExecutor::new(3).threads(), 3);
+        assert!(ShardedExecutor::new(0).threads() >= 1);
     }
 
     #[test]
@@ -684,11 +733,8 @@ mod tests {
     fn light_rounds_run_inline() {
         // A path carries one message per round: never enough to shard.
         let g = generators::path(16);
-        let mut p = DenseGossip {
-            ttl: 3,
-            nodes: vec![Digest::default(); 16],
-        };
-        let report = ShardedExecutor::auto()
+        let mut p = DenseGossip { ttl: 3, ..mk(16) };
+        let report = ShardedExecutor::new(0)
             .run_node_local(&g, &EngineConfig::default(), 1, &mut p)
             .unwrap();
         let balance = report.balance.expect("sharded runs record balance");

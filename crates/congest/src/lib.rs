@@ -31,14 +31,17 @@
 //!
 //! # Execution backends
 //!
-//! The round loop is a pluggable strategy ([`RoundExecutor`]): the
-//! [`SequentialExecutor`] reference backend, and a [`ParallelExecutor`]
-//! that shards the receive phase of [`NodeLocalProtocol`]s across OS
-//! threads. Backends are **bit-identical**: same graph + seed ⇒ same
-//! [`RunReport`], same protocol results — the backend choice
-//! ([`EngineConfig::executor`]) only changes wall-clock time. Both run
-//! on a flat bucketed message queue (one backing `Vec` plus per-edge
-//! ranges, CSR-style) instead of per-edge allocations.
+//! There is one round loop (module [`executor`]) over a flat bucketed
+//! message queue (one backing `Vec` plus per-edge ranges, CSR-style);
+//! a backend only decides how the receive phase of a
+//! [`NodeLocalProtocol`] is run. [`ExecutorKind::Sequential`], the
+//! reference, visits receiving nodes in ascending order on one thread;
+//! [`ExecutorKind::Sharded`] ([`ShardedExecutor`]) cuts heavy rounds
+//! into load-balanced shards that OS threads claim, and merges their
+//! sends back in node order. The two are **bit-identical**: same graph
+//! and seed ⇒ same [`RunReport`], same protocol results — the choice
+//! ([`EngineConfig::executor`]) only changes wall-clock time. A plain
+//! [`Protocol`] runs the sequential discipline under either.
 //!
 //! # Example
 //!
@@ -93,16 +96,13 @@ mod runner;
 pub use engine::{
     run_node_local, run_protocol, EngineConfig, MemoryReport, RunError, RunReport, WorkBalance,
 };
-pub use executor::{
-    ExecutorKind, ParallelExecutor, RoundExecutor, ScriptedSchedule, SequentialExecutor,
-    ShardedExecutor,
-};
+pub use executor::{ExecutorKind, ScriptedSchedule, ShardedExecutor};
 pub use fault::{FaultCounters, FaultPlan, ScriptedTiming};
 pub use message::{
     wire_type_name, Envelope, FieldCensus, FracBits, Message, TypeCensus, TypeRecorder, WireCensus,
 };
 pub use multiplex::{Mux, Mux2};
-pub use node_local::{NodeCtx, NodeLocalAdapter, NodeLocalProtocol};
+pub use node_local::{NodeCtx, NodeLocalProtocol};
 pub use protocol::{Ctx, Protocol};
 pub use rng::{derive_seed, NodeRngs};
 pub use runner::Runner;

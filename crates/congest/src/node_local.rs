@@ -1,5 +1,5 @@
-//! Node-sharded protocols: the opt-in API that unlocks the parallel
-//! round executor.
+//! Node-sharded protocols: the opt-in API that unlocks the sharded
+//! receive phase.
 //!
 //! A [`crate::Protocol`] receives `&mut self` in
 //! [`crate::Protocol::on_receive`], so nothing stops an implementation
@@ -12,14 +12,14 @@
 //! and the borrow checker now proves what the docs used to merely
 //! request.
 //!
-//! Any `NodeLocalProtocol` still runs on the sequential backend via
-//! [`NodeLocalAdapter`], and both backends produce **bit-identical**
-//! runs: per-node RNG streams are drawn in the same per-node order, and
-//! staged sends are merged in (node, staging order) — precisely the
-//! order the sequential executor produces naturally.
+//! Under [`crate::ExecutorKind::Sequential`] the same handlers run
+//! inline in ascending node order, and both backends produce
+//! **bit-identical** runs: per-node RNG streams are drawn in the same
+//! per-node order, and staged sends are merged in (node, staging order)
+//! — precisely the order the inline path produces naturally.
 
 use crate::message::{Envelope, Message};
-use crate::protocol::{Ctx, Protocol};
+use crate::protocol::Ctx;
 use drw_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -123,10 +123,10 @@ impl<'a, M: Message> NodeCtx<'a, M> {
 }
 
 /// A CONGEST protocol whose receive phase is node-local *by
-/// construction*, making it executable by any [`crate::RoundExecutor`]
-/// backend — including the parallel one.
+/// construction*, which is what lets [`crate::ExecutorKind::Sharded`]
+/// run it across threads.
 ///
-/// Lifecycle (identical to [`Protocol`], with the receive phase split
+/// Lifecycle (identical to [`crate::Protocol`], with the receive phase split
 /// per node):
 ///
 /// 1. [`NodeLocalProtocol::start`] runs once with the full [`Ctx`];
@@ -138,7 +138,7 @@ impl<'a, M: Message> NodeCtx<'a, M> {
 ///    and the immutable `Shared` data;
 /// 3. quiescence and [`NodeLocalProtocol::is_done`] end the run.
 pub trait NodeLocalProtocol {
-    /// The message type (must cross threads under the parallel backend).
+    /// The message type (must cross threads under the sharded backend).
     type Msg: Message + Send;
     /// Immutable data every node handler may read during a round.
     type Shared: Sync;
@@ -171,41 +171,4 @@ pub trait NodeLocalProtocol {
         inbox: &[Envelope<Self::Msg>],
         ctx: &mut NodeCtx<'_, Self::Msg>,
     );
-}
-
-/// Adapts a [`NodeLocalProtocol`] to the plain [`Protocol`] interface,
-/// which is exactly how the sequential backend runs it. Kept public so
-/// node-local protocols compose with any API that takes a `Protocol`.
-#[derive(Debug)]
-pub struct NodeLocalAdapter<'p, P>(
-    /// The adapted protocol.
-    pub &'p mut P,
-);
-
-impl<P: NodeLocalProtocol> Protocol for NodeLocalAdapter<'_, P> {
-    type Msg = P::Msg;
-
-    fn start(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
-        self.0.start(ctx);
-    }
-
-    fn on_round(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
-        self.0.on_round(ctx);
-    }
-
-    fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-
-    fn on_receive(&mut self, node: NodeId, inbox: &[Envelope<P::Msg>], ctx: &mut Ctx<'_, P::Msg>) {
-        let (shared, states) = self.0.parts();
-        let mut nctx = NodeCtx::new(
-            ctx.graph,
-            ctx.round,
-            node,
-            ctx.rngs.node(node),
-            &mut ctx.staged,
-        );
-        P::on_receive_local(shared, &mut states[node], node, inbox, &mut nctx);
-    }
 }

@@ -19,12 +19,8 @@ pub struct Ctx<'a, M: Message> {
 }
 
 impl<'a, M: Message> Ctx<'a, M> {
-    pub(crate) fn new(graph: &'a Graph, round: u64, rngs: &'a mut NodeRngs) -> Self {
-        Ctx::with_staged(graph, round, rngs, Vec::new())
-    }
-
-    /// Like [`Ctx::new`] but reusing a (drained) staging buffer's
-    /// allocation — executors recycle one buffer across all rounds.
+    /// A context staging into `staged`, a drained buffer whose
+    /// allocation the round loop recycles across all rounds.
     pub(crate) fn with_staged(
         graph: &'a Graph,
         round: u64,

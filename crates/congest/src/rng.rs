@@ -47,7 +47,7 @@ impl NodeRngs {
         &mut self.rngs[node]
     }
 
-    /// All streams as one slice (index = node id) — how the parallel
+    /// All streams as one slice (index = node id) — how the sharded
     /// executor carves per-node exclusive access without locks.
     pub fn as_mut_slice(&mut self) -> &mut [StdRng] {
         &mut self.rngs

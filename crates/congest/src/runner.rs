@@ -104,9 +104,9 @@ impl Runner {
     }
 
     /// Runs one node-local sub-protocol to completion, sharding its
-    /// receive phase when the configured executor is parallel, and
-    /// accumulates its statistics. Results are bit-identical to
-    /// [`Runner::run`] on the adapted protocol.
+    /// receive phase when the configured executor is
+    /// [`crate::ExecutorKind::Sharded`], and accumulates its statistics.
+    /// Results are bit-identical on either backend.
     ///
     /// # Errors
     ///

@@ -548,7 +548,7 @@ mod tests {
     fn builder_configures_the_handle() {
         let g = generators::torus2d(4, 4);
         let net = Network::builder(&g)
-            .executor(ExecutorKind::Parallel)
+            .executor(ExecutorKind::Sharded)
             .params(WalkParams {
                 lambda_scale: 0.5,
                 eta: 2.0,
@@ -556,7 +556,7 @@ mod tests {
             .seed(9)
             .anchor(3)
             .build();
-        assert_eq!(net.config().engine.executor, ExecutorKind::Parallel);
+        assert_eq!(net.config().engine.executor, ExecutorKind::Sharded);
         assert_eq!(net.config().params.eta, 2.0);
         assert_eq!(net.graph().n(), 16);
         assert_eq!(net.session_rounds(), 0, "no session before the first batch");

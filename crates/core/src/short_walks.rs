@@ -230,7 +230,7 @@ impl NodeLocalProtocol for ShortWalksProtocol<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drw_congest::{run_node_local, EngineConfig, ExecutorKind};
+    use drw_congest::{run_node_local, EngineConfig};
     use drw_graph::generators;
 
     fn run_phase1(
@@ -392,21 +392,24 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_backends_agree_exactly() {
+    fn sequential_and_sharded_backends_agree_exactly() {
         // The determinism contract, exercised at the protocol level: the
         // same seed must produce identical stores, forward logs and
-        // reports on both executors.
-        let g = generators::torus2d(6, 6);
-        let counts: Vec<usize> = (0..g.n()).map(|v| g.degree(v)).collect();
+        // reports on both executors. 2048 tokens over 1024 directed
+        // edges keep the early rounds heavy enough to shard.
+        let g = generators::torus2d(16, 16);
+        let counts: Vec<usize> = (0..g.n()).map(|v| 2 * g.degree(v)).collect();
         let mut seq_state = WalkState::new(g.n());
         let mut par_state = WalkState::new(g.n());
         let seq_cfg = EngineConfig::default();
-        let par_cfg = EngineConfig::default().with_executor(ExecutorKind::Parallel);
+        let par_cfg = EngineConfig::default().with_workers(2);
         let mut p_seq = ShortWalksProtocol::new(&mut seq_state, counts.clone(), 16, true);
         let r_seq = run_node_local(&g, &seq_cfg, 42, &mut p_seq).unwrap();
         let mut p_par = ShortWalksProtocol::new(&mut par_state, counts, 16, true);
         let r_par = run_node_local(&g, &par_cfg, 42, &mut p_par).unwrap();
         assert_eq!(r_seq, r_par, "reports must be bit-identical");
+        let balance = r_par.balance.as_ref().expect("sharded runs record balance");
+        assert!(balance.rounds_measured > 0, "never sharded: {balance:?}");
         for v in 0..g.n() {
             assert_eq!(
                 seq_state.nodes[v].store, par_state.nodes[v].store,

@@ -1,9 +1,10 @@
 //! Run-time configuration of the experiment binaries via environment
 //! variables.
 //!
-//! - `DRW_EXECUTOR=sequential|parallel|sharded` selects the engine's
-//!   round executor backend for every simulation an experiment runs.
-//!   Results are bit-identical between backends (the engine guarantees
+//! - `DRW_EXECUTOR=sequential|sharded` selects the engine's backend for
+//!   every simulation an experiment runs: receive handlers of node-local
+//!   protocols in node order on one thread, or sharded across threads.
+//!   Results are bit-identical between the two (the engine guarantees
 //!   it); the backend only changes how long the wall clock says it took.
 //! - `DRW_CSV_DIR=<dir>` additionally writes every emitted table as CSV.
 //! - `DRW_JSON_DIR=<dir>` additionally writes every emitted table as
@@ -24,9 +25,7 @@ use drw_core::SingleWalkConfig;
 pub fn executor_from_env() -> ExecutorKind {
     match std::env::var("DRW_EXECUTOR") {
         Ok(name) => ExecutorKind::from_name(&name).unwrap_or_else(|| {
-            panic!(
-                "DRW_EXECUTOR={name:?} is not a backend (try \"sequential\", \"parallel\" or \"sharded\")"
-            )
+            panic!("DRW_EXECUTOR={name:?} is not a backend (try \"sequential\" or \"sharded\")")
         }),
         Err(_) => ExecutorKind::Sequential,
     }
@@ -85,11 +84,13 @@ mod tests {
             ExecutorKind::from_name("sequential"),
             Some(ExecutorKind::Sequential)
         );
-        assert_eq!(ExecutorKind::from_name("PAR"), Some(ExecutorKind::Parallel));
         assert_eq!(
-            ExecutorKind::from_name("sharded"),
+            ExecutorKind::from_name("SHARDED"),
             Some(ExecutorKind::Sharded)
         );
+        // Anything else is unknown, and unknown is loud.
+        assert_eq!(ExecutorKind::from_name("parallel"), None);
+        assert_eq!(ExecutorKind::from_name("par"), None);
         assert_eq!(ExecutorKind::from_name("gpu"), None);
     }
 

@@ -21,7 +21,7 @@ use drw_congest::EngineConfig;
 use proptest::prelude::*;
 
 fn executors() -> [ExecutorKind; 2] {
-    [ExecutorKind::Sequential, ExecutorKind::Parallel]
+    [ExecutorKind::Sequential, ExecutorKind::Sharded]
 }
 
 fn cfg_for(kind: ExecutorKind) -> SingleWalkConfig {

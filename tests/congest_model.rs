@@ -4,8 +4,7 @@ use distributed_random_walks::prelude::*;
 use drw_congest::primitives::{BfsTreeProtocol, UpcastMsg, UpcastProtocol, VectorSumProtocol};
 use drw_congest::{
     run_node_local, run_protocol, Ctx, Envelope, FaultPlan, Mux2, NodeCtx, NodeLocalProtocol,
-    RoundExecutor, RunError, Runner, ScriptedSchedule, ScriptedTiming, SequentialExecutor,
-    ShardedExecutor,
+    RunError, Runner, ScriptedSchedule, ScriptedTiming, ShardedExecutor,
 };
 use drw_core::get_more_walks::GetMoreWalksProtocol;
 use drw_core::short_walks::ShortWalksProtocol;
@@ -287,9 +286,7 @@ fn mux2_words_pinned_under_item_level_schedules() {
     };
 
     let mut seq = mk();
-    let r_seq = SequentialExecutor
-        .run_node_local(&g, &cfg, 43, &mut seq)
-        .unwrap();
+    let r_seq = run_node_local(&g, &cfg, 43, &mut seq).unwrap();
     assert_eq!(r_seq.max_edge_words_per_round, 3, "header + 2-word payload");
 
     for rot in 0..6usize {

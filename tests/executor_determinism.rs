@@ -1,5 +1,5 @@
-//! Acceptance test for the pluggable round-executor architecture: the
-//! parallel and sharded work-stealing backends must produce results
+//! Acceptance test for the executor backends: the sharded
+//! work-stealing backend must produce results
 //! **bit-identical** to the sequential reference — identical run
 //! statistics, identical walk outputs, identical per-node state — for
 //! the same graph and seed, across graph families.
@@ -31,7 +31,7 @@ fn graph_families() -> Vec<(&'static str, Graph)> {
 }
 
 /// The backends that must reproduce the sequential reference.
-const ALT_BACKENDS: [ExecutorKind; 2] = [ExecutorKind::Parallel, ExecutorKind::Sharded];
+const ALT_BACKENDS: [ExecutorKind; 1] = [ExecutorKind::Sharded];
 
 fn config_with(executor: ExecutorKind, record: bool) -> SingleWalkConfig {
     SingleWalkConfig {
@@ -164,7 +164,7 @@ fn batched_many_walks_identical_across_worker_counts() {
                 engine: EngineConfig::default().with_workers(workers),
                 ..SingleWalkConfig::default()
             };
-            let par = many_random_walks(&g, &sources, 1024, &cfg, 13).expect("parallel");
+            let par = many_random_walks(&g, &sources, 1024, &cfg, 13).expect("sharded");
             let tag = format!("{name}, {workers} workers");
             assert_eq!(base.destinations, par.destinations, "{tag}: destinations");
             assert_eq!(base.rounds, par.rounds, "{tag}: rounds");

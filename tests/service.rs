@@ -53,31 +53,27 @@ fn digest(run: &TraceRun, svc: &Service) -> String {
 
 /// The determinism contract, extended to the service: a given
 /// `(trace, seed, executor)` triple yields bit-identical completions,
-/// timelines and bills across all three executor backends at several
-/// worker counts.
+/// timelines and bills on the sequential backend and on the sharded
+/// backend at several worker counts.
 #[test]
 fn trace_service_is_identical_across_executors() {
     let g = generators::torus2d(6, 6);
     let trace = mixed_trace(g.n(), 6, 3, 18, 0xE17);
-    let cfg = |kind: ExecutorKind, workers: usize| SingleWalkConfig {
-        engine: EngineConfig::default()
-            .with_executor(kind)
-            .with_workers(workers),
+    let cfg = |engine: EngineConfig| SingleWalkConfig {
+        engine,
         ..SingleWalkConfig::default()
     };
-    let (seq_run, seq_svc) = serve(&g, &trace, cfg(ExecutorKind::Sequential, 1), 99);
+    let (seq_run, seq_svc) = serve(&g, &trace, cfg(EngineConfig::default()), 99);
     let reference = digest(&seq_run, &seq_svc);
     assert!(seq_svc.report().reconciles());
-    for kind in [ExecutorKind::Parallel, ExecutorKind::Sharded] {
-        for workers in [2, 4, 16] {
-            let (run, svc) = serve(&g, &trace, cfg(kind, workers), 99);
-            assert_eq!(
-                digest(&run, &svc),
-                reference,
-                "{} at {workers} workers diverged from sequential",
-                kind.name()
-            );
-        }
+    for workers in [1, 2, 4, 16] {
+        let sharded = cfg(EngineConfig::default().with_workers(workers));
+        let (run, svc) = serve(&g, &trace, sharded, 99);
+        assert_eq!(
+            digest(&run, &svc),
+            reference,
+            "sharded at {workers} workers diverged from sequential"
+        );
     }
 }
 

@@ -179,7 +179,7 @@ proptest! {
 
         // Identical CSR must mean identical walks — under both
         // executors.
-        for kind in [ExecutorKind::Sequential, ExecutorKind::Parallel] {
+        for kind in [ExecutorKind::Sequential, ExecutorKind::Sharded] {
             let cfg = SingleWalkConfig {
                 engine: EngineConfig::default().with_executor(kind),
                 ..SingleWalkConfig::default()
