@@ -16,13 +16,24 @@
 //!
 //! # One-shot vs batched
 //!
-//! - [`Network::run`] executes the request exactly as the legacy free
-//!   functions did (`single_random_walk`, `many_random_walks`,
-//!   `distributed_rst`, `estimate_mixing_time` are now thin shims over
-//!   a throwaway `Network`): each request pays its own setup and is
-//!   seed-for-seed identical to the pre-facade drivers. The first
-//!   request uses the builder seed verbatim; request `i > 0` uses
-//!   `derive_seed(seed, i)`.
+//! Every request kind is driven by exactly one state machine
+//! (`network/drivers.rs`), advanced wave by wave through
+//! [`WalkSession::run_wave`]; the two entry points differ only in whose
+//! session the waves run on.
+//!
+//! - [`Network::run`] serves the request with its own setup. Walk and
+//!   many-walks requests run the one-shot kernels (one BFS, one full
+//!   Phase 1, then stitching — what `single_random_walk` /
+//!   `many_random_walks` always did). Spanning-tree and mixing requests
+//!   are a *batch of one*: a private session anchored at the request's
+//!   own root/source, the request's driver run to completion on it, the
+//!   session discarded — so the doubling extensions of a tree (or the
+//!   probes of an estimate) share one BFS and one short-walk store, and
+//!   the response's `rounds` is that private session's whole bill. The
+//!   first request uses the builder seed verbatim; request `i > 0` uses
+//!   `derive_seed(seed, i)`. The legacy free functions
+//!   (`single_random_walk`, `many_random_walks`, `distributed_rst`,
+//!   `estimate_mixing_time`) are thin shims over a throwaway `Network`.
 //! - [`Network::run_batch`] owns one persistent [`WalkSession`]
 //!   (created lazily on the first batch: one BFS, one shared short-walk
 //!   store) and advances all requests concurrently in *super-steps*:
@@ -56,9 +67,9 @@ pub use spanning::MAX_TOTAL_WALK_LEN;
 use crate::error::Error;
 use crate::many_walks::many_walks_one_shot;
 use crate::request::{Request, Response};
-use crate::session::{WalkSession, WaveWalk};
-use crate::single_walk::{single_walk_one_shot, SingleWalkConfig, WalkError};
-use drivers::{Slot, WaveContext, WavePlan};
+use crate::session::WalkSession;
+use crate::single_walk::{single_walk_one_shot, SingleWalkConfig};
+use drivers::{Member, Slot};
 use drw_congest::{derive_seed, EngineConfig, ExecutorKind};
 use drw_graph::{EpochReport, Graph, NodeId, Topology, TopologyDelta};
 use std::sync::Arc;
@@ -133,8 +144,7 @@ impl<'g> NetworkBuilder<'g> {
     }
 
     /// Sets the batch session's BFS anchor (default: node 0). One-shot
-    /// requests root their own setup at their sources, as the legacy
-    /// drivers did.
+    /// requests root their own setup at their sources.
     pub fn anchor(mut self, anchor: NodeId) -> Self {
         self.anchor = anchor;
         self
@@ -326,13 +336,13 @@ impl Network {
         }
     }
 
-    /// Serves one request with its own setup — exactly the legacy
-    /// drivers' behavior (see the module docs).
+    /// Serves one request with its own setup (see the module docs).
     ///
     /// # Errors
     ///
     /// [`Error::Walk`] for walk failures (bad sources, disconnected
-    /// graphs, engine errors), [`Error::NotCovered`] /
+    /// graphs, engine errors, a mixing request with fewer than two
+    /// samples per probe), [`Error::NotCovered`] /
     /// [`Error::LengthOverflow`] for spanning-tree requests.
     pub fn run(&mut self, request: Request) -> Result<Response, Error> {
         // Mutations consume no seed (they run no protocol), so a
@@ -364,14 +374,49 @@ impl Network {
             } => Ok(Response::ManyWalks(many_walks_one_shot(
                 &g, &sources, len, &self.cfg, seed, strategy,
             )?)),
-            Request::SpanningTree(req) => Ok(Response::SpanningTree(spanning::sample_tree(
-                &g, &req, &self.cfg, seed,
-            )?)),
-            Request::MixingTime(req) => Ok(Response::MixingTime(mixing::estimate_mixing(
-                &g, &req, &self.cfg, seed,
-            )?)),
+            request @ (Request::SpanningTree(_) | Request::MixingTime(_)) => {
+                self.run_batch_of_one(g, request, seed)
+            }
             Request::Mutate(_) => unreachable!("handled above"),
         }
+    }
+
+    /// Serves a spanning-tree or mixing request as a batch of one over a
+    /// private session anchored at the request's own root/source, then
+    /// fills the fields only a request that owns its session can know:
+    /// `rounds` is the session's whole bill (BFS included) and a tree
+    /// paid exactly one BFS.
+    fn run_batch_of_one(
+        &self,
+        g: Arc<Graph>,
+        request: Request,
+        seed: u64,
+    ) -> Result<Response, Error> {
+        let (anchor, seed_tag, record) = match &request {
+            Request::SpanningTree(t) => (t.root, 0xC0FE, true),
+            Request::MixingTime(m) => (m.source, 0xB00, self.cfg.record_walk),
+            _ => unreachable!("walk requests run the one-shot kernels"),
+        };
+        let cfg = SingleWalkConfig {
+            record_walk: record,
+            ..self.cfg.clone()
+        };
+        let mut session = WalkSession::attach(
+            &Topology::from_shared(g),
+            anchor,
+            &cfg,
+            derive_seed(seed, seed_tag),
+        )?;
+        let mut response = run_batch_on(&mut session, vec![request])?.remove(0);
+        match &mut response {
+            Response::SpanningTree(tree) => {
+                tree.rounds = session.total_rounds();
+                tree.bfs_runs = 1;
+            }
+            Response::MixingTime(report) => report.rounds = session.total_rounds(),
+            _ => unreachable!("responses come back in the request's variant"),
+        }
+        Ok(response)
     }
 
     /// Serves a batch of heterogeneous requests over the network's
@@ -379,10 +424,8 @@ impl Network {
     /// runs (see the module docs; responses come back in request
     /// order).
     ///
-    /// Execution-mode fields inside batched requests are ignored where
-    /// batching supersedes them: `ManyWalks::strategy` (batches always
-    /// multiplex) and the `reuse_session` baselines of tree/mixing
-    /// requests (batches always ride the shared session).
+    /// `ManyWalks::strategy` is ignored in a batch (batches always
+    /// multiplex).
     ///
     /// [`Request::Mutate`] entries act as barriers: the requests before
     /// one complete on the old epoch, the delta applies, and the
@@ -405,7 +448,6 @@ impl Network {
             .iter()
             .filter(|r| !matches!(r, Request::Mutate(_)))
             .count() as u64;
-        let cfg = self.cfg.clone();
         let mut responses = Vec::with_capacity(requests.len());
         let mut segment: Vec<Request> = Vec::new();
         for request in requests {
@@ -413,11 +455,7 @@ impl Network {
                 Request::Mutate(delta) => {
                     if !segment.is_empty() {
                         let session = self.ensure_session()?;
-                        responses.extend(run_batch_on(
-                            session,
-                            &cfg,
-                            std::mem::take(&mut segment),
-                        )?);
+                        responses.extend(run_batch_on(session, std::mem::take(&mut segment))?);
                     }
                     responses.push(Response::Epoch(self.topo.apply(&delta)?));
                 }
@@ -426,7 +464,7 @@ impl Network {
         }
         if !segment.is_empty() {
             let session = self.ensure_session()?;
-            responses.extend(run_batch_on(session, &cfg, segment)?);
+            responses.extend(run_batch_on(session, segment)?);
         }
         Ok(responses)
     }
@@ -451,85 +489,42 @@ impl Network {
     }
 }
 
-fn run_batch_on(
-    session: &mut WalkSession,
-    cfg: &SingleWalkConfig,
-    requests: Vec<Request>,
-) -> Result<Vec<Response>, Error> {
-    // Repair first, so the node count, tree and diameter estimate below
-    // describe the epoch this segment will be served on.
+/// Drains one barrier-free batch on `session`: the caller policy over
+/// [`drivers::wave_step`] is a fixed slot set and abort-on-first-error.
+fn run_batch_on(session: &mut WalkSession, requests: Vec<Request>) -> Result<Vec<Response>, Error> {
+    // Repair first, so the graph the requests are validated against is
+    // the epoch this batch will be served on.
     let _ = session.sync()?;
     let g = session.graph();
-    let n = g.n();
-    let d_est = u64::from(session.diameter_estimate());
 
-    // Validate every request up front so a bad source late in the batch
-    // cannot waste the whole run.
-    for request in &requests {
-        let check = |s: NodeId| -> Result<(), Error> {
-            if s >= n {
-                Err(WalkError::SourceOutOfRange(s).into())
-            } else {
-                Ok(())
-            }
-        };
-        match request {
-            Request::Walk { source, .. } => check(*source)?,
-            Request::ManyWalks { sources, .. } => {
-                sources.iter().try_for_each(|&s| check(s))?;
-            }
-            Request::SpanningTree(t) => check(t.root)?,
-            Request::MixingTime(m) => check(m.source)?,
-            Request::Mutate(_) => unreachable!("mutations are split off by run_batch"),
-        }
-    }
-
+    // Validate every request up front (building a slot runs no
+    // protocol) so a bad source late in the batch cannot waste the
+    // whole run.
     let mut slots: Vec<Slot> = requests
         .into_iter()
-        .map(|request| drivers::new_slot(request, &g, n))
-        .collect();
+        .map(|request| drivers::new_slot(request, &g))
+        .collect::<Result<_, _>>()?;
 
     // Round-robin pointer for the recording slot (see
-    // [`drivers::assemble_wave`]): seeded past the last index so the
+    // `drivers::assemble_wave`): seeded past the last index so the
     // first grant falls to the lowest-indexed recorder.
     let mut last_recorder: usize = slots.len().saturating_sub(1);
     loop {
-        // Collect the wave: every unfinished request's next work items.
-        // Planning is deferral-safe (`plan_wave` mutates nothing a
-        // repeat call would get wrong), so plans are gathered first and
-        // membership decided after.
-        let mut plans: Vec<(usize, WavePlan)> = Vec::new();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.response.is_some() {
-                continue;
-            }
-            plans.push((i, drivers::plan_wave(slot, i as u16, session, cfg, d_est)?));
-        }
-        let asm = drivers::assemble_wave(plans, &mut last_recorder);
-        if asm.specs.is_empty() {
+        let active: Vec<Member<'_>> = slots
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, slot)| slot.response.is_none())
+            .map(|(i, slot)| Member {
+                key: i,
+                req: i as u16,
+                slot,
+            })
+            .collect();
+        if active.is_empty() {
             break;
         }
-
-        let wave = session.run_wave(asm.lambda_call, asm.stitch_len, &asm.specs)?;
-
-        // Distribute the wave's walks back to their requests and let
-        // each driver absorb them (possibly running private follow-up
-        // protocols on the session).
-        let mut walks = wave.walks.into_iter();
-        let mut gmw = wave.gmw_by_walk.iter().copied();
-        for (i, count) in asm.members {
-            let mine: Vec<WaveWalk> = walks.by_ref().take(count).collect();
-            let my_gmw: u64 = gmw.by_ref().take(count).sum();
-            slots[i].rounds += wave.rounds;
-            let ctx = WaveContext {
-                rounds: wave.rounds,
-                messages: wave.messages,
-                rounds_topup: wave.rounds_topup,
-                lambda: wave.lambda,
-                gmw: my_gmw,
-            };
-            drivers::absorb(&mut slots[i], mine, &ctx, session, cfg, d_est)?;
-        }
+        let (steps, _) = drivers::wave_step(session, active, &mut last_recorder)?;
+        steps.into_iter().try_for_each(|step| step.result)?;
     }
 
     Ok(slots
@@ -542,6 +537,7 @@ fn run_batch_on(
 mod tests {
     use super::*;
     use crate::request::{MixingRequest, TreeRequest};
+    use crate::single_walk::WalkError;
     use drw_graph::generators;
 
     #[test]

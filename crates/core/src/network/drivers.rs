@@ -1,20 +1,23 @@
-//! Per-request driver state machines, shared by [`Network::run_batch`]
-//! and the continuous-batching [`Service`](crate::service::Service).
+//! Per-request driver state machines and the one wave step that
+//! advances them — the only place a request kind is driven.
 //!
-//! A *driver* is the batch-resident state of one request: what work it
+//! A *driver* is the resident state of one request: what work it
 //! contributes to the next shared wave ([`plan_wave`]) and how it folds
 //! a wave's results back in ([`absorb`]), possibly running private
 //! follow-up protocols on the session (cover-check convergecasts,
-//! histogram upcasts) that are billed to the request alone. The
-//! scheduler loop that strings waves together lives with its caller —
-//! `run_batch` drains a fixed set of slots, the service admits new ones
-//! mid-flight — but the machines themselves, and the wave-assembly
-//! rules (one recorded plan per wave, cyclic recorder rotation, regime
-//! maxima), are defined once, here. `run_batch` outputs are pinned
-//! byte-identical to the pre-extraction code by
+//! histogram upcasts) that are billed to the request alone.
+//! [`wave_step`] sequences one super-step over a set of drivers — plan
+//! every member, [`assemble_wave`], [`WalkSession::run_wave`], slice the
+//! walks back, absorb — and reports per member its private rounds, its
+//! exact share of the wave and its `Result`. What to do with those is
+//! caller policy: `Network::run_batch` drains a fixed set of slots and
+//! aborts on the first error, `Network::run` is a batch of one over a
+//! private session, and the service admits new slots mid-flight, bills
+//! tenants and resolves failed tickets individually. The machines
+//! themselves, and the wave-assembly rules (one recorded plan per wave,
+//! cyclic recorder rotation, regime maxima), are defined once, here.
+//! Outputs are pinned byte-identical to the pre-extraction code by
 //! `tests/drivers_refactor.rs`.
-//!
-//! [`Network::run_batch`]: crate::network::Network::run_batch
 
 use super::{mixing, spanning};
 use crate::bucket::BucketTest;
@@ -24,16 +27,16 @@ use crate::request::{
     MixingProbe, MixingReport, MixingRequest, Request, Response, TreeMode, TreeRequest, TreeSample,
 };
 use crate::session::{WalkSession, WaveSpec, WaveWalk};
-use crate::single_walk::{SingleWalkConfig, SingleWalkResult, WalkError};
+use crate::single_walk::{SingleWalkResult, WalkError};
 use crate::state::WalkState;
 use drw_congest::primitives::{AggOp, BfsTree, ConvergecastProtocol};
 use drw_graph::{Graph, NodeId};
 
 /// One request's contribution to the next wave.
-pub(crate) struct WavePlan {
-    pub(crate) specs: Vec<WaveSpec>,
+struct WavePlan {
+    specs: Vec<WaveSpec>,
     /// `(lambda_call, len)` of the stitch-eligible work, if any.
-    pub(crate) regime: Option<(u32, u64)>,
+    regime: Option<(u32, u64)>,
 }
 
 /// The per-request state machines of a batch.
@@ -70,9 +73,8 @@ pub(crate) struct MixingDriver {
     req: MixingRequest,
     k: usize,
     bucket: BucketTest,
-    /// `(tree, network constants)` once the one-time setup ran — the
-    /// exact protocol sequence of the one-shot driver
-    /// ([`mixing::run_probe_setup`]), billed to this request.
+    /// `(tree, network constants)` once the one-time setup
+    /// ([`mixing::run_probe_setup`]) ran, billed to this request.
     setup: Option<(BfsTree, mixing::ProbeSetup)>,
     len: u64,
     last_fail: u64,
@@ -90,24 +92,24 @@ pub(crate) struct Slot {
 }
 
 /// Shared facts of one wave, handed to every participant's absorb step.
-pub(crate) struct WaveContext {
-    pub(crate) rounds: u64,
-    pub(crate) messages: u64,
-    pub(crate) rounds_topup: u64,
-    pub(crate) lambda: u32,
-    pub(crate) gmw: u64,
+struct WaveContext {
+    rounds: u64,
+    messages: u64,
+    rounds_topup: u64,
+    lambda: u32,
+    gmw: u64,
 }
 
 /// A wave assembled from the active requests' plans: the specs to hand
 /// [`WalkSession::run_wave`], which request owns which specs, and the
 /// regime maxima across the stitch-eligible participants.
-pub(crate) struct WaveAssembly {
-    pub(crate) specs: Vec<WaveSpec>,
-    /// `(plan key, spec count)` in spec order — the caller maps keys
-    /// back to its slots and slices the wave's walks by count.
-    pub(crate) members: Vec<(usize, usize)>,
-    pub(crate) lambda_call: u32,
-    pub(crate) stitch_len: u64,
+struct WaveAssembly {
+    specs: Vec<WaveSpec>,
+    /// `(plan key, spec count)` in spec order — [`wave_step`] maps keys
+    /// back to its members and slices the wave's walks by count.
+    members: Vec<(usize, usize)>,
+    lambda_call: u32,
+    stitch_len: u64,
 }
 
 /// Selects the wave's membership from the gathered plans.
@@ -117,14 +119,10 @@ pub(crate) struct WaveAssembly {
 /// `*last_recorder` (updated in place) so concurrent tree requests
 /// genuinely alternate waves instead of the lowest key monopolizing the
 /// ledger; deferred recorders still share a later wave's rounds, just
-/// not this one's. Keys must be in increasing order — slot indices for
-/// `run_batch`, admission sequence numbers for the service — and
-/// planning must be deferral-safe ([`plan_wave`] mutates nothing a
-/// repeat call would get wrong).
-pub(crate) fn assemble_wave(
-    plans: Vec<(usize, WavePlan)>,
-    last_recorder: &mut usize,
-) -> WaveAssembly {
+/// not this one's. Keys must be in increasing order (see
+/// [`Member::key`]) and planning must be deferral-safe ([`plan_wave`]
+/// mutates nothing a repeat call would get wrong).
+fn assemble_wave(plans: Vec<(usize, WavePlan)>, last_recorder: &mut usize) -> WaveAssembly {
     let recorders: Vec<usize> = plans
         .iter()
         .filter(|(_, p)| p.specs.iter().any(|s| s.record))
@@ -160,87 +158,192 @@ pub(crate) fn assemble_wave(
     out
 }
 
-pub(crate) fn new_slot(request: Request, g: &Graph, n: usize) -> Slot {
-    match request {
+/// One unresolved request handed to [`wave_step`].
+pub(crate) struct Member<'a> {
+    /// Recorder-rotation key, strictly increasing across the members of
+    /// a step and stable across steps: slot indices for `run_batch`,
+    /// admission sequence numbers for the service.
+    pub(crate) key: usize,
+    /// The [`drw_congest::Mux2`] request tag this member's messages ride.
+    pub(crate) req: u16,
+    pub(crate) slot: &'a mut Slot,
+}
+
+/// What one [`wave_step`] did for one member (same order as the
+/// members it was handed).
+pub(crate) struct MemberStep {
+    /// Rounds of the member's private plan/absorb protocols.
+    pub(crate) private_rounds: u64,
+    /// The member's exact share of the wave's rounds: `floor(R / m)` per
+    /// spec it contributed, the remainder going to the first `R mod m`
+    /// specs in spec order — so the shares of a step sum to `R` to the
+    /// round. Zero for members that failed to plan or were deferred.
+    pub(crate) wave_share: u64,
+    /// Whether the member's plan or absorb failed; the other members
+    /// are unaffected.
+    pub(crate) result: Result<(), Error>,
+}
+
+/// Advances `members` by one shared wave: plans every member (members
+/// whose plan fails sit the wave out), assembles the wave, runs it on
+/// `session`, slices the walks and `GET-MORE-WALKS` counts back to
+/// their owners and lets each absorb its part. Returns one
+/// [`MemberStep`] per member plus whether a wave ran at all (it does
+/// unless every plan failed).
+///
+/// # Errors
+///
+/// Only a failure of the shared wave itself, which has no single owner.
+pub(crate) fn wave_step(
+    session: &mut WalkSession,
+    mut members: Vec<Member<'_>>,
+    last_recorder: &mut usize,
+) -> Result<(Vec<MemberStep>, bool), Error> {
+    let mut steps = Vec::with_capacity(members.len());
+    let mut plans = Vec::with_capacity(members.len());
+    for m in &mut members {
+        let before = session.total_rounds();
+        let plan = plan_wave(m.slot, m.req, session);
+        steps.push(MemberStep {
+            private_rounds: session.total_rounds() - before,
+            wave_share: 0,
+            result: plan.map(|plan| plans.push((m.key, plan))),
+        });
+    }
+    let asm = assemble_wave(plans, last_recorder);
+    if asm.specs.is_empty() {
+        return Ok((steps, false));
+    }
+
+    let before = session.total_rounds();
+    let wave = session.run_wave(asm.lambda_call, asm.stitch_len, &asm.specs)?;
+    let wave_cost = session.total_rounds() - before;
+    let m = asm.specs.len() as u64;
+    let (per_spec, remainder) = (wave_cost / m, wave_cost % m);
+
+    let mut walks = wave.walks.into_iter();
+    let mut gmw = wave.gmw_by_walk.iter().copied();
+    let mut spec_base = 0u64;
+    let mut at = 0;
+    for (key, count) in asm.members {
+        // Members and wave membership both ascend by key.
+        while members[at].key != key {
+            at += 1;
+        }
+        let slot = &mut *members[at].slot;
+        let ctx = WaveContext {
+            rounds: wave.rounds,
+            messages: wave.messages,
+            rounds_topup: wave.rounds_topup,
+            lambda: wave.lambda,
+            gmw: gmw.by_ref().take(count).sum(),
+        };
+        let count_u64 = count as u64;
+        steps[at].wave_share =
+            count_u64 * per_spec + remainder.saturating_sub(spec_base).min(count_u64);
+        spec_base += count_u64;
+        slot.rounds += wave.rounds;
+        let before = session.total_rounds();
+        steps[at].result = absorb(slot, walks.by_ref().take(count).collect(), &ctx, session);
+        steps[at].private_rounds += session.total_rounds() - before;
+    }
+    Ok((steps, true))
+}
+
+/// Validates `request` against the graph it will be served on and
+/// builds its driver. Runs no protocol, so a scheduler can reject a
+/// whole batch up front, or a single ticket at admission.
+///
+/// # Errors
+///
+/// [`WalkError::SourceOutOfRange`] for an unknown source/root, and
+/// [`WalkError::TooFewSamples`] for a mixing request whose
+/// `ceil(samples_scale * sqrt(n))` is below 2 (the collision estimator
+/// needs pairs; a zero-sample probe would also contribute no work items
+/// and stall its batch).
+pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
+    let n = g.n();
+    let check = |s: NodeId| {
+        if s >= n {
+            Err(WalkError::SourceOutOfRange(s))
+        } else {
+            Ok(())
+        }
+    };
+    let mut response = None;
+    let driver = match request {
         Request::Mutate(_) => unreachable!("mutations are split off by the scheduler"),
         Request::Walk {
             source,
             len,
             record,
-        } => Slot {
-            driver: Driver::Walk {
+        } => {
+            check(source)?;
+            Driver::Walk {
                 source,
                 len,
                 record,
-            },
-            rounds: 0,
-            response: None,
-        },
-        Request::ManyWalks { sources, len, .. } => {
-            let empty = sources.is_empty();
-            let mut slot = Slot {
-                driver: Driver::Many {
-                    sources,
-                    len,
-                    fallback_lambda: None,
-                },
-                rounds: 0,
-                response: None,
-            };
-            if empty {
-                slot.response = Some(Response::ManyWalks(empty_many_result(n)));
             }
-            slot
+        }
+        Request::ManyWalks { sources, len, .. } => {
+            sources.iter().try_for_each(|&s| check(s))?;
+            if sources.is_empty() {
+                response = Some(Response::ManyWalks(empty_many_result(n)));
+            }
+            Driver::Many {
+                sources,
+                len,
+                fallback_lambda: None,
+            }
         }
         Request::SpanningTree(req) => {
+            check(req.root)?;
             let initial_len = if req.initial_len == 0 {
-                g.n() as u64
+                n as u64
             } else {
                 req.initial_len
             };
             let mut first = vec![None; n];
             first[req.root] = Some((0, None));
-            Slot {
-                driver: Driver::Tree(TreeDriver {
-                    current: req.root,
-                    req,
-                    initial_len,
-                    first,
-                    offset: 0,
-                    phase: 0,
-                    walk_in_phase: 0,
-                    attempts: 0,
-                }),
-                rounds: 0,
-                response: None,
-            }
+            Driver::Tree(TreeDriver {
+                current: req.root,
+                req,
+                initial_len,
+                first,
+                offset: 0,
+                phase: 0,
+                walk_in_phase: 0,
+                attempts: 0,
+            })
         }
         Request::MixingTime(req) => {
+            check(req.source)?;
             let k = ((n as f64).sqrt() * req.samples_scale).ceil() as usize;
-            // The collision estimator needs pairs; a zero-sample probe
-            // would also contribute no work items and stall the batch.
-            assert!(k >= 2, "mixing requests need samples_scale * sqrt(n) >= 2");
-            let bucket = BucketTest::new(g, req.bucket_base);
-            Slot {
-                driver: Driver::Mixing(Box::new(MixingDriver {
-                    len: req.start_len.max(1),
-                    req,
-                    k,
-                    bucket,
-                    setup: None,
-                    last_fail: 0,
-                    refine_bounds: None,
-                    probes: Vec::new(),
-                    done_estimate: None,
-                })),
-                rounds: 0,
-                response: None,
+            if k < 2 {
+                return Err(WalkError::TooFewSamples(k).into());
             }
+            let bucket = BucketTest::new(g, req.bucket_base);
+            Driver::Mixing(Box::new(MixingDriver {
+                len: req.start_len.max(1),
+                req,
+                k,
+                bucket,
+                setup: None,
+                last_fail: 0,
+                refine_bounds: None,
+                probes: Vec::new(),
+                done_estimate: None,
+            }))
         }
-    }
+    };
+    Ok(Slot {
+        driver,
+        rounds: 0,
+        response,
+    })
 }
 
-pub(crate) fn empty_many_result(n: usize) -> ManyWalksResult {
+fn empty_many_result(n: usize) -> ManyWalksResult {
     ManyWalksResult {
         destinations: Vec::new(),
         rounds: 0,
@@ -263,20 +366,16 @@ pub(crate) fn empty_many_result(n: usize) -> ManyWalksResult {
 /// protocols on the session (billed to the request); must be safe to
 /// call again on the same state if the request is deferred from this
 /// wave.
-pub(crate) fn plan_wave(
-    slot: &mut Slot,
-    req_id: u16,
-    session: &mut WalkSession,
-    cfg: &SingleWalkConfig,
-    d_est: u64,
-) -> Result<WavePlan, Error> {
+fn plan_wave(slot: &mut Slot, req_id: u16, session: &mut WalkSession) -> Result<WavePlan, Error> {
+    let params = session.params();
+    let d_est = u64::from(session.diameter_estimate());
     match &mut slot.driver {
         Driver::Walk {
             source,
             len,
             record,
         } => {
-            let lambda = cfg.params.lambda(*len, d_est);
+            let lambda = params.lambda(*len, d_est);
             Ok(WavePlan {
                 specs: vec![WaveSpec {
                     req: req_id,
@@ -295,7 +394,7 @@ pub(crate) fn plan_wave(
             fallback_lambda,
         } => {
             let k = sources.len() as u64;
-            let lambda = cfg.params.lambda_many(k, *len, d_est);
+            let lambda = params.lambda_many(k, *len, d_est);
             // Theorem 2.8's regime rule: lambda >= l takes the `k + l`
             // simultaneous-naive branch — lowered as naive tokens into
             // the same shared run.
@@ -330,27 +429,19 @@ pub(crate) fn plan_wave(
                     },
                 });
             }
-            let (seg_len, source, pos_offset, walked) = match t.req.mode {
-                TreeMode::ExtendWalk => {
-                    let (seg_len, _) = spanning::doubling_step(t.initial_len, phase, t.offset)
-                        .ok_or(Error::LengthOverflow {
-                            phases: t.phase,
-                            walked: t.offset,
-                        })?;
-                    (seg_len, t.current, t.offset, t.offset)
-                }
-                TreeMode::RestartPhases => {
-                    let (seg_len, _) = spanning::doubling_step(t.initial_len, phase, 0).ok_or(
-                        Error::LengthOverflow {
-                            phases: t.phase,
-                            walked: 0,
-                        },
-                    )?;
-                    (seg_len, t.req.root, 0, 0)
-                }
+            // Extend mode continues the one walk from where it stands;
+            // restart mode draws a fresh walk from the root.
+            let (source, pos_offset) = match t.req.mode {
+                TreeMode::ExtendWalk => (t.current, t.offset),
+                TreeMode::RestartPhases => (t.req.root, 0),
             };
-            let _ = walked;
-            let lambda = cfg.params.lambda(seg_len, d_est);
+            let (seg_len, _) = spanning::doubling_step(t.initial_len, phase, pos_offset).ok_or(
+                Error::LengthOverflow {
+                    phases: t.phase,
+                    walked: pos_offset,
+                },
+            )?;
+            let lambda = params.lambda(seg_len, d_est);
             Ok(WavePlan {
                 specs: vec![WaveSpec {
                     req: req_id,
@@ -365,8 +456,8 @@ pub(crate) fn plan_wave(
         }
         Driver::Mixing(m) => {
             if m.setup.is_none() {
-                // The one-shot driver's setup protocols, verbatim, over
-                // the shared session tree — billed to this request.
+                // One-time setup protocols over the session tree,
+                // billed to this request.
                 let before = session.total_rounds();
                 let tree = session.tree().clone();
                 let g = session.graph();
@@ -376,7 +467,7 @@ pub(crate) fn plan_wave(
             }
             let len = m.len;
             let k = m.k as u64;
-            let lambda = cfg.params.lambda_many(k, len, d_est);
+            let lambda = params.lambda_many(k, len, d_est);
             let naive = u64::from(lambda) >= len.max(1);
             let source = m.req.source;
             Ok(WavePlan {
@@ -399,21 +490,15 @@ pub(crate) fn plan_wave(
 /// Absorbs a wave's results into a request's state machine, running any
 /// private follow-up protocols, and resolves the response once the
 /// request completes.
-pub(crate) fn absorb(
+fn absorb(
     slot: &mut Slot,
     walks: Vec<WaveWalk>,
     ctx: &WaveContext,
     session: &mut WalkSession,
-    cfg: &SingleWalkConfig,
-    d_est: u64,
 ) -> Result<(), Error> {
     let n = session.graph().n();
     match &mut slot.driver {
-        Driver::Walk {
-            source,
-            len,
-            record,
-        } => {
+        Driver::Walk { source, record, .. } => {
             let walk = walks.into_iter().next().expect("one spec per walk");
             let mut state = WalkState::new(n);
             if *record {
@@ -434,12 +519,11 @@ pub(crate) fn absorb(
                 stitches: walk.segments.len() as u64,
                 gmw_invocations: ctx.gmw,
                 lambda: ctx.lambda,
-                diameter_estimate: d_est as u32,
+                diameter_estimate: session.diameter_estimate(),
                 connector_visits: vec![0; n],
                 segments: walk.segments,
                 state,
             }));
-            let _ = len;
         }
         Driver::Many {
             fallback_lambda, ..
@@ -569,7 +653,6 @@ pub(crate) fn absorb(
             }
         }
     }
-    let _ = (cfg, d_est);
     Ok(())
 }
 

@@ -1,31 +1,25 @@
-//! One-shot execution of [`Request::MixingTime`] — the decentralized
-//! mixing-time estimator (Theorem 4.6), hosted in `drw-core` so the
-//! [`crate::Network`] facade can serve mixing requests directly.
+//! The private protocols of the decentralized mixing-time estimator
+//! (Theorem 4.6): the one-time network-constant setup and the per-probe
+//! endpoint evaluation.
 //!
-//! This is the algorithm formerly driven by `drw_mixing::estimator`
-//! (which now shims onto the facade), moved verbatim so legacy callers
-//! stay seed-for-seed identical. Per probe length `l`: `K =
-//! ceil(c * sqrt(n))` walks of length `l` from the source via
-//! `MANY-RANDOM-WALKS`, endpoint bucket ids shipped to the source by
-//! pipelined upcast, and a PASS/FAIL comparison of the sample's bucket
-//! histogram plus collision statistic against the exact bucket masses
-//! ([`crate::bucket::BucketTest`]). `l` doubles until the first PASS; a
-//! binary search then pins the smallest passing length (Lemma 4.4
-//! monotonicity).
+//! Per probe length `l`, `K = ceil(c * sqrt(n))` walks of length `l`
+//! from the source ride a shared wave, their endpoint bucket ids are
+//! shipped to the source by pipelined upcast, and the sample's bucket
+//! histogram plus collision statistic are compared PASS/FAIL against
+//! the exact bucket masses ([`crate::bucket::BucketTest`]). The
+//! scan/refine state machine that picks the probe lengths — `l` doubles
+//! until the first PASS, then a binary search pins the smallest passing
+//! length (Lemma 4.4 monotonicity) — is `drivers::advance_mixing`,
+//! the same for one-shot ([`crate::Network::run`], a batch of one over
+//! a private session), batched and service execution.
 
 use crate::bucket::{BucketTest, SampleStats};
-use crate::error::Error;
-use crate::many_walks::many_walks_one_shot;
-use crate::many_walks::StitchStrategy;
-use crate::request::{MixingProbe, MixingReport, MixingRequest};
-use crate::session::WalkSession;
-use crate::single_walk::{SingleWalkConfig, WalkError};
-use drw_congest::derive_seed;
+use crate::request::MixingProbe;
+use crate::single_walk::WalkError;
 use drw_congest::primitives::{
     AggOp, BfsTree, BroadcastProtocol, ConvergecastProtocol, UpcastProtocol, VectorSumProtocol,
 };
-use drw_graph::{traversal, Graph, Topology};
-use std::sync::Arc;
+use drw_graph::Graph;
 
 /// The network constants the setup phase collects at the source.
 #[derive(Debug, Clone, Copy)]
@@ -39,9 +33,7 @@ pub(crate) struct ProbeSetup {
 /// One-time probe setup over `tree` on `runner`: degree sum (`2m`) +
 /// max degree convergecasts and their broadcast (so every node knows
 /// its own bucket), `sum deg^2`, then the exact bucket masses by
-/// pipelined vector convergecast — `O(D + B)` rounds, once. Shared by
-/// the one-shot estimator and the batched mixing driver so both pay
-/// exactly the same setup protocols.
+/// pipelined vector convergecast — `O(D + B)` rounds, once.
 pub(crate) fn run_probe_setup(
     g: &Graph,
     bucket_test: &BucketTest,
@@ -76,8 +68,7 @@ pub(crate) fn run_probe_setup(
 /// upcasts over `tree`, `O(D + K)` rounds: `(bucket_of(v), c_v)` for
 /// the histogram, and `(c_v * deg(v), c_v * (c_v - 1))` for the
 /// collision moments — and the source runs the bucketed PASS/FAIL
-/// test. Shared by the one-shot estimator and the batched mixing
-/// driver.
+/// test.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_probe(
     g: &Graph,
@@ -131,122 +122,5 @@ pub(crate) fn evaluate_probe(
         discrepancy: r.discrepancy,
         l2_ratio: r.l2_ratio,
         pass: r.pass,
-    })
-}
-
-/// Executes one [`Request::MixingTime`] with its own setup — the
-/// one-shot path behind [`crate::Network::run`] and the legacy
-/// `estimate_mixing_time` shim. `reuse_session` selects the amortized
-/// single-session driver or the per-probe-rebuild baseline, exactly as
-/// before the facade redesign.
-pub(crate) fn estimate_mixing(
-    g: &Arc<Graph>,
-    req: &MixingRequest,
-    walk_cfg: &SingleWalkConfig,
-    seed: u64,
-) -> Result<MixingReport, Error> {
-    let source = req.source;
-    if source >= g.n() {
-        return Err(WalkError::SourceOutOfRange(source).into());
-    }
-    if !traversal::is_connected(g) {
-        return Err(WalkError::Disconnected.into());
-    }
-    let k = ((g.n() as f64).sqrt() * req.samples_scale).ceil() as usize;
-    let bucket_test = BucketTest::new(g, req.bucket_base);
-
-    // The session runs the one BFS from the source; its tree and
-    // diameter estimate serve every aggregation, upcast and probe below.
-    let mut session = WalkSession::attach(
-        &Topology::from_shared(g.clone()),
-        source,
-        walk_cfg,
-        derive_seed(seed, 0xB00),
-    )?;
-    let tree: BfsTree = session.tree().clone();
-    let setup = run_probe_setup(g, &bucket_test, &tree, session.runner_mut())?;
-
-    let mut probes = Vec::new();
-    let mut probe_seq = 0u64;
-    let mut probe = |len: u64, session: &mut WalkSession| -> Result<MixingProbe, WalkError> {
-        let sources = vec![source; k];
-        let destinations = if req.reuse_session {
-            // Session probe: reuse the cached diameter, top the shared
-            // store up only for the deficit, stitch (or fall back to
-            // simultaneous naive walks per Theorem 2.8's regime rule).
-            session.many_walks(&sources, len)?.destinations
-        } else {
-            // Per-probe-rebuild baseline: a full MANY-RANDOM-WALKS call
-            // with its own BFS and Phase 1, billed onto the same total.
-            probe_seq += 1;
-            let walk_seed = derive_seed(seed, probe_seq);
-            let walks = many_walks_one_shot(
-                g,
-                &sources,
-                len,
-                walk_cfg,
-                walk_seed,
-                StitchStrategy::default(),
-            )?;
-            session.runner_mut().charge_rounds(walks.rounds);
-            walks.destinations
-        };
-        evaluate_probe(
-            g,
-            &bucket_test,
-            &tree,
-            session.runner_mut(),
-            &destinations,
-            &setup,
-            len,
-            req.threshold,
-            req.l2_threshold,
-        )
-    };
-
-    // Doubling scan (from `start_len`; 1 for the full estimator, the
-    // probed length itself for a single-probe request).
-    let mut len = req.start_len.max(1);
-    let mut first_pass: Option<u64> = None;
-    let mut last_fail = 0u64;
-    while len <= req.max_len {
-        let rec = probe(len, &mut session)?;
-        probes.push(rec);
-        if rec.pass {
-            first_pass = Some(len);
-            break;
-        }
-        last_fail = len;
-        len = match len.checked_mul(2) {
-            Some(next) => next,
-            None => break, // cap the scan rather than wrap around
-        };
-    }
-
-    // Binary-search refinement (Lemma 4.4 monotonicity). A PASS at the
-    // very first probe leaves `last_fail = 0` and `lo + 1 == hi`, so the
-    // search body never runs — there is no probe below length 1.
-    if let (Some(mut hi), true) = (first_pass, req.refine) {
-        let mut lo = last_fail;
-        while lo + 1 < hi {
-            let mid = lo + (hi - lo) / 2;
-            let rec = probe(mid, &mut session)?;
-            probes.push(rec);
-            if rec.pass {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        first_pass = Some(hi);
-    }
-
-    Ok(MixingReport {
-        tau_estimate: first_pass.unwrap_or(req.max_len),
-        converged: first_pass.is_some(),
-        rounds: session.total_rounds(),
-        samples_per_probe: k,
-        buckets: bucket_test.buckets(),
-        probes,
     })
 }

@@ -1,31 +1,25 @@
-//! One-shot execution of [`Request::SpanningTree`] — the distributed
-//! random-spanning-tree algorithm (Theorem 4.1), hosted in `drw-core`
-//! so the [`crate::Network`] facade can serve tree requests directly.
+//! The arithmetic and node-local bookkeeping of the distributed
+//! random-spanning-tree algorithm (Theorem 4.1): the doubling schedule,
+//! the first-visit table and the tree assembled from it.
 //!
-//! This is the algorithm formerly driven by `drw_spanning::distributed`
-//! (which now shims onto the facade), moved verbatim so legacy callers
-//! stay seed-for-seed identical: Aldous-Broder simulated with the fast
-//! walk machinery, doubling cover-time guesses, regenerated walks,
-//! `O(D)` convergecast cover checks and node-local first-visit-edge
-//! extraction. See `drw-spanning`'s module docs for the reproduction
-//! finding on restart bias ([`TreeMode::RestartPhases`] conditions the
-//! walk law on fast coverage and is measurably biased; the default
-//! [`TreeMode::ExtendWalk`] extends one continuous walk and is exactly
-//! uniform) and for the segment-boundary accounting.
+//! The algorithm itself — Aldous-Broder simulated with the fast walk
+//! machinery, doubling cover-time guesses as recorded walk extensions
+//! over a session, `O(D)` convergecast cover checks — is driven in one
+//! place, `drivers::TreeDriver`, whether the request arrives one-shot
+//! ([`crate::Network::run`], a batch of one over a private session),
+//! in a batch, or through the service. See `drw-spanning`'s module
+//! docs for the reproduction finding on restart bias
+//! ([`crate::TreeMode::RestartPhases`] conditions the walk law on fast
+//! coverage and is measurably biased; the default
+//! [`crate::TreeMode::ExtendWalk`] extends one continuous walk and is
+//! exactly uniform) and for the segment-boundary accounting.
 
-use crate::error::Error;
-use crate::request::{TreeMode, TreeRequest, TreeSample};
-use crate::session::WalkSession;
-use crate::single_walk::{single_walk_one_shot, SingleWalkConfig, WalkError};
-use drw_congest::primitives::{AggOp, BfsTreeProtocol, ConvergecastProtocol};
-use drw_congest::{derive_seed, Runner};
 use drw_graph::matrix_tree::{canonical_tree_key, is_spanning_tree, TreeKey};
-use drw_graph::{Graph, NodeId, Topology};
-use std::sync::Arc;
+use drw_graph::{Graph, NodeId};
 
 /// Cap on the cumulative walked length of the doubling schedule. Far
 /// beyond any simulable cover time; exists so a runaway doubling
-/// surfaces as [`Error::LengthOverflow`] instead of `u64` wraparound
+/// surfaces as [`crate::Error::LengthOverflow`] instead of `u64` wraparound
 /// (which would silently reset segment lengths and break the doubling
 /// invariant).
 pub const MAX_TOTAL_WALK_LEN: u64 = 1 << 62;
@@ -59,7 +53,7 @@ pub(crate) fn walks_per_phase(n: usize, configured: usize) -> usize {
 ///
 /// Panics (via `expect`) if a non-root node's first visit carries no
 /// predecessor — structurally impossible for session extensions (every
-/// extension visit has a predecessor) and for covering one-shot walks.
+/// extension visit has a predecessor).
 pub(crate) fn tree_from_first_visits(
     g: &Graph,
     root: NodeId,
@@ -74,345 +68,19 @@ pub(crate) fn tree_from_first_visits(
     key
 }
 
-/// Merges one extension visit into the accumulated first-visit table,
-/// returning whether `v` was newly covered. Entries from earlier phases
-/// carry positions at or below the current extension's offset while
-/// extension visits sit strictly above it, so an overwrite (a smaller
-/// position for an already-seen node) can only come from this very
-/// extension's unsorted visit list.
+/// Merges one extension visit into the accumulated first-visit table.
+/// Entries from earlier phases carry positions at or below the current
+/// extension's offset while extension visits sit strictly above it, so
+/// an overwrite (a smaller position for an already-seen node) can only
+/// come from this very extension's unsorted visit list.
 pub(crate) fn merge_first_visit(
     first: &mut [Option<(u64, Option<NodeId>)>],
     v: NodeId,
     pos: u64,
     pred: NodeId,
-) -> bool {
-    match &mut first[v] {
-        None => {
-            first[v] = Some((pos, Some(pred)));
-            true
-        }
-        Some((p, q)) if *p > pos => {
-            *p = pos;
-            *q = Some(pred);
-            false
-        }
-        Some(_) => false,
-    }
-}
-
-/// Executes one [`Request::SpanningTree`] with its own setup — the
-/// one-shot path behind [`crate::Network::run`] and the legacy
-/// `distributed_rst` shim. `reuse_session` selects the amortized
-/// single-session driver or the rebuild-per-phase baseline, exactly as
-/// before the facade redesign.
-pub(crate) fn sample_tree(
-    g: &Arc<Graph>,
-    req: &TreeRequest,
-    walk_cfg: &SingleWalkConfig,
-    seed: u64,
-) -> Result<TreeSample, Error> {
-    let initial_len = if req.initial_len == 0 {
-        g.n() as u64
-    } else {
-        req.initial_len
-    };
-    let walk_cfg = SingleWalkConfig {
-        record_walk: true,
-        ..walk_cfg.clone()
-    };
-    if req.reuse_session {
-        let mut run = SessionRstRun {
-            g,
-            req,
-            session: WalkSession::attach(
-                &Topology::from_shared(g.clone()),
-                req.root,
-                &walk_cfg,
-                derive_seed(seed, 0xC0FE),
-            )?,
-            attempts: 0,
-        };
-        return match req.mode {
-            TreeMode::ExtendWalk => run.run_extend(req.root, initial_len),
-            TreeMode::RestartPhases => run.run_restart(req.root, initial_len),
-        };
-    }
-
-    // Rebuild-per-phase baseline: a BFS tree at the root for the cover
-    // checks, plus one full `SINGLE-RANDOM-WALK` (own BFS + Phase 1)
-    // per phase.
-    let mut runner = Runner::on(
-        g.clone(),
-        walk_cfg.engine.clone(),
-        derive_seed(seed, 0xC0FE),
-    );
-    let mut bfs = BfsTreeProtocol::new(req.root);
-    runner.run(&mut bfs).map_err(WalkError::from)?;
-    let tree = bfs.into_tree();
-
-    let mut ctx = RebuildRstRun {
-        g,
-        req,
-        walk_cfg,
-        runner,
-        tree,
-        walk_rounds: 0,
-        attempts: 0,
-        seed,
-    };
-    match req.mode {
-        TreeMode::ExtendWalk => ctx.run_extend(req.root, initial_len),
-        TreeMode::RestartPhases => ctx.run_restart(req.root, initial_len),
-    }
-}
-
-/// Session-backed driver: one BFS, one store, walk extension per phase.
-struct SessionRstRun<'g, 'c> {
-    g: &'g Arc<Graph>,
-    req: &'c TreeRequest,
-    session: WalkSession,
-    attempts: u64,
-}
-
-impl SessionRstRun<'_, '_> {
-    /// Distributed cover check: AND over node-local "was I visited?",
-    /// convergecast over the session's cached BFS tree.
-    fn check_cover(&mut self, visited: &[bool]) -> Result<bool, Error> {
-        let values: Vec<u64> = visited.iter().map(|&v| u64::from(v)).collect();
-        let mut cc = ConvergecastProtocol::new(self.session.tree().clone(), AggOp::Min, values);
-        self.session
-            .runner_mut()
-            .run(&mut cc)
-            .map_err(WalkError::from)?;
-        Ok(cc.result() == 1)
-    }
-
-    fn result(&self, edges: TreeKey, phases: u32, cover_len: u64) -> TreeSample {
-        TreeSample {
-            edges,
-            rounds: self.session.total_rounds(),
-            phases,
-            attempts: self.attempts,
-            cover_len,
-            bfs_runs: 1,
-        }
-    }
-
-    /// Exact mode: one continuous walk, extended with doubling segment
-    /// lengths over the session until it covers.
-    fn run_extend(&mut self, root: NodeId, initial_len: u64) -> Result<TreeSample, Error> {
-        let n = self.g.n();
-        // first[v] = (global first-visit position, predecessor) — local
-        // knowledge of v, accumulated across extensions.
-        let mut first: Vec<Option<(u64, Option<NodeId>)>> = vec![None; n];
-        first[root] = Some((0, None));
-        let mut covered_count = 1usize;
-        let mut offset = 0u64;
-        let mut current = root;
-        for phase in 1..=self.req.max_phases {
-            let (seg_len, new_offset) =
-                doubling_step(initial_len, phase, offset).ok_or(Error::LengthOverflow {
-                    phases: phase - 1,
-                    walked: offset,
-                })?;
-            self.attempts += 1;
-            let ext = self.session.extend_recorded(current, seg_len, offset)?;
-            for &(v, visit) in &ext.visits {
-                // Extension visits cover (offset, offset + seg_len] and
-                // always carry a predecessor — the boundary position
-                // `offset` itself belongs to the previous phase.
-                debug_assert!(visit.pos > offset && visit.pos <= new_offset);
-                let pred = visit.pred().expect("extension visits carry predecessors");
-                if merge_first_visit(&mut first, v, visit.pos, pred) {
-                    covered_count += 1;
-                }
-            }
-            offset = new_offset;
-            current = ext.destination;
-            let covered =
-                self.check_cover(&first.iter().map(|f| f.is_some()).collect::<Vec<_>>())?;
-            debug_assert_eq!(covered, covered_count == n);
-            if covered {
-                let key = tree_from_first_visits(self.g, root, &first);
-                return Ok(self.result(key, phase, offset));
-            }
-        }
-        Err(Error::NotCovered {
-            phases: self.req.max_phases,
-            final_len: offset,
-        })
-    }
-
-    /// Paper-literal mode: fresh walks of doubling length (all drawn
-    /// over the shared session store — each is still an independent
-    /// exact walk); accept the first that covers (biased).
-    fn run_restart(&mut self, root: NodeId, initial_len: u64) -> Result<TreeSample, Error> {
-        let n = self.g.n();
-        let per_phase = walks_per_phase(n, self.req.walks_per_phase);
-        let mut len = initial_len;
-        for phase in 1..=self.req.max_phases {
-            len = doubling_step(initial_len, phase, 0)
-                .ok_or(Error::LengthOverflow {
-                    phases: phase - 1,
-                    walked: 0,
-                })?
-                .0;
-            for _ in 0..per_phase {
-                self.attempts += 1;
-                let ext = self.session.extend_recorded(root, len, 0)?;
-                let mut first: Vec<Option<(u64, Option<NodeId>)>> = vec![None; n];
-                first[root] = Some((0, None));
-                for &(v, visit) in &ext.visits {
-                    let pred = visit.pred().expect("extension visits carry predecessors");
-                    merge_first_visit(&mut first, v, visit.pos, pred);
-                }
-                if !self.check_cover(&first.iter().map(|f| f.is_some()).collect::<Vec<_>>())? {
-                    continue;
-                }
-                let key = tree_from_first_visits(self.g, root, &first);
-                return Ok(self.result(key, phase, len));
-            }
-        }
-        Err(Error::NotCovered {
-            phases: self.req.max_phases,
-            final_len: len,
-        })
-    }
-}
-
-/// Rebuild-per-phase baseline driver (`reuse_session = false`).
-struct RebuildRstRun<'g, 'c> {
-    g: &'g Arc<Graph>,
-    req: &'c TreeRequest,
-    walk_cfg: SingleWalkConfig,
-    runner: Runner,
-    tree: drw_congest::primitives::BfsTree,
-    walk_rounds: u64,
-    attempts: u64,
-    seed: u64,
-}
-
-impl RebuildRstRun<'_, '_> {
-    /// Distributed cover check: AND over node-local "was I visited?".
-    fn check_cover(&mut self, visited: &[bool]) -> Result<bool, Error> {
-        let values: Vec<u64> = visited.iter().map(|&v| u64::from(v)).collect();
-        let mut cc = ConvergecastProtocol::new(self.tree.clone(), AggOp::Min, values);
-        self.runner.run(&mut cc).map_err(WalkError::from)?;
-        Ok(cc.result() == 1)
-    }
-
-    fn result(&self, edges: TreeKey, phases: u32, cover_len: u64) -> TreeSample {
-        TreeSample {
-            edges,
-            rounds: self.walk_rounds + self.runner.total_rounds(),
-            phases,
-            attempts: self.attempts,
-            cover_len,
-            // The cover-check tree plus one internal BFS per
-            // `SINGLE-RANDOM-WALK` invocation.
-            bfs_runs: 1 + self.attempts,
-        }
-    }
-
-    /// Exact mode: one continuous walk, extended with doubling segment
-    /// lengths until it covers; every phase rebuilds BFS + Phase 1.
-    fn run_extend(&mut self, root: NodeId, initial_len: u64) -> Result<TreeSample, Error> {
-        let n = self.g.n();
-        let mut first: Vec<Option<(u64, Option<NodeId>)>> = vec![None; n];
-        first[root] = Some((0, None));
-        let mut covered_count = 1usize;
-        let mut offset = 0u64;
-        let mut current = root;
-        for phase in 1..=self.req.max_phases {
-            let (seg_len, new_offset) =
-                doubling_step(initial_len, phase, offset).ok_or(Error::LengthOverflow {
-                    phases: phase - 1,
-                    walked: offset,
-                })?;
-            self.attempts += 1;
-            let walk_seed = derive_seed(self.seed, self.attempts);
-            let r = single_walk_one_shot(self.g, current, seg_len, &self.walk_cfg, walk_seed)?;
-            self.walk_rounds += r.rounds;
-            #[allow(clippy::needless_range_loop)]
-            for v in 0..n {
-                if first[v].is_none() {
-                    // Explicit boundary: the continuation start's
-                    // `(0, None)` visit is phase `p - 1`'s destination
-                    // hand-off, never a first visit of this phase —
-                    // without the filter it could hand the tree assembly
-                    // a predecessor-less first visit.
-                    if let Some(visit) = r.state.nodes[v]
-                        .visits
-                        .iter()
-                        .filter(|x| !(x.pos == 0 && x.pred().is_none()))
-                        .min_by_key(|x| x.pos)
-                    {
-                        first[v] = Some((offset + visit.pos, visit.pred()));
-                        covered_count += 1;
-                    }
-                }
-            }
-            offset = new_offset;
-            current = r.destination;
-            let covered =
-                self.check_cover(&first.iter().map(|f| f.is_some()).collect::<Vec<_>>())?;
-            debug_assert_eq!(covered, covered_count == n);
-            if covered {
-                let key = tree_from_first_visits(self.g, root, &first);
-                return Ok(self.result(key, phase, offset));
-            }
-        }
-        Err(Error::NotCovered {
-            phases: self.req.max_phases,
-            final_len: offset,
-        })
-    }
-
-    /// Paper-literal mode: fresh walks of doubling length; accept the
-    /// first that covers (biased).
-    fn run_restart(&mut self, root: NodeId, initial_len: u64) -> Result<TreeSample, Error> {
-        let n = self.g.n();
-        let per_phase = walks_per_phase(n, self.req.walks_per_phase);
-        let mut len = initial_len;
-        for phase in 1..=self.req.max_phases {
-            len = doubling_step(initial_len, phase, 0)
-                .ok_or(Error::LengthOverflow {
-                    phases: phase - 1,
-                    walked: 0,
-                })?
-                .0;
-            for _ in 0..per_phase {
-                self.attempts += 1;
-                let walk_seed = derive_seed(self.seed, self.attempts);
-                let r = single_walk_one_shot(self.g, root, len, &self.walk_cfg, walk_seed)?;
-                self.walk_rounds += r.rounds;
-                let visited: Vec<bool> = (0..n)
-                    .map(|v| !r.state.nodes[v].visits.is_empty())
-                    .collect();
-                if !self.check_cover(&visited)? {
-                    continue;
-                }
-                let mut first: Vec<Option<(u64, Option<NodeId>)>> = vec![None; n];
-                first[root] = Some((0, None));
-                for (v, f) in first.iter_mut().enumerate() {
-                    if v == root {
-                        continue;
-                    }
-                    let visit = r.state.nodes[v]
-                        .visits
-                        .iter()
-                        .min_by_key(|x| x.pos)
-                        .expect("covered walk visits every node");
-                    *f = Some((visit.pos, visit.pred()));
-                }
-                let key = tree_from_first_visits(self.g, root, &first);
-                return Ok(self.result(key, phase, len));
-            }
-        }
-        Err(Error::NotCovered {
-            phases: self.req.max_phases,
-            final_len: len,
-        })
+) {
+    if first[v].is_none_or(|(p, _)| p > pos) {
+        first[v] = Some((pos, Some(pred)));
     }
 }
 
@@ -442,10 +110,11 @@ mod tests {
     #[test]
     fn merge_prefers_smaller_positions() {
         let mut first = vec![None; 3];
-        assert!(merge_first_visit(&mut first, 1, 10, 0));
-        assert!(!merge_first_visit(&mut first, 1, 5, 2));
+        merge_first_visit(&mut first, 1, 10, 0);
+        assert_eq!(first[1], Some((10, Some(0))));
+        merge_first_visit(&mut first, 1, 5, 2);
         assert_eq!(first[1], Some((5, Some(2))));
-        assert!(!merge_first_visit(&mut first, 1, 7, 0));
+        merge_first_visit(&mut first, 1, 7, 0);
         assert_eq!(first[1], Some((5, Some(2))));
     }
 }

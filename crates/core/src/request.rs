@@ -10,6 +10,12 @@
 //! *batched* ([`crate::Network::run_batch`]), where the request
 //! scheduler lowers every request into walk/stitch work items that
 //! share CONGEST rounds instead of summing them.
+//!
+//! A request says *what* is asked, never *how* it is executed: each
+//! kind has one driver (`network/drivers.rs`), and one-shot, batched
+//! and service execution differ only in whose session its waves run
+//! on. The one execution hint left is [`StitchStrategy`] on
+//! [`Request::ManyWalks`], which selects the one-shot kernel's Phase 2.
 
 use crate::many_walks::{ManyWalksResult, StitchStrategy};
 use crate::single_walk::SingleWalkResult;
@@ -46,12 +52,6 @@ pub struct TreeRequest {
     pub initial_len: u64,
     /// Phase budget before giving up (lengths double each phase).
     pub max_phases: u32,
-    /// Amortize setup across phases over one persistent walk session
-    /// (the default). `false` restores the rebuild-per-phase baseline:
-    /// every phase pays its own BFS, diameter estimate and full
-    /// Phase 1. One-shot ([`crate::Network::run`]) only; batched
-    /// execution always rides the network's shared session.
-    pub reuse_session: bool,
 }
 
 impl TreeRequest {
@@ -64,7 +64,6 @@ impl TreeRequest {
             walks_per_phase: 0,
             initial_len: 0,
             max_phases: 40,
-            reuse_session: true,
         }
     }
 }
@@ -89,15 +88,11 @@ pub struct MixingRequest {
     /// batched experiments use.
     pub start_len: u64,
     /// Probe-length cap: estimation aborts (returning the cap) once the
-    /// probe length would exceed it.
+    /// next probe length would exceed it. The first probe always runs,
+    /// at `start_len`.
     pub max_len: u64,
     /// Refine with binary search after the first PASS.
     pub refine: bool,
-    /// Amortize setup across probes over one persistent walk session
-    /// (the default). `false` restores the per-probe-rebuild baseline.
-    /// One-shot ([`crate::Network::run`]) only; batched execution
-    /// always rides the network's shared session.
-    pub reuse_session: bool,
 }
 
 impl MixingRequest {
@@ -113,7 +108,6 @@ impl MixingRequest {
             start_len: 1,
             max_len: 1 << 20,
             refine: false,
-            reuse_session: true,
         }
     }
 
@@ -234,9 +228,9 @@ pub struct TreeSample {
     pub attempts: u64,
     /// Total walked length until coverage.
     pub cover_len: u64,
-    /// BFS constructions this request paid for: 1 with a session (the
-    /// regression-tested amortization claim), `1 + attempts` in the
-    /// rebuild-per-phase baseline.
+    /// BFS constructions this request paid for: 1 one-shot (its private
+    /// session's anchor BFS — the regression-tested amortization claim),
+    /// 0 in a batch or service, where the session BFS is shared.
     pub bfs_runs: u64,
 }
 

@@ -4,10 +4,10 @@
 //! [`Network::run_batch`](crate::Network::run_batch) serves a batch it
 //! was handed up front; a production walk service faces a **stream** of
 //! requests from many tenants. [`Service`] closes that gap. It owns one
-//! [`Topology`]-attached [`WalkSession`] and runs the same per-request
-//! driver state machines as `run_batch`
-//! (`crate::network::drivers`) — but instead of draining a fixed slot
-//! set, every super-step wave re-opens admission: requests that arrived
+//! [`Topology`]-attached [`WalkSession`] and advances the same
+//! per-request drivers through the same wave step as `run_batch`
+//! (`crate::network::drivers::wave_step`) — but instead of draining a
+//! fixed slot set, every super-step wave re-opens admission: requests that arrived
 //! while a wave was running are admitted into the *next*
 //! [`WalkSession::run_wave`] call mid-flight, piggybacking on rounds
 //! the in-flight work was paying for anyway. That is continuous
@@ -34,15 +34,16 @@
 //!    flight and everyone is over budget, the front entry is admitted
 //!    anyway (progress guarantee). Under [`ServiceConfig::boundary`]
 //!    admission happens only when the flight is empty.
-//! 4. **Wave**: plan every in-flight driver, assemble one wave
-//!    (`drivers::assemble_wave` — same recorder
-//!    rotation as `run_batch`), run it, and bill: the wave's measured
-//!    rounds are split **exactly** across the specs that rode it
-//!    (`floor(R/m)` each, the remainder to the first `R mod m` specs in
-//!    spec order), and each driver's private plan/absorb protocols are
-//!    billed to their tenant alone. The sum of all tenant bills plus
-//!    the setup and churn buckets equals the engine's total round count
-//!    to the round — [`ServiceReport::reconciles`].
+//! 4. **Wave**: one `drivers::wave_step` over the whole flight (plan
+//!    every driver, assemble one wave with `run_batch`'s recorder
+//!    rotation, run it, absorb), then bill what it reports: the wave's
+//!    measured rounds are split **exactly** across the specs that rode
+//!    it (`floor(R/m)` each, the remainder to the first `R mod m` specs
+//!    in spec order), and each driver's private plan/absorb protocols
+//!    are billed to their tenant alone. The sum of all tenant bills
+//!    plus the setup and churn buckets equals the engine's total round
+//!    count to the round — [`ServiceReport::reconciles`]. A driver that
+//!    fails resolves its own ticket with the error.
 //! 5. **Completion streaming**: resolved drivers leave the flight as
 //!    [`Completion`]s, consumed by [`Service::poll`] (each ticket
 //!    resolves exactly once) or [`Service::drain`].
@@ -53,9 +54,9 @@
 //! exactly the rounds the engine consumes, plus explicit fast-forwards
 //! to the next arrival when idle ([`Service::serve_trace`]). Arrivals
 //! come from an explicit seeded [`ArrivalTrace`], so a given
-//! `(trace, seed, executor)` triple is bit-identical across
-//! sequential / parallel / sharded backends — the executor-determinism
-//! suite in `tests/service.rs` pins this.
+//! `(trace, seed, executor)` triple is bit-identical across the
+//! sequential and sharded backends — the executor-determinism suite in
+//! `tests/service.rs` pins this.
 
 mod ledger;
 mod queue;
@@ -66,10 +67,10 @@ pub use queue::SubmitError;
 pub use trace::{ArrivalTrace, MixedTraceSpec, TenantId, TraceEvent};
 
 use crate::error::Error;
-use crate::network::drivers::{self, WaveContext, WavePlan};
+use crate::network::drivers::{self, Member};
 use crate::request::{Request, Response};
-use crate::session::{WalkSession, WaveWalk};
-use crate::single_walk::{SingleWalkConfig, WalkError};
+use crate::session::WalkSession;
+use crate::single_walk::SingleWalkConfig;
 use drw_congest::{derive_seed, EngineConfig, ExecutorKind};
 use drw_graph::{Graph, NodeId, Topology};
 use ledger::FairLedger;
@@ -638,96 +639,43 @@ impl Service {
             return Ok(progressed);
         }
 
-        // 4. Plan every in-flight driver, billing private protocols.
-        let cfg = self.cfg.clone();
+        // 4. One shared wave step over the whole flight
+        // (`drivers::wave_step`): the policy here is billing — every
+        // member's private rounds and exact wave share go to its
+        // tenant — and failing tickets one by one.
+        let members: Vec<Member<'_>> = self
+            .flight
+            .iter_mut()
+            .enumerate()
+            .map(|(pos, entry)| Member {
+                key: entry.seq,
+                req: pos as u16,
+                slot: &mut entry.slot,
+            })
+            .collect();
+        let session = self.session.as_mut().expect("session ensured above");
+        let (steps, wave_ran) = drivers::wave_step(session, members, &mut self.last_recorder)?;
         let mut pump_billed = 0u64;
-        let mut plans: Vec<(usize, WavePlan)> = Vec::new();
         let mut failed: Vec<(usize, Error)> = Vec::new();
-        {
-            let session = self.session.as_mut().expect("session ensured above");
-            let ledger = &mut self.ledger;
-            let d_est = u64::from(session.diameter_estimate());
-            for (pos, entry) in self.flight.iter_mut().enumerate() {
-                let before = session.total_rounds();
-                let plan = drivers::plan_wave(&mut entry.slot, pos as u16, session, &cfg, d_est);
-                let private = session.total_rounds() - before;
-                entry.billed += private;
-                pump_billed += private;
-                ledger.bill(entry.tenant, private);
-                match plan {
-                    Ok(pl) => plans.push((entry.seq, pl)),
-                    Err(e) => failed.push((entry.seq, e)),
-                }
+        for (entry, step) in self.flight.iter_mut().zip(steps) {
+            let billed = step.private_rounds + step.wave_share;
+            entry.billed += billed;
+            pump_billed += billed;
+            self.ledger.bill(entry.tenant, billed);
+            if let Err(e) = step.result {
+                failed.push((entry.seq, e));
             }
         }
         for (seq, e) in failed {
             self.fail_flight(seq, e);
             progressed = true;
         }
-        if plans.is_empty() {
+        if !wave_ran {
             return Ok(progressed);
         }
+        self.waves += 1;
 
-        // 5. One shared wave; exact billing partition across its specs.
-        let asm = drivers::assemble_wave(plans, &mut self.last_recorder);
-        if asm.specs.is_empty() {
-            return Ok(progressed);
-        }
-        let mut absorb_failed: Vec<(usize, Error)> = Vec::new();
-        {
-            let session = self.session.as_mut().expect("session ensured above");
-            let ledger = &mut self.ledger;
-            let flight = &mut self.flight;
-            let d_est = u64::from(session.diameter_estimate());
-            let before = session.total_rounds();
-            let wave = session.run_wave(asm.lambda_call, asm.stitch_len, &asm.specs)?;
-            let wave_cost = session.total_rounds() - before;
-            self.waves += 1;
-            let m = asm.specs.len() as u64;
-            let (per_spec, remainder) = (wave_cost / m, wave_cost % m);
-
-            // 6. Distribute walks back and absorb, billing as we go.
-            let mut walks = wave.walks.into_iter();
-            let mut gmw = wave.gmw_by_walk.iter().copied();
-            let mut spec_base = 0u64;
-            for (seq, count) in asm.members {
-                let mine: Vec<WaveWalk> = walks.by_ref().take(count).collect();
-                let my_gmw: u64 = gmw.by_ref().take(count).sum();
-                let share: u64 = (0..count as u64)
-                    .map(|j| per_spec + u64::from(spec_base + j < remainder))
-                    .sum();
-                spec_base += count as u64;
-                let entry = flight
-                    .iter_mut()
-                    .find(|e| e.seq == seq)
-                    .expect("wave member is in flight");
-                entry.slot.rounds += wave.rounds;
-                entry.billed += share;
-                pump_billed += share;
-                ledger.bill(entry.tenant, share);
-                let ctx = WaveContext {
-                    rounds: wave.rounds,
-                    messages: wave.messages,
-                    rounds_topup: wave.rounds_topup,
-                    lambda: wave.lambda,
-                    gmw: my_gmw,
-                };
-                let before = session.total_rounds();
-                let res = drivers::absorb(&mut entry.slot, mine, &ctx, session, &cfg, d_est);
-                let private = session.total_rounds() - before;
-                entry.billed += private;
-                pump_billed += private;
-                ledger.bill(entry.tenant, private);
-                if let Err(e) = res {
-                    absorb_failed.push((seq, e));
-                }
-            }
-        }
-        for (seq, e) in absorb_failed {
-            self.fail_flight(seq, e);
-        }
-
-        // 7. Stream completions out of the flight.
+        // 5. Stream completions out of the flight.
         let done: Vec<usize> = self
             .flight
             .iter()
@@ -745,7 +693,7 @@ impl Service {
             self.land(entry, Ok(response));
         }
 
-        // 8. Fair-share recredit: redistribute this step's billed
+        // 6. Fair-share recredit: redistribute this step's billed
         // rounds to the tenants *still competing*, proportionally to
         // weight — so aggregate earnings track aggregate billing and
         // deferral hits only tenants consuming beyond their share (a
@@ -796,24 +744,18 @@ impl Service {
     }
 
     /// Moves a queued entry into flight (or resolves it immediately:
-    /// invalid sources fail their own ticket, empty cohorts are born
+    /// invalid requests fail their own ticket, empty cohorts are born
     /// resolved).
     fn admit(&mut self, p: Pending) {
         let g = self.session.as_ref().expect("session ensured").graph();
-        let n = g.n();
-        if let Some(bad) = first_bad_source(&p.request, n) {
-            let now = self.now();
-            self.resolve(
-                p.ticket,
-                p.tenant,
-                p.submitted_at,
-                now,
-                0,
-                Err(WalkError::SourceOutOfRange(bad).into()),
-            );
-            return;
-        }
-        let slot = drivers::new_slot(p.request, &g, n);
+        let slot = match drivers::new_slot(p.request, &g) {
+            Ok(slot) => slot,
+            Err(e) => {
+                let now = self.now();
+                self.resolve(p.ticket, p.tenant, p.submitted_at, now, 0, Err(e));
+                return;
+            }
+        };
         self.ledger.note_admitted(p.tenant);
         let mut entry = FlightEntry {
             seq: self.next_seq,
@@ -894,21 +836,10 @@ impl Service {
     }
 }
 
-/// The first out-of-range source in a request, if any.
-fn first_bad_source(request: &Request, n: usize) -> Option<NodeId> {
-    let bad = |s: &NodeId| *s >= n;
-    match request {
-        Request::Walk { source, .. } => Some(*source).filter(bad),
-        Request::ManyWalks { sources, .. } => sources.iter().copied().find(|s| bad(s)),
-        Request::SpanningTree(t) => Some(t.root).filter(bad),
-        Request::MixingTime(m) => Some(m.source).filter(bad),
-        Request::Mutate(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::single_walk::WalkError;
     use drw_graph::{generators, TopologyDelta};
 
     #[test]

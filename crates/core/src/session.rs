@@ -16,9 +16,8 @@
 //! [`WalkSession`] is that amortization as a subsystem. It owns one
 //! [`Runner`] (a single CONGEST round/message bill), the BFS tree and
 //! diameter estimate of an anchor node, and a persistent [`WalkState`]
-//! short-walk store. Every entry point reuses the cached diameter,
-//! recomputes `lambda` per call, and *tops the store up* instead of
-//! rebuilding it:
+//! short-walk store. Every wave reuses the cached diameter, takes its
+//! `lambda` per call, and *tops the store up* instead of rebuilding it:
 //!
 //! - **Deficit-only Phase 1** ([`ShortWalksProtocol::top_up`]): node `v`
 //!   launches only `target(v) - outstanding(v)` fresh walks, and only
@@ -39,14 +38,20 @@
 //!   `lambda` is always the store's, which keeps every stored length
 //!   below `2 * lambda` so no segment can overshoot a walk's remaining
 //!   budget.
-//! - **Walk extension** ([`WalkSession::extend_recorded`]): continue a
-//!   completed walk from its destination for `extra_len` more steps
-//!   through the batched [`StitchScheduler`] without re-entering setup.
-//!   Walks are memoryless, so the continuation is exact; visits are
-//!   recorded at `pos_offset + local position` and the extension never
-//!   records its own start — the hand-off position was already recorded
-//!   as the previous segment's endpoint, which makes the
+//! - **Walk extension** (a recorded [`WaveSpec`] with a `pos_offset`):
+//!   continue a completed walk from its destination for `len` more
+//!   steps through the batched [`StitchScheduler`] without re-entering
+//!   setup. Walks are memoryless, so the continuation is exact; visits
+//!   are recorded at `pos_offset + local position` and the extension
+//!   never records its own start — the hand-off position was already
+//!   recorded as the previous segment's endpoint, which makes the
 //!   segment-boundary accounting explicit instead of accidental.
+//!
+//! Every walk the session performs goes through one entry point,
+//! [`WalkSession::run_wave`] ([`WalkSession::single_walk`] is a wave of
+//! one). Which walks ride a wave, and in which regime — Theorem 2.8's
+//! `k + l` fallback, per-request `lambda` formulas — is decided by the
+//! request drivers in `network/drivers.rs`, never here.
 //!
 //! - **Incremental topology repair** ([`WalkSession::sync`]): a session
 //!   attached to a versioned [`Topology`] follows deltas without
@@ -70,7 +75,7 @@
 //! is unused and independent); only the round bill changes, from
 //! `O(phases x full rebuild)` to pay-as-you-go.
 
-use crate::naive::{NaiveWalkProtocol, NaiveWalkSpec};
+use crate::params::WalkParams;
 use crate::regenerate::{ReplayProtocol, ReplaySegment};
 use crate::short_walks::ShortWalksProtocol;
 use crate::single_walk::{Segment, SingleWalkConfig, StitchSetup, WalkError};
@@ -122,53 +127,6 @@ pub struct SessionWalkOutcome {
     pub segments: Vec<Segment>,
 }
 
-/// Result of [`WalkSession::many_walks`].
-#[derive(Debug, Clone)]
-pub struct SessionManyOutcome {
-    /// Destination of each walk, in source order.
-    pub destinations: Vec<NodeId>,
-    /// Rounds consumed by this call (top-up + Phase 2, or the naive
-    /// fallback).
-    pub rounds: u64,
-    /// Rounds of this call spent topping up the store (0 when the store
-    /// already covered the demand, or under the fallback).
-    pub rounds_topup: u64,
-    /// The `lambda` governing this call: the effective stitch `lambda`
-    /// in the stitched regime, or the computed `lambda_many` that
-    /// triggered the fallback.
-    pub lambda: u32,
-    /// Whether the `k + l` naive branch was taken (Theorem 2.8's regime
-    /// rule, evaluated exactly as in [`crate::many_random_walks`]).
-    pub used_naive_fallback: bool,
-    /// Total stitches across all walks.
-    pub stitches: u64,
-    /// Total `GET-MORE-WALKS` invocations.
-    pub gmw_invocations: u64,
-}
-
-/// Result of [`WalkSession::extend_recorded`].
-#[derive(Debug, Clone)]
-pub struct RecordedExtension {
-    /// Where the extended walk now stands.
-    pub destination: NodeId,
-    /// Rounds consumed by this call (top-up + stitching + tail +
-    /// replay).
-    pub rounds: u64,
-    /// The effective stitch `lambda` governing this call.
-    pub lambda: u32,
-    /// Stitches performed.
-    pub stitches: u64,
-    /// `GET-MORE-WALKS` invocations.
-    pub gmw_invocations: u64,
-    /// Every visit this extension recorded, as `(node, visit)` pairs
-    /// with *global* positions `pos_offset + 1 ..= pos_offset +
-    /// extra_len`. The start (`pos_offset` itself) is deliberately not
-    /// recorded: it is the previous extension's endpoint (or the
-    /// caller's position 0), so each global position is recorded exactly
-    /// once and every recorded visit carries a predecessor.
-    pub visits: Vec<(NodeId, Visit)>,
-}
-
 /// One work item of a heterogeneous request wave
 /// ([`WalkSession::run_wave`]): a walk owned by request `req`, possibly
 /// recorded (a spanning-tree extension) or forced naive (the
@@ -194,6 +152,20 @@ pub struct WaveSpec {
     pub naive: bool,
 }
 
+impl WaveSpec {
+    /// A standalone, unrecorded, stitch-eligible walk of request 0.
+    pub(crate) fn plain(source: NodeId, len: u64) -> Self {
+        WaveSpec {
+            req: 0,
+            source,
+            len,
+            pos_offset: 0,
+            record: false,
+            naive: false,
+        }
+    }
+}
+
 /// One walk's outcome within a [`WalkSession::run_wave`] run.
 #[derive(Debug, Clone)]
 pub struct WaveWalk {
@@ -204,9 +176,11 @@ pub struct WaveWalk {
     pub segments: Vec<Segment>,
     /// For a recorded spec: every visit of the extension, as
     /// `(node, visit)` pairs with global positions
-    /// `pos_offset + 1 ..= pos_offset + len` (the start is never
-    /// recorded — see [`WalkSession::extend_recorded`]). Empty for
-    /// unrecorded specs.
+    /// `pos_offset + 1 ..= pos_offset + len`. The start (`pos_offset`
+    /// itself) is deliberately not recorded: it is the previous
+    /// extension's endpoint (or the caller's position 0), so each
+    /// global position is recorded exactly once and every recorded
+    /// visit carries a predecessor. Empty for unrecorded specs.
     pub visits: Vec<(NodeId, Visit)>,
 }
 
@@ -233,8 +207,8 @@ pub struct WaveOutcome {
 }
 
 /// A long-lived walk session over one graph: cached BFS/diameter, a
-/// persistent short-walk store with deficit-only top-up, and
-/// session-aware walk entry points (see the module docs).
+/// persistent short-walk store with deficit-only top-up, and one walk
+/// entry point, [`WalkSession::run_wave`] (see the module docs).
 ///
 /// # Example
 ///
@@ -282,8 +256,8 @@ impl WalkSession {
     /// deltas attach to a shared handle with [`WalkSession::attach`].
     ///
     /// When `cfg.record_walk` is set the session runs in *record* mode:
-    /// [`WalkSession::extend_recorded`] becomes available, and every
-    /// store operation stays replayable (per-token `GET-MORE-WALKS` is
+    /// waves may carry a recorded [`WaveSpec`], and every store
+    /// operation stays replayable (per-token `GET-MORE-WALKS` is
     /// forced, as in [`crate::single_random_walk`]).
     ///
     /// # Errors
@@ -497,6 +471,12 @@ impl WalkSession {
         self.anchor
     }
 
+    /// The walk parameters every request on this session is planned
+    /// under.
+    pub(crate) fn params(&self) -> WalkParams {
+        self.cfg.params
+    }
+
     /// The cached diameter estimate (the anchor's eccentricity).
     pub fn diameter_estimate(&self) -> u32 {
         self.d_est
@@ -657,18 +637,9 @@ impl WalkSession {
         Ok(lambda_eff)
     }
 
-    fn setup_for(&self, lambda: u32, len: u64, record: bool) -> StitchSetup {
-        StitchSetup {
-            lambda,
-            randomize_len: self.cfg.randomize_len,
-            aggregated_gmw: self.cfg.aggregated_gmw && !self.record,
-            gmw_count: (len / u64::from(lambda.max(1))).max(1),
-            record,
-        }
-    }
-
-    /// One `len`-step walk from `source` over the session store: an
-    /// exact sample, priced at top-up deficit plus Phase 2.
+    /// One `len`-step walk from `source` over the session store — a
+    /// wave of one: an exact sample, priced at top-up deficit plus
+    /// Phase 2.
     ///
     /// # Errors
     ///
@@ -678,182 +649,19 @@ impl WalkSession {
         source: NodeId,
         len: u64,
     ) -> Result<SessionWalkOutcome, WalkError> {
+        // Repair first, so `lambda` is computed from the diameter
+        // estimate of the epoch the walk is served on.
         let _ = self.sync()?;
-        if source >= self.g.n() {
-            return Err(WalkError::SourceOutOfRange(source));
-        }
-        let start = self.runner.total_rounds();
         let lambda_call = self.cfg.params.lambda(len, u64::from(self.d_est));
-        let lambda = self.ensure_store(lambda_call, len)?;
-        let mut sched = StitchScheduler::new(&self.setup_for(lambda, len, false));
-        sched.add_walk(source, len);
-        let out = sched.run(&mut self.runner, &mut self.state)?;
-        let walk = out.walks.into_iter().next().expect("one walk queued");
+        let wave = self.run_wave(lambda_call, len, &[WaveSpec::plain(source, len)])?;
+        let walk = wave.walks.into_iter().next().expect("one spec, one walk");
         Ok(SessionWalkOutcome {
             destination: walk.destination,
-            rounds: self.runner.total_rounds() - start,
-            lambda,
-            stitches: out.stitches,
-            gmw_invocations: out.gmw_invocations,
+            rounds: wave.rounds,
+            lambda: wave.lambda,
+            stitches: wave.stitches,
+            gmw_invocations: wave.gmw_invocations,
             segments: walk.segments,
-        })
-    }
-
-    /// `k` walks of `len` steps from `sources` over the session store
-    /// (the session-aware `MANY-RANDOM-WALKS`). The Theorem 2.8 regime
-    /// rule is evaluated exactly as in [`crate::many_random_walks`] —
-    /// `lambda_many >= l` takes the `k + l` simultaneous-naive branch —
-    /// but the stitched branch pays only the store deficit instead of a
-    /// full Phase 1.
-    ///
-    /// # Errors
-    ///
-    /// [`WalkError::SourceOutOfRange`] or an engine error.
-    pub fn many_walks(
-        &mut self,
-        sources: &[NodeId],
-        len: u64,
-    ) -> Result<SessionManyOutcome, WalkError> {
-        let _ = self.sync()?;
-        for &s in sources {
-            if s >= self.g.n() {
-                return Err(WalkError::SourceOutOfRange(s));
-            }
-        }
-        let start = self.runner.total_rounds();
-        if sources.is_empty() {
-            return Ok(SessionManyOutcome {
-                destinations: Vec::new(),
-                rounds: 0,
-                rounds_topup: 0,
-                lambda: 0,
-                used_naive_fallback: false,
-                stitches: 0,
-                gmw_invocations: 0,
-            });
-        }
-        let k = sources.len() as u64;
-        let lambda_call = self.cfg.params.lambda_many(k, len, u64::from(self.d_est));
-        if u64::from(lambda_call) >= len.max(1) {
-            let specs: Vec<NaiveWalkSpec> = sources
-                .iter()
-                .map(|&source| NaiveWalkSpec {
-                    source,
-                    len,
-                    start_pos: 0,
-                    record_start: false,
-                })
-                .collect();
-            let mut naive = NaiveWalkProtocol::new(specs, None);
-            self.runner.run(&mut naive)?;
-            return Ok(SessionManyOutcome {
-                destinations: naive.destinations(),
-                rounds: self.runner.total_rounds() - start,
-                rounds_topup: 0,
-                lambda: lambda_call,
-                used_naive_fallback: true,
-                stitches: 0,
-                gmw_invocations: 0,
-            });
-        }
-        let lambda = self.ensure_store(lambda_call, len)?;
-        let rounds_topup = self.runner.total_rounds() - start;
-        let mut sched = StitchScheduler::new(&self.setup_for(lambda, len, false));
-        for &source in sources {
-            sched.add_walk(source, len);
-        }
-        let out = sched.run(&mut self.runner, &mut self.state)?;
-        Ok(SessionManyOutcome {
-            destinations: out.walks.iter().map(|w| w.destination).collect(),
-            rounds: self.runner.total_rounds() - start,
-            rounds_topup,
-            lambda,
-            used_naive_fallback: false,
-            stitches: out.stitches,
-            gmw_invocations: out.gmw_invocations,
-        })
-    }
-
-    /// Continues a (recorded) walk standing at `from` with global
-    /// position `pos_offset` for `extra_len` more steps, through the
-    /// batched scheduler and over the session store. Every visited node
-    /// records its global position(s) and predecessor: tail hops record
-    /// inline, stitched segments are replayed afterwards
-    /// ([`crate::regenerate`]). The returned
-    /// [`RecordedExtension::visits`] are drained from the shared state,
-    /// so consecutive extensions never accumulate or double-record.
-    ///
-    /// # Errors
-    ///
-    /// [`WalkError::SourceOutOfRange`] or an engine error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session was not opened with `record_walk` set
-    /// (non-recorded stores may hold non-replayable segments).
-    pub fn extend_recorded(
-        &mut self,
-        from: NodeId,
-        extra_len: u64,
-        pos_offset: u64,
-    ) -> Result<RecordedExtension, WalkError> {
-        assert!(
-            self.record,
-            "extend_recorded requires a session opened with record_walk"
-        );
-        let _ = self.sync()?;
-        if from >= self.g.n() {
-            return Err(WalkError::SourceOutOfRange(from));
-        }
-        let start = self.runner.total_rounds();
-        if extra_len == 0 {
-            return Ok(RecordedExtension {
-                destination: from,
-                rounds: 0,
-                lambda: self.store_lambda,
-                stitches: 0,
-                gmw_invocations: 0,
-                visits: Vec::new(),
-            });
-        }
-        let lambda_call = self.cfg.params.lambda(extra_len, u64::from(self.d_est));
-        let lambda = self.ensure_store(lambda_call, extra_len)?;
-        let mut sched = StitchScheduler::new(&self.setup_for(lambda, extra_len, true));
-        sched.add_walk_at(from, extra_len, pos_offset);
-        let out = sched.run(&mut self.runner, &mut self.state)?;
-        let walk = out.walks.into_iter().next().expect("one walk queued");
-        if !walk.segments.is_empty() {
-            let replays: Vec<ReplaySegment> = walk
-                .segments
-                .iter()
-                .map(|s| {
-                    assert!(
-                        s.replayable,
-                        "recorded sessions stitch replayable walks only"
-                    );
-                    ReplaySegment {
-                        connector: s.connector,
-                        id: s.id,
-                        start_pos: pos_offset + s.start_pos,
-                    }
-                })
-                .collect();
-            let mut replay = ReplayProtocol::new(&mut self.state, replays);
-            self.runner.run_local(&mut replay)?;
-        }
-        let visits = self.state.drain_visits();
-        debug_assert_eq!(
-            visits.len() as u64,
-            extra_len,
-            "an extension records exactly (pos_offset, pos_offset + extra_len]"
-        );
-        Ok(RecordedExtension {
-            destination: walk.destination,
-            rounds: self.runner.total_rounds() - start,
-            lambda,
-            stitches: out.stitches,
-            gmw_invocations: out.gmw_invocations,
-            visits,
         })
     }
 
@@ -869,6 +677,14 @@ impl WalkSession {
     /// Theorem 2.8's `k + l` fallback, per-request `lambda` formulas —
     /// belong to the request scheduler, which lowers fallback items
     /// with [`WaveSpec::naive`] set).
+    ///
+    /// A recorded spec continues a walk standing at `source` with
+    /// global position `pos_offset`: every visited node records its
+    /// global position(s) and predecessor — tail hops inline, stitched
+    /// segments replayed afterwards ([`crate::regenerate`]) — and the
+    /// visits are drained from the shared state into
+    /// [`WaveWalk::visits`], so consecutive extensions never accumulate
+    /// or double-record.
     ///
     /// # Errors
     ///
@@ -921,7 +737,14 @@ impl WalkSession {
         }
         let lambda = self.ensure_store(lambda_call, stitch_len)?;
         let rounds_topup = self.runner.total_rounds() - start;
-        let mut sched = StitchScheduler::new(&self.setup_for(lambda, stitch_len.max(1), false));
+        let mut sched = StitchScheduler::new(&StitchSetup {
+            lambda,
+            randomize_len: self.cfg.randomize_len,
+            aggregated_gmw: self.cfg.aggregated_gmw && !self.record,
+            gmw_count: (stitch_len / u64::from(lambda.max(1))).max(1),
+            // Recording is per spec (`WaveSpec::record`).
+            record: false,
+        });
         for spec in specs {
             sched.add_spec(StitchSpec {
                 source: spec.source,
@@ -999,6 +822,27 @@ mod tests {
         (v / cols + v % cols) % 2
     }
 
+    /// One stitched wave of `len`-step walks from `sources`, at the
+    /// `lambda` a many-walks request of that shape computes.
+    fn cohort(s: &mut WalkSession, sources: &[NodeId], len: u64) -> WaveOutcome {
+        let d_est = u64::from(s.diameter_estimate());
+        let lambda = s.params().lambda_many(sources.len() as u64, len, d_est);
+        let specs: Vec<WaveSpec> = sources.iter().map(|&v| WaveSpec::plain(v, len)).collect();
+        s.run_wave(lambda, len, &specs).unwrap()
+    }
+
+    /// A recorded extension of `len` steps from `from`, standing at
+    /// global position `pos_offset`: a wave of one recorded spec.
+    fn extend(s: &mut WalkSession, from: NodeId, len: u64, pos_offset: u64) -> WaveOutcome {
+        let lambda = s.params().lambda(len, u64::from(s.diameter_estimate()));
+        let spec = WaveSpec {
+            pos_offset,
+            record: true,
+            ..WaveSpec::plain(from, len)
+        };
+        s.run_wave(lambda, len, &[spec]).unwrap()
+    }
+
     #[test]
     fn session_single_walks_preserve_parity() {
         let g = generators::torus2d(4, 4);
@@ -1016,11 +860,9 @@ mod tests {
         let g = generators::torus2d(6, 6);
         let mut s = WalkSession::new(&g, 0, &SingleWalkConfig::default(), 5).unwrap();
         let sources = [0usize, 9, 20];
-        let a = s.many_walks(&sources, 1024).unwrap();
-        assert!(!a.used_naive_fallback);
+        let a = cohort(&mut s, &sources, 1024);
         assert!(a.rounds_topup > 0, "first call must build the store");
-        let b = s.many_walks(&sources, 1024).unwrap();
-        assert!(!b.used_naive_fallback);
+        let b = cohort(&mut s, &sources, 1024);
         assert_eq!(
             b.rounds_topup, 0,
             "a lightly-consumed store is not replenished (hysteresis)"
@@ -1030,17 +872,23 @@ mod tests {
     }
 
     #[test]
-    fn fallback_regime_leaves_the_store_alone() {
+    fn forced_naive_walks_leave_the_store_alone() {
+        // How a Theorem 2.8 `k + l` fallback cohort reaches the session:
+        // every spec forced naive, no stitch-eligible regime.
         let g = generators::torus2d(4, 4);
         let mut s = WalkSession::new(&g, 0, &SingleWalkConfig::default(), 7).unwrap();
-        let sources: Vec<usize> = (0..16).collect();
-        let r = s.many_walks(&sources, 8).unwrap();
-        assert!(r.used_naive_fallback);
-        assert!(r.lambda >= 1, "fallback must report the computed lambda");
+        let specs: Vec<WaveSpec> = (0..16)
+            .map(|v| WaveSpec {
+                naive: true,
+                ..WaveSpec::plain(v, 8)
+            })
+            .collect();
+        let r = s.run_wave(0, 0, &specs).unwrap();
         assert_eq!(r.stitches, 0);
+        assert_eq!(r.rounds_topup, 0);
         assert_eq!(s.state().total_stored(), 0, "no store for naive walks");
-        for (&src, &d) in sources.iter().zip(&r.destinations) {
-            assert_eq!(parity(src, 4), parity(d, 4));
+        for (spec, w) in specs.iter().zip(&r.walks) {
+            assert_eq!(parity(spec.source, 4), parity(w.destination, 4));
         }
     }
 
@@ -1068,9 +916,11 @@ mod tests {
         };
         let mut s = WalkSession::new(&g, 0, &cfg, 13).unwrap();
         let (l1, l2) = (300u64, 500u64);
-        let e1 = s.extend_recorded(0, l1, 0).unwrap();
-        let e2 = s.extend_recorded(e1.destination, l2, l1).unwrap();
-        assert!(e1.stitches > 0 || e2.stitches > 0, "long walks must stitch");
+        let w1 = extend(&mut s, 0, l1, 0);
+        let e1 = &w1.walks[0];
+        let w2 = extend(&mut s, e1.destination, l2, l1);
+        let e2 = &w2.walks[0];
+        assert!(w1.stitches > 0 || w2.stitches > 0, "long walks must stitch");
 
         // Assemble: the caller records position 0; each extension
         // records exactly (pos_offset, pos_offset + extra_len].
@@ -1101,10 +951,10 @@ mod tests {
         };
         let mut s = WalkSession::new(&g, 2, &cfg, 17).unwrap();
         let before = s.total_rounds();
-        let e = s.extend_recorded(3, 0, 44).unwrap();
-        assert_eq!(e.destination, 3);
+        let e = extend(&mut s, 3, 0, 44);
+        assert_eq!(e.walks[0].destination, 3);
         assert_eq!(e.rounds, 0);
-        assert!(e.visits.is_empty());
+        assert!(e.walks[0].visits.is_empty());
         assert_eq!(s.total_rounds(), before);
     }
 
@@ -1113,9 +963,10 @@ mod tests {
         let g = generators::torus2d(5, 5);
         let run = || {
             let mut s = WalkSession::new(&g, 0, &SingleWalkConfig::default(), 99).unwrap();
-            let a = s.many_walks(&[0, 6, 13], 512).unwrap();
+            let a = cohort(&mut s, &[0, 6, 13], 512);
             let b = s.single_walk(7, 700).unwrap();
-            (a.destinations, b.destination, s.total_rounds())
+            let dests: Vec<NodeId> = a.walks.iter().map(|w| w.destination).collect();
+            (dests, b.destination, s.total_rounds())
         };
         assert_eq!(run(), run());
     }
@@ -1221,8 +1072,7 @@ mod tests {
             ..SingleWalkConfig::default()
         };
         let mut s = WalkSession::attach(&topo, 0, &cfg, 5).unwrap();
-        let a = s.many_walks(&[9, 20, 35], 1024).unwrap();
-        assert!(!a.used_naive_fallback);
+        let a = cohort(&mut s, &[9, 20, 35], 1024);
         assert!(a.rounds_topup > 0, "first call builds the store");
         let stored_before = s.state().total_stored();
         let lambda_before = s.store_lambda();
@@ -1249,8 +1099,7 @@ mod tests {
 
         // The next call serves on the mutated snapshot; its top-up only
         // covers the eviction deficit, never a rebuild.
-        let b = s.many_walks(&[9, 20, 35], 1024).unwrap();
-        assert!(!b.used_naive_fallback);
+        let b = cohort(&mut s, &[9, 20, 35], 1024);
         assert!(
             b.rounds_topup <= a.rounds_topup,
             "deficit top-up must not exceed the cold build"
@@ -1263,7 +1112,7 @@ mod tests {
         let topo = Topology::new(generators::torus2d(6, 6));
         let mut s = WalkSession::attach(&topo, 0, &SingleWalkConfig::default(), 5).unwrap();
         s.set_strict_repair(true);
-        s.many_walks(&[0, 9], 512).unwrap();
+        cohort(&mut s, &[0, 9], 512);
         let stored = s.state().total_stored();
         assert!(stored > 0);
         let _ = topo.apply(&TopologyDelta::new().add_edge(14, 27)).unwrap();
@@ -1272,7 +1121,7 @@ mod tests {
         assert_eq!(s.state().total_stored(), 0);
         // The next serving relaunches from scratch — exact by
         // construction, priced like the rebuild baseline's Phase 1.
-        let r = s.many_walks(&[0, 9], 512).unwrap();
+        let r = cohort(&mut s, &[0, 9], 512);
         assert!(r.rounds_topup > 0);
     }
 
@@ -1308,11 +1157,13 @@ mod tests {
             ..SingleWalkConfig::default()
         };
         let mut s = WalkSession::attach(&topo, 0, &cfg, 13).unwrap();
-        let e1 = s.extend_recorded(0, 300, 0).unwrap();
+        let w1 = extend(&mut s, 0, 300, 0);
+        let e1 = &w1.walks[0];
         let _ = topo
             .apply(&TopologyDelta::new().remove_edge(0, 1).add_edge(0, 12))
             .unwrap();
-        let e2 = s.extend_recorded(e1.destination, 300, 300).unwrap();
+        let w2 = extend(&mut s, e1.destination, 300, 300);
+        let e2 = &w2.walks[0];
         // Reconstruct the post-delta extension and check every hop is an
         // edge of the *new* snapshot.
         let g = s.graph();
@@ -1406,7 +1257,7 @@ mod tests {
             Err(WalkError::SourceOutOfRange(9))
         ));
         assert!(matches!(
-            s.many_walks(&[0, 9], 8),
+            s.run_wave(1, 8, &[WaveSpec::plain(0, 8), WaveSpec::plain(9, 8)]),
             Err(WalkError::SourceOutOfRange(9))
         ));
     }

@@ -46,6 +46,13 @@ pub enum WalkError {
         /// The offending source.
         NodeId,
     ),
+    /// A mixing request asked for fewer than two samples per probe
+    /// (`ceil(samples_scale * sqrt(n)) < 2`): the collision estimator
+    /// needs pairs.
+    TooFewSamples(
+        /// The samples per probe the request works out to.
+        usize,
+    ),
 }
 
 impl fmt::Display for WalkError {
@@ -54,6 +61,10 @@ impl fmt::Display for WalkError {
             WalkError::Engine(e) => write!(f, "engine error: {e}"),
             WalkError::Disconnected => write!(f, "graph must be connected"),
             WalkError::SourceOutOfRange(s) => write!(f, "source {s} out of range"),
+            WalkError::TooFewSamples(k) => write!(
+                f,
+                "mixing probes need samples_scale * sqrt(n) >= 2, got {k} samples"
+            ),
         }
     }
 }

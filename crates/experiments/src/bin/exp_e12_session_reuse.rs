@@ -2,23 +2,31 @@
 //! loops of both applications over one persistent `WalkSession` vs
 //! per-phase / per-probe rebuilds.
 //!
+//! `drw-core` drives each request kind exactly one way — over a
+//! session — so the rebuild baselines are composed *here*, from
+//! one-shot `Network::run` requests that each pay their own BFS and
+//! full Phase 1 (`drw_experiments::one_shot_rounds`).
+//!
 //! **RST** (`distributed_rst`, extend mode): the session pays one BFS
 //! and carries the Phase-1 store across doubling phases; the baseline
-//! rebuilds BFS + Phase 1 inside every phase's `single_random_walk`.
-//! A small `initial_len` forces many phases, which is exactly where the
-//! amortization shows.
+//! serves every phase's recorded walk one-shot. A small `initial_len`
+//! forces many phases, which is exactly where the amortization shows.
 //!
 //! **Mixing** (`estimate_mixing_time`): a stitched-regime configuration
 //! (`lambda_scale = 0.15`, `eta = 2`) so the long probes of the doubling
 //! scan actually exercise Phase 1; the session tops the shared store up
-//! only for the deficit, the baseline rebuilds it per probe.
+//! only for the deficit, the baseline serves every probe's walk cohort
+//! one-shot. Both baselines bill walks only (no cover checks, no
+//! upcasts), so the ratios are conservative.
 //!
 //! Acceptance (ISSUE 3): on the 32x32 torus the session estimator's
 //! total rounds drop >= 25% vs the rebuild baseline, and session RST
 //! performs exactly one BFS per call.
 
-use drw_core::WalkParams;
-use drw_experiments::{executor_from_env, table::f3, walk_config_from_env, workloads, Table};
+use drw_core::{Request, WalkParams};
+use drw_experiments::{
+    executor_from_env, one_shot_rounds, table::f3, walk_config_from_env, workloads, Table,
+};
 use drw_mixing::{estimate_mixing_time, MixingConfig};
 use drw_spanning::{distributed_rst, RstConfig};
 
@@ -52,37 +60,43 @@ fn main() {
         initial_len: (g.n() / 8) as u64,
         ..RstConfig::default()
     };
-    let mut rst_rounds = [0.0f64; 2];
-    let mut rst_rows: Vec<Vec<String>> = Vec::new();
-    for (i, reuse_session) in [true, false].into_iter().enumerate() {
-        let cfg = RstConfig {
-            reuse_session,
-            ..rst_cfg.clone()
-        };
-        let (mut rounds, mut bfs, mut phases, mut attempts) = (0.0, 0.0, 0.0, 0.0);
-        for s in 0..trials {
-            let r = distributed_rst(g, 0, &cfg, 500 + s).expect("rst");
-            rounds += r.rounds as f64;
-            bfs += r.bfs_runs as f64;
-            phases += r.phases as f64;
-            attempts += r.attempts as f64;
-        }
-        let n = trials as f64;
-        rst_rounds[i] = rounds / n;
-        rst_rows.push(vec![
-            if reuse_session { "session" } else { "rebuild" }.to_string(),
-            f3(rounds / n),
-            f3(bfs / n),
-            f3(phases / n),
-            f3(attempts / n),
-            String::new(), // filled once both modes ran
-        ]);
+    // Per trial: the session run, then its phases' walks served
+    // one-shot (one BFS each, plus none for cover checks).
+    let (mut rounds, mut phases, mut attempts, mut rebuild) = (0.0, 0.0, 0.0, 0.0);
+    for s in 0..trials {
+        let r = distributed_rst(g, 0, &rst_cfg, 500 + s).expect("rst");
+        assert_eq!(r.bfs_runs, 1, "one BFS per session RST call");
+        rounds += r.rounds as f64;
+        phases += r.phases as f64;
+        attempts += r.attempts as f64;
+        rebuild += one_shot_rounds(
+            g,
+            &rst_cfg.walk,
+            500 + s,
+            (0..r.phases).map(|phase| Request::Walk {
+                source: 0,
+                len: rst_cfg.initial_len << phase,
+                record: true,
+            }),
+        ) as f64;
     }
-    rst_rows[0][5] = f3(rst_rounds[0] / rst_rounds[1].max(1.0));
-    rst_rows[1][5] = f3(1.0);
-    for row in &rst_rows {
-        t1.row(row);
-    }
+    let n = trials as f64;
+    t1.row(&[
+        "session".into(),
+        f3(rounds / n),
+        f3(1.0),
+        f3(phases / n),
+        f3(attempts / n),
+        f3(rounds / rebuild.max(1.0)),
+    ]);
+    t1.row(&[
+        "rebuild".into(),
+        f3(rebuild / n),
+        f3(attempts / n),
+        f3(phases / n),
+        f3(attempts / n),
+        f3(1.0),
+    ]);
     t1.emit();
 
     // --- Mixing: session vs rebuild-per-probe ------------------------
@@ -119,37 +133,33 @@ fn main() {
         },
         ..MixingConfig::default()
     };
-    let mut mix_rounds = [0.0f64; 2];
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for (i, reuse_session) in [true, false].into_iter().enumerate() {
-        let cfg = MixingConfig {
-            reuse_session,
-            ..mix_cfg.clone()
-        };
-        let (mut rounds, mut probes, mut tau, mut max_len) = (0.0, 0.0, 0.0, 0u64);
-        for s in 0..trials {
-            let est = estimate_mixing_time(g, 0, &cfg, 900 + s).expect("estimate");
-            rounds += est.rounds as f64;
-            probes += est.probes.len() as f64;
-            tau += est.tau_estimate as f64;
-            max_len = max_len.max(est.probes.iter().map(|p| p.len).max().unwrap_or(0));
-        }
-        let n = trials as f64;
-        mix_rounds[i] = rounds / n;
-        rows.push(vec![
-            if reuse_session { "session" } else { "rebuild" }.to_string(),
-            f3(rounds / n),
+    let (mut rounds, mut probes, mut tau, mut max_len, mut rebuild) = (0.0, 0.0, 0.0, 0u64, 0.0);
+    for s in 0..trials {
+        let est = estimate_mixing_time(g, 0, &mix_cfg, 900 + s).expect("estimate");
+        rounds += est.rounds as f64;
+        probes += est.probes.len() as f64;
+        tau += est.tau_estimate as f64;
+        max_len = max_len.max(est.probes.iter().map(|p| p.len).max().unwrap_or(0));
+        rebuild += one_shot_rounds(
+            g,
+            &mix_cfg.walk,
+            900 + s,
+            est.probes
+                .iter()
+                .map(|p| Request::many_walks(vec![0; est.samples_per_probe], p.len)),
+        ) as f64;
+    }
+    let n = trials as f64;
+    let ratio = rounds / rebuild.max(1.0);
+    for (mode, mode_rounds, vs) in [("session", rounds, ratio), ("rebuild", rebuild, 1.0)] {
+        t2.row(&[
+            mode.into(),
+            f3(mode_rounds / n),
             f3(probes / n),
             f3(tau / n),
             max_len.to_string(),
-            String::new(), // filled once both modes ran
+            f3(vs),
         ]);
-    }
-    let ratio = mix_rounds[0] / mix_rounds[1].max(1.0);
-    rows[0][5] = f3(ratio);
-    rows[1][5] = f3(1.0);
-    for row in &rows {
-        t2.row(row);
     }
     t2.emit();
 

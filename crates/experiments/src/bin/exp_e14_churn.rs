@@ -1,7 +1,7 @@
 //! E14: dynamic topology churn (ISSUE 5's acceptance workload) —
 //! serving the same `ManyWalks` request after a small edge delta via
-//! *incremental session repair* versus the `reuse_session: false`
-//! rebuild-from-scratch baseline.
+//! *incremental session repair* versus a rebuild-from-scratch
+//! baseline (the same request served one-shot).
 //!
 //! Protocol, per trial: a `Network` over a versioned `Topology` of the
 //! 32x32 torus warms its shared session (two batched servings, so the

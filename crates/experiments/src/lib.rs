@@ -19,3 +19,29 @@ pub use config::{
 };
 pub use table::Table;
 pub use trials::parallel_trials;
+
+use drw_core::{Network, Request, SingleWalkConfig};
+use drw_graph::Graph;
+
+/// The rebuild-per-request baseline the session experiments (E12) and
+/// `tests/session_reuse.rs` price amortization against: the summed
+/// bills of serving `requests` one after another **one-shot**, each
+/// paying its own BFS and full Phase 1. The baseline lives here, not in
+/// a production path — `drw-core` has exactly one driver per request
+/// kind.
+///
+/// # Panics
+///
+/// Panics if a request fails (baselines run on valid workloads).
+pub fn one_shot_rounds(
+    g: &Graph,
+    cfg: &SingleWalkConfig,
+    seed: u64,
+    requests: impl IntoIterator<Item = Request>,
+) -> u64 {
+    let mut net = Network::builder(g).config(cfg.clone()).seed(seed).build();
+    requests
+        .into_iter()
+        .map(|r| net.run(r).expect("one-shot baseline request").rounds())
+        .sum()
+}

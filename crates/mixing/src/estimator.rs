@@ -12,12 +12,11 @@
 //! shim over a throwaway [`Network`], seed-for-seed identical to the
 //! pre-facade driver, plus the legacy configuration type.
 //!
-//! Every probe of a session run (`reuse_session = true`, the default)
-//! rides one persistent walk session: one BFS/diameter estimate serves
-//! every probe's walks *and* upcasts, and probes in the stitched regime
-//! top up the shared short-walk store instead of rebuilding Phase 1.
-//! `reuse_session = false` restores the per-probe-rebuild baseline —
-//! the comparison measured by experiment E12.
+//! Every probe rides one walk session private to the call: one
+//! BFS/diameter estimate serves every probe's walks *and* upcasts, and
+//! probes in the stitched regime top up the shared short-walk store
+//! instead of rebuilding Phase 1 (experiment E12 prices that against
+//! serving each probe's walks one-shot).
 
 use drw_core::{Error, MixingRequest, Network, Request, SingleWalkConfig, WalkError};
 use drw_graph::{Graph, NodeId};
@@ -53,11 +52,6 @@ pub struct MixingConfig {
     pub max_len: u64,
     /// Refine with binary search after the first PASS.
     pub refine: bool,
-    /// Run all probes over one persistent walk session (one BFS, one
-    /// short-walk store; the default). `false` restores the
-    /// per-probe-rebuild baseline: each probe's `MANY-RANDOM-WALKS`
-    /// pays its own BFS and Phase 1.
-    pub reuse_session: bool,
 }
 
 impl Default for MixingConfig {
@@ -70,7 +64,6 @@ impl Default for MixingConfig {
             walk: SingleWalkConfig::default(),
             max_len: 1 << 20,
             refine: true,
-            reuse_session: true,
         }
     }
 }
@@ -88,7 +81,6 @@ impl MixingConfig {
             start_len: 1,
             max_len: self.max_len,
             refine: self.refine,
-            reuse_session: self.reuse_session,
         }
     }
 }
@@ -190,17 +182,11 @@ mod tests {
         // binary search must not run (there is no probe below 1, and no
         // `lo = 0` artifact may surface).
         let g = generators::complete(32);
-        for reuse_session in [true, false] {
-            let cfg = MixingConfig {
-                reuse_session,
-                ..small_cfg()
-            };
-            let est = estimate_mixing_time(&g, 0, &cfg, 8).unwrap();
-            assert!(est.converged, "session={reuse_session}");
-            assert_eq!(est.tau_estimate, 1, "session={reuse_session}");
-            assert_eq!(est.probes.len(), 1, "no refinement probes may run");
-            assert!(est.probes[0].pass);
-        }
+        let est = estimate_mixing_time(&g, 0, &small_cfg(), 8).unwrap();
+        assert!(est.converged);
+        assert_eq!(est.tau_estimate, 1);
+        assert_eq!(est.probes.len(), 1, "no refinement probes may run");
+        assert!(est.probes[0].pass);
     }
 
     #[test]
@@ -209,82 +195,64 @@ mod tests {
         // exactly the doubling lengths up to the cap — no infinite loop,
         // no refinement — and report the cap without a converged claim.
         let g = generators::cycle(16);
-        for reuse_session in [true, false] {
-            let cfg = MixingConfig {
-                max_len: 256,
-                reuse_session,
-                ..small_cfg()
-            };
-            let est = estimate_mixing_time(&g, 0, &cfg, 9).unwrap();
-            assert!(!est.converged, "session={reuse_session}");
-            assert_eq!(est.tau_estimate, 256);
-            let lens: Vec<u64> = est.probes.iter().map(|p| p.len).collect();
-            assert_eq!(lens, vec![1, 2, 4, 8, 16, 32, 64, 128, 256]);
-            assert!(est.probes.iter().all(|p| !p.pass));
-        }
+        let cfg = MixingConfig {
+            max_len: 256,
+            ..small_cfg()
+        };
+        let est = estimate_mixing_time(&g, 0, &cfg, 9).unwrap();
+        assert!(!est.converged);
+        assert_eq!(est.tau_estimate, 256);
+        let lens: Vec<u64> = est.probes.iter().map(|p| p.len).collect();
+        assert_eq!(lens, vec![1, 2, 4, 8, 16, 32, 64, 128, 256]);
+        assert!(est.probes.iter().all(|p| !p.pass));
     }
 
     #[test]
-    fn session_probes_match_rebuild_verdicts() {
-        // The session reuses randomness differently, but at fixed seeds
+    fn session_probes_match_exact_verdicts() {
+        // The probes share one session's randomness, but at fixed seeds
         // on decisively-mixing / decisively-unmixed graphs the PASS/FAIL
-        // sequence — and hence the estimate — must agree with the
-        // per-probe-rebuild baseline.
-        for (g, seed) in [
-            (generators::complete(33), 12u64),
-            (generators::cycle(16), 13u64),
-        ] {
-            let session_cfg = MixingConfig {
-                max_len: 1 << 12,
-                ..small_cfg()
-            };
-            let rebuild_cfg = MixingConfig {
-                reuse_session: false,
-                ..session_cfg.clone()
-            };
-            let s = estimate_mixing_time(&g, 0, &session_cfg, seed).unwrap();
-            let r = estimate_mixing_time(&g, 0, &rebuild_cfg, seed).unwrap();
-            assert_eq!(s.converged, r.converged);
-            let sv: Vec<(u64, bool)> = s.probes.iter().map(|p| (p.len, p.pass)).collect();
-            let rv: Vec<(u64, bool)> = r.probes.iter().map(|p| (p.len, p.pass)).collect();
-            assert_eq!(sv, rv, "verdict sequences diverged");
-            assert_eq!(s.tau_estimate, r.tau_estimate);
-        }
-
-        // Borderline graph: probes right at the mixing boundary may flip
-        // under different (equally exact) randomness, but the doubling
-        // scan must agree and the refined estimates must land in the
-        // same narrow band.
-        let g = generators::cycle(33);
-        let session_cfg = MixingConfig {
+        // sequence — and hence the estimate — must be the one the exact
+        // walk distribution dictates.
+        let cfg = MixingConfig {
             max_len: 1 << 12,
             ..small_cfg()
         };
-        let rebuild_cfg = MixingConfig {
-            reuse_session: false,
-            ..session_cfg.clone()
-        };
-        let s = estimate_mixing_time(&g, 0, &session_cfg, 14).unwrap();
-        let r = estimate_mixing_time(&g, 0, &rebuild_cfg, 14).unwrap();
-        assert!(s.converged && r.converged);
-        let scan = |e: &MixingEstimate| -> Vec<(u64, bool)> {
-            let mut out = Vec::new();
-            for p in &e.probes {
-                out.push((p.len, p.pass));
-                if p.pass {
-                    break; // end of the doubling scan
-                }
+        let cap = 1 << 12;
+
+        let g = generators::complete(33);
+        let exact = exact_tau_mix(&g, 0, cap).expect("complete graphs mix");
+        let est = estimate_mixing_time(&g, 0, &cfg, 12).unwrap();
+        assert!(est.converged);
+        assert_eq!(est.tau_estimate, exact);
+        assert!(est.probes.iter().all(|p| p.pass == (p.len >= exact)));
+
+        let g = generators::cycle(16);
+        assert_eq!(exact_tau_mix(&g, 0, cap), None, "bipartite: never mixes");
+        let est = estimate_mixing_time(&g, 0, &cfg, 13).unwrap();
+        assert!(!est.converged);
+        assert!(est.probes.iter().all(|p| !p.pass));
+
+        // Borderline graph: probes right at the mixing boundary may go
+        // either way, but every probe on the decisive side of the exact
+        // L1 curve has its verdict dictated, and the refined estimate
+        // lands between the two decisive lengths.
+        let g = generators::cycle(33);
+        let unmixed_below = exact_tau(&g, 0, 0.9, cap).unwrap();
+        let mixed_from = exact_tau(&g, 0, 0.05, cap).unwrap();
+        let est = estimate_mixing_time(&g, 0, &cfg, 14).unwrap();
+        assert!(est.converged);
+        for p in &est.probes {
+            if p.len < unmixed_below {
+                assert!(!p.pass, "PASS at {} < tau(0.9) = {unmixed_below}", p.len);
             }
-            out
-        };
-        assert_eq!(scan(&s), scan(&r), "doubling-scan verdicts diverged");
-        let (lo, hi) = (
-            s.tau_estimate.min(r.tau_estimate),
-            s.tau_estimate.max(r.tau_estimate),
-        );
+            if p.len >= mixed_from {
+                assert!(p.pass, "FAIL at {} >= tau(0.05) = {mixed_from}", p.len);
+            }
+        }
         assert!(
-            hi as f64 <= lo as f64 * 1.25,
-            "estimates too far apart: {lo} vs {hi}"
+            (unmixed_below..=mixed_from).contains(&est.tau_estimate),
+            "estimate {} outside [{unmixed_below}, {mixed_from}]",
+            est.tau_estimate
         );
     }
 

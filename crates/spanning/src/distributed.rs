@@ -151,11 +151,6 @@ pub struct RstConfig {
     pub initial_len: u64,
     /// Phase budget before giving up (lengths double each phase).
     pub max_phases: u32,
-    /// Drive all phases over one persistent walk session (one BFS,
-    /// one short-walk store; the default). `false` restores the
-    /// rebuild-per-phase baseline: every phase pays its own BFS,
-    /// diameter estimate and full Phase 1.
-    pub reuse_session: bool,
 }
 
 impl Default for RstConfig {
@@ -166,7 +161,6 @@ impl Default for RstConfig {
             walks_per_phase: 0,
             initial_len: 0,
             max_phases: 40,
-            reuse_session: true,
         }
     }
 }
@@ -180,7 +174,6 @@ impl RstConfig {
             walks_per_phase: self.walks_per_phase,
             initial_len: self.initial_len,
             max_phases: self.max_phases,
-            reuse_session: self.reuse_session,
         }
     }
 }
@@ -222,28 +215,22 @@ mod tests {
 
     #[test]
     fn produces_a_spanning_tree_in_all_modes() {
-        for reuse_session in [true, false] {
-            for mode in [RstMode::ExtendWalk, RstMode::RestartPhases] {
-                for (i, g) in [
-                    generators::torus2d(4, 4),
-                    generators::complete(8),
-                    generators::lollipop(5, 5),
-                ]
-                .iter()
-                .enumerate()
-                {
-                    let cfg = RstConfig {
-                        mode,
-                        reuse_session,
-                        ..RstConfig::default()
-                    };
-                    let r = distributed_rst(g, 0, &cfg, 100 + i as u64).unwrap();
-                    assert!(
-                        matrix_tree::is_spanning_tree(g, &r.edges),
-                        "{mode:?} session={reuse_session}"
-                    );
-                    assert!(r.attempts >= 1);
-                }
+        for mode in [RstMode::ExtendWalk, RstMode::RestartPhases] {
+            for (i, g) in [
+                generators::torus2d(4, 4),
+                generators::complete(8),
+                generators::lollipop(5, 5),
+            ]
+            .iter()
+            .enumerate()
+            {
+                let cfg = RstConfig {
+                    mode,
+                    ..RstConfig::default()
+                };
+                let r = distributed_rst(g, 0, &cfg, 100 + i as u64).unwrap();
+                assert!(matrix_tree::is_spanning_tree(g, &r.edges), "{mode:?}");
+                assert!(r.attempts >= 1);
             }
         }
     }
@@ -268,54 +255,56 @@ mod tests {
     #[test]
     fn phase_budget_error_surfaces() {
         let g = generators::lollipop(6, 6);
-        for reuse_session in [true, false] {
-            let cfg = RstConfig {
-                initial_len: 1,
-                max_phases: 1,
-                walks_per_phase: 1,
-                mode: RstMode::RestartPhases,
-                reuse_session,
-                ..RstConfig::default()
-            };
-            let err = distributed_rst(&g, 0, &cfg, 1).unwrap_err();
-            assert!(
-                matches!(err, RstError::NotCovered { phases: 1, .. }),
-                "{err}"
-            );
-        }
+        let cfg = RstConfig {
+            initial_len: 1,
+            max_phases: 1,
+            walks_per_phase: 1,
+            mode: RstMode::RestartPhases,
+            ..RstConfig::default()
+        };
+        let err = distributed_rst(&g, 0, &cfg, 1).unwrap_err();
+        assert!(
+            matches!(err, RstError::NotCovered { phases: 1, .. }),
+            "{err}"
+        );
     }
 
     #[test]
-    fn session_pays_exactly_one_bfs_and_beats_the_rebuild() {
+    fn session_pays_exactly_one_bfs_and_beats_per_phase_rebuilds() {
         // The amortization claim of ISSUE 3, regression-tested: a
         // multi-phase extend run performs one BFS for the whole call
         // and, at a size where per-phase setup is non-trivial, costs
-        // fewer rounds than the rebuild-per-phase baseline on the same
-        // workload. (On toy graphs the session can lose — its upgrade
-        // relaunches are priced against setups that cost almost
-        // nothing; this is E12's --quick workload, full numbers in
-        // EXPERIMENTS.md.)
+        // fewer rounds than serving each phase's recorded walk one-shot
+        // (its own BFS and full Phase 1 every time). (On toy graphs the
+        // session can lose — its upgrade relaunches are priced against
+        // setups that cost almost nothing; this is E12's --quick
+        // workload, full numbers in EXPERIMENTS.md.)
         let g = generators::torus2d(16, 16);
-        let session_cfg = RstConfig {
+        let cfg = RstConfig {
             initial_len: 32,
             ..RstConfig::default()
         };
-        let rebuild_cfg = RstConfig {
-            reuse_session: false,
-            ..session_cfg.clone()
-        };
-        let s = distributed_rst(&g, 0, &session_cfg, 21).unwrap();
-        let r = distributed_rst(&g, 0, &rebuild_cfg, 21).unwrap();
+        let s = distributed_rst(&g, 0, &cfg, 21).unwrap();
         assert!(s.phases > 3, "initial_len 32 must take several phases");
-        assert_eq!(s.bfs_runs, 1, "one BFS per RST call with the session");
-        assert_eq!(r.bfs_runs, 1 + r.attempts, "baseline rebuilds per phase");
-        assert!(
-            s.rounds < r.rounds,
-            "session {} rounds vs rebuild {}",
-            s.rounds,
-            r.rounds
-        );
+        assert_eq!(s.bfs_runs, 1, "one BFS per RST call");
         assert!(matrix_tree::is_spanning_tree(&g, &s.edges));
+
+        let mut one_shot = Network::builder(&g).seed(21).build();
+        let rebuild: u64 = (0..s.phases)
+            .map(|phase| {
+                let walk = Request::Walk {
+                    source: 0,
+                    len: cfg.initial_len << phase,
+                    record: true,
+                };
+                one_shot.run(walk).expect("one-shot phase walk").rounds()
+            })
+            .sum();
+        assert!(
+            s.rounds < rebuild,
+            "session {} rounds vs per-phase rebuilds {rebuild}",
+            s.rounds
+        );
     }
 
     #[test]
@@ -327,45 +316,39 @@ mod tests {
         // one spanning tree — itself — so corruption is unambiguous.
         let g = generators::path(8);
         let expected: TreeKey = canonical_tree_key(g.edges());
-        for reuse_session in [true, false] {
-            let cfg = RstConfig {
-                initial_len: 1,
-                max_phases: 60,
-                reuse_session,
-                ..RstConfig::default()
-            };
-            for seed in 0..10u64 {
-                let r = distributed_rst(&g, 0, &cfg, 3000 + seed).unwrap();
-                assert_eq!(r.edges, expected, "session={reuse_session} seed={seed}");
-                assert!(r.phases > 1, "unit initial length must take phases");
-            }
+        let cfg = RstConfig {
+            initial_len: 1,
+            max_phases: 60,
+            ..RstConfig::default()
+        };
+        for seed in 0..10u64 {
+            let r = distributed_rst(&g, 0, &cfg, 3000 + seed).unwrap();
+            assert_eq!(r.edges, expected, "seed={seed}");
+            assert!(r.phases > 1, "unit initial length must take phases");
         }
     }
 
     #[test]
     fn doubling_overflow_is_a_capped_error() {
         // A first segment past the total-length cap errors out before
-        // walking anything, in both modes and drivers.
+        // walking anything, in both modes.
         let g = generators::complete(4);
-        for reuse_session in [true, false] {
-            for mode in [RstMode::ExtendWalk, RstMode::RestartPhases] {
-                let cfg = RstConfig {
-                    initial_len: MAX_TOTAL_WALK_LEN + 1,
-                    max_phases: 3,
-                    mode,
-                    reuse_session,
-                    ..RstConfig::default()
-                };
-                let err = distributed_rst(&g, 0, &cfg, 1).unwrap_err();
-                assert_eq!(
-                    err,
-                    RstError::LengthOverflow {
-                        phases: 0,
-                        walked: 0
-                    },
-                    "{mode:?} session={reuse_session}"
-                );
-            }
+        for mode in [RstMode::ExtendWalk, RstMode::RestartPhases] {
+            let cfg = RstConfig {
+                initial_len: MAX_TOTAL_WALK_LEN + 1,
+                max_phases: 3,
+                mode,
+                ..RstConfig::default()
+            };
+            let err = distributed_rst(&g, 0, &cfg, 1).unwrap_err();
+            assert_eq!(
+                err,
+                RstError::LengthOverflow {
+                    phases: 0,
+                    walked: 0
+                },
+                "{mode:?}"
+            );
         }
     }
 

@@ -78,32 +78,23 @@ fn many_walks_requests_match_the_legacy_free_function() {
 fn spanning_tree_requests_match_the_legacy_free_function() {
     let g = generators::torus2d(6, 6);
     for kind in executors() {
-        for reuse_session in [true, false] {
-            let rst_cfg = RstConfig {
-                walk: cfg_for(kind),
-                reuse_session,
-                ..RstConfig::default()
-            };
-            let legacy = distributed_rst(&g, 0, &rst_cfg, 23).unwrap();
-            let mut net = Network::builder(&g)
-                .config(rst_cfg.walk.clone())
-                .seed(23)
-                .build();
-            let routed = net
-                .run(Request::SpanningTree(rst_cfg.to_request(0)))
-                .unwrap()
-                .into_tree();
-            assert_eq!(
-                routed.edges, legacy.edges,
-                "{kind:?} session={reuse_session}"
-            );
-            assert_eq!(
-                routed.rounds, legacy.rounds,
-                "{kind:?} session={reuse_session}"
-            );
-            assert_eq!(routed.phases, legacy.phases);
-            assert_eq!(routed.bfs_runs, legacy.bfs_runs);
-        }
+        let rst_cfg = RstConfig {
+            walk: cfg_for(kind),
+            ..RstConfig::default()
+        };
+        let legacy = distributed_rst(&g, 0, &rst_cfg, 23).unwrap();
+        let mut net = Network::builder(&g)
+            .config(rst_cfg.walk.clone())
+            .seed(23)
+            .build();
+        let routed = net
+            .run(Request::SpanningTree(rst_cfg.to_request(0)))
+            .unwrap()
+            .into_tree();
+        assert_eq!(routed.edges, legacy.edges, "{kind:?}");
+        assert_eq!(routed.rounds, legacy.rounds, "{kind:?}");
+        assert_eq!(routed.phases, legacy.phases);
+        assert_eq!(routed.bfs_runs, legacy.bfs_runs);
     }
 }
 

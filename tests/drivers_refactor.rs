@@ -5,6 +5,12 @@
 //! `Service` can reuse them. The move must not perturb a single byte of
 //! `run_batch` output — these golden values were captured from the
 //! pre-refactor code at the listed seeds and must keep reproducing.
+//!
+//! ISSUE 14 extended the guard to the one-shot and session paths: when
+//! `Network::run` became a batch of one over the shared driver loop and
+//! `WalkSession::single_walk` a wave of one, the values below (captured
+//! at the parent commit, from the hand-written one-shot loops) had to
+//! keep reproducing too.
 
 use distributed_random_walks::prelude::*;
 
@@ -173,5 +179,145 @@ fn print_golden_values() {
         walk2.destination,
         walk2.rounds,
         net.session_rounds(),
+    );
+}
+
+/// A digest of anything with a stable `Debug` form (probe lists,
+/// segment traces): floats print their shortest round-trip decimal, so
+/// equal digests mean equal bits.
+fn debug_digest<T: std::fmt::Debug>(value: &T) -> u64 {
+    fnv(format!("{value:?}").as_bytes())
+}
+
+fn one_shot_tree(mode: TreeMode) -> TreeSample {
+    let g = drw_graph::generators::torus2d(6, 6);
+    let mut net = Network::builder(&g).seed(31).build();
+    net.run(Request::SpanningTree(TreeRequest {
+        mode,
+        initial_len: 8, // several doubling phases
+        ..TreeRequest::new(0)
+    }))
+    .expect("golden tree")
+    .into_tree()
+}
+
+fn one_shot_mixing(g: &Graph, seed: u64) -> MixingReport {
+    let mut net = Network::builder(g).seed(seed).build();
+    net.run(Request::MixingTime(MixingRequest {
+        max_len: 512,
+        ..MixingRequest::full_estimate(0)
+    }))
+    .expect("golden estimate")
+    .into_mixing()
+}
+
+/// `(destination, rounds, segment digest)` of two consecutive session
+/// walks, plus the session's round total.
+fn two_session_walks() -> ([(usize, u64, u64); 2], u64) {
+    let g = drw_graph::generators::torus2d(6, 6);
+    let mut s = WalkSession::new(&g, 0, &SingleWalkConfig::default(), 31).expect("session");
+    let a = s.single_walk(0, 512).expect("first walk");
+    let b = s.single_walk(a.destination, 512).expect("second walk");
+    (
+        [
+            (a.destination, a.rounds, debug_digest(&a.segments)),
+            (b.destination, b.rounds, debug_digest(&b.segments)),
+        ],
+        s.total_rounds(),
+    )
+}
+
+type TreeGolden = (u64, u32, u64, u64, u64, u64);
+
+fn tree_tuple(t: &TreeSample) -> TreeGolden {
+    (
+        tree_digest(&t.edges),
+        t.phases,
+        t.attempts,
+        t.cover_len,
+        t.rounds,
+        t.bfs_runs,
+    )
+}
+
+type MixGolden = (u64, usize, u64, bool, u64);
+
+fn mix_tuple(m: &MixingReport) -> MixGolden {
+    (
+        debug_digest(&m.probes),
+        m.probes.len(),
+        m.tau_estimate,
+        m.converged,
+        m.rounds,
+    )
+}
+
+#[test]
+fn one_shot_and_session_outputs_are_byte_identical_to_pre_refactor() {
+    // Golden values captured at the parent commit of ISSUE 14 (seed 31
+    // on the 6x6 torus for trees and session walks; seeds 6 / 5 on C16 /
+    // K32 for the full mixing estimate; sequential executor).
+    assert_eq!(
+        tree_tuple(&one_shot_tree(TreeMode::ExtendWalk)),
+        ONE_SHOT.tree_extend,
+        "one-shot extend-mode tree drifted"
+    );
+    assert_eq!(
+        tree_tuple(&one_shot_tree(TreeMode::RestartPhases)),
+        ONE_SHOT.tree_restart,
+        "one-shot restart-mode tree drifted"
+    );
+    assert_eq!(
+        mix_tuple(&one_shot_mixing(&drw_graph::generators::cycle(16), 6)),
+        ONE_SHOT.mix_c16,
+        "one-shot mixing estimate on C16 drifted"
+    );
+    assert_eq!(
+        mix_tuple(&one_shot_mixing(&drw_graph::generators::complete(32), 5)),
+        ONE_SHOT.mix_k32,
+        "one-shot mixing estimate on K32 drifted"
+    );
+    assert_eq!(
+        two_session_walks(),
+        (ONE_SHOT.session_walks, ONE_SHOT.session_total_rounds),
+        "consecutive session walks drifted"
+    );
+}
+
+/// `(edge digest, phases, attempts, cover_len, rounds, bfs_runs)` per
+/// tree, `(probe digest, probes, tau, converged, rounds)` per estimate.
+struct OneShotGolden {
+    tree_extend: TreeGolden,
+    tree_restart: TreeGolden,
+    mix_c16: MixGolden,
+    mix_k32: MixGolden,
+    session_walks: [(usize, u64, u64); 2],
+    session_total_rounds: u64,
+}
+
+const ONE_SHOT: OneShotGolden = OneShotGolden {
+    tree_extend: (0xa7d8dc00dca26b37, 5, 5, 248, 435, 1),
+    tree_restart: (0xd476dc9aff2d6c06, 6, 31, 256, 2293, 1),
+    mix_c16: (0xb99e0d7c047865c3, 10, 512, false, 2129),
+    mix_k32: (0xc87a7138c0308730, 1, 1, true, 14),
+    session_walks: [(12, 306, 0x45596d1d7c06d701), (21, 192, 0x2778b175beadb2d6)],
+    session_total_rounds: 505,
+};
+
+/// The one-shot/session counterpart of [`print_golden_values`].
+#[test]
+#[ignore = "capture helper, not a gate"]
+fn print_one_shot_golden_values() {
+    let (walks, total) = two_session_walks();
+    println!(
+        "const ONE_SHOT: OneShotGolden = OneShotGolden {{\n    tree_extend: {:#x?},\n    \
+         tree_restart: {:#x?},\n    mix_c16: {:#x?},\n    mix_k32: {:#x?},\n    \
+         session_walks: {:#x?},\n    session_total_rounds: {},\n}};",
+        tree_tuple(&one_shot_tree(TreeMode::ExtendWalk)),
+        tree_tuple(&one_shot_tree(TreeMode::RestartPhases)),
+        mix_tuple(&one_shot_mixing(&drw_graph::generators::cycle(16), 6)),
+        mix_tuple(&one_shot_mixing(&drw_graph::generators::complete(32), 5)),
+        walks,
+        total,
     );
 }

@@ -1,7 +1,7 @@
 //! Acceptance tests for the continuous-batching walk service:
 //! fairness/accounting invariants under arbitrary seeded arrival
 //! traces (proptest), and bit-identical trace service across the
-//! sequential / parallel / sharded executors at several worker counts.
+//! sequential and sharded executors at several worker counts.
 
 use distributed_random_walks::prelude::*;
 use proptest::prelude::*;

@@ -215,18 +215,29 @@ fn repaired_session_endpoints_match_mutated_graph_distribution() {
     let mut evictions = 0u64;
     for t in 0..trials {
         let topo = Topology::new(generators::torus2d(4, 4));
-        let mut session = WalkSession::attach(&topo, 0, &cfg, 20_000 + t).unwrap();
+        let mut net = Network::over(topo.clone())
+            .config(cfg.clone())
+            .seed(20_000 + t)
+            .build();
+        let serve = |net: &mut Network| {
+            let served = net
+                .run_batch(vec![Request::many_walks(sources.to_vec(), len)])
+                .unwrap()
+                .remove(0)
+                .into_many_walks();
+            assert!(!served.used_naive_fallback);
+            served
+        };
         // Warm the store on the pre-churn graph...
-        let warm = session.many_walks(&sources, len).unwrap();
-        assert!(!warm.used_naive_fallback);
+        let _ = serve(&mut net);
         // ...mutate (a chord in, a cycle edge out; stays connected)...
         let _ = topo
             .apply(&TopologyDelta::new().add_edge(0, 5).remove_edge(9, 10))
             .unwrap();
         // ...and serve the same request again through incremental
         // repair.
-        let served = session.many_walks(&sources, len).unwrap();
-        assert!(!served.used_naive_fallback);
+        let served = serve(&mut net);
+        let session = net.session().expect("batches open the shared session");
         evictions += session.walks_evicted();
         let g = session.graph();
         for (i, &d) in served.destinations.iter().enumerate() {
