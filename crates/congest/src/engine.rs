@@ -156,7 +156,9 @@ pub struct MemoryReport {
     pub inbox_bytes: usize,
     /// Per-node RNG streams.
     pub rng_bytes: usize,
-    /// The recycled staging buffer.
+    /// The recycled staging buffer, plus — on sharded runs — the
+    /// per-shard staging buffers and partition scratch the run recycles
+    /// alongside it.
     pub staging_bytes: usize,
 }
 
@@ -180,13 +182,21 @@ impl MemoryReport {
 pub struct WorkBalance {
     /// Rounds that fanned out into at least two shards (measured).
     pub rounds_measured: u64,
-    /// Rounds run inline because they delivered too little to shard.
+    /// Rounds that delivered mail but ran inline: too little of it to
+    /// shard, or all of it on one node. `rounds_measured +
+    /// rounds_inline` is the number of rounds that delivered anything.
     pub rounds_inline: u64,
     /// Worst observed `max / mean` over per-shard message loads across
     /// all measured rounds (`0.0` if nothing was measured).
     pub worst_max_over_mean: f64,
     /// Messages processed per shard slot, summed over measured rounds.
     pub shard_messages: Vec<u64>,
+    /// Helper threads the run spawned: `0` if no round sharded, else
+    /// the resolved worker count minus one (the calling thread is a
+    /// worker too; fewer only if the OS refused a thread) — once per
+    /// run, never per round. The one field here that depends on the
+    /// worker count.
+    pub helpers_spawned: usize,
 }
 
 /// Statistics of one protocol run.
@@ -823,6 +833,7 @@ mod tests {
                     rounds_inline: 8,
                     worst_max_over_mean: 1.25,
                     shard_messages: vec![100, 98],
+                    helpers_spawned: 1,
                 }),
                 wire: {
                     let mut w = WireCensus::default();

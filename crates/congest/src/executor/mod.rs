@@ -24,6 +24,7 @@
 
 pub(crate) mod queue;
 
+mod pool;
 mod round;
 mod sharded;
 

@@ -105,7 +105,10 @@ impl<M: Message> FlatQueue<M> {
         let msg = std::mem::size_of::<M>();
         (self.eids.capacity() + self.left_eids.capacity()) * std::mem::size_of::<u32>()
             + (self.starts.capacity() + self.left_starts.capacity()) * std::mem::size_of::<u32>()
-            + (self.msgs.capacity() + self.left_msgs.capacity()) * msg
+            // Each product on its own: a zero-sized `M` reports capacity
+            // `usize::MAX`, and two of those must not be added.
+            + self.msgs.capacity() * msg
+            + self.left_msgs.capacity() * msg
             + self.sort_keys.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.future.capacity() * std::mem::size_of::<(u64, u32, M)>()
     }

@@ -4,11 +4,14 @@
 //! state, RNG stream and inbox, so a round's receive phase may be cut
 //! into *load-balanced shards* — contiguous runs of receiving nodes
 //! sized by their actual inbox message counts — that threads **claim**
-//! from a shared atomic cursor as they go idle. A thread that finishes
-//! a cheap shard immediately steals the next unclaimed one, so a
-//! straggler shard never serializes the round behind it. A round too
-//! light to yield two shards runs inline on the calling thread; under
-//! [`crate::ExecutorKind::Sequential`] every round does.
+//! as they go idle. A thread that finishes a cheap shard immediately
+//! takes the next unclaimed one, so a straggler shard never serializes
+//! the round behind it. The threads belong to the run, not the round
+//! (see [`super::pool`]): the calling thread is one of the workers, and
+//! helpers are spawned by the first round that shards and parked between
+//! rounds. A round too light to yield two shards runs inline on the
+//! calling thread; under [`crate::ExecutorKind::Sequential`] every round
+//! does.
 //!
 //! Two properties make this deterministic:
 //!
@@ -24,10 +27,16 @@
 //! accounting unit is the shard (deterministic), not the thread (a
 //! scheduling accident), the balance of the work distribution is
 //! measured — and testable — even on a single-CPU machine.
+//!
+//! Everything a sharded round needs beyond the round loop's own buffers
+//! — the partition and one staging buffer per shard — is scratch owned
+//! by the run and recycled, so a steady-state round allocates nothing on
+//! either backend (`tests/alloc_steady_state.rs`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
+use std::thread::{Builder, Thread};
 
+use super::pool::{Pool, ShutdownOnDrop};
 use super::round::{run_rounds, ReceivePhase};
 use crate::engine::{EngineConfig, RunError, RunReport, WorkBalance};
 use crate::message::Envelope;
@@ -38,7 +47,15 @@ use rand::rngs::StdRng;
 
 /// Target messages of receive work per shard. Shards are the stealing
 /// granule: small enough that a round yields several per thread (so
-/// stealing can equalize), large enough to amortize the claim.
+/// stealing can equalize, and a helper that turns up late still finds
+/// work), large enough to amortize the claim. A round shards when it
+/// delivered at least two shards' worth — `2 * MSGS_PER_SHARD` = 512
+/// messages. The hand-off costs about 8 µs a round and a second worker
+/// takes half of `delivered × handler cost`, so two workers break even
+/// near 290 delivered messages for a 56 ns handler and near 1100 for
+/// the cheapest one (15 ns); 512 sits inside that band, and 1024 read
+/// no different on the benchmark (`benches/shard_break_even.rs`;
+/// DESIGN.md, "The shard threshold and its break-even").
 const MSGS_PER_SHARD: u64 = 256;
 
 /// Upper bound on shards per round; beyond this the per-shard bookkeeping
@@ -60,14 +77,15 @@ impl ShardedExecutor {
         ShardedExecutor { threads }
     }
 
-    /// The resolved worker count (at least 1).
+    /// The resolved worker count (at least 1). "One per available CPU"
+    /// is resolved once per process: the query is a syscall plus cgroup
+    /// file reads, and a served walk is a chain of short runs.
     pub fn threads(&self) -> usize {
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
         if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(1)
+            *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
         }
     }
 }
@@ -122,62 +140,196 @@ impl<'a> ScriptedSchedule<'a> {
 }
 
 /// How a round's receive work is cut into shards and claimed.
-enum ClaimMode<'a> {
+enum ClaimMode<'t, 's, P> {
     /// [`crate::ExecutorKind::Sequential`]: never shard — every round
     /// runs inline, and no balance telemetry is reported.
     Inline,
-    /// Production: up to `n` OS threads race on an atomic cursor.
-    Threads(usize),
+    /// Production: the calling thread and the run's helpers claim
+    /// shards off `pool`'s ticket word; `spawn_helper` starts one
+    /// helper inside the run's thread scope (`None`: the OS refused).
+    Threads {
+        pool: &'t Pool<P>,
+        spawn_helper: &'t dyn Fn() -> Option<Thread>,
+    },
     /// Interleaving-checker mode: shards execute one at a time in a
     /// scripted claim order (see
     /// [`ShardedExecutor::run_node_local_scripted`]).
-    Scripted(ScriptedSchedule<'a>),
+    Scripted(ScriptedSchedule<'s>),
 }
 
-impl ClaimMode<'_> {
+impl<P> ClaimMode<'_, '_, P> {
     fn msgs_per_shard(&self) -> u64 {
         match self {
             ClaimMode::Inline => u64::MAX,
-            ClaimMode::Threads(_) => MSGS_PER_SHARD,
+            ClaimMode::Threads { .. } => MSGS_PER_SHARD,
             ClaimMode::Scripted(s) => s.msgs_per_shard.max(1),
         }
     }
 }
 
-/// One receiving node's slice of the round: its state, RNG stream and
-/// inbox, carved out for exclusive access by one worker.
-struct WorkItem<'a, P: NodeLocalProtocol> {
-    node: usize,
-    state: &'a mut P::NodeState,
-    rng: &'a mut StdRng,
-    inbox: &'a mut Vec<Envelope<P::Msg>>,
+/// A claimed unit of receive work: a contiguous run of receiving nodes,
+/// exclusive access to that node range's states, RNG streams and
+/// inboxes, and a private staging buffer.
+struct ShardTask<'r, P: NodeLocalProtocol> {
+    /// The shard's receiving nodes, ascending.
+    nodes: &'r [usize],
+    /// Node id of slot 0 of the three slices below.
+    first: usize,
+    states: &'r mut [P::NodeState],
+    rngs: &'r mut [StdRng],
+    inbox: &'r mut [Vec<Envelope<P::Msg>>],
+    out: &'r mut Vec<(usize, P::Msg)>,
 }
 
-/// Splits `rest[offset]` off as an exclusive borrow and advances `rest`
-/// past it.
-fn carve<'a, T>(rest: &mut &'a mut [T], offset: usize) -> &'a mut T {
-    let (head, tail) = std::mem::take(rest).split_at_mut(offset + 1);
+/// Splits `rest[skip..skip + len]` off as an exclusive borrow and
+/// advances `rest` past it.
+fn split_off<'a, T>(rest: &mut &'a mut [T], skip: usize, len: usize) -> &'a mut [T] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(skip + len);
     *rest = tail;
-    &mut head[offset]
+    &mut head[skip..]
 }
 
-/// A claimed unit of receive work: its nodes and its private staging
-/// buffer. Wrapped in a `Mutex` purely to hand exclusive access to
-/// whichever thread claims it — each shard is locked exactly once.
-struct ShardTask<'a, P: NodeLocalProtocol> {
-    items: Vec<WorkItem<'a, P>>,
-    out: Vec<(usize, P::Msg)>,
+/// Yields a round's shards in shard order, carving each one's node
+/// range off the front of the state, RNG and inbox slices. Shards are
+/// contiguous runs of the sorted, deduplicated `active` list, so their
+/// node ranges are disjoint and ascending — which `split_at_mut` checks
+/// rather than assumes.
+struct Carver<'r, P: NodeLocalProtocol> {
+    /// Remaining shard sizes, in nodes.
+    sizes: std::slice::Iter<'r, usize>,
+    /// Remaining receiving nodes.
+    nodes: &'r [usize],
+    /// Node id of slot 0 of the three slices below.
+    next_node: usize,
+    states: &'r mut [P::NodeState],
+    rngs: &'r mut [StdRng],
+    inbox: &'r mut [Vec<Envelope<P::Msg>>],
+    /// One (empty) staging buffer per remaining shard.
+    outs: &'r mut [Vec<(usize, P::Msg)>],
 }
 
-/// Greedy contiguous partition of per-node loads into at most
-/// `max_shards` shards of roughly `ceil(total / max_shards)` messages
-/// each. Returns (shard sizes in nodes, shard loads in messages).
-fn partition_by_load(counts: &[usize], total: usize, max_shards: usize) -> (Vec<usize>, Vec<u64>) {
+impl<'r, P: NodeLocalProtocol> Iterator for Carver<'r, P> {
+    type Item = ShardTask<'r, P>;
+
+    fn next(&mut self) -> Option<ShardTask<'r, P>> {
+        let &size = self.sizes.next()?;
+        let (nodes, rest) = self.nodes.split_at(size);
+        self.nodes = rest;
+        let (first, last) = (nodes[0], nodes[size - 1]);
+        let (skip, len) = (first - self.next_node, last - first + 1);
+        self.next_node = last + 1;
+        let (out, outs) = std::mem::take(&mut self.outs)
+            .split_first_mut()
+            .expect("one staging buffer per shard");
+        self.outs = outs;
+        Some(ShardTask {
+            nodes,
+            first,
+            states: split_off(&mut self.states, skip, len),
+            rngs: split_off(&mut self.rngs, skip, len),
+            inbox: split_off(&mut self.inbox, skip, len),
+            out,
+        })
+    }
+}
+
+/// Runs the receive handlers of one shard. `item_perm` and `scramble`
+/// are the checker's within-shard knobs; production passes `None` and
+/// `false` (node order, no injected race).
+fn run_shard<P: NodeLocalProtocol>(
+    graph: &Graph,
+    round: u64,
+    shared: &P::Shared,
+    task: &mut ShardTask<'_, P>,
+    item_perm: Option<&[usize]>,
+    scramble: bool,
+) {
+    let len = task.nodes.len();
+    // Stage through a buffer header on this thread's stack: the shards'
+    // own headers sit side by side in one allocation, and a push per
+    // message from two threads would bounce that cache line.
+    let mut out = std::mem::take(task.out);
+    let mut run_item = |j: usize, reversed: bool| {
+        let node = task.nodes[j];
+        let slot = node - task.first;
+        let start = out.len();
+        let mut nctx = NodeCtx::new(graph, round, node, &mut task.rngs[slot], &mut out);
+        P::on_receive_local(
+            shared,
+            &mut task.states[slot],
+            node,
+            &task.inbox[slot],
+            &mut nctx,
+        );
+        task.inbox[slot].clear(); // keep the allocation
+        if reversed {
+            // Injected race (`scramble_item_order`): an out-of-position
+            // item's batch lands reversed, losing per-edge FIFO the way
+            // an unordered per-item result channel would.
+            out[start..].reverse();
+        }
+    };
+    match item_perm {
+        None => {
+            for j in 0..len {
+                run_item(j, false);
+            }
+        }
+        Some(perm) => {
+            assert_eq!(perm.len(), len, "item order must cover every item");
+            let mut seen = vec![false; len];
+            for (pos, &j) in perm.iter().enumerate() {
+                assert!(
+                    j < len && !std::mem::replace(&mut seen[j], true),
+                    "item order must be a permutation of 0..{len}",
+                );
+                run_item(j, scramble && j != pos);
+            }
+        }
+    }
+    *task.out = out;
+}
+
+/// One round's receive work as the pool's workers see it: what every
+/// handler shares, and the shards still to be claimed. Lives on the
+/// calling thread's stack for the duration of [`Pool::run_round`].
+pub(super) struct RoundJob<'r, P: NodeLocalProtocol> {
+    graph: &'r Graph,
+    round: u64,
+    shared: &'r P::Shared,
+    /// Locked once per ticket, for the O(1) carve only — never while a
+    /// handler runs.
+    shards: Mutex<Carver<'r, P>>,
+}
+
+impl<P: NodeLocalProtocol> RoundJob<'_, P> {
+    /// Takes the next shard and runs it. Call once per ticket held.
+    pub(super) fn run_next(&self) {
+        let task = self.shards.lock().expect("carving cannot panic").next();
+        let mut task = task.expect("one shard per ticket");
+        run_shard::<P>(self.graph, self.round, self.shared, &mut task, None, false);
+    }
+}
+
+/// Greedy contiguous partition of per-node loads (`counts`, summing to
+/// `total`) into at most `max_shards` shards of roughly `ceil(total /
+/// max_shards)` messages each. Overwrites `sizes` (shard sizes in
+/// nodes) and `loads` (shard loads in messages) and returns the shard
+/// count.
+fn partition_by_load(
+    counts: impl Iterator<Item = usize>,
+    total: usize,
+    max_shards: usize,
+    sizes: &mut Vec<usize>,
+    loads: &mut Vec<u64>,
+) -> usize {
+    sizes.clear();
+    loads.clear();
+    sizes.reserve(max_shards);
+    loads.reserve(max_shards);
     let target = total.div_ceil(max_shards);
-    let mut sizes = Vec::with_capacity(max_shards);
-    let mut loads = Vec::with_capacity(max_shards);
     let (mut load, mut size) = (0usize, 0usize);
-    for &c in counts {
+    for c in counts {
         load += c;
         size += 1;
         if load >= target && sizes.len() + 1 < max_shards {
@@ -191,16 +343,23 @@ fn partition_by_load(counts: &[usize], total: usize, max_shards: usize) -> (Vec<
         sizes.push(size);
         loads.push(load as u64);
     }
-    (sizes, loads)
+    sizes.len()
 }
 
 impl ShardedExecutor {
     /// Runs a [`NodeLocalProtocol`] to completion, sharding the receive
-    /// phase of every round heavy enough to yield two shards.
+    /// phase of every round heavy enough to yield two shards. The run
+    /// spawns at most `threads() − 1` threads, once, and none if no
+    /// round shards; all are joined before it returns.
     ///
     /// # Errors
     ///
     /// [`RunError::MaxRoundsExceeded`] or [`RunError::OversizedMessage`].
+    ///
+    /// # Panics
+    ///
+    /// A panic in a receive handler surfaces on the calling thread,
+    /// whichever thread ran the handler.
     pub fn run_node_local<P: NodeLocalProtocol>(
         &self,
         graph: &Graph,
@@ -208,13 +367,19 @@ impl ShardedExecutor {
         seed: u64,
         protocol: &mut P,
     ) -> Result<RunReport, RunError> {
-        run(
-            graph,
-            cfg,
-            seed,
-            protocol,
-            ClaimMode::Threads(self.threads()),
-        )
+        let pool = Pool::new(self.threads());
+        std::thread::scope(|scope| {
+            let _stop = ShutdownOnDrop(&pool);
+            let spawn_helper = || {
+                let helper = Builder::new().spawn_scoped(scope, || pool.helper_loop());
+                helper.ok().map(|h| h.thread().clone())
+            };
+            let mode = ClaimMode::Threads {
+                pool: &pool,
+                spawn_helper: &spawn_helper,
+            };
+            run(graph, cfg, seed, protocol, mode)
+        })
     }
 
     /// Runs a node-local protocol through the sharded receive path with
@@ -286,14 +451,21 @@ fn run<P: NodeLocalProtocol>(
     cfg: &EngineConfig,
     seed: u64,
     protocol: &mut P,
-    mode: ClaimMode<'_>,
+    mode: ClaimMode<'_, '_, P>,
 ) -> Result<RunReport, RunError> {
     let mut phase = NodeLocalReceive {
         protocol,
         mode,
         balance: WorkBalance::default(),
+        sizes: Vec::new(),
+        loads: Vec::new(),
+        outs: Vec::new(),
     };
     let mut report = run_rounds(graph, cfg, seed, &mut phase)?;
+    report.memory.staging_bytes += phase.scratch_bytes();
+    if let ClaimMode::Threads { pool, .. } = &phase.mode {
+        phase.balance.helpers_spawned = pool.helpers_spawned();
+    }
     if !matches!(phase.mode, ClaimMode::Inline) {
         report.balance = Some(phase.balance);
     }
@@ -301,13 +473,35 @@ fn run<P: NodeLocalProtocol>(
 }
 
 /// The receive phase of a [`NodeLocalProtocol`] under one [`ClaimMode`].
-struct NodeLocalReceive<'p, 's, P> {
+struct NodeLocalReceive<'p, 't, 's, P: NodeLocalProtocol> {
     protocol: &'p mut P,
-    mode: ClaimMode<'s>,
+    mode: ClaimMode<'t, 's, P>,
     balance: WorkBalance,
+    // Shard scratch, recycled by every sharded round: the current
+    // partition (sizes in nodes, loads in messages) and one staging
+    // buffer per shard slot, drained by the merge with capacity kept.
+    sizes: Vec<usize>,
+    loads: Vec<u64>,
+    outs: Vec<Vec<(usize, P::Msg)>>,
 }
 
-impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, P> {
+impl<P: NodeLocalProtocol> NodeLocalReceive<'_, '_, '_, P> {
+    /// Backing bytes of the shard scratch. Capacities never shrink, so
+    /// the end-of-run value is the run's high-water mark.
+    fn scratch_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.sizes.capacity() * size_of::<usize>()
+            + self.loads.capacity() * size_of::<u64>()
+            + self.outs.capacity() * size_of::<Vec<(usize, P::Msg)>>()
+            + self
+                .outs
+                .iter()
+                .map(|out| out.capacity() * size_of::<(usize, P::Msg)>())
+                .sum::<usize>()
+    }
+}
+
+impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
     type Msg = P::Msg;
 
     fn start(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
@@ -335,12 +529,25 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, P> {
         debug_assert_eq!(states.len(), graph.n(), "one NodeState per node required");
 
         // The shard count is a deterministic function of the round's
-        // delivery volume — never of thread count or scheduling.
+        // deliveries — never of thread count or scheduling. A skewed
+        // round (one node holding most of the mail) can want two shards
+        // and still partition into one; it is as inline as a light one.
         let want_shards = ((delivered / self.mode.msgs_per_shard()) as usize)
             .clamp(1, MAX_SHARDS)
             .min(active.len().max(1));
-        if want_shards < 2 {
-            self.balance.rounds_inline += 1;
+        let shards = if want_shards < 2 {
+            1
+        } else {
+            partition_by_load(
+                active.iter().map(|&v| inbox[v].len()),
+                delivered as usize,
+                want_shards,
+                &mut self.sizes,
+                &mut self.loads,
+            )
+        };
+        if shards < 2 {
+            self.balance.rounds_inline += u64::from(delivered > 0);
             for &node in active {
                 let mut nctx = NodeCtx::new(graph, round, node, ctx.rngs.node(node), staged);
                 P::on_receive_local(shared, &mut states[node], node, &inbox[node], &mut nctx);
@@ -349,145 +556,67 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, P> {
             return;
         }
 
-        let counts: Vec<usize> = active.iter().map(|&v| inbox[v].len()).collect();
-        let (sizes, loads) = partition_by_load(&counts, delivered as usize, want_shards);
-
-        if sizes.len() >= 2 {
-            self.balance.rounds_measured += 1;
-            let max = *loads.iter().max().expect("at least two shards") as f64;
-            let mean = delivered as f64 / loads.len() as f64;
-            self.balance.worst_max_over_mean = self.balance.worst_max_over_mean.max(max / mean);
-            if self.balance.shard_messages.len() < loads.len() {
-                self.balance.shard_messages.resize(loads.len(), 0);
-            }
-            for (slot, &l) in self.balance.shard_messages.iter_mut().zip(&loads) {
-                *slot += l;
-            }
-        } else {
-            self.balance.rounds_inline += 1;
+        self.balance.rounds_measured += 1;
+        let max = *self.loads.iter().max().expect("at least two shards") as f64;
+        let mean = delivered as f64 / shards as f64;
+        self.balance.worst_max_over_mean = self.balance.worst_max_over_mean.max(max / mean);
+        if self.balance.shard_messages.len() < shards {
+            self.balance.shard_messages.resize(shards, 0);
+        }
+        for (slot, &l) in self.balance.shard_messages.iter_mut().zip(&self.loads) {
+            *slot += l;
         }
 
-        // Carve disjoint &mut views for each receiving node out of the
-        // state, RNG and inbox slices (safe: `active` is sorted and
-        // deduplicated, so the carves never overlap).
-        let mut items: Vec<WorkItem<'_, P>> = Vec::with_capacity(active.len());
-        let mut rest_states: &mut [P::NodeState] = states;
-        let mut rest_rngs: &mut [StdRng] = ctx.rngs.as_mut_slice();
-        let mut rest_inbox: &mut [Vec<Envelope<P::Msg>>] = inbox;
-        let mut consumed = 0usize;
-        for &node in active {
-            let offset = node - consumed;
-            consumed = node + 1;
-            items.push(WorkItem {
-                node,
-                state: carve(&mut rest_states, offset),
-                rng: carve(&mut rest_rngs, offset),
-                inbox: carve(&mut rest_inbox, offset),
-            });
+        if self.outs.len() < shards {
+            self.outs.resize_with(shards, Vec::new);
         }
-
-        // Group items into shard tasks (contiguous, so shard
-        // order == ascending node order).
-        let mut item_iter = items.into_iter();
-        let tasks: Vec<Mutex<ShardTask<'_, P>>> = sizes
-            .iter()
-            .map(|&sz| {
-                Mutex::new(ShardTask {
-                    items: item_iter.by_ref().take(sz).collect(),
-                    out: Vec::new(),
-                })
-            })
-            .collect();
-        debug_assert!(item_iter.next().is_none(), "partition covers all items");
-
-        let run_shard =
-            |task: &mut ShardTask<'_, P>, item_perm: Option<&[usize]>, scramble: bool| {
-                let ShardTask { items, out } = task;
-                let len = items.len();
-                let mut run_item = |j: usize, reversed: bool| {
-                    let item = &mut items[j];
-                    let start = out.len();
-                    let mut nctx = NodeCtx::new(graph, round, item.node, item.rng, out);
-                    P::on_receive_local(shared, item.state, item.node, item.inbox, &mut nctx);
-                    item.inbox.clear(); // keep the allocation
-                    if reversed {
-                        // Injected race (`scramble_item_order`): an
-                        // out-of-position item's batch lands reversed,
-                        // losing per-edge FIFO the way an unordered
-                        // per-item result channel would.
-                        out[start..].reverse();
-                    }
-                };
-                match item_perm {
-                    None => {
-                        for j in 0..len {
-                            run_item(j, false);
-                        }
-                    }
-                    Some(perm) => {
-                        assert_eq!(perm.len(), len, "item order must cover every item");
-                        let mut seen = vec![false; len];
-                        for (pos, &j) in perm.iter().enumerate() {
-                            assert!(
-                                j < len && !std::mem::replace(&mut seen[j], true),
-                                "item order must be a permutation of 0..{len}",
-                            );
-                            run_item(j, scramble && j != pos);
-                        }
-                    }
-                }
-            };
+        let carver: Carver<'_, P> = Carver {
+            sizes: self.sizes.iter(),
+            nodes: active,
+            next_node: 0,
+            states,
+            rngs: ctx.rngs.as_mut_slice(),
+            inbox,
+            outs: &mut self.outs[..shards],
+        };
 
         // Claim order is the executor's one nondeterministic
         // degree of freedom; results must never depend on it.
         let mut claim_order: Option<Vec<usize>> = None;
         match &mut self.mode {
             ClaimMode::Inline => unreachable!("inline mode never yields two shards"),
-            ClaimMode::Threads(max_threads) => {
-                let threads = (*max_threads).min(tasks.len());
-                if threads < 2 {
-                    // One worker: claim shards in order on this
-                    // thread. Loads were still recorded above —
-                    // balance telemetry does not depend on real
-                    // parallelism.
-                    for task in &tasks {
-                        run_shard(&mut task.lock().expect("shard lock"), None, false);
-                    }
-                } else {
-                    let cursor = AtomicUsize::new(0);
-                    std::thread::scope(|scope| {
-                        for _ in 0..threads {
-                            scope.spawn(|| loop {
-                                // Work stealing: each idle thread
-                                // claims the next unclaimed shard.
-                                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some(task) = tasks.get(i) else { break };
-                                run_shard(&mut task.lock().expect("shard lock"), None, false);
-                            });
-                        }
-                    });
-                }
+            ClaimMode::Threads { pool, spawn_helper } => {
+                let job = RoundJob {
+                    graph,
+                    round,
+                    shared,
+                    shards: Mutex::new(carver),
+                };
+                pool.run_round(&job, shards, *spawn_helper);
             }
             ClaimMode::Scripted(sched) => {
-                let perm = (sched.order)(round, tasks.len());
-                let mut seen = vec![false; tasks.len()];
-                assert_eq!(
-                    perm.len(),
-                    tasks.len(),
-                    "claim order must cover every shard"
-                );
+                let mut tasks: Vec<ShardTask<'_, P>> = carver.collect();
+                let perm = (sched.order)(round, shards);
+                let mut seen = vec![false; shards];
+                assert_eq!(perm.len(), shards, "claim order must cover every shard");
                 for &i in &perm {
                     assert!(
-                        i < tasks.len() && !std::mem::replace(&mut seen[i], true),
-                        "claim order must be a permutation of 0..{}",
-                        tasks.len()
+                        i < shards && !std::mem::replace(&mut seen[i], true),
+                        "claim order must be a permutation of 0..{shards}",
                     );
-                    let mut task = tasks[i].lock().expect("shard lock");
+                    let task = &mut tasks[i];
                     let item_perm = sched
                         .item_order
                         .as_mut()
-                        .map(|f| f(round, i, task.items.len()));
-                    run_shard(&mut task, item_perm.as_deref(), sched.scramble_item_order);
+                        .map(|f| f(round, i, task.nodes.len()));
+                    run_shard::<P>(
+                        graph,
+                        round,
+                        shared,
+                        task,
+                        item_perm.as_deref(),
+                        sched.scramble_item_order,
+                    );
                 }
                 claim_order = Some(perm);
             }
@@ -496,10 +625,7 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, P> {
         // whatever the claim interleaving was. (The checker's
         // bug-injection knob merges in claim order instead,
         // reintroducing the race this merge rule exists to prevent.)
-        let mut outs: Vec<Vec<(usize, P::Msg)>> = tasks
-            .into_iter()
-            .map(|t| t.into_inner().expect("all shard workers joined").out)
-            .collect();
+        let outs = &mut self.outs[..shards];
         let buggy_merge = matches!(&self.mode, ClaimMode::Scripted(s) if s.merge_in_claim_order);
         if let (true, Some(perm)) = (buggy_merge, &claim_order) {
             // Injected race: arrival-order merge. A shard claimed
@@ -516,7 +642,7 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, P> {
                 }
             }
         } else {
-            for out in &mut outs {
+            for out in outs {
                 staged.append(out);
             }
         }
@@ -547,6 +673,8 @@ mod tests {
     struct Digest {
         folded: u64,
         received: u64,
+        /// Rounds in which this node got mail.
+        rounds: Vec<u64>,
     }
 
     struct DenseGossip {
@@ -587,6 +715,7 @@ mod tests {
             inbox: &[Envelope<Gossip>],
             ctx: &mut NodeCtx<'_, Gossip>,
         ) {
+            state.rounds.push(ctx.round());
             for env in inbox {
                 state.received += 1;
                 state.folded = state.folded.rotate_left(7) ^ env.msg.0;
@@ -657,9 +786,120 @@ mod tests {
             let got = crate::run_node_local(&g, &cfg, 21, &mut local).unwrap();
             assert_eq!((&got, &local.nodes), (&want, &reference.nodes), "{cfg:?}");
             assert_eq!(got.rounds, want.rounds, "{cfg:?}");
-            let sharded = got.balance.is_some_and(|b| b.rounds_measured > 0);
+            let sharded = got.balance.as_ref().is_some_and(|b| b.rounds_measured > 0);
             assert_eq!(sharded, cfg.executor == crate::ExecutorKind::Sharded);
+            if let Some(b) = &got.balance {
+                assert_eq!(
+                    b.rounds_inline + b.rounds_measured,
+                    delivering_rounds(&local)
+                );
+            }
         }
+    }
+
+    /// Rounds of a finished run in which any node got mail.
+    fn delivering_rounds(p: &DenseGossip) -> u64 {
+        let rounds: std::collections::BTreeSet<u64> =
+            p.nodes.iter().flat_map(|d| &d.rounds).copied().collect();
+        rounds.len() as u64
+    }
+
+    #[test]
+    fn rounds_that_deliver_nothing_are_neither_inline_nor_measured() {
+        // Two nodes, one edge, most messages delayed four rounds: some
+        // rounds pass with all mail parked in the fault layer.
+        let g = generators::path(2);
+        let plan = crate::FaultPlan::new(3).with_delays(700, 4).lossy();
+        let cfg = EngineConfig::default().with_faults(plan).with_workers(2);
+        let mut p = DenseGossip { ttl: 6, ..mk(2) };
+        let report = crate::run_node_local(&g, &cfg, 1, &mut p).unwrap();
+        let delivering = delivering_rounds(&p);
+        assert!(0 < delivering && delivering < report.rounds, "{report:?}");
+        let balance = report.balance.unwrap();
+        assert_eq!(balance.rounds_inline + balance.rounds_measured, delivering);
+    }
+
+    /// A star whose hub is the *last* node, every leaf sending the hub
+    /// eight messages a round and the hub one to every leaf: 576
+    /// deliveries over 65 receiving nodes want two shards, but the hub's
+    /// 512 sit at the end of the node range, so the greedy partition
+    /// closes its first shard on the last node and there is no second.
+    struct Funnel {
+        ttl: u64,
+        nodes: Vec<Digest>,
+    }
+
+    const FUNNEL_LEAVES: usize = 64;
+
+    impl NodeLocalProtocol for Funnel {
+        type Msg = Gossip;
+        type Shared = u64;
+        type NodeState = Digest;
+
+        fn start(&mut self, ctx: &mut Ctx<'_, Gossip>) {
+            for leaf in 0..FUNNEL_LEAVES {
+                ctx.send(FUNNEL_LEAVES, leaf, Gossip(0));
+                for i in 0..8 {
+                    ctx.send(leaf, FUNNEL_LEAVES, Gossip(i));
+                }
+            }
+        }
+
+        fn parts(&mut self) -> (&u64, &mut [Digest]) {
+            (&self.ttl, &mut self.nodes)
+        }
+
+        fn on_receive_local(
+            ttl: &u64,
+            state: &mut Digest,
+            node: usize,
+            inbox: &[Envelope<Gossip>],
+            ctx: &mut NodeCtx<'_, Gossip>,
+        ) {
+            for env in inbox {
+                state.received += 1;
+                state.folded = state.folded.rotate_left(7) ^ env.msg.0;
+                if ctx.round() >= *ttl {
+                    continue;
+                }
+                if node < FUNNEL_LEAVES {
+                    for i in 0..8 {
+                        ctx.send(FUNNEL_LEAVES, Gossip(i));
+                    }
+                } else if env.msg.0 == 0 {
+                    ctx.send(env.from, Gossip(0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_round_that_partitions_into_one_shard_is_inline() {
+        let hub = FUNNEL_LEAVES;
+        let g = drw_graph::Graph::from_edges(hub + 1, (0..hub).map(|leaf| (leaf, hub))).unwrap();
+        let cfg = EngineConfig {
+            edge_capacity: None,
+            ..EngineConfig::default()
+        };
+        let mk = || Funnel {
+            ttl: 5,
+            nodes: vec![Digest::default(); hub + 1],
+        };
+        let mut seq = mk();
+        let want = crate::run_node_local(&g, &cfg, 9, &mut seq).unwrap();
+        assert_eq!((want.rounds, want.messages), (5, 5 * 576));
+        let mut sha = mk();
+        let got = crate::run_node_local(&g, &cfg.clone().with_workers(4), 9, &mut sha).unwrap();
+        assert_eq!((&got, &sha.nodes), (&want, &seq.nodes));
+        let balance = got.balance.unwrap();
+        assert_eq!(
+            (
+                balance.rounds_measured,
+                balance.rounds_inline,
+                balance.helpers_spawned
+            ),
+            (0, 5, 0),
+        );
     }
 
     #[test]
@@ -676,6 +916,30 @@ mod tests {
                 .unwrap();
             assert_eq!(r_seq, r_sha, "{threads} threads: report");
             assert_eq!(seq.nodes, sha.nodes, "{threads} threads: node digests");
+        }
+    }
+
+    #[test]
+    fn sharded_run_spawns_its_helpers_once_however_many_rounds_it_shards() {
+        let g = generators::complete(48);
+        let cfg = EngineConfig::default();
+        let mk = || DenseGossip { ttl: 500, ..mk(48) };
+        let mut seq = mk();
+        let want = run_node_local_inline(&g, &cfg, 13, &mut seq).unwrap();
+        assert_eq!(want.rounds, 500);
+        for threads in [1, 2, 3, 4, 16] {
+            let mut sha = mk();
+            let got = ShardedExecutor::new(threads)
+                .run_node_local(&g, &cfg, 13, &mut sha)
+                .unwrap();
+            assert_eq!((&got, &sha.nodes), (&want, &seq.nodes), "{threads} threads");
+            let balance = got.balance.unwrap();
+            assert_eq!(
+                (balance.rounds_measured, balance.rounds_inline),
+                (500, 0),
+                "{threads} threads"
+            );
+            assert_eq!(balance.helpers_spawned, threads - 1);
         }
     }
 
@@ -703,6 +967,11 @@ mod tests {
             .unwrap()
             .balance
             .unwrap();
+        assert_eq!((b1.helpers_spawned, b4.helpers_spawned), (0, 3));
+        let b4 = WorkBalance {
+            helpers_spawned: 0,
+            ..b4
+        };
         assert_eq!(b1, b4);
         assert!(b1.rounds_measured >= 1, "{b1:?}");
     }
@@ -730,6 +999,34 @@ mod tests {
     }
 
     #[test]
+    fn shard_buffers_are_on_the_memory_report() {
+        // Every staged message of a sharded round passes through a shard
+        // buffer, and the buffers live as long as the run: the report
+        // must own up to them, on top of what the round loop holds on
+        // either backend.
+        let g = generators::complete(48);
+        let cfg = EngineConfig::default();
+        let seq = run_node_local_inline(&g, &cfg, 3, &mut mk(48))
+            .unwrap()
+            .memory;
+        let sha = ShardedExecutor::new(2)
+            .run_node_local(&g, &cfg, 3, &mut mk(48))
+            .unwrap()
+            .memory;
+        let per_round = 2256 * std::mem::size_of::<(usize, Gossip)>();
+        assert!(seq.staging_bytes >= per_round, "{seq:?}");
+        assert!(
+            sha.staging_bytes >= seq.staging_bytes + per_round,
+            "{sha:?}"
+        );
+        assert_eq!(
+            (sha.queue_bytes, sha.inbox_bytes, sha.rng_bytes),
+            (seq.queue_bytes, seq.inbox_bytes, seq.rng_bytes),
+        );
+        assert!(sha.engine_total() > seq.engine_total());
+    }
+
+    #[test]
     fn light_rounds_run_inline() {
         // A path carries one message per round: never enough to shard.
         let g = generators::path(16);
@@ -739,14 +1036,17 @@ mod tests {
             .unwrap();
         let balance = report.balance.expect("sharded runs record balance");
         assert_eq!(balance.rounds_measured, 0);
-        assert!(balance.rounds_inline > 0);
+        assert_eq!(balance.rounds_inline, report.rounds);
         assert_eq!(balance.worst_max_over_mean, 0.0);
+        assert_eq!(balance.helpers_spawned, 0);
     }
 
     #[test]
     fn partition_by_load_is_balanced_on_uniform_loads() {
         let counts = vec![4usize; 64];
-        let (sizes, loads) = partition_by_load(&counts, 256, 8);
+        let (mut sizes, mut loads) = (Vec::new(), Vec::new());
+        let shards = partition_by_load(counts.into_iter(), 256, 8, &mut sizes, &mut loads);
+        assert_eq!(shards, sizes.len());
         assert_eq!(sizes.iter().sum::<usize>(), 64);
         assert_eq!(loads.iter().sum::<u64>(), 256);
         let max = *loads.iter().max().unwrap() as f64;
@@ -760,7 +1060,8 @@ mod tests {
         let mut counts = vec![1usize; 40];
         counts[0] = 40;
         let total = 40 + 39;
-        let (sizes, loads) = partition_by_load(&counts, total, 8);
+        let (mut sizes, mut loads) = (Vec::new(), Vec::new());
+        partition_by_load(counts.into_iter(), total, 8, &mut sizes, &mut loads);
         assert_eq!(sizes.iter().sum::<usize>(), 40);
         assert_eq!(loads.iter().sum::<u64>(), total as u64);
         assert_eq!(sizes[0], 1, "heavy node isolated in its own shard");
