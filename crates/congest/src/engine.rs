@@ -7,7 +7,7 @@
 //! [`EngineConfig::executor`].
 
 use crate::executor::{
-    run_node_local_inline, run_rounds, ExecutorKind, PlainReceive, ShardedExecutor,
+    run_node_local_inline, run_rounds, ExecutorKind, PlainReceive, Scratch, ShardedExecutor,
 };
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::message::WireCensus;
@@ -145,8 +145,11 @@ impl fmt::Display for RunError {
 impl std::error::Error for RunError {}
 
 /// Bytes of backing capacity held by each engine subsystem at the end of
-/// a run. `Vec` capacities never shrink, so an end-of-run scan equals the
-/// run's high-water mark — this *is* the peak, not a sample.
+/// a run. `Vec` capacities never shrink, so the end-of-run figure equals
+/// the high-water mark — this *is* the peak, not a sample. The figures
+/// are kept as the buffers grow (no run scans its `n` inboxes for
+/// them), and under a [`crate::Runner`], whose buffers outlive a run,
+/// they cover the runner's earlier runs too.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryReport {
@@ -285,7 +288,8 @@ pub fn run_protocol<P: Protocol>(
     seed: u64,
     protocol: &mut P,
 ) -> Result<RunReport, RunError> {
-    run_rounds(graph, cfg, seed, &mut PlainReceive(protocol))
+    let scratch = &mut Scratch::default();
+    run_rounds(graph, cfg, seed, scratch, &mut PlainReceive(protocol))
 }
 
 /// Runs a [`NodeLocalProtocol`] on `graph` to completion under the
@@ -303,11 +307,21 @@ pub fn run_node_local<P: NodeLocalProtocol>(
     seed: u64,
     protocol: &mut P,
 ) -> Result<RunReport, RunError> {
+    run_node_local_in(&mut Scratch::default(), graph, cfg, seed, protocol)
+}
+
+/// [`run_node_local`] over a caller-kept scratch.
+pub(crate) fn run_node_local_in<P: NodeLocalProtocol>(
+    scratch: &mut Scratch,
+    graph: &Graph,
+    cfg: &EngineConfig,
+    seed: u64,
+    protocol: &mut P,
+) -> Result<RunReport, RunError> {
     match cfg.executor {
-        ExecutorKind::Sequential => run_node_local_inline(graph, cfg, seed, protocol),
-        ExecutorKind::Sharded => {
-            ShardedExecutor::new(cfg.parallel_workers).run_node_local(graph, cfg, seed, protocol)
-        }
+        ExecutorKind::Sequential => run_node_local_inline(scratch, graph, cfg, seed, protocol),
+        ExecutorKind::Sharded => ShardedExecutor::new(cfg.parallel_workers)
+            .run_node_local_in(scratch, graph, cfg, seed, protocol),
     }
 }
 

@@ -28,7 +28,7 @@ mod pool;
 mod round;
 mod sharded;
 
-pub(crate) use round::{run_rounds, PlainReceive};
+pub(crate) use round::{run_rounds, PlainReceive, Scratch};
 pub(crate) use sharded::run_node_local_inline;
 pub use sharded::{ScriptedSchedule, ShardedExecutor};
 

@@ -23,7 +23,65 @@ use drw_graph::Graph;
 
 pub(crate) const LOAD_HISTOGRAM_BUCKETS: usize = 64;
 
-/// A flat, bucketed FIFO multi-queue keyed by directed edge id.
+/// The per-node inboxes a round delivers into, with the round's
+/// receivers and a running total of envelope capacity — the
+/// [`crate::MemoryReport`] figure, kept as mail arrives so that no run
+/// scans `n` inboxes to learn it.
+#[derive(Debug)]
+pub(crate) struct Inboxes<M> {
+    /// One inbox per node (index = node id); empty between rounds.
+    pub(crate) slots: Vec<Vec<Envelope<M>>>,
+    /// Nodes that got mail this round, in first-delivery order.
+    pub(crate) active: Vec<usize>,
+    /// Envelopes of capacity across `slots`.
+    envelope_cap: usize,
+}
+
+impl<M> Default for Inboxes<M> {
+    fn default() -> Self {
+        Inboxes {
+            slots: Vec::new(),
+            active: Vec::new(),
+            envelope_cap: 0,
+        }
+    }
+}
+
+impl<M> Inboxes<M> {
+    /// Readies the inboxes for a run on `n` nodes. A run that stopped
+    /// early — done, an error, a handler panic — can leave mail behind,
+    /// but only at the last round's receivers.
+    pub(crate) fn reset(&mut self, n: usize) {
+        for v in self.active.drain(..) {
+            self.slots[v].clear();
+        }
+        for dropped in self.slots.drain(n.min(self.slots.len())..) {
+            self.envelope_cap -= dropped.capacity();
+        }
+        self.slots.resize_with(n, Vec::new);
+    }
+
+    fn push(&mut self, env: Envelope<M>) {
+        let slot = &mut self.slots[env.to];
+        if slot.is_empty() {
+            self.active.push(env.to);
+        }
+        let before = slot.capacity();
+        slot.push(env);
+        self.envelope_cap += slot.capacity() - before;
+    }
+
+    /// Bytes of backing capacity: the slot table plus every envelope
+    /// buffer. Capacities never shrink, so this is the high-water mark.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        std::mem::size_of_val(self.slots.as_slice())
+            + self.envelope_cap * std::mem::size_of::<Envelope<M>>()
+    }
+}
+
+/// A flat, bucketed FIFO multi-queue keyed by directed edge id. Every
+/// buffer grows on demand and keeps its capacity, across rounds and —
+/// held in a [`crate::Runner`]'s scratch — across runs.
 #[derive(Debug)]
 pub(crate) struct FlatQueue<M> {
     /// Busy edge ids, ascending.
@@ -52,29 +110,32 @@ pub(crate) struct FlatQueue<M> {
     future: Vec<(u64, u32, M)>,
 }
 
-impl<M: Message> FlatQueue<M> {
-    /// A queue pre-reserved from the graph's degree statistics: the
-    /// bucket index and message storage get capacity for one message per
-    /// directed edge — the flood peak (a BFS wave touches every edge
-    /// once), which is the high-water mark the first big wave would
-    /// otherwise realloc its way up to. Leftover buffers grow organically
-    /// (they hold only backlog, usually a small fraction).
-    pub(crate) fn for_graph(graph: &Graph) -> Self {
-        let peak = graph.dir_edge_count();
+impl<M> Default for FlatQueue<M> {
+    fn default() -> Self {
         FlatQueue {
-            eids: Vec::with_capacity(peak),
-            starts: {
-                let mut s = Vec::with_capacity(peak + 1);
-                s.push(0);
-                s
-            },
-            msgs: Vec::with_capacity(peak),
+            eids: Vec::new(),
+            starts: vec![0],
+            msgs: Vec::new(),
             left_eids: Vec::new(),
             left_starts: vec![0],
             left_msgs: Vec::new(),
             sort_keys: Vec::new(),
             future: Vec::new(),
         }
+    }
+}
+
+impl<M: Message> FlatQueue<M> {
+    /// Empties the queue for a new run (a run that ended on `is_done` or
+    /// an error can leave messages in flight), keeping every buffer.
+    pub(crate) fn reset(&mut self) {
+        self.eids.clear();
+        self.starts.truncate(1);
+        self.msgs.clear();
+        self.left_eids.clear();
+        self.left_starts.truncate(1);
+        self.left_msgs.clear();
+        self.future.clear();
     }
 
     /// Stable-sorts `staged` by edge id without allocating: sorts
@@ -125,9 +186,8 @@ impl<M: Message> FlatQueue<M> {
     /// Delivers up to `edge_capacity` messages per busy edge into
     /// `inbox`, in ascending edge-id order, recording statistics.
     /// Returns the number of delivered messages. Nodes that received at
-    /// least one message are appended to `active` (ascending, since
-    /// multiple edges into one node are visited in ascending order but
-    /// each node is pushed only on its first delivery — callers sort).
+    /// least one message are appended to `inbox.active` (each node once,
+    /// on its first delivery, so in edge order — callers sort).
     ///
     /// When the engine carries an active [`crate::FaultPlan`], each
     /// delivery attempt is first submitted to the plan, keyed by
@@ -144,8 +204,7 @@ impl<M: Message> FlatQueue<M> {
         cfg: &EngineConfig,
         round: u64,
         report: &mut RunReport,
-        inbox: &mut [Vec<Envelope<M>>],
-        active: &mut Vec<usize>,
+        inbox: &mut Inboxes<M>,
     ) -> u64 {
         let plan = cfg.faults.filter(|p| p.is_active());
         let cap = cfg.edge_capacity.unwrap_or(usize::MAX);
@@ -252,10 +311,7 @@ impl<M: Message> FlatQueue<M> {
                 }
                 report.messages += 1;
                 report.words += msg.size_words() as u64;
-                if inbox[to].is_empty() {
-                    active.push(to);
-                }
-                inbox[to].push(Envelope { from, to, msg });
+                inbox.push(Envelope { from, to, msg });
                 delivered_total += 1;
             }
             report.max_edge_load = report.max_edge_load.max(take);
@@ -285,10 +341,7 @@ impl<M: Message> FlatQueue<M> {
         for (from, to, msg) in reordered {
             report.messages += 1;
             report.words += msg.size_words() as u64;
-            if inbox[to].is_empty() {
-                active.push(to);
-            }
-            inbox[to].push(Envelope { from, to, msg });
+            inbox.push(Envelope { from, to, msg });
             delivered_total += 1;
         }
         delivered_total

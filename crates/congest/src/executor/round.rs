@@ -9,12 +9,13 @@
 //! handler, ascending node order, on every backend) and the node-local
 //! sharded receive in [`super::sharded`].
 
-use super::queue::{FlatQueue, LOAD_HISTOGRAM_BUCKETS};
+use super::queue::{FlatQueue, Inboxes, LOAD_HISTOGRAM_BUCKETS};
 use crate::engine::{EngineConfig, MemoryReport, RunError, RunReport};
 use crate::message::{Envelope, Message};
 use crate::protocol::{Ctx, Protocol};
 use crate::rng::NodeRngs;
 use drw_graph::Graph;
+use std::any::Any;
 
 /// A protocol as the round loop sees it: the three global hooks plus
 /// the one step backends may organise differently.
@@ -40,29 +41,73 @@ pub(crate) trait ReceivePhase {
     );
 }
 
+/// What a run needs and the next run can use again: the per-node RNG
+/// pool and the last run's queue, inboxes and staging buffer. A
+/// [`crate::Runner`] owns one for its lifetime — across runs and across
+/// [`crate::Runner::rebind`] — so a run starts by bumping a stamp and
+/// clearing what the last one left, not by building `n` of anything;
+/// the free `run_*` functions bring a fresh one.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    rngs: NodeRngs,
+    /// The `Buffers<M>` of the last run's message type. A run of another
+    /// type replaces them: a served walk is a chain of runs of one type,
+    /// and a runner that kept every type's buffers would hold the *sum*
+    /// of its runs' high-water marks where a fresh run holds one.
+    typed: Option<Box<dyn Any + Send>>,
+}
+
+/// The typed part of a [`Scratch`].
+struct Buffers<M> {
+    queue: FlatQueue<M>,
+    inbox: Inboxes<M>,
+    staged: Vec<(usize, M)>,
+}
+
+impl Scratch {
+    /// The RNG pool and `M`'s buffers, readied for a run of `n` nodes
+    /// under `seed`.
+    fn begin<M: Message>(&mut self, seed: u64, n: usize) -> (&mut NodeRngs, &mut Buffers<M>) {
+        self.rngs.rebind(seed, n);
+        if !self.typed.as_ref().is_some_and(|b| b.is::<Buffers<M>>()) {
+            self.typed = Some(Box::new(Buffers::<M> {
+                queue: FlatQueue::default(),
+                inbox: Inboxes::default(),
+                staged: Vec::new(),
+            }));
+        }
+        let buf = self.typed.as_mut().and_then(|b| b.downcast_mut());
+        let buf: &mut Buffers<M> = buf.expect("ensured above");
+        buf.queue.reset();
+        buf.inbox.reset(n);
+        buf.staged.clear();
+        (&mut self.rngs, buf)
+    }
+}
+
 /// Drives `phase` to quiescence, [`ReceivePhase::is_done`] or the round
 /// cap.
 pub(crate) fn run_rounds<R: ReceivePhase>(
     graph: &Graph,
     cfg: &EngineConfig,
     seed: u64,
+    scratch: &mut Scratch,
     phase: &mut R,
 ) -> Result<RunReport, RunError> {
-    let n = graph.n();
-    let mut rngs = NodeRngs::new(seed, n);
-    let mut queue: FlatQueue<R::Msg> = FlatQueue::for_graph(graph);
-    let mut inbox: Vec<Vec<Envelope<R::Msg>>> = vec![Vec::new(); n];
-    let mut active: Vec<usize> = Vec::new();
+    let (rngs, buf) = scratch.begin::<R::Msg>(seed, graph.n());
+    let Buffers {
+        queue,
+        inbox,
+        staged,
+    } = buf;
     let mut report = RunReport::default();
     if cfg.record_edge_loads {
         report.edge_load_histogram = vec![0; LOAD_HISTOGRAM_BUCKETS];
     }
 
     // Round 0: free local computation and initial sends.
-    let mut ctx = Ctx::with_staged(graph, 0, &mut rngs, Vec::new());
-    phase.start(&mut ctx);
-    let mut staged_buf = ctx.staged;
-    queue.stage(&mut staged_buf, cfg, 1, &mut report)?;
+    phase.start(&mut Ctx::with_staged(graph, 0, rngs, staged));
+    queue.stage(staged, cfg, 1, &mut report)?;
 
     let mut round: u64 = 0;
     // Quiescence is `is_idle`, not queue emptiness: the fault layer
@@ -78,31 +123,26 @@ pub(crate) fn run_rounds<R: ReceivePhase>(
             return Err(RunError::MaxRoundsExceeded(cfg.max_rounds));
         }
 
-        active.clear();
-        let delivered = queue.deliver(graph, cfg, round, &mut report, &mut inbox, &mut active);
-        active.sort_unstable();
+        inbox.active.clear();
+        let delivered = queue.deliver(graph, cfg, round, &mut report, inbox);
+        inbox.active.sort_unstable();
 
         // One staging buffer, recycled across rounds: the hook's sends
         // first, then the nodes' in ascending node order.
-        let mut ctx = Ctx::with_staged(graph, round, &mut rngs, staged_buf);
+        let mut ctx = Ctx::with_staged(graph, round, rngs, staged);
         phase.on_round(&mut ctx);
-        phase.receive(&mut ctx, &active, &mut inbox, delivered);
-        staged_buf = ctx.staged;
-        queue.stage(&mut staged_buf, cfg, round + 1, &mut report)?;
+        phase.receive(&mut ctx, &inbox.active, &mut inbox.slots, delivered);
+        queue.stage(staged, cfg, round + 1, &mut report)?;
     }
 
     report.rounds = round;
-    // End-of-run capacity scan: `Vec` capacities never shrink, so this
-    // is the run's true high-water mark.
+    // Capacities never shrink, so what the scratch holds now is its
+    // high-water mark — over this run and the runner's earlier ones.
     report.memory = MemoryReport {
         queue_bytes: queue.capacity_bytes(),
-        inbox_bytes: inbox
-            .iter()
-            .map(|b| b.capacity() * std::mem::size_of::<Envelope<R::Msg>>())
-            .sum::<usize>()
-            + std::mem::size_of_val(inbox.as_slice()),
-        rng_bytes: rngs.len() * std::mem::size_of::<rand::rngs::StdRng>(),
-        staging_bytes: staged_buf.capacity() * std::mem::size_of::<(usize, R::Msg)>(),
+        inbox_bytes: inbox.capacity_bytes(),
+        rng_bytes: rngs.capacity_bytes(),
+        staging_bytes: staged.capacity() * std::mem::size_of::<(usize, R::Msg)>(),
     };
     Ok(report)
 }

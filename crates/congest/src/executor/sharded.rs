@@ -37,13 +37,13 @@ use std::sync::{Mutex, OnceLock};
 use std::thread::{Builder, Thread};
 
 use super::pool::{Pool, ShutdownOnDrop};
-use super::round::{run_rounds, ReceivePhase};
+use super::round::{run_rounds, ReceivePhase, Scratch};
 use crate::engine::{EngineConfig, RunError, RunReport, WorkBalance};
 use crate::message::Envelope;
 use crate::node_local::{NodeCtx, NodeLocalProtocol};
 use crate::protocol::Ctx;
+use crate::rng::{RunKey, Slot};
 use drw_graph::Graph;
-use rand::rngs::StdRng;
 
 /// Target messages of receive work per shard. Shards are the stealing
 /// granule: small enough that a round yields several per thread (so
@@ -176,7 +176,8 @@ struct ShardTask<'r, P: NodeLocalProtocol> {
     /// Node id of slot 0 of the three slices below.
     first: usize,
     states: &'r mut [P::NodeState],
-    rngs: &'r mut [StdRng],
+    rng_key: RunKey,
+    rngs: &'r mut [Slot],
     inbox: &'r mut [Vec<Envelope<P::Msg>>],
     out: &'r mut Vec<(usize, P::Msg)>,
 }
@@ -202,7 +203,8 @@ struct Carver<'r, P: NodeLocalProtocol> {
     /// Node id of slot 0 of the three slices below.
     next_node: usize,
     states: &'r mut [P::NodeState],
-    rngs: &'r mut [StdRng],
+    rng_key: RunKey,
+    rngs: &'r mut [Slot],
     inbox: &'r mut [Vec<Envelope<P::Msg>>],
     /// One (empty) staging buffer per remaining shard.
     outs: &'r mut [Vec<(usize, P::Msg)>],
@@ -226,6 +228,7 @@ impl<'r, P: NodeLocalProtocol> Iterator for Carver<'r, P> {
             nodes,
             first,
             states: split_off(&mut self.states, skip, len),
+            rng_key: self.rng_key,
             rngs: split_off(&mut self.rngs, skip, len),
             inbox: split_off(&mut self.inbox, skip, len),
             out,
@@ -253,7 +256,8 @@ fn run_shard<P: NodeLocalProtocol>(
         let node = task.nodes[j];
         let slot = node - task.first;
         let start = out.len();
-        let mut nctx = NodeCtx::new(graph, round, node, &mut task.rngs[slot], &mut out);
+        let rng = task.rngs[slot].stream(task.rng_key, node);
+        let mut nctx = NodeCtx::new(graph, round, node, rng, &mut out);
         P::on_receive_local(
             shared,
             &mut task.states[slot],
@@ -367,6 +371,18 @@ impl ShardedExecutor {
         seed: u64,
         protocol: &mut P,
     ) -> Result<RunReport, RunError> {
+        self.run_node_local_in(&mut Scratch::default(), graph, cfg, seed, protocol)
+    }
+
+    /// [`ShardedExecutor::run_node_local`] over a caller-kept scratch.
+    pub(crate) fn run_node_local_in<P: NodeLocalProtocol>(
+        &self,
+        scratch: &mut Scratch,
+        graph: &Graph,
+        cfg: &EngineConfig,
+        seed: u64,
+        protocol: &mut P,
+    ) -> Result<RunReport, RunError> {
         let pool = Pool::new(self.threads());
         std::thread::scope(|scope| {
             let _stop = ShutdownOnDrop(&pool);
@@ -378,7 +394,7 @@ impl ShardedExecutor {
                 pool: &pool,
                 spawn_helper: &spawn_helper,
             };
-            run(graph, cfg, seed, protocol, mode)
+            run(scratch, graph, cfg, seed, protocol, mode)
         })
     }
 
@@ -431,22 +447,32 @@ impl ShardedExecutor {
         protocol: &mut P,
         schedule: ScriptedSchedule<'_>,
     ) -> Result<RunReport, RunError> {
-        run(graph, cfg, seed, protocol, ClaimMode::Scripted(schedule))
+        let scratch = &mut Scratch::default();
+        run(
+            scratch,
+            graph,
+            cfg,
+            seed,
+            protocol,
+            ClaimMode::Scripted(schedule),
+        )
     }
 }
 
 /// [`crate::ExecutorKind::Sequential`] for a node-local protocol: the
 /// same receive phase with every round inline.
 pub(crate) fn run_node_local_inline<P: NodeLocalProtocol>(
+    scratch: &mut Scratch,
     graph: &Graph,
     cfg: &EngineConfig,
     seed: u64,
     protocol: &mut P,
 ) -> Result<RunReport, RunError> {
-    run(graph, cfg, seed, protocol, ClaimMode::Inline)
+    run(scratch, graph, cfg, seed, protocol, ClaimMode::Inline)
 }
 
 fn run<P: NodeLocalProtocol>(
+    scratch: &mut Scratch,
     graph: &Graph,
     cfg: &EngineConfig,
     seed: u64,
@@ -461,7 +487,7 @@ fn run<P: NodeLocalProtocol>(
         loads: Vec::new(),
         outs: Vec::new(),
     };
-    let mut report = run_rounds(graph, cfg, seed, &mut phase)?;
+    let mut report = run_rounds(graph, cfg, seed, scratch, &mut phase)?;
     report.memory.staging_bytes += phase.scratch_bytes();
     if let ClaimMode::Threads { pool, .. } = &phase.mode {
         phase.balance.helpers_spawned = pool.helpers_spawned();
@@ -524,7 +550,7 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
         delivered: u64,
     ) {
         let (graph, round) = (ctx.graph, ctx.round);
-        let staged = &mut ctx.staged;
+        let staged = &mut *ctx.staged;
         let (shared, states) = self.protocol.parts();
         debug_assert_eq!(states.len(), graph.n(), "one NodeState per node required");
 
@@ -553,7 +579,7 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
                 P::on_receive_local(shared, &mut states[node], node, &inbox[node], &mut nctx);
                 inbox[node].clear(); // keep the allocation for next round
             }
-            return;
+            return self.protocol.after_receive(active);
         }
 
         self.balance.rounds_measured += 1;
@@ -570,12 +596,14 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
         if self.outs.len() < shards {
             self.outs.resize_with(shards, Vec::new);
         }
+        let (rng_key, rngs) = ctx.rngs.parts();
         let carver: Carver<'_, P> = Carver {
             sizes: self.sizes.iter(),
             nodes: active,
             next_node: 0,
             states,
-            rngs: ctx.rngs.as_mut_slice(),
+            rng_key,
+            rngs,
             inbox,
             outs: &mut self.outs[..shards],
         };
@@ -646,6 +674,7 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
                 staged.append(out);
             }
         }
+        self.protocol.after_receive(active);
     }
 }
 
@@ -743,7 +772,7 @@ mod tests {
         }
 
         fn on_receive(&mut self, v: usize, inbox: &[Envelope<Gossip>], ctx: &mut Ctx<'_, Gossip>) {
-            let mut nctx = NodeCtx::new(ctx.graph, ctx.round, v, ctx.rngs.node(v), &mut ctx.staged);
+            let mut nctx = NodeCtx::new(ctx.graph, ctx.round, v, ctx.rngs.node(v), ctx.staged);
             Self::on_receive_local(&self.ttl, &mut self.nodes[v], v, inbox, &mut nctx);
         }
     }
@@ -907,7 +936,7 @@ mod tests {
         let g = generators::complete(48);
         let cfg = EngineConfig::default();
         let mut seq = mk(48);
-        let r_seq = run_node_local_inline(&g, &cfg, 11, &mut seq).unwrap();
+        let r_seq = run_node_local_inline(&mut Scratch::default(), &g, &cfg, 11, &mut seq).unwrap();
         assert!(r_seq.balance.is_none(), "sequential runs have no shards");
         for threads in [1, 2, 3, 4, 16] {
             let mut sha = mk(48);
@@ -925,7 +954,7 @@ mod tests {
         let cfg = EngineConfig::default();
         let mk = || DenseGossip { ttl: 500, ..mk(48) };
         let mut seq = mk();
-        let want = run_node_local_inline(&g, &cfg, 13, &mut seq).unwrap();
+        let want = run_node_local_inline(&mut Scratch::default(), &g, &cfg, 13, &mut seq).unwrap();
         assert_eq!(want.rounds, 500);
         for threads in [1, 2, 3, 4, 16] {
             let mut sha = mk();
@@ -1006,7 +1035,7 @@ mod tests {
         // either backend.
         let g = generators::complete(48);
         let cfg = EngineConfig::default();
-        let seq = run_node_local_inline(&g, &cfg, 3, &mut mk(48))
+        let seq = run_node_local_inline(&mut Scratch::default(), &g, &cfg, 3, &mut mk(48))
             .unwrap()
             .memory;
         let sha = ShardedExecutor::new(2)

@@ -16,7 +16,10 @@ use drw_graph::NodeId;
 /// delivered message, and `drw-analyze --wire-report` later checks that
 /// no recorded field magnitude outgrew the `O(log n)`-bit budget the
 /// word price promised.
-pub trait Message: Clone + std::fmt::Debug {
+///
+/// Messages are plain owned data (`Send + 'static`): the engine keeps
+/// their queue and inbox buffers in a [`crate::Runner`] between runs.
+pub trait Message: Clone + std::fmt::Debug + Send + 'static {
     /// Size of this message in `O(log n)`-bit words.
     fn size_words(&self) -> usize {
         1

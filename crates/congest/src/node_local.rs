@@ -135,7 +135,8 @@ impl<'a, M: Message> NodeCtx<'a, M> {
 ///    for every node with a nonempty inbox — possibly concurrently,
 ///    which is sound because the handler is an associated function that
 ///    can only reach one node's `NodeState`, the node's own RNG stream,
-///    and the immutable `Shared` data;
+///    and the immutable `Shared` data — then
+///    [`NodeLocalProtocol::after_receive`] runs once globally;
 /// 3. quiescence and [`NodeLocalProtocol::is_done`] end the run.
 pub trait NodeLocalProtocol {
     /// The message type (must cross threads under the sharded backend).
@@ -156,6 +157,14 @@ pub trait NodeLocalProtocol {
     fn is_done(&self) -> bool {
         false
     }
+
+    /// Optional global hook, once per round after the receive phase
+    /// (sequential, on every backend), with the nodes whose handlers
+    /// just ran, ascending. It lets a protocol fold what those nodes
+    /// recorded into run-level facts — a completion count, the set of
+    /// nodes it has touched — at a cost of the round's receivers, not of
+    /// `n`.
+    fn after_receive(&mut self, _active: &[NodeId]) {}
 
     /// Splits the protocol into the round's immutable shared view and
     /// the per-node state slice (index = node id, length = `n`).

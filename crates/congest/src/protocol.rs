@@ -14,7 +14,7 @@ use rand::Rng;
 pub struct Ctx<'a, M: Message> {
     pub(crate) graph: &'a Graph,
     pub(crate) round: u64,
-    pub(crate) staged: Vec<(usize, M)>, // (directed edge id, message)
+    pub(crate) staged: &'a mut Vec<(usize, M)>, // (directed edge id, message)
     pub(crate) rngs: &'a mut NodeRngs,
 }
 
@@ -25,7 +25,7 @@ impl<'a, M: Message> Ctx<'a, M> {
         graph: &'a Graph,
         round: u64,
         rngs: &'a mut NodeRngs,
-        staged: Vec<(usize, M)>,
+        staged: &'a mut Vec<(usize, M)>,
     ) -> Self {
         debug_assert!(staged.is_empty(), "staging buffer handed over non-empty");
         Ctx {

@@ -7,7 +7,8 @@
 //! the parts; [`Runner`] does that bookkeeping and derives a fresh RNG
 //! stream per part.
 
-use crate::engine::{run_node_local, run_protocol, EngineConfig, RunError, RunReport};
+use crate::engine::{run_node_local_in, EngineConfig, RunError, RunReport};
+use crate::executor::{run_rounds, PlainReceive, Scratch};
 use crate::fault::FaultCounters;
 use crate::node_local::NodeLocalProtocol;
 use crate::protocol::Protocol;
@@ -26,6 +27,11 @@ use std::sync::Arc;
 /// node)` (see [`crate::NodeRngs`]), so rebinding to a snapshot with
 /// *more* nodes extends the pool while keeping every pre-existing
 /// node's stream bit-identical.
+///
+/// The runner also owns the engine's scratch — the RNG pool and, per
+/// message type, the queue, inbox and staging buffers — so a chain of
+/// short runs (a served walk is one) pays for the nodes each run
+/// touches and the messages it moves, not for `n` before round 1.
 ///
 /// # Example
 ///
@@ -55,6 +61,7 @@ pub struct Runner {
     total_words: u64,
     total_faults: FaultCounters,
     runs: u64,
+    scratch: Scratch,
 }
 
 impl Runner {
@@ -78,13 +85,15 @@ impl Runner {
             total_words: 0,
             total_faults: FaultCounters::default(),
             runs: 0,
+            scratch: Scratch::default(),
         }
     }
 
     /// Swaps the graph snapshot this runner simulates on (a topology
-    /// epoch change). Totals and the sub-protocol seed sequence are
-    /// preserved; subsequent runs size their per-node RNG pool from the
-    /// new snapshot, with pre-existing nodes' streams unchanged.
+    /// epoch change). Totals, the sub-protocol seed sequence and the
+    /// engine scratch are preserved; subsequent runs size the per-node
+    /// RNG pool and inboxes from the new snapshot (the cost of the
+    /// change in `n`), with pre-existing nodes' streams unchanged.
     pub fn rebind(&mut self, graph: Arc<Graph>) {
         self.graph = graph;
     }
@@ -98,7 +107,8 @@ impl Runner {
         let seed = derive_seed(self.seed, self.seq);
         let cfg = self.run_cfg();
         self.seq += 1;
-        let report = run_protocol(&self.graph, &cfg, seed, protocol)?;
+        let phase = &mut PlainReceive(protocol);
+        let report = run_rounds(&self.graph, &cfg, seed, &mut self.scratch, phase)?;
         self.accumulate(&report);
         Ok(report)
     }
@@ -118,7 +128,7 @@ impl Runner {
         let seed = derive_seed(self.seed, self.seq);
         let cfg = self.run_cfg();
         self.seq += 1;
-        let report = run_node_local(&self.graph, &cfg, seed, protocol)?;
+        let report = run_node_local_in(&mut self.scratch, &self.graph, &cfg, seed, protocol)?;
         self.accumulate(&report);
         Ok(report)
     }

@@ -98,7 +98,7 @@ pub use service::{
     ArrivalTrace, Completion, MixedTraceSpec, Service, ServiceBuilder, ServiceConfig, ServiceError,
     ServiceReport, SubmitError, TenantBill, TenantId, Ticket, TicketPoll, TraceEvent, TraceRun,
 };
-pub use session::{RepairReport, SessionWalkOutcome, WalkSession, WaveOutcome, WaveSpec, WaveWalk};
+pub use session::{RepairReport, SessionWalkOutcome, WalkSession, WaveOutcome, WaveWalk};
 pub use short_walks::ShortWalksProtocol;
 pub use single_walk::{
     single_random_walk, Segment, SingleWalkConfig, SingleWalkResult, StitchSetup, WalkAction,

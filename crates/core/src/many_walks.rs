@@ -26,7 +26,7 @@ use crate::naive::{NaiveWalkProtocol, NaiveWalkSpec};
 use crate::short_walks::ShortWalksProtocol;
 use crate::single_walk::{stitch_prefix, Segment, SingleWalkConfig, StitchSetup, WalkError};
 use crate::state::WalkState;
-use crate::stitch_scheduler::StitchScheduler;
+use crate::stitch_scheduler::{StitchScheduler, MAX_WAVE_LANES};
 use drw_congest::primitives::BfsTreeProtocol;
 use drw_congest::Runner;
 use drw_graph::{traversal, Graph, NodeId};
@@ -286,6 +286,9 @@ pub(crate) fn many_walks_one_shot(
         StitchStrategy::Batched => {
             // Phase 2, multiplexed: one engine run advances every walk's
             // sampling, replenishment and tail concurrently.
+            if sources.len() > MAX_WAVE_LANES {
+                return Err(WalkError::TooManyLanes(sources.len()));
+            }
             let mut sched = StitchScheduler::new(&setup);
             for &source in sources {
                 sched.add_walk(source, len);
@@ -297,12 +300,16 @@ pub(crate) fn many_walks_one_shot(
                 destinations.push(walk.destination);
                 segments.push(walk.segments);
             }
+            let mut connector_visits = vec![0u32; g.n()];
+            for (v, visits) in out.connector_visits {
+                connector_visits[v] = visits;
+            }
             (
                 destinations,
                 segments,
                 out.stitches,
                 out.gmw_invocations,
-                out.connector_visits,
+                connector_visits,
             )
         }
         StitchStrategy::SequentialLoop => {

@@ -26,15 +26,16 @@ use crate::many_walks::{ManyWalksResult, StitchStrategy};
 use crate::request::{
     MixingProbe, MixingReport, MixingRequest, Request, Response, TreeMode, TreeRequest, TreeSample,
 };
-use crate::session::{WalkSession, WaveSpec, WaveWalk};
+use crate::session::{WalkSession, WaveWalk};
 use crate::single_walk::{SingleWalkResult, WalkError};
 use crate::state::WalkState;
+use crate::stitch_scheduler::{StitchSpec, MAX_WAVE_LANES};
 use drw_congest::primitives::{AggOp, BfsTree, ConvergecastProtocol};
 use drw_graph::{Graph, NodeId};
 
 /// One request's contribution to the next wave.
 struct WavePlan {
-    specs: Vec<WaveSpec>,
+    specs: Vec<StitchSpec>,
     /// `(lambda_call, len)` of the stitch-eligible work, if any.
     regime: Option<(u32, u64)>,
 }
@@ -104,7 +105,7 @@ struct WaveContext {
 /// [`WalkSession::run_wave`], which request owns which specs, and the
 /// regime maxima across the stitch-eligible participants.
 struct WaveAssembly {
-    specs: Vec<WaveSpec>,
+    specs: Vec<StitchSpec>,
     /// `(plan key, spec count)` in spec order — [`wave_step`] maps keys
     /// back to its members and slices the wave's walks by count.
     members: Vec<(usize, usize)>,
@@ -119,7 +120,10 @@ struct WaveAssembly {
 /// `*last_recorder` (updated in place) so concurrent tree requests
 /// genuinely alternate waves instead of the lowest key monopolizing the
 /// ledger; deferred recorders still share a later wave's rounds, just
-/// not this one's. Keys must be in increasing order (see
+/// not this one's. A plan that would take the wave past
+/// [`MAX_WAVE_LANES`] waits for a later wave in the same way ([`new_slot`]
+/// holds every single request under the limit, so the first plan always
+/// fits). Keys must be in increasing order (see
 /// [`Member::key`]) and planning must be deferral-safe ([`plan_wave`]
 /// mutates nothing a repeat call would get wrong).
 fn assemble_wave(plans: Vec<(usize, WavePlan)>, last_recorder: &mut usize) -> WaveAssembly {
@@ -147,6 +151,9 @@ fn assemble_wave(plans: Vec<(usize, WavePlan)>, last_recorder: &mut usize) -> Wa
         let records = plan.specs.iter().any(|s| s.record);
         if records && granted != Some(i) {
             continue; // defer this recorder to a later wave
+        }
+        if out.specs.len() + plan.specs.len() > MAX_WAVE_LANES {
+            continue; // out of lane tags: a later wave
         }
         if let Some((lc, sl)) = plan.regime {
             out.lambda_call = out.lambda_call.max(lc);
@@ -256,11 +263,13 @@ pub(crate) fn wave_step(
 ///
 /// # Errors
 ///
-/// [`WalkError::SourceOutOfRange`] for an unknown source/root, and
+/// [`WalkError::SourceOutOfRange`] for an unknown source/root,
 /// [`WalkError::TooFewSamples`] for a mixing request whose
 /// `ceil(samples_scale * sqrt(n))` is below 2 (the collision estimator
 /// needs pairs; a zero-sample probe would also contribute no work items
-/// and stall its batch).
+/// and stall its batch), and [`WalkError::TooManyLanes`] for a
+/// many-walks or mixing request that alone wants more walks than a wave
+/// has lane tags.
 pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
     let n = g.n();
     let check = |s: NodeId| {
@@ -287,6 +296,9 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
         }
         Request::ManyWalks { sources, len, .. } => {
             sources.iter().try_for_each(|&s| check(s))?;
+            if sources.len() > MAX_WAVE_LANES {
+                return Err(WalkError::TooManyLanes(sources.len()).into());
+            }
             if sources.is_empty() {
                 response = Some(Response::ManyWalks(empty_many_result(n)));
             }
@@ -321,6 +333,9 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
             let k = ((n as f64).sqrt() * req.samples_scale).ceil() as usize;
             if k < 2 {
                 return Err(WalkError::TooFewSamples(k).into());
+            }
+            if k > MAX_WAVE_LANES {
+                return Err(WalkError::TooManyLanes(k).into());
             }
             let bucket = BucketTest::new(g, req.bucket_base);
             Driver::Mixing(Box::new(MixingDriver {
@@ -377,7 +392,7 @@ fn plan_wave(slot: &mut Slot, req_id: u16, session: &mut WalkSession) -> Result<
         } => {
             let lambda = params.lambda(*len, d_est);
             Ok(WavePlan {
-                specs: vec![WaveSpec {
+                specs: vec![StitchSpec {
                     req: req_id,
                     source: *source,
                     len: *len,
@@ -403,7 +418,7 @@ fn plan_wave(slot: &mut Slot, req_id: u16, session: &mut WalkSession) -> Result<
             Ok(WavePlan {
                 specs: sources
                     .iter()
-                    .map(|&source| WaveSpec {
+                    .map(|&source| StitchSpec {
                         req: req_id,
                         source,
                         len: *len,
@@ -443,7 +458,7 @@ fn plan_wave(slot: &mut Slot, req_id: u16, session: &mut WalkSession) -> Result<
             )?;
             let lambda = params.lambda(seg_len, d_est);
             Ok(WavePlan {
-                specs: vec![WaveSpec {
+                specs: vec![StitchSpec {
                     req: req_id,
                     source,
                     len: seg_len,
@@ -472,7 +487,7 @@ fn plan_wave(slot: &mut Slot, req_id: u16, session: &mut WalkSession) -> Result<
             let source = m.req.source;
             Ok(WavePlan {
                 specs: (0..m.k)
-                    .map(|_| WaveSpec {
+                    .map(|_| StitchSpec {
                         req: req_id,
                         source,
                         len,

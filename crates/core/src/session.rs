@@ -38,7 +38,7 @@
 //!   `lambda` is always the store's, which keeps every stored length
 //!   below `2 * lambda` so no segment can overshoot a walk's remaining
 //!   budget.
-//! - **Walk extension** (a recorded [`WaveSpec`] with a `pos_offset`):
+//! - **Walk extension** (a recorded [`StitchSpec`] with a `pos_offset`):
 //!   continue a completed walk from its destination for `len` more
 //!   steps through the batched [`StitchScheduler`] without re-entering
 //!   setup. Walks are memoryless, so the continuation is exact; visits
@@ -80,7 +80,7 @@ use crate::regenerate::{ReplayProtocol, ReplaySegment};
 use crate::short_walks::ShortWalksProtocol;
 use crate::single_walk::{Segment, SingleWalkConfig, StitchSetup, WalkError};
 use crate::state::{Visit, WalkState};
-use crate::stitch_scheduler::{StitchScheduler, StitchSpec};
+use crate::stitch_scheduler::{StitchScheduler, StitchSpec, MAX_WAVE_LANES};
 use drw_congest::primitives::{BfsTree, BfsTreeProtocol};
 use drw_congest::Runner;
 use drw_graph::{traversal, Graph, NodeId, Topology};
@@ -125,45 +125,6 @@ pub struct SessionWalkOutcome {
     pub gmw_invocations: u64,
     /// The stitch trace.
     pub segments: Vec<Segment>,
-}
-
-/// One work item of a heterogeneous request wave
-/// ([`WalkSession::run_wave`]): a walk owned by request `req`, possibly
-/// recorded (a spanning-tree extension) or forced naive (the
-/// Theorem 2.8 `k + l` fallback regime of a many-walks request).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaveSpec {
-    /// The owning request's id within the batch (the [`drw_congest::Mux2`]
-    /// tag its messages ride).
-    pub req: u16,
-    /// Starting node.
-    pub source: NodeId,
-    /// Number of steps.
-    pub len: u64,
-    /// Global position of `source` within a larger recorded walk (0 for
-    /// standalone walks).
-    pub pos_offset: u64,
-    /// Record visits (tail inline, stitched segments replayed after the
-    /// run). At most one recorded spec may ride a wave — the per-node
-    /// visit ledger is not lane-tagged.
-    pub record: bool,
-    /// Force the pure naive token walk regardless of the store's
-    /// `lambda`.
-    pub naive: bool,
-}
-
-impl WaveSpec {
-    /// A standalone, unrecorded, stitch-eligible walk of request 0.
-    pub(crate) fn plain(source: NodeId, len: u64) -> Self {
-        WaveSpec {
-            req: 0,
-            source,
-            len,
-            pos_offset: 0,
-            record: false,
-            naive: false,
-        }
-    }
 }
 
 /// One walk's outcome within a [`WalkSession::run_wave`] run.
@@ -256,7 +217,7 @@ impl WalkSession {
     /// deltas attach to a shared handle with [`WalkSession::attach`].
     ///
     /// When `cfg.record_walk` is set the session runs in *record* mode:
-    /// waves may carry a recorded [`WaveSpec`], and every store
+    /// waves may carry a recorded [`StitchSpec`], and every store
     /// operation stays replayable (per-token `GET-MORE-WALKS` is
     /// forced, as in [`crate::single_random_walk`]).
     ///
@@ -653,7 +614,7 @@ impl WalkSession {
         // estimate of the epoch the walk is served on.
         let _ = self.sync()?;
         let lambda_call = self.cfg.params.lambda(len, u64::from(self.d_est));
-        let wave = self.run_wave(lambda_call, len, &[WaveSpec::plain(source, len)])?;
+        let wave = self.wave_at_epoch(lambda_call, len, &[StitchSpec::plain(source, len)])?;
         let walk = wave.walks.into_iter().next().expect("one spec, one walk");
         Ok(SessionWalkOutcome {
             destination: walk.destination,
@@ -676,7 +637,7 @@ impl WalkSession {
     /// stitch-eligible length (the regime decisions themselves —
     /// Theorem 2.8's `k + l` fallback, per-request `lambda` formulas —
     /// belong to the request scheduler, which lowers fallback items
-    /// with [`WaveSpec::naive`] set).
+    /// with [`StitchSpec::naive`] set).
     ///
     /// A recorded spec continues a walk standing at `source` with
     /// global position `pos_offset`: every visited node records its
@@ -688,7 +649,8 @@ impl WalkSession {
     ///
     /// # Errors
     ///
-    /// [`WalkError::SourceOutOfRange`] or an engine error.
+    /// [`WalkError::SourceOutOfRange`], [`WalkError::TooManyLanes`] for
+    /// more than [`MAX_WAVE_LANES`] specs, or an engine error.
     ///
     /// # Panics
     ///
@@ -699,9 +661,23 @@ impl WalkSession {
         &mut self,
         lambda_call: u32,
         stitch_len: u64,
-        specs: &[WaveSpec],
+        specs: &[StitchSpec],
     ) -> Result<WaveOutcome, WalkError> {
         let _ = self.sync()?;
+        self.wave_at_epoch(lambda_call, stitch_len, specs)
+    }
+
+    /// [`WalkSession::run_wave`] on a session already synced to the
+    /// topology's epoch.
+    fn wave_at_epoch(
+        &mut self,
+        lambda_call: u32,
+        stitch_len: u64,
+        specs: &[StitchSpec],
+    ) -> Result<WaveOutcome, WalkError> {
+        if specs.len() > MAX_WAVE_LANES {
+            return Err(WalkError::TooManyLanes(specs.len()));
+        }
         for spec in specs {
             if spec.source >= self.g.n() {
                 return Err(WalkError::SourceOutOfRange(spec.source));
@@ -742,18 +718,11 @@ impl WalkSession {
             randomize_len: self.cfg.randomize_len,
             aggregated_gmw: self.cfg.aggregated_gmw && !self.record,
             gmw_count: (stitch_len / u64::from(lambda.max(1))).max(1),
-            // Recording is per spec (`WaveSpec::record`).
+            // Recording is per spec (`StitchSpec::record`).
             record: false,
         });
-        for spec in specs {
-            sched.add_spec(StitchSpec {
-                source: spec.source,
-                len: spec.len,
-                pos_offset: spec.pos_offset,
-                req: spec.req,
-                record: spec.record,
-                naive: spec.naive,
-            });
+        for &spec in specs {
+            sched.add_spec(spec);
         }
         let out = sched.run(&mut self.runner, &mut self.state)?;
 
@@ -827,7 +796,7 @@ mod tests {
     fn cohort(s: &mut WalkSession, sources: &[NodeId], len: u64) -> WaveOutcome {
         let d_est = u64::from(s.diameter_estimate());
         let lambda = s.params().lambda_many(sources.len() as u64, len, d_est);
-        let specs: Vec<WaveSpec> = sources.iter().map(|&v| WaveSpec::plain(v, len)).collect();
+        let specs: Vec<StitchSpec> = sources.iter().map(|&v| StitchSpec::plain(v, len)).collect();
         s.run_wave(lambda, len, &specs).unwrap()
     }
 
@@ -835,10 +804,10 @@ mod tests {
     /// global position `pos_offset`: a wave of one recorded spec.
     fn extend(s: &mut WalkSession, from: NodeId, len: u64, pos_offset: u64) -> WaveOutcome {
         let lambda = s.params().lambda(len, u64::from(s.diameter_estimate()));
-        let spec = WaveSpec {
+        let spec = StitchSpec {
             pos_offset,
             record: true,
-            ..WaveSpec::plain(from, len)
+            ..StitchSpec::plain(from, len)
         };
         s.run_wave(lambda, len, &[spec]).unwrap()
     }
@@ -877,10 +846,10 @@ mod tests {
         // every spec forced naive, no stitch-eligible regime.
         let g = generators::torus2d(4, 4);
         let mut s = WalkSession::new(&g, 0, &SingleWalkConfig::default(), 7).unwrap();
-        let specs: Vec<WaveSpec> = (0..16)
-            .map(|v| WaveSpec {
+        let specs: Vec<StitchSpec> = (0..16)
+            .map(|v| StitchSpec {
                 naive: true,
-                ..WaveSpec::plain(v, 8)
+                ..StitchSpec::plain(v, 8)
             })
             .collect();
         let r = s.run_wave(0, 0, &specs).unwrap();
@@ -985,7 +954,7 @@ mod tests {
         let mut s = WalkSession::new(&g, 0, &cfg, 23).unwrap();
         let lambda_call = cfg.params.lambda(400, u64::from(s.diameter_estimate()));
         let specs = [
-            WaveSpec {
+            StitchSpec {
                 req: 0,
                 source: 0,
                 len: 400,
@@ -993,7 +962,7 @@ mod tests {
                 record: false,
                 naive: false,
             },
-            WaveSpec {
+            StitchSpec {
                 req: 1,
                 source: 7,
                 len: 300,
@@ -1001,7 +970,7 @@ mod tests {
                 record: true,
                 naive: false,
             },
-            WaveSpec {
+            StitchSpec {
                 req: 2,
                 source: 12,
                 len: 16,
@@ -1009,7 +978,7 @@ mod tests {
                 record: false,
                 naive: true,
             },
-            WaveSpec {
+            StitchSpec {
                 req: 2,
                 source: 13,
                 len: 16,
@@ -1257,7 +1226,7 @@ mod tests {
             Err(WalkError::SourceOutOfRange(9))
         ));
         assert!(matches!(
-            s.run_wave(1, 8, &[WaveSpec::plain(0, 8), WaveSpec::plain(9, 8)]),
+            s.run_wave(1, 8, &[StitchSpec::plain(0, 8), StitchSpec::plain(9, 8)]),
             Err(WalkError::SourceOutOfRange(9))
         ));
     }

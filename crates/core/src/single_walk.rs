@@ -53,6 +53,12 @@ pub enum WalkError {
         /// The samples per probe the request works out to.
         usize,
     ),
+    /// A request needs more concurrent walks than one multiplexed wave
+    /// can tag ([`crate::stitch_scheduler::MAX_WAVE_LANES`]).
+    TooManyLanes(
+        /// The walks the request (or wave) works out to.
+        usize,
+    ),
 }
 
 impl fmt::Display for WalkError {
@@ -64,6 +70,11 @@ impl fmt::Display for WalkError {
             WalkError::TooFewSamples(k) => write!(
                 f,
                 "mixing probes need samples_scale * sqrt(n) >= 2, got {k} samples"
+            ),
+            WalkError::TooManyLanes(k) => write!(
+                f,
+                "{k} concurrent walks exceed the {} lanes of one multiplexed wave",
+                crate::stitch_scheduler::MAX_WAVE_LANES
             ),
         }
     }

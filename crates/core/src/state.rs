@@ -269,6 +269,11 @@ pub struct NodeWalkState {
     /// Next unused walk sequence number for walks launched by this node
     /// (so Phase-1 and `GET-MORE-WALKS` ids never clash).
     pub next_seq: u32,
+    /// The batched stitch scheduler's scratch for the wave in flight:
+    /// `None` between waves, boxed by the node's first handler call,
+    /// collected and dropped when the scheduler's engine run returns —
+    /// so idle nodes cost a wave one pointer each and nothing else.
+    pub(crate) wave: Option<Box<crate::stitch_scheduler::WaveScratch>>,
 }
 
 impl NodeWalkState {
@@ -459,11 +464,7 @@ impl WalkState {
 
     /// Number of stored walks at `v` launched by `source`.
     pub fn stored_from(&self, v: NodeId, source: NodeId) -> usize {
-        self.nodes[v]
-            .store
-            .iter()
-            .filter(|w| w.id.source as usize == source)
-            .count()
+        self.nodes[v].count_from(source)
     }
 
     /// Records one visit of the global walk.

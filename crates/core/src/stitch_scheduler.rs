@@ -65,7 +65,9 @@ use crate::state::{NodeWalkState, StoredWalk, WalkId, WalkState};
 use drw_congest::{Ctx, Envelope, Message, Mux2, NodeCtx, NodeLocalProtocol, RunReport, Runner};
 use drw_graph::NodeId;
 
-/// One walk to stitch: `len` steps from `source`.
+/// One walk to stitch: `len` steps from `source` — a work item of a
+/// [`StitchScheduler`] run and of a session wave
+/// ([`crate::WalkSession::run_wave`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StitchSpec {
     /// Starting node.
@@ -95,6 +97,18 @@ pub struct StitchSpec {
 }
 
 impl StitchSpec {
+    /// A standalone, unrecorded, stitch-eligible walk of request 0.
+    pub fn plain(source: NodeId, len: u64) -> Self {
+        StitchSpec {
+            source,
+            len,
+            pos_offset: 0,
+            req: 0,
+            record: false,
+            naive: false,
+        }
+    }
+
     /// What this walk does when it stands at `completed` steps.
     fn action_at(&self, completed: u64, lambda: u32) -> WalkAction {
         if self.naive {
@@ -221,6 +235,11 @@ struct LaneState {
     gmw_active: bool,
     /// Root-side: tokens acknowledged so far.
     gmw_acked: u64,
+    /// `GET-MORE-WALKS` invocations this node launched for the lane over
+    /// the whole run — never reset by [`LaneState::enter`] — so the
+    /// facade's request scheduler can bill replenishment to the request
+    /// that caused it.
+    gmw_events: u64,
 }
 
 impl LaneState {
@@ -235,89 +254,107 @@ impl LaneState {
     }
 }
 
-/// One node's private state: its walk store plus one lane per walk and
-/// the facts it accumulates for the post-run result assembly.
-#[derive(Debug, Default)]
-struct BatchNode {
-    /// The node's share of the walk state (moved in from
-    /// [`WalkState`] for the duration of the run).
-    ws: NodeWalkState,
-    /// One lane per walk.
-    lanes: Vec<LaneState>,
+/// What a node accumulates for the post-run result assembly.
+#[derive(Debug, Clone, Default)]
+struct Tally {
     /// Walks whose final step landed here (destination = this node).
     finished: Vec<u32>,
     /// Segments resolved here (this node was the segment's endpoint).
     segments: Vec<(u32, Segment)>,
     /// Times this node served as a connector (Lemma 2.7's quantity).
     connector_visits: u32,
-    /// `GET-MORE-WALKS` invocations launched here, per lane (so the
-    /// facade's request scheduler can bill replenishment to the request
-    /// that caused it).
-    gmw_events: Vec<u64>,
+}
+
+/// One node's scratch for the wave in flight, held in
+/// [`NodeWalkState::wave`]: boxed by the first handler that runs at the
+/// node, collected and dropped by [`StitchScheduler::run`] when the
+/// engine returns. A wave therefore costs the nodes it touches — a
+/// 32-step tail on a 131072-node graph boxes 33 of these.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WaveScratch {
+    /// One lane per walk, sized by the first message that needs a lane
+    /// (a tail hop needs none).
+    lanes: Vec<LaneState>,
+    tally: Tally,
+    /// `tally.finished` entries already in the run's completion count.
+    counted: usize,
+    /// Whether the run's touched list names this node.
+    listed: bool,
+}
+
+/// The receive handler's merge buffers: filled and read within one
+/// call. One set per thread ([`MERGE`]) rather than per call or per
+/// node: a call allocates nothing, and the buffers stay hot in cache —
+/// kept in each node's [`WaveScratch`] they measured 6 % of
+/// `warm_stitch`'s wall time in cache misses. They carry nothing from
+/// call to call (the handler clears them on entry, so not even a
+/// panicked call's leftovers).
+#[derive(Default)]
+struct Merge {
+    /// Wave adoptions `(lane, epoch, root, from)`, deferred past the
+    /// bookkeeping pass so the parent is the minimum sender among the
+    /// round's arrivals.
+    adopt: Vec<(u32, u32, u32, NodeId)>,
+    /// Lanes whose handshake or aggregation may have completed,
+    /// re-checked after the adoptions.
+    ready: Vec<u32>,
+    /// `GET-MORE-WALKS` acknowledgements merged per lane within the
+    /// round: one tally (or one upward message) per lane, however many
+    /// tokens stopped here or ack envelopes arrived.
+    acks: Vec<(u32, u64)>,
+    /// Aggregated `GET-MORE-WALKS` arrivals merged per `(lane, step)`
+    /// within the round — Algorithm 2's "counts collapse into one
+    /// message per edge", exactly as `GetMoreWalksProtocol` sums its
+    /// inbox before splitting.
+    gmw_in: Vec<(u32, u32, u64)>,
+}
+
+thread_local! {
+    static MERGE: std::cell::RefCell<Merge> = std::cell::RefCell::default();
+}
+
+/// The lane of walk `lane_idx`, sizing the table for `k` walks first if
+/// this is the node's first use of any lane.
+fn lane_of(lanes: &mut Vec<LaneState>, k: usize, lane_idx: u32) -> &mut LaneState {
+    if lanes.is_empty() {
+        lanes.resize_with(k, LaneState::default);
+    }
+    &mut lanes[lane_idx as usize]
 }
 
 /// Begins a sampling epoch at `node` for the walk standing at
-/// `completed` steps: resets the lane, snapshots the local pool and
-/// floods the wave.
-#[allow(clippy::too_many_arguments)]
-fn start_epoch(
-    lane: &mut LaneState,
-    ws: &NodeWalkState,
-    node: NodeId,
-    epoch: u32,
-    completed: u64,
-    count_visit: bool,
-    connector_visits: &mut u32,
-    neighbors: &[NodeId],
-    send: &mut dyn FnMut(NodeId, StitchMsg),
-) {
+/// `completed` steps: resets the lane and snapshots the local pool. The
+/// caller floods the epoch's wave to every neighbor.
+fn start_epoch(lane: &mut LaneState, ws: &NodeWalkState, node: NodeId, epoch: u32, completed: u64) {
     lane.enter(epoch, node as u32);
     lane.hosted = Some(completed);
     lane.slot.init_root(node as u32, ws.count_from(node) as u64);
-    if count_visit {
-        *connector_visits += 1;
-    }
-    for &v in neighbors {
-        send(
-            v,
-            StitchMsg::Wave {
-                epoch,
-                root: node as u32,
-                child: false,
-            },
-        );
-    }
 }
 
 /// Restarts a lane's sampling epoch at its current connector `node`
 /// (the walk still stands at `completed` steps): the resample after a
 /// stitch, a take conflict, a remote-owner `Retry`, or a completed
 /// `GET-MORE-WALKS`.
-#[allow(clippy::too_many_arguments)]
 fn restart_epoch(
+    shared: &SharedCfg,
     lane: &mut LaneState,
     ws: &NodeWalkState,
     node: NodeId,
     completed: u64,
-    count_visit: bool,
-    connector_visits: &mut u32,
-    req: u16,
     lane_idx: u32,
     ctx: &mut NodeCtx<'_, BatchMsg>,
 ) {
     let epoch = lane.epoch + 1;
-    let neighbors: Vec<NodeId> = ctx.graph().neighbors(node).collect();
-    start_epoch(
-        lane,
-        ws,
-        node,
-        epoch,
-        completed,
-        count_visit,
-        connector_visits,
-        &neighbors,
-        &mut |to, m| ctx.send(to, Mux2::new(req, lane_idx as u16, m)),
-    );
+    start_epoch(lane, ws, node, epoch, completed);
+    for i in 0..ctx.graph().degree(node) {
+        let v = ctx.graph().neighbor_at(node, i);
+        let msg = StitchMsg::Wave {
+            epoch,
+            root: node as u32,
+            child: false,
+        };
+        ctx.send(v, shared.mux(lane_idx, msg));
+    }
 }
 
 /// One aggregated `GET-MORE-WALKS` hop: scatters `count`
@@ -346,26 +383,30 @@ fn scatter_gmw(
     }
 }
 
-/// The scheduler's one protocol: Phase 2 of all `k` walks, multiplexed.
+/// The scheduler's one protocol: Phase 2 of all `k` walks, multiplexed,
+/// over the walk state's own per-node slice.
 #[derive(Debug)]
-struct BatchedStitchProtocol {
+struct BatchedStitchProtocol<'s> {
     shared: SharedCfg,
-    nodes: Vec<BatchNode>,
+    nodes: &'s mut [NodeWalkState],
+    /// Nodes holding wave scratch, in first-touch order.
+    touched: Vec<NodeId>,
+    /// Walks finished so far — `is_done` in O(1).
+    done: usize,
 }
 
-impl BatchedStitchProtocol {
-    fn new(shared: SharedCfg, stores: Vec<NodeWalkState>) -> Self {
-        let k = shared.walks.len();
-        let nodes = stores
-            .into_iter()
-            .map(|ws| BatchNode {
-                ws,
-                lanes: vec![LaneState::default(); k],
-                gmw_events: vec![0; k],
-                ..BatchNode::default()
-            })
-            .collect();
-        BatchedStitchProtocol { shared, nodes }
+impl BatchedStitchProtocol<'_> {
+    /// Brings the run-level facts up to date with what `v` recorded:
+    /// lists it for collection and counts its new completions.
+    fn note(&mut self, v: NodeId) {
+        let Some(w) = self.nodes[v].wave.as_mut() else {
+            return;
+        };
+        if !std::mem::replace(&mut w.listed, true) {
+            self.touched.push(v);
+        }
+        self.done += w.tally.finished.len() - w.counted;
+        w.counted = w.tally.finished.len();
     }
 }
 
@@ -377,9 +418,7 @@ fn advance_walk(
     shared: &SharedCfg,
     lane: &mut LaneState,
     ws: &NodeWalkState,
-    segments: &mut Vec<(u32, Segment)>,
-    finished: &mut Vec<u32>,
-    connector_visits: &mut u32,
+    tally: &mut Tally,
     node: NodeId,
     lane_idx: u32,
     walk: StoredWalk,
@@ -394,388 +433,350 @@ fn advance_walk(
         owner: node,
         replayable: walk.replayable,
     };
-    segments.push((lane_idx, seg));
+    tally.segments.push((lane_idx, seg));
     let completed = completed + u64::from(walk.len);
     let spec = shared.walks[lane_idx as usize];
     match spec.action_at(completed, shared.lambda) {
         WalkAction::Stitch => {
-            restart_epoch(
-                lane,
-                ws,
-                node,
-                completed,
-                true,
-                connector_visits,
-                spec.req,
-                lane_idx,
-                ctx,
-            );
+            tally.connector_visits += 1;
+            restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx);
         }
         WalkAction::Tail(steps) => {
             lane.hosted = None;
             ctx.send_random_neighbor(shared.mux(lane_idx, StitchMsg::Tail { left: steps - 1 }));
         }
-        WalkAction::Done => finished.push(lane_idx),
+        WalkAction::Done => tally.finished.push(lane_idx),
     }
 }
 
-impl NodeLocalProtocol for BatchedStitchProtocol {
+impl NodeLocalProtocol for BatchedStitchProtocol<'_> {
     type Msg = BatchMsg;
     type Shared = SharedCfg;
-    type NodeState = BatchNode;
+    type NodeState = NodeWalkState;
 
     fn start(&mut self, ctx: &mut Ctx<'_, BatchMsg>) {
         let n = ctx.graph().n();
-        assert_eq!(self.nodes.len(), n, "one BatchNode per graph node");
-        for w in 0..self.shared.walks.len() {
+        assert_eq!(self.nodes.len(), n, "one NodeWalkState per graph node");
+        let k = self.shared.walks.len();
+        for w in 0..k {
             let spec = self.shared.walks[w];
             assert!(spec.source < n, "walk source out of range");
-            match spec.action_at(0, self.shared.lambda) {
-                WalkAction::Done => self.nodes[spec.source].finished.push(w as u32),
-                WalkAction::Tail(steps) => {
-                    ctx.send_random_neighbor(
-                        spec.source,
-                        Mux2::new(spec.req, w as u16, StitchMsg::Tail { left: steps - 1 }),
-                    );
-                }
-                WalkAction::Stitch => {
-                    let neighbors: Vec<NodeId> = ctx.graph().neighbors(spec.source).collect();
-                    let node = &mut self.nodes[spec.source];
-                    start_epoch(
-                        &mut node.lanes[w],
-                        &node.ws,
-                        spec.source,
-                        1,
-                        0,
-                        true,
-                        &mut node.connector_visits,
-                        &neighbors,
-                        &mut |to, m| ctx.send(spec.source, to, Mux2::new(spec.req, w as u16, m)),
-                    );
+            let mux = |m| Mux2::new(spec.req, w as u16, m);
+            let action = spec.action_at(0, self.shared.lambda);
+            if let WalkAction::Tail(steps) = action {
+                ctx.send_random_neighbor(spec.source, mux(StitchMsg::Tail { left: steps - 1 }));
+                continue;
+            }
+            let ws = &mut self.nodes[spec.source];
+            let mut wave = ws.wave.take().unwrap_or_default();
+            if action == WalkAction::Done {
+                wave.tally.finished.push(w as u32);
+            } else {
+                wave.tally.connector_visits += 1;
+                start_epoch(lane_of(&mut wave.lanes, k, w as u32), ws, spec.source, 1, 0);
+                for i in 0..ctx.graph().degree(spec.source) {
+                    let v = ctx.graph().neighbor_at(spec.source, i);
+                    let msg = StitchMsg::Wave {
+                        epoch: 1,
+                        root: spec.source as u32,
+                        child: false,
+                    };
+                    ctx.send(spec.source, v, mux(msg));
                 }
             }
+            ws.wave = Some(wave);
+            self.note(spec.source);
         }
     }
 
     fn is_done(&self) -> bool {
-        let done: usize = self.nodes.iter().map(|s| s.finished.len()).sum();
-        done == self.shared.walks.len()
+        self.done == self.shared.walks.len()
     }
 
-    fn parts(&mut self) -> (&SharedCfg, &mut [BatchNode]) {
-        (&self.shared, &mut self.nodes)
+    fn after_receive(&mut self, active: &[NodeId]) {
+        for &v in active {
+            self.note(v);
+        }
+    }
+
+    fn parts(&mut self) -> (&SharedCfg, &mut [NodeWalkState]) {
+        (&self.shared, self.nodes)
     }
 
     fn on_receive_local(
         shared: &SharedCfg,
-        state: &mut BatchNode,
+        ws: &mut NodeWalkState,
         node: NodeId,
         inbox: &[Envelope<BatchMsg>],
         ctx: &mut NodeCtx<'_, BatchMsg>,
     ) {
-        let BatchNode {
-            ws,
-            lanes,
-            finished,
-            segments,
-            connector_visits,
-            gmw_events,
-        } = state;
-        let degree = ctx.graph().degree(node);
-        // Wave adoption is deferred past the bookkeeping pass so the
-        // parent is the minimum sender among the round's arrivals, and
-        // lanes whose handshake may have completed are re-checked after.
-        let mut adopt: Vec<(u32, u32, u32, NodeId)> = Vec::new(); // (lane, epoch, root, from)
-        let mut touched: Vec<u32> = Vec::new();
-        // GET-MORE-WALKS acknowledgements merge per lane within the
-        // round: one tally (or one upward message) per lane, however
-        // many tokens stopped here or ack envelopes arrived.
-        let mut acks: Vec<(u32, u64)> = Vec::new();
-        // Aggregated GET-MORE-WALKS arrivals merge per (lane, step)
-        // within the round — Algorithm 2's "counts collapse into one
-        // message per edge", exactly as `GetMoreWalksProtocol` sums its
-        // inbox before splitting.
-        let mut gmw_in: Vec<(u32, u32, u64)> = Vec::new();
+        // The scratch leaves the state for the call, so the handlers
+        // below can hold the store and the lanes side by side.
+        let mut wave = ws.wave.take().unwrap_or_default();
+        MERGE.with_borrow_mut(|merge| receive(shared, ws, &mut wave, merge, node, inbox, ctx));
+        ws.wave = Some(wave);
+    }
+}
 
-        for env in inbox {
-            let lane_idx = u32::from(env.msg.lane);
-            debug_assert_eq!(
-                env.msg.req, shared.walks[lane_idx as usize].req,
-                "request tag must match the lane's owning request"
-            );
-            let lane = &mut lanes[lane_idx as usize];
-            match env.msg.msg {
-                StitchMsg::Wave { epoch, root, child } => {
-                    if epoch > lane.epoch {
-                        lane.enter(epoch, root);
-                    } else if epoch < lane.epoch {
-                        continue; // stale tail of an old epoch's flood
+/// [`BatchedStitchProtocol`]'s receive handler proper.
+fn receive(
+    shared: &SharedCfg,
+    ws: &mut NodeWalkState,
+    wave: &mut WaveScratch,
+    merge: &mut Merge,
+    node: NodeId,
+    inbox: &[Envelope<BatchMsg>],
+    ctx: &mut NodeCtx<'_, BatchMsg>,
+) {
+    let WaveScratch { lanes, tally, .. } = wave;
+    let Merge {
+        adopt,
+        ready,
+        acks,
+        gmw_in,
+    } = merge;
+    adopt.clear();
+    ready.clear();
+    acks.clear();
+    gmw_in.clear();
+    let degree = ctx.graph().degree(node);
+    let k = shared.walks.len();
+    for env in inbox {
+        let lane_idx = u32::from(env.msg.lane);
+        debug_assert_eq!(
+            env.msg.req, shared.walks[lane_idx as usize].req,
+            "request tag must match the lane's owning request"
+        );
+        if let StitchMsg::Tail { left } = env.msg.msg {
+            let spec = shared.walks[lane_idx as usize];
+            if spec.record {
+                // The receiver is the `len - left`-th node of
+                // its walk; `pos_offset` lifts that to the
+                // global position within a session-extended
+                // walk. The tail start itself is never recorded
+                // (it is the endpoint of the last replayed
+                // segment, or the caller's hand-off position).
+                ws.record_visit(spec.pos_offset + spec.len - left, Some(env.from));
+            }
+            if left == 0 {
+                tally.finished.push(lane_idx);
+            } else {
+                ctx.send_random_neighbor(shared.mux(lane_idx, StitchMsg::Tail { left: left - 1 }));
+            }
+            continue;
+        }
+        let lane = lane_of(lanes, k, lane_idx);
+        match env.msg.msg {
+            StitchMsg::Tail { .. } => unreachable!("handled above"),
+            StitchMsg::Wave { epoch, root, child } => {
+                if epoch > lane.epoch {
+                    lane.enter(epoch, root);
+                } else if epoch < lane.epoch {
+                    continue; // stale tail of an old epoch's flood
+                }
+                lane.slot.statuses += 1;
+                if child {
+                    lane.slot.children.push(env.from);
+                }
+                if !lane.slot.joined {
+                    match adopt.iter_mut().find(|a| a.0 == lane_idx && a.1 == epoch) {
+                        Some(a) => a.3 = a.3.min(env.from),
+                        None => adopt.push((lane_idx, epoch, root, env.from)),
                     }
-                    lane.slot.statuses += 1;
-                    if child {
-                        lane.slot.children.push(env.from);
-                    }
-                    if !lane.slot.joined {
-                        match adopt.iter_mut().find(|a| a.0 == lane_idx && a.1 == epoch) {
-                            Some(a) => a.3 = a.3.min(env.from),
-                            None => adopt.push((lane_idx, epoch, root, env.from)),
+                }
+                ready.push(lane_idx);
+            }
+            StitchMsg::Agg { owner, count } => {
+                // Aggregates never straddle epochs: a root finalizes
+                // only after every aggregate reached it (mod docs).
+                lane.slot.absorb(owner, count, ctx.rng());
+                ready.push(lane_idx);
+            }
+            StitchMsg::Chosen {
+                epoch,
+                owner,
+                completed,
+            } => {
+                if epoch != lane.epoch {
+                    continue; // flood tail behind the walk's progress
+                }
+                if owner as usize == node {
+                    let root = lane.root as usize;
+                    match ws.take_uniform_from(root, ctx.rng()) {
+                        Some(walk) => advance_walk(
+                            shared, lane, ws, tally, node, lane_idx, walk, completed, ctx,
+                        ),
+                        None => {
+                            // A rival consumed the pool since the
+                            // snapshot; ask the root to resample.
+                            let p = lane.slot.parent.expect("chosen owner is not the root");
+                            ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch }));
                         }
                     }
-                    touched.push(lane_idx);
-                }
-                StitchMsg::Agg { owner, count } => {
-                    // Aggregates never straddle epochs: a root finalizes
-                    // only after every aggregate reached it (mod docs).
-                    lane.slot.absorb(owner, count, ctx.rng());
-                    touched.push(lane_idx);
-                }
-                StitchMsg::Chosen {
-                    epoch,
-                    owner,
-                    completed,
-                } => {
-                    if epoch != lane.epoch {
-                        continue; // flood tail behind the walk's progress
-                    }
-                    if owner as usize == node {
-                        let root = lane.root as usize;
-                        match ws.take_uniform_from(root, ctx.rng()) {
-                            Some(walk) => advance_walk(
-                                shared,
-                                lane,
-                                ws,
-                                segments,
-                                finished,
-                                connector_visits,
-                                node,
-                                lane_idx,
-                                walk,
-                                completed,
-                                ctx,
-                            ),
-                            None => {
-                                // A rival consumed the pool since the
-                                // snapshot; ask the root to resample.
-                                let p = lane.slot.parent.expect("chosen owner is not the root");
-                                ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch }));
-                            }
-                        }
-                    } else {
-                        for c in lane.slot.children.clone() {
-                            ctx.send(
-                                c,
-                                shared.mux(
-                                    lane_idx,
-                                    StitchMsg::Chosen {
-                                        epoch,
-                                        owner,
-                                        completed,
-                                    },
-                                ),
-                            );
-                        }
-                    }
-                }
-                StitchMsg::Retry { epoch } => {
-                    if epoch != lane.epoch {
-                        continue;
-                    }
-                    if let Some(completed) = lane.hosted {
-                        // Root: resample with a fresh epoch.
-                        restart_epoch(
-                            lane,
-                            ws,
-                            node,
-                            completed,
-                            false,
-                            connector_visits,
-                            shared.walks[lane_idx as usize].req,
-                            lane_idx,
-                            ctx,
-                        );
-                    } else if let Some(p) = lane.slot.parent {
-                        ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch }));
-                    }
-                }
-                StitchMsg::Gmw { step, count } => {
-                    match gmw_in.iter_mut().find(|g| g.0 == lane_idx && g.1 == step) {
-                        Some(g) => g.2 += count,
-                        None => gmw_in.push((lane_idx, step, count)),
-                    }
-                }
-                StitchMsg::Swk { seq, step, total } => {
-                    if step == total {
-                        ws.store_walk(
-                            WalkId {
-                                source: lane.root,
-                                seq,
-                            },
-                            total,
-                            true,
-                        );
-                        push_ack(&mut acks, lane_idx, 1);
-                    } else {
-                        let (hop, _) = ctx.send_random_neighbor_hop(shared.mux(
-                            lane_idx,
-                            StitchMsg::Swk {
-                                seq,
-                                step: step + 1,
-                                total,
-                            },
-                        ));
-                        ws.log_forward_hop(lane.root, seq, step, hop);
-                    }
-                }
-                StitchMsg::GmwAck { count } => {
-                    push_ack(&mut acks, lane_idx, count);
-                }
-                StitchMsg::Tail { left } => {
-                    let spec = shared.walks[lane_idx as usize];
-                    if spec.record {
-                        // The receiver is the `len - left`-th node of
-                        // its walk; `pos_offset` lifts that to the
-                        // global position within a session-extended
-                        // walk. The tail start itself is never recorded
-                        // (it is the endpoint of the last replayed
-                        // segment, or the caller's hand-off position).
-                        ws.record_visit(spec.pos_offset + spec.len - left, Some(env.from));
-                    }
-                    if left == 0 {
-                        finished.push(lane_idx);
-                    } else {
-                        ctx.send_random_neighbor(
-                            shared.mux(lane_idx, StitchMsg::Tail { left: left - 1 }),
-                        );
-                    }
+                } else {
+                    flood_chosen(shared, lane, lane_idx, owner, completed, ctx);
                 }
             }
-        }
-
-        // Flush the merged GET-MORE-WALKS arrivals: one reservoir split
-        // and one scatter per (lane, step) for the whole round, so a
-        // lane's tokens reaching this node over several edges leave as
-        // one count per outgoing edge again.
-        for (lane_idx, step, arrived) in gmw_in {
-            let lane = &mut lanes[lane_idx as usize];
-            let (stopped, moving) = reservoir_split(
-                ctx.rng(),
-                arrived,
-                step,
-                shared.lambda,
-                shared.randomize_len,
-            );
-            if stopped > 0 {
-                for _ in 0..stopped {
+            StitchMsg::Retry { epoch } => {
+                if epoch != lane.epoch {
+                    continue;
+                }
+                if let Some(completed) = lane.hosted {
+                    // Root: resample with a fresh epoch.
+                    restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx);
+                } else if let Some(p) = lane.slot.parent {
+                    ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch }));
+                }
+            }
+            StitchMsg::Gmw { step, count } => {
+                match gmw_in.iter_mut().find(|g| g.0 == lane_idx && g.1 == step) {
+                    Some(g) => g.2 += count,
+                    None => gmw_in.push((lane_idx, step, count)),
+                }
+            }
+            StitchMsg::Swk { seq, step, total } => {
+                if step == total {
                     ws.store_walk(
                         WalkId {
                             source: lane.root,
-                            seq: AGGREGATED_SEQ,
+                            seq,
                         },
-                        step,
-                        false,
+                        total,
+                        true,
                     );
+                    push_ack(acks, lane_idx, 1);
+                } else {
+                    let (hop, _) = ctx.send_random_neighbor_hop(shared.mux(
+                        lane_idx,
+                        StitchMsg::Swk {
+                            seq,
+                            step: step + 1,
+                            total,
+                        },
+                    ));
+                    ws.log_forward_hop(lane.root, seq, step, hop);
                 }
-                push_ack(&mut acks, lane_idx, stopped);
             }
-            if moving > 0 {
-                let req = shared.walks[lane_idx as usize].req;
-                scatter_gmw(node, req, lane_idx, step + 1, moving, ctx);
+            StitchMsg::GmwAck { count } => {
+                push_ack(acks, lane_idx, count);
             }
         }
+    }
 
-        // Flush the merged acknowledgements: per lane, one root tally
-        // or one upward message for the whole round.
-        for (lane_idx, count) in acks {
-            let lane = &mut lanes[lane_idx as usize];
-            acknowledge_gmw(
-                shared,
-                lane,
-                ws,
-                connector_visits,
-                node,
-                lane_idx,
-                count,
-                ctx,
-            );
-        }
-
-        // Deferred wave adoption: join the tree under the minimum sender
-        // and forward the wave (exactly once per lane and epoch).
-        for (lane_idx, epoch, root, from) in adopt {
-            let lane = &mut lanes[lane_idx as usize];
-            if lane.epoch != epoch || lane.slot.joined {
-                continue; // a newer epoch arrived later in this inbox
+    // Flush the merged GET-MORE-WALKS arrivals: one reservoir split
+    // and one scatter per (lane, step) for the whole round, so a
+    // lane's tokens reaching this node over several edges leave as
+    // one count per outgoing edge again.
+    for &(lane_idx, step, arrived) in gmw_in.iter() {
+        let lane = &mut lanes[lane_idx as usize];
+        let (stopped, moving) = reservoir_split(
+            ctx.rng(),
+            arrived,
+            step,
+            shared.lambda,
+            shared.randomize_len,
+        );
+        if stopped > 0 {
+            for _ in 0..stopped {
+                ws.store_walk(
+                    WalkId {
+                        source: lane.root,
+                        seq: AGGREGATED_SEQ,
+                    },
+                    step,
+                    false,
+                );
             }
-            lane.slot
-                .join(node as u32, from, ws.count_from(root as usize) as u64);
-            let neighbors: Vec<NodeId> = ctx.graph().neighbors(node).collect();
-            for v in neighbors {
+            push_ack(acks, lane_idx, stopped);
+        }
+        if moving > 0 {
+            let req = shared.walks[lane_idx as usize].req;
+            scatter_gmw(node, req, lane_idx, step + 1, moving, ctx);
+        }
+    }
+
+    // Flush the merged acknowledgements: per lane, one root tally
+    // or one upward message for the whole round.
+    for &(lane_idx, count) in acks.iter() {
+        let lane = &mut lanes[lane_idx as usize];
+        acknowledge_gmw(shared, lane, ws, node, lane_idx, count, ctx);
+    }
+
+    // Deferred wave adoption: join the tree under the minimum sender
+    // and forward the wave (exactly once per lane and epoch).
+    for &(lane_idx, epoch, root, from) in adopt.iter() {
+        let lane = &mut lanes[lane_idx as usize];
+        if lane.epoch != epoch || lane.slot.joined {
+            continue; // a newer epoch arrived later in this inbox
+        }
+        lane.slot
+            .join(node as u32, from, ws.count_from(root as usize) as u64);
+        for i in 0..degree {
+            let v = ctx.graph().neighbor_at(node, i);
+            let msg = StitchMsg::Wave {
+                epoch,
+                root,
+                child: v == from,
+            };
+            ctx.send(v, shared.mux(lane_idx, msg));
+        }
+        ready.push(lane_idx);
+    }
+
+    // Lanes whose handshake/aggregation may just have completed.
+    ready.sort_unstable();
+    ready.dedup();
+    for &lane_idx in ready.iter() {
+        let lane = &mut lanes[lane_idx as usize];
+        if !lane.slot.ready_to_aggregate(degree) {
+            continue;
+        }
+        lane.slot.agg_sent = true;
+        match lane.slot.parent {
+            Some(p) => {
                 ctx.send(
-                    v,
+                    p,
                     shared.mux(
                         lane_idx,
-                        StitchMsg::Wave {
-                            epoch,
-                            root,
-                            child: v == from,
+                        StitchMsg::Agg {
+                            owner: lane.slot.cand_owner.unwrap_or(0),
+                            count: lane.slot.count,
                         },
                     ),
                 );
             }
-            touched.push(lane_idx);
+            None => finalize_at_root(shared, lane, ws, tally, node, lane_idx, ctx),
         }
+    }
+}
 
-        // Lanes whose handshake/aggregation may just have completed.
-        touched.sort_unstable();
-        touched.dedup();
-        for lane_idx in touched {
-            let lane = &mut lanes[lane_idx as usize];
-            if !lane.slot.ready_to_aggregate(degree) {
-                continue;
-            }
-            lane.slot.agg_sent = true;
-            match lane.slot.parent {
-                Some(p) => {
-                    ctx.send(
-                        p,
-                        shared.mux(
-                            lane_idx,
-                            StitchMsg::Agg {
-                                owner: lane.slot.cand_owner.unwrap_or(0),
-                                count: lane.slot.count,
-                            },
-                        ),
-                    );
-                }
-                None => finalize_at_root(
-                    shared,
-                    lane,
-                    ws,
-                    segments,
-                    finished,
-                    connector_visits,
-                    gmw_events,
-                    node,
-                    lane_idx,
-                    ctx,
-                ),
-            }
-        }
+/// Floods the root's choice one level down the epoch's tree.
+fn flood_chosen(
+    shared: &SharedCfg,
+    lane: &LaneState,
+    lane_idx: u32,
+    owner: u32,
+    completed: u64,
+    ctx: &mut NodeCtx<'_, BatchMsg>,
+) {
+    for &c in &lane.slot.children {
+        let chosen = StitchMsg::Chosen {
+            epoch: lane.epoch,
+            owner,
+            completed,
+        };
+        ctx.send(c, shared.mux(lane_idx, chosen));
     }
 }
 
 /// Root-side epilogue of a sampling epoch: launch `GET-MORE-WALKS` when
 /// the pool is dry, resolve locally when the root itself owns the
 /// sampled token, or flood the choice down the tree.
-#[allow(clippy::too_many_arguments)]
 fn finalize_at_root(
     shared: &SharedCfg,
     lane: &mut LaneState,
     ws: &mut NodeWalkState,
-    segments: &mut Vec<(u32, Segment)>,
-    finished: &mut Vec<u32>,
-    connector_visits: &mut u32,
-    gmw_events: &mut [u64],
+    tally: &mut Tally,
     node: NodeId,
     lane_idx: u32,
     ctx: &mut NodeCtx<'_, BatchMsg>,
@@ -783,7 +784,7 @@ fn finalize_at_root(
     let completed = lane.hosted.expect("the epoch root hosts the walk token");
     if lane.slot.count == 0 {
         // Drained connector: GET-MORE-WALKS (Algorithm 1, lines 7-10).
-        gmw_events[lane_idx as usize] += 1;
+        lane.gmw_events += 1;
         lane.gmw_active = true;
         lane.gmw_acked = 0;
         if shared.aggregated_gmw {
@@ -817,61 +818,24 @@ fn finalize_at_root(
     if owner as usize == node {
         match ws.take_uniform_from(node, ctx.rng()) {
             Some(walk) => advance_walk(
-                shared,
-                lane,
-                ws,
-                segments,
-                finished,
-                connector_visits,
-                node,
-                lane_idx,
-                walk,
-                completed,
-                ctx,
+                shared, lane, ws, tally, node, lane_idx, walk, completed, ctx,
             ),
-            None => {
-                // A rival drained the local pool since the snapshot:
-                // resample immediately with a fresh epoch.
-                restart_epoch(
-                    lane,
-                    ws,
-                    node,
-                    completed,
-                    false,
-                    connector_visits,
-                    shared.walks[lane_idx as usize].req,
-                    lane_idx,
-                    ctx,
-                );
-            }
+            // A rival drained the local pool since the snapshot:
+            // resample immediately with a fresh epoch.
+            None => restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx),
         }
     } else {
-        let epoch = lane.epoch;
-        for c in lane.slot.children.clone() {
-            ctx.send(
-                c,
-                shared.mux(
-                    lane_idx,
-                    StitchMsg::Chosen {
-                        epoch,
-                        owner,
-                        completed,
-                    },
-                ),
-            );
-        }
+        flood_chosen(shared, lane, lane_idx, owner, completed, ctx);
     }
 }
 
 /// Accounts `count` finished `GET-MORE-WALKS` tokens: at the waiting
 /// root the tally advances (resampling once complete); elsewhere the
 /// acknowledgement is forwarded up the epoch's tree.
-#[allow(clippy::too_many_arguments)]
 fn acknowledge_gmw(
     shared: &SharedCfg,
     lane: &mut LaneState,
     ws: &NodeWalkState,
-    connector_visits: &mut u32,
     node: NodeId,
     lane_idx: u32,
     count: u64,
@@ -881,17 +845,7 @@ fn acknowledge_gmw(
         lane.gmw_acked += count;
         if lane.gmw_acked >= shared.gmw_count {
             let completed = lane.hosted.expect("checked");
-            restart_epoch(
-                lane,
-                ws,
-                node,
-                completed,
-                false,
-                connector_visits,
-                shared.walks[lane_idx as usize].req,
-                lane_idx,
-                ctx,
-            );
+            restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx);
         }
     } else if let Some(p) = lane.slot.parent {
         ctx.send(p, shared.mux(lane_idx, StitchMsg::GmwAck { count }));
@@ -927,8 +881,9 @@ pub struct BatchedStitchOutcome {
     pub gmw_invocations: u64,
     /// `GET-MORE-WALKS` invocations per walk, in spec order.
     pub gmw_by_walk: Vec<u64>,
-    /// How many times each node served as a connector.
-    pub connector_visits: Vec<u32>,
+    /// How many times each node served as a connector: `(node, count)`
+    /// for the nodes that did, ascending by node.
+    pub connector_visits: Vec<(NodeId, u32)>,
     /// Walk re-issues performed by the self-healing pass: on an
     /// unhealed (fail-silent) network, walks whose token was lost are
     /// relaunched from their last stitched checkpoint once the run goes
@@ -1016,6 +971,12 @@ pub struct StitchScheduler {
 /// (e.g. dropping essentially every message).
 pub const MAX_REISSUE_PASSES: usize = 16;
 
+/// The most walks one multiplexed run can host: the [`Mux2`] lane tag is
+/// 16 bits wide. Requests are held to it where they enter
+/// ([`WalkError::TooManyLanes`]); [`StitchScheduler::add_spec`] asserts
+/// it.
+pub const MAX_WAVE_LANES: usize = u16::MAX as usize;
+
 impl StitchScheduler {
     /// Creates an empty scheduler for the given stitching parameters.
     ///
@@ -1054,12 +1015,9 @@ impl StitchScheduler {
     /// `pos_offset + local position`.
     pub fn add_walk_at(&mut self, source: NodeId, len: u64, pos_offset: u64) -> &mut Self {
         self.add_spec(StitchSpec {
-            source,
-            len,
             pos_offset,
-            req: 0,
             record: self.setup.record,
-            naive: false,
+            ..StitchSpec::plain(source, len)
         })
     }
 
@@ -1081,16 +1039,11 @@ impl StitchScheduler {
             "recorded specs require per-token (replayable) GET-MORE-WALKS"
         );
         assert!(
-            self.specs.len() < usize::from(u16::MAX),
+            self.specs.len() < MAX_WAVE_LANES,
             "a multiplexed run is limited to 2^16 walk lanes"
         );
         self.specs.push(spec);
         self
-    }
-
-    /// Number of queued walks.
-    pub fn walk_count(&self) -> usize {
-        self.specs.len()
     }
 
     /// Runs Phase 2 for every queued walk in one multiplexed engine run
@@ -1116,7 +1069,8 @@ impl StitchScheduler {
     ///
     /// # Errors
     ///
-    /// Propagates engine errors; `state` is restored either way.
+    /// Propagates engine errors; either way no node of `state` is left
+    /// holding wave scratch.
     ///
     /// # Panics
     ///
@@ -1149,7 +1103,7 @@ impl StitchScheduler {
         // Accumulators in original walk coordinates, folded over passes.
         let mut destinations: Vec<Option<NodeId>> = vec![None; total];
         let mut segments: Vec<Vec<Segment>> = vec![Vec::new(); total];
-        let mut connector_visits = vec![0u32; n];
+        let mut connector_visits = std::collections::BTreeMap::new();
         let mut gmw_by_walk = vec![0u64; total];
         let mut report = RunReport::default();
         let mut reissues = 0u64;
@@ -1166,21 +1120,30 @@ impl StitchScheduler {
                 gmw_count: setup.gmw_count.max(1),
                 walks: pending.iter().map(|&(_, s, _)| s).collect(),
             };
-            let stores: Vec<NodeWalkState> = state.nodes.iter_mut().map(std::mem::take).collect();
-            let mut protocol = BatchedStitchProtocol::new(shared, stores);
+            let mut protocol = BatchedStitchProtocol {
+                shared,
+                nodes: &mut state.nodes,
+                touched: Vec::new(),
+                done: 0,
+            };
             let result = runner.run_local(&mut protocol);
 
-            // Always hand the per-node stores back, even on engine
-            // errors; merge this pass's results into original walk
-            // coordinates (segment positions shift by the banked steps).
+            // Collect — and drop — the scratch of exactly the nodes the
+            // pass touched, engine error or not; merge this pass's
+            // results into original walk coordinates (segment positions
+            // shift by the banked steps).
             let mut finished_here: Vec<bool> = vec![false; pending.len()];
-            for (v, node) in protocol.nodes.iter_mut().enumerate() {
-                state.nodes[v] = std::mem::take(&mut node.ws);
-                connector_visits[v] += node.connector_visits;
-                for (j, &e) in node.gmw_events.iter().enumerate() {
-                    gmw_by_walk[pending[j].0] += e;
+            let mut landed = 0;
+            for v in protocol.touched {
+                let wave = protocol.nodes[v].wave.take();
+                let wave = wave.expect("listed nodes hold scratch");
+                if wave.tally.connector_visits > 0 {
+                    *connector_visits.entry(v).or_insert(0) += wave.tally.connector_visits;
                 }
-                for &j in &node.finished {
+                for (j, lane) in wave.lanes.iter().enumerate() {
+                    gmw_by_walk[pending[j].0] += lane.gmw_events;
+                }
+                for &j in &wave.tally.finished {
                     let (w, _, _) = pending[j as usize];
                     assert!(!finished_here[j as usize], "walk {w} finished twice");
                     finished_here[j as usize] = true;
@@ -1188,13 +1151,15 @@ impl StitchScheduler {
                         destinations[w].replace(v).is_none(),
                         "walk {w} finished twice"
                     );
+                    landed += 1;
                 }
-                for (j, mut seg) in node.segments.drain(..) {
+                for (j, mut seg) in wave.tally.segments {
                     let (w, _, banked) = pending[j as usize];
                     seg.start_pos += banked;
                     segments[w].push(seg);
                 }
             }
+            assert_eq!(protocol.done, landed, "completion count out of step");
             merge_report(&mut report, result?);
 
             let unfinished: Vec<(usize, StitchSpec, u64)> = pending
@@ -1280,7 +1245,7 @@ impl StitchScheduler {
             stitches,
             gmw_invocations: gmw_by_walk.iter().sum(),
             gmw_by_walk,
-            connector_visits,
+            connector_visits: connector_visits.into_iter().collect(),
             reissues,
             report,
         })
@@ -1395,6 +1360,38 @@ mod tests {
     }
 
     #[test]
+    fn wave_scratch_is_gone_after_a_run_and_after_an_engine_error() {
+        let g = generators::torus2d(4, 4);
+        let mut state = WalkState::new(g.n());
+        let mut runner = Runner::new(&g, EngineConfig::default(), 5);
+        phase1(&mut runner, &mut state, 4, 8);
+        let queue = |sched: &mut StitchScheduler| {
+            sched.add_walk(0, 200).add_walk(9, 5).add_walk(3, 0);
+        };
+
+        let mut sched = StitchScheduler::new(&setup(8, true));
+        queue(&mut sched);
+        let out = sched.run(&mut runner, &mut state).expect("loss-free run");
+        assert!(!out.connector_visits.is_empty());
+        assert!(out.connector_visits.windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(state.nodes.iter().all(|ns| ns.wave.is_none()));
+
+        // The same walks under a round cap they cannot meet: the engine
+        // error comes back, and so does every node's scratch.
+        let capped = EngineConfig {
+            max_rounds: 12,
+            ..EngineConfig::default()
+        };
+        let mut runner = Runner::new(&g, capped, 5);
+        let mut sched = StitchScheduler::new(&setup(8, true));
+        queue(&mut sched);
+        let err = sched.run(&mut runner, &mut state).expect_err("capped");
+        let cap = drw_congest::RunError::MaxRoundsExceeded(12);
+        assert_eq!(err, WalkError::Engine(cap));
+        assert!(state.nodes.iter().all(|ns| ns.wave.is_none()));
+    }
+
+    #[test]
     fn zero_and_tail_only_walks() {
         let g = generators::path(6);
         let mut runner = Runner::new(&g, EngineConfig::default(), 9);
@@ -1450,29 +1447,17 @@ mod tests {
         su.record = false;
         let mut sched = StitchScheduler::new(&su);
         sched
+            .add_spec(StitchSpec::plain(0, 200))
             .add_spec(StitchSpec {
-                source: 0,
-                len: 200,
-                pos_offset: 0,
-                req: 0,
-                record: false,
-                naive: false,
-            })
-            .add_spec(StitchSpec {
-                source: 5,
-                len: 150,
                 pos_offset: 40,
                 req: 1,
                 record: true,
-                naive: false,
+                ..StitchSpec::plain(5, 150)
             })
             .add_spec(StitchSpec {
-                source: 10,
-                len: 64,
-                pos_offset: 0,
                 req: 2,
-                record: false,
                 naive: true,
+                ..StitchSpec::plain(10, 64)
             });
         let out = sched.run(&mut runner, &mut state).expect("mixed batch");
         assert_eq!(out.walks.len(), 3);
@@ -1503,12 +1488,8 @@ mod tests {
     fn recorded_spec_rejects_aggregated_gmw() {
         let mut sched = StitchScheduler::new(&setup(8, true));
         sched.add_spec(StitchSpec {
-            source: 0,
-            len: 100,
-            pos_offset: 0,
-            req: 0,
             record: true,
-            naive: false,
+            ..StitchSpec::plain(0, 100)
         });
     }
 
@@ -1608,12 +1589,8 @@ mod tests {
             let mut state = WalkState::new(g.n());
             let mut sched = StitchScheduler::new(&setup(8, true));
             sched.add_spec(StitchSpec {
-                source: 1,
-                len: 16,
-                pos_offset: 0,
-                req: 0,
-                record: false,
                 naive: true,
+                ..StitchSpec::plain(1, 16)
             });
             let out = sched.run(&mut runner, &mut state).expect("naive lossy");
             assert!(out.walks[0].segments.is_empty());

@@ -13,6 +13,8 @@
 //! keep reproducing too.
 
 use distributed_random_walks::prelude::*;
+use drw_congest::{FaultPlan, Runner};
+use drw_core::{ShortWalksProtocol, StitchScheduler, StitchSetup, StitchSpec, WalkState};
 
 /// A stable digest of a byte slice (FNV-1a, 64-bit): enough to pin a
 /// spanning tree's exact edge set without listing 35 edges inline.
@@ -319,5 +321,93 @@ fn print_one_shot_golden_values() {
         mix_tuple(&one_shot_mixing(&drw_graph::generators::complete(32), 5)),
         walks,
         total,
+    );
+}
+
+/// `(destinations, rounds, reissues, digest of segments + gmw_by_walk +
+/// tail visits + connector visits)` of one mixed multiplexed wave.
+type WaveGolden = (Vec<usize>, u64, u64, u64);
+
+/// One `StitchScheduler` run of six lanes over a `side x side` torus
+/// store: two plain stitched walks sharing a connector, a third of
+/// another request, a pure tail (`len < 2 * lambda`), a forced-naive
+/// walk and — with `record` — a recorded extension at an offset.
+/// Returns the golden tuple and whether any round really sharded.
+fn mixed_wave(side: usize, cfg: EngineConfig, record: bool) -> (WaveGolden, bool) {
+    let g = drw_graph::generators::torus2d(side, side);
+    let n = g.n();
+    let mut runner = Runner::new(&g, cfg, 31);
+    let mut state = WalkState::new(n);
+    let mut p1 = ShortWalksProtocol::new(&mut state, vec![2; n], 8, true);
+    runner.run_local(&mut p1).expect("phase 1");
+    let mut sched = StitchScheduler::new(&StitchSetup {
+        lambda: 8,
+        randomize_len: true,
+        aggregated_gmw: false,
+        gmw_count: 8,
+        record: false,
+    });
+    let spec = |req: u16, source: usize, len: u64| StitchSpec {
+        source: source % n,
+        len,
+        pos_offset: 0,
+        req,
+        record: false,
+        naive: false,
+    };
+    sched
+        .add_spec(spec(0, 0, 200))
+        .add_spec(spec(0, 0, 160))
+        .add_spec(spec(1, 77, 120))
+        .add_spec(spec(2, 5, 9))
+        .add_spec(StitchSpec {
+            naive: true,
+            ..spec(3, 130, 64)
+        })
+        .add_spec(StitchSpec {
+            record,
+            pos_offset: 40,
+            ..spec(4, 200, 150)
+        });
+    let out = sched.run(&mut runner, &mut state).expect("mixed wave");
+    let visits = state.drain_visits();
+    let segments: Vec<_> = out.walks.iter().map(|w| w.segments.clone()).collect();
+    let sharded = out
+        .report
+        .balance
+        .as_ref()
+        .is_some_and(|b| b.rounds_measured > 0);
+    (
+        (
+            out.walks.iter().map(|w| w.destination).collect(),
+            out.report.rounds,
+            out.reissues,
+            debug_digest(&(segments, &out.gmw_by_walk, visits, &out.connector_visits)),
+        ),
+        sharded,
+    )
+}
+
+#[test]
+fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
+    // Golden values captured at the parent commit of ISSUE 20, where
+    // every node held a dense lane table for every wave and the protocol
+    // owned the stores (seed 31; the connector visits digested there as
+    // the non-zero `(node, count)` pairs of the dense vector).
+    let golden: WaveGolden = (vec![134, 1015, 42, 8, 194, 99], 1125, 0, 0x2ae12815663ba480);
+    let (seq, _) = mixed_wave(32, EngineConfig::default(), true);
+    assert_eq!(seq, golden, "sequential mixed wave drifted");
+    let (par, sharded) = mixed_wave(32, EngineConfig::default().with_workers(2), true);
+    assert!(sharded, "the 32x32 wave must really fan out into shards");
+    assert_eq!(par, golden, "sharded mixed wave drifted");
+
+    // The lossy re-issue path: fail-silent 0.1 % drops on a 4x4 torus
+    // (a recorded walk cannot be re-issued, so that lane runs plain).
+    let lossy = EngineConfig::default().with_faults(FaultPlan::drops(3, 1).lossy());
+    let (reissued, _) = mixed_wave(4, lossy, false);
+    assert_eq!(
+        reissued,
+        (vec![5, 8, 15, 14, 10, 10], 598, 8, 0xf110809323345956),
+        "lossy re-issued mixed wave drifted"
     );
 }

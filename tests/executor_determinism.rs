@@ -5,7 +5,11 @@
 //! the same graph and seed, across graph families.
 
 use distributed_random_walks::prelude::*;
-use drw_congest::ExecutorKind;
+use drw_congest::primitives::BfsTreeProtocol;
+use drw_congest::{
+    derive_seed, run_node_local, Ctx, Envelope, ExecutorKind, Message, NodeCtx, NodeLocalProtocol,
+    Runner,
+};
 use drw_core::WalkState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -239,5 +243,108 @@ fn spanning_trees_are_identical_across_backends() {
         let par = distributed_rst(&g, 0, &alt_cfg, 31).expect("alternate-backend RST");
         assert_eq!(seq.edges, par.edges, "{}: tree edges", alt.name());
         assert_eq!(seq.rounds, par.rounds, "{}: rounds", alt.name());
+    }
+}
+
+// ---- A runner's kept engine scratch (ISSUE 20) ----
+
+/// Every node answers each token with a fresh random one to a random
+/// neighbor, forever: the run ends on `is_done` with mail in flight,
+/// or — `trap` — by a handler panic with mail in inboxes.
+#[derive(Clone, Debug)]
+struct Tok(u64);
+impl Message for Tok {}
+
+struct Churn {
+    stop_after: u64,
+    rounds: u64,
+    trap: bool,
+    folded: Vec<u64>,
+}
+
+impl NodeLocalProtocol for Churn {
+    type Msg = Tok;
+    type Shared = bool;
+    type NodeState = u64;
+
+    fn start(&mut self, ctx: &mut Ctx<'_, Tok>) {
+        for v in 0..ctx.graph().n() {
+            let x = rand::Rng::random(ctx.rng(v));
+            ctx.send_random_neighbor(v, Tok(x));
+        }
+    }
+
+    fn after_receive(&mut self, _active: &[usize]) {
+        self.rounds += 1;
+    }
+
+    fn is_done(&self) -> bool {
+        self.rounds == self.stop_after
+    }
+
+    fn parts(&mut self) -> (&bool, &mut [u64]) {
+        (&self.trap, &mut self.folded)
+    }
+
+    fn on_receive_local(
+        trap: &bool,
+        folded: &mut u64,
+        node: usize,
+        inbox: &[Envelope<Tok>],
+        ctx: &mut NodeCtx<'_, Tok>,
+    ) {
+        assert!(!(*trap && ctx.round() == 3 && node >= 8), "trap sprung");
+        for env in inbox {
+            *folded = folded.rotate_left(7) ^ env.msg.0;
+            let x = rand::Rng::random(ctx.rng());
+            ctx.send_random_neighbor(Tok(x));
+        }
+    }
+}
+
+#[test]
+fn kept_scratch_is_invisible_across_runs_types_early_exits_and_rebind() {
+    use drw_graph::{Topology, TopologyDelta};
+    let churn = |n: usize, trap: bool| Churn {
+        stop_after: 6,
+        rounds: 0,
+        trap,
+        folded: vec![0; n],
+    };
+    for cfg in [
+        EngineConfig::default(),
+        EngineConfig::default().with_workers(2),
+    ] {
+        let topo = Topology::new(generators::torus2d(4, 4));
+        let mut runner = Runner::on(topo.snapshot(), cfg.clone(), 5);
+        // Each step: what the long-lived runner computes must equal
+        // a run on fresh buffers under the same derived seed.
+        let check = |runner: &mut Runner| {
+            let seed = derive_seed(5, runner.runs() + 1); // one trapped run below
+            let (mut kept, mut fresh) = (churn(runner.graph().n(), false), None);
+            let report = runner.run_local(&mut kept).unwrap();
+            let g = runner.graph_arc();
+            let again = fresh.insert(churn(g.n(), false));
+            assert_eq!(run_node_local(&g, &cfg, seed, again).unwrap(), report);
+            assert_eq!(again.folded, kept.folded);
+            assert_eq!(report.rounds, 6, "ended on is_done, mail in flight");
+        };
+        // A handler panic leaves mail in inboxes and in the queue.
+        let mut trapped = churn(16, true);
+        let run = std::panic::AssertUnwindSafe(|| runner.run_local(&mut trapped));
+        assert!(std::panic::catch_unwind(run).is_err());
+        check(&mut runner);
+        // Another message type in between, then the first one again.
+        runner.run(&mut BfsTreeProtocol::new(3)).unwrap();
+        check(&mut runner);
+        // Grow, then shrink back: inboxes and RNG pool follow `n`.
+        let delta = TopologyDelta::new().add_node().add_edge(16, 2);
+        let _ = topo.apply(&delta).unwrap();
+        runner.rebind(topo.snapshot());
+        check(&mut runner);
+        let delta = TopologyDelta::new().remove_edge(16, 2).remove_node(16);
+        let _ = topo.apply(&delta).unwrap();
+        runner.rebind(topo.snapshot());
+        check(&mut runner);
     }
 }

@@ -92,3 +92,39 @@ fn exhausted_phase_budget_is_not_covered_on_every_path() {
         assert_eq!(serve_next_to_a_walk(&g, bad()), expected, "{mode:?}");
     }
 }
+
+#[test]
+fn oversized_cohort_is_rejected_typed_on_the_shared_paths() {
+    // One wave tags its walks with a 16-bit lane: 65536 of them used to
+    // trip an `assert!` in the stitch scheduler and take every tenant
+    // down with it. (One-shot, this short cohort is Theorem 2.8's
+    // `k + l` regime: plain tokens, no lanes, and it is served.)
+    let g = generators::torus2d(4, 4);
+    let bad = || Request::many_walks(vec![0; 65_536], 8);
+    let expected = DrwError::Walk(WalkError::TooManyLanes(65_536));
+
+    let mut net = Network::builder(&g).seed(1).build();
+    assert_eq!(
+        net.run_batch(vec![Request::walk(0, 8), bad()]).unwrap_err(),
+        expected
+    );
+    assert_eq!(serve_next_to_a_walk(&g, bad()), expected);
+
+    // Two cohorts that fit one by one but not together take turns: the
+    // second waits for a later wave instead of overflowing the first.
+    let cohort = |shift: usize| -> Vec<usize> { (0..33_000).map(|i| (i + shift) % 16).collect() };
+    let rs = net
+        .run_batch(vec![
+            Request::many_walks(cohort(0), 2),
+            Request::many_walks(cohort(1), 2),
+        ])
+        .expect("each cohort fits a wave of its own");
+    let parity = |v: usize| (v / 4 + v % 4) % 2;
+    for (r, shift) in rs.into_iter().zip([0, 1]) {
+        let many = r.into_many_walks();
+        assert_eq!(many.destinations.len(), 33_000);
+        for (source, &dest) in cohort(shift).into_iter().zip(&many.destinations) {
+            assert_eq!(parity(source), parity(dest), "two steps keep parity");
+        }
+    }
+}
