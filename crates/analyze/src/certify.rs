@@ -29,11 +29,9 @@ use drw_congest::primitives::{
 use drw_congest::{
     run_node_local, run_protocol, Ctx, EngineConfig, Envelope, Mux, Runner, WireCensus,
 };
-use drw_core::get_more_walks::GetMoreWalksProtocol;
 use drw_core::metropolis::MetropolisWalkProtocol;
 use drw_core::naive::{NaiveWalkProtocol, NaiveWalkSpec};
 use drw_core::regenerate::{ReplayProtocol, ReplaySegment};
-use drw_core::sample_destination::SampleDestinationProtocol;
 use drw_core::{ShortWalksProtocol, StitchScheduler, StitchSetup, WalkState};
 use drw_graph::{generators, NodeId};
 use drw_lowerbound::path_verification::PathVerificationProtocol;
@@ -241,29 +239,13 @@ pub fn run_census() -> Result<WireCensus, String> {
             .wire,
     );
 
-    // Walk protocols on a shared store: ShortWalkMsg, SdMsg, GmwMsg,
-    // NaiveMsg, ReplayMsg, MhMsg.
+    // Walk protocols on a shared store: ShortWalkMsg, NaiveMsg,
+    // ReplayMsg, MhMsg.
     let mut state = WalkState::new(n);
     {
         let mut p = ShortWalksProtocol::new(&mut state, vec![2; n], 6, true);
         census.merge(
             &run_node_local(&g, &cfg, SEED + 5, &mut p)
-                .map_err(|e| err(&e))?
-                .wire,
-        );
-    }
-    {
-        let mut p = SampleDestinationProtocol::new(&mut state, 0);
-        census.merge(
-            &run_protocol(&g, &cfg, SEED + 6, &mut p)
-                .map_err(|e| err(&e))?
-                .wire,
-        );
-    }
-    {
-        let mut p = GetMoreWalksProtocol::new(&mut state, 0, 8, 6, false);
-        census.merge(
-            &run_protocol(&g, &cfg, SEED + 7, &mut p)
                 .map_err(|e| err(&e))?
                 .wire,
         );
@@ -487,8 +469,6 @@ mod tests {
             "UpcastMsg",
             "VecSumMsg",
             "ShortWalkMsg",
-            "SdMsg",
-            "GmwMsg",
             "NaiveMsg",
             "ReplayMsg",
             "MhMsg",

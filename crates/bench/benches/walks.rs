@@ -4,8 +4,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use drw_bench::{bench_regular, bench_torus};
 use drw_congest::ExecutorKind;
 use drw_core::{
-    many_random_walks, many_random_walks_with, naive_walk, podc09::podc09_walk, single_random_walk,
-    Podc09Params, SingleWalkConfig, StitchStrategy,
+    many_random_walks, naive_walk, podc09::podc09_walk, single_random_walk, Podc09Params,
+    SingleWalkConfig,
 };
 use drw_graph::generators;
 use std::hint::black_box;
@@ -65,11 +65,10 @@ fn bench_many_walks(c: &mut Criterion) {
     group.finish();
 }
 
-/// E3b: the batched Phase-2 scheduler vs the per-walk sequential loop
-/// over the identical stitched regime (scaled-down lambda so stitching
-/// dominates). Rounds are asserted in `tests/batched_stitching.rs`;
-/// this tracks the simulator's wall-clock for both drivers.
-fn bench_batched_vs_sequential_stitching(c: &mut Criterion) {
+/// E3b: one `k`-walk wave in the stitched regime (scaled-down lambda so
+/// stitching dominates). Rounds are asserted in
+/// `tests/batched_stitching.rs`; this tracks the simulator's wall-clock.
+fn bench_batched_stitching(c: &mut Criterion) {
     let g = bench_torus();
     let cfg = SingleWalkConfig {
         params: drw_core::WalkParams {
@@ -82,21 +81,13 @@ fn bench_batched_vs_sequential_stitching(c: &mut Criterion) {
     group.sample_size(10);
     for k in [8usize, 16] {
         let sources: Vec<usize> = (0..k).map(|i| (i * 37) % g.n()).collect();
-        for (name, strategy) in [
-            ("batched", StitchStrategy::Batched),
-            ("seq-loop", StitchStrategy::SequentialLoop),
-        ] {
-            group.bench_with_input(BenchmarkId::new(name, k), &strategy, |b, &strategy| {
-                let mut seed = 0;
-                b.iter(|| {
-                    seed += 1;
-                    black_box(
-                        many_random_walks_with(&g, &sources, 1024, &cfg, seed, strategy)
-                            .expect("walks"),
-                    )
-                });
+        group.bench_with_input(BenchmarkId::new("batched", k), &k, |b, _| {
+            let mut seed = 0;
+            b.iter(|| {
+                seed += 1;
+                black_box(many_random_walks(&g, &sources, 1024, &cfg, seed).expect("walks"))
             });
-        }
+        });
     }
     group.finish();
 }
@@ -151,7 +142,7 @@ criterion_group!(
     benches,
     bench_single_walk_algorithms,
     bench_many_walks,
-    bench_batched_vs_sequential_stitching,
+    bench_batched_stitching,
     bench_walk_with_regeneration,
     bench_executor_backends
 );

@@ -15,102 +15,20 @@
 //! The price of aggregation is that individual trajectories are erased,
 //! so these walks cannot be replayed for walk regeneration. Callers that
 //! need replayability (e.g. random spanning trees) use the *per-token*
-//! variant instead — [`crate::short_walks::ShortWalksProtocol`] with all
-//! walks launched from `v` — trading congestion for traceability. The
-//! ablation experiment A1/E1 quantifies that trade.
+//! variant instead, trading congestion for traceability. The ablation
+//! experiment A1/E1 quantifies that trade.
+//!
+//! Both variants run as arms of the one Phase-2 protocol
+//! ([`crate::StitchScheduler`]), launched by the lane whose sampling
+//! epoch found its connector drained. This module holds the two local
+//! sampling rules of the aggregated arm: the one-hop scatter and the
+//! on-the-fly length rule.
 
-use crate::state::{WalkId, WalkState};
-use drw_congest::{Ctx, Envelope, Message, Protocol};
-use drw_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Sequence-number sentinel for aggregated (non-replayable) walks.
 pub const AGGREGATED_SEQ: u32 = u32::MAX;
-
-/// An aggregated batch of walk tokens crossing an edge.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GmwMsg {
-    /// Number of tokens in the batch (the source id is global knowledge
-    /// within one invocation, as in the paper: "there is only one source
-    /// ID as one node calls GET-MORE-WALKS at a time").
-    pub count: u64,
-}
-
-impl Message for GmwMsg {
-    fn size_words(&self) -> usize {
-        2 // source id + count, as in the paper
-    }
-
-    fn census(&self, census: &mut drw_congest::WireCensus) {
-        let _ = census
-            .record("GmwMsg", self.size_words())
-            .field("count", self.count);
-    }
-}
-
-/// The aggregated `GET-MORE-WALKS` protocol.
-#[derive(Debug)]
-pub struct GetMoreWalksProtocol<'s> {
-    state: &'s mut WalkState,
-    source: NodeId,
-    count: u64,
-    lambda: u32,
-    randomize_len: bool,
-}
-
-impl<'s> GetMoreWalksProtocol<'s> {
-    /// Creates `count` new walks from `source`, of length `lambda` (or
-    /// uniform in `[lambda, 2*lambda - 1]` if `randomize_len`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lambda == 0`.
-    pub fn new(
-        state: &'s mut WalkState,
-        source: NodeId,
-        count: u64,
-        lambda: u32,
-        randomize_len: bool,
-    ) -> Self {
-        assert!(lambda >= 1, "lambda must be at least 1");
-        GetMoreWalksProtocol {
-            state,
-            source,
-            count,
-            lambda,
-            randomize_len,
-        }
-    }
-
-    /// Stores `stopped` finished walks of length `len` at `node`.
-    fn store_stopped(&mut self, node: NodeId, len: u32, stopped: u64) {
-        for _ in 0..stopped {
-            self.state.store_walk(
-                node,
-                WalkId {
-                    source: self.source as u32,
-                    seq: AGGREGATED_SEQ,
-                },
-                len,
-                false,
-            );
-        }
-    }
-
-    /// Scatters `count` tokens from `node` to uniformly random neighbors,
-    /// sending one count per receiving edge.
-    fn scatter(&self, node: NodeId, count: u64, ctx: &mut Ctx<'_, GmwMsg>) {
-        let deg = ctx.graph().degree(node);
-        let per_neighbor = scatter_counts(ctx.rng(node), deg, count);
-        for (idx, &c) in per_neighbor.iter().enumerate() {
-            if c > 0 {
-                let to = ctx.graph().edge_target(ctx.graph().nth_edge_id(node, idx));
-                ctx.send(node, to, GmwMsg { count: c });
-            }
-        }
-    }
-}
 
 /// `Binomial(n, p)` by direct simulation; `n` here is at most the number
 /// of tokens at one node, small enough that O(n) drawing is free local
@@ -121,9 +39,7 @@ fn binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
 
 /// Draws one random-neighbor choice per token and returns how many of
 /// `count` indistinguishable tokens leave over each of the node's `deg`
-/// neighbor slots — the aggregated one-hop scatter of Algorithm 2,
-/// shared by [`GetMoreWalksProtocol`] and the batched Phase-2 scheduler
-/// ([`crate::StitchScheduler`]).
+/// neighbor slots — the aggregated one-hop scatter of Algorithm 2.
 pub fn scatter_counts(rng: &mut StdRng, deg: usize, count: u64) -> Vec<u64> {
     let mut per_neighbor = vec![0u64; deg];
     for _ in 0..count {
@@ -169,147 +85,9 @@ pub fn reservoir_split(
     }
 }
 
-impl Protocol for GetMoreWalksProtocol<'_> {
-    type Msg = GmwMsg;
-
-    fn start(&mut self, ctx: &mut Ctx<'_, GmwMsg>) {
-        assert!(self.source < ctx.graph().n(), "source out of range");
-        if self.count == 0 {
-            return;
-        }
-        // All tokens take their first step (lambda >= 1 guarantees at
-        // least one).
-        self.scatter(self.source, self.count, ctx);
-    }
-
-    fn on_receive(&mut self, node: NodeId, inbox: &[Envelope<GmwMsg>], ctx: &mut Ctx<'_, GmwMsg>) {
-        // Counts aggregate freely: tokens are indistinguishable.
-        let arrived: u64 = inbox.iter().map(|e| e.msg.count).sum();
-        if arrived == 0 {
-            return;
-        }
-        // All tokens stay synchronized (one hop per round, no queueing
-        // because counts collapse into one message per edge), so the
-        // current round *is* the step count.
-        let step: u32 = ctx.round().try_into().expect("step fits u32");
-        let (stopped, moving) = reservoir_split(
-            ctx.rng(node),
-            arrived,
-            step,
-            self.lambda,
-            self.randomize_len,
-        );
-        if stopped > 0 {
-            self.store_stopped(node, step, stopped);
-        }
-        if moving > 0 {
-            self.scatter(node, moving, ctx);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drw_congest::{run_protocol, EngineConfig};
-    use drw_graph::generators;
-    use drw_stats::chi_square_uniform;
-
-    fn run_gmw(
-        g: &drw_graph::Graph,
-        source: usize,
-        count: u64,
-        lambda: u32,
-        randomize: bool,
-        seed: u64,
-    ) -> (WalkState, u64) {
-        let mut state = WalkState::new(g.n());
-        let mut p = GetMoreWalksProtocol::new(&mut state, source, count, lambda, randomize);
-        let report = run_protocol(g, &EngineConfig::default(), seed, &mut p).unwrap();
-        (state, report.rounds)
-    }
-
-    #[test]
-    fn creates_exactly_count_walks() {
-        let g = generators::torus2d(4, 4);
-        let (state, _) = run_gmw(&g, 3, 25, 6, true, 1);
-        assert_eq!(state.total_stored(), 25);
-        for ns in &state.nodes {
-            for w in &ns.store {
-                assert_eq!(w.id.source, 3);
-                assert!(!w.replayable);
-            }
-        }
-    }
-
-    #[test]
-    fn lengths_within_reservoir_range() {
-        let g = generators::complete(8);
-        let lambda = 7;
-        let (state, _) = run_gmw(&g, 0, 50, lambda, true, 2);
-        for ns in &state.nodes {
-            for w in &ns.store {
-                assert!(w.len >= lambda && w.len < 2 * lambda, "len = {}", w.len);
-            }
-        }
-    }
-
-    #[test]
-    fn reservoir_lengths_are_uniform() {
-        // Lemma 2.4: on-the-fly stopping makes every length in
-        // [lambda, 2*lambda - 1] equally likely. One big run suffices:
-        // lengths of distinct tokens are i.i.d.
-        let g = generators::complete(12);
-        let lambda = 6u32;
-        let (state, _) = run_gmw(&g, 0, 6000, lambda, true, 3);
-        let mut counts = vec![0u64; lambda as usize];
-        for ns in &state.nodes {
-            for w in &ns.store {
-                counts[(w.len - lambda) as usize] += 1;
-            }
-        }
-        assert_eq!(counts.iter().sum::<u64>(), 6000);
-        let test = chi_square_uniform(&counts);
-        assert!(test.passes(0.001), "{test:?} counts={counts:?}");
-    }
-
-    #[test]
-    fn fixed_length_mode_stops_everything_at_lambda() {
-        let g = generators::cycle(10);
-        let (state, rounds) = run_gmw(&g, 0, 30, 5, false, 4);
-        assert_eq!(state.total_stored(), 30);
-        for ns in &state.nodes {
-            for w in &ns.store {
-                assert_eq!(w.len, 5);
-            }
-        }
-        assert_eq!(rounds, 5, "fixed mode takes exactly lambda rounds");
-    }
-
-    #[test]
-    fn rounds_bounded_by_two_lambda_regardless_of_count() {
-        // Lemma 2.2: aggregation means no congestion — O(lambda) rounds
-        // even for many walks.
-        let g = generators::torus2d(4, 4);
-        let lambda = 10;
-        let (_, r_small) = run_gmw(&g, 0, 5, lambda, true, 5);
-        let (_, r_big) = run_gmw(&g, 0, 5000, lambda, true, 6);
-        assert!(r_small <= 2 * lambda as u64);
-        assert!(r_big <= 2 * lambda as u64, "rounds = {r_big}");
-    }
-
-    #[test]
-    fn lambda_one_yields_unit_walks() {
-        let g = generators::cycle(5);
-        let (state, rounds) = run_gmw(&g, 2, 10, 1, true, 7);
-        assert_eq!(state.total_stored(), 10);
-        for ns in &state.nodes {
-            for w in &ns.store {
-                assert_eq!(w.len, 1);
-            }
-        }
-        assert_eq!(rounds, 1);
-    }
 
     #[test]
     fn reservoir_split_conserves_tokens() {
@@ -341,13 +119,5 @@ mod tests {
         let per = scatter_counts(&mut rng, 5, 200);
         assert_eq!(per.len(), 5);
         assert_eq!(per.iter().sum::<u64>(), 200);
-    }
-
-    #[test]
-    fn zero_count_is_a_no_op() {
-        let g = generators::path(4);
-        let (state, rounds) = run_gmw(&g, 0, 0, 4, true, 8);
-        assert_eq!(state.total_stored(), 0);
-        assert_eq!(rounds, 0);
     }
 }

@@ -19,20 +19,22 @@
 //!   remember `(source, seq, length)`; every intermediate node logs its
 //!   forwarding choice so walks can later be *regenerated*
 //!   ([`regenerate`]).
-//! - **Phase 2** ([`single_walk`]): the source stitches short walks.
-//!   Each stitch runs [`sample_destination`] (Algorithm 3: BFS tree plus
-//!   a sampling convergecast and a deletion broadcast, `O(D)` rounds) to
-//!   pick an *unused* short walk of the current connector uniformly at
-//!   random. A drained connector replenishes with [`get_more_walks`]
-//!   (Algorithm 2), whose aggregated-count diffusion plus *reservoir
+//! - **Phase 2** ([`stitch_scheduler`]): the walk token stitches short
+//!   walks. Each stitch is a `SAMPLE-DESTINATION` epoch (Algorithm 3: a
+//!   flood tree from the current connector, a sampling convergecast
+//!   and a deletion broadcast, `O(D)` rounds; [`sample_destination`]
+//!   holds the per-node slot) that picks an *unused* short walk of the
+//!   connector uniformly at random. A drained connector replenishes
+//!   with `GET-MORE-WALKS` (Algorithm 2; [`get_more_walks`] holds its
+//!   sampling rules), whose aggregated-count diffusion plus *reservoir
 //!   sampling* realizes the random lengths congestion-free. The final
-//!   `< 2*lambda` steps are walked naively.
-//! - **Batched Phase 2** ([`stitch_scheduler`]): `MANY-RANDOM-WALKS`
-//!   advances all `k` tokens concurrently — the sampling, replenishment
-//!   and tail sub-protocols of every walk are multiplexed by walk id
-//!   into *one* engine run, so concurrent stitches share CONGEST rounds
-//!   instead of summing them (the `sqrt(k l D) + k` regime of
-//!   Theorem 2.8).
+//!   `< 2*lambda` steps are walked naively. There is one Phase 2:
+//!   `MANY-RANDOM-WALKS` advances all `k` tokens concurrently — the
+//!   sub-protocols of every walk are multiplexed by walk id into *one*
+//!   engine run, so concurrent stitches share CONGEST rounds instead of
+//!   summing them (the `sqrt(k l D) + k` regime of Theorem 2.8) — and
+//!   `SINGLE-RANDOM-WALK` (Algorithm 1, [`single_walk`]) is its `k = 1`
+//!   case.
 //! - **Sessions** ([`session`]): applications that issue many requests
 //!   (the doubling loops of the spanning-tree sampler and the mixing
 //!   estimator) hold a [`WalkSession`] — one BFS/diameter estimate, one
@@ -87,7 +89,7 @@ pub mod visit_stats;
 
 pub use bucket::{sum_deg_sq, BucketTest, BucketTestResult, SampleStats};
 pub use error::Error;
-pub use many_walks::{many_random_walks, many_random_walks_with, ManyWalksResult, StitchStrategy};
+pub use many_walks::{many_random_walks, ManyWalksResult};
 pub use naive::naive_walk;
 pub use network::{Network, NetworkBuilder};
 pub use params::{Podc09Params, WalkParams};

@@ -21,19 +21,21 @@
 //! [`WalkSession::run_wave`]; the two entry points differ only in whose
 //! session the waves run on.
 //!
-//! - [`Network::run`] serves the request with its own setup. Walk and
-//!   many-walks requests run the one-shot kernels (one BFS, one full
-//!   Phase 1, then stitching — what `single_random_walk` /
-//!   `many_random_walks` always did). Spanning-tree and mixing requests
-//!   are a *batch of one*: a private session anchored at the request's
-//!   own root/source, the request's driver run to completion on it, the
-//!   session discarded — so the doubling extensions of a tree (or the
-//!   probes of an estimate) share one BFS and one short-walk store, and
-//!   the response's `rounds` is that private session's whole bill. The
-//!   first request uses the builder seed verbatim; request `i > 0` uses
-//!   `derive_seed(seed, i)`. The legacy free functions
-//!   (`single_random_walk`, `many_random_walks`, `distributed_rst`,
-//!   `estimate_mixing_time`) are thin shims over a throwaway `Network`.
+//! - [`Network::run`] serves the request with its own setup, as a
+//!   *batch of one*: a private session anchored at the request's own
+//!   source/root (one BFS), the request's driver run to completion on
+//!   it, the session discarded. A walk is a one-lane wave and a
+//!   many-walks request a `k`-lane wave over a store built for it (one
+//!   full Phase 1, skipped when no walk is long enough to stitch); the
+//!   doubling extensions of a tree (or the probes of an estimate) share
+//!   one BFS and one short-walk store. The response's `rounds` is that
+//!   private session's whole bill, and it carries what only a request
+//!   that owns its session can know (`rounds_bfs`, `connector_visits`,
+//!   the final `state`). The first request uses the builder seed
+//!   verbatim; request `i > 0` uses `derive_seed(seed, i)`. The legacy
+//!   free functions (`single_random_walk`, `many_random_walks`,
+//!   `distributed_rst`, `estimate_mixing_time`) are thin shims over a
+//!   throwaway `Network`.
 //! - [`Network::run_batch`] owns one persistent [`WalkSession`]
 //!   (created lazily on the first batch: one BFS, one shared short-walk
 //!   store) and advances all requests concurrently in *super-steps*:
@@ -65,11 +67,10 @@ mod spanning;
 pub use spanning::MAX_TOTAL_WALK_LEN;
 
 use crate::error::Error;
-use crate::many_walks::many_walks_one_shot;
 use crate::request::{Request, Response};
 use crate::session::WalkSession;
-use crate::single_walk::{single_walk_one_shot, SingleWalkConfig};
-use drivers::{Member, Slot};
+use crate::single_walk::SingleWalkConfig;
+use drivers::{ConnectorVisits, Member, Slot};
 use drw_congest::{derive_seed, EngineConfig, ExecutorKind};
 use drw_graph::{EpochReport, Graph, NodeId, Topology, TopologyDelta};
 use std::sync::Arc;
@@ -185,7 +186,7 @@ impl<'g> NetworkBuilder<'g> {
 /// # fn main() -> Result<(), drw_core::Error> {
 /// let g = generators::torus2d(8, 8);
 /// let mut net = Network::builder(&g).seed(7).build();
-/// // One-shot: identical to the legacy single_random_walk.
+/// // One-shot: what the legacy single_random_walk runs.
 /// let walk = net.run(Request::walk(0, 1024))?.into_walk();
 /// assert!(walk.rounds < 1024, "sublinear in the walk length");
 /// // Batched: heterogeneous requests share engine runs.
@@ -323,9 +324,9 @@ impl Network {
     }
 
     /// The seed for the next request: the base seed verbatim for
-    /// request 0 (which is what makes one-request throwaway networks —
-    /// the legacy shims — seed-for-seed identical to the pre-facade
-    /// free functions), derived for every later request.
+    /// request 0 (so a one-request throwaway network — a legacy shim —
+    /// runs on exactly the seed its caller passed), derived for every
+    /// later request.
     fn next_seed(&mut self) -> u64 {
         let i = self.requests_issued;
         self.requests_issued += 1;
@@ -352,69 +353,73 @@ impl Network {
             return self.apply_delta(&delta).map(Response::Epoch);
         }
         let seed = self.next_seed();
-        let g = self.topo.snapshot();
-        match request {
-            Request::Walk {
-                source,
-                len,
-                record,
-            } => {
-                let cfg = SingleWalkConfig {
-                    record_walk: record,
-                    ..self.cfg.clone()
-                };
-                Ok(Response::Walk(single_walk_one_shot(
-                    &g, source, len, &cfg, seed,
-                )?))
-            }
-            Request::ManyWalks {
-                sources,
-                len,
-                strategy,
-            } => Ok(Response::ManyWalks(many_walks_one_shot(
-                &g, &sources, len, &self.cfg, seed, strategy,
-            )?)),
-            request @ (Request::SpanningTree(_) | Request::MixingTime(_)) => {
-                self.run_batch_of_one(g, request, seed)
-            }
-            Request::Mutate(_) => unreachable!("handled above"),
-        }
+        self.run_batch_of_one(self.topo.snapshot(), request, seed)
     }
 
-    /// Serves a spanning-tree or mixing request as a batch of one over a
-    /// private session anchored at the request's own root/source, then
-    /// fills the fields only a request that owns its session can know:
-    /// `rounds` is the session's whole bill (BFS included) and a tree
-    /// paid exactly one BFS.
+    /// Serves one request as a batch of one over a private session
+    /// anchored at the request's own source/root, then fills the fields
+    /// only a request that owns its session can know: `rounds` is the
+    /// session's whole bill (BFS included), the session's connectors
+    /// and final walk state are the request's own, and a tree paid
+    /// exactly one BFS.
     fn run_batch_of_one(
         &self,
         g: Arc<Graph>,
         request: Request,
         seed: u64,
     ) -> Result<Response, Error> {
-        let (anchor, seed_tag, record) = match &request {
-            Request::SpanningTree(t) => (t.root, 0xC0FE, true),
-            Request::MixingTime(m) => (m.source, 0xB00, self.cfg.record_walk),
-            _ => unreachable!("walk requests run the one-shot kernels"),
+        // Walk requests run on the request seed verbatim and trees and
+        // estimates on a tagged derivation of it: each kind keeps the
+        // random stream its legacy free function always had. (An empty
+        // cohort has no anchor and needs none: it resolves below.)
+        let (anchor, session_seed, record) = match &request {
+            Request::Walk { source, record, .. } => (*source, seed, *record),
+            Request::ManyWalks { sources, .. } => (sources.first().map_or(0, |&s| s), seed, false),
+            Request::SpanningTree(t) => (t.root, derive_seed(seed, 0xC0FE), true),
+            Request::MixingTime(m) => (m.source, derive_seed(seed, 0xB00), self.cfg.record_walk),
+            Request::Mutate(_) => unreachable!("handled by the caller"),
         };
+        // Validate before any protocol runs: a bad source is reported
+        // ahead of a disconnected graph, and an empty cohort resolves
+        // here, without a BFS.
+        let mut slot = drivers::new_slot(request, &g)?;
+        if let Some(response) = slot.response.take() {
+            return Ok(response);
+        }
         let cfg = SingleWalkConfig {
             record_walk: record,
             ..self.cfg.clone()
         };
-        let mut session = WalkSession::attach(
-            &Topology::from_shared(g),
-            anchor,
-            &cfg,
-            derive_seed(seed, seed_tag),
-        )?;
-        let mut response = run_batch_on(&mut session, vec![request])?.remove(0);
+        let topo = Topology::from_shared(g);
+        let mut session = WalkSession::attach(&topo, anchor, &cfg, session_seed)?;
+        let connectors = drain(&mut session, std::slice::from_mut(&mut slot))?;
+        let mut response = slot.response.expect("drained slots are resolved");
+        let rounds = session.total_rounds();
+        let messages = session.runner_mut().total_messages();
+        let rounds_bfs = session.rounds_bfs();
+        let scatter = |dense: &mut [u32]| connectors.iter().for_each(|&(v, c)| dense[v] = c);
         match &mut response {
+            Response::Walk(walk) => {
+                (walk.rounds, walk.messages, walk.rounds_bfs) = (rounds, messages, rounds_bfs);
+                scatter(&mut walk.connector_visits);
+                // The session's store and forwarding logs, plus the
+                // positions the walk recorded.
+                let mut recorded = std::mem::replace(&mut walk.state, session.into_state());
+                for (v, visit) in recorded.drain_visits() {
+                    walk.state.record_visit(v, visit.pos, visit.pred());
+                }
+            }
+            Response::ManyWalks(many) => {
+                (many.rounds, many.messages, many.rounds_bfs) = (rounds, messages, rounds_bfs);
+                scatter(&mut many.connector_visits);
+                many.state = session.into_state();
+            }
             Response::SpanningTree(tree) => {
-                tree.rounds = session.total_rounds();
+                tree.rounds = rounds;
                 tree.bfs_runs = 1;
             }
-            Response::MixingTime(report) => report.rounds = session.total_rounds(),
-            _ => unreachable!("responses come back in the request's variant"),
+            Response::MixingTime(report) => report.rounds = rounds,
+            Response::Epoch(_) => unreachable!("responses come back in the request's variant"),
         }
         Ok(response)
     }
@@ -423,9 +428,6 @@ impl Network {
     /// shared session, multiplexing their walk work into shared engine
     /// runs (see the module docs; responses come back in request
     /// order).
-    ///
-    /// `ManyWalks::strategy` is ignored in a batch (batches always
-    /// multiplex).
     ///
     /// [`Request::Mutate`] entries act as barriers: the requests before
     /// one complete on the old epoch, the delta applies, and the
@@ -489,8 +491,8 @@ impl Network {
     }
 }
 
-/// Drains one barrier-free batch on `session`: the caller policy over
-/// [`drivers::wave_step`] is a fixed slot set and abort-on-first-error.
+/// Serves one barrier-free batch on `session`, responses in request
+/// order.
 fn run_batch_on(session: &mut WalkSession, requests: Vec<Request>) -> Result<Vec<Response>, Error> {
     // Repair first, so the graph the requests are validated against is
     // the epoch this batch will be served on.
@@ -504,11 +506,23 @@ fn run_batch_on(session: &mut WalkSession, requests: Vec<Request>) -> Result<Vec
         .into_iter()
         .map(|request| drivers::new_slot(request, &g))
         .collect::<Result<_, _>>()?;
+    drain(session, &mut slots)?;
+    Ok(slots
+        .into_iter()
+        .map(|s| s.response.expect("every request resolved"))
+        .collect())
+}
 
+/// Runs `slots` to completion on `session`: the caller policy over
+/// [`drivers::wave_step`] is a fixed slot set and abort-on-first-error.
+/// Returns the connector visits of the last wave — the whole of them for
+/// a walk or many-walks request served alone, which rides exactly one.
+fn drain(session: &mut WalkSession, slots: &mut [Slot]) -> Result<ConnectorVisits, Error> {
     // Round-robin pointer for the recording slot (see
     // `drivers::assemble_wave`): seeded past the last index so the
     // first grant falls to the lowest-indexed recorder.
     let mut last_recorder: usize = slots.len().saturating_sub(1);
+    let mut connectors = Vec::new();
     loop {
         let active: Vec<Member<'_>> = slots
             .iter_mut()
@@ -521,16 +535,12 @@ fn run_batch_on(session: &mut WalkSession, requests: Vec<Request>) -> Result<Vec
             })
             .collect();
         if active.is_empty() {
-            break;
+            return Ok(connectors);
         }
-        let (steps, _) = drivers::wave_step(session, active, &mut last_recorder)?;
+        let (steps, wave) = drivers::wave_step(session, active, &mut last_recorder)?;
         steps.into_iter().try_for_each(|step| step.result)?;
+        connectors = wave.unwrap_or_default();
     }
-
-    Ok(slots
-        .into_iter()
-        .map(|s| s.response.expect("every request resolved"))
-        .collect())
 }
 
 #[cfg(test)]
@@ -580,6 +590,30 @@ mod tests {
             .into_mixing();
         assert!(!mix.probes.is_empty());
         assert_eq!(net.session_rounds(), 0, "one-shot requests bill privately");
+    }
+
+    #[test]
+    fn a_walk_request_is_a_batch_of_one() {
+        // One wave on a private session anchored at the source, seeded
+        // with the request seed verbatim; the response carries that
+        // session's whole bill, split into phases that sum to it.
+        let g = generators::torus2d(8, 8);
+        for seed in [0u64, 7, 99] {
+            let mut net = Network::builder(&g).seed(seed).build();
+            let routed = net.run(Request::walk(5, 1024)).unwrap().into_walk();
+            let mut session = WalkSession::new(&g, 5, &SingleWalkConfig::default(), seed).unwrap();
+            let wave = session.single_walk(5, 1024).unwrap();
+            assert_eq!(routed.destination, wave.destination, "seed {seed}");
+            assert_eq!(routed.segments, wave.segments, "seed {seed}");
+            assert_eq!(routed.rounds, session.total_rounds(), "seed {seed}");
+            assert_eq!(routed.state.total_stored(), session.state().total_stored());
+            let phase2 = routed.rounds_stitch + routed.rounds_tail + routed.rounds_replay;
+            let phases = routed.rounds_bfs + routed.rounds_phase1 + phase2;
+            assert_eq!(phases, routed.rounds, "seed {seed}");
+            assert!(routed.rounds_stitch > 0 && routed.rounds_tail > 0);
+            let connectors: u32 = routed.connector_visits.iter().sum();
+            assert_eq!(u64::from(connectors), routed.stitches, "seed {seed}");
+        }
     }
 
     #[test]
@@ -652,7 +686,6 @@ mod tests {
             .remove(0)
             .into_many_walks();
         assert!(r.used_naive_fallback);
-        assert_eq!(r.strategy(), None);
         assert_eq!(r.stitches, 0);
         assert_eq!(r.destinations.len(), 16);
         for (&s, &d) in sources.iter().zip(&r.destinations) {

@@ -12,17 +12,17 @@
 //! exact share of the wave and its `Result`. What to do with those is
 //! caller policy: `Network::run_batch` drains a fixed set of slots and
 //! aborts on the first error, `Network::run` is a batch of one over a
-//! private session, and the service admits new slots mid-flight, bills
-//! tenants and resolves failed tickets individually. The machines
-//! themselves, and the wave-assembly rules (one recorded plan per wave,
-//! cyclic recorder rotation, regime maxima), are defined once, here.
-//! Outputs are pinned byte-identical to the pre-extraction code by
-//! `tests/drivers_refactor.rs`.
+//! private session — for every request kind; a `Walk` is a one-lane
+//! wave — and the service admits new slots mid-flight, bills tenants
+//! and resolves failed tickets individually. The machines themselves,
+//! and the wave-assembly rules (one recorded plan per wave, cyclic
+//! recorder rotation, regime maxima), are defined once, here. Outputs
+//! are pinned by `tests/drivers_refactor.rs`.
 
 use super::{mixing, spanning};
 use crate::bucket::BucketTest;
 use crate::error::Error;
-use crate::many_walks::{ManyWalksResult, StitchStrategy};
+use crate::many_walks::ManyWalksResult;
 use crate::request::{
     MixingProbe, MixingReport, MixingRequest, Request, Response, TreeMode, TreeRequest, TreeSample,
 };
@@ -97,6 +97,8 @@ struct WaveContext {
     rounds: u64,
     messages: u64,
     rounds_topup: u64,
+    rounds_tail: u64,
+    rounds_replay: u64,
     lambda: u32,
     gmw: u64,
 }
@@ -191,12 +193,17 @@ pub(crate) struct MemberStep {
     pub(crate) result: Result<(), Error>,
 }
 
+/// A wave's sparse connector visits: `(node, count)`, ascending by node.
+pub(crate) type ConnectorVisits = Vec<(NodeId, u32)>;
+
 /// Advances `members` by one shared wave: plans every member (members
 /// whose plan fails sit the wave out), assembles the wave, runs it on
 /// `session`, slices the walks and `GET-MORE-WALKS` counts back to
 /// their owners and lets each absorb its part. Returns one
-/// [`MemberStep`] per member plus whether a wave ran at all (it does
-/// unless every plan failed).
+/// [`MemberStep`] per member plus, if a wave ran at all (it does unless
+/// every plan failed), the wave's sparse connector visits — not
+/// attributable within a shared wave, but a request that rode its wave
+/// alone may claim them.
 ///
 /// # Errors
 ///
@@ -205,7 +212,7 @@ pub(crate) fn wave_step(
     session: &mut WalkSession,
     mut members: Vec<Member<'_>>,
     last_recorder: &mut usize,
-) -> Result<(Vec<MemberStep>, bool), Error> {
+) -> Result<(Vec<MemberStep>, Option<ConnectorVisits>), Error> {
     let mut steps = Vec::with_capacity(members.len());
     let mut plans = Vec::with_capacity(members.len());
     for m in &mut members {
@@ -219,7 +226,7 @@ pub(crate) fn wave_step(
     }
     let asm = assemble_wave(plans, last_recorder);
     if asm.specs.is_empty() {
-        return Ok((steps, false));
+        return Ok((steps, None));
     }
 
     let before = session.total_rounds();
@@ -242,6 +249,8 @@ pub(crate) fn wave_step(
             rounds: wave.rounds,
             messages: wave.messages,
             rounds_topup: wave.rounds_topup,
+            rounds_tail: wave.rounds_tail,
+            rounds_replay: wave.rounds_replay,
             lambda: wave.lambda,
             gmw: gmw.by_ref().take(count).sum(),
         };
@@ -254,7 +263,7 @@ pub(crate) fn wave_step(
         steps[at].result = absorb(slot, walks.by_ref().take(count).collect(), &ctx, session);
         steps[at].private_rounds += session.total_rounds() - before;
     }
-    Ok((steps, true))
+    Ok((steps, Some(wave.connector_visits)))
 }
 
 /// Validates `request` against the graph it will be served on and
@@ -294,7 +303,7 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
                 record,
             }
         }
-        Request::ManyWalks { sources, len, .. } => {
+        Request::ManyWalks { sources, len } => {
             sources.iter().try_for_each(|&s| check(s))?;
             if sources.len() > MAX_WAVE_LANES {
                 return Err(WalkError::TooManyLanes(sources.len()).into());
@@ -372,7 +381,6 @@ fn empty_many_result(n: usize) -> ManyWalksResult {
         rounds_bfs: 0,
         rounds_phase1: 0,
         rounds_phase2: 0,
-        strategy: None,
         state: WalkState::new(n),
     }
 }
@@ -505,6 +513,12 @@ fn plan_wave(slot: &mut Slot, req_id: u16, session: &mut WalkSession) -> Result<
 /// Absorbs a wave's results into a request's state machine, running any
 /// private follow-up protocols, and resolves the response once the
 /// request completes.
+///
+/// Walk responses get the fields of a request on a *shared* session:
+/// `rounds_bfs = 0`, all-zero `connector_visits` and a `state` holding
+/// only the walk's own recorded visits are the neutral values there (the
+/// session's BFS, connectors and store belong to no single request).
+/// `Network::run` overwrites them for a request that owned its session.
 fn absorb(
     slot: &mut Slot,
     walks: Vec<WaveWalk>,
@@ -528,9 +542,9 @@ fn absorb(
                 messages: ctx.messages,
                 rounds_bfs: 0,
                 rounds_phase1: ctx.rounds_topup,
-                rounds_stitch: ctx.rounds - ctx.rounds_topup,
-                rounds_tail: 0,
-                rounds_replay: 0,
+                rounds_stitch: ctx.rounds - ctx.rounds_topup - ctx.rounds_tail - ctx.rounds_replay,
+                rounds_tail: ctx.rounds_tail,
+                rounds_replay: ctx.rounds_replay,
                 stitches: walk.segments.len() as u64,
                 gmw_invocations: ctx.gmw,
                 lambda: ctx.lambda,
@@ -565,7 +579,6 @@ fn absorb(
                 rounds_bfs: 0,
                 rounds_phase1: ctx.rounds_topup,
                 rounds_phase2: ctx.rounds - ctx.rounds_topup,
-                strategy: (fallback.is_none()).then_some(StitchStrategy::Batched),
                 state: WalkState::new(n),
             }));
         }

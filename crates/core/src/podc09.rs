@@ -19,8 +19,9 @@
 
 use crate::params::Podc09Params;
 use crate::short_walks::ShortWalksProtocol;
-use crate::single_walk::{stitch_walk, StitchSetup, WalkError};
+use crate::single_walk::{StitchSetup, WalkError};
 use crate::state::WalkState;
+use crate::stitch_scheduler::StitchScheduler;
 use drw_congest::primitives::BfsTreeProtocol;
 use drw_congest::{EngineConfig, Runner};
 use drw_graph::{traversal, Graph, NodeId};
@@ -66,7 +67,6 @@ pub fn podc09_walk(
     }
     let mut runner = Runner::new(g, EngineConfig::default(), seed);
     let mut state = WalkState::new(g.n());
-    let mut connector_visits = vec![0u32; g.n()];
 
     let mut bfs = BfsTreeProtocol::new(source);
     runner.run(&mut bfs)?;
@@ -92,17 +92,13 @@ pub fn podc09_walk(
         gmw_count: eta as u64,
         record: false,
     };
-    let outcome = stitch_walk(
-        &mut runner,
-        &mut state,
-        source,
-        len,
-        &setup,
-        &mut connector_visits,
-    )?;
+    // Phase 2 is the one scheduler, run for a single lane.
+    let mut sched = StitchScheduler::new(&setup);
+    sched.add_walk(source, len);
+    let outcome = sched.run(&mut runner, &mut state)?;
 
     Ok(Podc09Result {
-        destination: outcome.destination,
+        destination: outcome.walks[0].destination,
         rounds: runner.total_rounds(),
         messages: runner.total_messages(),
         lambda,

@@ -14,10 +14,9 @@
 //! A request says *what* is asked, never *how* it is executed: each
 //! kind has one driver (`network/drivers.rs`), and one-shot, batched
 //! and service execution differ only in whose session its waves run
-//! on. The one execution hint left is [`StitchStrategy`] on
-//! [`Request::ManyWalks`], which selects the one-shot kernel's Phase 2.
+//! on. No request carries an execution hint.
 
-use crate::many_walks::{ManyWalksResult, StitchStrategy};
+use crate::many_walks::ManyWalksResult;
 use crate::single_walk::SingleWalkResult;
 use drw_graph::matrix_tree::TreeKey;
 use drw_graph::{EpochReport, NodeId, TopologyDelta};
@@ -153,8 +152,6 @@ pub enum Request {
         sources: Vec<NodeId>,
         /// Number of steps for every walk.
         len: u64,
-        /// Phase-2 strategy (batched by default).
-        strategy: StitchStrategy,
     },
     /// A uniformly random spanning tree (Section 4.1).
     SpanningTree(TreeRequest),
@@ -177,13 +174,9 @@ impl Request {
         }
     }
 
-    /// A `MANY-RANDOM-WALKS` request with the default strategy.
+    /// A `MANY-RANDOM-WALKS` request.
     pub fn many_walks(sources: Vec<NodeId>, len: u64) -> Self {
-        Request::ManyWalks {
-            sources,
-            len,
-            strategy: StitchStrategy::default(),
-        }
+        Request::ManyWalks { sources, len }
     }
 
     /// A spanning-tree request with the paper's defaults.

@@ -2,338 +2,47 @@
 //! random, one *unused* short walk of a given root node, and move the walk
 //! token to that walk's endpoint.
 //!
-//! Three sweeps over a BFS tree rooted at the connector `v`, `O(D)`
-//! rounds total:
+//! Three sweeps over a tree rooted at the connector `v`, `O(D)` rounds
+//! total:
 //!
-//! 1. **BFS construction** — a level wave combined with a child-status
-//!    handshake so every node learns its exact children set without
-//!    global knowledge of `D`;
-//! 2. **Sampling convergecast** — every node samples one of its own
-//!    tokens (stored walks launched by `v`), then folds in its children's
-//!    candidates weighted by token counts (a streaming reservoir), so the
-//!    root ends with a uniform sample over all tokens (Lemma A.2);
-//! 3. **Deletion broadcast** — the root announces the chosen
-//!    `(owner, tag)`; the owner deletes that token (so no short walk is
-//!    ever re-stitched) and becomes the new token holder.
+//! 1. **Tree construction** — a wave floods from `v`, combined with a
+//!    child-status handshake so every node learns its exact children
+//!    set without global knowledge of `D`;
+//! 2. **Sampling convergecast** — every node counts its own tokens
+//!    (stored walks launched by `v`), then folds in its children's
+//!    candidates weighted by token counts (a streaming reservoir), so
+//!    the root ends with a sample over all tokens (Lemma A.2);
+//! 3. **Deletion broadcast** — the root announces the chosen owner,
+//!    which deletes one of its tokens of `v` (so no short walk is ever
+//!    re-stitched) and becomes the new token holder.
+//!
+//! The sweeps run inside the one Phase-2 protocol
+//! ([`crate::StitchScheduler`]): one sampling instance per concurrent
+//! walk in a *shared* execution, every message tagged with its walk id.
+//! This module holds what a node keeps per walk, [`SdLaneSlot`]. Two
+//! choices keep every multiplexed message within the CONGEST word
+//! budget once the walk-id word is added:
+//!
+//! - waves carry the *root* instead of a BFS level, so the tree is the
+//!   flood-arrival tree (any spanning tree works for the convergecast;
+//!   under contention its depth is bounded by the rounds the flood
+//!   takes, which is what the round accounting charges anyway);
+//! - the reservoir aggregates candidate *owners* weighted by token
+//!   count rather than `(owner, tag)` pairs. The owner then deletes a
+//!   uniformly random local token of the root: owner chosen with
+//!   probability proportional to its token count, token uniform within
+//!   the owner — the product is exactly uniform over all tokens, as in
+//!   Algorithm 3.
 
-use crate::state::{StoredWalk, WalkState};
-use drw_congest::{Ctx, Envelope, Message, Protocol};
 use drw_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Messages of the three sweeps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SdMsg {
-    /// Sweep 1: BFS level wave + child status, one per ordered neighbor
-    /// pair.
-    Wave {
-        /// Sender's BFS level.
-        level: u32,
-        /// Whether the receiver is the sender's parent.
-        child: bool,
-    },
-    /// Sweep 2: a subtree's sampling result: a candidate token (owner,
-    /// tag, walk length) plus the subtree's total token count. `count ==
-    /// 0` means the subtree holds no tokens and the candidate fields are
-    /// meaningless.
-    Agg {
-        /// Candidate owner node.
-        owner: u32,
-        /// Candidate storage tag at the owner.
-        tag: u32,
-        /// Candidate walk length.
-        len: u32,
-        /// Subtree token count.
-        count: u64,
-    },
-    /// Sweep 3: the root's final choice, flooded down the tree.
-    Chosen {
-        /// Chosen owner node.
-        owner: u32,
-        /// Chosen storage tag.
-        tag: u32,
-    },
-}
-
-impl Message for SdMsg {
-    fn size_words(&self) -> usize {
-        match self {
-            SdMsg::Wave { .. } => 2,
-            SdMsg::Agg { .. } => 4,
-            SdMsg::Chosen { .. } => 2,
-        }
-    }
-
-    fn census(&self, census: &mut drw_congest::WireCensus) {
-        let rec = census.record("SdMsg", self.size_words());
-        let _ = match self {
-            SdMsg::Wave { level, child } => rec
-                .field("Wave.level", u64::from(*level))
-                .field("Wave.child", u64::from(*child)),
-            SdMsg::Agg {
-                owner,
-                tag,
-                len,
-                count,
-            } => rec
-                .field("Agg.owner", u64::from(*owner))
-                .field("Agg.tag", u64::from(*tag))
-                .field("Agg.len", u64::from(*len))
-                .field("Agg.count", *count),
-            SdMsg::Chosen { owner, tag } => rec
-                .field("Chosen.owner", u64::from(*owner))
-                .field("Chosen.tag", u64::from(*tag)),
-        };
-    }
-}
-
-const UNSET: u32 = u32::MAX;
-
-/// The `SAMPLE-DESTINATION` protocol. After a successful run,
-/// [`SampleDestinationProtocol::take_chosen`] yields the sampled walk
-/// (already removed from the store) and its owner, or `None` if the root
-/// has no stored walks anywhere (the trigger for `GET-MORE-WALKS`).
-#[derive(Debug)]
-pub struct SampleDestinationProtocol<'s> {
-    state: &'s mut WalkState,
-    root: NodeId,
-    // Sweep 1 state.
-    dist: Vec<u32>,
-    parent: Vec<Option<NodeId>>,
-    children: Vec<Vec<NodeId>>,
-    statuses: Vec<usize>,
-    // Sweep 2 state.
-    aggs_received: Vec<usize>,
-    agg_sent: Vec<bool>,
-    cand: Vec<Option<(u32, u32, u32)>>,
-    count: Vec<u64>,
-    // Sweep 3 result.
-    taken: Option<(NodeId, StoredWalk)>,
-    done: bool,
-}
-
-impl<'s> SampleDestinationProtocol<'s> {
-    /// Creates the protocol for connector `root`.
-    pub fn new(state: &'s mut WalkState, root: NodeId) -> Self {
-        SampleDestinationProtocol {
-            state,
-            root,
-            dist: Vec::new(),
-            parent: Vec::new(),
-            children: Vec::new(),
-            statuses: Vec::new(),
-            aggs_received: Vec::new(),
-            agg_sent: Vec::new(),
-            cand: Vec::new(),
-            count: Vec::new(),
-            taken: None,
-            done: false,
-        }
-    }
-
-    /// The sampled walk and its owner (`None` if the root had no stored
-    /// walks network-wide).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the protocol has not completed.
-    pub fn take_chosen(self) -> Option<(NodeId, StoredWalk)> {
-        assert!(self.done, "SAMPLE-DESTINATION has not completed");
-        self.taken
-    }
-
-    /// Samples one of `node`'s own tokens and initializes its reservoir.
-    fn init_local_candidate(&mut self, node: NodeId, ctx: &mut Ctx<'_, SdMsg>) {
-        let tokens: Vec<(u32, u32)> = self.state.nodes[node]
-            .store
-            .iter()
-            .filter(|w| w.id.source as usize == self.root)
-            .map(|w| (w.tag, w.len))
-            .collect();
-        self.count[node] = tokens.len() as u64;
-        if !tokens.is_empty() {
-            let (tag, len) = tokens[ctx.rng(node).random_range(0..tokens.len())];
-            self.cand[node] = Some((node as u32, tag, len));
-        }
-    }
-
-    /// Sends this node's aggregate up (or finalizes at the root) once its
-    /// children set is known and all children reported.
-    fn try_complete_aggregation(&mut self, node: NodeId, ctx: &mut Ctx<'_, SdMsg>) {
-        if self.agg_sent[node]
-            || self.dist[node] == UNSET
-            || self.statuses[node] < ctx.graph().degree(node)
-            || self.aggs_received[node] < self.children[node].len()
-        {
-            return;
-        }
-        self.agg_sent[node] = true;
-        match self.parent[node] {
-            Some(p) => {
-                let (owner, tag, len) = self.cand[node].unwrap_or((0, 0, 0));
-                ctx.send(
-                    node,
-                    p,
-                    SdMsg::Agg {
-                        owner,
-                        tag,
-                        len,
-                        count: self.count[node],
-                    },
-                );
-            }
-            None => self.finalize_at_root(ctx),
-        }
-    }
-
-    fn finalize_at_root(&mut self, ctx: &mut Ctx<'_, SdMsg>) {
-        let root = self.root;
-        let Some((owner, tag, _len)) = self.cand[root] else {
-            // No tokens anywhere: report None; nothing to broadcast.
-            self.done = true;
-            return;
-        };
-        if owner as usize == root {
-            let walk = self.state.take_walk(root, tag);
-            self.taken = Some((root, walk));
-            self.done = true;
-            return;
-        }
-        for &c in self.children[root].clone().iter() {
-            ctx.send(root, c, SdMsg::Chosen { owner, tag });
-        }
-    }
-
-    fn handle_chosen(&mut self, node: NodeId, owner: u32, tag: u32, ctx: &mut Ctx<'_, SdMsg>) {
-        if node == owner as usize {
-            let walk = self.state.take_walk(node, tag);
-            self.taken = Some((node, walk));
-            self.done = true;
-        }
-        for &c in self.children[node].clone().iter() {
-            ctx.send(node, c, SdMsg::Chosen { owner, tag });
-        }
-    }
-}
-
-impl Protocol for SampleDestinationProtocol<'_> {
-    type Msg = SdMsg;
-
-    fn start(&mut self, ctx: &mut Ctx<'_, SdMsg>) {
-        let n = ctx.graph().n();
-        assert!(self.root < n, "root out of range");
-        self.dist = vec![UNSET; n];
-        self.parent = vec![None; n];
-        self.children = vec![Vec::new(); n];
-        self.statuses = vec![0; n];
-        self.aggs_received = vec![0; n];
-        self.agg_sent = vec![false; n];
-        self.cand = vec![None; n];
-        self.count = vec![0; n];
-        for node in 0..n {
-            self.init_local_candidate(node, ctx);
-        }
-        self.dist[self.root] = 0;
-        for v in ctx.graph().neighbors(self.root).collect::<Vec<_>>() {
-            ctx.send(
-                self.root,
-                v,
-                SdMsg::Wave {
-                    level: 0,
-                    child: false,
-                },
-            );
-        }
-    }
-
-    fn on_receive(&mut self, node: NodeId, inbox: &[Envelope<SdMsg>], ctx: &mut Ctx<'_, SdMsg>) {
-        // Child statuses and the level wave.
-        let mut best_wave: Option<(u32, NodeId)> = None;
-        for env in inbox {
-            match env.msg {
-                SdMsg::Wave { level, child } => {
-                    if child {
-                        self.children[node].push(env.from);
-                    }
-                    self.statuses[node] += 1;
-                    let cand = (level, env.from);
-                    if best_wave.is_none() || cand < best_wave.expect("checked") {
-                        best_wave = Some(cand);
-                    }
-                }
-                SdMsg::Agg {
-                    owner,
-                    tag,
-                    len,
-                    count,
-                } => {
-                    self.aggs_received[node] += 1;
-                    if count > 0 {
-                        self.count[node] += count;
-                        // Streaming reservoir: adopt the child's candidate
-                        // with probability proportional to its count.
-                        let total = self.count[node];
-                        if ctx.rng(node).random_range(0..total) < count {
-                            self.cand[node] = Some((owner, tag, len));
-                        }
-                    }
-                }
-                SdMsg::Chosen { owner, tag } => {
-                    self.handle_chosen(node, owner, tag, ctx);
-                }
-            }
-        }
-        if self.dist[node] == UNSET {
-            if let Some((level, parent)) = best_wave {
-                self.dist[node] = level + 1;
-                self.parent[node] = Some(parent);
-                for v in ctx.graph().neighbors(node).collect::<Vec<_>>() {
-                    ctx.send(
-                        node,
-                        v,
-                        SdMsg::Wave {
-                            level: level + 1,
-                            child: v == parent,
-                        },
-                    );
-                }
-            }
-        }
-        self.try_complete_aggregation(node, ctx);
-    }
-
-    fn is_done(&self) -> bool {
-        self.done
-    }
-}
-
-/// Per-(node, walk) state of one *lane* of a multiplexed
-/// `SAMPLE-DESTINATION`.
-///
-/// The standalone [`SampleDestinationProtocol`] above serves one walk
-/// per engine run. The batched Phase-2 scheduler
-/// ([`crate::StitchScheduler`]) instead runs one sampling instance per
-/// concurrent walk in a *shared* execution, every message tagged with
-/// its walk id; each node then keeps one `SdLaneSlot` per walk. The
-/// slot is the node's view of that walk's current sampling epoch: its
-/// position in the root's flood tree, the child-status handshake, and
-/// the streaming reservoir over subtree token counts (Lemma A.2).
-///
-/// Two differences from the standalone protocol, both to keep every
-/// multiplexed message within the CONGEST word budget once a walk-id
-/// word is added:
-///
-/// - waves carry the *root* instead of a BFS level, so the tree is the
-///   flood-arrival tree (any spanning tree works for the convergecast;
-///   under contention its depth is bounded by the rounds the flood
-///   takes, which is what the round accounting charges anyway);
-/// - the reservoir aggregates candidate *owners* weighted by token
-///   count rather than `(owner, tag)` pairs. The owner then deletes a
-///   uniformly random local token of the root: owner chosen with
-///   probability proportional to its token count, token uniform within
-///   the owner — the product is exactly uniform over all tokens, as in
-///   Algorithm 3.
+/// Per-(node, walk) state of one *lane* of the multiplexed
+/// `SAMPLE-DESTINATION`: the node's view of that walk's current
+/// sampling epoch — its position in the root's flood tree, the
+/// child-status handshake, and the streaming reservoir over subtree
+/// token counts (Lemma A.2).
 #[derive(Debug, Clone, Default)]
 pub struct SdLaneSlot {
     /// Whether this node has joined the current epoch's tree.
@@ -417,104 +126,6 @@ impl SdLaneSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::short_walks::ShortWalksProtocol;
-    use crate::state::WalkId;
-    use drw_congest::{run_node_local, run_protocol, EngineConfig};
-    use drw_graph::generators;
-    use drw_stats::chi_square_uniform;
-
-    fn sample_once(
-        state: &mut WalkState,
-        g: &drw_graph::Graph,
-        root: usize,
-        seed: u64,
-    ) -> (Option<(usize, StoredWalk)>, u64) {
-        let mut p = SampleDestinationProtocol::new(state, root);
-        let report = run_protocol(g, &EngineConfig::default(), seed, &mut p).unwrap();
-        (p.take_chosen(), report.rounds)
-    }
-
-    #[test]
-    fn empty_store_returns_none() {
-        let g = generators::torus2d(4, 4);
-        let mut state = WalkState::new(g.n());
-        let (chosen, _) = sample_once(&mut state, &g, 3, 1);
-        assert!(chosen.is_none());
-    }
-
-    #[test]
-    fn single_token_is_found_and_deleted() {
-        let g = generators::torus2d(4, 4);
-        let mut state = WalkState::new(g.n());
-        state.store_walk(13, WalkId { source: 3, seq: 0 }, 9, true);
-        let (chosen, rounds) = sample_once(&mut state, &g, 3, 1);
-        let (owner, walk) = chosen.expect("token must be found");
-        assert_eq!(owner, 13);
-        assert_eq!(walk.len, 9);
-        assert_eq!(state.total_stored(), 0, "token must be deleted");
-        // O(D): three sweeps over a diameter-4 torus.
-        assert!(rounds <= 20, "rounds = {rounds}");
-    }
-
-    #[test]
-    fn tokens_of_other_sources_are_ignored() {
-        let g = generators::cycle(8);
-        let mut state = WalkState::new(g.n());
-        state.store_walk(4, WalkId { source: 1, seq: 0 }, 5, true);
-        state.store_walk(5, WalkId { source: 2, seq: 0 }, 5, true);
-        let (chosen, _) = sample_once(&mut state, &g, 2, 9);
-        let (owner, walk) = chosen.expect("source-2 token exists");
-        assert_eq!(owner, 5);
-        assert_eq!(walk.id.source, 2);
-        assert_eq!(state.total_stored(), 1, "source-1 token untouched");
-    }
-
-    #[test]
-    fn root_owned_token_works() {
-        let g = generators::path(5);
-        let mut state = WalkState::new(g.n());
-        state.store_walk(2, WalkId { source: 2, seq: 0 }, 3, true);
-        let (chosen, _) = sample_once(&mut state, &g, 2, 4);
-        assert_eq!(chosen.expect("found").0, 2);
-        assert_eq!(state.total_stored(), 0);
-    }
-
-    #[test]
-    fn sampling_is_uniform_over_tokens() {
-        // 6 tokens spread over the graph; sample repeatedly (restoring the
-        // store each time) and chi-square the selection counts.
-        let g = generators::torus2d(3, 3);
-        let placements = [(0usize, 0u32), (2, 1), (4, 2), (4, 3), (7, 4), (8, 5)];
-        let mut counts = vec![0u64; placements.len()];
-        for trial in 0..1200u64 {
-            let mut state = WalkState::new(g.n());
-            for &(owner, seq) in &placements {
-                state.store_walk(owner, WalkId { source: 0, seq }, 4, true);
-            }
-            let (chosen, _) = sample_once(&mut state, &g, 0, 1000 + trial);
-            let (owner, walk) = chosen.expect("tokens exist");
-            let idx = placements
-                .iter()
-                .position(|&(o, s)| o == owner && s == walk.id.seq)
-                .expect("chosen token is one of the placements");
-            counts[idx] += 1;
-        }
-        let test = chi_square_uniform(&counts);
-        assert!(test.passes(0.001), "{test:?} counts={counts:?}");
-    }
-
-    #[test]
-    fn rounds_scale_with_eccentricity_not_walk_count() {
-        let g = generators::path(32);
-        let mut state = WalkState::new(g.n());
-        for seq in 0..20 {
-            state.store_walk((seq as usize * 7) % 32, WalkId { source: 0, seq }, 4, true);
-        }
-        let (_, rounds) = sample_once(&mut state, &g, 0, 2);
-        // Eccentricity of node 0 is 31; three sweeps plus constant.
-        assert!(rounds <= 3 * 31 + 10, "rounds = {rounds}");
-        assert!(rounds >= 31, "rounds = {rounds}");
-    }
 
     #[test]
     fn lane_slot_reservoir_weights_owners_by_count() {
@@ -559,26 +170,5 @@ mod tests {
         assert!(!slot.ready_to_aggregate(2), "one-shot");
         slot.reset();
         assert!(!slot.joined && slot.children.is_empty() && slot.count == 0);
-    }
-
-    #[test]
-    fn integrates_with_phase_one() {
-        let g = generators::torus2d(4, 4);
-        let mut state = WalkState::new(g.n());
-        let counts: Vec<usize> = (0..g.n()).map(|v| g.degree(v)).collect();
-        let mut p1 = ShortWalksProtocol::new(&mut state, counts, 4, true);
-        run_node_local(&g, &EngineConfig::default(), 5, &mut p1).unwrap();
-        let before = state.total_stored();
-        let from_seven = state
-            .nodes
-            .iter()
-            .flat_map(|ns| &ns.store)
-            .filter(|w| w.id.source == 7)
-            .count();
-        assert!(from_seven > 0, "phase 1 must store walks for node 7");
-        let (chosen, _) = sample_once(&mut state, &g, 7, 6);
-        let (_, walk) = chosen.expect("walks from node 7 exist");
-        assert_eq!(walk.id.source, 7);
-        assert_eq!(state.total_stored(), before - 1);
     }
 }

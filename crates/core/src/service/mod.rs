@@ -654,7 +654,7 @@ impl Service {
             })
             .collect();
         let session = self.session.as_mut().expect("session ensured above");
-        let (steps, wave_ran) = drivers::wave_step(session, members, &mut self.last_recorder)?;
+        let (steps, wave) = drivers::wave_step(session, members, &mut self.last_recorder)?;
         let mut pump_billed = 0u64;
         let mut failed: Vec<(usize, Error)> = Vec::new();
         for (entry, step) in self.flight.iter_mut().zip(steps) {
@@ -670,7 +670,7 @@ impl Service {
             self.fail_flight(seq, e);
             progressed = true;
         }
-        if !wave_ran {
+        if wave.is_none() {
             return Ok(progressed);
         }
         self.waves += 1;

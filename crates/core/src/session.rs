@@ -70,10 +70,12 @@
 //!   [`WalkSession::set_strict_repair`] buys measure-exactness back
 //!   at full-relaunch cost.
 //!
-//! Correctness is unchanged from the one-shot drivers (Theorem 2.5's
-//! argument never cares *when* a short walk was generated, only that it
-//! is unused and independent); only the round bill changes, from
-//! `O(phases x full rebuild)` to pay-as-you-go.
+//! Correctness is Theorem 2.5's argument, which never cares *when* a
+//! short walk was generated, only that it is unused and independent;
+//! reuse only changes the round bill, from `O(phases x full rebuild)`
+//! to pay-as-you-go. A one-shot request ([`crate::Network::run`]) is
+//! the degenerate case: a private session that serves one request and
+//! is dropped.
 
 use crate::params::WalkParams;
 use crate::regenerate::{ReplayProtocol, ReplaySegment};
@@ -157,6 +159,13 @@ pub struct WaveOutcome {
     pub messages: u64,
     /// Rounds of this wave spent topping up the store.
     pub rounds_topup: u64,
+    /// Rounds of the multiplexed run after its last stitch resolved —
+    /// for a one-walk wave, the walk's naive tail
+    /// ([`crate::BatchedStitchOutcome::rounds_tail`]).
+    pub rounds_tail: u64,
+    /// Rounds spent replaying the recorded spec's stitched segments
+    /// (0 without one).
+    pub rounds_replay: u64,
     /// The effective stitch `lambda` that governed the wave.
     pub lambda: u32,
     /// Total stitches across all walks.
@@ -165,6 +174,9 @@ pub struct WaveOutcome {
     pub gmw_invocations: u64,
     /// `GET-MORE-WALKS` invocations per spec, in spec order.
     pub gmw_by_walk: Vec<u64>,
+    /// How many times each node served as a connector in this wave:
+    /// `(node, count)` for the nodes that did, ascending by node.
+    pub connector_visits: Vec<(NodeId, u32)>,
 }
 
 /// A long-lived walk session over one graph: cached BFS/diameter, a
@@ -460,6 +472,12 @@ impl WalkSession {
         &self.state
     }
 
+    /// Ends the session and hands out its walk state — what a request
+    /// that owned its session reports as its final `state`.
+    pub(crate) fn into_state(self) -> WalkState {
+        self.state
+    }
+
     /// The store's current short-walk base length (0 before the first
     /// top-up). Non-decreasing: see the module docs on regime upgrades.
     pub fn store_lambda(&self) -> u32 {
@@ -506,7 +524,7 @@ impl WalkSession {
     }
 
     /// The Phase-1 targets: `ceil(eta * deg(v))` walks per node (or flat
-    /// counts under the ablation), as in the one-shot drivers.
+    /// counts under the ablation — A3).
     fn targets(&self) -> Vec<usize> {
         (0..self.g.n())
             .map(|v| {
@@ -705,10 +723,13 @@ impl WalkSession {
                 rounds: 0,
                 messages: 0,
                 rounds_topup: 0,
+                rounds_tail: 0,
+                rounds_replay: 0,
                 lambda: self.store_lambda,
                 stitches: 0,
                 gmw_invocations: 0,
                 gmw_by_walk: Vec::new(),
+                connector_visits: Vec::new(),
             });
         }
         let lambda = self.ensure_store(lambda_call, stitch_len)?;
@@ -729,6 +750,7 @@ impl WalkSession {
         // Replay the recorded spec's stitched segments so its visits are
         // complete, then drain them out of the shared ledger.
         let mut visits = Vec::new();
+        let replay_start = self.runner.total_rounds();
         if let Some(&r) = recorded.first() {
             let spec = specs[r];
             let segs = &out.walks[r].segments;
@@ -774,10 +796,13 @@ impl WalkSession {
             rounds: self.runner.total_rounds() - start,
             messages: self.runner.total_messages() - start_messages,
             rounds_topup,
+            rounds_tail: out.rounds_tail,
+            rounds_replay: self.runner.total_rounds() - replay_start,
             lambda,
             stitches: out.stitches,
             gmw_invocations: out.gmw_invocations,
             gmw_by_walk: out.gmw_by_walk,
+            connector_visits: out.connector_visits,
         })
     }
 }

@@ -1,19 +1,25 @@
-//! `SINGLE-RANDOM-WALK` (Algorithm 1): the paper's main result.
+//! `SINGLE-RANDOM-WALK` (Algorithm 1): the paper's main result, and the
+//! vocabulary its phases share — configuration, result, stitch trace
+//! and the Phase-2 decision rule.
 //!
-//! Orchestrates the phases as a sequential composition of CONGEST
-//! sub-protocols (summed rounds, per Section 2):
+//! The algorithm is a sequential composition of CONGEST sub-protocols
+//! (summed rounds, per Section 2), and `SINGLE-RANDOM-WALK` is the
+//! `k = 1` case of `MANY-RANDOM-WALKS` (Section 2.3): a walk request is
+//! a one-lane wave on a private [`crate::WalkSession`]
+//! ([`crate::Network::run`]).
 //!
 //! 1. a BFS from the source estimates the diameter (needed only to *set*
 //!    `lambda`; any estimate preserves correctness) — `O(D)` rounds;
 //! 2. Phase 1 prepares `eta * deg(v)` short walks per node of length
-//!    uniform in `[lambda, 2*lambda - 1]` — `~O(lambda * eta)` rounds;
-//! 3. Phase 2 stitches: while more than `2*lambda - 1` steps remain, run
-//!    `SAMPLE-DESTINATION` at the current connector (`O(D)` rounds),
-//!    replenishing via `GET-MORE-WALKS` if it is drained, and jump to the
-//!    sampled walk's endpoint;
+//!    uniform in `[lambda, 2*lambda - 1]` — `~O(lambda * eta)` rounds
+//!    ([`crate::short_walks`]; skipped when `l < 2*lambda`);
+//! 3. Phase 2 stitches: while at least `2*lambda` steps remain, sample
+//!    an unused short walk of the current connector (`O(D)` rounds),
+//!    replenishing via `GET-MORE-WALKS` if it is drained, and jump to
+//!    the sampled walk's endpoint ([`crate::stitch_scheduler`]);
 //! 4. the final `< 2*lambda` steps are walked naively;
 //! 5. optionally, the whole walk is regenerated so every node knows its
-//!    position(s) and first-visit predecessor.
+//!    position(s) and first-visit predecessor ([`crate::regenerate`]).
 //!
 //! Correctness is *exact* (Las Vegas): each stitched segment is an
 //! independent random walk of uniformly random length from the current
@@ -21,18 +27,11 @@
 //! the `l`-step walk distribution (Theorem 2.5, first part). Experiment
 //! E6 verifies this empirically against the exact distribution.
 
-use crate::get_more_walks::GetMoreWalksProtocol;
-use crate::naive::{NaiveWalkProtocol, NaiveWalkSpec};
 use crate::params::WalkParams;
-use crate::regenerate::{ReplayProtocol, ReplaySegment};
-use crate::sample_destination::SampleDestinationProtocol;
-use crate::short_walks::ShortWalksProtocol;
 use crate::state::{WalkId, WalkState};
-use drw_congest::primitives::BfsTreeProtocol;
-use drw_congest::{EngineConfig, RunError, Runner};
-use drw_graph::{traversal, Graph, NodeId};
+use drw_congest::{EngineConfig, RunError};
+use drw_graph::{Graph, NodeId};
 use std::fmt;
-use std::sync::Arc;
 
 /// Errors from the walk drivers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -194,25 +193,7 @@ pub struct SingleWalkResult {
     pub state: WalkState,
 }
 
-/// Outcome of stitching one walk (shared by the single-, many- and
-/// PODC'09 drivers).
-#[derive(Debug, Clone)]
-pub struct StitchOutcome {
-    /// The walk's destination.
-    pub destination: NodeId,
-    /// Stitch trace.
-    pub segments: Vec<Segment>,
-    /// Stitches performed.
-    pub stitches: u64,
-    /// `GET-MORE-WALKS` invocations.
-    pub gmw_invocations: u64,
-    /// Rounds in the stitching loop.
-    pub rounds_stitch: u64,
-    /// Rounds in the naive tail.
-    pub rounds_tail: u64,
-}
-
-/// Internal knobs of the stitching loop.
+/// Parameters of one [`crate::StitchScheduler`] run.
 #[derive(Debug, Clone, Copy)]
 pub struct StitchSetup {
     /// Short-walk base length.
@@ -243,15 +224,15 @@ pub enum WalkAction {
     Done,
 }
 
-/// The per-walk phase state machine of Phase 2, shared by the
-/// sequential stitching loop ([`stitch_prefix`]) and the batched
-/// scheduler ([`crate::StitchScheduler`]): where the token stands, how
-/// far it has come, and what it must do next.
+/// The per-walk phase state machine of Phase 2: where the token stands,
+/// how far it has come, and what it must do next.
 ///
 /// The decision rule itself is [`WalkDriver::action_at`], a pure
-/// function of `(len, completed, lambda)` — the batched scheduler's
-/// node-local handlers call it directly, since there the "driver" state
-/// travels with the token rather than living in one place.
+/// function of `(len, completed, lambda)` — the scheduler's node-local
+/// handlers call it directly, since there the "driver" state travels
+/// with the token rather than living in one place; the scheduler
+/// replays every finished walk's trace through a `WalkDriver` to check
+/// that it chains.
 #[derive(Debug, Clone)]
 pub struct WalkDriver {
     /// The walk's source.
@@ -264,8 +245,6 @@ pub struct WalkDriver {
     pub completed: u64,
     /// Stitch trace so far.
     pub segments: Vec<Segment>,
-    /// `GET-MORE-WALKS` invocations so far.
-    pub gmw_invocations: u64,
 }
 
 impl WalkDriver {
@@ -277,7 +256,6 @@ impl WalkDriver {
             current: source,
             completed: 0,
             segments: Vec::new(),
-            gmw_invocations: 0,
         }
     }
 
@@ -318,154 +296,6 @@ impl WalkDriver {
         self.current = seg.owner;
         self.segments.push(seg);
     }
-
-    /// Accounts one `GET-MORE-WALKS` invocation.
-    pub fn note_gmw(&mut self) {
-        self.gmw_invocations += 1;
-    }
-}
-
-/// Result of stitching one walk's prefix (everything but the naive
-/// tail).
-#[derive(Debug, Clone)]
-pub struct StitchPrefix {
-    /// Where the walk stands after the last stitch.
-    pub current: NodeId,
-    /// Steps completed so far.
-    pub completed: u64,
-    /// Stitch trace.
-    pub segments: Vec<Segment>,
-    /// Stitches performed.
-    pub stitches: u64,
-    /// `GET-MORE-WALKS` invocations.
-    pub gmw_invocations: u64,
-    /// Rounds consumed by this prefix.
-    pub rounds: u64,
-}
-
-/// Stitches one walk's prefix: short walks from `source` until fewer
-/// than `2*lambda` steps remain. The `< 2*lambda`-step naive tail is
-/// *not* walked — callers either run it immediately ([`stitch_walk`]) or
-/// batch the tails of several walks into one concurrent naive run
-/// ([`crate::many_random_walks`] does this; the tails never touch the
-/// short-walk store, so overlapping them preserves correctness and is
-/// what keeps Theorem 2.8's `sqrt(k l D) + k` bound from degrading to
-/// `k * lambda`).
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn stitch_prefix(
-    runner: &mut Runner,
-    state: &mut WalkState,
-    source: NodeId,
-    len: u64,
-    setup: &StitchSetup,
-    connector_visits: &mut [u32],
-) -> Result<StitchPrefix, WalkError> {
-    let lambda = setup.lambda.max(1);
-    let mut driver = WalkDriver::new(source, len);
-    let stitch_start = runner.total_rounds();
-
-    while driver.next_action(lambda) == WalkAction::Stitch {
-        connector_visits[driver.current] += 1;
-        let mut sd = SampleDestinationProtocol::new(state, driver.current);
-        runner.run(&mut sd)?;
-        let mut chosen = sd.take_chosen();
-        if chosen.is_none() {
-            // Drained connector: replenish, then sample again (Algorithm
-            // 1, lines 7-10).
-            driver.note_gmw();
-            if setup.aggregated_gmw {
-                let mut gmw = GetMoreWalksProtocol::new(
-                    state,
-                    driver.current,
-                    setup.gmw_count,
-                    lambda,
-                    setup.randomize_len,
-                );
-                runner.run(&mut gmw)?;
-            } else {
-                let mut counts = vec![0usize; runner.graph().n()];
-                counts[driver.current] = setup.gmw_count as usize;
-                let mut gmw = ShortWalksProtocol::new(state, counts, lambda, setup.randomize_len);
-                runner.run_local(&mut gmw)?;
-            }
-            let mut sd = SampleDestinationProtocol::new(state, driver.current);
-            runner.run(&mut sd)?;
-            chosen = sd.take_chosen();
-        }
-        let (owner, walk) = chosen.expect("GET-MORE-WALKS must leave walks to sample");
-        driver.apply_segment(Segment {
-            connector: driver.current,
-            id: walk.id,
-            len: walk.len,
-            start_pos: driver.completed,
-            owner,
-            replayable: walk.replayable,
-        });
-    }
-    Ok(StitchPrefix {
-        current: driver.current,
-        completed: driver.completed,
-        stitches: driver.stitches(),
-        gmw_invocations: driver.gmw_invocations,
-        segments: driver.segments,
-        rounds: runner.total_rounds() - stitch_start,
-    })
-}
-
-/// Phase 2 + tail for one walk: stitch short walks from `source` until
-/// fewer than `2*lambda` steps remain, then walk naively.
-///
-/// Exposed so the applications (random spanning trees, mixing-time
-/// estimation) can drive several walks over one shared Phase-1 store.
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn stitch_walk(
-    runner: &mut Runner,
-    state: &mut WalkState,
-    source: NodeId,
-    len: u64,
-    setup: &StitchSetup,
-    connector_visits: &mut [u32],
-) -> Result<StitchOutcome, WalkError> {
-    let prefix = stitch_prefix(runner, state, source, len, setup, connector_visits)?;
-
-    // Final naive tail (at most 2*lambda - 1 steps; Algorithm 1 line 14).
-    // The tail never records its own start: position 0 is recorded by the
-    // driver, and a nonzero start position is recorded as the endpoint of
-    // the last replayed segment.
-    let tail = len - prefix.completed;
-    let tail_start = runner.total_rounds();
-    let mut tail_state = if setup.record {
-        Some(&mut *state)
-    } else {
-        None
-    };
-    let mut naive = NaiveWalkProtocol::new(
-        vec![NaiveWalkSpec {
-            source: prefix.current,
-            len: tail,
-            start_pos: prefix.completed,
-            record_start: false,
-        }],
-        tail_state.take(),
-    );
-    runner.run(&mut naive)?;
-    let destination = naive.destination(0);
-    let rounds_tail = runner.total_rounds() - tail_start;
-
-    Ok(StitchOutcome {
-        destination,
-        segments: prefix.segments,
-        stitches: prefix.stitches,
-        gmw_invocations: prefix.gmw_invocations,
-        rounds_stitch: prefix.rounds,
-        rounds_tail,
-    })
 }
 
 /// Performs a single random walk of `len` steps from `source`, returning
@@ -474,8 +304,7 @@ pub fn stitch_walk(
 ///
 /// This is a thin shim over a throwaway [`crate::Network`] — the
 /// facade's [`crate::Request::Walk`] path — kept for the familiar
-/// free-function surface and regression-tested to stay seed-for-seed
-/// identical to the pre-facade driver. Long-lived callers should hold a
+/// free-function surface. Long-lived callers should hold a
 /// [`crate::Network`] (or a [`crate::WalkSession`]) instead.
 ///
 /// # Errors
@@ -514,111 +343,6 @@ pub fn single_random_walk(
     })
     .map(crate::request::Response::into_walk)
     .map_err(crate::error::Error::expect_walk)
-}
-
-/// The one-shot `SINGLE-RANDOM-WALK` kernel behind
-/// [`crate::Request::Walk`] (and hence [`single_random_walk`]): own
-/// runner, own BFS, own Phase 1.
-pub(crate) fn single_walk_one_shot(
-    g: &Arc<Graph>,
-    source: NodeId,
-    len: u64,
-    cfg: &SingleWalkConfig,
-    seed: u64,
-) -> Result<SingleWalkResult, WalkError> {
-    if source >= g.n() {
-        return Err(WalkError::SourceOutOfRange(source));
-    }
-    if !traversal::is_connected(g) {
-        return Err(WalkError::Disconnected);
-    }
-    let mut runner = Runner::on(g.clone(), cfg.engine.clone(), seed);
-    let mut state = WalkState::new(g.n());
-    let mut connector_visits = vec![0u32; g.n()];
-
-    if cfg.record_walk {
-        state.record_visit(source, 0, None);
-    }
-
-    // Diameter estimate: one BFS from the source (its eccentricity is a
-    // 2-approximation of D, enough to set lambda).
-    let mut bfs = BfsTreeProtocol::new(source);
-    runner.run(&mut bfs)?;
-    let d_est = bfs.into_tree().depth().max(1);
-    let rounds_bfs = runner.total_rounds();
-
-    let lambda = cfg.params.lambda(len, d_est as u64);
-    let setup = StitchSetup {
-        lambda,
-        randomize_len: cfg.randomize_len,
-        aggregated_gmw: cfg.aggregated_gmw && !cfg.record_walk,
-        gmw_count: (len / lambda as u64).max(1),
-        record: cfg.record_walk,
-    };
-
-    // Phase 1 — skipped when no stitching can happen.
-    let phase1_start = runner.total_rounds();
-    if len >= 2 * lambda as u64 {
-        let counts: Vec<usize> = (0..g.n())
-            .map(|v| {
-                if cfg.degree_proportional {
-                    cfg.params.walks_for_degree(g.degree(v))
-                } else {
-                    cfg.params.walks_for_degree(1)
-                }
-            })
-            .collect();
-        let mut p1 = ShortWalksProtocol::new(&mut state, counts, lambda, cfg.randomize_len);
-        runner.run_local(&mut p1)?;
-    }
-    let rounds_phase1 = runner.total_rounds() - phase1_start;
-
-    let outcome = stitch_walk(
-        &mut runner,
-        &mut state,
-        source,
-        len,
-        &setup,
-        &mut connector_visits,
-    )?;
-
-    // Regeneration (Section 2.2): replay all segments in parallel.
-    let replay_start = runner.total_rounds();
-    if cfg.record_walk && !outcome.segments.is_empty() {
-        let replays: Vec<ReplaySegment> = outcome
-            .segments
-            .iter()
-            .map(|s| {
-                assert!(s.replayable, "record_walk requires replayable segments");
-                ReplaySegment {
-                    connector: s.connector,
-                    id: s.id,
-                    start_pos: s.start_pos,
-                }
-            })
-            .collect();
-        let mut replay = ReplayProtocol::new(&mut state, replays);
-        runner.run_local(&mut replay)?;
-    }
-    let rounds_replay = runner.total_rounds() - replay_start;
-
-    Ok(SingleWalkResult {
-        destination: outcome.destination,
-        rounds: runner.total_rounds(),
-        messages: runner.total_messages(),
-        rounds_bfs,
-        rounds_phase1,
-        rounds_stitch: outcome.rounds_stitch,
-        rounds_tail: outcome.rounds_tail,
-        rounds_replay,
-        stitches: outcome.stitches,
-        gmw_invocations: outcome.gmw_invocations,
-        lambda,
-        diameter_estimate: d_est,
-        connector_visits,
-        segments: outcome.segments,
-        state,
-    })
 }
 
 #[cfg(test)]

@@ -336,20 +336,6 @@ impl NodeWalkState {
         Some(self.store.swap_remove(idx))
     }
 
-    /// Removes the stored walk with `tag` and returns it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no such walk exists (a protocol invariant violation).
-    pub fn take_walk(&mut self, tag: u32) -> StoredWalk {
-        let idx = self
-            .store
-            .iter()
-            .position(|w| w.tag == tag)
-            .unwrap_or_else(|| panic!("no stored walk with tag {tag} at this node"));
-        self.store.swap_remove(idx)
-    }
-
     /// Records one visit of the global walk at this node.
     #[inline]
     pub fn record_visit(&mut self, pos: u64, pred: Option<NodeId>) {
@@ -446,15 +432,6 @@ impl WalkState {
     /// Stores a finished short walk at `endpoint`, assigning a fresh tag.
     pub fn store_walk(&mut self, endpoint: NodeId, id: WalkId, len: u32, replayable: bool) {
         self.nodes[endpoint].store_walk(id, len, replayable);
-    }
-
-    /// Removes the walk with `tag` stored at `owner` and returns it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no such walk exists (a protocol invariant violation).
-    pub fn take_walk(&mut self, owner: NodeId, tag: u32) -> StoredWalk {
-        self.nodes[owner].take_walk(tag)
     }
 
     /// Total stored (unused) walks across all nodes.
@@ -674,13 +651,15 @@ mod tests {
 
     #[test]
     fn store_and_take_round_trip() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut s = WalkState::new(3);
         s.store_walk(1, WalkId { source: 0, seq: 5 }, 7, true);
         s.store_walk(1, WalkId { source: 2, seq: 0 }, 9, false);
         assert_eq!(s.total_stored(), 2);
         assert_eq!(s.stored_from(1, 0), 1);
         assert_eq!(s.stored_from(1, 2), 1);
-        let w = s.take_walk(1, 0);
+        let w = s.nodes[1].take_uniform_from(0, &mut rng).expect("stored");
         assert_eq!(w.id, WalkId { source: 0, seq: 5 });
         assert_eq!(w.len, 7);
         assert!(w.replayable);
@@ -721,20 +700,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no stored walk")]
-    fn taking_missing_walk_panics() {
-        let mut s = WalkState::new(1);
-        s.take_walk(0, 3);
-    }
-
-    #[test]
     fn outstanding_census_counts_by_source() {
         let mut s = WalkState::new(3);
         s.store_walk(1, WalkId { source: 0, seq: 0 }, 4, true);
         s.store_walk(2, WalkId { source: 0, seq: 1 }, 4, true);
         s.store_walk(0, WalkId { source: 2, seq: 0 }, 4, true);
         assert_eq!(s.outstanding_by_source(), vec![2, 0, 1]);
-        s.take_walk(1, 0);
+        s.nodes[1].store.clear();
         assert_eq!(s.outstanding_by_source(), vec![1, 0, 1]);
     }
 

@@ -1,15 +1,17 @@
-//! Batched Phase-2 stitching: all `k` tokens of `MANY-RANDOM-WALKS`
-//! advance concurrently in **one** multiplexed CONGEST run.
+//! Phase 2 of the paper's algorithms: every walk of a wave — the `k`
+//! tokens of `MANY-RANDOM-WALKS`, or the single token of Algorithm 1,
+//! which is the `k = 1` wave — advances concurrently in **one**
+//! multiplexed CONGEST run.
 //!
-//! The sequential driver stitches the `k` walks one after another, so
-//! Phase 2 costs the *sum* of `k` full `SAMPLE-DESTINATION` /
-//! `GET-MORE-WALKS` / naive-tail compositions — `k * ~O(D)` rounds per
-//! stitch generation, even though each composition leaves almost every
-//! edge idle. The follow-up works (the JACM version of "Distributed
-//! Random Walks", arXiv:1302.4544, and "Near-Optimal Random Walk
-//! Sampling in Distributed Networks", arXiv:1201.1363) interleave the
-//! token movements instead: concurrent stitches share rounds, and
-//! congestion for an edge surfaces as queueing — which is exactly what
+//! Stitching walks one after another would cost the *sum* of `k` full
+//! `SAMPLE-DESTINATION` / `GET-MORE-WALKS` / naive-tail compositions —
+//! `k * ~O(D)` rounds per stitch generation, even though each
+//! composition leaves almost every edge idle (EXPERIMENTS.md E3b has
+//! the numbers). The follow-up works (the JACM version of "Distributed Random Walks",
+//! arXiv:1302.4544, and "Near-Optimal Random Walk Sampling in
+//! Distributed Networks", arXiv:1201.1363) interleave the token
+//! movements instead: concurrent stitches share rounds, and congestion
+//! for an edge surfaces as queueing — which is exactly what
 //! Theorem 2.8's `sqrt(k l D) + k` term prices in.
 //!
 //! [`StitchScheduler`] realizes that interleaving. Every sub-protocol
@@ -263,6 +265,8 @@ struct Tally {
     segments: Vec<(u32, Segment)>,
     /// Times this node served as a connector (Lemma 2.7's quantity).
     connector_visits: u32,
+    /// The last round in which a segment resolved here (0 = none did).
+    last_stitch_round: u64,
 }
 
 /// One node's scratch for the wave in flight, held in
@@ -304,8 +308,7 @@ struct Merge {
     acks: Vec<(u32, u64)>,
     /// Aggregated `GET-MORE-WALKS` arrivals merged per `(lane, step)`
     /// within the round — Algorithm 2's "counts collapse into one
-    /// message per edge", exactly as `GetMoreWalksProtocol` sums its
-    /// inbox before splitting.
+    /// message per edge": the node sums its inbox before splitting.
     gmw_in: Vec<(u32, u32, u64)>,
 }
 
@@ -434,6 +437,7 @@ fn advance_walk(
         replayable: walk.replayable,
     };
     tally.segments.push((lane_idx, seg));
+    tally.last_stitch_round = ctx.round();
     let completed = completed + u64::from(walk.len);
     let spec = shared.walks[lane_idx as usize];
     match spec.action_at(completed, shared.lambda) {
@@ -884,6 +888,12 @@ pub struct BatchedStitchOutcome {
     /// How many times each node served as a connector: `(node, count)`
     /// for the nodes that did, ascending by node.
     pub connector_visits: Vec<(NodeId, u32)>,
+    /// Rounds of the run after its last stitch resolved — the suffix in
+    /// which only naive-tail tokens moved (every round of a run that
+    /// never stitched). For a one-walk run this is exactly the walk's
+    /// naive tail (Algorithm 1, line 14) and `report.rounds -
+    /// rounds_tail` its stitching bill.
+    pub rounds_tail: u64,
     /// Walk re-issues performed by the self-healing pass: on an
     /// unhealed (fail-silent) network, walks whose token was lost are
     /// relaunched from their last stitched checkpoint once the run goes
@@ -1106,6 +1116,7 @@ impl StitchScheduler {
         let mut connector_visits = std::collections::BTreeMap::new();
         let mut gmw_by_walk = vec![0u64; total];
         let mut report = RunReport::default();
+        let mut rounds_tail = 0u64;
         let mut reissues = 0u64;
         // The walks this pass runs: (original index, spec, steps already
         // banked by earlier passes). Pass 0 is the full batch.
@@ -1134,9 +1145,11 @@ impl StitchScheduler {
             // shift by the banked steps).
             let mut finished_here: Vec<bool> = vec![false; pending.len()];
             let mut landed = 0;
+            let mut last_stitch_round = 0;
             for v in protocol.touched {
                 let wave = protocol.nodes[v].wave.take();
                 let wave = wave.expect("listed nodes hold scratch");
+                last_stitch_round = last_stitch_round.max(wave.tally.last_stitch_round);
                 if wave.tally.connector_visits > 0 {
                     *connector_visits.entry(v).or_insert(0) += wave.tally.connector_visits;
                 }
@@ -1160,7 +1173,9 @@ impl StitchScheduler {
                 }
             }
             assert_eq!(protocol.done, landed, "completion count out of step");
-            merge_report(&mut report, result?);
+            let pass_report = result?;
+            rounds_tail += pass_report.rounds - last_stitch_round;
+            merge_report(&mut report, pass_report);
 
             let unfinished: Vec<(usize, StitchSpec, u64)> = pending
                 .iter()
@@ -1246,6 +1261,7 @@ impl StitchScheduler {
             gmw_invocations: gmw_by_walk.iter().sum(),
             gmw_by_walk,
             connector_visits: connector_visits.into_iter().collect(),
+            rounds_tail,
             reissues,
             report,
         })
@@ -1272,6 +1288,213 @@ mod tests {
             aggregated_gmw: aggregated,
             gmw_count: 8,
             record: false,
+        }
+    }
+
+    /// One walk of `2 * lambda` steps from `source` over whatever
+    /// `state` holds — exactly one stitch (after a `GET-MORE-WALKS` if
+    /// the connector has no token), then a tail: the one-lane run that
+    /// exercises a single `SAMPLE-DESTINATION` / `GET-MORE-WALKS`.
+    fn one_stitch(
+        g: &drw_graph::Graph,
+        state: &mut WalkState,
+        source: NodeId,
+        su: &StitchSetup,
+        seed: u64,
+    ) -> BatchedStitchOutcome {
+        let mut runner = Runner::new(g, EngineConfig::default(), seed);
+        let mut sched = StitchScheduler::new(su);
+        sched.add_walk(source, 2 * u64::from(su.lambda));
+        let out = sched.run(&mut runner, state).expect("one-stitch run");
+        assert_eq!(out.stitches, 1, "a 2*lambda-step walk stitches once");
+        out
+    }
+
+    /// `one_stitch` over an empty store with `count` walks per
+    /// `GET-MORE-WALKS`: the invocation's `count` new walks minus the
+    /// one the stitch consumed are left in `state` to inspect.
+    fn starved_stitch(
+        g: &drw_graph::Graph,
+        source: NodeId,
+        count: u64,
+        lambda: u32,
+        randomize_len: bool,
+        seed: u64,
+    ) -> (WalkState, BatchedStitchOutcome) {
+        let mut state = WalkState::new(g.n());
+        let su = StitchSetup {
+            randomize_len,
+            gmw_count: count,
+            ..setup(lambda, true)
+        };
+        let out = one_stitch(g, &mut state, source, &su, seed);
+        assert_eq!(out.gmw_invocations, 1, "an empty store replenishes once");
+        (state, out)
+    }
+
+    fn stored(state: &WalkState) -> impl Iterator<Item = &StoredWalk> {
+        state.nodes.iter().flat_map(|ns| &ns.store)
+    }
+
+    #[test]
+    fn sampling_is_uniform_over_tokens() {
+        // 6 tokens spread over the graph; sample repeatedly (a fresh
+        // store each time) and chi-square the selection counts.
+        let g = generators::torus2d(3, 3);
+        let placements = [(0usize, 0u32), (2, 1), (4, 2), (4, 3), (7, 4), (8, 5)];
+        let mut counts = vec![0u64; placements.len()];
+        for trial in 0..1200u64 {
+            let mut state = WalkState::new(g.n());
+            for &(owner, seq) in &placements {
+                state.store_walk(owner, WalkId { source: 0, seq }, 4, true);
+            }
+            let out = one_stitch(&g, &mut state, 0, &setup(4, true), 1000 + trial);
+            let seg = out.walks[0].segments[0];
+            let idx = placements
+                .iter()
+                .position(|&(o, s)| o == seg.owner && s == seg.id.seq)
+                .expect("chosen token is one of the placements");
+            counts[idx] += 1;
+            assert_eq!(state.total_stored(), 5, "the chosen token is deleted");
+        }
+        let test = drw_stats::chi_square_uniform(&counts);
+        assert!(test.passes(0.001), "{test:?} counts={counts:?}");
+    }
+
+    #[test]
+    fn tokens_of_other_sources_are_ignored() {
+        let g = generators::cycle(8);
+        let mut state = WalkState::new(g.n());
+        state.store_walk(4, WalkId { source: 1, seq: 0 }, 5, true);
+        state.store_walk(5, WalkId { source: 2, seq: 0 }, 5, true);
+        let out = one_stitch(&g, &mut state, 2, &setup(5, true), 9);
+        let seg = out.walks[0].segments[0];
+        assert_eq!((seg.connector, seg.owner, seg.id.source), (2, 5, 2));
+        assert_eq!(out.gmw_invocations, 0);
+        assert_eq!(state.total_stored(), 1, "source-1 token untouched");
+        assert_eq!(state.stored_from(4, 1), 1);
+    }
+
+    #[test]
+    fn root_owned_token_works() {
+        let g = generators::path(5);
+        let mut state = WalkState::new(g.n());
+        state.store_walk(2, WalkId { source: 2, seq: 0 }, 3, true);
+        let out = one_stitch(&g, &mut state, 2, &setup(3, true), 4);
+        assert_eq!(out.walks[0].segments[0].owner, 2);
+        assert_eq!(out.connector_visits, vec![(2, 1)]);
+        assert_eq!(state.total_stored(), 0);
+    }
+
+    #[test]
+    fn sampling_rounds_scale_with_eccentricity_not_walk_count() {
+        // `report.rounds - rounds_tail` is the one stitch: three sweeps
+        // over the connector's flood tree, however many tokens it holds.
+        let g = generators::path(32);
+        let mut state = WalkState::new(g.n());
+        for seq in 0..20 {
+            state.store_walk((seq as usize * 7) % 32, WalkId { source: 0, seq }, 4, true);
+        }
+        let out = one_stitch(&g, &mut state, 0, &setup(4, true), 2);
+        let rounds = out.report.rounds - out.rounds_tail;
+        // Eccentricity of node 0 is 31; three sweeps plus constant.
+        assert!((31..=3 * 31 + 10).contains(&rounds), "rounds = {rounds}");
+        assert_eq!(out.rounds_tail, 4, "the tail is the 8 - 4 remaining steps");
+    }
+
+    #[test]
+    fn gmw_creates_exactly_count_walks_in_the_reservoir_range() {
+        let g = generators::torus2d(4, 4);
+        let lambda = 6;
+        let (state, out) = starved_stitch(&g, 3, 25, lambda, true, 1);
+        assert_eq!(state.total_stored(), 24, "25 created, one stitched");
+        let seg = out.walks[0].segments[0];
+        for (id, len, replayable) in stored(&state).map(|w| (w.id, w.len, w.replayable)).chain([(
+            seg.id,
+            seg.len,
+            seg.replayable,
+        )]) {
+            assert_eq!(
+                id,
+                WalkId {
+                    source: 3,
+                    seq: AGGREGATED_SEQ
+                }
+            );
+            assert!(!replayable, "aggregated walks erase their trajectories");
+            assert!(len >= lambda && len < 2 * lambda, "len = {len}");
+        }
+    }
+
+    #[test]
+    fn gmw_reservoir_lengths_are_uniform() {
+        // Lemma 2.4: on-the-fly stopping makes every length in
+        // [lambda, 2*lambda - 1] equally likely. One big invocation
+        // suffices: lengths of distinct tokens are i.i.d. (the stitched
+        // one included — it was drawn uniformly among them).
+        let g = generators::complete(12);
+        let lambda = 6u32;
+        let (state, out) = starved_stitch(&g, 0, 6000, lambda, true, 3);
+        let mut counts = vec![0u64; lambda as usize];
+        counts[(out.walks[0].segments[0].len - lambda) as usize] += 1;
+        for w in stored(&state) {
+            counts[(w.len - lambda) as usize] += 1;
+        }
+        assert_eq!(counts.iter().sum::<u64>(), 6000);
+        let test = drw_stats::chi_square_uniform(&counts);
+        assert!(test.passes(0.001), "{test:?} counts={counts:?}");
+    }
+
+    #[test]
+    fn gmw_fixed_length_and_unit_lambda_modes() {
+        // Fixed-length mode stops everything at lambda...
+        let (state, _) = starved_stitch(&generators::cycle(10), 0, 30, 5, false, 4);
+        assert_eq!(state.total_stored(), 29);
+        assert!(stored(&state).all(|w| w.len == 5));
+        // ...lambda = 1 yields unit walks...
+        let (state, _) = starved_stitch(&generators::cycle(5), 2, 10, 1, true, 7);
+        assert_eq!(state.total_stored(), 9);
+        assert!(stored(&state).all(|w| w.len == 1));
+        // ...and a zero count is clamped to the one walk the waiting
+        // stitch needs (a replenishment of nothing would never resolve).
+        let (state, _) = starved_stitch(&generators::path(4), 0, 0, 4, true, 8);
+        assert_eq!(state.total_stored(), 0);
+    }
+
+    #[test]
+    fn gmw_rounds_and_traffic_do_not_scale_with_count() {
+        // Lemma 2.2: aggregation means no per-token congestion — a `Gmw`
+        // arm is 2 words (3 with the lane tag) and stands for however
+        // many tokens cross the edge at that step. On the lanes the
+        // diffusion shares its edges with the acknowledgements that tell
+        // the waiting root when to resample, so tokens fall a step apart
+        // and an edge can queue one count per *distinct step* — a
+        // backlog bounded by lambda, not by the count: 1000x the walks
+        // cost about 2x the rounds, where per-token replenishment would
+        // need count / deg = 1250 rounds for the first hop alone.
+        let gmw = StitchMsg::Gmw {
+            step: 1,
+            count: 5000,
+        };
+        assert_eq!(gmw.size_words(), 2);
+        assert_eq!(Mux2::new(0, 0, gmw).size_words(), 3);
+        let g = generators::torus2d(4, 4);
+        let lambda = 10u32;
+        // Two sampling epochs of three sweeps each (diameter 4) plus the
+        // acks' way up ride on top of the diffusion's 2*lambda - 1 hops.
+        for (count, seed, hops) in [(5, 5, 2 * lambda), (5000, 6, 8 * lambda)] {
+            let (_, out) = starved_stitch(&g, 0, count, lambda, true, seed);
+            let rounds = out.report.rounds - out.rounds_tail;
+            assert!(rounds <= u64::from(hops) + 32, "count {count}: {rounds}");
+            assert!(
+                out.report.messages < 2500,
+                "count {count}: {} messages",
+                out.report.messages
+            );
+            assert_eq!(
+                out.report.max_edge_words_per_round, 4,
+                "lane tag + widest arm"
+            );
         }
     }
 

@@ -4,13 +4,10 @@
 //!
 //! Expected shape: sublinear growth in `k` (exponent ~1/2) while the
 //! stitched branch is active, and the automatic switch to the `k + l`
-//! branch once `lambda(k) > l`. The `loop` column measures the
-//! pre-batching per-walk stitching driver
-//! (`StitchStrategy::SequentialLoop`) over the identical regime; the
-//! gap to `many` is the rounds the batched scheduler saves by
-//! multiplexing concurrent stitches into one engine run (E3b).
+//! branch once `lambda(k) > l`. E3b measures what multiplexing
+//! concurrent stitches into one engine run saves.
 
-use drw_core::{many_random_walks, many_random_walks_with, naive_walk, StitchStrategy};
+use drw_core::{many_random_walks, naive_walk};
 use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
 use drw_stats::log_log_slope;
 
@@ -33,7 +30,7 @@ fn main() {
             w.name,
             g.n()
         ),
-        &["k", "many", "loop", "k x naive", "fallback", "stitches"],
+        &["k", "many", "k x naive", "fallback", "stitches"],
     );
     let (mut xs, mut ys) = (Vec::new(), Vec::new());
     for &k in &ks {
@@ -46,13 +43,6 @@ fn main() {
         let many = mean(&runs.iter().map(|r| r.0).collect::<Vec<_>>());
         let fallback = runs.iter().filter(|r| r.1).count();
         let stitches = mean(&runs.iter().map(|r| r.2).collect::<Vec<_>>());
-        // The pre-batching baseline: per-walk sequential stitching over
-        // the same shared store (identical lambda and Phase 1).
-        let looped = mean(&parallel_trials(trials, 40, |s| {
-            many_random_walks_with(g, &sources, len, &cfg, s, StitchStrategy::SequentialLoop)
-                .expect("sequential loop")
-                .rounds as f64
-        }));
         // Baseline: k sequential naive walks = k * l rounds.
         let seq = k as f64
             * mean(&parallel_trials(trials, 50, |s| {
@@ -61,7 +51,6 @@ fn main() {
         t.row(&[
             k.to_string(),
             f3(many),
-            f3(looped),
             f3(seq),
             format!("{fallback}/{trials}"),
             f3(stitches),

@@ -1,22 +1,22 @@
-//! E3b: the batched Phase-2 scheduler vs per-walk sequential stitching
-//! (ISSUE 2's acceptance workload).
+//! E3b: one `k`-walk wave vs `k` one-walk waves (ISSUE 2's acceptance
+//! workload).
 //!
 //! On the 32x32 torus, Phase 2 is forced into the stitched regime
-//! (`lambda_scale = 0.25`) and measured both ways for growing `k`: the
-//! batched scheduler multiplexes all walks into one engine run, the
-//! sequential loop composes one `SAMPLE-DESTINATION` chain per walk.
-//! Expected shape: the loop's Phase-2 rounds grow ~linearly in `k`; the
-//! batched scheduler's grow far slower (concurrent stitches share
-//! rounds), so the ratio falls well below 1.
+//! (`lambda_scale = 0.25`) and measured both ways for growing `k`: one
+//! `MANY-RANDOM-WALKS` request multiplexes all walks into one engine
+//! run, `k` `SINGLE-RANDOM-WALK` requests run one lane each, one after
+//! another. Expected shape: the serial Phase-2 rounds grow ~linearly in
+//! `k`; the shared wave's grow far slower (concurrent stitches share
+//! rounds), so the ratio falls well below 1. (Each single walk builds
+//! its own store at its own `lambda(l, D)`; EXPERIMENTS.md also keeps a
+//! since-deleted same-store loop's numbers for comparison.)
 //!
 //! A second table records the Theorem 2.8 acceptance point: k = 16
 //! walks of length 64 as one `MANY-RANDOM-WALKS` call vs 16 sequential
 //! `SINGLE-RANDOM-WALK` runs, at default parameters (the `k + l`
 //! branch) and in the stitched regime (`lambda_scale = 0.12`).
 
-use drw_core::{
-    many_random_walks, many_random_walks_with, single_random_walk, StitchStrategy, WalkParams,
-};
+use drw_core::{many_random_walks, single_random_walk, WalkParams};
 use drw_experiments::{executor_from_env, table::f3, walk_config_from_env, workloads, Table};
 
 fn scaled(scale: f64) -> drw_core::SingleWalkConfig {
@@ -47,27 +47,28 @@ fn main() {
             w.name,
             executor_from_env()
         ),
-        &["k", "batched p2", "loop p2", "ratio", "stitches", "gmw"],
+        &[
+            "k",
+            "batched p2",
+            "k x single p2",
+            "ratio",
+            "stitches",
+            "gmw",
+        ],
     );
     let cfg = scaled(0.25);
     for &k in &ks {
         let sources: Vec<usize> = (0..k).map(|i| (i * 131) % g.n()).collect();
-        let (mut batched, mut looped, mut stitches, mut gmw) = (0.0, 0.0, 0.0, 0.0);
+        let (mut batched, mut serial, mut stitches, mut gmw) = (0.0, 0.0, 0.0, 0.0);
         for s in 0..trials {
-            let b = many_random_walks_with(g, &sources, len, &cfg, 42 + s, StitchStrategy::Batched)
-                .expect("batched");
+            let b = many_random_walks(g, &sources, len, &cfg, 42 + s).expect("batched");
             assert!(!b.used_naive_fallback, "must be in the stitched regime");
-            let l = many_random_walks_with(
-                g,
-                &sources,
-                len,
-                &cfg,
-                42 + s,
-                StitchStrategy::SequentialLoop,
-            )
-            .expect("loop");
             batched += b.rounds_phase2 as f64;
-            looped += l.rounds_phase2 as f64;
+            for (i, &source) in sources.iter().enumerate() {
+                let one = single_random_walk(g, source, len, &cfg, 4200 + 100 * s + i as u64)
+                    .expect("single");
+                serial += (one.rounds_stitch + one.rounds_tail) as f64;
+            }
             stitches += b.stitches as f64;
             gmw += b.gmw_invocations as f64;
         }
@@ -75,8 +76,8 @@ fn main() {
         t.row(&[
             k.to_string(),
             f3(batched / n),
-            f3(looped / n),
-            f3(batched / looped.max(1.0)),
+            f3(serial / n),
+            f3(batched / serial.max(1.0)),
             f3(stitches / n),
             f3(gmw / n),
         ]);

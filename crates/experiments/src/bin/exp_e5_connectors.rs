@@ -8,11 +8,10 @@
 //!    `[lambda, 2*lambda - 1]`, both from Phase 1 and from the
 //!    reservoir-sampled `GET-MORE-WALKS` (Lemma 2.4).
 
-use drw_congest::{run_node_local, run_protocol};
-use drw_core::get_more_walks::GetMoreWalksProtocol;
+use drw_congest::{run_node_local, Runner};
 use drw_core::short_walks::ShortWalksProtocol;
 use drw_core::visit_stats::connector_counts;
-use drw_core::WalkState;
+use drw_core::{StitchScheduler, StitchSetup, WalkState};
 use drw_experiments::{engine_config_from_env, parallel_trials, table::f3, workloads, Table};
 use drw_stats::chi_square_uniform;
 use rand::rngs::StdRng;
@@ -80,8 +79,19 @@ fn main() {
                 run_node_local(&g, &engine_config_from_env(), 1, &mut p).unwrap();
             }
             _ => {
-                let mut p = GetMoreWalksProtocol::new(&mut state, 0, 4800, lambda, true);
-                run_protocol(&g, &engine_config_from_env(), 2, &mut p).unwrap();
+                // One 2*lambda-step walk over the empty store: its only
+                // stitch replenishes with 4801 aggregated walks and
+                // consumes one, leaving 4800 to tabulate.
+                let mut sched = StitchScheduler::new(&StitchSetup {
+                    lambda,
+                    randomize_len: true,
+                    aggregated_gmw: true,
+                    gmw_count: 4801,
+                    record: false,
+                });
+                sched.add_walk(0, 2 * u64::from(lambda));
+                let mut runner = Runner::new(&g, engine_config_from_env(), 2);
+                sched.run(&mut runner, &mut state).unwrap();
             }
         }
         let mut counts = vec![0u64; lambda as usize];

@@ -59,9 +59,10 @@
 //!
 //! The pre-facade free functions (`single_random_walk`,
 //! `many_random_walks`, `distributed_rst`, `estimate_mixing_time`)
-//! remain available as thin shims over a throwaway `Network`,
-//! seed-for-seed identical to their historical outputs — see the
-//! migration notes in `DESIGN.md`.
+//! remain available as thin shims over a throwaway `Network` — every
+//! request kind has one driver and one Phase 2, so a shim and the
+//! request it wraps cannot drift apart. See the migration notes in
+//! `DESIGN.md`.
 //!
 //! See `DESIGN.md` for the system inventory and the per-experiment
 //! index, and `EXPERIMENTS.md` for paper-vs-measured results.
@@ -81,13 +82,12 @@ pub use drw_stats as stats;
 pub mod prelude {
     pub use drw_congest::{EngineConfig, ExecutorKind, Runner};
     pub use drw_core::{
-        many_random_walks, many_random_walks_with, naive_walk, single_random_walk, ArrivalTrace,
-        Completion, Error as DrwError, ManyWalksResult, MixedTraceSpec, MixingProbe, MixingReport,
+        many_random_walks, naive_walk, single_random_walk, ArrivalTrace, Completion,
+        Error as DrwError, ManyWalksResult, MixedTraceSpec, MixingProbe, MixingReport,
         MixingRequest, Network, NetworkBuilder, RepairReport, Request, Response, Service,
         ServiceBuilder, ServiceConfig, ServiceReport, SingleWalkConfig, SingleWalkResult,
-        StitchScheduler, StitchStrategy, SubmitError, TenantBill, TenantId, Ticket, TicketPoll,
-        TraceEvent, TraceRun, TreeMode, TreeRequest, TreeSample, WalkError, WalkParams,
-        WalkSession,
+        StitchScheduler, SubmitError, TenantBill, TenantId, Ticket, TicketPoll, TraceEvent,
+        TraceRun, TreeMode, TreeRequest, TreeSample, WalkError, WalkParams, WalkSession,
     };
     pub use drw_graph::{
         generators, DeltaOp, EpochReport, Graph, GraphBuilder, Topology, TopologyDelta,

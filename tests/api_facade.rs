@@ -70,7 +70,6 @@ fn many_walks_requests_match_the_legacy_free_function() {
         assert_eq!(routed.destinations, legacy.destinations, "{kind:?}");
         assert_eq!(routed.rounds, legacy.rounds, "{kind:?}");
         assert_eq!(routed.lambda, legacy.lambda, "{kind:?}");
-        assert_eq!(routed.strategy(), legacy.strategy(), "{kind:?}");
     }
 }
 

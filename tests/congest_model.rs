@@ -6,7 +6,6 @@ use drw_congest::{
     run_node_local, run_protocol, Ctx, Envelope, FaultPlan, Mux2, NodeCtx, NodeLocalProtocol,
     RunError, Runner, ScriptedSchedule, ScriptedTiming, ShardedExecutor,
 };
-use drw_core::get_more_walks::GetMoreWalksProtocol;
 use drw_core::short_walks::ShortWalksProtocol;
 use drw_core::{StitchScheduler, StitchSetup, WalkState};
 
@@ -136,17 +135,31 @@ fn short_walks_edge_words_match_wire_format() {
     assert_eq!(report.max_edge_words_per_round, cfg.max_message_words);
 }
 
-/// Aggregated GET-MORE-WALKS ships one token *count* per edge — 2
-/// words regardless of how many walks it replenishes. That constant is
-/// the whole point of the aggregation (Algorithm 2).
+/// Aggregated GET-MORE-WALKS ships one token *count* per edge — a
+/// 2-word arm (pinned in `stitch_scheduler`'s unit tests, next to the
+/// type) however many walks it replenishes: the point of Algorithm 2.
+/// From outside, a one-walk run over an empty store shows counts above 1
+/// on the wire, no per-token message, and fewer messages than new walks.
 #[test]
 fn gmw_edge_words_match_wire_format() {
     let g = generators::torus2d(5, 5);
-    let cfg = EngineConfig::default();
+    let mut runner = Runner::new(&g, EngineConfig::default().with_wire_census(), 23);
     let mut state = WalkState::new(g.n());
-    let mut p = GetMoreWalksProtocol::new(&mut state, 7, 64, 6, true);
-    let report = run_protocol(&g, &cfg, 23, &mut p).unwrap();
-    assert_eq!(report.max_edge_words_per_round, 2);
+    let mut sched = StitchScheduler::new(&StitchSetup {
+        lambda: 6,
+        randomize_len: true,
+        aggregated_gmw: true,
+        gmw_count: 4096,
+        record: false,
+    });
+    sched.add_walk(7, 12);
+    let out = sched.run(&mut runner, &mut state).unwrap();
+    assert_eq!((out.gmw_invocations, state.total_stored()), (1, 4095));
+    let wire = out.report.wire.get("StitchMsg").expect("census recorded");
+    let field = |name: &str| wire.fields.iter().find(|f| f.field == name);
+    assert!(field("Gmw.count").expect("counts flowed").max_value > 1);
+    assert!(field("Swk.seq").is_none(), "no per-token replenishment");
+    assert!(out.report.messages < 4096, "{}", out.report.messages);
 }
 
 /// The batched Phase-2 scheduler multiplexes every lane over

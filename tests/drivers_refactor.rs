@@ -1,16 +1,8 @@
-//! Fixed-seed regression guard for the driver-extraction refactor
-//! (ISSUE 9 satellite): the per-request driver state machines moved
-//! from `Network::run_batch`'s private internals into the shared
-//! `drw_core::network::drivers` module so the continuous-batching
-//! `Service` can reuse them. The move must not perturb a single byte of
-//! `run_batch` output — these golden values were captured from the
-//! pre-refactor code at the listed seeds and must keep reproducing.
-//!
-//! ISSUE 14 extended the guard to the one-shot and session paths: when
-//! `Network::run` became a batch of one over the shared driver loop and
-//! `WalkSession::single_walk` a wave of one, the values below (captured
-//! at the parent commit, from the hand-written one-shot loops) had to
-//! keep reproducing too.
+//! Fixed-seed regression guard for the shared request drivers
+//! (`drw_core::network::drivers`): `run_batch`, one-shot `run`, session
+//! walks and a mixed multiplexed wave must keep reproducing, to the
+//! byte, golden values captured from the hand-written loops each of them
+//! replaced (ISSUEs 9, 14, 20, 21), at the listed seeds.
 
 use distributed_random_walks::prelude::*;
 use drw_congest::{FaultPlan, Runner};
@@ -144,46 +136,6 @@ const GOLDEN: Golden = Golden {
     session_rounds: 963,
 };
 
-/// Prints the actual values in `Golden` literal form (run with
-/// `-- --ignored --nocapture` to re-capture after an *intentional*
-/// semantic change; the default test above must never need it).
-#[test]
-#[ignore = "capture helper, not a gate"]
-fn print_golden_values() {
-    let g = drw_graph::generators::torus2d(6, 6);
-    let mut net = Network::builder(&g).seed(31).build();
-    let rs = net.run_batch(golden_batch(g.n())).expect("golden batch");
-    let walk = rs[0].clone().into_walk();
-    let many = rs[1].clone().into_many_walks();
-    let tree = rs[2].clone().into_tree();
-    let mix = rs[3].clone().into_mixing();
-    let walk2 = rs[5].clone().into_walk();
-    println!(
-        "const GOLDEN: Golden = Golden {{\n    walk_dest: {},\n    walk_rounds: {},\n    \
-         walk_stitches: {},\n    many_dests: [{}, {}],\n    many_rounds: {},\n    \
-         many_stitches: {},\n    tree_digest: 0x{:016x},\n    tree_rounds: {},\n    \
-         tree_phases: {},\n    mix_disc_bits: 0x{:016x},\n    mix_pass: {},\n    \
-         mix_rounds: {},\n    walk2_dest: {},\n    walk2_rounds: {},\n    \
-         session_rounds: {},\n}};",
-        walk.destination,
-        walk.rounds,
-        walk.stitches,
-        many.destinations[0],
-        many.destinations[1],
-        many.rounds,
-        many.stitches,
-        tree_digest(&tree.edges),
-        tree.rounds,
-        tree.phases,
-        mix.probes[0].discrepancy.to_bits(),
-        mix.probes[0].pass,
-        mix.rounds,
-        walk2.destination,
-        walk2.rounds,
-        net.session_rounds(),
-    );
-}
-
 /// A digest of anything with a stable `Debug` form (probe lists,
 /// segment traces): floats print their shortest round-trip decimal, so
 /// equal digests mean equal bits.
@@ -227,6 +179,28 @@ fn two_session_walks() -> ([(usize, u64, u64); 2], u64) {
         ],
         s.total_rounds(),
     )
+}
+
+/// One stitched (`l >= 2 * lambda`) many-walks request: `(destinations,
+/// rounds, messages, digest of everything else)`.
+fn one_shot_many(kind: ExecutorKind) -> (Vec<usize>, u64, u64, u64) {
+    let g = drw_graph::generators::torus2d(16, 16);
+    let mut net = Network::builder(&g).executor(kind).seed(31).build();
+    let m = net
+        .run(Request::many_walks(vec![3, 8, 200, 77], 2048))
+        .expect("golden cohort")
+        .into_many_walks();
+    let phases = [m.rounds_bfs, m.rounds_phase1, m.rounds_phase2];
+    let stored = m.state.total_stored();
+    let rest = (
+        m.stitches,
+        m.lambda,
+        phases,
+        m.segments,
+        m.connector_visits,
+        stored,
+    );
+    (m.destinations, m.rounds, m.messages, debug_digest(&rest))
 }
 
 type TreeGolden = (u64, u32, u64, u64, u64, u64);
@@ -284,6 +258,12 @@ fn one_shot_and_session_outputs_are_byte_identical_to_pre_refactor() {
         (ONE_SHOT.session_walks, ONE_SHOT.session_total_rounds),
         "consecutive session walks drifted"
     );
+    // Captured at the parent commit of ISSUE 21 from the one-shot
+    // many-walks kernel (seed 31, 16x16 torus), on both backends.
+    let many = (vec![237, 172, 123, 143], 1782, 591_681, 0x73c3defe53adf0fb);
+    for kind in [ExecutorKind::Sequential, ExecutorKind::Sharded] {
+        assert_eq!(one_shot_many(kind), many, "{kind:?} many-walks drifted");
+    }
 }
 
 /// `(edge digest, phases, attempts, cover_len, rounds, bfs_runs)` per
@@ -305,24 +285,6 @@ const ONE_SHOT: OneShotGolden = OneShotGolden {
     session_walks: [(12, 306, 0x45596d1d7c06d701), (21, 192, 0x2778b175beadb2d6)],
     session_total_rounds: 505,
 };
-
-/// The one-shot/session counterpart of [`print_golden_values`].
-#[test]
-#[ignore = "capture helper, not a gate"]
-fn print_one_shot_golden_values() {
-    let (walks, total) = two_session_walks();
-    println!(
-        "const ONE_SHOT: OneShotGolden = OneShotGolden {{\n    tree_extend: {:#x?},\n    \
-         tree_restart: {:#x?},\n    mix_c16: {:#x?},\n    mix_k32: {:#x?},\n    \
-         session_walks: {:#x?},\n    session_total_rounds: {},\n}};",
-        tree_tuple(&one_shot_tree(TreeMode::ExtendWalk)),
-        tree_tuple(&one_shot_tree(TreeMode::RestartPhases)),
-        mix_tuple(&one_shot_mixing(&drw_graph::generators::cycle(16), 6)),
-        mix_tuple(&one_shot_mixing(&drw_graph::generators::complete(32), 5)),
-        walks,
-        total,
-    );
-}
 
 /// `(destinations, rounds, reissues, digest of segments + gmw_by_walk +
 /// tail visits + connector visits)` of one mixed multiplexed wave.

@@ -108,3 +108,35 @@ fn sublinear_rounds_across_families() {
         );
     }
 }
+
+/// A cohort in the band `lambda <= l < 2 * lambda` takes the stitched
+/// regime but no token can stitch there, so it must not pay for a store:
+/// no Phase 1, `k + l`-class rounds, tail-hop messages only. A cohort
+/// with `l >= 2 * lambda` still builds the store and stitches.
+#[test]
+fn many_walks_too_short_to_stitch_build_no_store() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let cfg = SingleWalkConfig::default();
+    let expander = generators::random_regular(1024, 4, &mut rng);
+    let cases = [
+        (expander, 256, 4096),
+        (generators::torus2d(16, 16), 600, 8192),
+    ];
+    for (g, len, long) in cases {
+        let sources: Vec<usize> = (0..16).map(|i| (i * 61) % g.n()).collect();
+        let k = sources.len() as u64;
+        let r = many_random_walks(&g, &sources, len, &cfg, 5).unwrap();
+        let lambda = u64::from(r.lambda);
+        assert!(!r.used_naive_fallback && lambda <= len && len < 2 * lambda);
+        assert_eq!((r.rounds_phase1, r.stitches), (0, 0), "lambda = {lambda}");
+        assert_eq!(r.state.total_stored(), 0);
+        let bfs_messages = 4 * g.m() as u64; // at most two per edge and direction
+        assert!(r.messages <= k * len + bfs_messages, "{}", r.messages);
+        assert!(r.rounds <= r.rounds_bfs + k + len + 8, "{}", r.rounds);
+
+        let r = many_random_walks(&g, &sources, long, &cfg, 5).unwrap();
+        assert!(long >= 2 * u64::from(r.lambda));
+        assert!(r.rounds_phase1 > 0 && r.stitches > 0 && r.state.total_stored() > 0);
+    }
+}
