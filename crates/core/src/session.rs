@@ -70,6 +70,15 @@
 //!   [`WalkSession::set_strict_repair`] buys measure-exactness back
 //!   at full-relaunch cost.
 //!
+//! - **Bounded node state**: [`WalkState::reclaim_forward_logs`] drops
+//!   dead (consumed, evicted, discarded) walks' forwarding-log entries
+//!   once the logs exceed twice the live store's steps, from two places:
+//!   a top-up just before its launch and [`WalkSession::sync`] right
+//!   after eviction. Both precede the wave's engine run and a recorded
+//!   stitch is replayed at the end of its own wave, so no walk is
+//!   forgotten before its replay, and replay's and repair's linear log
+//!   scans stay cheap for the life of the session.
+//!
 //! Correctness is Theorem 2.5's argument, which never cares *when* a
 //! short walk was generated, only that it is unused and independent;
 //! reuse only changes the round bill, from `O(phases x full rebuild)`
@@ -92,6 +101,10 @@ use std::sync::Arc;
 /// reaches `1/TOPUP_DEFICIT_DENOM` of the target size (see
 /// `WalkSession::ensure_store`).
 const TOPUP_DEFICIT_DENOM: usize = 4;
+
+/// Forwarding logs are reclaimed once they hold more than this many
+/// times the live store's steps ([`WalkState::reclaim_forward_logs`]).
+const LOG_RECLAIM_SLACK: usize = 2;
 
 /// What one [`WalkSession::sync`] repair did (all zero when the session
 /// was already at the topology's epoch).
@@ -327,7 +340,8 @@ impl WalkSession {
     ///
     /// Retired node ids (node removals) additionally purge their
     /// forwarding-log entries network-wide, so a later re-issue of the
-    /// same id can never alias a dead walk during replay.
+    /// same id can never alias a dead walk during replay. A forwarding-log
+    /// reclaim follows the eviction (module docs), unbilled like it.
     ///
     /// # Errors
     ///
@@ -362,6 +376,7 @@ impl WalkSession {
             self.state.purge_sources_at_or_above(n as u32);
         }
         self.state.resize(n);
+        self.state.reclaim_forward_logs(LOG_RECLAIM_SLACK);
         self.g = snapshot.clone();
         self.runner.rebind(snapshot);
 
@@ -554,11 +569,13 @@ impl WalkSession {
 
     /// Launches one top-up wave with the given per-node deficit counts
     /// at `lambda`, billing its rounds to the session's Phase-1 account.
+    /// First the logs forget the walks that died since the last launch.
     fn run_topup(&mut self, counts: Vec<usize>, lambda: u32) -> Result<(), WalkError> {
         let added: usize = counts.iter().sum();
         if added == 0 {
             return Ok(());
         }
+        self.state.reclaim_forward_logs(LOG_RECLAIM_SLACK);
         let before = self.runner.total_rounds();
         let mut p1 =
             ShortWalksProtocol::new(&mut self.state, counts, lambda, self.cfg.randomize_len);
@@ -931,6 +948,48 @@ mod tests {
         assert_eq!(walk[0], 0);
         assert_eq!(walk[l1 as usize], e1.destination, "hand-off is explicit");
         assert_eq!(*walk.last().unwrap(), e2.destination);
+        for w in walk.windows(2) {
+            assert!(g.has_edge(w[0], w[1]), "non-edge {}-{}", w[0], w[1]);
+        }
+    }
+
+    #[test]
+    fn recorded_waves_that_reclaim_still_record_every_position() {
+        // The reclaim runs before a wave's engine run and the recorded
+        // spec's stitches are replayed after it, inside the same wave. A
+        // pass moved behind `sched.run` would forget the walks this very
+        // wave consumed before their replay.
+        let g = generators::torus2d(5, 5);
+        let cfg = SingleWalkConfig {
+            record_walk: true,
+            ..SingleWalkConfig::default()
+        };
+        let mut s = WalkSession::new(&g, 0, &cfg, 29).unwrap();
+        let mut walk = WalkState::new(g.n());
+        walk.record_visit(0, 0, None);
+        let (len, mut at, mut reclaiming_waves) = (600u64, 0, 0);
+        for i in 0..40 {
+            let pos = i * len;
+            let logged = s.state().forward_entries();
+            let w = extend(&mut s, at, len, pos);
+            // Only a reclaim shrinks the logs, and only a top-up runs one
+            // on a static graph.
+            if s.state().forward_entries() < logged {
+                assert!(w.rounds_topup > 0);
+                assert!(w.stitches > 0, "the wave must have stitches to replay");
+                reclaiming_waves += 1;
+            }
+            let e = &w.walks[0];
+            assert_eq!(e.visits.len() as u64, len, "wave {i}");
+            for (node, v) in &e.visits {
+                assert!(v.pos > pos && v.pos <= pos + len, "wave {i}: {v:?}");
+                walk.record_visit(*node, v.pos, v.pred());
+            }
+            at = e.destination;
+        }
+        assert!(reclaiming_waves >= 3, "{reclaiming_waves} reclaiming waves");
+        let walk = walk.reconstruct_walk(40 * len);
+        assert_eq!(*walk.last().unwrap(), at);
         for w in walk.windows(2) {
             assert!(g.has_edge(w[0], w[1]), "non-edge {}-{}", w[0], w[1]);
         }

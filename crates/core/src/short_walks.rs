@@ -300,25 +300,51 @@ mod tests {
         let g = generators::torus2d(4, 4);
         let counts = vec![2; g.n()];
         let (state, _) = run_phase1(&g, counts, 6, true, 9);
-        // Replay each stored walk through the forward log centrally.
-        let mut replayed = 0;
-        for (endpoint, ns) in state.nodes.iter().enumerate() {
-            for w in &ns.store {
-                let mut at = w.id.source as usize;
-                for step in 0..w.len {
-                    let hop = state.nodes[at]
-                        .forward
-                        .hop(w.id.source, w.id.seq, step)
-                        .unwrap_or_else(|| panic!("missing forward entry at {at} step {step}"));
-                    let next = g.neighbor_at(at, hop as usize);
-                    assert!(g.has_edge(at, next));
-                    at = next;
-                }
-                assert_eq!(at, endpoint, "walk must end at its storage node");
-                replayed += 1;
+        assert_eq!(state.replay_store_centrally(&g), 2 * g.n());
+    }
+
+    #[test]
+    fn reclaimed_logs_still_trace_every_stored_walk() {
+        // A session that consumed, upgraded its regime and repaired: its
+        // logs have forgotten every dead walk (and restarted sequence
+        // numbers) several times over, and every walk still stored must
+        // replay to its storage node on the graph it is served on.
+        use crate::{SingleWalkConfig, WalkSession};
+        use drw_graph::{Topology, TopologyDelta};
+        let topo = Topology::new(generators::torus2d(6, 6));
+        let cfg = SingleWalkConfig {
+            record_walk: true, // per-token GET-MORE-WALKS: all replayable
+            ..SingleWalkConfig::default()
+        };
+        let mut s = WalkSession::attach(&topo, 0, &cfg, 21).unwrap();
+        let (mut shrunk, mut evicted, mut at) = (0, 0, 0);
+        for i in 0..24u64 {
+            let before = s.state().forward_entries();
+            if i % 5 == 3 {
+                let delta = if i % 10 == 3 {
+                    TopologyDelta::new().add_edge(0, 14)
+                } else {
+                    TopologyDelta::new().remove_edge(0, 14)
+                };
+                let _ = topo.apply(&delta).unwrap();
+                evicted += s.sync().unwrap().walks_evicted;
+            } else {
+                // Short walks, one long walk that upgrades the regime,
+                // then walks long enough to stitch in the new one.
+                let len = match i {
+                    0..=8 => 256,
+                    9 => 4096,
+                    _ => 1024,
+                };
+                at = s.single_walk(at, len).unwrap().destination;
             }
+            shrunk += usize::from(s.state().forward_entries() < before);
+            let stored = s.state().total_stored();
+            assert_eq!(s.state().replay_store_centrally(&s.graph()), stored);
         }
-        assert_eq!(replayed, 2 * g.n());
+        assert!(evicted > 0, "the deltas evicted stored walks");
+        assert!(s.walks_discarded() > 0, "the long walk upgraded the regime");
+        assert!(shrunk >= 5, "logs were reclaimed {shrunk} times");
     }
 
     #[test]

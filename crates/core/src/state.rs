@@ -114,6 +114,16 @@ fn pack_key(source: u32, seq: u32, step: u32) -> Option<u64> {
     }
 }
 
+/// The walk identity `(source, seq)` of a packed entry.
+#[inline]
+fn unpack_walk(entry: u64) -> (u32, u32) {
+    let key = entry >> HOP_BITS;
+    (
+        (key >> (SEQ_BITS + STEP_BITS)) as u32,
+        ((key >> STEP_BITS) & ((1 << SEQ_BITS) - 1)) as u32,
+    )
+}
+
 /// One node's forwarding log: `(source, seq, step) -> hop index`.
 ///
 /// Phase 1 appends one entry per token step — tens of millions on long
@@ -121,8 +131,11 @@ fn pack_key(source: u32, seq: u32, step: u32) -> Option<u64> {
 /// (thousands). The log is therefore an append-only `Vec` (one cache
 /// line touched per insert) rather than a hash map (which measured ~20x
 /// slower per insert at this scale, dominated by scattered rehashing
-/// across thousands of per-node maps). Lookups scan linearly; they are
-/// off the hot path by construction.
+/// across thousands of per-node maps). Lookups scan linearly, cheap
+/// because the log is bounded: a session drops dead walks' entries at
+/// top-up and repair ([`WalkState::reclaim_forward_logs`]), keeping a
+/// log near twice its share of the live store, `O(eta * deg * lambda)`
+/// whatever `n` and the session's age — too short for a sort to pay.
 ///
 /// Two compactions over the naive `Vec<(u32, u32, u32, u32)>`:
 ///
@@ -185,25 +198,26 @@ impl ForwardLog {
     }
 
     /// Iterator over the identities `(source, seq)` of every walk this
-    /// node ever forwarded — how topology repair discovers which stored
-    /// walks' trajectories visited a touched node (duplicates possible:
-    /// a walk may revisit).
+    /// node forwarded and still remembers — how topology repair
+    /// discovers which stored walks' trajectories visited a touched node
+    /// (duplicates possible: a walk may revisit).
     pub fn logged_walks(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let seq_mask = (1u64 << SEQ_BITS) - 1;
-        self.packed
-            .iter()
-            .map(move |&e| {
-                let key = e >> HOP_BITS;
-                (
-                    (key >> (SEQ_BITS + STEP_BITS)) as u32,
-                    ((key >> STEP_BITS) & seq_mask) as u32,
-                )
-            })
-            .chain(
-                self.overflow
-                    .iter()
-                    .flat_map(|o| o.iter().map(|&(s, q, _, _)| (s, q))),
-            )
+        self.packed.iter().map(|&e| unpack_walk(e)).chain(
+            self.overflow
+                .iter()
+                .flat_map(|o| o.iter().map(|&(s, q, _, _)| (s, q))),
+        )
+    }
+
+    /// Keeps only the entries of walks `live((source, seq))` accepts and
+    /// gives the freed capacity back (a launch pre-reserves its own).
+    pub fn retain_walks(&mut self, live: impl Fn((u32, u32)) -> bool) {
+        self.packed.retain(|&e| live(unpack_walk(e)));
+        self.packed.shrink_to_fit();
+        if let Some(o) = &mut self.overflow {
+            o.retain(|&(s, q, _, _)| live((s, q)));
+        }
+        self.overflow.take_if(|o| o.is_empty());
     }
 
     /// Removes every entry logged for walks launched by sources with id
@@ -241,8 +255,8 @@ impl ForwardLog {
         self.packed.reserve(additional);
     }
 
-    /// Heap bytes held by this log (capacities, not lengths — `Vec`
-    /// never shrinks, so this is the high-water mark).
+    /// Heap bytes held by this log (capacities, not lengths: what the
+    /// allocator holds now; only a reclaim gives capacity back).
     pub fn capacity_bytes(&self) -> usize {
         self.packed.capacity() * std::mem::size_of::<u64>()
             + self.overflow.as_ref().map_or(0, |o| {
@@ -257,9 +271,9 @@ impl ForwardLog {
 pub struct NodeWalkState {
     /// Unused short walks whose endpoint is this node.
     pub store: Vec<StoredWalk>,
-    /// This node's forwarding log: written once per token step during
-    /// walk generation (the hottest write in the system), read back
-    /// during replay.
+    /// This node's forwarding log: written once per token step (the
+    /// hottest write in the system), read back by replay and repair, cut
+    /// back to live walks by [`WalkState::reclaim_forward_logs`].
     pub forward: ForwardLog,
     /// Positions at which the stitched walk visited this node (filled by
     /// the tail walk and by [`crate::regenerate`]).
@@ -275,6 +289,10 @@ pub struct NodeWalkState {
     /// so idle nodes cost a wave one pointer each and nothing else.
     pub(crate) wave: Option<Box<crate::stitch_scheduler::WaveScratch>>,
 }
+
+// Phase 1 touches this struct every token step: a 97th byte (one more
+// `usize`, 104 B) measured +6..17 % `wall_s` on the benchmark's `cold_dense`.
+const _: () = assert!(std::mem::size_of::<NodeWalkState>() <= 96);
 
 impl NodeWalkState {
     /// Allocates `count` fresh walk sequence numbers for walks launched
@@ -358,8 +376,8 @@ impl NodeWalkState {
 /// Byte census of a [`WalkState`], by subsystem, plus what the same
 /// logical content would cost under the pre-compaction layout.
 ///
-/// Actual bytes are capacity-based (a `Vec`'s capacity never shrinks,
-/// so end-of-run capacities are true high-water marks). The legacy
+/// Actual bytes are capacity-based (only a forwarding-log reclaim ever
+/// shrinks a `Vec`, so elsewhere they are high-water marks). The legacy
 /// model prices the old field sizes (16-byte forward entries holding
 /// node ids, 24-byte visits with `Option<usize>` predecessors, 80-byte
 /// per-node struct) at doubling-growth capacities
@@ -532,11 +550,9 @@ impl WalkState {
         if touched.is_empty() {
             return 0;
         }
-        // BTreeSet, not HashSet: this set is only probed today, but the
-        // determinism linter bans hash collections in protocol crates
-        // outright — if a future refactor iterates it, the order is
-        // already deterministic instead of silently seed-dependent.
-        let mut doomed: std::collections::BTreeSet<(u32, u32)> = std::collections::BTreeSet::new();
+        // Sorted and deduplicated for binary search: the touched logs are
+        // bounded, so a sort beats a tree (hash collections are banned).
+        let mut doomed: Vec<(u32, u32)> = Vec::new();
         for &t in touched {
             let Some(ns) = self.nodes.get(t) else {
                 continue; // an added node this state never grew to
@@ -544,14 +560,61 @@ impl WalkState {
             doomed.extend(ns.forward.logged_walks());
             doomed.extend(ns.store.iter().map(|w| (w.id.source, w.id.seq)));
         }
+        doomed.sort_unstable();
+        doomed.dedup();
         let mut dropped = 0;
         for ns in &mut self.nodes {
             let before = ns.store.len();
-            ns.store
-                .retain(|w| w.replayable && !doomed.contains(&(w.id.source, w.id.seq)));
+            ns.store.retain(|w| {
+                w.replayable && doomed.binary_search(&(w.id.source, w.id.seq)).is_err()
+            });
             dropped += before - ns.store.len();
         }
         dropped
+    }
+
+    /// Makes every forwarding log forget the walks that no longer exist
+    /// (consumed, evicted, discarded) and returns how many entries went.
+    /// Does nothing unless the logs hold more than `slack` times the
+    /// stored replayable walks' steps, so an entry is scanned `O(1)`
+    /// times amortised. Host bookkeeping, unbilled like eviction.
+    /// Callers must have replayed every consumed walk they still need.
+    ///
+    /// Afterwards no dead id is logged anywhere, so each source's
+    /// sequence counter restarts one past its largest live seq: the
+    /// 12-bit `seq` budget is spent by the launches since a source's
+    /// newest walks last died, not by the session's lifetime.
+    pub fn reclaim_forward_logs(&mut self, slack: usize) -> usize {
+        let before = self.forward_entries();
+        let stored = || {
+            let all = self.nodes.iter().flat_map(|ns| &ns.store);
+            all.filter(|w| w.replayable)
+        };
+        let live_steps: usize = stored().map(|w| w.len as usize).sum();
+        if before <= slack * live_steps {
+            return 0;
+        }
+        // Per-source sorted seqs: `O(eta * deg)` each, a few words to probe.
+        let mut live = vec![Vec::new(); self.nodes.len()];
+        for w in stored() {
+            // (A retired source's walks were evicted with its edges.)
+            if let Some(seqs) = live.get_mut(w.id.source as usize) {
+                seqs.push(w.id.seq);
+            }
+        }
+        live.iter_mut().for_each(|seqs| seqs.sort_unstable());
+        for (v, ns) in self.nodes.iter_mut().enumerate() {
+            ns.next_seq = live[v].last().map_or(0, |&q| q + 1);
+            ns.forward.retain_walks(|(s, q)| {
+                matches!(live.get(s as usize), Some(seqs) if seqs.binary_search(&q).is_ok())
+            });
+        }
+        before - self.forward_entries()
+    }
+
+    /// Forwarding-log entries held network-wide.
+    pub fn forward_entries(&self) -> usize {
+        self.nodes.iter().map(|ns| ns.forward.len()).sum()
     }
 
     /// Discards every stored (unused) walk — the strict-repair
@@ -642,6 +705,33 @@ impl WalkState {
             "some walk positions were never recorded"
         );
         walk
+    }
+}
+
+#[cfg(test)]
+impl WalkState {
+    /// Replays every stored replayable walk through the forwarding logs
+    /// centrally, checks it ends at its storage node, and returns how
+    /// many there were.
+    pub(crate) fn replay_store_centrally(&self, g: &drw_graph::Graph) -> usize {
+        let mut replayed = 0;
+        for (endpoint, ns) in self.nodes.iter().enumerate() {
+            for w in ns.store.iter().filter(|w| w.replayable) {
+                let mut at = w.id.source as usize;
+                for step in 0..w.len {
+                    let hop = self.nodes[at]
+                        .forward
+                        .hop(w.id.source, w.id.seq, step)
+                        .unwrap_or_else(|| panic!("missing forward entry at {at} step {step}"));
+                    let next = g.neighbor_at(at, hop as usize);
+                    assert!(g.has_edge(at, next));
+                    at = next;
+                }
+                assert_eq!(at, endpoint, "walk must end at its storage node");
+                replayed += 1;
+            }
+        }
+        replayed
     }
 }
 
@@ -757,6 +847,139 @@ mod tests {
         s.nodes[0].log_forward_hop(0, 0, 0, 2);
         s.store_walk(2, WalkId { source: 0, seq: 0 }, 1, true);
         assert_eq!(s.evict_touched(&[2]), 1);
+    }
+
+    /// The three hand-written walks of the eviction test above, with
+    /// every seq shifted by `q0` and every hop by `h0`.
+    fn three_walks(q0: u32, h0: u32) -> WalkState {
+        let mut s = WalkState::new(5);
+        s.nodes[0].log_forward_hop(0, q0, 0, h0 + 1);
+        s.nodes[1].log_forward_hop(0, q0, 1, h0 + 2);
+        s.store_walk(2, WalkId { source: 0, seq: q0 }, 2, true);
+        s.nodes[0].log_forward_hop(0, q0 + 1, 0, h0 + 3);
+        s.nodes[3].log_forward_hop(0, q0 + 1, 1, h0 + 4);
+        let b = WalkId {
+            source: 0,
+            seq: q0 + 1,
+        };
+        s.store_walk(4, b, 2, true);
+        s.nodes[3].log_forward_hop(3, q0, 0, h0 + 4);
+        s.store_walk(4, WalkId { source: 3, seq: q0 }, 1, true);
+        s.nodes[0].next_seq = q0 + 2;
+        s.nodes[3].next_seq = q0 + 1;
+        s
+    }
+
+    #[test]
+    fn reclaim_keeps_exactly_the_stored_walks_entries() {
+        let mut s = three_walks(0, 0);
+        // An aggregated walk logs nothing and must not count as live.
+        let aggregated = WalkId {
+            source: 1,
+            seq: u32::MAX,
+        };
+        s.store_walk(2, aggregated, 9, false);
+        assert_eq!(s.reclaim_forward_logs(2), 0, "5 entries, 5 live steps");
+        // Consume B = (0, 1): 5 entries over 3 live steps is still
+        // within twice the store, so nothing is scanned yet.
+        s.nodes[4].store.retain(|w| w.id.seq != 1);
+        assert_eq!(s.reclaim_forward_logs(2), 0);
+        assert_eq!(s.nodes[3].forward.hop(0, 1, 1), Some(4), "dead but kept");
+        // Consume A = (0, 0) too: 5 > 2 * 1, so the pass runs and only
+        // C = (3, 0)'s single entry survives.
+        s.nodes[2].store.retain(|w| !w.replayable);
+        assert_eq!(s.reclaim_forward_logs(2), 4);
+        assert_eq!(s.forward_entries(), 1);
+        assert_eq!(s.nodes[3].forward.hop(3, 0, 0), Some(4));
+        assert_eq!(s.nodes[0].forward.hop(0, 0, 0), None);
+        assert_eq!(s.nodes[3].forward.hop(0, 1, 1), None);
+        // No dead id is left anywhere, so seqs restart past the live ones.
+        let next: Vec<u32> = s.nodes.iter().map(|ns| ns.next_seq).collect();
+        assert_eq!(next, vec![0, 0, 0, 1, 0]);
+        assert_eq!(
+            s.nodes[0].forward.capacity_bytes(),
+            0,
+            "capacity given back"
+        );
+    }
+
+    #[test]
+    fn overflow_entries_reclaim_like_packed_ones() {
+        // The same walks through the packed store and — seq and hop both
+        // past their 12-bit budgets — through the boxed overflow.
+        let mut packed = three_walks(0, 0);
+        let (q0, h0) = (1 << SEQ_BITS, 1 << HOP_BITS);
+        let mut wide = three_walks(q0, h0);
+        assert!(packed.nodes.iter().all(|ns| ns.forward.overflow.is_none()));
+        assert!(wide.nodes.iter().all(|ns| ns.forward.packed.is_empty()));
+        let compare = |packed: &WalkState, wide: &WalkState| {
+            for (p, w) in packed.nodes.iter().zip(&wide.nodes) {
+                let ids: Vec<_> = p.forward.logged_walks().collect();
+                let shifted: Vec<_> = w.forward.logged_walks().collect();
+                assert_eq!(ids.len(), shifted.len());
+                for (&(s, q), &(ws, wq)) in ids.iter().zip(&shifted) {
+                    assert_eq!((s, q + q0), (ws, wq));
+                    for step in 0..2 {
+                        let hop = p.forward.hop(s, q, step);
+                        assert_eq!(hop.map(|h| h + h0), w.forward.hop(ws, wq, step));
+                    }
+                }
+                assert_eq!(p.next_seq + q0 * u32::from(w.next_seq > 0), w.next_seq);
+            }
+        };
+        compare(&packed, &wide);
+        for s in [&mut packed, &mut wide] {
+            assert_eq!(s.evict_touched(&[1]), 1, "A passes through node 1");
+            s.nodes[4].store.retain(|w| w.id.source != 0);
+        }
+        assert_eq!(packed.reclaim_forward_logs(2), 4);
+        assert_eq!(wide.reclaim_forward_logs(2), 4);
+        compare(&packed, &wide);
+        assert!(wide.nodes[0].forward.overflow.is_none(), "empty box freed");
+    }
+
+    #[test]
+    fn seq_budget_bounds_live_walks_not_a_sessions_lifetime() {
+        // A churned session whose sources launch more than 2^12 walks
+        // each: every reclaim restarts a source's sequence numbers one
+        // past its largest live one, so no entry ever leaves the packed
+        // store (at the parent commit the counters ran past 4096 and
+        // every new entry spilled to the 16-byte overflow for good).
+        use crate::{SingleWalkConfig, WalkSession};
+        use drw_graph::{generators, Topology, TopologyDelta};
+        let topo = Topology::new(generators::torus2d(4, 4));
+        let cfg = SingleWalkConfig {
+            params: crate::WalkParams {
+                eta: 4.0,
+                ..crate::WalkParams::default()
+            },
+            ..SingleWalkConfig::default()
+        };
+        let mut s = WalkSession::attach(&topo, 0, &cfg, 3).unwrap();
+        let n = s.state().nodes.len() as u64;
+        let (mut at, mut chord, mut peak_seq) = (0, false, 0);
+        while s.walks_added() <= (1 << SEQ_BITS) * n {
+            let delta = if chord {
+                TopologyDelta::new().remove_edge(0, 10)
+            } else {
+                TopologyDelta::new().add_edge(0, 10)
+            };
+            chord = !chord;
+            let _ = topo.apply(&delta).unwrap();
+            at = s.single_walk(at, 64).unwrap().destination;
+            let nodes = &s.state().nodes;
+            peak_seq = peak_seq.max(nodes.iter().map(|ns| ns.next_seq).max().unwrap());
+            assert!(nodes.iter().all(|ns| ns.forward.overflow.is_none()));
+        }
+        // More launches than 2^12 per node on average, so by pigeonhole
+        // at some source — and no counter came near the budget.
+        assert!(
+            peak_seq < 1 << (SEQ_BITS - 1),
+            "next_seq reached {peak_seq}"
+        );
+        let stored = s.state().total_stored();
+        assert!(stored > 0);
+        assert_eq!(s.state().replay_store_centrally(&s.graph()), stored);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! (`drw_core::network::drivers`): `run_batch`, one-shot `run`, session
 //! walks and a mixed multiplexed wave must keep reproducing, to the
 //! byte, golden values captured from the hand-written loops each of them
-//! replaced (ISSUEs 9, 14, 20, 21), at the listed seeds.
+//! replaced (ISSUEs 9, 14, 20, 21), at the listed seeds — and, since
+//! ISSUE 22, while the session's forwarding logs forget dead walks.
 
 use distributed_random_walks::prelude::*;
 use drw_congest::{FaultPlan, Runner};
@@ -372,4 +373,52 @@ fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
         (vec![5, 8, 15, 14, 10, 10], 598, 8, 0xf110809323345956),
         "lossy re-issued mixed wave drifted"
     );
+}
+
+/// One shared recorded session under churn: trees, walks and a cohort
+/// around three `Mutate` barriers, with an 8192-step walk in the middle
+/// that upgrades the store regime — every way a stored walk dies
+/// (consumed, evicted, discarded), so both reclaim sites fire. Digests
+/// everything a caller sees except walk identities (sequence numbers
+/// restart at a reclaim), plus the session's round total.
+fn churned_recorded_batch(kind: ExecutorKind) -> (u64, u64) {
+    let g = drw_graph::generators::torus2d(6, 6);
+    let mut net = Network::builder(&g).executor(kind).seed(47).build();
+    let batch = vec![
+        Request::spanning_tree(0),
+        Request::walk(5, 256),
+        Request::mutate(TopologyDelta::new().add_edge(0, 14)),
+        Request::spanning_tree(7),
+        Request::walk(3, 8192),
+        Request::many_walks(vec![1, 20, 33], 512),
+        Request::mutate(TopologyDelta::new().remove_edge(0, 14)),
+        Request::spanning_tree(21),
+        Request::walk(9, 2048),
+        Request::mutate(TopologyDelta::new().add_edge(2, 16)),
+        Request::spanning_tree(30),
+        Request::walk(30, 1024),
+    ];
+    let rows: Vec<String> = net
+        .run_batch(batch)
+        .expect("churned batch")
+        .into_iter()
+        .map(|r| match r {
+            Response::SpanningTree(t) => format!("{:?}", tree_tuple(&t)),
+            Response::Walk(w) => format!("{:?}", (w.destination, w.rounds, w.stitches)),
+            Response::ManyWalks(m) => format!("{:?}", (m.destinations, m.rounds, m.stitches)),
+            Response::Epoch(e) => format!("{:?}", (e.epoch, e.touched)),
+            other => panic!("unexpected response {other:?}"),
+        })
+        .collect();
+    (debug_digest(&rows), net.session_rounds())
+}
+
+#[test]
+fn churned_recorded_session_is_byte_identical_to_unreclaimed_logs() {
+    // Captured at the parent commit of ISSUE 22, whose logs kept every
+    // entry for the life of the session (seed 47, 6x6 torus).
+    let golden = (0xeababf14dcdb75b2, 4087);
+    for kind in [ExecutorKind::Sequential, ExecutorKind::Sharded] {
+        assert_eq!(churned_recorded_batch(kind), golden, "{kind:?} drifted");
+    }
 }

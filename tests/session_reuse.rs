@@ -162,3 +162,52 @@ fn mixing_session_verdicts_match_exact_at_fixed_seeds() {
         }
     }
 }
+
+/// `(forwarding-log entries, steps of the stored replayable walks)`,
+/// network-wide.
+fn log_census(s: &WalkSession) -> (usize, usize) {
+    let stored = s.state().nodes.iter().flat_map(|ns| &ns.store);
+    let steps = stored.filter(|w| w.replayable).map(|w| w.len as usize);
+    (s.state().forward_entries(), steps.sum())
+}
+
+#[test]
+fn a_reclaim_leaves_exactly_the_stored_walks_steps_in_the_logs() {
+    // A walk of `len` steps is logged once per step (its source logs
+    // step 0, its endpoint nothing), so right after a reclaim that ran
+    // the logs hold exactly the live store's steps — no dead entry
+    // kept, no live one lost. The healed transport of `DRW_FAULTS`
+    // delivers every token exactly once (ARQ retransmits below the
+    // protocol), so equality, not `<=`, holds on that leg too.
+    let topo = Topology::new(generators::torus2d(8, 8));
+    let mut s = WalkSession::attach(&topo, 0, &walk_cfg(), 41).expect("session");
+    let mut at = 0;
+    for _ in 0..6 {
+        at = s.single_walk(at, 1024).expect("walk").destination;
+    }
+    let (logged, live) = log_census(&s);
+    assert!(logged > live, "consumed walks stay logged until a reclaim");
+
+    // Repair site: eviction kills most of the store, so the pass runs.
+    let _ = topo.apply(&TopologyDelta::new().add_edge(0, 27)).unwrap();
+    let evicted = s.sync().expect("repair").walks_evicted;
+    let (logged, live) = log_census(&s);
+    assert!(evicted > 0 && live > 0, "surgical eviction, survivors left");
+    assert_eq!(logged, live, "after the repair's reclaim");
+
+    // Top-up site: a regime upgrade discards the whole store just
+    // before the launch. The wave's only walk is a forced-naive hop, so
+    // nothing is consumed and the launch is all the logs hold.
+    let hop = drw_core::StitchSpec {
+        naive: true,
+        ..drw_core::StitchSpec::plain(at, 1)
+    };
+    let lambda = 4 * s.store_lambda();
+    let wave = s
+        .run_wave(lambda, 8 * u64::from(lambda), &[hop])
+        .expect("wave");
+    assert!(wave.rounds_topup > 0 && s.walks_discarded() > 0);
+    assert_eq!(s.store_lambda(), lambda, "the wave upgraded the regime");
+    let (logged, live) = log_census(&s);
+    assert_eq!(logged, live, "after the top-up's reclaim and launch");
+}
