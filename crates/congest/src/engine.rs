@@ -153,15 +153,18 @@ impl std::error::Error for RunError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryReport {
-    /// The flat message queue's backing buffers (bucket index + storage).
+    /// The message queue's fallback sort keys and fault-parked messages:
+    /// a function of the run alone, so equal on every backend.
     pub queue_bytes: usize,
     /// Per-node inbox buffers.
     pub inbox_bytes: usize,
     /// Per-node RNG streams.
     pub rng_bytes: usize,
-    /// The recycled staging buffer, plus — on sharded runs — the
-    /// per-shard staging buffers and partition scratch the run recycles
-    /// alongside it.
+    /// The message buffers that trade places between rounds (the
+    /// staging buffer, the queue's run and its merge scratch) as one
+    /// pooled figure, plus, on sharded runs, the per-shard staging
+    /// buffers and partition scratch. How these grow depends on how the
+    /// backend gathers a round's sends.
     pub staging_bytes: usize,
 }
 
@@ -777,7 +780,7 @@ mod tests {
             seen: vec![false; g.n()],
         };
         let report = run_protocol(&g, &EngineConfig::default(), 1, &mut p).unwrap();
-        assert!(report.memory.queue_bytes > 0, "{:?}", report.memory);
+        assert!(report.memory.staging_bytes > 0, "{:?}", report.memory);
         assert!(report.memory.inbox_bytes > 0, "{:?}", report.memory);
         assert!(report.memory.rng_bytes > 0, "{:?}", report.memory);
         assert!(report.balance.is_none(), "sequential runs have no shards");

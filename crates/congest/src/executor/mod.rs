@@ -3,9 +3,9 @@
 //! One function, `round::run_rounds`, spells out what a synchronous
 //! CONGEST round is — deliver queued messages, fire the global
 //! `on_round` hook, fire per-node receive handlers, stage the resulting
-//! sends — over the `queue::FlatQueue` flat bucketed message queue (a
-//! CSR-style single-backing-`Vec` structure). Only the receive phase
-//! varies, and it has exactly two forms:
+//! sends — over the `queue::FlatQueue` flat message queue (one run of
+//! `(edge id, message)` pairs, ascending by edge). Only the receive
+//! phase varies, and it has exactly two forms:
 //!
 //! - a plain [`crate::Protocol`]'s `&mut self` handler, run in ascending
 //!   node order on the calling thread under **every** backend (nothing

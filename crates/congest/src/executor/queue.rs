@@ -1,20 +1,21 @@
-//! The flat bucketed message queue backing the round executors.
+//! The flat message queue backing the round executors.
 //!
-//! The seed engine kept one `VecDeque<Msg>` per directed edge — `2m`
-//! heap-backed deques, each paying its own allocation the first time an
-//! edge carries a message, plus a `busy_edges` side list that was sorted
-//! and deduplicated every round. This structure replaces all of that
-//! with CSR-style storage, mirroring how [`drw_graph::Graph`] stores
-//! adjacency: one backing `Vec` of messages, grouped by edge, plus a
-//! sorted bucket index `(edge id, range)`. Only *busy* edges appear in
-//! the index, so idle protocols pay `O(busy)` per round, not `O(m)`.
+//! Everything in flight is one `Vec` of `(edge id, message)` pairs,
+//! ascending by edge id and FIFO within an edge — a *run*. That is also
+//! the shape of the round loop's staging buffer once it is sorted, and
+//! senders run in ascending node order over edge ids that are CSR
+//! offsets, so the buffer arrives sorted up to short disorder inside a
+//! node's block of sends. Only busy edges appear in the run, so idle
+//! protocols pay `O(busy)` per round, not `O(m)`.
 //!
-//! Per round the executor calls [`FlatQueue::deliver`] (drains up to
-//! `edge_capacity` messages per bucket, compacting the leftovers) and
-//! then [`FlatQueue::stage`] (merges the round's staged sends behind the
-//! leftovers, bucket-by-bucket). Both walks are in ascending edge-id
-//! order, which is what makes runs deterministic regardless of executor
-//! backend.
+//! Per round the executor calls [`FlatQueue::deliver`] (hands up to
+//! `edge_capacity` messages per edge to the inboxes and closes the run
+//! up over the gaps, in place) and then [`FlatQueue::stage`] (sorts the
+//! round's staged sends at a cost proportional to their disorder and
+//! makes them the queue: by swapping buffers when nothing was left
+//! over, by merging behind the leftovers otherwise). Both walks are in
+//! ascending edge-id order, which is what makes runs deterministic
+//! regardless of executor backend.
 
 use crate::engine::{EngineConfig, RunError, RunReport};
 use crate::fault::FaultDecision;
@@ -79,75 +80,120 @@ impl<M> Inboxes<M> {
     }
 }
 
-/// A flat, bucketed FIFO multi-queue keyed by directed edge id. Every
-/// buffer grows on demand and keeps its capacity, across rounds and —
-/// held in a [`crate::Runner`]'s scratch — across runs.
+/// Average displacement, in buffer slots per staged message, that
+/// [`FlatQueue::sort_staged`]'s insertion pass may spend before it
+/// hands the buffer to the index sort. An insertion costs what it
+/// moves, so the pass beats the `O(len log len)` sort exactly while the
+/// disorder is local; sixteen slots is four nodes' worth of sends on a
+/// 4-regular graph, well past what handlers produce inside a node.
+const SHIFT_BUDGET_PER_MSG: usize = 16;
+
+/// An edge id or staging index as the `u32` the index sort's keys carry.
+///
+/// # Panics
+///
+/// Panics if `x` exceeds `u32::MAX`. A run's edge ids are held to that
+/// where it begins ([`FlatQueue::reset`]).
+fn narrow(x: usize) -> u32 {
+    u32::try_from(x).expect("edge ids and staging indices fit in u32")
+}
+
+/// A flat FIFO multi-queue keyed by directed edge id. Every buffer
+/// grows on demand and keeps its capacity, across rounds and — held in
+/// a [`crate::Runner`]'s scratch — across runs.
 #[derive(Debug)]
 pub(crate) struct FlatQueue<M> {
-    /// Busy edge ids, ascending.
-    eids: Vec<u32>,
-    /// `starts[i]..starts[i + 1]` is the bucket of `eids[i]` in `msgs`.
-    starts: Vec<u32>,
-    /// Backing message storage, grouped by bucket, FIFO within a bucket.
-    msgs: Vec<M>,
-    /// Leftover buffers double-buffering `deliver` → `stage`.
-    left_eids: Vec<u32>,
-    left_starts: Vec<u32>,
-    left_msgs: Vec<M>,
-    /// Reusable `(eid, index)` buffer for the stage sort. `Vec::sort` is
-    /// a stable merge sort that heap-allocates its scratch *every call*
-    /// — one allocation per round, forever, as measured by the
-    /// `alloc_counter` bench. Sorting copyable key pairs with the
-    /// in-place `sort_unstable` instead (the index makes it equivalent
-    /// to a stable sort by eid) keeps steady-state rounds
-    /// allocation-free.
+    /// The queued messages: ascending by edge id, FIFO within an edge.
+    /// Between `deliver` and `stage`: the round's leftovers (messages
+    /// past their edge's capacity).
+    run: Vec<(usize, M)>,
+    /// Scratch of `stage`, empty between calls: first the parked
+    /// messages that came due, then the merge of leftovers and staged
+    /// sends that becomes `run`.
+    spare: Vec<(usize, M)>,
+    /// Reusable `(eid, index)` key buffer of the index sort.
     sort_keys: Vec<(u32, u32)>,
     /// Messages parked by the fault layer as `(due round, eid, msg)`:
     /// delayed deliveries and ARQ retransmissions of healed drops. Due
     /// entries re-enter their edge queue during the `stage` call that
     /// feeds their due round, ahead of that round's fresh sends.
     /// Always empty on a perfect network.
-    future: Vec<(u64, u32, M)>,
+    future: Vec<(u64, usize, M)>,
 }
 
 impl<M> Default for FlatQueue<M> {
     fn default() -> Self {
         FlatQueue {
-            eids: Vec::new(),
-            starts: vec![0],
-            msgs: Vec::new(),
-            left_eids: Vec::new(),
-            left_starts: vec![0],
-            left_msgs: Vec::new(),
+            run: Vec::new(),
+            spare: Vec::new(),
             sort_keys: Vec::new(),
             future: Vec::new(),
         }
     }
 }
 
+/// The buckets (messages of one edge) of an ascending run, in order.
+fn buckets<M>(run: &[(usize, M)]) -> impl Iterator<Item = &[(usize, M)]> {
+    run.chunk_by(|a, b| a.0 == b.0)
+}
+
 impl<M: Message> FlatQueue<M> {
-    /// Empties the queue for a new run (a run that ended on `is_done` or
-    /// an error can leave messages in flight), keeping every buffer.
-    pub(crate) fn reset(&mut self) {
-        self.eids.clear();
-        self.starts.truncate(1);
-        self.msgs.clear();
-        self.left_eids.clear();
-        self.left_starts.truncate(1);
-        self.left_msgs.clear();
+    /// Empties the queue for a new run over `dir_edges` directed edges
+    /// (a run that ended on `is_done` or an error can leave messages in
+    /// flight), keeping every buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dir_edges` exceeds `u32::MAX`: the index sort's keys
+    /// carry edge ids as `u32`.
+    pub(crate) fn reset(&mut self, dir_edges: usize) {
+        let _ = narrow(dir_edges);
+        self.run.clear();
+        self.spare.clear();
         self.future.clear();
     }
 
-    /// Stable-sorts `staged` by edge id without allocating: sorts
-    /// `(eid, original index)` pairs in the reusable key buffer, then
-    /// applies the permutation in place by cycle-chasing swaps.
-    fn sort_staged(&mut self, staged: &mut [(usize, M)]) {
+    /// Stable-sorts `staged` by edge id without allocating, at a cost
+    /// proportional to its disorder: a stable insertion pass, given up
+    /// for [`FlatQueue::index_sort`] once it has moved more than
+    /// [`SHIFT_BUDGET_PER_MSG`] slots per message. Returns whether it
+    /// fell back.
+    fn sort_staged(&mut self, staged: &mut [(usize, M)]) -> bool {
+        let mut budget = SHIFT_BUDGET_PER_MSG * staged.len();
+        for i in 1..staged.len() {
+            let eid = staged[i].0;
+            let mut j = i;
+            while j > 0 && staged[j - 1].0 > eid {
+                j -= 1;
+            }
+            if j < i {
+                if i - j > budget {
+                    // The prefix is a stable sort of itself, so the
+                    // index sort still sees every edge's messages in
+                    // staging order.
+                    self.index_sort(staged);
+                    return true;
+                }
+                budget -= i - j;
+                staged[j..=i].rotate_right(1);
+            }
+        }
+        false
+    }
+
+    /// Stable-sorts `staged` by edge id without allocating, whatever its
+    /// order (`Vec::sort` heap-allocates its merge scratch every call):
+    /// sorts copyable `(eid, original index)` pairs with the in-place
+    /// `sort_unstable` — the index makes that a stable sort by eid —
+    /// then applies the permutation by cycle-chasing swaps.
+    fn index_sort(&mut self, staged: &mut [(usize, M)]) {
+        let len = narrow(staged.len());
         self.sort_keys.clear();
         self.sort_keys.extend(
             staged
                 .iter()
-                .enumerate()
-                .map(|(i, &(eid, _))| (eid as u32, i as u32)),
+                .zip(0..len)
+                .map(|(&(eid, _), i)| (narrow(eid), i)),
         );
         self.sort_keys.sort_unstable();
         for i in 0..staged.len() {
@@ -159,19 +205,20 @@ impl<M: Message> FlatQueue<M> {
         }
     }
 
-    /// Bytes of backing capacity across all buffers. Since `Vec` never
-    /// shrinks its capacity, sampling this at the end of a run gives the
-    /// run's true high-water mark.
+    /// Bytes of backing capacity of the buffers only the queue fills:
+    /// sort keys and fault-parked messages. What these hold is a
+    /// function of the run alone, not of the backend. `Vec` never
+    /// shrinks its capacity, so sampling this at the end of a run gives
+    /// the run's true high-water mark.
     pub(crate) fn capacity_bytes(&self) -> usize {
-        let msg = std::mem::size_of::<M>();
-        (self.eids.capacity() + self.left_eids.capacity()) * std::mem::size_of::<u32>()
-            + (self.starts.capacity() + self.left_starts.capacity()) * std::mem::size_of::<u32>()
-            // Each product on its own: a zero-sized `M` reports capacity
-            // `usize::MAX`, and two of those must not be added.
-            + self.msgs.capacity() * msg
-            + self.left_msgs.capacity() * msg
-            + self.sort_keys.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.future.capacity() * std::mem::size_of::<(u64, u32, M)>()
+        self.sort_keys.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.future.capacity() * std::mem::size_of::<(u64, usize, M)>()
+    }
+
+    /// Bytes of backing capacity of the run and scratch buffers, which
+    /// trade places with each other and with the staging buffer.
+    pub(crate) fn run_capacity_bytes(&self) -> usize {
+        (self.run.capacity() + self.spare.capacity()) * std::mem::size_of::<(usize, M)>()
     }
 
     /// Whether nothing remains in flight: no queued message *and* no
@@ -180,7 +227,7 @@ impl<M: Message> FlatQueue<M> {
     /// round may deliver nothing while the fault layer still holds
     /// messages that will come due later.
     pub(crate) fn is_idle(&self) -> bool {
-        self.msgs.is_empty() && self.future.is_empty()
+        self.run.is_empty() && self.future.is_empty()
     }
 
     /// Delivers up to `edge_capacity` messages per busy edge into
@@ -216,12 +263,9 @@ impl<M: Message> FlatQueue<M> {
         let timed_fates: Option<Vec<(FaultDecision, bool)>> = plan.and_then(|p| {
             p.timing.map(|t| {
                 let mut fates = Vec::new();
-                for i in 0..self.eids.len() {
-                    let eid = self.eids[i] as usize;
-                    let len = (self.starts[i + 1] - self.starts[i]) as usize;
-                    for k in 0..len.min(cap) {
-                        fates.push(p.decide(round, eid, k));
-                    }
+                for bucket in buckets(&self.run) {
+                    let slots = 0..bucket.len().min(cap);
+                    fates.extend(slots.map(|k| p.decide(round, bucket[0].0, k)));
                 }
                 let perm = crate::fault::timing_permutation(t.index, round, fates.len());
                 perm.iter()
@@ -236,105 +280,96 @@ impl<M: Message> FlatQueue<M> {
         // scan (no allocation on the fault-free path: an empty `Vec`
         // holds no buffer).
         let mut reordered: Vec<(usize, usize, M)> = Vec::new();
-        self.left_eids.clear();
-        self.left_starts.clear();
-        self.left_starts.push(0);
-        self.left_msgs.clear();
-        // Drain-and-restore keeps the backing allocation hot across
-        // rounds (the whole point of the flat queue).
-        let mut storage = std::mem::take(&mut self.msgs);
-        let mut stream = storage.drain(..);
-        for i in 0..self.eids.len() {
-            let eid = self.eids[i] as usize;
-            let bucket_len = (self.starts[i + 1] - self.starts[i]) as usize;
-            let take = bucket_len.min(cap);
-            let from = graph.edge_source(eid);
-            let to = graph.edge_target(eid);
-            let mut bucket_words = 0usize;
-            for k in 0..take {
-                let msg = stream.next().expect("bucket index matches storage");
-                // Bandwidth is spent the moment the slot is consumed:
-                // faulted messages count toward the edge's word load even
-                // though only actual deliveries are billed below. The
-                // wire census follows the same rule — a dropped message
-                // still put its bits on the edge.
-                bucket_words += msg.size_words();
-                if cfg.record_wire {
-                    msg.census(&mut report.wire);
-                }
-                if let Some(plan) = plan {
-                    let (fate, moved) = match &timed_fates {
-                        Some(fates) => fates[slot],
-                        None => (plan.decide(round, eid, k), false),
-                    };
-                    slot += 1;
-                    match fate {
-                        FaultDecision::Deliver => {}
-                        FaultDecision::Drop => {
-                            report.faults.dropped += 1;
-                            if plan.heal {
-                                // Stop-and-wait ARQ: the sender learns of
-                                // the loss and retransmits `rto` rounds
-                                // later; the ack word rides the reverse
-                                // edge and is billed separately. The
-                                // injected ledger bug performs the moved
-                                // retransmission but forgets to bill it.
-                                let ledger_bug =
-                                    moved && plan.timing.is_some_and(|t| t.ledger_misses_moved);
-                                if !ledger_bug {
-                                    report.faults.retransmitted += 1;
-                                    report.faults.ack_words += 1;
-                                }
-                                self.future.push((
-                                    round + u64::from(plan.rto.max(1)),
-                                    eid as u32,
-                                    msg,
-                                ));
-                            }
-                            continue;
-                        }
-                        FaultDecision::Delay => {
-                            report.faults.delayed += 1;
-                            self.future.push((
-                                round + u64::from(plan.delay_rounds.max(1)),
-                                eid as u32,
-                                msg,
-                            ));
-                            continue;
-                        }
-                        FaultDecision::Reorder => {
-                            report.faults.reordered += 1;
-                            reordered.push((from, to, msg));
-                            continue;
-                        }
-                    }
-                }
-                report.messages += 1;
-                report.words += msg.size_words() as u64;
-                inbox.push(Envelope { from, to, msg });
-                delivered_total += 1;
-            }
+        // What one edge did this round, booked when the scan moves on.
+        let close_bucket = |report: &mut RunReport, take: usize, words: usize| {
             report.max_edge_load = report.max_edge_load.max(take);
-            report.max_edge_words_per_round = report.max_edge_words_per_round.max(bucket_words);
+            report.max_edge_words_per_round = report.max_edge_words_per_round.max(words);
             if cfg.record_edge_loads && take > 0 {
                 let bucket = take.min(LOAD_HISTOGRAM_BUCKETS - 1);
                 report.edge_load_histogram[bucket] += 1;
             }
-            if bucket_len > take {
-                self.left_eids.push(eid as u32);
-                for _ in take..bucket_len {
-                    self.left_msgs
-                        .push(stream.next().expect("bucket index matches storage"));
-                }
-                self.left_starts.push(self.left_msgs.len() as u32);
+        };
+        // Take the first `cap` messages of every edge out of the run;
+        // the rest close up in place and stay queued, in order.
+        let (mut scan, mut seen) = (usize::MAX, 0usize);
+        let taken = self.run.extract_if(.., |&mut (eid, _)| {
+            if eid != scan {
+                (scan, seen) = (eid, 0);
             }
+            seen += 1;
+            seen <= cap
+        });
+        // The open bucket: its edge (`usize::MAX`: none yet), endpoints,
+        // capacity slots consumed and words carried.
+        let (mut cur, mut from, mut to) = (usize::MAX, 0, 0);
+        let (mut k, mut bucket_words) = (0usize, 0usize);
+        for (eid, msg) in taken {
+            if eid != cur {
+                if cur != usize::MAX {
+                    close_bucket(report, k, bucket_words);
+                }
+                (cur, k, bucket_words) = (eid, 0, 0);
+                (from, to) = (graph.edge_source(eid), graph.edge_target(eid));
+            }
+            k += 1;
+            // Bandwidth is spent the moment the slot is consumed:
+            // faulted messages count toward the edge's word load even
+            // though only actual deliveries are billed below. The
+            // wire census follows the same rule — a dropped message
+            // still put its bits on the edge.
+            bucket_words += msg.size_words();
+            if cfg.record_wire {
+                msg.census(&mut report.wire);
+            }
+            if let Some(plan) = plan {
+                let (fate, moved) = match &timed_fates {
+                    Some(fates) => fates[slot],
+                    None => (plan.decide(round, eid, k - 1), false),
+                };
+                slot += 1;
+                match fate {
+                    FaultDecision::Deliver => {}
+                    FaultDecision::Drop => {
+                        report.faults.dropped += 1;
+                        if plan.heal {
+                            // Stop-and-wait ARQ: the sender learns of
+                            // the loss and retransmits `rto` rounds
+                            // later; the ack word rides the reverse
+                            // edge and is billed separately. The
+                            // injected ledger bug performs the moved
+                            // retransmission but forgets to bill it.
+                            let ledger_bug =
+                                moved && plan.timing.is_some_and(|t| t.ledger_misses_moved);
+                            if !ledger_bug {
+                                report.faults.retransmitted += 1;
+                                report.faults.ack_words += 1;
+                            }
+                            self.future
+                                .push((round + u64::from(plan.rto.max(1)), eid, msg));
+                        }
+                        continue;
+                    }
+                    FaultDecision::Delay => {
+                        report.faults.delayed += 1;
+                        self.future
+                            .push((round + u64::from(plan.delay_rounds.max(1)), eid, msg));
+                        continue;
+                    }
+                    FaultDecision::Reorder => {
+                        report.faults.reordered += 1;
+                        reordered.push((from, to, msg));
+                        continue;
+                    }
+                }
+            }
+            report.messages += 1;
+            report.words += msg.size_words() as u64;
+            inbox.push(Envelope { from, to, msg });
+            delivered_total += 1;
         }
-        debug_assert!(stream.next().is_none(), "all buckets drained");
-        drop(stream);
-        self.msgs = storage; // empty again, capacity retained
-        self.eids.clear();
-        self.starts.clear();
-        self.starts.push(0);
+        if cur != usize::MAX {
+            close_bucket(report, k, bucket_words);
+        }
         // Reordered envelopes land behind every ordinary delivery of
         // the round, in (edge, slot) scan order — a deterministic
         // cross-edge reordering of the receiver's inbox.
@@ -348,12 +383,12 @@ impl<M: Message> FlatQueue<M> {
     }
 
     /// Enqueues the round's staged sends behind this round's leftovers,
-    /// grouped by edge. `staged` is drained in order (the caller keeps
-    /// the buffer's capacity for the next round); within one edge,
-    /// earlier stages keep their FIFO position (the sort below is
-    /// stable), so queue contents are independent of how the executor
-    /// gathered the stages — as long as it presents them in the agreed
-    /// deterministic (node, stage order) sequence.
+    /// grouped by edge. `staged` comes back empty with a recycled
+    /// buffer behind it (its own, or the one the queue held); within
+    /// one edge, earlier stages keep their FIFO position (the sort below
+    /// is stable), so queue contents are independent of how the
+    /// executor gathered the stages — as long as it presents them in
+    /// the agreed deterministic (node, stage order) sequence.
     ///
     /// `next_round` is the round whose `deliver` will consume what this
     /// call enqueues: fault-parked messages whose due round has arrived
@@ -385,67 +420,186 @@ impl<M: Message> FlatQueue<M> {
             }
         }
         if !self.future.is_empty() {
-            // Stable partition: due entries keep their park order and
-            // are spliced in front of the fresh sends, so the stable
-            // sort below puts them first within each edge bucket.
-            let mut due: Vec<(usize, M)> = Vec::new();
-            let mut kept: Vec<(u64, u32, M)> = Vec::with_capacity(self.future.len());
-            for (when, eid, msg) in self.future.drain(..) {
-                if when <= next_round {
-                    due.push((eid as usize, msg));
-                } else {
-                    kept.push((when, eid, msg));
-                }
-            }
-            self.future = kept;
-            if !due.is_empty() {
-                staged.splice(0..0, due);
-            }
+            // Stable partition, in place: due entries keep their park
+            // order and are spliced in front of the fresh sends, so the
+            // stable sort below puts them first within each edge.
+            let due = self.future.extract_if(.., |parked| parked.0 <= next_round);
+            self.spare.extend(due.map(|(_, eid, msg)| (eid, msg)));
+            staged.splice(0..0, self.spare.drain(..));
         }
-        if staged.is_empty() && self.left_msgs.is_empty() {
+        if staged.is_empty() && self.run.is_empty() {
             return Ok(());
         }
         self.sort_staged(staged); // stable by eid: preserves FIFO within an edge
-        debug_assert!(self.eids.is_empty(), "stage follows deliver (or round 0)");
-        // Merge the two ascending-by-eid runs (leftovers, then staged)
-        // bucket by bucket into the main storage.
-        let mut li = 0usize; // leftover bucket index
-        let mut left_storage = std::mem::take(&mut self.left_msgs);
-        let mut left_msgs = left_storage.drain(..);
-        let mut staged_it = staged.drain(..).peekable();
-        loop {
-            let next_left = self.left_eids.get(li).map(|&e| e as usize);
-            let next_staged = staged_it.peek().map(|&(e, _)| e);
-            let eid = match (next_left, next_staged) {
-                (Some(a), Some(b)) => a.min(b),
-                (Some(a), None) => a,
-                (None, Some(b)) => b,
-                (None, None) => break,
-            };
-            let bucket_start = self.msgs.len();
-            if next_left == Some(eid) {
-                let count = (self.left_starts[li + 1] - self.left_starts[li]) as usize;
-                for _ in 0..count {
-                    self.msgs
-                        .push(left_msgs.next().expect("leftover index matches storage"));
-                }
-                li += 1;
+        if self.run.is_empty() {
+            // The sorted staging buffer *is* the next round's queue.
+            std::mem::swap(&mut self.run, staged);
+        } else {
+            // Merge the two ascending runs, leftovers first within an
+            // edge.
+            let mut old = self.run.drain(..);
+            for (eid, msg) in staged.drain(..) {
+                let ahead = old.as_slice().iter().take_while(|q| q.0 <= eid).count();
+                self.spare.extend(old.by_ref().take(ahead));
+                self.spare.push((eid, msg));
             }
-            while staged_it.peek().is_some_and(|&(e, _)| e == eid) {
-                let (_, msg) = staged_it.next().expect("peeked");
-                self.msgs.push(msg);
-            }
-            self.eids.push(eid as u32);
-            self.starts.push(self.msgs.len() as u32);
-            let backlog = self.msgs.len() - bucket_start;
-            report.max_edge_backlog = report.max_edge_backlog.max(backlog);
+            self.spare.extend(old);
+            std::mem::swap(&mut self.run, &mut self.spare);
         }
-        debug_assert!(left_msgs.next().is_none());
-        drop(left_msgs);
-        self.left_msgs = left_storage; // empty again, capacity retained
-        self.left_eids.clear();
-        self.left_starts.clear();
-        self.left_starts.push(0);
+        let longest = buckets(&self.run).map(<[_]>::len).max();
+        report.max_edge_backlog = report.max_edge_backlog.max(longest.unwrap_or(0));
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A message that remembers where in the input it stood.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Tag(u32);
+    impl Message for Tag {}
+
+    type Run = Vec<(usize, Tag)>;
+
+    /// `eids` as messages tagged `first_tag..` in order.
+    fn tagged(eids: &[usize], first_tag: u32) -> Run {
+        let tags = (first_tag..).map(Tag);
+        eids.iter().copied().zip(tags).collect()
+    }
+
+    /// What any correct staging of `parts` (in that order) must queue:
+    /// the standard library's stable sort of their concatenation.
+    fn reference(parts: &[&Run]) -> Run {
+        let mut all: Run = parts.iter().flat_map(|p| p.iter().cloned()).collect();
+        all.sort_by_key(|e| e.0);
+        all
+    }
+
+    /// The hostile and the friendly staging orders, 600 messages each,
+    /// with whether they must exhaust the insertion pass's budget.
+    fn inputs() -> Vec<(&'static str, Vec<usize>, bool)> {
+        let mut rng = StdRng::seed_from_u64(23);
+        let n = 600usize;
+        // Ascending node blocks of four out-edges, two lanes' sends
+        // apiece, each block in a random order: what handlers produce.
+        let mut blocks = Vec::new();
+        for node in 0..n / 8 {
+            let mut block: Vec<usize> = (0..8).map(|i| node * 4 + i % 4).collect();
+            for i in (1..block.len()).rev() {
+                block.swap(i, rng.random_range(0..=i));
+            }
+            blocks.extend(block);
+        }
+        vec![
+            ("reverse-sorted", (0..n).rev().collect(), true),
+            (
+                "reversed pairs",
+                (0..n).rev().map(|e| e / 2).collect(),
+                true,
+            ),
+            ("all one edge", vec![7; n], false),
+            ("sorted", (0..n).map(|e| e / 3).collect(), false),
+            (
+                "random",
+                (0..n).map(|_| rng.random_range(0..97)).collect(),
+                true,
+            ),
+            ("block-shuffled", blocks, false),
+        ]
+    }
+
+    #[test]
+    fn sort_staged_is_a_stable_sort_and_falls_back_past_its_budget() {
+        for (name, eids, must_fall_back) in inputs() {
+            let input = tagged(&eids, 0);
+            let want = reference(&[&input]);
+            let mut q = FlatQueue::default();
+            let mut got = input.clone();
+            assert_eq!(q.sort_staged(&mut got), must_fall_back, "{name}");
+            assert_eq!(got, want, "{name}");
+            // The fallback alone agrees on every input too.
+            let mut got = input.clone();
+            q.index_sort(&mut got);
+            assert_eq!(got, want, "{name}: index sort");
+            // Planted bug: a sort that orders edges but not the messages
+            // within one. The comparison above must be able to see it.
+            let mut unstable = input.clone();
+            unstable.sort_unstable_by_key(|e| (e.0, std::cmp::Reverse(e.1 .0)));
+            let has_ties = want.windows(2).any(|w| w[0].0 == w[1].0);
+            assert_eq!(unstable != want, has_ties, "{name}: planted instability");
+        }
+    }
+
+    #[test]
+    fn stage_queues_leftovers_then_due_then_fresh_within_every_edge() {
+        let cfg = EngineConfig::default();
+        for (name, eids, _) in inputs() {
+            for with_left in [false, true] {
+                let mut q = FlatQueue::default();
+                // Leftovers: an ascending run sharing edges with the
+                // staged sends.
+                let left = if with_left {
+                    tagged(&(0..40).map(|i| i / 2 * 5).collect::<Vec<_>>(), 10_000)
+                } else {
+                    Run::new()
+                };
+                q.run = left.clone();
+                // Parked: every third entry is not due yet.
+                let parked = tagged(&[9, 3, 3, 700, 0, 9, 3, 50, 0], 20_000);
+                for (i, (eid, msg)) in parked.iter().cloned().enumerate() {
+                    let when = if i % 3 == 1 { 8 } else { 6 + i as u64 % 2 };
+                    q.future.push((when, eid, msg));
+                }
+                let (due, kept): (Vec<_>, Vec<_>) =
+                    q.future.iter().cloned().partition(|p| p.0 <= 7);
+                let due: Run = due.into_iter().map(|(_, eid, msg)| (eid, msg)).collect();
+                let mut staged = tagged(&eids, 0);
+                let fresh = staged.clone();
+                let mut report = RunReport::default();
+                q.stage(&mut staged, &cfg, 7, &mut report).unwrap();
+                let want = reference(&[&left, &due, &fresh]);
+                assert_eq!(q.run, want, "{name}, leftovers: {with_left}");
+                assert_eq!(q.future, kept, "{name}: parked entries keep their order");
+                assert!(staged.is_empty() && q.spare.is_empty());
+                let longest = buckets(&want).map(<[_]>::len).max().unwrap_or(0);
+                assert_eq!(report.max_edge_backlog, longest, "{name}");
+            }
+        }
+        let lens = |eids: &[usize]| {
+            buckets(&tagged(eids, 0))
+                .map(<[_]>::len)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(lens(&[1, 1, 4, 5, 5, 5]), [2, 1, 3]);
+    }
+
+    #[test]
+    fn a_round_with_no_leftovers_and_nothing_parked_swaps_buffers() {
+        let cfg = EngineConfig::default();
+        let mut q = FlatQueue::default();
+        let mut report = RunReport::default();
+        let mut staged = tagged(&[0, 0, 1, 3, 2, 5], 0);
+        let sends = staged.as_ptr();
+        q.stage(&mut staged, &cfg, 1, &mut report).unwrap();
+        assert_eq!(q.run.as_ptr(), sends, "the staging buffer became the queue");
+        assert_eq!(q.run, reference(&[&tagged(&[0, 0, 1, 3, 2, 5], 0)]));
+        assert_eq!((staged.len(), report.max_edge_backlog), (0, 2));
+    }
+
+    #[test]
+    fn edge_ids_are_held_to_u32_where_a_run_begins() {
+        assert_eq!(narrow(u32::MAX as usize), u32::MAX);
+        FlatQueue::<Tag>::default().reset(u32::MAX as usize);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "fit in u32")]
+    fn a_run_over_more_than_u32_max_directed_edges_is_refused() {
+        FlatQueue::<Tag>::default().reset(u32::MAX as usize + 1);
     }
 }

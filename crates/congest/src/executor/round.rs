@@ -65,9 +65,10 @@ struct Buffers<M> {
 }
 
 impl Scratch {
-    /// The RNG pool and `M`'s buffers, readied for a run of `n` nodes
+    /// The RNG pool and `M`'s buffers, readied for a run on `graph`
     /// under `seed`.
-    fn begin<M: Message>(&mut self, seed: u64, n: usize) -> (&mut NodeRngs, &mut Buffers<M>) {
+    fn begin<M: Message>(&mut self, seed: u64, graph: &Graph) -> (&mut NodeRngs, &mut Buffers<M>) {
+        let n = graph.n();
         self.rngs.rebind(seed, n);
         if !self.typed.as_ref().is_some_and(|b| b.is::<Buffers<M>>()) {
             self.typed = Some(Box::new(Buffers::<M> {
@@ -78,7 +79,7 @@ impl Scratch {
         }
         let buf = self.typed.as_mut().and_then(|b| b.downcast_mut());
         let buf: &mut Buffers<M> = buf.expect("ensured above");
-        buf.queue.reset();
+        buf.queue.reset(graph.dir_edge_count());
         buf.inbox.reset(n);
         buf.staged.clear();
         (&mut self.rngs, buf)
@@ -94,7 +95,7 @@ pub(crate) fn run_rounds<R: ReceivePhase>(
     scratch: &mut Scratch,
     phase: &mut R,
 ) -> Result<RunReport, RunError> {
-    let (rngs, buf) = scratch.begin::<R::Msg>(seed, graph.n());
+    let (rngs, buf) = scratch.begin::<R::Msg>(seed, graph);
     let Buffers {
         queue,
         inbox,
@@ -142,7 +143,8 @@ pub(crate) fn run_rounds<R: ReceivePhase>(
         queue_bytes: queue.capacity_bytes(),
         inbox_bytes: inbox.capacity_bytes(),
         rng_bytes: rngs.capacity_bytes(),
-        staging_bytes: staged.capacity() * std::mem::size_of::<(usize, R::Msg)>(),
+        staging_bytes: queue.run_capacity_bytes()
+            + staged.capacity() * std::mem::size_of::<(usize, R::Msg)>(),
     };
     Ok(report)
 }

@@ -1042,12 +1042,11 @@ mod tests {
             .run_node_local(&g, &cfg, 3, &mut mk(48))
             .unwrap()
             .memory;
+        // Both backends hold the round loop's two alternating buffers;
+        // the sharded one also holds a round's worth of shard buffers.
         let per_round = 2256 * std::mem::size_of::<(usize, Gossip)>();
-        assert!(seq.staging_bytes >= per_round, "{seq:?}");
-        assert!(
-            sha.staging_bytes >= seq.staging_bytes + per_round,
-            "{sha:?}"
-        );
+        assert!(seq.staging_bytes >= 2 * per_round, "{seq:?}");
+        assert!(sha.staging_bytes >= 3 * per_round, "{sha:?}");
         assert_eq!(
             (sha.queue_bytes, sha.inbox_bytes, sha.rng_bytes),
             (seq.queue_bytes, seq.inbox_bytes, seq.rng_bytes),

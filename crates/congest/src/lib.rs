@@ -31,8 +31,8 @@
 //!
 //! # Execution backends
 //!
-//! There is one round loop (module [`executor`]) over a flat bucketed
-//! message queue (one backing `Vec` plus per-edge ranges, CSR-style);
+//! There is one round loop (module [`executor`]) over a flat message
+//! queue (one `Vec` of `(edge id, message)` pairs, ascending by edge);
 //! a backend only decides how the receive phase of a
 //! [`NodeLocalProtocol`] is run. [`ExecutorKind::Sequential`], the
 //! reference, visits receiving nodes in ascending order on one thread;
