@@ -20,12 +20,13 @@
 //! keeps one [`SdLaneSlot`] per walk, and a single engine run hosts,
 //! *simultaneously and asynchronously per walk*:
 //!
-//! - a **sampling epoch** per pending stitch: a wave floods from the
-//!   walk's current connector and builds a flood tree, a convergecast
-//!   reservoir-samples one unused short walk of that connector
-//!   (Algorithm 3 / Lemma A.2), and the choice is flooded back down;
-//!   the chosen owner deletes one token and *becomes* the connector,
-//!   immediately starting the next epoch — no global barrier;
+//! - a **sampling epoch** per pending stitch: one echo from the walk's
+//!   current connector — a wave floods out and builds a flood tree, the
+//!   aggregates that come back reservoir-sample one unused short walk
+//!   of that connector (Algorithm 3 / Lemma A.2) — and the choice is
+//!   routed down one tree path to the chosen owner, which deletes one
+//!   token and *becomes* the connector, immediately starting the next
+//!   epoch — no global barrier;
 //! - **`GET-MORE-WALKS`** when an epoch finds the connector drained
 //!   (Algorithm 2, aggregated counts + reservoir lengths, or the
 //!   per-token replayable variant): finished tokens acknowledge up the
@@ -34,15 +35,15 @@
 //!
 //! ## Why per-walk epochs are safe without global coordination
 //!
-//! A sampling epoch's root finalizes only after *every* node completed
-//! the wave handshake and sent its aggregate — so by the time a new
-//! epoch for the same walk can exist, all `Wave`/`Agg` messages of the
-//! old one have been delivered. The only messages that can straddle
-//! epochs are the tail of a `Chosen` flood (dropped by the epoch
-//! guard; the owner always receives its copy before the next epoch
-//! starts, because that next epoch starts *at* the owner) and
-//! `Retry`/ack traffic, which only exists while the walk's root is
-//! blocked waiting for it.
+//! A sampling epoch's root finalizes only after it heard from every
+//! neighbour, a child's aggregate says the child heard from all of its
+//! own, and so on down the tree — so by the time a new epoch for the
+//! same walk can exist, every `Wave` and `Agg` of the old one (one per
+//! directed edge) has been delivered. `Chosen` is a single message on a
+//! single path, and the next epoch starts *at* the node that consumes
+//! it. What is left are `Retry`/ack messages, which only exist while
+//! the walk's root is blocked waiting for them; the epoch guards drop
+//! any that a re-issued walk leaves behind.
 //!
 //! ## Sharing the store without sharing segments
 //!
@@ -131,15 +132,17 @@ impl StitchSpec {
 /// default 4-word CONGEST budget with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum StitchMsg {
-    /// Sampling sweep 1: the epoch's wave, flooding from the root and
-    /// building the flood tree plus the child-status handshake.
-    Wave { epoch: u32, root: u32, child: bool },
-    /// Sampling sweep 2: a subtree's aggregate — its candidate token
-    /// owner and total token count (`count == 0` means none).
+    /// The epoch's wave, flooding from the root: a node adopts its
+    /// first sender as parent and forwards the wave to everyone else.
+    Wave { epoch: u32, root: u32 },
+    /// The echo: a subtree's aggregate, sent to the parent once the
+    /// node has heard from every neighbour — its candidate token owner
+    /// and total token count (`count == 0` means none).
     Agg { owner: u32, count: u64 },
-    /// Sampling sweep 3: the root's choice, flooded down the tree. The
-    /// owner deletes one token of the root and takes over the walk,
-    /// which stands at `completed` steps.
+    /// The root's choice, routed down the tree towards `owner` along
+    /// the children whose aggregates carried it. The owner deletes one
+    /// token of the root and takes over the walk, which stands at
+    /// `completed` steps.
     Chosen {
         epoch: u32,
         owner: u32,
@@ -163,8 +166,8 @@ enum StitchMsg {
 impl Message for StitchMsg {
     fn size_words(&self) -> usize {
         match self {
-            StitchMsg::Wave { .. } | StitchMsg::Chosen { .. } | StitchMsg::Swk { .. } => 3,
-            StitchMsg::Agg { .. } | StitchMsg::Gmw { .. } => 2,
+            StitchMsg::Chosen { .. } | StitchMsg::Swk { .. } => 3,
+            StitchMsg::Wave { .. } | StitchMsg::Agg { .. } | StitchMsg::Gmw { .. } => 2,
             StitchMsg::Retry { .. } | StitchMsg::GmwAck { .. } | StitchMsg::Tail { .. } => 1,
         }
     }
@@ -172,10 +175,9 @@ impl Message for StitchMsg {
     fn census(&self, census: &mut drw_congest::WireCensus) {
         let rec = census.record("StitchMsg", self.size_words());
         let _ = match self {
-            StitchMsg::Wave { epoch, root, child } => rec
+            StitchMsg::Wave { epoch, root } => rec
                 .field("Wave.epoch", u64::from(*epoch))
-                .field("Wave.root", u64::from(*root))
-                .field("Wave.child", u64::from(*child)),
+                .field("Wave.root", u64::from(*root)),
             StitchMsg::Agg { owner, count } => rec
                 .field("Agg.owner", u64::from(*owner))
                 .field("Agg.count", *count),
@@ -299,8 +301,8 @@ struct Merge {
     /// bookkeeping pass so the parent is the minimum sender among the
     /// round's arrivals.
     adopt: Vec<(u32, u32, u32, NodeId)>,
-    /// Lanes whose handshake or aggregation may have completed,
-    /// re-checked after the adoptions.
+    /// Lanes whose echo may have completed, re-checked after the
+    /// adoptions.
     ready: Vec<u32>,
     /// `GET-MORE-WALKS` acknowledgements merged per lane within the
     /// round: one tally (or one upward message) per lane, however many
@@ -331,7 +333,8 @@ fn lane_of(lanes: &mut Vec<LaneState>, k: usize, lane_idx: u32) -> &mut LaneStat
 fn start_epoch(lane: &mut LaneState, ws: &NodeWalkState, node: NodeId, epoch: u32, completed: u64) {
     lane.enter(epoch, node as u32);
     lane.hosted = Some(completed);
-    lane.slot.init_root(node as u32, ws.count_from(node) as u64);
+    lane.slot
+        .join(node as u32, None, ws.count_from(node) as u64);
 }
 
 /// Restarts a lane's sampling epoch at its current connector `node`
@@ -349,14 +352,10 @@ fn restart_epoch(
 ) {
     let epoch = lane.epoch + 1;
     start_epoch(lane, ws, node, epoch, completed);
+    let root = node as u32;
     for i in 0..ctx.graph().degree(node) {
         let v = ctx.graph().neighbor_at(node, i);
-        let msg = StitchMsg::Wave {
-            epoch,
-            root: node as u32,
-            child: false,
-        };
-        ctx.send(v, shared.mux(lane_idx, msg));
+        ctx.send(v, shared.mux(lane_idx, StitchMsg::Wave { epoch, root }));
     }
 }
 
@@ -478,14 +477,10 @@ impl NodeLocalProtocol for BatchedStitchProtocol<'_> {
             } else {
                 wave.tally.connector_visits += 1;
                 start_epoch(lane_of(&mut wave.lanes, k, w as u32), ws, spec.source, 1, 0);
+                let root = spec.source as u32;
                 for i in 0..ctx.graph().degree(spec.source) {
                     let v = ctx.graph().neighbor_at(spec.source, i);
-                    let msg = StitchMsg::Wave {
-                        epoch: 1,
-                        root: spec.source as u32,
-                        child: false,
-                    };
-                    ctx.send(spec.source, v, mux(msg));
+                    ctx.send(spec.source, v, mux(StitchMsg::Wave { epoch: 1, root }));
                 }
             }
             ws.wave = Some(wave);
@@ -572,16 +567,13 @@ fn receive(
         let lane = lane_of(lanes, k, lane_idx);
         match env.msg.msg {
             StitchMsg::Tail { .. } => unreachable!("handled above"),
-            StitchMsg::Wave { epoch, root, child } => {
+            StitchMsg::Wave { epoch, root } => {
                 if epoch > lane.epoch {
                     lane.enter(epoch, root);
                 } else if epoch < lane.epoch {
                     continue; // stale tail of an old epoch's flood
                 }
-                lane.slot.statuses += 1;
-                if child {
-                    lane.slot.children.push(env.from);
-                }
+                lane.slot.heard += 1;
                 if !lane.slot.joined {
                     match adopt.iter_mut().find(|a| a.0 == lane_idx && a.1 == epoch) {
                         Some(a) => a.3 = a.3.min(env.from),
@@ -593,7 +585,7 @@ fn receive(
             StitchMsg::Agg { owner, count } => {
                 // Aggregates never straddle epochs: a root finalizes
                 // only after every aggregate reached it (mod docs).
-                lane.slot.absorb(owner, count, ctx.rng());
+                lane.slot.absorb(env.from, owner, count, ctx.rng());
                 ready.push(lane_idx);
             }
             StitchMsg::Chosen {
@@ -601,24 +593,10 @@ fn receive(
                 owner,
                 completed,
             } => {
-                if epoch != lane.epoch {
-                    continue; // flood tail behind the walk's progress
-                }
-                if owner as usize == node {
-                    let root = lane.root as usize;
-                    match ws.take_uniform_from(root, ctx.rng()) {
-                        Some(walk) => advance_walk(
-                            shared, lane, ws, tally, node, lane_idx, walk, completed, ctx,
-                        ),
-                        None => {
-                            // A rival consumed the pool since the
-                            // snapshot; ask the root to resample.
-                            let p = lane.slot.parent.expect("chosen owner is not the root");
-                            ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch }));
-                        }
-                    }
-                } else {
-                    flood_chosen(shared, lane, lane_idx, owner, completed, ctx);
+                if epoch == lane.epoch {
+                    choose(
+                        shared, lane, ws, tally, node, lane_idx, owner, completed, ctx,
+                    );
                 }
             }
             StitchMsg::Retry { epoch } => {
@@ -707,27 +685,25 @@ fn receive(
     }
 
     // Deferred wave adoption: join the tree under the minimum sender
-    // and forward the wave (exactly once per lane and epoch).
+    // and forward the wave to everyone else, exactly once per lane and
+    // epoch (the parent hears from this node through its aggregate).
     for &(lane_idx, epoch, root, from) in adopt.iter() {
         let lane = &mut lanes[lane_idx as usize];
         if lane.epoch != epoch || lane.slot.joined {
             continue; // a newer epoch arrived later in this inbox
         }
         lane.slot
-            .join(node as u32, from, ws.count_from(root as usize) as u64);
+            .join(node as u32, Some(from), ws.count_from(root as usize) as u64);
         for i in 0..degree {
             let v = ctx.graph().neighbor_at(node, i);
-            let msg = StitchMsg::Wave {
-                epoch,
-                root,
-                child: v == from,
-            };
-            ctx.send(v, shared.mux(lane_idx, msg));
+            if v != from {
+                ctx.send(v, shared.mux(lane_idx, StitchMsg::Wave { epoch, root }));
+            }
         }
         ready.push(lane_idx);
     }
 
-    // Lanes whose handshake/aggregation may just have completed.
+    // Lanes whose echo may just have completed.
     ready.sort_unstable();
     ready.dedup();
     for &lane_idx in ready.iter() {
@@ -754,28 +730,47 @@ fn receive(
     }
 }
 
-/// Floods the root's choice one level down the epoch's tree.
-fn flood_chosen(
+/// The root's choice `owner` at `node` — where the root made it, or on
+/// its way down the epoch's tree. The owner takes one token of the root
+/// and moves the walk on; any other node passes the choice to the child
+/// whose aggregate put `owner` in its reservoir.
+#[allow(clippy::too_many_arguments)]
+fn choose(
     shared: &SharedCfg,
-    lane: &LaneState,
+    lane: &mut LaneState,
+    ws: &mut NodeWalkState,
+    tally: &mut Tally,
+    node: NodeId,
     lane_idx: u32,
     owner: u32,
     completed: u64,
     ctx: &mut NodeCtx<'_, BatchMsg>,
 ) {
-    for &c in &lane.slot.children {
+    let epoch = lane.epoch;
+    if owner as usize != node {
+        let child = lane.slot.cand_from;
+        let child = child.expect("a candidate that is not this node's came from a child");
         let chosen = StitchMsg::Chosen {
-            epoch: lane.epoch,
+            epoch,
             owner,
             completed,
         };
-        ctx.send(c, shared.mux(lane_idx, chosen));
+        return ctx.send(child, shared.mux(lane_idx, chosen));
+    }
+    let taken = ws.take_uniform_from(lane.root as usize, ctx.rng());
+    match (taken, lane.slot.parent) {
+        (Some(walk), _) => advance_walk(
+            shared, lane, ws, tally, node, lane_idx, walk, completed, ctx,
+        ),
+        // A rival consumed the pool since the snapshot: the root
+        // resamples with a fresh epoch — at once, if that is this node.
+        (None, Some(p)) => ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch })),
+        (None, None) => restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx),
     }
 }
 
 /// Root-side epilogue of a sampling epoch: launch `GET-MORE-WALKS` when
-/// the pool is dry, resolve locally when the root itself owns the
-/// sampled token, or flood the choice down the tree.
+/// the pool is dry, else make the choice.
 fn finalize_at_root(
     shared: &SharedCfg,
     lane: &mut LaneState,
@@ -819,18 +814,9 @@ fn finalize_at_root(
         return;
     }
     let owner = lane.slot.cand_owner.expect("count > 0 implies a candidate");
-    if owner as usize == node {
-        match ws.take_uniform_from(node, ctx.rng()) {
-            Some(walk) => advance_walk(
-                shared, lane, ws, tally, node, lane_idx, walk, completed, ctx,
-            ),
-            // A rival drained the local pool since the snapshot:
-            // resample immediately with a fresh epoch.
-            None => restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx),
-        }
-    } else {
-        flood_chosen(shared, lane, lane_idx, owner, completed, ctx);
-    }
+    choose(
+        shared, lane, ws, tally, node, lane_idx, owner, completed, ctx,
+    );
 }
 
 /// Accounts `count` finished `GET-MORE-WALKS` tokens: at the waiting
@@ -1386,10 +1372,108 @@ mod tests {
         assert_eq!(state.total_stored(), 0);
     }
 
+    /// `tokens` stored walks of `root`, `lambda` steps each, spread over
+    /// the graph (one of them at `root` itself).
+    fn spread_tokens(n: usize, root: NodeId, tokens: u32, lambda: u32) -> WalkState {
+        let mut state = WalkState::new(n);
+        for seq in 0..tokens {
+            let id = WalkId {
+                source: root as u32,
+                seq,
+            };
+            state.store_walk((root + seq as usize * 7) % n, id, lambda, true);
+        }
+        state
+    }
+
+    #[test]
+    fn a_stitch_is_one_message_per_directed_edge_plus_the_owners_depth() {
+        use rand::SeedableRng;
+        // One lane, capacity-1 edges: nothing queues, so the flood tree
+        // is a BFS tree and the owner's depth in it its distance from
+        // the root. The echo puts exactly one `Wave` or `Agg` on every
+        // directed edge; `Chosen` is the only other sampling message,
+        // and it reaches the owner in `depth` hops only along the tree
+        // path (it is only ever sent to a child).
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let graphs = [
+            ("torus", generators::torus2d(6, 7)),
+            ("4-regular", generators::random_regular(48, 4, &mut rng)),
+        ];
+        let lambda = 5u32;
+        for (name, g) in &graphs {
+            assert!(drw_graph::traversal::is_connected(g), "{name}");
+            let root = 11;
+            let depth = drw_graph::traversal::bfs_distances(g, root);
+            let mut depths_seen = std::collections::BTreeSet::new();
+            for trial in 0..24 {
+                let mut state = spread_tokens(g.n(), root, 12, lambda);
+                let out = one_stitch(g, &mut state, root, &setup(lambda, true), 300 + trial);
+                let seg = out.walks[0].segments[0];
+                let tail = 2 * u64::from(lambda) - u64::from(seg.len);
+                let owner_depth = u64::from(depth[seg.owner]);
+                assert_eq!(
+                    out.report.messages,
+                    g.dir_edge_count() as u64 + owner_depth + tail,
+                    "{name}, trial {trial}: owner {} at depth {owner_depth}",
+                    seg.owner
+                );
+                assert_eq!(out.gmw_invocations, 0);
+                depths_seen.insert(owner_depth);
+            }
+            assert!(depths_seen.contains(&0), "{name}: the root's own token");
+            assert!(depths_seen.len() >= 3, "{name}: {depths_seen:?}");
+        }
+    }
+
+    #[test]
+    fn eight_lanes_sharing_a_connector_each_consume_a_token_of_their_own() {
+        let g = generators::torus2d(5, 5);
+        let (root, lambda) = (12, 4u32);
+        let mut state = spread_tokens(g.n(), root, 12, lambda);
+        let mut runner = Runner::new(&g, EngineConfig::default(), 41);
+        let mut sched = StitchScheduler::new(&setup(lambda, true));
+        for _ in 0..8 {
+            sched.add_walk(root, 2 * u64::from(lambda));
+        }
+        let out = sched
+            .run(&mut runner, &mut state)
+            .expect("shared connector");
+        let mut taken = std::collections::BTreeSet::new();
+        for walk in &out.walks {
+            assert_eq!(walk.segments.len(), 1, "one stitch, then the tail");
+            let seg = walk.segments[0];
+            assert!(
+                taken.insert((seg.owner, seg.id.seq)),
+                "token {:?} at {} consumed twice",
+                seg.id,
+                seg.owner
+            );
+        }
+        assert_eq!((out.stitches, out.gmw_invocations), (8, 0));
+        assert_eq!(state.total_stored(), 4, "twelve tokens, eight consumed");
+    }
+
+    #[test]
+    #[should_panic(expected = "came from a child")]
+    fn a_slot_that_forgets_where_its_candidate_came_from_misroutes_the_choice() {
+        // Planted bug: the reservoir replaces its candidate without
+        // updating `cand_from`. The root holds no token of its own, so
+        // its candidate is a child's and the choice has nowhere to go.
+        // The sequential backend runs the handlers on this thread, which
+        // is the only one to see the flag.
+        let g = generators::torus2d(4, 4);
+        let mut state = WalkState::new(g.n());
+        state.store_walk(9, WalkId { source: 0, seq: 0 }, 4, true);
+        crate::sample_destination::FORGET_CAND_FROM.set(true);
+        one_stitch(&g, &mut state, 0, &setup(4, true), 3);
+    }
+
     #[test]
     fn sampling_rounds_scale_with_eccentricity_not_walk_count() {
-        // `report.rounds - rounds_tail` is the one stitch: three sweeps
-        // over the connector's flood tree, however many tokens it holds.
+        // `report.rounds - rounds_tail` is the one stitch: wave out, echo
+        // back and the routed choice, each at most the connector's
+        // eccentricity, however many tokens it holds.
         let g = generators::path(32);
         let mut state = WalkState::new(g.n());
         for seq in 0..20 {
@@ -1397,7 +1481,7 @@ mod tests {
         }
         let out = one_stitch(&g, &mut state, 0, &setup(4, true), 2);
         let rounds = out.report.rounds - out.rounds_tail;
-        // Eccentricity of node 0 is 31; three sweeps plus constant.
+        // Eccentricity of node 0 is 31; three passes plus constant.
         assert!((31..=3 * 31 + 10).contains(&rounds), "rounds = {rounds}");
         assert_eq!(out.rounds_tail, 4, "the tail is the 8 - 4 remaining steps");
     }
@@ -1480,7 +1564,7 @@ mod tests {
         assert_eq!(Mux2::new(0, 0, gmw).size_words(), 3);
         let g = generators::torus2d(4, 4);
         let lambda = 10u32;
-        // Two sampling epochs of three sweeps each (diameter 4) plus the
+        // Two sampling epochs of three passes each (diameter 4) plus the
         // acks' way up ride on top of the diffusion's 2*lambda - 1 hops.
         for (count, seed, hops) in [(5, 5, 2 * lambda), (5000, 6, 8 * lambda)] {
             let (_, out) = starved_stitch(&g, 0, count, lambda, true, seed);

@@ -1,9 +1,13 @@
 //! Fixed-seed regression guard for the shared request drivers
 //! (`drw_core::network::drivers`): `run_batch`, one-shot `run`, session
-//! walks and a mixed multiplexed wave must keep reproducing, to the
-//! byte, golden values captured from the hand-written loops each of them
-//! replaced (ISSUEs 9, 14, 20, 21), at the listed seeds — and, since
-//! ISSUE 22, while the session's forwarding logs forget dead walks.
+//! walks and a mixed multiplexed wave must keep reproducing golden
+//! values to the byte, at the listed seeds and on both backends. The
+//! values were first captured from the hand-written loops the drivers
+//! replaced (ISSUEs 9, 14, 20, 21, 22) and re-captured once, when
+//! `SAMPLE-DESTINATION` became one echo (ISSUE 23): a different Phase-2
+//! message schedule draws the reservoirs in a different order, so every
+//! stitched sample moved (CHANGES.md has the old → new table); the two
+//! one-shot mixing estimates, which never stitch, did not.
 
 use distributed_random_walks::prelude::*;
 use drw_congest::{FaultPlan, Runner};
@@ -56,9 +60,8 @@ fn run_batch_outputs_are_byte_identical_to_pre_refactor() {
     let epoch = rs[4].clone().into_epoch();
     let walk2 = rs[5].clone().into_walk();
 
-    // Golden values captured from the pre-refactor run_batch (seed 31,
-    // 6x6 torus, sequential executor). Any divergence means the driver
-    // extraction changed scheduling or randomness.
+    // Seed 31, 6x6 torus, sequential executor. Any divergence means a
+    // change of scheduling or randomness.
     assert_eq!(
         (walk.destination, walk.rounds, walk.stitches),
         (GOLDEN.walk_dest, GOLDEN.walk_rounds, GOLDEN.walk_stitches),
@@ -120,21 +123,21 @@ struct Golden {
 }
 
 const GOLDEN: Golden = Golden {
-    walk_dest: 2,
-    walk_rounds: 386,
+    walk_dest: 11,
+    walk_rounds: 361,
     walk_stitches: 5,
-    many_dests: [20, 10],
-    many_rounds: 386,
-    many_stitches: 5,
-    tree_digest: 0xb3cb5fb743cdbff7,
-    tree_rounds: 636,
-    tree_phases: 3,
+    many_dests: [6, 27],
+    many_rounds: 361,
+    many_stitches: 4,
+    tree_digest: 0x0f47eb6e377792ba,
+    tree_rounds: 828,
+    tree_phases: 4,
     mix_disc_bits: 0x3ca0000000000000,
     mix_pass: false,
-    mix_rounds: 432,
-    walk2_dest: 0,
-    walk2_rounds: 274,
-    session_rounds: 963,
+    mix_rounds: 407,
+    walk2_dest: 4,
+    walk2_rounds: 304,
+    session_rounds: 1185,
 };
 
 /// A digest of anything with a stable `Debug` form (probe lists,
@@ -231,9 +234,8 @@ fn mix_tuple(m: &MixingReport) -> MixGolden {
 
 #[test]
 fn one_shot_and_session_outputs_are_byte_identical_to_pre_refactor() {
-    // Golden values captured at the parent commit of ISSUE 14 (seed 31
-    // on the 6x6 torus for trees and session walks; seeds 6 / 5 on C16 /
-    // K32 for the full mixing estimate; sequential executor).
+    // Seed 31 on the 6x6 torus for trees and session walks; seeds 6 / 5
+    // on C16 / K32 for the full mixing estimate; sequential executor.
     assert_eq!(
         tree_tuple(&one_shot_tree(TreeMode::ExtendWalk)),
         ONE_SHOT.tree_extend,
@@ -259,9 +261,8 @@ fn one_shot_and_session_outputs_are_byte_identical_to_pre_refactor() {
         (ONE_SHOT.session_walks, ONE_SHOT.session_total_rounds),
         "consecutive session walks drifted"
     );
-    // Captured at the parent commit of ISSUE 21 from the one-shot
-    // many-walks kernel (seed 31, 16x16 torus), on both backends.
-    let many = (vec![237, 172, 123, 143], 1782, 591_681, 0x73c3defe53adf0fb);
+    // Seed 31, 16x16 torus, on both backends.
+    let many = (vec![143, 209, 130, 9], 1693, 586_089, 0x7566e9ac107dc670);
     for kind in [ExecutorKind::Sequential, ExecutorKind::Sharded] {
         assert_eq!(one_shot_many(kind), many, "{kind:?} many-walks drifted");
     }
@@ -279,12 +280,12 @@ struct OneShotGolden {
 }
 
 const ONE_SHOT: OneShotGolden = OneShotGolden {
-    tree_extend: (0xa7d8dc00dca26b37, 5, 5, 248, 435, 1),
-    tree_restart: (0xd476dc9aff2d6c06, 6, 31, 256, 2293, 1),
+    tree_extend: (0x8b6cdc7851a84684, 6, 6, 504, 619, 1),
+    tree_restart: (0x23a9257583d1e096, 6, 31, 256, 2264, 1),
     mix_c16: (0xb99e0d7c047865c3, 10, 512, false, 2129),
     mix_k32: (0xc87a7138c0308730, 1, 1, true, 14),
-    session_walks: [(12, 306, 0x45596d1d7c06d701), (21, 192, 0x2778b175beadb2d6)],
-    session_total_rounds: 505,
+    session_walks: [(14, 333, 0xc3426a3bde175ab3), (2, 122, 0xcdd8bd4af3b7a167)],
+    session_total_rounds: 462,
 };
 
 /// `(destinations, rounds, reissues, digest of segments + gmw_by_walk +
@@ -353,11 +354,9 @@ fn mixed_wave(side: usize, cfg: EngineConfig, record: bool) -> (WaveGolden, bool
 
 #[test]
 fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
-    // Golden values captured at the parent commit of ISSUE 20, where
-    // every node held a dense lane table for every wave and the protocol
-    // owned the stores (seed 31; the connector visits digested there as
-    // the non-zero `(node, count)` pairs of the dense vector).
-    let golden: WaveGolden = (vec![134, 1015, 42, 8, 194, 99], 1125, 0, 0x2ae12815663ba480);
+    // Seed 31; the connector visits are digested as the non-zero
+    // `(node, count)` pairs.
+    let golden: WaveGolden = (vec![97, 255, 143, 8, 194, 208], 1087, 0, 0x2c74a94f65b88148);
     let (seq, _) = mixed_wave(32, EngineConfig::default(), true);
     assert_eq!(seq, golden, "sequential mixed wave drifted");
     let (par, sharded) = mixed_wave(32, EngineConfig::default().with_workers(2), true);
@@ -370,7 +369,7 @@ fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
     let (reissued, _) = mixed_wave(4, lossy, false);
     assert_eq!(
         reissued,
-        (vec![5, 8, 15, 14, 10, 10], 598, 8, 0xf110809323345956),
+        (vec![2, 15, 7, 14, 0, 13], 484, 2, 0x985fe473673f2db7),
         "lossy re-issued mixed wave drifted"
     );
 }
@@ -415,9 +414,9 @@ fn churned_recorded_batch(kind: ExecutorKind) -> (u64, u64) {
 
 #[test]
 fn churned_recorded_session_is_byte_identical_to_unreclaimed_logs() {
-    // Captured at the parent commit of ISSUE 22, whose logs kept every
-    // entry for the life of the session (seed 47, 6x6 torus).
-    let golden = (0xeababf14dcdb75b2, 4087);
+    // Seed 47, 6x6 torus. (Logs that keep every entry for the life of
+    // the session give the same values: a reclaim is invisible.)
+    let golden = (0x60349bf319252fe2, 4754);
     for kind in [ExecutorKind::Sequential, ExecutorKind::Sharded] {
         assert_eq!(churned_recorded_batch(kind), golden, "{kind:?} drifted");
     }
