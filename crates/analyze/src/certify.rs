@@ -31,7 +31,6 @@ use drw_congest::{
 };
 use drw_core::metropolis::MetropolisWalkProtocol;
 use drw_core::naive::{NaiveWalkProtocol, NaiveWalkSpec};
-use drw_core::regenerate::{ReplayProtocol, ReplaySegment};
 use drw_core::{ShortWalksProtocol, StitchScheduler, StitchSetup, WalkState};
 use drw_graph::{generators, NodeId};
 use drw_lowerbound::path_verification::PathVerificationProtocol;
@@ -216,7 +215,7 @@ pub fn run_census() -> Result<WireCensus, String> {
     );
 
     let degrees: Vec<u64> = (0..n).map(|v| g.degree(v) as u64).collect();
-    let mut cc = ConvergecastProtocol::new(tree.clone(), AggOp::Sum, degrees);
+    let mut cc = ConvergecastProtocol::new(&tree, AggOp::Sum, degrees);
     census.merge(
         &run_protocol(&g, &cfg, SEED + 2, &mut cc)
             .map_err(|e| err(&e))?
@@ -239,8 +238,9 @@ pub fn run_census() -> Result<WireCensus, String> {
             .wire,
     );
 
-    // Walk protocols on a shared store: ShortWalkMsg, NaiveMsg,
-    // ReplayMsg, MhMsg.
+    // Walk protocols on a shared store: ShortWalkMsg, NaiveMsg, MhMsg,
+    // and a recorded wave for StitchMsg's regeneration arms (`Wave.prev`,
+    // `Taken`, `Replay`).
     let mut state = WalkState::new(n);
     {
         let mut p = ShortWalksProtocol::new(&mut state, vec![2; n], 6, true);
@@ -267,23 +267,20 @@ pub fn run_census() -> Result<WireCensus, String> {
         );
     }
     {
-        let (_, walk) = state
-            .nodes
-            .iter()
-            .enumerate()
-            .find_map(|(v, ns)| ns.store.first().map(|w| (v, *w)))
-            .ok_or("census harness: phase 1 stored no replayable walk")?;
-        let seg = ReplaySegment {
-            connector: walk.id.source as usize,
-            id: walk.id,
-            start_pos: 0,
-        };
-        let mut p = ReplayProtocol::new(&mut state, vec![seg]);
-        census.merge(
-            &run_node_local(&g, &cfg, SEED + 9, &mut p)
-                .map_err(|e| err(&e))?
-                .wire,
-        );
+        let mut runner = Runner::new(&g, cfg.clone(), SEED + 9);
+        let mut sched = StitchScheduler::new(&StitchSetup {
+            lambda: 6,
+            randomize_len: true,
+            aggregated_gmw: false,
+            gmw_count: 4,
+            record: true,
+        });
+        sched.add_walk(0, 60);
+        let out = sched.run(&mut runner, &mut state).map_err(|e| err(&e))?;
+        if out.stitches < 3 {
+            return Err("census harness: the recorded wave stitched too little".into());
+        }
+        census.merge(&out.report.wire);
     }
     {
         let mut p = MetropolisWalkProtocol::new(vec![1.0; n], vec![(0, 10)]);
@@ -470,7 +467,6 @@ mod tests {
             "VecSumMsg",
             "ShortWalkMsg",
             "NaiveMsg",
-            "ReplayMsg",
             "MhMsg",
             "StitchMsg",
             "Mux",

@@ -27,7 +27,7 @@ fn bench_convergecast(c: &mut Criterion) {
     let values: Vec<u64> = (0..g.n() as u64).collect();
     c.bench_function("primitives/convergecast_sum_256", |b| {
         b.iter(|| {
-            let mut cc = ConvergecastProtocol::new(tree.clone(), AggOp::Sum, values.clone());
+            let mut cc = ConvergecastProtocol::new(&tree, AggOp::Sum, values.clone());
             run_protocol(&g, &EngineConfig::default(), 1, &mut cc).expect("cc");
             black_box(cc.result())
         });

@@ -63,15 +63,16 @@ impl Message for ConvergecastMsg {
 /// run_protocol(&g, &EngineConfig::default(), 0, &mut bfs)?;
 /// // Sum of degrees = 2m.
 /// let degrees: Vec<u64> = (0..g.n()).map(|v| g.degree(v) as u64).collect();
-/// let mut cc = ConvergecastProtocol::new(bfs.into_tree(), AggOp::Sum, degrees);
+/// let tree = bfs.into_tree();
+/// let mut cc = ConvergecastProtocol::new(&tree, AggOp::Sum, degrees);
 /// run_protocol(&g, &EngineConfig::default(), 0, &mut cc)?;
 /// assert_eq!(cc.result(), 2 * g.m() as u64);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
-pub struct ConvergecastProtocol {
-    tree: BfsTree,
+pub struct ConvergecastProtocol<'t> {
+    tree: &'t BfsTree,
     op: AggOp,
     acc: Vec<u64>,
     waiting: Vec<usize>,
@@ -79,13 +80,13 @@ pub struct ConvergecastProtocol {
     frac: FracBits,
 }
 
-impl ConvergecastProtocol {
+impl<'t> ConvergecastProtocol<'t> {
     /// Creates a convergecast of `values` (one per node) under `op`.
     ///
     /// # Panics
     ///
     /// Panics if `values.len()` differs from the tree size.
-    pub fn new(tree: BfsTree, op: AggOp, values: Vec<u64>) -> Self {
+    pub fn new(tree: &'t BfsTree, op: AggOp, values: Vec<u64>) -> Self {
         assert_eq!(values.len(), tree.dist.len(), "one value per node required");
         ConvergecastProtocol {
             tree,
@@ -135,7 +136,7 @@ impl ConvergecastProtocol {
     }
 }
 
-impl Protocol for ConvergecastProtocol {
+impl Protocol for ConvergecastProtocol<'_> {
     type Msg = ConvergecastMsg;
 
     fn start(&mut self, ctx: &mut Ctx<'_, ConvergecastMsg>) {
@@ -176,7 +177,8 @@ mod tests {
     }
 
     fn run_cc(g: &drw_graph::Graph, root: usize, op: AggOp, values: Vec<u64>) -> (u64, u64) {
-        let mut cc = ConvergecastProtocol::new(tree_of(g, root), op, values);
+        let tree = tree_of(g, root);
+        let mut cc = ConvergecastProtocol::new(&tree, op, values);
         let report = run_protocol(g, &EngineConfig::default(), 0, &mut cc).unwrap();
         (cc.result(), report.rounds)
     }
@@ -222,7 +224,7 @@ mod tests {
     fn single_node_graph_resolves_without_messages() {
         let g = drw_graph::Graph::from_edges(2, [(0, 1)]).unwrap();
         let tree = tree_of(&g, 0);
-        let mut cc = ConvergecastProtocol::new(tree, AggOp::Sum, vec![4, 5]);
+        let mut cc = ConvergecastProtocol::new(&tree, AggOp::Sum, vec![4, 5]);
         let report = run_protocol(&g, &EngineConfig::default(), 0, &mut cc).unwrap();
         assert_eq!(cc.result(), 9);
         assert_eq!(report.rounds, 1);
@@ -233,6 +235,6 @@ mod tests {
     fn wrong_value_count_panics() {
         let g = generators::path(3);
         let tree = tree_of(&g, 0);
-        let _ = ConvergecastProtocol::new(tree, AggOp::Sum, vec![1]);
+        let _ = ConvergecastProtocol::new(&tree, AggOp::Sum, vec![1]);
     }
 }

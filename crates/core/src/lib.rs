@@ -17,8 +17,8 @@
 //!   `[lambda, 2*lambda - 1]` — the randomized length is the paper's key
 //!   idea, defeating periodic connector pile-ups (Lemma 2.7). Endpoints
 //!   remember `(source, seq, length)`; every intermediate node logs its
-//!   forwarding choice so walks can later be *regenerated*
-//!   ([`regenerate`]).
+//!   forwarding choice so walks can later be *regenerated* (Phase 2
+//!   replays a recorded walk's segments as it stitches them).
 //! - **Phase 2** ([`stitch_scheduler`]): the walk token stitches short
 //!   walks. Each stitch is a `SAMPLE-DESTINATION` epoch (Algorithm 3: a
 //!   flood tree from the current connector, a sampling convergecast
@@ -76,7 +76,6 @@ pub mod naive;
 pub mod network;
 pub mod params;
 pub mod podc09;
-pub mod regenerate;
 pub mod request;
 pub mod sample_destination;
 pub mod service;

@@ -30,7 +30,7 @@ use crate::session::{WalkSession, WaveWalk};
 use crate::single_walk::{SingleWalkResult, WalkError};
 use crate::state::WalkState;
 use crate::stitch_scheduler::{StitchSpec, MAX_WAVE_LANES};
-use drw_congest::primitives::{AggOp, BfsTree, ConvergecastProtocol};
+use drw_congest::primitives::{AggOp, ConvergecastProtocol};
 use drw_graph::{Graph, NodeId};
 
 /// One request's contribution to the next wave.
@@ -74,9 +74,9 @@ pub(crate) struct MixingDriver {
     req: MixingRequest,
     k: usize,
     bucket: BucketTest,
-    /// `(tree, network constants)` once the one-time setup
+    /// The network constants, once the one-time setup
     /// ([`mixing::run_probe_setup`]) ran, billed to this request.
-    setup: Option<(BfsTree, mixing::ProbeSetup)>,
+    setup: Option<mixing::ProbeSetup>,
     len: u64,
     last_fail: u64,
     refine_bounds: Option<(u64, u64)>, // (lo, hi) once refining
@@ -482,11 +482,11 @@ fn plan_wave(slot: &mut Slot, req_id: u16, session: &mut WalkSession) -> Result<
                 // One-time setup protocols over the session tree,
                 // billed to this request.
                 let before = session.total_rounds();
-                let tree = session.tree().clone();
                 let g = session.graph();
-                let setup = mixing::run_probe_setup(&g, &m.bucket, &tree, session.runner_mut())?;
+                let (tree, runner) = session.tree_and_runner();
+                let setup = mixing::run_probe_setup(&g, &m.bucket, tree, runner)?;
                 slot.rounds += session.total_rounds() - before;
-                m.setup = Some((tree, setup));
+                m.setup = Some(setup);
             }
             let len = m.len;
             let k = m.k as u64;
@@ -625,10 +625,12 @@ fn absorb(
                 .iter()
                 .map(|f| u64::from(f.is_some()))
                 .collect();
-            let mut cc = ConvergecastProtocol::new(session.tree().clone(), AggOp::Min, values);
-            session.runner_mut().run(&mut cc).map_err(WalkError::from)?;
+            let (tree, runner) = session.tree_and_runner();
+            let mut cc = ConvergecastProtocol::new(tree, AggOp::Min, values);
+            runner.run(&mut cc).map_err(WalkError::from)?;
+            let covered = cc.result() == 1;
             slot.rounds += session.total_rounds() - before;
-            if cc.result() == 1 {
+            if covered {
                 let key = spanning::tree_from_first_visits(&g, t.req.root, covered_first);
                 slot.response = Some(Response::SpanningTree(TreeSample {
                     edges: key,
@@ -653,13 +655,14 @@ fn absorb(
         Driver::Mixing(m) => {
             let destinations: Vec<NodeId> = walks.iter().map(|w| w.destination).collect();
             let before = session.total_rounds();
-            let (tree, setup) = m.setup.as_ref().expect("setup ran at plan time");
+            let setup = m.setup.as_ref().expect("setup ran at plan time");
             let g = session.graph();
+            let (tree, runner) = session.tree_and_runner();
             let probe = mixing::evaluate_probe(
                 &g,
                 &m.bucket,
                 tree,
-                session.runner_mut(),
+                runner,
                 &destinations,
                 setup,
                 m.len,

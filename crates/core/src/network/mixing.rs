@@ -42,11 +42,11 @@ pub(crate) fn run_probe_setup(
 ) -> Result<ProbeSetup, WalkError> {
     let degrees: Vec<u64> = (0..g.n()).map(|v| g.degree(v) as u64).collect();
     let squares: Vec<u64> = degrees.iter().map(|&d| d * d).collect();
-    let mut sum_deg = ConvergecastProtocol::new(tree.clone(), AggOp::Sum, degrees.clone());
+    let mut sum_deg = ConvergecastProtocol::new(tree, AggOp::Sum, degrees.clone());
     runner.run(&mut sum_deg)?;
-    let mut max_deg = ConvergecastProtocol::new(tree.clone(), AggOp::Max, degrees);
+    let mut max_deg = ConvergecastProtocol::new(tree, AggOp::Max, degrees);
     runner.run(&mut max_deg)?;
-    let mut sq_deg = ConvergecastProtocol::new(tree.clone(), AggOp::Sum, squares);
+    let mut sq_deg = ConvergecastProtocol::new(tree, AggOp::Sum, squares);
     runner.run(&mut sq_deg)?;
     let two_m = sum_deg.result();
     let sum_deg_sq = sq_deg.result();

@@ -873,7 +873,12 @@ mod tests {
     fn mid_flight_admission_joins_the_running_session() {
         let g = generators::torus2d(5, 5);
         let mut svc = Service::builder(&g).seed(11).build();
-        let slow = svc.submit(0, Request::spanning_tree(0)).unwrap();
+        // A tree that starts at 8 steps needs several doubling phases.
+        let tree = crate::request::TreeRequest {
+            initial_len: 8,
+            ..crate::request::TreeRequest::new(0)
+        };
+        let slow = svc.submit(0, Request::SpanningTree(tree)).unwrap();
         // Get the tree request into flight first.
         svc.pump().unwrap();
         assert_eq!(svc.in_flight(), 1);

@@ -75,9 +75,9 @@
 //!   once the logs exceed twice the live store's steps, from two places:
 //!   a top-up just before its launch and [`WalkSession::sync`] right
 //!   after eviction. Both precede the wave's engine run and a recorded
-//!   stitch is replayed at the end of its own wave, so no walk is
-//!   forgotten before its replay, and replay's and repair's linear log
-//!   scans stay cheap for the life of the session.
+//!   stitch is replayed within that run, so no reclaim ever sees a
+//!   consumed walk that still awaits its replay, and replay's and
+//!   repair's linear log scans stay cheap for the life of the session.
 //!
 //! Correctness is Theorem 2.5's argument, which never cares *when* a
 //! short walk was generated, only that it is unused and independent;
@@ -87,7 +87,6 @@
 //! is dropped.
 
 use crate::params::WalkParams;
-use crate::regenerate::{ReplayProtocol, ReplaySegment};
 use crate::short_walks::ShortWalksProtocol;
 use crate::single_walk::{Segment, SingleWalkConfig, StitchSetup, WalkError};
 use crate::state::{Visit, WalkState};
@@ -161,23 +160,24 @@ pub struct WaveWalk {
 }
 
 /// Result of one [`WalkSession::run_wave`] call.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct WaveOutcome {
     /// Per-spec outcomes, in spec order.
     pub walks: Vec<WaveWalk>,
     /// Rounds consumed by the whole wave (top-up + the shared
-    /// multiplexed run + replay).
+    /// multiplexed run, which regenerates a recorded spec as it goes).
     pub rounds: u64,
     /// Messages delivered by the whole wave.
     pub messages: u64,
     /// Rounds of this wave spent topping up the store.
     pub rounds_topup: u64,
-    /// Rounds of the multiplexed run after its last stitch resolved —
-    /// for a one-walk wave, the walk's naive tail
+    /// Rounds of the multiplexed run from its last stitch to its last
+    /// walk landing — for a one-walk wave, the walk's naive tail
     /// ([`crate::BatchedStitchOutcome::rounds_tail`]).
     pub rounds_tail: u64,
-    /// Rounds spent replaying the recorded spec's stitched segments
-    /// (0 without one).
+    /// Rounds the run continued after that, waiting for the recorded
+    /// spec's replay tokens
+    /// ([`crate::BatchedStitchOutcome::rounds_replay`]; 0 without one).
     pub rounds_replay: u64,
     /// The effective stitch `lambda` that governed the wave.
     pub lambda: u32,
@@ -470,16 +470,17 @@ impl WalkSession {
         self.d_est
     }
 
-    /// The cached BFS tree rooted at the anchor, for callers composing
-    /// their own convergecasts/broadcasts over the session.
-    pub fn tree(&self) -> &BfsTree {
-        &self.tree
-    }
-
     /// The session's runner, for composing further sub-protocols onto
     /// the same round bill (cover checks, histogram upcasts, ...).
     pub fn runner_mut(&mut self) -> &mut Runner {
         &mut self.runner
+    }
+
+    /// The cached BFS tree rooted at the anchor and the runner, side by
+    /// side: a convergecast or upcast composed onto the session borrows
+    /// the one while it runs on the other.
+    pub fn tree_and_runner(&mut self) -> (&BfsTree, &mut Runner) {
+        (&self.tree, &mut self.runner)
     }
 
     /// The persistent walk state (store + forwarding logs).
@@ -677,8 +678,9 @@ impl WalkSession {
     /// A recorded spec continues a walk standing at `source` with
     /// global position `pos_offset`: every visited node records its
     /// global position(s) and predecessor — tail hops inline, stitched
-    /// segments replayed afterwards ([`crate::regenerate`]) — and the
-    /// visits are drained from the shared state into
+    /// segments as their replay tokens pass, within the same run
+    /// ([`crate::stitch_scheduler`]) — and the visits are drained from
+    /// the shared state into
     /// [`WaveWalk::visits`], so consecutive extensions never accumulate
     /// or double-record.
     ///
@@ -718,35 +720,21 @@ impl WalkSession {
                 return Err(WalkError::SourceOutOfRange(spec.source));
             }
         }
-        let recorded: Vec<usize> = specs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.record)
-            .map(|(i, _)| i)
-            .collect();
+        let recorded = specs.iter().position(|s| s.record);
         assert!(
-            recorded.len() <= 1,
+            specs.iter().filter(|s| s.record).count() <= 1,
             "at most one recorded spec per wave (the visit ledger is shared)"
         );
         assert!(
-            recorded.is_empty() || self.record,
+            recorded.is_none() || self.record,
             "recorded wave specs require a session opened with record_walk"
         );
         let start = self.runner.total_rounds();
         let start_messages = self.runner.total_messages();
         if specs.is_empty() {
             return Ok(WaveOutcome {
-                walks: Vec::new(),
-                rounds: 0,
-                messages: 0,
-                rounds_topup: 0,
-                rounds_tail: 0,
-                rounds_replay: 0,
                 lambda: self.store_lambda,
-                stitches: 0,
-                gmw_invocations: 0,
-                gmw_by_walk: Vec::new(),
-                connector_visits: Vec::new(),
+                ..WaveOutcome::default()
             });
         }
         let lambda = self.ensure_store(lambda_call, stitch_len)?;
@@ -764,57 +752,33 @@ impl WalkSession {
         }
         let out = sched.run(&mut self.runner, &mut self.state)?;
 
-        // Replay the recorded spec's stitched segments so its visits are
-        // complete, then drain them out of the shared ledger.
-        let mut visits = Vec::new();
-        let replay_start = self.runner.total_rounds();
-        if let Some(&r) = recorded.first() {
-            let spec = specs[r];
-            let segs = &out.walks[r].segments;
-            if !segs.is_empty() {
-                let replays: Vec<ReplaySegment> = segs
-                    .iter()
-                    .map(|s| {
-                        assert!(s.replayable, "recorded waves stitch replayable walks only");
-                        ReplaySegment {
-                            connector: s.connector,
-                            id: s.id,
-                            start_pos: spec.pos_offset + s.start_pos,
-                        }
-                    })
-                    .collect();
-                let mut replay = ReplayProtocol::new(&mut self.state, replays);
-                self.runner.run_local(&mut replay)?;
-            }
-            visits = self.state.drain_visits();
-            debug_assert_eq!(
-                visits.len() as u64,
-                spec.len,
+        let mut walks: Vec<WaveWalk> = out
+            .walks
+            .into_iter()
+            .map(|w| WaveWalk {
+                destination: w.destination,
+                segments: w.segments,
+                visits: Vec::new(),
+            })
+            .collect();
+        // The recorded spec's visits are complete when the run returns
+        // (tail hops and replay tokens both record as they go): drain
+        // them out of the shared ledger.
+        if let Some(r) = recorded {
+            walks[r].visits = self.state.drain_visits();
+            assert_eq!(
+                walks[r].visits.len() as u64,
+                specs[r].len,
                 "a recorded wave item records exactly (pos_offset, pos_offset + len]"
             );
         }
-
-        let walks = out
-            .walks
-            .into_iter()
-            .enumerate()
-            .map(|(i, w)| WaveWalk {
-                destination: w.destination,
-                segments: w.segments,
-                visits: if recorded.first() == Some(&i) {
-                    std::mem::take(&mut visits)
-                } else {
-                    Vec::new()
-                },
-            })
-            .collect();
         Ok(WaveOutcome {
             walks,
             rounds: self.runner.total_rounds() - start,
             messages: self.runner.total_messages() - start_messages,
             rounds_topup,
             rounds_tail: out.rounds_tail,
-            rounds_replay: self.runner.total_rounds() - replay_start,
+            rounds_replay: out.rounds_replay,
             lambda,
             stitches: out.stitches,
             gmw_invocations: out.gmw_invocations,
@@ -1187,7 +1151,7 @@ mod tests {
         // Node 1's BFS parent is the anchor 0 (distance 1), so removing
         // {0, 1} breaks a tree edge; the torus minus one edge stays
         // connected.
-        assert_eq!(s.tree().parent[1], Some(0));
+        assert_eq!(s.tree_and_runner().0.parent[1], Some(0));
         let _ = topo.apply(&TopologyDelta::new().remove_edge(0, 1)).unwrap();
         let repair = s.sync().unwrap();
         assert!(repair.bfs_rerun, "a broken tree edge must re-run BFS");

@@ -11,8 +11,8 @@
 //!
 //! Every forwarding decision is logged into the receiving node's
 //! [`NodeWalkState::forward`] so the stitched walk can later be
-//! *regenerated* ([`crate::regenerate`]), and every finished token is
-//! stored at its endpoint — "only the destination of each of these walks
+//! *regenerated* ([`crate::stitch_scheduler`]), and every finished token
+//! is stored at its endpoint — "only the destination of each of these walks
 //! is aware of its source" (Section 2.1).
 //!
 //! This is the simulator's hottest protocol (every token draws from its

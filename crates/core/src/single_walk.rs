@@ -18,8 +18,10 @@
 //!    replenishing via `GET-MORE-WALKS` if it is drained, and jump to
 //!    the sampled walk's endpoint ([`crate::stitch_scheduler`]);
 //! 4. the final `< 2*lambda` steps are walked naively;
-//! 5. optionally, the whole walk is regenerated so every node knows its
-//!    position(s) and first-visit predecessor ([`crate::regenerate`]).
+//! 5. optionally, the walk is regenerated *while it is stitched* — each
+//!    taken short walk is replayed from its connector as soon as it is
+//!    taken — so every node knows its position(s) and first-visit
+//!    predecessor ([`crate::stitch_scheduler`]).
 //!
 //! Correctness is *exact* (Las Vegas): each stitched segment is an
 //! independent random walk of uniformly random length from the current
@@ -114,7 +116,7 @@ pub struct SingleWalkConfig {
     /// (replayable, congestion-priced). Automatically forced off when
     /// `record_walk` is set.
     pub aggregated_gmw: bool,
-    /// Regenerate the walk at the end so every node learns its
+    /// Regenerate the walk as it is stitched so every node learns its
     /// position(s) and first-visit predecessor.
     pub record_walk: bool,
     /// Engine configuration (bandwidth, round caps).
@@ -169,9 +171,13 @@ pub struct SingleWalkResult {
     /// Rounds spent stitching (all `SAMPLE-DESTINATION` +
     /// `GET-MORE-WALKS` invocations).
     pub rounds_stitch: u64,
-    /// Rounds spent on the final naive tail.
+    /// Rounds from the last stitch to the walk's landing: the final
+    /// naive tail.
     pub rounds_tail: u64,
-    /// Rounds spent regenerating the walk (0 unless `record_walk`).
+    /// Rounds the run continued after the walk landed, until the last
+    /// replay token of its regeneration was home (0 unless
+    /// `record_walk`; regeneration overlaps stitching, so this is only
+    /// what it adds to the walk's critical path).
     pub rounds_replay: u64,
     /// Number of stitches performed.
     pub stitches: u64,

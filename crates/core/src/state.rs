@@ -276,7 +276,7 @@ pub struct NodeWalkState {
     /// back to live walks by [`WalkState::reclaim_forward_logs`].
     pub forward: ForwardLog,
     /// Positions at which the stitched walk visited this node (filled by
-    /// the tail walk and by [`crate::regenerate`]).
+    /// the tail walk and by Phase 2's replay tokens).
     pub visits: Vec<Visit>,
     /// Next unused storage tag at this node.
     pub next_tag: u32,

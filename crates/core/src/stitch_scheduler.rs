@@ -31,7 +31,14 @@
 //!   (Algorithm 2, aggregated counts + reservoir lengths, or the
 //!   per-token replayable variant): finished tokens acknowledge up the
 //!   epoch's tree, and the root resamples once all acks arrived;
-//! - the **naive tail** once fewer than `2*lambda` steps remain.
+//! - the **naive tail** once fewer than `2*lambda` steps remain;
+//! - **regeneration** of a recorded lane (end of Section 2.2): as soon
+//!   as an owner takes a short walk, the connector that launched it
+//!   sends a `Replay` token along its forwarding log; every node on the
+//!   path records `(position, predecessor)` and forwards per its own
+//!   log, and the token stops where the log does — at the owner. Segment
+//!   `i` replays while stitches `i + 1..` and the tail run, so a recorded
+//!   wave costs its critical path. Replay hops need no lane table.
 //!
 //! ## Why per-walk epochs are safe without global coordination
 //!
@@ -44,6 +51,26 @@
 //! it. What is left are `Retry`/ack messages, which only exist while
 //! the walk's root is blocked waiting for them; the epoch guards drop
 //! any that a re-issued walk leaves behind.
+//!
+//! ## How the connector learns which walk was taken
+//!
+//! The owner knows the taken `seq`, the connector holds the log and the
+//! walk's position (`hosted`); one of two messages carries the one to
+//! the other (an owner that is its own connector just injects):
+//!
+//! - *The walk goes on stitching:* the owner roots the next epoch, whose
+//!   `Wave` carries `prev = connector:32 | seq:32`. A wave reaches every
+//!   node, and a node resets its lane on exactly one arrival per epoch
+//!   (`epoch > lane.epoch`); the old connector honours `prev` on that
+//!   arrival only, reading `hosted` — still `Some`, nothing newer has
+//!   touched its lane — before the reset. A resample at the same root
+//!   took nothing and announces nothing.
+//! - *It was the last stitch:* no newer epoch will reset the finished
+//!   epoch's tree, so `Taken { epoch, seq }` climbs its parent pointers
+//!   to the root as `Retry` does. With a newer epoch in flight they could
+//!   be gone — `Taken` exists only when there is none.
+//!
+//! The run ends when every walk has landed and every token is home.
 //!
 //! ## Sharing the store without sharing segments
 //!
@@ -134,7 +161,11 @@ impl StitchSpec {
 enum StitchMsg {
     /// The epoch's wave, flooding from the root: a node adopts its
     /// first sender as parent and forwards the wave to everyone else.
-    Wave { epoch: u32, root: u32 },
+    /// On a recorded lane `prev` names the short walk the root took to
+    /// get here, as one word `connector:32 | seq:32` ([`pack_walk`]) —
+    /// the old connector's cue to replay it — and is [`NO_PREV`]
+    /// otherwise.
+    Wave { epoch: u32, root: u32, prev: u64 },
     /// The echo: a subtree's aggregate, sent to the parent once the
     /// node has heard from every neighbour — its candidate token owner
     /// and total token count (`count == 0` means none).
@@ -161,13 +192,38 @@ enum StitchMsg {
     GmwAck { count: u64 },
     /// The naive tail token: `left` steps remain after this hop.
     Tail { left: u64 },
+    /// A recorded lane's last stitch took the root's walk `seq`: routed
+    /// up the finished epoch's tree, as `Retry` is, to the connector.
+    Taken { epoch: u32, seq: u32 },
+    /// A replay token regenerating the short walk `walk`
+    /// ([`pack_walk`]): the receiver is the walk's `step`-th node and
+    /// sits at global position `pos` of the recorded walk.
+    Replay { walk: u64, step: u32, pos: u64 },
+}
+
+/// [`StitchMsg::Wave::prev`] of a wave that announces no taken walk.
+const NO_PREV: u64 = u64::MAX;
+
+/// A short walk's identity as one wire word, `source:32 | seq:32`.
+fn pack_walk(id: WalkId) -> u64 {
+    (u64::from(id.source) << 32) | u64::from(id.seq)
+}
+
+fn unpack_walk(word: u64) -> WalkId {
+    WalkId {
+        source: (word >> 32) as u32,
+        seq: word as u32,
+    }
 }
 
 impl Message for StitchMsg {
     fn size_words(&self) -> usize {
         match self {
-            StitchMsg::Chosen { .. } | StitchMsg::Swk { .. } => 3,
-            StitchMsg::Wave { .. } | StitchMsg::Agg { .. } | StitchMsg::Gmw { .. } => 2,
+            StitchMsg::Wave { .. }
+            | StitchMsg::Chosen { .. }
+            | StitchMsg::Swk { .. }
+            | StitchMsg::Replay { .. } => 3,
+            StitchMsg::Agg { .. } | StitchMsg::Gmw { .. } | StitchMsg::Taken { .. } => 2,
             StitchMsg::Retry { .. } | StitchMsg::GmwAck { .. } | StitchMsg::Tail { .. } => 1,
         }
     }
@@ -175,9 +231,18 @@ impl Message for StitchMsg {
     fn census(&self, census: &mut drw_congest::WireCensus) {
         let rec = census.record("StitchMsg", self.size_words());
         let _ = match self {
-            StitchMsg::Wave { epoch, root } => rec
-                .field("Wave.epoch", u64::from(*epoch))
-                .field("Wave.root", u64::from(*root)),
+            StitchMsg::Wave { epoch, root, prev } => {
+                let rec = rec
+                    .field("Wave.epoch", u64::from(*epoch))
+                    .field("Wave.root", u64::from(*root));
+                let id = unpack_walk(*prev);
+                if *prev == NO_PREV {
+                    rec
+                } else {
+                    rec.field("Wave.prev.source", u64::from(id.source))
+                        .field("Wave.prev.seq", u64::from(id.seq))
+                }
+            }
             StitchMsg::Agg { owner, count } => rec
                 .field("Agg.owner", u64::from(*owner))
                 .field("Agg.count", *count),
@@ -199,6 +264,16 @@ impl Message for StitchMsg {
                 .field("Swk.total", u64::from(*total)),
             StitchMsg::GmwAck { count } => rec.field("GmwAck.count", *count),
             StitchMsg::Tail { left } => rec.field("Tail.left", *left),
+            StitchMsg::Taken { epoch, seq } => rec
+                .field("Taken.epoch", u64::from(*epoch))
+                .field("Taken.seq", u64::from(*seq)),
+            StitchMsg::Replay { walk, step, pos } => {
+                let id = unpack_walk(*walk);
+                rec.field("Replay.source", u64::from(id.source))
+                    .field("Replay.seq", u64::from(id.seq))
+                    .field("Replay.step", u64::from(*step))
+                    .field("Replay.pos", *pos)
+            }
         };
     }
 }
@@ -269,6 +344,21 @@ struct Tally {
     connector_visits: u32,
     /// The last round in which a segment resolved here (0 = none did).
     last_stitch_round: u64,
+    /// The last round in which a walk landed here.
+    last_landing_round: u64,
+    /// Replay tokens this node still waits for: `+1` when a recorded
+    /// lane takes a walk here, `-1` when that walk's replay token stops
+    /// here (a segment ends at its owner). Drained into the run's count
+    /// by [`BatchedStitchProtocol::note`].
+    replays_open: i32,
+}
+
+impl Tally {
+    /// Walk `lane_idx` made its last step onto this node.
+    fn land(&mut self, lane_idx: u32, round: u64) {
+        self.finished.push(lane_idx);
+        self.last_landing_round = round;
+    }
 }
 
 /// One node's scratch for the wave in flight, held in
@@ -297,10 +387,10 @@ pub(crate) struct WaveScratch {
 /// panicked call's leftovers).
 #[derive(Default)]
 struct Merge {
-    /// Wave adoptions `(lane, epoch, root, from)`, deferred past the
-    /// bookkeeping pass so the parent is the minimum sender among the
-    /// round's arrivals.
-    adopt: Vec<(u32, u32, u32, NodeId)>,
+    /// Wave adoptions `(lane, epoch, root, prev, from)`, deferred past
+    /// the bookkeeping pass so the parent is the minimum sender among
+    /// the round's arrivals.
+    adopt: Vec<(u32, u32, u32, u64, NodeId)>,
     /// Lanes whose echo may have completed, re-checked after the
     /// adoptions.
     ready: Vec<u32>,
@@ -339,8 +429,10 @@ fn start_epoch(lane: &mut LaneState, ws: &NodeWalkState, node: NodeId, epoch: u3
 
 /// Restarts a lane's sampling epoch at its current connector `node`
 /// (the walk still stands at `completed` steps): the resample after a
-/// stitch, a take conflict, a remote-owner `Retry`, or a completed
-/// `GET-MORE-WALKS`.
+/// stitch — whose wave then announces the taken walk as `prev` — a take
+/// conflict, a remote-owner `Retry`, or a completed `GET-MORE-WALKS`
+/// (all [`NO_PREV`]).
+#[allow(clippy::too_many_arguments)]
 fn restart_epoch(
     shared: &SharedCfg,
     lane: &mut LaneState,
@@ -348,6 +440,7 @@ fn restart_epoch(
     node: NodeId,
     completed: u64,
     lane_idx: u32,
+    prev: u64,
     ctx: &mut NodeCtx<'_, BatchMsg>,
 ) {
     let epoch = lane.epoch + 1;
@@ -355,8 +448,60 @@ fn restart_epoch(
     let root = node as u32;
     for i in 0..ctx.graph().degree(node) {
         let v = ctx.graph().neighbor_at(node, i);
-        ctx.send(v, shared.mux(lane_idx, StitchMsg::Wave { epoch, root }));
+        ctx.send(
+            v,
+            shared.mux(lane_idx, StitchMsg::Wave { epoch, root, prev }),
+        );
     }
+}
+
+/// Moves a replay token of the short walk `walk` on from `node`, its
+/// `step`-th node, at global position `pos`: along the hop `node` logged
+/// for that step. `false` if it logged none — the walk ended here.
+fn forward_replay(
+    shared: &SharedCfg,
+    ws: &NodeWalkState,
+    node: NodeId,
+    lane_idx: u32,
+    (walk, step, pos): (u64, u32, u64),
+    ctx: &mut NodeCtx<'_, BatchMsg>,
+) -> bool {
+    let id = unpack_walk(walk);
+    let Some(hop) = ws.forward.hop(id.source, id.seq, step) else {
+        return false;
+    };
+    let next = ctx.graph().neighbor_at(node, hop as usize);
+    let replay = StitchMsg::Replay {
+        walk,
+        step: step + 1,
+        pos: pos + 1,
+    };
+    ctx.send(next, shared.mux(lane_idx, replay));
+    true
+}
+
+/// Starts regenerating the short walk `(node, seq)` a recorded lane just
+/// took, at its connector `node`, where the walk stood at `start` steps.
+/// The connector's own position is on record already (the previous
+/// segment's endpoint, or the caller's hand-off), so visits begin one
+/// step in.
+fn inject_replay(
+    shared: &SharedCfg,
+    ws: &NodeWalkState,
+    node: NodeId,
+    lane_idx: u32,
+    seq: u32,
+    start: u64,
+    ctx: &mut NodeCtx<'_, BatchMsg>,
+) {
+    let source = node as u32;
+    let pos = shared.walks[lane_idx as usize].pos_offset + start;
+    let token = (pack_walk(WalkId { source, seq }), 0, pos);
+    let logged = forward_replay(shared, ws, node, lane_idx, token, ctx);
+    assert!(
+        logged,
+        "walk ({source}, {seq}) is not replayable: no log at its source"
+    );
 }
 
 /// One aggregated `GET-MORE-WALKS` hop: scatters `count`
@@ -395,6 +540,8 @@ struct BatchedStitchProtocol<'s> {
     touched: Vec<NodeId>,
     /// Walks finished so far — `is_done` in O(1).
     done: usize,
+    /// Recorded segments taken whose replay token is not home yet.
+    replaying: usize,
 }
 
 impl BatchedStitchProtocol<'_> {
@@ -409,6 +556,11 @@ impl BatchedStitchProtocol<'_> {
         }
         self.done += w.tally.finished.len() - w.counted;
         w.counted = w.tally.finished.len();
+        let delta = std::mem::take(&mut w.tally.replays_open);
+        self.replaying = self
+            .replaying
+            .checked_add_signed(delta as isize)
+            .expect("a replay token came home that no stitch owed");
     }
 }
 
@@ -439,16 +591,38 @@ fn advance_walk(
     tally.last_stitch_round = ctx.round();
     let completed = completed + u64::from(walk.len);
     let spec = shared.walks[lane_idx as usize];
-    match spec.action_at(completed, shared.lambda) {
+    let action = spec.action_at(completed, shared.lambda);
+    // Regeneration (module docs): the connector learns what to replay.
+    let mut prev = NO_PREV;
+    if spec.record {
+        assert!(walk.replayable, "recorded lanes replay what they stitch");
+        tally.replays_open += 1;
+        if seg.connector == node {
+            inject_replay(shared, ws, node, lane_idx, walk.id.seq, seg.start_pos, ctx);
+        } else if action == WalkAction::Stitch {
+            prev = pack_walk(walk.id);
+        } else {
+            let (epoch, seq) = (lane.epoch, walk.id.seq);
+            let parent = lane
+                .slot
+                .parent
+                .expect("an owner off the root has a parent");
+            ctx.send(
+                parent,
+                shared.mux(lane_idx, StitchMsg::Taken { epoch, seq }),
+            );
+        }
+    }
+    match action {
         WalkAction::Stitch => {
             tally.connector_visits += 1;
-            restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx);
+            restart_epoch(shared, lane, ws, node, completed, lane_idx, prev, ctx);
         }
         WalkAction::Tail(steps) => {
             lane.hosted = None;
             ctx.send_random_neighbor(shared.mux(lane_idx, StitchMsg::Tail { left: steps - 1 }));
         }
-        WalkAction::Done => tally.finished.push(lane_idx),
+        WalkAction::Done => tally.land(lane_idx, ctx.round()),
     }
 }
 
@@ -480,7 +654,12 @@ impl NodeLocalProtocol for BatchedStitchProtocol<'_> {
                 let root = spec.source as u32;
                 for i in 0..ctx.graph().degree(spec.source) {
                     let v = ctx.graph().neighbor_at(spec.source, i);
-                    ctx.send(spec.source, v, mux(StitchMsg::Wave { epoch: 1, root }));
+                    let wave = StitchMsg::Wave {
+                        epoch: 1,
+                        root,
+                        prev: NO_PREV,
+                    };
+                    ctx.send(spec.source, v, mux(wave));
                 }
             }
             ws.wave = Some(wave);
@@ -489,7 +668,7 @@ impl NodeLocalProtocol for BatchedStitchProtocol<'_> {
     }
 
     fn is_done(&self) -> bool {
-        self.done == self.shared.walks.len()
+        self.done == self.shared.walks.len() && self.replaying == 0
     }
 
     fn after_receive(&mut self, active: &[NodeId]) {
@@ -558,26 +737,45 @@ fn receive(
                 ws.record_visit(spec.pos_offset + spec.len - left, Some(env.from));
             }
             if left == 0 {
-                tally.finished.push(lane_idx);
+                tally.land(lane_idx, ctx.round());
             } else {
                 ctx.send_random_neighbor(shared.mux(lane_idx, StitchMsg::Tail { left: left - 1 }));
             }
             continue;
         }
+        if let StitchMsg::Replay { walk, step, pos } = env.msg.msg {
+            ws.record_visit(pos, Some(env.from));
+            if !forward_replay(shared, ws, node, lane_idx, (walk, step, pos), ctx) {
+                tally.replays_open -= 1; // home: at the node that took it
+            }
+            continue;
+        }
         let lane = lane_of(lanes, k, lane_idx);
         match env.msg.msg {
-            StitchMsg::Tail { .. } => unreachable!("handled above"),
-            StitchMsg::Wave { epoch, root } => {
-                if epoch > lane.epoch {
+            StitchMsg::Tail { .. } | StitchMsg::Replay { .. } => unreachable!("handled above"),
+            StitchMsg::Wave { epoch, root, prev } => {
+                // Only the arrival that resets the lane may honour
+                // `prev`; what this node hosted is read before `enter`
+                // forgets it. (`NO_PREV` names no node.)
+                let hosted = lane.hosted;
+                let fresh = epoch > lane.epoch;
+                if fresh {
                     lane.enter(epoch, root);
                 } else if epoch < lane.epoch {
                     continue; // stale tail of an old epoch's flood
                 }
+                #[cfg(test)]
+                let fresh = tests::stale_prev_planted(lane, hosted) || fresh;
+                let taken = unpack_walk(prev);
+                if fresh && taken.source as usize == node {
+                    let start = hosted.expect("the connector `prev` names hosts its epoch");
+                    inject_replay(shared, ws, node, lane_idx, taken.seq, start, ctx);
+                }
                 lane.slot.heard += 1;
                 if !lane.slot.joined {
                     match adopt.iter_mut().find(|a| a.0 == lane_idx && a.1 == epoch) {
-                        Some(a) => a.3 = a.3.min(env.from),
-                        None => adopt.push((lane_idx, epoch, root, env.from)),
+                        Some(a) => a.4 = a.4.min(env.from),
+                        None => adopt.push((lane_idx, epoch, root, prev, env.from)),
                     }
                 }
                 ready.push(lane_idx);
@@ -605,9 +803,23 @@ fn receive(
                 }
                 if let Some(completed) = lane.hosted {
                     // Root: resample with a fresh epoch.
-                    restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx);
+                    restart_epoch(shared, lane, ws, node, completed, lane_idx, NO_PREV, ctx);
                 } else if let Some(p) = lane.slot.parent {
                     ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch }));
+                }
+            }
+            StitchMsg::Taken { epoch, seq } => {
+                if epoch != lane.epoch {
+                    continue;
+                }
+                #[cfg(test)]
+                if tests::DROP_TAKEN.get() {
+                    continue;
+                }
+                if let Some(start) = lane.hosted {
+                    inject_replay(shared, ws, node, lane_idx, seq, start, ctx);
+                } else if let Some(p) = lane.slot.parent {
+                    ctx.send(p, shared.mux(lane_idx, StitchMsg::Taken { epoch, seq }));
                 }
             }
             StitchMsg::Gmw { step, count } => {
@@ -687,7 +899,7 @@ fn receive(
     // Deferred wave adoption: join the tree under the minimum sender
     // and forward the wave to everyone else, exactly once per lane and
     // epoch (the parent hears from this node through its aggregate).
-    for &(lane_idx, epoch, root, from) in adopt.iter() {
+    for &(lane_idx, epoch, root, prev, from) in adopt.iter() {
         let lane = &mut lanes[lane_idx as usize];
         if lane.epoch != epoch || lane.slot.joined {
             continue; // a newer epoch arrived later in this inbox
@@ -697,7 +909,8 @@ fn receive(
         for i in 0..degree {
             let v = ctx.graph().neighbor_at(node, i);
             if v != from {
-                ctx.send(v, shared.mux(lane_idx, StitchMsg::Wave { epoch, root }));
+                let wave = StitchMsg::Wave { epoch, root, prev };
+                ctx.send(v, shared.mux(lane_idx, wave));
             }
         }
         ready.push(lane_idx);
@@ -765,7 +978,7 @@ fn choose(
         // A rival consumed the pool since the snapshot: the root
         // resamples with a fresh epoch — at once, if that is this node.
         (None, Some(p)) => ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch })),
-        (None, None) => restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx),
+        (None, None) => restart_epoch(shared, lane, ws, node, completed, lane_idx, NO_PREV, ctx),
     }
 }
 
@@ -835,7 +1048,7 @@ fn acknowledge_gmw(
         lane.gmw_acked += count;
         if lane.gmw_acked >= shared.gmw_count {
             let completed = lane.hosted.expect("checked");
-            restart_epoch(shared, lane, ws, node, completed, lane_idx, ctx);
+            restart_epoch(shared, lane, ws, node, completed, lane_idx, NO_PREV, ctx);
         }
     } else if let Some(p) = lane.slot.parent {
         ctx.send(p, shared.mux(lane_idx, StitchMsg::GmwAck { count }));
@@ -874,12 +1087,17 @@ pub struct BatchedStitchOutcome {
     /// How many times each node served as a connector: `(node, count)`
     /// for the nodes that did, ascending by node.
     pub connector_visits: Vec<(NodeId, u32)>,
-    /// Rounds of the run after its last stitch resolved — the suffix in
-    /// which only naive-tail tokens moved (every round of a run that
-    /// never stitched). For a one-walk run this is exactly the walk's
-    /// naive tail (Algorithm 1, line 14) and `report.rounds -
-    /// rounds_tail` its stitching bill.
+    /// Rounds from the run's last stitch to its last walk landing — the
+    /// stretch in which only naive-tail (and replay) tokens moved; every
+    /// round of a run that never stitched. For a one-walk run this is
+    /// exactly the walk's naive tail (Algorithm 1, line 14) and
+    /// `report.rounds - rounds_tail - rounds_replay` its stitching bill.
     pub rounds_tail: u64,
+    /// Rounds the run continued after its last walk landed, until the
+    /// last recorded segment's replay token was home: what regeneration
+    /// adds to the walk's own critical path. 0 on every run without a
+    /// recorded spec.
+    pub rounds_replay: u64,
     /// Walk re-issues performed by the self-healing pass: on an
     /// unhealed (fail-silent) network, walks whose token was lost are
     /// relaunched from their last stitched checkpoint once the run goes
@@ -976,24 +1194,12 @@ pub const MAX_WAVE_LANES: usize = u16::MAX as usize;
 impl StitchScheduler {
     /// Creates an empty scheduler for the given stitching parameters.
     ///
-    /// With `setup.record` set, naive-tail hops record their visits
-    /// (position + predecessor) into the shared state; stitched
-    /// segments still have to be replayed by the caller afterwards
-    /// ([`crate::regenerate`]) for the recording to be complete, so
-    /// record mode requires the per-token (replayable)
-    /// `GET-MORE-WALKS`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `setup.record` is combined with
-    /// `setup.aggregated_gmw`: aggregated replenishment stores
-    /// non-replayable walks, which would leave every stitched position
-    /// silently missing from the recording.
+    /// With `setup.record` set, every hop of a walk records its visit
+    /// (position + predecessor) into the shared state — naive-tail hops
+    /// as they happen, stitched segments as their replay tokens pass
+    /// (module docs) — so queueing a walk then requires the per-token
+    /// (replayable) `GET-MORE-WALKS` ([`StitchScheduler::add_spec`]).
     pub fn new(setup: &StitchSetup) -> Self {
-        assert!(
-            !(setup.record && setup.aggregated_gmw),
-            "record mode requires per-token (replayable) GET-MORE-WALKS"
-        );
         StitchScheduler {
             setup: *setup,
             specs: Vec::new(),
@@ -1102,7 +1308,7 @@ impl StitchScheduler {
         let mut connector_visits = std::collections::BTreeMap::new();
         let mut gmw_by_walk = vec![0u64; total];
         let mut report = RunReport::default();
-        let mut rounds_tail = 0u64;
+        let (mut rounds_tail, mut rounds_replay) = (0u64, 0u64);
         let mut reissues = 0u64;
         // The walks this pass runs: (original index, spec, steps already
         // banked by earlier passes). Pass 0 is the full batch.
@@ -1122,6 +1328,7 @@ impl StitchScheduler {
                 nodes: &mut state.nodes,
                 touched: Vec::new(),
                 done: 0,
+                replaying: 0,
             };
             let result = runner.run_local(&mut protocol);
 
@@ -1131,11 +1338,12 @@ impl StitchScheduler {
             // shift by the banked steps).
             let mut finished_here: Vec<bool> = vec![false; pending.len()];
             let mut landed = 0;
-            let mut last_stitch_round = 0;
+            let (mut last_stitch, mut last_landing) = (0, 0);
             for v in protocol.touched {
                 let wave = protocol.nodes[v].wave.take();
                 let wave = wave.expect("listed nodes hold scratch");
-                last_stitch_round = last_stitch_round.max(wave.tally.last_stitch_round);
+                last_stitch = last_stitch.max(wave.tally.last_stitch_round);
+                last_landing = last_landing.max(wave.tally.last_landing_round);
                 if wave.tally.connector_visits > 0 {
                     *connector_visits.entry(v).or_insert(0) += wave.tally.connector_visits;
                 }
@@ -1160,7 +1368,20 @@ impl StitchScheduler {
             }
             assert_eq!(protocol.done, landed, "completion count out of step");
             let pass_report = result?;
-            rounds_tail += pass_report.rounds - last_stitch_round;
+            assert_eq!(
+                protocol.replaying, 0,
+                "recorded segments never replayed (recording needs a loss-free or healed transport)"
+            );
+            // A recorded run outlives its last landing only to wait for
+            // replay tokens (and cannot be re-issued, so it has one pass).
+            let recorded = pending.iter().any(|(_, s, _)| s.record);
+            let replay = if recorded {
+                pass_report.rounds - last_landing
+            } else {
+                0
+            };
+            rounds_replay += replay;
+            rounds_tail += pass_report.rounds - last_stitch - replay;
             merge_report(&mut report, pass_report);
 
             let unfinished: Vec<(usize, StitchSpec, u64)> = pending
@@ -1248,6 +1469,7 @@ impl StitchScheduler {
             gmw_by_walk,
             connector_visits: connector_visits.into_iter().collect(),
             rounds_tail,
+            rounds_replay,
             reissues,
             report,
         })
@@ -1258,6 +1480,27 @@ impl StitchScheduler {
 mod tests {
     use super::*;
     use crate::short_walks::ShortWalksProtocol;
+    use crate::state::Visit;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Planted bug: a recorded lane's `Taken` is dropped where it
+        /// lands, so the connector never learns what to replay.
+        pub(super) static DROP_TAKEN: Cell<bool> = const { Cell::new(false) };
+        /// Planted bug: a connector honours a wave's `prev` on every
+        /// arrival of the epoch, not just the one that resets its lane.
+        static STALE_PREV: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The `STALE_PREV` bug, if planted: the lane keeps what it hosted
+    /// and treats every arrival as the fresh one.
+    pub(super) fn stale_prev_planted(lane: &mut LaneState, hosted: Option<u64>) -> bool {
+        if STALE_PREV.get() {
+            lane.hosted = hosted;
+        }
+        STALE_PREV.get()
+    }
+
     use drw_congest::{EngineConfig, Runner};
     use drw_graph::generators;
 
@@ -1774,20 +2017,95 @@ mod tests {
         let parity = |v: usize| (v / 4 + v % 4) % 2;
         assert_eq!(parity(10), parity(out.walks[2].destination));
         assert_eq!(parity(0), parity(out.walks[0].destination));
-        // Only the recorded lane's *tail* visits landed in the state
-        // (its stitched segments are replayed by the caller), at global
-        // positions above its offset.
-        let visits = state.drain_visits();
-        let stitched: u64 = out.walks[1].segments.iter().map(|s| u64::from(s.len)).sum();
-        assert_eq!(visits.len() as u64, 150 - stitched);
-        for (_, v) in &visits {
-            assert!(v.pos > 40 && v.pos <= 40 + 150, "pos {}", v.pos);
-            assert!(v.pred().is_some());
-        }
+        // Only the recorded lane's visits landed in the state — tail
+        // hops and replayed segments alike — at every global position
+        // above its offset, once.
+        let mut visits = state.drain_visits();
+        visits.sort_unstable_by_key(|(_, v)| v.pos);
+        let positions: Vec<u64> = visits.iter().map(|(_, v)| v.pos).collect();
+        assert_eq!(positions, (41..=190).collect::<Vec<u64>>());
+        assert!(visits.iter().all(|(_, v)| v.pred().is_some()));
         // The recorded lane's segments are replayable (per-token GMW).
         for seg in &out.walks[1].segments {
             assert!(seg.replayable);
         }
+    }
+
+    /// One recorded `len`-step walk from node 0 of the 6x6 torus over a
+    /// Phase-1 store at `lambda = 6`; returns the outcome and the
+    /// visits it left.
+    fn recorded_walk(len: u64, seed: u64) -> (BatchedStitchOutcome, Vec<(NodeId, Visit)>) {
+        let g = generators::torus2d(6, 6);
+        let mut runner = Runner::new(&g, EngineConfig::default(), seed);
+        let mut state = WalkState::new(g.n());
+        phase1(&mut runner, &mut state, 4, 6);
+        let mut su = setup(6, false);
+        su.record = true;
+        let mut sched = StitchScheduler::new(&su);
+        sched.add_walk(0, len);
+        let out = sched.run(&mut runner, &mut state).expect("recorded run");
+        (out, state.drain_visits())
+    }
+
+    #[test]
+    fn a_recorded_run_regenerates_every_position_while_it_stitches() {
+        let (out, mut visits) = recorded_walk(120, 7);
+        assert!(out.stitches >= 3);
+        visits.sort_unstable_by_key(|(_, v)| v.pos);
+        let positions: Vec<u64> = visits.iter().map(|(_, v)| v.pos).collect();
+        assert_eq!(positions, (1..=120).collect::<Vec<u64>>());
+        assert_eq!(visits.last().unwrap().0, out.walks[0].destination);
+        // Replay rode the wave: what is left of it after the walk landed
+        // is at most the last segment plus the way to its connector.
+        assert!(out.rounds_replay < 12 + 6, "{}", out.rounds_replay);
+        assert!(out.rounds_tail + out.rounds_replay < out.report.rounds);
+    }
+
+    #[test]
+    #[should_panic(expected = "never replayed")]
+    fn a_dropped_taken_loses_the_last_segments_visits() {
+        // Planted bug: the last stitch's owner keeps the taken `seq` to
+        // itself. The connector learns it from nowhere else — not from
+        // the host, not from a later wave — so the segment is never
+        // replayed and the run must say so.
+        let (out, _) = recorded_walk(120, 7);
+        let last = out.walks[0].segments.last().expect("stitched");
+        assert_ne!(
+            last.owner, last.connector,
+            "pick a seed whose last owner is remote"
+        );
+        DROP_TAKEN.set(true);
+        let _ = recorded_walk(120, 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "no stitch owed")]
+    fn a_prev_honoured_on_every_wave_arrival_replays_twice() {
+        // Planted bug: the old connector acts on `prev` at every arrival
+        // of the next epoch's wave (it has two neighbours closer to the
+        // new root, so two arrive), and a second token walks the segment.
+        STALE_PREV.set(true);
+        let _ = recorded_walk(120, 7);
+    }
+
+    #[test]
+    fn the_widest_message_did_not_grow() {
+        // `Chosen` set the size before `Wave` gained `prev` and `Replay`
+        // joined; queue entries copy this many bytes per message.
+        assert_eq!(std::mem::size_of::<StitchMsg>(), 24);
+        assert_eq!(std::mem::size_of::<BatchMsg>(), 32);
+        let wave = StitchMsg::Wave {
+            epoch: 1,
+            root: 0,
+            prev: NO_PREV,
+        };
+        assert_eq!(Mux2::new(0, 0, wave).size_words(), 4, "at the budget");
+        let id = WalkId {
+            source: (1 << 26) - 1,
+            seq: 1 << 12,
+        };
+        assert_eq!(unpack_walk(pack_walk(id)), id);
+        assert_ne!(pack_walk(id), NO_PREV);
     }
 
     #[test]

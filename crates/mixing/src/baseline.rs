@@ -193,7 +193,7 @@ pub fn direct_diffusion_mixing_cfg(
         let values: Vec<u64> = (0..g.n())
             .map(|v| ((masses[v] - pi[v]).abs() * SCALE) as u64)
             .collect();
-        let mut cc = ConvergecastProtocol::new(tree.clone(), AggOp::Sum, values).fixed_point(40);
+        let mut cc = ConvergecastProtocol::new(&tree, AggOp::Sum, values).fixed_point(40);
         census.merge(&runner.run(&mut cc)?.wire);
         let l1 = cc.result() as f64 / SCALE;
         checkpoints.push((t, l1));
