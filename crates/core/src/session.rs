@@ -26,15 +26,16 @@
 //!   are cheaper to leave to `GET-MORE-WALKS`). In steady state most
 //!   calls pay zero Phase-1 rounds; a rebuild never recurs.
 //! - **Regime upgrades**: the store's base length
-//!   ([`WalkSession::store_lambda`]) only grows. Calls whose computed
-//!   `lambda` stays within a factor 2 of the store's stitch at the
-//!   store's regime — exact for any `lambda`, at worst 2x more stitches
-//!   — and a call demanding at least twice the store's `lambda`
-//!   triggers an upgrade: stale short walks are discarded (free, local,
-//!   and exact — the decision reads lengths, never trajectories) and
-//!   the store relaunches in the longer regime. Without the discard the
-//!   store would never drain and every future stitch would stay pinned
-//!   to the first request's short segments. The effective stitch
+//!   ([`WalkSession::store_lambda`]) only grows. A call stitches at the
+//!   store's regime — exact for any `lambda`, only with more stitches —
+//!   unless relaunching at its own longer `lambda` pays for itself on
+//!   this very call, by the session's own round ledger
+//!   (`WalkSession::upgrade_pays`). Then stale short walks are discarded
+//!   (free, local, and exact — the decision reads lengths, never
+//!   trajectories) and the store relaunches in the longer regime.
+//!   Without the discard the store would never drain and every future
+//!   stitch would stay pinned to the first request's short segments. The
+//!   effective stitch
 //!   `lambda` is always the store's, which keeps every stored length
 //!   below `2 * lambda` so no segment can overshoot a walk's remaining
 //!   budget.
@@ -227,6 +228,12 @@ pub struct WalkSession {
     strict_repair: bool,
     rounds_bfs: u64,
     rounds_topup: u64,
+    /// Sum of the `lambda`s of the top-ups behind `rounds_topup`.
+    topup_lambdas: u64,
+    /// Stitching rounds of the waves so far, and the stitches on their
+    /// critical paths (each wave's longest lane).
+    rounds_stitch: u64,
+    stitch_depth: u64,
     topups: u64,
     walks_added: u64,
     walks_discarded: u64,
@@ -308,6 +315,9 @@ impl WalkSession {
             strict_repair: false,
             rounds_bfs,
             rounds_topup: 0,
+            topup_lambdas: 0,
+            rounds_stitch: 0,
+            stitch_depth: 0,
             topups: 0,
             walks_added: 0,
             walks_discarded: 0,
@@ -584,21 +594,41 @@ impl WalkSession {
         self.topups += 1;
         self.walks_added += added as u64;
         self.rounds_topup += self.runner.total_rounds() - before;
+        self.topup_lambdas += u64::from(lambda);
         Ok(())
+    }
+
+    /// Whether discarding the store and relaunching it at `lambda_call`
+    /// costs a `len`-step request fewer rounds than stitching it at the
+    /// store's shorter `lambda`. Priced from the session's own ledger:
+    /// a relaunch at its top-ups' rounds per unit `lambda`, a stitch at
+    /// its waves' rounds per stitch (before the first: a sweep out and
+    /// back, `2 * d_est`); a walk stitches segments of mean
+    /// `1.5 * lambda` and then walks a tail of about `lambda`.
+    fn upgrade_pays(&self, lambda_call: u32, len: u64) -> bool {
+        let (call, store) = (f64::from(lambda_call), f64::from(self.store_lambda));
+        let per_stitch = match self.stitch_depth {
+            0 => 2.0 * f64::from(self.d_est),
+            depth => self.rounds_stitch as f64 / depth as f64,
+        };
+        let relaunch = self.rounds_topup as f64 / self.topup_lambdas.max(1) as f64 * call;
+        let phase2 = |lambda: f64| len as f64 / (1.5 * lambda) * per_stitch + lambda;
+        call > store && relaunch + phase2(call) < phase2(store)
     }
 
     /// Ensures the store can serve a `len`-step request whose computed
     /// base length is `lambda_call`, and returns the effective stitch
     /// `lambda` for the call.
     ///
-    /// - **Regime upgrade** (`lambda_call >= 2 * store_lambda`, and the
-    ///   request would actually stitch there): stale short walks would
-    ///   otherwise pin every future stitch to the old `lambda` — the
-    ///   store never drains by itself — so they are discarded (free,
-    ///   local and exact: the decision reads lengths, never
-    ///   trajectories) and the store is relaunched in the new regime.
-    /// - **Within-regime** (`lambda_call < 2 * store_lambda`): stitch at
-    ///   the store's `lambda` (at most 2x finer than requested) and top
+    /// - **Regime upgrade** (the first build, or a relaunch that
+    ///   [`WalkSession::upgrade_pays`] for, and the request would
+    ///   actually stitch there): stale short walks would otherwise pin
+    ///   every future stitch to the old `lambda` — the store never
+    ///   drains by itself — so they are discarded (free, local and
+    ///   exact: the decision reads lengths, never trajectories) and the
+    ///   store is relaunched in the new regime.
+    /// - **Within-regime** (otherwise): stitch at the store's `lambda`
+    ///   (finer than requested) and top
     ///   up only the deficit, with hysteresis — a launch wave costs
     ///   `~2 * lambda` rounds however few walks ride it, so small
     ///   deficits are cheaper to leave to `GET-MORE-WALKS`, and most
@@ -607,9 +637,8 @@ impl WalkSession {
     ///   store.
     fn ensure_store(&mut self, lambda_call: u32, len: u64) -> Result<u32, WalkError> {
         let lambda_call = lambda_call.max(1);
-        let upgrade = u64::from(lambda_call) >= 2 * u64::from(self.store_lambda)
-            && len >= 2 * u64::from(lambda_call);
-        if upgrade {
+        let upgrade = self.store_lambda == 0 || self.upgrade_pays(lambda_call, len);
+        if upgrade && len >= 2 * u64::from(lambda_call) {
             self.walks_discarded += self.state.discard_shorter_than(lambda_call) as u64;
             self.store_lambda = lambda_call;
             let (counts, _) = self.deficit_counts();
@@ -752,6 +781,10 @@ impl WalkSession {
         }
         let out = sched.run(&mut self.runner, &mut self.state)?;
 
+        let rounds = self.runner.total_rounds() - start;
+        self.rounds_stitch += rounds - rounds_topup - out.rounds_tail - out.rounds_replay;
+        let depth = out.walks.iter().map(|w| w.segments.len()).max();
+        self.stitch_depth += depth.unwrap_or(0) as u64;
         let mut walks: Vec<WaveWalk> = out
             .walks
             .into_iter()
@@ -774,7 +807,7 @@ impl WalkSession {
         }
         Ok(WaveOutcome {
             walks,
-            rounds: self.runner.total_rounds() - start,
+            rounds,
             messages: self.runner.total_messages() - start_messages,
             rounds_topup,
             rounds_tail: out.rounds_tail,

@@ -285,8 +285,8 @@ struct OneShotGolden {
 }
 
 const ONE_SHOT: OneShotGolden = OneShotGolden {
-    tree_extend: (0xbde334e6f06206bf, 5, 5, 248, 359, 1),
-    tree_restart: (0xee5e946bfcc3e90c, 5, 30, 128, 1728, 1),
+    tree_extend: (0xbde334e6f06206bf, 5, 5, 248, 296, 1),
+    tree_restart: (0x6ab3b86757a9eaae, 6, 31, 256, 2009, 1),
     mix_c16: (0xb99e0d7c047865c3, 10, 512, false, 2129),
     mix_k32: (0xc87a7138c0308730, 1, 1, true, 14),
     session_walks: [(14, 333, 0xc3426a3bde175ab3), (2, 122, 0xcdd8bd4af3b7a167)],

@@ -196,15 +196,16 @@ fn a_reclaim_leaves_exactly_the_stored_walks_steps_in_the_logs() {
     assert_eq!(logged, live, "after the repair's reclaim");
 
     // Top-up site: a regime upgrade discards the whole store just
-    // before the launch. The wave's only walk is a forced-naive hop, so
-    // nothing is consumed and the launch is all the logs hold.
+    // before the launch (the regime names a walk long enough that the
+    // relaunch pays for itself). The wave's only walk is a forced-naive
+    // hop, so nothing is consumed and the launch is all the logs hold.
     let hop = drw_core::StitchSpec {
         naive: true,
         ..drw_core::StitchSpec::plain(at, 1)
     };
     let lambda = 4 * s.store_lambda();
     let wave = s
-        .run_wave(lambda, 8 * u64::from(lambda), &[hop])
+        .run_wave(lambda, 64 * u64::from(lambda), &[hop])
         .expect("wave");
     assert!(wave.rounds_topup > 0 && s.walks_discarded() > 0);
     assert_eq!(s.store_lambda(), lambda, "the wave upgraded the regime");
