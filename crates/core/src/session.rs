@@ -35,10 +35,9 @@
 //!   trajectories) and the store relaunches in the longer regime.
 //!   Without the discard the store would never drain and every future
 //!   stitch would stay pinned to the first request's short segments. The
-//!   effective stitch
-//!   `lambda` is always the store's, which keeps every stored length
-//!   below `2 * lambda` so no segment can overshoot a walk's remaining
-//!   budget.
+//!   effective stitch `lambda` is always the store's, which keeps every
+//!   stored length below `2 * lambda` so no segment can overshoot a
+//!   walk's remaining budget.
 //! - **Walk extension** (a recorded [`StitchSpec`] with a `pos_offset`):
 //!   continue a completed walk from its destination for `len` more
 //!   steps through the batched [`StitchScheduler`] without re-entering
@@ -620,16 +619,16 @@ impl WalkSession {
     /// base length is `lambda_call`, and returns the effective stitch
     /// `lambda` for the call.
     ///
-    /// - **Regime upgrade** (the first build, or a relaunch that
-    ///   [`WalkSession::upgrade_pays`] for, and the request would
-    ///   actually stitch there): stale short walks would otherwise pin
-    ///   every future stitch to the old `lambda` — the store never
+    /// - **Regime upgrade** (the first build, or a relaunch that pays
+    ///   for itself — [`WalkSession::upgrade_pays`] — and the request
+    ///   would actually stitch there): stale short walks would otherwise
+    ///   pin every future stitch to the old `lambda` — the store never
     ///   drains by itself — so they are discarded (free, local and
     ///   exact: the decision reads lengths, never trajectories) and the
     ///   store is relaunched in the new regime.
     /// - **Within-regime** (otherwise): stitch at the store's `lambda`
-    ///   (finer than requested) and top
-    ///   up only the deficit, with hysteresis — a launch wave costs
+    ///   (finer than requested) and top up only the deficit, with
+    ///   hysteresis — a launch wave costs
     ///   `~2 * lambda` rounds however few walks ride it, so small
     ///   deficits are cheaper to leave to `GET-MORE-WALKS`, and most
     ///   steady-state calls pay zero Phase-1 rounds.
@@ -709,9 +708,8 @@ impl WalkSession {
     /// global position(s) and predecessor — tail hops inline, stitched
     /// segments as their replay tokens pass, within the same run
     /// ([`crate::stitch_scheduler`]) — and the visits are drained from
-    /// the shared state into
-    /// [`WaveWalk::visits`], so consecutive extensions never accumulate
-    /// or double-record.
+    /// the shared state into [`WaveWalk::visits`], so consecutive
+    /// extensions never accumulate or double-record.
     ///
     /// # Errors
     ///

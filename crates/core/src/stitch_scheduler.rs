@@ -344,21 +344,11 @@ struct Tally {
     connector_visits: u32,
     /// The last round in which a segment resolved here (0 = none did).
     last_stitch_round: u64,
-    /// The last round in which a walk landed here.
-    last_landing_round: u64,
     /// Replay tokens this node still waits for: `+1` when a recorded
     /// lane takes a walk here, `-1` when that walk's replay token stops
     /// here (a segment ends at its owner). Drained into the run's count
     /// by [`BatchedStitchProtocol::note`].
     replays_open: i32,
-}
-
-impl Tally {
-    /// Walk `lane_idx` made its last step onto this node.
-    fn land(&mut self, lane_idx: u32, round: u64) {
-        self.finished.push(lane_idx);
-        self.last_landing_round = round;
-    }
 }
 
 /// One node's scratch for the wave in flight, held in
@@ -542,6 +532,9 @@ struct BatchedStitchProtocol<'s> {
     done: usize,
     /// Recorded segments taken whose replay token is not home yet.
     replaying: usize,
+    /// The last round that began with a walk still under way: the round
+    /// the last walk landed in, or the run's last if one never did.
+    walking_until: u64,
 }
 
 impl BatchedStitchProtocol<'_> {
@@ -556,11 +549,11 @@ impl BatchedStitchProtocol<'_> {
         }
         self.done += w.tally.finished.len() - w.counted;
         w.counted = w.tally.finished.len();
-        let delta = std::mem::take(&mut w.tally.replays_open);
-        self.replaying = self
-            .replaying
-            .checked_add_signed(delta as isize)
-            .expect("a replay token came home that no stitch owed");
+        if w.tally.replays_open != 0 {
+            let delta = std::mem::take(&mut w.tally.replays_open) as isize;
+            let open = self.replaying.checked_add_signed(delta);
+            self.replaying = open.expect("a replay token came home that no stitch owed");
+        }
     }
 }
 
@@ -622,7 +615,7 @@ fn advance_walk(
             lane.hosted = None;
             ctx.send_random_neighbor(shared.mux(lane_idx, StitchMsg::Tail { left: steps - 1 }));
         }
-        WalkAction::Done => tally.land(lane_idx, ctx.round()),
+        WalkAction::Done => tally.finished.push(lane_idx),
     }
 }
 
@@ -669,6 +662,12 @@ impl NodeLocalProtocol for BatchedStitchProtocol<'_> {
 
     fn is_done(&self) -> bool {
         self.done == self.shared.walks.len() && self.replaying == 0
+    }
+
+    fn on_round(&mut self, ctx: &mut Ctx<'_, BatchMsg>) {
+        if self.done < self.shared.walks.len() {
+            self.walking_until = ctx.round();
+        }
     }
 
     fn after_receive(&mut self, active: &[NodeId]) {
@@ -737,7 +736,7 @@ fn receive(
                 ws.record_visit(spec.pos_offset + spec.len - left, Some(env.from));
             }
             if left == 0 {
-                tally.land(lane_idx, ctx.round());
+                tally.finished.push(lane_idx);
             } else {
                 ctx.send_random_neighbor(shared.mux(lane_idx, StitchMsg::Tail { left: left - 1 }));
             }
@@ -1329,6 +1328,7 @@ impl StitchScheduler {
                 touched: Vec::new(),
                 done: 0,
                 replaying: 0,
+                walking_until: 0,
             };
             let result = runner.run_local(&mut protocol);
 
@@ -1338,12 +1338,11 @@ impl StitchScheduler {
             // shift by the banked steps).
             let mut finished_here: Vec<bool> = vec![false; pending.len()];
             let mut landed = 0;
-            let (mut last_stitch, mut last_landing) = (0, 0);
+            let mut last_stitch = 0;
             for v in protocol.touched {
                 let wave = protocol.nodes[v].wave.take();
                 let wave = wave.expect("listed nodes hold scratch");
                 last_stitch = last_stitch.max(wave.tally.last_stitch_round);
-                last_landing = last_landing.max(wave.tally.last_landing_round);
                 if wave.tally.connector_visits > 0 {
                     *connector_visits.entry(v).or_insert(0) += wave.tally.connector_visits;
                 }
@@ -1372,14 +1371,9 @@ impl StitchScheduler {
                 protocol.replaying, 0,
                 "recorded segments never replayed (recording needs a loss-free or healed transport)"
             );
-            // A recorded run outlives its last landing only to wait for
-            // replay tokens (and cannot be re-issued, so it has one pass).
-            let recorded = pending.iter().any(|(_, s, _)| s.record);
-            let replay = if recorded {
-                pass_report.rounds - last_landing
-            } else {
-                0
-            };
+            // A run outlives its last landing only to wait for replay
+            // tokens (a pass that stalls unfinished never outlives it).
+            let replay = pass_report.rounds - protocol.walking_until;
             rounds_replay += replay;
             rounds_tail += pass_report.rounds - last_stitch - replay;
             merge_report(&mut report, pass_report);
@@ -1495,10 +1489,11 @@ mod tests {
     /// The `STALE_PREV` bug, if planted: the lane keeps what it hosted
     /// and treats every arrival as the fresh one.
     pub(super) fn stale_prev_planted(lane: &mut LaneState, hosted: Option<u64>) -> bool {
-        if STALE_PREV.get() {
+        let planted = STALE_PREV.get();
+        if planted {
             lane.hosted = hosted;
         }
-        STALE_PREV.get()
+        planted
     }
 
     use drw_congest::{EngineConfig, Runner};
@@ -2064,10 +2059,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "never replayed")]
     fn a_dropped_taken_loses_the_last_segments_visits() {
-        // Planted bug: the last stitch's owner keeps the taken `seq` to
-        // itself. The connector learns it from nowhere else — not from
-        // the host, not from a later wave — so the segment is never
-        // replayed and the run must say so.
+        // Planted bug: the last stitch's `Taken` is dropped on its way
+        // up. The connector learns the taken `seq` from nowhere else —
+        // not from the host, not from a later wave — so the segment is
+        // never replayed and the run must say so.
         let (out, _) = recorded_walk(120, 7);
         let last = out.walks[0].segments.last().expect("stitched");
         assert_ne!(
