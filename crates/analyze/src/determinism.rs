@@ -6,8 +6,8 @@
 //! level in the protocol and algorithm crates (`drw-congest`,
 //! `drw-core`, `drw-graph`, `drw-spanning`, `drw-mixing`,
 //! `drw-lowerbound`), and all but the wall-clock rule in the
-//! measurement harnesses (`drw-bench`, `drw-experiments`), whose whole
-//! job is timing things:
+//! experiment harness (`drw-experiments`), whose whole job is timing
+//! things:
 //!
 //! * `hash-collections` — `HashMap`/`HashSet`: iteration order is
 //!   randomized per process, the classic verdict-divergence bug; use
@@ -58,8 +58,8 @@ impl RuleSet {
         wall_clock: true,
         unseeded_rng: true,
     };
-    /// The measurement-harness ruleset: wall-clock reads are these
-    /// crates' purpose, everything else still applies.
+    /// The experiment-harness ruleset: wall-clock reads are its
+    /// purpose, everything else still applies.
     pub const NO_CLOCK: RuleSet = RuleSet {
         wall_clock: false,
         ..RuleSet::FULL

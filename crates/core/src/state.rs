@@ -373,16 +373,10 @@ impl NodeWalkState {
     }
 }
 
-/// Byte census of a [`WalkState`], by subsystem, plus what the same
-/// logical content would cost under the pre-compaction layout.
+/// Byte census of a [`WalkState`], by subsystem.
 ///
-/// Actual bytes are capacity-based (only a forwarding-log reclaim ever
-/// shrinks a `Vec`, so elsewhere they are high-water marks). The legacy
-/// model prices the old field sizes (16-byte forward entries holding
-/// node ids, 24-byte visits with `Option<usize>` predecessors, 80-byte
-/// per-node struct) at doubling-growth capacities
-/// (`max(4, next_power_of_two(len))`) — exactly what the old layout,
-/// which never pre-reserved, allocated.
+/// Bytes are capacity-based (only a forwarding-log reclaim ever shrinks
+/// a `Vec`, so elsewhere they are high-water marks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StateMemory {
     /// Nodes in the census.
@@ -395,34 +389,17 @@ pub struct StateMemory {
     pub forward_bytes: usize,
     /// Bytes in the visit records.
     pub visit_bytes: usize,
-    /// What the same lengths would cost under the pre-compaction layout.
-    pub legacy_bytes: usize,
 }
 
 impl StateMemory {
-    /// Total bytes of the compact layout.
+    /// Total bytes of the state.
     pub fn total_bytes(&self) -> usize {
         self.overhead_bytes + self.store_bytes + self.forward_bytes + self.visit_bytes
     }
 
-    /// Compact-layout bytes as a fraction of the legacy layout's.
-    pub fn ratio_vs_legacy(&self) -> f64 {
-        self.total_bytes() as f64 / self.legacy_bytes.max(1) as f64
-    }
-
-    /// Compact-layout bytes per node.
+    /// Bytes per node.
     pub fn bytes_per_node(&self) -> f64 {
         self.total_bytes() as f64 / self.nodes.max(1) as f64
-    }
-}
-
-/// Doubling-growth capacity the legacy layout would have reached for
-/// `len` elements (it never pre-reserved).
-fn legacy_cap(len: usize) -> usize {
-    if len == 0 {
-        0
-    } else {
-        len.next_power_of_two().max(4)
     }
 }
 
@@ -638,27 +615,17 @@ impl WalkState {
         }
     }
 
-    /// Byte census of this state, by subsystem, against the legacy
-    /// layout's pricing — the measurement behind the engine's
-    /// "bytes per node at scale" acceptance bar.
+    /// Byte census of this state, by subsystem.
     pub fn memory_report(&self) -> StateMemory {
-        const LEGACY_NODE_BYTES: usize = 80; // 3 Vecs + ForwardLog Vec shared 24B each + counters
-        const LEGACY_STORE_ENTRY: usize = 20; // WalkId(8) + len(4) + tag(4) + bool, padded
-        const LEGACY_FORWARD_ENTRY: usize = 16; // (u32, u32, u32, u32) holding a node id
-        const LEGACY_VISIT_ENTRY: usize = 24; // pos: u64 + pred: Option<usize>
         let mut m = StateMemory {
             nodes: self.nodes.len(),
             overhead_bytes: self.nodes.len() * std::mem::size_of::<NodeWalkState>(),
-            legacy_bytes: self.nodes.len() * LEGACY_NODE_BYTES,
             ..StateMemory::default()
         };
         for ns in &self.nodes {
             m.store_bytes += ns.store.capacity() * std::mem::size_of::<StoredWalk>();
             m.forward_bytes += ns.forward.capacity_bytes();
             m.visit_bytes += ns.visits.capacity() * std::mem::size_of::<Visit>();
-            m.legacy_bytes += legacy_cap(ns.store.len()) * LEGACY_STORE_ENTRY
-                + legacy_cap(ns.forward.len()) * LEGACY_FORWARD_ENTRY
-                + legacy_cap(ns.visits.len()) * LEGACY_VISIT_ENTRY;
         }
         m
     }
@@ -1138,11 +1105,14 @@ mod tests {
     }
 
     #[test]
-    fn memory_report_prices_the_compaction() {
+    fn memory_report_counts_the_compact_layout() {
+        // The layout, pinned: 8 bytes a packed forward entry, 16 a visit,
+        // 20 a stored walk.
+        assert_eq!((size_of::<Visit>(), size_of::<StoredWalk>()), (16, 20));
         let mut s = WalkState::new(4);
-        // A forward-heavy state: packed entries cost 8 bytes against the
-        // legacy 16, so the ratio must land well under 1 even with the
-        // legacy model's doubling capacities matched by our own growth.
+        for ns in &mut s.nodes {
+            ns.reserve_forward(250);
+        }
         for i in 0..1000u32 {
             s.nodes[(i % 4) as usize].log_forward_hop(i % 4, i / 4, 0, 1);
         }
@@ -1151,16 +1121,14 @@ mod tests {
         }
         s.store_walk(0, WalkId { source: 1, seq: 0 }, 4, true);
         let m = s.memory_report();
+        let caps = |f: fn(&NodeWalkState) -> usize| s.nodes.iter().map(f).sum::<usize>();
         assert_eq!(m.nodes, 4);
-        assert!(m.forward_bytes > 0 && m.visit_bytes > 0 && m.store_bytes > 0);
+        assert_eq!(m.forward_bytes, 1000 * 8, "8 bytes per packed entry");
+        assert_eq!(m.visit_bytes, caps(|ns| ns.visits.capacity()) * 16);
+        assert_eq!(m.store_bytes, caps(|ns| ns.store.capacity()) * 20);
         assert_eq!(
             m.total_bytes(),
             m.overhead_bytes + m.store_bytes + m.forward_bytes + m.visit_bytes
-        );
-        assert!(
-            m.ratio_vs_legacy() < 0.75,
-            "ratio = {} (compact layout must beat legacy)",
-            m.ratio_vs_legacy()
         );
         assert!(m.bytes_per_node() > 0.0);
     }

@@ -4,11 +4,16 @@
 //! A 32-step walk visits at most 33 nodes whatever `n` is, so the host
 //! work of serving it — engine set-up, wave scratch, result assembly —
 //! has no business scaling with `n` either. Wall time would be a noisy
-//! witness; allocation counts and bytes are exact. This file has its
-//! own counting `#[global_allocator]` and one test function, so nothing
-//! else allocates in the process while it counts.
+//! witness; allocation counts and bytes are exact. The same counter
+//! holds the steady state of two real protocols — the naive walk and
+//! Phase 1 — to less than one allocation per extra round. This file has
+//! its own counting `#[global_allocator]` and one test function, so
+//! nothing else allocates in the process while it counts.
 
-use drw_core::{SingleWalkConfig, StitchSpec, WalkSession};
+use drw_congest::{run_node_local, EngineConfig};
+use drw_core::{
+    naive_walk, ShortWalksProtocol, SingleWalkConfig, StitchSpec, WalkSession, WalkState,
+};
 use drw_graph::generators;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -93,8 +98,31 @@ fn warm_costs(n: usize) -> [(u64, u64); 2] {
     [walk, wave]
 }
 
+/// Allocations per extra round of a naive walk (l = 1 000 vs 11 000)
+/// and per extra unit of λ of Phase 1 (λ = 64 vs 192, every node
+/// forwarding every round) on a random 4-regular graph of 256 nodes.
+/// Queue, inboxes and pre-reserved forward logs reach their high-water
+/// marks early and recycle, so the longer run allocates no more.
+fn steady_state_allocs_per_round() -> [f64; 2] {
+    let g = generators::random_regular(256, 4, &mut StdRng::seed_from_u64(0xBEEF));
+    let naive =
+        [1_000, 11_000].map(|len| counted(|| assert!(naive_walk(&g, 0, len, 42).is_ok())).0);
+    let phase1 = [64, 192].map(|lambda| {
+        counted(|| {
+            let mut state = WalkState::new(g.n());
+            let mut p = ShortWalksProtocol::new(&mut state, vec![1; g.n()], lambda, false);
+            run_node_local(&g, &EngineConfig::default(), 7, &mut p).expect("phase 1");
+        })
+        .0
+    });
+    [
+        naive[1].saturating_sub(naive[0]) as f64 / 10_000.0,
+        phase1[1].saturating_sub(phase1[0]) as f64 / 128.0,
+    ]
+}
+
 #[test]
-fn a_short_walk_costs_the_same_on_a_graph_eight_times_larger() {
+fn allocations_grow_with_neither_the_graph_nor_the_run_length() {
     let small = warm_costs(1 << 13);
     let large = warm_costs(1 << 16);
     eprintln!("(allocations, bytes) of [walk, k = 8 wave]: {small:?} at 2^13, {large:?} at 2^16");
@@ -121,4 +149,10 @@ fn a_short_walk_costs_the_same_on_a_graph_eight_times_larger() {
             l.1
         );
     }
+    // Steady state: a per-round allocation (the flat queue's stage sort
+    // used to make one) reads 1.0 or more here.
+    let [naive, phase1] = steady_state_allocs_per_round();
+    eprintln!("allocations per extra round: naive walk {naive:.4}, Phase 1 {phase1:.4}");
+    assert!(naive < 1.0, "naive walk: {naive:.4} allocs/round");
+    assert!(phase1 < 1.0, "Phase 1: {phase1:.4} allocs/round");
 }
