@@ -1,16 +1,15 @@
 //! Pass 3 — exhaustive interleaving checker (a miniature loom).
 //!
-//! The sharded executor's one nondeterministic degree of freedom is
-//! the order in which worker threads claim shards off the atomic
-//! cursor. The executor contract says results never depend on it:
-//! staging buffers are merged in *shard* order, not claim order, so
-//! every interleaving is observationally sequential.
+//! The sharded executor cuts a round's receive phase into shards, each
+//! staging into its own buffer. The merge contract says the order the
+//! shards run in never shows: staging buffers are merged in *shard*
+//! order, not run order, so every order is observationally sequential.
 //!
 //! This pass turns that contract into a bounded model check. It runs a
 //! real protocol (Phase-1 short walks) on a small torus through
-//! [`ShardedExecutor::run_node_local_scripted`], enumerating distinct
-//! shard-claim schedules and asserting each run's [`RunReport`] and
-//! final walk-state digest are identical to the sequential reference
+//! [`run_node_local_scripted`], enumerating distinct shard-claim
+//! schedules and asserting each run's [`RunReport`] and final
+//! walk-state digest are identical to the sequential reference
 //! executor's.
 //!
 //! ## Schedule enumeration
@@ -28,20 +27,10 @@
 //! `merge_in_claim_order` bug-injection knob it reintroduces the
 //! classic staging-merge race and must observe a divergence — proof
 //! that the harness can detect the failure class it guards against.
-//!
-//! ## The live leg
-//!
-//! Scripted schedules replay the executor single-threaded. Next to
-//! them, [`exhaustive_check`] and every timing of
-//! [`fault_timing_sweep`] run the workload once on a *live*
-//! [`ShardedExecutor`] with `LIVE_WORKERS` real threads, on
-//! parameters dense enough that production shard sizing (256 messages
-//! per shard) really cuts shards — asserted through the run's balance
-//! telemetry, so the leg cannot silently degrade to the inline path.
 
 use drw_congest::{
-    run_node_local, EngineConfig, FaultPlan, RunReport, ScriptedSchedule, ScriptedTiming,
-    ShardedExecutor,
+    run_node_local, run_node_local_scripted, EngineConfig, FaultPlan, RunReport, ScriptedSchedule,
+    ScriptedTiming,
 };
 use drw_core::{ShortWalksProtocol, WalkState};
 use drw_graph::generators;
@@ -140,45 +129,6 @@ fn run_sequential(p: &InterleaveParams, plan: Option<FaultPlan>) -> Result<Obser
     })
 }
 
-/// Worker threads of the live leg.
-const LIVE_WORKERS: usize = 2;
-
-/// The live leg: the workload on a real multi-threaded
-/// [`ShardedExecutor`] against its own sequential reference, on a torus
-/// of at least 16×16 with at least 8 walks per node — ~1000 deliveries
-/// per round, several production-sized shards. Errors on a divergence,
-/// and on a run that never sharded (the leg would be vacuous).
-fn live_sharded_check(p: &InterleaveParams, plan: Option<FaultPlan>) -> Result<(), String> {
-    let dense = InterleaveParams {
-        rows: p.rows.max(16),
-        cols: p.cols.max(16),
-        walks_per_node: p.walks_per_node.max(8),
-        ..p.clone()
-    };
-    let reference = run_sequential(&dense, plan)?;
-    let cfg = engine_cfg(plan);
-    let live = observe(&dense, |g, proto| {
-        ShardedExecutor::new(LIVE_WORKERS)
-            .run_node_local(g, &cfg, dense.seed, proto)
-            .map_err(|e| e.to_string())
-    })?;
-    let balance = live.report.balance.as_ref();
-    if balance.is_none_or(|b| b.rounds_measured == 0) {
-        return Err(format!(
-            "live sharded run on a {}x{} torus never sharded a round; the leg is vacuous",
-            dense.rows, dense.cols
-        ));
-    }
-    if live != reference {
-        return Err(format!(
-            "live sharded executor ({LIVE_WORKERS} workers) diverged from the sequential \
-             reference: sequential report {:?} vs sharded {:?}",
-            reference.report, live.report
-        ));
-    }
-    Ok(())
-}
-
 fn run_scripted(
     p: &InterleaveParams,
     merge_in_claim_order: bool,
@@ -202,14 +152,8 @@ fn run_scripted_items<'a>(
         item_order,
     };
     observe(p, |g, proto| {
-        ShardedExecutor::run_node_local_scripted(
-            g,
-            &EngineConfig::default(),
-            p.seed,
-            proto,
-            schedule,
-        )
-        .map_err(|e| e.to_string())
+        run_node_local_scripted(g, &EngineConfig::default(), p.seed, proto, schedule)
+            .map_err(|e| e.to_string())
     })
 }
 
@@ -256,10 +200,6 @@ fn unrank(mut k: u128, s: usize) -> Vec<usize> {
 /// `divergent == 0`).
 pub fn exhaustive_check(p: &InterleaveParams) -> Result<InterleaveOutcome, String> {
     let baseline = run_sequential(p, None)?;
-
-    // The same executor under whatever live interleaving this machine
-    // produces must land on the sequential result too.
-    live_sharded_check(p, None)?;
 
     // Probe pass: identity schedule, recording each round's shard
     // count. Doubles as the cross-executor conformance check.
@@ -520,9 +460,10 @@ fn timing_plan(seed: u64) -> FaultPlan {
 }
 
 /// Sweeps `count` scripted fault timings. Per timing, the retransmit
-/// ledger must conserve (`dropped == retransmitted`) and the live
-/// sharded leg must be bit-identical to its sequential reference;
-/// index 0 must reproduce the unscripted baseline exactly.
+/// ledger must conserve (`dropped == retransmitted`) and the sharded
+/// receive path (identity shard order, `p.msgs_per_shard` sizing) must
+/// be bit-identical to the sequential reference; index 0 must reproduce
+/// the unscripted baseline exactly.
 pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimingOutcome, String> {
     let plan = timing_plan(p.seed ^ 0x5EED_FA17);
     let baseline = run_sequential(p, Some(plan))?;
@@ -548,7 +489,19 @@ pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimin
                 f.dropped, f.retransmitted
             ));
         }
-        live_sharded_check(p, Some(timed)).map_err(|e| format!("timing #{index}: {e}"))?;
+        let cfg = engine_cfg(Some(timed));
+        let sharded = observe(p, |g, proto| {
+            let identity = &mut |_round, s| (0..s).collect();
+            let schedule = ScriptedSchedule::new(p.msgs_per_shard, identity);
+            run_node_local_scripted(g, &cfg, p.seed, proto, schedule).map_err(|e| e.to_string())
+        })?;
+        if sharded != seq {
+            return Err(format!(
+                "timing #{index}: sharded receive path diverged from the sequential \
+                 reference: sequential report {:?} vs sharded {:?}",
+                seq.report, sharded.report
+            ));
+        }
         if !digests.contains(&seq.digest) {
             digests.push(seq.digest);
         }

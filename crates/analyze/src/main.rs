@@ -307,7 +307,7 @@ fn main() -> ExitCode {
                 println!(
                     "drw-analyze: fault-timing check: {} scripted timings swept \
                      ({} distinct end states), every timing bit-identical across \
-                     sequential and live sharded backends",
+                     the sequential and sharded receive paths",
                     out.timings_run, out.distinct_outcomes,
                 );
             }

@@ -6,9 +6,7 @@
 //! points that pick the receive phase: by protocol trait, then by
 //! [`EngineConfig::executor`].
 
-use crate::executor::{
-    run_node_local_inline, run_rounds, ExecutorKind, PlainReceive, Scratch, ShardedExecutor,
-};
+use crate::executor::{run_node_local_in, run_rounds, ExecutorKind, PlainReceive, Scratch};
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::message::WireCensus;
 use crate::node_local::NodeLocalProtocol;
@@ -36,12 +34,10 @@ pub struct EngineConfig {
     pub record_edge_loads: bool,
     /// Which backend runs the receive phase of node-local protocols.
     /// Sequential and sharded runs are bit-identical; this only affects
-    /// wall-clock time.
+    /// wall-clock time and the shard telemetry.
     pub executor: ExecutorKind,
-    /// Worker-thread count for [`ExecutorKind::Sharded`] (`0` = one per
-    /// available CPU; ignored by `Sequential`). Results never depend on
-    /// it — the determinism test suite forces several counts and asserts
-    /// bit-identical runs.
+    /// Ignored: every backend runs on the calling thread. Kept so that
+    /// configurations which set it still compile.
     pub parallel_workers: usize,
     /// Seeded fault schedule applied at delivery time (`None` = the
     /// perfect network). Faulty runs stay deterministic and
@@ -85,14 +81,6 @@ impl EngineConfig {
     /// This configuration with the given executor backend.
     pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
         self.executor = executor;
-        self
-    }
-
-    /// This configuration with the sharded backend and a forced worker
-    /// count (`0` = one per available CPU).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.executor = ExecutorKind::Sharded;
-        self.parallel_workers = workers;
         self
     }
 
@@ -179,10 +167,8 @@ impl MemoryReport {
 /// Per-shard work distribution recorded by the sharded executor.
 ///
 /// The unit of accounting is the *shard* (a contiguous chunk of
-/// receiving nodes), not the OS thread: which thread ends up running a
-/// shard is a scheduling accident, but the shard loads are a
-/// deterministic function of the round's deliveries — so balance is
-/// measurable (and testable) even on a single CPU.
+/// receiving nodes); shard loads are a deterministic function of the
+/// round's deliveries.
 #[derive(Debug, Clone, PartialEq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkBalance {
@@ -197,12 +183,6 @@ pub struct WorkBalance {
     pub worst_max_over_mean: f64,
     /// Messages processed per shard slot, summed over measured rounds.
     pub shard_messages: Vec<u64>,
-    /// Helper threads the run spawned: `0` if no round sharded, else
-    /// the resolved worker count minus one (the calling thread is a
-    /// worker too; fewer only if the OS refused a thread) — once per
-    /// run, never per round. The one field here that depends on the
-    /// worker count.
-    pub helpers_spawned: usize,
 }
 
 /// Statistics of one protocol run.
@@ -297,9 +277,9 @@ pub fn run_protocol<P: Protocol>(
 
 /// Runs a [`NodeLocalProtocol`] on `graph` to completion under the
 /// backend selected by `cfg.executor`: every round inline in ascending
-/// node order under [`ExecutorKind::Sequential`], heavy rounds sharded
-/// across `cfg.parallel_workers` threads under
-/// [`ExecutorKind::Sharded`] — with bit-identical results.
+/// node order under [`ExecutorKind::Sequential`], heavy rounds cut into
+/// shards and run in shard order under [`ExecutorKind::Sharded`] — with
+/// bit-identical results, on the calling thread either way.
 ///
 /// # Errors
 ///
@@ -311,21 +291,6 @@ pub fn run_node_local<P: NodeLocalProtocol>(
     protocol: &mut P,
 ) -> Result<RunReport, RunError> {
     run_node_local_in(&mut Scratch::default(), graph, cfg, seed, protocol)
-}
-
-/// [`run_node_local`] over a caller-kept scratch.
-pub(crate) fn run_node_local_in<P: NodeLocalProtocol>(
-    scratch: &mut Scratch,
-    graph: &Graph,
-    cfg: &EngineConfig,
-    seed: u64,
-    protocol: &mut P,
-) -> Result<RunReport, RunError> {
-    match cfg.executor {
-        ExecutorKind::Sequential => run_node_local_inline(scratch, graph, cfg, seed, protocol),
-        ExecutorKind::Sharded => ShardedExecutor::new(cfg.parallel_workers)
-            .run_node_local_in(scratch, graph, cfg, seed, protocol),
-    }
 }
 
 #[cfg(test)]
@@ -850,7 +815,6 @@ mod tests {
                     rounds_inline: 8,
                     worst_max_over_mean: 1.25,
                     shard_messages: vec![100, 98],
-                    helpers_spawned: 1,
                 }),
                 wire: {
                     let mut w = WireCensus::default();

@@ -12,40 +12,39 @@
 //!   proves its nodes independent, so nothing may shard it);
 //! - a [`crate::NodeLocalProtocol`]'s node-local handler, which
 //!   [`ExecutorKind::Sequential`] runs inline in ascending node order
-//!   (the reference) and [`ExecutorKind::Sharded`] ([`ShardedExecutor`])
-//!   splits into load-balanced shards that idle threads *claim* (work
-//!   stealing), merging their sends back in node order — bit-identical
-//!   results, plus per-shard work counts in the run report.
+//!   (the reference) and [`ExecutorKind::Sharded`] splits into
+//!   load-balanced shards, run one after another on the calling thread
+//!   and merged back in node order — bit-identical results, plus
+//!   per-shard work counts in the run report.
 //!
-//! Callers normally do not name a backend: they set [`ExecutorKind`] on
-//! [`crate::EngineConfig`] and go through [`crate::run_protocol`] /
-//! [`crate::run_node_local`] (or [`crate::Runner`]), which dispatch
-//! here.
+//! Every backend runs on the calling thread. Callers normally do not
+//! name a backend: they set [`ExecutorKind`] on [`crate::EngineConfig`]
+//! and go through [`crate::run_protocol`] / [`crate::run_node_local`]
+//! (or [`crate::Runner`]), which dispatch here.
 
 pub(crate) mod queue;
 
-mod pool;
 mod round;
 mod sharded;
 
 pub(crate) use round::{run_rounds, PlainReceive, Scratch};
-pub(crate) use sharded::run_node_local_inline;
-pub use sharded::{ScriptedSchedule, ShardedExecutor};
+pub(crate) use sharded::run_node_local_in;
+pub use sharded::{run_node_local_scripted, ScriptedSchedule};
 
 /// Which round-executor backend a run uses.
 ///
 /// The two backends are deterministic and produce identical results
 /// for the same graph, seed and protocol; the choice affects wall-clock
-/// time only. `Sequential` is the default.
+/// time and the shard telemetry only. `Sequential` is the default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecutorKind {
     /// One thread, ascending node order (the reference backend).
     #[default]
     Sequential,
-    /// Receive phase split into load-balanced work-stealing shards that
-    /// idle threads claim dynamically; records per-shard work counts in
-    /// [`crate::RunReport`]'s `balance` telemetry. Plain protocols keep
-    /// the sequential receive discipline.
+    /// Receive phase of heavy rounds split into load-balanced shards,
+    /// run in shard order on the calling thread; records per-shard work
+    /// counts in [`crate::RunReport`]'s `balance` telemetry. Plain
+    /// protocols keep the sequential receive discipline.
     Sharded,
 }
 

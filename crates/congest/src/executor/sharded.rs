@@ -1,43 +1,34 @@
-//! The node-local receive phase and its sharded work-stealing backend.
+//! The node-local receive phase and its sharded backend.
 //!
 //! A [`NodeLocalProtocol`]'s handlers can reach only their own node's
 //! state, RNG stream and inbox, so a round's receive phase may be cut
 //! into *load-balanced shards* — contiguous runs of receiving nodes
-//! sized by their actual inbox message counts — that threads **claim**
-//! as they go idle. A thread that finishes a cheap shard immediately
-//! takes the next unclaimed one, so a straggler shard never serializes
-//! the round behind it. The threads belong to the run, not the round
-//! (see [`super::pool`]): the calling thread is one of the workers, and
-//! helpers are spawned by the first round that shards and parked between
-//! rounds. A round too light to yield two shards runs inline on the
-//! calling thread; under [`crate::ExecutorKind::Sequential`] every round
-//! does.
+//! sized by their actual inbox message counts — each staging its sends
+//! into a private buffer. Under [`crate::ExecutorKind::Sharded`] a round
+//! heavy enough to yield two shards runs them one after another on the
+//! calling thread, in shard order; lighter rounds, and every round under
+//! [`crate::ExecutorKind::Sequential`], run inline. The interleaving
+//! checker ([`run_node_local_scripted`]) runs the same partition and
+//! merge with the shards in a scripted order.
 //!
-//! Two properties make this deterministic:
+//! Two properties make every shard order give the same result:
 //!
 //! 1. The shard *partition* depends only on the round's deliveries
-//!    (which are deterministic), never on thread scheduling.
-//! 2. Each shard stages its sends into a private buffer, and the buffers
-//!    are concatenated in shard order — ascending node order, exactly
-//!    the order the inline path stages in — regardless of which thread
-//!    ran which shard, or in what real-time order shards finished.
+//!    (which are deterministic).
+//! 2. The staging buffers are concatenated in shard order — ascending
+//!    node order, exactly the order the inline path stages in — whatever
+//!    order the shards ran in.
 //!
 //! The per-shard message loads are recorded in
-//! [`crate::RunReport`]'s [`crate::WorkBalance`] telemetry. Because the
-//! accounting unit is the shard (deterministic), not the thread (a
-//! scheduling accident), the balance of the work distribution is
-//! measured — and testable — even on a single-CPU machine.
+//! [`crate::RunReport`]'s [`crate::WorkBalance`] telemetry.
 //!
 //! Everything a sharded round needs beyond the round loop's own buffers
 //! — the partition and one staging buffer per shard — is scratch owned
 //! by the run and recycled, so a steady-state round allocates nothing on
 //! either backend (`tests/alloc_steady_state.rs`).
 
-use std::sync::{Mutex, OnceLock};
-use std::thread::{Builder, Thread};
-
-use super::pool::{Pool, ShutdownOnDrop};
 use super::round::{run_rounds, ReceivePhase, Scratch};
+use super::ExecutorKind;
 use crate::engine::{EngineConfig, RunError, RunReport, WorkBalance};
 use crate::message::Envelope;
 use crate::node_local::{NodeCtx, NodeLocalProtocol};
@@ -45,61 +36,27 @@ use crate::protocol::Ctx;
 use crate::rng::{RunKey, Slot};
 use drw_graph::Graph;
 
-/// Target messages of receive work per shard. Shards are the stealing
-/// granule: small enough that a round yields several per thread (so
-/// stealing can equalize, and a helper that turns up late still finds
-/// work), large enough to amortize the claim. A round shards when it
-/// delivered at least two shards' worth — `2 * MSGS_PER_SHARD` = 512
-/// messages. The hand-off costs about 8 µs a round and a second worker
-/// takes half of `delivered × handler cost`, so two workers break even
-/// near 290 delivered messages for a 56 ns handler and near 1100 for
-/// the cheapest one (15 ns); 512 sits inside that band, and 1024 read
-/// no different on the benchmark (the measured table is in DESIGN.md,
-/// "The shard threshold and its break-even").
+/// Target messages of receive work per shard under
+/// [`crate::ExecutorKind::Sharded`]; a round shards when it delivered at
+/// least two shards' worth (512 messages). It sets only the shard
+/// granularity: what the balance telemetry measures, and the production
+/// sizing the interleaving checker scales down from.
 const MSGS_PER_SHARD: u64 = 256;
 
 /// Upper bound on shards per round; beyond this the per-shard bookkeeping
 /// would outweigh the balance gain.
 const MAX_SHARDS: usize = 64;
 
-/// Executes the receive phase of node-local protocols as load-balanced
-/// work-stealing shards.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedExecutor {
-    threads: usize,
-}
-
-impl ShardedExecutor {
-    /// An executor using `threads` worker threads (`0` = one per
-    /// available CPU). The thread count never affects results or the
-    /// recorded shard loads — only wall-clock time.
-    pub fn new(threads: usize) -> Self {
-        ShardedExecutor { threads }
-    }
-
-    /// The resolved worker count (at least 1). "One per available CPU"
-    /// is resolved once per process: the query is a syscall plus cgroup
-    /// file reads, and a served walk is a chain of short runs.
-    pub fn threads(&self) -> usize {
-        static AVAILABLE: OnceLock<usize> = OnceLock::new();
-        if self.threads > 0 {
-            self.threads
-        } else {
-            *AVAILABLE.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
-        }
-    }
-}
-
 /// Scripted-mode parameters for the interleaving checker (the
-/// [`ShardedExecutor::run_node_local_scripted`] entry point).
+/// [`run_node_local_scripted`] entry point).
 ///
-/// A schedule has two nested degrees of freedom, mirroring the two
-/// scheduling accidents a production run is exposed to: the order in
-/// which idle threads *claim* shards (`order`) and the order in which a
-/// claimed shard's work items are *processed* (`item_order`). The
-/// executor contract says neither may affect results; the two bug knobs
-/// re-introduce exactly the race class each rule exists to prevent, so
-/// the checker can prove it would detect them.
+/// A schedule has two nested degrees of freedom, the two orders the
+/// merge contract must make unobservable: the order in which shards run
+/// (`order`) and the order in which a shard's work items run
+/// (`item_order`). Production runs both in node order; the contract says
+/// neither may affect results. The two bug knobs re-introduce exactly
+/// the race class each rule exists to prevent, so the checker can prove
+/// it would detect them.
 pub struct ScriptedSchedule<'a> {
     /// Overrides the production shard sizing (`MSGS_PER_SHARD`) so
     /// small checker graphs still fan out into several shards per
@@ -139,35 +96,30 @@ impl<'a> ScriptedSchedule<'a> {
     }
 }
 
-/// How a round's receive work is cut into shards and claimed.
-enum ClaimMode<'t, 's, P> {
+/// How a round's receive work is cut into shards and ordered.
+enum ClaimMode<'s> {
     /// [`crate::ExecutorKind::Sequential`]: never shard — every round
     /// runs inline, and no balance telemetry is reported.
     Inline,
-    /// Production: the calling thread and the run's helpers claim
-    /// shards off `pool`'s ticket word; `spawn_helper` starts one
-    /// helper inside the run's thread scope (`None`: the OS refused).
-    Threads {
-        pool: &'t Pool<P>,
-        spawn_helper: &'t dyn Fn() -> Option<Thread>,
-    },
-    /// Interleaving-checker mode: shards execute one at a time in a
-    /// scripted claim order (see
-    /// [`ShardedExecutor::run_node_local_scripted`]).
+    /// [`crate::ExecutorKind::Sharded`]: production shard sizing, each
+    /// shard run as the carver yields it.
+    InOrder,
+    /// Interleaving-checker mode: shards run in a scripted order (see
+    /// [`run_node_local_scripted`]).
     Scripted(ScriptedSchedule<'s>),
 }
 
-impl<P> ClaimMode<'_, '_, P> {
+impl ClaimMode<'_> {
     fn msgs_per_shard(&self) -> u64 {
         match self {
             ClaimMode::Inline => u64::MAX,
-            ClaimMode::Threads { .. } => MSGS_PER_SHARD,
+            ClaimMode::InOrder => MSGS_PER_SHARD,
             ClaimMode::Scripted(s) => s.msgs_per_shard.max(1),
         }
     }
 }
 
-/// A claimed unit of receive work: a contiguous run of receiving nodes,
+/// One unit of receive work: a contiguous run of receiving nodes,
 /// exclusive access to that node range's states, RNG streams and
 /// inboxes, and a private staging buffer.
 struct ShardTask<'r, P: NodeLocalProtocol> {
@@ -248,16 +200,13 @@ fn run_shard<P: NodeLocalProtocol>(
     scramble: bool,
 ) {
     let len = task.nodes.len();
-    // Stage through a buffer header on this thread's stack: the shards'
-    // own headers sit side by side in one allocation, and a push per
-    // message from two threads would bounce that cache line.
-    let mut out = std::mem::take(task.out);
+    let out = &mut *task.out;
     let mut run_item = |j: usize, reversed: bool| {
         let node = task.nodes[j];
         let slot = node - task.first;
         let start = out.len();
         let rng = task.rngs[slot].stream(task.rng_key, node);
-        let mut nctx = NodeCtx::new(graph, round, node, rng, &mut out);
+        let mut nctx = NodeCtx::new(graph, round, node, rng, out);
         P::on_receive_local(
             shared,
             &mut task.states[slot],
@@ -290,28 +239,6 @@ fn run_shard<P: NodeLocalProtocol>(
                 run_item(j, scramble && j != pos);
             }
         }
-    }
-    *task.out = out;
-}
-
-/// One round's receive work as the pool's workers see it: what every
-/// handler shares, and the shards still to be claimed. Lives on the
-/// calling thread's stack for the duration of [`Pool::run_round`].
-pub(super) struct RoundJob<'r, P: NodeLocalProtocol> {
-    graph: &'r Graph,
-    round: u64,
-    shared: &'r P::Shared,
-    /// Locked once per ticket, for the O(1) carve only — never while a
-    /// handler runs.
-    shards: Mutex<Carver<'r, P>>,
-}
-
-impl<P: NodeLocalProtocol> RoundJob<'_, P> {
-    /// Takes the next shard and runs it. Call once per ticket held.
-    pub(super) fn run_next(&self) {
-        let task = self.shards.lock().expect("carving cannot panic").next();
-        let mut task = task.expect("one shard per ticket");
-        run_shard::<P>(self.graph, self.round, self.shared, &mut task, None, false);
     }
 }
 
@@ -350,125 +277,71 @@ fn partition_by_load(
     sizes.len()
 }
 
-impl ShardedExecutor {
-    /// Runs a [`NodeLocalProtocol`] to completion, sharding the receive
-    /// phase of every round heavy enough to yield two shards. The run
-    /// spawns at most `threads() − 1` threads, once, and none if no
-    /// round shards; all are joined before it returns.
-    ///
-    /// # Errors
-    ///
-    /// [`RunError::MaxRoundsExceeded`] or [`RunError::OversizedMessage`].
-    ///
-    /// # Panics
-    ///
-    /// A panic in a receive handler surfaces on the calling thread,
-    /// whichever thread ran the handler.
-    pub fn run_node_local<P: NodeLocalProtocol>(
-        &self,
-        graph: &Graph,
-        cfg: &EngineConfig,
-        seed: u64,
-        protocol: &mut P,
-    ) -> Result<RunReport, RunError> {
-        self.run_node_local_in(&mut Scratch::default(), graph, cfg, seed, protocol)
-    }
-
-    /// [`ShardedExecutor::run_node_local`] over a caller-kept scratch.
-    pub(crate) fn run_node_local_in<P: NodeLocalProtocol>(
-        &self,
-        scratch: &mut Scratch,
-        graph: &Graph,
-        cfg: &EngineConfig,
-        seed: u64,
-        protocol: &mut P,
-    ) -> Result<RunReport, RunError> {
-        let pool = Pool::new(self.threads());
-        std::thread::scope(|scope| {
-            let _stop = ShutdownOnDrop(&pool);
-            let spawn_helper = || {
-                let helper = Builder::new().spawn_scoped(scope, || pool.helper_loop());
-                helper.ok().map(|h| h.thread().clone())
-            };
-            let mode = ClaimMode::Threads {
-                pool: &pool,
-                spawn_helper: &spawn_helper,
-            };
-            run(scratch, graph, cfg, seed, protocol, mode)
-        })
-    }
-
-    /// Runs a node-local protocol through the sharded receive path with
-    /// a **scripted** shard-claim order — the hook behind `drw-analyze`'s
-    /// exhaustive interleaving checker.
-    ///
-    /// Production runs let idle threads claim shards off an atomic
-    /// cursor, so the claim interleaving is a scheduling accident the
-    /// executor must be insensitive to. This entry point replays the
-    /// *same* shard construction and merge code single-threaded, but
-    /// executes the shards of every round in the order `order(round,
-    /// shard_count)` dictates (any permutation of `0..shard_count`).
-    /// Enumerating those permutations and asserting bit-identical
-    /// results against the [`crate::ExecutorKind::Sequential`] reference
-    /// turns the executor contract into a bounded race check at shard
-    /// granularity.
-    ///
-    /// The schedule's `item_order` extends the scripting *inside* each
-    /// claimed shard: items (receiving nodes) execute in the scripted
-    /// within-shard order. Per-edge FIFO order cannot depend on it —
-    /// each item sends only from its own node, so no two items share a
-    /// directed edge, and the staging sort is stable per edge — but
-    /// that is exactly the kind of argument the checker exists to turn
-    /// into a measurement.
-    ///
-    /// `merge_in_claim_order` injects the classic staging-merge race —
-    /// an *arrival-order* merge, as if shard outputs were drained off
-    /// an unordered channel: outputs are concatenated in claim order,
-    /// and any shard claimed out of its staging position lands with its
-    /// FIFO batch scrambled. `scramble_item_order` is the same race one
-    /// level down, for items within a shard. The identity schedule is
-    /// unaffected by either, so the bugs manifest only under specific
-    /// interleavings — exactly the race classes the merge contracts
-    /// exist to prevent. The knobs let the checker prove it detects
-    /// those classes; both must be `false` for any conformance run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `order` (or `item_order`) returns anything other than
-    /// a permutation of `0..shard_count` (resp. `0..item_count`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardedExecutor::run_node_local`].
-    pub fn run_node_local_scripted<P: NodeLocalProtocol>(
-        graph: &Graph,
-        cfg: &EngineConfig,
-        seed: u64,
-        protocol: &mut P,
-        schedule: ScriptedSchedule<'_>,
-    ) -> Result<RunReport, RunError> {
-        let scratch = &mut Scratch::default();
-        run(
-            scratch,
-            graph,
-            cfg,
-            seed,
-            protocol,
-            ClaimMode::Scripted(schedule),
-        )
-    }
+/// Runs a node-local protocol through the sharded receive path with a
+/// **scripted** shard order — the hook behind `drw-analyze`'s exhaustive
+/// interleaving checker.
+///
+/// [`crate::ExecutorKind::Sharded`] runs each round's shards in shard
+/// order. This entry point runs the *same* shard construction and merge
+/// code, but executes the shards of every round in the order
+/// `order(round, shard_count)` dictates (any permutation of
+/// `0..shard_count`). Enumerating those permutations and asserting
+/// bit-identical results against the [`crate::ExecutorKind::Sequential`]
+/// reference turns the merge contract into a bounded check at shard
+/// granularity.
+///
+/// The schedule's `item_order` extends the scripting *inside* each
+/// shard: items (receiving nodes) execute in the scripted within-shard
+/// order. Per-edge FIFO order cannot depend on it — each item sends only
+/// from its own node, so no two items share a directed edge, and the
+/// staging sort is stable per edge — but that is exactly the kind of
+/// argument the checker exists to turn into a measurement.
+///
+/// `merge_in_claim_order` injects the classic staging-merge race — an
+/// *arrival-order* merge, as if shard outputs were drained off an
+/// unordered channel: outputs are concatenated in run order, and any
+/// shard run out of its staging position lands with its FIFO batch
+/// scrambled. `scramble_item_order` is the same race one level down, for
+/// items within a shard. The identity schedule is unaffected by either,
+/// so the bugs manifest only under specific orders — exactly the race
+/// classes the merge contracts exist to prevent. The knobs let the
+/// checker prove it detects those classes; both must be `false` for any
+/// conformance run.
+///
+/// # Panics
+///
+/// Panics if `order` (or `item_order`) returns anything other than a
+/// permutation of `0..shard_count` (resp. `0..item_count`).
+///
+/// # Errors
+///
+/// Same as [`crate::run_node_local`].
+pub fn run_node_local_scripted<P: NodeLocalProtocol>(
+    graph: &Graph,
+    cfg: &EngineConfig,
+    seed: u64,
+    protocol: &mut P,
+    schedule: ScriptedSchedule<'_>,
+) -> Result<RunReport, RunError> {
+    let scratch = &mut Scratch::default();
+    let mode = ClaimMode::Scripted(schedule);
+    run(scratch, graph, cfg, seed, protocol, mode)
 }
 
-/// [`crate::ExecutorKind::Sequential`] for a node-local protocol: the
-/// same receive phase with every round inline.
-pub(crate) fn run_node_local_inline<P: NodeLocalProtocol>(
+/// Runs a node-local protocol over a caller-kept scratch, under the
+/// backend `cfg.executor` names.
+pub(crate) fn run_node_local_in<P: NodeLocalProtocol>(
     scratch: &mut Scratch,
     graph: &Graph,
     cfg: &EngineConfig,
     seed: u64,
     protocol: &mut P,
 ) -> Result<RunReport, RunError> {
-    run(scratch, graph, cfg, seed, protocol, ClaimMode::Inline)
+    let mode = match cfg.executor {
+        ExecutorKind::Sequential => ClaimMode::Inline,
+        ExecutorKind::Sharded => ClaimMode::InOrder,
+    };
+    run(scratch, graph, cfg, seed, protocol, mode)
 }
 
 fn run<P: NodeLocalProtocol>(
@@ -477,7 +350,7 @@ fn run<P: NodeLocalProtocol>(
     cfg: &EngineConfig,
     seed: u64,
     protocol: &mut P,
-    mode: ClaimMode<'_, '_, P>,
+    mode: ClaimMode<'_>,
 ) -> Result<RunReport, RunError> {
     let mut phase = NodeLocalReceive {
         protocol,
@@ -489,9 +362,6 @@ fn run<P: NodeLocalProtocol>(
     };
     let mut report = run_rounds(graph, cfg, seed, scratch, &mut phase)?;
     report.memory.staging_bytes += phase.scratch_bytes();
-    if let ClaimMode::Threads { pool, .. } = &phase.mode {
-        phase.balance.helpers_spawned = pool.helpers_spawned();
-    }
     if !matches!(phase.mode, ClaimMode::Inline) {
         report.balance = Some(phase.balance);
     }
@@ -499,9 +369,9 @@ fn run<P: NodeLocalProtocol>(
 }
 
 /// The receive phase of a [`NodeLocalProtocol`] under one [`ClaimMode`].
-struct NodeLocalReceive<'p, 't, 's, P: NodeLocalProtocol> {
+struct NodeLocalReceive<'p, 's, P: NodeLocalProtocol> {
     protocol: &'p mut P,
-    mode: ClaimMode<'t, 's, P>,
+    mode: ClaimMode<'s>,
     balance: WorkBalance,
     // Shard scratch, recycled by every sharded round: the current
     // partition (sizes in nodes, loads in messages) and one staging
@@ -511,7 +381,7 @@ struct NodeLocalReceive<'p, 't, 's, P: NodeLocalProtocol> {
     outs: Vec<Vec<(usize, P::Msg)>>,
 }
 
-impl<P: NodeLocalProtocol> NodeLocalReceive<'_, '_, '_, P> {
+impl<P: NodeLocalProtocol> NodeLocalReceive<'_, '_, P> {
     /// Backing bytes of the shard scratch. Capacities never shrink, so
     /// the end-of-run value is the run's high-water mark.
     fn scratch_bytes(&self) -> usize {
@@ -527,7 +397,7 @@ impl<P: NodeLocalProtocol> NodeLocalReceive<'_, '_, '_, P> {
     }
 }
 
-impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
+impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, P> {
     type Msg = P::Msg;
 
     fn start(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
@@ -555,9 +425,9 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
         debug_assert_eq!(states.len(), graph.n(), "one NodeState per node required");
 
         // The shard count is a deterministic function of the round's
-        // deliveries — never of thread count or scheduling. A skewed
-        // round (one node holding most of the mail) can want two shards
-        // and still partition into one; it is as inline as a light one.
+        // deliveries. A skewed round (one node holding most of the mail)
+        // can want two shards and still partition into one; it is as
+        // inline as a light one.
         let want_shards = ((delivered / self.mode.msgs_per_shard()) as usize)
             .clamp(1, MAX_SHARDS)
             .min(active.len().max(1));
@@ -608,19 +478,15 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
             outs: &mut self.outs[..shards],
         };
 
-        // Claim order is the executor's one nondeterministic
-        // degree of freedom; results must never depend on it.
+        // Shard order is the one degree of freedom the merge must hide:
+        // production runs shards in shard order, the checker in any.
         let mut claim_order: Option<Vec<usize>> = None;
         match &mut self.mode {
             ClaimMode::Inline => unreachable!("inline mode never yields two shards"),
-            ClaimMode::Threads { pool, spawn_helper } => {
-                let job = RoundJob {
-                    graph,
-                    round,
-                    shared,
-                    shards: Mutex::new(carver),
-                };
-                pool.run_round(&job, shards, *spawn_helper);
+            ClaimMode::InOrder => {
+                for mut task in carver {
+                    run_shard::<P>(graph, round, shared, &mut task, None, false);
+                }
             }
             ClaimMode::Scripted(sched) => {
                 let mut tasks: Vec<ShardTask<'_, P>> = carver.collect();
@@ -650,8 +516,8 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
             }
         }
         // Concatenate in shard order — the inline staging order,
-        // whatever the claim interleaving was. (The checker's
-        // bug-injection knob merges in claim order instead,
+        // whatever order the shards ran in. (The checker's
+        // bug-injection knob merges in run order instead,
         // reintroducing the race this merge rule exists to prevent.)
         let outs = &mut self.outs[..shards];
         let buggy_merge = matches!(&self.mode, ClaimMode::Scripted(s) if s.merge_in_claim_order);
@@ -682,18 +548,19 @@ impl<P: NodeLocalProtocol> ReceivePhase for NodeLocalReceive<'_, '_, '_, P> {
 mod tests {
     use super::*;
     use crate::message::Message;
+    use crate::ExecutorKind;
     use drw_graph::generators;
     use rand::Rng;
+    use std::thread::{self, ThreadId};
 
     /// A message-dense node-local gossip: for `ttl` rounds every node
     /// draws from its private RNG and sends the draw to every neighbor;
     /// nodes fold received values into a running digest. On
     /// `complete(48)` every round delivers 2256 messages — enough for
-    /// several shards per round, so the threaded claim path genuinely
-    /// runs even when `available_parallelism` is 1. With `beacon` set,
-    /// the global hook also has node 0 send the round number to node 1:
-    /// same edge, one stage ahead of node 0's own send, so node 1's
-    /// (order-sensitive) fold sees the hook-before-node staging order.
+    /// several shards per round. With `beacon` set, the global hook also
+    /// has node 0 send the round number to node 1: same edge, one stage
+    /// ahead of node 0's own send, so node 1's (order-sensitive) fold
+    /// sees the hook-before-node staging order.
     #[derive(Clone, Debug)]
     struct Gossip(u64);
     impl Message for Gossip {}
@@ -704,6 +571,8 @@ mod tests {
         received: u64,
         /// Rounds in which this node got mail.
         rounds: Vec<u64>,
+        /// The thread each of those rounds' handler ran on.
+        threads: Vec<ThreadId>,
     }
 
     struct DenseGossip {
@@ -745,6 +614,7 @@ mod tests {
             ctx: &mut NodeCtx<'_, Gossip>,
         ) {
             state.rounds.push(ctx.round());
+            state.threads.push(thread::current().id());
             for env in inbox {
                 state.received += 1;
                 state.folded = state.folded.rotate_left(7) ^ env.msg.0;
@@ -785,6 +655,10 @@ mod tests {
         }
     }
 
+    fn sharded() -> EngineConfig {
+        EngineConfig::default().with_executor(ExecutorKind::Sharded)
+    }
+
     #[test]
     fn both_receive_phases_agree_under_lossy_delays_with_a_staging_hook() {
         // Drops are permanent and delays park messages past the last
@@ -805,8 +679,7 @@ mod tests {
         assert!(want.faults.dropped > 0 && want.faults.delayed > 0);
         for cfg in [
             base.clone(),
-            base.clone().with_workers(1),
-            base.clone().with_workers(4),
+            base.clone().with_executor(ExecutorKind::Sharded),
         ] {
             let mut plain = mk();
             let got = crate::run_protocol(&g, &cfg, 21, &mut plain).unwrap();
@@ -816,7 +689,7 @@ mod tests {
             assert_eq!((&got, &local.nodes), (&want, &reference.nodes), "{cfg:?}");
             assert_eq!(got.rounds, want.rounds, "{cfg:?}");
             let sharded = got.balance.as_ref().is_some_and(|b| b.rounds_measured > 0);
-            assert_eq!(sharded, cfg.executor == crate::ExecutorKind::Sharded);
+            assert_eq!(sharded, cfg.executor == ExecutorKind::Sharded);
             if let Some(b) = &got.balance {
                 assert_eq!(
                     b.rounds_inline + b.rounds_measured,
@@ -839,8 +712,8 @@ mod tests {
         // rounds pass with all mail parked in the fault layer.
         let g = generators::path(2);
         let plan = crate::FaultPlan::new(3).with_delays(700, 4).lossy();
-        let cfg = EngineConfig::default().with_faults(plan).with_workers(2);
-        let mut p = DenseGossip { ttl: 6, ..mk(2) };
+        let cfg = sharded().with_faults(plan);
+        let mut p = mk(2);
         let report = crate::run_node_local(&g, &cfg, 1, &mut p).unwrap();
         let delivering = delivering_rounds(&p);
         assert!(0 < delivering && delivering < report.rounds, "{report:?}");
@@ -918,91 +791,38 @@ mod tests {
         let want = crate::run_node_local(&g, &cfg, 9, &mut seq).unwrap();
         assert_eq!((want.rounds, want.messages), (5, 5 * 576));
         let mut sha = mk();
-        let got = crate::run_node_local(&g, &cfg.clone().with_workers(4), 9, &mut sha).unwrap();
+        let cfg = cfg.with_executor(ExecutorKind::Sharded);
+        let got = crate::run_node_local(&g, &cfg, 9, &mut sha).unwrap();
         assert_eq!((&got, &sha.nodes), (&want, &seq.nodes));
         let balance = got.balance.unwrap();
-        assert_eq!(
-            (
-                balance.rounds_measured,
-                balance.rounds_inline,
-                balance.helpers_spawned
-            ),
-            (0, 5, 0),
-        );
+        assert_eq!((balance.rounds_measured, balance.rounds_inline), (0, 5));
     }
 
     #[test]
-    fn sharded_run_matches_sequential_bitwise() {
+    fn sharded_runs_every_handler_on_the_calling_thread_whatever_the_worker_count() {
         let g = generators::complete(48);
-        let cfg = EngineConfig::default();
+        let caller = thread::current().id();
         let mut seq = mk(48);
-        let r_seq = run_node_local_inline(&mut Scratch::default(), &g, &cfg, 11, &mut seq).unwrap();
-        assert!(r_seq.balance.is_none(), "sequential runs have no shards");
-        for threads in [1, 2, 3, 4, 16] {
+        let want = crate::run_node_local(&g, &EngineConfig::default(), 11, &mut seq).unwrap();
+        assert!(want.balance.is_none(), "sequential runs have no shards");
+        let mut first_balance = None;
+        for workers in [0, 1, 2, 16] {
+            let cfg = EngineConfig {
+                parallel_workers: workers,
+                ..sharded()
+            };
             let mut sha = mk(48);
-            let r_sha = ShardedExecutor::new(threads)
-                .run_node_local(&g, &cfg, 11, &mut sha)
-                .unwrap();
-            assert_eq!(r_seq, r_sha, "{threads} threads: report");
-            assert_eq!(seq.nodes, sha.nodes, "{threads} threads: node digests");
-        }
-    }
-
-    #[test]
-    fn sharded_run_spawns_its_helpers_once_however_many_rounds_it_shards() {
-        let g = generators::complete(48);
-        let cfg = EngineConfig::default();
-        let mk = || DenseGossip { ttl: 500, ..mk(48) };
-        let mut seq = mk();
-        let want = run_node_local_inline(&mut Scratch::default(), &g, &cfg, 13, &mut seq).unwrap();
-        assert_eq!(want.rounds, 500);
-        for threads in [1, 2, 3, 4, 16] {
-            let mut sha = mk();
-            let got = ShardedExecutor::new(threads)
-                .run_node_local(&g, &cfg, 13, &mut sha)
-                .unwrap();
-            assert_eq!((&got, &sha.nodes), (&want, &seq.nodes), "{threads} threads");
-            let balance = got.balance.unwrap();
+            let got = crate::run_node_local(&g, &cfg, 11, &mut sha).unwrap();
+            let mut handlers = sha.nodes.iter().flat_map(|d| &d.threads);
+            assert!(handlers.all(|&t| t == caller), "{workers} workers");
+            assert_eq!((&got, &sha.nodes), (&want, &seq.nodes), "{workers} workers");
+            let balance = got.balance.expect("sharded runs record balance");
+            assert_eq!(balance.rounds_measured, want.rounds, "every round shards");
             assert_eq!(
-                (balance.rounds_measured, balance.rounds_inline),
-                (500, 0),
-                "{threads} threads"
+                first_balance.get_or_insert_with(|| balance.clone()),
+                &balance
             );
-            assert_eq!(balance.helpers_spawned, threads - 1);
         }
-    }
-
-    #[test]
-    fn thread_counts_resolve() {
-        assert_eq!(ShardedExecutor::new(3).threads(), 3);
-        assert!(ShardedExecutor::new(0).threads() >= 1);
-    }
-
-    #[test]
-    fn shard_loads_are_thread_independent() {
-        // The recorded balance telemetry is a function of deliveries, not
-        // of the worker count.
-        let g = generators::complete(48);
-        let cfg = EngineConfig::default();
-        let mut p1 = mk(48);
-        let b1 = ShardedExecutor::new(1)
-            .run_node_local(&g, &cfg, 5, &mut p1)
-            .unwrap()
-            .balance
-            .unwrap();
-        let mut p4 = mk(48);
-        let b4 = ShardedExecutor::new(4)
-            .run_node_local(&g, &cfg, 5, &mut p4)
-            .unwrap()
-            .balance
-            .unwrap();
-        assert_eq!((b1.helpers_spawned, b4.helpers_spawned), (0, 3));
-        let b4 = WorkBalance {
-            helpers_spawned: 0,
-            ..b4
-        };
-        assert_eq!(b1, b4);
-        assert!(b1.rounds_measured >= 1, "{b1:?}");
     }
 
     #[test]
@@ -1011,9 +831,7 @@ mod tests {
         // come out nearly flat.
         let g = generators::complete(48);
         let mut p = mk(48);
-        let report = ShardedExecutor::new(2)
-            .run_node_local(&g, &EngineConfig::default(), 3, &mut p)
-            .unwrap();
+        let report = crate::run_node_local(&g, &sharded(), 3, &mut p).unwrap();
         let balance = report.balance.expect("sharded runs record balance");
         assert!(balance.rounds_measured >= 1, "{balance:?}");
         assert!(
@@ -1034,14 +852,9 @@ mod tests {
         // must own up to them, on top of what the round loop holds on
         // either backend.
         let g = generators::complete(48);
-        let cfg = EngineConfig::default();
-        let seq = run_node_local_inline(&mut Scratch::default(), &g, &cfg, 3, &mut mk(48))
-            .unwrap()
-            .memory;
-        let sha = ShardedExecutor::new(2)
-            .run_node_local(&g, &cfg, 3, &mut mk(48))
-            .unwrap()
-            .memory;
+        let run = |cfg: &EngineConfig| crate::run_node_local(&g, cfg, 3, &mut mk(48)).unwrap();
+        let seq = run(&EngineConfig::default()).memory;
+        let sha = run(&sharded()).memory;
         // Both backends hold the round loop's two alternating buffers;
         // the sharded one also holds a round's worth of shard buffers.
         let per_round = 2256 * std::mem::size_of::<(usize, Gossip)>();
@@ -1059,14 +872,11 @@ mod tests {
         // A path carries one message per round: never enough to shard.
         let g = generators::path(16);
         let mut p = DenseGossip { ttl: 3, ..mk(16) };
-        let report = ShardedExecutor::new(0)
-            .run_node_local(&g, &EngineConfig::default(), 1, &mut p)
-            .unwrap();
+        let report = crate::run_node_local(&g, &sharded(), 1, &mut p).unwrap();
         let balance = report.balance.expect("sharded runs record balance");
         assert_eq!(balance.rounds_measured, 0);
         assert_eq!(balance.rounds_inline, report.rounds);
         assert_eq!(balance.worst_max_over_mean, 0.0);
-        assert_eq!(balance.helpers_spawned, 0);
     }
 
     #[test]

@@ -35,13 +35,14 @@
 //! queue (one `Vec` of `(edge id, message)` pairs, ascending by edge);
 //! a backend only decides how the receive phase of a
 //! [`NodeLocalProtocol`] is run. [`ExecutorKind::Sequential`], the
-//! reference, visits receiving nodes in ascending order on one thread;
-//! [`ExecutorKind::Sharded`] ([`ShardedExecutor`]) cuts heavy rounds
-//! into load-balanced shards that OS threads claim, and merges their
-//! sends back in node order. The two are **bit-identical**: same graph
-//! and seed ⇒ same [`RunReport`], same protocol results — the choice
-//! ([`EngineConfig::executor`]) only changes wall-clock time. A plain
-//! [`Protocol`] runs the sequential discipline under either.
+//! reference, visits receiving nodes in ascending order;
+//! [`ExecutorKind::Sharded`] cuts heavy rounds into load-balanced
+//! shards, runs them in shard order, and merges their sends back in node
+//! order. Both run on the calling thread. The two are
+//! **bit-identical**: same graph and seed ⇒ same [`RunReport`], same
+//! protocol results — the choice ([`EngineConfig::executor`]) only
+//! changes wall-clock time and the shard telemetry. A plain [`Protocol`]
+//! runs the sequential discipline under either.
 //!
 //! # Example
 //!
@@ -79,10 +80,7 @@
 //! assert_eq!(report.rounds, 4);
 //! ```
 
-// `deny`, not `forbid`: the sharded backend lends round-scoped borrows
-// to run-scoped threads through one lifetime-erased pointer, and that
-// one function (`executor::pool::Pool::work`) opts back in.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod engine;
@@ -99,7 +97,7 @@ mod runner;
 pub use engine::{
     run_node_local, run_protocol, EngineConfig, MemoryReport, RunError, RunReport, WorkBalance,
 };
-pub use executor::{ExecutorKind, ScriptedSchedule, ShardedExecutor};
+pub use executor::{run_node_local_scripted, ExecutorKind, ScriptedSchedule};
 pub use fault::{FaultCounters, FaultPlan, ScriptedTiming};
 pub use message::{
     wire_type_name, Envelope, FieldCensus, FracBits, Message, TypeCensus, TypeRecorder, WireCensus,

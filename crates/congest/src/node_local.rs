@@ -4,13 +4,12 @@
 //! A [`crate::Protocol`] receives `&mut self` in
 //! [`crate::Protocol::on_receive`], so nothing stops an implementation
 //! from coupling nodes' states — which is exactly why the engine cannot
-//! shard it across threads. A [`NodeLocalProtocol`] makes the CONGEST
-//! locality discipline *structural*: per-node state lives in a
-//! `&mut [NodeState]` slice, the per-node handler is an associated
-//! function that sees only one node's state (plus immutable
-//! [`NodeLocalProtocol::Shared`] data and a node-scoped [`NodeCtx`]),
-//! and the borrow checker now proves what the docs used to merely
-//! request.
+//! shard it. A [`NodeLocalProtocol`] makes the CONGEST locality
+//! discipline *structural*: per-node state lives in a `&mut [NodeState]`
+//! slice, the per-node handler is an associated function that sees only
+//! one node's state (plus immutable [`NodeLocalProtocol::Shared`] data
+//! and a node-scoped [`NodeCtx`]), and the borrow checker now proves
+//! what the docs used to merely request.
 //!
 //! Under [`crate::ExecutorKind::Sequential`] the same handlers run
 //! inline in ascending node order, and both backends produce
@@ -124,7 +123,7 @@ impl<'a, M: Message> NodeCtx<'a, M> {
 
 /// A CONGEST protocol whose receive phase is node-local *by
 /// construction*, which is what lets [`crate::ExecutorKind::Sharded`]
-/// run it across threads.
+/// cut it into shards.
 ///
 /// Lifecycle (identical to [`crate::Protocol`], with the receive phase split
 /// per node):
@@ -132,19 +131,19 @@ impl<'a, M: Message> NodeCtx<'a, M> {
 /// 1. [`NodeLocalProtocol::start`] runs once with the full [`Ctx`];
 /// 2. each round, after delivery, [`NodeLocalProtocol::on_round`] runs
 ///    once globally, then [`NodeLocalProtocol::on_receive_local`] runs
-///    for every node with a nonempty inbox — possibly concurrently,
-///    which is sound because the handler is an associated function that
-///    can only reach one node's `NodeState`, the node's own RNG stream,
-///    and the immutable `Shared` data — then
+///    for every node with a nonempty inbox — in any shard order, which
+///    cannot change the result because the handler is an associated
+///    function that can only reach one node's `NodeState`, the node's
+///    own RNG stream, and the immutable `Shared` data — then
 ///    [`NodeLocalProtocol::after_receive`] runs once globally;
 /// 3. quiescence and [`NodeLocalProtocol::is_done`] end the run.
 pub trait NodeLocalProtocol {
-    /// The message type (must cross threads under the sharded backend).
-    type Msg: Message + Send;
+    /// The message type.
+    type Msg: Message;
     /// Immutable data every node handler may read during a round.
-    type Shared: Sync;
+    type Shared;
     /// One node's private state.
-    type NodeState: Send;
+    type NodeState;
 
     /// Seeds the initial messages (round 0, sequential).
     fn start(&mut self, ctx: &mut Ctx<'_, Self::Msg>);

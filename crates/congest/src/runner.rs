@@ -7,8 +7,8 @@
 //! the parts; [`Runner`] does that bookkeeping and derives a fresh RNG
 //! stream per part.
 
-use crate::engine::{run_node_local_in, EngineConfig, RunError, RunReport};
-use crate::executor::{run_rounds, PlainReceive, Scratch};
+use crate::engine::{EngineConfig, RunError, RunReport};
+use crate::executor::{run_node_local_in, run_rounds, PlainReceive, Scratch};
 use crate::fault::FaultCounters;
 use crate::node_local::NodeLocalProtocol;
 use crate::protocol::Protocol;

@@ -413,7 +413,7 @@ mod tests {
         let mut seq_state = WalkState::new(g.n());
         let mut par_state = WalkState::new(g.n());
         let seq_cfg = EngineConfig::default();
-        let par_cfg = EngineConfig::default().with_workers(2);
+        let par_cfg = EngineConfig::default().with_executor(drw_congest::ExecutorKind::Sharded);
         let mut p_seq = ShortWalksProtocol::new(&mut seq_state, counts.clone(), 16, true);
         let r_seq = run_node_local(&g, &seq_cfg, 42, &mut p_seq).unwrap();
         let mut p_par = ShortWalksProtocol::new(&mut par_state, counts, 16, true);

@@ -3,8 +3,8 @@
 use distributed_random_walks::prelude::*;
 use drw_congest::primitives::{BfsTreeProtocol, UpcastMsg, UpcastProtocol, VectorSumProtocol};
 use drw_congest::{
-    run_node_local, run_protocol, Ctx, Envelope, FaultPlan, Mux2, NodeCtx, NodeLocalProtocol,
-    RunError, Runner, ScriptedSchedule, ScriptedTiming, ShardedExecutor,
+    run_node_local, run_node_local_scripted, run_protocol, Ctx, Envelope, FaultPlan, Mux2, NodeCtx,
+    NodeLocalProtocol, RunError, Runner, ScriptedSchedule, ScriptedTiming,
 };
 use drw_core::short_walks::ShortWalksProtocol;
 use drw_core::{StitchScheduler, StitchSetup, WalkState};
@@ -317,7 +317,7 @@ fn mux2_words_pinned_under_item_level_schedules() {
                 (0..c).map(|i| (i + k) % c).collect()
             }),
         };
-        let r = ShardedExecutor::run_node_local_scripted(&g, &cfg, 43, &mut p, schedule).unwrap();
+        let r = run_node_local_scripted(&g, &cfg, 43, &mut p, schedule).unwrap();
         assert_eq!(r.max_edge_words_per_round, 3, "rotation {rot}");
         // Bit-identity: report and per-node digests must not see the
         // item schedule. (Balance telemetry is executor-specific.)

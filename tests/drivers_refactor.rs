@@ -364,7 +364,8 @@ fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
     let golden: WaveGolden = (vec![97, 255, 143, 8, 194, 208], 1087, 0, 0xd8917fab054d8dce);
     let (seq, _) = mixed_wave(32, EngineConfig::default(), true);
     assert_eq!(seq, golden, "sequential mixed wave drifted");
-    let (par, sharded) = mixed_wave(32, EngineConfig::default().with_workers(2), true);
+    let sharded_cfg = EngineConfig::default().with_executor(ExecutorKind::Sharded);
+    let (par, sharded) = mixed_wave(32, sharded_cfg, true);
     assert!(sharded, "the 32x32 wave must really fan out into shards");
     assert_eq!(par, golden, "sharded mixed wave drifted");
 

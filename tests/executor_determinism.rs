@@ -1,6 +1,5 @@
-//! Acceptance test for the executor backends: the sharded
-//! work-stealing backend must produce results
-//! **bit-identical** to the sequential reference — identical run
+//! Acceptance test for the executor backends: the sharded backend must
+//! produce results **bit-identical** to the sequential reference — identical run
 //! statistics, identical walk outputs, identical per-node state — for
 //! the same graph and seed, across graph families.
 
@@ -146,12 +145,11 @@ fn many_walks_are_identical_across_backends() {
 }
 
 /// Batched `MANY-RANDOM-WALKS` — the one multiplexed Phase-2 run — is
-/// bit-identical between the sequential backend and the parallel
-/// backend at forced worker counts of 2, 4 and 16: destinations, round
-/// and message counts, per-walk stitch traces, connector visits and
-/// the leftover store all agree exactly.
+/// bit-identical between the sequential and the sharded backend:
+/// destinations, round and message counts, per-walk stitch traces,
+/// connector visits and the leftover store all agree exactly.
 #[test]
-fn batched_many_walks_identical_across_worker_counts() {
+fn batched_many_walks_identical_across_backends() {
     for (name, g) in graph_families() {
         let sources: Vec<usize> = (0..8).map(|i| (i * 11) % g.n()).collect();
         let base = many_random_walks(
@@ -163,13 +161,10 @@ fn batched_many_walks_identical_across_worker_counts() {
         )
         .expect("sequential");
         assert!(!base.used_naive_fallback, "{name}: want the stitched path");
-        for workers in [2usize, 4, 16] {
-            let cfg = SingleWalkConfig {
-                engine: EngineConfig::default().with_workers(workers),
-                ..SingleWalkConfig::default()
-            };
-            let par = many_random_walks(&g, &sources, 1024, &cfg, 13).expect("sharded");
-            let tag = format!("{name}, {workers} workers");
+        for alt in ALT_BACKENDS {
+            let par = many_random_walks(&g, &sources, 1024, &config_with(alt, false), 13)
+                .expect("alternate backend");
+            let tag = format!("{name} vs {}", alt.name());
             assert_eq!(base.destinations, par.destinations, "{tag}: destinations");
             assert_eq!(base.rounds, par.rounds, "{tag}: rounds");
             assert_eq!(base.messages, par.messages, "{tag}: messages");
@@ -186,11 +181,11 @@ fn batched_many_walks_identical_across_worker_counts() {
 
 /// Fault injection lives in the executors' *shared* delivery path, so a
 /// faulty run — drops, delays and reorders all active — must stay
-/// bit-identical across every backend and forced worker count:
-/// identical destinations, rounds, messages, stitch traces and per-node
-/// state. The fault schedule is part of the determinism contract.
+/// bit-identical across backends: identical destinations, rounds,
+/// messages, stitch traces and per-node state. The fault schedule is
+/// part of the determinism contract.
 #[test]
-fn faulty_runs_are_identical_across_backends_and_worker_counts() {
+fn faulty_runs_are_identical_across_backends() {
     use drw_congest::FaultPlan;
     let plan = FaultPlan::new(0xFA17)
         .with_drops(40)
@@ -206,21 +201,6 @@ fn faulty_runs_are_identical_across_backends_and_worker_counts() {
             cfg.engine = cfg.engine.with_faults(plan);
             let par = many_random_walks(&g, &sources, 768, &cfg, 23).expect("faulty alternate");
             let tag = format!("{name} under faults vs {}", alt.name());
-            assert_eq!(base.destinations, par.destinations, "{tag}: destinations");
-            assert_eq!(base.rounds, par.rounds, "{tag}: rounds");
-            assert_eq!(base.messages, par.messages, "{tag}: messages");
-            assert_eq!(base.segments, par.segments, "{tag}: stitch traces");
-            assert_states_match(&tag, &base.state, &par.state);
-        }
-        for workers in [2usize, 4, 16] {
-            let cfg = SingleWalkConfig {
-                engine: EngineConfig::default()
-                    .with_workers(workers)
-                    .with_faults(plan),
-                ..SingleWalkConfig::default()
-            };
-            let par = many_random_walks(&g, &sources, 768, &cfg, 23).expect("faulty workers");
-            let tag = format!("{name} under faults, {workers} workers");
             assert_eq!(base.destinations, par.destinations, "{tag}: destinations");
             assert_eq!(base.rounds, par.rounds, "{tag}: rounds");
             assert_eq!(base.messages, par.messages, "{tag}: messages");
@@ -313,7 +293,7 @@ fn kept_scratch_is_invisible_across_runs_types_early_exits_and_rebind() {
     };
     for cfg in [
         EngineConfig::default(),
-        EngineConfig::default().with_workers(2),
+        EngineConfig::default().with_executor(ExecutorKind::Sharded),
     ] {
         let topo = Topology::new(generators::torus2d(4, 4));
         let mut runner = Runner::on(topo.snapshot(), cfg.clone(), 5);

@@ -209,9 +209,7 @@ fn visits_are_identical_when_sharded_and_complete_under_faults() {
         )
     };
     let sequential = run(&EngineConfig::default());
-    let sharded = EngineConfig::default()
-        .with_executor(ExecutorKind::Sharded)
-        .with_workers(2);
+    let sharded = EngineConfig::default().with_executor(ExecutorKind::Sharded);
     assert_eq!(run(&sharded), sequential);
     // The CI smoke plan (`DRW_FAULTS=smoke`): healed drops, delays and
     // reorders move rounds, never a visit out of place.

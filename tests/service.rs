@@ -55,28 +55,23 @@ fn digest(run: &TraceRun, svc: &Service) -> String {
 
 /// The determinism contract, extended to the service: a given
 /// `(trace, seed, executor)` triple yields bit-identical completions,
-/// timelines and bills on the sequential backend and on the sharded
-/// backend at several worker counts.
+/// timelines and bills on the sequential and the sharded backend.
 #[test]
 fn trace_service_is_identical_across_executors() {
     let g = generators::torus2d(6, 6);
     let trace = mixed_trace(g.n(), 6, 3, 18, 0xE17);
-    let cfg = |engine: EngineConfig| SingleWalkConfig {
-        engine,
+    let cfg = |executor: ExecutorKind| SingleWalkConfig {
+        engine: EngineConfig::default().with_executor(executor),
         ..SingleWalkConfig::default()
     };
-    let (seq_run, seq_svc) = serve(&g, &trace, cfg(EngineConfig::default()), 99);
-    let reference = digest(&seq_run, &seq_svc);
+    let (seq_run, seq_svc) = serve(&g, &trace, cfg(ExecutorKind::Sequential), 99);
     assert!(seq_svc.report().reconciles());
-    for workers in [1, 2, 4, 16] {
-        let sharded = cfg(EngineConfig::default().with_workers(workers));
-        let (run, svc) = serve(&g, &trace, sharded, 99);
-        assert_eq!(
-            digest(&run, &svc),
-            reference,
-            "sharded at {workers} workers diverged from sequential"
-        );
-    }
+    let (run, svc) = serve(&g, &trace, cfg(ExecutorKind::Sharded), 99);
+    assert_eq!(
+        digest(&run, &svc),
+        digest(&seq_run, &seq_svc),
+        "sharded diverged from sequential"
+    );
 }
 
 /// Deficit round-robin must not let a hog tenant starve a light one:
