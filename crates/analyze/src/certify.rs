@@ -26,9 +26,7 @@ use drw_congest::primitives::{
     AggOp, BfsTreeProtocol, BroadcastProtocol, ConvergecastProtocol, UpcastMsg, UpcastProtocol,
     VectorSumProtocol,
 };
-use drw_congest::{
-    run_node_local, run_protocol, Ctx, EngineConfig, Envelope, Mux, Runner, WireCensus,
-};
+use drw_congest::{run_protocol, Ctx, EngineConfig, Envelope, Mux, Runner, WireCensus};
 use drw_core::metropolis::MetropolisWalkProtocol;
 use drw_core::naive::{NaiveWalkProtocol, NaiveWalkSpec};
 use drw_core::{ShortWalksProtocol, StitchScheduler, StitchSetup, WalkState};
@@ -112,8 +110,8 @@ pub struct CertSchedules {
     pub item_space: String,
     /// Whether the item-order bug injection was caught.
     pub item_bug_detected: bool,
-    /// Scripted fault timings swept (each backend-independent and
-    /// ledger-conserving).
+    /// Scripted fault timings swept (each identical in order and
+    /// scripted, and ledger-conserving).
     pub timing_swept: u64,
     /// Distinct end states across the swept timings (≥ 2 proves the
     /// timing knob moves faults).
@@ -245,7 +243,7 @@ pub fn run_census() -> Result<WireCensus, String> {
     {
         let mut p = ShortWalksProtocol::new(&mut state, vec![2; n], 6, true);
         census.merge(
-            &run_node_local(&g, &cfg, SEED + 5, &mut p)
+            &run_protocol(&g, &cfg, SEED + 5, &mut p)
                 .map_err(|e| err(&e))?
                 .wire,
         );
@@ -297,7 +295,7 @@ pub fn run_census() -> Result<WireCensus, String> {
         let mut runner = Runner::new(&g, cfg.clone(), SEED + 11);
         let mut st = WalkState::new(n);
         let mut p1 = ShortWalksProtocol::new(&mut st, vec![4; n], 8, true);
-        census.merge(&runner.run_local(&mut p1).map_err(|e| err(&e))?.wire);
+        census.merge(&runner.run(&mut p1).map_err(|e| err(&e))?.wire);
         let setup = StitchSetup {
             lambda: 8,
             randomize_len: true,

@@ -1,7 +1,7 @@
 //! Pass 2 — determinism lint and SAFETY audit.
 //!
-//! The repeatability contract (same graph, same seed, same report on
-//! every executor) only holds if protocol code never consults ambient
+//! The repeatability contract (same graph, same seed, same report,
+//! whatever ran before) only holds if protocol code never consults ambient
 //! nondeterminism. This pass bans the usual suspects at the token
 //! level in the protocol and algorithm crates (`drw-congest`,
 //! `drw-core`, `drw-graph`, `drw-spanning`, `drw-mixing`,

@@ -1,16 +1,16 @@
 //! Pass 3 — exhaustive interleaving checker (a miniature loom).
 //!
-//! The sharded executor cuts a round's receive phase into shards, each
-//! staging into its own buffer. The merge contract says the order the
-//! shards run in never shows: staging buffers are merged in *shard*
-//! order, not run order, so every order is observationally sequential.
+//! [`drw_congest::run_scripted`] cuts a round's receive phase into
+//! shards, runs them in a scripted order, each staging into its own
+//! buffer, and merges the buffers in *shard* order. For a protocol whose
+//! handlers are node-local, the order the shards run in never shows, so
+//! every order is observationally the in-order run.
 //!
 //! This pass turns that contract into a bounded model check. It runs a
 //! real protocol (Phase-1 short walks) on a small torus through
-//! [`run_node_local_scripted`], enumerating distinct shard-claim
-//! schedules and asserting each run's [`RunReport`] and final
-//! walk-state digest are identical to the sequential reference
-//! executor's.
+//! `run_scripted`, enumerating distinct shard-claim schedules and
+//! asserting each run's [`RunReport`] and final walk-state digest are
+//! identical to the in-order run's ([`run_protocol`]).
 //!
 //! ## Schedule enumeration
 //!
@@ -23,13 +23,13 @@
 //! on the default 4×4 torus the space is astronomically larger than
 //! any budget, so every budgeted index runs.
 //!
-//! The checker also validates *itself*: with the executor's
+//! The checker also validates *itself*: with the scripted run's
 //! `merge_in_claim_order` bug-injection knob it reintroduces the
 //! classic staging-merge race and must observe a divergence — proof
 //! that the harness can detect the failure class it guards against.
 
 use drw_congest::{
-    run_node_local, run_node_local_scripted, EngineConfig, FaultPlan, RunReport, ScriptedSchedule,
+    run_protocol, run_scripted, EngineConfig, FaultPlan, RunReport, ScriptedSchedule,
     ScriptedTiming,
 };
 use drw_core::{ShortWalksProtocol, WalkState};
@@ -50,8 +50,8 @@ pub struct InterleaveParams {
     pub seed: u64,
     /// Maximum number of distinct schedules to execute.
     pub budget: u64,
-    /// Shard-sizing override so small graphs still fan out into many
-    /// shards per round (production uses 256 messages per shard).
+    /// Messages per shard, small so that small graphs still fan out
+    /// into many shards per round.
     pub msgs_per_shard: u64,
 }
 
@@ -81,7 +81,7 @@ pub struct InterleaveOutcome {
     /// Largest shard count of any round.
     pub max_shards: usize,
     /// Schedules whose report or walk-state digest diverged from the
-    /// sequential reference. Zero on a healthy executor.
+    /// in-order reference. Zero on a node-local protocol.
     pub divergent: u64,
 }
 
@@ -121,23 +121,23 @@ fn engine_cfg(plan: Option<FaultPlan>) -> EngineConfig {
     }
 }
 
-/// One run on the sequential reference backend.
-fn run_sequential(p: &InterleaveParams, plan: Option<FaultPlan>) -> Result<Observed, String> {
+/// One in-order run: the reference.
+fn run_in_order(p: &InterleaveParams, plan: Option<FaultPlan>) -> Result<Observed, String> {
     let cfg = engine_cfg(plan);
     observe(p, |g, proto| {
-        run_node_local(g, &cfg, p.seed, proto).map_err(|e| e.to_string())
+        run_protocol(g, &cfg, p.seed, proto).map_err(|e| e.to_string())
     })
 }
 
-fn run_scripted(
+fn claims(
     p: &InterleaveParams,
     merge_in_claim_order: bool,
     order: &mut dyn FnMut(u64, usize) -> Vec<usize>,
 ) -> Result<Observed, String> {
-    run_scripted_items(p, merge_in_claim_order, false, order, None)
+    claims_and_items(p, merge_in_claim_order, false, order, None)
 }
 
-fn run_scripted_items<'a>(
+fn claims_and_items<'a>(
     p: &InterleaveParams,
     merge_in_claim_order: bool,
     scramble_item_order: bool,
@@ -152,7 +152,7 @@ fn run_scripted_items<'a>(
         item_order,
     };
     observe(p, |g, proto| {
-        run_node_local_scripted(g, &EngineConfig::default(), p.seed, proto, schedule)
+        run_scripted(g, &EngineConfig::default(), p.seed, proto, schedule)
             .map_err(|e| e.to_string())
     })
 }
@@ -199,19 +199,19 @@ fn unrank(mut k: u128, s: usize) -> Vec<usize> {
 /// engine failure; `Ok` carries the coverage statistics (with
 /// `divergent == 0`).
 pub fn exhaustive_check(p: &InterleaveParams) -> Result<InterleaveOutcome, String> {
-    let baseline = run_sequential(p, None)?;
+    let baseline = run_in_order(p, None)?;
 
     // Probe pass: identity schedule, recording each round's shard
-    // count. Doubles as the cross-executor conformance check.
+    // count. Doubles as the scripted-vs-in-order conformance check.
     let mut shard_counts: Vec<usize> = Vec::new();
-    let probe = run_scripted(p, false, &mut |_round, s| {
+    let probe = claims(p, false, &mut |_round, s| {
         shard_counts.push(s);
         (0..s).collect()
     })?;
     if probe != baseline {
         return Err(format!(
-            "sharded executor (identity schedule) diverged from the sequential \
-             reference: sequential report {:?} vs sharded {:?}",
+            "scripted run (identity schedule) diverged from the in-order \
+             reference: in-order report {:?} vs scripted {:?}",
             baseline.report, probe.report
         ));
     }
@@ -230,7 +230,7 @@ pub fn exhaustive_check(p: &InterleaveParams) -> Result<InterleaveOutcome, Strin
             break; // space exhausted: every schedule has been run
         }
         let mut rem: u128 = i as u128;
-        let outcome = run_scripted(p, false, &mut |_round, s| {
+        let outcome = claims(p, false, &mut |_round, s| {
             let f = factorial(s);
             let k = rem % f;
             rem /= f;
@@ -249,7 +249,7 @@ pub fn exhaustive_check(p: &InterleaveParams) -> Result<InterleaveOutcome, Strin
     }
     if let Some(msg) = first_divergence {
         return Err(format!(
-            "{divergent} of {schedules_run} schedules diverged from the sequential \
+            "{divergent} of {schedules_run} schedules diverged from the in-order \
              reference — first: {msg}"
         ));
     }
@@ -267,13 +267,13 @@ pub fn exhaustive_check(p: &InterleaveParams) -> Result<InterleaveOutcome, Strin
 /// detect the race class it exists for. Returns the number of
 /// schedules tried and whether a divergence was observed.
 pub fn bug_injection_detects(p: &InterleaveParams, tries: u64) -> Result<(u64, bool), String> {
-    let baseline = run_sequential(p, None)?;
+    let baseline = run_in_order(p, None)?;
     let mut tried = 0u64;
     for i in 0..tries {
         // Walk the schedule space from the far end: reversed-ish
         // permutations maximally disturb the merge order.
         let mut rem: u128 = i as u128;
-        let outcome = run_scripted(p, true, &mut |_round, s| {
+        let outcome = claims(p, true, &mut |_round, s| {
             let f = factorial(s);
             let k = rem % f;
             rem /= f;
@@ -294,7 +294,7 @@ pub fn bug_injection_detects(p: &InterleaveParams, tries: u64) -> Result<(u64, b
 /// The item-level schedule space sits *inside* the claim-level one:
 /// with the shard-claim order pinned to identity, schedule `i` permutes
 /// the order in which work items (receiving nodes) are processed within
-/// each claimed shard. The executor contract says this order is also
+/// each claimed shard. The merge contract says this order is also
 /// unobservable: each item sends only from its own node, so no two
 /// items in a shard share a directed edge, and the staging sort is a
 /// stable per-edge sort — per-edge FIFO cannot depend on item order.
@@ -310,8 +310,8 @@ pub struct ItemInterleaveOutcome {
     pub permutable_shards: usize,
     /// Largest item count of any shard visit.
     pub max_items: usize,
-    /// Schedules whose report or digest diverged from the sequential
-    /// reference. Zero on a healthy executor.
+    /// Schedules whose report or digest diverged from the in-order
+    /// reference. Zero on a node-local protocol.
     pub divergent: u64,
 }
 
@@ -320,16 +320,16 @@ pub struct ItemInterleaveOutcome {
 /// distinct permutations decoded positionally from the schedule index
 /// (factorial number system per shard visit — distinct index ⇒
 /// distinct schedule). Every schedule must be bit-identical to the
-/// sequential reference.
+/// in-order reference.
 pub fn item_exhaustive_check(p: &InterleaveParams) -> Result<ItemInterleaveOutcome, String> {
-    let baseline = run_sequential(p, None)?;
+    let baseline = run_in_order(p, None)?;
 
     // Probe pass: identity claim + item orders, recording each shard
     // visit's item count. Claim order is identity on every run, so the
     // sequence of (round, shard, item-count) visits is reproducible and
     // the positional decode below is well-defined.
     let mut item_counts: Vec<usize> = Vec::new();
-    let probe = run_scripted_items(
+    let probe = claims_and_items(
         p,
         false,
         false,
@@ -341,8 +341,8 @@ pub fn item_exhaustive_check(p: &InterleaveParams) -> Result<ItemInterleaveOutco
     )?;
     if probe != baseline {
         return Err(format!(
-            "sharded executor (identity item schedule) diverged from the \
-             sequential reference: sequential report {:?} vs sharded {:?}",
+            "scripted run (identity item schedule) diverged from the \
+             in-order reference: in-order report {:?} vs scripted {:?}",
             baseline.report, probe.report
         ));
     }
@@ -361,7 +361,7 @@ pub fn item_exhaustive_check(p: &InterleaveParams) -> Result<ItemInterleaveOutco
             break; // space exhausted: every item schedule has been run
         }
         let mut rem: u128 = i as u128;
-        let outcome = run_scripted_items(
+        let outcome = claims_and_items(
             p,
             false,
             false,
@@ -387,7 +387,7 @@ pub fn item_exhaustive_check(p: &InterleaveParams) -> Result<ItemInterleaveOutco
     if let Some(msg) = first_divergence {
         return Err(format!(
             "{divergent} of {schedules_run} item schedules diverged from the \
-             sequential reference — first: {msg}"
+             in-order reference — first: {msg}"
         ));
     }
     Ok(ItemInterleaveOutcome {
@@ -399,20 +399,20 @@ pub fn item_exhaustive_check(p: &InterleaveParams) -> Result<ItemInterleaveOutco
     })
 }
 
-/// Item-level self-validation: with the executor's
+/// Item-level self-validation: with the scripted run's
 /// `scramble_item_order` bug knob on (an out-of-position item's staged
 /// sends are reversed), some schedule must diverge — the divergence
 /// needs an item that sends ≥ 2 messages over one edge, which the
 /// short-walk workload produces whenever a node forwards two tokens to
 /// the same neighbour. Returns (schedules tried, divergence seen).
 pub fn item_bug_injection_detects(p: &InterleaveParams, tries: u64) -> Result<(u64, bool), String> {
-    let baseline = run_sequential(p, None)?;
+    let baseline = run_in_order(p, None)?;
     let mut tried = 0u64;
     for i in 0..tries {
         // Reversed item permutations put every item of a ≥2-item shard
         // out of position, arming the scramble on all of them.
         let mut rem: u128 = i as u128;
-        let outcome = run_scripted_items(
+        let outcome = claims_and_items(
             p,
             false,
             true,
@@ -439,8 +439,9 @@ pub fn item_bug_injection_detects(p: &InterleaveParams, tries: u64) -> Result<(u
 /// Scripted fault timing ([`ScriptedTiming`]) permutes which of a
 /// round's delivery attempts a fault plan's drop/delay budget lands on,
 /// without changing the per-round fate multiset. Timing index 0 is the
-/// identity (bit-identical to the unscripted plan); every index must be
-/// backend-independent and keep the ARQ ledger conserved
+/// identity (bit-identical to the unscripted plan); every index must
+/// give the same result in order and scripted, and keep the ARQ ledger
+/// conserved
 /// (`dropped == retransmitted` once the run completes).
 #[derive(Debug)]
 pub struct FaultTimingOutcome {
@@ -449,8 +450,8 @@ pub struct FaultTimingOutcome {
     /// Distinct end-state digests across the swept timings — evidence
     /// the schedule knob actually moves faults (≥ 2 on a lossy plan).
     pub distinct_outcomes: usize,
-    /// Timings where the backends disagreed or the retransmit ledger
-    /// failed conservation. Zero on a healthy engine.
+    /// Timings where the scripted and in-order runs disagreed or the
+    /// retransmit ledger failed conservation. Zero on a healthy engine.
     pub divergent: u64,
 }
 
@@ -460,13 +461,13 @@ fn timing_plan(seed: u64) -> FaultPlan {
 }
 
 /// Sweeps `count` scripted fault timings. Per timing, the retransmit
-/// ledger must conserve (`dropped == retransmitted`) and the sharded
-/// receive path (identity shard order, `p.msgs_per_shard` sizing) must
-/// be bit-identical to the sequential reference; index 0 must reproduce
-/// the unscripted baseline exactly.
+/// ledger must conserve (`dropped == retransmitted`) and the scripted
+/// receive (identity shard order, `p.msgs_per_shard` sizing) must be
+/// bit-identical to the in-order reference; index 0 must reproduce the
+/// unscripted baseline exactly.
 pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimingOutcome, String> {
     let plan = timing_plan(p.seed ^ 0x5EED_FA17);
-    let baseline = run_sequential(p, Some(plan))?;
+    let baseline = run_in_order(p, Some(plan))?;
     if baseline.report.faults.total() == 0 {
         return Err("fault plan injected nothing; the sweep would be vacuous".into());
     }
@@ -475,7 +476,7 @@ pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimin
     let mut timings_run = 0u64;
     for index in 0..count {
         let timed = plan.with_timing(ScriptedTiming::new(index));
-        let seq = run_sequential(p, Some(timed))?;
+        let seq = run_in_order(p, Some(timed))?;
         if index == 0 && seq != baseline {
             return Err(format!(
                 "timing index 0 is not the identity: report {:?} vs baseline {:?}",
@@ -493,12 +494,12 @@ pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimin
         let sharded = observe(p, |g, proto| {
             let identity = &mut |_round, s| (0..s).collect();
             let schedule = ScriptedSchedule::new(p.msgs_per_shard, identity);
-            run_node_local_scripted(g, &cfg, p.seed, proto, schedule).map_err(|e| e.to_string())
+            run_scripted(g, &cfg, p.seed, proto, schedule).map_err(|e| e.to_string())
         })?;
         if sharded != seq {
             return Err(format!(
-                "timing #{index}: sharded receive path diverged from the sequential \
-                 reference: sequential report {:?} vs sharded {:?}",
+                "timing #{index}: scripted receive diverged from the in-order \
+                 reference: in-order report {:?} vs scripted {:?}",
                 seq.report, sharded.report
             ));
         }
@@ -529,7 +530,7 @@ pub fn timing_bug_injection_detects(
             index,
             ledger_misses_moved: true,
         });
-        let got = run_sequential(p, Some(timed))?;
+        let got = run_in_order(p, Some(timed))?;
         tried += 1;
         if got.report.faults.retransmitted < got.report.faults.dropped {
             return Ok((tried, true));

@@ -262,8 +262,8 @@ fn main() -> ExitCode {
                 println!(
                     "drw-analyze: interleaving check: {schedules_run} distinct shard-claim \
                      schedules of {} on a {}x{} torus ({sharded_rounds} sharded rounds, up \
-                     to {max_shards} shards/round){}, all bit-identical to the sequential \
-                     reference",
+                     to {max_shards} shards/round){}, all bit-identical to the in-order \
+                     run",
                     space_str(schedule_space),
                     opts.interleave.rows,
                     opts.interleave.cols,
@@ -277,9 +277,8 @@ fn main() -> ExitCode {
         }
 
         // Item-level sweep: same claim order, permuted message order
-        // within each claimed shard. Small shards (production-sized
-        // shards hold hundreds of messages) so single shards carry
-        // permutable item counts.
+        // within each claimed shard. Shards of four messages, so single
+        // shards carry permutable item counts.
         let mut item_params = opts.interleave.clone();
         item_params.budget = opts.item_budget.unwrap_or(opts.interleave.budget);
         item_params.msgs_per_shard = 4;
@@ -288,7 +287,7 @@ fn main() -> ExitCode {
                 println!(
                     "drw-analyze: item-order check: {} distinct within-shard item \
                      schedules of {} ({} permutable shard visits, up to {} items/shard){}, \
-                     all bit-identical to the sequential reference",
+                     all bit-identical to the in-order run",
                     out.schedules_run,
                     space_str(out.schedule_space),
                     out.permutable_shards,
@@ -307,7 +306,7 @@ fn main() -> ExitCode {
                 println!(
                     "drw-analyze: fault-timing check: {} scripted timings swept \
                      ({} distinct end states), every timing bit-identical across \
-                     the sequential and sharded receive paths",
+                     the in-order and scripted receive",
                     out.timings_run, out.distinct_outcomes,
                 );
             }

@@ -1,15 +1,13 @@
-//! Engine configuration, run statistics, and the executor dispatch.
+//! Engine configuration, run statistics, and the [`run_protocol`]
+//! entry point.
 //!
 //! The round loop itself lives in [`crate::executor`]; this module owns
 //! what every run shares — [`EngineConfig`], [`RunReport`],
-//! [`RunError`] — and the [`run_protocol`] / [`run_node_local`] entry
-//! points that pick the receive phase: by protocol trait, then by
-//! [`EngineConfig::executor`].
+//! [`RunError`].
 
-use crate::executor::{run_node_local_in, run_rounds, ExecutorKind, PlainReceive, Scratch};
+use crate::executor::{run_rounds, ExecutorKind, Scratch};
 use crate::fault::{FaultCounters, FaultPlan};
 use crate::message::WireCensus;
-use crate::node_local::NodeLocalProtocol;
 use crate::protocol::Protocol;
 use drw_graph::Graph;
 use std::fmt;
@@ -32,17 +30,17 @@ pub struct EngineConfig {
     /// (edge, round) pair, how many messages were delivered (index = load,
     /// clamped to the histogram's last bucket). Costs a little time.
     pub record_edge_loads: bool,
-    /// Which backend runs the receive phase of node-local protocols.
-    /// Sequential and sharded runs are bit-identical; this only affects
-    /// wall-clock time and the shard telemetry.
+    /// The round-executor backend. There is one
+    /// ([`ExecutorKind::Sequential`]); the field stays so that
+    /// configurations which name a backend keep compiling and parsing.
     pub executor: ExecutorKind,
-    /// Ignored: every backend runs on the calling thread. Kept so that
+    /// Ignored: the engine runs on the calling thread. Kept so that
     /// configurations which set it still compile.
     pub parallel_workers: usize,
     /// Seeded fault schedule applied at delivery time (`None` = the
-    /// perfect network). Faulty runs stay deterministic and
-    /// backend-independent: the schedule is a pure function of the
-    /// plan seed and each delivery attempt's logical identity.
+    /// perfect network). Faulty runs stay deterministic: the schedule is
+    /// a pure function of the plan seed and each delivery attempt's
+    /// logical identity.
     pub faults: Option<FaultPlan>,
     /// If true, the delivery queue records a per-type wire-value census
     /// ([`RunReport::wire`]): the maximum actual magnitude of every
@@ -78,7 +76,8 @@ impl EngineConfig {
         }
     }
 
-    /// This configuration with the given executor backend.
+    /// This configuration with the given executor backend (there is
+    /// one; see [`EngineConfig::executor`]).
     pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
         self.executor = executor;
         self
@@ -141,8 +140,7 @@ impl std::error::Error for RunError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MemoryReport {
-    /// The message queue's fallback sort keys and fault-parked messages:
-    /// a function of the run alone, so equal on every backend.
+    /// The message queue's fallback sort keys and fault-parked messages.
     pub queue_bytes: usize,
     /// Per-node inbox buffers.
     pub inbox_bytes: usize,
@@ -150,9 +148,7 @@ pub struct MemoryReport {
     pub rng_bytes: usize,
     /// The message buffers that trade places between rounds (the
     /// staging buffer, the queue's run and its merge scratch) as one
-    /// pooled figure, plus, on sharded runs, the per-shard staging
-    /// buffers and partition scratch. How these grow depends on how the
-    /// backend gathers a round's sends.
+    /// pooled figure.
     pub staging_bytes: usize,
 }
 
@@ -164,35 +160,14 @@ impl MemoryReport {
     }
 }
 
-/// Per-shard work distribution recorded by the sharded executor.
-///
-/// The unit of accounting is the *shard* (a contiguous chunk of
-/// receiving nodes); shard loads are a deterministic function of the
-/// round's deliveries.
-#[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct WorkBalance {
-    /// Rounds that fanned out into at least two shards (measured).
-    pub rounds_measured: u64,
-    /// Rounds that delivered mail but ran inline: too little of it to
-    /// shard, or all of it on one node. `rounds_measured +
-    /// rounds_inline` is the number of rounds that delivered anything.
-    pub rounds_inline: u64,
-    /// Worst observed `max / mean` over per-shard message loads across
-    /// all measured rounds (`0.0` if nothing was measured).
-    pub worst_max_over_mean: f64,
-    /// Messages processed per shard slot, summed over measured rounds.
-    pub shard_messages: Vec<u64>,
-}
-
 /// Statistics of one protocol run.
 ///
 /// Equality compares the *semantic* fields only — rounds, message
-/// traffic, edge loads. The [`RunReport::memory`] and
-/// [`RunReport::balance`] telemetry legitimately differs across executor
-/// backends (capacities and shard layouts are backend artifacts), and
-/// the bit-identity contract (same protocol results for the same seed on
-/// every backend) is asserted through this semantic equality.
+/// traffic, edge loads, faults, the wire census. The
+/// [`RunReport::memory`] telemetry is left out: a [`crate::Runner`]'s
+/// buffers outlive a run, so it depends on the runs before, and the
+/// determinism contract (same protocol results for the same graph and
+/// seed) is asserted through this semantic equality.
 #[derive(Debug, Clone, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunReport {
@@ -220,19 +195,15 @@ pub struct RunReport {
     /// overflow); empty otherwise. Zero-load pairs are not counted.
     pub edge_load_histogram: Vec<u64>,
     /// Faults injected by the configured [`FaultPlan`] (all-zero on a
-    /// perfect network). Semantic: the schedule is deterministic, so
-    /// every backend must inject exactly the same faults.
+    /// perfect network). Semantic: the schedule is deterministic.
     pub faults: FaultCounters,
     /// Wire-value census, populated when
     /// [`EngineConfig::record_wire`] is set (empty otherwise).
-    /// Semantic: every backend delivers the same messages, so the
-    /// recorded maxima must be identical too.
+    /// Semantic: a replay delivers the same messages, so the recorded
+    /// maxima are identical too.
     pub wire: WireCensus,
     /// Peak bytes held per engine subsystem (telemetry; not compared).
     pub memory: MemoryReport,
-    /// Shard work distribution, populated by [`ExecutorKind::Sharded`]
-    /// runs of node-local protocols only (telemetry; not compared).
-    pub balance: Option<WorkBalance>,
 }
 
 impl PartialEq for RunReport {
@@ -249,13 +220,8 @@ impl PartialEq for RunReport {
     }
 }
 
-/// Runs a plain [`Protocol`] on `graph` to completion.
-///
-/// A plain protocol's receive hook takes `&mut self`, which no backend
-/// may shard, so `cfg.executor` does not matter here: nodes are visited
-/// in ascending order on the calling thread. Protocols wanting the
-/// sharded receive phase implement [`NodeLocalProtocol`] and go through
-/// [`run_node_local`].
+/// Runs `protocol` on `graph` to completion over fresh engine buffers
+/// (a [`crate::Runner`] keeps its buffers from run to run).
 ///
 /// Returns the run statistics; the protocol struct itself holds whatever
 /// results it computed.
@@ -271,26 +237,7 @@ pub fn run_protocol<P: Protocol>(
     seed: u64,
     protocol: &mut P,
 ) -> Result<RunReport, RunError> {
-    let scratch = &mut Scratch::default();
-    run_rounds(graph, cfg, seed, scratch, &mut PlainReceive(protocol))
-}
-
-/// Runs a [`NodeLocalProtocol`] on `graph` to completion under the
-/// backend selected by `cfg.executor`: every round inline in ascending
-/// node order under [`ExecutorKind::Sequential`], heavy rounds cut into
-/// shards and run in shard order under [`ExecutorKind::Sharded`] — with
-/// bit-identical results, on the calling thread either way.
-///
-/// # Errors
-///
-/// Same as [`run_protocol`].
-pub fn run_node_local<P: NodeLocalProtocol>(
-    graph: &Graph,
-    cfg: &EngineConfig,
-    seed: u64,
-    protocol: &mut P,
-) -> Result<RunReport, RunError> {
-    run_node_local_in(&mut Scratch::default(), graph, cfg, seed, protocol)
+    run_rounds(graph, cfg, seed, &mut Scratch::default(), protocol, None)
 }
 
 #[cfg(test)]
@@ -711,9 +658,8 @@ mod tests {
 
     #[test]
     fn report_equality_ignores_telemetry() {
-        // The bit-identity contract is semantic: two backends may hold
-        // different buffer capacities or shard layouts yet still count as
-        // identical runs.
+        // The determinism contract is semantic: two runs may hold
+        // different buffer capacities yet still count as identical.
         let a = RunReport {
             rounds: 3,
             messages: 10,
@@ -721,7 +667,6 @@ mod tests {
         };
         let mut b = a.clone();
         b.memory.queue_bytes = 4096;
-        b.balance = Some(WorkBalance::default());
         assert_eq!(a, b);
         b.messages = 11;
         assert_ne!(a, b);
@@ -748,7 +693,6 @@ mod tests {
         assert!(report.memory.staging_bytes > 0, "{:?}", report.memory);
         assert!(report.memory.inbox_bytes > 0, "{:?}", report.memory);
         assert!(report.memory.rng_bytes > 0, "{:?}", report.memory);
-        assert!(report.balance.is_none(), "sequential runs have no shards");
     }
 
     #[test]
@@ -810,12 +754,6 @@ mod tests {
                     rng_bytes: 96,
                     staging_bytes: 64,
                 },
-                balance: Some(WorkBalance {
-                    rounds_measured: 4,
-                    rounds_inline: 8,
-                    worst_max_over_mean: 1.25,
-                    shard_messages: vec![100, 98],
-                }),
                 wire: {
                     let mut w = WireCensus::default();
                     let _ =
@@ -834,7 +772,6 @@ mod tests {
             let back: RunReport = serde_json::from_str(&json).unwrap();
             assert_eq!(back, report);
             assert_eq!(back.memory, report.memory);
-            assert_eq!(back.balance, report.balance);
             assert_eq!(back.wire, report.wire);
         }
 
@@ -842,16 +779,18 @@ mod tests {
         fn engine_config_round_trips_through_json() {
             let cfg = EngineConfig {
                 edge_capacity: None,
-                executor: crate::ExecutorKind::Sharded,
                 faults: Some(FaultPlan::drops(3, 50)),
                 ..EngineConfig::default()
             };
             let json = serde_json::to_string(&cfg).unwrap();
-            assert!(json.contains("\"executor\":\"sharded\""), "{json}");
+            assert!(json.contains("\"executor\":\"sequential\""), "{json}");
             assert!(json.contains("\"edge_capacity\":null"), "{json}");
             assert!(json.contains("\"drop_per_mille\":50"), "{json}");
             let back: EngineConfig = serde_json::from_str(&json).unwrap();
             assert_eq!(back, cfg);
+            // A configuration that names the retired backend still loads.
+            let old = json.replace("\"sequential\"", "\"sharded\"");
+            assert_eq!(serde_json::from_str::<EngineConfig>(&old).unwrap(), cfg);
         }
     }
 }

@@ -15,7 +15,7 @@
 //! makes them the queue: by swapping buffers when nothing was left
 //! over, by merging behind the leftovers otherwise). Both walks are in
 //! ascending edge-id order, which is what makes runs deterministic
-//! regardless of executor backend.
+//! whatever order the receive handlers staged their sends in.
 
 use crate::engine::{EngineConfig, RunError, RunReport};
 use crate::fault::FaultDecision;
@@ -207,7 +207,7 @@ impl<M: Message> FlatQueue<M> {
 
     /// Bytes of backing capacity of the buffers only the queue fills:
     /// sort keys and fault-parked messages. What these hold is a
-    /// function of the run alone, not of the backend. `Vec` never
+    /// function of the run alone. `Vec` never
     /// shrinks its capacity, so sampling this at the end of a run gives
     /// the run's true high-water mark.
     pub(crate) fn capacity_bytes(&self) -> usize {

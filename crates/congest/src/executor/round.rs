@@ -1,45 +1,21 @@
 //! The round loop: what one synchronous CONGEST round *is*.
 //!
-//! Every run — any protocol trait, any backend — goes through
-//! [`run_rounds`]: deliver at most `edge_capacity` messages per directed
-//! edge, fire the global `on_round` hook, run the receive handlers of
-//! the nodes that got mail, stage the resulting sends for the next
-//! round. The loop is parameterised only by the [`ReceivePhase`], of
-//! which there are two: [`PlainReceive`] (a [`Protocol`]'s `&mut self`
-//! handler, ascending node order, on every backend) and the node-local
-//! sharded receive in [`super::sharded`].
+//! Every run goes through [`run_rounds`]: deliver at most
+//! `edge_capacity` messages per directed edge, fire the global
+//! `on_round` hook, run the receive handlers of the nodes that got mail
+//! in ascending node order, stage the resulting sends for the next
+//! round. The interleaving checker is the one variation: it hands the
+//! loop a [`Scripted`] receive, which runs the same handlers in a
+//! scripted order and merges their sends back into ascending order.
 
 use super::queue::{FlatQueue, Inboxes, LOAD_HISTOGRAM_BUCKETS};
+use super::scripted::Scripted;
 use crate::engine::{EngineConfig, MemoryReport, RunError, RunReport};
 use crate::message::{Envelope, Message};
 use crate::protocol::{Ctx, Protocol};
 use crate::rng::NodeRngs;
 use drw_graph::Graph;
 use std::any::Any;
-
-/// A protocol as the round loop sees it: the three global hooks plus
-/// the one step backends may organise differently.
-pub(crate) trait ReceivePhase {
-    /// The protocol's message type.
-    type Msg: Message;
-
-    fn start(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
-    fn is_done(&self) -> bool;
-    fn on_round(&mut self, ctx: &mut Ctx<'_, Self::Msg>);
-
-    /// Runs the receive handler of every node in `active` (ascending,
-    /// deduplicated; the round delivered `delivered` messages into their
-    /// `inbox`es). Must leave those inboxes empty and append the
-    /// handlers' sends to `ctx.staged` in ascending node order — behind
-    /// whatever `on_round` staged.
-    fn receive(
-        &mut self,
-        ctx: &mut Ctx<'_, Self::Msg>,
-        active: &[usize],
-        inbox: &mut [Vec<Envelope<Self::Msg>>],
-        delivered: u64,
-    );
-}
 
 /// What a run needs and the next run can use again: the per-node RNG
 /// pool and the last run's queue, inboxes and staging buffer. A
@@ -86,16 +62,18 @@ impl Scratch {
     }
 }
 
-/// Drives `phase` to quiescence, [`ReceivePhase::is_done`] or the round
-/// cap.
-pub(crate) fn run_rounds<R: ReceivePhase>(
+/// Drives `protocol` to quiescence, [`Protocol::is_done`] or the round
+/// cap. `script`, the interleaving checker's hook, replaces the
+/// ascending-order receive; every other run passes `None`.
+pub(crate) fn run_rounds<P: Protocol>(
     graph: &Graph,
     cfg: &EngineConfig,
     seed: u64,
     scratch: &mut Scratch,
-    phase: &mut R,
+    protocol: &mut P,
+    mut script: Option<&mut Scripted<'_, P::Msg>>,
 ) -> Result<RunReport, RunError> {
-    let (rngs, buf) = scratch.begin::<R::Msg>(seed, graph);
+    let (rngs, buf) = scratch.begin::<P::Msg>(seed, graph);
     let Buffers {
         queue,
         inbox,
@@ -107,7 +85,7 @@ pub(crate) fn run_rounds<R: ReceivePhase>(
     }
 
     // Round 0: free local computation and initial sends.
-    phase.start(&mut Ctx::with_staged(graph, 0, rngs, staged));
+    protocol.start(&mut Ctx::with_staged(graph, 0, rngs, staged));
     queue.stage(staged, cfg, 1, &mut report)?;
 
     let mut round: u64 = 0;
@@ -116,7 +94,7 @@ pub(crate) fn run_rounds<R: ReceivePhase>(
     // while the current queue is empty — such rounds deliver
     // nothing but still pass (and are billed).
     while !queue.is_idle() {
-        if phase.is_done() {
+        if protocol.is_done() {
             break;
         }
         round += 1;
@@ -131,8 +109,12 @@ pub(crate) fn run_rounds<R: ReceivePhase>(
         // One staging buffer, recycled across rounds: the hook's sends
         // first, then the nodes' in ascending node order.
         let mut ctx = Ctx::with_staged(graph, round, rngs, staged);
-        phase.on_round(&mut ctx);
-        phase.receive(&mut ctx, &inbox.active, &mut inbox.slots, delivered);
+        protocol.on_round(&mut ctx);
+        let (active, slots) = (&inbox.active[..], &mut inbox.slots[..]);
+        match script.as_deref_mut() {
+            None => receive_in_order(protocol, &mut ctx, active, slots),
+            Some(script) => script.receive(protocol, &mut ctx, active, slots, delivered),
+        }
         queue.stage(staged, cfg, round + 1, &mut report)?;
     }
 
@@ -144,41 +126,21 @@ pub(crate) fn run_rounds<R: ReceivePhase>(
         inbox_bytes: inbox.capacity_bytes(),
         rng_bytes: rngs.capacity_bytes(),
         staging_bytes: queue.run_capacity_bytes()
-            + staged.capacity() * std::mem::size_of::<(usize, R::Msg)>(),
+            + staged.capacity() * std::mem::size_of::<(usize, P::Msg)>(),
     };
     Ok(report)
 }
 
-/// The receive phase of a plain [`Protocol`]: its `&mut self` handler
-/// can couple nodes' states, so no backend may shard it — nodes are
-/// visited in ascending order on the calling thread.
-pub(crate) struct PlainReceive<'p, P>(pub(crate) &'p mut P);
-
-impl<P: Protocol> ReceivePhase for PlainReceive<'_, P> {
-    type Msg = P::Msg;
-
-    fn start(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
-        self.0.start(ctx);
-    }
-
-    fn is_done(&self) -> bool {
-        self.0.is_done()
-    }
-
-    fn on_round(&mut self, ctx: &mut Ctx<'_, P::Msg>) {
-        self.0.on_round(ctx);
-    }
-
-    fn receive(
-        &mut self,
-        ctx: &mut Ctx<'_, P::Msg>,
-        active: &[usize],
-        inbox: &mut [Vec<Envelope<P::Msg>>],
-        _delivered: u64,
-    ) {
-        for &node in active {
-            self.0.on_receive(node, &inbox[node], ctx);
-            inbox[node].clear(); // keep the allocation for next round
-        }
+/// Runs the receive handler of every node in `nodes` (ascending,
+/// deduplicated) against its inbox, leaving the inbox empty.
+pub(crate) fn receive_in_order<P: Protocol>(
+    protocol: &mut P,
+    ctx: &mut Ctx<'_, P::Msg>,
+    nodes: &[usize],
+    inbox: &mut [Vec<Envelope<P::Msg>>],
+) {
+    for &node in nodes {
+        protocol.on_receive(node, &inbox[node], ctx);
+        inbox[node].clear(); // keep the allocation for next round
     }
 }

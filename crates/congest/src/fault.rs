@@ -6,9 +6,9 @@
 //! reordered (diverted behind every other delivery of its round). The
 //! decision is a **pure function of `(plan seed, round, edge id,
 //! in-bucket message index)`** — the logical identity of a delivery
-//! attempt, which every executor backend presents in the same order —
-//! so a faulty run is exactly as deterministic and backend-independent
-//! as a fault-free one.
+//! attempt, which the delivery scan presents in the same order whatever
+//! order the handlers ran in — so a faulty run is exactly as
+//! deterministic as a fault-free one.
 //!
 //! Two transport disciplines are offered:
 //!
@@ -50,9 +50,9 @@ pub(crate) enum FaultDecision {
 /// fates is preserved — the budget is the budget — but fate `g` is
 /// reassigned to the attempt at position `perm[g]` of the round's
 /// deterministic delivery scan. Index 0 is the identity (bit-identical
-/// to no timing mode at all); every index yields a deterministic,
-/// backend-independent schedule, so the interleaving checker can sweep
-/// indices and assert per-timing bit-identity across executors.
+/// to no timing mode at all); every index yields a deterministic
+/// schedule, so the interleaving checker can sweep indices and assert
+/// per-timing bit-identity between in-order and scripted runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ScriptedTiming {
@@ -205,8 +205,8 @@ impl FaultPlan {
 
     /// The fate of delivery attempt `k` (its in-bucket index) on
     /// directed edge `eid` in `round` — a pure function of the plan
-    /// seed and the attempt's logical identity, independent of executor
-    /// backend, thread count, and arrival history.
+    /// seed and the attempt's logical identity, independent of handler
+    /// order and arrival history.
     pub(crate) fn decide(&self, round: u64, eid: usize, k: usize) -> FaultDecision {
         let h = derive_seed(
             derive_seed(self.seed, round),
@@ -229,8 +229,8 @@ impl FaultPlan {
 
 /// Per-fault-kind tallies of one run, surfaced in
 /// [`crate::RunReport::faults`] and compared by the bit-identity
-/// contract (the schedule is deterministic, so every backend must
-/// inject exactly the same faults).
+/// contract (the schedule is deterministic, so a replay injects
+/// exactly the same faults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultCounters {

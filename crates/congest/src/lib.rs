@@ -21,28 +21,25 @@
 //! - Protocols are written node-locally: behaviour may depend only on the
 //!   receiving node's identity, its received messages, and its private RNG
 //!   stream. The engine invokes [`Protocol::on_receive`] per node per
-//!   round and collects sends via [`Ctx`].
+//!   round, in ascending node order, and collects sends via [`Ctx`]
+//!   (or its node-scoped view, [`NodeCtx`]).
 //! - Runs are reproducible: all per-node RNG streams derive from a single
-//!   `u64` seed.
+//!   `u64` seed, and a run is a function of its graph, configuration and
+//!   seed alone.
 //!
 //! Multi-phase algorithms compose sequentially through [`Runner`], which
 //! accumulates round counts across sub-protocols (standard sequential
 //! composition in CONGEST).
 //!
-//! # Execution backends
+//! # One round loop
 //!
-//! There is one round loop (module [`executor`]) over a flat message
-//! queue (one `Vec` of `(edge id, message)` pairs, ascending by edge);
-//! a backend only decides how the receive phase of a
-//! [`NodeLocalProtocol`] is run. [`ExecutorKind::Sequential`], the
-//! reference, visits receiving nodes in ascending order;
-//! [`ExecutorKind::Sharded`] cuts heavy rounds into load-balanced
-//! shards, runs them in shard order, and merges their sends back in node
-//! order. Both run on the calling thread. The two are
-//! **bit-identical**: same graph and seed ⇒ same [`RunReport`], same
-//! protocol results — the choice ([`EngineConfig::executor`]) only
-//! changes wall-clock time and the shard telemetry. A plain [`Protocol`]
-//! runs the sequential discipline under either.
+//! Every run goes through one round loop (module [`executor`]) over a
+//! flat message queue (one `Vec` of `(edge id, message)` pairs,
+//! ascending by edge), on the calling thread. The interleaving checker,
+//! [`run_scripted`], is its one variation: it runs each heavy round's
+//! receive handlers in a scripted shard and item order and merges their
+//! sends back in node order, so that `drw-analyze` can measure that no
+//! order shows through.
 //!
 //! # Example
 //!
@@ -88,22 +85,18 @@ pub mod executor;
 mod fault;
 mod message;
 mod multiplex;
-mod node_local;
 pub mod primitives;
 mod protocol;
 mod rng;
 mod runner;
 
-pub use engine::{
-    run_node_local, run_protocol, EngineConfig, MemoryReport, RunError, RunReport, WorkBalance,
-};
-pub use executor::{run_node_local_scripted, ExecutorKind, ScriptedSchedule};
+pub use engine::{run_protocol, EngineConfig, MemoryReport, RunError, RunReport};
+pub use executor::{run_scripted, ExecutorKind, ScriptedSchedule};
 pub use fault::{FaultCounters, FaultPlan, ScriptedTiming};
 pub use message::{
     wire_type_name, Envelope, FieldCensus, FracBits, Message, TypeCensus, TypeRecorder, WireCensus,
 };
 pub use multiplex::{Mux, Mux2};
-pub use node_local::{NodeCtx, NodeLocalProtocol};
-pub use protocol::{Ctx, Protocol};
+pub use protocol::{Ctx, NodeCtx, Protocol};
 pub use rng::{derive_seed, NodeRngs};
 pub use runner::Runner;

@@ -1,4 +1,4 @@
-//! The protocol trait and the per-round context handed to protocols.
+//! The protocol trait and the per-round contexts handed to protocols.
 
 use crate::message::{Envelope, Message};
 use crate::rng::NodeRngs;
@@ -79,9 +79,106 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// compact forwarding logs store.
     #[inline]
     pub fn send_random_neighbor_hop(&mut self, node: NodeId, msg: M) -> (u32, NodeId) {
+        // Not delegated to `NodeCtx`: a second caller of its copy keeps
+        // the compiler from inlining it into the Phase-1 token step.
         let deg = self.graph.degree(node);
         assert!(deg > 0, "node {node} has no neighbors");
         let idx = self.rngs.node(node).random_range(0..deg);
+        let eid = self.graph.nth_edge_id(node, idx);
+        let to = self.graph.edge_target(eid);
+        self.staged.push((eid, msg));
+        (idx as u32, to)
+    }
+
+    /// The view of this context scoped to `node`: sends leave from
+    /// `node`, and the only reachable RNG is `node`'s own stream.
+    #[inline]
+    pub fn at(&mut self, node: NodeId) -> NodeCtx<'_, M> {
+        NodeCtx {
+            graph: self.graph,
+            round: self.round,
+            node,
+            rng: self.rngs.node(node),
+            staged: self.staged,
+        }
+    }
+}
+
+/// A [`Ctx`] scoped to one node ([`Ctx::at`]).
+///
+/// Sends originate implicitly from the context's node, and the only
+/// reachable RNG is the node's own stream — so a handler written against
+/// it *cannot* consume another node's randomness or forge another node's
+/// messages.
+pub struct NodeCtx<'a, M: Message> {
+    graph: &'a Graph,
+    round: u64,
+    node: NodeId,
+    rng: &'a mut StdRng,
+    staged: &'a mut Vec<(usize, M)>,
+}
+
+impl<M: Message> NodeCtx<'_, M> {
+    /// The network graph.
+    pub fn graph(&self) -> &Graph {
+        self.graph
+    }
+
+    /// Current round number.
+    pub fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// The node this context acts for.
+    pub fn node(&self) -> NodeId {
+        self.node
+    }
+
+    /// The node's private RNG stream.
+    #[inline]
+    pub fn rng(&mut self) -> &mut StdRng {
+        self.rng
+    }
+
+    /// Stages a message from this node to its neighbor `to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `{node, to}` is not an edge of the graph.
+    #[inline]
+    pub fn send(&mut self, to: NodeId, msg: M) {
+        let node = self.node;
+        let eid = self
+            .graph
+            .edge_id(node, to)
+            .unwrap_or_else(|| panic!("protocol sent along non-edge {node} -> {to}"));
+        self.staged.push((eid, msg));
+    }
+
+    /// Sends `msg` to a uniformly random neighbor of this node and
+    /// returns that neighbor — one step of the simple random walk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has no neighbors.
+    #[inline]
+    pub fn send_random_neighbor(&mut self, msg: M) -> NodeId {
+        self.send_random_neighbor_hop(msg).1
+    }
+
+    /// Like [`NodeCtx::send_random_neighbor`], but also returns the drawn
+    /// neighbor *index* (the walk's hop) — the compact token forwarding
+    /// logs store instead of a full node id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node has no neighbors.
+    #[inline]
+    pub fn send_random_neighbor_hop(&mut self, msg: M) -> (u32, NodeId) {
+        let node = self.node;
+        let deg = self.graph.degree(node);
+        assert!(deg > 0, "node {node} has no neighbors");
+        let idx = self.rng.random_range(0..deg);
         let eid = self.graph.nth_edge_id(node, idx);
         let to = self.graph.edge_target(eid);
         self.staged.push((eid, msg));
@@ -103,7 +200,11 @@ impl<'a, M: Message> Ctx<'a, M> {
 ///
 /// Discipline: implementations must act node-locally inside
 /// `on_receive` — decisions for `node` may depend only on `node`'s own
-/// state, its inbox, and `ctx.rng(node)`.
+/// state, its inbox, and `ctx.rng(node)`; handlers that take
+/// [`Ctx::at`]`(node)` can reach nothing else of the context. The
+/// interleaving checker ([`crate::run_scripted`]) measures the
+/// discipline: it runs the handlers of a round in scripted orders and
+/// demands the result of ascending order.
 pub trait Protocol {
     /// The message type of this protocol.
     type Msg: Message;
@@ -124,7 +225,7 @@ pub trait Protocol {
     /// be used to leak non-local information into node decisions.
     fn on_round(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
 
-    /// Early-termination signal checked at the end of every round.
+    /// Early-termination signal checked at the start of every round.
     fn is_done(&self) -> bool {
         false
     }

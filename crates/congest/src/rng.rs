@@ -41,31 +41,17 @@ pub struct NodeRngs {
 
 /// What a slot needs to (re)derive its stream: the run's seed and stamp.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct RunKey {
+struct RunKey {
     seed: u64,
     run: u64,
 }
 
 /// One node's stream and the stamp of the run it was seeded for (0:
-/// never). Stamp and stream sit together so the sharded executor hands
-/// a shard both with one slice.
+/// never).
 #[derive(Debug, Clone)]
-pub(crate) struct Slot {
+struct Slot {
     run: u64,
     rng: StdRng,
-}
-
-impl Slot {
-    /// The stream of `node` in the run `key` names, seeded now if this
-    /// is the run's first draw from it.
-    #[inline]
-    pub(crate) fn stream(&mut self, key: RunKey, node: usize) -> &mut StdRng {
-        if self.run != key.run {
-            self.rng = StdRng::seed_from_u64(derive_seed(key.seed, node as u64));
-            self.run = key.run;
-        }
-        &mut self.rng
-    }
 }
 
 impl NodeRngs {
@@ -93,17 +79,16 @@ impl NodeRngs {
         }
     }
 
-    /// The private RNG of `node`.
+    /// The private RNG of `node`, seeded now if this is the run's first
+    /// draw from it.
     #[inline]
     pub fn node(&mut self, node: usize) -> &mut StdRng {
-        self.slots[node].stream(self.key, node)
-    }
-
-    /// The run key and all slots as one slice (index = node id) — how
-    /// the sharded executor carves per-node exclusive access without
-    /// locks.
-    pub(crate) fn parts(&mut self) -> (RunKey, &mut [Slot]) {
-        (self.key, &mut self.slots)
+        let slot = &mut self.slots[node];
+        if slot.run != self.key.run {
+            slot.rng = StdRng::seed_from_u64(derive_seed(self.key.seed, node as u64));
+            slot.run = self.key.run;
+        }
+        &mut slot.rng
     }
 
     /// Bytes of backing capacity.

@@ -8,9 +8,8 @@
 //! stream per part.
 
 use crate::engine::{EngineConfig, RunError, RunReport};
-use crate::executor::{run_node_local_in, run_rounds, PlainReceive, Scratch};
+use crate::executor::{run_rounds, Scratch};
 use crate::fault::FaultCounters;
-use crate::node_local::NodeLocalProtocol;
 use crate::protocol::Protocol;
 use crate::rng::derive_seed;
 use drw_graph::Graph;
@@ -107,28 +106,7 @@ impl Runner {
         let seed = derive_seed(self.seed, self.seq);
         let cfg = self.run_cfg();
         self.seq += 1;
-        let phase = &mut PlainReceive(protocol);
-        let report = run_rounds(&self.graph, &cfg, seed, &mut self.scratch, phase)?;
-        self.accumulate(&report);
-        Ok(report)
-    }
-
-    /// Runs one node-local sub-protocol to completion, sharding its
-    /// receive phase when the configured executor is
-    /// [`crate::ExecutorKind::Sharded`], and accumulates its statistics.
-    /// Results are bit-identical on either backend.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`RunError`] from the engine.
-    pub fn run_local<P: NodeLocalProtocol>(
-        &mut self,
-        protocol: &mut P,
-    ) -> Result<RunReport, RunError> {
-        let seed = derive_seed(self.seed, self.seq);
-        let cfg = self.run_cfg();
-        self.seq += 1;
-        let report = run_node_local_in(&mut self.scratch, &self.graph, &cfg, seed, protocol)?;
+        let report = run_rounds(&self.graph, &cfg, seed, &mut self.scratch, protocol, None)?;
         self.accumulate(&report);
         Ok(report)
     }
@@ -139,8 +117,8 @@ impl Runner {
     /// follow-up run must *not* deterministically re-hit the very same
     /// fault at the same `(round, edge, slot)` — that would turn every
     /// checkpoint-and-retry scheme into a livelock. Still a pure
-    /// function of `(plan seed, run index)`, so replays and
-    /// cross-executor comparisons stay bit-identical.
+    /// function of `(plan seed, run index)`, so replays stay
+    /// bit-identical.
     fn run_cfg(&self) -> EngineConfig {
         let mut cfg = self.cfg.clone();
         if let Some(plan) = &mut cfg.faults {

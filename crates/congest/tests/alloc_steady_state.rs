@@ -1,19 +1,15 @@
-//! Steady-state rounds allocate nothing, on either backend, over a
-//! perfect or an ARQ-healed transport.
+//! Steady-state rounds allocate nothing, over a perfect or an
+//! ARQ-healed transport.
 //!
 //! Every buffer a round touches — the queue's run and leftovers, the
-//! fault layer's parked and due messages, inboxes, the staging buffer,
-//! and under the sharded backend the partition scratch and the
-//! per-shard staging buffers — belongs to the run and is recycled, so
+//! fault layer's parked and due messages, inboxes, the staging buffer —
+//! belongs to the run and is recycled, so
 //! once a run has seen its heaviest round the allocator is out of the
 //! loop. This file has its own counting `#[global_allocator]` and one
 //! test function, so nothing else allocates in the process while it
 //! counts.
 
-use drw_congest::{
-    run_node_local, Ctx, EngineConfig, Envelope, ExecutorKind, FaultPlan, Message, NodeCtx,
-    NodeLocalProtocol,
-};
+use drw_congest::{run_protocol, Ctx, EngineConfig, Envelope, FaultPlan, Message, Protocol};
 use drw_graph::generators;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,10 +66,8 @@ struct Echo {
     allocs_at_round: Vec<u64>,
 }
 
-impl NodeLocalProtocol for Echo {
+impl Protocol for Echo {
     type Msg = Ping;
-    type Shared = ();
-    type NodeState = u64;
 
     fn start(&mut self, ctx: &mut Ctx<'_, Ping>) {
         for v in 0..ctx.graph().n() {
@@ -88,40 +82,26 @@ impl NodeLocalProtocol for Echo {
         self.allocs_at_round.push(ALLOCS.load(Ordering::Relaxed));
     }
 
-    fn parts(&mut self) -> (&(), &mut [u64]) {
-        (&(), &mut self.received)
-    }
-
-    fn on_receive_local(
-        _shared: &(),
-        received: &mut u64,
-        _node: usize,
-        inbox: &[Envelope<Ping>],
-        ctx: &mut NodeCtx<'_, Ping>,
-    ) {
+    fn on_receive(&mut self, node: usize, inbox: &[Envelope<Ping>], ctx: &mut Ctx<'_, Ping>) {
         for env in inbox {
-            *received += 1;
+            self.received[node] += 1;
             if ctx.round() < ROUNDS {
-                ctx.send(env.from, Ping(env.msg.0 + 1));
+                ctx.send(node, env.from, Ping(env.msg.0 + 1));
             }
         }
     }
 }
 
 #[test]
-fn rounds_after_warm_up_allocate_nothing_sequential_or_sharded_perfect_or_healed() {
-    let g = generators::complete(48); // 2256 messages a round: 8 shards
-    let sequential = EngineConfig::default();
-    let sharded = EngineConfig::default().with_executor(ExecutorKind::Sharded);
-    // 1.6 % of the deliveries dropped and retransmitted four rounds on:
-    // every round parks some 36 messages, re-stages as many that came
-    // due, and leaves the fresh sends they collide with queued.
+fn rounds_after_warm_up_allocate_nothing_perfect_or_healed() {
+    let g = generators::complete(48); // 2256 messages a round
+                                      // 1.6 % of the deliveries dropped and retransmitted four rounds on:
+                                      // every round parks some 36 messages, re-stages as many that came
+                                      // due, and leaves the fresh sends they collide with queued.
     let healed = FaultPlan::drops(7, 16);
     for (name, cfg) in [
-        ("sequential", sequential.clone()),
-        ("sharded", sharded.clone()),
-        ("sequential, healed drops", sequential.with_faults(healed)),
-        ("sharded, healed drops", sharded.with_faults(healed)),
+        ("perfect", EngineConfig::default()),
+        ("healed drops", EngineConfig::default().with_faults(healed)),
     ] {
         let faulty = cfg.faults.is_some();
         let mut p = Echo {
@@ -130,7 +110,7 @@ fn rounds_after_warm_up_allocate_nothing_sequential_or_sharded_perfect_or_healed
             allocs_at_round: Vec::with_capacity(2 * ROUNDS as usize),
         };
         let before_run = ALLOCS.load(Ordering::Relaxed);
-        let report = run_node_local(&g, &cfg, 5, &mut p).unwrap();
+        let report = run_protocol(&g, &cfg, 5, &mut p).unwrap();
         if faulty {
             // A message held up four rounds makes four bounces fewer.
             assert!(report.messages < ROUNDS * 2256, "{name}");
@@ -142,9 +122,6 @@ fn rounds_after_warm_up_allocate_nothing_sequential_or_sharded_perfect_or_healed
             );
         } else {
             assert_eq!((report.rounds, report.messages), (ROUNDS, ROUNDS * 2256));
-        }
-        if let Some(balance) = &report.balance {
-            assert!(balance.rounds_measured >= ROUNDS, "every round shards");
         }
         // Hook to hook is one full round: receive, stage, deliver.
         let at = &p.allocs_at_round;

@@ -71,7 +71,7 @@ use crate::request::{Request, Response};
 use crate::session::WalkSession;
 use crate::single_walk::SingleWalkConfig;
 use drivers::{ConnectorVisits, Member, Slot};
-use drw_congest::{derive_seed, EngineConfig, ExecutorKind};
+use drw_congest::{derive_seed, EngineConfig};
 use drw_graph::{EpochReport, Graph, NodeId, Topology, TopologyDelta};
 use std::sync::Arc;
 
@@ -85,7 +85,6 @@ const SESSION_SEED_TAG: u64 = 0x5E55;
 ///
 /// | method | configures | default |
 /// |---|---|---|
-/// | [`executor`](NetworkBuilder::executor) | round-executor backend | sequential |
 /// | [`engine`](NetworkBuilder::engine) | full engine config (bandwidth, caps) | [`EngineConfig::default`] |
 /// | [`params`](NetworkBuilder::params) | `lambda` / `eta` selection | [`WalkParams::default`] |
 /// | [`config`](NetworkBuilder::config) | the whole walk config at once | [`SingleWalkConfig::default`] |
@@ -109,15 +108,8 @@ enum BuilderSource<'g> {
 }
 
 impl<'g> NetworkBuilder<'g> {
-    /// Selects the round-executor backend (results are bit-identical
-    /// across backends; only wall-clock time changes).
-    pub fn executor(mut self, kind: ExecutorKind) -> Self {
-        self.cfg.engine = self.cfg.engine.with_executor(kind);
-        self
-    }
-
     /// Replaces the engine configuration (bandwidth, round caps,
-    /// executor).
+    /// fault plan).
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.cfg.engine = engine;
         self
@@ -554,7 +546,6 @@ mod tests {
     fn builder_configures_the_handle() {
         let g = generators::torus2d(4, 4);
         let net = Network::builder(&g)
-            .executor(ExecutorKind::Sharded)
             .params(WalkParams {
                 lambda_scale: 0.5,
                 eta: 2.0,
@@ -562,7 +553,6 @@ mod tests {
             .seed(9)
             .anchor(3)
             .build();
-        assert_eq!(net.config().engine.executor, ExecutorKind::Sharded);
         assert_eq!(net.config().params.eta, 2.0);
         assert_eq!(net.graph().n(), 16);
         assert_eq!(net.session_rounds(), 0, "no session before the first batch");

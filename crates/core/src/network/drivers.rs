@@ -346,6 +346,9 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
             if k > MAX_WAVE_LANES {
                 return Err(WalkError::TooManyLanes(k).into());
             }
+            if req.bucket_base.is_nan() || req.bucket_base <= 1.0 {
+                return Err(WalkError::BadBucketBase(req.bucket_base.to_bits()).into());
+            }
             let bucket = BucketTest::new(g, req.bucket_base);
             Driver::Mixing(Box::new(MixingDriver {
                 len: req.start_len.max(1),

@@ -82,7 +82,7 @@ pub fn podc09_walk(
             lambda,
             /* randomize_len = */ false,
         );
-        runner.run_local(&mut p1)?;
+        runner.run(&mut p1)?;
     }
 
     let setup = StitchSetup {

@@ -54,9 +54,8 @@
 //! exactly the rounds the engine consumes, plus explicit fast-forwards
 //! to the next arrival when idle ([`Service::serve_trace`]). Arrivals
 //! come from an explicit seeded [`ArrivalTrace`], so a given
-//! `(trace, seed, executor)` triple is bit-identical across the
-//! sequential and sharded backends — the executor-determinism suite in
-//! `tests/service.rs` pins this.
+//! `(trace, seed)` pair replays bit-identically — `tests/service.rs`
+//! pins this.
 
 mod ledger;
 mod queue;
@@ -71,7 +70,7 @@ use crate::network::drivers::{self, Member};
 use crate::request::{Request, Response};
 use crate::session::WalkSession;
 use crate::single_walk::SingleWalkConfig;
-use drw_congest::{derive_seed, EngineConfig, ExecutorKind};
+use drw_congest::{derive_seed, EngineConfig};
 use drw_graph::{Graph, NodeId, Topology};
 use ledger::FairLedger;
 use queue::{AdmissionQueue, Pending};
@@ -220,13 +219,6 @@ pub struct ServiceBuilder {
 }
 
 impl ServiceBuilder {
-    /// Selects the round-executor backend (results are bit-identical
-    /// across backends).
-    pub fn executor(mut self, kind: ExecutorKind) -> Self {
-        self.cfg.engine = self.cfg.engine.with_executor(kind);
-        self
-    }
-
     /// Replaces the engine configuration.
     pub fn engine(mut self, engine: EngineConfig) -> Self {
         self.cfg.engine = engine;
@@ -519,7 +511,7 @@ impl Service {
     /// Serves an [`ArrivalTrace`] to completion: events are submitted
     /// once the virtual clock reaches their timestamp, the pump runs,
     /// and idle gaps fast-forward to the next arrival. Deterministic
-    /// for a given `(trace, seed, executor)` triple.
+    /// for a given `(trace, seed)` pair.
     ///
     /// # Errors
     ///

@@ -7,7 +7,7 @@
 //! events where `at` is a **virtual timestamp in CONGEST rounds** — the
 //! service's clock advances exactly by the rounds its engine consumes
 //! (plus idle fast-forwards to the next arrival), so a given
-//! `(trace, seed, executor)` triple replays bit-identically. No wall
+//! `(trace, seed)` pair replays bit-identically. No wall
 //! clock, no threads, no ambient entropy: `drw-analyze`'s determinism
 //! lint applies to this module like any other protocol code.
 //!

@@ -589,7 +589,7 @@ impl WalkSession {
         let before = self.runner.total_rounds();
         let mut p1 =
             ShortWalksProtocol::new(&mut self.state, counts, lambda, self.cfg.randomize_len);
-        self.runner.run_local(&mut p1)?;
+        self.runner.run(&mut p1)?;
         self.topups += 1;
         self.walks_added += added as u64;
         self.rounds_topup += self.runner.total_rounds() - before;

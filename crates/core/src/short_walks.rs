@@ -10,20 +10,20 @@
 //! w.h.p.
 //!
 //! Every forwarding decision is logged into the receiving node's
-//! [`NodeWalkState::forward`] so the stitched walk can later be
-//! *regenerated* ([`crate::stitch_scheduler`]), and every finished token
-//! is stored at its endpoint — "only the destination of each of these walks
-//! is aware of its source" (Section 2.1).
+//! [`crate::state::NodeWalkState::forward`] so the stitched walk can
+//! later be *regenerated* ([`crate::stitch_scheduler`]), and every
+//! finished token is stored at its endpoint — "only the destination of
+//! each of these walks is aware of its source" (Section 2.1).
 //!
 //! This is the simulator's hottest protocol (every token draws from its
-//! node's RNG every round), so it implements
-//! [`drw_congest::NodeLocalProtocol`]: its receive phase touches only
-//! the receiving node's [`NodeWalkState`], which lets the engine's
-//! parallel executor shard nodes across threads with bit-identical
-//! results.
+//! node's RNG every round). Its receive handler touches only the
+//! receiving node's [`crate::state::NodeWalkState`] and acts through a
+//! node-scoped [`drw_congest::NodeCtx`], so it can reach no other node's
+//! state or randomness; `drw-analyze`'s interleaving checker runs it
+//! under scripted handler orders to measure that no order shows through.
 
-use crate::state::{NodeWalkState, WalkId, WalkState};
-use drw_congest::{Ctx, Envelope, Message, NodeCtx, NodeLocalProtocol};
+use crate::state::{WalkId, WalkState};
+use drw_congest::{Ctx, Envelope, Message, Protocol};
 use drw_graph::NodeId;
 use rand::Rng;
 
@@ -125,10 +125,8 @@ impl<'s> ShortWalksProtocol<'s> {
     }
 }
 
-impl NodeLocalProtocol for ShortWalksProtocol<'_> {
+impl Protocol for ShortWalksProtocol<'_> {
     type Msg = ShortWalkMsg;
-    type Shared = ();
-    type NodeState = NodeWalkState;
 
     fn start(&mut self, ctx: &mut Ctx<'_, ShortWalkMsg>) {
         let n = ctx.graph().n();
@@ -192,17 +190,14 @@ impl NodeLocalProtocol for ShortWalksProtocol<'_> {
         }
     }
 
-    fn parts(&mut self) -> (&(), &mut [NodeWalkState]) {
-        (&(), &mut self.state.nodes)
-    }
-
-    fn on_receive_local(
-        _shared: &(),
-        state: &mut NodeWalkState,
-        _node: NodeId,
+    fn on_receive(
+        &mut self,
+        node: NodeId,
         inbox: &[Envelope<ShortWalkMsg>],
-        ctx: &mut NodeCtx<'_, ShortWalkMsg>,
+        ctx: &mut Ctx<'_, ShortWalkMsg>,
     ) {
+        let state = &mut self.state.nodes[node];
+        let mut ctx = ctx.at(node);
         for env in inbox {
             let m = &env.msg;
             if m.step == m.total {
@@ -230,7 +225,7 @@ impl NodeLocalProtocol for ShortWalksProtocol<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drw_congest::{run_node_local, EngineConfig};
+    use drw_congest::{run_protocol, EngineConfig};
     use drw_graph::generators;
 
     fn run_phase1(
@@ -242,7 +237,7 @@ mod tests {
     ) -> (WalkState, u64) {
         let mut state = WalkState::new(g.n());
         let mut p = ShortWalksProtocol::new(&mut state, counts, lambda, randomize);
-        let report = run_node_local(g, &EngineConfig::default(), seed, &mut p).unwrap();
+        let report = run_protocol(g, &EngineConfig::default(), seed, &mut p).unwrap();
         (state, report.rounds)
     }
 
@@ -366,13 +361,13 @@ mod tests {
         // First top-up over an empty store: launches everything.
         let mut p = ShortWalksProtocol::top_up(&mut state, &targets, 6, true);
         assert_eq!(p.planned(), 3 * g.n());
-        run_node_local(&g, &EngineConfig::default(), 2, &mut p).unwrap();
+        run_protocol(&g, &EngineConfig::default(), 2, &mut p).unwrap();
         assert_eq!(state.total_stored(), 3 * g.n());
 
         // Full store: deficit is zero everywhere, zero rounds.
         let mut p = ShortWalksProtocol::top_up(&mut state, &targets, 6, true);
         assert_eq!(p.planned(), 0);
-        let report = run_node_local(&g, &EngineConfig::default(), 3, &mut p).unwrap();
+        let report = run_protocol(&g, &EngineConfig::default(), 3, &mut p).unwrap();
         assert_eq!(report.rounds, 0);
         assert_eq!(state.total_stored(), 3 * g.n());
 
@@ -389,7 +384,7 @@ mod tests {
         assert_eq!(taken, 2);
         let mut p = ShortWalksProtocol::top_up(&mut state, &targets, 6, true);
         assert_eq!(p.planned(), 2);
-        run_node_local(&g, &EngineConfig::default(), 4, &mut p).unwrap();
+        run_protocol(&g, &EngineConfig::default(), 4, &mut p).unwrap();
         assert_eq!(state.total_stored(), 3 * g.n());
         assert_eq!(state.outstanding_by_source(), vec![3; g.n()]);
     }
@@ -400,36 +395,5 @@ mod tests {
         let (state, rounds) = run_phase1(&g, vec![0; 4], 4, true, 1);
         assert_eq!(state.total_stored(), 0);
         assert_eq!(rounds, 0);
-    }
-
-    #[test]
-    fn sequential_and_sharded_backends_agree_exactly() {
-        // The determinism contract, exercised at the protocol level: the
-        // same seed must produce identical stores, forward logs and
-        // reports on both executors. 2048 tokens over 1024 directed
-        // edges keep the early rounds heavy enough to shard.
-        let g = generators::torus2d(16, 16);
-        let counts: Vec<usize> = (0..g.n()).map(|v| 2 * g.degree(v)).collect();
-        let mut seq_state = WalkState::new(g.n());
-        let mut par_state = WalkState::new(g.n());
-        let seq_cfg = EngineConfig::default();
-        let par_cfg = EngineConfig::default().with_executor(drw_congest::ExecutorKind::Sharded);
-        let mut p_seq = ShortWalksProtocol::new(&mut seq_state, counts.clone(), 16, true);
-        let r_seq = run_node_local(&g, &seq_cfg, 42, &mut p_seq).unwrap();
-        let mut p_par = ShortWalksProtocol::new(&mut par_state, counts, 16, true);
-        let r_par = run_node_local(&g, &par_cfg, 42, &mut p_par).unwrap();
-        assert_eq!(r_seq, r_par, "reports must be bit-identical");
-        let balance = r_par.balance.as_ref().expect("sharded runs record balance");
-        assert!(balance.rounds_measured > 0, "never sharded: {balance:?}");
-        for v in 0..g.n() {
-            assert_eq!(
-                seq_state.nodes[v].store, par_state.nodes[v].store,
-                "store at {v}"
-            );
-            assert_eq!(
-                seq_state.nodes[v].forward, par_state.nodes[v].forward,
-                "forward at {v}"
-            );
-        }
     }
 }

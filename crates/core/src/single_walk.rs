@@ -60,6 +60,12 @@ pub enum WalkError {
         /// The walks the request (or wave) works out to.
         usize,
     ),
+    /// A mixing request's `bucket_base` is not a number above 1: the
+    /// degree buckets of its test are the powers of that base.
+    BadBucketBase(
+        /// The base, as [`f64::to_bits`] (so that the error stays `Eq`).
+        u64,
+    ),
 }
 
 impl fmt::Display for WalkError {
@@ -76,6 +82,11 @@ impl fmt::Display for WalkError {
                 f,
                 "{k} concurrent walks exceed the {} lanes of one multiplexed wave",
                 crate::stitch_scheduler::MAX_WAVE_LANES
+            ),
+            WalkError::BadBucketBase(bits) => write!(
+                f,
+                "mixing probes need bucket_base > 1, got {}",
+                f64::from_bits(*bits)
             ),
         }
     }

@@ -2,12 +2,11 @@
 //!
 //! A distributed algorithm's state is the union of its nodes' local
 //! states, and [`WalkState`] stores it that way: one [`NodeWalkState`]
-//! per node, indexable as a slice. That layout is what lets the
-//! walk-generation protocols implement
-//! [`drw_congest::NodeLocalProtocol`] — the engine's parallel executor
-//! hands each worker thread exclusive `&mut` access to disjoint nodes'
-//! states, and the borrow checker enforces the CONGEST locality
-//! discipline that used to be a documentation-only promise.
+//! per node, indexable as a slice. A walk protocol's receive handler
+//! takes the receiving node's entry and nothing else, so the CONGEST
+//! locality discipline is visible at the call site, and `drw-analyze`'s
+//! interleaving checker measures it by running the handlers of a round
+//! in scripted orders.
 
 use drw_graph::NodeId;
 

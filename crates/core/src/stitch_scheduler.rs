@@ -92,7 +92,7 @@ use crate::get_more_walks::{reservoir_split, scatter_counts, AGGREGATED_SEQ};
 use crate::sample_destination::SdLaneSlot;
 use crate::single_walk::{Segment, StitchSetup, WalkAction, WalkDriver, WalkError};
 use crate::state::{NodeWalkState, StoredWalk, WalkId, WalkState};
-use drw_congest::{Ctx, Envelope, Message, Mux2, NodeCtx, NodeLocalProtocol, RunReport, Runner};
+use drw_congest::{Ctx, Envelope, Message, Mux2, NodeCtx, Protocol, RunError, RunReport, Runner};
 use drw_graph::NodeId;
 
 /// One walk to stitch: `len` steps from `source` — a work item of a
@@ -369,13 +369,13 @@ pub(crate) struct WaveScratch {
 }
 
 /// The receive handler's merge buffers: filled and read within one
-/// call. One set per thread ([`MERGE`]) rather than per call or per
-/// node: a call allocates nothing, and the buffers stay hot in cache —
-/// kept in each node's [`WaveScratch`] they measured 6 % of
-/// `warm_stitch`'s wall time in cache misses. They carry nothing from
+/// call. One set per run ([`BatchedStitchProtocol::merge`]) rather than
+/// per call or per node: a call allocates nothing, and the buffers stay
+/// hot in cache — kept in each node's [`WaveScratch`] they measured 6 %
+/// of `warm_stitch`'s wall time in cache misses. They carry nothing from
 /// call to call (the handler clears them on entry, so not even a
 /// panicked call's leftovers).
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct Merge {
     /// Wave adoptions `(lane, epoch, root, prev, from)`, deferred past
     /// the bookkeeping pass so the parent is the minimum sender among
@@ -392,10 +392,6 @@ struct Merge {
     /// within the round — Algorithm 2's "counts collapse into one
     /// message per edge": the node sums its inbox before splitting.
     gmw_in: Vec<(u32, u32, u64)>,
-}
-
-thread_local! {
-    static MERGE: std::cell::RefCell<Merge> = std::cell::RefCell::default();
 }
 
 /// The lane of walk `lane_idx`, sizing the table for `k` walks first if
@@ -535,6 +531,8 @@ struct BatchedStitchProtocol<'s> {
     /// The last round that began with a walk still under way: the round
     /// the last walk landed in, or the run's last if one never did.
     walking_until: u64,
+    /// The receive handler's merge buffers.
+    merge: Merge,
 }
 
 impl BatchedStitchProtocol<'_> {
@@ -619,10 +617,8 @@ fn advance_walk(
     }
 }
 
-impl NodeLocalProtocol for BatchedStitchProtocol<'_> {
+impl Protocol for BatchedStitchProtocol<'_> {
     type Msg = BatchMsg;
-    type Shared = SharedCfg;
-    type NodeState = NodeWalkState;
 
     fn start(&mut self, ctx: &mut Ctx<'_, BatchMsg>) {
         let n = ctx.graph().n();
@@ -670,28 +666,20 @@ impl NodeLocalProtocol for BatchedStitchProtocol<'_> {
         }
     }
 
-    fn after_receive(&mut self, active: &[NodeId]) {
-        for &v in active {
-            self.note(v);
-        }
-    }
-
-    fn parts(&mut self) -> (&SharedCfg, &mut [NodeWalkState]) {
-        (&self.shared, self.nodes)
-    }
-
-    fn on_receive_local(
-        shared: &SharedCfg,
-        ws: &mut NodeWalkState,
+    fn on_receive(
+        &mut self,
         node: NodeId,
         inbox: &[Envelope<BatchMsg>],
-        ctx: &mut NodeCtx<'_, BatchMsg>,
+        ctx: &mut Ctx<'_, BatchMsg>,
     ) {
         // The scratch leaves the state for the call, so the handlers
         // below can hold the store and the lanes side by side.
+        let ws = &mut self.nodes[node];
         let mut wave = ws.wave.take().unwrap_or_default();
-        MERGE.with_borrow_mut(|merge| receive(shared, ws, &mut wave, merge, node, inbox, ctx));
+        let (shared, merge) = (&self.shared, &mut self.merge);
+        receive(shared, ws, &mut wave, merge, node, inbox, &mut ctx.at(node));
         ws.wave = Some(wave);
+        self.note(node);
     }
 }
 
@@ -1134,7 +1122,6 @@ fn merge_report(total: &mut RunReport, pass: RunReport) {
     total.faults.accumulate(&pass.faults);
     total.wire.merge(&pass.wire);
     total.memory = pass.memory;
-    total.balance = pass.balance;
 }
 
 /// The batched Phase-2 scheduler: stitches `k` walks over a shared
@@ -1153,7 +1140,7 @@ fn merge_report(total: &mut RunReport, pass: RunReport) {
 /// let mut state = WalkState::new(g.n());
 /// // Phase 1: a shared store of short walks.
 /// let mut p1 = ShortWalksProtocol::new(&mut state, vec![4; g.n()], 8, true);
-/// runner.run_local(&mut p1)?;
+/// runner.run(&mut p1)?;
 /// // Phase 2: three walks, batched.
 /// let setup = StitchSetup {
 ///     lambda: 8,
@@ -1288,16 +1275,26 @@ impl StitchScheduler {
         state: &mut WalkState,
     ) -> Result<BatchedStitchOutcome, WalkError> {
         let n = runner.graph().n();
+        let faults = runner.config().faults;
+        let can_reissue = faults.is_some_and(|p| p.is_active() && !p.heal);
+        self.run_on(n, can_reissue, state, |p| runner.run(p))
+    }
+
+    /// [`StitchScheduler::run`] over any engine entry point: `engine`
+    /// runs one pass's protocol to completion on an `n`-node graph.
+    fn run_on(
+        self,
+        n: usize,
+        can_reissue: bool,
+        state: &mut WalkState,
+        mut engine: impl FnMut(&mut BatchedStitchProtocol<'_>) -> Result<RunReport, RunError>,
+    ) -> Result<BatchedStitchOutcome, WalkError> {
         assert_eq!(state.nodes.len(), n, "state must match the graph");
         for spec in &self.specs {
             assert!(spec.source < n, "source {} out of range", spec.source);
         }
         let setup = self.setup;
         let lambda = setup.lambda.max(1);
-        let can_reissue = runner
-            .config()
-            .faults
-            .is_some_and(|p| p.is_active() && !p.heal);
         let total = self.specs.len();
         let specs = self.specs;
 
@@ -1329,8 +1326,9 @@ impl StitchScheduler {
                 done: 0,
                 replaying: 0,
                 walking_until: 0,
+                merge: Merge::default(),
             };
-            let result = runner.run_local(&mut protocol);
+            let result = engine(&mut protocol);
 
             // Collect — and drop — the scratch of exactly the nodes the
             // pass touched, engine error or not; merge this pass's
@@ -1502,7 +1500,7 @@ mod tests {
     fn phase1(runner: &mut Runner, state: &mut WalkState, per_node: usize, lambda: u32) {
         let counts = vec![per_node; runner.graph().n()];
         let mut p1 = ShortWalksProtocol::new(state, counts, lambda, true);
-        runner.run_local(&mut p1).expect("phase 1");
+        runner.run(&mut p1).expect("phase 1");
     }
 
     fn setup(lambda: u32, aggregated: bool) -> StitchSetup {
@@ -1698,8 +1696,8 @@ mod tests {
         // Planted bug: the reservoir replaces its candidate without
         // updating `cand_from`. The root holds no token of its own, so
         // its candidate is a child's and the choice has nowhere to go.
-        // The sequential backend runs the handlers on this thread, which
-        // is the only one to see the flag.
+        // The engine runs the handlers on this thread, which is the
+        // only one to see the flag.
         let g = generators::torus2d(4, 4);
         let mut state = WalkState::new(g.n());
         state.store_walk(9, WalkId { source: 0, seq: 0 }, 4, true);
@@ -2257,6 +2255,127 @@ mod tests {
         let mut sched = StitchScheduler::new(&su);
         sched.add_walk(2, 32);
         let _ = sched.run(&mut runner, &mut state);
+    }
+
+    /// What a scripted-schedule run of [`small_wave`] must reproduce:
+    /// the report, every walk's destination and stitch trace, the
+    /// replenishment bill, the store left behind and the recorded visits.
+    type WaveObserved = (
+        RunReport,
+        Vec<(NodeId, Vec<Segment>)>,
+        Vec<u64>,
+        Vec<Vec<StoredWalk>>,
+        Vec<(NodeId, Visit)>,
+    );
+
+    /// One small wave on the 4x4 torus, each engine run going through
+    /// `engine`: two lanes share connector 0, which holds one stored walk,
+    /// so one of them runs `GET-MORE-WALKS`; a recorded lane stitches
+    /// node 5's walk and replays it; a fourth lane is a tail.
+    fn small_wave(
+        mut engine: impl FnMut(&drw_graph::Graph, &mut BatchedStitchProtocol<'_>) -> RunReport,
+    ) -> WaveObserved {
+        let g = generators::torus2d(4, 4);
+        let lambda = 4u32;
+        let mut state = WalkState::new(g.n());
+        let mut counts = vec![0; g.n()];
+        counts[0] = 1;
+        counts[5] = 1;
+        let mut p1 = ShortWalksProtocol::new(&mut state, counts, lambda, true);
+        drw_congest::run_protocol(&g, &EngineConfig::default(), 3, &mut p1).expect("phase 1");
+        let mut sched = StitchScheduler::new(&StitchSetup {
+            gmw_count: 4,
+            ..setup(lambda, false)
+        });
+        let stitched = 2 * u64::from(lambda);
+        sched
+            .add_spec(StitchSpec::plain(0, stitched))
+            .add_spec(StitchSpec::plain(0, stitched))
+            .add_spec(StitchSpec {
+                record: true,
+                ..StitchSpec::plain(5, stitched)
+            })
+            .add_spec(StitchSpec::plain(10, 5));
+        let out = sched
+            .run_on(g.n(), false, &mut state, |p| Ok(engine(&g, p)))
+            .expect("scripted wave");
+        let walks = out.walks.iter();
+        (
+            out.report,
+            walks.map(|w| (w.destination, w.segments.clone())).collect(),
+            out.gmw_by_walk,
+            state.nodes.iter().map(|ns| ns.store.clone()).collect(),
+            state.drain_visits(),
+        )
+    }
+
+    /// A permutation of `0..len` drawn from `seed` (Fisher-Yates).
+    fn shuffled(seed: u64, len: usize) -> Vec<usize> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut perm: Vec<usize> = (0..len).collect();
+        for i in (1..len).rev() {
+            perm.swap(i, rng.random_range(0..=i));
+        }
+        perm
+    }
+
+    #[test]
+    fn phase_two_is_identical_under_scripted_claim_and_item_orders() {
+        use drw_congest::{derive_seed, run_scripted, ScriptedSchedule};
+        let cfg = EngineConfig::default();
+        let seed = 8;
+        let want = small_wave(|g, p| drw_congest::run_protocol(g, &cfg, seed, p).unwrap());
+        let (report, walks, gmw, _, visits) = &want;
+        assert_eq!(gmw.iter().sum::<u64>(), 1, "one GET-MORE-WALKS");
+        assert_eq!(
+            walks.iter().map(|w| w.1.len()).sum::<usize>(),
+            3,
+            "three stitches"
+        );
+        assert_eq!(visits.len(), 8, "the recorded lane, every position once");
+        assert!(report.rounds > 0);
+
+        // Every schedule index `i` scripts the claim order, or with
+        // `items` the item order inside each shard, by seeded shuffles.
+        let scripted = |i: u64, items: bool, planted: bool| {
+            let mut shards = 0usize;
+            let order = &mut |round: u64, s: usize| {
+                shards = shards.max(s);
+                if items {
+                    (0..s).collect()
+                } else {
+                    shuffled(derive_seed(i, round), s)
+                }
+            };
+            let item_order = &mut |round: u64, shard: usize, c: usize| {
+                shuffled(derive_seed(derive_seed(i, round), shard as u64), c)
+            };
+            let got = small_wave(|g, p| {
+                let schedule = ScriptedSchedule {
+                    merge_in_claim_order: planted,
+                    item_order: items.then_some(
+                        &mut *item_order as &mut dyn FnMut(u64, usize, usize) -> Vec<usize>,
+                    ),
+                    ..ScriptedSchedule::new(1, &mut *order)
+                };
+                run_scripted(g, &cfg, seed, p, schedule).unwrap()
+            });
+            (got, shards)
+        };
+        for items in [false, true] {
+            for i in 0..64 {
+                let (got, shards) = scripted(i, items, false);
+                assert!(
+                    shards >= 4,
+                    "schedule {i}: rounds fan out into {shards} shards"
+                );
+                assert!(got == want, "schedule {i} (items: {items}) diverged");
+            }
+        }
+        // The planted merge race shows under some claim order.
+        let diverged = (0..64).find(|&i| scripted(i, false, true).0 != want);
+        assert!(diverged.is_some(), "the planted merge race went unseen");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! its own counting `#[global_allocator]` and one test function, so
 //! nothing else allocates in the process while it counts.
 
-use drw_congest::{run_node_local, EngineConfig};
+use drw_congest::{run_protocol, EngineConfig};
 use drw_core::{
     naive_walk, ShortWalksProtocol, SingleWalkConfig, StitchSpec, WalkSession, WalkState,
 };
@@ -111,7 +111,7 @@ fn steady_state_allocs_per_round() -> [f64; 2] {
         counted(|| {
             let mut state = WalkState::new(g.n());
             let mut p = ShortWalksProtocol::new(&mut state, vec![1; g.n()], lambda, false);
-            run_node_local(&g, &EngineConfig::default(), 7, &mut p).expect("phase 1");
+            run_protocol(&g, &EngineConfig::default(), 7, &mut p).expect("phase 1");
         })
         .0
     });

@@ -24,9 +24,7 @@
 //! performs exactly one BFS per call.
 
 use drw_core::{Request, WalkParams};
-use drw_experiments::{
-    executor_from_env, one_shot_rounds, table::f3, walk_config_from_env, workloads, Table,
-};
+use drw_experiments::{one_shot_rounds, table::f3, walk_config_from_env, workloads, Table};
 use drw_mixing::{estimate_mixing_time, MixingConfig};
 use drw_spanning::{distributed_rst, RstConfig};
 
@@ -40,9 +38,8 @@ fn main() {
     // --- RST: session vs rebuild-per-phase ---------------------------
     let mut t1 = Table::new(
         &format!(
-            "E12 RST doubling loop on {side}x{side} {} — session vs rebuild (executor={})",
-            w.name,
-            executor_from_env()
+            "E12 RST doubling loop on {side}x{side} {} — session vs rebuild",
+            w.name
         ),
         &[
             "mode",
@@ -102,9 +99,8 @@ fn main() {
     // --- Mixing: session vs rebuild-per-probe ------------------------
     let mut t2 = Table::new(
         &format!(
-            "E12 mixing estimator on {side}x{side} {} — session vs rebuild (executor={})",
-            w.name,
-            executor_from_env()
+            "E12 mixing estimator on {side}x{side} {} — session vs rebuild",
+            w.name
         ),
         &[
             "mode",

@@ -15,7 +15,7 @@
 //! `tests/`).
 
 use drw_core::{Network, Request, TreeRequest};
-use drw_experiments::{executor_from_env, table::f3, walk_config_from_env, workloads, Table};
+use drw_experiments::{table::f3, walk_config_from_env, workloads, Table};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -50,9 +50,8 @@ fn main() {
     let mut t = Table::new(
         &format!(
             "E13 heterogeneous request batching on {side}x{side} {} — \
-             batched vs sequential (executor={})",
-            w.name,
-            executor_from_env()
+             batched vs sequential",
+            w.name
         ),
         &["mode", "rounds", "waves share", "vs sequential"],
     );
@@ -96,10 +95,7 @@ fn main() {
     t.emit();
 
     let mut t2 = Table::new(
-        &format!(
-            "E13 per-request bill on {side}x{side} (executor={})",
-            executor_from_env()
-        ),
+        &format!("E13 per-request bill on {side}x{side}"),
         &["request", "batched (shared waves)", "sequential (private)"],
     );
     for (kind, (b, s)) in kinds.iter().zip(&per_request) {

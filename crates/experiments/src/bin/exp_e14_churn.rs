@@ -22,7 +22,7 @@
 
 use drw_core::exact::exact_distribution;
 use drw_core::{Network, Request};
-use drw_experiments::{executor_from_env, table::f3, walk_config_from_env, workloads, Table};
+use drw_experiments::{table::f3, walk_config_from_env, workloads, Table};
 use drw_graph::{Topology, TopologyDelta};
 use drw_stats::chi2::chi_square_against_probs;
 
@@ -51,10 +51,9 @@ fn main() {
     let mut t = Table::new(
         &format!(
             "E14 churn on {side}x{side} {}: same ManyWalks(k={}, l={len}) after a \
-             2-edge delta — incremental repair vs full rebuild (executor={})",
+             2-edge delta — incremental repair vs full rebuild",
             w.name,
-            sources.len(),
-            executor_from_env()
+            sources.len()
         ),
         &[
             "mode",

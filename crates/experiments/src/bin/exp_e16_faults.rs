@@ -22,7 +22,7 @@
 use drw_congest::FaultPlan;
 use drw_core::exact::exact_distribution;
 use drw_core::{Network, Request};
-use drw_experiments::{executor_from_env, table::f3, walk_config_from_env, workloads, Table};
+use drw_experiments::{table::f3, walk_config_from_env, workloads, Table};
 use drw_graph::matrix_tree;
 use drw_mixing::{estimate_mixing_time, MixingConfig};
 use drw_spanning::{distributed_rst, RstConfig};
@@ -65,9 +65,8 @@ fn main() {
     let mut t = Table::new(
         &format!(
             "E16 fault overhead on the {side}x{side} {}: rounds and verdicts vs uniform \
-             ARQ-healed drop rate (executor={})",
-            w.name,
-            executor_from_env()
+             ARQ-healed drop rate",
+            w.name
         ),
         &[
             "drop", "workload", "rounds", "overhead", "dropped", "retx", "verdict",

@@ -19,7 +19,7 @@
 use drw_core::{
     ArrivalTrace, Completion, MixedTraceSpec, Service, ServiceConfig, ServiceReport, TraceRun,
 };
-use drw_experiments::{executor_from_env, table::f3, walk_config_from_env, workloads, Table};
+use drw_experiments::{table::f3, walk_config_from_env, workloads, Table};
 
 fn mean(xs: impl Iterator<Item = u64>) -> f64 {
     let (mut sum, mut count) = (0u64, 0u64);
@@ -107,9 +107,8 @@ fn main() {
     let mut t = Table::new(
         &format!(
             "E17 continuous-batching service on {side}x{side} {} — \
-             {events} arrivals / 3 tenants / {mutates} deltas (executor={})",
-            w.name,
-            executor_from_env()
+             {events} arrivals / 3 tenants / {mutates} deltas",
+            w.name
         ),
         &[
             "mode",
@@ -134,10 +133,7 @@ fn main() {
     t.emit();
 
     let mut t2 = Table::new(
-        &format!(
-            "E17 per-tenant bills, continuous run (executor={})",
-            executor_from_env()
-        ),
+        "E17 per-tenant bills, continuous run",
         &[
             "tenant",
             "weight",

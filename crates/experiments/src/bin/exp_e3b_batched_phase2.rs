@@ -17,7 +17,7 @@
 //! branch) and in the stitched regime (`lambda_scale = 0.12`).
 
 use drw_core::{many_random_walks, single_random_walk, WalkParams};
-use drw_experiments::{executor_from_env, table::f3, walk_config_from_env, workloads, Table};
+use drw_experiments::{table::f3, walk_config_from_env, workloads, Table};
 
 fn scaled(scale: f64) -> drw_core::SingleWalkConfig {
     drw_core::SingleWalkConfig {
@@ -43,9 +43,8 @@ fn main() {
 
     let mut t = Table::new(
         &format!(
-            "E3b Phase-2 rounds vs k at l={len} on 32x32 {} (lambda_scale=0.25, executor={})",
-            w.name,
-            executor_from_env()
+            "E3b Phase-2 rounds vs k at l={len} on 32x32 {} (lambda_scale=0.25)",
+            w.name
         ),
         &[
             "k",

@@ -8,7 +8,7 @@
 //!    `[lambda, 2*lambda - 1]`, both from Phase 1 and from the
 //!    reservoir-sampled `GET-MORE-WALKS` (Lemma 2.4).
 
-use drw_congest::{run_node_local, Runner};
+use drw_congest::{run_protocol, Runner};
 use drw_core::short_walks::ShortWalksProtocol;
 use drw_core::visit_stats::connector_counts;
 use drw_core::{StitchScheduler, StitchSetup, WalkState};
@@ -76,7 +76,7 @@ fn main() {
         match source {
             "phase1" => {
                 let mut p = ShortWalksProtocol::new(&mut state, vec![300; g.n()], lambda, true);
-                run_node_local(&g, &engine_config_from_env(), 1, &mut p).unwrap();
+                run_protocol(&g, &engine_config_from_env(), 1, &mut p).unwrap();
             }
             _ => {
                 // One 2*lambda-step walk over the empty store: its only

@@ -6,10 +6,10 @@
 //! Runs Phase 1 under an unbounded-capacity engine that records every
 //! (edge, round) delivery count.
 
-use drw_congest::{run_node_local, EngineConfig};
+use drw_congest::{run_protocol, EngineConfig};
 use drw_core::short_walks::ShortWalksProtocol;
 use drw_core::WalkState;
-use drw_experiments::{executor_from_env, table::f3, workloads, Table};
+use drw_experiments::{table::f3, workloads, Table};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -37,8 +37,8 @@ fn main() {
         let counts: Vec<usize> = (0..g.n()).map(|v| eta * g.degree(v)).collect();
         let mut state = WalkState::new(g.n());
         let mut p = ShortWalksProtocol::new(&mut state, counts, lambda, true);
-        let cfg = EngineConfig::observing().with_executor(executor_from_env());
-        let report = run_node_local(g, &cfg, 7, &mut p).unwrap();
+        let cfg = EngineConfig::observing();
+        let report = run_protocol(g, &cfg, 7, &mut p).unwrap();
         // Mean load over (edge, round) pairs that carried any messages at
         // all underestimates nothing: add zero-load pairs over the full
         // lambda-round window for the honest mean.

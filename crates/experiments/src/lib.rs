@@ -14,9 +14,7 @@ pub mod table;
 pub mod trials;
 pub mod workloads;
 
-pub use config::{
-    engine_config_from_env, executor_from_env, faults_from_env, walk_config_from_env,
-};
+pub use config::{engine_config_from_env, faults_from_env, walk_config_from_env};
 pub use table::Table;
 pub use trials::parallel_trials;
 

@@ -1,5 +1,5 @@
 //! Facade-equivalence suite: the `Network` service facade versus the
-//! legacy free functions, under both round executors.
+//! legacy free functions.
 //!
 //! - Fixed-seed tests assert that `Network`-routed `Walk` /
 //!   `ManyWalks` / `SpanningTree` / `MixingTime` responses are
@@ -17,41 +17,27 @@
 //!   rounds batched than sequentially.
 
 use distributed_random_walks::prelude::*;
-use drw_congest::EngineConfig;
 use proptest::prelude::*;
-
-fn executors() -> [ExecutorKind; 2] {
-    [ExecutorKind::Sequential, ExecutorKind::Sharded]
-}
-
-fn cfg_for(kind: ExecutorKind) -> SingleWalkConfig {
-    SingleWalkConfig {
-        engine: EngineConfig::default().with_executor(kind),
-        ..SingleWalkConfig::default()
-    }
-}
 
 #[test]
 fn walk_requests_match_the_legacy_free_function() {
     let g = generators::torus2d(8, 8);
-    for kind in executors() {
-        let cfg = cfg_for(kind);
-        for seed in [0u64, 7, 99] {
-            let legacy = single_random_walk(&g, 5, 1024, &cfg, seed).unwrap();
-            let mut net = Network::builder(&g).config(cfg.clone()).seed(seed).build();
-            let routed = net
-                .run(Request::Walk {
-                    source: 5,
-                    len: 1024,
-                    record: false,
-                })
-                .unwrap()
-                .into_walk();
-            assert_eq!(routed.destination, legacy.destination, "{kind:?}/{seed}");
-            assert_eq!(routed.rounds, legacy.rounds, "{kind:?}/{seed}");
-            assert_eq!(routed.segments, legacy.segments, "{kind:?}/{seed}");
-            assert_eq!(routed.messages, legacy.messages, "{kind:?}/{seed}");
-        }
+    let cfg = SingleWalkConfig::default();
+    for seed in [0u64, 7, 99] {
+        let legacy = single_random_walk(&g, 5, 1024, &cfg, seed).unwrap();
+        let mut net = Network::builder(&g).config(cfg.clone()).seed(seed).build();
+        let routed = net
+            .run(Request::Walk {
+                source: 5,
+                len: 1024,
+                record: false,
+            })
+            .unwrap()
+            .into_walk();
+        assert_eq!(routed.destination, legacy.destination, "{seed}");
+        assert_eq!(routed.rounds, legacy.rounds, "{seed}");
+        assert_eq!(routed.segments, legacy.segments, "{seed}");
+        assert_eq!(routed.messages, legacy.messages, "{seed}");
     }
 }
 
@@ -59,66 +45,56 @@ fn walk_requests_match_the_legacy_free_function() {
 fn many_walks_requests_match_the_legacy_free_function() {
     let g = generators::torus2d(6, 6);
     let sources = vec![0usize, 9, 20, 20];
-    for kind in executors() {
-        let cfg = cfg_for(kind);
-        let legacy = many_random_walks(&g, &sources, 512, &cfg, 11).unwrap();
-        let mut net = Network::builder(&g).config(cfg.clone()).seed(11).build();
-        let routed = net
-            .run(Request::many_walks(sources.clone(), 512))
-            .unwrap()
-            .into_many_walks();
-        assert_eq!(routed.destinations, legacy.destinations, "{kind:?}");
-        assert_eq!(routed.rounds, legacy.rounds, "{kind:?}");
-        assert_eq!(routed.lambda, legacy.lambda, "{kind:?}");
-    }
+    let cfg = SingleWalkConfig::default();
+    let legacy = many_random_walks(&g, &sources, 512, &cfg, 11).unwrap();
+    let mut net = Network::builder(&g).config(cfg).seed(11).build();
+    let routed = net
+        .run(Request::many_walks(sources.clone(), 512))
+        .unwrap()
+        .into_many_walks();
+    assert_eq!(routed.destinations, legacy.destinations);
+    assert_eq!(routed.rounds, legacy.rounds);
+    assert_eq!(routed.lambda, legacy.lambda);
 }
 
 #[test]
 fn spanning_tree_requests_match_the_legacy_free_function() {
     let g = generators::torus2d(6, 6);
-    for kind in executors() {
-        let rst_cfg = RstConfig {
-            walk: cfg_for(kind),
-            ..RstConfig::default()
-        };
-        let legacy = distributed_rst(&g, 0, &rst_cfg, 23).unwrap();
-        let mut net = Network::builder(&g)
-            .config(rst_cfg.walk.clone())
-            .seed(23)
-            .build();
-        let routed = net
-            .run(Request::SpanningTree(rst_cfg.to_request(0)))
-            .unwrap()
-            .into_tree();
-        assert_eq!(routed.edges, legacy.edges, "{kind:?}");
-        assert_eq!(routed.rounds, legacy.rounds, "{kind:?}");
-        assert_eq!(routed.phases, legacy.phases);
-        assert_eq!(routed.bfs_runs, legacy.bfs_runs);
-    }
+    let rst_cfg = RstConfig::default();
+    let legacy = distributed_rst(&g, 0, &rst_cfg, 23).unwrap();
+    let mut net = Network::builder(&g)
+        .config(rst_cfg.walk.clone())
+        .seed(23)
+        .build();
+    let routed = net
+        .run(Request::SpanningTree(rst_cfg.to_request(0)))
+        .unwrap()
+        .into_tree();
+    assert_eq!(routed.edges, legacy.edges);
+    assert_eq!(routed.rounds, legacy.rounds);
+    assert_eq!(routed.phases, legacy.phases);
+    assert_eq!(routed.bfs_runs, legacy.bfs_runs);
 }
 
 #[test]
 fn mixing_requests_match_the_legacy_free_function() {
     let g = generators::cycle(33);
-    for kind in executors() {
-        let mix_cfg = MixingConfig {
-            max_len: 1 << 12,
-            walk: cfg_for(kind),
-            ..MixingConfig::default()
-        };
-        let legacy = estimate_mixing_time(&g, 0, &mix_cfg, 31).unwrap();
-        let mut net = Network::builder(&g)
-            .config(mix_cfg.walk.clone())
-            .seed(31)
-            .build();
-        let routed = net
-            .run(Request::MixingTime(mix_cfg.to_request(0)))
-            .unwrap()
-            .into_mixing();
-        assert_eq!(routed.tau_estimate, legacy.tau_estimate, "{kind:?}");
-        assert_eq!(routed.rounds, legacy.rounds, "{kind:?}");
-        assert_eq!(routed.probes, legacy.probes, "{kind:?}");
-    }
+    let mix_cfg = MixingConfig {
+        max_len: 1 << 12,
+        ..MixingConfig::default()
+    };
+    let legacy = estimate_mixing_time(&g, 0, &mix_cfg, 31).unwrap();
+    let mut net = Network::builder(&g)
+        .config(mix_cfg.walk.clone())
+        .seed(31)
+        .build();
+    let routed = net
+        .run(Request::MixingTime(mix_cfg.to_request(0)))
+        .unwrap()
+        .into_mixing();
+    assert_eq!(routed.tau_estimate, legacy.tau_estimate);
+    assert_eq!(routed.rounds, legacy.rounds);
+    assert_eq!(routed.probes, legacy.probes);
 }
 
 /// Static-path equivalence guard (ISSUE 5): with zero deltas applied,
@@ -126,60 +102,58 @@ fn mixing_requests_match_the_legacy_free_function() {
 /// handle* (`Network::over`) are seed-for-seed identical to the
 /// pre-redesign outputs — pinned here via the legacy free functions,
 /// which the facade-equivalence tests above tie to the historical
-/// drivers — under both executors.
+/// drivers.
 #[test]
 fn topology_handle_static_path_matches_legacy_outputs() {
     let g = generators::torus2d(6, 6);
-    for kind in executors() {
-        let cfg = cfg_for(kind);
-        let over = |seed: u64| {
-            Network::over(Topology::new(g.clone()))
-                .config(cfg.clone())
-                .seed(seed)
-                .build()
-        };
+    let cfg = SingleWalkConfig::default();
+    let over = |seed: u64| {
+        Network::over(Topology::new(g.clone()))
+            .config(cfg.clone())
+            .seed(seed)
+            .build()
+    };
 
-        let legacy = single_random_walk(&g, 5, 768, &cfg, 7).unwrap();
-        let routed = over(7).run(Request::walk(5, 768)).unwrap().into_walk();
-        assert_eq!(routed.destination, legacy.destination, "{kind:?} walk");
-        assert_eq!(routed.rounds, legacy.rounds, "{kind:?} walk");
-        assert_eq!(routed.segments, legacy.segments, "{kind:?} walk");
+    let legacy = single_random_walk(&g, 5, 768, &cfg, 7).unwrap();
+    let routed = over(7).run(Request::walk(5, 768)).unwrap().into_walk();
+    assert_eq!(routed.destination, legacy.destination, "walk");
+    assert_eq!(routed.rounds, legacy.rounds, "walk");
+    assert_eq!(routed.segments, legacy.segments, "walk");
 
-        let sources = vec![0usize, 9, 20];
-        let legacy = many_random_walks(&g, &sources, 512, &cfg, 11).unwrap();
-        let routed = over(11)
-            .run(Request::many_walks(sources.clone(), 512))
-            .unwrap()
-            .into_many_walks();
-        assert_eq!(routed.destinations, legacy.destinations, "{kind:?} many");
-        assert_eq!(routed.rounds, legacy.rounds, "{kind:?} many");
+    let sources = vec![0usize, 9, 20];
+    let legacy = many_random_walks(&g, &sources, 512, &cfg, 11).unwrap();
+    let routed = over(11)
+        .run(Request::many_walks(sources.clone(), 512))
+        .unwrap()
+        .into_many_walks();
+    assert_eq!(routed.destinations, legacy.destinations, "many");
+    assert_eq!(routed.rounds, legacy.rounds, "many");
 
-        let rst_cfg = RstConfig {
-            walk: cfg.clone(),
-            ..RstConfig::default()
-        };
-        let legacy = distributed_rst(&g, 0, &rst_cfg, 23).unwrap();
-        let routed = over(23)
-            .run(Request::SpanningTree(rst_cfg.to_request(0)))
-            .unwrap()
-            .into_tree();
-        assert_eq!(routed.edges, legacy.edges, "{kind:?} tree");
-        assert_eq!(routed.rounds, legacy.rounds, "{kind:?} tree");
+    let rst_cfg = RstConfig {
+        walk: cfg.clone(),
+        ..RstConfig::default()
+    };
+    let legacy = distributed_rst(&g, 0, &rst_cfg, 23).unwrap();
+    let routed = over(23)
+        .run(Request::SpanningTree(rst_cfg.to_request(0)))
+        .unwrap()
+        .into_tree();
+    assert_eq!(routed.edges, legacy.edges, "tree");
+    assert_eq!(routed.rounds, legacy.rounds, "tree");
 
-        let mix_cfg = MixingConfig {
-            max_len: 1 << 10,
-            walk: cfg.clone(),
-            ..MixingConfig::default()
-        };
-        let legacy = estimate_mixing_time(&g, 0, &mix_cfg, 31).unwrap();
-        let routed = over(31)
-            .run(Request::MixingTime(mix_cfg.to_request(0)))
-            .unwrap()
-            .into_mixing();
-        assert_eq!(routed.tau_estimate, legacy.tau_estimate, "{kind:?} mix");
-        assert_eq!(routed.rounds, legacy.rounds, "{kind:?} mix");
-        assert_eq!(routed.probes, legacy.probes, "{kind:?} mix");
-    }
+    let mix_cfg = MixingConfig {
+        max_len: 1 << 10,
+        walk: cfg.clone(),
+        ..MixingConfig::default()
+    };
+    let legacy = estimate_mixing_time(&g, 0, &mix_cfg, 31).unwrap();
+    let routed = over(31)
+        .run(Request::MixingTime(mix_cfg.to_request(0)))
+        .unwrap()
+        .into_mixing();
+    assert_eq!(routed.tau_estimate, legacy.tau_estimate, "mix");
+    assert_eq!(routed.rounds, legacy.rounds, "mix");
+    assert_eq!(routed.probes, legacy.probes, "mix");
 }
 
 /// The heterogeneous-batching acceptance: 2 walks + 1 spanning tree +

@@ -118,7 +118,7 @@ fn scheduler_report_reconciles_with_runner_totals() {
     let mut runner = Runner::new(&g, EngineConfig::default(), 31);
     let mut state = WalkState::new(g.n());
     let mut p1 = ShortWalksProtocol::new(&mut state, vec![4; g.n()], 10, true);
-    runner.run_local(&mut p1).unwrap();
+    runner.run(&mut p1).unwrap();
 
     let setup = StitchSetup {
         lambda: 10,

@@ -3,8 +3,8 @@
 use distributed_random_walks::prelude::*;
 use drw_congest::primitives::{BfsTreeProtocol, UpcastMsg, UpcastProtocol, VectorSumProtocol};
 use drw_congest::{
-    run_node_local, run_node_local_scripted, run_protocol, Ctx, Envelope, FaultPlan, Mux2, NodeCtx,
-    NodeLocalProtocol, RunError, Runner, ScriptedSchedule, ScriptedTiming,
+    run_protocol, run_scripted, Ctx, Envelope, FaultPlan, Mux2, Protocol, RunError, Runner,
+    ScriptedSchedule, ScriptedTiming,
 };
 use drw_core::short_walks::ShortWalksProtocol;
 use drw_core::{StitchScheduler, StitchSetup, WalkState};
@@ -31,7 +31,7 @@ fn oversized_messages_abort() {
     };
     let mut state = WalkState::new(g.n());
     let mut p = ShortWalksProtocol::new(&mut state, vec![1; 4], 2, true);
-    let err = run_node_local(&g, &cfg, 1, &mut p).unwrap_err();
+    let err = run_protocol(&g, &cfg, 1, &mut p).unwrap_err();
     assert!(matches!(
         err,
         RunError::OversizedMessage { words: 4, cap: 2 }
@@ -65,7 +65,7 @@ fn congestion_delays_but_never_drops() {
     let counts: Vec<usize> = (0..g.n()).map(|v| 2 * g.degree(v)).collect();
     let total: usize = counts.iter().sum();
     let mut p = ShortWalksProtocol::new(&mut state, counts, 12, true);
-    let report = run_node_local(&g, &EngineConfig::default(), 3, &mut p).unwrap();
+    let report = run_protocol(&g, &EngineConfig::default(), 3, &mut p).unwrap();
     assert_eq!(state.total_stored(), total, "every token must land");
     // The bridge forces serialization: strictly more rounds than the
     // maximum walk length.
@@ -130,7 +130,7 @@ fn short_walks_edge_words_match_wire_format() {
     let cfg = EngineConfig::default();
     let mut state = WalkState::new(g.n());
     let mut p = ShortWalksProtocol::new(&mut state, vec![2; g.n()], 8, false);
-    let report = run_node_local(&g, &cfg, 19, &mut p).unwrap();
+    let report = run_protocol(&g, &cfg, 19, &mut p).unwrap();
     assert_eq!(report.max_edge_words_per_round, 4);
     assert_eq!(report.max_edge_words_per_round, cfg.max_message_words);
 }
@@ -173,7 +173,7 @@ fn stitch_scheduler_edge_words_match_wire_format() {
     let mut state = WalkState::new(g.n());
     {
         let mut p = ShortWalksProtocol::new(&mut state, vec![4; g.n()], 8, true);
-        runner.run_local(&mut p).unwrap();
+        runner.run(&mut p).unwrap();
     }
     let setup = StitchSetup {
         lambda: 8,
@@ -200,7 +200,7 @@ fn arq_retransmissions_do_not_widen_edges() {
     let cfg = EngineConfig::default().with_faults(FaultPlan::drops(7, 80));
     let mut state = WalkState::new(g.n());
     let mut p = ShortWalksProtocol::new(&mut state, vec![2; g.n()], 8, false);
-    let report = run_node_local(&g, &cfg, 31, &mut p).unwrap();
+    let report = run_protocol(&g, &cfg, 31, &mut p).unwrap();
     assert!(report.faults.dropped > 0, "the plan must actually bite");
     assert_eq!(report.max_edge_words_per_round, 4);
     assert!(report.max_edge_words_per_round <= cfg.max_message_words);
@@ -219,7 +219,7 @@ fn ack_lane_words_pinned_under_scripted_fault_timing() {
         let cfg = EngineConfig::default().with_faults(plan.with_timing(ScriptedTiming::new(index)));
         let mut state = WalkState::new(g.n());
         let mut p = ShortWalksProtocol::new(&mut state, vec![2; g.n()], 8, true);
-        let report = run_node_local(&g, &cfg, 31, &mut p).unwrap();
+        let report = run_protocol(&g, &cfg, 31, &mut p).unwrap();
         assert!(
             report.faults.total() > 0,
             "timing {index}: the plan must actually bite"
@@ -243,10 +243,8 @@ struct Mux2Gossip {
 
 type LaneMsg = Mux2<UpcastMsg>;
 
-impl NodeLocalProtocol for Mux2Gossip {
+impl Protocol for Mux2Gossip {
     type Msg = LaneMsg;
-    type Shared = u64;
-    type NodeState = u64;
 
     fn start(&mut self, ctx: &mut Ctx<'_, LaneMsg>) {
         for v in 0..ctx.graph().n() {
@@ -257,17 +255,9 @@ impl NodeLocalProtocol for Mux2Gossip {
         }
     }
 
-    fn parts(&mut self) -> (&u64, &mut [u64]) {
-        (&self.ttl, &mut self.nodes)
-    }
-
-    fn on_receive_local(
-        ttl: &u64,
-        state: &mut u64,
-        node: usize,
-        inbox: &[Envelope<LaneMsg>],
-        ctx: &mut NodeCtx<'_, LaneMsg>,
-    ) {
+    fn on_receive(&mut self, node: usize, inbox: &[Envelope<LaneMsg>], ctx: &mut Ctx<'_, LaneMsg>) {
+        let state = &mut self.nodes[node];
+        let mut ctx = ctx.at(node);
         for env in inbox {
             *state = state.rotate_left(9)
                 ^ (u64::from(env.msg.req) << 40)
@@ -275,7 +265,7 @@ impl NodeLocalProtocol for Mux2Gossip {
                 ^ env.msg.msg.0 .0
                 ^ env.msg.msg.0 .1;
         }
-        if ctx.round() < *ttl {
+        if ctx.round() < self.ttl {
             let neighbors: Vec<usize> = ctx.graph().neighbors(node).collect();
             for u in neighbors {
                 let m = UpcastMsg((node as u64, ctx.round()));
@@ -299,7 +289,7 @@ fn mux2_words_pinned_under_item_level_schedules() {
     };
 
     let mut seq = mk();
-    let r_seq = run_node_local(&g, &cfg, 43, &mut seq).unwrap();
+    let r_seq = run_protocol(&g, &cfg, 43, &mut seq).unwrap();
     assert_eq!(r_seq.max_edge_words_per_round, 3, "header + 2-word payload");
 
     for rot in 0..6usize {
@@ -317,12 +307,11 @@ fn mux2_words_pinned_under_item_level_schedules() {
                 (0..c).map(|i| (i + k) % c).collect()
             }),
         };
-        let r = run_node_local_scripted(&g, &cfg, 43, &mut p, schedule).unwrap();
+        let r = run_scripted(&g, &cfg, 43, &mut p, schedule).unwrap();
         assert_eq!(r.max_edge_words_per_round, 3, "rotation {rot}");
         // Bit-identity: report and per-node digests must not see the
-        // item schedule. (Balance telemetry is executor-specific.)
-        assert_eq!(r.rounds, r_seq.rounds, "rotation {rot}");
-        assert_eq!(r.messages, r_seq.messages, "rotation {rot}");
+        // item schedule.
+        assert_eq!(r, r_seq, "rotation {rot}");
         assert_eq!(p.nodes, seq.nodes, "rotation {rot}: node digests");
     }
 }

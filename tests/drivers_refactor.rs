@@ -1,7 +1,7 @@
 //! Fixed-seed regression guard for the shared request drivers
 //! (`drw_core::network::drivers`): `run_batch`, one-shot `run`, session
 //! walks and a mixed multiplexed wave must keep reproducing golden
-//! values to the byte, at the listed seeds and on both backends. The
+//! values to the byte, at the listed seeds. The
 //! values were first captured from the hand-written loops the drivers
 //! replaced (ISSUEs 9, 14, 20, 21, 22) and re-captured once, when
 //! `SAMPLE-DESTINATION` became one echo (ISSUE 23): a different Phase-2
@@ -65,7 +65,7 @@ fn run_batch_outputs_are_byte_identical_to_pre_refactor() {
     let epoch = rs[4].clone().into_epoch();
     let walk2 = rs[5].clone().into_walk();
 
-    // Seed 31, 6x6 torus, sequential executor. Any divergence means a
+    // Seed 31, 6x6 torus. Any divergence means a
     // change of scheduling or randomness.
     assert_eq!(
         (walk.destination, walk.rounds, walk.stitches),
@@ -192,9 +192,9 @@ fn two_session_walks() -> ([(usize, u64, u64); 2], u64) {
 
 /// One stitched (`l >= 2 * lambda`) many-walks request: `(destinations,
 /// rounds, messages, digest of everything else)`.
-fn one_shot_many(kind: ExecutorKind) -> (Vec<usize>, u64, u64, u64) {
+fn one_shot_many() -> (Vec<usize>, u64, u64, u64) {
     let g = drw_graph::generators::torus2d(16, 16);
-    let mut net = Network::builder(&g).executor(kind).seed(31).build();
+    let mut net = Network::builder(&g).seed(31).build();
     let m = net
         .run(Request::many_walks(vec![3, 8, 200, 77], 2048))
         .expect("golden cohort")
@@ -240,7 +240,7 @@ fn mix_tuple(m: &MixingReport) -> MixGolden {
 #[test]
 fn one_shot_and_session_outputs_are_byte_identical_to_pre_refactor() {
     // Seed 31 on the 6x6 torus for trees and session walks; seeds 6 / 5
-    // on C16 / K32 for the full mixing estimate; sequential executor.
+    // on C16 / K32 for the full mixing estimate.
     assert_eq!(
         tree_tuple(&one_shot_tree(TreeMode::ExtendWalk)),
         ONE_SHOT.tree_extend,
@@ -266,11 +266,9 @@ fn one_shot_and_session_outputs_are_byte_identical_to_pre_refactor() {
         (ONE_SHOT.session_walks, ONE_SHOT.session_total_rounds),
         "consecutive session walks drifted"
     );
-    // Seed 31, 16x16 torus, on both backends.
+    // Seed 31, 16x16 torus.
     let many = (vec![143, 209, 130, 9], 1693, 586_089, 0x7566e9ac107dc670);
-    for kind in [ExecutorKind::Sequential, ExecutorKind::Sharded] {
-        assert_eq!(one_shot_many(kind), many, "{kind:?} many-walks drifted");
-    }
+    assert_eq!(one_shot_many(), many, "many-walks drifted");
 }
 
 /// `(edge digest, phases, attempts, cover_len, rounds, bfs_runs)` per
@@ -301,14 +299,13 @@ type WaveGolden = (Vec<usize>, u64, u64, u64);
 /// store: two plain stitched walks sharing a connector, a third of
 /// another request, a pure tail (`len < 2 * lambda`), a forced-naive
 /// walk and — with `record` — a recorded extension at an offset.
-/// Returns the golden tuple and whether any round really sharded.
-fn mixed_wave(side: usize, cfg: EngineConfig, record: bool) -> (WaveGolden, bool) {
+fn mixed_wave(side: usize, cfg: EngineConfig, record: bool) -> WaveGolden {
     let g = drw_graph::generators::torus2d(side, side);
     let n = g.n();
     let mut runner = Runner::new(&g, cfg, 31);
     let mut state = WalkState::new(n);
     let mut p1 = ShortWalksProtocol::new(&mut state, vec![2; n], 8, true);
-    runner.run_local(&mut p1).expect("phase 1");
+    runner.run(&mut p1).expect("phase 1");
     let mut sched = StitchScheduler::new(&StitchSetup {
         lambda: 8,
         randomize_len: true,
@@ -341,19 +338,11 @@ fn mixed_wave(side: usize, cfg: EngineConfig, record: bool) -> (WaveGolden, bool
     let out = sched.run(&mut runner, &mut state).expect("mixed wave");
     let visits = state.drain_visits();
     let segments: Vec<_> = out.walks.iter().map(|w| w.segments.clone()).collect();
-    let sharded = out
-        .report
-        .balance
-        .as_ref()
-        .is_some_and(|b| b.rounds_measured > 0);
     (
-        (
-            out.walks.iter().map(|w| w.destination).collect(),
-            out.report.rounds,
-            out.reissues,
-            debug_digest(&(segments, &out.gmw_by_walk, visits, &out.connector_visits)),
-        ),
-        sharded,
+        out.walks.iter().map(|w| w.destination).collect(),
+        out.report.rounds,
+        out.reissues,
+        debug_digest(&(segments, &out.gmw_by_walk, visits, &out.connector_visits)),
     )
 }
 
@@ -362,17 +351,13 @@ fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
     // Seed 31; the connector visits are digested as the non-zero
     // `(node, count)` pairs.
     let golden: WaveGolden = (vec![97, 255, 143, 8, 194, 208], 1087, 0, 0xd8917fab054d8dce);
-    let (seq, _) = mixed_wave(32, EngineConfig::default(), true);
-    assert_eq!(seq, golden, "sequential mixed wave drifted");
-    let sharded_cfg = EngineConfig::default().with_executor(ExecutorKind::Sharded);
-    let (par, sharded) = mixed_wave(32, sharded_cfg, true);
-    assert!(sharded, "the 32x32 wave must really fan out into shards");
-    assert_eq!(par, golden, "sharded mixed wave drifted");
+    let wave = mixed_wave(32, EngineConfig::default(), true);
+    assert_eq!(wave, golden, "mixed wave drifted");
 
     // The lossy re-issue path: fail-silent 0.1 % drops on a 4x4 torus
     // (a recorded walk cannot be re-issued, so that lane runs plain).
     let lossy = EngineConfig::default().with_faults(FaultPlan::drops(3, 1).lossy());
-    let (reissued, _) = mixed_wave(4, lossy, false);
+    let reissued = mixed_wave(4, lossy, false);
     assert_eq!(
         reissued,
         (vec![2, 15, 7, 14, 0, 13], 484, 2, 0x985fe473673f2db7),
@@ -386,9 +371,9 @@ fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
 /// (consumed, evicted, discarded), so both reclaim sites fire. Digests
 /// everything a caller sees except walk identities (sequence numbers
 /// restart at a reclaim), plus the session's round total.
-fn churned_recorded_batch(kind: ExecutorKind) -> (u64, u64) {
+fn churned_recorded_batch() -> (u64, u64) {
     let g = drw_graph::generators::torus2d(6, 6);
-    let mut net = Network::builder(&g).executor(kind).seed(47).build();
+    let mut net = Network::builder(&g).seed(47).build();
     let batch = vec![
         Request::spanning_tree(0),
         Request::walk(5, 256),
@@ -423,7 +408,5 @@ fn churned_recorded_session_is_byte_identical_to_unreclaimed_logs() {
     // Seed 47, 6x6 torus. (Logs that keep every entry for the life of
     // the session give the same values: a reclaim is invisible.)
     let golden = (0xcf854cb563c46627, 4593);
-    for kind in [ExecutorKind::Sequential, ExecutorKind::Sharded] {
-        assert_eq!(churned_recorded_batch(kind), golden, "{kind:?} drifted");
-    }
+    assert_eq!(churned_recorded_batch(), golden, "churned session drifted");
 }

@@ -1,14 +1,15 @@
-//! Acceptance test for the executor backends: the sharded backend must
-//! produce results **bit-identical** to the sequential reference — identical run
-//! statistics, identical walk outputs, identical per-node state — for
-//! the same graph and seed, across graph families.
+//! The determinism contract: a run is a function of its graph,
+//! configuration and seed alone — identical run statistics, walk
+//! outputs and per-node state however often, and after whatever other
+//! runs, it is repeated. Each test runs its cases, then replays them in
+//! reverse order on the same thread (so every replay follows a
+//! different history of runs than its first run did) under the
+//! configuration the retired `"sharded"` backend name resolves to,
+//! which is what configurations naming it run; across graph families.
 
 use distributed_random_walks::prelude::*;
 use drw_congest::primitives::BfsTreeProtocol;
-use drw_congest::{
-    derive_seed, run_node_local, Ctx, Envelope, ExecutorKind, Message, NodeCtx, NodeLocalProtocol,
-    Runner,
-};
+use drw_congest::{derive_seed, run_protocol, Ctx, Envelope, Message, Protocol, Runner};
 use drw_core::WalkState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -33,15 +34,37 @@ fn graph_families() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-/// The backends that must reproduce the sequential reference.
-const ALT_BACKENDS: [ExecutorKind; 1] = [ExecutorKind::Sharded];
+/// The engine configuration a configuration naming the retired
+/// `"sharded"` backend runs under.
+fn by_old_name() -> EngineConfig {
+    let kind = ExecutorKind::from_name("sharded").expect("the name still parses");
+    EngineConfig::default().with_executor(kind)
+}
 
-fn config_with(executor: ExecutorKind, record: bool) -> SingleWalkConfig {
+fn config_with(engine: EngineConfig, record: bool) -> SingleWalkConfig {
     SingleWalkConfig {
         record_walk: record,
-        engine: EngineConfig::default().with_executor(executor),
+        engine,
         ..SingleWalkConfig::default()
     }
+}
+
+/// Runs `run` on every case under the default engine configuration,
+/// then replays the cases in reverse order under [`by_old_name`];
+/// returns `(case, first, replay)` triples.
+fn run_and_replay<C: Copy, T>(cases: &[C], run: impl Fn(C, EngineConfig) -> T) -> Vec<(C, T, T)> {
+    let first: Vec<T> = cases
+        .iter()
+        .map(|&c| run(c, EngineConfig::default()))
+        .collect();
+    let mut replays: Vec<T> = cases.iter().rev().map(|&c| run(c, by_old_name())).collect();
+    replays.reverse();
+    cases
+        .iter()
+        .zip(first)
+        .zip(replays)
+        .map(|((&c, a), b)| (c, a, b))
+        .collect()
 }
 
 fn assert_states_match(name: &str, a: &WalkState, b: &WalkState) {
@@ -66,32 +89,26 @@ fn assert_states_match(name: &str, a: &WalkState, b: &WalkState) {
 /// stitch traces, per-node stores and forwarding logs all agree.
 #[test]
 fn single_walk_is_identical_across_backends() {
-    for (name, g) in graph_families() {
-        for seed in [1u64, 77, 4242] {
-            let seq = single_random_walk(
-                &g,
-                0,
-                2048,
-                &config_with(ExecutorKind::Sequential, false),
-                seed,
-            )
-            .expect("sequential walk");
-            for alt in ALT_BACKENDS {
-                let par = single_random_walk(&g, 0, 2048, &config_with(alt, false), seed)
-                    .expect("alternate-backend walk");
-                let tag = format!("{name} seed {seed} vs {}", alt.name());
-                assert_eq!(seq.destination, par.destination, "{tag}: destination");
-                assert_eq!(seq.rounds, par.rounds, "{tag}: rounds");
-                assert_eq!(seq.messages, par.messages, "{tag}: messages");
-                assert_eq!(seq.segments, par.segments, "{tag}: stitch trace");
-                assert_eq!(seq.stitches, par.stitches, "{tag}: stitches");
-                assert_eq!(
-                    seq.connector_visits, par.connector_visits,
-                    "{tag}: connector visits"
-                );
-                assert_states_match(&tag, &seq.state, &par.state);
-            }
-        }
+    let families = graph_families();
+    let cases: Vec<(usize, u64)> = (0..families.len())
+        .flat_map(|f| [1u64, 77, 4242].map(|seed| (f, seed)))
+        .collect();
+    let walk = |(f, seed): (usize, u64), engine| {
+        single_random_walk(&families[f].1, 0, 2048, &config_with(engine, false), seed)
+            .expect("walk")
+    };
+    for ((f, seed), first, replay) in run_and_replay(&cases, walk) {
+        let tag = format!("{} seed {seed}", families[f].0);
+        assert_eq!(first.destination, replay.destination, "{tag}: destination");
+        assert_eq!(first.rounds, replay.rounds, "{tag}: rounds");
+        assert_eq!(first.messages, replay.messages, "{tag}: messages");
+        assert_eq!(first.segments, replay.segments, "{tag}: stitch trace");
+        assert_eq!(first.stitches, replay.stitches, "{tag}: stitches");
+        assert_eq!(
+            first.connector_visits, replay.connector_visits,
+            "{tag}: connector visits"
+        );
+        assert_states_match(&tag, &first.state, &replay.state);
     }
 }
 
@@ -99,24 +116,19 @@ fn single_walk_is_identical_across_backends() {
 /// positions, i.e. the full walk — is identical step for step.
 #[test]
 fn recorded_trajectories_are_identical_across_backends() {
-    for (name, g) in graph_families() {
-        let len = 1024u64;
-        let seq = single_random_walk(&g, 1, len, &config_with(ExecutorKind::Sequential, true), 99)
-            .expect("sequential walk");
-        let walk_seq = seq.state.reconstruct_walk(len);
-        assert_eq!(walk_seq[0], 1);
-        assert_eq!(*walk_seq.last().unwrap(), seq.destination);
-        for alt in ALT_BACKENDS {
-            let par = single_random_walk(&g, 1, len, &config_with(alt, true), 99)
-                .expect("alternate-backend walk");
-            let walk_par = par.state.reconstruct_walk(len);
-            assert_eq!(
-                walk_seq,
-                walk_par,
-                "{name} vs {}: full trajectory",
-                alt.name()
-            );
-        }
+    let families = graph_families();
+    let len = 1024u64;
+    let walk = |f: usize, engine| {
+        let out = single_random_walk(&families[f].1, 1, len, &config_with(engine, true), 99)
+            .expect("recorded walk");
+        let walk = out.state.reconstruct_walk(len);
+        assert_eq!(walk[0], 1);
+        assert_eq!(*walk.last().unwrap(), out.destination);
+        walk
+    };
+    let cases: Vec<usize> = (0..families.len()).collect();
+    for (f, first, replay) in run_and_replay(&cases, walk) {
+        assert_eq!(first, replay, "{}: full trajectory", families[f].0);
     }
 }
 
@@ -124,66 +136,63 @@ fn recorded_trajectories_are_identical_across_backends() {
 /// stitching, batched tails).
 #[test]
 fn many_walks_are_identical_across_backends() {
-    for (name, g) in graph_families() {
+    let families = graph_families();
+    let walks = |f: usize, engine| {
+        let g = &families[f].1;
         let sources: Vec<usize> = vec![0, 3, g.n() / 2, g.n() - 1];
-        let seq_cfg = config_with(ExecutorKind::Sequential, false);
-        let seq = many_random_walks(&g, &sources, 1024, &seq_cfg, 7).expect("sequential");
-        for alt in ALT_BACKENDS {
-            let par = many_random_walks(&g, &sources, 1024, &config_with(alt, false), 7)
-                .expect("alternate backend");
-            let tag = format!("{name} vs {}", alt.name());
-            assert_eq!(seq.destinations, par.destinations, "{tag}: destinations");
-            assert_eq!(seq.rounds, par.rounds, "{tag}: rounds");
-            assert_eq!(seq.messages, par.messages, "{tag}: messages");
-            assert_eq!(seq.stitches, par.stitches, "{tag}: stitches");
-            assert_eq!(
-                seq.connector_visits, par.connector_visits,
-                "{tag}: connector visits"
-            );
-        }
+        many_random_walks(g, &sources, 1024, &config_with(engine, false), 7).expect("walks")
+    };
+    let cases: Vec<usize> = (0..families.len()).collect();
+    for (f, first, replay) in run_and_replay(&cases, walks) {
+        let tag = families[f].0;
+        assert_eq!(
+            first.destinations, replay.destinations,
+            "{tag}: destinations"
+        );
+        assert_eq!(first.rounds, replay.rounds, "{tag}: rounds");
+        assert_eq!(first.messages, replay.messages, "{tag}: messages");
+        assert_eq!(first.stitches, replay.stitches, "{tag}: stitches");
+        assert_eq!(
+            first.connector_visits, replay.connector_visits,
+            "{tag}: connector visits"
+        );
     }
 }
 
-/// Batched `MANY-RANDOM-WALKS` — the one multiplexed Phase-2 run — is
-/// bit-identical between the sequential and the sharded backend:
-/// destinations, round and message counts, per-walk stitch traces,
-/// connector visits and the leftover store all agree exactly.
+/// Batched `MANY-RANDOM-WALKS` — the one multiplexed Phase-2 run —
+/// replays exactly: destinations, round and message counts, per-walk
+/// stitch traces, connector visits and the leftover store all agree.
 #[test]
 fn batched_many_walks_identical_across_backends() {
-    for (name, g) in graph_families() {
+    let families = graph_families();
+    let walks = |f: usize, engine| {
+        let g = &families[f].1;
         let sources: Vec<usize> = (0..8).map(|i| (i * 11) % g.n()).collect();
-        let base = many_random_walks(
-            &g,
-            &sources,
-            1024,
-            &config_with(ExecutorKind::Sequential, false),
-            13,
-        )
-        .expect("sequential");
-        assert!(!base.used_naive_fallback, "{name}: want the stitched path");
-        for alt in ALT_BACKENDS {
-            let par = many_random_walks(&g, &sources, 1024, &config_with(alt, false), 13)
-                .expect("alternate backend");
-            let tag = format!("{name} vs {}", alt.name());
-            assert_eq!(base.destinations, par.destinations, "{tag}: destinations");
-            assert_eq!(base.rounds, par.rounds, "{tag}: rounds");
-            assert_eq!(base.messages, par.messages, "{tag}: messages");
-            assert_eq!(base.stitches, par.stitches, "{tag}: stitches");
-            assert_eq!(base.segments, par.segments, "{tag}: stitch traces");
-            assert_eq!(
-                base.connector_visits, par.connector_visits,
-                "{tag}: connector visits"
-            );
-            assert_states_match(&tag, &base.state, &par.state);
-        }
+        many_random_walks(g, &sources, 1024, &config_with(engine, false), 13).expect("walks")
+    };
+    let cases: Vec<usize> = (0..families.len()).collect();
+    for (f, first, replay) in run_and_replay(&cases, walks) {
+        let tag = families[f].0;
+        assert!(!first.used_naive_fallback, "{tag}: want the stitched path");
+        assert_eq!(
+            first.destinations, replay.destinations,
+            "{tag}: destinations"
+        );
+        assert_eq!(first.rounds, replay.rounds, "{tag}: rounds");
+        assert_eq!(first.messages, replay.messages, "{tag}: messages");
+        assert_eq!(first.stitches, replay.stitches, "{tag}: stitches");
+        assert_eq!(first.segments, replay.segments, "{tag}: stitch traces");
+        assert_eq!(
+            first.connector_visits, replay.connector_visits,
+            "{tag}: connector visits"
+        );
+        assert_states_match(tag, &first.state, &replay.state);
     }
 }
 
-/// Fault injection lives in the executors' *shared* delivery path, so a
-/// faulty run — drops, delays and reorders all active — must stay
-/// bit-identical across backends: identical destinations, rounds,
-/// messages, stitch traces and per-node state. The fault schedule is
-/// part of the determinism contract.
+/// The fault schedule is part of the determinism contract: a faulty run
+/// — drops, delays and reorders all active — replays exactly too:
+/// destinations, rounds, messages, stitch traces and per-node state.
 #[test]
 fn faulty_runs_are_identical_across_backends() {
     use drw_congest::FaultPlan;
@@ -191,22 +200,24 @@ fn faulty_runs_are_identical_across_backends() {
         .with_drops(40)
         .with_delays(30, 3)
         .with_reorder(50);
-    for (name, g) in graph_families() {
+    let families = graph_families();
+    let walks = |f: usize, engine: EngineConfig| {
+        let g = &families[f].1;
         let sources: Vec<usize> = (0..6).map(|i| (i * 13) % g.n()).collect();
-        let mut seq_cfg = config_with(ExecutorKind::Sequential, false);
-        seq_cfg.engine = seq_cfg.engine.with_faults(plan);
-        let base = many_random_walks(&g, &sources, 768, &seq_cfg, 23).expect("sequential faulty");
-        for alt in ALT_BACKENDS {
-            let mut cfg = config_with(alt, false);
-            cfg.engine = cfg.engine.with_faults(plan);
-            let par = many_random_walks(&g, &sources, 768, &cfg, 23).expect("faulty alternate");
-            let tag = format!("{name} under faults vs {}", alt.name());
-            assert_eq!(base.destinations, par.destinations, "{tag}: destinations");
-            assert_eq!(base.rounds, par.rounds, "{tag}: rounds");
-            assert_eq!(base.messages, par.messages, "{tag}: messages");
-            assert_eq!(base.segments, par.segments, "{tag}: stitch traces");
-            assert_states_match(&tag, &base.state, &par.state);
-        }
+        let cfg = config_with(engine.with_faults(plan), false);
+        many_random_walks(g, &sources, 768, &cfg, 23).expect("faulty walks")
+    };
+    let cases: Vec<usize> = (0..families.len()).collect();
+    for (f, first, replay) in run_and_replay(&cases, walks) {
+        let tag = format!("{} under faults", families[f].0);
+        assert_eq!(
+            first.destinations, replay.destinations,
+            "{tag}: destinations"
+        );
+        assert_eq!(first.rounds, replay.rounds, "{tag}: rounds");
+        assert_eq!(first.messages, replay.messages, "{tag}: messages");
+        assert_eq!(first.segments, replay.segments, "{tag}: stitch traces");
+        assert_states_match(&tag, &first.state, &replay.state);
     }
 }
 
@@ -214,15 +225,14 @@ fn faulty_runs_are_identical_across_backends() {
 #[test]
 fn spanning_trees_are_identical_across_backends() {
     let g = generators::torus2d(5, 5);
-    let mut seq_cfg = RstConfig::default();
-    seq_cfg.walk.engine = EngineConfig::default().with_executor(ExecutorKind::Sequential);
-    let seq = distributed_rst(&g, 0, &seq_cfg, 31).expect("sequential RST");
-    for alt in ALT_BACKENDS {
-        let mut alt_cfg = RstConfig::default();
-        alt_cfg.walk.engine = EngineConfig::default().with_executor(alt);
-        let par = distributed_rst(&g, 0, &alt_cfg, 31).expect("alternate-backend RST");
-        assert_eq!(seq.edges, par.edges, "{}: tree edges", alt.name());
-        assert_eq!(seq.rounds, par.rounds, "{}: rounds", alt.name());
+    let tree = |seed: u64, engine| {
+        let mut cfg = RstConfig::default();
+        cfg.walk.engine = engine;
+        let t = distributed_rst(&g, 0, &cfg, seed).expect("RST");
+        (t.edges, t.rounds)
+    };
+    for (seed, first, replay) in run_and_replay(&[31, 32], tree) {
+        assert_eq!(first, replay, "seed {seed}: tree edges and rounds");
     }
 }
 
@@ -242,10 +252,8 @@ struct Churn {
     folded: Vec<u64>,
 }
 
-impl NodeLocalProtocol for Churn {
+impl Protocol for Churn {
     type Msg = Tok;
-    type Shared = bool;
-    type NodeState = u64;
 
     fn start(&mut self, ctx: &mut Ctx<'_, Tok>) {
         for v in 0..ctx.graph().n() {
@@ -254,28 +262,19 @@ impl NodeLocalProtocol for Churn {
         }
     }
 
-    fn after_receive(&mut self, _active: &[usize]) {
-        self.rounds += 1;
+    fn on_round(&mut self, ctx: &mut Ctx<'_, Tok>) {
+        self.rounds = ctx.round();
     }
 
     fn is_done(&self) -> bool {
         self.rounds == self.stop_after
     }
 
-    fn parts(&mut self) -> (&bool, &mut [u64]) {
-        (&self.trap, &mut self.folded)
-    }
-
-    fn on_receive_local(
-        trap: &bool,
-        folded: &mut u64,
-        node: usize,
-        inbox: &[Envelope<Tok>],
-        ctx: &mut NodeCtx<'_, Tok>,
-    ) {
-        assert!(!(*trap && ctx.round() == 3 && node >= 8), "trap sprung");
+    fn on_receive(&mut self, node: usize, inbox: &[Envelope<Tok>], ctx: &mut Ctx<'_, Tok>) {
+        let mut ctx = ctx.at(node);
+        assert!(!(self.trap && ctx.round() == 3 && node >= 8), "trap sprung");
         for env in inbox {
-            *folded = folded.rotate_left(7) ^ env.msg.0;
+            self.folded[node] = self.folded[node].rotate_left(7) ^ env.msg.0;
             let x = rand::Rng::random(ctx.rng());
             ctx.send_random_neighbor(Tok(x));
         }
@@ -291,40 +290,36 @@ fn kept_scratch_is_invisible_across_runs_types_early_exits_and_rebind() {
         trap,
         folded: vec![0; n],
     };
-    for cfg in [
-        EngineConfig::default(),
-        EngineConfig::default().with_executor(ExecutorKind::Sharded),
-    ] {
-        let topo = Topology::new(generators::torus2d(4, 4));
-        let mut runner = Runner::on(topo.snapshot(), cfg.clone(), 5);
-        // Each step: what the long-lived runner computes must equal
-        // a run on fresh buffers under the same derived seed.
-        let check = |runner: &mut Runner| {
-            let seed = derive_seed(5, runner.runs() + 1); // one trapped run below
-            let (mut kept, mut fresh) = (churn(runner.graph().n(), false), None);
-            let report = runner.run_local(&mut kept).unwrap();
-            let g = runner.graph_arc();
-            let again = fresh.insert(churn(g.n(), false));
-            assert_eq!(run_node_local(&g, &cfg, seed, again).unwrap(), report);
-            assert_eq!(again.folded, kept.folded);
-            assert_eq!(report.rounds, 6, "ended on is_done, mail in flight");
-        };
-        // A handler panic leaves mail in inboxes and in the queue.
-        let mut trapped = churn(16, true);
-        let run = std::panic::AssertUnwindSafe(|| runner.run_local(&mut trapped));
-        assert!(std::panic::catch_unwind(run).is_err());
-        check(&mut runner);
-        // Another message type in between, then the first one again.
-        runner.run(&mut BfsTreeProtocol::new(3)).unwrap();
-        check(&mut runner);
-        // Grow, then shrink back: inboxes and RNG pool follow `n`.
-        let delta = TopologyDelta::new().add_node().add_edge(16, 2);
-        let _ = topo.apply(&delta).unwrap();
-        runner.rebind(topo.snapshot());
-        check(&mut runner);
-        let delta = TopologyDelta::new().remove_edge(16, 2).remove_node(16);
-        let _ = topo.apply(&delta).unwrap();
-        runner.rebind(topo.snapshot());
-        check(&mut runner);
-    }
+    let cfg = EngineConfig::default();
+    let topo = Topology::new(generators::torus2d(4, 4));
+    let mut runner = Runner::on(topo.snapshot(), cfg.clone(), 5);
+    // Each step: what the long-lived runner computes must equal
+    // a run on fresh buffers under the same derived seed.
+    let check = |runner: &mut Runner| {
+        let seed = derive_seed(5, runner.runs() + 1); // one trapped run below
+        let (mut kept, mut fresh) = (churn(runner.graph().n(), false), None);
+        let report = runner.run(&mut kept).unwrap();
+        let g = runner.graph_arc();
+        let again = fresh.insert(churn(g.n(), false));
+        assert_eq!(run_protocol(&g, &cfg, seed, again).unwrap(), report);
+        assert_eq!(again.folded, kept.folded);
+        assert_eq!(report.rounds, 6, "ended on is_done, mail in flight");
+    };
+    // A handler panic leaves mail in inboxes and in the queue.
+    let mut trapped = churn(16, true);
+    let run = std::panic::AssertUnwindSafe(|| runner.run(&mut trapped));
+    assert!(std::panic::catch_unwind(run).is_err());
+    check(&mut runner);
+    // Another message type in between, then the first one again.
+    runner.run(&mut BfsTreeProtocol::new(3)).unwrap();
+    check(&mut runner);
+    // Grow, then shrink back: inboxes and RNG pool follow `n`.
+    let delta = TopologyDelta::new().add_node().add_edge(16, 2);
+    let _ = topo.apply(&delta).unwrap();
+    runner.rebind(topo.snapshot());
+    check(&mut runner);
+    let delta = TopologyDelta::new().remove_edge(16, 2).remove_node(16);
+    let _ = topo.apply(&delta).unwrap();
+    runner.rebind(topo.snapshot());
+    check(&mut runner);
 }

@@ -167,7 +167,7 @@ fn mixing_verdict_parity_under_drops() {
 /// Round overhead of 5% healed drops on the walk drivers themselves:
 /// `SINGLE-RANDOM-WALK` and `MANY-RANDOM-WALKS` both stay within 2.5x
 /// of their fault-free round counts (measured ~1.2x; the bound leaves
-/// headroom for executor/seed variation, not for regressions to hide).
+/// headroom for seed variation, not for regressions to hide).
 #[test]
 fn walk_round_overhead_is_bounded() {
     let g16 = generators::torus2d(16, 16);

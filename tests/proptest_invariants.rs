@@ -279,8 +279,8 @@ proptest! {
         let len = 180u64;
         let cfg = SingleWalkConfig {
             params: WalkParams { lambda_scale: 0.3, eta: 1.0 },
-            // DRW_EXECUTOR-aware: CI's executor matrix runs these
-            // invariants on both engine backends.
+            // DRW_FAULTS-aware: CI's fault leg runs these invariants
+            // over a lossy ARQ-healed transport.
             engine: drw_experiments::engine_config_from_env(),
             ..SingleWalkConfig::default()
         };

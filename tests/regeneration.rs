@@ -8,7 +8,7 @@
 //! bugs — a dropped `Taken`, a `prev` honoured twice — live beside the
 //! protocol, in `stitch_scheduler.rs`.)
 
-use drw_congest::{EngineConfig, ExecutorKind, FaultPlan, Runner};
+use drw_congest::{EngineConfig, FaultPlan, Runner};
 use drw_core::{
     BatchedStitchOutcome, ShortWalksProtocol, SingleWalkConfig, StitchScheduler, StitchSetup,
     StitchSpec, Visit, WalkId, WalkSession, WalkState,
@@ -31,7 +31,7 @@ fn store(g: &Graph, cfg: &EngineConfig, per_node: usize, seed: u64) -> WalkState
     if per_node > 0 {
         let mut runner = Runner::new(g, cfg.clone(), seed);
         let mut p1 = ShortWalksProtocol::new(&mut state, vec![per_node; g.n()], LAMBDA, true);
-        runner.run_local(&mut p1).expect("phase 1");
+        runner.run(&mut p1).expect("phase 1");
     }
     state
 }
@@ -200,7 +200,7 @@ fn visits_are_identical_when_sharded_and_complete_under_faults() {
     let run = |cfg: &EngineConfig| {
         let mut state = store(&g, cfg, 3, 9);
         let (out, visits) = recorded_wave(&g, cfg, &mut state, spec, 19);
-        assert_complete(&g, spec, &out, &visits, "backend");
+        assert_complete(&g, spec, &out, &visits, "recorded wave");
         (
             visits,
             out.report.rounds,
@@ -208,20 +208,15 @@ fn visits_are_identical_when_sharded_and_complete_under_faults() {
             out.rounds_replay,
         )
     };
-    let sequential = run(&EngineConfig::default());
-    let sharded = EngineConfig::default().with_executor(ExecutorKind::Sharded);
-    assert_eq!(run(&sharded), sequential);
+    let reference = run(&EngineConfig::default());
     // The CI smoke plan (`DRW_FAULTS=smoke`): healed drops, delays and
     // reorders move rounds, never a visit out of place.
     let smoke = FaultPlan::drops(0xFA, 10)
         .with_delays(5, 2)
         .with_reorder(10);
-    for cfg in [
-        EngineConfig::default().with_faults(smoke),
-        sharded.with_faults(smoke),
-    ] {
-        let _ = run(&cfg);
-    }
+    let _ = run(&EngineConfig::default().with_faults(smoke));
+    // Replayed after the faulty run, the perfect one repeats exactly.
+    assert_eq!(run(&EngineConfig::default()), reference);
 }
 
 #[test]

@@ -65,6 +65,32 @@ fn undersampled_mixing_request_is_rejected_typed_on_every_path() {
 }
 
 #[test]
+fn malformed_bucket_base_is_rejected_typed_on_every_path() {
+    // The degree buckets are the powers of the base: a base of 1 or
+    // less, or NaN, used to trip an `assert!` inside the bucket test and
+    // take every co-tenant down with it.
+    let g = generators::torus2d(4, 4);
+    for base in [1.0, 0.5, -2.0, f64::NAN] {
+        let bad = || {
+            Request::MixingTime(MixingRequest {
+                bucket_base: base,
+                ..MixingRequest::new(0)
+            })
+        };
+        let expected = DrwError::Walk(WalkError::BadBucketBase(base.to_bits()));
+
+        let mut net = Network::builder(&g).seed(1).build();
+        assert_eq!(net.run(bad()).unwrap_err(), expected, "{base}");
+        assert_eq!(
+            net.run_batch(vec![Request::walk(0, 8), bad()]).unwrap_err(),
+            expected,
+            "{base}"
+        );
+        assert_eq!(serve_next_to_a_walk(&g, bad()), expected, "{base}");
+    }
+}
+
+#[test]
 fn exhausted_phase_budget_is_not_covered_on_every_path() {
     // One phase of length-1 walks cannot cover a 6x6 torus.
     let g = generators::torus2d(6, 6);

@@ -17,8 +17,8 @@
 //! (`drw_experiments::one_shot_rounds`); `drw-core` itself has one
 //! driver per request kind and no rebuild path.
 //!
-//! `DRW_EXECUTOR` selects the engine backend, so the CI matrix runs
-//! this under both the sequential and the sharded executor.
+//! `DRW_FAULTS` selects the transport, so the CI matrix runs this over
+//! a perfect and a lossy ARQ-healed network.
 
 use distributed_random_walks::prelude::*;
 use drw_experiments::{engine_config_from_env, one_shot_rounds};

@@ -6,9 +6,9 @@
 //!
 //! Verified by chi-square against the exact transition-matrix
 //! distribution (`drw_core::exact`), per source, on a torus and an
-//! Erdős–Rényi graph, with fixed seeds. `DRW_EXECUTOR` selects the
-//! engine backend, so the CI matrix runs this under both the sequential
-//! and the parallel executor.
+//! Erdős–Rényi graph, with fixed seeds. `DRW_FAULTS` selects the
+//! transport, so the CI matrix runs this over a perfect and a lossy
+//! ARQ-healed network.
 
 use distributed_random_walks::prelude::*;
 use drw_core::exact::exact_distribution;

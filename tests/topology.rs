@@ -4,7 +4,7 @@
 //!   arbitrary valid delta sequence is CSR-identical — same `n`, `m`,
 //!   sorted adjacency and reverse-edge index — to a `Graph` built from
 //!   scratch from the final edge set, and walks on the two are
-//!   bit-identical under both round executors.
+//!   bit-identical.
 //! - **Churn conformance**: endpoints served by an *incrementally
 //!   repaired* session on the mutated graph chi-square against the
 //!   exact transition-matrix distribution of the mutated graph.
@@ -143,7 +143,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// CSR equivalence after arbitrary valid churn, plus bit-identical
-    /// walks on both round executors.
+    /// walks.
     #[test]
     fn churned_topology_is_csr_identical_to_scratch_build(
         dims in (3usize..=5, 3usize..=5),
@@ -177,20 +177,14 @@ proptest! {
         prop_assert_eq!(&*snapshot, &scratch);
         prop_assert!(traversal::is_connected(&snapshot));
 
-        // Identical CSR must mean identical walks — under both
-        // executors.
-        for kind in [ExecutorKind::Sequential, ExecutorKind::Sharded] {
-            let cfg = SingleWalkConfig {
-                engine: EngineConfig::default().with_executor(kind),
-                ..SingleWalkConfig::default()
-            };
-            let len = 64 + (seed % 64);
-            let a = single_random_walk(&snapshot, 0, len, &cfg, seed).unwrap();
-            let b = single_random_walk(&scratch, 0, len, &cfg, seed).unwrap();
-            prop_assert_eq!(a.destination, b.destination);
-            prop_assert_eq!(a.rounds, b.rounds);
-            prop_assert_eq!(a.segments, b.segments);
-        }
+        // Identical CSR must mean identical walks.
+        let cfg = SingleWalkConfig::default();
+        let len = 64 + (seed % 64);
+        let a = single_random_walk(&snapshot, 0, len, &cfg, seed).unwrap();
+        let b = single_random_walk(&scratch, 0, len, &cfg, seed).unwrap();
+        prop_assert_eq!(a.destination, b.destination);
+        prop_assert_eq!(a.rounds, b.rounds);
+        prop_assert_eq!(a.segments, b.segments);
     }
 }
 
