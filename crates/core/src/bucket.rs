@@ -23,9 +23,8 @@
 //! (`2m` and `max degree`), matching the paper's claim that "each node
 //! knows its own steady state probability".
 //!
-//! The module lives in `drw-core` (historically `drw_mixing::bucket_test`,
-//! which still re-exports it) because the [`crate::Network`] facade's
-//! `MixingTime` requests evaluate probes directly against it.
+//! The [`crate::Network`] facade's `MixingTime` requests evaluate their
+//! probes against it.
 
 use drw_graph::{Graph, NodeId};
 
@@ -73,35 +72,39 @@ impl SampleStats {
 }
 
 impl BucketTest {
-    /// Builds the bucketing for `g` with geometric `base > 1`.
+    /// Builds the bucketing for `g` with geometric `base`, for probes of
+    /// `samples` endpoints each.
     ///
-    /// # Panics
-    ///
-    /// Panics if `base <= 1`.
-    pub fn new(g: &Graph, base: f64) -> Self {
-        assert!(base > 1.0, "bucket base must exceed 1");
-        let two_m = g.dir_edge_count() as f64;
+    /// The bucket count is `B = floor(ln(max deg / min deg) / ln base) + 1`,
+    /// computed before anything is allocated. Returns `None` if `base` is
+    /// NaN or at most 1, or if `B > samples`: a histogram with more
+    /// buckets than samples cannot resolve them (and a base just above 1
+    /// would ask for billions of buckets).
+    pub fn new(g: &Graph, base: f64, samples: usize) -> Option<Self> {
+        if base.is_nan() || base <= 1.0 {
+            return None;
+        }
         let max_deg = g.max_degree() as f64;
-        let n = g.n();
-        let mut bucket_of = vec![0usize; n];
-        let mut max_bucket = 0usize;
-        #[allow(clippy::needless_range_loop)]
-        for v in 0..n {
-            let ratio = max_deg / g.degree(v) as f64;
-            let j = ratio.ln() / base.ln();
-            // Guard the boundary: deg == max_deg gives exactly 0.
-            let j = j.max(0.0).floor() as usize;
-            bucket_of[v] = j;
-            max_bucket = max_bucket.max(j);
+        // Guard the boundary: deg == max_deg gives exactly 0. An isolated
+        // node (a disconnected graph, rejected later) joins the last bucket.
+        let bucket = |deg: usize| {
+            let j = (max_deg / deg.max(1) as f64).ln() / base.ln();
+            j.max(0.0).floor() as usize
+        };
+        let buckets = bucket(g.min_degree()).saturating_add(1);
+        if buckets > samples {
+            return None;
         }
-        let mut bucket_mass = vec![0.0; max_bucket + 1];
-        for v in 0..n {
-            bucket_mass[bucket_of[v]] += g.degree(v) as f64 / two_m;
+        let two_m = g.dir_edge_count() as f64;
+        let bucket_of: Vec<usize> = (0..g.n()).map(|v| bucket(g.degree(v))).collect();
+        let mut bucket_mass = vec![0.0; buckets];
+        for (v, &j) in bucket_of.iter().enumerate() {
+            bucket_mass[j] += g.degree(v) as f64 / two_m;
         }
-        BucketTest {
+        Some(BucketTest {
             bucket_of,
             bucket_mass,
-        }
+        })
     }
 
     /// Number of buckets (`B` in the `O(D + B)` collection cost).
@@ -226,7 +229,7 @@ mod tests {
     #[test]
     fn regular_graph_has_one_bucket() {
         let g = generators::torus2d(4, 4);
-        let t = BucketTest::new(&g, 1.5);
+        let t = BucketTest::new(&g, 1.5, 64).unwrap();
         assert_eq!(t.buckets(), 1);
         assert!((t.bucket_masses()[0] - 1.0).abs() < 1e-12);
     }
@@ -234,7 +237,7 @@ mod tests {
     #[test]
     fn star_separates_hub_and_leaves() {
         let g = generators::star(10);
-        let t = BucketTest::new(&g, 1.5);
+        let t = BucketTest::new(&g, 1.5, 64).unwrap();
         assert!(t.buckets() >= 2);
         assert_ne!(t.bucket_of(0), t.bucket_of(1));
         let mass: f64 = t.bucket_masses().iter().sum();
@@ -246,7 +249,7 @@ mod tests {
         use rand::Rng;
         use rand::SeedableRng;
         let g = generators::lollipop(6, 6);
-        let t = BucketTest::new(&g, 1.5);
+        let t = BucketTest::new(&g, 1.5, 64).unwrap();
         let two_m = 2 * g.m() as u64;
         let sds = sum_deg_sq(&g);
         // Samples drawn exactly from pi.
@@ -283,7 +286,7 @@ mod tests {
         // On a regular graph the bucketed TV is vacuously 0 — the
         // collision L2 component must carry the test.
         let g = generators::cycle(32);
-        let t = BucketTest::new(&g, 1.5);
+        let t = BucketTest::new(&g, 1.5, 64).unwrap();
         assert_eq!(t.buckets(), 1);
         let two_m = 2 * g.m() as u64;
         let sds = sum_deg_sq(&g);
@@ -303,7 +306,7 @@ mod tests {
     #[test]
     fn numerators_sum_to_2m() {
         let g = generators::barbell(4, 2);
-        let t = BucketTest::new(&g, 2.0);
+        let t = BucketTest::new(&g, 2.0, 64).unwrap();
         let rows = t.mass_numerators(&g);
         let total: u64 = rows.iter().flatten().sum();
         assert_eq!(total, 2 * g.m() as u64);
@@ -312,7 +315,7 @@ mod tests {
     #[test]
     fn histogram_counts_endpoints() {
         let g = generators::star(5);
-        let t = BucketTest::new(&g, 1.5);
+        let t = BucketTest::new(&g, 1.5, 64).unwrap();
         let h = t.histogram(&[0, 1, 2, 0]);
         assert_eq!(h.iter().sum::<u64>(), 4);
         assert_eq!(h[t.bucket_of(0)], 2);
@@ -321,7 +324,7 @@ mod tests {
     #[test]
     fn stats_fields_are_consistent() {
         let g = generators::star(6);
-        let t = BucketTest::new(&g, 1.5);
+        let t = BucketTest::new(&g, 1.5, 64).unwrap();
         let endpoints = [0usize, 0, 1, 2];
         let stats = t.stats_from_endpoints(&g, &endpoints);
         assert_eq!(stats.total(), 4);
@@ -332,9 +335,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "base must exceed 1")]
-    fn bad_base_panics() {
-        let g = generators::path(3);
-        let _ = BucketTest::new(&g, 1.0);
+    fn malformed_or_unresolvable_bases_build_nothing() {
+        let g = generators::star(64);
+        for base in [1.0, 0.5, f64::NAN, 1.0001, 1.000_001, 1.0 + 1e-9] {
+            assert!(BucketTest::new(&g, base, 64).is_none(), "{base}");
+        }
+        // ln 63 / ln 1.01 = 416.4: 417 buckets need 417 samples.
+        assert!(BucketTest::new(&g, 1.01, 416).is_none());
+        assert_eq!(BucketTest::new(&g, 1.01, 417).unwrap().buckets(), 417);
+        assert_eq!(BucketTest::new(&g, 1.5, 64).unwrap().buckets(), 11);
+        let isolated = Graph::from_edges(3, [(0, 1)]).unwrap();
+        assert_eq!(BucketTest::new(&isolated, 1.5, 8).unwrap().buckets(), 1);
     }
 }

@@ -1,13 +1,6 @@
-//! The unified error type of the [`crate::Network`] facade.
-//!
-//! Every request kind used to surface its own error enum —
-//! [`WalkError`] from the walk drivers, `RstError` from the spanning
-//! crate, plain [`WalkError`] again from the mixing estimator — which
-//! forced callers juggling heterogeneous requests to juggle
-//! heterogeneous `Result` types too. [`Error`] is the single type
-//! `Network::run` / `Network::run_batch` return; the legacy enums
-//! remain as *sources* (every variant embeds or maps onto one, and the
-//! application crates provide `From` impls in the other direction).
+//! The unified error type of the [`crate::Network`] facade: the one
+//! type `Network::run`, `Network::run_batch` and the `Service` return,
+//! whatever the request kind.
 
 use crate::single_walk::WalkError;
 use drw_congest::RunError;
@@ -88,22 +81,6 @@ impl From<GraphError> for Error {
     }
 }
 
-impl Error {
-    /// Unwraps the [`Error::Walk`] variant — the only variant walk-only
-    /// request kinds can produce. Used by the legacy free-function
-    /// shims, whose signatures still promise a bare [`WalkError`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on the spanning-tree-only variants.
-    pub fn expect_walk(self) -> WalkError {
-        match self {
-            Error::Walk(e) => e,
-            other => panic!("walk request produced a non-walk error: {other}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,23 +101,5 @@ mod tests {
             walked: 99,
         };
         assert!(e.to_string().contains("99 steps"));
-    }
-
-    #[test]
-    fn expect_walk_unwraps() {
-        assert_eq!(
-            Error::Walk(WalkError::SourceOutOfRange(7)).expect_walk(),
-            WalkError::SourceOutOfRange(7)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "non-walk error")]
-    fn expect_walk_rejects_tree_errors() {
-        let _ = Error::NotCovered {
-            phases: 1,
-            final_len: 1,
-        }
-        .expect_walk();
     }
 }

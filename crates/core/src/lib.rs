@@ -1,14 +1,16 @@
 //! The PODC 2010 paper's primary contribution: performing random walks in
 //! a distributed network in rounds *sublinear* in the walk length.
 //!
-//! Given an undirected connected graph, a source `s` and a length `l`,
-//! [`single_random_walk`] produces a **true sample** from the `l`-step
-//! simple-random-walk distribution from `s` in `~O(sqrt(l * D))` CONGEST
-//! rounds w.h.p. (Theorem 2.5), against the naive `O(l)` token walk
-//! ([`naive::naive_walk`]) and the PODC 2009 baseline's
-//! `~O(l^{2/3} D^{1/3})` ([`podc09::podc09_walk`]).
-//! [`many_random_walks`] extends this to `k` walks in
-//! `~O(min(sqrt(k l D) + k, k + l))` rounds (Theorem 2.8).
+//! Given an undirected connected graph, a source `s` and a length `l`, a
+//! [`Network`] answers [`Request::Walk`] with a **true sample** from the
+//! `l`-step simple-random-walk distribution from `s` in
+//! `~O(sqrt(l * D))` CONGEST rounds w.h.p. (Theorem 2.5), against the
+//! naive `O(l)` token walk ([`naive::naive_walk`]) and the PODC 2009
+//! baseline's `~O(l^{2/3} D^{1/3})` (`drw_experiments::podc09`).
+//! [`Request::ManyWalks`] extends this to `k` walks in
+//! `~O(min(sqrt(k l D) + k, k + l))` rounds (Theorem 2.8), and the
+//! applications are requests too: [`Request::SpanningTree`] and
+//! [`Request::MixingTime`].
 //!
 //! # Algorithm structure (Section 2 of the paper)
 //!
@@ -50,12 +52,13 @@
 //! # Example
 //!
 //! ```
-//! use drw_core::{single_random_walk, SingleWalkConfig};
+//! use drw_core::{Network, Request};
 //! use drw_graph::generators;
 //!
-//! # fn main() -> Result<(), drw_core::WalkError> {
+//! # fn main() -> Result<(), drw_core::Error> {
 //! let g = generators::torus2d(8, 8);
-//! let result = single_random_walk(&g, 0, 256, &SingleWalkConfig::default(), 42)?;
+//! let mut net = Network::builder(&g).seed(42).build();
+//! let result = net.run(Request::walk(0, 256))?.into_walk();
 //! assert!(result.destination < g.n());
 //! // Far fewer rounds than the naive 256 for a walk this long.
 //! println!("destination {} in {} rounds", result.destination, result.rounds);
@@ -75,7 +78,6 @@ pub mod metropolis;
 pub mod naive;
 pub mod network;
 pub mod params;
-pub mod podc09;
 pub mod request;
 pub mod sample_destination;
 pub mod service;
@@ -88,10 +90,10 @@ pub mod visit_stats;
 
 pub use bucket::{sum_deg_sq, BucketTest, BucketTestResult, SampleStats};
 pub use error::Error;
-pub use many_walks::{many_random_walks, ManyWalksResult};
+pub use many_walks::ManyWalksResult;
 pub use naive::naive_walk;
 pub use network::{Network, NetworkBuilder};
-pub use params::{Podc09Params, WalkParams};
+pub use params::WalkParams;
 pub use request::{
     MixingProbe, MixingReport, MixingRequest, Request, Response, TreeMode, TreeRequest, TreeSample,
 };
@@ -102,8 +104,7 @@ pub use service::{
 pub use session::{RepairReport, SessionWalkOutcome, WalkSession, WaveOutcome, WaveWalk};
 pub use short_walks::ShortWalksProtocol;
 pub use single_walk::{
-    single_random_walk, Segment, SingleWalkConfig, SingleWalkResult, StitchSetup, WalkAction,
-    WalkDriver, WalkError,
+    Segment, SingleWalkConfig, SingleWalkResult, StitchSetup, WalkAction, WalkDriver, WalkError,
 };
 pub use state::{StateMemory, StoredWalk, Visit, WalkId, WalkState};
 pub use stitch_scheduler::{

@@ -32,10 +32,9 @@
 //!   private session's whole bill, and it carries what only a request
 //!   that owns its session can know (`rounds_bfs`, `connector_visits`,
 //!   the final `state`). The first request uses the builder seed
-//!   verbatim; request `i > 0` uses `derive_seed(seed, i)`. The legacy
-//!   free functions (`single_random_walk`, `many_random_walks`,
-//!   `distributed_rst`, `estimate_mixing_time`) are thin shims over a
-//!   throwaway `Network`.
+//!   verbatim; request `i > 0` uses `derive_seed(seed, i)`, so a fresh
+//!   `Network` per request reproduces a request's output from its seed
+//!   alone.
 //! - [`Network::run_batch`] owns one persistent [`WalkSession`]
 //!   (created lazily on the first batch: one BFS, one shared short-walk
 //!   store) and advances all requests concurrently in *super-steps*:
@@ -122,8 +121,7 @@ impl<'g> NetworkBuilder<'g> {
     }
 
     /// Replaces the whole walk configuration (parameters, ablation
-    /// toggles, engine) at once — what the legacy free-function shims
-    /// use to forward their config structs.
+    /// toggles, engine) at once.
     pub fn config(mut self, cfg: SingleWalkConfig) -> Self {
         self.cfg = cfg;
         self
@@ -145,10 +143,10 @@ impl<'g> NetworkBuilder<'g> {
 
     /// Builds the handle. Cheap: no BFS, no connectivity check — setup
     /// is paid by the first request (one-shot) or the first batch (the
-    /// shared session), and input validation happens per request, which
-    /// is what keeps the legacy shims zero-overhead. A borrowed static
-    /// graph is wrapped into a private [`Topology`] (epoch 0); a shared
-    /// handle ([`Network::over`]) is observed live.
+    /// shared session), and input validation happens per request, so a
+    /// throwaway handle per request costs nothing extra. A borrowed
+    /// static graph is wrapped into a private [`Topology`] (epoch 0); a
+    /// shared handle ([`Network::over`]) is observed live.
     pub fn build(self) -> Network {
         let topo = match self.src {
             BuilderSource::Graph(g) => Topology::new(g.clone()),
@@ -178,7 +176,7 @@ impl<'g> NetworkBuilder<'g> {
 /// # fn main() -> Result<(), drw_core::Error> {
 /// let g = generators::torus2d(8, 8);
 /// let mut net = Network::builder(&g).seed(7).build();
-/// // One-shot: what the legacy single_random_walk runs.
+/// // One-shot: the request pays its own BFS and Phase 1.
 /// let walk = net.run(Request::walk(0, 1024))?.into_walk();
 /// assert!(walk.rounds < 1024, "sublinear in the walk length");
 /// // Batched: heterogeneous requests share engine runs.
@@ -316,9 +314,8 @@ impl Network {
     }
 
     /// The seed for the next request: the base seed verbatim for
-    /// request 0 (so a one-request throwaway network — a legacy shim —
-    /// runs on exactly the seed its caller passed), derived for every
-    /// later request.
+    /// request 0 (so a one-request throwaway network runs on exactly the
+    /// seed its caller passed), derived for every later request.
     fn next_seed(&mut self) -> u64 {
         let i = self.requests_issued;
         self.requests_issued += 1;
@@ -361,9 +358,9 @@ impl Network {
         seed: u64,
     ) -> Result<Response, Error> {
         // Walk requests run on the request seed verbatim and trees and
-        // estimates on a tagged derivation of it: each kind keeps the
-        // random stream its legacy free function always had. (An empty
-        // cohort has no anchor and needs none: it resolves below.)
+        // estimates on a tagged derivation of it, so the kinds draw
+        // disjoint streams from one seed. (An empty cohort has no anchor
+        // and needs none: it resolves below.)
         let (anchor, session_seed, record) = match &request {
             Request::Walk { source, record, .. } => (*source, seed, *record),
             Request::ManyWalks { sources, .. } => (sources.first().map_or(0, |&s| s), seed, false),
@@ -841,6 +838,16 @@ mod tests {
             .run_batch(vec![Request::walk(0, 8), Request::walk(9, 8)])
             .unwrap_err();
         assert_eq!(err, Error::Walk(WalkError::SourceOutOfRange(9)));
+    }
+
+    #[test]
+    fn mixing_on_a_graph_with_an_isolated_node_is_disconnected() {
+        // The isolated node's degree bucket used to overflow the bucket
+        // table before the connectivity check could run.
+        let g = Graph::from_edges(3, [(0, 1)]).unwrap();
+        let mut net = Network::builder(&g).seed(1).build();
+        let err = net.run(Request::mixing_probe(0, 4)).unwrap_err();
+        assert_eq!(err, Error::Walk(WalkError::Disconnected));
     }
 
     #[test]

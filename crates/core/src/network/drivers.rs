@@ -276,9 +276,10 @@ pub(crate) fn wave_step(
 /// [`WalkError::TooFewSamples`] for a mixing request whose
 /// `ceil(samples_scale * sqrt(n))` is below 2 (the collision estimator
 /// needs pairs; a zero-sample probe would also contribute no work items
-/// and stall its batch), and [`WalkError::TooManyLanes`] for a
-/// many-walks or mixing request that alone wants more walks than a wave
-/// has lane tags.
+/// and stall its batch), [`WalkError::TooManyLanes`] for a many-walks
+/// or mixing request that alone wants more walks than a wave has lane
+/// tags, and [`WalkError::BadBucketBase`] for a mixing request whose
+/// bucket base [`BucketTest::new`] refuses.
 pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
     let n = g.n();
     let check = |s: NodeId| {
@@ -346,10 +347,8 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
             if k > MAX_WAVE_LANES {
                 return Err(WalkError::TooManyLanes(k).into());
             }
-            if req.bucket_base.is_nan() || req.bucket_base <= 1.0 {
-                return Err(WalkError::BadBucketBase(req.bucket_base.to_bits()).into());
-            }
-            let bucket = BucketTest::new(g, req.bucket_base);
+            let bucket = BucketTest::new(g, req.bucket_base, k)
+                .ok_or(WalkError::BadBucketBase(req.bucket_base.to_bits()))?;
             Driver::Mixing(Box::new(MixingDriver {
                 len: req.start_len.max(1),
                 req,

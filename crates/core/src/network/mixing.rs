@@ -36,7 +36,7 @@ pub(crate) struct ProbeSetup {
 /// pipelined vector convergecast — `O(D + B)` rounds, once.
 pub(crate) fn run_probe_setup(
     g: &Graph,
-    bucket_test: &BucketTest,
+    bucket: &BucketTest,
     tree: &BfsTree,
     runner: &mut drw_congest::Runner,
 ) -> Result<ProbeSetup, WalkError> {
@@ -53,7 +53,7 @@ pub(crate) fn run_probe_setup(
     let mut announce = BroadcastProtocol::new(tree.clone(), vec![two_m, max_deg.result()]);
     runner.run(&mut announce)?;
 
-    let mut masses = VectorSumProtocol::new(tree.clone(), bucket_test.mass_numerators(g));
+    let mut masses = VectorSumProtocol::new(tree.clone(), bucket.mass_numerators(g));
     runner.run(&mut masses)?;
     debug_assert_eq!(
         masses.result().iter().sum::<u64>(),
@@ -72,7 +72,7 @@ pub(crate) fn run_probe_setup(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn evaluate_probe(
     g: &Graph,
-    bucket_test: &BucketTest,
+    bucket: &BucketTest,
     tree: &BfsTree,
     runner: &mut drw_congest::Runner,
     destinations: &[drw_graph::NodeId],
@@ -91,7 +91,7 @@ pub(crate) fn evaluate_probe(
         if c[v] == 0 {
             continue;
         }
-        hist_items[v].push((bucket_test.bucket_of(v) as u64, c[v]));
+        hist_items[v].push((bucket.bucket_of(v) as u64, c[v]));
         moment_items[v].push((c[v] * g.degree(v) as u64, c[v] * (c[v] - 1)));
     }
     let mut up_hist = UpcastProtocol::new(tree.clone(), hist_items);
@@ -100,17 +100,17 @@ pub(crate) fn evaluate_probe(
     runner.run(&mut up_moments)?;
 
     let mut stats = SampleStats {
-        bucket_hist: vec![0u64; bucket_test.buckets()],
+        bucket_hist: vec![0u64; bucket.buckets()],
         ..SampleStats::default()
     };
-    for &(bucket, count) in up_hist.collected() {
-        stats.bucket_hist[bucket as usize] += count;
+    for &(j, count) in up_hist.collected() {
+        stats.bucket_hist[j as usize] += count;
     }
     for &(c_deg, collisions) in up_moments.collected() {
         stats.sum_c_deg += c_deg;
         stats.sum_collisions += collisions;
     }
-    let r = bucket_test.evaluate(
+    let r = bucket.evaluate(
         &stats,
         setup.two_m,
         setup.sum_deg_sq,

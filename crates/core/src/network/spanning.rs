@@ -7,12 +7,12 @@
 //! over a session, `O(D)` convergecast cover checks — is driven in one
 //! place, `drivers::TreeDriver`, whether the request arrives one-shot
 //! ([`crate::Network::run`], a batch of one over a private session),
-//! in a batch, or through the service. See `drw-spanning`'s module
-//! docs for the reproduction finding on restart bias
-//! ([`crate::TreeMode::RestartPhases`] conditions the walk law on fast
+//! in a batch, or through the service. See [`crate::TreeMode`] for the
+//! reproduction finding on restart bias (the paper-literal
+//! [`crate::TreeMode::RestartPhases`] conditions the walk law on fast
 //! coverage and is measurably biased; the default
 //! [`crate::TreeMode::ExtendWalk`] extends one continuous walk and is
-//! exactly uniform) and for the segment-boundary accounting.
+//! exactly uniform); the tests below pin both halves of it.
 
 use drw_graph::matrix_tree::{canonical_tree_key, is_spanning_tree, TreeKey};
 use drw_graph::{Graph, NodeId};
@@ -87,6 +87,127 @@ pub(crate) fn merge_first_visit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Error, Network, Request, TreeMode, TreeRequest, TreeSample};
+    use drw_graph::{generators, matrix_tree};
+
+    /// One spanning-tree request on a fresh network.
+    fn tree(g: &Graph, req: TreeRequest, seed: u64) -> Result<TreeSample, Error> {
+        let mut net = Network::builder(g).seed(seed).build();
+        net.run(Request::SpanningTree(req)).map(|r| r.into_tree())
+    }
+
+    /// Chi-square of 800 sampled K4 trees against uniform over its 16.
+    fn k4_uniformity(mode: TreeMode, seed_base: u64) -> drw_stats::ChiSquare {
+        let g = generators::complete(4);
+        let trees = matrix_tree::enumerate_spanning_trees(&g);
+        assert_eq!(trees.len(), 16);
+        let mut counts = vec![0u64; trees.len()];
+        for seed in 0..800u64 {
+            let req = TreeRequest {
+                mode,
+                ..TreeRequest::new(0)
+            };
+            let t = tree(&g, req, seed_base + seed).unwrap();
+            counts[matrix_tree::tree_index(&trees, &t.edges).expect("valid tree")] += 1;
+        }
+        drw_stats::chi_square_uniform(&counts)
+    }
+
+    #[test]
+    fn extend_mode_is_uniform_on_a_small_graph() {
+        // The test that *fails* in RestartPhases mode (see
+        // restart_mode_is_biased below): the reproduction finding.
+        let t = k4_uniformity(TreeMode::ExtendWalk, 7000);
+        assert!(t.passes(0.001), "{t:?}");
+    }
+
+    #[test]
+    fn restart_mode_is_biased() {
+        // The paper-literal restart scheme conditions on fast coverage;
+        // on K4 with initial length n the bias is large enough for
+        // chi-square to reject uniformity decisively.
+        let t = k4_uniformity(TreeMode::RestartPhases, 9000);
+        assert!(!t.passes(0.001), "restart mode unexpectedly uniform: {t:?}");
+    }
+
+    #[test]
+    fn session_pays_exactly_one_bfs_and_beats_per_phase_rebuilds() {
+        // A multi-phase extend run performs one BFS for the whole
+        // request and, at a size where per-phase setup is non-trivial,
+        // costs fewer rounds than serving each phase's recorded walk
+        // one-shot (its own BFS and full Phase 1 every time). (On toy
+        // graphs the session can lose: its upgrade relaunches are priced
+        // against setups that cost almost nothing.)
+        let g = generators::torus2d(16, 16);
+        let initial_len = 32;
+        let req = TreeRequest {
+            initial_len,
+            ..TreeRequest::new(0)
+        };
+        let s = tree(&g, req, 21).unwrap();
+        assert!(s.phases > 3, "initial_len 32 must take several phases");
+        assert_eq!(s.bfs_runs, 1, "one BFS per tree request");
+        assert!(matrix_tree::is_spanning_tree(&g, &s.edges));
+
+        let mut one_shot = Network::builder(&g).seed(21).build();
+        let rebuild: u64 = (0..s.phases)
+            .map(|phase| {
+                let walk = Request::Walk {
+                    source: 0,
+                    len: initial_len << phase,
+                    record: true,
+                };
+                one_shot.run(walk).expect("one-shot phase walk").rounds()
+            })
+            .sum();
+        assert!(
+            s.rounds < rebuild,
+            "session {} rounds vs per-phase rebuilds {rebuild}",
+            s.rounds
+        );
+    }
+
+    #[test]
+    fn path_graph_with_unit_initial_len_regression() {
+        // Initial length 1 maximizes phase count and hand-off positions;
+        // the boundary visit must never surface as a predecessor-less
+        // first visit (panic) or smuggle a non-edge into the tree. A path
+        // has only one spanning tree, itself, so corruption is
+        // unambiguous.
+        let g = generators::path(8);
+        let expected: TreeKey = canonical_tree_key(g.edges());
+        let req = TreeRequest {
+            initial_len: 1,
+            max_phases: 60,
+            ..TreeRequest::new(0)
+        };
+        for seed in 0..10u64 {
+            let r = tree(&g, req.clone(), 3000 + seed).unwrap();
+            assert_eq!(r.edges, expected, "seed={seed}");
+            assert!(r.phases > 1, "unit initial length must take phases");
+        }
+    }
+
+    #[test]
+    fn doubling_overflow_is_a_capped_error() {
+        // A first segment past the total-length cap errors out before
+        // walking anything, in both modes.
+        let g = generators::complete(4);
+        for mode in [TreeMode::ExtendWalk, TreeMode::RestartPhases] {
+            let req = TreeRequest {
+                initial_len: MAX_TOTAL_WALK_LEN + 1,
+                max_phases: 3,
+                mode,
+                ..TreeRequest::new(0)
+            };
+            let err = tree(&g, req, 1).unwrap_err();
+            let expected = Error::LengthOverflow {
+                phases: 0,
+                walked: 0,
+            };
+            assert_eq!(err, expected, "{mode:?}");
+        }
+    }
 
     #[test]
     fn doubling_step_arithmetic() {

@@ -57,47 +57,6 @@ impl WalkParams {
     }
 }
 
-/// Tunable constants for the PODC 2009 baseline, which used *fixed*
-/// short-walk lengths, a *uniform* per-node walk count and worst-case
-/// amortization of `GET-MORE-WALKS`. Optimizing its round bound
-/// `O(eta lambda + l D / lambda + l / eta)` gives
-/// `lambda = l^{1/3} D^{2/3}` and `eta = sqrt(l / lambda)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Podc09Params {
-    /// Scale on the optimal `lambda`.
-    pub lambda_scale: f64,
-    /// Scale on the optimal `eta`.
-    pub eta_scale: f64,
-}
-
-impl Default for Podc09Params {
-    fn default() -> Self {
-        Podc09Params {
-            lambda_scale: 1.0,
-            eta_scale: 1.0,
-        }
-    }
-}
-
-impl Podc09Params {
-    /// `lambda = clamp(c * l^{1/3} D^{2/3}, 1, l)`.
-    pub fn lambda(&self, len: u64, diameter: u64) -> u32 {
-        let raw = self.lambda_scale
-            * (len as f64).powf(1.0 / 3.0)
-            * (diameter.max(1) as f64).powf(2.0 / 3.0);
-        (raw.round() as u64)
-            .clamp(1, len.max(1))
-            .min(u32::MAX as u64) as u32
-    }
-
-    /// `eta = max(1, c * sqrt(l / lambda))`, the uniform per-node walk
-    /// count.
-    pub fn eta(&self, len: u64, lambda: u32) -> usize {
-        let raw = self.eta_scale * ((len as f64) / lambda.max(1) as f64).sqrt();
-        raw.round().max(1.0) as usize
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,20 +105,5 @@ mod tests {
     fn lambda_many_exceeds_single() {
         let p = WalkParams::default();
         assert!(p.lambda_many(16, 1 << 14, 16) > p.lambda(1 << 14, 16));
-    }
-
-    #[test]
-    fn podc09_optimum_shapes() {
-        let p = Podc09Params::default();
-        // lambda = l^{1/3} D^{2/3}: for l = 2^12, D = 2^3: 2^4 * 2^2 = 64.
-        assert_eq!(p.lambda(1 << 12, 1 << 3), 64);
-        // eta = sqrt(l / lambda) = sqrt(4096/64) = 8.
-        assert_eq!(p.eta(1 << 12, 64), 8);
-    }
-
-    #[test]
-    fn podc09_eta_at_least_one() {
-        let p = Podc09Params::default();
-        assert_eq!(p.eta(4, 4), 1);
     }
 }

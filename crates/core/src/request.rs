@@ -21,10 +21,22 @@ use crate::single_walk::SingleWalkResult;
 use drw_graph::matrix_tree::TreeKey;
 use drw_graph::{EpochReport, NodeId, TopologyDelta};
 
-/// How a spanning-tree request relates its phases to the walk (the
-/// reproduction finding documented in `drw-spanning`: the paper-literal
-/// restart scheme is measurably biased; extending one continuous walk
-/// is exactly uniform).
+/// How a spanning-tree request relates its phases to the walk.
+///
+/// # A reproduction finding: restart bias
+///
+/// The paper's phase structure *restarts*: "perform again log n walks of
+/// length l ... until one walk of length l covers all nodes". Taking the
+/// first *covering* fixed-length walk conditions the walk law on the
+/// event `{cover time <= l}`, and first-entry trees are correlated with
+/// cover speed — so the literal scheme is *measurably biased* at small
+/// lengths (experiment E9 detects it at p < 1e-9 on `K_4`; the paper's
+/// w.h.p. guarantee hides the bias only because its constants make
+/// non-coverage astronomically rare). The default mode instead
+/// **extends one continuous walk** across phases: a prefix-covering walk
+/// is unconditioned, so the tree is *exactly* uniform, with the same
+/// asymptotic round bound. [`TreeMode::RestartPhases`] keeps the literal
+/// scheme for the bias-demonstration ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TreeMode {
     /// Extend one continuous walk until it covers — exactly uniform

@@ -250,7 +250,7 @@ impl WalkSession {
     /// When `cfg.record_walk` is set the session runs in *record* mode:
     /// waves may carry a recorded [`StitchSpec`], and every store
     /// operation stays replayable (per-token `GET-MORE-WALKS` is
-    /// forced, as in [`crate::single_random_walk`]).
+    /// forced, as for a recorded [`crate::Request::Walk`]).
     ///
     /// # Errors
     ///

@@ -32,7 +32,7 @@
 use crate::params::WalkParams;
 use crate::state::{WalkId, WalkState};
 use drw_congest::{EngineConfig, RunError};
-use drw_graph::{Graph, NodeId};
+use drw_graph::NodeId;
 use std::fmt;
 
 /// Errors from the walk drivers.
@@ -60,8 +60,10 @@ pub enum WalkError {
         /// The walks the request (or wave) works out to.
         usize,
     ),
-    /// A mixing request's `bucket_base` is not a number above 1: the
-    /// degree buckets of its test are the powers of that base.
+    /// A mixing request's `bucket_base` is not a number above 1, or is
+    /// so close to 1 that its test would have more degree buckets (the
+    /// powers of the base between the minimum and maximum degree) than
+    /// its probes have samples.
     BadBucketBase(
         /// The base, as [`f64::to_bits`] (so that the error stays `Eq`).
         u64,
@@ -85,7 +87,8 @@ impl fmt::Display for WalkError {
             ),
             WalkError::BadBucketBase(bits) => write!(
                 f,
-                "mixing probes need bucket_base > 1, got {}",
+                "mixing probes need bucket_base > 1 and at most one degree bucket \
+                 per sample, got {}",
                 f64::from_bits(*bits)
             ),
         }
@@ -107,8 +110,8 @@ impl From<RunError> for WalkError {
     }
 }
 
-/// Configuration of [`single_random_walk`] (defaults reproduce the PODC
-/// 2010 algorithm; the toggles are the ablation axes of experiments
+/// Configuration of a [`crate::Network`]'s walks (defaults reproduce the
+/// PODC 2010 algorithm; the toggles are the ablation axes of experiments
 /// A1-A3).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleWalkConfig {
@@ -164,7 +167,7 @@ pub struct Segment {
     pub replayable: bool,
 }
 
-/// Result of [`single_random_walk`].
+/// Answer to a [`crate::Request::Walk`].
 #[derive(Debug, Clone)]
 #[must_use = "a walk result carries the sampled destination and round bill"]
 pub struct SingleWalkResult {
@@ -315,74 +318,28 @@ impl WalkDriver {
     }
 }
 
-/// Performs a single random walk of `len` steps from `source`, returning
-/// an exact sample of the destination in `~O(sqrt(len * D))` rounds
-/// w.h.p. (Theorem 2.5).
-///
-/// This is a thin shim over a throwaway [`crate::Network`] — the
-/// facade's [`crate::Request::Walk`] path — kept for the familiar
-/// free-function surface. Long-lived callers should hold a
-/// [`crate::Network`] (or a [`crate::WalkSession`]) instead.
-///
-/// # Errors
-///
-/// [`WalkError::Disconnected`] if the graph is not connected,
-/// [`WalkError::SourceOutOfRange`] for a bad source, or an engine error.
-///
-/// # Example
-///
-/// ```
-/// use drw_core::{single_random_walk, SingleWalkConfig};
-/// use drw_graph::generators;
-///
-/// # fn main() -> Result<(), drw_core::WalkError> {
-/// let g = generators::torus2d(6, 6);
-/// let r = single_random_walk(&g, 0, 512, &SingleWalkConfig::default(), 1)?;
-/// assert!(r.rounds < 512, "sublinear in the walk length");
-/// # Ok(())
-/// # }
-/// ```
-pub fn single_random_walk(
-    g: &Graph,
-    source: NodeId,
-    len: u64,
-    cfg: &SingleWalkConfig,
-    seed: u64,
-) -> Result<SingleWalkResult, WalkError> {
-    let mut net = crate::network::Network::builder(g)
-        .config(cfg.clone())
-        .seed(seed)
-        .build();
-    net.run(crate::request::Request::Walk {
-        source,
-        len,
-        record: cfg.record_walk,
-    })
-    .map(crate::request::Response::into_walk)
-    .map_err(crate::error::Error::expect_walk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use drw_graph::generators;
+    use crate::{Error, Network, Request};
+    use drw_graph::{generators, Graph};
 
-    #[test]
-    fn destination_is_in_range_and_parity_correct() {
-        // On a bipartite torus with even side, even-length walks return to
-        // the source's bipartition class.
-        let g = generators::torus2d(4, 4);
-        for seed in 0..10 {
-            let r = single_random_walk(&g, 0, 64, &SingleWalkConfig::default(), seed).unwrap();
-            let (row, col) = (r.destination / 4, r.destination % 4);
-            assert_eq!((row + col) % 2, 0, "even walk must stay on even class");
-        }
+    /// One walk request on a fresh network.
+    fn walk(
+        g: &Graph,
+        source: NodeId,
+        len: u64,
+        cfg: SingleWalkConfig,
+        seed: u64,
+    ) -> Result<SingleWalkResult, Error> {
+        let mut net = Network::builder(g).config(cfg).seed(seed).build();
+        net.run(Request::walk(source, len)).map(|r| r.into_walk())
     }
 
     #[test]
     fn zero_length_walk_is_the_source() {
         let g = generators::path(5);
-        let r = single_random_walk(&g, 3, 0, &SingleWalkConfig::default(), 1).unwrap();
+        let r = walk(&g, 3, 0, SingleWalkConfig::default(), 1).unwrap();
         assert_eq!(r.destination, 3);
         assert_eq!(r.stitches, 0);
     }
@@ -391,57 +348,10 @@ mod tests {
     fn short_walk_degenerates_to_naive() {
         let g = generators::cycle(64);
         // len = 4 << 2*lambda: no phase 1, no stitches.
-        let r = single_random_walk(&g, 0, 4, &SingleWalkConfig::default(), 2).unwrap();
+        let r = walk(&g, 0, 4, SingleWalkConfig::default(), 2).unwrap();
         assert_eq!(r.stitches, 0);
         assert_eq!(r.rounds_phase1, 0);
         assert!(r.rounds_tail >= 4);
-    }
-
-    #[test]
-    fn long_walk_is_sublinear_in_length() {
-        let g = generators::torus2d(8, 8);
-        let len = 4096u64;
-        let r = single_random_walk(&g, 0, len, &SingleWalkConfig::default(), 3).unwrap();
-        assert!(r.stitches > 0, "long walks must stitch");
-        assert!(
-            r.rounds < len,
-            "rounds {} should beat the naive {len}",
-            r.rounds
-        );
-    }
-
-    #[test]
-    fn segments_chain_and_cover_the_walk() {
-        let g = generators::torus2d(6, 6);
-        let len = 2048u64;
-        let r = single_random_walk(&g, 5, len, &SingleWalkConfig::default(), 4).unwrap();
-        let mut pos = 0u64;
-        let mut at = 5usize;
-        for seg in &r.segments {
-            assert_eq!(seg.connector, at);
-            assert_eq!(seg.start_pos, pos);
-            assert!(seg.len >= r.lambda && seg.len < 2 * r.lambda);
-            pos += seg.len as u64;
-            at = seg.owner;
-        }
-        assert!(len - pos < 2 * r.lambda as u64, "tail must be short");
-    }
-
-    #[test]
-    fn recorded_walk_is_a_valid_trajectory() {
-        let g = generators::torus2d(5, 5);
-        let len = 512u64;
-        let cfg = SingleWalkConfig {
-            record_walk: true,
-            ..SingleWalkConfig::default()
-        };
-        let r = single_random_walk(&g, 0, len, &cfg, 5).unwrap();
-        let walk = r.state.reconstruct_walk(len);
-        assert_eq!(walk[0], 0);
-        assert_eq!(*walk.last().unwrap(), r.destination);
-        for w in walk.windows(2) {
-            assert!(g.has_edge(w[0], w[1]), "non-edge {}-{}", w[0], w[1]);
-        }
     }
 
     #[test]
@@ -451,7 +361,7 @@ mod tests {
             randomize_len: false,
             ..SingleWalkConfig::default()
         };
-        let r = single_random_walk(&g, 0, 128, &cfg, 6).unwrap();
+        let r = walk(&g, 0, 128, cfg, 6).unwrap();
         let (row, col) = (r.destination / 4, r.destination % 4);
         assert_eq!((row + col) % 2, 0);
         for seg in &r.segments {
@@ -472,36 +382,17 @@ mod tests {
             degree_proportional: false,
             ..SingleWalkConfig::default()
         };
-        let r = single_random_walk(&g, 0, 4096, &cfg, 7).unwrap();
+        let r = walk(&g, 0, 4096, cfg, 7).unwrap();
         assert!(r.gmw_invocations > 0, "starved store must trigger GMW");
     }
 
     #[test]
-    fn disconnected_graph_is_rejected() {
-        let g = drw_graph::Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        let err = single_random_walk(&g, 0, 8, &SingleWalkConfig::default(), 1).unwrap_err();
-        assert_eq!(err, WalkError::Disconnected);
-    }
-
-    #[test]
-    fn bad_source_is_rejected() {
+    fn disconnected_graph_and_bad_source_are_rejected() {
+        let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+        let err = walk(&g, 0, 8, SingleWalkConfig::default(), 1).unwrap_err();
+        assert_eq!(err, Error::Walk(WalkError::Disconnected));
         let g = generators::path(4);
-        let err = single_random_walk(&g, 9, 8, &SingleWalkConfig::default(), 1).unwrap_err();
-        assert_eq!(err, WalkError::SourceOutOfRange(9));
-    }
-
-    #[test]
-    fn deterministic_in_the_seed() {
-        let g = generators::torus2d(5, 5);
-        let a = single_random_walk(&g, 1, 777, &SingleWalkConfig::default(), 99).unwrap();
-        let b = single_random_walk(&g, 1, 777, &SingleWalkConfig::default(), 99).unwrap();
-        assert_eq!(a.destination, b.destination);
-        assert_eq!(a.rounds, b.rounds);
-        let c = single_random_walk(&g, 1, 777, &SingleWalkConfig::default(), 100).unwrap();
-        // Overwhelmingly likely to differ somewhere.
-        assert!(
-            a.destination != c.destination || a.rounds != c.rounds || a.segments != c.segments,
-            "different seeds should explore differently"
-        );
+        let err = walk(&g, 9, 8, SingleWalkConfig::default(), 1).unwrap_err();
+        assert_eq!(err, Error::Walk(WalkError::SourceOutOfRange(9)));
     }
 }

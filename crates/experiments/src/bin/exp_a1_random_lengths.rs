@@ -6,7 +6,7 @@
 //! drain their stores and force `GET-MORE-WALKS`; randomized lengths
 //! keep connector load near `t / lambda` (Lemma 2.7).
 
-use drw_core::{single_random_walk, SingleWalkConfig};
+use drw_core::{Network, Request, SingleWalkConfig};
 use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
 
 fn main() {
@@ -26,7 +26,13 @@ fn main() {
                 ..walk_config_from_env()
             };
             let runs = parallel_trials(trials, 30, |s| {
-                let r = single_random_walk(g, 0, len, &cfg, s).expect("walk");
+                let r = Network::builder(g)
+                    .config(cfg.clone())
+                    .seed(s)
+                    .build()
+                    .run(Request::walk(0, len))
+                    .expect("walk")
+                    .into_walk();
                 (
                     r.rounds as f64,
                     r.gmw_invocations as f64,

@@ -5,7 +5,7 @@
 //! their sum is U-shaped in `c` with the optimum near the theoretical
 //! `sqrt(l * D)` (`c ~ 1` up to the dropped polylogs).
 
-use drw_core::{single_random_walk, SingleWalkConfig, WalkParams};
+use drw_core::{Network, Request, SingleWalkConfig, WalkParams};
 use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
 
 fn main() {
@@ -33,7 +33,13 @@ fn main() {
             ..walk_config_from_env()
         };
         let runs = parallel_trials(trials, 40, |s| {
-            let r = single_random_walk(g, 0, len, &cfg, s).expect("walk");
+            let r = Network::builder(g)
+                .config(cfg.clone())
+                .seed(s)
+                .build()
+                .run(Request::walk(0, len))
+                .expect("walk")
+                .into_walk();
             (
                 r.rounds as f64,
                 r.rounds_phase1 as f64,

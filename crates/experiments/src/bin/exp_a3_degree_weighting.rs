@@ -5,7 +5,7 @@
 //! Expected: uniform allocation starves high-degree nodes (the hub of a
 //! star, the clique of a lollipop), forcing `GET-MORE-WALKS`.
 
-use drw_core::{single_random_walk, SingleWalkConfig};
+use drw_core::{Network, Request, SingleWalkConfig};
 use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, Table};
 use drw_graph::generators;
 
@@ -28,7 +28,13 @@ fn main() {
                 ..walk_config_from_env()
             };
             let runs = parallel_trials(trials, 50, |s| {
-                let r = single_random_walk(&g, 0, len, &cfg, s).expect("walk");
+                let r = Network::builder(&g)
+                    .config(cfg.clone())
+                    .seed(s)
+                    .build()
+                    .run(Request::walk(0, len))
+                    .expect("walk")
+                    .into_walk();
                 (
                     r.rounds as f64,
                     r.gmw_invocations as f64,

@@ -6,15 +6,18 @@
 //! baseline (the Kempe-McSherry-style comparator). The paper's
 //! prediction: the sampling estimator wins when `tau >> sqrt(n)`.
 
+use drw_core::{MixingRequest, Network, Request};
 use drw_experiments::{table::f3, workloads, Table};
-use drw_mixing::{direct_diffusion_mixing, estimate_mixing_time, ground_truth, MixingConfig};
+use drw_mixing::{direct_diffusion_mixing, ground_truth};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let cfg = MixingConfig {
-        samples_scale: if quick { 4.0 } else { 8.0 },
-        max_len: 1 << 15,
-        ..MixingConfig::default()
+    let request = |source| {
+        Request::MixingTime(MixingRequest {
+            samples_scale: if quick { 4.0 } else { 8.0 },
+            max_len: 1 << 15,
+            ..MixingRequest::full_estimate(source)
+        })
     };
 
     let mut t = Table::new(
@@ -51,7 +54,12 @@ fn main() {
     };
     for (w, source) in families {
         let g = &w.graph;
-        let est = estimate_mixing_time(g, source, &cfg, 11).expect("estimate");
+        let est = Network::builder(g)
+            .seed(11)
+            .build()
+            .run(request(source))
+            .expect("estimate")
+            .into_mixing();
         let lo = ground_truth::exact_tau(g, source, 0.9, 1 << 18).unwrap_or(0);
         let hi = ground_truth::exact_tau(g, source, 0.05, 1 << 18).unwrap_or(u64::MAX);
         let base = direct_diffusion_mixing(g, source, ground_truth::eps_mix(), 1 << 18, 3)

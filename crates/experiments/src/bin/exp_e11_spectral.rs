@@ -6,18 +6,19 @@
 //! the exact value lands inside the derived interval widened by a
 //! factor-4 fudge on each side (see `drw-mixing::spectral_bounds`).
 
+use drw_core::{MixingRequest, Network, Request};
 use drw_experiments::{table::f3, workloads, Table};
 use drw_graph::spectral;
-use drw_mixing::{
-    conductance_interval, estimate_mixing_time, spectral_gap_interval, Interval, MixingConfig,
-};
+use drw_mixing::{conductance_interval, spectral_gap_interval, Interval};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let cfg = MixingConfig {
-        samples_scale: if quick { 4.0 } else { 8.0 },
-        max_len: 1 << 15,
-        ..MixingConfig::default()
+    let request = |source| {
+        Request::MixingTime(MixingRequest {
+            samples_scale: if quick { 4.0 } else { 8.0 },
+            max_len: 1 << 15,
+            ..MixingRequest::full_estimate(source)
+        })
     };
 
     let mut t = Table::new(
@@ -44,7 +45,12 @@ fn main() {
     };
     for (w, source) in families {
         let g = &w.graph;
-        let est = estimate_mixing_time(g, source, &cfg, 13).expect("estimate");
+        let est = Network::builder(g)
+            .seed(13)
+            .build()
+            .run(request(source))
+            .expect("estimate")
+            .into_mixing();
         let gap_i = spectral_gap_interval(est.tau_estimate.max(1), g.n());
         let phi_i = conductance_interval(gap_i);
         // Exact values: lazy-kernel gap (the aperiodic chain the

@@ -7,12 +7,12 @@
 //! one-shot `Network::run` requests that each pay their own BFS and
 //! full Phase 1 (`drw_experiments::one_shot_rounds`).
 //!
-//! **RST** (`distributed_rst`, extend mode): the session pays one BFS
+//! **RST** (`Request::SpanningTree`, extend mode): the session pays one BFS
 //! and carries the Phase-1 store across doubling phases; the baseline
 //! serves every phase's recorded walk one-shot. A small `initial_len`
 //! forces many phases, which is exactly where the amortization shows.
 //!
-//! **Mixing** (`estimate_mixing_time`): a stitched-regime configuration
+//! **Mixing** (`Request::MixingTime`): a stitched-regime configuration
 //! (`lambda_scale = 0.15`, `eta = 2`) so the long probes of the doubling
 //! scan actually exercise Phase 1; the session tops the shared store up
 //! only for the deficit, the baseline serves every probe's walk cohort
@@ -23,10 +23,8 @@
 //! total rounds drop >= 25% vs the rebuild baseline, and session RST
 //! performs exactly one BFS per call.
 
-use drw_core::{Request, WalkParams};
+use drw_core::{MixingRequest, Network, Request, SingleWalkConfig, TreeRequest, WalkParams};
 use drw_experiments::{one_shot_rounds, table::f3, walk_config_from_env, workloads, Table};
-use drw_mixing::{estimate_mixing_time, MixingConfig};
-use drw_spanning::{distributed_rst, RstConfig};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -50,29 +48,35 @@ fn main() {
             "vs rebuild",
         ],
     );
-    let rst_cfg = RstConfig {
-        walk: walk_config_from_env(),
+    let walk_cfg = walk_config_from_env();
+    let tree_req = TreeRequest {
         // A deliberately small first guess so the doubling loop runs
         // several phases — the regime the session amortizes.
         initial_len: (g.n() / 8) as u64,
-        ..RstConfig::default()
+        ..TreeRequest::new(0)
     };
     // Per trial: the session run, then its phases' walks served
     // one-shot (one BFS each, plus none for cover checks).
     let (mut rounds, mut phases, mut attempts, mut rebuild) = (0.0, 0.0, 0.0, 0.0);
     for s in 0..trials {
-        let r = distributed_rst(g, 0, &rst_cfg, 500 + s).expect("rst");
+        let r = Network::builder(g)
+            .config(walk_cfg.clone())
+            .seed(500 + s)
+            .build()
+            .run(Request::SpanningTree(tree_req.clone()))
+            .expect("rst")
+            .into_tree();
         assert_eq!(r.bfs_runs, 1, "one BFS per session RST call");
         rounds += r.rounds as f64;
         phases += r.phases as f64;
         attempts += r.attempts as f64;
         rebuild += one_shot_rounds(
             g,
-            &rst_cfg.walk,
+            &walk_cfg,
             500 + s,
             (0..r.phases).map(|phase| Request::Walk {
                 source: 0,
-                len: rst_cfg.initial_len << phase,
+                len: tree_req.initial_len << phase,
                 record: true,
             }),
         ) as f64;
@@ -117,28 +121,34 @@ fn main() {
     // walks, and the tight l2 threshold makes the bipartite torus's
     // cap-scan verdicts deterministic (no spurious collision-noise
     // passes).
-    let mix_cfg = MixingConfig {
+    let mix_walk = SingleWalkConfig {
+        params: WalkParams {
+            lambda_scale: 0.15,
+            eta: 2.0,
+        },
+        ..walk_config_from_env()
+    };
+    let mix_req = MixingRequest {
         l2_threshold: 0.1,
         max_len: 1 << 12,
-        walk: drw_core::SingleWalkConfig {
-            params: WalkParams {
-                lambda_scale: 0.15,
-                eta: 2.0,
-            },
-            ..walk_config_from_env()
-        },
-        ..MixingConfig::default()
+        ..MixingRequest::full_estimate(0)
     };
     let (mut rounds, mut probes, mut tau, mut max_len, mut rebuild) = (0.0, 0.0, 0.0, 0u64, 0.0);
     for s in 0..trials {
-        let est = estimate_mixing_time(g, 0, &mix_cfg, 900 + s).expect("estimate");
+        let est = Network::builder(g)
+            .config(mix_walk.clone())
+            .seed(900 + s)
+            .build()
+            .run(Request::MixingTime(mix_req.clone()))
+            .expect("estimate")
+            .into_mixing();
         rounds += est.rounds as f64;
         probes += est.probes.len() as f64;
         tau += est.tau_estimate as f64;
         max_len = max_len.max(est.probes.iter().map(|p| p.len).max().unwrap_or(0));
         rebuild += one_shot_rounds(
             g,
-            &mix_cfg.walk,
+            &mix_walk,
             900 + s,
             est.probes
                 .iter()

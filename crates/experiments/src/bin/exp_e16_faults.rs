@@ -21,11 +21,9 @@
 
 use drw_congest::FaultPlan;
 use drw_core::exact::exact_distribution;
-use drw_core::{Network, Request};
+use drw_core::{MixingRequest, Network, Request};
 use drw_experiments::{table::f3, walk_config_from_env, workloads, Table};
 use drw_graph::matrix_tree;
-use drw_mixing::{estimate_mixing_time, MixingConfig};
-use drw_spanning::{distributed_rst, RstConfig};
 use drw_stats::chi2::chi_square_against_probs;
 
 /// Drop rates under test, in per-mille.
@@ -53,13 +51,12 @@ fn main() {
     // the bipartite torus the estimator's stable verdict is
     // "not converged at the cap", and parity means the faulty run says
     // exactly the same.
-    let mixing_cfg = MixingConfig {
+    let mixing_req = MixingRequest {
         samples_scale: 8.0,
         max_len: 1 << 12,
         threshold: 0.12,
         l2_threshold: 0.3,
-        walk: cfg.clone(),
-        ..MixingConfig::default()
+        ..MixingRequest::full_estimate(0)
     };
 
     let mut t = Table::new(
@@ -88,7 +85,13 @@ fn main() {
         let mut rounds_this_rate: Vec<u64> = Vec::new();
 
         // SINGLE-RANDOM-WALK.
-        let sw = drw_core::single_random_walk(g, 0, walk_len, &faulty_cfg, 7).expect("single walk");
+        let sw = Network::builder(g)
+            .config(faulty_cfg.clone())
+            .seed(7)
+            .build()
+            .run(Request::walk(0, walk_len))
+            .expect("single walk")
+            .into_walk();
         rounds_this_rate.push(sw.rounds);
         let base = *base_rounds.first().unwrap_or(&sw.rounds);
         t.row(&[
@@ -135,11 +138,13 @@ fn main() {
         ]);
 
         // Random spanning tree: validity is the verdict.
-        let rst_cfg = RstConfig {
-            walk: faulty_cfg.clone(),
-            ..RstConfig::default()
-        };
-        let rst = distributed_rst(g, 0, &rst_cfg, 31).expect("RST");
+        let rst = Network::builder(g)
+            .config(faulty_cfg.clone())
+            .seed(31)
+            .build()
+            .run(Request::spanning_tree(0))
+            .expect("RST")
+            .into_tree();
         let valid = matrix_tree::is_spanning_tree(g, &rst.edges);
         all_ok &= valid;
         rounds_this_rate.push(rst.rounds);
@@ -155,11 +160,13 @@ fn main() {
         ]);
 
         // Mixing estimator: verdict parity with the fault-free run.
-        let mcfg = MixingConfig {
-            walk: faulty_cfg.clone(),
-            ..mixing_cfg.clone()
-        };
-        let mix = estimate_mixing_time(g, 0, &mcfg, 3).expect("mixing");
+        let mix = Network::builder(g)
+            .config(faulty_cfg.clone())
+            .seed(3)
+            .build()
+            .run(Request::MixingTime(mixing_req.clone()))
+            .expect("mixing")
+            .into_mixing();
         rounds_this_rate.push(mix.rounds);
         let base = *base_rounds.get(3).unwrap_or(&mix.rounds);
         let verdict = (mix.converged, mix.tau_estimate);
@@ -226,8 +233,13 @@ fn main() {
         };
         let mut row_counts = vec![0u64; side];
         for s in 0..trials {
-            let r = drw_core::many_random_walks(g, &conf_sources, conf_len, &faulty_cfg, 9000 + s)
-                .expect("conformance walks");
+            let r = Network::builder(g)
+                .config(faulty_cfg.clone())
+                .seed(9000 + s)
+                .build()
+                .run(Request::many_walks(conf_sources.clone(), conf_len))
+                .expect("conformance walks")
+                .into_many_walks();
             assert!(!r.used_naive_fallback);
             for &d in &r.destinations {
                 row_counts[d / side] += 1;

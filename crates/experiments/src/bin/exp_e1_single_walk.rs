@@ -5,8 +5,10 @@
 //! Expected shape: log-log slopes near 1, 2/3 and 1/2 respectively, with
 //! the 2010 algorithm winning for `l >> D` and crossovers at small `l`.
 
-use drw_core::{naive_walk, podc09::podc09_walk, single_random_walk, Podc09Params};
-use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
+use drw_core::{naive_walk, Network, Request};
+use drw_experiments::{
+    parallel_trials, podc09_walk, table::f3, walk_config_from_env, workloads, Podc09Params, Table,
+};
 use drw_stats::log_log_slope;
 
 fn main() {
@@ -38,7 +40,13 @@ fn main() {
             }));
             let cfg10 = walk_config_from_env();
             let runs10 = parallel_trials(trials, 30, |s| {
-                let r = single_random_walk(g, 0, len, &cfg10, s).expect("podc10 walk");
+                let r = Network::builder(g)
+                    .config(cfg10.clone())
+                    .seed(s)
+                    .build()
+                    .run(Request::walk(0, len))
+                    .expect("podc10 walk")
+                    .into_walk();
                 (r.rounds as f64, r.stitches as f64, r.gmw_invocations as f64)
             });
             let r10 = mean(&runs10.iter().map(|r| r.0).collect::<Vec<_>>());

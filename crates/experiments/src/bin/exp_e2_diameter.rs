@@ -4,8 +4,10 @@
 //! Expected shape: podc10 grows like `sqrt(D)`, podc09 like `D^{1/3}`,
 //! naive is flat in `D`.
 
-use drw_core::{naive_walk, podc09::podc09_walk, single_random_walk, Podc09Params};
-use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
+use drw_core::{naive_walk, Network, Request};
+use drw_experiments::{
+    parallel_trials, podc09_walk, table::f3, walk_config_from_env, workloads, Podc09Params, Table,
+};
 use drw_stats::log_log_slope;
 
 fn main() {
@@ -38,9 +40,13 @@ fn main() {
                 .rounds as f64
         }));
         let r10 = mean(&parallel_trials(trials, 30, |s| {
-            single_random_walk(g, 0, len, &walk_config_from_env(), s)
+            Network::builder(g)
+                .config(walk_config_from_env())
+                .seed(s)
+                .build()
+                .run(Request::walk(0, len))
                 .expect("10")
-                .rounds as f64
+                .rounds() as f64
         }));
         t.row(&[c.to_string(), d.to_string(), f3(naive), f3(r09), f3(r10)]);
         ds.push(d as f64);

@@ -7,7 +7,7 @@
 //! branch once `lambda(k) > l`. E3b measures what multiplexing
 //! concurrent stitches into one engine run saves.
 
-use drw_core::{many_random_walks, naive_walk};
+use drw_core::{naive_walk, Network, Request};
 use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
 use drw_stats::log_log_slope;
 
@@ -37,7 +37,13 @@ fn main() {
         let sources: Vec<usize> = (0..k).map(|i| (i * 37) % g.n()).collect();
         let cfg = walk_config_from_env();
         let runs = parallel_trials(trials, 40, |s| {
-            let r = many_random_walks(g, &sources, len, &cfg, s).expect("many walks");
+            let r = Network::builder(g)
+                .config(cfg.clone())
+                .seed(s)
+                .build()
+                .run(Request::many_walks(sources.clone(), len))
+                .expect("many walks")
+                .into_many_walks();
             (r.rounds as f64, r.used_naive_fallback, r.stitches as f64)
         });
         let many = mean(&runs.iter().map(|r| r.0).collect::<Vec<_>>());

@@ -16,7 +16,7 @@
 //! `SINGLE-RANDOM-WALK` runs, at default parameters (the `k + l`
 //! branch) and in the stitched regime (`lambda_scale = 0.12`).
 
-use drw_core::{many_random_walks, single_random_walk, WalkParams};
+use drw_core::{Network, Request, WalkParams};
 use drw_experiments::{table::f3, walk_config_from_env, workloads, Table};
 
 fn scaled(scale: f64) -> drw_core::SingleWalkConfig {
@@ -60,12 +60,23 @@ fn main() {
         let sources: Vec<usize> = (0..k).map(|i| (i * 131) % g.n()).collect();
         let (mut batched, mut serial, mut stitches, mut gmw) = (0.0, 0.0, 0.0, 0.0);
         for s in 0..trials {
-            let b = many_random_walks(g, &sources, len, &cfg, 42 + s).expect("batched");
+            let b = Network::builder(g)
+                .config(cfg.clone())
+                .seed(42 + s)
+                .build()
+                .run(Request::many_walks(sources.clone(), len))
+                .expect("batched")
+                .into_many_walks();
             assert!(!b.used_naive_fallback, "must be in the stitched regime");
             batched += b.rounds_phase2 as f64;
             for (i, &source) in sources.iter().enumerate() {
-                let one = single_random_walk(g, source, len, &cfg, 4200 + 100 * s + i as u64)
-                    .expect("single");
+                let one = Network::builder(g)
+                    .config(cfg.clone())
+                    .seed(4200 + 100 * s + i as u64)
+                    .build()
+                    .run(Request::walk(source, len))
+                    .expect("single")
+                    .into_walk();
                 serial += (one.rounds_stitch + one.rounds_tail) as f64;
             }
             stitches += b.stitches as f64;
@@ -100,14 +111,24 @@ fn main() {
         ("stitched (scale 0.12)", scaled(0.12)),
     ] {
         let sources: Vec<usize> = (0..16).map(|i| (i * 67) % g.n()).collect();
-        let many = many_random_walks(g, &sources, 64, &cfg, 7).expect("many");
+        let many = Network::builder(g)
+            .config(cfg.clone())
+            .seed(7)
+            .build()
+            .run(Request::many_walks(sources.clone(), 64))
+            .expect("many")
+            .into_many_walks();
         let singles: u64 = sources
             .iter()
             .enumerate()
             .map(|(i, &s)| {
-                single_random_walk(g, s, 64, &cfg, 700 + i as u64)
+                Network::builder(g)
+                    .config(cfg.clone())
+                    .seed(700 + i as u64)
+                    .build()
+                    .run(Request::walk(s, 64))
                     .expect("single")
-                    .rounds
+                    .rounds()
             })
             .sum();
         t2.row(&[

@@ -6,7 +6,7 @@
 //! matrix powering). Runs both the default and the fixed-length
 //! (PODC'09-style) configuration — both are exact; only rounds differ.
 
-use drw_core::{exact::exact_distribution, single_random_walk, SingleWalkConfig};
+use drw_core::{exact::exact_distribution, Network, Request, SingleWalkConfig};
 use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
 use drw_stats::chi2::chi_square_against_probs;
 
@@ -36,8 +36,13 @@ fn main() {
             ),
         ] {
             let dests = parallel_trials(samples, 1_000_000, |s| {
-                single_random_walk(g, 0, len, &cfg, s)
+                Network::builder(g)
+                    .config(cfg.clone())
+                    .seed(s)
+                    .build()
+                    .run(Request::walk(0, len))
                     .expect("walk")
+                    .into_walk()
                     .destination
             });
             let mut counts = vec![0u64; g.n()];

@@ -7,14 +7,12 @@
 //!    tree set (cross-checked with Kirchhoff), in the exact ExtendWalk
 //!    mode and in the paper-literal RestartPhases mode — the latter
 //!    demonstrates the restart-conditioning bias (reproduction finding,
-//!    see DESIGN.md and `drw-spanning`'s module docs).
+//!    see DESIGN.md and `drw_core::TreeMode`).
 
+use drw_core::{Network, Request, TreeMode, TreeRequest};
 use drw_experiments::{parallel_trials, table::f3, workloads, Table};
 use drw_graph::matrix_tree;
-use drw_spanning::{
-    distributed::{RstConfig, RstMode},
-    distributed_rst, naive_rst_cover_steps, uniformity_test,
-};
+use drw_spanning::{naive_rst_cover_steps, uniformity_test};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -42,9 +40,12 @@ fn main() {
         let g = &w.graph;
         let d = drw_graph::traversal::diameter_exact(g);
         let fast = parallel_trials(trials, 10, |s| {
-            distributed_rst(g, 0, &RstConfig::default(), s)
+            Network::builder(g)
+                .seed(s)
+                .build()
+                .run(Request::spanning_tree(0))
                 .expect("rst")
-                .rounds as f64
+                .rounds() as f64
         });
         let naive = parallel_trials(trials, 20, |s| {
             let mut rng = StdRng::seed_from_u64(s);
@@ -76,13 +77,19 @@ fn main() {
         ("cycle6", drw_graph::generators::cycle(6)),
     ] {
         let tree_count = matrix_tree::spanning_tree_count(&g);
-        for mode in [RstMode::ExtendWalk, RstMode::RestartPhases] {
-            let cfg = RstConfig {
+        for mode in [TreeMode::ExtendWalk, TreeMode::RestartPhases] {
+            let req = TreeRequest {
                 mode,
-                ..RstConfig::default()
+                ..TreeRequest::new(0)
             };
             let trees = parallel_trials(samples, 5000, |s| {
-                distributed_rst(&g, 0, &cfg, s).expect("rst").edges
+                Network::builder(&g)
+                    .seed(s)
+                    .build()
+                    .run(Request::SpanningTree(req.clone()))
+                    .expect("rst")
+                    .into_tree()
+                    .edges
             });
             let test = uniformity_test(&g, trees);
             let verdict = if test.passes(0.001) {

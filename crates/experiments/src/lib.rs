@@ -3,18 +3,21 @@
 //! Each reproduction experiment (E1-E11, A1-A3 — see DESIGN.md section 4)
 //! is a binary in `src/bin/` that prints the paper-shaped table as
 //! aligned text and, when `DRW_CSV_DIR` is set, also writes a CSV.
-//! This library provides the table formatter, parallel trial runner and
-//! the standard workload graphs.
+//! This library provides the table formatter, parallel trial runner,
+//! the standard workload graphs and the PODC 2009 baseline the 2010
+//! algorithm is compared against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod podc09;
 pub mod table;
 pub mod trials;
 pub mod workloads;
 
 pub use config::{engine_config_from_env, faults_from_env, walk_config_from_env};
+pub use podc09::{podc09_walk, Podc09Params, Podc09Result};
 pub use table::Table;
 pub use trials::parallel_trials;
 

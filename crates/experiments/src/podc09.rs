@@ -15,16 +15,55 @@
 //!
 //! Optimizing its round bound `O(eta lambda + l D / lambda + l / eta)`
 //! gives `lambda = l^{1/3} D^{2/3}`, `eta = sqrt(l / lambda)` and total
-//! `~O(l^{2/3} D^{1/3})` — the curve experiment E1 compares against.
+//! `~O(l^{2/3} D^{1/3})` — the curve experiments E1 and E2 compare
+//! against. It lives with the experiments because only they run it: the
+//! library serves the 2010 algorithm.
 
-use crate::params::Podc09Params;
-use crate::short_walks::ShortWalksProtocol;
-use crate::single_walk::{StitchSetup, WalkError};
-use crate::state::WalkState;
-use crate::stitch_scheduler::StitchScheduler;
 use drw_congest::primitives::BfsTreeProtocol;
 use drw_congest::{EngineConfig, Runner};
+use drw_core::{ShortWalksProtocol, StitchScheduler, StitchSetup, WalkError, WalkState};
 use drw_graph::{traversal, Graph, NodeId};
+
+/// Tunable constants for the PODC 2009 baseline, which used *fixed*
+/// short-walk lengths, a *uniform* per-node walk count and worst-case
+/// amortization of `GET-MORE-WALKS`. Optimizing its round bound
+/// `O(eta lambda + l D / lambda + l / eta)` gives
+/// `lambda = l^{1/3} D^{2/3}` and `eta = sqrt(l / lambda)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Podc09Params {
+    /// Scale on the optimal `lambda`.
+    pub lambda_scale: f64,
+    /// Scale on the optimal `eta`.
+    pub eta_scale: f64,
+}
+
+impl Default for Podc09Params {
+    fn default() -> Self {
+        Podc09Params {
+            lambda_scale: 1.0,
+            eta_scale: 1.0,
+        }
+    }
+}
+
+impl Podc09Params {
+    /// `lambda = clamp(c * l^{1/3} D^{2/3}, 1, l)`.
+    pub fn lambda(&self, len: u64, diameter: u64) -> u32 {
+        let raw = self.lambda_scale
+            * (len as f64).powf(1.0 / 3.0)
+            * (diameter.max(1) as f64).powf(2.0 / 3.0);
+        (raw.round() as u64)
+            .clamp(1, len.max(1))
+            .min(u32::MAX as u64) as u32
+    }
+
+    /// `eta = max(1, c * sqrt(l / lambda))`, the uniform per-node walk
+    /// count.
+    pub fn eta(&self, len: u64, lambda: u32) -> usize {
+        let raw = self.eta_scale * ((len as f64) / lambda.max(1) as f64).sqrt();
+        raw.round().max(1.0) as usize
+    }
+}
 
 /// Result of [`podc09_walk`].
 #[derive(Debug, Clone)]
@@ -51,7 +90,9 @@ pub struct Podc09Result {
 ///
 /// # Errors
 ///
-/// Same as [`crate::single_random_walk`].
+/// [`WalkError::SourceOutOfRange`] for a bad source,
+/// [`WalkError::Disconnected`] if the graph is not connected, or an
+/// engine error.
 pub fn podc09_walk(
     g: &Graph,
     source: NodeId,
@@ -125,11 +166,16 @@ mod tests {
 
     #[test]
     fn sublinear_but_typically_slower_than_2010() {
-        use crate::single_walk::{single_random_walk, SingleWalkConfig};
+        use drw_core::{Network, Request};
         let g = generators::torus2d(8, 8);
         let len = 8192u64;
         let r09 = podc09_walk(&g, 0, len, &Podc09Params::default(), 7).unwrap();
-        let r10 = single_random_walk(&g, 0, len, &SingleWalkConfig::default(), 7).unwrap();
+        let r10 = Network::builder(&g)
+            .seed(7)
+            .build()
+            .run(Request::walk(0, len))
+            .unwrap()
+            .into_walk();
         assert!(r09.rounds < len, "2009 is sublinear: {}", r09.rounds);
         // The 2010 algorithm should win on a long walk (allow slack for a
         // single seed).
@@ -168,5 +214,20 @@ mod tests {
             podc09_walk(&dg, 0, 8, &Podc09Params::default(), 1),
             Err(WalkError::Disconnected)
         ));
+    }
+
+    #[test]
+    fn podc09_optimum_shapes() {
+        let p = Podc09Params::default();
+        // lambda = l^{1/3} D^{2/3}: for l = 2^12, D = 2^3: 2^4 * 2^2 = 64.
+        assert_eq!(p.lambda(1 << 12, 1 << 3), 64);
+        // eta = sqrt(l / lambda) = sqrt(4096/64) = 8.
+        assert_eq!(p.eta(1 << 12, 64), 8);
+    }
+
+    #[test]
+    fn podc09_eta_at_least_one() {
+        let p = Podc09Params::default();
+        assert_eq!(p.eta(4, 4), 1);
     }
 }

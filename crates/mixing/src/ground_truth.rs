@@ -76,4 +76,54 @@ mod tests {
     fn eps_mix_value() {
         assert!((eps_mix() - 0.1839).abs() < 1e-3);
     }
+
+    /// The full estimator (doubling scan plus refinement) from node 0.
+    fn estimate(g: &Graph, seed: u64) -> drw_core::MixingReport {
+        use drw_core::{MixingRequest, Network, Request};
+        let req = MixingRequest {
+            samples_scale: 6.0,
+            max_len: 1 << 14,
+            ..MixingRequest::full_estimate(0)
+        };
+        let mut net = Network::builder(g).seed(seed).build();
+        net.run(Request::MixingTime(req)).unwrap().into_mixing()
+    }
+
+    #[test]
+    fn estimator_doubles_then_refines_near_the_exact_tau() {
+        let g = generators::cycle(17);
+        let est = estimate(&g, 7);
+        assert!(est.converged);
+        // Doubling prefix: 1, 2, 4, ... strictly increasing by factor 2.
+        let mut prev = 0u64;
+        for p in est.probes.iter().take_while(|p| !p.pass) {
+            assert!(
+                p.len == 1 || p.len == prev * 2,
+                "doubling broken at {}",
+                p.len
+            );
+            prev = p.len;
+        }
+        // Exact tau_mix should be within a factor-4 band of the estimate
+        // (threshold 0.2 vs eps 1/2e plus noise).
+        let exact = exact_tau_mix(&g, 0, 100_000).unwrap();
+        assert!(
+            est.tau_estimate >= exact / 4 && est.tau_estimate <= exact * 4,
+            "estimate {} vs exact {exact}",
+            est.tau_estimate
+        );
+    }
+
+    #[test]
+    fn a_pass_at_length_one_skips_refinement() {
+        // On a complete graph a single step is already near-stationary:
+        // the very first probe PASSes and the binary search must not run
+        // (there is no probe below 1, and no `lo = 0` artifact may
+        // surface).
+        let est = estimate(&generators::complete(32), 8);
+        assert!(est.converged);
+        assert_eq!(est.tau_estimate, 1);
+        assert_eq!(est.probes.len(), 1, "no refinement probes may run");
+        assert!(est.probes[0].pass);
+    }
 }

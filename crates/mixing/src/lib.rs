@@ -17,21 +17,27 @@
 //! `1/(1 - lambda_2) <= tau_mix <= log n / (1 - lambda_2)` and
 //! `Theta(1 - lambda_2) <= Phi <= Theta(sqrt(1 - lambda_2))`.
 //!
-//! Ground truth for all of the above is computed exactly in
-//! [`ground_truth`] (and `drw_graph::spectral`).
+//! The estimator itself is a request to the walk service,
+//! `drw_core::Request::MixingTime`, served by [`drw_core::Network`]
+//! like every other request (its driver and the bucketed test live in
+//! `drw-core`). This crate holds what the estimator is checked and
+//! compared against. Ground truth for all of the above is computed
+//! exactly in [`ground_truth`] (and `drw_graph::spectral`).
 //!
 //! # Example
 //!
 //! ```
+//! use drw_core::{MixingRequest, Network, Request};
 //! use drw_graph::generators;
-//! use drw_mixing::{estimate_mixing_time, MixingConfig};
 //!
-//! # fn main() -> Result<(), drw_core::WalkError> {
+//! # fn main() -> Result<(), drw_core::Error> {
 //! // An expander mixes fast; the estimate is small.
 //! use rand::SeedableRng;
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(5);
 //! let g = generators::random_regular(64, 6, &mut rng);
-//! let est = estimate_mixing_time(&g, 0, &MixingConfig::default(), 3)?;
+//! let mut net = Network::builder(&g).seed(3).build();
+//! let request = Request::MixingTime(MixingRequest::full_estimate(0));
+//! let est = net.run(request)?.into_mixing();
 //! assert!(est.tau_estimate <= 64);
 //! # Ok(())
 //! # }
@@ -41,12 +47,8 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod bucket_test;
-pub mod estimator;
 pub mod ground_truth;
 pub mod spectral_bounds;
 
 pub use baseline::{direct_diffusion_mixing, direct_diffusion_mixing_cfg, DiffusionResult};
-pub use bucket_test::{sum_deg_sq, BucketTest, BucketTestResult, SampleStats};
-pub use estimator::{estimate_mixing_time, MixingConfig, MixingEstimate, ProbeRecord};
 pub use spectral_bounds::{conductance_interval, spectral_gap_interval, Interval};

@@ -14,20 +14,32 @@
 //! 4. reading the tree off the first covering walk: each non-root node
 //!    picks the edge of its earliest visit.
 //!
-//! This crate provides the distributed algorithm ([`distributed_rst`]),
-//! centralized references ([`aldous_broder()`], [`wilson()`]) and
-//! uniformity-testing helpers ([`uniformity`]) used by experiment E9.
+//! The distributed algorithm is a request to the walk service,
+//! `drw_core::Request::SpanningTree`, served by `drw_core::Network`
+//! like every other request (its driver lives in `drw-core`). The
+//! paper-literal restart scheme of step 2 is measurably biased; the
+//! default extends one continuous walk instead and is exactly uniform
+//! (the reproduction finding is documented on `drw_core::TreeMode`).
+//! This crate holds what the distributed sampler is checked against:
+//! the centralized references ([`aldous_broder()`], [`wilson()`]) and
+//! the uniformity-testing helpers ([`uniformity`]) of experiment E9.
 //!
 //! # Example
 //!
 //! ```
+//! use drw_core::{Network, Request};
 //! use drw_graph::{generators, matrix_tree};
-//! use drw_spanning::{distributed_rst, RstConfig};
+//! use rand::SeedableRng;
 //!
-//! # fn main() -> Result<(), drw_spanning::distributed::RstError> {
+//! # fn main() -> Result<(), drw_core::Error> {
 //! let g = generators::torus2d(4, 4);
-//! let r = distributed_rst(&g, 0, &RstConfig::default(), 7)?;
+//! let mut net = Network::builder(&g).seed(7).build();
+//! let r = net.run(Request::spanning_tree(0))?.into_tree();
 //! assert!(matrix_tree::is_spanning_tree(&g, &r.edges));
+//! // The centralized reference samples the same (uniform) law.
+//! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+//! let (reference, _steps) = drw_spanning::aldous_broder(&g, 0, &mut rng);
+//! assert!(matrix_tree::is_spanning_tree(&g, &reference));
 //! # Ok(())
 //! # }
 //! ```
@@ -36,11 +48,9 @@
 #![warn(missing_docs)]
 
 pub mod aldous_broder;
-pub mod distributed;
 pub mod uniformity;
 pub mod wilson;
 
 pub use aldous_broder::{aldous_broder, naive_rst_cover_steps};
-pub use distributed::{distributed_rst, RstConfig, RstResult};
 pub use uniformity::{sampled_tree_histogram, uniformity_test};
 pub use wilson::wilson;

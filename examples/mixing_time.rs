@@ -14,7 +14,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Two networks of similar size, wildly different expansion.
     let expander = generators::random_regular(64, 6, &mut rng);
     let ring = generators::cycle(65);
-    let cfg = MixingConfig::default();
 
     for (name, g) in [
         ("6-regular expander (n=64)", &expander),
@@ -22,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let mut net = Network::builder(g).seed(17).build();
         let est = net
-            .run(Request::MixingTime(cfg.to_request(0)))?
+            .run(Request::MixingTime(MixingRequest::full_estimate(0)))?
             .into_mixing();
         let exact = ground_truth::exact_tau_mix(g, 0, 1 << 18);
         let gap = spectral_gap_interval(est.tau_estimate.max(1), g.n());

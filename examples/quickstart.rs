@@ -1,11 +1,10 @@
-//! Quickstart: one distributed random-walk sample, three ways — plus
-//! the two API styles (the `Network` facade and the legacy free
-//! functions, which are seed-for-seed identical shims over it).
+//! Quickstart: one distributed random-walk sample, three ways — plus a
+//! heterogeneous batch through the same `Network` handle.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use distributed_random_walks::prelude::*;
-use drw_core::{podc09::podc09_walk, Podc09Params};
+use drw_experiments::{podc09_walk, Podc09Params};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A 16x16 torus: 256 nodes, diameter 16.
@@ -41,13 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nbreakdown: BFS {} + phase1 {} + stitching {} + tail {}",
         r10.rounds_bfs, r10.rounds_phase1, r10.rounds_stitch, r10.rounds_tail
     );
-
-    // The legacy free-function style still works and is seed-for-seed
-    // identical — it is a thin shim over a throwaway `Network`.
-    let legacy = single_random_walk(&g, source, len, &SingleWalkConfig::default(), 3)?;
-    assert_eq!(legacy.destination, r10.destination);
-    assert_eq!(legacy.rounds, r10.rounds);
-    println!("legacy free function: identical destination and rounds ✓");
 
     // The stitch trace (the paper's Figure 2).
     println!("\nstitch trace (first 5 segments):");

@@ -49,15 +49,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Uniformity sanity check on K4 (16 spanning trees, exactly counted
     // by Kirchhoff's theorem). Each sample is one request on its own
-    // throwaway network — the legacy shim — so the check exercises the
-    // same path the regression tests pin.
+    // throwaway network, seeded by the sample's index.
     let k4 = generators::complete(4);
     println!(
         "\nK4 has {} spanning trees (matrix-tree theorem); sampling 600...",
         matrix_tree::spanning_tree_count(&k4)
     );
     let samples: Vec<_> = (0..600)
-        .map(|s| distributed_rst(&k4, 0, &RstConfig::default(), 1000 + s).map(|r| r.edges))
+        .map(|s| {
+            let mut net = Network::builder(&k4).seed(1000 + s).build();
+            net.run(Request::spanning_tree(0))
+                .map(|r| r.into_tree().edges)
+        })
         .collect::<Result<_, _>>()?;
     let test = uniformity_test(&k4, samples);
     println!(

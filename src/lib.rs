@@ -20,8 +20,8 @@
 //! | [`graph`] | `drw-graph` | CSR graphs, generators, traversal, spectral ground truth, matrix-tree |
 //! | [`congest`] | `drw-congest` | the CONGEST simulator: engine, protocols, BFS/broadcast/convergecast/upcast |
 //! | [`core`] | `drw-core` | the `Network` service facade, the paper's algorithms, `WalkSession` |
-//! | [`spanning`] | `drw-spanning` | distributed Aldous-Broder random spanning trees |
-//! | [`mixing`] | `drw-mixing` | decentralized mixing-time / spectral-gap / conductance estimation |
+//! | [`spanning`] | `drw-spanning` | centralized Aldous-Broder / Wilson references and uniformity tests |
+//! | [`mixing`] | `drw-mixing` | mixing-time ground truth, the diffusion baseline, spectral-gap / conductance bounds |
 //! | [`lowerbound`] | `drw-lowerbound` | `G_n`, PATH-VERIFICATION and the reduction |
 //! | [`stats`] | `drw-stats` | chi-square / KS tests, summaries, regression |
 //!
@@ -57,12 +57,10 @@
 //! # }
 //! ```
 //!
-//! The pre-facade free functions (`single_random_walk`,
-//! `many_random_walks`, `distributed_rst`, `estimate_mixing_time`)
-//! remain available as thin shims over a throwaway `Network` — every
-//! request kind has one driver and one Phase 2, so a shim and the
-//! request it wraps cannot drift apart. See the migration notes in
-//! `DESIGN.md`.
+//! A request is the only way to ask: walks, spanning trees and mixing
+//! estimates alike go through a [`Network`](prelude::Network) (or a
+//! [`Service`](prelude::Service)), and every request kind has one
+//! driver and one Phase 2.
 //!
 //! See `DESIGN.md` for the system inventory and the per-experiment
 //! index, and `EXPERIMENTS.md` for paper-vs-measured results.
@@ -82,16 +80,14 @@ pub use drw_stats as stats;
 pub mod prelude {
     pub use drw_congest::{EngineConfig, ExecutorKind, Runner};
     pub use drw_core::{
-        many_random_walks, naive_walk, single_random_walk, ArrivalTrace, Completion,
-        Error as DrwError, ManyWalksResult, MixedTraceSpec, MixingProbe, MixingReport,
-        MixingRequest, Network, NetworkBuilder, RepairReport, Request, Response, Service,
-        ServiceBuilder, ServiceConfig, ServiceReport, SingleWalkConfig, SingleWalkResult,
-        StitchScheduler, SubmitError, TenantBill, TenantId, Ticket, TicketPoll, TraceEvent,
-        TraceRun, TreeMode, TreeRequest, TreeSample, WalkError, WalkParams, WalkSession,
+        naive_walk, ArrivalTrace, Completion, Error as DrwError, ManyWalksResult, MixedTraceSpec,
+        MixingProbe, MixingReport, MixingRequest, Network, NetworkBuilder, RepairReport, Request,
+        Response, Service, ServiceBuilder, ServiceConfig, ServiceReport, SingleWalkConfig,
+        SingleWalkResult, StitchScheduler, SubmitError, TenantBill, TenantId, Ticket, TicketPoll,
+        TraceEvent, TraceRun, TreeMode, TreeRequest, TreeSample, WalkError, WalkParams,
+        WalkSession,
     };
     pub use drw_graph::{
         generators, DeltaOp, EpochReport, Graph, GraphBuilder, Topology, TopologyDelta,
     };
-    pub use drw_mixing::{estimate_mixing_time, MixingConfig};
-    pub use drw_spanning::{distributed_rst, RstConfig};
 }

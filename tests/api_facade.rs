@@ -1,11 +1,8 @@
-//! Facade-equivalence suite: the `Network` service facade versus the
-//! legacy free functions.
+//! Facade suite: one `Network` handle, every way of serving a request.
 //!
-//! - Fixed-seed tests assert that `Network`-routed `Walk` /
-//!   `ManyWalks` / `SpanningTree` / `MixingTime` responses are
-//!   bit-identical to the legacy free-function results (which are thin
-//!   shims over a throwaway `Network` — these tests pin the shims'
-//!   seed plumbing and the facade's request dispatch).
+//! - A static-path guard asserts that a network over a shared versioned
+//!   topology (`Network::over`) and one over a borrowed graph
+//!   (`Network::builder`) answer all four request kinds identically.
 //! - A property test checks that `run_batch` of independent requests
 //!   matches the same requests run sequentially in every deterministic
 //!   observable: response kinds and counts, regime decisions
@@ -19,141 +16,31 @@
 use distributed_random_walks::prelude::*;
 use proptest::prelude::*;
 
-#[test]
-fn walk_requests_match_the_legacy_free_function() {
-    let g = generators::torus2d(8, 8);
-    let cfg = SingleWalkConfig::default();
-    for seed in [0u64, 7, 99] {
-        let legacy = single_random_walk(&g, 5, 1024, &cfg, seed).unwrap();
-        let mut net = Network::builder(&g).config(cfg.clone()).seed(seed).build();
-        let routed = net
-            .run(Request::Walk {
-                source: 5,
-                len: 1024,
-                record: false,
-            })
-            .unwrap()
-            .into_walk();
-        assert_eq!(routed.destination, legacy.destination, "{seed}");
-        assert_eq!(routed.rounds, legacy.rounds, "{seed}");
-        assert_eq!(routed.segments, legacy.segments, "{seed}");
-        assert_eq!(routed.messages, legacy.messages, "{seed}");
-    }
-}
-
-#[test]
-fn many_walks_requests_match_the_legacy_free_function() {
-    let g = generators::torus2d(6, 6);
-    let sources = vec![0usize, 9, 20, 20];
-    let cfg = SingleWalkConfig::default();
-    let legacy = many_random_walks(&g, &sources, 512, &cfg, 11).unwrap();
-    let mut net = Network::builder(&g).config(cfg).seed(11).build();
-    let routed = net
-        .run(Request::many_walks(sources.clone(), 512))
-        .unwrap()
-        .into_many_walks();
-    assert_eq!(routed.destinations, legacy.destinations);
-    assert_eq!(routed.rounds, legacy.rounds);
-    assert_eq!(routed.lambda, legacy.lambda);
-}
-
-#[test]
-fn spanning_tree_requests_match_the_legacy_free_function() {
-    let g = generators::torus2d(6, 6);
-    let rst_cfg = RstConfig::default();
-    let legacy = distributed_rst(&g, 0, &rst_cfg, 23).unwrap();
-    let mut net = Network::builder(&g)
-        .config(rst_cfg.walk.clone())
-        .seed(23)
-        .build();
-    let routed = net
-        .run(Request::SpanningTree(rst_cfg.to_request(0)))
-        .unwrap()
-        .into_tree();
-    assert_eq!(routed.edges, legacy.edges);
-    assert_eq!(routed.rounds, legacy.rounds);
-    assert_eq!(routed.phases, legacy.phases);
-    assert_eq!(routed.bfs_runs, legacy.bfs_runs);
-}
-
-#[test]
-fn mixing_requests_match_the_legacy_free_function() {
-    let g = generators::cycle(33);
-    let mix_cfg = MixingConfig {
-        max_len: 1 << 12,
-        ..MixingConfig::default()
-    };
-    let legacy = estimate_mixing_time(&g, 0, &mix_cfg, 31).unwrap();
-    let mut net = Network::builder(&g)
-        .config(mix_cfg.walk.clone())
-        .seed(31)
-        .build();
-    let routed = net
-        .run(Request::MixingTime(mix_cfg.to_request(0)))
-        .unwrap()
-        .into_mixing();
-    assert_eq!(routed.tau_estimate, legacy.tau_estimate);
-    assert_eq!(routed.rounds, legacy.rounds);
-    assert_eq!(routed.probes, legacy.probes);
-}
-
-/// Static-path equivalence guard (ISSUE 5): with zero deltas applied,
-/// all four request kinds served through the *versioned topology
-/// handle* (`Network::over`) are seed-for-seed identical to the
-/// pre-redesign outputs — pinned here via the legacy free functions,
-/// which the facade-equivalence tests above tie to the historical
-/// drivers.
+/// Static-path equivalence guard: with zero deltas applied, all four
+/// request kinds served through the *versioned topology handle*
+/// (`Network::over`) are seed-for-seed identical, field for field, to
+/// the same requests served over the borrowed graph.
 #[test]
 fn topology_handle_static_path_matches_legacy_outputs() {
     let g = generators::torus2d(6, 6);
-    let cfg = SingleWalkConfig::default();
-    let over = |seed: u64| {
-        Network::over(Topology::new(g.clone()))
-            .config(cfg.clone())
-            .seed(seed)
-            .build()
-    };
-
-    let legacy = single_random_walk(&g, 5, 768, &cfg, 7).unwrap();
-    let routed = over(7).run(Request::walk(5, 768)).unwrap().into_walk();
-    assert_eq!(routed.destination, legacy.destination, "walk");
-    assert_eq!(routed.rounds, legacy.rounds, "walk");
-    assert_eq!(routed.segments, legacy.segments, "walk");
-
-    let sources = vec![0usize, 9, 20];
-    let legacy = many_random_walks(&g, &sources, 512, &cfg, 11).unwrap();
-    let routed = over(11)
-        .run(Request::many_walks(sources.clone(), 512))
-        .unwrap()
-        .into_many_walks();
-    assert_eq!(routed.destinations, legacy.destinations, "many");
-    assert_eq!(routed.rounds, legacy.rounds, "many");
-
-    let rst_cfg = RstConfig {
-        walk: cfg.clone(),
-        ..RstConfig::default()
-    };
-    let legacy = distributed_rst(&g, 0, &rst_cfg, 23).unwrap();
-    let routed = over(23)
-        .run(Request::SpanningTree(rst_cfg.to_request(0)))
-        .unwrap()
-        .into_tree();
-    assert_eq!(routed.edges, legacy.edges, "tree");
-    assert_eq!(routed.rounds, legacy.rounds, "tree");
-
-    let mix_cfg = MixingConfig {
+    let mixing = MixingRequest {
         max_len: 1 << 10,
-        walk: cfg.clone(),
-        ..MixingConfig::default()
+        ..MixingRequest::full_estimate(0)
     };
-    let legacy = estimate_mixing_time(&g, 0, &mix_cfg, 31).unwrap();
-    let routed = over(31)
-        .run(Request::MixingTime(mix_cfg.to_request(0)))
-        .unwrap()
-        .into_mixing();
-    assert_eq!(routed.tau_estimate, legacy.tau_estimate, "mix");
-    assert_eq!(routed.rounds, legacy.rounds, "mix");
-    assert_eq!(routed.probes, legacy.probes, "mix");
+    let requests = [
+        (7, Request::walk(5, 768)),
+        (11, Request::many_walks(vec![0, 9, 20], 512)),
+        (23, Request::spanning_tree(0)),
+        (31, Request::MixingTime(mixing)),
+    ];
+    for (seed, req) in requests {
+        let kind = req.kind();
+        let mut built = Network::builder(&g).seed(seed).build();
+        let mut over = Network::over(Topology::new(g.clone())).seed(seed).build();
+        let built = built.run(req.clone()).unwrap();
+        let over = over.run(req).unwrap();
+        assert_eq!(format!("{over:?}"), format!("{built:?}"), "{kind}");
+    }
 }
 
 /// The heterogeneous-batching acceptance: 2 walks + 1 spanning tree +

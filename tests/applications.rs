@@ -25,7 +25,8 @@ fn rst_agrees_with_centralized_uniform_samplers() {
             .expect("exactly one cycle edge missing")
     };
     for seed in 0..400u64 {
-        let r = distributed_rst(&g, 0, &RstConfig::default(), seed).unwrap();
+        let mut net = Network::builder(&g).seed(seed).build();
+        let r = net.run(Request::spanning_tree(0)).unwrap().into_tree();
         dist_counts[dropped_edge(&r.edges)] += 1;
         ab_counts[dropped_edge(&aldous_broder(&g, 0, &mut rng).0)] += 1;
         wi_counts[dropped_edge(&wilson(&g, 0, &mut rng))] += 1;
@@ -46,9 +47,12 @@ fn rst_agrees_with_centralized_uniform_samplers() {
 fn mixing_estimates_order_families() {
     let fast = generators::complete(32);
     let slow = generators::cycle(33);
-    let cfg = MixingConfig::default();
-    let ef = estimate_mixing_time(&fast, 0, &cfg, 3).unwrap();
-    let es = estimate_mixing_time(&slow, 0, &cfg, 3).unwrap();
+    let estimate = |g: &Graph| {
+        let mut net = Network::builder(g).seed(3).build();
+        let req = Request::MixingTime(MixingRequest::full_estimate(0));
+        net.run(req).unwrap().into_mixing()
+    };
+    let (ef, es) = (estimate(&fast), estimate(&slow));
     assert!(ef.converged && es.converged);
     assert!(
         es.tau_estimate > 8 * ef.tau_estimate.max(1),
@@ -94,7 +98,8 @@ fn lower_bound_pipeline() {
 #[test]
 fn rst_on_lollipop_covers_the_tail() {
     let g = generators::lollipop(6, 8);
-    let r = distributed_rst(&g, 0, &RstConfig::default(), 11).unwrap();
+    let mut net = Network::builder(&g).seed(11).build();
+    let r = net.run(Request::spanning_tree(0)).unwrap().into_tree();
     assert!(drw_graph::matrix_tree::is_spanning_tree(&g, &r.edges));
     // The tail is a forced path: its edges must all be in the tree.
     for i in 6..13 {

@@ -32,7 +32,13 @@ fn serial_singles(
 ) -> (u64, u64) {
     let mut totals = (0, 0);
     for (&s, seed) in sources.iter().zip(seed0..) {
-        let one = single_random_walk(g, s, len, cfg, seed).unwrap();
+        let one = Network::builder(g)
+            .config(cfg.clone())
+            .seed(seed)
+            .build()
+            .run(Request::walk(s, len))
+            .unwrap()
+            .into_walk();
         totals.0 += one.rounds;
         totals.1 += one.rounds_stitch + one.rounds_tail;
     }
@@ -49,7 +55,13 @@ fn batched_phase2_beats_sequential_loop_on_torus32() {
     let sources: Vec<usize> = (0..8).map(|i| (i * 131) % g.n()).collect();
     let len = 1024u64;
 
-    let batched = many_random_walks(&g, &sources, len, &cfg, 42).unwrap();
+    let batched = Network::builder(&g)
+        .config(cfg.clone())
+        .seed(42)
+        .build()
+        .run(Request::many_walks(sources.clone(), len))
+        .unwrap()
+        .into_many_walks();
     assert!(!batched.used_naive_fallback && batched.stitches > 0);
     let (serial_rounds, serial_phase2) = serial_singles(&g, &sources, len, &cfg, 4200);
     assert!(
@@ -78,7 +90,13 @@ fn k16_l64_on_torus32_beats_sixteen_single_walks() {
     };
     let sources: Vec<usize> = (0..16).map(|i| (i * 67) % g.n()).collect();
 
-    let many = many_random_walks(&g, &sources, 64, &cfg, 7).unwrap();
+    let many = Network::builder(&g)
+        .config(cfg.clone())
+        .seed(7)
+        .build()
+        .run(Request::many_walks(sources.clone(), 64))
+        .unwrap()
+        .into_many_walks();
     let (singles, _) = serial_singles(&g, &sources, 64, &cfg, 700);
     assert!(
         2 * many.rounds < singles,
@@ -97,7 +115,13 @@ fn k16_l64_stitched_regime_beats_sixteen_single_walks() {
     let cfg = scaled_config(0.12);
     let sources: Vec<usize> = (0..16).map(|i| (i * 67) % g.n()).collect();
 
-    let many = many_random_walks(&g, &sources, 64, &cfg, 9).unwrap();
+    let many = Network::builder(&g)
+        .config(cfg.clone())
+        .seed(9)
+        .build()
+        .run(Request::many_walks(sources.clone(), 64))
+        .unwrap()
+        .into_many_walks();
     assert!(!many.used_naive_fallback, "must stitch at this scale");
     assert!(many.stitches > 0);
     let (singles, _) = serial_singles(&g, &sources, 64, &cfg, 900);

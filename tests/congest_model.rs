@@ -42,17 +42,19 @@ fn oversized_messages_abort() {
 #[test]
 fn round_cap_surfaces_through_drivers() {
     let g = generators::torus2d(4, 4);
-    let cfg = SingleWalkConfig {
-        engine: EngineConfig {
-            max_rounds: 3,
-            ..EngineConfig::default()
-        },
-        ..SingleWalkConfig::default()
+    let engine = EngineConfig {
+        max_rounds: 3,
+        ..EngineConfig::default()
     };
-    let err = single_random_walk(&g, 0, 4096, &cfg, 1).unwrap_err();
+    let err = Network::builder(&g)
+        .engine(engine)
+        .seed(1)
+        .build()
+        .run(Request::walk(0, 4096))
+        .unwrap_err();
     assert!(matches!(
         err,
-        WalkError::Engine(RunError::MaxRoundsExceeded(3))
+        DrwError::Walk(WalkError::Engine(RunError::MaxRoundsExceeded(3)))
     ));
 }
 

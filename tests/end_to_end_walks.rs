@@ -3,7 +3,8 @@
 //! deterministic in the seed.
 
 use distributed_random_walks::prelude::*;
-use drw_core::{exact::exact_distribution, podc09::podc09_walk, Podc09Params};
+use drw_core::exact::exact_distribution;
+use drw_experiments::{podc09_walk, Podc09Params};
 use drw_stats::chi2::chi_square_against_probs;
 
 /// All three algorithms sample from the same exact distribution.
@@ -22,8 +23,12 @@ fn all_algorithms_match_the_exact_distribution() {
         counts_09[podc09_walk(&g, 0, len, &Podc09Params::default(), 7_000 + seed)
             .unwrap()
             .destination] += 1;
-        counts_10[single_random_walk(&g, 0, len, &SingleWalkConfig::default(), 90_000 + seed)
+        counts_10[Network::builder(&g)
+            .seed(90_000 + seed)
+            .build()
+            .run(Request::walk(0, len))
             .unwrap()
+            .into_walk()
             .destination] += 1;
     }
     for (name, counts) in [
@@ -41,13 +46,18 @@ fn all_algorithms_match_the_exact_distribution() {
 #[test]
 fn regenerated_walk_matches_destination() {
     let g = generators::torus2d(6, 6);
-    let cfg = SingleWalkConfig {
-        record_walk: true,
-        ..SingleWalkConfig::default()
-    };
     for seed in 0..5 {
         let len = 700 + seed * 113;
-        let r = single_random_walk(&g, 3, len, &cfg, seed).unwrap();
+        let r = Network::builder(&g)
+            .seed(seed)
+            .build()
+            .run(Request::Walk {
+                source: 3,
+                len,
+                record: true,
+            })
+            .unwrap()
+            .into_walk();
         let walk = r.state.reconstruct_walk(len);
         assert_eq!(walk[0], 3);
         assert_eq!(*walk.last().unwrap(), r.destination);
@@ -66,8 +76,12 @@ fn many_walks_match_single_walk_distribution() {
     let k = 60;
     let mut counts = vec![0u64; g.n()];
     for seed in 0..30 {
-        let r =
-            many_random_walks(&g, &vec![0; k], len, &SingleWalkConfig::default(), seed).unwrap();
+        let r = Network::builder(&g)
+            .seed(seed)
+            .build()
+            .run(Request::many_walks(vec![0; k], len))
+            .unwrap()
+            .into_many_walks();
         for d in r.destinations {
             counts[d] += 1;
         }
@@ -80,8 +94,11 @@ fn many_walks_match_single_walk_distribution() {
 #[test]
 fn pipeline_is_deterministic() {
     let g = generators::torus2d(5, 5);
-    let a = single_random_walk(&g, 1, 999, &SingleWalkConfig::default(), 1234).unwrap();
-    let b = single_random_walk(&g, 1, 999, &SingleWalkConfig::default(), 1234).unwrap();
+    let run = || {
+        let mut net = Network::builder(&g).seed(1234).build();
+        net.run(Request::walk(1, 999)).unwrap().into_walk()
+    };
+    let (a, b) = (run(), run());
     assert_eq!(a.destination, b.destination);
     assert_eq!(a.rounds, b.rounds);
     assert_eq!(a.messages, b.messages);
@@ -99,7 +116,12 @@ fn sublinear_rounds_across_families() {
         generators::random_regular(128, 4, &mut rng),
         generators::hypercube(7),
     ] {
-        let r = single_random_walk(&g, 0, len, &SingleWalkConfig::default(), 3).unwrap();
+        let r = Network::builder(&g)
+            .seed(3)
+            .build()
+            .run(Request::walk(0, len))
+            .unwrap()
+            .into_walk();
         assert!(
             r.rounds < len,
             "rounds {} !< {len} on n={}",
@@ -117,7 +139,6 @@ fn sublinear_rounds_across_families() {
 fn many_walks_too_short_to_stitch_build_no_store() {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-    let cfg = SingleWalkConfig::default();
     let expander = generators::random_regular(1024, 4, &mut rng);
     let cases = [
         (expander, 256, 4096),
@@ -126,7 +147,13 @@ fn many_walks_too_short_to_stitch_build_no_store() {
     for (g, len, long) in cases {
         let sources: Vec<usize> = (0..16).map(|i| (i * 61) % g.n()).collect();
         let k = sources.len() as u64;
-        let r = many_random_walks(&g, &sources, len, &cfg, 5).unwrap();
+        let many = |len| {
+            let mut net = Network::builder(&g).seed(5).build();
+            net.run(Request::many_walks(sources.clone(), len))
+                .unwrap()
+                .into_many_walks()
+        };
+        let r = many(len);
         let lambda = u64::from(r.lambda);
         assert!(!r.used_naive_fallback && lambda <= len && len < 2 * lambda);
         assert_eq!((r.rounds_phase1, r.stitches), (0, 0), "lambda = {lambda}");
@@ -135,7 +162,7 @@ fn many_walks_too_short_to_stitch_build_no_store() {
         assert!(r.messages <= k * len + bfs_messages, "{}", r.messages);
         assert!(r.rounds <= r.rounds_bfs + k + len + 8, "{}", r.rounds);
 
-        let r = many_random_walks(&g, &sources, long, &cfg, 5).unwrap();
+        let r = many(long);
         assert!(long >= 2 * u64::from(r.lambda));
         assert!(r.rounds_phase1 > 0 && r.stitches > 0 && r.state.total_stored() > 0);
     }

@@ -41,14 +41,6 @@ fn by_old_name() -> EngineConfig {
     EngineConfig::default().with_executor(kind)
 }
 
-fn config_with(engine: EngineConfig, record: bool) -> SingleWalkConfig {
-    SingleWalkConfig {
-        record_walk: record,
-        engine,
-        ..SingleWalkConfig::default()
-    }
-}
-
 /// Runs `run` on every case under the default engine configuration,
 /// then replays the cases in reverse order under [`by_old_name`];
 /// returns `(case, first, replay)` triples.
@@ -94,8 +86,13 @@ fn single_walk_is_identical_across_backends() {
         .flat_map(|f| [1u64, 77, 4242].map(|seed| (f, seed)))
         .collect();
     let walk = |(f, seed): (usize, u64), engine| {
-        single_random_walk(&families[f].1, 0, 2048, &config_with(engine, false), seed)
+        Network::builder(&families[f].1)
+            .engine(engine)
+            .seed(seed)
+            .build()
+            .run(Request::walk(0, 2048))
             .expect("walk")
+            .into_walk()
     };
     for ((f, seed), first, replay) in run_and_replay(&cases, walk) {
         let tag = format!("{} seed {seed}", families[f].0);
@@ -119,8 +116,17 @@ fn recorded_trajectories_are_identical_across_backends() {
     let families = graph_families();
     let len = 1024u64;
     let walk = |f: usize, engine| {
-        let out = single_random_walk(&families[f].1, 1, len, &config_with(engine, true), 99)
-            .expect("recorded walk");
+        let out = Network::builder(&families[f].1)
+            .engine(engine)
+            .seed(99)
+            .build()
+            .run(Request::Walk {
+                source: 1,
+                len,
+                record: true,
+            })
+            .expect("recorded walk")
+            .into_walk();
         let walk = out.state.reconstruct_walk(len);
         assert_eq!(walk[0], 1);
         assert_eq!(*walk.last().unwrap(), out.destination);
@@ -140,7 +146,13 @@ fn many_walks_are_identical_across_backends() {
     let walks = |f: usize, engine| {
         let g = &families[f].1;
         let sources: Vec<usize> = vec![0, 3, g.n() / 2, g.n() - 1];
-        many_random_walks(g, &sources, 1024, &config_with(engine, false), 7).expect("walks")
+        Network::builder(g)
+            .engine(engine)
+            .seed(7)
+            .build()
+            .run(Request::many_walks(sources.clone(), 1024))
+            .expect("walks")
+            .into_many_walks()
     };
     let cases: Vec<usize> = (0..families.len()).collect();
     for (f, first, replay) in run_and_replay(&cases, walks) {
@@ -168,7 +180,13 @@ fn batched_many_walks_identical_across_backends() {
     let walks = |f: usize, engine| {
         let g = &families[f].1;
         let sources: Vec<usize> = (0..8).map(|i| (i * 11) % g.n()).collect();
-        many_random_walks(g, &sources, 1024, &config_with(engine, false), 13).expect("walks")
+        Network::builder(g)
+            .engine(engine)
+            .seed(13)
+            .build()
+            .run(Request::many_walks(sources.clone(), 1024))
+            .expect("walks")
+            .into_many_walks()
     };
     let cases: Vec<usize> = (0..families.len()).collect();
     for (f, first, replay) in run_and_replay(&cases, walks) {
@@ -204,8 +222,13 @@ fn faulty_runs_are_identical_across_backends() {
     let walks = |f: usize, engine: EngineConfig| {
         let g = &families[f].1;
         let sources: Vec<usize> = (0..6).map(|i| (i * 13) % g.n()).collect();
-        let cfg = config_with(engine.with_faults(plan), false);
-        many_random_walks(g, &sources, 768, &cfg, 23).expect("faulty walks")
+        Network::builder(g)
+            .engine(engine.with_faults(plan))
+            .seed(23)
+            .build()
+            .run(Request::many_walks(sources.clone(), 768))
+            .expect("faulty walks")
+            .into_many_walks()
     };
     let cases: Vec<usize> = (0..families.len()).collect();
     for (f, first, replay) in run_and_replay(&cases, walks) {
@@ -226,9 +249,8 @@ fn faulty_runs_are_identical_across_backends() {
 fn spanning_trees_are_identical_across_backends() {
     let g = generators::torus2d(5, 5);
     let tree = |seed: u64, engine| {
-        let mut cfg = RstConfig::default();
-        cfg.walk.engine = engine;
-        let t = distributed_rst(&g, 0, &cfg, seed).expect("RST");
+        let mut net = Network::builder(&g).engine(engine).seed(seed).build();
+        let t = net.run(Request::spanning_tree(0)).expect("RST").into_tree();
         (t.edges, t.rounds)
     };
     for (seed, first, replay) in run_and_replay(&[31, 32], tree) {

@@ -25,11 +25,10 @@ const DROP_5PCT: u16 = 50;
 /// Acceptance bound on the round overhead of healed faults.
 const MAX_OVERHEAD: f64 = 2.5;
 
-fn faulty(cfg: &SingleWalkConfig, plan: FaultPlan) -> SingleWalkConfig {
-    SingleWalkConfig {
-        engine: cfg.engine.clone().with_faults(plan),
-        ..cfg.clone()
-    }
+/// The default engine over a transport that drops 5% of messages
+/// (ARQ-healed), on the fault plan seeded `seed`.
+fn lossy(seed: u64) -> EngineConfig {
+    EngineConfig::default().with_faults(FaultPlan::drops(seed, DROP_5PCT))
 }
 
 fn overhead(faulty_rounds: u64, base_rounds: u64) -> f64 {
@@ -43,13 +42,14 @@ fn overhead(faulty_rounds: u64, base_rounds: u64) -> f64 {
 #[test]
 fn rst_is_valid_under_five_percent_drop() {
     let g = generators::torus2d(32, 32);
-    let cfg = RstConfig::default();
-    let base = distributed_rst(&g, 0, &cfg, 31).expect("fault-free RST");
+    let tree = |engine| {
+        let mut net = Network::builder(&g).engine(engine).seed(31).build();
+        net.run(Request::spanning_tree(0)).expect("RST").into_tree()
+    };
+    let base = tree(EngineConfig::default());
     assert!(matrix_tree::is_spanning_tree(&g, &base.edges));
 
-    let mut fcfg = RstConfig::default();
-    fcfg.walk.engine = EngineConfig::default().with_faults(FaultPlan::drops(1, DROP_5PCT));
-    let f = distributed_rst(&g, 0, &fcfg, 31).expect("faulty RST");
+    let f = tree(lossy(1));
     assert_eq!(f.edges.len(), g.n() - 1);
     assert!(
         matrix_tree::is_spanning_tree(&g, &f.edges),
@@ -75,20 +75,22 @@ fn endpoint_distribution_survives_drops() {
     use drw_core::exact::exact_distribution;
     use drw_stats::chi2::chi_square_against_probs;
     let g = generators::torus2d(32, 32);
-    let cfg = SingleWalkConfig {
-        params: WalkParams {
-            lambda_scale: 0.25,
-            eta: 1.0,
-        },
-        engine: EngineConfig::default().with_faults(FaultPlan::drops(2, DROP_5PCT)),
-        ..SingleWalkConfig::default()
+    let params = WalkParams {
+        lambda_scale: 0.25,
+        eta: 1.0,
     };
     let source = 0usize;
     let len = 256u64;
-    let sources = vec![source; 16];
     let mut row_counts = vec![0u64; 32];
     for t in 0..24 {
-        let r = many_random_walks(&g, &sources, len, &cfg, 9000 + t).expect("faulty many-walks");
+        let r = Network::builder(&g)
+            .params(params)
+            .engine(lossy(2))
+            .seed(9000 + t)
+            .build()
+            .run(Request::many_walks(vec![source; 16], len))
+            .expect("faulty many-walks")
+            .into_many_walks();
         assert!(!r.used_naive_fallback);
         for &d in &r.destinations {
             row_counts[d / 32] += 1;
@@ -116,22 +118,22 @@ fn endpoint_distribution_survives_drops() {
 ///   different interleavings may land a neighboring probe).
 #[test]
 fn mixing_verdict_parity_under_drops() {
-    use drw_mixing::{estimate_mixing_time, MixingConfig};
+    let estimate = |g: &Graph, req: &MixingRequest, engine, seed| {
+        let mut net = Network::builder(g).engine(engine).seed(seed).build();
+        let req = Request::MixingTime(req.clone());
+        net.run(req).expect("mixing").into_mixing()
+    };
 
     let torus = generators::torus2d(32, 32);
-    let strict = MixingConfig {
+    let strict = MixingRequest {
         samples_scale: 8.0,
         max_len: 1 << 12,
         threshold: 0.12,
         l2_threshold: 0.3,
-        ..MixingConfig::default()
+        ..MixingRequest::full_estimate(0)
     };
-    let base = estimate_mixing_time(&torus, 0, &strict, 3).expect("fault-free mixing");
-    let fcfg = MixingConfig {
-        walk: faulty(&strict.walk, FaultPlan::drops(1, DROP_5PCT)),
-        ..strict.clone()
-    };
-    let f = estimate_mixing_time(&torus, 0, &fcfg, 3).expect("faulty mixing");
+    let base = estimate(&torus, &strict, EngineConfig::default(), 3);
+    let f = estimate(&torus, &strict, lossy(1), 3);
     assert_eq!(
         base.converged, f.converged,
         "torus verdict flipped under faults"
@@ -143,18 +145,14 @@ fn mixing_verdict_parity_under_drops() {
 
     let mut rng = StdRng::seed_from_u64(0xD0D0);
     let expander = generators::random_regular(96, 4, &mut rng);
-    let quick = MixingConfig {
+    let quick = MixingRequest {
         samples_scale: 8.0,
         max_len: 1 << 10,
-        ..MixingConfig::default()
+        ..MixingRequest::full_estimate(0)
     };
-    let base = estimate_mixing_time(&expander, 0, &quick, 5).expect("fault-free expander");
+    let base = estimate(&expander, &quick, EngineConfig::default(), 5);
     assert!(base.converged, "expander baseline must converge");
-    let fcfg = MixingConfig {
-        walk: faulty(&quick.walk, FaultPlan::drops(7, DROP_5PCT)),
-        ..quick.clone()
-    };
-    let f = estimate_mixing_time(&expander, 0, &fcfg, 5).expect("faulty expander");
+    let f = estimate(&expander, &quick, lossy(7), 5);
     assert!(f.converged, "expander verdict flipped under faults");
     assert!(
         f.tau_estimate <= 2 * base.tau_estimate && base.tau_estimate <= 2 * f.tau_estimate,
@@ -171,16 +169,12 @@ fn mixing_verdict_parity_under_drops() {
 #[test]
 fn walk_round_overhead_is_bounded() {
     let g16 = generators::torus2d(16, 16);
-    let cfg = SingleWalkConfig::default();
-    let base = single_random_walk(&g16, 0, 1024, &cfg, 7).expect("fault-free walk");
-    let f = single_random_walk(
-        &g16,
-        0,
-        1024,
-        &faulty(&cfg, FaultPlan::drops(1, DROP_5PCT)),
-        7,
-    )
-    .expect("faulty walk");
+    let walk = |engine| {
+        let mut net = Network::builder(&g16).engine(engine).seed(7).build();
+        net.run(Request::walk(0, 1024)).expect("walk").into_walk()
+    };
+    let base = walk(EngineConfig::default());
+    let f = walk(lossy(1));
     assert!(f.destination < g16.n());
     let ratio = overhead(f.rounds, base.rounds);
     assert!(
@@ -191,23 +185,22 @@ fn walk_round_overhead_is_bounded() {
     );
 
     let g32 = generators::torus2d(32, 32);
-    let cfg = SingleWalkConfig {
-        params: WalkParams {
-            lambda_scale: 0.25,
-            eta: 1.0,
-        },
-        ..SingleWalkConfig::default()
+    let params = WalkParams {
+        lambda_scale: 0.25,
+        eta: 1.0,
     };
     let sources: Vec<usize> = (0..8).map(|i| (i * 131) % g32.n()).collect();
-    let base = many_random_walks(&g32, &sources, 256, &cfg, 7).expect("fault-free many");
-    let f = many_random_walks(
-        &g32,
-        &sources,
-        256,
-        &faulty(&cfg, FaultPlan::drops(1, DROP_5PCT)),
-        7,
-    )
-    .expect("faulty many");
+    let many = |engine| {
+        let mut net = Network::builder(&g32)
+            .params(params)
+            .engine(engine)
+            .seed(7)
+            .build();
+        let req = Request::many_walks(sources.clone(), 256);
+        net.run(req).expect("many walks").into_many_walks()
+    };
+    let base = many(EngineConfig::default());
+    let f = many(lossy(1));
     assert!(!f.used_naive_fallback);
     let ratio = overhead(f.rounds, base.rounds);
     assert!(

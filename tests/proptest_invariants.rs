@@ -48,9 +48,10 @@ proptest! {
         len in 1u64..300,
         seed in 0u64..1000,
     ) {
-        let cfg = SingleWalkConfig { record_walk: true, ..SingleWalkConfig::default() };
         let source = seed as usize % g.n();
-        let r = single_random_walk(&g, source, len, &cfg, seed).unwrap();
+        let mut net = Network::builder(&g).seed(seed).build();
+        let recorded = Request::Walk { source, len, record: true };
+        let r = net.run(recorded).unwrap().into_walk();
         let walk = r.state.reconstruct_walk(len);
         prop_assert_eq!(walk.len() as u64, len + 1);
         prop_assert_eq!(walk[0], source);
@@ -69,7 +70,8 @@ proptest! {
     ) {
         let len = 200u64;
         let source = seed as usize % g.n();
-        let r = single_random_walk(&g, source, len, &SingleWalkConfig::default(), seed).unwrap();
+        let mut net = Network::builder(&g).seed(seed).build();
+        let r = net.run(Request::walk(source, len)).unwrap().into_walk();
         let mut at = source;
         let mut pos = 0u64;
         for seg in &r.segments {
@@ -103,7 +105,8 @@ proptest! {
         g in connected_graph(10),
         seed in 0u64..200,
     ) {
-        let r = distributed_rst(&g, 0, &RstConfig::default(), seed).unwrap();
+        let mut net = Network::builder(&g).seed(seed).build();
+        let r = net.run(Request::spanning_tree(0)).unwrap().into_tree();
         prop_assert!(matrix_tree::is_spanning_tree(&g, &r.edges));
     }
 
@@ -159,7 +162,8 @@ proptest! {
     ) {
         let g = generators::cycle(2 * half);
         let len = 2 * (seed % 100 + 10);
-        let r = single_random_walk(&g, 0, len, &SingleWalkConfig::default(), seed).unwrap();
+        let mut net = Network::builder(&g).seed(seed).build();
+        let r = net.run(Request::walk(0, len)).unwrap().into_walk();
         prop_assert_eq!(r.destination % 2, 0);
     }
 
@@ -232,7 +236,8 @@ proptest! {
             ..SingleWalkConfig::default()
         };
         let sources: Vec<usize> = (0..3).map(|i| (seed as usize + i * 5) % g.n()).collect();
-        let r = many_random_walks(&g, &sources, len, &cfg, seed).unwrap();
+        let mut net = Network::builder(&g).config(cfg.clone()).seed(seed).build();
+        let r = net.run(Request::many_walks(sources.clone(), len)).unwrap().into_many_walks();
         prop_assert_eq!(r.destinations.len(), sources.len());
         if !r.used_naive_fallback {
             let lambda = r.lambda as u64;
@@ -285,7 +290,8 @@ proptest! {
             ..SingleWalkConfig::default()
         };
         let sources: Vec<usize> = (0..3).map(|i| (seed as usize + i * 5) % g.n()).collect();
-        let r = many_random_walks(&g, &sources, len, &cfg, seed).unwrap();
+        let mut net = Network::builder(&g).config(cfg.clone()).seed(seed).build();
+        let r = net.run(Request::many_walks(sources.clone(), len)).unwrap().into_many_walks();
         prop_assert_eq!(r.rounds_bfs + r.rounds_phase1 + r.rounds_phase2, r.rounds);
         prop_assert_eq!(r.destinations.len(), sources.len());
         // Tiny graphs may legitimately take the k + l naive branch, in

@@ -53,14 +53,6 @@ fn undersampled_mixing_request_is_rejected_typed_on_every_path() {
         session.rounds_bfs(),
         "the batch must be rejected before any wave runs"
     );
-    let legacy = MixingConfig {
-        samples_scale: 0.5,
-        ..MixingConfig::default()
-    };
-    assert_eq!(
-        estimate_mixing_time(&g, 0, &legacy, 1).unwrap_err(),
-        WalkError::TooFewSamples(1)
-    );
     assert_eq!(serve_next_to_a_walk(&g, bad()), expected);
 }
 
@@ -68,9 +60,23 @@ fn undersampled_mixing_request_is_rejected_typed_on_every_path() {
 fn malformed_bucket_base_is_rejected_typed_on_every_path() {
     // The degree buckets are the powers of the base: a base of 1 or
     // less, or NaN, used to trip an `assert!` inside the bucket test and
-    // take every co-tenant down with it.
-    let g = generators::torus2d(4, 4);
-    for base in [1.0, 0.5, -2.0, f64::NAN] {
+    // take every co-tenant down with it. On a star of 64 (degrees 63
+    // and 1) a base b asks for floor(ln 63 / ln b) + 1 buckets against
+    // K = 8 * sqrt(64) = 64 samples: 1.0001 wants ~41 400 buckets (and
+    // cost ~41 000 rounds), and the two bases below it aborted the
+    // process on allocation.
+    let torus = generators::torus2d(4, 4);
+    let star = generators::star(64);
+    let cases = [
+        (&torus, 1.0),
+        (&torus, 0.5),
+        (&torus, -2.0),
+        (&torus, f64::NAN),
+        (&star, 1.0001),
+        (&star, 1.000_001),
+        (&star, 1.0 + 1e-9),
+    ];
+    for (g, base) in cases {
         let bad = || {
             Request::MixingTime(MixingRequest {
                 bucket_base: base,
@@ -79,15 +85,20 @@ fn malformed_bucket_base_is_rejected_typed_on_every_path() {
         };
         let expected = DrwError::Walk(WalkError::BadBucketBase(base.to_bits()));
 
-        let mut net = Network::builder(&g).seed(1).build();
+        let mut net = Network::builder(g).seed(1).build();
         assert_eq!(net.run(bad()).unwrap_err(), expected, "{base}");
         assert_eq!(
             net.run_batch(vec![Request::walk(0, 8), bad()]).unwrap_err(),
             expected,
             "{base}"
         );
-        assert_eq!(serve_next_to_a_walk(&g, bad()), expected, "{base}");
+        assert_eq!(serve_next_to_a_walk(g, bad()), expected, "{base}");
     }
+    // The default base is still served on the star: 11 buckets for 64
+    // samples.
+    let mut net = Network::builder(&star).seed(1).build();
+    let probe = net.run(Request::mixing_probe(0, 4)).unwrap().into_mixing();
+    assert_eq!((probe.buckets, probe.samples_per_probe), (11, 64));
 }
 
 #[test]

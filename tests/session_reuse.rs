@@ -1,11 +1,11 @@
 //! ISSUE 3 acceptance: session reuse is measured and wins.
 //!
-//! - On the 32x32 torus, `estimate_mixing_time` — every probe riding
+//! - On the 32x32 torus, a mixing-time estimate — every probe riding
 //!   one private `WalkSession` — must cost >= 25% fewer total rounds
 //!   than serving the same probe cohorts one-shot, each paying its own
 //!   BFS and Phase 1 (in a stitched-regime configuration, so the probes
 //!   actually exercise Phase 1).
-//! - `distributed_rst` must perform exactly one BFS per call, across a
+//! - A spanning-tree request must perform exactly one BFS, across a
 //!   multi-phase doubling run.
 //! - Statistical conformance is preserved, checked against the exact
 //!   references: session-backed RST trees are uniform over the
@@ -23,8 +23,6 @@
 use distributed_random_walks::prelude::*;
 use drw_experiments::{engine_config_from_env, one_shot_rounds};
 use drw_mixing::ground_truth::exact_tau_mix;
-use drw_mixing::MixingConfig as Mix;
-use drw_spanning::distributed::{RstConfig as Rst, RstMode};
 
 fn walk_cfg() -> SingleWalkConfig {
     SingleWalkConfig {
@@ -33,38 +31,45 @@ fn walk_cfg() -> SingleWalkConfig {
     }
 }
 
-/// The stitched-regime mixing configuration of experiment E12:
-/// `lambda_scale 0.15` keeps the long probes out of the `k + l`
-/// fallback (so they exercise Phase 1), `eta = 2` provisions the
-/// shared store for `k = 8*sqrt(n)` contending walks, and the tight
-/// l2 threshold makes the bipartite 32x32 torus's cap-scan verdicts
-/// deterministic (no spurious collision-noise passes).
-fn stitched_mixing_cfg() -> Mix {
-    Mix {
-        l2_threshold: 0.1,
-        max_len: 1 << 12,
-        walk: SingleWalkConfig {
-            params: WalkParams {
-                lambda_scale: 0.15,
-                eta: 2.0,
-            },
-            ..walk_cfg()
-        },
-        ..Mix::default()
-    }
+/// Serves `req` on a fresh network over `g` with `cfg`.
+fn serve(g: &Graph, cfg: &SingleWalkConfig, seed: u64, req: Request) -> Response {
+    let mut net = Network::builder(g).config(cfg.clone()).seed(seed).build();
+    net.run(req).expect("request served")
+}
+
+/// A spanning-tree request on a fresh network over `g`.
+fn tree(g: &Graph, req: TreeRequest, seed: u64) -> TreeSample {
+    serve(g, &walk_cfg(), seed, Request::SpanningTree(req)).into_tree()
 }
 
 #[test]
 fn mixing_session_drops_rounds_by_a_quarter_on_the_torus() {
     let g = generators::torus2d(32, 32);
-    let cfg = stitched_mixing_cfg();
-    let s = estimate_mixing_time(&g, 0, &cfg, 900).expect("session estimate");
+    // The stitched-regime configuration of experiment E12:
+    // `lambda_scale 0.15` keeps the long probes out of the `k + l`
+    // fallback (so they exercise Phase 1), `eta = 2` provisions the
+    // shared store for `k = 8*sqrt(n)` contending walks, and the tight
+    // l2 threshold makes the bipartite 32x32 torus's cap-scan verdicts
+    // deterministic (no spurious collision-noise passes).
+    let cfg = SingleWalkConfig {
+        params: WalkParams {
+            lambda_scale: 0.15,
+            eta: 2.0,
+        },
+        ..walk_cfg()
+    };
+    let req = MixingRequest {
+        l2_threshold: 0.1,
+        max_len: 1 << 12,
+        ..MixingRequest::full_estimate(0)
+    };
+    let s = serve(&g, &cfg, 900, Request::MixingTime(req.clone())).into_mixing();
     // The rebuild baseline: the same probe cohorts, each served one-shot
     // (walks only — the session's bill additionally carries the setup
     // and the per-probe upcasts, so the comparison is conservative).
     let rebuild = one_shot_rounds(
         &g,
-        &cfg.walk,
+        &cfg,
         900,
         s.probes
             .iter()
@@ -79,9 +84,9 @@ fn mixing_session_drops_rounds_by_a_quarter_on_the_torus() {
     // Verdicts are the exact ones: the even torus is bipartite, so the
     // simple walk never mixes — the estimator must march the doubling
     // schedule to the cap and fail every probe.
-    assert_eq!(exact_tau_mix(&g, 0, cfg.max_len as usize), None);
+    assert_eq!(exact_tau_mix(&g, 0, req.max_len as usize), None);
     assert!(!s.converged);
-    assert_eq!(s.tau_estimate, cfg.max_len);
+    assert_eq!(s.tau_estimate, req.max_len);
     let lens: Vec<u64> = s.probes.iter().map(|p| p.len).collect();
     let doubling: Vec<u64> = (0..=12).map(|i| 1u64 << i).collect();
     assert_eq!(lens, doubling, "cap scan must probe 1, 2, 4, ..., 4096");
@@ -91,15 +96,14 @@ fn mixing_session_drops_rounds_by_a_quarter_on_the_torus() {
 #[test]
 fn rst_session_pays_one_bfs_across_many_phases() {
     let g = generators::torus2d(8, 8);
-    let cfg = Rst {
-        walk: walk_cfg(),
+    let req = TreeRequest {
         initial_len: 4, // force a long doubling loop
-        ..Rst::default()
+        ..TreeRequest::new(0)
     };
     for seed in 0..3u64 {
-        let s = distributed_rst(&g, 0, &cfg, 60 + seed).expect("session rst");
+        let s = tree(&g, req.clone(), 60 + seed);
         assert!(s.phases >= 4, "initial_len 4 must take several phases");
-        assert_eq!(s.bfs_runs, 1, "exactly one BFS per RST call");
+        assert_eq!(s.bfs_runs, 1, "exactly one BFS per tree request");
         assert!(drw_graph::matrix_tree::is_spanning_tree(&g, &s.edges));
     }
 }
@@ -108,18 +112,10 @@ fn rst_session_pays_one_bfs_across_many_phases() {
 fn session_rst_is_uniform_on_the_cycle() {
     // On C5 every spanning tree is "drop one edge": chi-square the
     // session sampler's trees against uniform over the enumerated tree
-    // set (the K4 exact-uniform chi-square lives in drw-spanning's
+    // set (the K4 exact-uniform chi-square lives in drw-core's
     // tests).
     let g = generators::cycle(5);
-    let cfg = Rst {
-        walk: walk_cfg(),
-        ..Rst::default()
-    };
-    let samples = (0..300u64).map(|seed| {
-        distributed_rst(&g, 0, &cfg, 4000 + seed)
-            .expect("rst")
-            .edges
-    });
+    let samples = (0..300u64).map(|seed| tree(&g, TreeRequest::new(0), 4000 + seed).edges);
     let t = drw_spanning::uniformity_test(&g, samples);
     assert!(t.passes(0.001), "{t:?}");
 }
@@ -129,12 +125,11 @@ fn restart_mode_works_over_a_session() {
     // The paper-literal ablation still runs (and still restarts) on the
     // shared store.
     let g = generators::torus2d(4, 4);
-    let cfg = Rst {
-        walk: walk_cfg(),
-        mode: RstMode::RestartPhases,
-        ..Rst::default()
+    let req = TreeRequest {
+        mode: TreeMode::RestartPhases,
+        ..TreeRequest::new(0)
     };
-    let r = distributed_rst(&g, 0, &cfg, 77).expect("restart rst");
+    let r = tree(&g, req, 77);
     assert!(drw_graph::matrix_tree::is_spanning_tree(&g, &r.edges));
     assert_eq!(r.bfs_runs, 1);
 }
@@ -148,12 +143,11 @@ fn mixing_session_verdicts_match_exact_at_fixed_seeds() {
         (generators::complete(32), 5u64),
         (generators::cycle(16), 6u64),
     ] {
-        let cfg = Mix {
+        let req = MixingRequest {
             max_len: 512,
-            walk: walk_cfg(),
-            ..Mix::default()
+            ..MixingRequest::full_estimate(0)
         };
-        let s = estimate_mixing_time(&g, 0, &cfg, seed).expect("session");
+        let s = serve(&g, &walk_cfg(), seed, Request::MixingTime(req)).into_mixing();
         let exact = exact_tau_mix(&g, 0, 512);
         assert_eq!(s.converged, exact.is_some());
         assert_eq!(s.tau_estimate, exact.unwrap_or(512));

@@ -35,7 +35,13 @@ fn assert_conformance(g: &Graph, name: &str, sources: &[usize], len: u64, trials
     let mut counts: Vec<Vec<u64>> = vec![vec![0; g.n()]; sources.len()];
     let mut stitches = 0u64;
     for t in 0..trials {
-        let r = many_random_walks(g, sources, len, &cfg, seed + t).expect("many walks");
+        let r = Network::builder(g)
+            .config(cfg.clone())
+            .seed(seed + t)
+            .build()
+            .run(Request::many_walks(sources.to_vec(), len))
+            .expect("many walks")
+            .into_many_walks();
         assert!(
             !r.used_naive_fallback,
             "{name}: conformance must exercise the stitched regime"
@@ -85,10 +91,15 @@ fn torus_endpoints_match_exact_distribution_at_five_percent_drop() {
         engine: engine_config_from_env().with_faults(FaultPlan::drops(4, 50)),
         ..SingleWalkConfig::default()
     };
-    let sources = vec![source; 16];
     let mut row_counts = vec![0u64; 32];
     for t in 0..16 {
-        let r = many_random_walks(&g, &sources, len, &cfg, 60_000 + t).expect("faulty many walks");
+        let r = Network::builder(&g)
+            .config(cfg.clone())
+            .seed(60_000 + t)
+            .build()
+            .run(Request::many_walks(vec![source; 16], len))
+            .expect("faulty many walks")
+            .into_many_walks();
         assert!(
             !r.used_naive_fallback,
             "conformance needs the stitched regime"

@@ -178,10 +178,12 @@ proptest! {
         prop_assert!(traversal::is_connected(&snapshot));
 
         // Identical CSR must mean identical walks.
-        let cfg = SingleWalkConfig::default();
         let len = 64 + (seed % 64);
-        let a = single_random_walk(&snapshot, 0, len, &cfg, seed).unwrap();
-        let b = single_random_walk(&scratch, 0, len, &cfg, seed).unwrap();
+        let walk = |g: &Graph| {
+            let mut net = Network::builder(g).seed(seed).build();
+            net.run(Request::walk(0, len)).unwrap().into_walk()
+        };
+        let (a, b) = (walk(&snapshot), walk(&scratch));
         prop_assert_eq!(a.destination, b.destination);
         prop_assert_eq!(a.rounds, b.rounds);
         prop_assert_eq!(a.segments, b.segments);
