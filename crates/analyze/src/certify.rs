@@ -7,7 +7,7 @@
 //! The census harness is the load-bearing piece: a fixed, seeded
 //! mini-workload on small graphs that drives **all** production
 //! [`drw_congest::Message`] impls — the tree primitives, the walk
-//! protocols of every phase, the multiplex wrappers, the mixing
+//! protocols of every phase, the `Mux2` multiplex wrapper, the mixing
 //! baseline's fixed-point mass and the lower-bound segment protocol —
 //! with [`drw_congest::EngineConfig::record_wire`] on. The merged
 //! census is then joined against the static pricing table in
@@ -23,20 +23,20 @@ use crate::interleave::{self, InterleaveParams};
 use crate::wire::{self, WireReport};
 use crate::{run_static_passes, run_wire_audit};
 use drw_congest::primitives::{
-    AggOp, BfsTreeProtocol, BroadcastProtocol, ConvergecastProtocol, UpcastMsg, UpcastProtocol,
+    AggOp, BfsTreeProtocol, BroadcastProtocol, ConvergecastProtocol, UpcastProtocol,
     VectorSumProtocol,
 };
-use drw_congest::{run_protocol, Ctx, EngineConfig, Envelope, Mux, Runner, WireCensus};
+use drw_congest::{run_protocol, EngineConfig, Runner, WireCensus};
 use drw_core::metropolis::MetropolisWalkProtocol;
 use drw_core::naive::{NaiveWalkProtocol, NaiveWalkSpec};
 use drw_core::{ShortWalksProtocol, StitchScheduler, StitchSetup, WalkState};
-use drw_graph::{generators, NodeId};
+use drw_graph::generators;
 use drw_lowerbound::path_verification::PathVerificationProtocol;
 use drw_mixing::baseline::direct_diffusion_mixing_cfg;
 use std::path::Path;
 
 /// Schema tag of a certificate file.
-pub const SCHEMA: &str = "drw-cert-v1";
+pub const SCHEMA: &str = "drw-cert-v2";
 
 /// Node count of the census harness's main graph (a 4×4 torus); the
 /// largest `n` of any harness graph, so the one the law prices against.
@@ -48,10 +48,8 @@ const SEED: u64 = 0xCE2715;
 /// Sweep budgets of one certification.
 #[derive(Debug, Clone)]
 pub struct CertParams {
-    /// Shard-claim schedules to sweep.
-    pub claim_budget: u64,
-    /// Within-shard item schedules to sweep.
-    pub item_budget: u64,
+    /// Receive-order schedules to sweep.
+    pub order_budget: u64,
     /// Scripted fault timings to sweep.
     pub timing_budget: u64,
 }
@@ -59,8 +57,7 @@ pub struct CertParams {
 impl Default for CertParams {
     fn default() -> Self {
         CertParams {
-            claim_budget: 1024,
-            item_budget: 1024,
+            order_budget: 1024,
             timing_budget: 256,
         }
     }
@@ -97,19 +94,17 @@ pub struct CertType {
 /// Schedule-sweep evidence of one certification.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CertSchedules {
-    /// Distinct shard-claim schedules swept (all bit-identical).
-    pub claim_swept: u64,
-    /// Full claim-schedule space `Π s_r!` (decimal string; saturates).
-    pub claim_space: String,
-    /// Whether the claim-order bug injection was caught (harness
+    /// Receive-order schedules swept (all bit-identical).
+    pub order_swept: u64,
+    /// Full receive-order space `Π k_r!` (decimal string; saturates).
+    pub order_space: String,
+    /// Rounds with at least two receivers.
+    pub order_rounds: u64,
+    /// Of those, rounds some swept schedule permuted.
+    pub order_rounds_permuted: u64,
+    /// Whether the merge-order bug injection was caught (harness
     /// self-validation).
-    pub claim_bug_detected: bool,
-    /// Distinct within-shard item schedules swept (all bit-identical).
-    pub item_swept: u64,
-    /// Full item-schedule space `Π c!` (decimal string; saturates).
-    pub item_space: String,
-    /// Whether the item-order bug injection was caught.
-    pub item_bug_detected: bool,
+    pub order_bug_detected: bool,
     /// Scripted fault timings swept (each identical in order and
     /// scripted, and ledger-conserving).
     pub timing_swept: u64,
@@ -143,41 +138,6 @@ pub struct Certificate {
     /// Findings from the static passes and the wire audit, as rendered
     /// strings. Empty on a conforming workspace.
     pub findings: Vec<String>,
-}
-
-/// A synthetic driver for the single-level [`Mux`] wrapper: every node
-/// sends one lane-tagged upcast item to each neighbour. `Mux` has no
-/// standalone production driver (the batched scheduler runs on
-/// [`drw_congest::Mux2`]), but its `Message` impl is production code
-/// and the certificate must measure it; the inner payload reuses
-/// `UpcastMsg`, so this adds no new message type to the workspace.
-struct LaneEcho {
-    n: usize,
-}
-
-impl drw_congest::Protocol for LaneEcho {
-    type Msg = Mux<UpcastMsg>;
-
-    fn start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {
-        for v in 0..self.n {
-            for u in ctx.graph().neighbors(v).collect::<Vec<_>>() {
-                ctx.send(
-                    v,
-                    u,
-                    Mux::new((v % 5) as u32, UpcastMsg((v as u64, 3 * v as u64))),
-                );
-            }
-        }
-    }
-
-    fn on_receive(
-        &mut self,
-        _node: NodeId,
-        _inbox: &[Envelope<Self::Msg>],
-        _ctx: &mut Ctx<'_, Self::Msg>,
-    ) {
-        // Receipt is the point: the deliveries were censused.
-    }
 }
 
 /// Runs the fixed census workload and returns the merged wire census.
@@ -335,21 +295,11 @@ pub fn run_census() -> Result<WireCensus, String> {
         );
     }
 
-    // The single-level Mux wrapper (synthetic driver, see LaneEcho).
-    {
-        let mut p = LaneEcho { n };
-        census.merge(
-            &run_protocol(&g, &cfg, SEED + 14, &mut p)
-                .map_err(|e| err(&e))?
-                .wire,
-        );
-    }
-
     Ok(census)
 }
 
 /// Runs the full certification: census + wire audit (full coverage) +
-/// static passes + all three schedule sweeps with their bug-injection
+/// static passes + both schedule sweeps with their bug-injection
 /// self-validations. Returns the certificate even when findings exist —
 /// the caller decides the exit code — but turns engine failures and
 /// sweep divergences into `Err`.
@@ -364,20 +314,12 @@ pub fn certify(root: &Path, params: &CertParams) -> Result<Certificate, String> 
         run_wire_audit(root, &report, Path::new("<census>"), true).map_err(|e| e.to_string())?;
     let statics = run_static_passes(root).map_err(|e| e.to_string())?;
 
-    let claim_p = InterleaveParams {
-        budget: params.claim_budget,
+    let order_p = InterleaveParams {
+        budget: params.order_budget,
         ..InterleaveParams::default()
     };
-    let claim = interleave::exhaustive_check(&claim_p)?;
-    let (_, claim_bug) = interleave::bug_injection_detects(&claim_p, 24)?;
-
-    let item_p = InterleaveParams {
-        budget: params.item_budget,
-        msgs_per_shard: 4,
-        ..InterleaveParams::default()
-    };
-    let item = interleave::item_exhaustive_check(&item_p)?;
-    let (_, item_bug) = interleave::item_bug_injection_detects(&item_p, 24)?;
+    let order = interleave::order_sweep(&order_p)?;
+    let (_, order_bug) = interleave::bug_injection_detects(&order_p, 24)?;
 
     let timing_p = InterleaveParams::default();
     let timing = interleave::fault_timing_sweep(&timing_p, params.timing_budget)?;
@@ -425,12 +367,11 @@ pub fn certify(root: &Path, params: &CertParams) -> Result<Certificate, String> 
         impls_measured: audit.types_joined as u64,
         types,
         schedules: CertSchedules {
-            claim_swept: claim.schedules_run,
-            claim_space: space_string(claim.schedule_space),
-            claim_bug_detected: claim_bug,
-            item_swept: item.schedules_run,
-            item_space: space_string(item.schedule_space),
-            item_bug_detected: item_bug,
+            order_swept: order.schedules_run,
+            order_space: space_string(order.schedule_space),
+            order_rounds: order.rounds as u64,
+            order_rounds_permuted: order.rounds_permuted as u64,
+            order_bug_detected: order_bug,
             timing_swept: timing.timings_run,
             timing_distinct_outcomes: timing.distinct_outcomes as u64,
             timing_bug_detected: timing_bug,
@@ -467,7 +408,6 @@ mod tests {
             "NaiveMsg",
             "MhMsg",
             "StitchMsg",
-            "Mux",
             "Mux2",
             "MassMsg",
             "SegmentMsg",

@@ -13,11 +13,10 @@
 //!    wall-clock reads and unseeded RNGs are banned from the protocol
 //!    crates; every `unsafe` block workspace-wide must carry a
 //!    `// SAFETY:` comment.
-//! 3. **Exhaustive interleaving check** ([`interleave`]): a protocol's
-//!    receive handlers are replayed under enumerated shard-claim and
-//!    within-shard item schedules, and fault delivery is replayed under
-//!    enumerated timing permutations — all must stay bit-identical to
-//!    the in-order run.
+//! 3. **Interleaving check** ([`interleave`]): a protocol's receive
+//!    handlers are replayed with every round's receivers in seeded
+//!    permutations, and fault delivery is replayed under seeded timing
+//!    permutations — all must stay bit-identical to the in-order run.
 //! 4. **Wire-value audit** ([`wire`]): a recorded run's per-field
 //!    magnitude census is joined against the static pricing table, so
 //!    a one-word field cannot smuggle more than `O(log n)` bits of

@@ -2,8 +2,9 @@
 //!
 //! Runs the static passes (CONGEST word accounting, determinism lint,
 //! SAFETY audit) over the workspace and, unless told otherwise, the
-//! exhaustive interleaving check. Exits non-zero when `--deny-warnings`
-//! is set and anything was found — the CI gate.
+//! interleaving check: the receive-order and fault-timing sweeps, each
+//! with its planted bug. Exits non-zero when `--deny-warnings` is set and
+//! anything was found — the CI gate.
 //!
 //! Options:
 //!
@@ -13,22 +14,20 @@
 //! * `--expect-findings <n>` — exit 0 iff exactly `n` findings were
 //!   produced; used to verify the gate *fails* on bad fixtures.
 //! * `--skip-interleave` / `--only-interleave` — select passes.
-//! * `--interleave-budget <n>` — shard-claim schedule budget (default
+//! * `--interleave-budget <n>` — receive-order schedule budget (default
 //!   1024).
-//! * `--item-budget <n>` — within-shard item schedule budget (default:
-//!   the claim budget).
 //! * `--timing-budget <n>` — scripted fault-timing budget (default 256).
 //! * `--torus <rows>x<cols>` — interleaving-checker graph (default 4x4).
 //! * `--wire-report <json>` — join a recorded wire census (a
 //!   `WireReport` file) against the static pricing table and flag
 //!   fields whose observed magnitudes bust the `O(log n)` budget.
 //! * `--certify [--cert-out <path>]` — run the full conformance
-//!   certification (census + wire audit + static passes + all three
+//!   certification (census + wire audit + static passes + both
 //!   schedule sweeps) and write the certificate JSON (default
 //!   `<root>/CERT_PR10.json`). Replaces the other passes.
 
 use drw_analyze::certify::CertParams;
-use drw_analyze::interleave::{InterleaveOutcome, InterleaveParams};
+use drw_analyze::interleave::{self, InterleaveOutcome, InterleaveParams};
 use drw_analyze::wire::WireReport;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -40,7 +39,6 @@ struct Opts {
     skip_interleave: bool,
     only_interleave: bool,
     interleave: InterleaveParams,
-    item_budget: Option<u64>,
     timing_budget: u64,
     wire_report: Option<PathBuf>,
     certify: bool,
@@ -68,7 +66,6 @@ fn parse_opts() -> Result<Opts, String> {
         skip_interleave: false,
         only_interleave: false,
         interleave: InterleaveParams::default(),
-        item_budget: None,
         timing_budget: 256,
         wire_report: None,
         certify: false,
@@ -96,13 +93,6 @@ fn parse_opts() -> Result<Opts, String> {
                 o.interleave.budget = value("--interleave-budget")?
                     .parse()
                     .map_err(|e| format!("--interleave-budget: {e}"))?
-            }
-            "--item-budget" => {
-                o.item_budget = Some(
-                    value("--item-budget")?
-                        .parse()
-                        .map_err(|e| format!("--item-budget: {e}"))?,
-                )
             }
             "--timing-budget" => {
                 o.timing_budget = value("--timing-budget")?
@@ -139,8 +129,7 @@ fn main() -> ExitCode {
 
     if opts.certify {
         let params = CertParams {
-            claim_budget: opts.interleave.budget,
-            item_budget: opts.item_budget.unwrap_or(opts.interleave.budget),
+            order_budget: opts.interleave.budget,
             timing_budget: opts.timing_budget,
         };
         let cert = match drw_analyze::certify::certify(&opts.root, &params) {
@@ -157,21 +146,20 @@ fn main() -> ExitCode {
         let s = &cert.schedules;
         println!(
             "drw-analyze: certificate: n = {}, {} Message impls audited, {} measured \
-             on the wire, {} types priced; schedules swept: {} claim (space {}), \
-             {} item (space {}), {} fault timings ({} distinct outcomes); \
-             bug injections detected: claim {}, item {}, timing {}; {} findings",
+             on the wire, {} types priced; schedules swept: {} receive orders \
+             (space {}, {} of {} rounds permuted), {} fault timings ({} distinct \
+             outcomes); bug injections detected: order {}, timing {}; {} findings",
             cert.n,
             cert.impls_audited,
             cert.impls_measured,
             cert.types.len(),
-            s.claim_swept,
-            s.claim_space,
-            s.item_swept,
-            s.item_space,
+            s.order_swept,
+            s.order_space,
+            s.order_rounds_permuted,
+            s.order_rounds,
             s.timing_swept,
             s.timing_distinct_outcomes,
-            s.claim_bug_detected,
-            s.item_bug_detected,
+            s.order_bug_detected,
             s.timing_bug_detected,
             cert.findings.len(),
         );
@@ -251,22 +239,24 @@ fn main() -> ExitCode {
     }
 
     if !opts.skip_interleave {
-        match drw_analyze::interleave::exhaustive_check(&opts.interleave) {
+        let p = &opts.interleave;
+        match interleave::order_sweep(p) {
             Ok(InterleaveOutcome {
                 schedules_run,
                 schedule_space,
-                sharded_rounds,
-                max_shards,
+                rounds,
+                rounds_permuted,
+                max_receivers,
                 divergent: _,
             }) => {
                 println!(
-                    "drw-analyze: interleaving check: {schedules_run} distinct shard-claim \
-                     schedules of {} on a {}x{} torus ({sharded_rounds} sharded rounds, up \
-                     to {max_shards} shards/round){}, all bit-identical to the in-order \
-                     run",
+                    "drw-analyze: interleaving check: {schedules_run} receive-order \
+                     schedules of {} on a {}x{} torus ({rounds_permuted} of {rounds} rounds \
+                     with >= 2 receivers permuted, up to {max_receivers} receivers/round){}, \
+                     all bit-identical to the in-order run",
                     space_str(schedule_space),
-                    opts.interleave.rows,
-                    opts.interleave.cols,
+                    p.rows,
+                    p.cols,
                     coverage_note(schedules_run, schedule_space),
                 );
             }
@@ -275,33 +265,13 @@ fn main() -> ExitCode {
                 findings += 1;
             }
         }
+        findings += planted(
+            "merge race",
+            "schedules",
+            interleave::bug_injection_detects(p, 24),
+        );
 
-        // Item-level sweep: same claim order, permuted message order
-        // within each claimed shard. Shards of four messages, so single
-        // shards carry permutable item counts.
-        let mut item_params = opts.interleave.clone();
-        item_params.budget = opts.item_budget.unwrap_or(opts.interleave.budget);
-        item_params.msgs_per_shard = 4;
-        match drw_analyze::interleave::item_exhaustive_check(&item_params) {
-            Ok(out) => {
-                println!(
-                    "drw-analyze: item-order check: {} distinct within-shard item \
-                     schedules of {} ({} permutable shard visits, up to {} items/shard){}, \
-                     all bit-identical to the in-order run",
-                    out.schedules_run,
-                    space_str(out.schedule_space),
-                    out.permutable_shards,
-                    out.max_items,
-                    coverage_note(out.schedules_run, out.schedule_space),
-                );
-            }
-            Err(e) => {
-                println!("drw-analyze: item-order check FAILED: {e}");
-                findings += 1;
-            }
-        }
-
-        match drw_analyze::interleave::fault_timing_sweep(&opts.interleave, opts.timing_budget) {
+        match interleave::fault_timing_sweep(p, opts.timing_budget) {
             Ok(out) => {
                 println!(
                     "drw-analyze: fault-timing check: {} scripted timings swept \
@@ -315,9 +285,33 @@ fn main() -> ExitCode {
                 findings += 1;
             }
         }
+        findings += planted(
+            "retransmit-ledger bug",
+            "timings",
+            interleave::timing_bug_injection_detects(p, 24),
+        );
     }
 
     finish(findings, &opts)
+}
+
+/// Reports whether a sweep caught its planted bug; a miss (or an engine
+/// failure) is one finding.
+fn planted(bug: &str, unit: &str, result: Result<(u64, bool), String>) -> usize {
+    match result {
+        Ok((tried, true)) => {
+            println!("drw-analyze: planted {bug} detected after {tried} {unit}");
+            0
+        }
+        Ok((tried, false)) => {
+            println!("drw-analyze: planted {bug} NOT detected in {tried} {unit}");
+            1
+        }
+        Err(e) => {
+            println!("drw-analyze: planted {bug} check FAILED: {e}");
+            1
+        }
+    }
 }
 
 /// Renders a (possibly saturated) schedule-space cardinality.
@@ -329,11 +323,11 @@ fn space_str(space: u128) -> String {
     }
 }
 
-/// Makes budget truncation loud: either the sweep exhausted the space or
-/// the output says exactly how much of it was covered.
+/// Makes budget truncation loud. Schedules are seeded draws, so even a
+/// budget the size of the space may repeat some and miss others.
 fn coverage_note(run: u64, space: u128) -> &'static str {
     if u128::from(run) >= space {
-        " — space exhausted"
+        " — budget >= space, draws may repeat"
     } else {
         " — budget-capped, partial coverage"
     }

@@ -64,7 +64,7 @@ pub enum SizeDecl {
 /// One `impl Message for T` found in production code.
 #[derive(Debug, Clone)]
 pub struct MsgImpl {
-    /// Base name of the target type (`Mux` for `Mux<M>`), or the whole
+    /// Base name of the target type (`Mux2` for `Mux2<M>`), or the whole
     /// flattened type when the target has no base name (e.g. a tuple).
     pub target: String,
     /// Target type tokens, for targets that are not plain names.
@@ -362,7 +362,7 @@ fn read_generics(t: &[Token], i: usize) -> (Vec<String>, usize) {
 }
 
 /// The last identifier of `ty` at depth 0 before any depth-0 `<`; the
-/// base name of a path type like `drw_congest::Mux<M>`.
+/// base name of a path type like `drw_congest::Mux2<M>`.
 fn base_name(ty: &[String]) -> Option<String> {
     let mut depth = 0i64;
     let mut last = None;
@@ -857,8 +857,8 @@ mod tests {
     #[test]
     fn generic_impl_delegates() {
         let s = scan_src(
-            "pub struct Mux<M> { pub lane: u32, pub msg: M }\n\
-             impl<M: Message> Message for Mux<M> {\n\
+            "pub struct Mux2<M> { pub lane: u32, pub msg: M }\n\
+             impl<M: Message> Message for Mux2<M> {\n\
                fn size_words(&self) -> usize { 1 + self.msg.size_words() }\n\
              }",
         );
@@ -869,7 +869,7 @@ mod tests {
                 mentions_size_words: true
             }
         ));
-        assert_eq!(s.impls[0].target, "Mux");
+        assert_eq!(s.impls[0].target, "Mux2");
     }
 
     #[test]

@@ -272,7 +272,7 @@ fn split_on_semi(ty: &[String]) -> Vec<&[String]> {
 }
 
 /// The base name of a path type and its generic argument tokens:
-/// `drw_congest::Mux<M>` → (`"Mux"`, Some(`["M"]`)).
+/// `drw_congest::Mux2<M>` → (`"Mux2"`, Some(`["M"]`)).
 fn path_base_and_args(ty: &[String]) -> (&str, Option<&[String]>) {
     let mut base = "";
     let mut j = 0usize;
@@ -629,20 +629,20 @@ mod tests {
 
     #[test]
     fn generic_payload_must_delegate() {
-        let good = "struct Mux<M> { lane: u32, msg: M }\n\
-             impl<M: Message> Message for Mux<M> {\n\
+        let good = "struct Mux2<M> { lane: u32, msg: M }\n\
+             impl<M: Message> Message for Mux2<M> {\n\
                fn size_words(&self) -> usize { 1 + self.msg.size_words() }\n\
              }";
         let (_, f) = audit_src(good);
         assert!(f.is_empty(), "{f:?}");
-        let bad = "struct Mux<M> { lane: u32, msg: M }\n\
-             impl<M: Message> Message for Mux<M> {\n\
+        let bad = "struct Mux2<M> { lane: u32, msg: M }\n\
+             impl<M: Message> Message for Mux2<M> {\n\
                fn size_words(&self) -> usize { 2 }\n\
              }";
         let (_, f) = audit_src(bad);
         assert_eq!(f.len(), 1);
-        let silent = "struct Mux<M> { lane: u32, msg: M }\n\
-             impl<M: Message> Message for Mux<M> {}";
+        let silent = "struct Mux2<M> { lane: u32, msg: M }\n\
+             impl<M: Message> Message for Mux2<M> {}";
         let (_, f) = audit_src(silent);
         assert_eq!(f.len(), 1);
     }

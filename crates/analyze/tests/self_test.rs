@@ -6,8 +6,8 @@
 
 use drw_analyze::certify::run_census;
 use drw_analyze::interleave::{
-    bug_injection_detects, exhaustive_check, fault_timing_sweep, item_bug_injection_detects,
-    item_exhaustive_check, timing_bug_injection_detects, InterleaveParams,
+    bug_injection_detects, fault_timing_sweep, order_sweep, timing_bug_injection_detects,
+    InterleaveParams,
 };
 use drw_analyze::wire::WireReport;
 use drw_analyze::{run_static_passes, run_wire_audit, StaticReport};
@@ -196,14 +196,25 @@ fn interleave_schedules_are_bit_identical() {
         budget: 48,
         ..InterleaveParams::default()
     };
-    let out = exhaustive_check(&p).expect("healthy executor");
+    let out = order_sweep(&p).expect("healthy executor");
     assert_eq!(out.schedules_run, 48);
     assert_eq!(out.divergent, 0);
-    assert!(out.max_shards >= 2, "the torus must shard: {out:?}");
-    assert!(
-        out.sharded_rounds >= 4,
-        "several rounds must shard: {out:?}"
-    );
+    assert!(out.max_receivers >= 2, "the torus must script: {out:?}");
+}
+
+/// The sweep reaches past the first round: on the default torus every
+/// round with at least two receivers is permuted by some schedule (a
+/// positional decode over the space `Π k_r!` stays in node order after
+/// round 1, whose `k_1!` alone exceeds any budget).
+#[test]
+fn receive_order_sweep_permutes_every_round_with_two_receivers() {
+    let p = InterleaveParams {
+        budget: 16,
+        ..InterleaveParams::default()
+    };
+    let out = order_sweep(&p).expect("healthy executor");
+    assert!(out.rounds >= 20, "{out:?}");
+    assert_eq!(out.rounds_permuted, out.rounds, "{out:?}");
 }
 
 #[test]
@@ -212,27 +223,14 @@ fn interleave_checker_detects_injected_merge_race() {
     let (tried, detected) = bug_injection_detects(&p, 24).expect("runs complete");
     assert!(
         detected,
-        "merge-in-claim-order bug not detected in {tried} schedules — the checker \
+        "merge-in-run-order bug not detected in {tried} schedules — the checker \
          cannot see the race class it exists for"
     );
 }
 
-/// The two new schedule axes hold bit-identity on the healthy engine…
+/// The fault-timing axis holds bit-identity on the healthy engine…
 #[test]
-fn item_and_timing_schedules_are_bit_identical() {
-    let p = InterleaveParams {
-        budget: 32,
-        msgs_per_shard: 4,
-        ..InterleaveParams::default()
-    };
-    let out = item_exhaustive_check(&p).expect("healthy executor");
-    assert_eq!(out.divergent, 0, "{out:?}");
-    assert_eq!(out.schedules_run, 32);
-    assert!(
-        out.max_items >= 2,
-        "shards must carry permutable items: {out:?}"
-    );
-
+fn timing_schedules_are_bit_identical() {
     let t = fault_timing_sweep(&InterleaveParams::default(), 16).expect("healthy engine");
     assert_eq!(t.divergent, 0, "{t:?}");
     assert_eq!(t.timings_run, 16);
@@ -242,18 +240,9 @@ fn item_and_timing_schedules_are_bit_identical() {
     );
 }
 
-/// …and each detects its own planted bug class.
+/// …and detects its planted bug class.
 #[test]
-fn item_and_timing_checkers_detect_injected_bugs() {
-    let p = InterleaveParams {
-        msgs_per_shard: 4,
-        ..InterleaveParams::default()
-    };
-    let (tried, detected) = item_bug_injection_detects(&p, 24).expect("runs complete");
-    assert!(
-        detected,
-        "item-order scramble not detected in {tried} schedules"
-    );
+fn timing_checker_detects_injected_bug() {
     let (tried, detected) =
         timing_bug_injection_detects(&InterleaveParams::default(), 24).expect("runs complete");
     assert!(
@@ -327,8 +316,6 @@ fn cli_reports_budget_truncation() {
             "--only-interleave",
             "--interleave-budget",
             "8",
-            "--item-budget",
-            "8",
             "--timing-budget",
             "4",
         ])
@@ -336,18 +323,29 @@ fn cli_reports_budget_truncation() {
         .expect("run drw-analyze");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{stdout}");
-    assert!(
-        stdout.contains("8 distinct shard-claim schedules"),
-        "{stdout}"
-    );
-    assert!(
-        stdout.contains("8 distinct within-shard item schedules"),
-        "{stdout}"
-    );
+    assert!(stdout.contains("8 receive-order schedules"), "{stdout}");
     assert!(stdout.contains("4 scripted timings swept"), "{stdout}");
     assert!(
-        stdout.matches("budget-capped, partial coverage").count() >= 2,
-        "both budgeted sweeps must disclose truncation: {stdout}"
+        stdout.contains("budget-capped, partial coverage"),
+        "the budgeted sweep must disclose truncation: {stdout}"
+    );
+    assert_eq!(stdout.matches("planted").count(), 2, "{stdout}");
+    assert!(!stdout.contains("NOT detected"), "{stdout}");
+}
+
+/// The retired within-shard item axis is gone from the CLI.
+#[test]
+fn cli_rejects_the_retired_item_axis() {
+    let bin = env!("CARGO_BIN_EXE_drw-analyze");
+    let out = std::process::Command::new(bin)
+        .args(["--only-interleave", "--item-budget", "8"])
+        .output()
+        .expect("run drw-analyze");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option `--item-budget`"),
+        "{stderr}"
     );
 }
 

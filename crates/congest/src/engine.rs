@@ -26,10 +26,6 @@ pub struct EngineConfig {
     /// Maximum message size in `O(log n)`-bit words. Larger messages abort
     /// the run with [`RunError::OversizedMessage`].
     pub max_message_words: usize,
-    /// If true, the report's `edge_load_histogram` records, for every
-    /// (edge, round) pair, how many messages were delivered (index = load,
-    /// clamped to the histogram's last bucket). Costs a little time.
-    pub record_edge_loads: bool,
     /// The round-executor backend. There is one
     /// ([`ExecutorKind::Sequential`]); the field stays so that
     /// configurations which name a backend keep compiling and parsing.
@@ -56,7 +52,6 @@ impl Default for EngineConfig {
             max_rounds: 50_000_000,
             edge_capacity: Some(1),
             max_message_words: 4,
-            record_edge_loads: false,
             executor: ExecutorKind::Sequential,
             parallel_workers: 0,
             faults: None,
@@ -66,12 +61,12 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// Configuration with unbounded per-edge bandwidth and edge-load
-    /// recording — for congestion-observation experiments (E7).
+    /// Configuration with unbounded per-edge bandwidth, so that
+    /// [`RunReport::max_edge_load`] reads the raw per-round edge load —
+    /// for congestion-observation experiments (E7).
     pub fn observing() -> Self {
         EngineConfig {
             edge_capacity: None,
-            record_edge_loads: true,
             ..EngineConfig::default()
         }
     }
@@ -190,10 +185,6 @@ pub struct RunReport {
     /// bandwidth too). Under the default config (`edge_capacity = 1`)
     /// model conformance means this never exceeds `max_message_words`.
     pub max_edge_words_per_round: usize,
-    /// If requested, `edge_load_histogram[l]` counts (edge, round) pairs
-    /// that delivered exactly `l` messages (last bucket accumulates
-    /// overflow); empty otherwise. Zero-load pairs are not counted.
-    pub edge_load_histogram: Vec<u64>,
     /// Faults injected by the configured [`FaultPlan`] (all-zero on a
     /// perfect network). Semantic: the schedule is deterministic.
     pub faults: FaultCounters,
@@ -214,7 +205,6 @@ impl PartialEq for RunReport {
             && self.max_edge_backlog == other.max_edge_backlog
             && self.max_edge_load == other.max_edge_load
             && self.max_edge_words_per_round == other.max_edge_words_per_round
-            && self.edge_load_histogram == other.edge_load_histogram
             && self.faults == other.faults
             && self.wire == other.wire
     }
@@ -387,7 +377,6 @@ mod tests {
         assert_eq!(p.received, 10);
         assert_eq!(report.rounds, 1);
         assert_eq!(report.max_edge_load, 10);
-        assert_eq!(report.edge_load_histogram[10], 1);
     }
 
     #[derive(Clone, Debug)]
@@ -740,7 +729,6 @@ mod tests {
                 max_edge_backlog: 7,
                 max_edge_load: 3,
                 max_edge_words_per_round: 4,
-                edge_load_histogram: vec![0, 5, 2],
                 faults: FaultCounters {
                     dropped: 6,
                     delayed: 2,

@@ -16,7 +16,7 @@ mod round;
 mod scripted;
 
 pub(crate) use round::{run_rounds, Scratch};
-pub use scripted::{run_scripted, ScriptedSchedule};
+pub use scripted::{receive_order, run_scripted, ScriptedSchedule};
 
 /// Which round-executor backend a run uses. There is one: the round
 /// loop on the calling thread, receiving nodes in ascending order.

@@ -22,8 +22,6 @@ use crate::fault::FaultDecision;
 use crate::message::{Envelope, Message};
 use drw_graph::Graph;
 
-pub(crate) const LOAD_HISTOGRAM_BUCKETS: usize = 64;
-
 /// The per-node inboxes a round delivers into, with the round's
 /// receivers and a running total of envelope capacity — the
 /// [`crate::MemoryReport`] figure, kept as mail arrives so that no run
@@ -231,10 +229,10 @@ impl<M: Message> FlatQueue<M> {
     }
 
     /// Delivers up to `edge_capacity` messages per busy edge into
-    /// `inbox`, in ascending edge-id order, recording statistics.
-    /// Returns the number of delivered messages. Nodes that received at
-    /// least one message are appended to `inbox.active` (each node once,
-    /// on its first delivery, so in edge order — callers sort).
+    /// `inbox`, in ascending edge-id order, recording statistics. Nodes
+    /// that received at least one message are appended to
+    /// `inbox.active` (each node once, on its first delivery, so in
+    /// edge order — callers sort).
     ///
     /// When the engine carries an active [`crate::FaultPlan`], each
     /// delivery attempt is first submitted to the plan, keyed by
@@ -252,7 +250,7 @@ impl<M: Message> FlatQueue<M> {
         round: u64,
         report: &mut RunReport,
         inbox: &mut Inboxes<M>,
-    ) -> u64 {
+    ) {
         let plan = cfg.faults.filter(|p| p.is_active());
         let cap = cfg.edge_capacity.unwrap_or(usize::MAX);
         // Scripted fault timing (checker mode): precompute the round's
@@ -275,7 +273,6 @@ impl<M: Message> FlatQueue<M> {
             })
         });
         let mut slot = 0usize;
-        let mut delivered_total = 0u64;
         // Envelopes diverted by reorder faults; flushed after the main
         // scan (no allocation on the fault-free path: an empty `Vec`
         // holds no buffer).
@@ -284,10 +281,6 @@ impl<M: Message> FlatQueue<M> {
         let close_bucket = |report: &mut RunReport, take: usize, words: usize| {
             report.max_edge_load = report.max_edge_load.max(take);
             report.max_edge_words_per_round = report.max_edge_words_per_round.max(words);
-            if cfg.record_edge_loads && take > 0 {
-                let bucket = take.min(LOAD_HISTOGRAM_BUCKETS - 1);
-                report.edge_load_histogram[bucket] += 1;
-            }
         };
         // Take the first `cap` messages of every edge out of the run;
         // the rest close up in place and stay queued, in order.
@@ -365,7 +358,6 @@ impl<M: Message> FlatQueue<M> {
             report.messages += 1;
             report.words += msg.size_words() as u64;
             inbox.push(Envelope { from, to, msg });
-            delivered_total += 1;
         }
         if cur != usize::MAX {
             close_bucket(report, k, bucket_words);
@@ -377,9 +369,7 @@ impl<M: Message> FlatQueue<M> {
             report.messages += 1;
             report.words += msg.size_words() as u64;
             inbox.push(Envelope { from, to, msg });
-            delivered_total += 1;
         }
-        delivered_total
     }
 
     /// Enqueues the round's staged sends behind this round's leftovers,

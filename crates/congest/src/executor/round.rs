@@ -6,9 +6,9 @@
 //! in ascending node order, stage the resulting sends for the next
 //! round. The interleaving checker is the one variation: it hands the
 //! loop a [`Scripted`] receive, which runs the same handlers in a
-//! scripted order and merges their sends back into ascending order.
+//! scripted order and appends their sends in ascending node order.
 
-use super::queue::{FlatQueue, Inboxes, LOAD_HISTOGRAM_BUCKETS};
+use super::queue::{FlatQueue, Inboxes};
 use super::scripted::Scripted;
 use crate::engine::{EngineConfig, MemoryReport, RunError, RunReport};
 use crate::message::{Envelope, Message};
@@ -80,9 +80,6 @@ pub(crate) fn run_rounds<P: Protocol>(
         staged,
     } = buf;
     let mut report = RunReport::default();
-    if cfg.record_edge_loads {
-        report.edge_load_histogram = vec![0; LOAD_HISTOGRAM_BUCKETS];
-    }
 
     // Round 0: free local computation and initial sends.
     protocol.start(&mut Ctx::with_staged(graph, 0, rngs, staged));
@@ -103,7 +100,7 @@ pub(crate) fn run_rounds<P: Protocol>(
         }
 
         inbox.active.clear();
-        let delivered = queue.deliver(graph, cfg, round, &mut report, inbox);
+        queue.deliver(graph, cfg, round, &mut report, inbox);
         inbox.active.sort_unstable();
 
         // One staging buffer, recycled across rounds: the hook's sends
@@ -113,7 +110,7 @@ pub(crate) fn run_rounds<P: Protocol>(
         let (active, slots) = (&inbox.active[..], &mut inbox.slots[..]);
         match script.as_deref_mut() {
             None => receive_in_order(protocol, &mut ctx, active, slots),
-            Some(script) => script.receive(protocol, &mut ctx, active, slots, delivered),
+            Some(script) => script.receive(protocol, &mut ctx, active, slots),
         }
         queue.stage(staged, cfg, round + 1, &mut report)?;
     }

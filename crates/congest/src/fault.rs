@@ -27,7 +27,7 @@
 //! round — they were sent, the bandwidth was spent — but only actual
 //! deliveries are billed to `RunReport::messages`/`words`.
 
-use crate::rng::derive_seed;
+use crate::rng::{derive_seed, shuffled};
 
 /// What happened to one delivery attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,16 +85,13 @@ impl ScriptedTiming {
 /// needs determinism and index-0 identity. Seeded Fisher–Yates over the
 /// pure [`derive_seed`] hash, so it is executor- and history-independent.
 pub(crate) fn timing_permutation(index: u64, round: u64, len: usize) -> Vec<usize> {
-    let mut perm: Vec<usize> = (0..len).collect();
     if index == 0 {
-        return perm;
+        return (0..len).collect();
     }
-    let s = derive_seed(derive_seed(0xF417_71A1_D05E_0001, index), round);
-    for i in (1..len).rev() {
-        let j = (derive_seed(s, i as u64) % (i as u64 + 1)) as usize;
-        perm.swap(i, j);
-    }
-    perm
+    shuffled(
+        derive_seed(derive_seed(0xF417_71A1_D05E_0001, index), round),
+        len,
+    )
 }
 
 /// A deterministic, seeded fault schedule applied by the engine at
@@ -181,12 +178,6 @@ impl FaultPlan {
     /// This plan with permanent (unhealed) drops — fail-silent links.
     pub fn lossy(mut self) -> Self {
         self.heal = false;
-        self
-    }
-
-    /// This plan with the given retransmission timeout.
-    pub fn with_rto(mut self, rounds: u32) -> Self {
-        self.rto = rounds;
         self
     }
 

@@ -36,9 +36,9 @@
 //! Every run goes through one round loop (module [`executor`]) over a
 //! flat message queue (one `Vec` of `(edge id, message)` pairs,
 //! ascending by edge), on the calling thread. The interleaving checker,
-//! [`run_scripted`], is its one variation: it runs each heavy round's
-//! receive handlers in a scripted shard and item order and merges their
-//! sends back in node order, so that `drw-analyze` can measure that no
+//! [`run_scripted`], is its one variation: it runs each round's receive
+//! handlers in a scripted permutation ([`receive_order`]) and appends
+//! their sends in node order, so that `drw-analyze` can measure that no
 //! order shows through.
 //!
 //! # Example
@@ -91,12 +91,12 @@ mod rng;
 mod runner;
 
 pub use engine::{run_protocol, EngineConfig, MemoryReport, RunError, RunReport};
-pub use executor::{run_scripted, ExecutorKind, ScriptedSchedule};
+pub use executor::{receive_order, run_scripted, ExecutorKind, ScriptedSchedule};
 pub use fault::{FaultCounters, FaultPlan, ScriptedTiming};
 pub use message::{
     wire_type_name, Envelope, FieldCensus, FracBits, Message, TypeCensus, TypeRecorder, WireCensus,
 };
-pub use multiplex::{Mux, Mux2};
+pub use multiplex::Mux2;
 pub use protocol::{Ctx, NodeCtx, Protocol};
 pub use rng::{derive_seed, NodeRngs};
 pub use runner::Runner;

@@ -35,7 +35,7 @@ pub trait Message: Clone + std::fmt::Debug + Send + 'static {
 }
 
 /// The short, path- and generics-stripped type name used as the census
-/// key for a message type — `Mux` for `drw_congest::multiplex::Mux<M>`.
+/// key for a message type — `Mux2` for `drw_congest::multiplex::Mux2<M>`.
 /// This matches the impl-target base name the static word audit keys
 /// on, so the dynamic census joins against the static pricing table.
 #[must_use]

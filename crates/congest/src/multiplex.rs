@@ -13,65 +13,26 @@
 //! (Theorem 2.8) and that the batched Phase-2 scheduler in `drw-core`
 //! builds on.
 //!
-//! [`Mux`] is the tagged envelope payload. The lane id is accounted as
-//! one extra `O(log n)`-bit word on every message, so the CONGEST
-//! bandwidth price of multiplexing is explicit rather than hidden.
+//! [`Mux2`] is the tagged envelope payload. Its tag is accounted as one
+//! extra `O(log n)`-bit word on every message, so the CONGEST bandwidth
+//! price of multiplexing is explicit rather than hidden.
 
 use crate::message::Message;
 
-/// A message of one lane (logical sub-protocol instance) within a
-/// multiplexed run.
-///
-/// The receiving handler dispatches on [`Mux::lane`] to the per-lane
-/// state it keeps — e.g. one `SAMPLE-DESTINATION` slot per concurrent
-/// walk, keyed by walk id.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Mux<M> {
-    /// Which instance this message belongs to (e.g. a walk id).
-    pub lane: u32,
-    /// The instance's own payload.
-    pub msg: M,
-}
-
-impl<M> Mux<M> {
-    /// Tags `msg` with `lane`.
-    pub fn new(lane: u32, msg: M) -> Self {
-        Mux { lane, msg }
-    }
-}
-
-impl<M: Message> Message for Mux<M> {
-    /// The lane id costs one word on top of the inner payload.
-    fn size_words(&self) -> usize {
-        1 + self.msg.size_words()
-    }
-
-    /// Records the lane word, then delegates to the inner payload so
-    /// the census sees both the multiplex header and the real message.
-    fn census(&self, census: &mut crate::message::WireCensus) {
-        let _ = census
-            .record("Mux", self.size_words())
-            .field("lane", u64::from(self.lane));
-        self.msg.census(census);
-    }
-}
-
 /// A message of one lane of one *request* within a multiplexed run of
-/// heterogeneous requests — the two-level generalization of [`Mux`].
+/// heterogeneous requests.
 ///
-/// [`Mux`] multiplexes instances of one protocol (e.g. the walks of one
-/// `MANY-RANDOM-WALKS` call); `Mux2` adds the request id on top, so one
-/// engine run can host the work items of *several independent requests*
-/// (walk requests, spanning-tree phases, mixing probes) side by side.
-/// Handlers dispatch on `(req, lane)`; the request id also lets
-/// per-request bookkeeping (round attribution, result grouping) stay
-/// explicit on the wire instead of being reverse-engineered from lane
-/// ranges.
+/// The request id lets one engine run host the work items of *several
+/// independent requests* (walk requests, spanning-tree phases, mixing
+/// probes) side by side; the lane names the instance within a request
+/// (e.g. one walk of a `MANY-RANDOM-WALKS` call). Handlers dispatch on
+/// `(req, lane)` to the per-lane state they keep, and per-request
+/// bookkeeping (round attribution, result grouping) stays explicit on
+/// the wire instead of being reverse-engineered from lane ranges.
 ///
 /// Both ids are `u16`, bounding a single multiplexed run to 65536
 /// concurrent requests × 65536 lanes — far beyond any simulable batch —
-/// so the pair packs into **one** `O(log n)`-bit word, the same
-/// multiplexing price [`Mux`] pays for its lone `u32` lane.
+/// so the pair packs into **one** `O(log n)`-bit word.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Mux2<M> {
     /// Which request this message belongs to.
@@ -97,7 +58,8 @@ impl<M: Message> Message for Mux2<M> {
     }
 
     /// Records the packed header word, then delegates to the inner
-    /// payload.
+    /// payload so the census sees both the multiplex header and the
+    /// real message.
     fn census(&self, census: &mut crate::message::WireCensus) {
         let _ = census
             .record("Mux2", self.size_words())
@@ -120,10 +82,10 @@ mod tests {
     }
 
     #[test]
-    fn lane_costs_one_word() {
-        let m = Mux::new(7, Pair(1, 2));
-        assert_eq!(m.size_words(), 3);
-        assert_eq!(m.lane, 7);
+    fn request_and_lane_pack_into_one_word() {
+        let m = Mux2::new(3, 7, Pair(1, 2));
+        assert_eq!(m.size_words(), 3, "the (req, lane) pair is one word");
+        assert_eq!((m.req, m.lane), (3, 7));
     }
 
     #[test]
@@ -131,15 +93,6 @@ mod tests {
         #[derive(Clone, Debug)]
         struct Unit;
         impl Message for Unit {}
-        assert_eq!(Mux::new(0, Unit).size_words(), 2);
-    }
-
-    #[test]
-    fn request_and_lane_pack_into_one_word() {
-        let m = Mux2::new(3, 7, Pair(1, 2));
-        assert_eq!(m.size_words(), 3, "the (req, lane) pair is one word");
-        assert_eq!((m.req, m.lane), (3, 7));
-        // Same multiplexing price as the single-level Mux.
-        assert_eq!(m.size_words(), Mux::new(7, Pair(1, 2)).size_words());
+        assert_eq!(Mux2::new(0, 0, Unit).size_words(), 2);
     }
 }

@@ -19,6 +19,18 @@ pub fn derive_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A permutation of `0..len` drawn from `seed` by Fisher–Yates over
+/// [`derive_seed`] — the checker's scripted orders, a pure function of
+/// the seed.
+pub(crate) fn shuffled(seed: u64, len: usize) -> Vec<usize> {
+    let mut perm: Vec<usize> = (0..len).collect();
+    for i in (1..len).rev() {
+        let j = (derive_seed(seed, i as u64) % (i as u64 + 1)) as usize;
+        perm.swap(i, j);
+    }
+    perm
+}
+
 /// A pool of per-node RNGs, reused run after run.
 ///
 /// Streams are keyed by *node id*, not by pool size: node `v`'s stream

@@ -135,12 +135,6 @@ impl Runner {
         self.runs += 1;
     }
 
-    /// Charges extra rounds that occur outside any sub-protocol (e.g. an
-    /// explicit synchronization barrier the paper accounts for).
-    pub fn charge_rounds(&mut self, rounds: u64) {
-        self.total_rounds += rounds;
-    }
-
     /// The graph snapshot under simulation.
     pub fn graph(&self) -> &Graph {
         &self.graph
@@ -201,14 +195,6 @@ mod tests {
         assert_eq!(runner.total_rounds(), ra.rounds + rb.rounds);
         assert_eq!(runner.runs(), 2);
         assert!(runner.total_messages() >= ra.messages + rb.messages);
-    }
-
-    #[test]
-    fn charge_rounds_adds_to_total() {
-        let g = generators::path(3);
-        let mut runner = Runner::new(&g, EngineConfig::default(), 3);
-        runner.charge_rounds(17);
-        assert_eq!(runner.total_rounds(), 17);
     }
 
     #[test]

@@ -769,7 +769,7 @@ impl WalkSession {
         let mut sched = StitchScheduler::new(&StitchSetup {
             lambda,
             randomize_len: self.cfg.randomize_len,
-            aggregated_gmw: self.cfg.aggregated_gmw && !self.record,
+            aggregated_gmw: !self.record,
             gmw_count: (stitch_len / u64::from(lambda.max(1))).max(1),
             // Recording is per spec (`StitchSpec::record`).
             record: false,

@@ -125,13 +125,11 @@ pub struct SingleWalkConfig {
     /// matching Lemma 2.6; `false` gives every node the same count —
     /// ablation A3).
     pub degree_proportional: bool,
-    /// Use the paper's aggregated `GET-MORE-WALKS` (`O(lambda)` rounds,
-    /// not replayable). `false` uses per-token replenishment
-    /// (replayable, congestion-priced). Automatically forced off when
-    /// `record_walk` is set.
-    pub aggregated_gmw: bool,
     /// Regenerate the walk as it is stitched so every node learns its
-    /// position(s) and first-visit predecessor.
+    /// position(s) and first-visit predecessor. `GET-MORE-WALKS` is the
+    /// paper's aggregated one (`O(lambda)` rounds, not replayable)
+    /// unless this is set, when it replenishes per token (replayable,
+    /// congestion-priced).
     pub record_walk: bool,
     /// Engine configuration (bandwidth, round caps).
     pub engine: EngineConfig,
@@ -143,7 +141,6 @@ impl Default for SingleWalkConfig {
             params: WalkParams::default(),
             randomize_len: true,
             degree_proportional: true,
-            aggregated_gmw: true,
             record_walk: false,
             engine: EngineConfig::default(),
         }

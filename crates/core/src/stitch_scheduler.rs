@@ -155,7 +155,7 @@ impl StitchSpec {
 }
 
 /// One walk's message within the multiplexed Phase-2 run. The walk id
-/// travels as the [`Mux`] lane (one extra word); every variant fits the
+/// travels as the [`Mux2`] lane (one extra word); every variant fits the
 /// default 4-word CONGEST budget with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum StitchMsg {
@@ -1107,18 +1107,6 @@ fn merge_report(total: &mut RunReport, pass: RunReport) {
     total.max_edge_words_per_round = total
         .max_edge_words_per_round
         .max(pass.max_edge_words_per_round);
-    if total.edge_load_histogram.len() < pass.edge_load_histogram.len() {
-        total
-            .edge_load_histogram
-            .resize(pass.edge_load_histogram.len(), 0);
-    }
-    for (slot, v) in total
-        .edge_load_histogram
-        .iter_mut()
-        .zip(&pass.edge_load_histogram)
-    {
-        *slot += v;
-    }
     total.faults.accumulate(&pass.faults);
     total.wire.merge(&pass.wire);
     total.memory = pass.memory;
@@ -2309,20 +2297,9 @@ mod tests {
         )
     }
 
-    /// A permutation of `0..len` drawn from `seed` (Fisher-Yates).
-    fn shuffled(seed: u64, len: usize) -> Vec<usize> {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut perm: Vec<usize> = (0..len).collect();
-        for i in (1..len).rev() {
-            perm.swap(i, rng.random_range(0..=i));
-        }
-        perm
-    }
-
     #[test]
-    fn phase_two_is_identical_under_scripted_claim_and_item_orders() {
-        use drw_congest::{derive_seed, run_scripted, ScriptedSchedule};
+    fn phase_two_is_identical_under_scripted_receive_orders() {
+        use drw_congest::{receive_order, run_scripted, ScriptedSchedule};
         let cfg = EngineConfig::default();
         let seed = 8;
         let want = small_wave(|g, p| drw_congest::run_protocol(g, &cfg, seed, p).unwrap());
@@ -2336,45 +2313,35 @@ mod tests {
         assert_eq!(visits.len(), 8, "the recorded lane, every position once");
         assert!(report.rounds > 0);
 
-        // Every schedule index `i` scripts the claim order, or with
-        // `items` the item order inside each shard, by seeded shuffles.
-        let scripted = |i: u64, items: bool, planted: bool| {
-            let mut shards = 0usize;
-            let order = &mut |round: u64, s: usize| {
-                shards = shards.max(s);
-                if items {
-                    (0..s).collect()
-                } else {
-                    shuffled(derive_seed(i, round), s)
-                }
-            };
-            let item_order = &mut |round: u64, shard: usize, c: usize| {
-                shuffled(derive_seed(derive_seed(i, round), shard as u64), c)
+        // Schedule `i` permutes every round's receivers by a seeded
+        // shuffle (`receive_order`).
+        let scripted = |i: u64, planted: bool| {
+            let (mut rounds, mut permuted) = (0usize, 0usize);
+            let order = &mut |round: u64, len: usize| {
+                let perm = receive_order(i, round, len);
+                rounds += 1;
+                permuted += usize::from(perm.iter().enumerate().any(|(k, &j)| k != j));
+                perm
             };
             let got = small_wave(|g, p| {
                 let schedule = ScriptedSchedule {
-                    merge_in_claim_order: planted,
-                    item_order: items.then_some(
-                        &mut *item_order as &mut dyn FnMut(u64, usize, usize) -> Vec<usize>,
-                    ),
-                    ..ScriptedSchedule::new(1, &mut *order)
+                    merge_in_run_order: planted,
+                    ..ScriptedSchedule::new(&mut *order)
                 };
                 run_scripted(g, &cfg, seed, p, schedule).unwrap()
             });
-            (got, shards)
+            (got, rounds, permuted)
         };
-        for items in [false, true] {
-            for i in 0..64 {
-                let (got, shards) = scripted(i, items, false);
-                assert!(
-                    shards >= 4,
-                    "schedule {i}: rounds fan out into {shards} shards"
-                );
-                assert!(got == want, "schedule {i} (items: {items}) diverged");
-            }
+        for i in 1..64 {
+            let (got, rounds, permuted) = scripted(i, false);
+            assert!(
+                rounds >= 4 && 2 * permuted >= rounds,
+                "schedule {i}: {permuted} of {rounds} rounds permuted"
+            );
+            assert!(got == want, "schedule {i} diverged");
         }
-        // The planted merge race shows under some claim order.
-        let diverged = (0..64).find(|&i| scripted(i, false, true).0 != want);
+        // The planted merge race shows under some receive order.
+        let diverged = (1..64).find(|&i| scripted(i, true).0 != want);
         assert!(diverged.is_some(), "the planted merge race went unseen");
     }
 

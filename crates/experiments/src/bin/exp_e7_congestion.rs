@@ -3,8 +3,8 @@
 //! (the token population is stationary), and the maximum load is
 //! `O(eta log n)` w.h.p.
 //!
-//! Runs Phase 1 under an unbounded-capacity engine that records every
-//! (edge, round) delivery count.
+//! Runs Phase 1 under an unbounded-capacity engine, so the report's
+//! `max_edge_load` is the largest (edge, round) delivery count.
 
 use drw_congest::{run_protocol, EngineConfig};
 use drw_core::short_walks::ShortWalksProtocol;

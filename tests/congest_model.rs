@@ -236,8 +236,8 @@ fn ack_lane_words_pinned_under_scripted_fault_timing() {
 }
 
 /// A dense gossip over `Mux2`-multiplexed payloads, for pinning the
-/// two-level multiplex header's word price under scripted within-shard
-/// item schedules.
+/// two-level multiplex header's word price under scripted receive
+/// orders.
 struct Mux2Gossip {
     ttl: u64,
     nodes: Vec<u64>,
@@ -277,12 +277,12 @@ impl Protocol for Mux2Gossip {
     }
 }
 
-/// `Mux2` under item-level schedules: the packed `(req, lane)` header
-/// plus the 2-word inner payload is exactly 3 words, and neither the
-/// word pin nor the results move when each claimed shard processes its
-/// items in scripted (rotated) orders instead of node order.
+/// `Mux2` under scripted receive orders: the packed `(req, lane)`
+/// header plus the 2-word inner payload is exactly 3 words, and neither
+/// the word pin nor the results move when every round's receivers run
+/// in rotated orders instead of node order.
 #[test]
-fn mux2_words_pinned_under_item_level_schedules() {
+fn mux2_words_pinned_under_scripted_receive_orders() {
     let g = generators::torus2d(4, 4);
     let cfg = EngineConfig::default();
     let mk = || Mux2Gossip {
@@ -296,23 +296,16 @@ fn mux2_words_pinned_under_item_level_schedules() {
 
     for rot in 0..6usize {
         let mut p = mk();
-        let schedule = ScriptedSchedule {
-            msgs_per_shard: 4,
-            merge_in_claim_order: false,
-            scramble_item_order: false,
-            order: &mut |_round, s| (0..s).collect(),
-            item_order: Some(&mut |round, shard, c| {
-                // A rotation keyed off (round, shard, rot): a valid
-                // permutation that departs from node order on every
-                // multi-item shard.
-                let k = (round as usize + shard + rot) % c.max(1);
-                (0..c).map(|i| (i + k) % c).collect()
-            }),
+        // A rotation keyed off (round, rot): a valid permutation that
+        // departs from node order on most rounds.
+        let order = &mut |round, c: usize| {
+            let k = (round as usize + rot) % c;
+            (0..c).map(|i| (i + k) % c).collect()
         };
-        let r = run_scripted(&g, &cfg, 43, &mut p, schedule).unwrap();
+        let r = run_scripted(&g, &cfg, 43, &mut p, ScriptedSchedule::new(order)).unwrap();
         assert_eq!(r.max_edge_words_per_round, 3, "rotation {rot}");
         // Bit-identity: report and per-node digests must not see the
-        // item schedule.
+        // receive order.
         assert_eq!(r, r_seq, "rotation {rot}");
         assert_eq!(p.nodes, seq.nodes, "rotation {rot}: node digests");
     }
