@@ -24,17 +24,18 @@
 //! - [`Network::run`] serves the request with its own setup, as a
 //!   *batch of one*: a private session anchored at the request's own
 //!   source/root (one BFS), the request's driver run to completion on
-//!   it, the session discarded. A walk is a one-lane wave and a
+//!   it, the session discarded. A walk is a one-lane wave over a store
+//!   sized by its own stitch demand (see [`crate::params`]) and a
 //!   many-walks request a `k`-lane wave over a store built for it (one
-//!   full Phase 1, skipped when no walk is long enough to stitch); the
-//!   doubling extensions of a tree (or the probes of an estimate) share
-//!   one BFS and one short-walk store. The response's `rounds` is that
-//!   private session's whole bill, and it carries what only a request
-//!   that owns its session can know (`rounds_bfs`, `connector_visits`,
-//!   the final `state`). The first request uses the builder seed
-//!   verbatim; request `i > 0` uses `derive_seed(seed, i)`, so a fresh
-//!   `Network` per request reproduces a request's output from its seed
-//!   alone.
+//!   full Phase 1); both skip Phase 1 when no walk is long enough to
+//!   stitch. The doubling extensions of a tree (or the probes of an
+//!   estimate) share one BFS and one short-walk store. The response's
+//!   `rounds` is that private session's whole bill, and it carries what
+//!   only a request that owns its session can know (`rounds_bfs`,
+//!   `connector_visits`, the final `state`). The first request uses the
+//!   builder seed verbatim; request `i > 0` uses `derive_seed(seed, i)`,
+//!   so a fresh `Network` per request reproduces a request's output from
+//!   its seed alone.
 //! - [`Network::run_batch`] owns one persistent [`WalkSession`]
 //!   (created lazily on the first batch: one BFS, one shared short-walk
 //!   store) and advances all requests concurrently in *super-steps*:
@@ -368,6 +369,12 @@ impl Network {
             Request::MixingTime(m) => (m.source, derive_seed(seed, 0xB00), self.cfg.record_walk),
             Request::Mutate(_) => unreachable!("handled by the caller"),
         };
+        // A walk sizes its private Phase 1 by its own stitch demand:
+        // nothing outlives the request to use more.
+        let walk_len = match &request {
+            Request::Walk { len, .. } => Some(*len),
+            _ => None,
+        };
         // Validate before any protocol runs: a bad source is reported
         // ahead of a disconnected graph, and an empty cohort resolves
         // here, without a BFS.
@@ -381,6 +388,9 @@ impl Network {
         };
         let topo = Topology::from_shared(g);
         let mut session = WalkSession::attach(&topo, anchor, &cfg, session_seed)?;
+        if let Some(len) = walk_len {
+            session.provision_for_walk(len);
+        }
         let connectors = drain(&mut session, std::slice::from_mut(&mut slot))?;
         let mut response = slot.response.expect("drained slots are resolved");
         let rounds = session.total_rounds();
@@ -582,14 +592,17 @@ mod tests {
     #[test]
     fn a_walk_request_is_a_batch_of_one() {
         // One wave on a private session anchored at the source, seeded
-        // with the request seed verbatim; the response carries that
-        // session's whole bill, split into phases that sum to it.
+        // with the request seed verbatim and provisioned for the walk;
+        // the response carries that session's whole bill, split into
+        // phases that sum to it.
         let g = generators::torus2d(8, 8);
         for seed in [0u64, 7, 99] {
             let mut net = Network::builder(&g).seed(seed).build();
             let routed = net.run(Request::walk(5, 1024)).unwrap().into_walk();
             let mut session = WalkSession::new(&g, 5, &SingleWalkConfig::default(), seed).unwrap();
+            session.provision_for_walk(1024);
             let wave = session.single_walk(5, 1024).unwrap();
+            assert_eq!(session.walks_added(), g.n() as u64, "one per node");
             assert_eq!(routed.destination, wave.destination, "seed {seed}");
             assert_eq!(routed.segments, wave.segments, "seed {seed}");
             assert_eq!(routed.rounds, session.total_rounds(), "seed {seed}");

@@ -2,19 +2,29 @@
 //!
 //! The paper proves its bounds with `eta = 1` and
 //! `lambda = 24 sqrt(l D) (log n)^3` — w.h.p. constants that dwarf any
-//! simulable network. Because the algorithm is Las Vegas (any `lambda,
-//! eta >= 1` give an exact sample; only rounds change), the
-//! implementation uses `lambda = c * sqrt(l * D)` with a small tunable
-//! `c` and relies on `GET-MORE-WALKS` to absorb the dropped polylog
-//! slack. Experiment A2 sweeps `c` and recovers the predicted optimum.
+//! simulable network. Because the algorithm is Las Vegas (any
+//! `lambda >= 1` and any `eta > 0` give an exact sample; only rounds
+//! change), the implementation uses `lambda = c * sqrt(l * D)` with a
+//! small tunable `c` and relies on `GET-MORE-WALKS` to absorb the
+//! dropped polylog slack. Experiment A2 sweeps `c` and recovers the
+//! predicted optimum.
+//!
+//! A one-shot walk ([`crate::Network::run`] of a [`crate::Request::Walk`])
+//! launches no more short walks than it can use: with stitch demand
+//! `S = ceil(l / lambda)` (0 when `l < 2 * lambda`), node `v` launches
+//! `min(ceil(eta * deg(v)), ceil(deg(v) * max(S, n) / 2m))`, or
+//! `min(ceil(eta), ceil(max(S, n) / n))` under flat allocation. Every
+//! store that outlives its request (sessions, batches, the service) and
+//! every other one-shot request keeps `ceil(eta * deg(v))`.
 
 /// Tunable constants for the PODC 2010 algorithm.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WalkParams {
     /// `c` in `lambda = c * sqrt(l * D)`.
     pub lambda_scale: f64,
-    /// Short walks per unit of degree in Phase 1 (`eta`); node `v`
-    /// prepares `ceil(eta * deg(v))` walks.
+    /// Short walks per unit of degree in Phase 1 (`eta > 0`); node `v`
+    /// prepares `ceil(eta * deg(v))` walks, fewer for a one-shot walk
+    /// whose stitch demand is smaller (see the module docs).
     pub eta: f64,
 }
 

@@ -224,6 +224,10 @@ pub struct WalkSession {
     d_est: u32,
     record: bool,
     store_lambda: u32,
+    /// The stitch demand Phase 1 is sized for, if the session serves one
+    /// known walk ([`WalkSession::provision_for_walk`]); `None` keeps the
+    /// full `ceil(eta * deg(v))` targets.
+    stitch_demand: Option<u64>,
     strict_repair: bool,
     rounds_bfs: u64,
     rounds_topup: u64,
@@ -311,6 +315,7 @@ impl WalkSession {
             anchor,
             d_est,
             store_lambda: 0,
+            stitch_demand: None,
             strict_repair: false,
             rounds_bfs,
             rounds_topup: 0,
@@ -548,15 +553,46 @@ impl WalkSession {
         self.walks_discarded
     }
 
-    /// The Phase-1 targets: `ceil(eta * deg(v))` walks per node (or flat
-    /// counts under the ablation — A3).
+    /// Sizes Phase 1 for the one `len`-step walk this session will serve:
+    /// its stitch demand is `S = ceil(len / lambda)` at the `lambda` the
+    /// walk will plan (0 when `len < 2 * lambda`: it will not stitch).
+    /// Only a one-shot walk's private session calls this; every other
+    /// session keeps the full targets, because its store outlives the
+    /// request.
+    pub(crate) fn provision_for_walk(&mut self, len: u64) {
+        let lambda = u64::from(self.cfg.params.lambda(len, u64::from(self.d_est)));
+        let stitches = if len >= 2 * lambda {
+            len.div_ceil(lambda)
+        } else {
+            0
+        };
+        self.stitch_demand = Some(stitches);
+    }
+
+    /// The Phase-1 targets: `ceil(eta * w(v))` walks per node, with
+    /// weight `w(v) = deg(v)` (or 1 under the flat ablation — A3). A
+    /// session provisioned for stitch demand `S`
+    /// ([`WalkSession::provision_for_walk`]) caps each target at `v`'s
+    /// weighted share of `max(S, n)`, `ceil(w(v) * max(S, n) / W)` with
+    /// `W` the weight total (`2m`, or `n`): a walk consumes at most `S`
+    /// short walks in all, and `GET-MORE-WALKS` covers a connector the
+    /// cap leaves dry, so the walk law is unchanged.
     fn targets(&self) -> Vec<usize> {
-        (0..self.g.n())
+        let n = self.g.n();
+        let by_degree = self.cfg.degree_proportional;
+        let weight = |v| if by_degree { self.g.degree(v) } else { 1 };
+        let total = if by_degree { 2 * self.g.m() } else { n };
+        let demand = self.stitch_demand.map(|s| u128::from(s.max(n as u64)));
+        (0..n)
             .map(|v| {
-                if self.cfg.degree_proportional {
-                    self.cfg.params.walks_for_degree(self.g.degree(v))
-                } else {
-                    self.cfg.params.walks_for_degree(1)
+                let w = weight(v);
+                let full = self.cfg.params.walks_for_degree(w);
+                match demand {
+                    None => full,
+                    Some(d) => {
+                        let share = (w as u128 * d).div_ceil(total.max(1) as u128);
+                        (full as u128).min(share) as usize
+                    }
                 }
             })
             .collect()

@@ -12,7 +12,8 @@
 //!    `lambda`; any estimate preserves correctness) — `O(D)` rounds;
 //! 2. Phase 1 prepares `eta * deg(v)` short walks per node of length
 //!    uniform in `[lambda, 2*lambda - 1]` — `~O(lambda * eta)` rounds
-//!    ([`crate::short_walks`]; skipped when `l < 2*lambda`);
+//!    ([`crate::short_walks`]; skipped when `l < 2*lambda`, and capped
+//!    by the walk's own stitch demand, see [`crate::params`]);
 //! 3. Phase 2 stitches: while at least `2*lambda` steps remain, sample
 //!    an unused short walk of the current connector (`O(D)` rounds),
 //!    replenishing via `GET-MORE-WALKS` if it is drained, and jump to
@@ -192,8 +193,10 @@ pub struct SingleWalkResult {
     pub rounds_replay: u64,
     /// Number of stitches performed.
     pub stitches: u64,
-    /// Number of `GET-MORE-WALKS` invocations (w.h.p. zero at the
-    /// paper's parameters; Theorem 2.5).
+    /// Number of `GET-MORE-WALKS` invocations. W.h.p. zero under the
+    /// paper's full Phase 1 (Theorem 2.5); a one-shot walk provisions
+    /// only its own stitch demand (see [`crate::params`]), so its
+    /// connectors can run dry and this need not be zero.
     pub gmw_invocations: u64,
     /// The `lambda` used.
     pub lambda: u32,

@@ -41,6 +41,90 @@ fn all_algorithms_match_the_exact_distribution() {
     }
 }
 
+/// A one-shot walk's Phase 1 is sized by its own stitch demand
+/// `S = ceil(l / lambda)`: node `v` launches
+/// `min(ceil(eta * deg(v)), ceil(deg(v) * max(S, n) / 2m))` short walks,
+/// while a session, whose store outlives the walk, keeps the full
+/// `eta * deg(v)`.
+#[test]
+fn one_shot_walk_launches_the_short_walks_it_can_use() {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let g = generators::random_regular(1024, 4, &mut rng);
+    let len = 1024u64;
+    let r = Network::builder(&g)
+        .seed(3)
+        .build()
+        .run(Request::walk(0, len))
+        .unwrap()
+        .into_walk();
+    assert!(r.stitches > 0 && len >= 2 * u64::from(r.lambda));
+    // Every stitch consumed one short walk and every GET-MORE-WALKS
+    // launched `gmw_count` more; what is left is still stored.
+    let gmw_count = (len / u64::from(r.lambda)).max(1);
+    let launched = r.state.total_stored() as u64 + r.stitches - r.gmw_invocations * gmw_count;
+    assert_eq!(launched, g.n() as u64, "one short walk per node");
+
+    let mut session = WalkSession::new(&g, 0, &SingleWalkConfig::default(), 3).unwrap();
+    let _ = session.single_walk(0, len).unwrap();
+    assert_eq!(
+        session.walks_added(),
+        4 * g.n() as u64,
+        "sessions keep eta * deg(v)"
+    );
+
+    // On a star the hub's share of max(S, n) is half: below its degree
+    // on both sides of S = n.
+    let g = generators::star(64);
+    for len in [1024u64, 8192] {
+        let r = Network::builder(&g)
+            .seed(5)
+            .build()
+            .run(Request::walk(0, len))
+            .unwrap()
+            .into_walk();
+        let lambda = u64::from(r.lambda);
+        let demand = len.div_ceil(lambda).max(64);
+        assert!(len >= 2 * lambda);
+        // The hub launched no GET-MORE-WALKS walk with a sequence
+        // number: an unrecorded walk aggregates them.
+        let hub = u64::from(r.state.nodes[0].next_seq);
+        assert_eq!(hub, (63 * demand).div_ceil(126), "l = {len}");
+        assert!(hub < 63, "the cap bites at l = {len}");
+    }
+}
+
+/// Exactness where the demand cap bites: a one-shot walk that provisions
+/// fewer short walks than its connectors use must lean on
+/// GET-MORE-WALKS, and the endpoint law must still be the exact one.
+#[test]
+fn capped_one_shot_walks_stay_exact() {
+    let g = generators::lollipop(5, 4);
+    let len = 400u64;
+    let probs = exact_distribution(&g, 0, len);
+    let mut counts = vec![0u64; g.n()];
+    let mut runs_with_gmw = 0;
+    for seed in 0..400 {
+        let r = Network::builder(&g)
+            .seed(40_000 + seed)
+            .build()
+            .run(Request::walk(0, len))
+            .unwrap()
+            .into_walk();
+        counts[r.destination] += 1;
+        runs_with_gmw += u32::from(r.gmw_invocations > 0);
+        let gmw_count = (len / u64::from(r.lambda)).max(1);
+        let launched = r.state.total_stored() as u64 + r.stitches - r.gmw_invocations * gmw_count;
+        assert!(launched < 2 * g.m() as u64, "the cap bites: {launched}");
+    }
+    assert!(runs_with_gmw > 0, "the cap never left a connector dry");
+    let t = chi_square_against_probs(&counts, &probs);
+    assert!(
+        t.passes(0.001),
+        "{t:?} ({runs_with_gmw} runs with GET-MORE-WALKS)"
+    );
+}
+
 /// Regenerated walks are genuine trajectories whose endpoint matches the
 /// reported destination.
 #[test]

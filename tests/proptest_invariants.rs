@@ -37,6 +37,34 @@ fn connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
         })
 }
 
+/// The short walks a one-shot `len`-step walk's Phase 1 launches at
+/// base length `lambda`: none unless it stitches (`len >= 2 * lambda`),
+/// and otherwise, for stitch demand `S = ceil(len / lambda)`, node `v`
+/// with weight `w(v)` (its degree, or 1 under flat allocation) launches
+/// `min(ceil(eta * w(v)), ceil(w(v) * max(S, n) / W))`, where `W` is the
+/// weight total.
+fn provisioned(g: &Graph, cfg: &SingleWalkConfig, len: u64, lambda: u64) -> u64 {
+    if len < 2 * lambda {
+        return 0;
+    }
+    let demand = len.div_ceil(lambda).max(g.n() as u64);
+    let weight = |v| {
+        if cfg.degree_proportional {
+            g.degree(v)
+        } else {
+            1
+        }
+    };
+    let total: u64 = (0..g.n()).map(|v| weight(v) as u64).sum();
+    (0..g.n())
+        .map(|v| {
+            let w = weight(v);
+            let full = cfg.params.walks_for_degree(w) as u64;
+            full.min((w as u64 * demand).div_ceil(total))
+        })
+        .sum()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -263,6 +291,36 @@ proptest! {
                 initial + r.gmw_invocations * gmw_count - consumed
             );
         }
+    }
+
+    /// The same store balance for a one-shot walk, whose Phase 1 is
+    /// sized by its own stitch demand ([`provisioned`]) instead of
+    /// `walks_for_degree`, under either allocation and several `eta`.
+    #[test]
+    fn one_shot_walk_store_conservation(
+        g in connected_graph(12),
+        len in 1u64..400,
+        seed in 0u64..400,
+        eta_halves in 1u32..5,
+        flat in 0u8..2,
+    ) {
+        let cfg = SingleWalkConfig {
+            params: WalkParams { lambda_scale: 0.3, eta: f64::from(eta_halves) / 2.0 },
+            degree_proportional: flat == 0,
+            engine: drw_experiments::engine_config_from_env(),
+            ..SingleWalkConfig::default()
+        };
+        let source = seed as usize % g.n();
+        let mut net = Network::builder(&g).config(cfg.clone()).seed(seed).build();
+        let r = net.run(Request::walk(source, len)).unwrap().into_walk();
+        let lambda = u64::from(r.lambda);
+        prop_assert_eq!(r.stitches, r.segments.len() as u64);
+        let initial = provisioned(&g, &cfg, len, lambda);
+        let gmw_count = (len / lambda).max(1);
+        prop_assert_eq!(
+            r.state.total_stored() as u64,
+            initial + r.gmw_invocations * gmw_count - r.stitches
+        );
     }
 
     /// The batched Phase-2 scheduler's bookkeeping invariants, on
