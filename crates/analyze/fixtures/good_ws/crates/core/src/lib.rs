@@ -1,25 +1,7 @@
-//! Fixture: a clean protocol file — correct declarations, a justified
-//! allowlist entry and a SAFETY-commented unsafe block. drw-analyze's
-//! self-tests assert this tree produces zero findings with exactly one
-//! allowlist entry in effect.
-
-/// A two-word payload, declared as such.
-pub struct Msg {
-    pub a: u64,
-    pub b: u64,
-}
-impl Message for Msg {
-    fn size_words(&self) -> usize {
-        2
-    }
-}
-
-/// Sub-word fields pack into the default single word.
-pub struct Packed {
-    pub req: u16,
-    pub lane: u16,
-}
-impl Message for Packed {}
+//! Fixture: a clean protocol file — a justified allowlist entry and a
+//! SAFETY-commented unsafe block. drw-analyze's self-tests assert this
+//! tree produces zero findings with exactly one allowlist entry in
+//! effect.
 
 pub fn histogram() {
     // drw-analyze: allow(hash-collections, fixture: test-only histogram, order never observed)

@@ -1,6 +1,6 @@
 //! The CONGEST-conformance certifier: one entry point that exercises
 //! every production message type under a recording engine, audits the
-//! result with all four analyzer passes, and packages the evidence into
+//! result with all three analyzer passes, and packages the evidence into
 //! a machine-readable [`Certificate`] (committed as `CERT_PR10.json`
 //! and regenerated in CI).
 //!
@@ -10,7 +10,7 @@
 //! protocols of every phase, the `Mux2` multiplex wrapper, the mixing
 //! baseline's fixed-point mass and the lower-bound segment protocol —
 //! with [`drw_congest::EngineConfig::record_wire`] on. The merged
-//! census is then joined against the static pricing table in
+//! census is then joined against the production `impl Message` sites in
 //! full-coverage mode, so a production message type that the harness
 //! fails to drive is itself a certification failure
 //! (`wire-coverage`), not a silent gap.
@@ -41,6 +41,11 @@ pub const SCHEMA: &str = "drw-cert-v2";
 /// Node count of the census harness's main graph (a 4×4 torus); the
 /// largest `n` of any harness graph, so the one the law prices against.
 pub const CENSUS_N: u64 = 16;
+
+/// Bits per modelled word. The model word is `O(log n)` bits; every
+/// full-word scalar counts exactly one word regardless of its Rust
+/// width (a `u64` holding a `poly(n)` quantity is still one word).
+const WORD_BITS: u64 = 32;
 
 /// Seed of the census harness runs.
 const SEED: u64 = 0xCE2715;
@@ -81,7 +86,7 @@ pub struct CertField {
 /// One certified message type.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
 pub struct CertType {
-    /// Short type name (census key and static impl target).
+    /// Short type name (census key and impl target).
     pub type_name: String,
     /// Deliveries observed across the harness.
     pub messages: u64,
@@ -126,7 +131,7 @@ pub struct Certificate {
     pub law_c: u64,
     /// The model's word width in bits.
     pub word_bits: u64,
-    /// Production `impl Message` blocks the static pass audited.
+    /// Production `impl Message` blocks found in the source.
     pub impls_audited: u64,
     /// Of those, how many the census harness measured (must equal
     /// `impls_audited` for a clean certificate).
@@ -135,7 +140,7 @@ pub struct Certificate {
     pub types: Vec<CertType>,
     /// Schedule-sweep evidence.
     pub schedules: CertSchedules,
-    /// Findings from the static passes and the wire audit, as rendered
+    /// Findings from the determinism pass and the wire audit, as rendered
     /// strings. Empty on a conforming workspace.
     pub findings: Vec<String>,
 }
@@ -299,7 +304,7 @@ pub fn run_census() -> Result<WireCensus, String> {
 }
 
 /// Runs the full certification: census + wire audit (full coverage) +
-/// static passes + both schedule sweeps with their bug-injection
+/// determinism pass + both schedule sweeps with their bug-injection
 /// self-validations. Returns the certificate even when findings exist —
 /// the caller decides the exit code — but turns engine failures and
 /// sweep divergences into `Err`.
@@ -362,8 +367,8 @@ pub fn certify(root: &Path, params: &CertParams) -> Result<Certificate, String> 
         schema: SCHEMA.to_string(),
         n: report.n,
         law_c: report.c,
-        word_bits: crate::words::WORD_BITS,
-        impls_audited: statics.impls_audited as u64,
+        word_bits: WORD_BITS,
+        impls_audited: audit.impls_found as u64,
         impls_measured: audit.types_joined as u64,
         types,
         schedules: CertSchedules {

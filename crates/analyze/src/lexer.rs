@@ -1,7 +1,7 @@
 //! A minimal Rust lexer — just enough structure for the analysis passes.
 //!
 //! The workspace is hermetic (no `syn`, no `proc-macro2`), so the
-//! scanner carries its own tokenizer. It only needs to be faithful
+//! analyzer carries its own tokenizer. It only needs to be faithful
 //! about the things the passes key on:
 //!
 //! * identifiers stay whole (`unsafe_code` never matches `unsafe`),
@@ -12,8 +12,8 @@
 //! * every token knows its 1-based source line.
 //!
 //! It does not try to be a full lexer: numeric literals keep their raw
-//! text, multi-character operators arrive as single punctuation tokens,
-//! and the parser layer reassembles `::`/`->`/`=>` where it cares.
+//! text, and multi-character operators arrive as single punctuation
+//! tokens.
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -313,17 +313,6 @@ pub fn lex(src: &str) -> Lexed {
     out
 }
 
-/// Parses a numeric literal's raw text as a word count: underscores
-/// stripped, an integer prefix taken, suffixes like `usize` ignored.
-pub fn num_value(raw: &str) -> Option<u64> {
-    let cleaned: String = raw.chars().filter(|c| *c != '_').collect();
-    let digits: String = cleaned.chars().take_while(|c| c.is_ascii_digit()).collect();
-    if digits.is_empty() {
-        return None;
-    }
-    digits.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,12 +360,5 @@ mod tests {
             .count();
         let chars = l.tokens.iter().filter(|t| t.kind == TokKind::Lit).count();
         assert_eq!((lifetimes, chars), (2, 1));
-    }
-
-    #[test]
-    fn num_values() {
-        assert_eq!(num_value("4"), Some(4));
-        assert_eq!(num_value("1_000usize"), Some(1000));
-        assert_eq!(num_value("0x4"), Some(0)); // hex prefix: integer prefix is `0`
     }
 }

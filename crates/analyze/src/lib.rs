@@ -1,31 +1,29 @@
 //! `drw-analyze` — static analysis and model conformance for the DRW
 //! workspace.
 //!
-//! Four passes, one verdict (see DESIGN.md, "Static analysis & model
+//! Three passes, one verdict (see DESIGN.md, "Static analysis & model
 //! conformance"):
 //!
-//! 1. **CONGEST word accounting** ([`words`]): every `impl Message for
-//!    T` in production code is cross-checked against `T`'s payload
-//!    shape, so a compound message cannot silently ride the trait's
-//!    1-word default and a declared budget can never under-report the
-//!    wire cost the model charges.
-//! 2. **Determinism lint** ([`determinism`]): hash collections,
+//! 1. **Determinism lint** ([`determinism`]): hash collections,
 //!    wall-clock reads and unseeded RNGs are banned from the protocol
 //!    crates; every `unsafe` block workspace-wide must carry a
 //!    `// SAFETY:` comment.
-//! 3. **Interleaving check** ([`interleave`]): a protocol's receive
+//! 2. **Interleaving check** ([`interleave`]): a protocol's receive
 //!    handlers are replayed with every round's receivers in seeded
 //!    permutations, and fault delivery is replayed under seeded timing
 //!    permutations — all must stay bit-identical to the in-order run.
-//! 4. **Wire-value audit** ([`wire`]): a recorded run's per-field
-//!    magnitude census is joined against the static pricing table, so
-//!    a one-word field cannot smuggle more than `O(log n)` bits of
-//!    actual value. [`certify`] packages all four into a
-//!    machine-readable CONGEST-conformance certificate.
+//! 3. **Wire-value audit** ([`wire`]): a recorded run's per-field
+//!    magnitude census is joined against the production `impl Message`
+//!    sites, so a one-word field cannot smuggle more than `O(log n)`
+//!    bits of actual value and a wire listing that leaves a field out
+//!    is caught by its failed round trip. [`certify`] packages all
+//!    three into a machine-readable CONGEST-conformance certificate.
 //!
-//! The crate is hermetic — the scanner is a purpose-built lexer and
-//! item parser ([`lexer`], [`scan`]), not a `syn` dependency, because
-//! the build environment is offline by design.
+//! A message's word count needs no pass: it is counted from the same
+//! wire listing the census records (`drw_congest::Message::encode`).
+//! The crate is hermetic — the token scans run on a purpose-built lexer
+//! ([`lexer`]), not a `syn` dependency, because the build environment
+//! is offline by design.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,9 +32,7 @@ pub mod certify;
 pub mod determinism;
 pub mod interleave;
 pub mod lexer;
-pub mod scan;
 pub mod wire;
-pub mod words;
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -44,7 +40,7 @@ use std::path::{Path, PathBuf};
 /// One analysis finding.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    /// Rule identifier (`congest-words`, `hash-collections`, ...).
+    /// Rule identifier (`hash-collections`, `wire-values`, ...).
     pub rule: String,
     /// File the finding is in.
     pub file: PathBuf,
@@ -79,16 +75,13 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Result of the static passes (words + determinism + safety) over one
-/// source tree.
+/// Result of the determinism pass over one source tree.
 #[derive(Debug, Default)]
 pub struct StaticReport {
     /// All findings, in deterministic (path, line) order.
     pub findings: Vec<Finding>,
-    /// Files lexed and scanned.
+    /// Files lexed and linted.
     pub files_scanned: usize,
-    /// Production `impl Message for T` blocks audited.
-    pub impls_audited: usize,
     /// Allowlist entries that suppressed at least one finding.
     pub allows_used: usize,
 }
@@ -153,52 +146,18 @@ pub fn determinism_scope(path: &Path) -> determinism::RuleSet {
     }
 }
 
-/// True iff the word-accounting pass audits this path. Test harnesses
-/// and benches may define throwaway messages that never cross a
-/// modelled edge in production.
-pub fn words_scope(path: &Path) -> bool {
-    let s = path.to_string_lossy().replace('\\', "/");
-    !["/tests/", "/benches/", "/examples/"]
-        .iter()
-        .any(|c| s.contains(c))
-}
-
-/// Runs the two static passes over every `.rs` file under `root`.
+/// Runs the determinism pass over every `.rs` file under `root`.
 pub fn run_static_passes(root: &Path) -> std::io::Result<StaticReport> {
     let files = collect_rs_files(root)?;
     let mut report = StaticReport {
         files_scanned: files.len(),
         ..StaticReport::default()
     };
-
-    // Lex and scan everything once; the word auditor needs the whole
-    // workspace's definitions before it can judge any single impl
-    // (payload structs and their impls may live in different crates).
-    let mut lexed_files = Vec::with_capacity(files.len());
-    let mut scans = Vec::new();
     for path in &files {
-        let src = std::fs::read_to_string(path)?;
-        let lexed = lexer::lex(&src);
-        if words_scope(path) {
-            scans.push((path.clone(), scan::scan(&lexed)));
-        }
-        lexed_files.push((path.clone(), lexed));
-    }
-
-    // Pass 1: CONGEST word accounting.
-    let defs = words::Defs::collect(&scans);
-    for (path, s) in &scans {
-        for imp in &s.impls {
-            report.impls_audited += 1;
-            report.findings.extend(words::audit_impl(imp, &defs, path));
-        }
-    }
-
-    // Pass 2: determinism + SAFETY.
-    for (path, lexed) in &lexed_files {
-        let allows = determinism::parse_allows(lexed);
+        let lexed = lexer::lex(&std::fs::read_to_string(path)?);
+        let allows = determinism::parse_allows(&lexed);
         determinism::lint_file(
-            lexed,
+            &lexed,
             path,
             determinism_scope(path),
             &allows,
@@ -206,39 +165,41 @@ pub fn run_static_passes(root: &Path) -> std::io::Result<StaticReport> {
         );
         report.allows_used += allows.iter().filter(|a| a.used.get()).count();
     }
-
     report
         .findings
         .sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(report)
 }
 
-/// Runs the wire-value audit of a recorded census against the static
-/// scan of every word-scoped `.rs` file under `root`. This is the
-/// entry point behind `--wire-report` and the certifier; see
-/// [`wire::audit_wire`] for the law.
+/// Runs the wire-value audit of a recorded census against the
+/// production `impl Message` sites under `root`: those in a `src/`
+/// tree, outside `#[cfg(test)]` items. This is the entry point behind
+/// `--wire-report` and the certifier; see [`wire::audit_wire`] for the
+/// law.
 pub fn run_wire_audit(
     root: &Path,
     report: &wire::WireReport,
     report_path: &Path,
     require_full_coverage: bool,
 ) -> std::io::Result<wire::WireAudit> {
-    let files = collect_rs_files(root)?;
-    let mut scans = Vec::new();
+    let mut impls = Vec::new();
     let mut allows = std::collections::BTreeMap::new();
-    for path in &files {
-        if !words_scope(path) {
+    for path in collect_rs_files(root)? {
+        let rel = path.strip_prefix(root).unwrap_or(&path);
+        if !rel.components().any(|c| c.as_os_str() == "src") {
             continue;
         }
-        let src = std::fs::read_to_string(path)?;
-        let lexed = lexer::lex(&src);
-        allows.insert(path.clone(), determinism::parse_allows(&lexed));
-        scans.push((path.clone(), scan::scan(&lexed)));
+        let lexed = lexer::lex(&std::fs::read_to_string(&path)?);
+        for (target, line) in wire::message_impls(&lexed) {
+            let file = path.clone();
+            impls.push(wire::ImplSite { target, file, line });
+        }
+        allows.insert(path, determinism::parse_allows(&lexed));
     }
     Ok(wire::audit_wire(
         report,
         report_path,
-        &scans,
+        &impls,
         &allows,
         require_full_coverage,
     ))

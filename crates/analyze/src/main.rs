@@ -1,7 +1,7 @@
 //! CLI entry point: `cargo run -p drw-analyze -- [options]`.
 //!
-//! Runs the static passes (CONGEST word accounting, determinism lint,
-//! SAFETY audit) over the workspace and, unless told otherwise, the
+//! Runs the static pass (determinism lint, SAFETY audit) over the
+//! workspace and, unless told otherwise, the
 //! interleaving check: the receive-order and fault-timing sweeps, each
 //! with its planted bug. Exits non-zero when `--deny-warnings` is set and
 //! anything was found — the CI gate.
@@ -19,10 +19,11 @@
 //! * `--timing-budget <n>` — scripted fault-timing budget (default 256).
 //! * `--torus <rows>x<cols>` — interleaving-checker graph (default 4x4).
 //! * `--wire-report <json>` — join a recorded wire census (a
-//!   `WireReport` file) against the static pricing table and flag
-//!   fields whose observed magnitudes bust the `O(log n)` budget.
+//!   `WireReport` file) against the production `impl Message` sites and
+//!   flag lossy listings and fields whose observed magnitudes bust the
+//!   `O(log n)` budget.
 //! * `--certify [--cert-out <path>]` — run the full conformance
-//!   certification (census + wire audit + static passes + both
+//!   certification (census + wire audit + static pass + both
 //!   schedule sweeps) and write the certificate JSON (default
 //!   `<root>/CERT_PR10.json`). Replaces the other passes.
 
@@ -195,10 +196,9 @@ fn main() -> ExitCode {
         }
         findings += report.findings.len();
         println!(
-            "drw-analyze: static passes: {} files scanned, {} Message impls audited, \
-             {} findings, {} allowlist entries in effect",
+            "drw-analyze: static pass: {} files scanned, {} findings, \
+             {} allowlist entries in effect",
             report.files_scanned,
-            report.impls_audited,
             report.findings.len(),
             report.allows_used,
         );
@@ -216,10 +216,11 @@ fn main() -> ExitCode {
                     }
                     findings += audit.findings.len();
                     println!(
-                        "drw-analyze: wire audit: {} recorded types joined against the \
-                         static pricing table, {} fields priced at n = {}, {} findings, \
+                        "drw-analyze: wire audit: {} recorded types joined against {} \
+                         production impls, {} fields priced at n = {}, {} findings, \
                          {} allowlist entries in effect",
                         audit.types_joined,
+                        audit.impls_found,
                         audit.fields_priced,
                         report.n,
                         audit.findings.len(),

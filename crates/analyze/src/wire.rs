@@ -1,20 +1,21 @@
-//! Pass 4 — runtime wire-value audit: the dynamic half of CONGEST
-//! pricing.
+//! Wire-value audit: the value-level half of CONGEST pricing.
 //!
-//! The static word pass ([`crate::words`]) checks *declared* sizes
-//! against payload shapes; it cannot see the magnitudes a field
+//! A message's word count comes from its one wire listing
+//! (`drw_congest::Message::encode`), so the count cannot disagree with
+//! the fields. What a listing cannot show is the magnitudes a field
 //! actually carries. A `u64` field priced at one word is only sound
-//! under the standard CONGEST convention that its values stay
-//! `poly(n)` — a field that ships `2^60`-sized values in a 16-node run
-//! is using the word as a covert channel, and no static shape check
-//! will notice.
+//! under the standard CONGEST convention that its values stay `poly(n)`
+//! — a field that ships `2^60`-sized values in a 16-node run is using
+//! the word as a covert channel.
 //!
-//! This pass closes that gap. A run executed with
-//! [`drw_congest::EngineConfig::record_wire`] produces a
-//! [`WireCensus`]: per `Message` type, the per-field maximum magnitude
-//! that actually crossed an edge. The auditor joins the census against
-//! the static `impl Message` scan and prices every field under the
-//! wire-value law
+//! A run executed with [`drw_congest::EngineConfig::record_wire`]
+//! produces a [`WireCensus`]: per `Message` type, the per-field maximum
+//! magnitude that actually crossed an edge, and the deliveries whose
+//! listing did not round-trip (`decode(encode(m)) != m`, the sign of a
+//! listing that leaves a field out). The auditor joins the census
+//! against the production `impl Message` sites ([`message_impls`]),
+//! reports every lossy type (`wire-round-trip`), and prices every field
+//! under the wire-value law
 //!
 //! ```text
 //! bits(max_value) <= frac_bits + C * ceil(log2 n)
@@ -24,27 +25,22 @@
 //! carries probability mass scaled by `2^40`: 40 bits of precision,
 //! `O(log n)` bits of magnitude) and `C` is the law's leniency
 //! constant ([`DEFAULT_LAW_C`]). Violations are `wire-values`
-//! findings anchored at the impl site.
-//!
-//! The join also cross-checks the two pricing systems against each
-//! other: a type with a static constant declaration (literal, default,
-//! or all-literal match arms) must never be observed occupying more
-//! words than it declares (`wire-words`), and in full-coverage mode
-//! (the certifier) every audited impl must have been measured and
-//! every measured type must resolve to an audited impl
-//! (`wire-coverage`). Findings honour the same mandatory-reason
-//! allowlist syntax as every other pass:
+//! findings anchored at the impl site. In full-coverage mode (the
+//! certifier) every production impl must have been measured and every
+//! measured type must resolve to a production impl (`wire-coverage`).
+//! Findings honour the mandatory-reason allowlist syntax of the
+//! determinism pass:
 //! `// drw-analyze: allow(wire-values, <why>)` at the impl site.
 
 use crate::determinism::{allowed, AllowEntry};
-use crate::scan::{MsgImpl, Scan, SizeDecl};
+use crate::lexer::{Lexed, Token};
 use crate::Finding;
 use drw_congest::WireCensus;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Schema tag of a wire report file.
-pub const SCHEMA: &str = "drw-wire-v1";
+pub const SCHEMA: &str = "drw-wire-v2";
 
 /// Default leniency constant `C` of the wire-value law: a priced field
 /// may use up to `C * ceil(log2 n)` magnitude bits. `C = 2` admits any
@@ -101,54 +97,118 @@ pub fn field_budget_bits(frac_bits: u64, n: u64, c: u64) -> u64 {
     frac_bits + c * log2_ceil(n)
 }
 
+/// One production `impl … Message for T` block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ImplSite {
+    /// The impl target's base name (`Mux2` for `Mux2<M>`), the census
+    /// key.
+    pub target: String,
+    /// File the impl is in.
+    pub file: PathBuf,
+    /// 1-based line of the `impl` keyword.
+    pub line: usize,
+}
+
+/// Finds a file's `impl … Message for T` blocks, as `(T, line)`, at the
+/// token level. Items behind `#[cfg(test)]` are skipped: test-only
+/// messages never cross a production edge.
+pub fn message_impls(lexed: &Lexed) -> Vec<(String, usize)> {
+    let t = &lexed.tokens;
+    let mut out = Vec::new();
+    let (mut i, mut test_gated) = (0, false);
+    while i < t.len() {
+        if t[i].is_punct('#') && t.get(i + 1).is_some_and(|b| b.is_punct('[')) {
+            let end = skip_balanced(t, i + 1, '[', ']');
+            let attr = || t[i..end].iter().filter_map(Token::ident);
+            test_gated |= attr().any(|x| x == "cfg") && attr().any(|x| x == "test");
+            i = end;
+        } else if test_gated {
+            // Skip the gated item: up to its `;`, or over its body.
+            while i < t.len() && !t[i].is_punct(';') && !t[i].is_punct('{') {
+                i += 1;
+            }
+            if i < t.len() && t[i].is_punct('{') {
+                i = skip_balanced(t, i, '{', '}');
+            }
+            test_gated = false;
+        } else if t[i].ident() == Some("impl") {
+            let head_end = (i..t.len())
+                .find(|&k| t[k].is_punct('{') || t[k].is_punct(';'))
+                .unwrap_or(t.len());
+            let head = &t[i..head_end];
+            let is_message =
+                |k: usize| head[k].ident() == Some("Message") && head[k + 1].ident() == Some("for");
+            if let Some(k) = (0..head.len().saturating_sub(1)).find(|&k| is_message(k)) {
+                // The target's base name: its last path segment before
+                // any generics.
+                let target = head[k + 2..]
+                    .iter()
+                    .take_while(|x| !x.is_punct('<') && x.ident() != Some("where"))
+                    .filter_map(Token::ident)
+                    .last();
+                if let Some(target) = target {
+                    out.push((target.to_string(), t[i].line));
+                }
+            }
+            i += 1;
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
+/// From an opening delimiter at `t[i]`, returns the index just past its
+/// matching close.
+fn skip_balanced(t: &[Token], i: usize, open: char, close: char) -> usize {
+    let mut depth = 0usize;
+    for (j, tok) in t.iter().enumerate().skip(i) {
+        if tok.is_punct(open) {
+            depth += 1;
+        } else if tok.is_punct(close) {
+            depth -= 1;
+            if depth == 0 {
+                return j + 1;
+            }
+        }
+    }
+    t.len()
+}
+
 /// What the wire audit concluded.
 #[derive(Debug, Default)]
 pub struct WireAudit {
     /// All findings, in deterministic order.
     pub findings: Vec<Finding>,
-    /// Census types that resolved to an audited impl.
+    /// Production impls found in the source.
+    pub impls_found: usize,
+    /// Census types that resolved to a production impl.
     pub types_joined: usize,
     /// Fields priced under the law.
     pub fields_priced: usize,
-    /// Audited impls with no census measurement (a `wire-coverage`
+    /// Production impls with no census measurement (a `wire-coverage`
     /// finding each in full-coverage mode, informational otherwise).
     pub unmeasured: Vec<String>,
     /// Allowlist entries that suppressed at least one wire finding.
     pub allows_used: usize,
 }
 
-/// Static word bound of a declaration, when one exists: the default is
-/// 1 word, a literal is itself, and an all-literal match is its worst
-/// arm. Computed bodies have no static constant — the engine's runtime
-/// size check and the census `max_words` are their only bound.
-fn static_words_bound(decl: &SizeDecl) -> Option<u64> {
-    match decl {
-        SizeDecl::Default => Some(1),
-        SizeDecl::Literal(n) => Some(*n),
-        SizeDecl::Match(arms) => {
-            let mut worst = 0u64;
-            for (_, value) in arms {
-                worst = worst.max((*value)?);
-            }
-            Some(worst)
-        }
-        SizeDecl::Computed { .. } => None,
-    }
-}
-
-/// Joins a recorded wire census against the static scan and prices
-/// every field. `allows` carries each scanned file's parsed allowlist;
-/// `report_path` anchors findings that cannot be tied to an impl site.
-/// With `require_full_coverage` (the certifier), an audited impl that
-/// was never measured is itself a finding.
+/// Joins a recorded wire census against the production impl sites and
+/// prices every field. `allows` carries each scanned file's parsed
+/// allowlist; `report_path` anchors findings that cannot be tied to an
+/// impl site. With `require_full_coverage` (the certifier), an impl
+/// that was never measured is itself a finding.
 pub fn audit_wire(
     report: &WireReport,
     report_path: &Path,
-    scans: &[(PathBuf, Scan)],
+    impls: &[ImplSite],
     allows: &BTreeMap<PathBuf, Vec<AllowEntry>>,
     require_full_coverage: bool,
 ) -> WireAudit {
-    let mut audit = WireAudit::default();
+    let mut audit = WireAudit {
+        impls_found: impls.len(),
+        ..WireAudit::default()
+    };
 
     if report.schema != SCHEMA {
         audit.findings.push(Finding::new(
@@ -172,25 +232,22 @@ pub fn audit_wire(
         return audit;
     }
 
-    // Index the audited impls by payload name. First definition wins,
-    // matching `Defs::collect`.
-    let mut impls: BTreeMap<&str, (&PathBuf, &MsgImpl)> = BTreeMap::new();
-    for (path, s) in scans {
-        for imp in &s.impls {
-            impls.entry(imp.target.as_str()).or_insert((path, imp));
-        }
+    // Index the impls by target name; the first definition wins.
+    let mut by_name: BTreeMap<&str, &ImplSite> = BTreeMap::new();
+    for imp in impls {
+        by_name.entry(imp.target.as_str()).or_insert(imp);
     }
     let no_allows: Vec<AllowEntry> = Vec::new();
 
     let mut measured: Vec<&str> = Vec::new();
     for ty in &report.census.types {
-        let Some((path, imp)) = impls.get(ty.type_name.as_str()) else {
+        let Some(imp) = by_name.get(ty.type_name.as_str()) else {
             audit.findings.push(Finding::new(
                 "wire-coverage",
                 report_path,
                 0,
                 format!(
-                    "census records type `{}` but no audited `impl Message` matches it — \
+                    "census records type `{}` but no production `impl Message` matches it — \
                      the run put unaudited payloads on the wire",
                     ty.type_name
                 ),
@@ -199,30 +256,25 @@ pub fn audit_wire(
         };
         audit.types_joined += 1;
         measured.push(imp.target.as_str());
-        let file_allows = allows.get(*path).unwrap_or(&no_allows);
+        let file_allows = allows.get(&imp.file).unwrap_or(&no_allows);
         let mut suppressed = |rule: &str| {
             let hit = allowed(file_allows, rule, imp.line);
-            if hit {
-                audit.allows_used += 1;
-            }
+            audit.allows_used += usize::from(hit);
             hit
         };
 
-        // Static and dynamic word pricing must agree.
-        if let Some(bound) = static_words_bound(&imp.decl) {
-            if ty.max_words as u64 > bound && !suppressed("wire-words") {
-                audit.findings.push(Finding::new(
-                    "wire-words",
-                    path,
-                    imp.line,
-                    format!(
-                        "`{}` was observed at {} words on the wire but its static \
-                         declaration prices it at {bound} — static and dynamic \
-                         accounting disagree",
-                        ty.type_name, ty.max_words
-                    ),
-                ));
-            }
+        // A listing that leaves a field out cannot rebuild the message.
+        if ty.lossy > 0 && !suppressed("wire-round-trip") {
+            audit.findings.push(Finding::new(
+                "wire-round-trip",
+                &imp.file,
+                imp.line,
+                format!(
+                    "{} of {} `{}` deliveries did not survive decode(encode(m)) — its \
+                     wire listing leaves a field out",
+                    ty.lossy, ty.messages, ty.type_name
+                ),
+            ));
         }
 
         // Price every recorded field under the wire-value law.
@@ -233,7 +285,7 @@ pub fn audit_wire(
             if bits > budget && !suppressed("wire-values") {
                 audit.findings.push(Finding::new(
                     "wire-values",
-                    path,
+                    &imp.file,
                     imp.line,
                     format!(
                         "`{}.{}` carried max value {} ({bits} bits) on an n = {} run — \
@@ -246,16 +298,16 @@ pub fn audit_wire(
         }
     }
 
-    for (name, (path, imp)) in &impls {
+    for (name, imp) in &by_name {
         if !measured.contains(name) {
             audit.unmeasured.push((*name).to_string());
             if require_full_coverage {
                 audit.findings.push(Finding::new(
                     "wire-coverage",
-                    path,
+                    &imp.file,
                     imp.line,
                     format!(
-                        "`{name}` is audited statically but the certification run never \
+                        "`{name}` is a production impl but the certification run never \
                          measured it — extend the certify harness to drive it"
                     ),
                 ));
@@ -273,22 +325,26 @@ pub fn audit_wire(
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::scan::scan;
     use drw_congest::WireCensus;
 
-    fn ws(src: &str) -> Vec<(PathBuf, Scan)> {
-        vec![(PathBuf::from("mem.rs"), scan(&lex(src)))]
+    /// Audits `report` against the impls and allows of one in-memory
+    /// source file.
+    fn audit(report: &WireReport, src: &str, full: bool) -> WireAudit {
+        let file = PathBuf::from("mem.rs");
+        let lexed = lex(src);
+        let impls: Vec<ImplSite> = message_impls(&lexed)
+            .into_iter()
+            .map(|(target, line)| ImplSite {
+                target,
+                file: file.clone(),
+                line,
+            })
+            .collect();
+        let allows = BTreeMap::from([(file, crate::determinism::parse_allows(&lexed))]);
+        audit_wire(report, Path::new("report.json"), &impls, &allows, full)
     }
 
-    fn audit(report: &WireReport, src: &str, full: bool) -> WireAudit {
-        let scans = ws(src);
-        let mut allows = BTreeMap::new();
-        for (path, _) in &scans {
-            let text = std::fs::read_to_string(path).unwrap_or_default();
-            allows.insert(path.clone(), crate::determinism::parse_allows(&lex(&text)));
-        }
-        audit_wire(report, Path::new("report.json"), &scans, &allows, full)
-    }
+    const ONE_IMPL: &str = "struct M(u64);\nimpl Message for M {}";
 
     #[test]
     fn bit_arithmetic() {
@@ -303,27 +359,34 @@ mod tests {
     }
 
     #[test]
+    fn the_finder_keys_on_the_target_and_skips_test_items() {
+        let src = "impl<M: Message> Message for Mux2<M> {}\n\
+                   impl drw_congest::Message for crate::Tok where Tok: Clone {}\n\
+                   impl Display for Bar { fn fmt(&self) {} }\n\
+                   #[cfg(test)]\nmod tests { impl Message for T {} }\n\
+                   #[cfg(test)]\nimpl Message for U {}\n\
+                   impl Message for Real {}";
+        let found = message_impls(&lex(src));
+        assert_eq!(
+            found,
+            [("Mux2".into(), 1), ("Tok".into(), 2), ("Real".into(), 8)]
+        );
+    }
+
+    #[test]
     fn lawful_fields_pass() {
         let mut c = WireCensus::default();
-        let _ = c.record("M", 1).field("x", 200); // 8 bits <= 2*4 on n=16
-        let a = audit(
-            &WireReport::new(16, c),
-            "struct M(u64);\nimpl Message for M {}",
-            false,
-        );
+        c.record("M", 1).field("x", 200); // 8 bits <= 2*4 on n=16
+        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
-        assert_eq!((a.types_joined, a.fields_priced), (1, 1));
+        assert_eq!((a.impls_found, a.types_joined, a.fields_priced), (1, 1, 1));
     }
 
     #[test]
     fn oversized_magnitude_is_flagged_at_the_impl() {
         let mut c = WireCensus::default();
-        let _ = c.record("M", 1).field("x", 1 << 20); // 21 bits > 8
-        let a = audit(
-            &WireReport::new(16, c),
-            "struct M(u64);\nimpl Message for M {}",
-            false,
-        );
+        c.record("M", 1).field("x", 1 << 20); // 21 bits > 8
+        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
         assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].rule, "wire-values");
         assert_eq!(a.findings[0].line, 2);
@@ -332,38 +395,28 @@ mod tests {
     #[test]
     fn frac_bits_price_fixed_point_precision() {
         let mut c = WireCensus::default();
-        let _ = c.record("M", 2).field_fixed("mass", 1 << 40, 40); // 41 <= 48
-        let a = audit(
-            &WireReport::new(16, c),
-            "struct M { a: u64, b: u64 }\n\
-             impl Message for M { fn size_words(&self) -> usize { 2 } }",
-            false,
-        );
+        c.record("M", 2).field_fixed("mass", 1 << 40, 40); // 41 <= 48
+        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
     }
 
     #[test]
-    fn dynamic_words_over_static_bound_disagree() {
+    fn a_lossy_listing_is_flagged_at_the_impl() {
         let mut c = WireCensus::default();
-        let _ = c.record("M", 3).field("x", 1);
-        let a = audit(
-            &WireReport::new(16, c),
-            "struct M(u64);\nimpl Message for M {}",
-            false,
-        );
+        c.record("M", 1).field("x", 1).lossy = 1;
+        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
         assert_eq!(a.findings.len(), 1);
-        assert_eq!(a.findings[0].rule, "wire-words");
+        assert_eq!(
+            (a.findings[0].rule.as_str(), a.findings[0].line),
+            ("wire-round-trip", 2)
+        );
     }
 
     #[test]
     fn unknown_census_type_is_a_coverage_finding() {
         let mut c = WireCensus::default();
-        let _ = c.record("Ghost", 1).field("x", 1);
-        let a = audit(
-            &WireReport::new(16, c),
-            "struct M(u64);\nimpl Message for M {}",
-            false,
-        );
+        c.record("Ghost", 1).field("x", 1);
+        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
         assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].rule, "wire-coverage");
     }
@@ -371,11 +424,10 @@ mod tests {
     #[test]
     fn full_coverage_mode_requires_every_impl_measured() {
         let c = WireCensus::default();
-        let src = "struct M(u64);\nimpl Message for M {}";
-        let lax = audit(&WireReport::new(16, c.clone()), src, false);
+        let lax = audit(&WireReport::new(16, c.clone()), ONE_IMPL, false);
         assert!(lax.findings.is_empty());
         assert_eq!(lax.unmeasured, ["M"]);
-        let strict = audit(&WireReport::new(16, c), src, true);
+        let strict = audit(&WireReport::new(16, c), ONE_IMPL, true);
         assert_eq!(strict.findings.len(), 1);
         assert_eq!(strict.findings[0].rule, "wire-coverage");
     }
@@ -388,7 +440,7 @@ mod tests {
             c: 2,
             census: WireCensus::default(),
         };
-        let a = audit(&report, "struct M(u64);\nimpl Message for M {}", true);
+        let a = audit(&report, ONE_IMPL, true);
         assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].rule, "wire-schema");
     }
@@ -396,25 +448,11 @@ mod tests {
     #[test]
     fn wire_allow_at_the_impl_site_suppresses() {
         let mut c = WireCensus::default();
-        let _ = c.record("M", 1).field("x", 1 << 20);
+        c.record("M", 1).field("x", 1 << 20);
         let src = "struct M(u64);\n\
                    // drw-analyze: allow(wire-values, magnitude proven poly(n) elsewhere)\n\
                    impl Message for M {}";
-        // The in-memory test path has no backing file, so parse allows
-        // from the source directly.
-        let scans = ws(src);
-        let mut allows = BTreeMap::new();
-        allows.insert(
-            PathBuf::from("mem.rs"),
-            crate::determinism::parse_allows(&lex(src)),
-        );
-        let a = audit_wire(
-            &WireReport::new(16, c),
-            Path::new("report.json"),
-            &scans,
-            &allows,
-            false,
-        );
+        let a = audit(&WireReport::new(16, c), src, false);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         assert_eq!(a.allows_used, 1);
     }

@@ -31,45 +31,19 @@ fn by_rule(report: &StaticReport) -> BTreeMap<String, usize> {
 #[test]
 fn bad_fixture_every_defect_is_caught() {
     let report = run_static_passes(&fixture("bad_ws")).expect("scan fixture");
-    assert_eq!(
-        report.impls_audited, 7,
-        "seven Message impls in the fixture"
-    );
     let rules = by_rule(&report);
-    assert_eq!(
-        rules.get("congest-words"),
-        Some(&5),
-        "findings: {:#?}",
-        report.findings
-    );
     assert_eq!(rules.get("hash-collections"), Some(&1));
     assert_eq!(rules.get("wall-clock"), Some(&2), "use + call site");
     assert_eq!(rules.get("unseeded-rng"), Some(&1));
     assert_eq!(rules.get("safety-comment"), Some(&1));
-    assert_eq!(report.findings.len(), 10);
+    assert_eq!(report.findings.len(), 5, "{:#?}", report.findings);
     assert_eq!(report.allows_used, 0);
-}
-
-#[test]
-fn bad_fixture_specific_messages() {
-    let report = run_static_passes(&fixture("bad_ws")).expect("scan fixture");
-    let text: Vec<String> = report.findings.iter().map(|f| f.to_string()).collect();
-    let has = |needle: &str| text.iter().any(|t| t.contains(needle));
-    assert!(has("`Compound` inherits the 1-word default"), "{text:#?}");
-    assert!(has("`Under` declares size_words = 2"), "{text:#?}");
     assert!(
-        has("`Dynamic` has a dynamically sized payload"),
-        "{text:#?}"
-    );
-    assert!(has("`Wrap` carries a generic inner Message"), "{text:#?}");
-    assert!(has("variant `Big` declares 1 words"), "{text:#?}");
-    assert!(
-        !has("`Fine`"),
-        "the control impl must stay clean: {text:#?}"
-    );
-    assert!(
-        !has("ProbeMsg"),
-        "the wire probe is statically clean — only the joined audit flags it: {text:#?}"
+        report
+            .findings
+            .iter()
+            .all(|f| !f.to_string().contains("ProbeMsg")),
+        "only the joined wire audit flags the probe"
     );
 }
 
@@ -81,13 +55,11 @@ fn good_fixture_is_clean_with_one_allow() {
         "clean fixture flagged: {:#?}",
         report.findings
     );
-    assert_eq!(report.impls_audited, 2);
     assert_eq!(report.allows_used, 1, "the justified allow must be counted");
 }
 
 /// The acceptance bar for this repo: zero findings over the real
-/// workspace at zero allowlist entries, with every production Message
-/// impl audited.
+/// workspace at zero allowlist entries.
 #[test]
 fn workspace_is_clean_at_zero_allowlist() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -101,11 +73,6 @@ fn workspace_is_clean_at_zero_allowlist() {
         report.findings.is_empty(),
         "workspace findings: {:#?}",
         report.findings
-    );
-    assert!(
-        report.impls_audited >= 12,
-        "expected at least 12 production Message impls, audited {}",
-        report.impls_audited
     );
     assert_eq!(report.allows_used, 0, "the workspace target is zero allows");
 }
@@ -136,7 +103,7 @@ fn service_module_is_clean_at_zero_allowlist() {
 }
 
 /// Falsifiability of the wire-value auditor: `ProbeMsg` in the bad
-/// fixture passes every static check, but the recorded census in
+/// fixture lists one word, but the recorded census in
 /// `fixtures/bad_wire.json` shows its field carrying `2^40` on an
 /// n = 16 run — far past the `2·⌈log2 n⌉ = 8` bit budget. The joined
 /// audit must produce exactly that one finding, anchored at the impl.
@@ -159,8 +126,8 @@ fn wire_audit_flags_poly_busting_fixture() {
 
 /// The workspace-level wire bar: a full certification census (every
 /// production protocol driven on a 16-node run) joined against the
-/// static pricing table yields zero findings, zero allows, and leaves
-/// no audited impl unmeasured.
+/// production impls yields zero findings (no lossy listing, no field
+/// over the law), zero allows, and leaves no impl unmeasured.
 #[test]
 fn wire_audit_workspace_is_clean_at_full_coverage() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -183,10 +150,10 @@ fn wire_audit_workspace_is_clean_at_full_coverage() {
         audit.unmeasured
     );
     assert_eq!(audit.allows_used, 0, "the wire target is zero allows");
-    assert!(
-        audit.types_joined >= 12,
-        "expected at least 12 measured types, joined {}",
-        audit.types_joined
+    assert_eq!(
+        (audit.impls_found, audit.types_joined),
+        (12, 12),
+        "every production Message impl found and measured"
     );
 }
 
@@ -272,19 +239,19 @@ fn cli_gate_rejects_bad_fixture() {
     let out = std::process::Command::new(bin)
         .args(["--root"])
         .arg(&bad_root)
-        .args(["--skip-interleave", "--expect-findings", "10"])
+        .args(["--skip-interleave", "--expect-findings", "5"])
         .output()
         .expect("run drw-analyze");
     assert!(
         out.status.success(),
-        "expected exactly 10 findings; stdout: {} stderr: {}",
+        "expected exactly 5 findings; stdout: {} stderr: {}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
 }
 
-/// The runtime wire gate through the real binary: the bad fixture's 10
-/// static findings plus the joined `wire-values` finding make 11.
+/// The runtime wire gate through the real binary: the bad fixture's 5
+/// determinism findings plus the joined `wire-values` finding make 6.
 #[test]
 fn cli_gate_wire_report_rejects_bad_fixture() {
     let bin = env!("CARGO_BIN_EXE_drw-analyze");
@@ -294,12 +261,12 @@ fn cli_gate_wire_report_rejects_bad_fixture() {
         .arg(fixture("bad_ws"))
         .args(["--skip-interleave", "--wire-report"])
         .arg(&wire)
-        .args(["--expect-findings", "11"])
+        .args(["--expect-findings", "6"])
         .output()
         .expect("run drw-analyze");
     assert!(
         out.status.success(),
-        "expected exactly 11 findings; stdout: {} stderr: {}",
+        "expected exactly 6 findings; stdout: {} stderr: {}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );

@@ -40,9 +40,9 @@ pub struct EngineConfig {
     pub faults: Option<FaultPlan>,
     /// If true, the delivery queue records a per-type wire-value census
     /// ([`RunReport::wire`]): the maximum actual magnitude of every
-    /// priced field, per `Message` type. `drw-analyze --wire-report`
-    /// joins it against the static pricing table. Costs a little time;
-    /// off by default.
+    /// listed field, per `Message` type, and the deliveries whose
+    /// listing did not round-trip. `drw-analyze --wire-report` prices
+    /// it. Costs a little time; off by default.
     pub record_wire: bool,
 }
 
@@ -233,13 +233,20 @@ pub fn run_protocol<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{Envelope, Message};
+    use crate::message::{Envelope, Message, WireReader, WireSink};
     use crate::protocol::Ctx;
     use drw_graph::generators;
 
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, PartialEq)]
     struct Ping(u32);
-    impl Message for Ping {}
+    impl Message for Ping {
+        fn encode(&self, w: &mut impl WireSink) {
+            w.word("counter", self.0.into());
+        }
+        fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+            r.read().map(Ping)
+        }
+    }
 
     /// Floods a counter outward; every node forwards a strictly smaller
     /// counter to all neighbors once.
@@ -379,18 +386,13 @@ mod tests {
         assert_eq!(report.max_edge_load, 10);
     }
 
-    #[derive(Clone, Debug)]
-    struct Wide;
-    impl Message for Wide {
-        fn size_words(&self) -> usize {
-            9
-        }
-    }
+    // A broadcast payload is one word per item.
+    use crate::primitives::BroadcastMsg as Wide;
     struct SendsWide;
     impl Protocol for SendsWide {
         type Msg = Wide;
         fn start(&mut self, ctx: &mut Ctx<'_, Wide>) {
-            ctx.send(0, 1, Wide);
+            ctx.send(0, 1, Wide(vec![0; 9]));
         }
         fn on_receive(&mut self, _: usize, _: &[Envelope<Wide>], _: &mut Ctx<'_, Wide>) {}
     }
@@ -404,27 +406,15 @@ mod tests {
     }
 
     /// Grows its payload on every hop; aborts once it exceeds the cap.
-    #[derive(Clone, Debug)]
-    struct Growing(usize);
-    impl Message for Growing {
-        fn size_words(&self) -> usize {
-            self.0
-        }
-    }
     struct GrowsMidRun;
     impl Protocol for GrowsMidRun {
-        type Msg = Growing;
-        fn start(&mut self, ctx: &mut Ctx<'_, Growing>) {
-            ctx.send(0, 1, Growing(1));
+        type Msg = Wide;
+        fn start(&mut self, ctx: &mut Ctx<'_, Wide>) {
+            ctx.send(0, 1, Wide(vec![0]));
         }
-        fn on_receive(
-            &mut self,
-            node: usize,
-            inbox: &[Envelope<Growing>],
-            ctx: &mut Ctx<'_, Growing>,
-        ) {
-            let words = inbox[0].msg.0;
-            ctx.send(node, node ^ 1, Growing(words + 1));
+        fn on_receive(&mut self, node: usize, inbox: &[Envelope<Wide>], ctx: &mut Ctx<'_, Wide>) {
+            let words = inbox[0].msg.0.len();
+            ctx.send(node, node ^ 1, Wide(vec![0; words + 1]));
         }
     }
 
@@ -744,10 +734,9 @@ mod tests {
                 },
                 wire: {
                     let mut w = WireCensus::default();
-                    let _ =
-                        w.record("Ping", 1)
-                            .field("counter", 8)
-                            .field_fixed("mass", 1 << 40, 40);
+                    w.record("Ping", 1)
+                        .field("counter", 8)
+                        .field_fixed("mass", 1 << 40, 40);
                     w
                 },
             };

@@ -445,13 +445,21 @@ impl<M: Message> FlatQueue<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{WireReader, WireSink};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// A message that remembers where in the input it stood.
     #[derive(Clone, Debug, PartialEq, Eq)]
     struct Tag(u32);
-    impl Message for Tag {}
+    impl Message for Tag {
+        fn encode(&self, w: &mut impl WireSink) {
+            w.word("tag", self.0.into());
+        }
+        fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+            r.read().map(Tag)
+        }
+    }
 
     type Run = Vec<(usize, Tag)>;
 

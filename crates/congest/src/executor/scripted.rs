@@ -160,7 +160,7 @@ fn assert_permutation(perm: &[usize], len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Message;
+    use crate::message::{Message, WireReader, WireSink};
     use crate::run_protocol;
     use drw_graph::generators;
     use rand::Rng;
@@ -171,9 +171,16 @@ mod tests {
     /// global hook also has node 0 send the round number to node 1:
     /// same edge, one stage ahead of node 0's own send, so node 1's
     /// (order-sensitive) fold sees the hook-before-node staging order.
-    #[derive(Clone, Debug)]
+    #[derive(Clone, Debug, PartialEq)]
     struct Gossip(u64);
-    impl Message for Gossip {}
+    impl Message for Gossip {
+        fn encode(&self, w: &mut impl WireSink) {
+            w.word("draw", self.0);
+        }
+        fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+            r.read().map(Gossip)
+        }
+    }
 
     #[derive(Default, Clone, PartialEq, Eq, Debug)]
     struct Digest {

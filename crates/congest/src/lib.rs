@@ -11,8 +11,9 @@
 //!
 //! # How the simulator enforces the model
 //!
-//! - Message sizes are accounted in `O(log n)`-bit *words*
-//!   ([`Message::size_words`]); oversized messages abort the run.
+//! - Message sizes are accounted in `O(log n)`-bit *words*, counted from
+//!   each message's one wire listing ([`Message::encode`]); oversized
+//!   messages abort the run.
 //! - Each directed edge carries at most [`EngineConfig::edge_capacity`]
 //!   messages per round (default 1). Excess sends are queued FIFO on the
 //!   edge and delivered in subsequent rounds — so congestion shows up
@@ -45,12 +46,20 @@
 //!
 //! ```
 //! use drw_congest::{run_protocol, Ctx, EngineConfig, Envelope, Message, Protocol};
+//! use drw_congest::{WireReader, WireSink};
 //! use drw_graph::generators;
 //!
 //! /// A token that walks along a path for a fixed number of steps.
-//! #[derive(Clone, Debug)]
+//! #[derive(Clone, Debug, PartialEq)]
 //! struct Hop(u32);
-//! impl Message for Hop {}
+//! impl Message for Hop {
+//!     fn encode(&self, w: &mut impl WireSink) {
+//!         w.word("left", self.0.into());
+//!     }
+//!     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+//!         r.read().map(Hop)
+//!     }
+//! }
 //!
 //! struct Relay {
 //!     end: Option<usize>,
@@ -94,7 +103,8 @@ pub use engine::{run_protocol, EngineConfig, MemoryReport, RunError, RunReport};
 pub use executor::{receive_order, run_scripted, ExecutorKind, ScriptedSchedule};
 pub use fault::{FaultCounters, FaultPlan, ScriptedTiming};
 pub use message::{
-    wire_type_name, Envelope, FieldCensus, FracBits, Message, TypeCensus, TypeRecorder, WireCensus,
+    round_trips, wire_type_name, Envelope, FieldCensus, FracBits, Message, TypeCensus, WireCensus,
+    WireReader, WireSink,
 };
 pub use multiplex::Mux2;
 pub use protocol::{Ctx, NodeCtx, Protocol};

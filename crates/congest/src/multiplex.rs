@@ -17,7 +17,7 @@
 //! extra `O(log n)`-bit word on every message, so the CONGEST bandwidth
 //! price of multiplexing is explicit rather than hidden.
 
-use crate::message::Message;
+use crate::message::{Message, WireReader, WireSink};
 
 /// A message of one lane of one *request* within a multiplexed run of
 /// heterogeneous requests.
@@ -51,33 +51,31 @@ impl<M> Mux2<M> {
 }
 
 impl<M: Message> Message for Mux2<M> {
-    /// The packed `(req, lane)` pair costs one word on top of the inner
-    /// payload.
-    fn size_words(&self) -> usize {
-        1 + self.msg.size_words()
+    /// The `(req, lane)` pair is one word, ahead of the inner payload.
+    fn encode(&self, w: &mut impl WireSink) {
+        w.packed(&[("req", self.req.into()), ("lane", self.lane.into())]);
+        w.inner(&self.msg);
     }
 
-    /// Records the packed header word, then delegates to the inner
-    /// payload so the census sees both the multiplex header and the
-    /// real message.
-    fn census(&self, census: &mut crate::message::WireCensus) {
-        let _ = census
-            .record("Mux2", self.size_words())
-            .field("req", u64::from(self.req))
-            .field("lane", u64::from(self.lane));
-        self.msg.census(census);
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        Some(Mux2::new(r.read()?, r.read()?, M::decode(r)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::{round_trips, WireCensus};
 
     #[derive(Clone, Debug, PartialEq, Eq)]
     struct Pair(u32, u32);
     impl Message for Pair {
-        fn size_words(&self) -> usize {
-            2
+        fn encode(&self, w: &mut impl WireSink) {
+            w.word("a", self.0.into());
+            w.word("b", self.1.into());
+        }
+        fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+            Some(Pair(r.read()?, r.read()?))
         }
     }
 
@@ -85,14 +83,15 @@ mod tests {
     fn request_and_lane_pack_into_one_word() {
         let m = Mux2::new(3, 7, Pair(1, 2));
         assert_eq!(m.size_words(), 3, "the (req, lane) pair is one word");
-        assert_eq!((m.req, m.lane), (3, 7));
+        assert!(round_trips(&m));
     }
 
     #[test]
-    fn default_sized_inner_message() {
-        #[derive(Clone, Debug)]
-        struct Unit;
-        impl Message for Unit {}
-        assert_eq!(Mux2::new(0, 0, Unit).size_words(), 2);
+    fn census_records_the_header_and_the_payload_apart() {
+        let mut c = WireCensus::default();
+        Mux2::new(3, 7, Pair(1, 2)).census(&mut c);
+        let mux = c.get("Mux2").expect("header recorded");
+        assert_eq!((mux.max_words, mux.fields.len(), mux.lossy), (3, 2, 0));
+        assert_eq!(c.get("Pair").expect("payload recorded").max_words, 2);
     }
 }

@@ -8,7 +8,7 @@
 //! from every neighbor knows its children conclusively — no global
 //! knowledge of `D` required.
 
-use crate::message::{Envelope, Message};
+use crate::message::{Envelope, Message, WireReader, WireSink};
 use crate::protocol::{Ctx, Protocol};
 use drw_graph::NodeId;
 
@@ -24,15 +24,21 @@ pub struct BfsMsg {
 }
 
 impl Message for BfsMsg {
-    fn size_words(&self) -> usize {
-        2
+    /// Each half is a presence tag and a word, absent or not: 2 words.
+    fn encode(&self, w: &mut impl WireSink) {
+        w.tag(self.level.is_some().into());
+        w.word("level", self.level.map_or(0, u64::from));
+        w.tag(self.child_status.is_some().into());
+        w.word("child_status", self.child_status.map_or(0, u64::from));
     }
 
-    fn census(&self, census: &mut crate::message::WireCensus) {
-        let _ = census
-            .record("BfsMsg", self.size_words())
-            .field("level", self.level.map_or(0, u64::from))
-            .field("child_status", self.child_status.map_or(0, u64::from));
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        let level = r.flag()?.then_some(r.read()?);
+        let child_status = r.flag()?.then_some(r.flag()?);
+        Some(BfsMsg {
+            level,
+            child_status,
+        })
     }
 }
 

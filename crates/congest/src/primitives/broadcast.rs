@@ -1,7 +1,7 @@
 //! Tree broadcast: flood a small payload from the root to every node.
 
 use super::bfs::BfsTree;
-use crate::message::{Envelope, Message};
+use crate::message::{Envelope, Message, WireReader, WireSink};
 use crate::protocol::{Ctx, Protocol};
 use drw_graph::NodeId;
 
@@ -10,15 +10,16 @@ use drw_graph::NodeId;
 pub struct BroadcastMsg(pub Vec<u64>);
 
 impl Message for BroadcastMsg {
-    fn size_words(&self) -> usize {
-        self.0.len()
+    /// One word per item; the length is a tag, bounded by the word cap.
+    fn encode(&self, w: &mut impl WireSink) {
+        w.tag(self.0.len() as u64);
+        self.0.iter().for_each(|&item| w.word("item", item));
     }
 
-    fn census(&self, census: &mut crate::message::WireCensus) {
-        let _ = census
-            .record("BroadcastMsg", self.size_words())
-            .field("len", self.0.len() as u64)
-            .field("item", self.0.iter().copied().max().unwrap_or(0));
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        let len: usize = r.read()?;
+        let items = (0..len).map(|_| r.read()).collect::<Option<_>>()?;
+        Some(BroadcastMsg(items))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Tree convergecast: aggregate one `u64` per node at the root.
 
 use super::bfs::BfsTree;
-use crate::message::{Envelope, FracBits, Message};
+use crate::message::{Envelope, FracBits, Message, WireReader, WireSink};
 use crate::protocol::{Ctx, Protocol};
 use drw_graph::NodeId;
 
@@ -39,10 +39,14 @@ pub struct ConvergecastMsg {
 }
 
 impl Message for ConvergecastMsg {
-    fn census(&self, census: &mut crate::message::WireCensus) {
-        let _ = census
-            .record("ConvergecastMsg", self.size_words())
-            .field_fixed("value", self.value, self.frac.0);
+    fn encode(&self, w: &mut impl WireSink) {
+        w.fixed("value", self.value, self.frac);
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        let value = r.read()?;
+        let frac = FracBits(r.read()?);
+        Some(ConvergecastMsg { value, frac })
     }
 }
 

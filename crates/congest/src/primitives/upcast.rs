@@ -7,7 +7,7 @@
 //! to the source.
 
 use super::bfs::BfsTree;
-use crate::message::{Envelope, Message};
+use crate::message::{Envelope, Message, WireReader, WireSink};
 use crate::protocol::{Ctx, Protocol};
 use drw_graph::NodeId;
 
@@ -20,15 +20,13 @@ pub type UpcastItem = (u64, u64);
 pub struct UpcastMsg(pub UpcastItem);
 
 impl Message for UpcastMsg {
-    fn census(&self, census: &mut crate::message::WireCensus) {
-        let _ = census
-            .record("UpcastMsg", self.size_words())
-            .field("key", self.0 .0)
-            .field("value", self.0 .1);
+    fn encode(&self, w: &mut impl WireSink) {
+        w.word("key", self.0 .0);
+        w.word("value", self.0 .1);
     }
 
-    fn size_words(&self) -> usize {
-        2
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        Some(UpcastMsg((r.read()?, r.read()?)))
     }
 }
 

@@ -8,7 +8,7 @@
 //! behind each other, so the depth is paid once, not per bucket.
 
 use super::bfs::BfsTree;
-use crate::message::{Envelope, Message};
+use crate::message::{Envelope, Message, WireReader, WireSink};
 use crate::protocol::{Ctx, Protocol};
 use drw_graph::NodeId;
 
@@ -22,15 +22,16 @@ pub struct VecSumMsg {
 }
 
 impl Message for VecSumMsg {
-    fn size_words(&self) -> usize {
-        2
+    fn encode(&self, w: &mut impl WireSink) {
+        w.word("bucket", self.bucket);
+        w.word("sum", self.sum);
     }
 
-    fn census(&self, census: &mut crate::message::WireCensus) {
-        let _ = census
-            .record("VecSumMsg", self.size_words())
-            .field("bucket", self.bucket)
-            .field("sum", self.sum);
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        Some(VecSumMsg {
+            bucket: r.read()?,
+            sum: r.read()?,
+        })
     }
 }
 

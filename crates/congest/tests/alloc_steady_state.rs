@@ -9,7 +9,9 @@
 //! test function, so nothing else allocates in the process while it
 //! counts.
 
-use drw_congest::{run_protocol, Ctx, EngineConfig, Envelope, FaultPlan, Message, Protocol};
+use drw_congest::{
+    run_protocol, Ctx, EngineConfig, Envelope, FaultPlan, Message, Protocol, WireReader, WireSink,
+};
 use drw_graph::generators;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,9 +51,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Ping(u64);
-impl Message for Ping {}
+impl Message for Ping {
+    fn encode(&self, w: &mut impl WireSink) {
+        w.word("ping", self.0);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        r.read().map(Ping)
+    }
+}
 
 const WARM_UP: u64 = 8;
 const ROUNDS: u64 = 64;

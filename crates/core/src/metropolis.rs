@@ -16,7 +16,7 @@
 //! emits a one-word `Tick` to a neighbor — the round cost of a stay is
 //! modeled exactly, at one message of overhead.
 
-use drw_congest::{Ctx, Envelope, Message, Protocol, RunError};
+use drw_congest::{Ctx, Envelope, Message, Protocol, RunError, WireReader, WireSink};
 use drw_graph::{Graph, NodeId};
 use rand::Rng;
 
@@ -36,16 +36,29 @@ pub enum MhMsg {
 }
 
 impl Message for MhMsg {
-    fn size_words(&self) -> usize {
-        2
+    /// A `Tick` is padded to the token's 2 words.
+    fn encode(&self, w: &mut impl WireSink) {
+        match self {
+            MhMsg::Token { walk, left } => {
+                w.tag(0);
+                w.word("Token.walk", (*walk).into());
+                w.word("Token.left", *left);
+            }
+            MhMsg::Tick => {
+                w.tag(1);
+                w.pad(2);
+            }
+        }
     }
 
-    fn census(&self, census: &mut drw_congest::WireCensus) {
-        let rec = census.record("MhMsg", self.size_words());
-        if let MhMsg::Token { walk, left } = self {
-            let _ = rec
-                .field("Token.walk", u64::from(*walk))
-                .field("Token.left", *left);
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        match r.read::<u8>()? {
+            0 => Some(MhMsg::Token {
+                walk: r.read()?,
+                left: r.read()?,
+            }),
+            1 => Some(MhMsg::Tick),
+            _ => None,
         }
     }
 }

@@ -7,7 +7,7 @@
 //! absorbed by the engine's edge queues, exactly as in the model).
 
 use crate::state::WalkState;
-use drw_congest::{Ctx, Envelope, Message, Protocol, RunError};
+use drw_congest::{Ctx, Envelope, Message, Protocol, RunError, WireReader, WireSink};
 use drw_graph::{Graph, NodeId};
 
 /// Specification of one token walk.
@@ -37,16 +37,18 @@ pub struct NaiveMsg {
 }
 
 impl Message for NaiveMsg {
-    fn size_words(&self) -> usize {
-        3
+    fn encode(&self, w: &mut impl WireSink) {
+        w.word("walk", self.walk.into());
+        w.word("left", self.left);
+        w.word("pos", self.pos);
     }
 
-    fn census(&self, census: &mut drw_congest::WireCensus) {
-        let _ = census
-            .record("NaiveMsg", self.size_words())
-            .field("walk", u64::from(self.walk))
-            .field("left", self.left)
-            .field("pos", self.pos);
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        Some(NaiveMsg {
+            walk: r.read()?,
+            left: r.read()?,
+            pos: r.read()?,
+        })
     }
 }
 

@@ -273,6 +273,8 @@ pub(crate) fn wave_step(
 /// # Errors
 ///
 /// [`WalkError::SourceOutOfRange`] for an unknown source/root,
+/// [`WalkError::Disconnected`] for anything but an empty walk on a graph
+/// without edges,
 /// [`WalkError::TooFewSamples`] for a mixing request whose
 /// `ceil(samples_scale * sqrt(n))` is below 2 (the collision estimator
 /// needs pairs; a zero-sample probe would also contribute no work items
@@ -289,6 +291,15 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
             Ok(())
         }
     };
+    // A step needs an edge: on a lone node only the empty walk exists.
+    // A tree or a mixing probe walks at least one step.
+    let steps = |len: u64| {
+        if len > 0 && g.m() == 0 {
+            Err(WalkError::Disconnected)
+        } else {
+            Ok(())
+        }
+    };
     let mut response = None;
     let driver = match request {
         Request::Mutate(_) => unreachable!("mutations are split off by the scheduler"),
@@ -298,6 +309,7 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
             record,
         } => {
             check(source)?;
+            steps(len)?;
             Driver::Walk {
                 source,
                 len,
@@ -306,6 +318,7 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
         }
         Request::ManyWalks { sources, len } => {
             sources.iter().try_for_each(|&s| check(s))?;
+            steps(len)?;
             if sources.len() > MAX_WAVE_LANES {
                 return Err(WalkError::TooManyLanes(sources.len()).into());
             }
@@ -320,6 +333,7 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
         }
         Request::SpanningTree(req) => {
             check(req.root)?;
+            steps(1)?;
             let initial_len = if req.initial_len == 0 {
                 n as u64
             } else {
@@ -340,6 +354,7 @@ pub(crate) fn new_slot(request: Request, g: &Graph) -> Result<Slot, Error> {
         }
         Request::MixingTime(req) => {
             check(req.source)?;
+            steps(1)?;
             let k = ((n as f64).sqrt() * req.samples_scale).ceil() as usize;
             if k < 2 {
                 return Err(WalkError::TooFewSamples(k).into());

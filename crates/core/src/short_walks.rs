@@ -23,7 +23,7 @@
 //! under scripted handler orders to measure that no order shows through.
 
 use crate::state::{WalkId, WalkState};
-use drw_congest::{Ctx, Envelope, Message, Protocol};
+use drw_congest::{Ctx, Envelope, Message, Protocol, WireReader, WireSink};
 use drw_graph::NodeId;
 use rand::Rng;
 
@@ -42,17 +42,20 @@ pub struct ShortWalkMsg {
 }
 
 impl Message for ShortWalkMsg {
-    fn size_words(&self) -> usize {
-        4
+    fn encode(&self, w: &mut impl WireSink) {
+        w.word("source", self.source.into());
+        w.word("seq", self.seq.into());
+        w.word("step", self.step.into());
+        w.word("total", self.total.into());
     }
 
-    fn census(&self, census: &mut drw_congest::WireCensus) {
-        let _ = census
-            .record("ShortWalkMsg", self.size_words())
-            .field("source", u64::from(self.source))
-            .field("seq", u64::from(self.seq))
-            .field("step", u64::from(self.step))
-            .field("total", u64::from(self.total));
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        Some(ShortWalkMsg {
+            source: r.read()?,
+            seq: r.read()?,
+            step: r.read()?,
+            total: r.read()?,
+        })
     }
 }
 

@@ -41,7 +41,9 @@ use std::fmt;
 pub enum WalkError {
     /// The underlying engine failed (round cap or bandwidth violation).
     Engine(RunError),
-    /// The graph is not connected — the paper's model assumes it is.
+    /// The graph is not connected, or has no edge for a walk to step
+    /// along (a lone node) — the paper's model assumes a connected
+    /// graph with an edge.
     Disconnected,
     /// A source node id was out of range.
     SourceOutOfRange(
@@ -75,7 +77,7 @@ impl fmt::Display for WalkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WalkError::Engine(e) => write!(f, "engine error: {e}"),
-            WalkError::Disconnected => write!(f, "graph must be connected"),
+            WalkError::Disconnected => write!(f, "graph must be connected, with an edge to walk"),
             WalkError::SourceOutOfRange(s) => write!(f, "source {s} out of range"),
             WalkError::TooFewSamples(k) => write!(
                 f,

@@ -92,7 +92,10 @@ use crate::get_more_walks::{reservoir_split, scatter_counts, AGGREGATED_SEQ};
 use crate::sample_destination::SdLaneSlot;
 use crate::single_walk::{Segment, StitchSetup, WalkAction, WalkDriver, WalkError};
 use crate::state::{NodeWalkState, StoredWalk, WalkId, WalkState};
-use drw_congest::{Ctx, Envelope, Message, Mux2, NodeCtx, Protocol, RunError, RunReport, Runner};
+use drw_congest::{
+    Ctx, Envelope, Message, Mux2, NodeCtx, Protocol, RunError, RunReport, Runner, WireReader,
+    WireSink,
+};
 use drw_graph::NodeId;
 
 /// One walk to stitch: `len` steps from `source` — a work item of a
@@ -217,64 +220,124 @@ fn unpack_walk(word: u64) -> WalkId {
 }
 
 impl Message for StitchMsg {
-    fn size_words(&self) -> usize {
-        match self {
-            StitchMsg::Wave { .. }
-            | StitchMsg::Chosen { .. }
-            | StitchMsg::Swk { .. }
-            | StitchMsg::Replay { .. } => 3,
-            StitchMsg::Agg { .. } | StitchMsg::Gmw { .. } | StitchMsg::Taken { .. } => 2,
-            StitchMsg::Retry { .. } | StitchMsg::GmwAck { .. } | StitchMsg::Tail { .. } => 1,
-        }
-    }
-
-    fn census(&self, census: &mut drw_congest::WireCensus) {
-        let rec = census.record("StitchMsg", self.size_words());
-        let _ = match self {
+    /// Every variant leads with its tag. A walk id is one packed word
+    /// ([`pack_walk`]); a wave without one pads its slot.
+    fn encode(&self, w: &mut impl WireSink) {
+        match *self {
             StitchMsg::Wave { epoch, root, prev } => {
-                let rec = rec
-                    .field("Wave.epoch", u64::from(*epoch))
-                    .field("Wave.root", u64::from(*root));
-                let id = unpack_walk(*prev);
-                if *prev == NO_PREV {
-                    rec
+                w.tag(0);
+                w.word("Wave.epoch", epoch.into());
+                w.word("Wave.root", root.into());
+                w.tag((prev != NO_PREV).into());
+                if prev == NO_PREV {
+                    w.pad(1);
                 } else {
-                    rec.field("Wave.prev.source", u64::from(id.source))
-                        .field("Wave.prev.seq", u64::from(id.seq))
+                    let id = unpack_walk(prev);
+                    w.packed(&[
+                        ("Wave.prev.source", id.source.into()),
+                        ("Wave.prev.seq", id.seq.into()),
+                    ]);
                 }
             }
-            StitchMsg::Agg { owner, count } => rec
-                .field("Agg.owner", u64::from(*owner))
-                .field("Agg.count", *count),
+            StitchMsg::Agg { owner, count } => {
+                w.tag(1);
+                w.word("Agg.owner", owner.into());
+                w.word("Agg.count", count);
+            }
             StitchMsg::Chosen {
                 epoch,
                 owner,
                 completed,
-            } => rec
-                .field("Chosen.epoch", u64::from(*epoch))
-                .field("Chosen.owner", u64::from(*owner))
-                .field("Chosen.completed", *completed),
-            StitchMsg::Retry { epoch } => rec.field("Retry.epoch", u64::from(*epoch)),
-            StitchMsg::Gmw { step, count } => rec
-                .field("Gmw.step", u64::from(*step))
-                .field("Gmw.count", *count),
-            StitchMsg::Swk { seq, step, total } => rec
-                .field("Swk.seq", u64::from(*seq))
-                .field("Swk.step", u64::from(*step))
-                .field("Swk.total", u64::from(*total)),
-            StitchMsg::GmwAck { count } => rec.field("GmwAck.count", *count),
-            StitchMsg::Tail { left } => rec.field("Tail.left", *left),
-            StitchMsg::Taken { epoch, seq } => rec
-                .field("Taken.epoch", u64::from(*epoch))
-                .field("Taken.seq", u64::from(*seq)),
-            StitchMsg::Replay { walk, step, pos } => {
-                let id = unpack_walk(*walk);
-                rec.field("Replay.source", u64::from(id.source))
-                    .field("Replay.seq", u64::from(id.seq))
-                    .field("Replay.step", u64::from(*step))
-                    .field("Replay.pos", *pos)
+            } => {
+                w.tag(2);
+                w.word("Chosen.epoch", epoch.into());
+                w.word("Chosen.owner", owner.into());
+                w.word("Chosen.completed", completed);
             }
+            StitchMsg::Retry { epoch } => {
+                w.tag(3);
+                w.word("Retry.epoch", epoch.into());
+            }
+            StitchMsg::Gmw { step, count } => {
+                w.tag(4);
+                w.word("Gmw.step", step.into());
+                w.word("Gmw.count", count);
+            }
+            StitchMsg::Swk { seq, step, total } => {
+                w.tag(5);
+                w.word("Swk.seq", seq.into());
+                w.word("Swk.step", step.into());
+                w.word("Swk.total", total.into());
+            }
+            StitchMsg::GmwAck { count } => {
+                w.tag(6);
+                w.word("GmwAck.count", count);
+            }
+            StitchMsg::Tail { left } => {
+                w.tag(7);
+                w.word("Tail.left", left);
+            }
+            StitchMsg::Taken { epoch, seq } => {
+                w.tag(8);
+                w.word("Taken.epoch", epoch.into());
+                w.word("Taken.seq", seq.into());
+            }
+            StitchMsg::Replay { walk, step, pos } => {
+                w.tag(9);
+                let id = unpack_walk(walk);
+                w.packed(&[
+                    ("Replay.source", id.source.into()),
+                    ("Replay.seq", id.seq.into()),
+                ]);
+                w.word("Replay.step", step.into());
+                w.word("Replay.pos", pos);
+            }
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        let walk = |r: &mut WireReader<'_>| {
+            let (source, seq) = (r.read()?, r.read()?);
+            Some(pack_walk(WalkId { source, seq }))
         };
+        Some(match r.read::<u8>()? {
+            0 => StitchMsg::Wave {
+                epoch: r.read()?,
+                root: r.read()?,
+                prev: if r.flag()? { walk(r)? } else { NO_PREV },
+            },
+            1 => StitchMsg::Agg {
+                owner: r.read()?,
+                count: r.read()?,
+            },
+            2 => StitchMsg::Chosen {
+                epoch: r.read()?,
+                owner: r.read()?,
+                completed: r.read()?,
+            },
+            3 => StitchMsg::Retry { epoch: r.read()? },
+            4 => StitchMsg::Gmw {
+                step: r.read()?,
+                count: r.read()?,
+            },
+            5 => StitchMsg::Swk {
+                seq: r.read()?,
+                step: r.read()?,
+                total: r.read()?,
+            },
+            6 => StitchMsg::GmwAck { count: r.read()? },
+            7 => StitchMsg::Tail { left: r.read()? },
+            8 => StitchMsg::Taken {
+                epoch: r.read()?,
+                seq: r.read()?,
+            },
+            9 => StitchMsg::Replay {
+                walk: walk(r)?,
+                step: r.read()?,
+                pos: r.read()?,
+            },
+            _ => return None,
+        })
     }
 }
 
@@ -2085,8 +2148,84 @@ mod tests {
             source: (1 << 26) - 1,
             seq: 1 << 12,
         };
-        assert_eq!(unpack_walk(pack_walk(id)), id);
         assert_ne!(pack_walk(id), NO_PREV);
+    }
+
+    #[test]
+    fn every_production_message_round_trips_at_its_field_limits() {
+        use crate::{metropolis::MhMsg, naive::NaiveMsg, short_walks::ShortWalkMsg};
+        use drw_congest::primitives::{
+            BfsMsg, BroadcastMsg, ConvergecastMsg, UpcastMsg, VecSumMsg,
+        };
+        use drw_congest::{round_trips, FracBits};
+        fn limits<M: Message>(msgs: &[M]) {
+            for m in msgs {
+                assert!(round_trips(m), "{m:?} lost a field at its limits");
+            }
+        }
+        // `i`: the largest id, seq or step; `c`: the largest counter.
+        let (i, c) = (u32::MAX, u64::MAX);
+        let walk = pack_walk(WalkId {
+            source: i,
+            seq: i - 1,
+        });
+        let stitch = [
+            StitchMsg::Wave {
+                epoch: i,
+                root: i,
+                prev: NO_PREV,
+            },
+            StitchMsg::Wave {
+                epoch: i,
+                root: i,
+                prev: walk,
+            },
+            StitchMsg::Agg { owner: i, count: c },
+            StitchMsg::Chosen {
+                epoch: i,
+                owner: i,
+                completed: c,
+            },
+            StitchMsg::Retry { epoch: i },
+            StitchMsg::Gmw { step: i, count: c },
+            StitchMsg::Swk {
+                seq: i,
+                step: i,
+                total: i,
+            },
+            StitchMsg::GmwAck { count: c },
+            StitchMsg::Tail { left: c },
+            StitchMsg::Taken { epoch: i, seq: i },
+            StitchMsg::Replay {
+                walk: c,
+                step: i,
+                pos: c,
+            },
+        ];
+        limits(&stitch.map(|m| Mux2::new(u16::MAX, u16::MAX, m)));
+        limits(&[ShortWalkMsg {
+            source: i,
+            seq: i,
+            step: i,
+            total: i,
+        }]);
+        limits(&[NaiveMsg {
+            walk: i,
+            left: c,
+            pos: c,
+        }]);
+        limits(&[MhMsg::Token { walk: i, left: c }, MhMsg::Tick]);
+        limits(&[None, Some(false), Some(true)].map(|child_status| BfsMsg {
+            level: child_status.map(|_| i),
+            child_status,
+        }));
+        limits(&[BroadcastMsg(vec![c; 4]), BroadcastMsg(Vec::new())]);
+        limits(&[ConvergecastMsg {
+            value: c,
+            frac: FracBits(40),
+        }]);
+        limits(&[UpcastMsg((c, c))]);
+        limits(&[VecSumMsg { bucket: c, sum: c }]);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! the `sqrt(l / log l)` bound in experiment E8.
 
 use crate::intervals::IntervalSet;
-use drw_congest::{run_protocol, Ctx, EngineConfig, Envelope, Message, Protocol, RunError};
+use drw_congest::{
+    run_protocol, Ctx, EngineConfig, Envelope, Message, Protocol, RunError, WireReader, WireSink,
+};
 use drw_graph::{Graph, NodeId};
 use std::collections::VecDeque;
 
@@ -35,16 +37,18 @@ pub struct SegmentMsg {
 }
 
 impl Message for SegmentMsg {
-    fn size_words(&self) -> usize {
-        2
+    fn encode(&self, w: &mut impl WireSink) {
+        w.word("lo", self.lo);
+        w.word("hi", self.hi);
+        w.tag(self.announce.into());
     }
 
-    fn census(&self, census: &mut drw_congest::WireCensus) {
-        let _ = census
-            .record("SegmentMsg", self.size_words())
-            .field("lo", self.lo)
-            .field("hi", self.hi)
-            .field("announce", u64::from(self.announce));
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        Some(SegmentMsg {
+            lo: r.read()?,
+            hi: r.read()?,
+            announce: r.flag()?,
+        })
     }
 }
 
@@ -245,6 +249,14 @@ mod tests {
 
     fn cfg() -> EngineConfig {
         EngineConfig::default()
+    }
+
+    #[test]
+    fn segments_round_trip_at_their_limits() {
+        for announce in [false, true] {
+            let (lo, hi) = (u64::MAX, u64::MAX);
+            assert!(drw_congest::round_trips(&SegmentMsg { lo, hi, announce }));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! whether to stop.
 
 use drw_congest::primitives::{AggOp, BfsTreeProtocol, ConvergecastProtocol};
-use drw_congest::{Ctx, Envelope, Message, Protocol, Runner};
+use drw_congest::{Ctx, Envelope, FracBits, Message, Protocol, Runner, WireReader, WireSink};
 use drw_core::WalkError;
 use drw_graph::{spectral, traversal, Graph, NodeId};
 
@@ -25,13 +25,16 @@ const SCALE: f64 = (1u64 << 40) as f64;
 pub struct MassMsg(u64);
 
 impl Message for MassMsg {
-    fn census(&self, census: &mut drw_congest::WireCensus) {
-        // Fixed-point mass: the low 40 bits (`SCALE = 2^40`) encode
-        // precision, not magnitude — total mass is conserved at 1.0, so
-        // the integer part never exceeds a handful of bits.
-        let _ = census
-            .record("MassMsg", self.size_words())
-            .field_fixed("mass", self.0, 40);
+    /// Fixed-point mass: the low 40 bits (`SCALE = 2^40`) encode
+    /// precision, not magnitude — total mass is conserved at 1.0, so the
+    /// integer part never exceeds a handful of bits.
+    fn encode(&self, w: &mut impl WireSink) {
+        w.fixed("mass", self.0, FracBits(40));
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        let mass = r.read()?;
+        (r.read::<u32>()? == 40).then_some(MassMsg(mass))
     }
 }
 
@@ -226,6 +229,11 @@ mod tests {
     use super::*;
     use crate::ground_truth::{eps_mix, exact_tau};
     use drw_graph::generators;
+
+    #[test]
+    fn mass_round_trips_at_its_limit() {
+        assert!(drw_congest::round_trips(&MassMsg(u64::MAX)));
+    }
 
     #[test]
     fn matches_exact_tau_up_to_doubling() {

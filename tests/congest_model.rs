@@ -76,12 +76,12 @@ fn congestion_delays_but_never_drops() {
 }
 
 // ---------------------------------------------------------------------------
-// Per-protocol word accounting: `RunReport::max_edge_words_per_round` is
-// the runtime complement of drw-analyze's static `size_words` audit. At
-// the default `edge_capacity = Some(1)` each directed edge delivers at
-// most one message per round, so the recorded maximum must equal the
-// protocol's wire-format width exactly — any widening of a message
-// struct shows up here as a changed constant.
+// Per-protocol word accounting: `RunReport::max_edge_words_per_round`
+// counts the words of each message's wire listing (`Message::encode`)
+// as they cross an edge. At the default `edge_capacity = Some(1)` each
+// directed edge delivers at most one message per round, so the recorded
+// maximum must equal the protocol's wire-format width exactly — any
+// widening of a message listing shows up here as a changed constant.
 // ---------------------------------------------------------------------------
 
 /// BFS wave messages are 2 words (`Option<u32>` distance + wave flag).

@@ -9,7 +9,9 @@
 
 use distributed_random_walks::prelude::*;
 use drw_congest::primitives::BfsTreeProtocol;
-use drw_congest::{derive_seed, run_protocol, Ctx, Envelope, Message, Protocol, Runner};
+use drw_congest::{
+    derive_seed, run_protocol, Ctx, Envelope, Message, Protocol, Runner, WireReader, WireSink,
+};
 use drw_core::WalkState;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -263,9 +265,16 @@ fn spanning_trees_are_identical_across_backends() {
 /// Every node answers each token with a fresh random one to a random
 /// neighbor, forever: the run ends on `is_done` with mail in flight,
 /// or — `trap` — by a handler panic with mail in inboxes.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Tok(u64);
-impl Message for Tok {}
+impl Message for Tok {
+    fn encode(&self, w: &mut impl WireSink) {
+        w.word("tok", self.0);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Option<Self> {
+        r.read().map(Tok)
+    }
+}
 
 struct Churn {
     stop_after: u64,

@@ -9,11 +9,13 @@ use distributed_random_walks::prelude::*;
 
 /// Serves `bad` next to a healthy walk from another tenant and returns
 /// the bad ticket's error; the walk must complete and the accounting
-/// must still reconcile to the round.
+/// must still reconcile to the round. (On a graph without edges the
+/// only healthy walk is the empty one.)
 fn serve_next_to_a_walk(g: &Graph, bad: Request) -> DrwError {
     let mut svc = Service::builder(g).seed(1).build();
     let bad_ticket = svc.submit(0, bad).expect("queued");
-    let walk_ticket = svc.submit(1, Request::walk(0, 8)).expect("queued");
+    let len = if g.m() == 0 { 0 } else { 8 };
+    let walk_ticket = svc.submit(1, Request::walk(0, len)).expect("queued");
     svc.run_until_idle().expect("no service-fatal failure");
     let TicketPoll::Ready(walk) = svc.poll(walk_ticket).expect("known ticket") else {
         panic!("co-tenant walk unresolved");
@@ -54,6 +56,34 @@ fn undersampled_mixing_request_is_rejected_typed_on_every_path() {
         "the batch must be rejected before any wave runs"
     );
     assert_eq!(serve_next_to_a_walk(&g, bad()), expected);
+}
+
+#[test]
+fn a_step_off_a_lone_node_is_rejected_typed_on_every_path() {
+    // Node 0 has no neighbour to step to; each path used to panic.
+    let g = generators::path(1);
+    let expected = DrwError::Walk(WalkError::Disconnected);
+    let mut net = Network::builder(&g).seed(1).build();
+    for bad in [
+        Request::walk(0, 100),
+        Request::ManyWalks {
+            sources: vec![0, 0],
+            len: 5,
+        },
+        Request::SpanningTree(TreeRequest::new(0)),
+        Request::mixing_probe(0, 4),
+    ] {
+        assert_eq!(net.run(bad.clone()).unwrap_err(), expected, "{bad:?}");
+        assert_eq!(
+            net.run_batch(vec![Request::walk(0, 0), bad.clone()])
+                .unwrap_err(),
+            expected
+        );
+        assert_eq!(serve_next_to_a_walk(&g, bad), expected);
+    }
+    // The empty walk ends where it starts.
+    let walk = net.run(Request::walk(0, 0)).unwrap().into_walk();
+    assert_eq!(walk.destination, 0);
 }
 
 #[test]
