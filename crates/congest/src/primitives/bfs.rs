@@ -108,21 +108,34 @@ impl BfsTreeProtocol {
     ///
     /// Panics if the protocol has not run, or if some node was never
     /// reached (disconnected graph).
-    pub fn into_tree(mut self) -> BfsTree {
+    pub fn into_tree(self) -> BfsTree {
+        let tree = self.try_into_tree();
+        tree.expect("BFS did not reach every node; is the graph connected?")
+    }
+
+    /// [`BfsTreeProtocol::into_tree`], or `None` if some node was never
+    /// reached (the graph is disconnected, or fail-silent links lost the
+    /// wave) or some parent never heard of its child (they lost the
+    /// child's status): a tree that primitives cannot run on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the protocol has not run.
+    pub fn try_into_tree(mut self) -> Option<BfsTree> {
         assert!(!self.dist.is_empty(), "protocol has not run");
-        assert!(
-            self.dist.iter().all(|&d| d != UNSET),
-            "BFS did not reach every node; is the graph connected?"
-        );
+        let linked: usize = self.children.iter().map(Vec::len).sum();
+        if self.dist.contains(&UNSET) || linked + 1 != self.dist.len() {
+            return None;
+        }
         for c in &mut self.children {
             c.sort_unstable();
         }
-        BfsTree {
+        Some(BfsTree {
             root: self.root,
             dist: self.dist,
             parent: self.parent,
             children: self.children,
-        }
+        })
     }
 }
 

@@ -70,24 +70,7 @@ impl<'a, M: Message> Ctx<'a, M> {
     /// that neighbor — one step of the simple random walk.
     #[inline]
     pub fn send_random_neighbor(&mut self, node: NodeId, msg: M) -> NodeId {
-        self.send_random_neighbor_hop(node, msg).1
-    }
-
-    /// Like [`Ctx::send_random_neighbor`], but also returns the drawn
-    /// neighbor *index* (the walk's hop). The index is a by-product of
-    /// the draw and fits in far fewer bits than a node id — it is what
-    /// compact forwarding logs store.
-    #[inline]
-    pub fn send_random_neighbor_hop(&mut self, node: NodeId, msg: M) -> (u32, NodeId) {
-        // Not delegated to `NodeCtx`: a second caller of its copy keeps
-        // the compiler from inlining it into the Phase-1 token step.
-        let deg = self.graph.degree(node);
-        assert!(deg > 0, "node {node} has no neighbors");
-        let idx = self.rngs.node(node).random_range(0..deg);
-        let eid = self.graph.nth_edge_id(node, idx);
-        let to = self.graph.edge_target(eid);
-        self.staged.push((eid, msg));
-        (idx as u32, to)
+        self.at(node).send_random_neighbor(msg)
     }
 
     /// The view of this context scoped to `node`: sends leave from
@@ -168,12 +151,15 @@ impl<M: Message> NodeCtx<'_, M> {
 
     /// Like [`NodeCtx::send_random_neighbor`], but also returns the drawn
     /// neighbor *index* (the walk's hop) — the compact token forwarding
-    /// logs store instead of a full node id.
+    /// logs store instead of a full node id. Always inlined: the token
+    /// step of Phase 1 and of `GET-MORE-WALKS` is the simulator's hottest
+    /// path, and with two callers per message type the compiler would
+    /// keep it out of line.
     ///
     /// # Panics
     ///
     /// Panics if the node has no neighbors.
-    #[inline]
+    #[inline(always)]
     pub fn send_random_neighbor_hop(&mut self, msg: M) -> (u32, NodeId) {
         let node = self.node;
         let deg = self.graph.degree(node);

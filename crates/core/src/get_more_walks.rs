@@ -12,35 +12,31 @@
 //! sampling the lengths upfront would require per-walk messages and
 //! reintroduce congestion.
 //!
-//! The price of aggregation is that individual trajectories are erased,
-//! so these walks cannot be replayed for walk regeneration. Callers that
-//! need replayability (e.g. random spanning trees) use the *per-token*
-//! variant instead, trading congestion for traceability. The ablation
-//! experiment A1/E1 quantifies that trade.
+//! Aggregation erases trajectories, so these walks cannot be replayed.
+//! Callers that need replayability (e.g. random spanning trees) use the
+//! *per-token* variant — Phase 1's own token ([`crate::short_walks`]) —
+//! trading congestion for traceability.
 //!
-//! Both variants run as arms of the one Phase-2 protocol
-//! ([`crate::StitchScheduler`]), launched by the lane whose sampling
-//! epoch found its connector drained. This module holds the two local
-//! sampling rules of the aggregated arm: the one-hop scatter and the
-//! on-the-fly length rule.
+//! This module is the replenishment role of the one Phase-2 protocol
+//! ([`crate::StitchScheduler`]): launched by a lane whose sampling epoch
+//! found its connector drained, it handles `Gmw`, `Swk` and `GmwAck`.
 
+#![deny(clippy::too_many_lines)]
+
+use crate::short_walks::{self, ShortWalkMsg};
+use crate::state::WalkId;
+use crate::stitch_scheduler::{merge_by_key, LaneState, NodeCall, StitchMsg};
+use crate::tail::NO_PREV;
 use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Sequence-number sentinel for aggregated (non-replayable) walks.
-pub const AGGREGATED_SEQ: u32 = u32::MAX;
-
-/// `Binomial(n, p)` by direct simulation; `n` here is at most the number
-/// of tokens at one node, small enough that O(n) drawing is free local
-/// computation.
-fn binomial(rng: &mut StdRng, n: u64, p: f64) -> u64 {
-    (0..n).filter(|_| rng.random_bool(p)).count() as u64
-}
+pub(crate) const AGGREGATED_SEQ: u32 = u32::MAX;
 
 /// Draws one random-neighbor choice per token and returns how many of
 /// `count` indistinguishable tokens leave over each of the node's `deg`
 /// neighbor slots — the aggregated one-hop scatter of Algorithm 2.
-pub fn scatter_counts(rng: &mut StdRng, deg: usize, count: u64) -> Vec<u64> {
+pub(crate) fn scatter_counts(rng: &mut StdRng, deg: usize, count: u64) -> Vec<u64> {
     let mut per_neighbor = vec![0u64; deg];
     for _ in 0..count {
         per_neighbor[rng.random_range(0..deg)] += 1;
@@ -58,29 +54,148 @@ pub fn scatter_counts(rng: &mut StdRng, deg: usize, count: u64) -> Vec<u64> {
 /// every length in `[lambda, 2*lambda - 1]` equally likely. With
 /// `randomize_len == false` all tokens stop exactly at `lambda`
 /// (the 2009-style fixed-length ablation).
-pub fn reservoir_split(
+pub(crate) fn reservoir_split(
     rng: &mut StdRng,
     arrived: u64,
     step: u32,
     lambda: u32,
     randomize_len: bool,
 ) -> (u64, u64) {
-    if !randomize_len {
-        if step == lambda {
-            (arrived, 0)
-        } else {
-            (0, arrived)
-        }
-    } else if step < lambda {
+    let last = if randomize_len {
+        2 * lambda - 1
+    } else {
+        lambda
+    };
+    if step == last {
+        (arrived, 0)
+    } else if step < lambda || !randomize_len {
         (0, arrived)
     } else {
-        let i = step - lambda;
-        if i == lambda - 1 {
-            (arrived, 0)
-        } else {
-            let p = 1.0 / f64::from(lambda - i);
-            let s = binomial(rng, arrived, p);
-            (s, arrived - s)
+        // Extension step `i = step - lambda`: each token stops w.p.
+        // 1 / (lambda - i), drawn one by one (free local computation).
+        let p = 1.0 / f64::from(2 * lambda - step);
+        let s = (0..arrived).filter(|_| rng.random_bool(p)).count() as u64;
+        (s, arrived - s)
+    }
+}
+
+/// One lane's `GET-MORE-WALKS` state at the epoch root.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GmwLane {
+    /// Tokens acknowledged so far, while an invocation is in flight.
+    pub(crate) acked: Option<u64>,
+    /// Invocations launched here over the whole run (a new epoch resets
+    /// only `acked`), billed to the request that caused them.
+    pub(crate) events: u64,
+}
+
+/// A per-token walk on the wire, without its source: that is the lane's
+/// root, which every node of the epoch knows.
+fn swk(t: ShortWalkMsg) -> StitchMsg {
+    let (seq, step, total) = (t.seq, t.step, t.total);
+    StitchMsg::Swk { seq, step, total }
+}
+
+impl NodeCall<'_> {
+    /// Replenishes lane `w`'s drained connector, this node (Algorithm 1,
+    /// lines 7-10): `gmw_count` new walks from here, as counts or as
+    /// per-token walks. The root resamples once all are acknowledged.
+    pub(crate) fn launch_gmw(&mut self, w: u32, lane: &mut LaneState) {
+        lane.gmw.events += 1;
+        lane.gmw.acked = Some(0);
+        let shared = self.shared;
+        if shared.setup.aggregated_gmw {
+            return self.scatter(w, 1, shared.setup.gmw_count);
+        }
+        let length = (shared.setup.lambda, shared.setup.randomize_len);
+        let (count, wrap) = (shared.setup.gmw_count as usize, |t| shared.mux(w, swk(t)));
+        short_walks::launch(self.ws, &mut self.ctx, count, length, wrap);
+    }
+
+    /// One aggregated hop: scatters `count` indistinguishable tokens of
+    /// lane `w` to uniformly random neighbours, one count message per
+    /// receiving edge, arriving at step `step` — the launch at the
+    /// drained root and every later hop.
+    fn scatter(&mut self, w: u32, step: u32, count: u64) {
+        let node = self.ctx.node();
+        let degree = self.ctx.graph().degree(node);
+        let per_neighbor = scatter_counts(self.ctx.rng(), degree, count);
+        for (idx, &c) in per_neighbor.iter().enumerate() {
+            if c > 0 {
+                let to = self.ctx.graph().neighbor_at(node, idx);
+                self.send(to, w, StitchMsg::Gmw { step, count: c });
+            }
+        }
+    }
+
+    /// Aggregated tokens arriving at their `step`-th node, merged per
+    /// `(lane, step)` until the round's flush.
+    pub(crate) fn on_gmw(&mut self, w: u32, step: u32, count: u64) {
+        merge_by_key(&mut self.merge.gmw_in, (w, step), count, |a, b| *a += b);
+    }
+
+    /// A per-token walk of lane `w`'s connector: stored here at its end
+    /// (and acknowledged), else moved on.
+    pub(crate) fn on_swk(&mut self, lane: &LaneState, w: u32, (seq, step, total): (u32, u32, u32)) {
+        let shared = self.shared;
+        let token = ShortWalkMsg {
+            source: lane.root,
+            seq,
+            step,
+            total,
+        };
+        if short_walks::step(self.ws, &mut self.ctx, &token, |t| shared.mux(w, swk(t))) {
+            self.on_gmw_ack(w, 1);
+        }
+    }
+
+    /// Acknowledgements for lane `w`, merged per lane until the round's
+    /// flush.
+    pub(crate) fn on_gmw_ack(&mut self, w: u32, count: u64) {
+        merge_by_key(&mut self.merge.acks, w, count, |a, b| *a += b);
+    }
+
+    /// Flushes the round's merged arrivals: one reservoir split and one
+    /// scatter per `(lane, step)`, so a lane's tokens reaching this node
+    /// over several edges leave as one count per outgoing edge again.
+    pub(crate) fn flush_gmw(&mut self, lanes: &mut Vec<LaneState>) {
+        let (lambda, random) = (self.shared.setup.lambda, self.shared.setup.randomize_len);
+        for i in 0..self.merge.gmw_in.len() {
+            let ((w, step), arrived) = self.merge.gmw_in[i];
+            let (stopped, moving) = reservoir_split(self.ctx.rng(), arrived, step, lambda, random);
+            let id = WalkId {
+                source: self.lane(lanes, w).root,
+                seq: AGGREGATED_SEQ,
+            };
+            for _ in 0..stopped {
+                self.ws.store_walk(id, step, false);
+            }
+            if stopped > 0 {
+                self.on_gmw_ack(w, stopped);
+            }
+            if moving > 0 {
+                self.scatter(w, step + 1, moving);
+            }
+        }
+    }
+
+    /// Flushes the round's merged acknowledgements: per lane, one tally
+    /// at the waiting root — which resamples once all arrived — or one
+    /// message up the epoch's tree.
+    pub(crate) fn flush_acks(&mut self, lanes: &mut Vec<LaneState>) {
+        for i in 0..self.merge.acks.len() {
+            let (w, count) = self.merge.acks[i];
+            let lane = self.lane(lanes, w);
+            let Some(completed) = self.climb(w, lane, StitchMsg::GmwAck { count }) else {
+                continue;
+            };
+            let Some(acked) = &mut lane.gmw.acked else {
+                continue;
+            };
+            *acked += count;
+            if *acked >= self.shared.setup.gmw_count {
+                self.restart_epoch(w, lane, completed, NO_PREV);
+            }
         }
     }
 }

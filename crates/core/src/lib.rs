@@ -21,16 +21,18 @@
 //!   remember `(source, seq, length)`; every intermediate node logs its
 //!   forwarding choice so walks can later be *regenerated* (Phase 2
 //!   replays a recorded walk's segments as it stitches them).
-//! - **Phase 2** ([`stitch_scheduler`]): the walk token stitches short
-//!   walks. Each stitch is a `SAMPLE-DESTINATION` epoch (Algorithm 3: a
-//!   flood tree from the current connector, a sampling convergecast
-//!   and a deletion broadcast, `O(D)` rounds; [`sample_destination`]
-//!   holds the per-node slot) that picks an *unused* short walk of the
+//! - **Phase 2** ([`stitch_scheduler`], which routes each message to
+//!   its role's module): the walk token stitches short walks. Each
+//!   stitch is a `SAMPLE-DESTINATION` epoch (Algorithm 3, the
+//!   [`sample_destination`] role: one echo from the current connector —
+//!   a flood tree, a sampling convergecast, and the choice routed down
+//!   one path — in `O(D)` rounds) that picks an *unused* short walk of the
 //!   connector uniformly at random. A drained connector replenishes
-//!   with `GET-MORE-WALKS` (Algorithm 2; [`get_more_walks`] holds its
-//!   sampling rules), whose aggregated-count diffusion plus *reservoir
-//!   sampling* realizes the random lengths congestion-free. The final
-//!   `< 2*lambda` steps are walked naively. There is one Phase 2:
+//!   with `GET-MORE-WALKS` (Algorithm 2, the [`get_more_walks`] role),
+//!   whose aggregated-count diffusion plus *reservoir sampling* realizes
+//!   the random lengths congestion-free. The final `< 2*lambda` steps
+//!   are walked naively, by the role that also regenerates recorded
+//!   walks. There is one Phase 2:
 //!   `MANY-RANDOM-WALKS` advances all `k` tokens concurrently — the
 //!   sub-protocols of every walk are multiplexed by walk id into *one*
 //!   engine run, so concurrent stitches share CONGEST rounds instead of
@@ -86,6 +88,7 @@ pub mod short_walks;
 pub mod single_walk;
 pub mod state;
 pub mod stitch_scheduler;
+mod tail;
 pub mod visit_stats;
 
 pub use bucket::{sum_deg_sq, BucketTest, BucketTestResult, SampleStats};

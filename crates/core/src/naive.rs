@@ -1,10 +1,11 @@
 //! The naive random-walk baseline: pass a token for `l` steps.
 //!
 //! This is the `O(l)`-round algorithm of Section 1.2 that the paper's
-//! contribution beats, and also the subroutine used for the final
-//! `< 2*lambda` steps of Phase 2 and for the `k + l` branch of
-//! `MANY-RANDOM-WALKS` (all `k` tokens walk simultaneously; congestion is
-//! absorbed by the engine's edge queues, exactly as in the model).
+//! contribution beats (all tokens walk simultaneously; congestion is
+//! absorbed by the engine's edge queues, exactly as in the model). Phase
+//! 2 does not run it: the final `< 2*lambda` steps of a walk and the
+//! `k + l` branch of `MANY-RANDOM-WALKS` are tail lanes of the one stitch
+//! run ([`crate::StitchSpec::naive`]).
 
 use crate::state::WalkState;
 use drw_congest::{Ctx, Envelope, Message, Protocol, RunError, WireReader, WireSink};

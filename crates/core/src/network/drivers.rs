@@ -26,7 +26,7 @@ use crate::many_walks::ManyWalksResult;
 use crate::request::{
     MixingProbe, MixingReport, MixingRequest, Request, Response, TreeMode, TreeRequest, TreeSample,
 };
-use crate::session::{WalkSession, WaveWalk};
+use crate::session::{run_whole, WalkSession, WaveWalk};
 use crate::single_walk::{SingleWalkResult, WalkError};
 use crate::state::WalkState;
 use crate::stitch_scheduler::{StitchSpec, MAX_WAVE_LANES};
@@ -644,7 +644,7 @@ fn absorb(
                 .collect();
             let (tree, runner) = session.tree_and_runner();
             let mut cc = ConvergecastProtocol::new(tree, AggOp::Min, values);
-            runner.run(&mut cc).map_err(WalkError::from)?;
+            run_whole(runner, &mut cc)?;
             let covered = cc.result() == 1;
             slot.rounds += session.total_rounds() - before;
             if covered {

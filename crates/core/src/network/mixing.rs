@@ -15,6 +15,7 @@
 
 use crate::bucket::{BucketTest, SampleStats};
 use crate::request::MixingProbe;
+use crate::session::run_whole;
 use crate::single_walk::WalkError;
 use drw_congest::primitives::{
     AggOp, BfsTree, BroadcastProtocol, ConvergecastProtocol, UpcastProtocol, VectorSumProtocol,
@@ -43,18 +44,18 @@ pub(crate) fn run_probe_setup(
     let degrees: Vec<u64> = (0..g.n()).map(|v| g.degree(v) as u64).collect();
     let squares: Vec<u64> = degrees.iter().map(|&d| d * d).collect();
     let mut sum_deg = ConvergecastProtocol::new(tree, AggOp::Sum, degrees.clone());
-    runner.run(&mut sum_deg)?;
+    run_whole(runner, &mut sum_deg)?;
     let mut max_deg = ConvergecastProtocol::new(tree, AggOp::Max, degrees);
-    runner.run(&mut max_deg)?;
+    run_whole(runner, &mut max_deg)?;
     let mut sq_deg = ConvergecastProtocol::new(tree, AggOp::Sum, squares);
-    runner.run(&mut sq_deg)?;
+    run_whole(runner, &mut sq_deg)?;
     let two_m = sum_deg.result();
     let sum_deg_sq = sq_deg.result();
     let mut announce = BroadcastProtocol::new(tree.clone(), vec![two_m, max_deg.result()]);
-    runner.run(&mut announce)?;
+    run_whole(runner, &mut announce)?;
 
     let mut masses = VectorSumProtocol::new(tree.clone(), bucket.mass_numerators(g));
-    runner.run(&mut masses)?;
+    run_whole(runner, &mut masses)?;
     debug_assert_eq!(
         masses.result().iter().sum::<u64>(),
         2 * g.m() as u64,
@@ -95,9 +96,9 @@ pub(crate) fn evaluate_probe(
         moment_items[v].push((c[v] * g.degree(v) as u64, c[v] * (c[v] - 1)));
     }
     let mut up_hist = UpcastProtocol::new(tree.clone(), hist_items);
-    runner.run(&mut up_hist)?;
+    run_whole(runner, &mut up_hist)?;
     let mut up_moments = UpcastProtocol::new(tree.clone(), moment_items);
-    runner.run(&mut up_moments)?;
+    run_whole(runner, &mut up_moments)?;
 
     let mut stats = SampleStats {
         bucket_hist: vec![0u64; bucket.buckets()],

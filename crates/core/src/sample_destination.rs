@@ -9,15 +9,13 @@
 //! 1. **Wave out** — a wave floods from `v`. A node adopts the first
 //!    (minimum) sender as its tree parent and forwards the wave to
 //!    every neighbour *except* that parent;
-//! 2. **Echo back** — a node has *heard* from a neighbour once that
-//!    neighbour's wave (it is not my child) or aggregate (it is) has
-//!    arrived, and every directed edge carries exactly one of the two.
-//!    Having heard from all `degree` neighbours, a node sends its
-//!    parent its aggregate: its own tokens (stored walks launched by
-//!    `v`) folded with its children's candidates, weighted by token
-//!    counts (a streaming reservoir), so the root ends with a sample
-//!    over all tokens (Lemma A.2). Each node remembers which child's
-//!    aggregate supplied its candidate;
+//! 2. **Echo back** — a node has *heard* from a neighbour once its wave
+//!    (not my child) or aggregate (my child) arrived; every directed edge
+//!    carries exactly one of the two. Having heard from all `degree`
+//!    neighbours, a node sends its parent its aggregate: its own tokens
+//!    of `v` folded with its children's candidates by a count-weighted
+//!    streaming reservoir (Lemma A.2), remembering which child supplied
+//!    its candidate;
 //! 3. **Deletion** — the root's choice follows those memories down the
 //!    tree to the chosen owner, which deletes one of its tokens of `v`
 //!    (so no short walk is ever re-stitched) and becomes the new token
@@ -26,12 +24,11 @@
 //! A loss-free, uncontended sampling therefore costs `2m +
 //! depth(owner)` messages (DESIGN.md says why `2m` is the floor).
 //!
-//! The echo runs inside the one Phase-2 protocol
-//! ([`crate::StitchScheduler`]): one sampling instance per concurrent
-//! walk in a *shared* execution, every message tagged with its walk id.
-//! This module holds what a node keeps per walk, [`SdLaneSlot`]. Two
-//! choices keep every multiplexed message within the CONGEST word
-//! budget once the walk-id word is added:
+//! This module is the echo role of the one Phase-2 protocol
+//! ([`crate::StitchScheduler`]), one sampling instance per concurrent
+//! walk: the per-walk slot (`SdLaneSlot`) and the handlers of `Wave`,
+//! `Agg`, `Chosen` and `Retry`. Two choices keep every message within
+//! the CONGEST word budget once the walk-id word is added:
 //!
 //! - waves carry the *root* instead of a BFS level, so the tree is the
 //!   flood-arrival tree (any spanning tree works for the convergecast;
@@ -39,11 +36,19 @@
 //!   takes, which is what the round accounting charges anyway);
 //! - the reservoir aggregates candidate *owners* weighted by token
 //!   count rather than `(owner, tag)` pairs. The owner then deletes a
-//!   uniformly random local token of the root: owner chosen with
-//!   probability proportional to its token count, token uniform within
-//!   the owner — the product is exactly uniform over all tokens, as in
-//!   Algorithm 3.
+//!   uniformly random *still-present* local token of the root, so the
+//!   choice is exactly uniform over all tokens, as in Algorithm 3, and
+//!   no token is consumed twice. Walks whose connectors coincide share
+//!   the pool optimistically: if a rival took the last token first, the
+//!   root resamples. Any unused token is an independent walk of
+//!   uniformly random length, so contention leaves the law exact.
 
+#![deny(clippy::too_many_lines)]
+
+use crate::single_walk::Segment;
+use crate::state::StoredWalk;
+use crate::stitch_scheduler::{merge_by_key, LaneState, NodeCall, StitchMsg};
+use crate::tail::NO_PREV;
 use drw_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -54,25 +59,25 @@ use rand::Rng;
 /// the echo it has heard, and the streaming reservoir over subtree
 /// token counts (Lemma A.2).
 #[derive(Debug, Clone, Default)]
-pub struct SdLaneSlot {
+pub(crate) struct SdLaneSlot {
     /// Whether this node has joined the current epoch's tree.
-    pub joined: bool,
+    pub(crate) joined: bool,
     /// Tree parent (`None` at the root).
-    pub parent: Option<NodeId>,
+    pub(crate) parent: Option<NodeId>,
     /// Neighbours heard from: one wave or one aggregate each (the echo
     /// is complete at `degree`).
-    pub heard: usize,
+    pub(crate) heard: usize,
     /// Whether this node's aggregate has been sent up (or finalized).
-    pub agg_sent: bool,
+    pub(crate) agg_sent: bool,
     /// Reservoir candidate: the owner of the sampled token, if the
     /// subtree holds any.
-    pub cand_owner: Option<u32>,
+    pub(crate) cand_owner: Option<u32>,
     /// The child whose aggregate supplied `cand_owner` — the next hop
     /// of the root's choice on its way to that owner (`None`: the
     /// candidate is one of this node's own tokens).
-    pub cand_from: Option<NodeId>,
+    pub(crate) cand_from: Option<NodeId>,
     /// Total tokens in this node's subtree (so far).
-    pub count: u64,
+    pub(crate) count: u64,
 }
 
 #[cfg(test)]
@@ -84,15 +89,10 @@ thread_local! {
 }
 
 impl SdLaneSlot {
-    /// Clears the slot for a new epoch.
-    pub fn reset(&mut self) {
-        *self = SdLaneSlot::default();
-    }
-
     /// Joins a freshly reset slot to the epoch's tree — under `parent`
     /// on first wave arrival, with none as the root — and snapshots this
     /// node's own `local` token count.
-    pub fn join(&mut self, node: u32, parent: Option<NodeId>, local: u64) {
+    pub(crate) fn join(&mut self, node: u32, parent: Option<NodeId>, local: u64) {
         self.joined = true;
         self.parent = parent;
         self.count = local;
@@ -103,7 +103,7 @@ impl SdLaneSlot {
 
     /// Hears child `from`'s aggregate and reservoir-merges it: adopts
     /// its candidate owner with probability `count / total` (Lemma A.2).
-    pub fn absorb(&mut self, from: NodeId, owner: u32, count: u64, rng: &mut StdRng) {
+    pub(crate) fn absorb(&mut self, from: NodeId, owner: u32, count: u64, rng: &mut StdRng) {
         self.heard += 1;
         if count == 0 {
             return;
@@ -123,8 +123,180 @@ impl SdLaneSlot {
     /// aggregate has arrived — so the aggregate may go up (or, at the
     /// root, be finalized). One-shot: false again once `agg_sent` is
     /// set.
-    pub fn ready_to_aggregate(&self, degree: usize) -> bool {
+    pub(crate) fn ready_to_aggregate(&self, degree: usize) -> bool {
         self.joined && !self.agg_sent && self.heard == degree
+    }
+}
+
+impl NodeCall<'_> {
+    /// Starts lane `w`'s next sampling epoch here, at its connector, where
+    /// the walk stands at `steps` steps: resets the lane and roots the
+    /// tree of a wave announcing the taken walk `prev` (or [`NO_PREV`]).
+    /// Every epoch starts here: a walk's first, each after a stitch, each resample.
+    pub(crate) fn restart_epoch(&mut self, w: u32, lane: &mut LaneState, steps: u64, prev: u64) {
+        let (root, epoch) = (self.ctx.node() as u32, lane.epoch + 1);
+        lane.enter(epoch, root);
+        lane.hosted = Some(steps);
+        self.join(w, lane, None, (epoch, root, prev));
+    }
+
+    /// Joins `lane` to the tree of the wave `(epoch, root, prev)` under
+    /// `up` (none at the root), snapshotting this node's tokens of the
+    /// root, and forwards the wave to every other neighbour, in order.
+    fn join(&mut self, w: u32, lane: &mut LaneState, up: Option<NodeId>, wave: (u32, u32, u64)) {
+        let (node, (epoch, root, prev)) = (self.ctx.node(), wave);
+        lane.slot
+            .join(node as u32, up, self.ws.count_from(root as usize) as u64);
+        for i in 0..self.ctx.graph().degree(node) {
+            let v = self.ctx.graph().neighbor_at(node, i);
+            if Some(v) != up {
+                self.send(v, w, StitchMsg::Wave { epoch, root, prev });
+            }
+        }
+    }
+
+    /// A wave of lane `w` from `from`: the first arrival of a newer
+    /// epoch resets the lane (and alone may honour `prev`); every
+    /// arrival is one neighbour heard, and a node not yet in the tree
+    /// queues its adoption.
+    pub(crate) fn on_wave(
+        &mut self,
+        lane: &mut LaneState,
+        w: u32,
+        (epoch, root, prev): (u32, u32, u64),
+        from: NodeId,
+    ) {
+        // What this node hosted is read before `enter` forgets it.
+        let hosted = lane.hosted;
+        let fresh = epoch > lane.epoch;
+        if fresh {
+            lane.enter(epoch, root);
+        } else if epoch < lane.epoch {
+            return; // stale tail of an old epoch's flood
+        }
+        #[cfg(test)]
+        let fresh = crate::stitch_scheduler::tests::stale_prev_planted(lane, hosted) || fresh;
+        self.honour_prev(w, prev, hosted, fresh);
+        lane.slot.heard += 1;
+        if !lane.slot.joined {
+            let (adopt, key) = (&mut self.merge.adopt, (w, epoch));
+            merge_by_key(adopt, key, (root, prev, from), |a, b| a.2 = a.2.min(b.2));
+        }
+        self.merge.ready.push(w);
+    }
+
+    /// A child's aggregate `(owner, count)`, reservoir-merged into the
+    /// slot. Aggregates never straddle epochs: a root finalizes only
+    /// after every aggregate reached it.
+    pub(crate) fn on_agg(&mut self, lane: &mut LaneState, w: u32, agg: (u32, u64), from: NodeId) {
+        lane.slot.absorb(from, agg.0, agg.1, self.ctx.rng());
+        self.merge.ready.push(w);
+    }
+
+    /// A take conflict of the current epoch, climbing to the root, which
+    /// resamples with a fresh epoch.
+    pub(crate) fn on_retry(&mut self, lane: &mut LaneState, w: u32, epoch: u32) {
+        if epoch != lane.epoch {
+            return;
+        }
+        if let Some(completed) = self.climb(w, lane, StitchMsg::Retry { epoch }) {
+            self.restart_epoch(w, lane, completed, NO_PREV);
+        }
+    }
+
+    /// Deferred wave adoption: joins the tree under the round's minimum
+    /// sender and forwards the wave to everyone else, once per lane and
+    /// epoch (the parent hears from this node through its aggregate).
+    pub(crate) fn flush_adoptions(&mut self, lanes: &mut [LaneState]) {
+        for i in 0..self.merge.adopt.len() {
+            let ((w, epoch), (root, prev, from)) = self.merge.adopt[i];
+            let lane = &mut lanes[w as usize];
+            if lane.epoch != epoch || lane.slot.joined {
+                continue; // a newer epoch arrived later in this inbox
+            }
+            self.join(w, lane, Some(from), (epoch, root, prev));
+            self.merge.ready.push(w);
+        }
+    }
+
+    /// Lanes whose echo may just have completed: each sends its
+    /// aggregate to its parent, or finalizes at the root.
+    pub(crate) fn flush_echoes(&mut self, lanes: &mut [LaneState]) {
+        self.merge.ready.sort_unstable();
+        self.merge.ready.dedup();
+        let degree = self.ctx.graph().degree(self.ctx.node());
+        for i in 0..self.merge.ready.len() {
+            let w = self.merge.ready[i];
+            let lane = &mut lanes[w as usize];
+            if !lane.slot.ready_to_aggregate(degree) {
+                continue;
+            }
+            lane.slot.agg_sent = true;
+            match lane.slot.parent {
+                Some(p) => {
+                    let (owner, count) = (lane.slot.cand_owner.unwrap_or(0), lane.slot.count);
+                    self.send(p, w, StitchMsg::Agg { owner, count });
+                }
+                None => self.finalize_at_root(w, lane),
+            }
+        }
+    }
+
+    /// Root-side end of an echo: `GET-MORE-WALKS` if the pool is dry,
+    /// else the choice.
+    fn finalize_at_root(&mut self, w: u32, lane: &mut LaneState) {
+        let completed = lane.hosted.expect("the epoch root hosts the walk token");
+        if lane.slot.count == 0 {
+            return self.launch_gmw(w, lane);
+        }
+        let owner = lane.slot.cand_owner.expect("count > 0 implies a candidate");
+        self.on_chosen(lane, w, (lane.epoch, owner, completed));
+    }
+
+    /// The root's choice `owner` of the current epoch at this node —
+    /// where the root made it, or on its way down the tree. The owner
+    /// takes one token of the root and moves the walk on; any other node
+    /// passes the choice to the child whose aggregate put `owner` in its
+    /// reservoir.
+    pub(crate) fn on_chosen(&mut self, lane: &mut LaneState, w: u32, choice: (u32, u32, u64)) {
+        let (epoch, owner, completed) = choice;
+        if epoch != lane.epoch {
+            return;
+        }
+        if owner as usize != self.ctx.node() {
+            let child = lane.slot.cand_from;
+            let child = child.expect("a candidate that is not this node's came from a child");
+            let chosen = StitchMsg::Chosen {
+                epoch,
+                owner,
+                completed,
+            };
+            return self.send(child, w, chosen);
+        }
+        let root = lane.root as usize;
+        match self.ws.take_uniform_from(root, self.ctx.rng()) {
+            Some(walk) => self.advance_walk(w, lane, walk, completed),
+            // A rival consumed the pool since the snapshot.
+            None => self.on_retry(lane, w, epoch),
+        }
+    }
+
+    /// The owner's side of a stitch: records the segment `walk` it just
+    /// took (the walk stood at `completed` steps), cues its replay on a
+    /// recorded lane, and moves the walk on from here.
+    fn advance_walk(&mut self, w: u32, lane: &mut LaneState, walk: StoredWalk, completed: u64) {
+        let seg = Segment {
+            connector: lane.root as usize,
+            id: walk.id,
+            len: walk.len,
+            start_pos: completed,
+            owner: self.ctx.node(),
+            replayable: walk.replayable,
+        };
+        self.tally.segments.push((w, seg));
+        self.tally.last_stitch_round = self.ctx.round();
+        let prev = self.announce(lane, w, &seg);
+        self.proceed(w, lane, completed + u64::from(walk.len), prev);
     }
 }
 
@@ -173,7 +345,7 @@ mod tests {
             !slot.ready_to_aggregate(3),
             "unjoined slot never aggregates"
         );
-        slot.reset();
+        slot = SdLaneSlot::default();
         slot.join(4, Some(7), 1);
         assert_eq!(slot.cand_owner, Some(4), "local tokens seed the candidate");
         assert_eq!(slot.cand_from, None, "and route nowhere");
@@ -191,7 +363,7 @@ mod tests {
         assert!(!slot.ready_to_aggregate(4), "exactly degree, not at least");
         slot.agg_sent = true;
         assert!(!slot.ready_to_aggregate(3), "one-shot");
-        slot.reset();
+        slot = SdLaneSlot::default();
         assert!(!slot.joined && slot.heard == 0 && slot.count == 0);
     }
 }

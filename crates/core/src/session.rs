@@ -92,7 +92,7 @@ use crate::single_walk::{Segment, SingleWalkConfig, StitchSetup, WalkError};
 use crate::state::{Visit, WalkState};
 use crate::stitch_scheduler::{StitchScheduler, StitchSpec, MAX_WAVE_LANES};
 use drw_congest::primitives::{BfsTree, BfsTreeProtocol};
-use drw_congest::Runner;
+use drw_congest::{Protocol, Runner};
 use drw_graph::{traversal, Graph, NodeId, Topology};
 use std::sync::Arc;
 
@@ -297,9 +297,7 @@ impl WalkSession {
             return Err(WalkError::Disconnected);
         }
         let mut runner = Runner::on(g.clone(), cfg.engine.clone(), seed);
-        let mut bfs = BfsTreeProtocol::new(anchor);
-        runner.run(&mut bfs)?;
-        let tree = bfs.into_tree();
+        let tree = bfs_tree(&mut runner, anchor)?;
         let d_est = tree.depth().max(1);
         let rounds_bfs = runner.total_rounds();
         let n = g.n();
@@ -407,9 +405,7 @@ impl WalkSession {
         let mut rounds = 0;
         if broken {
             let before = self.runner.total_rounds();
-            let mut bfs = BfsTreeProtocol::new(self.anchor);
-            self.runner.run(&mut bfs)?;
-            self.tree = bfs.into_tree();
+            self.tree = bfs_tree(&mut self.runner, self.anchor)?;
             self.d_est = self.tree.depth().max(1);
             rounds = self.runner.total_rounds() - before;
             self.rounds_bfs += rounds;
@@ -853,6 +849,25 @@ impl WalkSession {
             connector_visits: out.connector_visits,
         })
     }
+}
+
+/// The session's BFS tree from `anchor`. On a connected graph it misses
+/// a node or a child link only if fail-silent links lost messages.
+fn bfs_tree(runner: &mut Runner, anchor: NodeId) -> Result<BfsTree, WalkError> {
+    let mut bfs = BfsTreeProtocol::new(anchor);
+    runner.run(&mut bfs)?;
+    bfs.try_into_tree().ok_or(WalkError::MessagesLost)
+}
+
+/// Runs a primitive over the session's tree (convergecast, broadcast,
+/// upcast), which needs every message it sends: a drop that fail-silent
+/// links never retransmitted loses its result.
+pub(crate) fn run_whole<P: Protocol>(runner: &mut Runner, p: &mut P) -> Result<(), WalkError> {
+    let faults = runner.run(p)?.faults;
+    if faults.dropped > faults.retransmitted {
+        return Err(WalkError::MessagesLost);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -22,8 +22,8 @@
 //! state or randomness; `drw-analyze`'s interleaving checker runs it
 //! under scripted handler orders to measure that no order shows through.
 
-use crate::state::{WalkId, WalkState};
-use drw_congest::{Ctx, Envelope, Message, Protocol, WireReader, WireSink};
+use crate::state::{NodeWalkState, WalkId, WalkState};
+use drw_congest::{Ctx, Envelope, Message, NodeCtx, Protocol, WireReader, WireSink};
 use drw_graph::NodeId;
 use rand::Rng;
 
@@ -61,9 +61,9 @@ impl Message for ShortWalkMsg {
 
 /// Phase-1 protocol: launches `counts[v]` short walks from every node `v`.
 ///
-/// Also used (with a single nonzero count) as the *per-token* variant of
-/// `GET-MORE-WALKS`, which preserves replayability at the cost of
-/// congestion.
+/// Its token (`launch`, `step`) is also the per-token
+/// `GET-MORE-WALKS` of Phase 2, which replenishes a drained connector
+/// with replayable walks.
 #[derive(Debug)]
 pub struct ShortWalksProtocol<'s> {
     state: &'s mut WalkState,
@@ -170,26 +170,9 @@ impl Protocol for ShortWalksProtocol<'_> {
                 ctx.graph().degree(v) > 0,
                 "node {v} cannot walk: no neighbors"
             );
-            let first_seq = self.state.alloc_seqs(v, count);
-            for i in 0..count {
-                let seq = first_seq + i as u32;
-                let r = if self.randomize_len {
-                    ctx.rng(v).random_range(0..self.lambda)
-                } else {
-                    0
-                };
-                let total = self.lambda + r;
-                let (hop, _) = ctx.send_random_neighbor_hop(
-                    v,
-                    ShortWalkMsg {
-                        source: v as u32,
-                        seq,
-                        step: 1,
-                        total,
-                    },
-                );
-                self.state.nodes[v].log_forward_hop(v as u32, seq, 0, hop);
-            }
+            let ws = &mut self.state.nodes[v];
+            let length = (self.lambda, self.randomize_len);
+            launch(ws, &mut ctx.at(v), count, length, |m| m);
         }
     }
 
@@ -202,27 +185,62 @@ impl Protocol for ShortWalksProtocol<'_> {
         let state = &mut self.state.nodes[node];
         let mut ctx = ctx.at(node);
         for env in inbox {
-            let m = &env.msg;
-            if m.step == m.total {
-                state.store_walk(
-                    WalkId {
-                        source: m.source,
-                        seq: m.seq,
-                    },
-                    m.total,
-                    true,
-                );
-            } else {
-                let (hop, _) = ctx.send_random_neighbor_hop(ShortWalkMsg {
-                    source: m.source,
-                    seq: m.seq,
-                    step: m.step + 1,
-                    total: m.total,
-                });
-                state.log_forward_hop(m.source, m.seq, m.step, hop);
-            }
+            step(state, &mut ctx, &env.msg, |m| m);
         }
     }
+}
+
+/// Launches `count` short walks from the context's node, which is `ws`'s:
+/// per walk a fresh sequence number, then its length — `lambda` plus a
+/// uniform draw from `0..lambda` when `randomize_len` — then its first
+/// hop. `wrap` puts a token on the caller's wire.
+pub(crate) fn launch<M: Message>(
+    ws: &mut NodeWalkState,
+    ctx: &mut NodeCtx<'_, M>,
+    count: usize,
+    (lambda, randomize_len): (u32, bool),
+    wrap: impl Fn(ShortWalkMsg) -> M,
+) {
+    let (source, first) = (ctx.node() as u32, ws.alloc_seqs(count));
+    for seq in first..first + count as u32 {
+        let mut total = lambda;
+        if randomize_len {
+            total += ctx.rng().random_range(0..lambda);
+        }
+        let token = ShortWalkMsg {
+            source,
+            seq,
+            step: 0,
+            total,
+        };
+        step(ws, ctx, &token, &wrap);
+    }
+}
+
+/// Moves token `t` at its `t.step`-th node, the context's: stores the
+/// walk there if it ends here, else sends it one uniformly random hop on
+/// and logs the hop. Returns whether the walk ended.
+#[inline]
+pub(crate) fn step<M: Message>(
+    ws: &mut NodeWalkState,
+    ctx: &mut NodeCtx<'_, M>,
+    t: &ShortWalkMsg,
+    wrap: impl FnOnce(ShortWalkMsg) -> M,
+) -> bool {
+    if t.step == t.total {
+        let id = WalkId {
+            source: t.source,
+            seq: t.seq,
+        };
+        ws.store_walk(id, t.total, true);
+        return true;
+    }
+    let (hop, _) = ctx.send_random_neighbor_hop(wrap(ShortWalkMsg {
+        step: t.step + 1,
+        ..*t
+    }));
+    ws.log_forward_hop(t.source, t.seq, t.step, hop);
+    false
 }
 
 #[cfg(test)]

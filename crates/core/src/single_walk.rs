@@ -71,6 +71,12 @@ pub enum WalkError {
         /// The base, as [`f64::to_bits`] (so that the error stays `Eq`).
         u64,
     ),
+    /// A fail-silent fault plan (unhealed drops) lost messages the
+    /// request cannot recover: the session's BFS tree came out broken, a
+    /// convergecast or upcast over its tree lost a message, a recorded
+    /// walk lost part of its record, or walks still stalled after
+    /// [`crate::MAX_REISSUE_PASSES`] re-issue passes.
+    MessagesLost,
 }
 
 impl fmt::Display for WalkError {
@@ -93,6 +99,11 @@ impl fmt::Display for WalkError {
                 "mixing probes need bucket_base > 1 and at most one degree bucket \
                  per sample, got {}",
                 f64::from_bits(*bits)
+            ),
+            WalkError::MessagesLost => write!(
+                f,
+                "fail-silent links lost messages the request cannot recover \
+                 (heal the fault plan or lower its drop rate)"
             ),
         }
     }
@@ -226,7 +237,8 @@ pub struct StitchSetup {
     pub aggregated_gmw: bool,
     /// Walks created per `GET-MORE-WALKS` invocation.
     pub gmw_count: u64,
-    /// Record visits during the tail walk.
+    /// Record every visit of the walks — tail hops as they happen,
+    /// stitched segments by replaying them — for walk regeneration.
     pub record: bool,
 }
 

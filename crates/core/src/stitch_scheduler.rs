@@ -4,94 +4,45 @@
 //! multiplexed CONGEST run.
 //!
 //! Stitching walks one after another would cost the *sum* of `k` full
-//! `SAMPLE-DESTINATION` / `GET-MORE-WALKS` / naive-tail compositions —
-//! `k * ~O(D)` rounds per stitch generation, even though each
-//! composition leaves almost every edge idle (EXPERIMENTS.md E3b has
-//! the numbers). The follow-up works (the JACM version of "Distributed Random Walks",
+//! `SAMPLE-DESTINATION` / `GET-MORE-WALKS` / naive-tail compositions,
+//! though each leaves almost every edge idle (EXPERIMENTS.md E3b). The
+//! follow-up works (the JACM version of "Distributed Random Walks",
 //! arXiv:1302.4544, and "Near-Optimal Random Walk Sampling in
 //! Distributed Networks", arXiv:1201.1363) interleave the token
 //! movements instead: concurrent stitches share rounds, and congestion
 //! for an edge surfaces as queueing — which is exactly what
 //! Theorem 2.8's `sqrt(k l D) + k` term prices in.
 //!
-//! [`StitchScheduler`] realizes that interleaving. Every sub-protocol
-//! message is tagged with its owning request and walk id
-//! ([`drw_congest::Mux2`] — one packed word on the wire), each node
-//! keeps one [`SdLaneSlot`] per walk, and a single engine run hosts,
-//! *simultaneously and asynchronously per walk*:
+//! [`StitchScheduler`] realizes that interleaving. Every message is
+//! tagged with its owning request and walk id ([`drw_congest::Mux2`] —
+//! one packed word on the wire), each node keeps one lane state per
+//! walk, and one engine run hosts, asynchronously per walk, three roles
+//! behind this module's dispatcher, each in its own module:
 //!
-//! - a **sampling epoch** per pending stitch: one echo from the walk's
-//!   current connector — a wave floods out and builds a flood tree, the
-//!   aggregates that come back reservoir-sample one unused short walk
-//!   of that connector (Algorithm 3 / Lemma A.2) — and the choice is
-//!   routed down one tree path to the chosen owner, which deletes one
-//!   token and *becomes* the connector, immediately starting the next
-//!   epoch — no global barrier;
-//! - **`GET-MORE-WALKS`** when an epoch finds the connector drained
-//!   (Algorithm 2, aggregated counts + reservoir lengths, or the
-//!   per-token replayable variant): finished tokens acknowledge up the
-//!   epoch's tree, and the root resamples once all acks arrived;
-//! - the **naive tail** once fewer than `2*lambda` steps remain;
-//! - **regeneration** of a recorded lane (end of Section 2.2): as soon
-//!   as an owner takes a short walk, the connector that launched it
-//!   sends a `Replay` token along its forwarding log; every node on the
-//!   path records `(position, predecessor)` and forwards per its own
-//!   log, and the token stops where the log does — at the owner. Segment
-//!   `i` replays while stitches `i + 1..` and the tail run, so a recorded
-//!   wave costs its critical path. Replay hops need no lane table.
+//! | role | module | messages |
+//! |---|---|---|
+//! | one sampling echo per stitch | [`crate::sample_destination`] | `Wave`, `Agg`, `Chosen`, `Retry` |
+//! | replenishing a drained connector | [`crate::get_more_walks`] | `Gmw`, `Swk`, `GmwAck` |
+//! | naive tail and regeneration | `tail` (crate-private) | `Tail`, `Replay`, `Taken` |
 //!
-//! ## Why per-walk epochs are safe without global coordination
+//! The run ends when every walk has landed and every replay token is home.
 //!
-//! A sampling epoch's root finalizes only after it heard from every
-//! neighbour, a child's aggregate says the child heard from all of its
-//! own, and so on down the tree — so by the time a new epoch for the
-//! same walk can exist, every `Wave` and `Agg` of the old one (one per
-//! directed edge) has been delivered. `Chosen` is a single message on a
-//! single path, and the next epoch starts *at* the node that consumes
-//! it. What is left are `Retry`/ack messages, which only exist while
-//! the walk's root is blocked waiting for them; the epoch guards drop
-//! any that a re-issued walk leaves behind.
-//!
-//! ## How the connector learns which walk was taken
-//!
-//! The owner knows the taken `seq`, the connector holds the log and the
-//! walk's position (`hosted`); one of two messages carries the one to
-//! the other (an owner that is its own connector just injects):
-//!
-//! - *The walk goes on stitching:* the owner roots the next epoch, whose
-//!   `Wave` carries `prev = connector:32 | seq:32`. A wave reaches every
-//!   node, and a node resets its lane on exactly one arrival per epoch
-//!   (`epoch > lane.epoch`); the old connector honours `prev` on that
-//!   arrival only, reading `hosted` — still `Some`, nothing newer has
-//!   touched its lane — before the reset. A resample at the same root
-//!   took nothing and announces nothing.
-//! - *It was the last stitch:* no newer epoch will reset the finished
-//!   epoch's tree, so `Taken { epoch, seq }` climbs its parent pointers
-//!   to the root as `Retry` does. With a newer epoch in flight they could
-//!   be gone — `Taken` exists only when there is none.
-//!
-//! The run ends when every walk has landed and every token is home.
-//!
-//! ## Sharing the store without sharing segments
-//!
-//! Two walks whose connectors coincide sample from the same pool of
-//! short walks. Selection is optimistic: each epoch snapshots counts,
-//! picks an owner with probability proportional to its count, and the
-//! owner then removes a uniformly random *still-present* token of that
-//! root ([`crate::state::NodeWalkState::take_uniform_from`]) — removal
-//! is what makes double-consumption impossible. If a rival consumed the
-//! last token first, the take fails and the root resamples with a fresh
-//! epoch (and replenishes via `GET-MORE-WALKS` once the pool is truly
-//! dry). Exactness is preserved: every stored short walk is an
-//! independent random walk of its (uniformly random) length from the
-//! connector, so *any* unused token — however contention resolved —
-//! extends the walk with the correct distribution, just as in
-//! Theorem 2.5's argument.
+//! Per-walk epochs need no global coordination. A sampling epoch's root
+//! finalizes only after it heard from every neighbour, a child's
+//! aggregate says the child heard from all of its own, and so on down
+//! the tree — so by the time a new epoch for the same walk can exist,
+//! every `Wave` and `Agg` of the old one (one per directed edge) has
+//! been delivered. `Chosen` is a single message on a single path, and
+//! the next epoch starts *at* the node that consumes it. What is left
+//! are `Retry`/ack messages, which only exist while the walk's root is
+//! blocked waiting for them; the epoch guards drop any that a re-issued
+//! walk leaves behind.
 
-use crate::get_more_walks::{reservoir_split, scatter_counts, AGGREGATED_SEQ};
+use crate::get_more_walks::GmwLane;
 use crate::sample_destination::SdLaneSlot;
 use crate::single_walk::{Segment, StitchSetup, WalkAction, WalkDriver, WalkError};
-use crate::state::{NodeWalkState, StoredWalk, WalkId, WalkState};
+use crate::state::{NodeWalkState, WalkId, WalkState};
+use crate::tail::{self, pack_walk, unpack_walk, NO_PREV};
 use drw_congest::{
     Ctx, Envelope, Message, Mux2, NodeCtx, Protocol, RunError, RunReport, Runner, WireReader,
     WireSink,
@@ -108,17 +59,16 @@ pub struct StitchSpec {
     /// Number of steps.
     pub len: u64,
     /// Global position of `source` within a larger stitched walk (0 for
-    /// a standalone walk). Only consulted in record mode: tail visits
-    /// are recorded at `pos_offset + local position`, which is how a
-    /// session extends an already-recorded walk without re-entering
-    /// setup.
+    /// a standalone walk). Only consulted in record mode: visits are
+    /// recorded at `pos_offset + local position`, which is how a session
+    /// extends an already-recorded walk without re-entering setup.
     pub pos_offset: u64,
     /// The request this walk belongs to within a heterogeneous batch
     /// (0 for standalone schedulers). Rides every message as the outer
     /// [`Mux2`] tag; the facade's request scheduler uses it to group
     /// work items back into responses.
     pub req: u16,
-    /// Record this walk's tail visits (position + predecessor) into the
+    /// Record this walk's visits (position + predecessor) into the
     /// per-node state. Per-walk, so one batch can mix recorded
     /// spanning-tree extensions with plain walk requests.
     pub record: bool,
@@ -143,25 +93,33 @@ impl StitchSpec {
     }
 
     /// What this walk does when it stands at `completed` steps.
-    fn action_at(&self, completed: u64, lambda: u32) -> WalkAction {
-        if self.naive {
-            let remaining = self.len - completed;
-            if remaining > 0 {
-                WalkAction::Tail(remaining)
-            } else {
-                WalkAction::Done
-            }
-        } else {
-            WalkDriver::action_at(self.len, completed, lambda)
+    pub(crate) fn action_at(&self, completed: u64, lambda: u32) -> WalkAction {
+        match self.len - completed {
+            0 if self.naive => WalkAction::Done,
+            left if self.naive => WalkAction::Tail(left),
+            _ => WalkDriver::action_at(self.len, completed, lambda),
         }
+    }
+
+    /// Replays the stitch trace `segs` (sorted here by position) through
+    /// this walk's state machine: panics on any gap, overlap or broken
+    /// connector chain.
+    fn replay(&self, segs: &mut [Segment]) -> WalkDriver {
+        segs.sort_unstable_by_key(|s| s.start_pos);
+        let mut driver = WalkDriver::new(self.source, self.len);
+        for &seg in segs.iter() {
+            driver.apply_segment(seg);
+        }
+        driver
     }
 }
 
 /// One walk's message within the multiplexed Phase-2 run. The walk id
 /// travels as the [`Mux2`] lane (one extra word); every variant fits the
-/// default 4-word CONGEST budget with it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum StitchMsg {
+/// default 4-word CONGEST budget with it. Each variant has one handler,
+/// in the module of its role.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StitchMsg {
     /// The epoch's wave, flooding from the root: a node adopts its
     /// first sender as parent and forwards the wave to everyone else.
     /// On a recorded lane `prev` names the short walk the root took to
@@ -202,21 +160,6 @@ enum StitchMsg {
     /// ([`pack_walk`]): the receiver is the walk's `step`-th node and
     /// sits at global position `pos` of the recorded walk.
     Replay { walk: u64, step: u32, pos: u64 },
-}
-
-/// [`StitchMsg::Wave::prev`] of a wave that announces no taken walk.
-const NO_PREV: u64 = u64::MAX;
-
-/// A short walk's identity as one wire word, `source:32 | seq:32`.
-fn pack_walk(id: WalkId) -> u64 {
-    (u64::from(id.source) << 32) | u64::from(id.seq)
-}
-
-fn unpack_walk(word: u64) -> WalkId {
-    WalkId {
-        source: (word >> 32) as u32,
-        seq: word as u32,
-    }
 }
 
 impl Message for StitchMsg {
@@ -341,84 +284,73 @@ impl Message for StitchMsg {
     }
 }
 
-type BatchMsg = Mux2<StitchMsg>;
+pub(crate) type BatchMsg = Mux2<StitchMsg>;
 
-/// Immutable per-run configuration, readable by every node handler.
+/// Immutable per-run configuration, readable by every node handler:
+/// the setup (`lambda` and `gmw_count` at least 1) and the walks.
 #[derive(Debug)]
-struct SharedCfg {
-    lambda: u32,
-    randomize_len: bool,
-    aggregated_gmw: bool,
-    gmw_count: u64,
-    walks: Vec<StitchSpec>,
+pub(crate) struct SharedCfg {
+    pub(crate) setup: StitchSetup,
+    pub(crate) walks: Vec<StitchSpec>,
 }
 
 impl SharedCfg {
-    /// Wraps a lane's message with its `(req, lane)` [`Mux2`] tags.
-    fn mux(&self, lane_idx: u32, msg: StitchMsg) -> BatchMsg {
-        Mux2::new(self.walks[lane_idx as usize].req, lane_idx as u16, msg)
+    /// Wraps lane `w`'s message with its `(req, lane)` [`Mux2`] tags.
+    #[inline]
+    pub(crate) fn mux(&self, w: u32, msg: StitchMsg) -> BatchMsg {
+        Mux2::new(self.walks[w as usize].req, w as u16, msg)
     }
 }
 
 /// One node's view of one walk ("lane"): the lane's current sampling
-/// epoch and, at the connector only, the hosted token.
+/// epoch, the hosted token at the connector, and the replenishment
+/// bookkeeping.
 #[derive(Debug, Clone, Default)]
-struct LaneState {
+pub(crate) struct LaneState {
     /// Current epoch at this node (0 = never participated).
-    epoch: u32,
+    pub(crate) epoch: u32,
     /// The epoch's root (the walk's connector).
-    root: u32,
+    pub(crate) root: u32,
     /// This node's sampling slot for the epoch.
-    slot: SdLaneSlot,
+    pub(crate) slot: SdLaneSlot,
     /// `Some(completed)` while this node hosts the walk token as the
     /// epoch's root.
-    hosted: Option<u64>,
-    /// Root-side: a `GET-MORE-WALKS` is in flight for this lane.
-    gmw_active: bool,
-    /// Root-side: tokens acknowledged so far.
-    gmw_acked: u64,
-    /// `GET-MORE-WALKS` invocations this node launched for the lane over
-    /// the whole run — never reset by [`LaneState::enter`] — so the
-    /// facade's request scheduler can bill replenishment to the request
-    /// that caused it.
-    gmw_events: u64,
+    pub(crate) hosted: Option<u64>,
+    /// Root-side `GET-MORE-WALKS` state.
+    pub(crate) gmw: GmwLane,
 }
 
 impl LaneState {
     /// Resets the lane for (this node's view of) a new epoch.
-    fn enter(&mut self, epoch: u32, root: u32) {
+    pub(crate) fn enter(&mut self, epoch: u32, root: u32) {
         self.epoch = epoch;
         self.root = root;
         self.hosted = None;
-        self.gmw_active = false;
-        self.gmw_acked = 0;
-        self.slot.reset();
+        self.gmw.acked = None;
+        self.slot = SdLaneSlot::default();
     }
 }
 
 /// What a node accumulates for the post-run result assembly.
 #[derive(Debug, Clone, Default)]
-struct Tally {
+pub(crate) struct Tally {
     /// Walks whose final step landed here (destination = this node).
-    finished: Vec<u32>,
+    pub(crate) finished: Vec<u32>,
     /// Segments resolved here (this node was the segment's endpoint).
-    segments: Vec<(u32, Segment)>,
+    pub(crate) segments: Vec<(u32, Segment)>,
     /// Times this node served as a connector (Lemma 2.7's quantity).
-    connector_visits: u32,
+    pub(crate) connector_visits: u32,
     /// The last round in which a segment resolved here (0 = none did).
-    last_stitch_round: u64,
-    /// Replay tokens this node still waits for: `+1` when a recorded
-    /// lane takes a walk here, `-1` when that walk's replay token stops
-    /// here (a segment ends at its owner). Drained into the run's count
-    /// by [`BatchedStitchProtocol::note`].
-    replays_open: i32,
+    pub(crate) last_stitch_round: u64,
+    /// Replay tokens owed here: `+1` per recorded segment this node took,
+    /// `-1` per replay token that stopped here; drained into the run's
+    /// count by [`BatchedStitchProtocol::note`].
+    pub(crate) replays_open: i32,
 }
 
-/// One node's scratch for the wave in flight, held in
-/// [`NodeWalkState::wave`]: boxed by the first handler that runs at the
-/// node, collected and dropped by [`StitchScheduler::run`] when the
-/// engine returns. A wave therefore costs the nodes it touches — a
-/// 32-step tail on a 131072-node graph boxes 33 of these.
+/// One node's scratch for the wave in flight, in [`NodeWalkState::wave`]:
+/// boxed by the node's first handler call, dropped by
+/// [`StitchScheduler::run`]. A wave costs the nodes it touches.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WaveScratch {
     /// One lane per walk, sized by the first message that needs a lane
@@ -431,150 +363,91 @@ pub(crate) struct WaveScratch {
     listed: bool,
 }
 
-/// The receive handler's merge buffers: filled and read within one
-/// call. One set per run ([`BatchedStitchProtocol::merge`]) rather than
-/// per call or per node: a call allocates nothing, and the buffers stay
-/// hot in cache — kept in each node's [`WaveScratch`] they measured 6 %
-/// of `warm_stitch`'s wall time in cache misses. They carry nothing from
-/// call to call (the handler clears them on entry, so not even a
-/// panicked call's leftovers).
+/// A call's merge buffers, cleared first and flushed last. One set per
+/// run rather than per call or per node: a call allocates nothing, and
+/// the buffers stay hot in cache (kept in each node's [`WaveScratch`]
+/// they cost 6 % of `warm_stitch`'s wall time in cache misses).
 #[derive(Debug, Default)]
-struct Merge {
-    /// Wave adoptions `(lane, epoch, root, prev, from)`, deferred past
-    /// the bookkeeping pass so the parent is the minimum sender among
-    /// the round's arrivals.
-    adopt: Vec<(u32, u32, u32, u64, NodeId)>,
-    /// Lanes whose echo may have completed, re-checked after the
-    /// adoptions.
-    ready: Vec<u32>,
-    /// `GET-MORE-WALKS` acknowledgements merged per lane within the
-    /// round: one tally (or one upward message) per lane, however many
-    /// tokens stopped here or ack envelopes arrived.
-    acks: Vec<(u32, u64)>,
-    /// Aggregated `GET-MORE-WALKS` arrivals merged per `(lane, step)`
-    /// within the round — Algorithm 2's "counts collapse into one
-    /// message per edge": the node sums its inbox before splitting.
-    gmw_in: Vec<(u32, u32, u64)>,
+pub(crate) struct Merge {
+    /// Wave adoptions per `(lane, epoch)`: the parent is the minimum
+    /// sender among the round's arrivals.
+    pub(crate) adopt: Vec<((u32, u32), Adoption)>,
+    /// Lanes whose echo may have completed.
+    pub(crate) ready: Vec<u32>,
+    /// `GET-MORE-WALKS` acknowledgements per lane.
+    pub(crate) acks: Vec<(u32, u64)>,
+    /// Aggregated `GET-MORE-WALKS` arrivals per `(lane, step)`, summed
+    /// before the split: one count message per edge (Algorithm 2).
+    pub(crate) gmw_in: Vec<((u32, u32), u64)>,
 }
 
-/// The lane of walk `lane_idx`, sizing the table for `k` walks first if
-/// this is the node's first use of any lane.
-fn lane_of(lanes: &mut Vec<LaneState>, k: usize, lane_idx: u32) -> &mut LaneState {
-    if lanes.is_empty() {
-        lanes.resize_with(k, LaneState::default);
-    }
-    &mut lanes[lane_idx as usize]
-}
+/// A wave adoption waiting for the round's flush: `(root, prev, from)`.
+pub(crate) type Adoption = (u32, u64, NodeId);
 
-/// Begins a sampling epoch at `node` for the walk standing at
-/// `completed` steps: resets the lane and snapshots the local pool. The
-/// caller floods the epoch's wave to every neighbor.
-fn start_epoch(lane: &mut LaneState, ws: &NodeWalkState, node: NodeId, epoch: u32, completed: u64) {
-    lane.enter(epoch, node as u32);
-    lane.hosted = Some(completed);
-    lane.slot
-        .join(node as u32, None, ws.count_from(node) as u64);
-}
-
-/// Restarts a lane's sampling epoch at its current connector `node`
-/// (the walk still stands at `completed` steps): the resample after a
-/// stitch — whose wave then announces the taken walk as `prev` — a take
-/// conflict, a remote-owner `Retry`, or a completed `GET-MORE-WALKS`
-/// (all [`NO_PREV`]).
-#[allow(clippy::too_many_arguments)]
-fn restart_epoch(
-    shared: &SharedCfg,
-    lane: &mut LaneState,
-    ws: &NodeWalkState,
-    node: NodeId,
-    completed: u64,
-    lane_idx: u32,
-    prev: u64,
-    ctx: &mut NodeCtx<'_, BatchMsg>,
+/// Folds `value` into the entry for `key`, or appends one: how a round's
+/// wave adoptions, `GET-MORE-WALKS` arrivals and acknowledgements merge.
+pub(crate) fn merge_by_key<K: PartialEq, V>(
+    buf: &mut Vec<(K, V)>,
+    key: K,
+    value: V,
+    fold: impl FnOnce(&mut V, V),
 ) {
-    let epoch = lane.epoch + 1;
-    start_epoch(lane, ws, node, epoch, completed);
-    let root = node as u32;
-    for i in 0..ctx.graph().degree(node) {
-        let v = ctx.graph().neighbor_at(node, i);
-        ctx.send(
-            v,
-            shared.mux(lane_idx, StitchMsg::Wave { epoch, root, prev }),
-        );
+    match buf.iter_mut().find(|e| e.0 == key) {
+        Some(e) => fold(&mut e.1, value),
+        None => buf.push((key, value)),
     }
 }
 
-/// Moves a replay token of the short walk `walk` on from `node`, its
-/// `step`-th node, at global position `pos`: along the hop `node` logged
-/// for that step. `false` if it logged none — the walk ended here.
-fn forward_replay(
-    shared: &SharedCfg,
-    ws: &NodeWalkState,
-    node: NodeId,
-    lane_idx: u32,
-    (walk, step, pos): (u64, u32, u64),
-    ctx: &mut NodeCtx<'_, BatchMsg>,
-) -> bool {
-    let id = unpack_walk(walk);
-    let Some(hop) = ws.forward.hop(id.source, id.seq, step) else {
-        return false;
-    };
-    let next = ctx.graph().neighbor_at(node, hop as usize);
-    let replay = StitchMsg::Replay {
-        walk,
-        step: step + 1,
-        pos: pos + 1,
-    };
-    ctx.send(next, shared.mux(lane_idx, replay));
-    true
+/// One node's handler call, the receiver of every role's handlers: the
+/// node's store and tally, the run's setup and merge buffers, and the
+/// node-scoped context (`ctx.node()` is the node).
+pub(crate) struct NodeCall<'a> {
+    pub(crate) shared: &'a SharedCfg,
+    pub(crate) ws: &'a mut NodeWalkState,
+    pub(crate) tally: &'a mut Tally,
+    pub(crate) merge: &'a mut Merge,
+    pub(crate) ctx: NodeCtx<'a, BatchMsg>,
 }
 
-/// Starts regenerating the short walk `(node, seq)` a recorded lane just
-/// took, at its connector `node`, where the walk stood at `start` steps.
-/// The connector's own position is on record already (the previous
-/// segment's endpoint, or the caller's hand-off), so visits begin one
-/// step in.
-fn inject_replay(
-    shared: &SharedCfg,
-    ws: &NodeWalkState,
-    node: NodeId,
-    lane_idx: u32,
-    seq: u32,
-    start: u64,
-    ctx: &mut NodeCtx<'_, BatchMsg>,
-) {
-    let source = node as u32;
-    let pos = shared.walks[lane_idx as usize].pos_offset + start;
-    let token = (pack_walk(WalkId { source, seq }), 0, pos);
-    let logged = forward_replay(shared, ws, node, lane_idx, token, ctx);
-    assert!(
-        logged,
-        "walk ({source}, {seq}) is not replayable: no log at its source"
-    );
-}
+impl NodeCall<'_> {
+    /// Sends lane `w`'s `msg` to the neighbour `to`.
+    #[inline]
+    pub(crate) fn send(&mut self, to: NodeId, w: u32, msg: StitchMsg) {
+        let msg = self.shared.mux(w, msg);
+        self.ctx.send(to, msg);
+    }
 
-/// One aggregated `GET-MORE-WALKS` hop: scatters `count`
-/// indistinguishable tokens of `lane_idx` from `node` to uniformly
-/// random neighbors, one count message per receiving edge, arriving at
-/// step `step`. Shared by the launch at the drained root and every
-/// subsequent diffusion hop.
-fn scatter_gmw(
-    node: NodeId,
-    req: u16,
-    lane_idx: u32,
-    step: u32,
-    count: u64,
-    ctx: &mut NodeCtx<'_, BatchMsg>,
-) {
-    let degree = ctx.graph().degree(node);
-    let per_neighbor = scatter_counts(ctx.rng(), degree, count);
-    for (idx, &c) in per_neighbor.iter().enumerate() {
-        if c > 0 {
-            let to = ctx.graph().edge_target(ctx.graph().nth_edge_id(node, idx));
-            ctx.send(
-                to,
-                Mux2::new(req, lane_idx as u16, StitchMsg::Gmw { step, count: c }),
-            );
+    /// The lane of walk `w`, sizing the table for every walk first if
+    /// this is the node's first use of any lane.
+    pub(crate) fn lane<'l>(&self, lanes: &'l mut Vec<LaneState>, w: u32) -> &'l mut LaneState {
+        if lanes.is_empty() {
+            lanes.resize_with(self.shared.walks.len(), LaneState::default);
+        }
+        &mut lanes[w as usize]
+    }
+
+    /// One hop of `msg` (`Retry`, `Taken`, `GmwAck`) toward `lane`'s epoch
+    /// root: elsewhere it goes to the parent; the root gets `hosted`.
+    pub(crate) fn climb(&mut self, w: u32, lane: &LaneState, msg: StitchMsg) -> Option<u64> {
+        if let (None, Some(p)) = (lane.hosted, lane.slot.parent) {
+            self.send(p, w, msg);
+        }
+        lane.hosted
+    }
+
+    /// Moves walk `w`, standing here at `completed` steps, on: an epoch
+    /// rooted here whose wave announces `prev`, the tail, or completion.
+    pub(crate) fn proceed(&mut self, w: u32, lane: &mut LaneState, completed: u64, prev: u64) {
+        match self.shared.walks[w as usize].action_at(completed, self.shared.setup.lambda) {
+            WalkAction::Stitch => {
+                self.tally.connector_visits += 1;
+                self.restart_epoch(w, lane, completed, prev);
+            }
+            WalkAction::Tail(steps) => {
+                lane.hosted = None;
+                tail::hop(self.shared, &mut self.ctx, w, steps);
+            }
+            WalkAction::Done => self.tally.finished.push(w),
         }
     }
 }
@@ -594,7 +467,7 @@ struct BatchedStitchProtocol<'s> {
     /// The last round that began with a walk still under way: the round
     /// the last walk landed in, or the run's last if one never did.
     walking_until: u64,
-    /// The receive handler's merge buffers.
+    /// The handlers' merge buffers.
     merge: Merge,
 }
 
@@ -616,67 +489,34 @@ impl BatchedStitchProtocol<'_> {
             self.replaying = open.expect("a replay token came home that no stitch owed");
         }
     }
-}
 
-/// Applies a freshly taken segment at its endpoint `node` and moves the
-/// walk into its next phase: a new sampling epoch here, the naive tail,
-/// or completion.
-#[allow(clippy::too_many_arguments)]
-fn advance_walk(
-    shared: &SharedCfg,
-    lane: &mut LaneState,
-    ws: &NodeWalkState,
-    tally: &mut Tally,
-    node: NodeId,
-    lane_idx: u32,
-    walk: StoredWalk,
-    completed: u64,
-    ctx: &mut NodeCtx<'_, BatchMsg>,
-) {
-    let seg = Segment {
-        connector: lane.root as usize,
-        id: walk.id,
-        len: walk.len,
-        start_pos: completed,
-        owner: node,
-        replayable: walk.replayable,
-    };
-    tally.segments.push((lane_idx, seg));
-    tally.last_stitch_round = ctx.round();
-    let completed = completed + u64::from(walk.len);
-    let spec = shared.walks[lane_idx as usize];
-    let action = spec.action_at(completed, shared.lambda);
-    // Regeneration (module docs): the connector learns what to replay.
-    let mut prev = NO_PREV;
-    if spec.record {
-        assert!(walk.replayable, "recorded lanes replay what they stitch");
-        tally.replays_open += 1;
-        if seg.connector == node {
-            inject_replay(shared, ws, node, lane_idx, walk.id.seq, seg.start_pos, ctx);
-        } else if action == WalkAction::Stitch {
-            prev = pack_walk(walk.id);
-        } else {
-            let (epoch, seq) = (lane.epoch, walk.id.seq);
-            let parent = lane
-                .slot
-                .parent
-                .expect("an owner off the root has a parent");
-            ctx.send(
-                parent,
-                shared.mux(lane_idx, StitchMsg::Taken { epoch, seq }),
-            );
-        }
-    }
-    match action {
-        WalkAction::Stitch => {
-            tally.connector_visits += 1;
-            restart_epoch(shared, lane, ws, node, completed, lane_idx, prev, ctx);
-        }
-        WalkAction::Tail(steps) => {
-            lane.hosted = None;
-            ctx.send_random_neighbor(shared.mux(lane_idx, StitchMsg::Tail { left: steps - 1 }));
-        }
-        WalkAction::Done => tally.finished.push(lane_idx),
+    /// Runs `f` as `node`'s handler call. The node's scratch leaves the
+    /// state for the call, so the roles can hold the store and the lanes
+    /// side by side; the run's facts catch up afterwards.
+    fn call_at(
+        &mut self,
+        node: NodeId,
+        ctx: &mut Ctx<'_, BatchMsg>,
+        f: impl FnOnce(&mut NodeCall<'_>, &mut Vec<LaneState>),
+    ) {
+        let ws = &mut self.nodes[node];
+        let mut wave = ws.wave.take().unwrap_or_default();
+        let WaveScratch { lanes, tally, .. } = &mut *wave;
+        let merge = &mut self.merge;
+        merge.adopt.clear();
+        merge.ready.clear();
+        merge.acks.clear();
+        merge.gmw_in.clear();
+        let call = &mut NodeCall {
+            shared: &self.shared,
+            ws: &mut *ws,
+            tally,
+            merge,
+            ctx: ctx.at(node),
+        };
+        f(call, lanes);
+        self.nodes[node].wave = Some(wave);
+        self.note(node);
     }
 }
 
@@ -684,38 +524,17 @@ impl Protocol for BatchedStitchProtocol<'_> {
     type Msg = BatchMsg;
 
     fn start(&mut self, ctx: &mut Ctx<'_, BatchMsg>) {
-        let n = ctx.graph().n();
-        assert_eq!(self.nodes.len(), n, "one NodeWalkState per graph node");
-        let k = self.shared.walks.len();
-        for w in 0..k {
-            let spec = self.shared.walks[w];
-            assert!(spec.source < n, "walk source out of range");
-            let mux = |m| Mux2::new(spec.req, w as u16, m);
-            let action = spec.action_at(0, self.shared.lambda);
-            if let WalkAction::Tail(steps) = action {
-                ctx.send_random_neighbor(spec.source, mux(StitchMsg::Tail { left: steps - 1 }));
-                continue;
-            }
-            let ws = &mut self.nodes[spec.source];
-            let mut wave = ws.wave.take().unwrap_or_default();
-            if action == WalkAction::Done {
-                wave.tally.finished.push(w as u32);
-            } else {
-                wave.tally.connector_visits += 1;
-                start_epoch(lane_of(&mut wave.lanes, k, w as u32), ws, spec.source, 1, 0);
-                let root = spec.source as u32;
-                for i in 0..ctx.graph().degree(spec.source) {
-                    let v = ctx.graph().neighbor_at(spec.source, i);
-                    let wave = StitchMsg::Wave {
-                        epoch: 1,
-                        root,
-                        prev: NO_PREV,
-                    };
-                    ctx.send(spec.source, v, mux(wave));
+        for w in 0..self.shared.walks.len() as u32 {
+            let spec = self.shared.walks[w as usize];
+            match spec.action_at(0, self.shared.setup.lambda) {
+                // A tail needs no scratch at its source.
+                WalkAction::Tail(steps) => {
+                    tail::hop(&self.shared, &mut ctx.at(spec.source), w, steps)
                 }
+                _ => self.call_at(spec.source, ctx, |call, lanes| {
+                    call.proceed(w, call.lane(lanes, w), 0, NO_PREV)
+                }),
             }
-            ws.wave = Some(wave);
-            self.note(spec.source);
         }
     }
 
@@ -729,388 +548,47 @@ impl Protocol for BatchedStitchProtocol<'_> {
         }
     }
 
-    fn on_receive(
-        &mut self,
-        node: NodeId,
-        inbox: &[Envelope<BatchMsg>],
-        ctx: &mut Ctx<'_, BatchMsg>,
-    ) {
-        // The scratch leaves the state for the call, so the handlers
-        // below can hold the store and the lanes side by side.
-        let ws = &mut self.nodes[node];
-        let mut wave = ws.wave.take().unwrap_or_default();
-        let (shared, merge) = (&self.shared, &mut self.merge);
-        receive(shared, ws, &mut wave, merge, node, inbox, &mut ctx.at(node));
-        ws.wave = Some(wave);
-        self.note(node);
-    }
-}
-
-/// [`BatchedStitchProtocol`]'s receive handler proper.
-fn receive(
-    shared: &SharedCfg,
-    ws: &mut NodeWalkState,
-    wave: &mut WaveScratch,
-    merge: &mut Merge,
-    node: NodeId,
-    inbox: &[Envelope<BatchMsg>],
-    ctx: &mut NodeCtx<'_, BatchMsg>,
-) {
-    let WaveScratch { lanes, tally, .. } = wave;
-    let Merge {
-        adopt,
-        ready,
-        acks,
-        gmw_in,
-    } = merge;
-    adopt.clear();
-    ready.clear();
-    acks.clear();
-    gmw_in.clear();
-    let degree = ctx.graph().degree(node);
-    let k = shared.walks.len();
-    for env in inbox {
-        let lane_idx = u32::from(env.msg.lane);
-        debug_assert_eq!(
-            env.msg.req, shared.walks[lane_idx as usize].req,
-            "request tag must match the lane's owning request"
-        );
-        if let StitchMsg::Tail { left } = env.msg.msg {
-            let spec = shared.walks[lane_idx as usize];
-            if spec.record {
-                // The receiver is the `len - left`-th node of
-                // its walk; `pos_offset` lifts that to the
-                // global position within a session-extended
-                // walk. The tail start itself is never recorded
-                // (it is the endpoint of the last replayed
-                // segment, or the caller's hand-off position).
-                ws.record_visit(spec.pos_offset + spec.len - left, Some(env.from));
-            }
-            if left == 0 {
-                tally.finished.push(lane_idx);
-            } else {
-                ctx.send_random_neighbor(shared.mux(lane_idx, StitchMsg::Tail { left: left - 1 }));
-            }
-            continue;
-        }
-        if let StitchMsg::Replay { walk, step, pos } = env.msg.msg {
-            ws.record_visit(pos, Some(env.from));
-            if !forward_replay(shared, ws, node, lane_idx, (walk, step, pos), ctx) {
-                tally.replays_open -= 1; // home: at the node that took it
-            }
-            continue;
-        }
-        let lane = lane_of(lanes, k, lane_idx);
-        match env.msg.msg {
-            StitchMsg::Tail { .. } | StitchMsg::Replay { .. } => unreachable!("handled above"),
-            StitchMsg::Wave { epoch, root, prev } => {
-                // Only the arrival that resets the lane may honour
-                // `prev`; what this node hosted is read before `enter`
-                // forgets it. (`NO_PREV` names no node.)
-                let hosted = lane.hosted;
-                let fresh = epoch > lane.epoch;
-                if fresh {
-                    lane.enter(epoch, root);
-                } else if epoch < lane.epoch {
-                    continue; // stale tail of an old epoch's flood
-                }
-                #[cfg(test)]
-                let fresh = tests::stale_prev_planted(lane, hosted) || fresh;
-                let taken = unpack_walk(prev);
-                if fresh && taken.source as usize == node {
-                    let start = hosted.expect("the connector `prev` names hosts its epoch");
-                    inject_replay(shared, ws, node, lane_idx, taken.seq, start, ctx);
-                }
-                lane.slot.heard += 1;
-                if !lane.slot.joined {
-                    match adopt.iter_mut().find(|a| a.0 == lane_idx && a.1 == epoch) {
-                        Some(a) => a.4 = a.4.min(env.from),
-                        None => adopt.push((lane_idx, epoch, root, prev, env.from)),
+    /// Routes every envelope to its role's handler, then flushes the
+    /// round's merges in a fixed order: `GET-MORE-WALKS` arrivals, their
+    /// acknowledgements, wave adoptions, then the echoes they completed.
+    fn on_receive(&mut self, v: NodeId, inbox: &[Envelope<BatchMsg>], ctx: &mut Ctx<'_, BatchMsg>) {
+        self.call_at(v, ctx, |call, lanes| {
+            for env in inbox {
+                let (w, from) = (u32::from(env.msg.lane), env.from);
+                let req = call.shared.walks[w as usize].req;
+                debug_assert_eq!(env.msg.req, req, "request tag must match the lane's owner");
+                match env.msg.msg {
+                    StitchMsg::Wave { epoch, root, prev } => {
+                        call.on_wave(call.lane(lanes, w), w, (epoch, root, prev), from)
+                    }
+                    StitchMsg::Agg { owner, count } => {
+                        call.on_agg(call.lane(lanes, w), w, (owner, count), from)
+                    }
+                    StitchMsg::Chosen {
+                        epoch,
+                        owner,
+                        completed,
+                    } => call.on_chosen(call.lane(lanes, w), w, (epoch, owner, completed)),
+                    StitchMsg::Retry { epoch } => call.on_retry(call.lane(lanes, w), w, epoch),
+                    StitchMsg::Gmw { step, count } => call.on_gmw(w, step, count),
+                    StitchMsg::Swk { seq, step, total } => {
+                        call.on_swk(call.lane(lanes, w), w, (seq, step, total))
+                    }
+                    StitchMsg::GmwAck { count } => call.on_gmw_ack(w, count),
+                    StitchMsg::Tail { left } => call.on_tail(w, left, from),
+                    StitchMsg::Taken { epoch, seq } => {
+                        call.on_taken(call.lane(lanes, w), w, (epoch, seq))
+                    }
+                    StitchMsg::Replay { walk, step, pos } => {
+                        call.on_replay(w, (walk, step, pos), from)
                     }
                 }
-                ready.push(lane_idx);
             }
-            StitchMsg::Agg { owner, count } => {
-                // Aggregates never straddle epochs: a root finalizes
-                // only after every aggregate reached it (mod docs).
-                lane.slot.absorb(env.from, owner, count, ctx.rng());
-                ready.push(lane_idx);
-            }
-            StitchMsg::Chosen {
-                epoch,
-                owner,
-                completed,
-            } => {
-                if epoch == lane.epoch {
-                    choose(
-                        shared, lane, ws, tally, node, lane_idx, owner, completed, ctx,
-                    );
-                }
-            }
-            StitchMsg::Retry { epoch } => {
-                if epoch != lane.epoch {
-                    continue;
-                }
-                if let Some(completed) = lane.hosted {
-                    // Root: resample with a fresh epoch.
-                    restart_epoch(shared, lane, ws, node, completed, lane_idx, NO_PREV, ctx);
-                } else if let Some(p) = lane.slot.parent {
-                    ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch }));
-                }
-            }
-            StitchMsg::Taken { epoch, seq } => {
-                if epoch != lane.epoch {
-                    continue;
-                }
-                #[cfg(test)]
-                if tests::DROP_TAKEN.get() {
-                    continue;
-                }
-                if let Some(start) = lane.hosted {
-                    inject_replay(shared, ws, node, lane_idx, seq, start, ctx);
-                } else if let Some(p) = lane.slot.parent {
-                    ctx.send(p, shared.mux(lane_idx, StitchMsg::Taken { epoch, seq }));
-                }
-            }
-            StitchMsg::Gmw { step, count } => {
-                match gmw_in.iter_mut().find(|g| g.0 == lane_idx && g.1 == step) {
-                    Some(g) => g.2 += count,
-                    None => gmw_in.push((lane_idx, step, count)),
-                }
-            }
-            StitchMsg::Swk { seq, step, total } => {
-                if step == total {
-                    ws.store_walk(
-                        WalkId {
-                            source: lane.root,
-                            seq,
-                        },
-                        total,
-                        true,
-                    );
-                    push_ack(acks, lane_idx, 1);
-                } else {
-                    let (hop, _) = ctx.send_random_neighbor_hop(shared.mux(
-                        lane_idx,
-                        StitchMsg::Swk {
-                            seq,
-                            step: step + 1,
-                            total,
-                        },
-                    ));
-                    ws.log_forward_hop(lane.root, seq, step, hop);
-                }
-            }
-            StitchMsg::GmwAck { count } => {
-                push_ack(acks, lane_idx, count);
-            }
-        }
-    }
-
-    // Flush the merged GET-MORE-WALKS arrivals: one reservoir split
-    // and one scatter per (lane, step) for the whole round, so a
-    // lane's tokens reaching this node over several edges leave as
-    // one count per outgoing edge again.
-    for &(lane_idx, step, arrived) in gmw_in.iter() {
-        let lane = &mut lanes[lane_idx as usize];
-        let (stopped, moving) = reservoir_split(
-            ctx.rng(),
-            arrived,
-            step,
-            shared.lambda,
-            shared.randomize_len,
-        );
-        if stopped > 0 {
-            for _ in 0..stopped {
-                ws.store_walk(
-                    WalkId {
-                        source: lane.root,
-                        seq: AGGREGATED_SEQ,
-                    },
-                    step,
-                    false,
-                );
-            }
-            push_ack(acks, lane_idx, stopped);
-        }
-        if moving > 0 {
-            let req = shared.walks[lane_idx as usize].req;
-            scatter_gmw(node, req, lane_idx, step + 1, moving, ctx);
-        }
-    }
-
-    // Flush the merged acknowledgements: per lane, one root tally
-    // or one upward message for the whole round.
-    for &(lane_idx, count) in acks.iter() {
-        let lane = &mut lanes[lane_idx as usize];
-        acknowledge_gmw(shared, lane, ws, node, lane_idx, count, ctx);
-    }
-
-    // Deferred wave adoption: join the tree under the minimum sender
-    // and forward the wave to everyone else, exactly once per lane and
-    // epoch (the parent hears from this node through its aggregate).
-    for &(lane_idx, epoch, root, prev, from) in adopt.iter() {
-        let lane = &mut lanes[lane_idx as usize];
-        if lane.epoch != epoch || lane.slot.joined {
-            continue; // a newer epoch arrived later in this inbox
-        }
-        lane.slot
-            .join(node as u32, Some(from), ws.count_from(root as usize) as u64);
-        for i in 0..degree {
-            let v = ctx.graph().neighbor_at(node, i);
-            if v != from {
-                let wave = StitchMsg::Wave { epoch, root, prev };
-                ctx.send(v, shared.mux(lane_idx, wave));
-            }
-        }
-        ready.push(lane_idx);
-    }
-
-    // Lanes whose echo may just have completed.
-    ready.sort_unstable();
-    ready.dedup();
-    for &lane_idx in ready.iter() {
-        let lane = &mut lanes[lane_idx as usize];
-        if !lane.slot.ready_to_aggregate(degree) {
-            continue;
-        }
-        lane.slot.agg_sent = true;
-        match lane.slot.parent {
-            Some(p) => {
-                ctx.send(
-                    p,
-                    shared.mux(
-                        lane_idx,
-                        StitchMsg::Agg {
-                            owner: lane.slot.cand_owner.unwrap_or(0),
-                            count: lane.slot.count,
-                        },
-                    ),
-                );
-            }
-            None => finalize_at_root(shared, lane, ws, tally, node, lane_idx, ctx),
-        }
-    }
-}
-
-/// The root's choice `owner` at `node` — where the root made it, or on
-/// its way down the epoch's tree. The owner takes one token of the root
-/// and moves the walk on; any other node passes the choice to the child
-/// whose aggregate put `owner` in its reservoir.
-#[allow(clippy::too_many_arguments)]
-fn choose(
-    shared: &SharedCfg,
-    lane: &mut LaneState,
-    ws: &mut NodeWalkState,
-    tally: &mut Tally,
-    node: NodeId,
-    lane_idx: u32,
-    owner: u32,
-    completed: u64,
-    ctx: &mut NodeCtx<'_, BatchMsg>,
-) {
-    let epoch = lane.epoch;
-    if owner as usize != node {
-        let child = lane.slot.cand_from;
-        let child = child.expect("a candidate that is not this node's came from a child");
-        let chosen = StitchMsg::Chosen {
-            epoch,
-            owner,
-            completed,
-        };
-        return ctx.send(child, shared.mux(lane_idx, chosen));
-    }
-    let taken = ws.take_uniform_from(lane.root as usize, ctx.rng());
-    match (taken, lane.slot.parent) {
-        (Some(walk), _) => advance_walk(
-            shared, lane, ws, tally, node, lane_idx, walk, completed, ctx,
-        ),
-        // A rival consumed the pool since the snapshot: the root
-        // resamples with a fresh epoch — at once, if that is this node.
-        (None, Some(p)) => ctx.send(p, shared.mux(lane_idx, StitchMsg::Retry { epoch })),
-        (None, None) => restart_epoch(shared, lane, ws, node, completed, lane_idx, NO_PREV, ctx),
-    }
-}
-
-/// Root-side epilogue of a sampling epoch: launch `GET-MORE-WALKS` when
-/// the pool is dry, else make the choice.
-fn finalize_at_root(
-    shared: &SharedCfg,
-    lane: &mut LaneState,
-    ws: &mut NodeWalkState,
-    tally: &mut Tally,
-    node: NodeId,
-    lane_idx: u32,
-    ctx: &mut NodeCtx<'_, BatchMsg>,
-) {
-    let completed = lane.hosted.expect("the epoch root hosts the walk token");
-    if lane.slot.count == 0 {
-        // Drained connector: GET-MORE-WALKS (Algorithm 1, lines 7-10).
-        lane.gmw_events += 1;
-        lane.gmw_active = true;
-        lane.gmw_acked = 0;
-        if shared.aggregated_gmw {
-            let req = shared.walks[lane_idx as usize].req;
-            scatter_gmw(node, req, lane_idx, 1, shared.gmw_count, ctx);
-        } else {
-            let first = ws.alloc_seqs(shared.gmw_count as usize);
-            for i in 0..shared.gmw_count {
-                let seq = first + i as u32;
-                let r = if shared.randomize_len {
-                    use rand::Rng;
-                    ctx.rng().random_range(0..shared.lambda)
-                } else {
-                    0
-                };
-                let total = shared.lambda + r;
-                let (hop, _) = ctx.send_random_neighbor_hop(shared.mux(
-                    lane_idx,
-                    StitchMsg::Swk {
-                        seq,
-                        step: 1,
-                        total,
-                    },
-                ));
-                ws.log_forward_hop(node as u32, seq, 0, hop);
-            }
-        }
-        return;
-    }
-    let owner = lane.slot.cand_owner.expect("count > 0 implies a candidate");
-    choose(
-        shared, lane, ws, tally, node, lane_idx, owner, completed, ctx,
-    );
-}
-
-/// Accounts `count` finished `GET-MORE-WALKS` tokens: at the waiting
-/// root the tally advances (resampling once complete); elsewhere the
-/// acknowledgement is forwarded up the epoch's tree.
-fn acknowledge_gmw(
-    shared: &SharedCfg,
-    lane: &mut LaneState,
-    ws: &NodeWalkState,
-    node: NodeId,
-    lane_idx: u32,
-    count: u64,
-    ctx: &mut NodeCtx<'_, BatchMsg>,
-) {
-    if lane.gmw_active && lane.hosted.is_some() {
-        lane.gmw_acked += count;
-        if lane.gmw_acked >= shared.gmw_count {
-            let completed = lane.hosted.expect("checked");
-            restart_epoch(shared, lane, ws, node, completed, lane_idx, NO_PREV, ctx);
-        }
-    } else if let Some(p) = lane.slot.parent {
-        ctx.send(p, shared.mux(lane_idx, StitchMsg::GmwAck { count }));
-    }
-}
-
-/// Accumulates a `GET-MORE-WALKS` acknowledgement into the round's
-/// per-lane merge buffer.
-fn push_ack(acks: &mut Vec<(u32, u64)>, lane_idx: u32, count: u64) {
-    match acks.iter_mut().find(|a| a.0 == lane_idx) {
-        Some(a) => a.1 += count,
-        None => acks.push((lane_idx, count)),
+            call.flush_gmw(lanes);
+            call.flush_acks(lanes);
+            call.flush_adoptions(lanes);
+            call.flush_echoes(lanes);
+        });
     }
 }
 
@@ -1217,9 +695,8 @@ pub struct StitchScheduler {
 
 /// Upper bound on self-healing re-issue passes in
 /// [`StitchScheduler::run`]. Each pass restarts only the walks that
-/// stalled, so under any sub-partition fault rate the expected number of
-/// passes is O(1); hitting this bound means the plan is pathological
-/// (e.g. dropping essentially every message).
+/// stalled; a run that still stalls after this many passes returns
+/// [`WalkError::MessagesLost`].
 pub const MAX_REISSUE_PASSES: usize = 16;
 
 /// The most walks one multiplexed run can host: the [`Mux2`] lane tag is
@@ -1243,19 +720,12 @@ impl StitchScheduler {
         }
     }
 
-    /// Queues a `len`-step walk from `source`.
+    /// Queues a `len`-step walk from `source`, recorded if the setup
+    /// records.
     pub fn add_walk(&mut self, source: NodeId, len: u64) -> &mut Self {
-        self.add_walk_at(source, len, 0)
-    }
-
-    /// Queues a `len`-step walk from `source` whose start sits at global
-    /// position `pos_offset` of a larger recorded walk (a session
-    /// extension): in record mode, tail visits are recorded at
-    /// `pos_offset + local position`.
-    pub fn add_walk_at(&mut self, source: NodeId, len: u64, pos_offset: u64) -> &mut Self {
+        let record = self.setup.record;
         self.add_spec(StitchSpec {
-            pos_offset,
-            record: self.setup.record,
+            record,
             ..StitchSpec::plain(source, len)
         })
     }
@@ -1267,14 +737,14 @@ impl StitchScheduler {
     ///
     /// # Panics
     ///
-    /// Panics if a recorded spec is combined with aggregated
+    /// Panics if a recorded stitched spec is combined with aggregated
     /// `GET-MORE-WALKS` (whose stored walks are not replayable — any
     /// lane could consume them, leaving recorded positions silently
-    /// missing), or if the scheduler already holds 2^16 walks (the
-    /// [`Mux2`] lane width).
+    /// missing; a naive spec consumes none), or if the scheduler
+    /// already holds 2^16 walks (the [`Mux2`] lane width).
     pub fn add_spec(&mut self, spec: StitchSpec) -> &mut Self {
         assert!(
-            !(spec.record && self.setup.aggregated_gmw),
+            !(spec.record && !spec.naive && self.setup.aggregated_gmw),
             "recorded specs require per-token (replayable) GET-MORE-WALKS"
         );
         assert!(
@@ -1293,33 +763,31 @@ impl StitchScheduler {
     /// # Self-healing under message loss
     ///
     /// On a fail-silent network (an active unhealed
-    /// [`drw_congest::FaultPlan`] on the runner's engine), a walk's
-    /// token or one of its epoch handshakes can be lost outright, in
-    /// which case the multiplexed run goes quiescent with the walk
-    /// unfinished. Quiescence *is* the timeout — nothing is in flight,
-    /// so no retransmission can arrive — and the scheduler then
-    /// re-issues every unfinished walk from its last stitched
-    /// checkpoint in a follow-up pass (walks are memoryless, so
-    /// re-drawing the lost suffix with fresh randomness leaves the
-    /// endpoint distribution exact). Passes repeat until every walk
-    /// lands; the count is surfaced as
-    /// [`BatchedStitchOutcome::reissues`] and the summed engine bill as
-    /// its `report`.
+    /// [`drw_congest::FaultPlan`] on the runner's engine), a lost token
+    /// or echo message leaves the run quiescent with the walk
+    /// unfinished. Quiescence *is* the timeout, and the scheduler then
+    /// re-issues every unfinished walk from its last stitched checkpoint
+    /// in a follow-up pass (walks are memoryless, so re-drawing the lost
+    /// suffix with fresh randomness leaves the law exact), counted in
+    /// [`BatchedStitchOutcome::reissues`]. An echo needs all of its `2m`
+    /// messages, so it survives a drop rate `p` with probability
+    /// `(1 - p)^(2m)`: 5 % at 2 % drops on the 6×6 torus, where a stitch
+    /// then needs about twenty passes.
     ///
     /// # Errors
     ///
-    /// Propagates engine errors; either way no node of `state` is left
-    /// holding wave scratch.
+    /// Propagates engine errors, and returns [`WalkError::MessagesLost`]
+    /// if a *recorded* walk lost a message (partially recorded visits
+    /// cannot be rolled back, so it needs the healed transport) or walks
+    /// still stall after [`MAX_REISSUE_PASSES`] passes. Either way no
+    /// node of `state` is left holding wave scratch.
     ///
     /// # Panics
     ///
-    /// Panics if a queued source is out of range, if a run on a
-    /// *perfect or ARQ-healed* network ends with an unfinished walk (a
-    /// protocol invariant violation — loss-free runs may not stall), if
-    /// a *recorded* walk needs re-issue (recording requires the healed
-    /// transport: partially recorded visits cannot be rolled back), or
-    /// if walks still stall after [`MAX_REISSUE_PASSES`] passes (the
-    /// fault rate is above the partition threshold).
+    /// Panics if a queued source is out of range, or if a run on a
+    /// *perfect or ARQ-healed* network ends with an unfinished walk or
+    /// an unreplayed segment (a protocol invariant violation — loss-free
+    /// runs may not stall).
     pub fn run(
         self,
         runner: &mut Runner,
@@ -1344,8 +812,11 @@ impl StitchScheduler {
         for spec in &self.specs {
             assert!(spec.source < n, "source {} out of range", spec.source);
         }
-        let setup = self.setup;
-        let lambda = setup.lambda.max(1);
+        let setup = StitchSetup {
+            lambda: self.setup.lambda.max(1),
+            gmw_count: self.setup.gmw_count.max(1),
+            ..self.setup
+        };
         let total = self.specs.len();
         let specs = self.specs;
 
@@ -1363,15 +834,9 @@ impl StitchScheduler {
             specs.iter().enumerate().map(|(w, &s)| (w, s, 0)).collect();
 
         for pass in 0.. {
-            let shared = SharedCfg {
-                lambda,
-                randomize_len: setup.randomize_len,
-                aggregated_gmw: setup.aggregated_gmw,
-                gmw_count: setup.gmw_count.max(1),
-                walks: pending.iter().map(|&(_, s, _)| s).collect(),
-            };
+            let walks = pending.iter().map(|&(_, s, _)| s).collect();
             let mut protocol = BatchedStitchProtocol {
-                shared,
+                shared: SharedCfg { setup, walks },
                 nodes: &mut state.nodes,
                 touched: Vec::new(),
                 done: 0,
@@ -1385,7 +850,6 @@ impl StitchScheduler {
             // pass touched, engine error or not; merge this pass's
             // results into original walk coordinates (segment positions
             // shift by the banked steps).
-            let mut finished_here: Vec<bool> = vec![false; pending.len()];
             let mut landed = 0;
             let mut last_stitch = 0;
             for v in protocol.touched {
@@ -1396,16 +860,12 @@ impl StitchScheduler {
                     *connector_visits.entry(v).or_insert(0) += wave.tally.connector_visits;
                 }
                 for (j, lane) in wave.lanes.iter().enumerate() {
-                    gmw_by_walk[pending[j].0] += lane.gmw_events;
+                    gmw_by_walk[pending[j].0] += lane.gmw.events;
                 }
                 for &j in &wave.tally.finished {
-                    let (w, _, _) = pending[j as usize];
-                    assert!(!finished_here[j as usize], "walk {w} finished twice");
-                    finished_here[j as usize] = true;
-                    assert!(
-                        destinations[w].replace(v).is_none(),
-                        "walk {w} finished twice"
-                    );
+                    let w = pending[j as usize].0;
+                    let twice = destinations[w].replace(v).is_some();
+                    assert!(!twice, "walk {w} finished twice");
                     landed += 1;
                 }
                 for (j, mut seg) in wave.tally.segments {
@@ -1416,10 +876,10 @@ impl StitchScheduler {
             }
             assert_eq!(protocol.done, landed, "completion count out of step");
             let pass_report = result?;
-            assert_eq!(
-                protocol.replaying, 0,
-                "recorded segments never replayed (recording needs a loss-free or healed transport)"
-            );
+            if protocol.replaying > 0 && can_reissue {
+                return Err(WalkError::MessagesLost);
+            }
+            assert_eq!(protocol.replaying, 0, "recorded segments never replayed");
             // A run outlives its last landing only to wait for replay
             // tokens (a pass that stalls unfinished never outlives it).
             let replay = pass_report.rounds - protocol.walking_until;
@@ -1428,10 +888,8 @@ impl StitchScheduler {
             merge_report(&mut report, pass_report);
 
             let unfinished: Vec<(usize, StitchSpec, u64)> = pending
-                .iter()
-                .zip(&finished_here)
-                .filter(|&(_, &f)| !f)
-                .map(|(&p, _)| p)
+                .into_iter()
+                .filter(|p| destinations[p.0].is_none())
                 .collect();
             if unfinished.is_empty() {
                 break;
@@ -1441,40 +899,24 @@ impl StitchScheduler {
                 "walk {} never completed (loss-free runs may not stall)",
                 unfinished[0].0
             );
-            assert!(
-                pass + 1 < MAX_REISSUE_PASSES,
-                "{} walks still unfinished after {MAX_REISSUE_PASSES} re-issue passes \
-                 (fault rate above the partition threshold?)",
-                unfinished.len()
-            );
+            if pass + 1 == MAX_REISSUE_PASSES || unfinished.iter().any(|u| u.1.record) {
+                return Err(WalkError::MessagesLost);
+            }
             // Relaunch each lost walk from its last stitched checkpoint
             // with fresh randomness (the next engine run derives a new
             // seed). Naive walks carry no trace, so they restart whole.
+            reissues += unfinished.len() as u64;
             pending = unfinished
                 .into_iter()
-                .map(|(w, spec, _)| {
-                    assert!(
-                        !spec.record,
-                        "walk {w}: recorded walks cannot be re-issued (use a healed fault plan)"
-                    );
-                    reissues += 1;
-                    if spec.naive {
-                        (w, specs[w], 0)
-                    } else {
-                        let mut segs = segments[w].clone();
-                        segs.sort_unstable_by_key(|s| s.start_pos);
-                        let mut driver = WalkDriver::new(specs[w].source, specs[w].len);
-                        for &seg in &segs {
-                            driver.apply_segment(seg);
-                        }
-                        let respec = StitchSpec {
-                            source: driver.current,
-                            len: specs[w].len - driver.completed,
-                            pos_offset: specs[w].pos_offset + driver.completed,
-                            ..specs[w]
-                        };
-                        (w, respec, driver.completed)
-                    }
+                .map(|(w, _, _)| {
+                    let driver = specs[w].replay(&mut segments[w]);
+                    let respec = StitchSpec {
+                        source: driver.current,
+                        len: specs[w].len - driver.completed,
+                        pos_offset: specs[w].pos_offset + driver.completed,
+                        ..specs[w]
+                    };
+                    (w, respec, driver.completed)
                 })
                 .collect();
         }
@@ -1483,19 +925,13 @@ impl StitchScheduler {
         let mut out = Vec::with_capacity(total);
         for (w, spec) in specs.iter().enumerate() {
             let mut segs = std::mem::take(&mut segments[w]);
-            segs.sort_unstable_by_key(|s| s.start_pos);
             if spec.naive {
                 assert!(segs.is_empty(), "naive walk {w} must never stitch");
             } else {
-                // Replay the trace through the walk's state machine:
-                // panics on any gap, overlap or broken connector chain
-                // (re-issued suffixes chain onto their checkpoint).
-                let mut driver = WalkDriver::new(spec.source, spec.len);
-                for &seg in &segs {
-                    driver.apply_segment(seg);
-                }
+                // Re-issued suffixes chain onto their checkpoint.
+                let driver = spec.replay(&mut segs);
                 assert!(
-                    !matches!(driver.next_action(lambda), WalkAction::Stitch),
+                    !matches!(driver.next_action(setup.lambda), WalkAction::Stitch),
                     "walk {w} stopped stitching early"
                 );
                 stitches += driver.stitches();
@@ -1520,16 +956,17 @@ impl StitchScheduler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::get_more_walks::AGGREGATED_SEQ;
     use crate::short_walks::ShortWalksProtocol;
-    use crate::state::Visit;
+    use crate::state::{StoredWalk, Visit};
     use std::cell::Cell;
 
     thread_local! {
         /// Planted bug: a recorded lane's `Taken` is dropped where it
         /// lands, so the connector never learns what to replay.
-        pub(super) static DROP_TAKEN: Cell<bool> = const { Cell::new(false) };
+        pub(crate) static DROP_TAKEN: Cell<bool> = const { Cell::new(false) };
         /// Planted bug: a connector honours a wave's `prev` on every
         /// arrival of the epoch, not just the one that resets its lane.
         static STALE_PREV: Cell<bool> = const { Cell::new(false) };
@@ -1537,7 +974,7 @@ mod tests {
 
     /// The `STALE_PREV` bug, if planted: the lane keeps what it hosted
     /// and treats every arrival as the fresh one.
-    pub(super) fn stale_prev_planted(lane: &mut LaneState, hosted: Option<u64>) -> bool {
+    pub(crate) fn stale_prev_planted(lane: &mut LaneState, hosted: Option<u64>) -> bool {
         let planted = STALE_PREV.get();
         if planted {
             lane.hosted = hosted;
@@ -2013,7 +1450,11 @@ mod tests {
         let mut su = setup(16, false);
         su.record = true;
         let mut sched = StitchScheduler::new(&su);
-        sched.add_walk_at(3, 5, 100);
+        sched.add_spec(StitchSpec {
+            pos_offset: 100,
+            record: true,
+            ..StitchSpec::plain(3, 5)
+        });
         let out = sched.run(&mut runner, &mut state).expect("tail walk");
         let visits = state.drain_visits();
         assert_eq!(visits.len(), 5);
@@ -2367,7 +1808,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "recorded walks cannot be re-issued")]
     fn recorded_walks_refuse_lossy_reissue() {
         use drw_congest::FaultPlan;
         // Drop *everything*, fail-silent: the recorded walk stalls on
@@ -2381,7 +1821,11 @@ mod tests {
         su.record = true;
         let mut sched = StitchScheduler::new(&su);
         sched.add_walk(2, 32);
-        let _ = sched.run(&mut runner, &mut state);
+        let err = sched
+            .run(&mut runner, &mut state)
+            .expect_err("lossy record");
+        assert_eq!(err, WalkError::MessagesLost);
+        assert!(state.nodes.iter().all(|ns| ns.wave.is_none()));
     }
 
     /// What a scripted-schedule run of [`small_wave`] must reproduce:
@@ -2397,9 +1841,13 @@ mod tests {
 
     /// One small wave on the 4x4 torus, each engine run going through
     /// `engine`: two lanes share connector 0, which holds one stored walk,
-    /// so one of them runs `GET-MORE-WALKS`; a recorded lane stitches
-    /// node 5's walk and replays it; a fourth lane is a tail.
+    /// so one of them runs `GET-MORE-WALKS` (`aggregated` or per-token);
+    /// a third lane stitches node 5's walk; a fourth is a tail, a fifth
+    /// forced naive. One lane records: the third, replaying what it
+    /// stitched, or — since aggregated walks cannot be replayed — the
+    /// naive one.
     fn small_wave(
+        aggregated: bool,
         mut engine: impl FnMut(&drw_graph::Graph, &mut BatchedStitchProtocol<'_>) -> RunReport,
     ) -> WaveObserved {
         let g = generators::torus2d(4, 4);
@@ -2412,17 +1860,22 @@ mod tests {
         drw_congest::run_protocol(&g, &EngineConfig::default(), 3, &mut p1).expect("phase 1");
         let mut sched = StitchScheduler::new(&StitchSetup {
             gmw_count: 4,
-            ..setup(lambda, false)
+            ..setup(lambda, aggregated)
         });
         let stitched = 2 * u64::from(lambda);
         sched
             .add_spec(StitchSpec::plain(0, stitched))
             .add_spec(StitchSpec::plain(0, stitched))
             .add_spec(StitchSpec {
-                record: true,
+                record: !aggregated,
                 ..StitchSpec::plain(5, stitched)
             })
-            .add_spec(StitchSpec::plain(10, 5));
+            .add_spec(StitchSpec::plain(10, 5))
+            .add_spec(StitchSpec {
+                naive: true,
+                record: aggregated,
+                ..StitchSpec::plain(15, stitched)
+            });
         let out = sched
             .run_on(g.n(), false, &mut state, |p| Ok(engine(&g, p)))
             .expect("scripted wave");
@@ -2438,10 +1891,18 @@ mod tests {
 
     #[test]
     fn phase_two_is_identical_under_scripted_receive_orders() {
+        for aggregated in [false, true] {
+            scripted_receive_orders(aggregated);
+        }
+    }
+
+    fn scripted_receive_orders(aggregated: bool) {
         use drw_congest::{receive_order, run_scripted, ScriptedSchedule};
         let cfg = EngineConfig::default();
         let seed = 8;
-        let want = small_wave(|g, p| drw_congest::run_protocol(g, &cfg, seed, p).unwrap());
+        let want = small_wave(aggregated, |g, p| {
+            drw_congest::run_protocol(g, &cfg, seed, p).unwrap()
+        });
         let (report, walks, gmw, _, visits) = &want;
         assert_eq!(gmw.iter().sum::<u64>(), 1, "one GET-MORE-WALKS");
         assert_eq!(
@@ -2462,7 +1923,7 @@ mod tests {
                 permuted += usize::from(perm.iter().enumerate().any(|(k, &j)| k != j));
                 perm
             };
-            let got = small_wave(|g, p| {
+            let got = small_wave(aggregated, |g, p| {
                 let schedule = ScriptedSchedule {
                     merge_in_run_order: planted,
                     ..ScriptedSchedule::new(&mut *order)
@@ -2485,18 +1946,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "re-issue passes")]
     fn total_loss_exhausts_reissue_budget() {
         use drw_congest::FaultPlan;
-        // A plan above the partition threshold (100% drop) can never
-        // finish: the bounded retry loop must give up loudly instead of
-        // spinning forever.
+        // 100% fail-silent drop can never finish: the bounded retry loop
+        // must give up with a typed error instead of spinning forever.
         let g = generators::path(6);
         let cfg = EngineConfig::default().with_faults(FaultPlan::drops(1, 1000).lossy());
         let mut runner = Runner::new(&g, cfg, 9);
         let mut state = WalkState::new(g.n());
         let mut sched = StitchScheduler::new(&setup(4, true));
         sched.add_walk(2, 32);
-        let _ = sched.run(&mut runner, &mut state);
+        let err = sched.run(&mut runner, &mut state).expect_err("total loss");
+        assert_eq!(err, WalkError::MessagesLost);
+        assert!(state.nodes.iter().all(|ns| ns.wave.is_none()));
     }
 }

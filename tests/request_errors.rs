@@ -195,3 +195,46 @@ fn oversized_cohort_is_rejected_typed_on_the_shared_paths() {
         }
     }
 }
+
+#[test]
+fn fail_silent_loss_is_a_typed_error_on_every_path() {
+    // Unhealed drops on the 6x6 torus. At 2 % an echo (all 144 of its
+    // messages) survives with probability 0.98^144 ≈ 5 %, so long walks
+    // exhaust their re-issue passes, a recorded walk loses part of its
+    // record and a tree primitive loses its result; at 100 % the
+    // session's BFS reaches no one. Each used to panic.
+    use drw_congest::FaultPlan;
+    let g = generators::torus2d(6, 6);
+    let expected = DrwError::Walk(WalkError::MessagesLost);
+    let lossy = |per_mille| {
+        let plan = FaultPlan::drops(5, per_mille).lossy();
+        Network::builder(&g)
+            .engine(EngineConfig::default().with_faults(plan))
+            .build()
+    };
+    let cases = [
+        (20, Request::walk(0, 400)),
+        (20, Request::many_walks(vec![0, 7, 14], 400)),
+        (20, Request::spanning_tree(0)),
+        (20, Request::mixing_probe(0, 16)),
+        (20, Request::MixingTime(MixingRequest::new(0))),
+        (1000, Request::walk(0, 400)),
+        (1000, Request::many_walks(vec![0, 7], 64)),
+        (1000, Request::spanning_tree(0)),
+        (1000, Request::mixing_probe(0, 16)),
+    ];
+    for (per_mille, bad) in cases {
+        let label = format!("{per_mille} per mille, {bad:?}");
+        assert_eq!(
+            lossy(per_mille).run(bad.clone()).unwrap_err(),
+            expected,
+            "{label}"
+        );
+        let batch = vec![Request::walk(0, 0), bad];
+        assert_eq!(
+            lossy(per_mille).run_batch(batch).unwrap_err(),
+            expected,
+            "{label}"
+        );
+    }
+}
