@@ -1,8 +1,8 @@
 //! The CONGEST-conformance certifier: one entry point that exercises
 //! every production message type under a recording engine, audits the
-//! result with all three analyzer passes, and packages the evidence into
-//! a machine-readable [`Certificate`] (committed as `CERT_PR10.json`
-//! and regenerated in CI).
+//! result with the wire audit and both schedule sweeps, and packages
+//! the evidence into a machine-readable [`Certificate`] (committed as
+//! `CERT_PR10.json` and regenerated in CI).
 //!
 //! The census harness is the load-bearing piece: a fixed, seeded
 //! mini-workload on small graphs that drives **all** production
@@ -10,8 +10,8 @@
 //! protocols of every phase, the `Mux2` multiplex wrapper, the mixing
 //! baseline's fixed-point mass and the lower-bound segment protocol —
 //! with [`drw_congest::EngineConfig::record_wire`] on. The merged
-//! census is then joined against the production `impl Message` sites in
-//! full-coverage mode, so a production message type that the harness
+//! census is then joined against the production `impl Message` sites,
+//! which demands full coverage: a production message type that the harness
 //! fails to drive is itself a certification failure
 //! (`wire-coverage`), not a silent gap.
 //!
@@ -19,9 +19,9 @@
 //! the certificate is byte-stable: CI regenerates it and diffs against
 //! the committed copy.
 
-use crate::interleave::{self, InterleaveParams};
-use crate::wire::{self, WireReport};
-use crate::{run_static_passes, run_wire_audit};
+use crate::interleave::{self, FaultTimingOutcome, InterleaveOutcome};
+use crate::run_wire_audit;
+use crate::wire;
 use drw_congest::primitives::{
     AggOp, BfsTreeProtocol, BroadcastProtocol, ConvergecastProtocol, UpcastProtocol,
     VectorSumProtocol,
@@ -140,8 +140,8 @@ pub struct Certificate {
     pub types: Vec<CertType>,
     /// Schedule-sweep evidence.
     pub schedules: CertSchedules,
-    /// Findings from the determinism pass and the wire audit, as rendered
-    /// strings. Empty on a conforming workspace.
+    /// Findings from the wire audit, as rendered strings. Empty on a
+    /// conforming workspace.
     pub findings: Vec<String>,
 }
 
@@ -303,35 +303,42 @@ pub fn run_census() -> Result<WireCensus, String> {
     Ok(census)
 }
 
+/// One certification: the certificate plus the sweep outcomes behind
+/// its schedule evidence, for the coverage lines the CLI prints.
+#[derive(Debug)]
+pub struct Certification {
+    /// The certificate.
+    pub certificate: Certificate,
+    /// The receive-order sweep.
+    pub order: InterleaveOutcome,
+    /// Schedules tried on the planted merge race.
+    pub order_bug_tries: u64,
+    /// The fault-timing sweep.
+    pub timing: FaultTimingOutcome,
+    /// Timings tried on the planted retransmit-ledger bug.
+    pub timing_bug_tries: u64,
+}
+
 /// Runs the full certification: census + wire audit (full coverage) +
-/// determinism pass + both schedule sweeps with their bug-injection
-/// self-validations. Returns the certificate even when findings exist —
-/// the caller decides the exit code — but turns engine failures and
-/// sweep divergences into `Err`.
+/// both schedule sweeps with their bug-injection self-validations.
+/// Returns the certification even when findings exist or a planted bug
+/// went undetected — the caller decides the exit code — but turns
+/// engine failures and sweep divergences into `Err`.
 ///
 /// # Errors
 ///
 /// Engine failures, sweep divergences, or an I/O error walking `root`.
-pub fn certify(root: &Path, params: &CertParams) -> Result<Certificate, String> {
+pub fn certify(root: &Path, params: &CertParams) -> Result<Certification, String> {
     let census = run_census()?;
-    let report = WireReport::new(CENSUS_N, census);
-    let audit =
-        run_wire_audit(root, &report, Path::new("<census>"), true).map_err(|e| e.to_string())?;
-    let statics = run_static_passes(root).map_err(|e| e.to_string())?;
+    let audit = run_wire_audit(root, CENSUS_N, &census).map_err(|e| e.to_string())?;
 
-    let order_p = InterleaveParams {
-        budget: params.order_budget,
-        ..InterleaveParams::default()
-    };
-    let order = interleave::order_sweep(&order_p)?;
-    let (_, order_bug) = interleave::bug_injection_detects(&order_p, 24)?;
+    let order = interleave::order_sweep(params.order_budget)?;
+    let (order_bug_tries, order_bug) = interleave::bug_injection_detects(24)?;
 
-    let timing_p = InterleaveParams::default();
-    let timing = interleave::fault_timing_sweep(&timing_p, params.timing_budget)?;
-    let (_, timing_bug) = interleave::timing_bug_injection_detects(&timing_p, 24)?;
+    let timing = interleave::fault_timing_sweep(params.timing_budget)?;
+    let (timing_bug_tries, timing_bug) = interleave::timing_bug_injection_detects(24)?;
 
-    let types = report
-        .census
+    let types = census
         .types
         .iter()
         .map(|ty| CertType {
@@ -346,27 +353,18 @@ pub fn certify(root: &Path, params: &CertParams) -> Result<Certificate, String> 
                     max_value: f.max_value,
                     frac_bits: u64::from(f.frac_bits),
                     bits: wire::bits_needed(f.max_value),
-                    budget_bits: wire::field_budget_bits(
-                        u64::from(f.frac_bits),
-                        report.n,
-                        report.c,
-                    ),
+                    budget_bits: wire::field_budget_bits(u64::from(f.frac_bits), CENSUS_N),
                 })
                 .collect(),
         })
         .collect();
 
-    let findings = statics
-        .findings
-        .iter()
-        .chain(audit.findings.iter())
-        .map(|f| f.to_string())
-        .collect();
+    let findings = audit.findings.iter().map(|f| f.to_string()).collect();
 
-    Ok(Certificate {
+    let certificate = Certificate {
         schema: SCHEMA.to_string(),
-        n: report.n,
-        law_c: report.c,
+        n: CENSUS_N,
+        law_c: wire::LAW_C,
         word_bits: WORD_BITS,
         impls_audited: audit.impls_found as u64,
         impls_measured: audit.types_joined as u64,
@@ -382,6 +380,13 @@ pub fn certify(root: &Path, params: &CertParams) -> Result<Certificate, String> 
             timing_bug_detected: timing_bug,
         },
         findings,
+    };
+    Ok(Certification {
+        certificate,
+        order,
+        order_bug_tries,
+        timing,
+        timing_bug_tries,
     })
 }
 
@@ -440,8 +445,7 @@ mod tests {
         for ty in &census.types {
             for f in &ty.fields {
                 let bits = wire::bits_needed(f.max_value);
-                let budget =
-                    wire::field_budget_bits(u64::from(f.frac_bits), CENSUS_N, wire::DEFAULT_LAW_C);
+                let budget = wire::field_budget_bits(u64::from(f.frac_bits), CENSUS_N);
                 assert!(
                     bits <= budget,
                     "{}.{} used {bits} bits of a {budget}-bit budget (max {})",

@@ -1,4 +1,4 @@
-//! Pass 3 — interleaving checker (a miniature loom).
+//! The interleaving checker (a miniature loom).
 //!
 //! [`drw_congest::run_scripted`] runs each round's receiving nodes in a
 //! scripted permutation, each node staging into its own buffer, and
@@ -20,7 +20,7 @@
 //! independently by every schedule, and the sweep reports how many of
 //! those rounds some schedule actually permuted. The space, `Π k_r!`
 //! over the rounds' receiver counts `k_r`, is reported for scale only:
-//! on the default 4×4 torus it dwarfs any budget.
+//! on the 4×4 torus it dwarfs any budget.
 //!
 //! The checker also validates *itself*: with the scripted run's
 //! `merge_in_run_order` bug-injection knob it reintroduces the classic
@@ -34,35 +34,16 @@ use drw_congest::{
 use drw_core::{ShortWalksProtocol, WalkState};
 use drw_graph::generators;
 
-/// Parameters of one checker invocation.
-#[derive(Debug, Clone)]
-pub struct InterleaveParams {
-    /// Torus side lengths (`rows * cols` nodes).
-    pub rows: usize,
-    /// Torus column count.
-    pub cols: usize,
-    /// Walks started per node.
-    pub walks_per_node: usize,
-    /// Short-walk length λ.
-    pub lambda: u32,
-    /// Run seed.
-    pub seed: u64,
-    /// Number of receive-order schedules to execute.
-    pub budget: u64,
-}
-
-impl Default for InterleaveParams {
-    fn default() -> Self {
-        InterleaveParams {
-            rows: 4,
-            cols: 4,
-            walks_per_node: 2,
-            lambda: 16,
-            seed: 0xD5,
-            budget: 1024,
-        }
-    }
-}
+/// Torus side lengths of the checked workload (`ROWS * COLS` nodes).
+pub const ROWS: usize = 4;
+/// Torus column count.
+pub const COLS: usize = 4;
+/// Walks started per node.
+const WALKS_PER_NODE: usize = 2;
+/// Short-walk length λ.
+const LAMBDA: u32 = 16;
+/// Run seed.
+const SEED: u64 = 0xD5;
 
 /// What one checker invocation observed.
 #[derive(Debug)]
@@ -94,14 +75,13 @@ struct Observed {
 
 /// Runs the short-walk workload under `run` and digests its end state.
 fn observe(
-    p: &InterleaveParams,
     run: impl FnOnce(&drw_graph::Graph, &mut ShortWalksProtocol<'_>) -> Result<RunReport, String>,
 ) -> Result<Observed, String> {
-    let g = generators::torus2d(p.rows, p.cols);
+    let g = generators::torus2d(ROWS, COLS);
     let mut state = WalkState::new(g.n());
     let report = {
         let mut proto =
-            ShortWalksProtocol::new(&mut state, vec![p.walks_per_node; g.n()], p.lambda, false);
+            ShortWalksProtocol::new(&mut state, vec![WALKS_PER_NODE; g.n()], LAMBDA, false);
         run(&g, &mut proto)?
     };
     Ok(Observed {
@@ -119,16 +99,13 @@ fn engine_cfg(plan: Option<FaultPlan>) -> EngineConfig {
 }
 
 /// One in-order run: the reference.
-fn run_in_order(p: &InterleaveParams, plan: Option<FaultPlan>) -> Result<Observed, String> {
+fn run_in_order(plan: Option<FaultPlan>) -> Result<Observed, String> {
     let cfg = engine_cfg(plan);
-    observe(p, |g, proto| {
-        run_protocol(g, &cfg, p.seed, proto).map_err(|e| e.to_string())
-    })
+    observe(|g, proto| run_protocol(g, &cfg, SEED, proto).map_err(|e| e.to_string()))
 }
 
 /// One scripted run under `cfg`, receive orders from `order`.
 fn scripted(
-    p: &InterleaveParams,
     cfg: &EngineConfig,
     merge_in_run_order: bool,
     order: &mut dyn FnMut(u64, usize) -> Vec<usize>,
@@ -137,9 +114,7 @@ fn scripted(
         merge_in_run_order,
         order,
     };
-    observe(p, |g, proto| {
-        run_scripted(g, cfg, p.seed, proto, schedule).map_err(|e| e.to_string())
-    })
+    observe(|g, proto| run_scripted(g, cfg, SEED, proto, schedule).map_err(|e| e.to_string()))
 }
 
 /// Per-(node, source) stored-walk counts — the protocol's observable
@@ -159,11 +134,11 @@ fn factorial(s: usize) -> u128 {
     (2..=s as u128).fold(1, u128::saturating_mul)
 }
 
-/// Runs the receive-order sweep. Errors describe a divergence or an
-/// engine failure; `Ok` carries the coverage statistics (with
-/// `divergent == 0`).
-pub fn order_sweep(p: &InterleaveParams) -> Result<InterleaveOutcome, String> {
-    let baseline = run_in_order(p, None)?;
+/// Runs the receive-order sweep over `budget` schedules. Errors
+/// describe a divergence or an engine failure; `Ok` carries the
+/// coverage statistics (with `divergent == 0`).
+pub fn order_sweep(budget: u64) -> Result<InterleaveOutcome, String> {
+    let baseline = run_in_order(None)?;
     let cfg = EngineConfig::default();
 
     // Per scripted round (receivers ≥ 2): its receiver count, and
@@ -172,10 +147,10 @@ pub fn order_sweep(p: &InterleaveParams) -> Result<InterleaveOutcome, String> {
     let mut rounds: Vec<(usize, bool)> = Vec::new();
     let mut divergent = 0u64;
     let mut first_divergence: Option<String> = None;
-    let schedules_run = p.budget.max(1); // the identity always runs
+    let schedules_run = budget.max(1); // the identity always runs
     for i in 0..schedules_run {
         let mut k = 0;
-        let outcome = scripted(p, &cfg, false, &mut |round, len| {
+        let outcome = scripted(&cfg, false, &mut |round, len| {
             let perm = receive_order(i, round, len);
             if k == rounds.len() {
                 rounds.push((len, false));
@@ -216,12 +191,12 @@ pub fn order_sweep(p: &InterleaveParams) -> Result<InterleaveOutcome, String> {
 /// must produce a different result — otherwise the checker could not
 /// detect the race class it exists for. Returns the number of
 /// schedules tried and whether a divergence was observed.
-pub fn bug_injection_detects(p: &InterleaveParams, tries: u64) -> Result<(u64, bool), String> {
-    let baseline = run_in_order(p, None)?;
+pub fn bug_injection_detects(tries: u64) -> Result<(u64, bool), String> {
+    let baseline = run_in_order(None)?;
     let cfg = EngineConfig::default();
     for i in 1..=tries {
         let order = &mut |round, len| receive_order(i, round, len);
-        if scripted(p, &cfg, true, order)? != baseline {
+        if scripted(&cfg, true, order)? != baseline {
             return Ok((i, true));
         }
     }
@@ -250,17 +225,19 @@ pub struct FaultTimingOutcome {
 }
 
 /// The lossy-but-healing fault plan the timing sweep runs under.
-fn timing_plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed).with_drops(80).with_delays(50, 3)
+fn timing_plan() -> FaultPlan {
+    FaultPlan::new(SEED ^ 0x5EED_FA17)
+        .with_drops(80)
+        .with_delays(50, 3)
 }
 
 /// Sweeps `count` scripted fault timings. Per timing, the retransmit
 /// ledger must conserve (`dropped == retransmitted`) and the scripted
 /// receive (identity order) must be bit-identical to the in-order
 /// reference; index 0 must reproduce the unscripted baseline exactly.
-pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimingOutcome, String> {
-    let plan = timing_plan(p.seed ^ 0x5EED_FA17);
-    let baseline = run_in_order(p, Some(plan))?;
+pub fn fault_timing_sweep(count: u64) -> Result<FaultTimingOutcome, String> {
+    let plan = timing_plan();
+    let baseline = run_in_order(Some(plan))?;
     if baseline.report.faults.total() == 0 {
         return Err("fault plan injected nothing; the sweep would be vacuous".into());
     }
@@ -269,7 +246,7 @@ pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimin
     let mut timings_run = 0u64;
     for index in 0..count {
         let timed = plan.with_timing(ScriptedTiming::new(index));
-        let seq = run_in_order(p, Some(timed))?;
+        let seq = run_in_order(Some(timed))?;
         if index == 0 && seq != baseline {
             return Err(format!(
                 "timing index 0 is not the identity: report {:?} vs baseline {:?}",
@@ -284,7 +261,7 @@ pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimin
             ));
         }
         let identity = &mut |_round, len| (0..len).collect();
-        let got = scripted(p, &engine_cfg(Some(timed)), false, identity)?;
+        let got = scripted(&engine_cfg(Some(timed)), false, identity)?;
         if got != seq {
             return Err(format!(
                 "timing #{index}: scripted receive diverged from the in-order \
@@ -308,18 +285,15 @@ pub fn fault_timing_sweep(p: &InterleaveParams, count: u64) -> Result<FaultTimin
 /// (retransmissions of *moved* drops silently uncounted), some timing
 /// must break the `dropped == retransmitted` conservation check.
 /// Returns (timings tried, bug detected).
-pub fn timing_bug_injection_detects(
-    p: &InterleaveParams,
-    tries: u64,
-) -> Result<(u64, bool), String> {
-    let plan = timing_plan(p.seed ^ 0x5EED_FA17);
+pub fn timing_bug_injection_detects(tries: u64) -> Result<(u64, bool), String> {
+    let plan = timing_plan();
     let mut tried = 0u64;
     for index in 1..=tries {
         let timed = plan.with_timing(ScriptedTiming {
             index,
             ledger_misses_moved: true,
         });
-        let got = run_in_order(p, Some(timed))?;
+        let got = run_in_order(Some(timed))?;
         tried += 1;
         if got.report.faults.retransmitted < got.report.faults.dropped {
             return Ok((tried, true));
@@ -341,11 +315,7 @@ mod tests {
 
     #[test]
     fn small_order_sweep_passes() {
-        let p = InterleaveParams {
-            budget: 40,
-            ..InterleaveParams::default()
-        };
-        let out = order_sweep(&p).expect("no divergence");
+        let out = order_sweep(40).expect("no divergence");
         assert_eq!(out.schedules_run, 40);
         assert_eq!(out.divergent, 0);
         assert!(out.max_receivers >= 2, "graph too small to script: {out:?}");
@@ -353,8 +323,7 @@ mod tests {
 
     #[test]
     fn small_fault_timing_sweep_passes() {
-        let p = InterleaveParams::default();
-        let out = fault_timing_sweep(&p, 12).expect("no divergence");
+        let out = fault_timing_sweep(12).expect("no divergence");
         assert_eq!(out.timings_run, 12);
         assert_eq!(out.divergent, 0);
         assert!(
@@ -365,8 +334,7 @@ mod tests {
 
     #[test]
     fn timing_bug_injection_is_detected() {
-        let p = InterleaveParams::default();
-        let (tried, detected) = timing_bug_injection_detects(&p, 16).expect("runs complete");
+        let (tried, detected) = timing_bug_injection_detects(16).expect("runs complete");
         assert!(
             detected,
             "ledger_misses_moved went unnoticed in {tried} timings"

@@ -1,19 +1,19 @@
-//! A minimal Rust lexer — just enough structure for the analysis passes.
+//! A minimal Rust lexer — just enough structure for the impl finder
+//! ([`crate::wire::message_impls`]).
 //!
 //! The workspace is hermetic (no `syn`, no `proc-macro2`), so the
 //! analyzer carries its own tokenizer. It only needs to be faithful
-//! about the things the passes key on:
+//! about the things the finder keys on:
 //!
-//! * identifiers stay whole (`unsafe_code` never matches `unsafe`),
-//! * comments are stripped from the token stream but retained per line
-//!   (the SAFETY rule and the allowlist live in comments),
-//! * string/char literals are opaque (a string containing `HashMap` is
-//!   not a finding),
+//! * identifiers stay whole (`MessageFor` never matches `Message`),
+//! * comments are skipped (a doc comment quoting `impl Message for T`
+//!   is not an impl),
+//! * literals are opaque, and lifetimes are not char literals
+//!   (`impl<'a> Message for T<'a>` keeps its `Message`),
 //! * every token knows its 1-based source line.
 //!
-//! It does not try to be a full lexer: numeric literals keep their raw
-//! text, and multi-character operators arrive as single punctuation
-//! tokens.
+//! It does not try to be a full lexer: multi-character operators
+//! arrive as single punctuation tokens.
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,9 +29,8 @@ pub struct Token {
 pub enum TokKind {
     /// Identifier or keyword (kept verbatim, raw `r#` prefix stripped).
     Ident(String),
-    /// Numeric literal, raw text (suffixes and underscores included).
-    Num(String),
-    /// String, byte-string or char literal (contents discarded).
+    /// String, byte-string, char or numeric literal (contents
+    /// discarded).
     Lit,
     /// Lifetime such as `'a` (name discarded).
     Lifetime,
@@ -54,41 +53,12 @@ impl Token {
     }
 }
 
-/// A comment's text, attributed to every line it spans.
-#[derive(Debug, Clone)]
-pub struct CommentLine {
-    /// 1-based source line.
-    pub line: usize,
-    /// The comment text of that line (delimiters kept; for a multi-line
-    /// block comment each spanned line records the full comment body so
-    /// `contains`-style probes work from any of its lines).
-    pub text: String,
-}
-
-/// Lexer output: the token stream plus the comment side-channel.
-#[derive(Debug, Default)]
-pub struct Lexed {
-    /// Significant tokens, in source order.
-    pub tokens: Vec<Token>,
-    /// Comment text per spanned line.
-    pub comments: Vec<CommentLine>,
-}
-
-impl Lexed {
-    /// True iff some comment on a line in `lo..=hi` contains `needle`.
-    pub fn comment_in_range_contains(&self, lo: usize, hi: usize, needle: &str) -> bool {
-        self.comments
-            .iter()
-            .any(|c| c.line >= lo && c.line <= hi && c.text.contains(needle))
-    }
-}
-
-/// Tokenizes `src`. Never fails: unterminated constructs simply run to
-/// end of input (the workspace compiles, so in practice they don't
-/// occur; fixtures are kept well-formed too).
-pub fn lex(src: &str) -> Lexed {
+/// Tokenizes `src` into its significant tokens, in source order. Never
+/// fails: unterminated constructs simply run to end of input (the
+/// workspace compiles, so in practice they don't occur).
+pub fn lex(src: &str) -> Vec<Token> {
     let b: Vec<char> = src.chars().collect();
-    let mut out = Lexed::default();
+    let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1usize;
 
@@ -108,20 +78,13 @@ pub fn lex(src: &str) -> Lexed {
         }
         // Line comment.
         if c == '/' && i + 1 < b.len() && b[i + 1] == '/' {
-            let start = i;
             while i < b.len() && b[i] != '\n' {
                 i += 1;
             }
-            out.comments.push(CommentLine {
-                line,
-                text: b[start..i].iter().collect(),
-            });
             continue;
         }
         // Block comment (nested).
         if c == '/' && i + 1 < b.len() && b[i + 1] == '*' {
-            let start = i;
-            let first_line = line;
             let mut depth = 1usize;
             i += 2;
             while i < b.len() && depth > 0 {
@@ -137,13 +100,6 @@ pub fn lex(src: &str) -> Lexed {
                 } else {
                     i += 1;
                 }
-            }
-            let text: String = b[start..i].iter().collect();
-            for l in first_line..=line {
-                out.comments.push(CommentLine {
-                    line: l,
-                    text: text.clone(),
-                });
             }
             continue;
         }
@@ -185,7 +141,7 @@ pub fn lex(src: &str) -> Lexed {
                         }
                         j += 1;
                     }
-                    out.tokens.push(Token {
+                    out.push(Token {
                         line,
                         kind: TokKind::Lit,
                     });
@@ -198,7 +154,7 @@ pub fn lex(src: &str) -> Lexed {
                     while j < b.len() && is_ident_cont(b[j]) {
                         j += 1;
                     }
-                    out.tokens.push(Token {
+                    out.push(Token {
                         line,
                         kind: TokKind::Ident(b[start..j].iter().collect()),
                     });
@@ -224,7 +180,7 @@ pub fn lex(src: &str) -> Lexed {
                     _ => i += 1,
                 }
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 line,
                 kind: TokKind::Lit,
             });
@@ -239,7 +195,7 @@ pub fn lex(src: &str) -> Lexed {
                 while j < b.len() && is_ident_cont(b[j]) {
                     j += 1;
                 }
-                out.tokens.push(Token {
+                out.push(Token {
                     line,
                     kind: TokKind::Lifetime,
                 });
@@ -258,7 +214,7 @@ pub fn lex(src: &str) -> Lexed {
                     _ => j += 1,
                 }
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 line,
                 kind: TokKind::Lit,
             });
@@ -286,9 +242,9 @@ pub fn lex(src: &str) -> Lexed {
                     break;
                 }
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 line,
-                kind: TokKind::Num(b[start..i].iter().collect()),
+                kind: TokKind::Lit,
             });
             continue;
         }
@@ -298,13 +254,13 @@ pub fn lex(src: &str) -> Lexed {
             while i < b.len() && is_ident_cont(b[i]) {
                 i += 1;
             }
-            out.tokens.push(Token {
+            out.push(Token {
                 line,
                 kind: TokKind::Ident(b[start..i].iter().collect()),
             });
             continue;
         }
-        out.tokens.push(Token {
+        out.push(Token {
             line,
             kind: TokKind::Punct(c),
         });
@@ -320,45 +276,56 @@ mod tests {
     #[test]
     fn idents_stay_whole() {
         let l = lex("#![forbid(unsafe_code)] unsafe fn f() {}");
-        let ids: Vec<&str> = l.tokens.iter().filter_map(|t| t.ident()).collect();
+        let ids: Vec<&str> = l.iter().filter_map(|t| t.ident()).collect();
         assert_eq!(ids, ["forbid", "unsafe_code", "unsafe", "fn", "f"]);
     }
 
     #[test]
-    fn comments_leave_the_stream_but_are_kept() {
-        let l = lex("let a = 1; // SAFETY: not really\n/* HashMap */ let b = 2;");
-        assert!(l.tokens.iter().all(|t| t.ident() != Some("HashMap")));
-        assert!(l.comment_in_range_contains(1, 1, "SAFETY:"));
-        assert!(l.comment_in_range_contains(2, 2, "HashMap"));
-    }
-
-    #[test]
-    fn multiline_block_comment_spans_lines() {
-        let l = lex("/* SAFETY:\n spans \n lines */ unsafe {}");
-        assert!(l.comment_in_range_contains(2, 2, "SAFETY:"));
-        assert!(l.comment_in_range_contains(3, 3, "SAFETY:"));
-        assert_eq!(l.tokens[0].ident(), Some("unsafe"));
-        assert_eq!(l.tokens[0].line, 3);
+    fn comments_leave_the_stream_and_keep_line_numbers() {
+        let l = lex("let a = 1; // Message\n/* Message\n /* nested */ */ impl {}");
+        assert!(l.iter().all(|t| t.ident() != Some("Message")));
+        let imp = l.iter().find(|t| t.ident() == Some("impl"));
+        assert_eq!(imp.map(|t| t.line), Some(3));
     }
 
     #[test]
     fn strings_and_chars_are_opaque() {
-        let l = lex("let s = \"HashMap Instant\"; let c = 'h'; let r = r\"SystemTime\";");
+        let l = lex("let s = \"impl Message\"; let c = 'h'; let r = r#\"Message\"#;");
         assert!(l
-            .tokens
             .iter()
-            .all(|t| !matches!(t.ident(), Some("HashMap" | "Instant" | "SystemTime"))));
+            .all(|t| !matches!(t.ident(), Some("impl" | "Message" | "h"))));
     }
 
     #[test]
     fn lifetimes_are_not_char_literals() {
         let l = lex("fn f<'a>(x: &'a str) -> char { 'x' }");
-        let lifetimes = l
-            .tokens
-            .iter()
-            .filter(|t| t.kind == TokKind::Lifetime)
-            .count();
-        let chars = l.tokens.iter().filter(|t| t.kind == TokKind::Lit).count();
+        let lifetimes = l.iter().filter(|t| t.kind == TokKind::Lifetime).count();
+        let chars = l.iter().filter(|t| t.kind == TokKind::Lit).count();
         assert_eq!((lifetimes, chars), (2, 1));
+    }
+
+    /// Hostile input: seeded strings over the characters the lexer
+    /// branches on (raw-string hashes, quotes, escapes, comment
+    /// delimiters, number continuations, multibyte chars) never panic
+    /// it, and no token lands past the input's last line.
+    #[test]
+    fn arbitrary_input_never_panics_and_keeps_lines_in_range() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let alphabet: Vec<char> = "rb#\"'\\/*\n0123456789e+-._é中🦀".chars().collect();
+        let mut rng = StdRng::seed_from_u64(0x1E8E5);
+        for _ in 0..200_000 {
+            let len = rng.random_range(0..=24usize);
+            let src: String = (0..len)
+                .map(|_| alphabet[rng.random_range(0..alphabet.len())])
+                .collect();
+            let lines = src.matches('\n').count() + 1;
+            let tokens = std::panic::catch_unwind(|| lex(&src))
+                .unwrap_or_else(|_| panic!("lex panicked on {src:?}"));
+            assert!(
+                tokens.iter().all(|t| t.line <= lines),
+                "{src:?} lexed past its {lines} lines: {tokens:?}"
+            );
+        }
     }
 }

@@ -24,59 +24,27 @@
 //! where `frac_bits` prices fixed-point precision (e.g. `MassMsg`
 //! carries probability mass scaled by `2^40`: 40 bits of precision,
 //! `O(log n)` bits of magnitude) and `C` is the law's leniency
-//! constant ([`DEFAULT_LAW_C`]). Violations are `wire-values`
-//! findings anchored at the impl site. In full-coverage mode (the
-//! certifier) every production impl must have been measured and every
-//! measured type must resolve to a production impl (`wire-coverage`).
-//! Findings honour the mandatory-reason allowlist syntax of the
-//! determinism pass:
-//! `// drw-analyze: allow(wire-values, <why>)` at the impl site.
+//! constant ([`LAW_C`]). Violations are `wire-values` findings
+//! anchored at the impl site. Every production impl must have been
+//! measured and every measured type must resolve to a production impl
+//! (`wire-coverage`).
 
-use crate::determinism::{allowed, AllowEntry};
-use crate::lexer::{Lexed, Token};
+use crate::lexer::Token;
 use crate::Finding;
 use drw_congest::WireCensus;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-/// Schema tag of a wire report file.
-pub const SCHEMA: &str = "drw-wire-v2";
+/// Leniency constant `C` of the wire-value law: a priced field may use
+/// up to `C * ceil(log2 n)` magnitude bits. `C = 2` admits any `O(n^2)`
+/// quantity (edge counts, walk lengths, position products) while still
+/// failing fields that smuggle `poly(n)`-independent payloads through a
+/// single word.
+pub const LAW_C: u64 = 2;
 
-/// Default leniency constant `C` of the wire-value law: a priced field
-/// may use up to `C * ceil(log2 n)` magnitude bits. `C = 2` admits any
-/// `O(n^2)` quantity (edge counts, walk lengths, position products)
-/// while still failing fields that smuggle `poly(n)`-independent
-/// payloads through a single word.
-pub const DEFAULT_LAW_C: u64 = 2;
-
-/// A recorded run's wire census plus the parameters the law needs —
-/// what `--wire-report` files contain and what the certifier produces
-/// in-process.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct WireReport {
-    /// Schema tag ([`SCHEMA`]).
-    pub schema: String,
-    /// Number of nodes of the recorded run (the largest, if censuses of
-    /// several runs were merged).
-    pub n: u64,
-    /// Law constant `C` the run was priced under.
-    pub c: u64,
-    /// The merged per-type, per-field magnitude census.
-    pub census: WireCensus,
-}
-
-impl WireReport {
-    /// Wraps a census recorded on an `n`-node run under the default law
-    /// constant.
-    pub fn new(n: u64, census: WireCensus) -> WireReport {
-        WireReport {
-            schema: SCHEMA.to_string(),
-            n,
-            c: DEFAULT_LAW_C,
-            census,
-        }
-    }
-}
+/// Where findings that no impl site can anchor (a census type without
+/// a production impl) point.
+const CENSUS_ANCHOR: &str = "<census>";
 
 /// Bits needed to represent `v` (`0` for `v == 0`).
 pub fn bits_needed(v: u64) -> u64 {
@@ -93,8 +61,8 @@ pub fn log2_ceil(n: u64) -> u64 {
 }
 
 /// The law's bit budget for one field on an `n`-node run.
-pub fn field_budget_bits(frac_bits: u64, n: u64, c: u64) -> u64 {
-    frac_bits + c * log2_ceil(n)
+pub fn field_budget_bits(frac_bits: u64, n: u64) -> u64 {
+    frac_bits + LAW_C * log2_ceil(n)
 }
 
 /// One production `impl … Message for T` block.
@@ -112,8 +80,7 @@ pub struct ImplSite {
 /// Finds a file's `impl … Message for T` blocks, as `(T, line)`, at the
 /// token level. Items behind `#[cfg(test)]` are skipped: test-only
 /// messages never cross a production edge.
-pub fn message_impls(lexed: &Lexed) -> Vec<(String, usize)> {
-    let t = &lexed.tokens;
+pub fn message_impls(t: &[Token]) -> Vec<(String, usize)> {
     let mut out = Vec::new();
     let (mut i, mut test_gated) = (0, false);
     while i < t.len() {
@@ -187,64 +154,31 @@ pub struct WireAudit {
     /// Fields priced under the law.
     pub fields_priced: usize,
     /// Production impls with no census measurement (a `wire-coverage`
-    /// finding each in full-coverage mode, informational otherwise).
+    /// finding each).
     pub unmeasured: Vec<String>,
-    /// Allowlist entries that suppressed at least one wire finding.
-    pub allows_used: usize,
 }
 
-/// Joins a recorded wire census against the production impl sites and
-/// prices every field. `allows` carries each scanned file's parsed
-/// allowlist; `report_path` anchors findings that cannot be tied to an
-/// impl site. With `require_full_coverage` (the certifier), an impl
-/// that was never measured is itself a finding.
-pub fn audit_wire(
-    report: &WireReport,
-    report_path: &Path,
-    impls: &[ImplSite],
-    allows: &BTreeMap<PathBuf, Vec<AllowEntry>>,
-    require_full_coverage: bool,
-) -> WireAudit {
+/// Joins a wire census recorded on an `n`-node run against the
+/// production impl sites and prices every field. An impl that was
+/// never measured is itself a finding.
+pub fn audit_wire(n: u64, census: &WireCensus, impls: &[ImplSite]) -> WireAudit {
     let mut audit = WireAudit {
         impls_found: impls.len(),
         ..WireAudit::default()
     };
-
-    if report.schema != SCHEMA {
-        audit.findings.push(Finding::new(
-            "wire-schema",
-            report_path,
-            0,
-            format!(
-                "wire report declares schema `{}` but this auditor speaks `{SCHEMA}`",
-                report.schema
-            ),
-        ));
-        return audit;
-    }
-    if report.n < 2 {
-        audit.findings.push(Finding::new(
-            "wire-schema",
-            report_path,
-            0,
-            format!("wire report records n = {} — not a CONGEST run", report.n),
-        ));
-        return audit;
-    }
 
     // Index the impls by target name; the first definition wins.
     let mut by_name: BTreeMap<&str, &ImplSite> = BTreeMap::new();
     for imp in impls {
         by_name.entry(imp.target.as_str()).or_insert(imp);
     }
-    let no_allows: Vec<AllowEntry> = Vec::new();
 
     let mut measured: Vec<&str> = Vec::new();
-    for ty in &report.census.types {
+    for ty in &census.types {
         let Some(imp) = by_name.get(ty.type_name.as_str()) else {
             audit.findings.push(Finding::new(
                 "wire-coverage",
-                report_path,
+                Path::new(CENSUS_ANCHOR),
                 0,
                 format!(
                     "census records type `{}` but no production `impl Message` matches it — \
@@ -256,15 +190,9 @@ pub fn audit_wire(
         };
         audit.types_joined += 1;
         measured.push(imp.target.as_str());
-        let file_allows = allows.get(&imp.file).unwrap_or(&no_allows);
-        let mut suppressed = |rule: &str| {
-            let hit = allowed(file_allows, rule, imp.line);
-            audit.allows_used += usize::from(hit);
-            hit
-        };
 
         // A listing that leaves a field out cannot rebuild the message.
-        if ty.lossy > 0 && !suppressed("wire-round-trip") {
+        if ty.lossy > 0 {
             audit.findings.push(Finding::new(
                 "wire-round-trip",
                 &imp.file,
@@ -281,17 +209,17 @@ pub fn audit_wire(
         for f in &ty.fields {
             audit.fields_priced += 1;
             let bits = bits_needed(f.max_value);
-            let budget = field_budget_bits(u64::from(f.frac_bits), report.n, report.c);
-            if bits > budget && !suppressed("wire-values") {
+            let budget = field_budget_bits(u64::from(f.frac_bits), n);
+            if bits > budget {
                 audit.findings.push(Finding::new(
                     "wire-values",
                     &imp.file,
                     imp.line,
                     format!(
-                        "`{}.{}` carried max value {} ({bits} bits) on an n = {} run — \
-                         over the O(log n) budget of {budget} bits ({} frac + {}·⌈log2 n⌉); \
+                        "`{}.{}` carried max value {} ({bits} bits) on an n = {n} run — \
+                         over the O(log n) budget of {budget} bits ({} frac + {LAW_C}·⌈log2 n⌉); \
                          the field is not a poly(n) quantity",
-                        ty.type_name, f.field, f.max_value, report.n, f.frac_bits, report.c
+                        ty.type_name, f.field, f.max_value, f.frac_bits
                     ),
                 ));
             }
@@ -301,17 +229,15 @@ pub fn audit_wire(
     for (name, imp) in &by_name {
         if !measured.contains(name) {
             audit.unmeasured.push((*name).to_string());
-            if require_full_coverage {
-                audit.findings.push(Finding::new(
-                    "wire-coverage",
-                    &imp.file,
-                    imp.line,
-                    format!(
-                        "`{name}` is a production impl but the certification run never \
-                         measured it — extend the certify harness to drive it"
-                    ),
-                ));
-            }
+            audit.findings.push(Finding::new(
+                "wire-coverage",
+                &imp.file,
+                imp.line,
+                format!(
+                    "`{name}` is a production impl but the certification run never \
+                     measured it — extend the certify harness to drive it"
+                ),
+            ));
         }
     }
 
@@ -327,12 +253,11 @@ mod tests {
     use crate::lexer::lex;
     use drw_congest::WireCensus;
 
-    /// Audits `report` against the impls and allows of one in-memory
-    /// source file.
-    fn audit(report: &WireReport, src: &str, full: bool) -> WireAudit {
+    /// Audits a census of a 16-node run against the impls of one
+    /// in-memory source file.
+    fn audit(census: &WireCensus, src: &str) -> WireAudit {
         let file = PathBuf::from("mem.rs");
-        let lexed = lex(src);
-        let impls: Vec<ImplSite> = message_impls(&lexed)
+        let impls: Vec<ImplSite> = message_impls(&lex(src))
             .into_iter()
             .map(|(target, line)| ImplSite {
                 target,
@@ -340,8 +265,7 @@ mod tests {
                 line,
             })
             .collect();
-        let allows = BTreeMap::from([(file, crate::determinism::parse_allows(&lexed))]);
-        audit_wire(report, Path::new("report.json"), &impls, &allows, full)
+        audit_wire(16, census, &impls)
     }
 
     const ONE_IMPL: &str = "struct M(u64);\nimpl Message for M {}";
@@ -355,7 +279,7 @@ mod tests {
         assert_eq!(log2_ceil(2), 1);
         assert_eq!(log2_ceil(16), 4);
         assert_eq!(log2_ceil(17), 5);
-        assert_eq!(field_budget_bits(40, 16, 2), 48);
+        assert_eq!(field_budget_bits(40, 16), 48);
     }
 
     #[test]
@@ -377,7 +301,7 @@ mod tests {
     fn lawful_fields_pass() {
         let mut c = WireCensus::default();
         c.record("M", 1).field("x", 200); // 8 bits <= 2*4 on n=16
-        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
+        let a = audit(&c, ONE_IMPL);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
         assert_eq!((a.impls_found, a.types_joined, a.fields_priced), (1, 1, 1));
     }
@@ -386,7 +310,7 @@ mod tests {
     fn oversized_magnitude_is_flagged_at_the_impl() {
         let mut c = WireCensus::default();
         c.record("M", 1).field("x", 1 << 20); // 21 bits > 8
-        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
+        let a = audit(&c, ONE_IMPL);
         assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].rule, "wire-values");
         assert_eq!(a.findings[0].line, 2);
@@ -396,7 +320,7 @@ mod tests {
     fn frac_bits_price_fixed_point_precision() {
         let mut c = WireCensus::default();
         c.record("M", 2).field_fixed("mass", 1 << 40, 40); // 41 <= 48
-        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
+        let a = audit(&c, ONE_IMPL);
         assert!(a.findings.is_empty(), "{:?}", a.findings);
     }
 
@@ -404,7 +328,7 @@ mod tests {
     fn a_lossy_listing_is_flagged_at_the_impl() {
         let mut c = WireCensus::default();
         c.record("M", 1).field("x", 1).lossy = 1;
-        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
+        let a = audit(&c, ONE_IMPL);
         assert_eq!(a.findings.len(), 1);
         assert_eq!(
             (a.findings[0].rule.as_str(), a.findings[0].line),
@@ -415,45 +339,21 @@ mod tests {
     #[test]
     fn unknown_census_type_is_a_coverage_finding() {
         let mut c = WireCensus::default();
+        c.record("M", 1).field("x", 1);
         c.record("Ghost", 1).field("x", 1);
-        let a = audit(&WireReport::new(16, c), ONE_IMPL, false);
+        let a = audit(&c, ONE_IMPL);
         assert_eq!(a.findings.len(), 1);
         assert_eq!(a.findings[0].rule, "wire-coverage");
     }
 
     #[test]
-    fn full_coverage_mode_requires_every_impl_measured() {
-        let c = WireCensus::default();
-        let lax = audit(&WireReport::new(16, c.clone()), ONE_IMPL, false);
-        assert!(lax.findings.is_empty());
-        assert_eq!(lax.unmeasured, ["M"]);
-        let strict = audit(&WireReport::new(16, c), ONE_IMPL, true);
-        assert_eq!(strict.findings.len(), 1);
-        assert_eq!(strict.findings[0].rule, "wire-coverage");
-    }
-
-    #[test]
-    fn wrong_schema_short_circuits() {
-        let report = WireReport {
-            schema: "drw-wire-v0".to_string(),
-            n: 16,
-            c: 2,
-            census: WireCensus::default(),
-        };
-        let a = audit(&report, ONE_IMPL, true);
+    fn an_unmeasured_impl_is_a_coverage_finding() {
+        let a = audit(&WireCensus::default(), ONE_IMPL);
+        assert_eq!(a.unmeasured, ["M"]);
         assert_eq!(a.findings.len(), 1);
-        assert_eq!(a.findings[0].rule, "wire-schema");
-    }
-
-    #[test]
-    fn wire_allow_at_the_impl_site_suppresses() {
-        let mut c = WireCensus::default();
-        c.record("M", 1).field("x", 1 << 20);
-        let src = "struct M(u64);\n\
-                   // drw-analyze: allow(wire-values, magnitude proven poly(n) elsewhere)\n\
-                   impl Message for M {}";
-        let a = audit(&WireReport::new(16, c), src, false);
-        assert!(a.findings.is_empty(), "{:?}", a.findings);
-        assert_eq!(a.allows_used, 1);
+        assert_eq!(
+            (a.findings[0].rule.as_str(), a.findings[0].line),
+            ("wire-coverage", 2)
+        );
     }
 }

@@ -41,7 +41,7 @@ pub struct EngineConfig {
     /// If true, the delivery queue records a per-type wire-value census
     /// ([`RunReport::wire`]): the maximum actual magnitude of every
     /// listed field, per `Message` type, and the deliveries whose
-    /// listing did not round-trip. `drw-analyze --wire-report` prices
+    /// listing did not round-trip. `drw-analyze`'s wire audit prices
     /// it. Costs a little time; off by default.
     pub record_wire: bool,
 }

@@ -14,7 +14,7 @@ use drw_graph::NodeId;
 /// [`crate::EngineConfig::record_wire`] it calls [`Message::census`] on
 /// every delivered message, which records each listed field's magnitude
 /// and checks `decode(encode(m)) == m`: a listing that leaves a field
-/// out is counted as lossy, and `drw-analyze --wire-report` reports both
+/// out is counted as lossy, and `drw-analyze`'s wire audit reports both
 /// that count and any field magnitude that outgrew the `O(log n)`-bit
 /// budget.
 ///
@@ -245,8 +245,8 @@ impl TypeCensus {
 /// [`Message`] type, the maximum observed magnitude of each listed
 /// field. Recorded by the delivery queue when
 /// [`crate::EngineConfig::record_wire`] is set, carried in
-/// [`crate::RunReport::wire`], and priced by `drw-analyze
-/// --wire-report`.
+/// [`crate::RunReport::wire`], and priced by `drw-analyze`'s
+/// wire audit.
 ///
 /// Types are kept sorted by name so equal runs produce byte-identical
 /// censuses regardless of delivery interleaving of *types* (field order

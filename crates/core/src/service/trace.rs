@@ -8,8 +8,8 @@
 //! service's clock advances exactly by the rounds its engine consumes
 //! (plus idle fast-forwards to the next arrival), so a given
 //! `(trace, seed)` pair replays bit-identically. No wall
-//! clock, no threads, no ambient entropy: `drw-analyze`'s determinism
-//! lint applies to this module like any other protocol code.
+//! clock, no threads, no ambient entropy: the clippy bans of
+//! `crates/clippy.toml` apply to this module like any other protocol code.
 //!
 //! [`MixedTraceSpec`] synthesizes the mixed multi-tenant workloads the
 //! experiments and tests use (walks + `MANY-RANDOM-WALKS` + spanning
