@@ -19,7 +19,7 @@
 //! the certificate is byte-stable: CI regenerates it and diffs against
 //! the committed copy.
 
-use crate::interleave::{self, FaultTimingOutcome, InterleaveOutcome};
+use crate::interleave::{self, FaultSweepOutcome, InterleaveOutcome};
 use crate::run_wire_audit;
 use crate::wire;
 use drw_congest::primitives::{
@@ -27,7 +27,6 @@ use drw_congest::primitives::{
     VectorSumProtocol,
 };
 use drw_congest::{run_protocol, EngineConfig, Runner, WireCensus};
-use drw_core::metropolis::MetropolisWalkProtocol;
 use drw_core::naive::{NaiveWalkProtocol, NaiveWalkSpec};
 use drw_core::{ShortWalksProtocol, StitchScheduler, StitchSetup, WalkState};
 use drw_graph::generators;
@@ -36,7 +35,7 @@ use drw_mixing::baseline::direct_diffusion_mixing_cfg;
 use std::path::Path;
 
 /// Schema tag of a certificate file.
-pub const SCHEMA: &str = "drw-cert-v2";
+pub const SCHEMA: &str = "drw-cert-v3";
 
 /// Node count of the census harness's main graph (a 4×4 torus); the
 /// largest `n` of any harness graph, so the one the law prices against.
@@ -55,15 +54,15 @@ const SEED: u64 = 0xCE2715;
 pub struct CertParams {
     /// Receive-order schedules to sweep.
     pub order_budget: u64,
-    /// Scripted fault timings to sweep.
-    pub timing_budget: u64,
+    /// Fault schedules to sweep.
+    pub fault_budget: u64,
 }
 
 impl Default for CertParams {
     fn default() -> Self {
         CertParams {
             order_budget: 1024,
-            timing_budget: 256,
+            fault_budget: 256,
         }
     }
 }
@@ -110,14 +109,14 @@ pub struct CertSchedules {
     /// Whether the merge-order bug injection was caught (harness
     /// self-validation).
     pub order_bug_detected: bool,
-    /// Scripted fault timings swept (each identical in order and
+    /// Fault schedules swept (each faulting, identical in order and
     /// scripted, and ledger-conserving).
-    pub timing_swept: u64,
-    /// Distinct end states across the swept timings (≥ 2 proves the
-    /// timing knob moves faults).
-    pub timing_distinct_outcomes: u64,
-    /// Whether the retransmit-ledger bug injection was caught.
-    pub timing_bug_detected: bool,
+    pub fault_swept: u64,
+    /// Distinct end states across the swept fault schedules (≥ 2
+    /// proves the plans move faults).
+    pub fault_distinct_outcomes: u64,
+    /// Whether the merge-order bug injection was caught under faults.
+    pub fault_bug_detected: bool,
 }
 
 /// The machine-readable CONGEST-conformance certificate.
@@ -201,8 +200,8 @@ pub fn run_census() -> Result<WireCensus, String> {
             .wire,
     );
 
-    // Walk protocols on a shared store: ShortWalkMsg, NaiveMsg, MhMsg,
-    // and a recorded wave for StitchMsg's regeneration arms (`Wave.prev`,
+    // Walk protocols on a shared store: ShortWalkMsg, NaiveMsg, and a
+    // recorded wave for StitchMsg's regeneration arms (`Wave.prev`,
     // `Taken`, `Replay`).
     let mut state = WalkState::new(n);
     {
@@ -244,14 +243,6 @@ pub fn run_census() -> Result<WireCensus, String> {
             return Err("census harness: the recorded wave stitched too little".into());
         }
         census.merge(&out.report.wire);
-    }
-    {
-        let mut p = MetropolisWalkProtocol::new(vec![1.0; n], vec![(0, 10)]);
-        census.merge(
-            &run_protocol(&g, &cfg, SEED + 10, &mut p)
-                .map_err(|e| err(&e))?
-                .wire,
-        );
     }
 
     // The batched Phase-2 scheduler: StitchMsg under Mux2, plus the
@@ -313,10 +304,10 @@ pub struct Certification {
     pub order: InterleaveOutcome,
     /// Schedules tried on the planted merge race.
     pub order_bug_tries: u64,
-    /// The fault-timing sweep.
-    pub timing: FaultTimingOutcome,
-    /// Timings tried on the planted retransmit-ledger bug.
-    pub timing_bug_tries: u64,
+    /// The faulted sweep.
+    pub fault: FaultSweepOutcome,
+    /// Fault schedules tried on the planted merge race.
+    pub fault_bug_tries: u64,
 }
 
 /// Runs the full certification: census + wire audit (full coverage) +
@@ -335,8 +326,8 @@ pub fn certify(root: &Path, params: &CertParams) -> Result<Certification, String
     let order = interleave::order_sweep(params.order_budget)?;
     let (order_bug_tries, order_bug) = interleave::bug_injection_detects(24)?;
 
-    let timing = interleave::fault_timing_sweep(params.timing_budget)?;
-    let (timing_bug_tries, timing_bug) = interleave::timing_bug_injection_detects(24)?;
+    let fault = interleave::fault_sweep(params.fault_budget)?;
+    let (fault_bug_tries, fault_bug) = interleave::fault_bug_injection_detects(24)?;
 
     let types = census
         .types
@@ -375,9 +366,9 @@ pub fn certify(root: &Path, params: &CertParams) -> Result<Certification, String
             order_rounds: order.rounds as u64,
             order_rounds_permuted: order.rounds_permuted as u64,
             order_bug_detected: order_bug,
-            timing_swept: timing.timings_run,
-            timing_distinct_outcomes: timing.distinct_outcomes as u64,
-            timing_bug_detected: timing_bug,
+            fault_swept: fault.schedules_run,
+            fault_distinct_outcomes: fault.distinct_outcomes as u64,
+            fault_bug_detected: fault_bug,
         },
         findings,
     };
@@ -385,8 +376,8 @@ pub fn certify(root: &Path, params: &CertParams) -> Result<Certification, String
         certificate,
         order,
         order_bug_tries,
-        timing,
-        timing_bug_tries,
+        fault,
+        fault_bug_tries,
     })
 }
 
@@ -416,7 +407,6 @@ mod tests {
             "VecSumMsg",
             "ShortWalkMsg",
             "NaiveMsg",
-            "MhMsg",
             "StitchMsg",
             "Mux2",
             "MassMsg",

@@ -22,14 +22,20 @@
 //! over the rounds' receiver counts `k_r`, is reported for scale only:
 //! on the 4×4 torus it dwarfs any budget.
 //!
+//! A second sweep runs the same check under faults: schedule `i` adds
+//! its own seeded lossy, healing [`FaultPlan`] to its receive order, so
+//! drops, delays and retransmissions land on different deliveries in
+//! every schedule.
+//!
 //! The checker also validates *itself*: with the scripted run's
 //! `merge_in_run_order` bug-injection knob it reintroduces the classic
-//! staging-merge race and must observe a divergence — proof that the
-//! harness can detect the failure class it guards against.
+//! staging-merge race and must observe a divergence, with and without
+//! faults — proof that the harness can detect the failure class it
+//! guards against.
 
 use drw_congest::{
-    receive_order, run_protocol, run_scripted, EngineConfig, FaultPlan, RunReport,
-    ScriptedSchedule, ScriptedTiming,
+    derive_seed, receive_order, run_protocol, run_scripted, EngineConfig, FaultPlan, RunReport,
+    ScriptedSchedule,
 };
 use drw_core::{ShortWalksProtocol, WalkState};
 use drw_graph::generators;
@@ -192,79 +198,79 @@ pub fn order_sweep(budget: u64) -> Result<InterleaveOutcome, String> {
 /// detect the race class it exists for. Returns the number of
 /// schedules tried and whether a divergence was observed.
 pub fn bug_injection_detects(tries: u64) -> Result<(u64, bool), String> {
-    let baseline = run_in_order(None)?;
-    let cfg = EngineConfig::default();
+    merge_race_detects(tries, |_| None)
+}
+
+/// The same self-validation under faults: schedule `i` runs under the
+/// faulted sweep's plan `i`, so the race must show through drops,
+/// delays and retransmissions too.
+pub fn fault_bug_injection_detects(tries: u64) -> Result<(u64, bool), String> {
+    merge_race_detects(tries, |i| Some(fault_plan(i)))
+}
+
+/// Runs the planted merge race under schedules `1..=tries`, schedule
+/// `i` under `plan(i)`, until one diverges from its in-order run.
+fn merge_race_detects(
+    tries: u64,
+    plan: impl Fn(u64) -> Option<FaultPlan>,
+) -> Result<(u64, bool), String> {
     for i in 1..=tries {
+        let baseline = run_in_order(plan(i))?;
         let order = &mut |round, len| receive_order(i, round, len);
-        if scripted(&cfg, true, order)? != baseline {
+        if scripted(&engine_cfg(plan(i)), true, order)? != baseline {
             return Ok((i, true));
         }
     }
     Ok((tries, false))
 }
 
-/// What one fault-timing sweep observed.
+/// What one faulted sweep observed.
 ///
-/// Scripted fault timing ([`ScriptedTiming`]) permutes which of a
-/// round's delivery attempts a fault plan's drop/delay budget lands on,
-/// without changing the per-round fate multiset. Timing index 0 is the
-/// identity (bit-identical to the unscripted plan); every index must
-/// give the same result in order and scripted, and keep the ARQ ledger
-/// conserved
-/// (`dropped == retransmitted` once the run completes).
+/// Schedule `i` runs under its own seeded lossy, healing plan and
+/// receive order ([`receive_order`]). Each must fault something, give
+/// the same result in order and scripted, and keep the ARQ ledger
+/// conserved (`dropped == retransmitted` once the run completes).
 #[derive(Debug)]
-pub struct FaultTimingOutcome {
-    /// Distinct timing indices executed (including identity index 0).
-    pub timings_run: u64,
-    /// Distinct end-state digests across the swept timings — evidence
-    /// the schedule knob actually moves faults (≥ 2 on a lossy plan).
+pub struct FaultSweepOutcome {
+    /// Schedules executed.
+    pub schedules_run: u64,
+    /// Distinct end-state digests across the schedules — evidence the
+    /// plans move faults (≥ 2 on any budget above one).
     pub distinct_outcomes: usize,
-    /// Timings where the scripted and in-order runs disagreed or the
-    /// retransmit ledger failed conservation. Zero on a healthy engine.
-    pub divergent: u64,
 }
 
-/// The lossy-but-healing fault plan the timing sweep runs under.
-fn timing_plan() -> FaultPlan {
-    FaultPlan::new(SEED ^ 0x5EED_FA17)
+/// The lossy-but-healing fault plan of fault schedule `i`.
+fn fault_plan(i: u64) -> FaultPlan {
+    FaultPlan::new(derive_seed(SEED ^ 0x5EED_FA17, i))
         .with_drops(80)
         .with_delays(50, 3)
 }
 
-/// Sweeps `count` scripted fault timings. Per timing, the retransmit
-/// ledger must conserve (`dropped == retransmitted`) and the scripted
-/// receive (identity order) must be bit-identical to the in-order
-/// reference; index 0 must reproduce the unscripted baseline exactly.
-pub fn fault_timing_sweep(count: u64) -> Result<FaultTimingOutcome, String> {
-    let plan = timing_plan();
-    let baseline = run_in_order(Some(plan))?;
-    if baseline.report.faults.total() == 0 {
-        return Err("fault plan injected nothing; the sweep would be vacuous".into());
-    }
-
+/// Sweeps `count` fault schedules. Errors describe a schedule that
+/// faulted nothing, broke ledger conservation or diverged between the
+/// in-order and scripted receive.
+pub fn fault_sweep(count: u64) -> Result<FaultSweepOutcome, String> {
     let mut digests: Vec<Vec<usize>> = Vec::new();
-    let mut timings_run = 0u64;
-    for index in 0..count {
-        let timed = plan.with_timing(ScriptedTiming::new(index));
-        let seq = run_in_order(Some(timed))?;
-        if index == 0 && seq != baseline {
+    for i in 0..count {
+        let plan = fault_plan(i);
+        let seq = run_in_order(Some(plan))?;
+        let f = &seq.report.faults;
+        if f.total() == 0 {
             return Err(format!(
-                "timing index 0 is not the identity: report {:?} vs baseline {:?}",
-                seq.report, baseline.report
+                "fault schedule #{i} injected nothing; the check would be vacuous"
             ));
         }
-        let f = &seq.report.faults;
         if f.dropped != f.retransmitted {
             return Err(format!(
-                "timing #{index} broke ledger conservation: {} dropped vs {} retransmitted",
+                "fault schedule #{i} broke ledger conservation: {} dropped vs {} retransmitted",
                 f.dropped, f.retransmitted
             ));
         }
-        let identity = &mut |_round, len| (0..len).collect();
-        let got = scripted(&engine_cfg(Some(timed)), false, identity)?;
+        let order = &mut |round, len| receive_order(i, round, len);
+        let got = scripted(&engine_cfg(Some(plan)), false, order)?;
         if got != seq {
             return Err(format!(
-                "timing #{index}: scripted receive diverged from the in-order \
+                "fault schedule #{i}: scripted receive diverged from the in-order \
                  reference: in-order report {:?} vs scripted {:?}",
                 seq.report, got.report
             ));
@@ -272,34 +278,11 @@ pub fn fault_timing_sweep(count: u64) -> Result<FaultTimingOutcome, String> {
         if !digests.contains(&seq.digest) {
             digests.push(seq.digest);
         }
-        timings_run += 1;
     }
-    Ok(FaultTimingOutcome {
-        timings_run,
+    Ok(FaultSweepOutcome {
+        schedules_run: count,
         distinct_outcomes: digests.len(),
-        divergent: 0,
     })
-}
-
-/// Fault-timing self-validation: with `ledger_misses_moved` injected
-/// (retransmissions of *moved* drops silently uncounted), some timing
-/// must break the `dropped == retransmitted` conservation check.
-/// Returns (timings tried, bug detected).
-pub fn timing_bug_injection_detects(tries: u64) -> Result<(u64, bool), String> {
-    let plan = timing_plan();
-    let mut tried = 0u64;
-    for index in 1..=tries {
-        let timed = plan.with_timing(ScriptedTiming {
-            index,
-            ledger_misses_moved: true,
-        });
-        let got = run_in_order(Some(timed))?;
-        tried += 1;
-        if got.report.faults.retransmitted < got.report.faults.dropped {
-            return Ok((tried, true));
-        }
-    }
-    Ok((tried, false))
 }
 
 #[cfg(test)]
@@ -322,22 +305,21 @@ mod tests {
     }
 
     #[test]
-    fn small_fault_timing_sweep_passes() {
-        let out = fault_timing_sweep(12).expect("no divergence");
-        assert_eq!(out.timings_run, 12);
-        assert_eq!(out.divergent, 0);
+    fn small_fault_sweep_passes() {
+        let out = fault_sweep(12).expect("no divergence");
+        assert_eq!(out.schedules_run, 12);
         assert!(
             out.distinct_outcomes >= 2,
-            "timing knob never moved a fault: {out:?}"
+            "the fault plans never moved a fault: {out:?}"
         );
     }
 
     #[test]
-    fn timing_bug_injection_is_detected() {
-        let (tried, detected) = timing_bug_injection_detects(16).expect("runs complete");
+    fn fault_bug_injection_is_detected() {
+        let (tried, detected) = fault_bug_injection_detects(16).expect("runs complete");
         assert!(
             detected,
-            "ledger_misses_moved went unnoticed in {tried} timings"
+            "the merge race under faults went unnoticed in {tried} schedules"
         );
     }
 }

@@ -5,8 +5,8 @@
 //!
 //! 1. **Interleaving check** ([`interleave`]): a protocol's receive
 //!    handlers are replayed with every round's receivers in seeded
-//!    permutations, and fault delivery is replayed under seeded timing
-//!    permutations — all must stay bit-identical to the in-order run.
+//!    permutations, with and without seeded fault plans — all must
+//!    stay bit-identical to the in-order run.
 //! 2. **Wire-value audit** ([`wire`]): a recorded run's per-field
 //!    magnitude census is joined against the production `impl Message`
 //!    sites, so a one-word field cannot smuggle more than `O(log n)`

@@ -2,7 +2,7 @@
 //!
 //! Runs the certification over the workspace the binary was built in:
 //! the wire census and its audit at full coverage, and the
-//! receive-order and fault-timing sweeps, each with its planted bug.
+//! receive-order and faulted sweeps, each with its planted bug.
 //! Prints each sweep's coverage, writes the certificate, and exits 1 on
 //! any finding or undetected planted bug — the CI gate.
 //!
@@ -13,7 +13,7 @@
 //!   `CERT_PR10.json` by default).
 //! * `--interleave-budget <n>` — receive-order schedule budget (default
 //!   1024).
-//! * `--timing-budget <n>` — scripted fault-timing budget (default 256).
+//! * `--fault-budget <n>` — fault-schedule budget (default 256).
 
 use drw_analyze::certify::{CertParams, Certification};
 use drw_analyze::interleave;
@@ -36,10 +36,10 @@ fn parse_opts() -> Result<(CertParams, PathBuf), String> {
                     .parse()
                     .map_err(|e| format!("--interleave-budget: {e}"))?
             }
-            "--timing-budget" => {
-                params.timing_budget = value("--timing-budget")?
+            "--fault-budget" => {
+                params.fault_budget = value("--fault-budget")?
                     .parse()
-                    .map_err(|e| format!("--timing-budget: {e}"))?
+                    .map_err(|e| format!("--fault-budget: {e}"))?
             }
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -82,8 +82,8 @@ fn main() -> ExitCode {
     println!(
         "drw-analyze: certificate: n = {}, {} Message impls audited, {} measured \
          on the wire, {} types priced; schedules swept: {} receive orders \
-         (space {}, {} of {} rounds permuted), {} fault timings ({} distinct \
-         outcomes); bug injections detected: order {}, timing {}; {} findings",
+         (space {}, {} of {} rounds permuted), {} fault schedules ({} distinct \
+         outcomes); bug injections detected: order {}, faults {}; {} findings",
         cert.n,
         cert.impls_audited,
         cert.impls_measured,
@@ -92,10 +92,10 @@ fn main() -> ExitCode {
         s.order_space,
         s.order_rounds_permuted,
         s.order_rounds,
-        s.timing_swept,
-        s.timing_distinct_outcomes,
+        s.fault_swept,
+        s.fault_distinct_outcomes,
         s.order_bug_detected,
-        s.timing_bug_detected,
+        s.fault_bug_detected,
         cert.findings.len(),
     );
 
@@ -144,17 +144,17 @@ fn print_sweeps(run: &Certification) -> usize {
         s.order_bug_detected,
     );
     println!(
-        "drw-analyze: fault-timing check: {} scripted timings swept ({} distinct \
-         end states), every timing bit-identical across the in-order and \
+        "drw-analyze: fault check: {} fault schedules swept ({} distinct end \
+         states), every schedule bit-identical across the in-order and \
          scripted receive",
-        run.timing.timings_run, run.timing.distinct_outcomes,
+        run.fault.schedules_run, run.fault.distinct_outcomes,
     );
     order_missed
         + planted(
-            "retransmit-ledger bug",
-            run.timing_bug_tries,
-            "timings",
-            s.timing_bug_detected,
+            "merge race under faults",
+            run.fault_bug_tries,
+            "fault schedules",
+            s.fault_bug_detected,
         )
 }
 

@@ -253,26 +253,6 @@ impl<M: Message> FlatQueue<M> {
     ) {
         let plan = cfg.faults.filter(|p| p.is_active());
         let cap = cfg.edge_capacity.unwrap_or(usize::MAX);
-        // Scripted fault timing (checker mode): precompute the round's
-        // baseline fates in delivery-scan order, then reassign them
-        // through the timing permutation. The multiset of fates — the
-        // round's fault budget — is preserved; only *which* attempt
-        // each fate hits moves. `None` on the production path.
-        let timed_fates: Option<Vec<(FaultDecision, bool)>> = plan.and_then(|p| {
-            p.timing.map(|t| {
-                let mut fates = Vec::new();
-                for bucket in buckets(&self.run) {
-                    let slots = 0..bucket.len().min(cap);
-                    fates.extend(slots.map(|k| p.decide(round, bucket[0].0, k)));
-                }
-                let perm = crate::fault::timing_permutation(t.index, round, fates.len());
-                perm.iter()
-                    .enumerate()
-                    .map(|(g, &src)| (fates[src], src != g))
-                    .collect()
-            })
-        });
-        let mut slot = 0usize;
         // Envelopes diverted by reorder faults; flushed after the main
         // scan (no allocation on the fault-free path: an empty `Vec`
         // holds no buffer).
@@ -315,12 +295,7 @@ impl<M: Message> FlatQueue<M> {
                 msg.census(&mut report.wire);
             }
             if let Some(plan) = plan {
-                let (fate, moved) = match &timed_fates {
-                    Some(fates) => fates[slot],
-                    None => (plan.decide(round, eid, k - 1), false),
-                };
-                slot += 1;
-                match fate {
+                match plan.decide(round, eid, k - 1) {
                     FaultDecision::Deliver => {}
                     FaultDecision::Drop => {
                         report.faults.dropped += 1;
@@ -328,15 +303,9 @@ impl<M: Message> FlatQueue<M> {
                             // Stop-and-wait ARQ: the sender learns of
                             // the loss and retransmits `rto` rounds
                             // later; the ack word rides the reverse
-                            // edge and is billed separately. The
-                            // injected ledger bug performs the moved
-                            // retransmission but forgets to bill it.
-                            let ledger_bug =
-                                moved && plan.timing.is_some_and(|t| t.ledger_misses_moved);
-                            if !ledger_bug {
-                                report.faults.retransmitted += 1;
-                                report.faults.ack_words += 1;
-                            }
+                            // edge and is billed separately.
+                            report.faults.retransmitted += 1;
+                            report.faults.ack_words += 1;
                             self.future
                                 .push((round + u64::from(plan.rto.max(1)), eid, msg));
                         }

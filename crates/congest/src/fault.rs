@@ -27,7 +27,7 @@
 //! round — they were sent, the bandwidth was spent — but only actual
 //! deliveries are billed to `RunReport::messages`/`words`.
 
-use crate::rng::{derive_seed, shuffled};
+use crate::rng::derive_seed;
 
 /// What happened to one delivery attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,57 +41,6 @@ pub(crate) enum FaultDecision {
     Delay,
     /// Delivered this round, but after every other delivery.
     Reorder,
-}
-
-/// Scripted fault-timing mode: permutes **which** of a round's delivery
-/// attempts the plan's drop/delay budget hits (see
-/// [`FaultPlan::timing`]). The baseline schedule computes one fate per
-/// delivery attempt; under a timing schedule the round's *multiset* of
-/// fates is preserved — the budget is the budget — but fate `g` is
-/// reassigned to the attempt at position `perm[g]` of the round's
-/// deterministic delivery scan. Index 0 is the identity (bit-identical
-/// to no timing mode at all); every index yields a deterministic
-/// schedule, so the interleaving checker can sweep indices and assert
-/// per-timing bit-identity between in-order and scripted runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct ScriptedTiming {
-    /// Timing schedule index; `0` is the unpermuted baseline.
-    pub index: u64,
-    /// Bug injection for harness self-validation: retransmissions of
-    /// drops that the timing permutation *moved* still happen on the
-    /// wire but are not recorded in the ARQ ledger — the classic
-    /// retransmit-ledger mismatch. Under `heal`, `dropped ==
-    /// retransmitted` is a conservation invariant; this knob breaks it
-    /// only on schedules that actually move a drop, which is exactly
-    /// the schedule-dependence the checker must prove it can see.
-    pub ledger_misses_moved: bool,
-}
-
-impl ScriptedTiming {
-    /// The timing schedule with the given index and no bug injection.
-    pub fn new(index: u64) -> Self {
-        ScriptedTiming {
-            index,
-            ledger_misses_moved: false,
-        }
-    }
-}
-
-/// The permutation a timing schedule applies to a round's `len`
-/// delivery attempts: fate `g` of the baseline scan is applied at
-/// attempt `perm[g]`... inverted at the call site as "attempt `g`
-/// receives fate `perm[g]`" — either reading works, the sweep only
-/// needs determinism and index-0 identity. Seeded Fisher–Yates over the
-/// pure [`derive_seed`] hash, so it is executor- and history-independent.
-pub(crate) fn timing_permutation(index: u64, round: u64, len: usize) -> Vec<usize> {
-    if index == 0 {
-        return (0..len).collect();
-    }
-    shuffled(
-        derive_seed(derive_seed(0xF417_71A1_D05E_0001, index), round),
-        len,
-    )
 }
 
 /// A deterministic, seeded fault schedule applied by the engine at
@@ -120,10 +69,6 @@ pub struct FaultPlan {
     pub heal: bool,
     /// Retransmission timeout in rounds for healed drops (minimum 1).
     pub rto: u32,
-    /// Scripted fault-timing schedule (`None` in production): permutes
-    /// which of a round's delivery attempts the drop/delay budget hits,
-    /// preserving the budget itself. The interleaving checker's hook.
-    pub timing: Option<ScriptedTiming>,
 }
 
 impl Default for FaultPlan {
@@ -136,7 +81,6 @@ impl Default for FaultPlan {
             reorder_per_mille: 0,
             heal: true,
             rto: 4,
-            timing: None,
         }
     }
 }
@@ -178,13 +122,6 @@ impl FaultPlan {
     /// This plan with permanent (unhealed) drops — fail-silent links.
     pub fn lossy(mut self) -> Self {
         self.heal = false;
-        self
-    }
-
-    /// This plan with a scripted fault-timing schedule (index `0` is
-    /// the unpermuted baseline).
-    pub fn with_timing(mut self, timing: ScriptedTiming) -> Self {
-        self.timing = Some(timing);
         self
     }
 

@@ -101,7 +101,7 @@ mod runner;
 
 pub use engine::{run_protocol, EngineConfig, MemoryReport, RunError, RunReport};
 pub use executor::{receive_order, run_scripted, ExecutorKind, ScriptedSchedule};
-pub use fault::{FaultCounters, FaultPlan, ScriptedTiming};
+pub use fault::{FaultCounters, FaultPlan};
 pub use message::{
     round_trips, wire_type_name, Envelope, FieldCensus, FracBits, Message, TypeCensus, WireCensus,
     WireReader, WireSink,

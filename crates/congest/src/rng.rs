@@ -76,12 +76,17 @@ impl NodeRngs {
 
     /// Starts a new run of `n` nodes under `seed`: every stream reads as
     /// not yet derived. Costs the change in `n`, nothing when it is the
-    /// same.
+    /// same — except once per 2^64 runs, when the stamp wraps: then
+    /// every slot is reset to "never" and stamping restarts at 1, so no
+    /// stale stamp can match a reused one.
     pub fn rebind(&mut self, seed: u64, n: usize) {
-        self.key = RunKey {
-            seed,
-            run: self.key.run + 1,
-        };
+        let run = self.key.run.checked_add(1).unwrap_or_else(|| {
+            for slot in &mut self.slots {
+                slot.run = 0;
+            }
+            1
+        });
+        self.key = RunKey { seed, run };
         if self.slots.len() != n {
             let never = Slot {
                 run: 0,
@@ -128,6 +133,12 @@ mod tests {
         assert_eq!(derive_seed(7, 3), derive_seed(7, 3));
     }
 
+    /// The first four draws of node `v`'s stream, eagerly seeded.
+    fn eager(seed: u64, v: usize) -> [u64; 4] {
+        let mut rng = StdRng::seed_from_u64(derive_seed(seed, v as u64));
+        std::array::from_fn(|_| rng.random())
+    }
+
     #[test]
     fn streams_are_prefix_stable_under_growth() {
         // The node-add epoch-determinism regression: a pool over a grown
@@ -135,10 +146,6 @@ mod tests {
         // had before the growth, because streams are keyed by node id
         // via derive_seed(seed, node) — never by pool size, and never by
         // the order in which a run first touches its nodes.
-        let eager = |seed: u64, v: usize| -> [u64; 4] {
-            let mut rng = StdRng::seed_from_u64(derive_seed(seed, v as u64));
-            std::array::from_fn(|_| rng.random())
-        };
         for seed in [0u64, 7, 0xDEAD_BEEF] {
             let mut pool = NodeRngs::new(seed, 5);
             // Scrambled first touches, draws interleaved across nodes.
@@ -165,6 +172,27 @@ mod tests {
             assert_eq!(replay, eager(seed + 1, 1));
             assert_eq!(pool.slots.len(), 2);
         }
+    }
+
+    #[test]
+    fn run_stamp_wraps_without_reusing_a_stamp() {
+        // Two runs before the stamp wraps and two after it: a wrap to
+        // the "never seeded" stamp 0 would hand an untouched node
+        // `seed_from_u64(0)`, and a restart at 1 without clearing would
+        // hand node 3 its spent stream from the pool's first run.
+        let mut pool = NodeRngs::new(1, 4);
+        assert_eq!(pool.node(3).random::<u64>(), eager(1, 3)[0]);
+        pool.key.run = u64::MAX - 2;
+        let runs: [(u64, &[usize]); 4] =
+            [(2, &[0, 1]), (3, &[1]), (4, &[1, 2, 3]), (5, &[0, 2, 3])];
+        for (seed, touched) in runs {
+            pool.rebind(seed, 4);
+            for &v in touched {
+                let stream: [u64; 4] = std::array::from_fn(|_| pool.node(v).random());
+                assert_eq!(stream, eager(seed, v), "node {v}, run seed {seed}");
+            }
+        }
+        assert_eq!(pool.key.run, 2, "stamping restarted at 1 after the wrap");
     }
 
     #[test]

@@ -76,7 +76,6 @@ pub mod error;
 pub mod exact;
 pub mod get_more_walks;
 pub mod many_walks;
-pub mod metropolis;
 pub mod naive;
 pub mod network;
 pub mod params;

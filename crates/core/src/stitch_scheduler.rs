@@ -1594,7 +1594,7 @@ pub(crate) mod tests {
 
     #[test]
     fn every_production_message_round_trips_at_its_field_limits() {
-        use crate::{metropolis::MhMsg, naive::NaiveMsg, short_walks::ShortWalkMsg};
+        use crate::{naive::NaiveMsg, short_walks::ShortWalkMsg};
         use drw_congest::primitives::{
             BfsMsg, BroadcastMsg, ConvergecastMsg, UpcastMsg, VecSumMsg,
         };
@@ -1655,7 +1655,6 @@ pub(crate) mod tests {
             left: c,
             pos: c,
         }]);
-        limits(&[MhMsg::Token { walk: i, left: c }, MhMsg::Tick]);
         limits(&[None, Some(false), Some(true)].map(|child_status| BfsMsg {
             level: child_status.map(|_| i),
             child_status,

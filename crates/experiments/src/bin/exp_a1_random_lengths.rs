@@ -7,7 +7,7 @@
 //! keep connector load near `t / lambda` (Lemma 2.7).
 
 use drw_core::{Network, Request, SingleWalkConfig};
-use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
+use drw_experiments::{mean, parallel_trials, table::f3, walk_config_from_env, workloads, Table};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -52,8 +52,4 @@ fn main() {
     println!(
         "The paper's randomization should show fewer/equal GMW calls and lower connector maxima."
     );
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
 }

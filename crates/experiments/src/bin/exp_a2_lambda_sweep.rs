@@ -6,7 +6,7 @@
 //! `sqrt(l * D)` (`c ~ 1` up to the dropped polylogs).
 
 use drw_core::{Network, Request, SingleWalkConfig, WalkParams};
-use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
+use drw_experiments::{mean, parallel_trials, table::f3, walk_config_from_env, workloads, Table};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -59,8 +59,4 @@ fn main() {
     }
     t.emit();
     println!("Expect a U-shape in total rounds: phase1 grows with c, stitching shrinks with c.");
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
 }

@@ -6,7 +6,7 @@
 //! star, the clique of a lollipop), forcing `GET-MORE-WALKS`.
 
 use drw_core::{Network, Request, SingleWalkConfig};
-use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, Table};
+use drw_experiments::{mean, parallel_trials, table::f3, walk_config_from_env, Table};
 use drw_graph::generators;
 
 fn main() {
@@ -52,8 +52,4 @@ fn main() {
     }
     t.emit();
     println!("Degree-proportional allocation should need fewer GET-MORE-WALKS on skewed graphs.");
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
 }

@@ -7,7 +7,8 @@
 
 use drw_core::{naive_walk, Network, Request};
 use drw_experiments::{
-    parallel_trials, podc09_walk, table::f3, walk_config_from_env, workloads, Podc09Params, Table,
+    mean, parallel_trials, podc09_walk, table::f3, walk_config_from_env, workloads, Podc09Params,
+    Table,
 };
 use drw_stats::log_log_slope;
 
@@ -75,8 +76,4 @@ fn main() {
             );
         }
     }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
 }

@@ -8,7 +8,7 @@
 //! concurrent stitches into one engine run saves.
 
 use drw_core::{naive_walk, Network, Request};
-use drw_experiments::{parallel_trials, table::f3, walk_config_from_env, workloads, Table};
+use drw_experiments::{mean, parallel_trials, table::f3, walk_config_from_env, workloads, Table};
 use drw_stats::log_log_slope;
 
 fn main() {
@@ -71,8 +71,4 @@ fn main() {
             log_log_slope(&xs, &ys).slope
         );
     }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
 }

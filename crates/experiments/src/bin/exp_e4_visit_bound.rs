@@ -7,7 +7,7 @@
 //! bound is tight up to constants (the paper's remark).
 
 use drw_core::visit_stats::{lemma26_bound, max_normalized_visits, visit_counts};
-use drw_experiments::{parallel_trials, table::f3, workloads, Table};
+use drw_experiments::{mean, parallel_trials, table::f3, workloads, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -50,8 +50,4 @@ fn main() {
         t.emit();
     }
     println!("Lemma 2.6 predicts the normalized max stays O(log n), independent of l.");
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
 }

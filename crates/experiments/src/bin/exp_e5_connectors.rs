@@ -12,7 +12,7 @@ use drw_congest::{run_protocol, Runner};
 use drw_core::short_walks::ShortWalksProtocol;
 use drw_core::visit_stats::connector_counts;
 use drw_core::{StitchScheduler, StitchSetup, WalkState};
-use drw_experiments::{engine_config_from_env, parallel_trials, table::f3, workloads, Table};
+use drw_experiments::{engine_config_from_env, mean, parallel_trials, table::f3, workloads, Table};
 use drw_stats::chi_square_uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -111,8 +111,4 @@ fn main() {
     }
     t.emit();
     println!("Lemma 2.7 predicts ratio >> 1 on the cycle; Lemma 2.4 predicts p-values above any small alpha.");
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
 }

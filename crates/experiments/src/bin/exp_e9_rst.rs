@@ -10,7 +10,7 @@
 //!    see DESIGN.md and `drw_core::TreeMode`).
 
 use drw_core::{Network, Request, TreeMode, TreeRequest};
-use drw_experiments::{parallel_trials, table::f3, workloads, Table};
+use drw_experiments::{mean, parallel_trials, table::f3, workloads, Table};
 use drw_graph::matrix_tree;
 use drw_spanning::{naive_rst_cover_steps, uniformity_test};
 use rand::rngs::StdRng;
@@ -112,8 +112,4 @@ fn main() {
     println!(
         "ExtendWalk must be uniform; RestartPhases demonstrates the paper-literal restart bias."
     );
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len() as f64
 }

@@ -24,6 +24,11 @@ pub use trials::parallel_trials;
 use drw_core::{Network, Request, SingleWalkConfig};
 use drw_graph::Graph;
 
+/// Arithmetic mean of a table column (NaN when `xs` is empty).
+pub fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len() as f64
+}
+
 /// The rebuild-per-request baseline the session experiments (E12) and
 /// `tests/session_reuse.rs` price amortization against: the summed
 /// bills of serving `requests` one after another **one-shot**, each

@@ -171,11 +171,6 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Formats a float with 1 decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +207,5 @@ mod tests {
     #[test]
     fn float_formatting() {
         assert_eq!(f3(1.23456), "1.235");
-        assert_eq!(f1(1.26), "1.3");
     }
 }

@@ -13,10 +13,9 @@
 //! - classical test graphs ([`complete`], [`grid2d`], [`torus2d`],
 //!   [`binary_tree`]).
 
-use crate::{Graph, GraphBuilder, NodeId};
-use rand::rngs::StdRng;
+use crate::{Graph, GraphBuilder};
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// Path graph `0 - 1 - ... - (n-1)`.
 ///
@@ -237,82 +236,6 @@ fn repair_pairing<R: Rng + ?Sized>(pairs: &mut [(u32, u32)], rng: &mut R) -> boo
     false
 }
 
-/// Power-law weights for [`chung_lu`]: `w_i ~ (i + 1)^(-1/(exponent-1))`,
-/// scaled so the mean weight is `avg_deg` and capped at `sqrt(S)` so every
-/// pair probability `w_u * w_v / S` is at most one. Returns `(weights, S)`
-/// with `S` the pre-cap total `avg_deg * n`.
-fn chung_lu_weights(n: usize, avg_deg: f64, exponent: f64) -> (Vec<f64>, f64) {
-    let alpha = 1.0 / (exponent - 1.0);
-    let mut w: Vec<f64> = (0..n).map(|i| ((i + 1) as f64).powf(-alpha)).collect();
-    let raw_sum: f64 = w.iter().sum();
-    let s = avg_deg * n as f64;
-    let scale = s / raw_sum;
-    let cap = s.sqrt();
-    for x in &mut w {
-        *x = (*x * scale).min(cap);
-    }
-    (w, s)
-}
-
-/// Power-law (Chung–Lu) random graph: node `i` has weight
-/// `w_i ~ (i + 1)^(-1/(exponent-1))` scaled to mean `avg_deg`, and each
-/// pair `{u, v}` is an edge independently with probability
-/// `min(1, w_u * w_v / S)` where `S` is the total weight. The resulting
-/// degree sequence follows a power law with the given `exponent` — the
-/// skewed-degree regime where Phase 1's degree-proportional short-walk
-/// allocation matters most.
-///
-/// Uses the Miller–Hagberg geometric-skip sampler, which runs in
-/// `O(n + m)` instead of the naive `O(n^2)` pair scan, so `10^6`-node
-/// instances are practical; edges stream straight into the CSR via
-/// [`Graph::from_stream`]. Takes an explicit `seed` (not a borrowed RNG)
-/// because the two construction passes must replay identical draws.
-///
-/// The result may be disconnected (low-weight nodes can be isolated);
-/// combine with [`crate::traversal::largest_component`] if connectivity
-/// is required.
-///
-/// # Panics
-///
-/// Panics if `n == 0`, `avg_deg <= 0`, or `exponent <= 2` (the mean of
-/// the target degree law must be finite).
-pub fn chung_lu(n: usize, avg_deg: f64, exponent: f64, seed: u64) -> Graph {
-    assert!(n > 0, "chung_lu needs at least one node");
-    assert!(avg_deg > 0.0, "avg_deg must be positive");
-    assert!(
-        exponent > 2.0,
-        "exponent must be > 2 for a finite mean degree"
-    );
-    let (w, s) = chung_lu_weights(n, avg_deg, exponent);
-    Graph::from_stream(n, |emit| {
-        // Fresh RNG per pass: both passes replay the same draws.
-        let mut rng = StdRng::seed_from_u64(seed);
-        // Miller–Hagberg skip sampling over descending weights: walk v
-        // upward from u+1, jumping geometrically with the current upper
-        // bound p on the pair probability, then accept with q/p.
-        for u in 0..n.saturating_sub(1) {
-            let mut v = u + 1;
-            let mut p = (w[u] * w[v] / s).min(1.0);
-            while v < n && p > 0.0 {
-                if p < 1.0 {
-                    let r: f64 = rng.random();
-                    let skip = (r.ln() / (1.0 - p).ln()).floor();
-                    v = v.saturating_add(skip as usize);
-                }
-                if v < n {
-                    let q = (w[u] * w[v] / s).min(1.0);
-                    if rng.random::<f64>() * p < q {
-                        emit(u, v);
-                    }
-                    p = q;
-                    v += 1;
-                }
-            }
-        }
-    })
-    .expect("chung_lu edges are valid")
-}
-
 /// Random geometric graph: `n` points uniform in the unit square, edges
 /// between pairs at Euclidean distance `<= radius`.
 ///
@@ -434,12 +357,6 @@ pub fn path_of_cliques(cliques: usize, size: usize) -> Graph {
         }
     }
     b.build().expect("path-of-cliques edges are valid")
-}
-
-/// Nodes of a [`path_of_cliques`] graph at (roughly) maximal distance:
-/// the first node of the first clique and the last node of the last one.
-pub fn path_of_cliques_extremes(cliques: usize, size: usize) -> (NodeId, NodeId) {
-    (0, cliques * size - 1)
 }
 
 #[cfg(test)]
@@ -591,74 +508,11 @@ mod tests {
     }
 
     #[test]
-    fn chung_lu_mean_degree_and_heavy_tail() {
-        let n = 20_000;
-        let g = chung_lu(n, 8.0, 2.5, 42);
-        let mean = 2.0 * g.m() as f64 / n as f64;
-        // The sqrt(S) cap shaves a little off the nominal mean.
-        assert!((6.5..=8.5).contains(&mean), "mean degree {mean}");
-        // Heavy tail: the hubs sit far above the mean, unlike any regular
-        // or torus family.
-        assert!(
-            g.max_degree() > 20 * mean as usize,
-            "max {}",
-            g.max_degree()
-        );
-        // The hubs are the low-index (high-weight) nodes.
-        assert!((0..10).map(|v| g.degree(v)).sum::<usize>() > 100 * mean as usize);
-    }
-
-    #[test]
-    fn chung_lu_degree_distribution_chi_square() {
-        // E[deg_i] = w_i * (sum_j w_j - w_i) / S exactly, with the
-        // post-cap weight sum in the numerator (capping at sqrt(S) keeps
-        // every pair probability below one, so nothing is clipped).
-        // Pearson chi-square of binned observed degree mass against that
-        // expectation.
-        let (n, avg, exp, seed) = (20_000usize, 8.0, 2.5, 42u64);
-        let g = chung_lu(n, avg, exp, seed);
-        let (w, s) = chung_lu_weights(n, avg, exp);
-        let wsum: f64 = w.iter().sum();
-        let bins = 20;
-        let mut observed = vec![0.0f64; bins];
-        let mut expected = vec![0.0f64; bins];
-        for (i, &wi) in w.iter().enumerate() {
-            let b = i * bins / n;
-            observed[b] += g.degree(i) as f64;
-            expected[b] += wi * (wsum - wi) / s;
-        }
-        let chi2: f64 = observed
-            .iter()
-            .zip(&expected)
-            .map(|(o, e)| (o - e) * (o - e) / e)
-            .sum();
-        // Each bin's degree sum is a sum of ~independent Bernoulli edges,
-        // so the statistic is ~chi^2 with 20 degrees of freedom; 60 is far
-        // beyond the 0.999 quantile (~45.3) while still failing loudly if
-        // the sampler's distribution drifts.
-        assert!(chi2 < 60.0, "chi-square statistic {chi2}");
-    }
-
-    #[test]
-    fn chung_lu_is_deterministic_in_seed() {
-        let a = chung_lu(500, 6.0, 2.5, 9);
-        let b = chung_lu(500, 6.0, 2.5, 9);
-        let c = chung_lu(500, 6.0, 2.5, 10);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
     fn path_of_cliques_diameter_grows() {
         let g1 = path_of_cliques(2, 8);
         let g2 = path_of_cliques(8, 2);
         assert!(traversal::is_connected(&g1));
         assert!(traversal::is_connected(&g2));
         assert!(traversal::diameter_exact(&g2) > traversal::diameter_exact(&g1));
-        let (a, b) = path_of_cliques_extremes(8, 2);
-        assert_eq!(
-            traversal::bfs_distances(&g2, a)[b] as usize,
-            traversal::diameter_exact(&g2)
-        );
     }
 }

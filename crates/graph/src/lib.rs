@@ -14,7 +14,7 @@
 //!   hypercubes, Erdős–Rényi, random regular (expanders), random geometric
 //!   graphs (the ad-hoc-network model the paper cites), barbells, lollipops
 //!   and a path-of-cliques family for diameter sweeps;
-//! - [`traversal`] — BFS, connectivity, exact and approximate diameter;
+//! - [`traversal`] — BFS, connectivity and the exact diameter;
 //! - [`spectral`] — stationary distributions, exact `t`-step walk
 //!   distributions, exact mixing times (`tau_x(eps)` from Definition 4.3),
 //!   the spectral gap `1 - lambda_2`, and conductance;

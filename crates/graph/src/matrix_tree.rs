@@ -65,47 +65,6 @@ pub fn spanning_tree_count(g: &Graph) -> u128 {
     det as u128
 }
 
-/// Approximate spanning-tree count via LU decomposition with partial
-/// pivoting in `f64`. Suitable for graphs too large for the exact count;
-/// returns `ln` of the count to avoid overflow.
-pub fn ln_spanning_tree_count(g: &Graph) -> f64 {
-    let n = g.n();
-    assert!(n >= 2, "spanning trees need at least two nodes");
-    let dim = n - 1;
-    let mut a = vec![vec![0f64; dim]; dim];
-    #[allow(clippy::needless_range_loop)]
-    for v in 0..dim {
-        a[v][v] = g.degree(v) as f64;
-        for u in g.neighbors(v) {
-            if u < dim {
-                a[v][u] -= 1.0;
-            }
-        }
-    }
-    let mut ln_det = 0.0;
-    for k in 0..dim {
-        // Partial pivot.
-        let p = (k..dim)
-            .max_by(|&x, &y| a[x][k].abs().partial_cmp(&a[y][k].abs()).expect("no NaN"))
-            .expect("nonempty range");
-        if a[p][k].abs() < 1e-12 {
-            return f64::NEG_INFINITY; // disconnected: zero trees
-        }
-        a.swap(k, p);
-        ln_det += a[k][k].abs().ln();
-        for i in (k + 1)..dim {
-            let f = a[i][k] / a[k][k];
-            #[allow(clippy::needless_range_loop)]
-            for j in k..dim {
-                a[i][j] -= f * a[k][j];
-            }
-        }
-    }
-    // The Laplacian minor is positive semidefinite with positive
-    // determinant on connected graphs, so the sign is +.
-    ln_det
-}
-
 /// Canonical representation of a spanning tree: its edge list sorted, each
 /// edge as `(min, max)`.
 pub type TreeKey = Vec<(NodeId, NodeId)>;
@@ -220,20 +179,6 @@ mod tests {
     fn disconnected_has_zero() {
         let g = Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         assert_eq!(spanning_tree_count(&g), 0);
-        assert_eq!(ln_spanning_tree_count(&g), f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn ln_count_matches_exact() {
-        for g in [
-            generators::complete(6),
-            generators::cycle(9),
-            generators::grid2d(3, 3),
-        ] {
-            let exact = spanning_tree_count(&g) as f64;
-            let ln = ln_spanning_tree_count(&g);
-            assert!((ln - exact.ln()).abs() < 1e-6, "exact={exact}, ln={ln}");
-        }
     }
 
     #[test]

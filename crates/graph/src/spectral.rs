@@ -87,13 +87,6 @@ pub fn distribution_after(g: &Graph, source: NodeId, t: usize, kind: WalkKind) -
     p
 }
 
-/// `||pi_x(t) - pi||_1`, the quantity driving Definition 4.3.
-pub fn l1_to_stationary(g: &Graph, source: NodeId, t: usize, kind: WalkKind) -> f64 {
-    let p = distribution_after(g, source, t, kind);
-    let pi = stationary_distribution(g);
-    p.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum()
-}
-
 /// Exact `tau_x(eps) = min { t : ||pi_x(t) - pi||_1 < eps }`, scanning `t`
 /// upward to `cap`. Returns `None` if the walk does not get within `eps`
 /// by `cap` steps (e.g. the simple walk on a bipartite graph never mixes).

@@ -132,17 +132,6 @@ pub fn diameter_exact(g: &Graph) -> usize {
     (0..g.n()).map(|s| eccentricity(g, s)).max().unwrap_or(0)
 }
 
-/// Two-sweep diameter lower bound: BFS from `0`, then BFS from the farthest
-/// node found. Exact on trees, a good fast estimate elsewhere.
-pub fn diameter_two_sweep(g: &Graph) -> usize {
-    let d0 = bfs_distances(g, 0);
-    let far = (0..g.n())
-        .max_by_key(|&v| d0[v])
-        .expect("graph has at least one node");
-    assert!(d0[far] != UNREACHABLE, "diameter of a disconnected graph");
-    eccentricity(g, far)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,20 +184,6 @@ mod tests {
         assert_eq!(diameter_exact(&generators::complete(10)), 1);
         assert_eq!(diameter_exact(&generators::star(10)), 2);
         assert_eq!(diameter_exact(&generators::grid2d(4, 4)), 6);
-    }
-
-    #[test]
-    fn two_sweep_exact_on_trees() {
-        let g = generators::binary_tree(31);
-        assert_eq!(diameter_two_sweep(&g), diameter_exact(&g));
-        let p = generators::path(17);
-        assert_eq!(diameter_two_sweep(&p), 16);
-    }
-
-    #[test]
-    fn two_sweep_is_lower_bound() {
-        let g = generators::torus2d(5, 7);
-        assert!(diameter_two_sweep(&g) <= diameter_exact(&g));
     }
 
     #[test]

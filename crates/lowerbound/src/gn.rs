@@ -133,39 +133,6 @@ impl GnGraph {
             .take_while(|&p| p < self.n_prime)
             .collect()
     }
-
-    /// The *path-distance* of Section 3.1 between two nodes: the number
-    /// of tree leaves under the lowest common ancestor (path nodes are
-    /// mapped to the subtree of their unique leaf neighbor).
-    pub fn path_distance(&self, a: NodeId, b: NodeId) -> usize {
-        let ta = self.tree_index_of(a);
-        let tb = self.tree_index_of(b);
-        let lca = Self::lca_heap(ta, tb);
-        // Subtree at heap depth d of a complete tree with k' leaves has
-        // k' >> d leaves.
-        let depth = (lca + 1).ilog2() as usize;
-        self.k_prime >> depth
-    }
-
-    /// Maps a node to its tree heap index (path nodes map to their leaf).
-    fn tree_index_of(&self, v: NodeId) -> usize {
-        if self.is_path_node(v) {
-            self.k_prime - 1 + (v % self.k_prime)
-        } else {
-            v - self.n_prime
-        }
-    }
-
-    fn lca_heap(mut a: usize, mut b: usize) -> usize {
-        while a != b {
-            if a > b {
-                a = (a - 1) / 2;
-            } else {
-                b = (b - 1) / 2;
-            }
-        }
-        a
-    }
 }
 
 #[cfg(test)]
@@ -247,22 +214,6 @@ mod tests {
             // from the breakpoint exceeds k.
             assert!(gn.k_prime() / 2 - offset > gn.k() || offset > gn.k());
         }
-    }
-
-    #[test]
-    fn path_distance_properties() {
-        let gn = GnGraph::build(64, 2);
-        // Distance between the two children subtrees spans all leaves.
-        let (l, r) = gn.root_children();
-        assert_eq!(gn.path_distance(l, r), gn.k_prime());
-        // Two path nodes attached to the same leaf have leaf-level
-        // distance 1.
-        let a = gn.path_node(0);
-        let b = gn.path_node(gn.k_prime());
-        assert_eq!(gn.path_distance(a, b), 1);
-        // Nodes in opposite halves of the path pattern are far.
-        let c = gn.path_node(gn.k_prime() / 2);
-        assert_eq!(gn.path_distance(a, c), gn.k_prime());
     }
 
     #[test]

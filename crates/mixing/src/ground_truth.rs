@@ -23,21 +23,6 @@ pub fn exact_tau_mix(g: &Graph, source: NodeId, cap: usize) -> Option<u64> {
     exact_tau(g, source, eps_mix(), cap)
 }
 
-/// Exact `||pi_x(t) - pi||_1` trace for `t = 0..=t_max` — the curve the
-/// estimator probes point-wise.
-pub fn l1_trace(g: &Graph, source: NodeId, t_max: usize) -> Vec<f64> {
-    let pi = spectral::stationary_distribution(g);
-    let mut p = vec![0.0; g.n()];
-    p[source] = 1.0;
-    let mut out = Vec::with_capacity(t_max + 1);
-    for _ in 0..=t_max {
-        let l1: f64 = p.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
-        out.push(l1);
-        p = spectral::step_distribution(g, &p, WalkKind::Simple);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,22 +39,6 @@ mod tests {
     #[test]
     fn bipartite_simple_walk_never_mixes() {
         assert_eq!(exact_tau_mix(&generators::cycle(8), 0, 10_000), None);
-    }
-
-    #[test]
-    fn l1_trace_is_monotone_nonincreasing_on_lazy_like_graphs() {
-        // On a non-bipartite graph the trace decreases (Lemma 4.4 is
-        // stated for the general monotone case; the simple walk on an odd
-        // cycle behaves monotonically after the first steps).
-        let g = generators::cycle(9);
-        let trace = l1_trace(&g, 0, 2000);
-        // ||delta_x - pi||_1 = 2 - 2 pi_x = 2 - 2/9.
-        assert!(trace[0] > 1.7, "starts near 2, got {}", trace[0]);
-        assert!(trace[2000 - 1] < 0.1, "ends mixed");
-        // Globally decreasing trend: compare windows.
-        let early: f64 = trace[0..100].iter().sum();
-        let late: f64 = trace[1000..1100].iter().sum();
-        assert!(early > late);
     }
 
     #[test]

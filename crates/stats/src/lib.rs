@@ -1,8 +1,5 @@
-//! Statistical utilities used throughout the `distributed-random-walks`
-//! workspace.
-//!
-//! The experiments that reproduce the PODC 2010 paper's claims need a small
-//! amount of classical statistics:
+//! The statistics the `distributed-random-walks` experiments and tests
+//! call:
 //!
 //! - [`special`] — log-gamma and the regularized incomplete gamma function,
 //!   the building blocks for chi-square p-values;
@@ -10,11 +7,6 @@
 //!   that sampled walk endpoints match the exact `l`-step distribution, that
 //!   short-walk lengths are uniform on `[lambda, 2*lambda - 1]`, and that
 //!   random spanning trees are uniform);
-//! - [`ks`] — Kolmogorov-Smirnov tests for continuous comparisons;
-//! - [`summary`] — streaming summary statistics (Welford) and quantiles;
-//! - [`histogram`] — dense integer histograms over small domains;
-//! - [`distance`] — total-variation / L1 / L2 distances between discrete
-//!   distributions (the quantity `||pi_x(t) - pi||_1` from Section 4.2);
 //! - [`regression`] — least-squares fits on log-log data, used to estimate
 //!   empirical scaling exponents (e.g. rounds ~ l^alpha).
 //!
@@ -33,16 +25,8 @@
 #![warn(missing_docs)]
 
 pub mod chi2;
-pub mod distance;
-pub mod histogram;
-pub mod ks;
 pub mod regression;
 pub mod special;
-pub mod summary;
 
 pub use chi2::{chi_square_test, chi_square_uniform, ChiSquare};
-pub use distance::{l1_distance, l2_distance, total_variation};
-pub use histogram::Histogram;
-pub use ks::{ks_test_uniform01, KsTest};
 pub use regression::{linear_fit, log_log_slope, LinearFit};
-pub use summary::Summary;

@@ -132,16 +132,6 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
     h * (-x + a * x.ln() - ln_gamma(a)).exp()
 }
 
-/// Error function, via the regularized incomplete gamma function:
-/// `erf(x) = P(1/2, x^2)` for `x >= 0`, odd extension otherwise.
-pub fn erf(x: f64) -> f64 {
-    if x < 0.0 {
-        -erf(-x)
-    } else {
-        gamma_p(0.5, x * x)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,14 +196,6 @@ mod tests {
     fn gamma_p_limits() {
         close(gamma_p(2.0, 0.0), 0.0, 1e-15);
         close(gamma_p(2.0, 1e4), 1.0, 1e-12);
-    }
-
-    #[test]
-    fn erf_known_values() {
-        close(erf(0.0), 0.0, 1e-15);
-        close(erf(1.0), 0.842_700_792_949_714_9, 1e-10);
-        close(erf(-1.0), -0.842_700_792_949_714_9, 1e-10);
-        close(erf(3.0), 0.999_977_909_503_001_4, 1e-10);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! | [`spanning`] | `drw-spanning` | centralized Aldous-Broder / Wilson references and uniformity tests |
 //! | [`mixing`] | `drw-mixing` | mixing-time ground truth, the diffusion baseline, spectral-gap / conductance bounds |
 //! | [`lowerbound`] | `drw-lowerbound` | `G_n`, PATH-VERIFICATION and the reduction |
-//! | [`stats`] | `drw-stats` | chi-square / KS tests, summaries, regression |
+//! | [`stats`] | `drw-stats` | chi-square tests, log-log regression |
 //!
 //! # Quickstart
 //!
