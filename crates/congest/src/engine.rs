@@ -472,7 +472,6 @@ mod tests {
         assert_eq!(report.messages, 10, "each message billed once");
         assert!(report.faults.dropped > 0, "20% of 10+ attempts must drop");
         assert_eq!(report.faults.retransmitted, report.faults.dropped);
-        assert_eq!(report.faults.ack_words, report.faults.dropped);
         assert!(
             report.rounds > 10,
             "drops cost rounds (got {})",
@@ -641,7 +640,6 @@ mod tests {
                     delayed: 2,
                     reordered: 1,
                     retransmitted: 6,
-                    ack_words: 6,
                 },
                 memory: MemoryReport {
                     queue_bytes: 1024,

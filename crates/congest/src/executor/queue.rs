@@ -302,10 +302,8 @@ impl<M: Message> FlatQueue<M> {
                         if plan.heal {
                             // Stop-and-wait ARQ: the sender learns of
                             // the loss and retransmits `rto` rounds
-                            // later; the ack word rides the reverse
-                            // edge and is billed separately.
+                            // later.
                             report.faults.retransmitted += 1;
-                            report.faults.ack_words += 1;
                             self.future
                                 .push((round + u64::from(plan.rto.max(1)), eid, msg));
                         }

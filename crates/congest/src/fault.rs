@@ -17,8 +17,6 @@
 //!   be dropped again, independently). Every message is eventually
 //!   delivered exactly once, so any timing-independent protocol
 //!   terminates with bit-identical *results* and a larger round bill.
-//!   The ack traffic is accounted in [`FaultCounters::ack_words`] (one
-//!   word per recovered delivery), not in the report's delivered words.
 //! - `heal = false`: drops are permanent. This models fail-silent links
 //!   and is what the protocol-level healing machinery (scheduler
 //!   re-issue, session repair) is tested against.
@@ -171,9 +169,6 @@ pub struct FaultCounters {
     /// Retransmissions scheduled by the ARQ discipline (equals
     /// `dropped` when `heal` is on: every drop is recovered).
     pub retransmitted: u64,
-    /// Words of acknowledgement traffic charged for the ARQ recovery
-    /// (one per retransmission), kept apart from the delivered words.
-    pub ack_words: u64,
 }
 
 impl FaultCounters {
@@ -188,7 +183,6 @@ impl FaultCounters {
         self.delayed += other.delayed;
         self.reordered += other.reordered;
         self.retransmitted += other.retransmitted;
-        self.ack_words += other.ack_words;
     }
 }
 
@@ -243,7 +237,6 @@ mod tests {
             delayed: 2,
             reordered: 3,
             retransmitted: 1,
-            ack_words: 1,
         };
         a.accumulate(&a.clone());
         assert_eq!(a.total(), 12);

@@ -24,6 +24,15 @@
 //! A loss-free, uncontended sampling therefore costs `2m +
 //! depth(owner)` messages (DESIGN.md says why `2m` is the floor).
 //!
+//! A *fitted* epoch — a walk with fewer than `2 * lambda` but at least
+//! `lambda` steps left ([`crate::stitch_scheduler`]) — samples only the
+//! tokens that fit: its `Wave` carries the cap (the steps left) packed
+//! with the epoch, every node counts only its tokens of the root no
+//! longer than the cap, and the owner takes one of those. A fitted echo
+//! that counts none ends in the walk's naive tail, not in
+//! `GET-MORE-WALKS`. The choice reads lengths, never trajectories, so it
+//! stays exact for the same reason contention does.
+//!
 //! This module is the echo role of the one Phase-2 protocol
 //! ([`crate::StitchScheduler`]), one sampling instance per concurrent
 //! walk: the per-walk slot (`SdLaneSlot`) and the handlers of `Wave`,
@@ -47,8 +56,8 @@
 
 use crate::single_walk::Segment;
 use crate::state::StoredWalk;
-use crate::stitch_scheduler::{merge_by_key, LaneState, NodeCall, StitchMsg};
-use crate::tail::NO_PREV;
+use crate::stitch_scheduler::{merge_by_key, LaneState, NodeCall, StitchMsg, NO_CAP};
+use crate::tail::{self, NO_PREV};
 use drw_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -135,42 +144,50 @@ impl NodeCall<'_> {
     /// Every epoch starts here: a walk's first, each after a stitch, each resample.
     pub(crate) fn restart_epoch(&mut self, w: u32, lane: &mut LaneState, steps: u64, prev: u64) {
         let (root, epoch) = (self.ctx.node() as u32, lane.epoch + 1);
-        lane.enter(epoch, root);
+        let cap = self.shared.walks[w as usize].cap_at(steps, self.shared.setup.lambda);
+        lane.enter(epoch, root, cap);
         lane.hosted = Some(steps);
         self.join(w, lane, None, (epoch, root, prev));
     }
 
     /// Joins `lane` to the tree of the wave `(epoch, root, prev)` under
     /// `up` (none at the root), snapshotting this node's tokens of the
-    /// root, and forwards the wave to every other neighbour, in order.
+    /// root that fit the lane's cap, and forwards the wave to every
+    /// other neighbour, in order.
     fn join(&mut self, w: u32, lane: &mut LaneState, up: Option<NodeId>, wave: (u32, u32, u64)) {
-        let (node, (epoch, root, prev)) = (self.ctx.node(), wave);
-        lane.slot
-            .join(node as u32, up, self.ws.count_from(root as usize) as u64);
+        let (node, (epoch, root, prev), cap) = (self.ctx.node(), wave, lane.cap);
+        let local = self.ws.count_from(root as usize, cap) as u64;
+        lane.slot.join(node as u32, up, local);
         for i in 0..self.ctx.graph().degree(node) {
             let v = self.ctx.graph().neighbor_at(node, i);
             if Some(v) != up {
-                self.send(v, w, StitchMsg::Wave { epoch, root, prev });
+                let wave = StitchMsg::Wave {
+                    epoch,
+                    cap,
+                    root,
+                    prev,
+                };
+                self.send(v, w, wave);
             }
         }
     }
 
-    /// A wave of lane `w` from `from`: the first arrival of a newer
-    /// epoch resets the lane (and alone may honour `prev`); every
-    /// arrival is one neighbour heard, and a node not yet in the tree
-    /// queues its adoption.
+    /// A wave `(epoch, cap, root, prev)` of lane `w` from `from`: the
+    /// first arrival of a newer epoch resets the lane to the epoch's cap
+    /// (and alone may honour `prev`); every arrival is one neighbour
+    /// heard, and a node not yet in the tree queues its adoption.
     pub(crate) fn on_wave(
         &mut self,
         lane: &mut LaneState,
         w: u32,
-        (epoch, root, prev): (u32, u32, u64),
+        (epoch, cap, root, prev): (u32, u32, u32, u64),
         from: NodeId,
     ) {
         // What this node hosted is read before `enter` forgets it.
         let hosted = lane.hosted;
         let fresh = epoch > lane.epoch;
         if fresh {
-            lane.enter(epoch, root);
+            lane.enter(epoch, root, cap);
         } else if epoch < lane.epoch {
             return; // stale tail of an old epoch's flood
         }
@@ -207,6 +224,7 @@ impl NodeCall<'_> {
     /// Deferred wave adoption: joins the tree under the round's minimum
     /// sender and forwards the wave to everyone else, once per lane and
     /// epoch (the parent hears from this node through its aggregate).
+    /// The epoch's cap is the lane's: its first wave set it.
     pub(crate) fn flush_adoptions(&mut self, lanes: &mut [LaneState]) {
         for i in 0..self.merge.adopt.len() {
             let ((w, epoch), (root, prev, from)) = self.merge.adopt[i];
@@ -242,15 +260,22 @@ impl NodeCall<'_> {
         }
     }
 
-    /// Root-side end of an echo: `GET-MORE-WALKS` if the pool is dry,
-    /// else the choice.
+    /// Root-side end of an echo: the choice; if no stored walk fits,
+    /// `GET-MORE-WALKS` on an uncapped epoch, and on a fitted one the
+    /// naive tail — no connector visit after all.
     fn finalize_at_root(&mut self, w: u32, lane: &mut LaneState) {
         let completed = lane.hosted.expect("the epoch root hosts the walk token");
-        if lane.slot.count == 0 {
+        if lane.slot.count > 0 {
+            let owner = lane.slot.cand_owner.expect("count > 0 implies a candidate");
+            return self.on_chosen(lane, w, (lane.epoch, owner, completed));
+        }
+        if lane.cap == NO_CAP {
             return self.launch_gmw(w, lane);
         }
-        let owner = lane.slot.cand_owner.expect("count > 0 implies a candidate");
-        self.on_chosen(lane, w, (lane.epoch, owner, completed));
+        self.tally.connector_visits -= 1;
+        lane.hosted = None;
+        let steps = self.shared.walks[w as usize].len - completed;
+        tail::hop(self.shared, &mut self.ctx, w, steps);
     }
 
     /// The root's choice `owner` of the current epoch at this node —
@@ -274,7 +299,7 @@ impl NodeCall<'_> {
             return self.send(child, w, chosen);
         }
         let root = lane.root as usize;
-        match self.ws.take_uniform_from(root, self.ctx.rng()) {
+        match self.ws.take_uniform_from(root, lane.cap, self.ctx.rng()) {
             Some(walk) => self.advance_walk(w, lane, walk, completed),
             // A rival consumed the pool since the snapshot.
             None => self.on_retry(lane, w, epoch),

@@ -397,8 +397,10 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let mut taken = 0;
         for v in 0..g.n() {
-            while taken < 2 && state.nodes[v].count_from(5) > 0 {
-                state.nodes[v].take_uniform_from(5, &mut rng).unwrap();
+            while taken < 2 && state.nodes[v].count_from(5, u32::MAX) > 0 {
+                state.nodes[v]
+                    .take_uniform_from(5, u32::MAX, &mut rng)
+                    .unwrap();
                 taken += 1;
             }
         }

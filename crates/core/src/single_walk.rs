@@ -17,8 +17,11 @@
 //! 3. Phase 2 stitches: while at least `2*lambda` steps remain, sample
 //!    an unused short walk of the current connector (`O(D)` rounds),
 //!    replenishing via `GET-MORE-WALKS` if it is drained, and jump to
-//!    the sampled walk's endpoint ([`crate::stitch_scheduler`]);
-//! 4. the final `< 2*lambda` steps are walked naively;
+//!    the sampled walk's endpoint ([`crate::stitch_scheduler`]); an
+//!    unrecorded walk then goes on stitching while `lambda` or more
+//!    remain, over the stored walks that fit;
+//! 4. the final steps — fewer than `lambda` when a stored walk fitted,
+//!    else fewer than `2*lambda` — are walked naively;
 //! 5. optionally, the walk is regenerated *while it is stitched* — each
 //!    taken short walk is replayed from its connector as soon as it is
 //!    taken — so every node knows its position(s) and first-visit
@@ -246,10 +249,12 @@ pub struct StitchSetup {
 /// schedule (Algorithm 1, lines 4-14).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalkAction {
-    /// At least `2*lambda` steps remain: stitch another short walk.
+    /// Stitch another short walk: at least `2*lambda` steps remain, or —
+    /// in the scheduler's rule for an unrecorded walk of at least
+    /// `2*lambda` steps — at least `lambda` do, and the stitch takes only
+    /// a stored walk that fits.
     Stitch,
-    /// Fewer than `2*lambda` but more than zero steps remain: walk them
-    /// naively.
+    /// Steps remain but no stitch is due: walk them naively.
     Tail(
         /// The number of remaining steps.
         u64,
@@ -263,10 +268,11 @@ pub enum WalkAction {
 ///
 /// The decision rule itself is [`WalkDriver::action_at`], a pure
 /// function of `(len, completed, lambda)` — the scheduler's node-local
-/// handlers call it directly, since there the "driver" state travels
-/// with the token rather than living in one place; the scheduler
-/// replays every finished walk's trace through a `WalkDriver` to check
-/// that it chains.
+/// handlers call it directly (through the spec's rule, which adds the
+/// fitted stitch), since there the "driver" state travels with the
+/// token rather than living in one place; the scheduler replays every
+/// finished walk's trace through a `WalkDriver` to check that it chains
+/// and that it stopped stitching no earlier than this rule allows.
 #[derive(Debug, Clone)]
 pub struct WalkDriver {
     /// The walk's source.
@@ -293,8 +299,13 @@ impl WalkDriver {
         }
     }
 
-    /// The Phase-2 decision rule: what a token with `completed` of `len`
-    /// steps behind it does under short-walk base length `lambda`.
+    /// The paper's Phase-2 decision rule: what a token with `completed`
+    /// of `len` steps behind it does under short-walk base length
+    /// `lambda` — stitch while at least `2*lambda` steps remain, then
+    /// walk the rest. The scheduler extends it with the fitted stitch
+    /// (an unrecorded walk of at least `2*lambda` steps goes on while
+    /// `lambda` or more remain, over stored walks that fit), which can
+    /// only end a walk's stitching later, never earlier.
     pub fn action_at(len: u64, completed: u64, lambda: u32) -> WalkAction {
         let remaining = len - completed;
         if remaining >= 2 * u64::from(lambda.max(1)) {

@@ -293,6 +293,13 @@ pub struct NodeWalkState {
 // `usize`, 104 B) measured +6..17 % `wall_s` on the benchmark's `cold_dense`.
 const _: () = assert!(std::mem::size_of::<NodeWalkState>() <= 96);
 
+#[cfg(test)]
+thread_local! {
+    /// Planted bug: [`NodeWalkState::take_uniform_from`] counts the walks
+    /// that fit but then picks among all of the source's walks.
+    pub(crate) static IGNORE_CAP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 impl NodeWalkState {
     /// Allocates `count` fresh walk sequence numbers for walks launched
     /// by this node, returning the first.
@@ -314,39 +321,47 @@ impl NodeWalkState {
         });
     }
 
-    /// Number of stored walks at this node launched by `source`.
-    pub fn count_from(&self, source: NodeId) -> usize {
+    /// Number of stored walks at this node launched by `source` that are
+    /// at most `max_len` steps long (`u32::MAX`: every length).
+    pub fn count_from(&self, source: NodeId, max_len: u32) -> usize {
         self.store
             .iter()
-            .filter(|w| w.id.source as usize == source)
+            .filter(|w| w.id.source as usize == source && w.len <= max_len)
             .count()
     }
 
     /// Removes and returns a uniformly random stored walk launched by
-    /// `source`, or `None` if this node holds none.
+    /// `source` among those at most `max_len` steps long (`u32::MAX`:
+    /// every length), or `None` if this node holds none.
     ///
     /// This is the per-walk cursor over the shared short-walk store used
     /// by the batched Phase-2 scheduler: taking a walk *removes* it, so
     /// no segment can ever be consumed by two concurrent walks, and a
     /// `None` here is how a losing walk detects that a rival consumed
-    /// the token it had sampled (triggering a resample).
+    /// the token it had sampled (triggering a resample). The cap is how
+    /// a walk with fewer than `2 * lambda` steps left takes only a walk
+    /// that fits; the choice reads lengths, never trajectories, so the
+    /// taken walk and the ones left behind stay independent walks.
     pub fn take_uniform_from<R: rand::Rng + ?Sized>(
         &mut self,
         source: NodeId,
+        max_len: u32,
         rng: &mut R,
     ) -> Option<StoredWalk> {
         // Count, draw, then walk to the r-th match: one RNG draw and no
         // allocation — this runs once per stitch on the contended path.
-        let count = self.count_from(source);
+        let count = self.count_from(source, max_len);
         if count == 0 {
             return None;
         }
         let pick = rng.random_range(0..count);
+        #[cfg(test)]
+        let max_len = if IGNORE_CAP.get() { u32::MAX } else { max_len };
         let idx = self
             .store
             .iter()
             .enumerate()
-            .filter(|(_, w)| w.id.source as usize == source)
+            .filter(|(_, w)| w.id.source as usize == source && w.len <= max_len)
             .nth(pick)
             .map(|(i, _)| i)
             .expect("pick is within the counted matches");
@@ -435,7 +450,7 @@ impl WalkState {
 
     /// Number of stored walks at `v` launched by `source`.
     pub fn stored_from(&self, v: NodeId, source: NodeId) -> usize {
-        self.nodes[v].count_from(source)
+        self.nodes[v].count_from(source, u32::MAX)
     }
 
     /// Records one visit of the global walk.
@@ -715,7 +730,9 @@ mod tests {
         assert_eq!(s.total_stored(), 2);
         assert_eq!(s.stored_from(1, 0), 1);
         assert_eq!(s.stored_from(1, 2), 1);
-        let w = s.nodes[1].take_uniform_from(0, &mut rng).expect("stored");
+        let w = s.nodes[1]
+            .take_uniform_from(0, u32::MAX, &mut rng)
+            .expect("stored");
         assert_eq!(w.id, WalkId { source: 0, seq: 5 });
         assert_eq!(w.len, 7);
         assert!(w.replayable);
@@ -745,14 +762,77 @@ mod tests {
         }
         s.store_walk(0, WalkId { source: 0, seq: 0 }, 4, true);
         let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(s.nodes[0].count_from(1), 3);
+        assert_eq!(s.nodes[0].count_from(1, u32::MAX), 3);
         for left in (0..3usize).rev() {
-            let w = s.nodes[0].take_uniform_from(1, &mut rng).expect("token");
+            let w = s.nodes[0]
+                .take_uniform_from(1, u32::MAX, &mut rng)
+                .expect("token");
             assert_eq!(w.id.source, 1);
-            assert_eq!(s.nodes[0].count_from(1), left);
+            assert_eq!(s.nodes[0].count_from(1, u32::MAX), left);
         }
-        assert!(s.nodes[0].take_uniform_from(1, &mut rng).is_none());
-        assert_eq!(s.nodes[0].count_from(0), 1, "other source untouched");
+        assert!(s.nodes[0]
+            .take_uniform_from(1, u32::MAX, &mut rng)
+            .is_none());
+        assert_eq!(
+            s.nodes[0].count_from(0, u32::MAX),
+            1,
+            "other source untouched"
+        );
+    }
+
+    /// Takes one walk of source 1 under cap 5 from a node storing
+    /// source 1's walks of lengths 3..=8 (long and short interleaved) and
+    /// a source-0 walk of length 3, 3 000 times, and returns how often
+    /// each of the fitting lengths 3, 4, 5 came out.
+    fn capped_takes() -> [u64; 3] {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(17);
+        let mut hits = [0u64; 3];
+        for _ in 0..3000 {
+            let mut ns = NodeWalkState::default();
+            for (seq, len) in [8, 3, 7, 4, 6, 5].into_iter().enumerate() {
+                ns.store_walk(
+                    WalkId {
+                        source: 1,
+                        seq: seq as u32,
+                    },
+                    len,
+                    true,
+                );
+            }
+            ns.store_walk(WalkId { source: 0, seq: 9 }, 3, true);
+            assert_eq!((ns.count_from(1, 5), ns.count_from(1, u32::MAX)), (3, 6));
+            let w = ns.take_uniform_from(1, 5, &mut rng).expect("three fit");
+            assert!(
+                w.len <= 5,
+                "took a walk of {} steps, longer than its cap",
+                w.len
+            );
+            assert_eq!(w.id.source, 1);
+            hits[(w.len - 3) as usize] += 1;
+            assert_eq!((ns.count_from(1, 5), ns.count_from(1, u32::MAX)), (2, 5));
+            assert!(
+                ns.take_uniform_from(1, 2, &mut rng).is_none(),
+                "none fits 2"
+            );
+        }
+        hits
+    }
+
+    #[test]
+    fn take_uniform_takes_only_walks_that_fit_uniformly() {
+        let hits = capped_takes();
+        let test = drw_stats::chi_square_uniform(&hits);
+        assert!(test.passes(0.001), "{test:?} hits={hits:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "longer than its cap")]
+    fn a_take_that_ignores_the_cap_is_caught() {
+        // Planted bug: the take counts the walks that fit, then picks
+        // among all of the source's walks.
+        IGNORE_CAP.set(true);
+        capped_takes();
     }
 
     #[test]

@@ -27,6 +27,15 @@
 //!
 //! The run ends when every walk has landed and every replay token is home.
 //!
+//! A walk stitches while `StitchSpec::action_at` says so: while at
+//! least `2 * lambda` steps remain (Algorithm 1), and, for an unrecorded
+//! walk of at least `2 * lambda` steps, on while `lambda` or more do.
+//! Such a *fitted* epoch's `Wave` carries a cap, the steps left: its
+//! echo counts, and its owner takes, only stored walks no longer than
+//! that, and if none fits the root sends the walk down its naive tail
+//! rather than replenishing. Every epoch's cap is a pure function of
+//! where the walk stands, so each node reads it off the wave.
+//!
 //! Per-walk epochs need no global coordination. A sampling epoch's root
 //! finalizes only after it heard from every neighbour, a child's
 //! aggregate says the child heard from all of its own, and so on down
@@ -92,12 +101,35 @@ impl StitchSpec {
         }
     }
 
-    /// What this walk does when it stands at `completed` steps.
+    /// What this walk does when it stands at `completed` steps: the rule
+    /// of [`WalkDriver::action_at`], except that an unrecorded walk of at
+    /// least `2 * lambda` steps goes on stitching while `lambda` or more
+    /// remain — a *fitted* stitch, over the stored walks no longer than
+    /// what is left ([`StitchSpec::cap_at`]). If none fits, the echo's
+    /// root sends the walk down its naive tail, as below `lambda`.
+    ///
+    /// A recorded walk keeps the `2 * lambda` rule: its replay walks a
+    /// fitted segment again, so the segment saves no rounds. A walk
+    /// shorter than `2 * lambda` never stitches: no store is built for it.
     pub(crate) fn action_at(&self, completed: u64, lambda: u32) -> WalkAction {
+        let lambda64 = u64::from(lambda);
         match self.len - completed {
             0 if self.naive => WalkAction::Done,
             left if self.naive => WalkAction::Tail(left),
+            left if !self.record && self.len >= 2 * lambda64 && left >= lambda64 => {
+                WalkAction::Stitch
+            }
             _ => WalkDriver::action_at(self.len, completed, lambda),
+        }
+    }
+
+    /// The longest stored walk a stitch at `completed` steps may take:
+    /// any ([`NO_CAP`]) while at least `2 * lambda` steps remain, else
+    /// what remains.
+    pub(crate) fn cap_at(&self, completed: u64, lambda: u32) -> u32 {
+        match self.len - completed {
+            left if left >= 2 * u64::from(lambda) => NO_CAP,
+            left => u32::try_from(left).unwrap_or(NO_CAP),
         }
     }
 
@@ -114,6 +146,10 @@ impl StitchSpec {
     }
 }
 
+/// `StitchMsg::Wave::cap` of an epoch that may take a stored walk of any
+/// length.
+pub(crate) const NO_CAP: u32 = u32::MAX;
+
 /// One walk's message within the multiplexed Phase-2 run. The walk id
 /// travels as the [`Mux2`] lane (one extra word); every variant fits the
 /// default 4-word CONGEST budget with it. Each variant has one handler,
@@ -125,8 +161,15 @@ pub(crate) enum StitchMsg {
     /// On a recorded lane `prev` names the short walk the root took to
     /// get here, as one word `connector:32 | seq:32` ([`pack_walk`]) —
     /// the old connector's cue to replay it — and is [`NO_PREV`]
-    /// otherwise.
-    Wave { epoch: u32, root: u32, prev: u64 },
+    /// otherwise. `cap` is the longest stored walk the epoch may take
+    /// ([`StitchSpec::cap_at`]; [`NO_CAP`]: any), packed with the epoch
+    /// into one word `epoch:32 | cap:32` when there is one.
+    Wave {
+        epoch: u32,
+        cap: u32,
+        root: u32,
+        prev: u64,
+    },
     /// The echo: a subtree's aggregate, sent to the parent once the
     /// node has heard from every neighbour — its candidate token owner
     /// and total token count (`count == 0` means none).
@@ -167,9 +210,19 @@ impl Message for StitchMsg {
     /// ([`pack_walk`]); a wave without one pads its slot.
     fn encode(&self, w: &mut impl WireSink) {
         match *self {
-            StitchMsg::Wave { epoch, root, prev } => {
+            StitchMsg::Wave {
+                epoch,
+                cap,
+                root,
+                prev,
+            } => {
                 w.tag(0);
-                w.word("Wave.epoch", epoch.into());
+                w.tag((cap != NO_CAP).into());
+                if cap == NO_CAP {
+                    w.word("Wave.epoch", epoch.into());
+                } else {
+                    w.packed(&[("Wave.epoch", epoch.into()), ("Wave.cap", cap.into())]);
+                }
                 w.word("Wave.root", root.into());
                 w.tag((prev != NO_PREV).into());
                 if prev == NO_PREV {
@@ -244,11 +297,15 @@ impl Message for StitchMsg {
             Some(pack_walk(WalkId { source, seq }))
         };
         Some(match r.read::<u8>()? {
-            0 => StitchMsg::Wave {
-                epoch: r.read()?,
-                root: r.read()?,
-                prev: if r.flag()? { walk(r)? } else { NO_PREV },
-            },
+            0 => {
+                let capped = r.flag()?;
+                StitchMsg::Wave {
+                    epoch: r.read()?,
+                    cap: if capped { r.read()? } else { NO_CAP },
+                    root: r.read()?,
+                    prev: if r.flag()? { walk(r)? } else { NO_PREV },
+                }
+            }
             1 => StitchMsg::Agg {
                 owner: r.read()?,
                 count: r.read()?,
@@ -311,6 +368,8 @@ pub(crate) struct LaneState {
     pub(crate) epoch: u32,
     /// The epoch's root (the walk's connector).
     pub(crate) root: u32,
+    /// The longest stored walk the epoch may take ([`NO_CAP`]: any).
+    pub(crate) cap: u32,
     /// This node's sampling slot for the epoch.
     pub(crate) slot: SdLaneSlot,
     /// `Some(completed)` while this node hosts the walk token as the
@@ -322,9 +381,10 @@ pub(crate) struct LaneState {
 
 impl LaneState {
     /// Resets the lane for (this node's view of) a new epoch.
-    pub(crate) fn enter(&mut self, epoch: u32, root: u32) {
+    pub(crate) fn enter(&mut self, epoch: u32, root: u32, cap: u32) {
         self.epoch = epoch;
         self.root = root;
+        self.cap = cap;
         self.hosted = None;
         self.gmw.acked = None;
         self.slot = SdLaneSlot::default();
@@ -558,9 +618,12 @@ impl Protocol for BatchedStitchProtocol<'_> {
                 let req = call.shared.walks[w as usize].req;
                 debug_assert_eq!(env.msg.req, req, "request tag must match the lane's owner");
                 match env.msg.msg {
-                    StitchMsg::Wave { epoch, root, prev } => {
-                        call.on_wave(call.lane(lanes, w), w, (epoch, root, prev), from)
-                    }
+                    StitchMsg::Wave {
+                        epoch,
+                        cap,
+                        root,
+                        prev,
+                    } => call.on_wave(call.lane(lanes, w), w, (epoch, cap, root, prev), from),
                     StitchMsg::Agg { owner, count } => {
                         call.on_agg(call.lane(lanes, w), w, (owner, count), from)
                     }
@@ -1004,7 +1067,10 @@ pub(crate) mod tests {
     /// One walk of `2 * lambda` steps from `source` over whatever
     /// `state` holds — exactly one stitch (after a `GET-MORE-WALKS` if
     /// the connector has no token), then a tail: the one-lane run that
-    /// exercises a single `SAMPLE-DESTINATION` / `GET-MORE-WALKS`.
+    /// exercises a single `SAMPLE-DESTINATION` / `GET-MORE-WALKS`. A
+    /// segment of exactly `lambda` steps leaves `lambda` to go, and with
+    /// them a fitted attempt — one more echo — at its endpoint; fixtures
+    /// that count messages or rounds store longer walks.
     fn one_stitch(
         g: &drw_graph::Graph,
         state: &mut WalkState,
@@ -1056,7 +1122,7 @@ pub(crate) mod tests {
         for trial in 0..1200u64 {
             let mut state = WalkState::new(g.n());
             for &(owner, seq) in &placements {
-                state.store_walk(owner, WalkId { source: 0, seq }, 4, true);
+                state.store_walk(owner, WalkId { source: 0, seq }, 5, true);
             }
             let out = one_stitch(&g, &mut state, 0, &setup(4, true), 1000 + trial);
             let seg = out.walks[0].segments[0];
@@ -1096,16 +1162,16 @@ pub(crate) mod tests {
         assert_eq!(state.total_stored(), 0);
     }
 
-    /// `tokens` stored walks of `root`, `lambda` steps each, spread over
+    /// `tokens` stored walks of `root`, `len` steps each, spread over
     /// the graph (one of them at `root` itself).
-    fn spread_tokens(n: usize, root: NodeId, tokens: u32, lambda: u32) -> WalkState {
+    fn spread_tokens(n: usize, root: NodeId, tokens: u32, len: u32) -> WalkState {
         let mut state = WalkState::new(n);
         for seq in 0..tokens {
             let id = WalkId {
                 source: root as u32,
                 seq,
             };
-            state.store_walk((root + seq as usize * 7) % n, id, lambda, true);
+            state.store_walk((root + seq as usize * 7) % n, id, len, true);
         }
         state
     }
@@ -1131,7 +1197,7 @@ pub(crate) mod tests {
             let depth = drw_graph::traversal::bfs_distances(g, root);
             let mut depths_seen = std::collections::BTreeSet::new();
             for trial in 0..24 {
-                let mut state = spread_tokens(g.n(), root, 12, lambda);
+                let mut state = spread_tokens(g.n(), root, 12, lambda + 1);
                 let out = one_stitch(g, &mut state, root, &setup(lambda, true), 300 + trial);
                 let seg = out.walks[0].segments[0];
                 let tail = 2 * u64::from(lambda) - u64::from(seg.len);
@@ -1201,13 +1267,13 @@ pub(crate) mod tests {
         let g = generators::path(32);
         let mut state = WalkState::new(g.n());
         for seq in 0..20 {
-            state.store_walk((seq as usize * 7) % 32, WalkId { source: 0, seq }, 4, true);
+            state.store_walk((seq as usize * 7) % 32, WalkId { source: 0, seq }, 5, true);
         }
         let out = one_stitch(&g, &mut state, 0, &setup(4, true), 2);
         let rounds = out.report.rounds - out.rounds_tail;
         // Eccentricity of node 0 is 31; three passes plus constant.
         assert!((31..=3 * 31 + 10).contains(&rounds), "rounds = {rounds}");
-        assert_eq!(out.rounds_tail, 4, "the tail is the 8 - 4 remaining steps");
+        assert_eq!(out.rounds_tail, 3, "the tail is the 8 - 5 remaining steps");
     }
 
     #[test]
@@ -1533,6 +1599,88 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn fitted_stitches_belong_to_unrecorded_walks_of_at_least_two_lambda() {
+        let lambda = 8;
+        let plain = StitchSpec::plain(0, 40);
+        let at = |spec: StitchSpec, done| (spec.action_at(done, lambda), spec.cap_at(done, lambda));
+        // 2λ or more to go: uncapped; λ up to 2λ: fitted, capped at what
+        // is left; below λ: the tail.
+        assert_eq!(at(plain, 24), (WalkAction::Stitch, NO_CAP));
+        assert_eq!(at(plain, 25), (WalkAction::Stitch, 15));
+        assert_eq!(at(plain, 32), (WalkAction::Stitch, 8));
+        assert_eq!(plain.action_at(33, lambda), WalkAction::Tail(7));
+        assert_eq!(plain.action_at(40, lambda), WalkAction::Done);
+        // A recorded walk keeps the 2λ rule.
+        let recorded = StitchSpec {
+            record: true,
+            ..plain
+        };
+        assert_eq!(recorded.action_at(24, lambda), WalkAction::Stitch);
+        assert_eq!(recorded.action_at(25, lambda), WalkAction::Tail(15));
+        // A walk shorter than 2λ never stitches, though λ or more remain.
+        let short = StitchSpec::plain(0, 15);
+        assert_eq!(short.action_at(0, lambda), WalkAction::Tail(15));
+        let naive = StitchSpec {
+            naive: true,
+            ..plain
+        };
+        assert_eq!(naive.action_at(32, lambda), WalkAction::Tail(8));
+    }
+
+    #[test]
+    fn a_fitted_stitch_leaves_a_tail_below_lambda_whenever_a_walk_fits() {
+        // Plain 120-step walks over a 6x6 torus store at lambda = 6: a
+        // segment that starts with fewer than 2λ to go is fitted and fits
+        // what is left; a tail of λ or more means the last connector held
+        // no walk that fits it (one lane: nothing else took one).
+        let (g, lambda, len) = (generators::torus2d(6, 6), 6u32, 120u64);
+        let mut fitted = 0;
+        for seed in 0..16 {
+            let mut runner = Runner::new(&g, EngineConfig::default(), 70 + seed);
+            let mut state = WalkState::new(g.n());
+            phase1(&mut runner, &mut state, 4, lambda);
+            let mut sched = StitchScheduler::new(&setup(lambda, true));
+            sched.add_walk(0, len);
+            let out = sched.run(&mut runner, &mut state).expect("plain run");
+            let segs = &out.walks[0].segments;
+            for seg in segs {
+                let left = len - seg.start_pos;
+                assert!(
+                    u64::from(seg.len) <= left,
+                    "seed {seed}: {seg:?} overshoots"
+                );
+                fitted += u32::from(left < 2 * u64::from(lambda));
+            }
+            let last = segs.last().expect("a 120-step walk stitches");
+            let tail = len - last.start_pos - u64::from(last.len);
+            let fits: usize = (state.nodes.iter())
+                .map(|ns| ns.count_from(last.owner, tail as u32))
+                .sum();
+            assert!(tail < 2 * u64::from(lambda), "seed {seed}");
+            assert!(
+                tail < u64::from(lambda) || fits == 0,
+                "seed {seed}: tail {tail}"
+            );
+        }
+        assert!(fitted > 0, "no walk ever stitched a fitted segment");
+        // A walk shorter than 2λ walks naively over the same store.
+        let mut runner = Runner::new(&g, EngineConfig::default(), 5);
+        let mut state = WalkState::new(g.n());
+        phase1(&mut runner, &mut state, 4, lambda);
+        let mut sched = StitchScheduler::new(&setup(lambda, true));
+        sched.add_walk(0, 2 * u64::from(lambda) - 1);
+        let out = sched.run(&mut runner, &mut state).expect("short run");
+        assert_eq!((out.stitches, out.report.messages), (0, 11));
+        // A recorded walk keeps stitching only while 2λ or more remain.
+        for seed in 0..6 {
+            let (out, _) = recorded_walk(len, seed);
+            for seg in &out.walks[0].segments {
+                assert!(len - seg.start_pos >= 2 * u64::from(lambda), "{seg:?}");
+            }
+        }
+    }
+
+    #[test]
     fn a_recorded_run_regenerates_every_position_while_it_stitches() {
         let (out, mut visits) = recorded_walk(120, 7);
         assert!(out.stitches >= 3);
@@ -1579,12 +1727,15 @@ pub(crate) mod tests {
         // joined; queue entries copy this many bytes per message.
         assert_eq!(std::mem::size_of::<StitchMsg>(), 24);
         assert_eq!(std::mem::size_of::<BatchMsg>(), 32);
-        let wave = StitchMsg::Wave {
-            epoch: 1,
-            root: 0,
-            prev: NO_PREV,
-        };
-        assert_eq!(Mux2::new(0, 0, wave).size_words(), 4, "at the budget");
+        for cap in [NO_CAP, 7] {
+            let wave = StitchMsg::Wave {
+                epoch: 1,
+                cap,
+                root: 0,
+                prev: pack_walk(WalkId { source: 3, seq: 1 }),
+            };
+            assert_eq!(Mux2::new(0, 0, wave).size_words(), 4, "at the budget");
+        }
         let id = WalkId {
             source: (1 << 26) - 1,
             seq: 1 << 12,
@@ -1613,11 +1764,13 @@ pub(crate) mod tests {
         let stitch = [
             StitchMsg::Wave {
                 epoch: i,
+                cap: NO_CAP,
                 root: i,
                 prev: NO_PREV,
             },
             StitchMsg::Wave {
                 epoch: i,
+                cap: i - 1,
                 root: i,
                 prev: walk,
             },

@@ -1,13 +1,15 @@
 //! The naive tail and regeneration, a role of the one Phase-2 protocol
-//! ([`crate::StitchScheduler`]). Once fewer than `2*lambda` steps remain
-//! (every step, on a forced-naive lane), a walk moves as a `Tail` token,
-//! one random hop per round (Algorithm 1, line 14). A recorded lane
-//! records every tail hop, and replays each stitched segment while the
-//! walk goes on stitching (end of Section 2.2): the segment's connector
-//! sends a `Replay` token along its forwarding log, and every node on
-//! the path records its position and predecessor. The connector learns
-//! the taken walk from the next epoch's wave (`prev`), or, after the
-//! last stitch, from `Taken` climbing the finished epoch's tree.
+//! ([`crate::StitchScheduler`]). Once no stitch is due — fewer than
+//! `2*lambda` steps remain, or on an unrecorded walk fewer than `lambda`
+//! or no stored walk fits (every step, on a forced-naive lane) — a walk
+//! moves as a `Tail` token, one random hop per round (Algorithm 1,
+//! line 14). A recorded lane records every tail hop, and replays each
+//! stitched segment while the walk goes on stitching (end of Section
+//! 2.2): the segment's connector sends a `Replay` token along its
+//! forwarding log, and every node on the path records its position and
+//! predecessor. The connector learns the taken walk from the next
+//! epoch's wave (`prev`), or, after the last stitch, from `Taken`
+//! climbing the finished epoch's tree.
 
 #![deny(clippy::too_many_lines)]
 

@@ -133,7 +133,10 @@ pub fn podc09_walk(
         gmw_count: eta as u64,
         record: false,
     };
-    // Phase 2 is the one scheduler, run for a single lane.
+    // Phase 2 is the one scheduler, run for a single lane. Its fitted
+    // stitch applies too: a fixed-length walk fits whenever `lambda` or
+    // more steps remain, so the tail is below `lambda` unless the last
+    // connector ran dry.
     let mut sched = StitchScheduler::new(&setup);
     sched.add_walk(source, len);
     let outcome = sched.run(&mut runner, &mut state)?;

@@ -210,22 +210,31 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph
 /// random partners until the pairing describes a simple graph. Returns
 /// `false` if it fails to converge (triggering a fresh shuffle upstream).
 fn repair_pairing<R: Rng + ?Sized>(pairs: &mut [(u32, u32)], rng: &mut R) -> bool {
+    let mut keys: Vec<(u64, u32)> = Vec::with_capacity(pairs.len());
+    let mut bad = Vec::new();
     for _ in 0..200 {
-        // BTreeSet, not HashSet: only membership is probed (`bad` keeps
-        // deterministic pair order), but the determinism linter bans hash
-        // collections in graph/protocol crates so iteration-order bugs
-        // cannot creep in through later edits.
-        let mut seen = std::collections::BTreeSet::new();
-        let mut bad = Vec::new();
-        for (i, &(u, v)) in pairs.iter().enumerate() {
-            let key = if u < v { (u, v) } else { (v, u) };
-            if u == v || !seen.insert(key) {
-                bad.push(i);
+        // A pair is bad if it is a self loop or repeats the edge of an
+        // earlier pair. Sorting `(edge, index)` puts each edge's first
+        // pair first; the bad indices are then re-matched in ascending
+        // order, which keeps the RNG draws, and so the graph, a pure
+        // function of the shuffle.
+        keys.clear();
+        keys.extend(pairs.iter().enumerate().map(|(i, &(u, v))| {
+            let (lo, hi) = if u < v { (u, v) } else { (v, u) };
+            ((u64::from(lo) << 32) | u64::from(hi), i as u32)
+        }));
+        keys.sort_unstable();
+        bad.clear();
+        for (k, &(key, i)) in keys.iter().enumerate() {
+            let self_loop = (key >> 32) as u32 == key as u32;
+            if self_loop || (k > 0 && keys[k - 1].0 == key) {
+                bad.push(i as usize);
             }
         }
         if bad.is_empty() {
             return true;
         }
+        bad.sort_unstable();
         for &i in &bad {
             let j = rng.random_range(0..pairs.len());
             let (iv, jv) = (pairs[i].1, pairs[j].1);
@@ -494,6 +503,30 @@ mod tests {
             }
         }
         assert_eq!(torus2d(rows, cols), b.build().unwrap());
+    }
+
+    #[test]
+    fn random_regular_adjacency_is_pinned() {
+        // FNV-1a over every neighbour slice in node order: the repair's
+        // bad-pair order sets the RNG draws, and the pairing order sets
+        // neighbour indices, which seeded walks read.
+        let pinned = [
+            (1024, 1, 0x9387b3e40af70515),
+            (1024, 2, 0x6e7870b2f74203ad),
+            (6144, 11, 0xc7a5dfdd2ec6c5ad),
+            (6144, 12, 0x4b0446a1053784d9),
+            (131_072, 11, 0x67f09ca5e3d1c6a5),
+        ];
+        for (n, seed, digest) in pinned {
+            let g = random_regular(n, 4, &mut StdRng::seed_from_u64(seed));
+            let mut h: u64 = 0xcbf29ce484222325;
+            for v in 0..g.n() {
+                for b in g.neighbor_slice(v).iter().flat_map(|u| u.to_le_bytes()) {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x100000001b3);
+                }
+            }
+            assert_eq!(h, digest, "random_regular({n}, 4) at seed {seed}");
+        }
     }
 
     #[test]

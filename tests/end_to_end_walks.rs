@@ -125,6 +125,60 @@ fn capped_one_shot_walks_stay_exact() {
     );
 }
 
+/// Fitted stitches stay exact. A walk goes on stitching while
+/// `lambda <= remaining < 2 * lambda`, over only the stored walks that
+/// fit what is left. One-shot walks, and waves of eight walks from one
+/// source (whose connectors coincide, so takes contend and retry), must
+/// both match the exact law — and fitted segments must occur.
+#[test]
+fn fitted_stitches_stay_exact() {
+    let g = generators::lollipop(5, 4);
+    let len = 400u64;
+    let probs = exact_distribution(&g, 0, len);
+    // Segments that started with fewer than `2 * lambda` steps to go.
+    let fitted = |segs: &[drw_core::Segment], lambda: u32| {
+        let late = |s: &&drw_core::Segment| s.start_pos + 2 * u64::from(lambda) > len;
+        segs.iter().filter(late).count()
+    };
+    let mut counts = vec![0u64; g.n()];
+    let mut fitted_one_shot = 0;
+    for seed in 0..400 {
+        let r = Network::builder(&g)
+            .seed(52_000 + seed)
+            .build()
+            .run(Request::walk(0, len))
+            .unwrap()
+            .into_walk();
+        counts[r.destination] += 1;
+        fitted_one_shot += fitted(&r.segments, r.lambda);
+    }
+    let t = chi_square_against_probs(&counts, &probs);
+    assert!(t.passes(0.001), "one-shot: {t:?}");
+    assert!(
+        fitted_one_shot > 0,
+        "no one-shot walk stitched a fitted segment"
+    );
+
+    let mut counts = vec![0u64; g.n()];
+    let mut fitted_waves = 0;
+    for seed in 0..50 {
+        let r = Network::builder(&g)
+            .seed(53_000 + seed)
+            .build()
+            .run(Request::many_walks(vec![0; 8], len))
+            .unwrap()
+            .into_many_walks();
+        assert!(!r.used_naive_fallback);
+        for (&d, segs) in r.destinations.iter().zip(&r.segments) {
+            counts[d] += 1;
+            fitted_waves += fitted(segs, r.lambda);
+        }
+    }
+    let t = chi_square_against_probs(&counts, &probs);
+    assert!(t.passes(0.001), "waves: {t:?}");
+    assert!(fitted_waves > 0, "no wave walk stitched a fitted segment");
+}
+
 /// Regenerated walks are genuine trajectories whose endpoint matches the
 /// reported destination.
 #[test]

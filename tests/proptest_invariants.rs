@@ -198,8 +198,8 @@ proptest! {
     /// ARQ-healed faults never lose a message for good: a BFS wave
     /// under an arbitrary seeded drop+delay+reorder plan still reaches
     /// every node (eventual delivery — `into_tree` panics otherwise)
-    /// with a structurally valid tree, and the fault ledger balances:
-    /// every drop was retransmitted and billed exactly one ack word.
+    /// with a structurally valid tree, and every one of its messages —
+    /// one per directed edge — is delivered exactly once.
     ///
     /// Distances are *not* compared against centralized BFS here:
     /// delays legally let a longer path's wave arrive first, which
@@ -233,8 +233,10 @@ proptest! {
             prop_assert!(g.has_edge(parent, v), "parent link {parent}-{v} not an edge");
             prop_assert_eq!(tree.dist[v], tree.dist[parent] + 1);
         }
-        prop_assert_eq!(report.faults.dropped, report.faults.retransmitted);
-        prop_assert_eq!(report.faults.dropped, report.faults.ack_words);
+        // One BFS message per directed edge, each delivered exactly once
+        // however often its transmissions dropped: a healed drop that is
+        // not parked for retransmission reads below this.
+        prop_assert_eq!(report.messages, g.dir_edge_count() as u64);
         if !plan.is_active() {
             prop_assert_eq!(report.faults.total(), 0);
         }
