@@ -27,8 +27,7 @@ use drw_congest::primitives::{
     VectorSumProtocol,
 };
 use drw_congest::{run_protocol, EngineConfig, Runner, WireCensus};
-use drw_core::naive::{NaiveWalkProtocol, NaiveWalkSpec};
-use drw_core::{ShortWalksProtocol, StitchScheduler, StitchSetup, WalkState};
+use drw_core::{ShortWalksProtocol, StitchScheduler, StitchSetup, StitchSpec, WalkState};
 use drw_graph::generators;
 use drw_lowerbound::path_verification::PathVerificationProtocol;
 use drw_mixing::baseline::direct_diffusion_mixing_cfg;
@@ -200,30 +199,14 @@ pub fn run_census() -> Result<WireCensus, String> {
             .wire,
     );
 
-    // Walk protocols on a shared store: ShortWalkMsg, NaiveMsg, and a
-    // recorded wave for StitchMsg's regeneration arms (`Wave.prev`,
-    // `Taken`, `Replay`).
+    // Walk protocols on a shared store: ShortWalkMsg, and a recorded
+    // wave for StitchMsg's regeneration arms (`Wave.prev`, `Taken`,
+    // `Replay`).
     let mut state = WalkState::new(n);
     {
         let mut p = ShortWalksProtocol::new(&mut state, vec![2; n], 6, true);
         census.merge(
             &run_protocol(&g, &cfg, SEED + 5, &mut p)
-                .map_err(|e| err(&e))?
-                .wire,
-        );
-    }
-    {
-        let mut p = NaiveWalkProtocol::new(
-            vec![NaiveWalkSpec {
-                source: 0,
-                len: 12,
-                start_pos: 0,
-                record_start: true,
-            }],
-            Some(&mut state),
-        );
-        census.merge(
-            &run_protocol(&g, &cfg, SEED + 8, &mut p)
                 .map_err(|e| err(&e))?
                 .wire,
         );
@@ -235,9 +218,11 @@ pub fn run_census() -> Result<WireCensus, String> {
             randomize_len: true,
             aggregated_gmw: false,
             gmw_count: 4,
-            record: true,
         });
-        sched.add_walk(0, 60);
+        sched.add_spec(StitchSpec {
+            record: true,
+            ..StitchSpec::plain(0, 60)
+        });
         let out = sched.run(&mut runner, &mut state).map_err(|e| err(&e))?;
         if out.stitches < 3 {
             return Err("census harness: the recorded wave stitched too little".into());
@@ -257,7 +242,6 @@ pub fn run_census() -> Result<WireCensus, String> {
             randomize_len: true,
             aggregated_gmw: true,
             gmw_count: 16,
-            record: false,
         };
         let mut sched = StitchScheduler::new(&setup);
         sched.add_walk(0, 64);
@@ -406,7 +390,6 @@ mod tests {
             "UpcastMsg",
             "VecSumMsg",
             "ShortWalkMsg",
-            "NaiveMsg",
             "StitchMsg",
             "Mux2",
             "MassMsg",

@@ -14,7 +14,6 @@ use std::fmt;
 
 /// Engine configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EngineConfig {
     /// Hard cap on simulated rounds; exceeding it is an error (a protocol
     /// bug or a parameter far outside the intended regime).
@@ -126,37 +125,8 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Bytes of backing capacity held by each engine subsystem at the end of
-/// a run. `Vec` capacities never shrink, so the end-of-run figure equals
-/// the high-water mark — this *is* the peak, not a sample. The figures
-/// are kept as the buffers grow (no run scans its `n` inboxes for
-/// them), and under a [`crate::Runner`], whose buffers outlive a run,
-/// they cover the runner's earlier runs too.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub struct MemoryReport {
-    /// The message queue's fallback sort keys and fault-parked messages.
-    pub queue_bytes: usize,
-    /// Per-node inbox buffers.
-    pub inbox_bytes: usize,
-    /// Per-node RNG streams.
-    pub rng_bytes: usize,
-    /// The message buffers that trade places between rounds (the
-    /// staging buffer, the queue's run and its merge scratch) as one
-    /// pooled figure.
-    pub staging_bytes: usize,
-}
-
 /// Statistics of one protocol run.
-///
-/// Equality compares the *semantic* fields only — rounds, message
-/// traffic, edge loads, faults, the wire census. The
-/// [`RunReport::memory`] telemetry is left out: a [`crate::Runner`]'s
-/// buffers outlive a run, so it depends on the runs before, and the
-/// determinism contract (same protocol results for the same graph and
-/// seed) is asserted through this semantic equality.
-#[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunReport {
     /// Number of communication rounds executed. This is the paper's
     /// complexity measure.
@@ -185,21 +155,6 @@ pub struct RunReport {
     /// Semantic: a replay delivers the same messages, so the recorded
     /// maxima are identical too.
     pub wire: WireCensus,
-    /// Peak bytes held per engine subsystem (telemetry; not compared).
-    pub memory: MemoryReport,
-}
-
-impl PartialEq for RunReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.rounds == other.rounds
-            && self.messages == other.messages
-            && self.words == other.words
-            && self.max_edge_backlog == other.max_edge_backlog
-            && self.max_edge_load == other.max_edge_load
-            && self.max_edge_words_per_round == other.max_edge_words_per_round
-            && self.faults == other.faults
-            && self.wire == other.wire
-    }
 }
 
 /// Runs `protocol` on `graph` to completion over fresh engine buffers
@@ -563,34 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn report_equality_ignores_telemetry() {
-        // The determinism contract is semantic: two runs may hold
-        // different buffer capacities yet still count as identical.
-        let a = RunReport {
-            rounds: 3,
-            messages: 10,
-            ..RunReport::default()
-        };
-        let mut b = a.clone();
-        b.memory.queue_bytes = 4096;
-        assert_eq!(a, b);
-        b.messages = 11;
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn runs_populate_memory_telemetry() {
-        let g = generators::torus2d(4, 4);
-        let mut p = Flood {
-            seen: vec![false; g.n()],
-        };
-        let report = run_protocol(&g, &EngineConfig::default(), 1, &mut p).unwrap();
-        assert!(report.memory.staging_bytes > 0, "{:?}", report.memory);
-        assert!(report.memory.inbox_bytes > 0, "{:?}", report.memory);
-        assert!(report.memory.rng_bytes > 0, "{:?}", report.memory);
-    }
-
-    #[test]
     fn runs_are_deterministic_in_the_seed() {
         // The flood tie-breaks are deterministic; more importantly the
         // engine delivers in sorted edge/node order, so reports match.
@@ -620,69 +547,5 @@ mod tests {
         }
         let g = generators::path(3);
         let _ = run_protocol(&g, &EngineConfig::default(), 1, &mut Bad);
-    }
-
-    #[cfg(feature = "serde")]
-    mod serde_tests {
-        use super::*;
-
-        #[test]
-        fn run_report_round_trips_through_json() {
-            let report = RunReport {
-                rounds: 12,
-                messages: 340,
-                words: 900,
-                max_edge_backlog: 7,
-                max_edge_load: 3,
-                max_edge_words_per_round: 4,
-                faults: FaultCounters {
-                    dropped: 6,
-                    delayed: 2,
-                    reordered: 1,
-                    retransmitted: 6,
-                },
-                memory: MemoryReport {
-                    queue_bytes: 1024,
-                    inbox_bytes: 512,
-                    rng_bytes: 96,
-                    staging_bytes: 64,
-                },
-                wire: {
-                    let mut w = WireCensus::default();
-                    w.record("Ping", 1)
-                        .field("counter", 8)
-                        .field_fixed("mass", 1 << 40, 40);
-                    w
-                },
-            };
-            let json = serde_json::to_string(&report).unwrap();
-            assert!(json.contains("\"rounds\":12"), "{json}");
-            assert!(json.contains("\"queue_bytes\":1024"), "{json}");
-            assert!(json.contains("\"dropped\":6"), "{json}");
-            assert!(json.contains("\"type_name\":\"Ping\""), "{json}");
-            assert!(json.contains("\"frac_bits\":40"), "{json}");
-            let back: RunReport = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, report);
-            assert_eq!(back.memory, report.memory);
-            assert_eq!(back.wire, report.wire);
-        }
-
-        #[test]
-        fn engine_config_round_trips_through_json() {
-            let cfg = EngineConfig {
-                edge_capacity: None,
-                faults: Some(FaultPlan::drops(3, 50)),
-                ..EngineConfig::default()
-            };
-            let json = serde_json::to_string(&cfg).unwrap();
-            assert!(json.contains("\"executor\":\"sequential\""), "{json}");
-            assert!(json.contains("\"edge_capacity\":null"), "{json}");
-            assert!(json.contains("\"drop_per_mille\":50"), "{json}");
-            let back: EngineConfig = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, cfg);
-            // A configuration that names the retired backend still loads.
-            let old = json.replace("\"sequential\"", "\"sharded\"");
-            assert_eq!(serde_json::from_str::<EngineConfig>(&old).unwrap(), cfg);
-        }
     }
 }

@@ -52,24 +52,6 @@ impl std::fmt::Display for ExecutorKind {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for ExecutorKind {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_string())
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for ExecutorKind {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) => ExecutorKind::from_name(s)
-                .ok_or_else(|| serde::Error(format!("unknown executor kind `{s}`"))),
-            other => Err(serde::Error(format!("expected string, got {other:?}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::ExecutorKind;

@@ -23,17 +23,13 @@ use crate::message::{Envelope, Message};
 use drw_graph::Graph;
 
 /// The per-node inboxes a round delivers into, with the round's
-/// receivers and a running total of envelope capacity — the
-/// [`crate::MemoryReport`] figure, kept as mail arrives so that no run
-/// scans `n` inboxes to learn it.
+/// receivers.
 #[derive(Debug)]
 pub(crate) struct Inboxes<M> {
     /// One inbox per node (index = node id); empty between rounds.
     pub(crate) slots: Vec<Vec<Envelope<M>>>,
     /// Nodes that got mail this round, in first-delivery order.
     pub(crate) active: Vec<usize>,
-    /// Envelopes of capacity across `slots`.
-    envelope_cap: usize,
 }
 
 impl<M> Default for Inboxes<M> {
@@ -41,7 +37,6 @@ impl<M> Default for Inboxes<M> {
         Inboxes {
             slots: Vec::new(),
             active: Vec::new(),
-            envelope_cap: 0,
         }
     }
 }
@@ -54,9 +49,7 @@ impl<M> Inboxes<M> {
         for v in self.active.drain(..) {
             self.slots[v].clear();
         }
-        for dropped in self.slots.drain(n.min(self.slots.len())..) {
-            self.envelope_cap -= dropped.capacity();
-        }
+        self.slots.truncate(n);
         self.slots.resize_with(n, Vec::new);
     }
 
@@ -65,16 +58,7 @@ impl<M> Inboxes<M> {
         if slot.is_empty() {
             self.active.push(env.to);
         }
-        let before = slot.capacity();
         slot.push(env);
-        self.envelope_cap += slot.capacity() - before;
-    }
-
-    /// Bytes of backing capacity: the slot table plus every envelope
-    /// buffer. Capacities never shrink, so this is the high-water mark.
-    pub(crate) fn capacity_bytes(&self) -> usize {
-        std::mem::size_of_val(self.slots.as_slice())
-            + self.envelope_cap * std::mem::size_of::<Envelope<M>>()
     }
 }
 
@@ -201,22 +185,6 @@ impl<M: Message> FlatQueue<M> {
             }
             staged.swap(i, j);
         }
-    }
-
-    /// Bytes of backing capacity of the buffers only the queue fills:
-    /// sort keys and fault-parked messages. What these hold is a
-    /// function of the run alone. `Vec` never
-    /// shrinks its capacity, so sampling this at the end of a run gives
-    /// the run's true high-water mark.
-    pub(crate) fn capacity_bytes(&self) -> usize {
-        self.sort_keys.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.future.capacity() * std::mem::size_of::<(u64, usize, M)>()
-    }
-
-    /// Bytes of backing capacity of the run and scratch buffers, which
-    /// trade places with each other and with the staging buffer.
-    pub(crate) fn run_capacity_bytes(&self) -> usize {
-        (self.run.capacity() + self.spare.capacity()) * std::mem::size_of::<(usize, M)>()
     }
 
     /// Whether nothing remains in flight: no queued message *and* no

@@ -10,7 +10,7 @@
 
 use super::queue::{FlatQueue, Inboxes};
 use super::scripted::Scripted;
-use crate::engine::{EngineConfig, MemoryReport, RunError, RunReport};
+use crate::engine::{EngineConfig, RunError, RunReport};
 use crate::message::{Envelope, Message};
 use crate::protocol::{Ctx, Protocol};
 use crate::rng::NodeRngs;
@@ -116,15 +116,6 @@ pub(crate) fn run_rounds<P: Protocol>(
     }
 
     report.rounds = round;
-    // Capacities never shrink, so what the scratch holds now is its
-    // high-water mark — over this run and the runner's earlier ones.
-    report.memory = MemoryReport {
-        queue_bytes: queue.capacity_bytes(),
-        inbox_bytes: inbox.capacity_bytes(),
-        rng_bytes: rngs.capacity_bytes(),
-        staging_bytes: queue.run_capacity_bytes()
-            + staged.capacity() * std::mem::size_of::<(usize, P::Msg)>(),
-    };
     Ok(report)
 }
 

@@ -43,10 +43,8 @@ pub(crate) enum FaultDecision {
 
 /// A deterministic, seeded fault schedule applied by the engine at
 /// delivery time. Rates are in **per mille** (`0..=1000`), kept as
-/// integers so [`crate::EngineConfig`] stays `Eq`/hashable and plans
-/// round-trip exactly through serialization.
+/// integers so [`crate::EngineConfig`] stays `Eq`/hashable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Seed of the fault schedule. Independent of the protocol seed:
     /// the same walk can be replayed under different fault schedules
@@ -158,7 +156,6 @@ impl FaultPlan {
 /// contract (the schedule is deterministic, so a replay injects
 /// exactly the same faults).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultCounters {
     /// Delivery attempts dropped.
     pub dropped: u64,
@@ -241,16 +238,5 @@ mod tests {
         a.accumulate(&a.clone());
         assert_eq!(a.total(), 12);
         assert_eq!(a.retransmitted, 2);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn fault_plan_round_trips_through_json() {
-        let plan = FaultPlan::drops(11, 50).with_delays(20, 6).lossy();
-        let json = serde_json::to_string(&plan).unwrap();
-        assert!(json.contains("\"drop_per_mille\":50"), "{json}");
-        assert!(json.contains("\"heal\":false"), "{json}");
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 }

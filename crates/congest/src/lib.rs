@@ -99,7 +99,7 @@ mod protocol;
 mod rng;
 mod runner;
 
-pub use engine::{run_protocol, EngineConfig, MemoryReport, RunError, RunReport};
+pub use engine::{run_protocol, EngineConfig, RunError, RunReport};
 pub use executor::{receive_order, run_scripted, ExecutorKind, ScriptedSchedule};
 pub use fault::{FaultCounters, FaultPlan};
 pub use message::{

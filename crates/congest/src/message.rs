@@ -188,7 +188,6 @@ pub fn wire_type_name<T: ?Sized>() -> &'static str {
 
 /// Maximum observed magnitude of one priced message field over a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FieldCensus {
     /// Field name as listed by the message's `encode` (variant-qualified
     /// for enums, e.g. `Wave.epoch`).
@@ -203,7 +202,6 @@ pub struct FieldCensus {
 
 /// Per-message-type slice of the wire census.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TypeCensus {
     /// Short type name (see [`wire_type_name`]).
     pub type_name: String,
@@ -252,7 +250,6 @@ impl TypeCensus {
 /// censuses regardless of delivery interleaving of *types* (field order
 /// within a type is fixed by its `encode` listing).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WireCensus {
     /// Per-type records, sorted by `type_name`.
     pub types: Vec<TypeCensus>,

@@ -107,11 +107,6 @@ impl NodeRngs {
         }
         &mut slot.rng
     }
-
-    /// Bytes of backing capacity.
-    pub(crate) fn capacity_bytes(&self) -> usize {
-        self.slots.capacity() * std::mem::size_of::<Slot>()
-    }
 }
 
 #[cfg(test)]

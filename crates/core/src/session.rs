@@ -803,8 +803,6 @@ impl WalkSession {
             randomize_len: self.cfg.randomize_len,
             aggregated_gmw: !self.record,
             gmw_count: (stitch_len / u64::from(lambda.max(1))).max(1),
-            // Recording is per spec (`StitchSpec::record`).
-            record: false,
         });
         for &spec in specs {
             sched.add_spec(spec);

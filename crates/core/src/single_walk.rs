@@ -240,9 +240,6 @@ pub struct StitchSetup {
     pub aggregated_gmw: bool,
     /// Walks created per `GET-MORE-WALKS` invocation.
     pub gmw_count: u64,
-    /// Record every visit of the walks — tail hops as they happen,
-    /// stitched segments by replaying them — for walk regeneration.
-    pub record: bool,
 }
 
 /// What a walk token does next, given its position in the Phase-2

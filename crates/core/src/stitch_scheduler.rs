@@ -701,7 +701,7 @@ pub struct BatchedStitchOutcome {
 
 /// Folds a re-issue pass's engine report into the outcome's running
 /// total: additive traffic, max-composed extremes, summed fault
-/// counters (telemetry keeps the last pass's values).
+/// counters and a merged wire census.
 fn merge_report(total: &mut RunReport, pass: RunReport) {
     total.rounds += pass.rounds;
     total.messages += pass.messages;
@@ -713,7 +713,6 @@ fn merge_report(total: &mut RunReport, pass: RunReport) {
         .max(pass.max_edge_words_per_round);
     total.faults.accumulate(&pass.faults);
     total.wire.merge(&pass.wire);
-    total.memory = pass.memory;
 }
 
 /// The batched Phase-2 scheduler: stitches `k` walks over a shared
@@ -739,7 +738,6 @@ fn merge_report(total: &mut RunReport, pass: RunReport) {
 ///     randomize_len: true,
 ///     aggregated_gmw: true,
 ///     gmw_count: 16,
-///     record: false,
 /// };
 /// let mut sched = StitchScheduler::new(&setup);
 /// for source in [0, 7, 7] {
@@ -770,12 +768,6 @@ pub const MAX_WAVE_LANES: usize = u16::MAX as usize;
 
 impl StitchScheduler {
     /// Creates an empty scheduler for the given stitching parameters.
-    ///
-    /// With `setup.record` set, every hop of a walk records its visit
-    /// (position + predecessor) into the shared state — naive-tail hops
-    /// as they happen, stitched segments as their replay tokens pass
-    /// (module docs) — so queueing a walk then requires the per-token
-    /// (replayable) `GET-MORE-WALKS` ([`StitchScheduler::add_spec`]).
     pub fn new(setup: &StitchSetup) -> Self {
         StitchScheduler {
             setup: *setup,
@@ -783,20 +775,22 @@ impl StitchScheduler {
         }
     }
 
-    /// Queues a `len`-step walk from `source`, recorded if the setup
-    /// records.
+    /// Queues an unrecorded `len`-step walk from `source`
+    /// ([`StitchSpec::plain`]).
     pub fn add_walk(&mut self, source: NodeId, len: u64) -> &mut Self {
-        let record = self.setup.record;
-        self.add_spec(StitchSpec {
-            record,
-            ..StitchSpec::plain(source, len)
-        })
+        self.add_spec(StitchSpec::plain(source, len))
     }
 
     /// Queues an explicit [`StitchSpec`] — the request-scheduler entry
     /// point, where specs of *different requests* (tagged by
     /// [`StitchSpec::req`]) with per-spec record/naive flags share one
     /// multiplexed run.
+    ///
+    /// A recorded spec ([`StitchSpec::record`]) records every visit of
+    /// its walk (position + predecessor) into the shared state —
+    /// naive-tail hops as they happen, stitched segments as their replay
+    /// tokens pass (module docs) — so it requires the per-token
+    /// (replayable) `GET-MORE-WALKS`.
     ///
     /// # Panics
     ///
@@ -1060,7 +1054,6 @@ pub(crate) mod tests {
             randomize_len: true,
             aggregated_gmw: aggregated,
             gmw_count: 8,
-            record: false,
         }
     }
 
@@ -1513,9 +1506,7 @@ pub(crate) mod tests {
         let g = generators::path(8);
         let mut runner = Runner::new(&g, EngineConfig::default(), 13);
         let mut state = WalkState::new(g.n());
-        let mut su = setup(16, false);
-        su.record = true;
-        let mut sched = StitchScheduler::new(&su);
+        let mut sched = StitchScheduler::new(&setup(16, false));
         sched.add_spec(StitchSpec {
             pos_offset: 100,
             record: true,
@@ -1544,9 +1535,8 @@ pub(crate) mod tests {
         let mut runner = Runner::new(&g, EngineConfig::default(), 17);
         let mut state = WalkState::new(g.n());
         phase1(&mut runner, &mut state, 3, 8);
-        let mut su = setup(8, false); // per-token GMW (a spec records)
-        su.record = false;
-        let mut sched = StitchScheduler::new(&su);
+        // Per-token GMW: a spec records.
+        let mut sched = StitchScheduler::new(&setup(8, false));
         sched
             .add_spec(StitchSpec::plain(0, 200))
             .add_spec(StitchSpec {
@@ -1590,10 +1580,11 @@ pub(crate) mod tests {
         let mut runner = Runner::new(&g, EngineConfig::default(), seed);
         let mut state = WalkState::new(g.n());
         phase1(&mut runner, &mut state, 4, 6);
-        let mut su = setup(6, false);
-        su.record = true;
-        let mut sched = StitchScheduler::new(&su);
-        sched.add_walk(0, len);
+        let mut sched = StitchScheduler::new(&setup(6, false));
+        sched.add_spec(StitchSpec {
+            record: true,
+            ..StitchSpec::plain(0, len)
+        });
         let out = sched.run(&mut runner, &mut state).expect("recorded run");
         (out, state.drain_visits())
     }
@@ -1745,7 +1736,7 @@ pub(crate) mod tests {
 
     #[test]
     fn every_production_message_round_trips_at_its_field_limits() {
-        use crate::{naive::NaiveMsg, short_walks::ShortWalkMsg};
+        use crate::short_walks::ShortWalkMsg;
         use drw_congest::primitives::{
             BfsMsg, BroadcastMsg, ConvergecastMsg, UpcastMsg, VecSumMsg,
         };
@@ -1802,11 +1793,6 @@ pub(crate) mod tests {
             seq: i,
             step: i,
             total: i,
-        }]);
-        limits(&[NaiveMsg {
-            walk: i,
-            left: c,
-            pos: c,
         }]);
         limits(&[None, Some(false), Some(true)].map(|child_status| BfsMsg {
             level: child_status.map(|_| i),
@@ -1969,10 +1955,11 @@ pub(crate) mod tests {
         let cfg = EngineConfig::default().with_faults(FaultPlan::drops(1, 1000).lossy());
         let mut runner = Runner::new(&g, cfg, 9);
         let mut state = WalkState::new(g.n());
-        let mut su = setup(4, false);
-        su.record = true;
-        let mut sched = StitchScheduler::new(&su);
-        sched.add_walk(2, 32);
+        let mut sched = StitchScheduler::new(&setup(4, false));
+        sched.add_spec(StitchSpec {
+            record: true,
+            ..StitchSpec::plain(2, 32)
+        });
         let err = sched
             .run(&mut runner, &mut state)
             .expect_err("lossy record");

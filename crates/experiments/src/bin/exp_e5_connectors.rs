@@ -87,7 +87,6 @@ fn main() {
                     randomize_len: true,
                     aggregated_gmw: true,
                     gmw_count: 4801,
-                    record: false,
                 });
                 sched.add_walk(0, 2 * u64::from(lambda));
                 let mut runner = Runner::new(&g, engine_config_from_env(), 2);

@@ -131,7 +131,6 @@ pub fn podc09_walk(
         randomize_len: false,
         aggregated_gmw: true,
         gmw_count: eta as u64,
-        record: false,
     };
     // Phase 2 is the one scheduler, run for a single lane. Its fitted
     // stitch applies too: a fixed-length walk fits whenever `lambda` or

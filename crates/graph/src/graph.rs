@@ -178,7 +178,6 @@ impl GraphBuilder {
 /// (`v -> u` for `u -> v`) is precomputed, because the CONGEST simulator
 /// accounts bandwidth per directed edge.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     offsets: Vec<usize>,
     adj: Vec<u32>,

@@ -149,7 +149,6 @@ fn scheduler_report_reconciles_with_runner_totals() {
         randomize_len: true,
         aggregated_gmw: true,
         gmw_count: 16,
-        record: false,
     };
     let mut sched = StitchScheduler::new(&setup);
     for i in 0..6 {

@@ -7,7 +7,7 @@ use drw_congest::{
     ScriptedSchedule,
 };
 use drw_core::short_walks::ShortWalksProtocol;
-use drw_core::{StitchScheduler, StitchSetup, WalkState};
+use drw_core::{StitchScheduler, StitchSetup, StitchSpec, WalkState};
 
 /// Naive walks cost exactly their length in rounds — the model's
 /// baseline sanity anchor.
@@ -152,7 +152,6 @@ fn gmw_edge_words_match_wire_format() {
         randomize_len: true,
         aggregated_gmw: true,
         gmw_count: 4096,
-        record: false,
     });
     sched.add_walk(7, 12);
     let out = sched.run(&mut runner, &mut state).unwrap();
@@ -182,7 +181,6 @@ fn stitch_scheduler_edge_words_match_wire_format() {
         randomize_len: true,
         aggregated_gmw: true,
         gmw_count: 8,
-        record: false,
     };
     let mut sched = StitchScheduler::new(&setup);
     for source in [0usize, 5, 10] {
@@ -315,17 +313,19 @@ fn mux2_words_pinned_under_scripted_receive_orders() {
 #[test]
 fn message_accounting_matches_rounds_for_single_token() {
     let g = generators::cycle(12);
-    let mut p = drw_core::naive::NaiveWalkProtocol::new(
-        vec![drw_core::naive::NaiveWalkSpec {
-            source: 0,
-            len: 57,
-            start_pos: 0,
-            record_start: false,
-        }],
-        None,
-    );
-    let report = run_protocol(&g, &EngineConfig::default(), 9, &mut p).unwrap();
-    assert_eq!(report.rounds, 57);
-    assert_eq!(report.messages, 57);
-    assert_eq!(report.max_edge_backlog, 1);
+    let mut runner = Runner::new(&g, EngineConfig::default(), 9);
+    let mut sched = StitchScheduler::new(&StitchSetup {
+        lambda: 1,
+        randomize_len: false,
+        aggregated_gmw: true,
+        gmw_count: 1,
+    });
+    sched.add_spec(StitchSpec {
+        naive: true,
+        ..StitchSpec::plain(0, 57)
+    });
+    let out = sched.run(&mut runner, &mut WalkState::new(g.n())).unwrap();
+    assert_eq!(out.report.rounds, 57);
+    assert_eq!(out.report.messages, 57);
+    assert_eq!(out.report.max_edge_backlog, 1);
 }

@@ -311,7 +311,6 @@ fn mixed_wave(side: usize, cfg: EngineConfig, record: bool) -> WaveGolden {
         randomize_len: true,
         aggregated_gmw: false,
         gmw_count: 8,
-        record: false,
     });
     let spec = |req: u16, source: usize, len: u64| StitchSpec {
         source: source % n,

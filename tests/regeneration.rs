@@ -51,7 +51,6 @@ fn recorded_wave(
         randomize_len: true,
         aggregated_gmw: false,
         gmw_count: 4,
-        record: false,
     });
     sched.add_spec(StitchSpec {
         pos_offset,
