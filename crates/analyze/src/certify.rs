@@ -67,7 +67,7 @@ impl Default for CertParams {
 }
 
 /// One priced field of a certified message type.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct CertField {
     /// Field name (variant-qualified for enums).
     pub field: String,
@@ -82,7 +82,7 @@ pub struct CertField {
 }
 
 /// One certified message type.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct CertType {
     /// Short type name (census key and impl target).
     pub type_name: String,
@@ -95,7 +95,7 @@ pub struct CertType {
 }
 
 /// Schedule-sweep evidence of one certification.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct CertSchedules {
     /// Receive-order schedules swept (all bit-identical).
     pub order_swept: u64,
@@ -119,7 +119,7 @@ pub struct CertSchedules {
 }
 
 /// The machine-readable CONGEST-conformance certificate.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, serde::Serialize)]
 pub struct Certificate {
     /// Schema tag ([`SCHEMA`]).
     pub schema: String,
@@ -200,8 +200,7 @@ pub fn run_census() -> Result<WireCensus, String> {
     );
 
     // Walk protocols on a shared store: ShortWalkMsg, and a recorded
-    // wave for StitchMsg's regeneration arms (`Wave.prev`, `Taken`,
-    // `Replay`).
+    // wave for StitchMsg's regeneration arm (`Replay`).
     let mut state = WalkState::new(n);
     {
         let mut p = ShortWalksProtocol::new(&mut state, vec![2; n], 6, true);

@@ -140,35 +140,22 @@ impl<M: Message> NodeCtx<'_, M> {
 
     /// Sends `msg` to a uniformly random neighbor of this node and
     /// returns that neighbor — one step of the simple random walk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node has no neighbors.
-    #[inline]
-    pub fn send_random_neighbor(&mut self, msg: M) -> NodeId {
-        self.send_random_neighbor_hop(msg).1
-    }
-
-    /// Like [`NodeCtx::send_random_neighbor`], but also returns the drawn
-    /// neighbor *index* (the walk's hop) — the compact token forwarding
-    /// logs store instead of a full node id. Always inlined: the token
-    /// step of Phase 1 and of `GET-MORE-WALKS` is the simulator's hottest
-    /// path, and with two callers per message type the compiler would
-    /// keep it out of line.
+    /// Always inlined: the token step of Phase 1 and of
+    /// `GET-MORE-WALKS` is the simulator's hottest path, and with two
+    /// callers per message type the compiler would keep it out of line.
     ///
     /// # Panics
     ///
     /// Panics if the node has no neighbors.
     #[inline(always)]
-    pub fn send_random_neighbor_hop(&mut self, msg: M) -> (u32, NodeId) {
+    pub fn send_random_neighbor(&mut self, msg: M) -> NodeId {
         let node = self.node;
         let deg = self.graph.degree(node);
         assert!(deg > 0, "node {node} has no neighbors");
         let idx = self.rng.random_range(0..deg);
         let eid = self.graph.nth_edge_id(node, idx);
-        let to = self.graph.edge_target(eid);
         self.staged.push((eid, msg));
-        (idx as u32, to)
+        self.graph.edge_target(eid)
     }
 }
 

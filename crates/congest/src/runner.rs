@@ -57,7 +57,6 @@ pub struct Runner {
     seq: u64,
     total_rounds: u64,
     total_messages: u64,
-    total_words: u64,
     total_faults: FaultCounters,
     runs: u64,
     scratch: Scratch,
@@ -81,7 +80,6 @@ impl Runner {
             seq: 0,
             total_rounds: 0,
             total_messages: 0,
-            total_words: 0,
             total_faults: FaultCounters::default(),
             runs: 0,
             scratch: Scratch::default(),
@@ -130,7 +128,6 @@ impl Runner {
     fn accumulate(&mut self, report: &RunReport) {
         self.total_rounds += report.rounds;
         self.total_messages += report.messages;
-        self.total_words += report.words;
         self.total_faults.accumulate(&report.faults);
         self.runs += 1;
     }
@@ -158,11 +155,6 @@ impl Runner {
     /// Total messages delivered across all sub-protocols so far.
     pub fn total_messages(&self) -> u64 {
         self.total_messages
-    }
-
-    /// Total delivered words across all sub-protocols so far.
-    pub fn total_words(&self) -> u64 {
-        self.total_words
     }
 
     /// Total faults injected across all sub-protocols so far (all-zero

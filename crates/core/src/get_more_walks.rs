@@ -26,7 +26,7 @@
 use crate::short_walks::{self, ShortWalkMsg};
 use crate::state::WalkId;
 use crate::stitch_scheduler::{merge_by_key, LaneState, NodeCall, StitchMsg};
-use crate::tail::NO_PREV;
+use drw_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -134,9 +134,15 @@ impl NodeCall<'_> {
         merge_by_key(&mut self.merge.gmw_in, (w, step), count, |a, b| *a += b);
     }
 
-    /// A per-token walk of lane `w`'s connector: stored here at its end
-    /// (and acknowledged), else moved on.
-    pub(crate) fn on_swk(&mut self, lane: &LaneState, w: u32, (seq, step, total): (u32, u32, u32)) {
+    /// A per-token walk of lane `w`'s connector, arrived from `from`:
+    /// stored here at its end (and acknowledged), else moved on.
+    pub(crate) fn on_swk(
+        &mut self,
+        lane: &LaneState,
+        w: u32,
+        (seq, step, total): (u32, u32, u32),
+        from: NodeId,
+    ) {
         let shared = self.shared;
         let token = ShortWalkMsg {
             source: lane.root,
@@ -144,7 +150,8 @@ impl NodeCall<'_> {
             step,
             total,
         };
-        if short_walks::step(self.ws, &mut self.ctx, &token, |t| shared.mux(w, swk(t))) {
+        let wrap = |t| shared.mux(w, swk(t));
+        if short_walks::step(self.ws, &mut self.ctx, &token, from, wrap) {
             self.on_gmw_ack(w, 1);
         }
     }
@@ -194,7 +201,7 @@ impl NodeCall<'_> {
             };
             *acked += count;
             if *acked >= self.shared.setup.gmw_count {
-                self.restart_epoch(w, lane, completed, NO_PREV);
+                self.restart_epoch(w, lane, completed);
             }
         }
     }

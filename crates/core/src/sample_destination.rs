@@ -57,7 +57,7 @@
 use crate::single_walk::Segment;
 use crate::state::StoredWalk;
 use crate::stitch_scheduler::{merge_by_key, LaneState, NodeCall, StitchMsg, NO_CAP};
-use crate::tail::{self, NO_PREV};
+use crate::tail;
 use drw_graph::NodeId;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -140,64 +140,52 @@ impl SdLaneSlot {
 impl NodeCall<'_> {
     /// Starts lane `w`'s next sampling epoch here, at its connector, where
     /// the walk stands at `steps` steps: resets the lane and roots the
-    /// tree of a wave announcing the taken walk `prev` (or [`NO_PREV`]).
-    /// Every epoch starts here: a walk's first, each after a stitch, each resample.
-    pub(crate) fn restart_epoch(&mut self, w: u32, lane: &mut LaneState, steps: u64, prev: u64) {
+    /// epoch's tree. Every epoch starts here: a walk's first, each after
+    /// a stitch, each resample.
+    pub(crate) fn restart_epoch(&mut self, w: u32, lane: &mut LaneState, steps: u64) {
         let (root, epoch) = (self.ctx.node() as u32, lane.epoch + 1);
         let cap = self.shared.walks[w as usize].cap_at(steps, self.shared.setup.lambda);
         lane.enter(epoch, root, cap);
         lane.hosted = Some(steps);
-        self.join(w, lane, None, (epoch, root, prev));
+        self.join(w, lane, None, (epoch, root));
     }
 
-    /// Joins `lane` to the tree of the wave `(epoch, root, prev)` under
-    /// `up` (none at the root), snapshotting this node's tokens of the
-    /// root that fit the lane's cap, and forwards the wave to every
-    /// other neighbour, in order.
-    fn join(&mut self, w: u32, lane: &mut LaneState, up: Option<NodeId>, wave: (u32, u32, u64)) {
-        let (node, (epoch, root, prev), cap) = (self.ctx.node(), wave, lane.cap);
+    /// Joins `lane` to the tree of the wave `(epoch, root)` under `up`
+    /// (none at the root), snapshotting this node's tokens of the root
+    /// that fit the lane's cap, and forwards the wave to every other
+    /// neighbour, in order.
+    fn join(&mut self, w: u32, lane: &mut LaneState, up: Option<NodeId>, wave: (u32, u32)) {
+        let (node, (epoch, root), cap) = (self.ctx.node(), wave, lane.cap);
         let local = self.ws.count_from(root as usize, cap) as u64;
         lane.slot.join(node as u32, up, local);
         for i in 0..self.ctx.graph().degree(node) {
             let v = self.ctx.graph().neighbor_at(node, i);
             if Some(v) != up {
-                let wave = StitchMsg::Wave {
-                    epoch,
-                    cap,
-                    root,
-                    prev,
-                };
-                self.send(v, w, wave);
+                self.send(v, w, StitchMsg::Wave { epoch, cap, root });
             }
         }
     }
 
-    /// A wave `(epoch, cap, root, prev)` of lane `w` from `from`: the
-    /// first arrival of a newer epoch resets the lane to the epoch's cap
-    /// (and alone may honour `prev`); every arrival is one neighbour
-    /// heard, and a node not yet in the tree queues its adoption.
+    /// A wave `(epoch, cap, root)` of lane `w` from `from`: the first
+    /// arrival of a newer epoch resets the lane to the epoch's cap; every
+    /// arrival is one neighbour heard, and a node not yet in the tree
+    /// queues its adoption.
     pub(crate) fn on_wave(
         &mut self,
         lane: &mut LaneState,
         w: u32,
-        (epoch, cap, root, prev): (u32, u32, u32, u64),
+        (epoch, cap, root): (u32, u32, u32),
         from: NodeId,
     ) {
-        // What this node hosted is read before `enter` forgets it.
-        let hosted = lane.hosted;
-        let fresh = epoch > lane.epoch;
-        if fresh {
+        if epoch > lane.epoch {
             lane.enter(epoch, root, cap);
         } else if epoch < lane.epoch {
             return; // stale tail of an old epoch's flood
         }
-        #[cfg(test)]
-        let fresh = crate::stitch_scheduler::tests::stale_prev_planted(lane, hosted) || fresh;
-        self.honour_prev(w, prev, hosted, fresh);
         lane.slot.heard += 1;
         if !lane.slot.joined {
             let (adopt, key) = (&mut self.merge.adopt, (w, epoch));
-            merge_by_key(adopt, key, (root, prev, from), |a, b| a.2 = a.2.min(b.2));
+            merge_by_key(adopt, key, (root, from), |a, b| a.1 = a.1.min(b.1));
         }
         self.merge.ready.push(w);
     }
@@ -217,7 +205,7 @@ impl NodeCall<'_> {
             return;
         }
         if let Some(completed) = self.climb(w, lane, StitchMsg::Retry { epoch }) {
-            self.restart_epoch(w, lane, completed, NO_PREV);
+            self.restart_epoch(w, lane, completed);
         }
     }
 
@@ -227,12 +215,12 @@ impl NodeCall<'_> {
     /// The epoch's cap is the lane's: its first wave set it.
     pub(crate) fn flush_adoptions(&mut self, lanes: &mut [LaneState]) {
         for i in 0..self.merge.adopt.len() {
-            let ((w, epoch), (root, prev, from)) = self.merge.adopt[i];
+            let ((w, epoch), (root, from)) = self.merge.adopt[i];
             let lane = &mut lanes[w as usize];
             if lane.epoch != epoch || lane.slot.joined {
                 continue; // a newer epoch arrived later in this inbox
             }
-            self.join(w, lane, Some(from), (epoch, root, prev));
+            self.join(w, lane, Some(from), (epoch, root));
             self.merge.ready.push(w);
         }
     }
@@ -307,7 +295,7 @@ impl NodeCall<'_> {
     }
 
     /// The owner's side of a stitch: records the segment `walk` it just
-    /// took (the walk stood at `completed` steps), cues its replay on a
+    /// took (the walk stood at `completed` steps), replays it on a
     /// recorded lane, and moves the walk on from here.
     fn advance_walk(&mut self, w: u32, lane: &mut LaneState, walk: StoredWalk, completed: u64) {
         let seg = Segment {
@@ -320,8 +308,8 @@ impl NodeCall<'_> {
         };
         self.tally.segments.push((w, seg));
         self.tally.last_stitch_round = self.ctx.round();
-        let prev = self.announce(lane, w, &seg);
-        self.proceed(w, lane, completed + u64::from(walk.len), prev);
+        self.replay_taken(w, &seg);
+        self.proceed(w, lane, completed + u64::from(walk.len));
     }
 }
 

@@ -9,9 +9,10 @@
 //! schedule whose length Lemma 2.1 bounds by `O(lambda * eta * log n)`
 //! w.h.p.
 //!
-//! Every forwarding decision is logged into the receiving node's
-//! [`crate::state::NodeWalkState::forward`] so the stitched walk can
-//! later be *regenerated* ([`crate::stitch_scheduler`]), and every
+//! Every node a token reaches after its source logs the port it arrived
+//! by into its [`crate::state::NodeWalkState::forward`], so the stitched
+//! walk can later be *regenerated* backwards from the node that takes it
+//! ([`crate::stitch_scheduler`]), and every
 //! finished token is stored at its endpoint — "only the destination of
 //! each of these walks is aware of its source" (Section 2.1).
 //!
@@ -185,7 +186,7 @@ impl Protocol for ShortWalksProtocol<'_> {
         let state = &mut self.state.nodes[node];
         let mut ctx = ctx.at(node);
         for env in inbox {
-            step(state, &mut ctx, &env.msg, |m| m);
+            step(state, &mut ctx, &env.msg, env.from, |m| m);
         }
     }
 }
@@ -193,7 +194,8 @@ impl Protocol for ShortWalksProtocol<'_> {
 /// Launches `count` short walks from the context's node, which is `ws`'s:
 /// per walk a fresh sequence number, then its length — `lambda` plus a
 /// uniform draw from `0..lambda` when `randomize_len` — then its first
-/// hop. `wrap` puts a token on the caller's wire.
+/// hop. `wrap` puts a token on the caller's wire. The source logs
+/// nothing: it is step 0, which no arrival reaches.
 pub(crate) fn launch<M: Message>(
     ws: &mut NodeWalkState,
     ctx: &mut NodeCtx<'_, M>,
@@ -210,23 +212,29 @@ pub(crate) fn launch<M: Message>(
         let token = ShortWalkMsg {
             source,
             seq,
-            step: 0,
+            step: 1,
             total,
         };
-        step(ws, ctx, &token, &wrap);
+        ctx.send_random_neighbor(wrap(token));
     }
 }
 
-/// Moves token `t` at its `t.step`-th node, the context's: stores the
-/// walk there if it ends here, else sends it one uniformly random hop on
-/// and logs the hop. Returns whether the walk ended.
-#[inline]
+/// Moves token `t`, arrived from `from`, at its `t.step`-th node, the
+/// context's: logs the port it arrived by, then stores the walk here if
+/// it ends here, else sends it one uniformly random hop on. Returns
+/// whether the walk ended.
+#[inline(always)]
 pub(crate) fn step<M: Message>(
     ws: &mut NodeWalkState,
     ctx: &mut NodeCtx<'_, M>,
     t: &ShortWalkMsg,
+    from: NodeId,
     wrap: impl FnOnce(ShortWalkMsg) -> M,
 ) -> bool {
+    let ports = ctx.graph().neighbor_slice(ctx.node());
+    let port = ports.binary_search(&(from as u32));
+    let port = port.expect("a token arrives over an edge") as u32;
+    ws.log_arrival(t.source, t.seq, t.step, port);
     if t.step == t.total {
         let id = WalkId {
             source: t.source,
@@ -235,11 +243,10 @@ pub(crate) fn step<M: Message>(
         ws.store_walk(id, t.total, true);
         return true;
     }
-    let (hop, _) = ctx.send_random_neighbor_hop(wrap(ShortWalkMsg {
+    ctx.send_random_neighbor(wrap(ShortWalkMsg {
         step: t.step + 1,
         ..*t
     }));
-    ws.log_forward_hop(t.source, t.seq, t.step, hop);
     false
 }
 

@@ -23,9 +23,9 @@
 //! 4. the final steps — fewer than `lambda` when a stored walk fitted,
 //!    else fewer than `2*lambda` — are walked naively;
 //! 5. optionally, the walk is regenerated *while it is stitched* — each
-//!    taken short walk is replayed from its connector as soon as it is
-//!    taken — so every node knows its position(s) and first-visit
-//!    predecessor ([`crate::stitch_scheduler`]).
+//!    taken short walk is replayed backwards from the node that took it,
+//!    as soon as it is taken — so every node knows its position(s) and
+//!    first-visit predecessor ([`crate::stitch_scheduler`]).
 //!
 //! Correctness is *exact* (Las Vegas): each stitched segment is an
 //! independent random walk of uniformly random length from the current

@@ -28,10 +28,7 @@ pub struct StoredWalk {
     pub id: WalkId,
     /// Walk length in steps (uniform in `[lambda, 2*lambda - 1]`).
     pub len: u32,
-    /// Tag unique among the walks stored at the same endpoint, so a
-    /// deletion broadcast can name exactly one token.
-    pub tag: u32,
-    /// Whether intermediate nodes logged forwarding decisions, enabling
+    /// Whether the nodes after the source logged their arrivals, enabling
     /// replay. True for Phase-1 and per-token `GET-MORE-WALKS` walks,
     /// false for aggregated-count `GET-MORE-WALKS` walks (the paper's
     /// congestion-free variant aggregates tokens into counts, which
@@ -87,7 +84,7 @@ impl Visit {
 }
 
 /// Bit budget of the packed forwarding-log entry
-/// `[source:26 | seq:12 | step:14 | hop:12]`.
+/// `[source:26 | seq:12 | step:14 | port:12]`.
 ///
 /// - `source < 2^26`: 67M nodes — the "million-node engine" with 64x
 ///   headroom;
@@ -95,12 +92,12 @@ impl Visit {
 ///   `eta = O(deg)` per node; `GET-MORE-WALKS` adds few);
 /// - `step < 2^14`: short walks run `lambda..2*lambda` steps with
 ///   `lambda = O(sqrt(l log n))`, comfortably under 16384;
-/// - `hop < 2^12`: the *neighbor index* drawn at this step fits 12 bits
-///   for every node of degree <= 4096.
+/// - `port < 2^12`: the *neighbor index* the walk arrived from fits 12
+///   bits for every node of degree <= 4096.
 const SOURCE_BITS: u32 = 26;
 const SEQ_BITS: u32 = 12;
 const STEP_BITS: u32 = 14;
-const HOP_BITS: u32 = 12;
+const PORT_BITS: u32 = 12;
 
 #[inline]
 fn pack_key(source: u32, seq: u32, step: u32) -> Option<u64> {
@@ -116,14 +113,19 @@ fn pack_key(source: u32, seq: u32, step: u32) -> Option<u64> {
 /// The walk identity `(source, seq)` of a packed entry.
 #[inline]
 fn unpack_walk(entry: u64) -> (u32, u32) {
-    let key = entry >> HOP_BITS;
+    let key = entry >> PORT_BITS;
     (
         (key >> (SEQ_BITS + STEP_BITS)) as u32,
         ((key >> STEP_BITS) & ((1 << SEQ_BITS) - 1)) as u32,
     )
 }
 
-/// One node's forwarding log: `(source, seq, step) -> hop index`.
+/// One node's forwarding log: `(source, seq, step) -> arrival port`,
+/// the neighbor index this node received walk `(source, seq)` from when
+/// it became the walk's `step`-th node (`step >= 1`: the source logs
+/// nothing, the endpoint logs its arrival). Replay reads it backwards:
+/// the owner of a taken walk finds its predecessor here, that node its
+/// own, and so on down to step 1.
 ///
 /// Phase 1 appends one entry per token step — tens of millions on long
 /// walks — while replay reads back only the stitched segments
@@ -138,12 +140,11 @@ fn unpack_walk(entry: u64) -> (u32, u32) {
 ///
 /// Two compactions over the naive `Vec<(u32, u32, u32, u32)>`:
 ///
-/// 1. the value is the drawn **neighbor index** (the walk's hop), not
-///    the neighbor's node id — a free by-product of the random draw
-///    that fits 12 bits and decodes via
+/// 1. the value is the sender's **neighbor index** (its port), not its
+///    node id — it fits 12 bits and decodes via
 ///    [`drw_graph::Graph::neighbor_at`];
-/// 2. `(source, seq, step, hop)` packs into one `u64`
-///    (`[source:26 | seq:12 | step:14 | hop:12]`), halving the entry to
+/// 2. `(source, seq, step, port)` packs into one `u64`
+///    (`[source:26 | seq:12 | step:14 | port:12]`), halving the entry to
 ///    8 bytes. Entries whose fields exceed their budgets (hub nodes of
 ///    degree > 4096, pathological walk lengths) spill into a boxed
 ///    overflow vector — correctness never depends on the bit budget,
@@ -155,49 +156,49 @@ pub struct ForwardLog {
     overflow: Option<Box<WideEntries>>,
 }
 
-/// Unpacked `(source, seq, step, hop)` entries — the overflow store for
+/// Unpacked `(source, seq, step, port)` entries — the overflow store for
 /// the rare decision whose fields exceed the packed bit budgets.
 type WideEntries = Vec<(u32, u32, u32, u32)>;
 
 impl ForwardLog {
-    /// Appends the decision: this node forwarded walk `(source, seq)`
-    /// along its `hop`-th incident edge when holding it at `step`. Keys
-    /// are never re-inserted (each node holds a given walk step exactly
-    /// once). Always inlined: it is half of every token step.
+    /// Appends the arrival: walk `(source, seq)` reached this node, its
+    /// `step`-th, from its `port`-th neighbor. Keys are never re-inserted
+    /// (each node holds a given walk step exactly once). Always inlined:
+    /// it is half of every token step.
     #[inline(always)]
-    pub fn log_hop(&mut self, source: u32, seq: u32, step: u32, hop: u32) {
+    pub fn log_arrival(&mut self, source: u32, seq: u32, step: u32, port: u32) {
         match pack_key(source, seq, step) {
-            Some(key) if hop < (1 << HOP_BITS) => {
-                self.packed.push((key << HOP_BITS) | hop as u64);
+            Some(key) if port < (1 << PORT_BITS) => {
+                self.packed.push((key << PORT_BITS) | port as u64);
             }
             _ => self
                 .overflow
                 .get_or_insert_with(Default::default)
-                .push((source, seq, step, hop)),
+                .push((source, seq, step, port)),
         }
     }
 
-    /// The hop index (`0..degree`) this node forwarded walk
-    /// `(source, seq)` along at `step`, if it ever held it. Decode with
-    /// [`drw_graph::Graph::neighbor_at`] at the holding node.
-    pub fn hop(&self, source: u32, seq: u32, step: u32) -> Option<u32> {
+    /// The port (`0..degree`) walk `(source, seq)` arrived by when this
+    /// node was its `step`-th, if it ever was. Decode with
+    /// [`drw_graph::Graph::neighbor_at`] at this node.
+    pub fn arrival(&self, source: u32, seq: u32, step: u32) -> Option<u32> {
         // An entry lives in exactly one store, but a key whose fields
-        // all fit may still sit in the overflow (its *hop* overflowed),
+        // all fit may still sit in the overflow (its *port* overflowed),
         // so both are consulted.
         if let Some(key) = pack_key(source, seq, step) {
-            if let Some(&e) = self.packed.iter().find(|&&e| (e >> HOP_BITS) == key) {
-                return Some((e & ((1 << HOP_BITS) - 1)) as u32);
+            if let Some(&e) = self.packed.iter().find(|&&e| (e >> PORT_BITS) == key) {
+                return Some((e & ((1 << PORT_BITS) - 1)) as u32);
             }
         }
         self.overflow.as_ref().and_then(|o| {
             o.iter()
                 .find(|&&(s, q, t, _)| s == source && q == seq && t == step)
-                .map(|&(_, _, _, hop)| hop)
+                .map(|&(_, _, _, port)| port)
         })
     }
 
-    /// Iterator over the identities `(source, seq)` of every walk this
-    /// node forwarded and still remembers — how topology repair
+    /// Iterator over the identities `(source, seq)` of every walk that
+    /// arrived here and is still remembered — how topology repair
     /// discovers which stored walks' trajectories visited a touched node
     /// (duplicates possible: a walk may revisit).
     pub fn logged_walks(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
@@ -227,14 +228,14 @@ impl ForwardLog {
     /// retired node would otherwise shadow the new walk's during replay
     /// (lookups return the first match).
     pub fn purge_sources_at_or_above(&mut self, first_retired: u32) {
-        let cut = (first_retired as u64) << (SEQ_BITS + STEP_BITS + HOP_BITS);
+        let cut = (first_retired as u64) << (SEQ_BITS + STEP_BITS + PORT_BITS);
         self.packed.retain(|&e| e < cut);
         if let Some(o) = &mut self.overflow {
             o.retain(|&(s, _, _, _)| s < first_retired);
         }
     }
 
-    /// Number of logged decisions.
+    /// Number of logged arrivals.
     #[inline]
     pub fn len(&self) -> usize {
         self.packed.len() + self.overflow.as_ref().map_or(0, |o| o.len())
@@ -270,15 +271,14 @@ impl ForwardLog {
 pub struct NodeWalkState {
     /// Unused short walks whose endpoint is this node.
     pub store: Vec<StoredWalk>,
-    /// This node's forwarding log: written once per token step (the
-    /// hottest write in the system), read back by replay and repair, cut
-    /// back to live walks by [`WalkState::reclaim_forward_logs`].
+    /// This node's forwarding log of arrivals: written once per token
+    /// step (the hottest write in the system), read back by replay and
+    /// repair, cut back to live walks by
+    /// [`WalkState::reclaim_forward_logs`].
     pub forward: ForwardLog,
     /// Positions at which the stitched walk visited this node (filled by
     /// the tail walk and by Phase 2's replay tokens).
     pub visits: Vec<Visit>,
-    /// Next unused storage tag at this node.
-    pub next_tag: u32,
     /// Next unused walk sequence number for walks launched by this node
     /// (so Phase-1 and `GET-MORE-WALKS` ids never clash).
     pub next_seq: u32,
@@ -309,14 +309,11 @@ impl NodeWalkState {
         first
     }
 
-    /// Stores a finished short walk at this node, assigning a fresh tag.
+    /// Stores a finished short walk at this node.
     pub fn store_walk(&mut self, id: WalkId, len: u32, replayable: bool) {
-        let tag = self.next_tag;
-        self.next_tag += 1;
         self.store.push(StoredWalk {
             id,
             len,
-            tag,
             replayable,
         });
     }
@@ -374,11 +371,11 @@ impl NodeWalkState {
         self.visits.push(Visit::new(pos, pred));
     }
 
-    /// Logs that this node forwarded walk `(source, seq)` along its
-    /// `hop`-th incident edge when holding it at `step`.
+    /// Logs that walk `(source, seq)` arrived here, its `step`-th node,
+    /// from this node's `port`-th neighbor.
     #[inline]
-    pub fn log_forward_hop(&mut self, source: u32, seq: u32, step: u32, hop: u32) {
-        self.forward.log_hop(source, seq, step, hop);
+    pub fn log_arrival(&mut self, source: u32, seq: u32, step: u32, port: u32) {
+        self.forward.log_arrival(source, seq, step, port);
     }
 
     /// Pre-reserves forwarding-log capacity (see [`ForwardLog::reserve`]).
@@ -438,7 +435,7 @@ impl WalkState {
         self.nodes[source].alloc_seqs(count)
     }
 
-    /// Stores a finished short walk at `endpoint`, assigning a fresh tag.
+    /// Stores a finished short walk at `endpoint`.
     pub fn store_walk(&mut self, endpoint: NodeId, id: WalkId, len: u32, replayable: bool) {
         self.nodes[endpoint].store_walk(id, len, replayable);
     }
@@ -526,9 +523,9 @@ impl WalkState {
     /// repair mode), paying a full relaunch.
     ///
     /// Trajectories are recovered locally: a touched node's forwarding
-    /// log names every walk that passed through it (the source logs
-    /// step 0, every intermediate holder logs its hop), and walks
-    /// *stored at* a touched node visited it as their endpoint.
+    /// log names every walk that arrived at it (every node after the
+    /// source, the endpoint included, logs its arrival), and a touched
+    /// source knows the walks it launched by their ids.
     /// Non-replayable walks (aggregated `GET-MORE-WALKS`) carry no
     /// trajectory record, so they are evicted conservatively whenever
     /// anything was touched.
@@ -549,15 +546,18 @@ impl WalkState {
                 continue; // an added node this state never grew to
             };
             doomed.extend(ns.forward.logged_walks());
-            doomed.extend(ns.store.iter().map(|w| (w.id.source, w.id.seq)));
         }
         doomed.sort_unstable();
         doomed.dedup();
+        let mut sources: Vec<usize> = touched.to_vec();
+        sources.sort_unstable();
         let mut dropped = 0;
         for ns in &mut self.nodes {
             let before = ns.store.len();
             ns.store.retain(|w| {
-                w.replayable && doomed.binary_search(&(w.id.source, w.id.seq)).is_err()
+                w.replayable
+                    && sources.binary_search(&(w.id.source as usize)).is_err()
+                    && doomed.binary_search(&(w.id.source, w.id.seq)).is_err()
             });
             dropped += before - ns.store.len();
         }
@@ -691,24 +691,24 @@ impl WalkState {
 
 #[cfg(test)]
 impl WalkState {
-    /// Replays every stored replayable walk through the forwarding logs
-    /// centrally, checks it ends at its storage node, and returns how
-    /// many there were.
+    /// Replays every stored replayable walk backwards through the
+    /// arrival logs centrally, from its storage node, checks it starts
+    /// at its source, and returns how many there were.
     pub(crate) fn replay_store_centrally(&self, g: &drw_graph::Graph) -> usize {
         let mut replayed = 0;
         for (endpoint, ns) in self.nodes.iter().enumerate() {
             for w in ns.store.iter().filter(|w| w.replayable) {
-                let mut at = w.id.source as usize;
-                for step in 0..w.len {
-                    let hop = self.nodes[at]
+                let mut at = endpoint;
+                for step in (1..=w.len).rev() {
+                    let port = self.nodes[at]
                         .forward
-                        .hop(w.id.source, w.id.seq, step)
-                        .unwrap_or_else(|| panic!("missing forward entry at {at} step {step}"));
-                    let next = g.neighbor_at(at, hop as usize);
-                    assert!(g.has_edge(at, next));
-                    at = next;
+                        .arrival(w.id.source, w.id.seq, step)
+                        .unwrap_or_else(|| panic!("missing arrival entry at {at} step {step}"));
+                    let prev = g.neighbor_at(at, port as usize);
+                    assert!(g.has_edge(prev, at));
+                    at = prev;
                 }
-                assert_eq!(at, endpoint, "walk must end at its storage node");
+                assert_eq!(at, w.id.source as usize, "walk must start at its source");
                 replayed += 1;
             }
         }
@@ -737,19 +737,6 @@ mod tests {
         assert_eq!(w.len, 7);
         assert!(w.replayable);
         assert_eq!(s.total_stored(), 1);
-    }
-
-    #[test]
-    fn tags_are_unique_per_endpoint() {
-        let mut s = WalkState::new(2);
-        for i in 0..4 {
-            s.store_walk(0, WalkId { source: 1, seq: i }, 3, true);
-        }
-        let tags: Vec<u32> = s.nodes[0].store.iter().map(|w| w.tag).collect();
-        let mut dedup = tags.clone();
-        dedup.dedup();
-        assert_eq!(tags, dedup);
-        assert_eq!(tags, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -849,25 +836,25 @@ mod tests {
     #[test]
     fn evict_touched_drops_exactly_the_walks_through_touched_nodes() {
         // Three replayable walks with hand-written trajectories on a
-        // 5-node network:
+        // 5-node network, each arrival logged with its sender as port:
         //   A = (0, 0): 0 -> 1 -> 2   (stored at 2)
         //   B = (0, 1): 0 -> 3 -> 4   (stored at 4)
         //   C = (3, 0): 3 -> 4        (stored at 4)
         let mut s = WalkState::new(5);
-        s.nodes[0].log_forward_hop(0, 0, 0, 1);
-        s.nodes[1].log_forward_hop(0, 0, 1, 2);
+        s.nodes[1].log_arrival(0, 0, 1, 0);
+        s.nodes[2].log_arrival(0, 0, 2, 1);
         s.store_walk(2, WalkId { source: 0, seq: 0 }, 2, true);
-        s.nodes[0].log_forward_hop(0, 1, 0, 3);
-        s.nodes[3].log_forward_hop(0, 1, 1, 4);
+        s.nodes[3].log_arrival(0, 1, 1, 0);
+        s.nodes[4].log_arrival(0, 1, 2, 3);
         s.store_walk(4, WalkId { source: 0, seq: 1 }, 2, true);
-        s.nodes[3].log_forward_hop(3, 0, 0, 4);
+        s.nodes[4].log_arrival(3, 0, 1, 3);
         s.store_walk(4, WalkId { source: 3, seq: 0 }, 1, true);
 
         // Touching node 1 kills only A (B and C never visit it).
         assert_eq!(s.evict_touched(&[1]), 1);
         assert_eq!(s.outstanding_by_source(), vec![1, 0, 0, 1, 0]);
 
-        // Touching node 3 kills B (intermediate hop) and C (source).
+        // Touching node 3 kills B (an arrival on the way) and C (source).
         assert_eq!(s.evict_touched(&[3]), 2);
         assert_eq!(s.total_stored(), 0);
     }
@@ -887,29 +874,33 @@ mod tests {
 
     #[test]
     fn evict_touched_catches_endpoint_only_visits() {
-        // A walk whose only brush with the touched node is being stored
-        // there (the endpoint logs nothing).
-        let mut s = WalkState::new(3);
-        s.nodes[0].log_forward_hop(0, 0, 0, 2);
-        s.store_walk(2, WalkId { source: 0, seq: 0 }, 1, true);
-        assert_eq!(s.evict_touched(&[2]), 1);
+        // A one-step walk 0 -> 2 is touched at either end: at its
+        // endpoint through the arrival logged there, at its source,
+        // which logs nothing, through the walk's id.
+        for end in [2, 0] {
+            let mut s = WalkState::new(3);
+            s.nodes[2].log_arrival(0, 0, 1, 0);
+            s.store_walk(2, WalkId { source: 0, seq: 0 }, 1, true);
+            assert_eq!(s.evict_touched(&[1]), 0);
+            assert_eq!(s.evict_touched(&[end]), 1, "touched at {end}");
+        }
     }
 
     /// The three hand-written walks of the eviction test above, with
-    /// every seq shifted by `q0` and every hop by `h0`.
+    /// every seq shifted by `q0` and every port by `h0`.
     fn three_walks(q0: u32, h0: u32) -> WalkState {
         let mut s = WalkState::new(5);
-        s.nodes[0].log_forward_hop(0, q0, 0, h0 + 1);
-        s.nodes[1].log_forward_hop(0, q0, 1, h0 + 2);
+        s.nodes[1].log_arrival(0, q0, 1, h0 + 1);
+        s.nodes[2].log_arrival(0, q0, 2, h0 + 2);
         s.store_walk(2, WalkId { source: 0, seq: q0 }, 2, true);
-        s.nodes[0].log_forward_hop(0, q0 + 1, 0, h0 + 3);
-        s.nodes[3].log_forward_hop(0, q0 + 1, 1, h0 + 4);
+        s.nodes[3].log_arrival(0, q0 + 1, 1, h0 + 3);
+        s.nodes[4].log_arrival(0, q0 + 1, 2, h0 + 4);
         let b = WalkId {
             source: 0,
             seq: q0 + 1,
         };
         s.store_walk(4, b, 2, true);
-        s.nodes[3].log_forward_hop(3, q0, 0, h0 + 4);
+        s.nodes[4].log_arrival(3, q0, 1, h0 + 4);
         s.store_walk(4, WalkId { source: 3, seq: q0 }, 1, true);
         s.nodes[0].next_seq = q0 + 2;
         s.nodes[3].next_seq = q0 + 1;
@@ -930,20 +921,24 @@ mod tests {
         // within twice the store, so nothing is scanned yet.
         s.nodes[4].store.retain(|w| w.id.seq != 1);
         assert_eq!(s.reclaim_forward_logs(2), 0);
-        assert_eq!(s.nodes[3].forward.hop(0, 1, 1), Some(4), "dead but kept");
+        assert_eq!(
+            s.nodes[4].forward.arrival(0, 1, 2),
+            Some(4),
+            "dead but kept"
+        );
         // Consume A = (0, 0) too: 5 > 2 * 1, so the pass runs and only
         // C = (3, 0)'s single entry survives.
         s.nodes[2].store.retain(|w| !w.replayable);
         assert_eq!(s.reclaim_forward_logs(2), 4);
         assert_eq!(s.forward_entries(), 1);
-        assert_eq!(s.nodes[3].forward.hop(3, 0, 0), Some(4));
-        assert_eq!(s.nodes[0].forward.hop(0, 0, 0), None);
-        assert_eq!(s.nodes[3].forward.hop(0, 1, 1), None);
+        assert_eq!(s.nodes[4].forward.arrival(3, 0, 1), Some(4));
+        assert_eq!(s.nodes[1].forward.arrival(0, 0, 1), None);
+        assert_eq!(s.nodes[4].forward.arrival(0, 1, 2), None);
         // No dead id is left anywhere, so seqs restart past the live ones.
         let next: Vec<u32> = s.nodes.iter().map(|ns| ns.next_seq).collect();
         assert_eq!(next, vec![0, 0, 0, 1, 0]);
         assert_eq!(
-            s.nodes[0].forward.capacity_bytes(),
+            s.nodes[1].forward.capacity_bytes(),
             0,
             "capacity given back"
         );
@@ -951,10 +946,10 @@ mod tests {
 
     #[test]
     fn overflow_entries_reclaim_like_packed_ones() {
-        // The same walks through the packed store and — seq and hop both
+        // The same walks through the packed store and — seq and port both
         // past their 12-bit budgets — through the boxed overflow.
         let mut packed = three_walks(0, 0);
-        let (q0, h0) = (1 << SEQ_BITS, 1 << HOP_BITS);
+        let (q0, h0) = (1 << SEQ_BITS, 1 << PORT_BITS);
         let mut wide = three_walks(q0, h0);
         assert!(packed.nodes.iter().all(|ns| ns.forward.overflow.is_none()));
         assert!(wide.nodes.iter().all(|ns| ns.forward.packed.is_empty()));
@@ -965,9 +960,9 @@ mod tests {
                 assert_eq!(ids.len(), shifted.len());
                 for (&(s, q), &(ws, wq)) in ids.iter().zip(&shifted) {
                     assert_eq!((s, q + q0), (ws, wq));
-                    for step in 0..2 {
-                        let hop = p.forward.hop(s, q, step);
-                        assert_eq!(hop.map(|h| h + h0), w.forward.hop(ws, wq, step));
+                    for step in 1..=2 {
+                        let port = p.forward.arrival(s, q, step);
+                        assert_eq!(port.map(|h| h + h0), w.forward.arrival(ws, wq, step));
                     }
                 }
                 assert_eq!(p.next_seq + q0 * u32::from(w.next_seq > 0), w.next_seq);
@@ -981,7 +976,7 @@ mod tests {
         assert_eq!(packed.reclaim_forward_logs(2), 4);
         assert_eq!(wide.reclaim_forward_logs(2), 4);
         compare(&packed, &wide);
-        assert!(wide.nodes[0].forward.overflow.is_none(), "empty box freed");
+        assert!(wide.nodes[1].forward.overflow.is_none(), "empty box freed");
     }
 
     #[test]
@@ -1044,15 +1039,15 @@ mod tests {
     #[test]
     fn purge_retired_sources_removes_only_the_retired_block() {
         let mut s = WalkState::new(3);
-        s.nodes[0].log_forward_hop(1, 0, 0, 1);
-        s.nodes[0].log_forward_hop(0, 0, 0, 1);
-        s.nodes[1].log_forward_hop(2, 3, 2, 0);
+        s.nodes[0].log_arrival(1, 0, 1, 1);
+        s.nodes[0].log_arrival(0, 0, 1, 1);
+        s.nodes[1].log_arrival(2, 3, 2, 0);
         s.purge_sources_at_or_above(1);
         assert_eq!(s.nodes[0].forward.len(), 1);
         assert!(s.nodes[1].forward.is_empty());
-        assert_eq!(s.nodes[0].forward.hop(0, 0, 0), Some(1));
-        assert_eq!(s.nodes[0].forward.hop(1, 0, 0), None);
-        assert_eq!(s.nodes[1].forward.hop(2, 3, 2), None);
+        assert_eq!(s.nodes[0].forward.arrival(0, 0, 1), Some(1));
+        assert_eq!(s.nodes[0].forward.arrival(1, 0, 1), None);
+        assert_eq!(s.nodes[1].forward.arrival(2, 3, 2), None);
     }
 
     #[test]
@@ -1113,7 +1108,7 @@ mod tests {
             "Visit must pack to 16 bytes"
         );
         assert_eq!(
-            SOURCE_BITS + SEQ_BITS + STEP_BITS + HOP_BITS,
+            SOURCE_BITS + SEQ_BITS + STEP_BITS + PORT_BITS,
             64,
             "packed entry must fill exactly one u64"
         );
@@ -1133,7 +1128,7 @@ mod tests {
         let max_s = (1u32 << SOURCE_BITS) - 1;
         let max_q = (1u32 << SEQ_BITS) - 1;
         let max_t = (1u32 << STEP_BITS) - 1;
-        let max_h = (1u32 << HOP_BITS) - 1;
+        let max_h = (1u32 << PORT_BITS) - 1;
         let cases = [
             (0, 0, 0, 0),
             (max_s, 0, 0, max_h),
@@ -1142,10 +1137,10 @@ mod tests {
             (123_456, 7, 300, 11),
         ];
         for &(s, q, t, h) in &cases {
-            log.log_hop(s, q, t, h);
+            log.log_arrival(s, q, t, h);
         }
         for &(s, q, t, h) in &cases {
-            assert_eq!(log.hop(s, q, t), Some(h), "({s}, {q}, {t})");
+            assert_eq!(log.arrival(s, q, t), Some(h), "({s}, {q}, {t})");
         }
         assert!(log.overflow.is_none(), "in-budget entries stay packed");
         assert_eq!(log.len(), cases.len());
@@ -1155,20 +1150,20 @@ mod tests {
     fn oversized_fields_spill_to_overflow_and_stay_findable() {
         let mut log = ForwardLog::default();
         // One overflow per exceeded field, plus a packed control entry.
-        log.log_hop(1 << SOURCE_BITS, 0, 0, 0);
-        log.log_hop(0, 1 << SEQ_BITS, 0, 1);
-        log.log_hop(0, 0, 1 << STEP_BITS, 2);
-        log.log_hop(3, 3, 3, 1 << HOP_BITS); // key fits, hop does not
-        log.log_hop(5, 5, 5, 5);
+        log.log_arrival(1 << SOURCE_BITS, 0, 0, 0);
+        log.log_arrival(0, 1 << SEQ_BITS, 0, 1);
+        log.log_arrival(0, 0, 1 << STEP_BITS, 2);
+        log.log_arrival(3, 3, 3, 1 << PORT_BITS); // key fits, port does not
+        log.log_arrival(5, 5, 5, 5);
         assert_eq!(log.packed.len(), 1);
         assert_eq!(log.overflow.as_ref().unwrap().len(), 4);
         assert_eq!(log.len(), 5);
-        assert_eq!(log.hop(1 << SOURCE_BITS, 0, 0), Some(0));
-        assert_eq!(log.hop(0, 1 << SEQ_BITS, 0), Some(1));
-        assert_eq!(log.hop(0, 0, 1 << STEP_BITS), Some(2));
-        assert_eq!(log.hop(3, 3, 3), Some(1 << HOP_BITS));
-        assert_eq!(log.hop(5, 5, 5), Some(5));
-        assert_eq!(log.hop(9, 9, 9), None);
+        assert_eq!(log.arrival(1 << SOURCE_BITS, 0, 0), Some(0));
+        assert_eq!(log.arrival(0, 1 << SEQ_BITS, 0), Some(1));
+        assert_eq!(log.arrival(0, 0, 1 << STEP_BITS), Some(2));
+        assert_eq!(log.arrival(3, 3, 3), Some(1 << PORT_BITS));
+        assert_eq!(log.arrival(5, 5, 5), Some(5));
+        assert_eq!(log.arrival(9, 9, 9), None);
         // logged_walks sees both stores.
         let ids: Vec<(u32, u32)> = log.logged_walks().collect();
         assert_eq!(ids.len(), 5);
@@ -1178,22 +1173,22 @@ mod tests {
         // Purging spans both stores too.
         log.purge_sources_at_or_above(4);
         assert_eq!(log.len(), 3, "sources 5 and 2^26 purged from both stores");
-        assert_eq!(log.hop(3, 3, 3), Some(1 << HOP_BITS));
-        assert_eq!(log.hop(5, 5, 5), None);
-        assert_eq!(log.hop(1 << SOURCE_BITS, 0, 0), None);
+        assert_eq!(log.arrival(3, 3, 3), Some(1 << PORT_BITS));
+        assert_eq!(log.arrival(5, 5, 5), None);
+        assert_eq!(log.arrival(1 << SOURCE_BITS, 0, 0), None);
     }
 
     #[test]
     fn memory_report_counts_the_compact_layout() {
         // The layout, pinned: 8 bytes a packed forward entry, 16 a visit,
-        // 20 a stored walk.
-        assert_eq!((size_of::<Visit>(), size_of::<StoredWalk>()), (16, 20));
+        // 16 a stored walk.
+        assert_eq!((size_of::<Visit>(), size_of::<StoredWalk>()), (16, 16));
         let mut s = WalkState::new(4);
         for ns in &mut s.nodes {
             ns.reserve_forward(250);
         }
         for i in 0..1000u32 {
-            s.nodes[(i % 4) as usize].log_forward_hop(i % 4, i / 4, 0, 1);
+            s.nodes[(i % 4) as usize].log_arrival(i % 4, i / 4, 1, 1);
         }
         for i in 0..100 {
             s.record_visit(i % 4, i as u64, if i == 0 { None } else { Some(i % 4) });
@@ -1204,7 +1199,7 @@ mod tests {
         assert_eq!(m.nodes, 4);
         assert_eq!(m.forward_bytes, 1000 * 8, "8 bytes per packed entry");
         assert_eq!(m.visit_bytes, caps(|ns| ns.visits.capacity()) * 16);
-        assert_eq!(m.store_bytes, caps(|ns| ns.store.capacity()) * 20);
+        assert_eq!(m.store_bytes, caps(|ns| ns.store.capacity()) * 16);
         assert_eq!(
             m.total_bytes(),
             m.overhead_bytes + m.store_bytes + m.forward_bytes + m.visit_bytes
@@ -1219,7 +1214,7 @@ mod tests {
         let cap = s.nodes[0].forward.capacity_bytes();
         assert!(cap >= 8000, "reserved {cap} bytes");
         for i in 0..1000 {
-            s.nodes[0].log_forward_hop(0, i, 0, 0);
+            s.nodes[0].log_arrival(0, i, 1, 0);
         }
         assert_eq!(
             s.nodes[0].forward.capacity_bytes(),

@@ -23,7 +23,7 @@
 //! |---|---|---|
 //! | one sampling echo per stitch | [`crate::sample_destination`] | `Wave`, `Agg`, `Chosen`, `Retry` |
 //! | replenishing a drained connector | [`crate::get_more_walks`] | `Gmw`, `Swk`, `GmwAck` |
-//! | naive tail and regeneration | `tail` (crate-private) | `Tail`, `Replay`, `Taken` |
+//! | naive tail and regeneration | `tail` (crate-private) | `Tail`, `Replay` |
 //!
 //! The run ends when every walk has landed and every replay token is home.
 //!
@@ -51,7 +51,7 @@ use crate::get_more_walks::GmwLane;
 use crate::sample_destination::SdLaneSlot;
 use crate::single_walk::{Segment, StitchSetup, WalkAction, WalkDriver, WalkError};
 use crate::state::{NodeWalkState, WalkId, WalkState};
-use crate::tail::{self, pack_walk, unpack_walk, NO_PREV};
+use crate::tail::{self, pack_walk, unpack_walk};
 use drw_congest::{
     Ctx, Envelope, Message, Mux2, NodeCtx, Protocol, RunError, RunReport, Runner, WireReader,
     WireSink,
@@ -158,18 +158,10 @@ pub(crate) const NO_CAP: u32 = u32::MAX;
 pub(crate) enum StitchMsg {
     /// The epoch's wave, flooding from the root: a node adopts its
     /// first sender as parent and forwards the wave to everyone else.
-    /// On a recorded lane `prev` names the short walk the root took to
-    /// get here, as one word `connector:32 | seq:32` ([`pack_walk`]) —
-    /// the old connector's cue to replay it — and is [`NO_PREV`]
-    /// otherwise. `cap` is the longest stored walk the epoch may take
+    /// `cap` is the longest stored walk the epoch may take
     /// ([`StitchSpec::cap_at`]; [`NO_CAP`]: any), packed with the epoch
     /// into one word `epoch:32 | cap:32` when there is one.
-    Wave {
-        epoch: u32,
-        cap: u32,
-        root: u32,
-        prev: u64,
-    },
+    Wave { epoch: u32, cap: u32, root: u32 },
     /// The echo: a subtree's aggregate, sent to the parent once the
     /// node has heard from every neighbour — its candidate token owner
     /// and total token count (`count == 0` means none).
@@ -196,26 +188,19 @@ pub(crate) enum StitchMsg {
     GmwAck { count: u64 },
     /// The naive tail token: `left` steps remain after this hop.
     Tail { left: u64 },
-    /// A recorded lane's last stitch took the root's walk `seq`: routed
-    /// up the finished epoch's tree, as `Retry` is, to the connector.
-    Taken { epoch: u32, seq: u32 },
     /// A replay token regenerating the short walk `walk`
-    /// ([`pack_walk`]): the receiver is the walk's `step`-th node and
-    /// sits at global position `pos` of the recorded walk.
+    /// ([`pack_walk`]) backwards from the node that took it: the
+    /// receiver is the walk's `step`-th node and sits at global position
+    /// `pos` of the recorded walk.
     Replay { walk: u64, step: u32, pos: u64 },
 }
 
 impl Message for StitchMsg {
     /// Every variant leads with its tag. A walk id is one packed word
-    /// ([`pack_walk`]); a wave without one pads its slot.
+    /// ([`pack_walk`]).
     fn encode(&self, w: &mut impl WireSink) {
         match *self {
-            StitchMsg::Wave {
-                epoch,
-                cap,
-                root,
-                prev,
-            } => {
+            StitchMsg::Wave { epoch, cap, root } => {
                 w.tag(0);
                 w.tag((cap != NO_CAP).into());
                 if cap == NO_CAP {
@@ -224,16 +209,6 @@ impl Message for StitchMsg {
                     w.packed(&[("Wave.epoch", epoch.into()), ("Wave.cap", cap.into())]);
                 }
                 w.word("Wave.root", root.into());
-                w.tag((prev != NO_PREV).into());
-                if prev == NO_PREV {
-                    w.pad(1);
-                } else {
-                    let id = unpack_walk(prev);
-                    w.packed(&[
-                        ("Wave.prev.source", id.source.into()),
-                        ("Wave.prev.seq", id.seq.into()),
-                    ]);
-                }
             }
             StitchMsg::Agg { owner, count } => {
                 w.tag(1);
@@ -273,13 +248,8 @@ impl Message for StitchMsg {
                 w.tag(7);
                 w.word("Tail.left", left);
             }
-            StitchMsg::Taken { epoch, seq } => {
-                w.tag(8);
-                w.word("Taken.epoch", epoch.into());
-                w.word("Taken.seq", seq.into());
-            }
             StitchMsg::Replay { walk, step, pos } => {
-                w.tag(9);
+                w.tag(8);
                 let id = unpack_walk(walk);
                 w.packed(&[
                     ("Replay.source", id.source.into()),
@@ -292,10 +262,6 @@ impl Message for StitchMsg {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
-        let walk = |r: &mut WireReader<'_>| {
-            let (source, seq) = (r.read()?, r.read()?);
-            Some(pack_walk(WalkId { source, seq }))
-        };
         Some(match r.read::<u8>()? {
             0 => {
                 let capped = r.flag()?;
@@ -303,7 +269,6 @@ impl Message for StitchMsg {
                     epoch: r.read()?,
                     cap: if capped { r.read()? } else { NO_CAP },
                     root: r.read()?,
-                    prev: if r.flag()? { walk(r)? } else { NO_PREV },
                 }
             }
             1 => StitchMsg::Agg {
@@ -327,12 +292,11 @@ impl Message for StitchMsg {
             },
             6 => StitchMsg::GmwAck { count: r.read()? },
             7 => StitchMsg::Tail { left: r.read()? },
-            8 => StitchMsg::Taken {
-                epoch: r.read()?,
-                seq: r.read()?,
-            },
-            9 => StitchMsg::Replay {
-                walk: walk(r)?,
+            8 => StitchMsg::Replay {
+                walk: pack_walk(WalkId {
+                    source: r.read()?,
+                    seq: r.read()?,
+                }),
                 step: r.read()?,
                 pos: r.read()?,
             },
@@ -441,8 +405,8 @@ pub(crate) struct Merge {
     pub(crate) gmw_in: Vec<((u32, u32), u64)>,
 }
 
-/// A wave adoption waiting for the round's flush: `(root, prev, from)`.
-pub(crate) type Adoption = (u32, u64, NodeId);
+/// A wave adoption waiting for the round's flush: `(root, from)`.
+pub(crate) type Adoption = (u32, NodeId);
 
 /// Folds `value` into the entry for `key`, or appends one: how a round's
 /// wave adoptions, `GET-MORE-WALKS` arrivals and acknowledgements merge.
@@ -486,8 +450,8 @@ impl NodeCall<'_> {
         &mut lanes[w as usize]
     }
 
-    /// One hop of `msg` (`Retry`, `Taken`, `GmwAck`) toward `lane`'s epoch
-    /// root: elsewhere it goes to the parent; the root gets `hosted`.
+    /// One hop of `msg` (`Retry`, `GmwAck`) toward `lane`'s epoch root:
+    /// elsewhere it goes to the parent; the root gets `hosted`.
     pub(crate) fn climb(&mut self, w: u32, lane: &LaneState, msg: StitchMsg) -> Option<u64> {
         if let (None, Some(p)) = (lane.hosted, lane.slot.parent) {
             self.send(p, w, msg);
@@ -496,12 +460,12 @@ impl NodeCall<'_> {
     }
 
     /// Moves walk `w`, standing here at `completed` steps, on: an epoch
-    /// rooted here whose wave announces `prev`, the tail, or completion.
-    pub(crate) fn proceed(&mut self, w: u32, lane: &mut LaneState, completed: u64, prev: u64) {
+    /// rooted here, the tail, or completion.
+    pub(crate) fn proceed(&mut self, w: u32, lane: &mut LaneState, completed: u64) {
         match self.shared.walks[w as usize].action_at(completed, self.shared.setup.lambda) {
             WalkAction::Stitch => {
                 self.tally.connector_visits += 1;
-                self.restart_epoch(w, lane, completed, prev);
+                self.restart_epoch(w, lane, completed);
             }
             WalkAction::Tail(steps) => {
                 lane.hosted = None;
@@ -592,7 +556,7 @@ impl Protocol for BatchedStitchProtocol<'_> {
                     tail::hop(&self.shared, &mut ctx.at(spec.source), w, steps)
                 }
                 _ => self.call_at(spec.source, ctx, |call, lanes| {
-                    call.proceed(w, call.lane(lanes, w), 0, NO_PREV)
+                    call.proceed(w, call.lane(lanes, w), 0)
                 }),
             }
         }
@@ -618,12 +582,9 @@ impl Protocol for BatchedStitchProtocol<'_> {
                 let req = call.shared.walks[w as usize].req;
                 debug_assert_eq!(env.msg.req, req, "request tag must match the lane's owner");
                 match env.msg.msg {
-                    StitchMsg::Wave {
-                        epoch,
-                        cap,
-                        root,
-                        prev,
-                    } => call.on_wave(call.lane(lanes, w), w, (epoch, cap, root, prev), from),
+                    StitchMsg::Wave { epoch, cap, root } => {
+                        call.on_wave(call.lane(lanes, w), w, (epoch, cap, root), from)
+                    }
                     StitchMsg::Agg { owner, count } => {
                         call.on_agg(call.lane(lanes, w), w, (owner, count), from)
                     }
@@ -635,16 +596,11 @@ impl Protocol for BatchedStitchProtocol<'_> {
                     StitchMsg::Retry { epoch } => call.on_retry(call.lane(lanes, w), w, epoch),
                     StitchMsg::Gmw { step, count } => call.on_gmw(w, step, count),
                     StitchMsg::Swk { seq, step, total } => {
-                        call.on_swk(call.lane(lanes, w), w, (seq, step, total))
+                        call.on_swk(call.lane(lanes, w), w, (seq, step, total), from)
                     }
                     StitchMsg::GmwAck { count } => call.on_gmw_ack(w, count),
                     StitchMsg::Tail { left } => call.on_tail(w, left, from),
-                    StitchMsg::Taken { epoch, seq } => {
-                        call.on_taken(call.lane(lanes, w), w, (epoch, seq))
-                    }
-                    StitchMsg::Replay { walk, step, pos } => {
-                        call.on_replay(w, (walk, step, pos), from)
-                    }
+                    StitchMsg::Replay { walk, step, pos } => call.on_replay(w, (walk, step, pos)),
                 }
             }
             call.flush_gmw(lanes);
@@ -1018,26 +974,6 @@ pub(crate) mod tests {
     use crate::get_more_walks::AGGREGATED_SEQ;
     use crate::short_walks::ShortWalksProtocol;
     use crate::state::{StoredWalk, Visit};
-    use std::cell::Cell;
-
-    thread_local! {
-        /// Planted bug: a recorded lane's `Taken` is dropped where it
-        /// lands, so the connector never learns what to replay.
-        pub(crate) static DROP_TAKEN: Cell<bool> = const { Cell::new(false) };
-        /// Planted bug: a connector honours a wave's `prev` on every
-        /// arrival of the epoch, not just the one that resets its lane.
-        static STALE_PREV: Cell<bool> = const { Cell::new(false) };
-    }
-
-    /// The `STALE_PREV` bug, if planted: the lane keeps what it hosted
-    /// and treats every arrival as the fresh one.
-    pub(crate) fn stale_prev_planted(lane: &mut LaneState, hosted: Option<u64>) -> bool {
-        let planted = STALE_PREV.get();
-        if planted {
-            lane.hosted = hosted;
-        }
-        planted
-    }
 
     use drw_congest::{EngineConfig, Runner};
     use drw_graph::generators;
@@ -1430,7 +1366,7 @@ pub(crate) mod tests {
     #[test]
     fn per_token_gmw_yields_replayable_segments() {
         // No Phase 1 at all: every stitch replenishes via the per-token
-        // GET-MORE-WALKS variant, which logs forwarding decisions.
+        // GET-MORE-WALKS variant, which logs every arrival.
         let g = generators::torus2d(4, 4);
         let mut runner = Runner::new(&g, EngineConfig::default(), 3);
         let mut state = WalkState::new(g.n());
@@ -1686,36 +1622,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "never replayed")]
-    fn a_dropped_taken_loses_the_last_segments_visits() {
-        // Planted bug: the last stitch's `Taken` is dropped on its way
-        // up. The connector learns the taken `seq` from nowhere else —
-        // not from the host, not from a later wave — so the segment is
-        // never replayed and the run must say so.
-        let (out, _) = recorded_walk(120, 7);
-        let last = out.walks[0].segments.last().expect("stitched");
-        assert_ne!(
-            last.owner, last.connector,
-            "pick a seed whose last owner is remote"
-        );
-        DROP_TAKEN.set(true);
-        let _ = recorded_walk(120, 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "no stitch owed")]
-    fn a_prev_honoured_on_every_wave_arrival_replays_twice() {
-        // Planted bug: the old connector acts on `prev` at every arrival
-        // of the next epoch's wave (it has two neighbours closer to the
-        // new root, so two arrive), and a second token walks the segment.
-        STALE_PREV.set(true);
-        let _ = recorded_walk(120, 7);
-    }
-
-    #[test]
     fn the_widest_message_did_not_grow() {
-        // `Chosen` set the size before `Wave` gained `prev` and `Replay`
-        // joined; queue entries copy this many bytes per message.
+        // `Chosen` set the size before `Replay` joined; queue entries
+        // copy this many bytes per message.
         assert_eq!(std::mem::size_of::<StitchMsg>(), 24);
         assert_eq!(std::mem::size_of::<BatchMsg>(), 32);
         for cap in [NO_CAP, 7] {
@@ -1723,15 +1632,15 @@ pub(crate) mod tests {
                 epoch: 1,
                 cap,
                 root: 0,
-                prev: pack_walk(WalkId { source: 3, seq: 1 }),
             };
-            assert_eq!(Mux2::new(0, 0, wave).size_words(), 4, "at the budget");
+            assert_eq!(Mux2::new(0, 0, wave).size_words(), 3);
         }
-        let id = WalkId {
-            source: (1 << 26) - 1,
-            seq: 1 << 12,
+        let replay = StitchMsg::Replay {
+            walk: pack_walk(WalkId { source: 3, seq: 1 }),
+            step: 2,
+            pos: 9,
         };
-        assert_ne!(pack_walk(id), NO_PREV);
+        assert_eq!(Mux2::new(0, 0, replay).size_words(), 4, "at the budget");
     }
 
     #[test]
@@ -1748,22 +1657,16 @@ pub(crate) mod tests {
         }
         // `i`: the largest id, seq or step; `c`: the largest counter.
         let (i, c) = (u32::MAX, u64::MAX);
-        let walk = pack_walk(WalkId {
-            source: i,
-            seq: i - 1,
-        });
         let stitch = [
             StitchMsg::Wave {
                 epoch: i,
                 cap: NO_CAP,
                 root: i,
-                prev: NO_PREV,
             },
             StitchMsg::Wave {
                 epoch: i,
                 cap: i - 1,
                 root: i,
-                prev: walk,
             },
             StitchMsg::Agg { owner: i, count: c },
             StitchMsg::Chosen {
@@ -1780,7 +1683,6 @@ pub(crate) mod tests {
             },
             StitchMsg::GmwAck { count: c },
             StitchMsg::Tail { left: c },
-            StitchMsg::Taken { epoch: i, seq: i },
             StitchMsg::Replay {
                 walk: c,
                 step: i,

@@ -5,22 +5,19 @@
 //! moves as a `Tail` token, one random hop per round (Algorithm 1,
 //! line 14). A recorded lane records every tail hop, and replays each
 //! stitched segment while the walk goes on stitching (end of Section
-//! 2.2): the segment's connector sends a `Replay` token along its
-//! forwarding log, and every node on the path records its position and
-//! predecessor. The connector learns the taken walk from the next
-//! epoch's wave (`prev`), or, after the last stitch, from `Taken`
-//! climbing the finished epoch's tree.
+//! 2.2): the segment's owner, which took the short walk and so knows
+//! it, records its own position and sends a `Replay` token back along
+//! the walk's arrival log. Every node on the way records its position
+//! and the predecessor its log names, down to the walk's first step,
+//! whose predecessor is the connector.
 
 #![deny(clippy::too_many_lines)]
 
-use crate::single_walk::{Segment, WalkAction};
+use crate::single_walk::Segment;
 use crate::state::WalkId;
-use crate::stitch_scheduler::{BatchMsg, LaneState, NodeCall, SharedCfg, StitchMsg};
+use crate::stitch_scheduler::{BatchMsg, NodeCall, SharedCfg, StitchMsg};
 use drw_congest::NodeCtx;
 use drw_graph::NodeId;
-
-/// `StitchMsg::Wave::prev` of a wave that announces no taken walk.
-pub(crate) const NO_PREV: u64 = u64::MAX;
 
 /// A short walk's identity as one wire word, `source:32 | seq:32`.
 pub(crate) fn pack_walk(id: WalkId) -> u64 {
@@ -60,93 +57,34 @@ impl NodeCall<'_> {
         }
     }
 
-    /// A replay token arrives from `from`: this node records its
-    /// position and passes the token on, or is the owner it stops at.
-    pub(crate) fn on_replay(&mut self, w: u32, token: (u64, u32, u64), from: NodeId) {
-        self.ws.record_visit(token.2, Some(from));
-        if !self.forward_replay(w, token) {
-            self.tally.replays_open -= 1; // home: at the node that took it
-        }
-    }
-
-    /// The last stitch's `Taken`, climbing the finished epoch's tree to
-    /// the connector, which replays the walk from where it stood.
-    pub(crate) fn on_taken(&mut self, lane: &LaneState, w: u32, (epoch, seq): (u32, u32)) {
-        #[cfg(test)]
-        if crate::stitch_scheduler::tests::DROP_TAKEN.get() {
-            return;
-        }
-        if epoch != lane.epoch {
-            return;
-        }
-        if let Some(start) = self.climb(w, lane, StitchMsg::Taken { epoch, seq }) {
-            self.inject_replay(w, seq, start);
-        }
-    }
-
-    /// Regeneration's cue for the segment `seg` this node just took:
-    /// on a recorded lane the connector replays it at once if it is this
-    /// node; else it learns the walk from the next epoch's wave (the
-    /// returned `prev`) or, after the last stitch, from `Taken`.
-    /// [`NO_PREV`] when the wave announces nothing.
-    pub(crate) fn announce(&mut self, lane: &LaneState, w: u32, seg: &Segment) -> u64 {
+    /// Regenerates the segment `seg` this node just took, on a recorded
+    /// lane: the owner is the walk's last node, so replay starts here.
+    pub(crate) fn replay_taken(&mut self, w: u32, seg: &Segment) {
         let spec = self.shared.walks[w as usize];
-        if !spec.record {
-            return NO_PREV;
-        }
-        assert!(seg.replayable, "recorded lanes replay what they stitch");
-        self.tally.replays_open += 1;
-        let next = spec.action_at(seg.start_pos + u64::from(seg.len), self.shared.setup.lambda);
-        if seg.connector == self.ctx.node() {
-            self.inject_replay(w, seg.id.seq, seg.start_pos);
-        } else if next == WalkAction::Stitch {
-            return pack_walk(seg.id);
-        } else {
-            let (epoch, seq) = (lane.epoch, seg.id.seq);
-            self.climb(w, lane, StitchMsg::Taken { epoch, seq });
-        }
-        NO_PREV
-    }
-
-    /// A wave's `prev`, at the arrival that reset the lane (`fresh`)
-    /// only: the connector it names replays the walk from where it
-    /// hosted the token (`hosted`, read before the reset).
-    pub(crate) fn honour_prev(&mut self, w: u32, prev: u64, hosted: Option<u64>, fresh: bool) {
-        let taken = unpack_walk(prev); // `NO_PREV` names no node
-        if fresh && taken.source as usize == self.ctx.node() {
-            let start = hosted.expect("the connector `prev` names hosts its epoch");
-            self.inject_replay(w, taken.seq, start);
+        if spec.record {
+            assert!(seg.replayable, "recorded lanes replay what they stitch");
+            self.tally.replays_open += 1;
+            let pos = spec.pos_offset + seg.start_pos + u64::from(seg.len);
+            self.on_replay(w, (pack_walk(seg.id), seg.len, pos));
         }
     }
 
-    /// Starts regenerating the short walk `(node, seq)` a recorded lane
-    /// took, at its connector, this node, where the walk stood at
-    /// `start` steps. The connector's own position is on record already
-    /// (the previous segment's endpoint, or the caller's hand-off), so
-    /// visits begin one step in.
-    fn inject_replay(&mut self, w: u32, seq: u32, start: u64) {
-        let source = self.ctx.node() as u32;
-        let pos = self.shared.walks[w as usize].pos_offset + start;
-        let logged = self.forward_replay(w, (pack_walk(WalkId { source, seq }), 0, pos));
-        assert!(logged, "walk ({source}, {seq}) has no log at its source");
-    }
-
-    /// Moves a replay token of the short walk `walk` on from this node,
-    /// its `step`-th, at global position `pos`: along the hop this node
-    /// logged for that step. `false` if it logged none — the walk ended
-    /// here.
-    fn forward_replay(&mut self, w: u32, (walk, step, pos): (u64, u32, u64)) -> bool {
+    /// The replay token of the short walk `walk` at this node, its
+    /// `step`-th, at global position `pos`: records the visit with the
+    /// predecessor this node's arrival log names and passes the token
+    /// back to it — or, at step 1, whose predecessor is the connector
+    /// (its position is on record already), is home.
+    pub(crate) fn on_replay(&mut self, w: u32, (walk, step, pos): (u64, u32, u64)) {
         let id = unpack_walk(walk);
-        let Some(hop) = self.ws.forward.hop(id.source, id.seq, step) else {
-            return false;
-        };
-        let next = self.ctx.graph().neighbor_at(self.ctx.node(), hop as usize);
-        let replay = StitchMsg::Replay {
-            walk,
-            step: step + 1,
-            pos: pos + 1,
-        };
-        self.send(next, w, replay);
-        true
+        let port = self.ws.forward.arrival(id.source, id.seq, step);
+        let port = port.unwrap_or_else(|| panic!("walk {id:?} has no arrival at step {step}"));
+        let pred = self.ctx.graph().neighbor_at(self.ctx.node(), port as usize);
+        self.ws.record_visit(pos, Some(pred));
+        if step == 1 {
+            self.tally.replays_open -= 1;
+        } else {
+            let (step, pos) = (step - 1, pos - 1);
+            self.send(pred, w, StitchMsg::Replay { walk, step, pos });
+        }
     }
 }

@@ -164,7 +164,7 @@ fn gmw_edge_words_match_wire_format() {
 }
 
 /// The batched Phase-2 scheduler multiplexes every lane over
-/// `Mux2<StitchMsg>`: widest arm (Wave/Chosen/Swk, 3 words) plus the
+/// `Mux2<StitchMsg>`: widest arm (Chosen/Swk/Replay, 3 words) plus the
 /// packed `(req, lane)` word — 4 words, at but never over the cap.
 #[test]
 fn stitch_scheduler_edge_words_match_wire_format() {

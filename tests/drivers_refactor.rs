@@ -12,7 +12,11 @@
 //! the mixed wave's visit digest, the walk served beside a tree phase)
 //! were re-captured a second time when regeneration moved inside the
 //! Phase-2 run (ISSUE 24): replay tokens now share edges with the
-//! lane's own sweeps. Every unrecorded golden reproduced unedited.
+//! lane's own sweeps. They were re-captured a third time when each
+//! segment's replay moved to the node that took it, running backwards:
+//! replay tokens start earlier and take other edges, so the mixed
+//! wave's plain lanes, which share its rounds, moved with it. Every
+//! golden of a wave without a recorded spec reproduced unedited.
 
 use distributed_random_walks::prelude::*;
 use drw_congest::{FaultPlan, Runner};
@@ -135,14 +139,14 @@ const GOLDEN: Golden = Golden {
     many_rounds: 339,
     many_stitches: 6,
     tree_digest: 0x8be6c39ea9cf916a,
-    tree_rounds: 703,
+    tree_rounds: 694,
     tree_phases: 4,
     mix_disc_bits: 0x3ca0000000000000,
     mix_pass: false,
     mix_rounds: 387,
     walk2_dest: 27,
     walk2_rounds: 230,
-    session_rounds: 988,
+    session_rounds: 979,
 };
 
 /// A digest of anything with a stable `Debug` form (probe lists,
@@ -283,8 +287,8 @@ struct OneShotGolden {
 }
 
 const ONE_SHOT: OneShotGolden = OneShotGolden {
-    tree_extend: (0xbde334e6f06206bf, 5, 5, 248, 296, 1),
-    tree_restart: (0x6ab3b86757a9eaae, 6, 31, 256, 2009, 1),
+    tree_extend: (0xbde334e6f06206bf, 5, 5, 248, 302, 1),
+    tree_restart: (0x9f0f72a606c99f38, 6, 31, 256, 1926, 1),
     mix_c16: (0xb99e0d7c047865c3, 10, 512, false, 2129),
     mix_k32: (0xc87a7138c0308730, 1, 1, true, 14),
     session_walks: [(12, 289, 0xd9fa118bcc514fa3), (16, 88, 0xbb782ec6aaddb2ad)],
@@ -350,10 +354,10 @@ fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
     // Seed 31; the connector visits are digested as the non-zero
     // `(node, count)` pairs.
     let golden: WaveGolden = (
-        vec![128, 255, 143, 8, 194, 276],
-        1146,
+        vec![191, 113, 143, 8, 194, 134],
+        1218,
         0,
-        0xbfdc72d1594218c1,
+        0xfb1f36d5d7dd6a67,
     );
     let wave = mixed_wave(32, EngineConfig::default(), true);
     assert_eq!(wave, golden, "mixed wave drifted");
@@ -411,6 +415,6 @@ fn churned_recorded_batch() -> (u64, u64) {
 fn churned_recorded_session_is_byte_identical_to_unreclaimed_logs() {
     // Seed 47, 6x6 torus. (Logs that keep every entry for the life of
     // the session give the same values: a reclaim is invisible.)
-    let golden = (0xab8c24f7426939a2, 4211);
+    let golden = (0x83003d022e804f07, 4209);
     assert_eq!(churned_recorded_batch(), golden, "churned session drifted");
 }
