@@ -215,7 +215,6 @@ pub fn run_census() -> Result<WireCensus, String> {
         let mut sched = StitchScheduler::new(&StitchSetup {
             lambda: 6,
             randomize_len: true,
-            aggregated_gmw: false,
             gmw_count: 4,
         });
         sched.add_spec(StitchSpec {
@@ -230,7 +229,8 @@ pub fn run_census() -> Result<WireCensus, String> {
     }
 
     // The batched Phase-2 scheduler: StitchMsg under Mux2, plus the
-    // sub-protocols it multiplexes.
+    // sub-protocols it multiplexes; then one lane over an empty store,
+    // whose drained connector runs `GET-MORE-WALKS` (`Gmw`, `GmwAck`).
     {
         let mut runner = Runner::new(&g, cfg.clone(), SEED + 11);
         let mut st = WalkState::new(n);
@@ -239,13 +239,20 @@ pub fn run_census() -> Result<WireCensus, String> {
         let setup = StitchSetup {
             lambda: 8,
             randomize_len: true,
-            aggregated_gmw: true,
             gmw_count: 16,
         };
         let mut sched = StitchScheduler::new(&setup);
         sched.add_walk(0, 64);
         sched.add_walk(5, 64);
         let out = sched.run(&mut runner, &mut st).map_err(|e| err(&e))?;
+        census.merge(&out.report.wire);
+        let mut sched = StitchScheduler::new(&setup);
+        sched.add_walk(3, 64);
+        let mut empty = WalkState::new(n);
+        let out = sched.run(&mut runner, &mut empty).map_err(|e| err(&e))?;
+        if out.gmw_invocations == 0 {
+            return Err("census harness: the empty store never replenished".into());
+        }
         census.merge(&out.report.wire);
     }
 

@@ -45,7 +45,6 @@ pub fn naive_walk(
     let mut sched = StitchScheduler::new(&StitchSetup {
         lambda: 1,
         randomize_len: false,
-        aggregated_gmw: true,
         gmw_count: 1,
     });
     sched.add_spec(StitchSpec {

@@ -362,11 +362,11 @@ impl Network {
         // estimates on a tagged derivation of it, so the kinds draw
         // disjoint streams from one seed. (An empty cohort has no anchor
         // and needs none: it resolves below.)
-        let (anchor, session_seed, record) = match &request {
-            Request::Walk { source, record, .. } => (*source, seed, *record),
-            Request::ManyWalks { sources, .. } => (sources.first().map_or(0, |&s| s), seed, false),
-            Request::SpanningTree(t) => (t.root, derive_seed(seed, 0xC0FE), true),
-            Request::MixingTime(m) => (m.source, derive_seed(seed, 0xB00), self.cfg.record_walk),
+        let (anchor, session_seed) = match &request {
+            Request::Walk { source, .. } => (*source, seed),
+            Request::ManyWalks { sources, .. } => (sources.first().map_or(0, |&s| s), seed),
+            Request::SpanningTree(t) => (t.root, derive_seed(seed, 0xC0FE)),
+            Request::MixingTime(m) => (m.source, derive_seed(seed, 0xB00)),
             Request::Mutate(_) => unreachable!("handled by the caller"),
         };
         // A walk sizes its private Phase 1 by its own stitch demand:
@@ -382,12 +382,8 @@ impl Network {
         if let Some(response) = slot.response.take() {
             return Ok(response);
         }
-        let cfg = SingleWalkConfig {
-            record_walk: record,
-            ..self.cfg.clone()
-        };
         let topo = Topology::from_shared(g);
-        let mut session = WalkSession::attach(&topo, anchor, &cfg, session_seed)?;
+        let mut session = WalkSession::attach(&topo, anchor, &self.cfg, session_seed)?;
         if let Some(len) = walk_len {
             session.provision_for_walk(len);
         }
@@ -475,14 +471,10 @@ impl Network {
     /// never pays a BFS on an epoch about to be superseded.
     fn ensure_session(&mut self) -> Result<&mut WalkSession, Error> {
         if self.session.is_none() {
-            let cfg = SingleWalkConfig {
-                record_walk: true,
-                ..self.cfg.clone()
-            };
             self.session = Some(WalkSession::attach(
                 &self.topo,
                 self.anchor,
-                &cfg,
+                &self.cfg,
                 derive_seed(self.base_seed, SESSION_SEED_TAG),
             )?);
         }

@@ -304,7 +304,6 @@ impl NodeCall<'_> {
             len: walk.len,
             start_pos: completed,
             owner: self.ctx.node(),
-            replayable: walk.replayable,
         };
         self.tally.segments.push((w, seg));
         self.tally.last_stitch_round = self.ctx.round();

@@ -719,14 +719,10 @@ impl Service {
 
     fn ensure_session(&mut self) -> Result<(), Error> {
         if self.session.is_none() {
-            let cfg = SingleWalkConfig {
-                record_walk: true,
-                ..self.cfg.clone()
-            };
             let session = WalkSession::attach(
                 &self.topo,
                 self.anchor,
-                &cfg,
+                &self.cfg,
                 derive_seed(self.base_seed, SERVICE_SEED_TAG),
             )?;
             self.setup_rounds = session.total_rounds();

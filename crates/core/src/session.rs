@@ -114,7 +114,7 @@ pub struct RepairReport {
     /// Size of the touched-node union repaired against.
     pub touched: usize,
     /// Stored short walks evicted because their trajectories visited
-    /// touched nodes (plus conservatively evicted non-replayable ones).
+    /// touched nodes.
     pub walks_evicted: usize,
     /// Whether the anchor BFS had to be re-run (only when a delta broke
     /// a tree edge or changed the node count).
@@ -222,7 +222,6 @@ pub struct WalkSession {
     tree: BfsTree,
     anchor: NodeId,
     d_est: u32,
-    record: bool,
     store_lambda: u32,
     /// The stitch demand Phase 1 is sized for, if the session serves one
     /// known walk ([`WalkSession::provision_for_walk`]); `None` keeps the
@@ -250,11 +249,6 @@ impl WalkSession {
     /// `g` — the static-graph entry point, seed-for-seed identical to
     /// the pre-versioning constructor. Sessions that must observe live
     /// deltas attach to a shared handle with [`WalkSession::attach`].
-    ///
-    /// When `cfg.record_walk` is set the session runs in *record* mode:
-    /// waves may carry a recorded [`StitchSpec`], and every store
-    /// operation stays replayable (per-token `GET-MORE-WALKS` is
-    /// forced, as for a recorded [`crate::Request::Walk`]).
     ///
     /// # Errors
     ///
@@ -305,7 +299,6 @@ impl WalkSession {
             topo: topo.clone(),
             g,
             epoch,
-            record: cfg.record_walk,
             cfg: cfg.clone(),
             runner,
             state: WalkState::new(n),
@@ -751,8 +744,7 @@ impl WalkSession {
     /// # Panics
     ///
     /// Panics if more than one spec records (the visit ledger is not
-    /// lane-tagged), or if a spec records on a session opened without
-    /// `record_walk`.
+    /// lane-tagged).
     pub fn run_wave(
         &mut self,
         lambda_call: u32,
@@ -784,10 +776,6 @@ impl WalkSession {
             specs.iter().filter(|s| s.record).count() <= 1,
             "at most one recorded spec per wave (the visit ledger is shared)"
         );
-        assert!(
-            recorded.is_none() || self.record,
-            "recorded wave specs require a session opened with record_walk"
-        );
         let start = self.runner.total_rounds();
         let start_messages = self.runner.total_messages();
         if specs.is_empty() {
@@ -801,7 +789,6 @@ impl WalkSession {
         let mut sched = StitchScheduler::new(&StitchSetup {
             lambda,
             randomize_len: self.cfg.randomize_len,
-            aggregated_gmw: !self.record,
             gmw_count: (stitch_len / u64::from(lambda.max(1))).max(1),
         });
         for &spec in specs {
@@ -965,11 +952,7 @@ mod tests {
     #[test]
     fn recorded_extensions_chain_into_one_valid_walk() {
         let g = generators::torus2d(5, 5);
-        let cfg = SingleWalkConfig {
-            record_walk: true,
-            ..SingleWalkConfig::default()
-        };
-        let mut s = WalkSession::new(&g, 0, &cfg, 13).unwrap();
+        let mut s = WalkSession::new(&g, 0, &SingleWalkConfig::default(), 13).unwrap();
         let (l1, l2) = (300u64, 500u64);
         let w1 = extend(&mut s, 0, l1, 0);
         let e1 = &w1.walks[0];
@@ -1004,11 +987,7 @@ mod tests {
         // pass moved behind `sched.run` would forget the walks this very
         // wave consumed before their replay.
         let g = generators::torus2d(5, 5);
-        let cfg = SingleWalkConfig {
-            record_walk: true,
-            ..SingleWalkConfig::default()
-        };
-        let mut s = WalkSession::new(&g, 0, &cfg, 29).unwrap();
+        let mut s = WalkSession::new(&g, 0, &SingleWalkConfig::default(), 29).unwrap();
         let mut walk = WalkState::new(g.n());
         walk.record_visit(0, 0, None);
         let (len, mut at, mut reclaiming_waves) = (600u64, 0, 0);
@@ -1042,11 +1021,7 @@ mod tests {
     #[test]
     fn zero_length_extension_is_free() {
         let g = generators::path(5);
-        let cfg = SingleWalkConfig {
-            record_walk: true,
-            ..SingleWalkConfig::default()
-        };
-        let mut s = WalkSession::new(&g, 2, &cfg, 17).unwrap();
+        let mut s = WalkSession::new(&g, 2, &SingleWalkConfig::default(), 17).unwrap();
         let before = s.total_rounds();
         let e = extend(&mut s, 3, 0, 44);
         assert_eq!(e.walks[0].destination, 3);
@@ -1075,10 +1050,7 @@ mod tests {
         // fallback walks — all sharing one engine run over the session
         // store.
         let g = generators::torus2d(6, 6);
-        let cfg = SingleWalkConfig {
-            record_walk: true,
-            ..SingleWalkConfig::default()
-        };
+        let cfg = SingleWalkConfig::default();
         let mut s = WalkSession::new(&g, 0, &cfg, 23).unwrap();
         let lambda_call = cfg.params.lambda(400, u64::from(s.diameter_estimate()));
         let specs = [
@@ -1249,11 +1221,7 @@ mod tests {
     fn recorded_walks_respect_the_mutated_edge_set() {
         use drw_graph::{Topology, TopologyDelta};
         let topo = Topology::new(generators::torus2d(5, 5));
-        let cfg = SingleWalkConfig {
-            record_walk: true,
-            ..SingleWalkConfig::default()
-        };
-        let mut s = WalkSession::attach(&topo, 0, &cfg, 13).unwrap();
+        let mut s = WalkSession::attach(&topo, 0, &SingleWalkConfig::default(), 13).unwrap();
         let w1 = extend(&mut s, 0, 300, 0);
         let e1 = &w1.walks[0];
         let _ = topo

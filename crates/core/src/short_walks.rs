@@ -62,9 +62,8 @@ impl Message for ShortWalkMsg {
 
 /// Phase-1 protocol: launches `counts[v]` short walks from every node `v`.
 ///
-/// Its token (`launch`, `step`) is also the per-token
-/// `GET-MORE-WALKS` of Phase 2, which replenishes a drained connector
-/// with replayable walks.
+/// Its token (`launch`, `step`) is also Phase 2's `GET-MORE-WALKS`,
+/// which replenishes a drained connector with walks stored like these.
 #[derive(Debug)]
 pub struct ShortWalksProtocol<'s> {
     state: &'s mut WalkState,
@@ -240,7 +239,7 @@ pub(crate) fn step<M: Message>(
             source: t.source,
             seq: t.seq,
         };
-        ws.store_walk(id, t.total, true);
+        ws.store_walk(id, t.total);
         return true;
     }
     ctx.send_random_neighbor(wrap(ShortWalkMsg {
@@ -286,7 +285,6 @@ mod tests {
         for ns in &state.nodes {
             for w in &ns.store {
                 assert!(w.len >= lambda && w.len < 2 * lambda, "len = {}", w.len);
-                assert!(w.replayable);
             }
         }
     }
@@ -335,11 +333,7 @@ mod tests {
         use crate::{SingleWalkConfig, WalkSession};
         use drw_graph::{Topology, TopologyDelta};
         let topo = Topology::new(generators::torus2d(6, 6));
-        let cfg = SingleWalkConfig {
-            record_walk: true, // per-token GET-MORE-WALKS: all replayable
-            ..SingleWalkConfig::default()
-        };
-        let mut s = WalkSession::attach(&topo, 0, &cfg, 21).unwrap();
+        let mut s = WalkSession::attach(&topo, 0, &SingleWalkConfig::default(), 21).unwrap();
         let (mut shrunk, mut evicted, mut at) = (0, 0, 0);
         for i in 0..24u64 {
             let before = s.state().forward_entries();

@@ -128,8 +128,10 @@ impl From<RunError> for WalkError {
 }
 
 /// Configuration of a [`crate::Network`]'s walks (defaults reproduce the
-/// PODC 2010 algorithm; the toggles are the ablation axes of experiments
-/// A1-A3).
+/// PODC 2010 algorithm, with `GET-MORE-WALKS` replenishing per token —
+/// DESIGN.md, "Algorithms"; the toggles are the ablation axes of
+/// experiments A1-A3). Whether a walk records its visits is the
+/// request's choice ([`crate::Request::Walk`]), not the configuration's.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleWalkConfig {
     /// `lambda` / `eta` selection.
@@ -142,12 +144,6 @@ pub struct SingleWalkConfig {
     /// matching Lemma 2.6; `false` gives every node the same count —
     /// ablation A3).
     pub degree_proportional: bool,
-    /// Regenerate the walk as it is stitched so every node learns its
-    /// position(s) and first-visit predecessor. `GET-MORE-WALKS` is the
-    /// paper's aggregated one (`O(lambda)` rounds, not replayable)
-    /// unless this is set, when it replenishes per token (replayable,
-    /// congestion-priced).
-    pub record_walk: bool,
     /// Engine configuration (bandwidth, round caps).
     pub engine: EngineConfig,
 }
@@ -158,7 +154,6 @@ impl Default for SingleWalkConfig {
             params: WalkParams::default(),
             randomize_len: true,
             degree_proportional: true,
-            record_walk: false,
             engine: EngineConfig::default(),
         }
     }
@@ -177,8 +172,6 @@ pub struct Segment {
     pub start_pos: u64,
     /// The segment's endpoint (the next connector).
     pub owner: NodeId,
-    /// Whether the segment can be replayed for regeneration.
-    pub replayable: bool,
 }
 
 /// Answer to a [`crate::Request::Walk`].
@@ -203,9 +196,9 @@ pub struct SingleWalkResult {
     /// naive tail.
     pub rounds_tail: u64,
     /// Rounds the run continued after the walk landed, until the last
-    /// replay token of its regeneration was home (0 unless
-    /// `record_walk`; regeneration overlaps stitching, so this is only
-    /// what it adds to the walk's critical path).
+    /// replay token of its regeneration was home (0 unless the request
+    /// recorded; regeneration overlaps stitching, so this is only what
+    /// it adds to the walk's critical path).
     pub rounds_replay: u64,
     /// Number of stitches performed.
     pub stitches: u64,
@@ -224,8 +217,9 @@ pub struct SingleWalkResult {
     pub connector_visits: Vec<u32>,
     /// The stitch trace.
     pub segments: Vec<Segment>,
-    /// Final per-node state; `state.visits` holds every node's
-    /// position(s) when `record_walk` was set.
+    /// Final per-node state: the store and forwarding logs the walk left,
+    /// and in `visits` every node's position(s) when the request
+    /// recorded.
     pub state: WalkState,
 }
 
@@ -236,8 +230,6 @@ pub struct StitchSetup {
     pub lambda: u32,
     /// Random lengths in `[lambda, 2*lambda - 1]`?
     pub randomize_len: bool,
-    /// Aggregated (true) or per-token (false) `GET-MORE-WALKS`.
-    pub aggregated_gmw: bool,
     /// Walks created per `GET-MORE-WALKS` invocation.
     pub gmw_count: u64,
 }

@@ -21,19 +21,15 @@ pub struct WalkId {
 }
 
 /// A completed short walk stored at its endpoint, available for
-/// stitching.
+/// stitching. Phase 1 and `GET-MORE-WALKS` store walks alike: every
+/// node after the source logged the walk's arrival, so it can be
+/// replayed from here and evicted by its trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoredWalk {
     /// Walk identity.
     pub id: WalkId,
     /// Walk length in steps (uniform in `[lambda, 2*lambda - 1]`).
     pub len: u32,
-    /// Whether the nodes after the source logged their arrivals, enabling
-    /// replay. True for Phase-1 and per-token `GET-MORE-WALKS` walks,
-    /// false for aggregated-count `GET-MORE-WALKS` walks (the paper's
-    /// congestion-free variant aggregates tokens into counts, which
-    /// erases individual trajectories).
-    pub replayable: bool,
 }
 
 /// One recorded visit of the length-`l` walk at a node.
@@ -310,12 +306,8 @@ impl NodeWalkState {
     }
 
     /// Stores a finished short walk at this node.
-    pub fn store_walk(&mut self, id: WalkId, len: u32, replayable: bool) {
-        self.store.push(StoredWalk {
-            id,
-            len,
-            replayable,
-        });
+    pub fn store_walk(&mut self, id: WalkId, len: u32) {
+        self.store.push(StoredWalk { id, len });
     }
 
     /// Number of stored walks at this node launched by `source` that are
@@ -436,8 +428,8 @@ impl WalkState {
     }
 
     /// Stores a finished short walk at `endpoint`.
-    pub fn store_walk(&mut self, endpoint: NodeId, id: WalkId, len: u32, replayable: bool) {
-        self.nodes[endpoint].store_walk(id, len, replayable);
+    pub fn store_walk(&mut self, endpoint: NodeId, id: WalkId, len: u32) {
+        self.nodes[endpoint].store_walk(id, len);
     }
 
     /// Total stored (unused) walks across all nodes.
@@ -525,10 +517,8 @@ impl WalkState {
     /// Trajectories are recovered locally: a touched node's forwarding
     /// log names every walk that arrived at it (every node after the
     /// source, the endpoint included, logs its arrival), and a touched
-    /// source knows the walks it launched by their ids.
-    /// Non-replayable walks (aggregated `GET-MORE-WALKS`) carry no
-    /// trajectory record, so they are evicted conservatively whenever
-    /// anything was touched.
+    /// source knows the walks it launched by their ids. Nothing else is
+    /// evicted: every stored walk logged its trajectory.
     ///
     /// Eviction is local and free in CONGEST terms (every decision
     /// reads state the owning node already holds); the resulting
@@ -555,8 +545,7 @@ impl WalkState {
         for ns in &mut self.nodes {
             let before = ns.store.len();
             ns.store.retain(|w| {
-                w.replayable
-                    && sources.binary_search(&(w.id.source as usize)).is_err()
+                sources.binary_search(&(w.id.source as usize)).is_err()
                     && doomed.binary_search(&(w.id.source, w.id.seq)).is_err()
             });
             dropped += before - ns.store.len();
@@ -567,7 +556,7 @@ impl WalkState {
     /// Makes every forwarding log forget the walks that no longer exist
     /// (consumed, evicted, discarded) and returns how many entries went.
     /// Does nothing unless the logs hold more than `slack` times the
-    /// stored replayable walks' steps, so an entry is scanned `O(1)`
+    /// stored walks' steps, so an entry is scanned `O(1)`
     /// times amortised. Host bookkeeping, unbilled like eviction.
     /// Callers must have replayed every consumed walk they still need.
     ///
@@ -577,10 +566,7 @@ impl WalkState {
     /// newest walks last died, not by the session's lifetime.
     pub fn reclaim_forward_logs(&mut self, slack: usize) -> usize {
         let before = self.forward_entries();
-        let stored = || {
-            let all = self.nodes.iter().flat_map(|ns| &ns.store);
-            all.filter(|w| w.replayable)
-        };
+        let stored = || self.nodes.iter().flat_map(|ns| &ns.store);
         let live_steps: usize = stored().map(|w| w.len as usize).sum();
         if before <= slack * live_steps {
             return 0;
@@ -691,13 +677,13 @@ impl WalkState {
 
 #[cfg(test)]
 impl WalkState {
-    /// Replays every stored replayable walk backwards through the
+    /// Replays every stored walk backwards through the
     /// arrival logs centrally, from its storage node, checks it starts
     /// at its source, and returns how many there were.
     pub(crate) fn replay_store_centrally(&self, g: &drw_graph::Graph) -> usize {
         let mut replayed = 0;
         for (endpoint, ns) in self.nodes.iter().enumerate() {
-            for w in ns.store.iter().filter(|w| w.replayable) {
+            for w in &ns.store {
                 let mut at = endpoint;
                 for step in (1..=w.len).rev() {
                     let port = self.nodes[at]
@@ -725,8 +711,8 @@ mod tests {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut s = WalkState::new(3);
-        s.store_walk(1, WalkId { source: 0, seq: 5 }, 7, true);
-        s.store_walk(1, WalkId { source: 2, seq: 0 }, 9, false);
+        s.store_walk(1, WalkId { source: 0, seq: 5 }, 7);
+        s.store_walk(1, WalkId { source: 2, seq: 0 }, 9);
         assert_eq!(s.total_stored(), 2);
         assert_eq!(s.stored_from(1, 0), 1);
         assert_eq!(s.stored_from(1, 2), 1);
@@ -735,7 +721,6 @@ mod tests {
             .expect("stored");
         assert_eq!(w.id, WalkId { source: 0, seq: 5 });
         assert_eq!(w.len, 7);
-        assert!(w.replayable);
         assert_eq!(s.total_stored(), 1);
     }
 
@@ -745,9 +730,9 @@ mod tests {
         use rand::SeedableRng;
         let mut s = WalkState::new(2);
         for seq in 0..3 {
-            s.store_walk(0, WalkId { source: 1, seq }, 4, true);
+            s.store_walk(0, WalkId { source: 1, seq }, 4);
         }
-        s.store_walk(0, WalkId { source: 0, seq: 0 }, 4, true);
+        s.store_walk(0, WalkId { source: 0, seq: 0 }, 4);
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(s.nodes[0].count_from(1, u32::MAX), 3);
         for left in (0..3usize).rev() {
@@ -778,16 +763,13 @@ mod tests {
         for _ in 0..3000 {
             let mut ns = NodeWalkState::default();
             for (seq, len) in [8, 3, 7, 4, 6, 5].into_iter().enumerate() {
-                ns.store_walk(
-                    WalkId {
-                        source: 1,
-                        seq: seq as u32,
-                    },
-                    len,
-                    true,
-                );
+                let id = WalkId {
+                    source: 1,
+                    seq: seq as u32,
+                };
+                ns.store_walk(id, len);
             }
-            ns.store_walk(WalkId { source: 0, seq: 9 }, 3, true);
+            ns.store_walk(WalkId { source: 0, seq: 9 }, 3);
             assert_eq!((ns.count_from(1, 5), ns.count_from(1, u32::MAX)), (3, 6));
             let w = ns.take_uniform_from(1, 5, &mut rng).expect("three fit");
             assert!(
@@ -825,9 +807,9 @@ mod tests {
     #[test]
     fn outstanding_census_counts_by_source() {
         let mut s = WalkState::new(3);
-        s.store_walk(1, WalkId { source: 0, seq: 0 }, 4, true);
-        s.store_walk(2, WalkId { source: 0, seq: 1 }, 4, true);
-        s.store_walk(0, WalkId { source: 2, seq: 0 }, 4, true);
+        s.store_walk(1, WalkId { source: 0, seq: 0 }, 4);
+        s.store_walk(2, WalkId { source: 0, seq: 1 }, 4);
+        s.store_walk(0, WalkId { source: 2, seq: 0 }, 4);
         assert_eq!(s.outstanding_by_source(), vec![2, 0, 1]);
         s.nodes[1].store.clear();
         assert_eq!(s.outstanding_by_source(), vec![1, 0, 1]);
@@ -835,7 +817,7 @@ mod tests {
 
     #[test]
     fn evict_touched_drops_exactly_the_walks_through_touched_nodes() {
-        // Three replayable walks with hand-written trajectories on a
+        // Three walks with hand-written trajectories on a
         // 5-node network, each arrival logged with its sender as port:
         //   A = (0, 0): 0 -> 1 -> 2   (stored at 2)
         //   B = (0, 1): 0 -> 3 -> 4   (stored at 4)
@@ -843,12 +825,12 @@ mod tests {
         let mut s = WalkState::new(5);
         s.nodes[1].log_arrival(0, 0, 1, 0);
         s.nodes[2].log_arrival(0, 0, 2, 1);
-        s.store_walk(2, WalkId { source: 0, seq: 0 }, 2, true);
+        s.store_walk(2, WalkId { source: 0, seq: 0 }, 2);
         s.nodes[3].log_arrival(0, 1, 1, 0);
         s.nodes[4].log_arrival(0, 1, 2, 3);
-        s.store_walk(4, WalkId { source: 0, seq: 1 }, 2, true);
+        s.store_walk(4, WalkId { source: 0, seq: 1 }, 2);
         s.nodes[4].log_arrival(3, 0, 1, 3);
-        s.store_walk(4, WalkId { source: 3, seq: 0 }, 1, true);
+        s.store_walk(4, WalkId { source: 3, seq: 0 }, 1);
 
         // Touching node 1 kills only A (B and C never visit it).
         assert_eq!(s.evict_touched(&[1]), 1);
@@ -860,19 +842,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_touched_is_conservative_for_nonreplayable_walks() {
-        let mut s = WalkState::new(3);
-        s.store_walk(1, WalkId { source: 0, seq: 0 }, 4, false);
-        // Unknown trajectory: any touched node evicts it.
-        assert_eq!(s.evict_touched(&[2]), 1);
-        // An untouched epoch evicts nothing.
-        let mut s = WalkState::new(3);
-        s.store_walk(1, WalkId { source: 0, seq: 0 }, 4, false);
-        assert_eq!(s.evict_touched(&[]), 0);
-        assert_eq!(s.total_stored(), 1);
-    }
-
-    #[test]
     fn evict_touched_catches_endpoint_only_visits() {
         // A one-step walk 0 -> 2 is touched at either end: at its
         // endpoint through the arrival logged there, at its source,
@@ -880,7 +849,7 @@ mod tests {
         for end in [2, 0] {
             let mut s = WalkState::new(3);
             s.nodes[2].log_arrival(0, 0, 1, 0);
-            s.store_walk(2, WalkId { source: 0, seq: 0 }, 1, true);
+            s.store_walk(2, WalkId { source: 0, seq: 0 }, 1);
             assert_eq!(s.evict_touched(&[1]), 0);
             assert_eq!(s.evict_touched(&[end]), 1, "touched at {end}");
         }
@@ -892,16 +861,16 @@ mod tests {
         let mut s = WalkState::new(5);
         s.nodes[1].log_arrival(0, q0, 1, h0 + 1);
         s.nodes[2].log_arrival(0, q0, 2, h0 + 2);
-        s.store_walk(2, WalkId { source: 0, seq: q0 }, 2, true);
+        s.store_walk(2, WalkId { source: 0, seq: q0 }, 2);
         s.nodes[3].log_arrival(0, q0 + 1, 1, h0 + 3);
         s.nodes[4].log_arrival(0, q0 + 1, 2, h0 + 4);
         let b = WalkId {
             source: 0,
             seq: q0 + 1,
         };
-        s.store_walk(4, b, 2, true);
+        s.store_walk(4, b, 2);
         s.nodes[4].log_arrival(3, q0, 1, h0 + 4);
-        s.store_walk(4, WalkId { source: 3, seq: q0 }, 1, true);
+        s.store_walk(4, WalkId { source: 3, seq: q0 }, 1);
         s.nodes[0].next_seq = q0 + 2;
         s.nodes[3].next_seq = q0 + 1;
         s
@@ -910,12 +879,6 @@ mod tests {
     #[test]
     fn reclaim_keeps_exactly_the_stored_walks_entries() {
         let mut s = three_walks(0, 0);
-        // An aggregated walk logs nothing and must not count as live.
-        let aggregated = WalkId {
-            source: 1,
-            seq: u32::MAX,
-        };
-        s.store_walk(2, aggregated, 9, false);
         assert_eq!(s.reclaim_forward_logs(2), 0, "5 entries, 5 live steps");
         // Consume B = (0, 1): 5 entries over 3 live steps is still
         // within twice the store, so nothing is scanned yet.
@@ -928,7 +891,7 @@ mod tests {
         );
         // Consume A = (0, 0) too: 5 > 2 * 1, so the pass runs and only
         // C = (3, 0)'s single entry survives.
-        s.nodes[2].store.retain(|w| !w.replayable);
+        s.nodes[2].store.clear();
         assert_eq!(s.reclaim_forward_logs(2), 4);
         assert_eq!(s.forward_entries(), 1);
         assert_eq!(s.nodes[4].forward.arrival(3, 0, 1), Some(4));
@@ -1026,7 +989,7 @@ mod tests {
     #[test]
     fn resize_grows_with_fresh_state_and_truncates() {
         let mut s = WalkState::new(2);
-        s.store_walk(1, WalkId { source: 0, seq: 0 }, 4, true);
+        s.store_walk(1, WalkId { source: 0, seq: 0 }, 4);
         s.resize(4);
         assert_eq!(s.nodes.len(), 4);
         assert_eq!(s.nodes[3].next_seq, 0);
@@ -1181,8 +1144,8 @@ mod tests {
     #[test]
     fn memory_report_counts_the_compact_layout() {
         // The layout, pinned: 8 bytes a packed forward entry, 16 a visit,
-        // 16 a stored walk.
-        assert_eq!((size_of::<Visit>(), size_of::<StoredWalk>()), (16, 16));
+        // 12 a stored walk.
+        assert_eq!((size_of::<Visit>(), size_of::<StoredWalk>()), (16, 12));
         let mut s = WalkState::new(4);
         for ns in &mut s.nodes {
             ns.reserve_forward(250);
@@ -1193,13 +1156,13 @@ mod tests {
         for i in 0..100 {
             s.record_visit(i % 4, i as u64, if i == 0 { None } else { Some(i % 4) });
         }
-        s.store_walk(0, WalkId { source: 1, seq: 0 }, 4, true);
+        s.store_walk(0, WalkId { source: 1, seq: 0 }, 4);
         let m = s.memory_report();
         let caps = |f: fn(&NodeWalkState) -> usize| s.nodes.iter().map(f).sum::<usize>();
         assert_eq!(m.nodes, 4);
         assert_eq!(m.forward_bytes, 1000 * 8, "8 bytes per packed entry");
         assert_eq!(m.visit_bytes, caps(|ns| ns.visits.capacity()) * 16);
-        assert_eq!(m.store_bytes, caps(|ns| ns.store.capacity()) * 16);
+        assert_eq!(m.store_bytes, caps(|ns| ns.store.capacity()) * 12);
         assert_eq!(
             m.total_bytes(),
             m.overhead_bytes + m.store_bytes + m.forward_bytes + m.visit_bytes

@@ -22,7 +22,7 @@
 //! | role | module | messages |
 //! |---|---|---|
 //! | one sampling echo per stitch | [`crate::sample_destination`] | `Wave`, `Agg`, `Chosen`, `Retry` |
-//! | replenishing a drained connector | [`crate::get_more_walks`] | `Gmw`, `Swk`, `GmwAck` |
+//! | replenishing a drained connector | [`crate::get_more_walks`] | `Gmw`, `GmwAck` |
 //! | naive tail and regeneration | `tail` (crate-private) | `Tail`, `Replay` |
 //!
 //! The run ends when every walk has landed and every replay token is home.
@@ -178,11 +178,9 @@ pub(crate) enum StitchMsg {
     /// Owner-side conflict (a rival walk consumed the pool): routed up
     /// the tree to the root, which resamples with a fresh epoch.
     Retry { epoch: u32 },
-    /// Aggregated `GET-MORE-WALKS` tokens crossing an edge; the
-    /// receiver is the `step`-th node of their walks.
-    Gmw { step: u32, count: u64 },
-    /// One per-token (replayable) `GET-MORE-WALKS` walk in flight.
-    Swk { seq: u32, step: u32, total: u32 },
+    /// One `GET-MORE-WALKS` walk in flight; the receiver is its
+    /// `step`-th node.
+    Gmw { seq: u32, step: u32, total: u32 },
     /// `GET-MORE-WALKS` completion acknowledgements, routed and merged
     /// up the epoch's tree toward the waiting root.
     GmwAck { count: u64 },
@@ -229,27 +227,22 @@ impl Message for StitchMsg {
                 w.tag(3);
                 w.word("Retry.epoch", epoch.into());
             }
-            StitchMsg::Gmw { step, count } => {
+            StitchMsg::Gmw { seq, step, total } => {
                 w.tag(4);
+                w.word("Gmw.seq", seq.into());
                 w.word("Gmw.step", step.into());
-                w.word("Gmw.count", count);
-            }
-            StitchMsg::Swk { seq, step, total } => {
-                w.tag(5);
-                w.word("Swk.seq", seq.into());
-                w.word("Swk.step", step.into());
-                w.word("Swk.total", total.into());
+                w.word("Gmw.total", total.into());
             }
             StitchMsg::GmwAck { count } => {
-                w.tag(6);
+                w.tag(5);
                 w.word("GmwAck.count", count);
             }
             StitchMsg::Tail { left } => {
-                w.tag(7);
+                w.tag(6);
                 w.word("Tail.left", left);
             }
             StitchMsg::Replay { walk, step, pos } => {
-                w.tag(8);
+                w.tag(7);
                 let id = unpack_walk(walk);
                 w.packed(&[
                     ("Replay.source", id.source.into()),
@@ -282,17 +275,13 @@ impl Message for StitchMsg {
             },
             3 => StitchMsg::Retry { epoch: r.read()? },
             4 => StitchMsg::Gmw {
-                step: r.read()?,
-                count: r.read()?,
-            },
-            5 => StitchMsg::Swk {
                 seq: r.read()?,
                 step: r.read()?,
                 total: r.read()?,
             },
-            6 => StitchMsg::GmwAck { count: r.read()? },
-            7 => StitchMsg::Tail { left: r.read()? },
-            8 => StitchMsg::Replay {
+            5 => StitchMsg::GmwAck { count: r.read()? },
+            6 => StitchMsg::Tail { left: r.read()? },
+            7 => StitchMsg::Replay {
                 walk: pack_walk(WalkId {
                     source: r.read()?,
                     seq: r.read()?,
@@ -400,16 +389,13 @@ pub(crate) struct Merge {
     pub(crate) ready: Vec<u32>,
     /// `GET-MORE-WALKS` acknowledgements per lane.
     pub(crate) acks: Vec<(u32, u64)>,
-    /// Aggregated `GET-MORE-WALKS` arrivals per `(lane, step)`, summed
-    /// before the split: one count message per edge (Algorithm 2).
-    pub(crate) gmw_in: Vec<((u32, u32), u64)>,
 }
 
 /// A wave adoption waiting for the round's flush: `(root, from)`.
 pub(crate) type Adoption = (u32, NodeId);
 
 /// Folds `value` into the entry for `key`, or appends one: how a round's
-/// wave adoptions, `GET-MORE-WALKS` arrivals and acknowledgements merge.
+/// wave adoptions and `GET-MORE-WALKS` acknowledgements merge.
 pub(crate) fn merge_by_key<K: PartialEq, V>(
     buf: &mut Vec<(K, V)>,
     key: K,
@@ -530,7 +516,6 @@ impl BatchedStitchProtocol<'_> {
         merge.adopt.clear();
         merge.ready.clear();
         merge.acks.clear();
-        merge.gmw_in.clear();
         let call = &mut NodeCall {
             shared: &self.shared,
             ws: &mut *ws,
@@ -573,7 +558,7 @@ impl Protocol for BatchedStitchProtocol<'_> {
     }
 
     /// Routes every envelope to its role's handler, then flushes the
-    /// round's merges in a fixed order: `GET-MORE-WALKS` arrivals, their
+    /// round's merges in a fixed order: `GET-MORE-WALKS`
     /// acknowledgements, wave adoptions, then the echoes they completed.
     fn on_receive(&mut self, v: NodeId, inbox: &[Envelope<BatchMsg>], ctx: &mut Ctx<'_, BatchMsg>) {
         self.call_at(v, ctx, |call, lanes| {
@@ -594,16 +579,14 @@ impl Protocol for BatchedStitchProtocol<'_> {
                         completed,
                     } => call.on_chosen(call.lane(lanes, w), w, (epoch, owner, completed)),
                     StitchMsg::Retry { epoch } => call.on_retry(call.lane(lanes, w), w, epoch),
-                    StitchMsg::Gmw { step, count } => call.on_gmw(w, step, count),
-                    StitchMsg::Swk { seq, step, total } => {
-                        call.on_swk(call.lane(lanes, w), w, (seq, step, total), from)
+                    StitchMsg::Gmw { seq, step, total } => {
+                        call.on_gmw(call.lane(lanes, w), w, (seq, step, total), from)
                     }
                     StitchMsg::GmwAck { count } => call.on_gmw_ack(w, count),
                     StitchMsg::Tail { left } => call.on_tail(w, left, from),
                     StitchMsg::Replay { walk, step, pos } => call.on_replay(w, (walk, step, pos)),
                 }
             }
-            call.flush_gmw(lanes);
             call.flush_acks(lanes);
             call.flush_adoptions(lanes);
             call.flush_echoes(lanes);
@@ -692,7 +675,6 @@ fn merge_report(total: &mut RunReport, pass: RunReport) {
 /// let setup = StitchSetup {
 ///     lambda: 8,
 ///     randomize_len: true,
-///     aggregated_gmw: true,
 ///     gmw_count: 16,
 /// };
 /// let mut sched = StitchScheduler::new(&setup);
@@ -745,21 +727,13 @@ impl StitchScheduler {
     /// A recorded spec ([`StitchSpec::record`]) records every visit of
     /// its walk (position + predecessor) into the shared state —
     /// naive-tail hops as they happen, stitched segments as their replay
-    /// tokens pass (module docs) — so it requires the per-token
-    /// (replayable) `GET-MORE-WALKS`.
+    /// tokens pass (module docs).
     ///
     /// # Panics
     ///
-    /// Panics if a recorded stitched spec is combined with aggregated
-    /// `GET-MORE-WALKS` (whose stored walks are not replayable — any
-    /// lane could consume them, leaving recorded positions silently
-    /// missing; a naive spec consumes none), or if the scheduler
-    /// already holds 2^16 walks (the [`Mux2`] lane width).
+    /// Panics if the scheduler already holds 2^16 walks (the [`Mux2`]
+    /// lane width).
     pub fn add_spec(&mut self, spec: StitchSpec) -> &mut Self {
-        assert!(
-            !(spec.record && !spec.naive && self.setup.aggregated_gmw),
-            "recorded specs require per-token (replayable) GET-MORE-WALKS"
-        );
         assert!(
             self.specs.len() < MAX_WAVE_LANES,
             "a multiplexed run is limited to 2^16 walk lanes"
@@ -971,7 +945,6 @@ impl StitchScheduler {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::get_more_walks::AGGREGATED_SEQ;
     use crate::short_walks::ShortWalksProtocol;
     use crate::state::{StoredWalk, Visit};
 
@@ -984,11 +957,10 @@ pub(crate) mod tests {
         runner.run(&mut p1).expect("phase 1");
     }
 
-    fn setup(lambda: u32, aggregated: bool) -> StitchSetup {
+    fn setup(lambda: u32) -> StitchSetup {
         StitchSetup {
             lambda,
             randomize_len: true,
-            aggregated_gmw: aggregated,
             gmw_count: 8,
         }
     }
@@ -1030,7 +1002,7 @@ pub(crate) mod tests {
         let su = StitchSetup {
             randomize_len,
             gmw_count: count,
-            ..setup(lambda, true)
+            ..setup(lambda)
         };
         let out = one_stitch(g, &mut state, source, &su, seed);
         assert_eq!(out.gmw_invocations, 1, "an empty store replenishes once");
@@ -1051,9 +1023,9 @@ pub(crate) mod tests {
         for trial in 0..1200u64 {
             let mut state = WalkState::new(g.n());
             for &(owner, seq) in &placements {
-                state.store_walk(owner, WalkId { source: 0, seq }, 5, true);
+                state.store_walk(owner, WalkId { source: 0, seq }, 5);
             }
-            let out = one_stitch(&g, &mut state, 0, &setup(4, true), 1000 + trial);
+            let out = one_stitch(&g, &mut state, 0, &setup(4), 1000 + trial);
             let seg = out.walks[0].segments[0];
             let idx = placements
                 .iter()
@@ -1070,9 +1042,9 @@ pub(crate) mod tests {
     fn tokens_of_other_sources_are_ignored() {
         let g = generators::cycle(8);
         let mut state = WalkState::new(g.n());
-        state.store_walk(4, WalkId { source: 1, seq: 0 }, 5, true);
-        state.store_walk(5, WalkId { source: 2, seq: 0 }, 5, true);
-        let out = one_stitch(&g, &mut state, 2, &setup(5, true), 9);
+        state.store_walk(4, WalkId { source: 1, seq: 0 }, 5);
+        state.store_walk(5, WalkId { source: 2, seq: 0 }, 5);
+        let out = one_stitch(&g, &mut state, 2, &setup(5), 9);
         let seg = out.walks[0].segments[0];
         assert_eq!((seg.connector, seg.owner, seg.id.source), (2, 5, 2));
         assert_eq!(out.gmw_invocations, 0);
@@ -1084,8 +1056,8 @@ pub(crate) mod tests {
     fn root_owned_token_works() {
         let g = generators::path(5);
         let mut state = WalkState::new(g.n());
-        state.store_walk(2, WalkId { source: 2, seq: 0 }, 3, true);
-        let out = one_stitch(&g, &mut state, 2, &setup(3, true), 4);
+        state.store_walk(2, WalkId { source: 2, seq: 0 }, 3);
+        let out = one_stitch(&g, &mut state, 2, &setup(3), 4);
         assert_eq!(out.walks[0].segments[0].owner, 2);
         assert_eq!(out.connector_visits, vec![(2, 1)]);
         assert_eq!(state.total_stored(), 0);
@@ -1100,7 +1072,7 @@ pub(crate) mod tests {
                 source: root as u32,
                 seq,
             };
-            state.store_walk((root + seq as usize * 7) % n, id, len, true);
+            state.store_walk((root + seq as usize * 7) % n, id, len);
         }
         state
     }
@@ -1127,7 +1099,7 @@ pub(crate) mod tests {
             let mut depths_seen = std::collections::BTreeSet::new();
             for trial in 0..24 {
                 let mut state = spread_tokens(g.n(), root, 12, lambda + 1);
-                let out = one_stitch(g, &mut state, root, &setup(lambda, true), 300 + trial);
+                let out = one_stitch(g, &mut state, root, &setup(lambda), 300 + trial);
                 let seg = out.walks[0].segments[0];
                 let tail = 2 * u64::from(lambda) - u64::from(seg.len);
                 let owner_depth = u64::from(depth[seg.owner]);
@@ -1151,7 +1123,7 @@ pub(crate) mod tests {
         let (root, lambda) = (12, 4u32);
         let mut state = spread_tokens(g.n(), root, 12, lambda);
         let mut runner = Runner::new(&g, EngineConfig::default(), 41);
-        let mut sched = StitchScheduler::new(&setup(lambda, true));
+        let mut sched = StitchScheduler::new(&setup(lambda));
         for _ in 0..8 {
             sched.add_walk(root, 2 * u64::from(lambda));
         }
@@ -1183,9 +1155,9 @@ pub(crate) mod tests {
         // only one to see the flag.
         let g = generators::torus2d(4, 4);
         let mut state = WalkState::new(g.n());
-        state.store_walk(9, WalkId { source: 0, seq: 0 }, 4, true);
+        state.store_walk(9, WalkId { source: 0, seq: 0 }, 4);
         crate::sample_destination::FORGET_CAND_FROM.set(true);
-        one_stitch(&g, &mut state, 0, &setup(4, true), 3);
+        one_stitch(&g, &mut state, 0, &setup(4), 3);
     }
 
     #[test]
@@ -1196,9 +1168,9 @@ pub(crate) mod tests {
         let g = generators::path(32);
         let mut state = WalkState::new(g.n());
         for seq in 0..20 {
-            state.store_walk((seq as usize * 7) % 32, WalkId { source: 0, seq }, 5, true);
+            state.store_walk((seq as usize * 7) % 32, WalkId { source: 0, seq }, 5);
         }
-        let out = one_stitch(&g, &mut state, 0, &setup(4, true), 2);
+        let out = one_stitch(&g, &mut state, 0, &setup(4), 2);
         let rounds = out.report.rounds - out.rounds_tail;
         // Eccentricity of node 0 is 31; three passes plus constant.
         assert!((31..=3 * 31 + 10).contains(&rounds), "rounds = {rounds}");
@@ -1206,46 +1178,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn gmw_creates_exactly_count_walks_in_the_reservoir_range() {
+    fn gmw_creates_exactly_count_walks_each_with_its_own_id() {
         let g = generators::torus2d(4, 4);
         let lambda = 6;
         let (state, out) = starved_stitch(&g, 3, 25, lambda, true, 1);
         assert_eq!(state.total_stored(), 24, "25 created, one stitched");
         let seg = out.walks[0].segments[0];
-        for (id, len, replayable) in stored(&state).map(|w| (w.id, w.len, w.replayable)).chain([(
-            seg.id,
-            seg.len,
-            seg.replayable,
-        )]) {
-            assert_eq!(
-                id,
-                WalkId {
-                    source: 3,
-                    seq: AGGREGATED_SEQ
-                }
-            );
-            assert!(!replayable, "aggregated walks erase their trajectories");
+        let walks = stored(&state).map(|w| (w.id, w.len));
+        let mut ids = std::collections::BTreeSet::new();
+        for (id, len) in walks.chain([(seg.id, seg.len)]) {
+            assert_eq!(id.source, 3, "the drained connector launched it");
+            assert!(ids.insert(id), "{id:?} stored twice");
             assert!(len >= lambda && len < 2 * lambda, "len = {len}");
         }
-    }
-
-    #[test]
-    fn gmw_reservoir_lengths_are_uniform() {
-        // Lemma 2.4: on-the-fly stopping makes every length in
-        // [lambda, 2*lambda - 1] equally likely. One big invocation
-        // suffices: lengths of distinct tokens are i.i.d. (the stitched
-        // one included — it was drawn uniformly among them).
-        let g = generators::complete(12);
-        let lambda = 6u32;
-        let (state, out) = starved_stitch(&g, 0, 6000, lambda, true, 3);
-        let mut counts = vec![0u64; lambda as usize];
-        counts[(out.walks[0].segments[0].len - lambda) as usize] += 1;
-        for w in stored(&state) {
-            counts[(w.len - lambda) as usize] += 1;
-        }
-        assert_eq!(counts.iter().sum::<u64>(), 6000);
-        let test = drw_stats::chi_square_uniform(&counts);
-        assert!(test.passes(0.001), "{test:?} counts={counts:?}");
+        assert_eq!(ids.len(), 25);
     }
 
     #[test]
@@ -1265,43 +1211,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn gmw_rounds_and_traffic_do_not_scale_with_count() {
-        // Lemma 2.2: aggregation means no per-token congestion — a `Gmw`
-        // arm is 2 words (3 with the lane tag) and stands for however
-        // many tokens cross the edge at that step. On the lanes the
-        // diffusion shares its edges with the acknowledgements that tell
-        // the waiting root when to resample, so tokens fall a step apart
-        // and an edge can queue one count per *distinct step* — a
-        // backlog bounded by lambda, not by the count: 1000x the walks
-        // cost about 2x the rounds, where per-token replenishment would
-        // need count / deg = 1250 rounds for the first hop alone.
-        let gmw = StitchMsg::Gmw {
-            step: 1,
-            count: 5000,
-        };
-        assert_eq!(gmw.size_words(), 2);
-        assert_eq!(Mux2::new(0, 0, gmw).size_words(), 3);
-        let g = generators::torus2d(4, 4);
-        let lambda = 10u32;
-        // Two sampling epochs of three passes each (diameter 4) plus the
-        // acks' way up ride on top of the diffusion's 2*lambda - 1 hops.
-        for (count, seed, hops) in [(5, 5, 2 * lambda), (5000, 6, 8 * lambda)] {
-            let (_, out) = starved_stitch(&g, 0, count, lambda, true, seed);
-            let rounds = out.report.rounds - out.rounds_tail;
-            assert!(rounds <= u64::from(hops) + 32, "count {count}: {rounds}");
-            assert!(
-                out.report.messages < 2500,
-                "count {count}: {} messages",
-                out.report.messages
-            );
-            assert_eq!(
-                out.report.max_edge_words_per_round, 4,
-                "lane tag + widest arm"
-            );
-        }
-    }
-
-    #[test]
     fn walks_complete_with_chained_segments_and_store_conservation() {
         let g = generators::torus2d(4, 4);
         let mut runner = Runner::new(&g, EngineConfig::default(), 5);
@@ -1309,7 +1218,7 @@ pub(crate) mod tests {
         phase1(&mut runner, &mut state, 4, 8);
         let before = state.total_stored();
 
-        let mut sched = StitchScheduler::new(&setup(8, true));
+        let mut sched = StitchScheduler::new(&setup(8));
         let len = 256u64;
         for source in [0usize, 0, 5, 10] {
             sched.add_walk(source, len);
@@ -1348,7 +1257,7 @@ pub(crate) mod tests {
         let mut state = WalkState::new(g.n());
         phase1(&mut runner, &mut state, 1, 6);
 
-        let mut sched = StitchScheduler::new(&setup(6, true));
+        let mut sched = StitchScheduler::new(&setup(6));
         for _ in 0..8 {
             sched.add_walk(0, 120);
         }
@@ -1364,25 +1273,24 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn per_token_gmw_yields_replayable_segments() {
-        // No Phase 1 at all: every stitch replenishes via the per-token
-        // GET-MORE-WALKS variant, which logs every arrival.
+    fn gmw_segments_are_logged_up_to_their_owner() {
+        // No Phase 1 at all: every stitch takes a GET-MORE-WALKS walk,
+        // and every node after its source logged its arrival.
         let g = generators::torus2d(4, 4);
         let mut runner = Runner::new(&g, EngineConfig::default(), 3);
         let mut state = WalkState::new(g.n());
-        let mut sched = StitchScheduler::new(&setup(6, false));
+        let mut sched = StitchScheduler::new(&setup(6));
         sched.add_walk(2, 100).add_walk(9, 100);
-        let out = sched.run(&mut runner, &mut state).expect("per-token run");
+        let out = sched.run(&mut runner, &mut state).expect("starved run");
         assert!(out.gmw_invocations >= 2, "empty store forces GMW per walk");
         for walk in &out.walks {
             assert!(!walk.segments.is_empty());
             for seg in &walk.segments {
-                assert!(seg.replayable, "per-token GMW segments are replayable");
+                let log = &state.nodes[seg.owner].forward;
+                let arrival = log.arrival(seg.id.source, seg.id.seq, seg.len);
+                assert!(arrival.is_some(), "{seg:?} left no arrival at its owner");
             }
         }
-        // The forwarding logs really cover the stitched segments.
-        let logged: usize = state.nodes.iter().map(|ns| ns.forward.len()).sum();
-        assert!(logged > 0);
     }
 
     #[test]
@@ -1395,7 +1303,7 @@ pub(crate) mod tests {
             sched.add_walk(0, 200).add_walk(9, 5).add_walk(3, 0);
         };
 
-        let mut sched = StitchScheduler::new(&setup(8, true));
+        let mut sched = StitchScheduler::new(&setup(8));
         queue(&mut sched);
         let out = sched.run(&mut runner, &mut state).expect("loss-free run");
         assert!(!out.connector_visits.is_empty());
@@ -1409,7 +1317,7 @@ pub(crate) mod tests {
             ..EngineConfig::default()
         };
         let mut runner = Runner::new(&g, capped, 5);
-        let mut sched = StitchScheduler::new(&setup(8, true));
+        let mut sched = StitchScheduler::new(&setup(8));
         queue(&mut sched);
         let err = sched.run(&mut runner, &mut state).expect_err("capped");
         let cap = drw_congest::RunError::MaxRoundsExceeded(12);
@@ -1422,7 +1330,7 @@ pub(crate) mod tests {
         let g = generators::path(6);
         let mut runner = Runner::new(&g, EngineConfig::default(), 9);
         let mut state = WalkState::new(g.n());
-        let mut sched = StitchScheduler::new(&setup(16, true));
+        let mut sched = StitchScheduler::new(&setup(16));
         sched.add_walk(3, 0); // Done immediately
         sched.add_walk(2, 5); // < 2*lambda: pure tail
         let out = sched.run(&mut runner, &mut state).expect("short walks");
@@ -1442,7 +1350,7 @@ pub(crate) mod tests {
         let g = generators::path(8);
         let mut runner = Runner::new(&g, EngineConfig::default(), 13);
         let mut state = WalkState::new(g.n());
-        let mut sched = StitchScheduler::new(&setup(16, false));
+        let mut sched = StitchScheduler::new(&setup(16));
         sched.add_spec(StitchSpec {
             pos_offset: 100,
             record: true,
@@ -1471,8 +1379,7 @@ pub(crate) mod tests {
         let mut runner = Runner::new(&g, EngineConfig::default(), 17);
         let mut state = WalkState::new(g.n());
         phase1(&mut runner, &mut state, 3, 8);
-        // Per-token GMW: a spec records.
-        let mut sched = StitchScheduler::new(&setup(8, false));
+        let mut sched = StitchScheduler::new(&setup(8));
         sched
             .add_spec(StitchSpec::plain(0, 200))
             .add_spec(StitchSpec {
@@ -1502,10 +1409,6 @@ pub(crate) mod tests {
         let positions: Vec<u64> = visits.iter().map(|(_, v)| v.pos).collect();
         assert_eq!(positions, (41..=190).collect::<Vec<u64>>());
         assert!(visits.iter().all(|(_, v)| v.pred().is_some()));
-        // The recorded lane's segments are replayable (per-token GMW).
-        for seg in &out.walks[1].segments {
-            assert!(seg.replayable);
-        }
     }
 
     /// One recorded `len`-step walk from node 0 of the 6x6 torus over a
@@ -1516,7 +1419,7 @@ pub(crate) mod tests {
         let mut runner = Runner::new(&g, EngineConfig::default(), seed);
         let mut state = WalkState::new(g.n());
         phase1(&mut runner, &mut state, 4, 6);
-        let mut sched = StitchScheduler::new(&setup(6, false));
+        let mut sched = StitchScheduler::new(&setup(6));
         sched.add_spec(StitchSpec {
             record: true,
             ..StitchSpec::plain(0, len)
@@ -1566,7 +1469,7 @@ pub(crate) mod tests {
             let mut runner = Runner::new(&g, EngineConfig::default(), 70 + seed);
             let mut state = WalkState::new(g.n());
             phase1(&mut runner, &mut state, 4, lambda);
-            let mut sched = StitchScheduler::new(&setup(lambda, true));
+            let mut sched = StitchScheduler::new(&setup(lambda));
             sched.add_walk(0, len);
             let out = sched.run(&mut runner, &mut state).expect("plain run");
             let segs = &out.walks[0].segments;
@@ -1594,7 +1497,7 @@ pub(crate) mod tests {
         let mut runner = Runner::new(&g, EngineConfig::default(), 5);
         let mut state = WalkState::new(g.n());
         phase1(&mut runner, &mut state, 4, lambda);
-        let mut sched = StitchScheduler::new(&setup(lambda, true));
+        let mut sched = StitchScheduler::new(&setup(lambda));
         sched.add_walk(0, 2 * u64::from(lambda) - 1);
         let out = sched.run(&mut runner, &mut state).expect("short run");
         assert_eq!((out.stitches, out.report.messages), (0, 11));
@@ -1675,8 +1578,7 @@ pub(crate) mod tests {
                 completed: c,
             },
             StitchMsg::Retry { epoch: i },
-            StitchMsg::Gmw { step: i, count: c },
-            StitchMsg::Swk {
+            StitchMsg::Gmw {
                 seq: i,
                 step: i,
                 total: i,
@@ -1710,16 +1612,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "replayable")]
-    fn recorded_spec_rejects_aggregated_gmw() {
-        let mut sched = StitchScheduler::new(&setup(8, true));
-        sched.add_spec(StitchSpec {
-            record: true,
-            ..StitchSpec::plain(0, 100)
-        });
-    }
-
-    #[test]
     fn batched_shares_rounds_across_walks() {
         // The whole point: k batched walks must cost far less than k
         // times one walk. Compare against running k one-walk schedulers
@@ -1727,7 +1619,7 @@ pub(crate) mod tests {
         let g = generators::torus2d(6, 6);
         let len = 512u64;
         let k = 8usize;
-        let su = setup(12, true);
+        let su = setup(12);
 
         let mut runner_b = Runner::new(&g, EngineConfig::default(), 21);
         let mut state_b = WalkState::new(g.n());
@@ -1774,7 +1666,7 @@ pub(crate) mod tests {
             let mut runner = Runner::new(&g, cfg, 5);
             let mut state = WalkState::new(g.n());
             phase1(&mut runner, &mut state, 4, 8);
-            let mut sched = StitchScheduler::new(&setup(8, true));
+            let mut sched = StitchScheduler::new(&setup(8));
             for &source in &sources {
                 sched.add_walk(source, 64);
             }
@@ -1813,7 +1705,7 @@ pub(crate) mod tests {
             let cfg = EngineConfig::default().with_faults(FaultPlan::drops(fault_seed, 50).lossy());
             let mut runner = Runner::new(&g, cfg, 7);
             let mut state = WalkState::new(g.n());
-            let mut sched = StitchScheduler::new(&setup(8, true));
+            let mut sched = StitchScheduler::new(&setup(8));
             sched.add_spec(StitchSpec {
                 naive: true,
                 ..StitchSpec::plain(1, 16)
@@ -1839,7 +1731,7 @@ pub(crate) mod tests {
         let mut runner = Runner::new(&g, cfg, 5);
         let mut state = WalkState::new(g.n());
         phase1(&mut runner, &mut state, 4, 8);
-        let mut sched = StitchScheduler::new(&setup(8, true));
+        let mut sched = StitchScheduler::new(&setup(8));
         sched.add_walk(0, 192).add_walk(9, 192);
         let out = sched.run(&mut runner, &mut state).expect("healed run");
         assert_eq!(out.reissues, 0);
@@ -1857,7 +1749,7 @@ pub(crate) mod tests {
         let cfg = EngineConfig::default().with_faults(FaultPlan::drops(1, 1000).lossy());
         let mut runner = Runner::new(&g, cfg, 9);
         let mut state = WalkState::new(g.n());
-        let mut sched = StitchScheduler::new(&setup(4, false));
+        let mut sched = StitchScheduler::new(&setup(4));
         sched.add_spec(StitchSpec {
             record: true,
             ..StitchSpec::plain(2, 32)
@@ -1882,13 +1774,10 @@ pub(crate) mod tests {
 
     /// One small wave on the 4x4 torus, each engine run going through
     /// `engine`: two lanes share connector 0, which holds one stored walk,
-    /// so one of them runs `GET-MORE-WALKS` (`aggregated` or per-token);
-    /// a third lane stitches node 5's walk; a fourth is a tail, a fifth
-    /// forced naive. One lane records: the third, replaying what it
-    /// stitched, or — since aggregated walks cannot be replayed — the
-    /// naive one.
+    /// so one of them runs `GET-MORE-WALKS`; a third lane stitches node
+    /// 5's walk and records, replaying what it stitched; a fourth is a
+    /// tail, a fifth forced naive.
     fn small_wave(
-        aggregated: bool,
         mut engine: impl FnMut(&drw_graph::Graph, &mut BatchedStitchProtocol<'_>) -> RunReport,
     ) -> WaveObserved {
         let g = generators::torus2d(4, 4);
@@ -1901,20 +1790,19 @@ pub(crate) mod tests {
         drw_congest::run_protocol(&g, &EngineConfig::default(), 3, &mut p1).expect("phase 1");
         let mut sched = StitchScheduler::new(&StitchSetup {
             gmw_count: 4,
-            ..setup(lambda, aggregated)
+            ..setup(lambda)
         });
         let stitched = 2 * u64::from(lambda);
         sched
             .add_spec(StitchSpec::plain(0, stitched))
             .add_spec(StitchSpec::plain(0, stitched))
             .add_spec(StitchSpec {
-                record: !aggregated,
+                record: true,
                 ..StitchSpec::plain(5, stitched)
             })
             .add_spec(StitchSpec::plain(10, 5))
             .add_spec(StitchSpec {
                 naive: true,
-                record: aggregated,
                 ..StitchSpec::plain(15, stitched)
             });
         let out = sched
@@ -1932,18 +1820,10 @@ pub(crate) mod tests {
 
     #[test]
     fn phase_two_is_identical_under_scripted_receive_orders() {
-        for aggregated in [false, true] {
-            scripted_receive_orders(aggregated);
-        }
-    }
-
-    fn scripted_receive_orders(aggregated: bool) {
         use drw_congest::{receive_order, run_scripted, ScriptedSchedule};
         let cfg = EngineConfig::default();
         let seed = 8;
-        let want = small_wave(aggregated, |g, p| {
-            drw_congest::run_protocol(g, &cfg, seed, p).unwrap()
-        });
+        let want = small_wave(|g, p| drw_congest::run_protocol(g, &cfg, seed, p).unwrap());
         let (report, walks, gmw, _, visits) = &want;
         assert_eq!(gmw.iter().sum::<u64>(), 1, "one GET-MORE-WALKS");
         assert_eq!(
@@ -1964,7 +1844,7 @@ pub(crate) mod tests {
                 permuted += usize::from(perm.iter().enumerate().any(|(k, &j)| k != j));
                 perm
             };
-            let got = small_wave(aggregated, |g, p| {
+            let got = small_wave(|g, p| {
                 let schedule = ScriptedSchedule {
                     merge_in_run_order: planted,
                     ..ScriptedSchedule::new(&mut *order)
@@ -1995,7 +1875,7 @@ pub(crate) mod tests {
         let cfg = EngineConfig::default().with_faults(FaultPlan::drops(1, 1000).lossy());
         let mut runner = Runner::new(&g, cfg, 9);
         let mut state = WalkState::new(g.n());
-        let mut sched = StitchScheduler::new(&setup(4, true));
+        let mut sched = StitchScheduler::new(&setup(4));
         sched.add_walk(2, 32);
         let err = sched.run(&mut runner, &mut state).expect_err("total loss");
         assert_eq!(err, WalkError::MessagesLost);

@@ -5,13 +5,13 @@
 //! 1. connector-visit maxima on a cycle (the periodic worst case) with
 //!    fixed vs randomized lengths — the heart of Lemma 2.7;
 //! 2. chi-square uniformity of sampled short-walk lengths over
-//!    `[lambda, 2*lambda - 1]`, both from Phase 1 and from the
-//!    reservoir-sampled `GET-MORE-WALKS` (Lemma 2.4).
+//!    `[lambda, 2*lambda - 1]` (Lemma 2.4). `GET-MORE-WALKS` launches
+//!    Phase 1's own token, so Phase 1's row covers both.
 
-use drw_congest::{run_protocol, Runner};
+use drw_congest::run_protocol;
 use drw_core::short_walks::ShortWalksProtocol;
 use drw_core::visit_stats::connector_counts;
-use drw_core::{StitchScheduler, StitchSetup, WalkState};
+use drw_core::WalkState;
 use drw_experiments::{engine_config_from_env, mean, parallel_trials, table::f3, workloads, Table};
 use drw_stats::chi_square_uniform;
 use rand::rngs::StdRng;
@@ -71,43 +71,23 @@ fn main() {
     );
     let g = drw_graph::generators::complete(16);
     let lambda = 8u32;
-    for source in ["phase1", "gmw-reservoir"] {
-        let mut state = WalkState::new(g.n());
-        match source {
-            "phase1" => {
-                let mut p = ShortWalksProtocol::new(&mut state, vec![300; g.n()], lambda, true);
-                run_protocol(&g, &engine_config_from_env(), 1, &mut p).unwrap();
-            }
-            _ => {
-                // One 2*lambda-step walk over the empty store: its only
-                // stitch replenishes with 4801 aggregated walks and
-                // consumes one, leaving 4800 to tabulate.
-                let mut sched = StitchScheduler::new(&StitchSetup {
-                    lambda,
-                    randomize_len: true,
-                    aggregated_gmw: true,
-                    gmw_count: 4801,
-                });
-                sched.add_walk(0, 2 * u64::from(lambda));
-                let mut runner = Runner::new(&g, engine_config_from_env(), 2);
-                sched.run(&mut runner, &mut state).unwrap();
-            }
+    let mut state = WalkState::new(g.n());
+    let mut p = ShortWalksProtocol::new(&mut state, vec![300; g.n()], lambda, true);
+    run_protocol(&g, &engine_config_from_env(), 1, &mut p).unwrap();
+    let mut counts = vec![0u64; lambda as usize];
+    for ns in &state.nodes {
+        for wk in &ns.store {
+            counts[(wk.len - lambda) as usize] += 1;
         }
-        let mut counts = vec![0u64; lambda as usize];
-        for ns in &state.nodes {
-            for wk in &ns.store {
-                counts[(wk.len - lambda) as usize] += 1;
-            }
-        }
-        let test = chi_square_uniform(&counts);
-        t.row(&[
-            source.to_string(),
-            lambda.to_string(),
-            counts.iter().sum::<u64>().to_string(),
-            f3(test.statistic),
-            f3(test.p_value),
-        ]);
     }
+    let test = chi_square_uniform(&counts);
+    t.row(&[
+        "phase1".to_string(),
+        lambda.to_string(),
+        counts.iter().sum::<u64>().to_string(),
+        f3(test.statistic),
+        f3(test.p_value),
+    ]);
     t.emit();
     println!("Lemma 2.7 predicts ratio >> 1 on the cycle; Lemma 2.4 predicts p-values above any small alpha.");
 }

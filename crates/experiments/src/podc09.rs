@@ -129,7 +129,6 @@ pub fn podc09_walk(
     let setup = StitchSetup {
         lambda,
         randomize_len: false,
-        aggregated_gmw: true,
         gmw_count: eta as u64,
     };
     // Phase 2 is the one scheduler, run for a single lane. Its fitted

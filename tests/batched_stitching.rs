@@ -147,7 +147,6 @@ fn scheduler_report_reconciles_with_runner_totals() {
     let setup = StitchSetup {
         lambda: 10,
         randomize_len: true,
-        aggregated_gmw: true,
         gmw_count: 16,
     };
     let mut sched = StitchScheduler::new(&setup);

@@ -137,34 +137,52 @@ fn short_walks_edge_words_match_wire_format() {
     assert_eq!(report.max_edge_words_per_round, cfg.max_message_words);
 }
 
-/// Aggregated GET-MORE-WALKS ships one token *count* per edge — a
-/// 2-word arm (pinned in `stitch_scheduler`'s unit tests, next to the
-/// type) however many walks it replenishes: the point of Algorithm 2.
-/// From outside, a one-walk run over an empty store shows counts above 1
-/// on the wire, no per-token message, and fewer messages than new walks.
+/// GET-MORE-WALKS sends one token per new walk: `Gmw` is Phase 1's
+/// token (seq, step, total) under the lane tag, 4 words, at the cap.
+/// The tokens leave the drained connector over its `deg` edges, so an
+/// invocation of `count` walks queues about `count / deg` rounds on top
+/// of its `2*lambda - 1` hops and the two sampling epochs around it. At
+/// the counts walks use (`l / lambda`, 5-22 on the graphs DESIGN.md
+/// cites) that is a few rounds; DESIGN.md prices large counts. One
+/// `2*lambda`-step walk over an empty store, eight seeds per count.
 #[test]
 fn gmw_edge_words_match_wire_format() {
-    let g = generators::torus2d(5, 5);
-    let mut runner = Runner::new(&g, EngineConfig::default().with_wire_census(), 23);
-    let mut state = WalkState::new(g.n());
-    let mut sched = StitchScheduler::new(&StitchSetup {
-        lambda: 6,
-        randomize_len: true,
-        aggregated_gmw: true,
-        gmw_count: 4096,
-    });
-    sched.add_walk(7, 12);
-    let out = sched.run(&mut runner, &mut state).unwrap();
-    assert_eq!((out.gmw_invocations, state.total_stored()), (1, 4095));
-    let wire = out.report.wire.get("StitchMsg").expect("census recorded");
-    let field = |name: &str| wire.fields.iter().find(|f| f.field == name);
-    assert!(field("Gmw.count").expect("counts flowed").max_value > 1);
-    assert!(field("Swk.seq").is_none(), "no per-token replenishment");
-    assert!(out.report.messages < 4096, "{}", out.report.messages);
+    let g = generators::torus2d(4, 4);
+    let lambda = 10u64;
+    for count in [8u64, 24] {
+        for seed in 100..108 {
+            let mut runner = Runner::new(&g, EngineConfig::default().with_wire_census(), seed);
+            let mut state = WalkState::new(g.n());
+            let mut sched = StitchScheduler::new(&StitchSetup {
+                lambda: lambda as u32,
+                randomize_len: true,
+                gmw_count: count,
+            });
+            sched.add_walk(0, 2 * lambda);
+            let out = sched.run(&mut runner, &mut state).unwrap();
+            let tag = format!("count {count}, seed {seed}");
+            assert_eq!(out.gmw_invocations, 1, "{tag}");
+            assert_eq!(state.total_stored() as u64 + out.stitches, count, "{tag}");
+            let rounds = out.report.rounds - out.rounds_tail;
+            let queueing = count.div_ceil(4);
+            assert!(rounds <= 2 * lambda + 32 + queueing, "{tag}: {rounds}");
+            assert_eq!(out.report.max_edge_words_per_round, 4, "{tag}");
+            let wire = out.report.wire.get("StitchMsg").expect("census recorded");
+            let max = |name| {
+                wire.fields
+                    .iter()
+                    .find(|f| f.field == name)
+                    .unwrap()
+                    .max_value
+            };
+            assert_eq!(max("Gmw.seq"), count - 1, "{tag}: one token per walk");
+            assert!(max("Gmw.total") < 2 * lambda, "{tag}");
+        }
+    }
 }
 
 /// The batched Phase-2 scheduler multiplexes every lane over
-/// `Mux2<StitchMsg>`: widest arm (Chosen/Swk/Replay, 3 words) plus the
+/// `Mux2<StitchMsg>`: widest arm (Chosen/Gmw/Replay, 3 words) plus the
 /// packed `(req, lane)` word — 4 words, at but never over the cap.
 #[test]
 fn stitch_scheduler_edge_words_match_wire_format() {
@@ -179,7 +197,6 @@ fn stitch_scheduler_edge_words_match_wire_format() {
     let setup = StitchSetup {
         lambda: 8,
         randomize_len: true,
-        aggregated_gmw: true,
         gmw_count: 8,
     };
     let mut sched = StitchScheduler::new(&setup);
@@ -317,7 +334,6 @@ fn message_accounting_matches_rounds_for_single_token() {
     let mut sched = StitchScheduler::new(&StitchSetup {
         lambda: 1,
         randomize_len: false,
-        aggregated_gmw: true,
         gmw_count: 1,
     });
     sched.add_spec(StitchSpec {

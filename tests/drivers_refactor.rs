@@ -16,7 +16,10 @@
 //! segment's replay moved to the node that took it, running backwards:
 //! replay tokens start earlier and take other edges, so the mixed
 //! wave's plain lanes, which share its rounds, moved with it. Every
-//! golden of a wave without a recorded spec reproduced unedited.
+//! golden of a wave without a recorded spec reproduced unedited. Five
+//! digests of stitch traces were re-captured when `Segment` lost its
+//! `replayable` field, which their `Debug` text printed: the previous
+//! code, hashed with that field stripped, gives the new values.
 
 use distributed_random_walks::prelude::*;
 use drw_congest::{FaultPlan, Runner};
@@ -271,7 +274,7 @@ fn one_shot_and_session_outputs_are_byte_identical_to_pre_refactor() {
         "consecutive session walks drifted"
     );
     // Seed 31, 16x16 torus.
-    let many = (vec![212, 211, 255, 207], 1574, 587_391, 0x3f6590820db7972e);
+    let many = (vec![212, 211, 255, 207], 1574, 587_391, 0xd8eea89ea0fa5fd7);
     assert_eq!(one_shot_many(), many, "many-walks drifted");
 }
 
@@ -291,7 +294,7 @@ const ONE_SHOT: OneShotGolden = OneShotGolden {
     tree_restart: (0x9f0f72a606c99f38, 6, 31, 256, 1926, 1),
     mix_c16: (0xb99e0d7c047865c3, 10, 512, false, 2129),
     mix_k32: (0xc87a7138c0308730, 1, 1, true, 14),
-    session_walks: [(12, 289, 0xd9fa118bcc514fa3), (16, 88, 0xbb782ec6aaddb2ad)],
+    session_walks: [(12, 289, 0x96fed059d2d4eb83), (16, 88, 0x0e0a5970117c56dd)],
     session_total_rounds: 384,
 };
 
@@ -313,7 +316,6 @@ fn mixed_wave(side: usize, cfg: EngineConfig, record: bool) -> WaveGolden {
     let mut sched = StitchScheduler::new(&StitchSetup {
         lambda: 8,
         randomize_len: true,
-        aggregated_gmw: false,
         gmw_count: 8,
     });
     let spec = |req: u16, source: usize, len: u64| StitchSpec {
@@ -357,7 +359,7 @@ fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
         vec![191, 113, 143, 8, 194, 134],
         1218,
         0,
-        0xfb1f36d5d7dd6a67,
+        0xdcf4bc3b32f16d45,
     );
     let wave = mixed_wave(32, EngineConfig::default(), true);
     assert_eq!(wave, golden, "mixed wave drifted");
@@ -368,7 +370,7 @@ fn mixed_wave_outputs_are_byte_identical_to_the_dense_lane_table() {
     let reissued = mixed_wave(4, lossy, false);
     assert_eq!(
         reissued,
-        (vec![0, 2, 5, 14, 0, 13], 486, 1, 0xcc3625006ca806da),
+        (vec![0, 2, 5, 14, 0, 13], 486, 1, 0x98f1f46c8c3c2956),
         "lossy re-issued mixed wave drifted"
     );
 }

@@ -111,7 +111,7 @@ fn single_walk_is_identical_across_backends() {
     }
 }
 
-/// With `record_walk`, the regenerated trajectory — every node's visit
+/// A recorded walk's regenerated trajectory — every node's visit
 /// positions, i.e. the full walk — is identical step for step.
 #[test]
 fn recorded_trajectories_are_identical_across_backends() {

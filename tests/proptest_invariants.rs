@@ -332,8 +332,8 @@ proptest! {
     ///   lengths in `[lambda, 2*lambda)`, and the unstitched remainder
     ///   is a legal tail (`< 2*lambda`), so each walk's total length is
     ///   exactly `len`;
-    /// - no short-walk segment is consumed by two walks: replayable
-    ///   segment ids are globally unique, and the store balances
+    /// - no short-walk segment is consumed by two walks: segment ids
+    ///   are globally unique, and the store balances
     ///   exactly (initial + GET-MORE-WALKS creations - consumptions);
     /// - the reported phase round counters sum to the engine's total.
     #[test]
@@ -358,7 +358,7 @@ proptest! {
         // which case there is nothing stitched to check.
         if !r.used_naive_fallback {
             let lambda = r.lambda as u64;
-            let mut replayable_ids = std::collections::HashSet::new();
+            let mut ids = std::collections::HashSet::new();
             let mut consumed = 0u64;
             for (w, segs) in r.segments.iter().enumerate() {
                 let mut at = sources[w];
@@ -367,12 +367,7 @@ proptest! {
                     prop_assert_eq!(seg.connector, at, "walk {} chain break", w);
                     prop_assert_eq!(seg.start_pos, pos, "walk {} position gap", w);
                     prop_assert!(u64::from(seg.len) >= lambda && u64::from(seg.len) < 2 * lambda);
-                    if seg.replayable {
-                        prop_assert!(
-                            replayable_ids.insert(seg.id),
-                            "segment {:?} consumed twice", seg.id
-                        );
-                    }
+                    prop_assert!(ids.insert(seg.id), "segment {:?} consumed twice", seg.id);
                     at = seg.owner;
                     pos += u64::from(seg.len);
                 }

@@ -49,7 +49,6 @@ fn recorded_wave(
     let mut sched = StitchScheduler::new(&StitchSetup {
         lambda: LAMBDA,
         randomize_len: true,
-        aggregated_gmw: false,
         gmw_count: 4,
     });
     sched.add_spec(StitchSpec {
@@ -104,7 +103,6 @@ fn recorded_waves_visit_every_position_once_on_stored_walks() {
             let segs = &out.walks[0].segments;
             assert!(segs.len() >= 3, "{tag}: {} stitches", segs.len());
             assert!(out.rounds_tail > 0, "{tag}: a tail follows the last stitch");
-            assert!(segs.iter().all(|s| s.replayable));
             let last = segs.last().expect("stitched");
             remote_last |= last.owner != last.connector;
             own_connector |= segs.iter().any(|s| s.owner == s.connector);
@@ -133,7 +131,7 @@ fn a_last_stitch_that_consumes_the_walk_exactly_is_replayed_too() {
         let step = step as u32 + 1;
         state.nodes[hop[1]].log_arrival(id.source, id.seq, step, port as u32);
     }
-    state.store_walk(0, id, len as u32, true);
+    state.store_walk(0, id, len as u32);
     let spec = (0, len, 77);
     let (out, visits) = recorded_wave(&g, &cfg, &mut state, spec, 5);
     assert_eq!((out.stitches, out.rounds_tail), (1, 0), "stitch, then done");
@@ -225,10 +223,7 @@ fn visits_are_identical_when_sharded_and_complete_under_faults() {
 /// 2n, 4n, ... steps until the walk has covered the torus.
 fn tree_cover(seed: u64) -> (u64, u64, u64) {
     let g = generators::torus2d(12, 12);
-    let cfg = SingleWalkConfig {
-        record_walk: true,
-        ..SingleWalkConfig::default()
-    };
+    let cfg = SingleWalkConfig::default();
     let mut session = WalkSession::new(&g, 0, &cfg, seed).expect("session");
     let d_est = u64::from(session.diameter_estimate());
     let mut seen = vec![false; g.n()];

@@ -152,10 +152,7 @@ fn soak(events: usize) -> Vec<f64> {
         let session = svc.session().expect("served arrivals opened it");
         let state = session.state();
         let stored = state.nodes.iter().flat_map(|ns| &ns.store);
-        let live: usize = stored
-            .filter(|w| w.replayable)
-            .map(|w| w.len as usize)
-            .sum();
+        let live: usize = stored.map(|w| w.len as usize).sum();
         let graph = session.graph();
         let targets = (0..graph.n()).map(|v| cfg.params.walks_for_degree(graph.degree(v)));
         let launch = targets.sum::<usize>() * 2 * session.store_lambda() as usize;

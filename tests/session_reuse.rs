@@ -157,11 +157,10 @@ fn mixing_session_verdicts_match_exact_at_fixed_seeds() {
     }
 }
 
-/// `(forwarding-log entries, steps of the stored replayable walks)`,
-/// network-wide.
+/// `(forwarding-log entries, steps of the stored walks)`, network-wide.
 fn log_census(s: &WalkSession) -> (usize, usize) {
     let stored = s.state().nodes.iter().flat_map(|ns| &ns.store);
-    let steps = stored.filter(|w| w.replayable).map(|w| w.len as usize);
+    let steps = stored.map(|w| w.len as usize);
     (s.state().forward_entries(), steps.sum())
 }
 
