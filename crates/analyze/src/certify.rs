@@ -230,7 +230,8 @@ pub fn run_census() -> Result<WireCensus, String> {
 
     // The batched Phase-2 scheduler: StitchMsg under Mux2, plus the
     // sub-protocols it multiplexes; then one lane over an empty store,
-    // whose drained connector runs `GET-MORE-WALKS` (`Gmw`, `GmwAck`).
+    // whose drained connector runs `GET-MORE-WALKS` (`Gmw`, `Ride`,
+    // `Stored`).
     {
         let mut runner = Runner::new(&g, cfg.clone(), SEED + 11);
         let mut st = WalkState::new(n);

@@ -23,14 +23,15 @@
 //!   replays a recorded walk's segments as it stitches them).
 //! - **Phase 2** ([`stitch_scheduler`], which routes each message to
 //!   its role's module): the walk token stitches short walks. Each
-//!   stitch is a `SAMPLE-DESTINATION` epoch (Algorithm 3, the
-//!   [`sample_destination`] role: one echo from the current connector —
-//!   a flood tree, a sampling convergecast, and the choice routed down
-//!   one path — in `O(D)` rounds) that picks an *unused* short walk of the
-//!   connector uniformly at random. A drained connector replenishes
-//!   with `GET-MORE-WALKS` (Algorithm 2, the [`get_more_walks`] role),
-//!   whose aggregated-count diffusion plus *reservoir sampling* realizes
-//!   the random lengths congestion-free. The final `< 2*lambda` steps
+//!   stitch is a `SAMPLE-DESTINATION` (Algorithm 3, the
+//!   [`sample_destination`] role): the current connector draws one of
+//!   its *unused* short walks uniformly at random from its own ledger and
+//!   floods a claim for it, which the walk's owner answers by taking it
+//!   and moving the token on — `dist(connector, owner)` rounds, within
+//!   the paper's `O(D)`. A drained connector replenishes with
+//!   `GET-MORE-WALKS` (Algorithm 2, the [`get_more_walks`] role), one
+//!   Phase-1 token per new walk, the first of which the walk token
+//!   rides. The final `< 2*lambda` steps
 //!   are walked naively, by the role that also regenerates recorded
 //!   walks. There is one Phase 2:
 //!   `MANY-RANDOM-WALKS` advances all `k` tokens concurrently — the

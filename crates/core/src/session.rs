@@ -20,7 +20,8 @@
 //! `lambda` per call, and *tops the store up* instead of rebuilding it:
 //!
 //! - **Deficit-only Phase 1** ([`ShortWalksProtocol::top_up`]): node `v`
-//!   launches only `target(v) - outstanding(v)` fresh walks, and only
+//!   launches only `target(v) - unused(v)` fresh walks, `unused(v)` read
+//!   off its own ledger ([`crate::state::Ledger`]), and only
 //!   once the store-wide deficit is worth a launch wave (a wave costs
 //!   `~2 * lambda` rounds however few walks ride it, so small deficits
 //!   are cheaper to leave to `GET-MORE-WALKS`). In steady state most
@@ -60,8 +61,8 @@
 //!   (path probabilities factor over visited nodes' neighbor sets,
 //!   which only change at touched nodes) — and the anchor BFS re-runs
 //!   only when a delta actually broke the tree. Everything else
-//!   (degree-proportional targets, reservoir weights) reads the live
-//!   snapshot and refreshes lazily. Surgical eviction is
+//!   (degree-proportional targets, the claim flood's neighbour lists)
+//!   reads the live snapshot and refreshes lazily. Surgical eviction is
 //!   *approximately* exact: survivors are samples of the new law
 //!   conditioned on avoiding the touched set, a per-segment bias
 //!   bounded by the touched-hit mass (see
@@ -176,8 +177,8 @@ pub struct WaveOutcome {
     /// ([`crate::BatchedStitchOutcome::rounds_tail`]).
     pub rounds_tail: u64,
     /// Rounds the run continued after that, waiting for the recorded
-    /// spec's replay tokens
-    /// ([`crate::BatchedStitchOutcome::rounds_replay`]; 0 without one).
+    /// spec's replay tokens and the `GET-MORE-WALKS` acknowledgements
+    /// ([`crate::BatchedStitchOutcome::rounds_replay`]).
     pub rounds_replay: u64,
     /// The effective stitch `lambda` that governed the wave.
     pub lambda: u32,
@@ -340,8 +341,8 @@ impl WalkSession {
     ///    spanning tree and its depth a valid distance bound, so the
     ///    cached tree and diameter estimate survive.
     /// 3. **Lazy weights** — degree-dependent Phase-1 targets and the
-    ///    reservoir weights inside sampling protocols always read the
-    ///    live snapshot, so they refresh by rebinding alone.
+    ///    neighbour lists the claim flood walks always read the live
+    ///    snapshot, so they refresh by rebinding alone.
     ///
     /// Retired node ids (node removals) additionally purge their
     /// forwarding-log entries network-wide, so a later re-issue of the
@@ -593,11 +594,8 @@ impl WalkSession {
     fn deficit_counts(&self) -> (Vec<usize>, usize) {
         let targets = self.targets();
         let target_total = targets.iter().sum();
-        let outstanding = self.state.outstanding_by_source();
-        let counts = targets
-            .iter()
-            .zip(&outstanding)
-            .map(|(&t, &o)| t.saturating_sub(o))
+        let counts = (targets.iter().zip(&self.state.nodes))
+            .map(|(&t, ns)| t.saturating_sub(ns.unused().len()))
             .collect();
         (counts, target_total)
     }
@@ -941,9 +939,19 @@ mod tests {
         s.single_walk(0, 256).unwrap();
         let small = s.store_lambda();
         assert!(small >= 1);
-        s.single_walk(0, 4096).unwrap();
-        let big = s.store_lambda();
-        assert!(big > small, "longer request must upgrade the regime");
+        // A regime four times longer, named by a request long enough
+        // that the relaunch pays (the wave itself is one naive hop).
+        let big = 4 * small;
+        let hop = StitchSpec {
+            naive: true,
+            ..StitchSpec::plain(0, 1)
+        };
+        s.run_wave(big, 256 * u64::from(big), &[hop]).unwrap();
+        assert_eq!(
+            s.store_lambda(),
+            big,
+            "longer request must upgrade the regime"
+        );
         let r = s.single_walk(0, 300).unwrap();
         assert_eq!(s.store_lambda(), big, "short request keeps the regime");
         assert_eq!(parity(0, 6), parity(r.destination, 6));

@@ -94,9 +94,9 @@ impl<'s> ShortWalksProtocol<'s> {
     }
 
     /// Deficit-only replenishment mode: node `v` launches only
-    /// `max(0, targets[v] - outstanding[v])` fresh walks, where
-    /// `outstanding[v]` counts `v`-launched walks still unused anywhere
-    /// in the store ([`WalkState::outstanding_by_source`]). Existing
+    /// `max(0, targets[v] - unused[v])` fresh walks, where `unused[v]`
+    /// counts the entries of `v`'s ledger, its walks still unused
+    /// anywhere in the store ([`crate::state::Ledger`]). Existing
     /// per-node stores are *extended*, never rebuilt, so a top-up over a
     /// full store launches nothing and costs zero rounds — the session's
     /// amortization primitive (walks are priced only when actually
@@ -112,11 +112,8 @@ impl<'s> ShortWalksProtocol<'s> {
         randomize_len: bool,
     ) -> Self {
         assert_eq!(targets.len(), state.nodes.len(), "one target per node");
-        let outstanding = state.outstanding_by_source();
-        let counts: Vec<usize> = targets
-            .iter()
-            .zip(&outstanding)
-            .map(|(&t, &o)| t.saturating_sub(o))
+        let counts: Vec<usize> = (targets.iter().zip(&state.nodes))
+            .map(|(&t, ns)| t.saturating_sub(ns.unused().len()))
             .collect();
         Self::new(state, counts, lambda, randomize_len)
     }
@@ -170,9 +167,11 @@ impl Protocol for ShortWalksProtocol<'_> {
                 ctx.graph().degree(v) > 0,
                 "node {v} cannot walk: no neighbors"
             );
-            let ws = &mut self.state.nodes[v];
+            let ledger = self.state.nodes[v].ledger_mut();
+            let first = ledger.alloc_seqs(count);
             let length = (self.lambda, self.randomize_len);
-            launch(ws, &mut ctx.at(v), count, length, |m| m);
+            let walks = first..first + count as u32;
+            launch(&mut ctx.at(v), walks, length, &mut ledger.unused, |m| m);
         }
     }
 
@@ -190,24 +189,25 @@ impl Protocol for ShortWalksProtocol<'_> {
     }
 }
 
-/// Launches `count` short walks from the context's node, which is `ws`'s:
-/// per walk a fresh sequence number, then its length — `lambda` plus a
-/// uniform draw from `0..lambda` when `randomize_len` — then its first
-/// hop. `wrap` puts a token on the caller's wire. The source logs
-/// nothing: it is step 0, which no arrival reaches.
+/// Launches the short walks `seqs` from the context's node, their
+/// source: per walk its length — `lambda` plus a uniform draw from
+/// `0..lambda` when `randomize_len` — noted as `(seq, len)` in `into`,
+/// then its first hop. `wrap` puts a token on the caller's wire. The
+/// source logs nothing: it is step 0, which no arrival reaches.
 pub(crate) fn launch<M: Message>(
-    ws: &mut NodeWalkState,
     ctx: &mut NodeCtx<'_, M>,
-    count: usize,
+    seqs: std::ops::Range<u32>,
     (lambda, randomize_len): (u32, bool),
+    into: &mut Vec<(u32, u32)>,
     wrap: impl Fn(ShortWalkMsg) -> M,
 ) {
-    let (source, first) = (ctx.node() as u32, ws.alloc_seqs(count));
-    for seq in first..first + count as u32 {
+    let source = ctx.node() as u32;
+    for seq in seqs {
         let mut total = lambda;
         if randomize_len {
             total += ctx.rng().random_range(0..lambda);
         }
+        into.push((seq, total));
         let token = ShortWalkMsg {
             source,
             seq,
@@ -324,13 +324,11 @@ mod tests {
         assert_eq!(state.replay_store_centrally(&g), 2 * g.n());
     }
 
-    #[test]
-    fn reclaimed_logs_still_trace_every_stored_walk() {
-        // A session that consumed, upgraded its regime and repaired: its
-        // logs have forgotten every dead walk (and restarted sequence
-        // numbers) several times over, and every walk still stored must
-        // replay to its storage node on the graph it is served on.
-        use crate::{SingleWalkConfig, WalkSession};
+    /// A session that consumes, upgrades its regime (discarding),
+    /// repairs (evicting), reclaims its logs and re-launches, calling
+    /// `check` on its state after each of 24 steps.
+    fn churned_session(mut check: impl FnMut(&WalkState, &drw_graph::Graph)) {
+        use crate::{SingleWalkConfig, StitchSpec, WalkSession};
         use drw_graph::{Topology, TopologyDelta};
         let topo = Topology::new(generators::torus2d(6, 6));
         let mut s = WalkSession::attach(&topo, 0, &SingleWalkConfig::default(), 21).unwrap();
@@ -345,23 +343,59 @@ mod tests {
                 };
                 let _ = topo.apply(&delta).unwrap();
                 evicted += s.sync().unwrap().walks_evicted;
-            } else {
-                // Short walks, one long walk that upgrades the regime,
-                // then walks long enough to stitch in the new one.
-                let len = match i {
-                    0..=8 => 256,
-                    9 => 4096,
-                    _ => 1024,
+            } else if i == 9 {
+                // A regime upgrade: a wave whose request is long enough
+                // for the relaunch to pay (the wave itself is one hop).
+                let lambda = 4 * s.store_lambda();
+                let hop = StitchSpec {
+                    naive: true,
+                    ..StitchSpec::plain(at, 1)
                 };
-                at = s.single_walk(at, len).unwrap().destination;
+                let wave = s.run_wave(lambda, 256 * u64::from(lambda), &[hop]).unwrap();
+                at = wave.walks[0].destination;
+            } else {
+                // Short walks, then, after the upgrade, walks long enough
+                // to stitch in the new regime.
+                at = s
+                    .single_walk(at, if i < 9 { 256 } else { 1024 })
+                    .unwrap()
+                    .destination;
             }
             shrunk += usize::from(s.state().forward_entries() < before);
-            let stored = s.state().total_stored();
-            assert_eq!(s.state().replay_store_centrally(&s.graph()), stored);
+            check(s.state(), &s.graph());
         }
         assert!(evicted > 0, "the deltas evicted stored walks");
-        assert!(s.walks_discarded() > 0, "the long walk upgraded the regime");
+        assert!(s.walks_discarded() > 0, "the upgrade discarded walks");
         assert!(shrunk >= 5, "logs were reclaimed {shrunk} times");
+        assert!(s.topups() > 2, "the store was re-launched");
+    }
+
+    #[test]
+    fn reclaimed_logs_still_trace_every_stored_walk() {
+        // The session's logs have forgotten every dead walk (and
+        // restarted sequence numbers) several times over, and every walk
+        // still stored must replay to its storage node on the graph it
+        // is served on.
+        churned_session(|state, g| {
+            assert_eq!(state.replay_store_centrally(g), state.total_stored());
+        });
+    }
+
+    #[test]
+    fn every_ledger_lists_exactly_its_stored_walks_through_churn() {
+        churned_session(|state, _| {
+            assert_eq!(state.ledger_mismatch(), None, "ledgers and stores disagree");
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "ledgers and stores disagree")]
+    fn an_eviction_that_skips_the_ledgers_shows_in_a_churned_session() {
+        // Planted bug: eviction leaves the ledgers alone. The check after
+        // the first repair sees it (left alone, a stitch would later claim
+        // an evicted walk and stall).
+        crate::state::SKIP_LEDGER_EVICTION.set(true);
+        every_ledger_lists_exactly_its_stored_walks_through_churn();
     }
 
     #[test]
@@ -396,21 +430,21 @@ mod tests {
         // Consume two walks launched by node 5; only node 5 replenishes.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let mut taken = 0;
-        for v in 0..g.n() {
-            while taken < 2 && state.nodes[v].count_from(5, u32::MAX) > 0 {
-                state.nodes[v]
-                    .take_uniform_from(5, u32::MAX, &mut rng)
-                    .unwrap();
-                taken += 1;
-            }
+        for _ in 0..2 {
+            let ledger = state.nodes[5].ledger.as_mut().expect("node 5 launched");
+            let (seq, _) = ledger.draw(u32::MAX, &mut rng).expect("unused walks");
+            let id = WalkId { source: 5, seq };
+            assert_eq!(
+                state.nodes.iter_mut().filter_map(|ns| ns.take(id)).count(),
+                1
+            );
         }
-        assert_eq!(taken, 2);
         let mut p = ShortWalksProtocol::top_up(&mut state, &targets, 6, true);
         assert_eq!(p.planned(), 2);
         run_protocol(&g, &EngineConfig::default(), 4, &mut p).unwrap();
         assert_eq!(state.total_stored(), 3 * g.n());
-        assert_eq!(state.outstanding_by_source(), vec![3; g.n()]);
+        assert!(state.nodes.iter().all(|ns| ns.unused().len() == 3));
+        assert_eq!(state.ledger_mismatch(), None);
     }
 
     #[test]

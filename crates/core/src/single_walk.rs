@@ -196,9 +196,10 @@ pub struct SingleWalkResult {
     /// naive tail.
     pub rounds_tail: u64,
     /// Rounds the run continued after the walk landed, until the last
-    /// replay token of its regeneration was home (0 unless the request
-    /// recorded; regeneration overlaps stitching, so this is only what
-    /// it adds to the walk's critical path).
+    /// replay token of its regeneration and the last `GET-MORE-WALKS`
+    /// acknowledgement were home (0 unless the request recorded or
+    /// replenished late; both overlap stitching, so this is only what
+    /// they add to the walk's critical path).
     pub rounds_replay: u64,
     /// Number of stitches performed.
     pub stitches: u64,

@@ -262,6 +262,80 @@ impl ForwardLog {
     }
 }
 
+/// What a node knows of the short walks it launched: the next sequence
+/// number, and the `(seq, len)` of every walk of its own that is stored
+/// somewhere and unused. A walk is used only by a stitch whose connector
+/// is its launcher, so the launcher can choose among its walks without
+/// asking anyone where they are (`crate::sample_destination`).
+///
+/// Every entry is stored at exactly one node, and every stored walk has
+/// its entry (checked by the tests). Phase 1 adds entries at launch,
+/// `GET-MORE-WALKS` once all of an invocation's walks are acknowledged,
+/// a stitch removes the one it draws, and the session's discards,
+/// evictions and reclaims apply the same rule to ledgers and stores.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Ledger {
+    /// Next unused sequence number for walks launched by this node (so
+    /// Phase-1 and `GET-MORE-WALKS` ids never clash).
+    pub next_seq: u32,
+    /// This node's stored, unused walks as `(seq, len)`, in no order.
+    pub unused: Vec<(u32, u32)>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Planted bug: [`WalkState::evict_touched`] evicts from the stores
+    /// but leaves the ledgers alone.
+    pub(crate) static SKIP_LEDGER_EVICTION: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+    /// Planted bug: [`Ledger::draw`] counts the walks that fit but then
+    /// picks among all of them.
+    pub(crate) static IGNORE_CAP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    /// Planted bug: [`Ledger::draw`] takes the lowest seq that fits
+    /// instead of a uniform one.
+    pub(crate) static LOWEST_SEQ: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+impl Ledger {
+    /// Allocates `count` fresh sequence numbers, returning the first.
+    pub fn alloc_seqs(&mut self, count: usize) -> u32 {
+        let first = self.next_seq;
+        self.next_seq += count as u32;
+        first
+    }
+
+    /// Removes and returns a uniformly random unused walk at most
+    /// `max_len` steps long (`u32::MAX`: any), or `None` if none fits.
+    /// The choice reads lengths, never trajectories, so the drawn walk
+    /// and the ones left behind stay independent walks.
+    pub fn draw<R: rand::Rng + ?Sized>(&mut self, max_len: u32, rng: &mut R) -> Option<(u32, u32)> {
+        // Count, draw, then walk to the r-th match: one RNG draw and no
+        // allocation.
+        let count = self.unused.iter().filter(|e| e.1 <= max_len).count();
+        if count == 0 {
+            return None;
+        }
+        let pick = rng.random_range(0..count);
+        #[cfg(test)]
+        let max_len = if IGNORE_CAP.get() { u32::MAX } else { max_len };
+        let mut fitting = self
+            .unused
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.1 <= max_len);
+        #[cfg(test)]
+        if LOWEST_SEQ.get() {
+            let lowest = fitting.min_by_key(|(_, e)| e.0).expect("one fits").0;
+            return Some(self.unused.swap_remove(lowest));
+        }
+        let idx = fitting
+            .nth(pick)
+            .expect("pick is within the counted matches")
+            .0;
+        Some(self.unused.swap_remove(idx))
+    }
+}
+
 /// One node's private walk state.
 #[derive(Debug, Clone, Default)]
 pub struct NodeWalkState {
@@ -275,9 +349,9 @@ pub struct NodeWalkState {
     /// Positions at which the stitched walk visited this node (filled by
     /// the tail walk and by Phase 2's replay tokens).
     pub visits: Vec<Visit>,
-    /// Next unused walk sequence number for walks launched by this node
-    /// (so Phase-1 and `GET-MORE-WALKS` ids never clash).
-    pub next_seq: u32,
+    /// The ledger of the walks this node launched: boxed by its first
+    /// launch, so a node that never launched a walk pays one pointer.
+    pub ledger: Option<Box<Ledger>>,
     /// The batched stitch scheduler's scratch for the wave in flight:
     /// `None` between waves, boxed by the node's first handler call,
     /// collected and dropped when the scheduler's engine run returns —
@@ -289,20 +363,20 @@ pub struct NodeWalkState {
 // `usize`, 104 B) measured +6..17 % `wall_s` on the benchmark's `cold_dense`.
 const _: () = assert!(std::mem::size_of::<NodeWalkState>() <= 96);
 
-#[cfg(test)]
-thread_local! {
-    /// Planted bug: [`NodeWalkState::take_uniform_from`] counts the walks
-    /// that fit but then picks among all of the source's walks.
-    pub(crate) static IGNORE_CAP: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
 impl NodeWalkState {
-    /// Allocates `count` fresh walk sequence numbers for walks launched
-    /// by this node, returning the first.
-    pub fn alloc_seqs(&mut self, count: usize) -> u32 {
-        let first = self.next_seq;
-        self.next_seq += count as u32;
-        first
+    /// This node's ledger, boxed on first use.
+    pub fn ledger_mut(&mut self) -> &mut Ledger {
+        self.ledger.get_or_insert_with(Box::default)
+    }
+
+    /// Next unused walk sequence number for walks launched by this node.
+    pub fn next_seq(&self) -> u32 {
+        self.ledger.as_ref().map_or(0, |l| l.next_seq)
+    }
+
+    /// Unused walks this node launched that are stored somewhere.
+    pub fn unused(&self) -> &[(u32, u32)] {
+        self.ledger.as_ref().map_or(&[], |l| &l.unused)
     }
 
     /// Stores a finished short walk at this node.
@@ -310,50 +384,10 @@ impl NodeWalkState {
         self.store.push(StoredWalk { id, len });
     }
 
-    /// Number of stored walks at this node launched by `source` that are
-    /// at most `max_len` steps long (`u32::MAX`: every length).
-    pub fn count_from(&self, source: NodeId, max_len: u32) -> usize {
-        self.store
-            .iter()
-            .filter(|w| w.id.source as usize == source && w.len <= max_len)
-            .count()
-    }
-
-    /// Removes and returns a uniformly random stored walk launched by
-    /// `source` among those at most `max_len` steps long (`u32::MAX`:
-    /// every length), or `None` if this node holds none.
-    ///
-    /// This is the per-walk cursor over the shared short-walk store used
-    /// by the batched Phase-2 scheduler: taking a walk *removes* it, so
-    /// no segment can ever be consumed by two concurrent walks, and a
-    /// `None` here is how a losing walk detects that a rival consumed
-    /// the token it had sampled (triggering a resample). The cap is how
-    /// a walk with fewer than `2 * lambda` steps left takes only a walk
-    /// that fits; the choice reads lengths, never trajectories, so the
-    /// taken walk and the ones left behind stay independent walks.
-    pub fn take_uniform_from<R: rand::Rng + ?Sized>(
-        &mut self,
-        source: NodeId,
-        max_len: u32,
-        rng: &mut R,
-    ) -> Option<StoredWalk> {
-        // Count, draw, then walk to the r-th match: one RNG draw and no
-        // allocation — this runs once per stitch on the contended path.
-        let count = self.count_from(source, max_len);
-        if count == 0 {
-            return None;
-        }
-        let pick = rng.random_range(0..count);
-        #[cfg(test)]
-        let max_len = if IGNORE_CAP.get() { u32::MAX } else { max_len };
-        let idx = self
-            .store
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.id.source as usize == source && w.len <= max_len)
-            .nth(pick)
-            .map(|(i, _)| i)
-            .expect("pick is within the counted matches");
+    /// Removes and returns the stored walk `id`, if this node holds it:
+    /// how the owner of a claimed walk takes it.
+    pub fn take(&mut self, id: WalkId) -> Option<StoredWalk> {
+        let idx = self.store.iter().position(|w| w.id == id)?;
         Some(self.store.swap_remove(idx))
     }
 
@@ -388,6 +422,8 @@ pub struct StateMemory {
     pub overhead_bytes: usize,
     /// Bytes in the stored-walk vectors.
     pub store_bytes: usize,
+    /// Bytes in the launchers' ledgers (boxes included).
+    pub ledger_bytes: usize,
     /// Bytes in the forwarding logs (packed + overflow).
     pub forward_bytes: usize,
     /// Bytes in the visit records.
@@ -397,7 +433,11 @@ pub struct StateMemory {
 impl StateMemory {
     /// Total bytes of the state.
     pub fn total_bytes(&self) -> usize {
-        self.overhead_bytes + self.store_bytes + self.forward_bytes + self.visit_bytes
+        self.overhead_bytes
+            + self.store_bytes
+            + self.ledger_bytes
+            + self.forward_bytes
+            + self.visit_bytes
     }
 
     /// Bytes per node.
@@ -421,15 +461,14 @@ impl WalkState {
         }
     }
 
-    /// Allocates `count` fresh walk sequence numbers for `source`,
-    /// returning the first.
-    pub fn alloc_seqs(&mut self, source: NodeId, count: usize) -> u32 {
-        self.nodes[source].alloc_seqs(count)
-    }
-
-    /// Stores a finished short walk at `endpoint`.
+    /// Stores a finished short walk at `endpoint` and enters it in its
+    /// source's ledger (past whose `next_seq` its seq then lies): how a
+    /// walk is planted by hand.
     pub fn store_walk(&mut self, endpoint: NodeId, id: WalkId, len: u32) {
         self.nodes[endpoint].store_walk(id, len);
+        let ledger = self.nodes[id.source as usize].ledger_mut();
+        ledger.unused.push((id.seq, len));
+        ledger.next_seq = ledger.next_seq.max(id.seq + 1);
     }
 
     /// Total stored (unused) walks across all nodes.
@@ -439,31 +478,16 @@ impl WalkState {
 
     /// Number of stored walks at `v` launched by `source`.
     pub fn stored_from(&self, v: NodeId, source: NodeId) -> usize {
-        self.nodes[v].count_from(source, u32::MAX)
+        let store = &self.nodes[v].store;
+        store
+            .iter()
+            .filter(|w| w.id.source as usize == source)
+            .count()
     }
 
     /// Records one visit of the global walk.
     pub fn record_visit(&mut self, v: NodeId, pos: u64, pred: Option<NodeId>) {
         self.nodes[v].record_visit(pos, pred);
-    }
-
-    /// Per-source census of the unused store: `out[v]` is the number of
-    /// stored (unused) walks anywhere in the network that were launched
-    /// by `v`. This is node-local knowledge in the distributed sense —
-    /// `v` launched its walks and is the connector whenever one of them
-    /// is consumed — collected here centrally for the session's
-    /// deficit-only Phase-1 top-up.
-    pub fn outstanding_by_source(&self) -> Vec<usize> {
-        let mut out = vec![0usize; self.nodes.len()];
-        for ns in &self.nodes {
-            for w in &ns.store {
-                let s = w.id.source as usize;
-                if s < out.len() {
-                    out[s] += 1;
-                }
-            }
-        }
-        out
     }
 
     /// Discards every stored (unused) walk shorter than `min_len`
@@ -473,12 +497,18 @@ impl WalkState {
     /// forgetting *unused* walks is free and exact — the decision looks
     /// only at recorded lengths, never at trajectories, so the
     /// remaining walks stay fresh independent samples.
+    ///
+    /// A rule on lengths: every store and every launcher's ledger apply
+    /// it locally.
     pub fn discard_shorter_than(&mut self, min_len: u32) -> usize {
         let mut dropped = 0;
         for ns in &mut self.nodes {
             let before = ns.store.len();
             ns.store.retain(|w| w.len >= min_len);
             dropped += before - ns.store.len();
+            if let Some(ledger) = &mut ns.ledger {
+                ledger.unused.retain(|&(_, len)| len >= min_len);
+            }
         }
         dropped
     }
@@ -524,6 +554,12 @@ impl WalkState {
     /// reads state the owning node already holds); the resulting
     /// per-source deficits feed the session's next
     /// [`crate::ShortWalksProtocol::top_up`] wave.
+    ///
+    /// The same pass drops every doomed id from its source's ledger (a
+    /// touched source's whole ledger), so each ledger still lists
+    /// exactly its stored walks. That step is host bookkeeping, unbilled
+    /// like the eviction: a source learns of its dead walks from the
+    /// touched logs' doomed set, which no message carries.
     pub fn evict_touched(&mut self, touched: &[NodeId]) -> usize {
         if touched.is_empty() {
             return 0;
@@ -541,50 +577,64 @@ impl WalkState {
         doomed.dedup();
         let mut sources: Vec<usize> = touched.to_vec();
         sources.sort_unstable();
+        let doomed = |source: u32, seq: u32| {
+            sources.binary_search(&(source as usize)).is_ok()
+                || doomed.binary_search(&(source, seq)).is_ok()
+        };
         let mut dropped = 0;
-        for ns in &mut self.nodes {
+        for (v, ns) in self.nodes.iter_mut().enumerate() {
             let before = ns.store.len();
-            ns.store.retain(|w| {
-                sources.binary_search(&(w.id.source as usize)).is_err()
-                    && doomed.binary_search(&(w.id.source, w.id.seq)).is_err()
-            });
+            ns.store.retain(|w| !doomed(w.id.source, w.id.seq));
             dropped += before - ns.store.len();
+            #[cfg(test)]
+            if SKIP_LEDGER_EVICTION.get() {
+                continue;
+            }
+            if let Some(ledger) = &mut ns.ledger {
+                ledger.unused.retain(|&(seq, _)| !doomed(v as u32, seq));
+            }
         }
         dropped
     }
 
     /// Makes every forwarding log forget the walks that no longer exist
-    /// (consumed, evicted, discarded) and returns how many entries went.
+    /// (consumed, evicted, discarded: absent from their source's ledger)
+    /// and returns how many entries went. A stored walk its source's
+    /// ledger lost (a fail-silent `GET-MORE-WALKS` acknowledgement or
+    /// claim) leaves the store with them.
     /// Does nothing unless the logs hold more than `slack` times the
     /// stored walks' steps, so an entry is scanned `O(1)`
     /// times amortised. Host bookkeeping, unbilled like eviction.
     /// Callers must have replayed every consumed walk they still need.
     ///
-    /// Afterwards no dead id is logged anywhere, so each source's
-    /// sequence counter restarts one past its largest live seq: the
+    /// Afterwards no dead id is logged or stored anywhere, so each
+    /// source's sequence counter restarts one past its largest live seq: the
     /// 12-bit `seq` budget is spent by the launches since a source's
     /// newest walks last died, not by the session's lifetime.
     pub fn reclaim_forward_logs(&mut self, slack: usize) -> usize {
         let before = self.forward_entries();
-        let stored = || self.nodes.iter().flat_map(|ns| &ns.store);
-        let live_steps: usize = stored().map(|w| w.len as usize).sum();
+        let unused = || self.nodes.iter().flat_map(|ns| ns.unused());
+        let live_steps: usize = unused().map(|&(_, len)| len as usize).sum();
         if before <= slack * live_steps {
             return 0;
         }
-        // Per-source sorted seqs: `O(eta * deg)` each, a few words to probe.
-        let mut live = vec![Vec::new(); self.nodes.len()];
-        for w in stored() {
-            // (A retired source's walks were evicted with its edges.)
-            if let Some(seqs) = live.get_mut(w.id.source as usize) {
-                seqs.push(w.id.seq);
-            }
-        }
-        live.iter_mut().for_each(|seqs| seqs.sort_unstable());
+        // Per-source sorted seqs, read off the ledgers: `O(eta * deg)`
+        // each, a few words to probe.
+        let live: Vec<Vec<u32>> = (self.nodes.iter())
+            .map(|ns| {
+                let mut seqs: Vec<u32> = ns.unused().iter().map(|&(seq, _)| seq).collect();
+                seqs.sort_unstable();
+                seqs
+            })
+            .collect();
+        let is_live = |(s, q): (u32, u32)| matches!(live.get(s as usize), Some(seqs) if seqs.binary_search(&q).is_ok());
         for (v, ns) in self.nodes.iter_mut().enumerate() {
-            ns.next_seq = live[v].last().map_or(0, |&q| q + 1);
-            ns.forward.retain_walks(|(s, q)| {
-                matches!(live.get(s as usize), Some(seqs) if seqs.binary_search(&q).is_ok())
-            });
+            if let Some(ledger) = &mut ns.ledger {
+                ledger.next_seq = live[v].last().map_or(0, |&q| q + 1);
+            }
+            // A walk whose ledger entry was lost with a message goes too.
+            ns.store.retain(|w| is_live((w.id.source, w.id.seq)));
+            ns.forward.retain_walks(is_live);
         }
         before - self.forward_entries()
     }
@@ -602,6 +652,9 @@ impl WalkState {
         for ns in &mut self.nodes {
             dropped += ns.store.len();
             ns.store.clear();
+            if let Some(ledger) = &mut ns.ledger {
+                ledger.unused.clear();
+            }
         }
         dropped
     }
@@ -624,6 +677,10 @@ impl WalkState {
         };
         for ns in &self.nodes {
             m.store_bytes += ns.store.capacity() * std::mem::size_of::<StoredWalk>();
+            m.ledger_bytes += ns.ledger.as_ref().map_or(0, |l| {
+                std::mem::size_of::<Ledger>()
+                    + l.unused.capacity() * std::mem::size_of::<(u32, u32)>()
+            });
             m.forward_bytes += ns.forward.capacity_bytes();
             m.visit_bytes += ns.visits.capacity() * std::mem::size_of::<Visit>();
         }
@@ -677,6 +734,31 @@ impl WalkState {
 
 #[cfg(test)]
 impl WalkState {
+    /// The first disagreement between the ledgers and the stores, if
+    /// any: every ledger entry must be stored at exactly one node, and
+    /// every stored walk must have its entry.
+    pub(crate) fn ledger_mismatch(&self) -> Option<String> {
+        let mut ledgered: Vec<(u32, u32, u32)> = Vec::new();
+        for (v, ns) in self.nodes.iter().enumerate() {
+            ledgered.extend(ns.unused().iter().map(|&(seq, len)| (v as u32, seq, len)));
+        }
+        let mut stored: Vec<(u32, u32, u32)> = (self.nodes.iter())
+            .flat_map(|ns| ns.store.iter().map(|w| (w.id.source, w.id.seq, w.len)))
+            .collect();
+        ledgered.sort_unstable();
+        stored.sort_unstable();
+        if ledgered == stored {
+            return None;
+        }
+        let only_ledgered = ledgered.iter().find(|e| stored.binary_search(e).is_err());
+        let only_stored = stored.iter().find(|e| ledgered.binary_search(e).is_err());
+        Some(format!(
+            "{} ledgered, {} stored; ledger only: {only_ledgered:?}, store only: {only_stored:?}",
+            ledgered.len(),
+            stored.len()
+        ))
+    }
+
     /// Replays every stored walk backwards through the
     /// arrival logs centrally, from its storage node, checks it starts
     /// at its source, and returns how many there were.
@@ -707,7 +789,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn store_and_take_round_trip() {
+    fn store_draw_and_take_round_trip() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
         let mut s = WalkState::new(3);
@@ -716,103 +798,83 @@ mod tests {
         assert_eq!(s.total_stored(), 2);
         assert_eq!(s.stored_from(1, 0), 1);
         assert_eq!(s.stored_from(1, 2), 1);
-        let w = s.nodes[1]
-            .take_uniform_from(0, u32::MAX, &mut rng)
-            .expect("stored");
-        assert_eq!(w.id, WalkId { source: 0, seq: 5 });
-        assert_eq!(w.len, 7);
-        assert_eq!(s.total_stored(), 1);
-    }
-
-    #[test]
-    fn take_uniform_respects_source_and_removes() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut s = WalkState::new(2);
-        for seq in 0..3 {
-            s.store_walk(0, WalkId { source: 1, seq }, 4);
-        }
-        s.store_walk(0, WalkId { source: 0, seq: 0 }, 4);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(s.nodes[0].count_from(1, u32::MAX), 3);
-        for left in (0..3usize).rev() {
-            let w = s.nodes[0]
-                .take_uniform_from(1, u32::MAX, &mut rng)
-                .expect("token");
-            assert_eq!(w.id.source, 1);
-            assert_eq!(s.nodes[0].count_from(1, u32::MAX), left);
-        }
-        assert!(s.nodes[0]
-            .take_uniform_from(1, u32::MAX, &mut rng)
-            .is_none());
         assert_eq!(
-            s.nodes[0].count_from(0, u32::MAX),
-            1,
-            "other source untouched"
+            (s.nodes[0].unused(), s.nodes[0].next_seq()),
+            (&[(5, 7)][..], 6)
         );
+        assert_eq!(s.nodes[2].unused(), &[(0, 9)]);
+        assert_eq!(s.ledger_mismatch(), None);
+        let ledger = s.nodes[0].ledger.as_mut().expect("entered");
+        let (seq, len) = ledger.draw(u32::MAX, &mut rng).expect("one unused");
+        assert_eq!((seq, len), (5, 7));
+        assert!(ledger.draw(u32::MAX, &mut rng).is_none(), "drawn once");
+        let w = s.nodes[1].take(WalkId { source: 0, seq }).expect("stored");
+        assert_eq!((w.id.seq, w.len), (5, 7));
+        assert!(
+            s.nodes[1].take(WalkId { source: 0, seq }).is_none(),
+            "taken once"
+        );
+        assert_eq!(s.total_stored(), 1);
+        assert_eq!(s.ledger_mismatch(), None);
     }
 
-    /// Takes one walk of source 1 under cap 5 from a node storing
-    /// source 1's walks of lengths 3..=8 (long and short interleaved) and
-    /// a source-0 walk of length 3, 3 000 times, and returns how often
-    /// each of the fitting lengths 3, 4, 5 came out.
-    fn capped_takes() -> [u64; 3] {
+    /// Draws one walk under cap 5 from a ledger of lengths 3..=8 (long
+    /// and short interleaved), 3 000 times, and returns how often each
+    /// of the fitting lengths 3, 4, 5 came out.
+    fn capped_draws() -> [u64; 3] {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(17);
         let mut hits = [0u64; 3];
         for _ in 0..3000 {
-            let mut ns = NodeWalkState::default();
-            for (seq, len) in [8, 3, 7, 4, 6, 5].into_iter().enumerate() {
-                let id = WalkId {
-                    source: 1,
-                    seq: seq as u32,
-                };
-                ns.store_walk(id, len);
-            }
-            ns.store_walk(WalkId { source: 0, seq: 9 }, 3);
-            assert_eq!((ns.count_from(1, 5), ns.count_from(1, u32::MAX)), (3, 6));
-            let w = ns.take_uniform_from(1, 5, &mut rng).expect("three fit");
-            assert!(
-                w.len <= 5,
-                "took a walk of {} steps, longer than its cap",
-                w.len
-            );
-            assert_eq!(w.id.source, 1);
-            hits[(w.len - 3) as usize] += 1;
-            assert_eq!((ns.count_from(1, 5), ns.count_from(1, u32::MAX)), (2, 5));
-            assert!(
-                ns.take_uniform_from(1, 2, &mut rng).is_none(),
-                "none fits 2"
-            );
+            let mut ledger = Ledger {
+                unused: [8, 3, 7, 4, 6, 5]
+                    .into_iter()
+                    .zip(0..)
+                    .map(|(l, q)| (q, l))
+                    .collect(),
+                ..Ledger::default()
+            };
+            let fits = |l: &Ledger, cap| l.unused.iter().filter(|e| e.1 <= cap).count();
+            let (_, len) = ledger.draw(5, &mut rng).expect("three fit");
+            assert!(len <= 5, "drew a walk of {len} steps, longer than its cap");
+            hits[(len - 3) as usize] += 1;
+            assert_eq!((fits(&ledger, 5), ledger.unused.len()), (2, 5));
+            assert!(ledger.draw(2, &mut rng).is_none(), "none fits 2");
         }
         hits
     }
 
     #[test]
-    fn take_uniform_takes_only_walks_that_fit_uniformly() {
-        let hits = capped_takes();
+    fn a_draw_takes_only_walks_that_fit_uniformly() {
+        let hits = capped_draws();
         let test = drw_stats::chi_square_uniform(&hits);
         assert!(test.passes(0.001), "{test:?} hits={hits:?}");
     }
 
     #[test]
     #[should_panic(expected = "longer than its cap")]
-    fn a_take_that_ignores_the_cap_is_caught() {
-        // Planted bug: the take counts the walks that fit, then picks
-        // among all of the source's walks.
+    fn a_draw_that_ignores_the_cap_is_caught() {
+        // Planted bug: the draw counts the walks that fit, then picks
+        // among all of them.
         IGNORE_CAP.set(true);
-        capped_takes();
+        capped_draws();
     }
 
     #[test]
-    fn outstanding_census_counts_by_source() {
+    fn a_stored_walk_enters_its_sources_ledger() {
         let mut s = WalkState::new(3);
         s.store_walk(1, WalkId { source: 0, seq: 0 }, 4);
-        s.store_walk(2, WalkId { source: 0, seq: 1 }, 4);
+        s.store_walk(2, WalkId { source: 0, seq: 3 }, 5);
         s.store_walk(0, WalkId { source: 2, seq: 0 }, 4);
-        assert_eq!(s.outstanding_by_source(), vec![2, 0, 1]);
+        let unused: Vec<usize> = s.nodes.iter().map(|ns| ns.unused().len()).collect();
+        assert_eq!(unused, vec![2, 0, 1]);
+        assert_eq!(
+            (s.nodes[0].next_seq(), s.nodes[1].ledger.is_none()),
+            (4, true)
+        );
+        assert_eq!(s.ledger_mismatch(), None);
         s.nodes[1].store.clear();
-        assert_eq!(s.outstanding_by_source(), vec![1, 0, 1]);
+        assert!(s.ledger_mismatch().is_some(), "a walk gone from the store");
     }
 
     #[test]
@@ -833,12 +895,31 @@ mod tests {
         s.store_walk(4, WalkId { source: 3, seq: 0 }, 1);
 
         // Touching node 1 kills only A (B and C never visit it).
+        let unused = |s: &WalkState| {
+            s.nodes
+                .iter()
+                .map(|ns| ns.unused().len())
+                .collect::<Vec<_>>()
+        };
         assert_eq!(s.evict_touched(&[1]), 1);
-        assert_eq!(s.outstanding_by_source(), vec![1, 0, 0, 1, 0]);
+        assert_eq!(unused(&s), vec![1, 0, 0, 1, 0]);
+        assert_eq!(s.ledger_mismatch(), None, "A left its source's ledger");
 
         // Touching node 3 kills B (an arrival on the way) and C (source).
         assert_eq!(s.evict_touched(&[3]), 2);
         assert_eq!(s.total_stored(), 0);
+        assert_eq!(unused(&s), vec![0; 5]);
+    }
+
+    #[test]
+    fn an_eviction_that_skips_the_ledgers_is_caught() {
+        // Planted bug: the stores lose A, its source's ledger keeps it.
+        let mut s = WalkState::new(3);
+        s.nodes[1].log_arrival(0, 0, 1, 0);
+        s.store_walk(1, WalkId { source: 0, seq: 0 }, 1);
+        SKIP_LEDGER_EVICTION.set(true);
+        assert_eq!(s.evict_touched(&[1]), 1);
+        assert!(s.ledger_mismatch().is_some());
     }
 
     #[test]
@@ -852,6 +933,7 @@ mod tests {
             s.store_walk(2, WalkId { source: 0, seq: 0 }, 1);
             assert_eq!(s.evict_touched(&[1]), 0);
             assert_eq!(s.evict_touched(&[end]), 1, "touched at {end}");
+            assert_eq!(s.ledger_mismatch(), None, "touched at {end}");
         }
     }
 
@@ -871,9 +953,19 @@ mod tests {
         s.store_walk(4, b, 2);
         s.nodes[4].log_arrival(3, q0, 1, h0 + 4);
         s.store_walk(4, WalkId { source: 3, seq: q0 }, 1);
-        s.nodes[0].next_seq = q0 + 2;
-        s.nodes[3].next_seq = q0 + 1;
         s
+    }
+
+    /// Uses stored walk `id`: its holder takes it, its source's ledger
+    /// forgets it.
+    fn consume(s: &mut WalkState, id: WalkId) {
+        let holder = s
+            .nodes
+            .iter()
+            .position(|ns| ns.store.iter().any(|w| w.id == id));
+        s.nodes[holder.expect("stored")].take(id);
+        let ledger = s.nodes[id.source as usize].ledger_mut();
+        ledger.unused.retain(|&(seq, _)| seq != id.seq);
     }
 
     #[test]
@@ -882,7 +974,7 @@ mod tests {
         assert_eq!(s.reclaim_forward_logs(2), 0, "5 entries, 5 live steps");
         // Consume B = (0, 1): 5 entries over 3 live steps is still
         // within twice the store, so nothing is scanned yet.
-        s.nodes[4].store.retain(|w| w.id.seq != 1);
+        consume(&mut s, WalkId { source: 0, seq: 1 });
         assert_eq!(s.reclaim_forward_logs(2), 0);
         assert_eq!(
             s.nodes[4].forward.arrival(0, 1, 2),
@@ -891,14 +983,14 @@ mod tests {
         );
         // Consume A = (0, 0) too: 5 > 2 * 1, so the pass runs and only
         // C = (3, 0)'s single entry survives.
-        s.nodes[2].store.clear();
+        consume(&mut s, WalkId { source: 0, seq: 0 });
         assert_eq!(s.reclaim_forward_logs(2), 4);
         assert_eq!(s.forward_entries(), 1);
         assert_eq!(s.nodes[4].forward.arrival(3, 0, 1), Some(4));
         assert_eq!(s.nodes[1].forward.arrival(0, 0, 1), None);
         assert_eq!(s.nodes[4].forward.arrival(0, 1, 2), None);
         // No dead id is left anywhere, so seqs restart past the live ones.
-        let next: Vec<u32> = s.nodes.iter().map(|ns| ns.next_seq).collect();
+        let next: Vec<u32> = s.nodes.iter().map(|ns| ns.next_seq()).collect();
         assert_eq!(next, vec![0, 0, 0, 1, 0]);
         assert_eq!(
             s.nodes[1].forward.capacity_bytes(),
@@ -928,13 +1020,22 @@ mod tests {
                         assert_eq!(port.map(|h| h + h0), w.forward.arrival(ws, wq, step));
                     }
                 }
-                assert_eq!(p.next_seq + q0 * u32::from(w.next_seq > 0), w.next_seq);
+                assert_eq!(
+                    p.next_seq() + q0 * u32::from(w.next_seq() > 0),
+                    w.next_seq()
+                );
             }
         };
         compare(&packed, &wide);
-        for s in [&mut packed, &mut wide] {
+        for (s, q0) in [(&mut packed, 0), (&mut wide, q0)] {
             assert_eq!(s.evict_touched(&[1]), 1, "A passes through node 1");
-            s.nodes[4].store.retain(|w| w.id.source != 0);
+            consume(
+                s,
+                WalkId {
+                    source: 0,
+                    seq: q0 + 1,
+                },
+            );
         }
         assert_eq!(packed.reclaim_forward_logs(2), 4);
         assert_eq!(wide.reclaim_forward_logs(2), 4);
@@ -972,7 +1073,7 @@ mod tests {
             let _ = topo.apply(&delta).unwrap();
             at = s.single_walk(at, 64).unwrap().destination;
             let nodes = &s.state().nodes;
-            peak_seq = peak_seq.max(nodes.iter().map(|ns| ns.next_seq).max().unwrap());
+            peak_seq = peak_seq.max(nodes.iter().map(|ns| ns.next_seq()).max().unwrap());
             assert!(nodes.iter().all(|ns| ns.forward.overflow.is_none()));
         }
         // More launches than 2^12 per node on average, so by pigeonhole
@@ -992,11 +1093,10 @@ mod tests {
         s.store_walk(1, WalkId { source: 0, seq: 0 }, 4);
         s.resize(4);
         assert_eq!(s.nodes.len(), 4);
-        assert_eq!(s.nodes[3].next_seq, 0);
+        assert_eq!(s.nodes[3].next_seq(), 0);
         assert_eq!(s.total_stored(), 1);
         s.resize(1);
         assert_eq!(s.total_stored(), 0, "stores at removed nodes vanish");
-        assert_eq!(s.outstanding_by_source(), vec![0]);
     }
 
     #[test]
@@ -1030,9 +1130,13 @@ mod tests {
     #[test]
     fn seq_allocation_is_per_node() {
         let mut s = WalkState::new(2);
-        assert_eq!(s.alloc_seqs(0, 3), 0);
-        assert_eq!(s.alloc_seqs(0, 2), 3);
-        assert_eq!(s.alloc_seqs(1, 1), 0, "nodes have independent counters");
+        assert_eq!(s.nodes[0].ledger_mut().alloc_seqs(3), 0);
+        assert_eq!(s.nodes[0].ledger_mut().alloc_seqs(2), 3);
+        assert_eq!(
+            s.nodes[1].ledger_mut().alloc_seqs(1),
+            0,
+            "nodes have independent counters"
+        );
     }
 
     #[test]
@@ -1144,7 +1248,7 @@ mod tests {
     #[test]
     fn memory_report_counts_the_compact_layout() {
         // The layout, pinned: 8 bytes a packed forward entry, 16 a visit,
-        // 12 a stored walk.
+        // 12 a stored walk, 8 a ledger entry.
         assert_eq!((size_of::<Visit>(), size_of::<StoredWalk>()), (16, 12));
         let mut s = WalkState::new(4);
         for ns in &mut s.nodes {
@@ -1163,9 +1267,17 @@ mod tests {
         assert_eq!(m.forward_bytes, 1000 * 8, "8 bytes per packed entry");
         assert_eq!(m.visit_bytes, caps(|ns| ns.visits.capacity()) * 16);
         assert_eq!(m.store_bytes, caps(|ns| ns.store.capacity()) * 12);
+        let ledger = s.nodes[1]
+            .ledger
+            .as_ref()
+            .expect("the stored walk's source");
+        assert_eq!(
+            m.ledger_bytes,
+            size_of::<Ledger>() + ledger.unused.capacity() * 8
+        );
         assert_eq!(
             m.total_bytes(),
-            m.overhead_bytes + m.store_bytes + m.forward_bytes + m.visit_bytes
+            m.overhead_bytes + m.store_bytes + m.ledger_bytes + m.forward_bytes + m.visit_bytes
         );
         assert!(m.bytes_per_node() > 0.0);
     }

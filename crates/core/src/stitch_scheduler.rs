@@ -15,40 +15,33 @@
 //!
 //! [`StitchScheduler`] realizes that interleaving. Every message is
 //! tagged with its owning request and walk id ([`drw_congest::Mux2`] —
-//! one packed word on the wire), each node keeps one lane state per
-//! walk, and one engine run hosts, asynchronously per walk, three roles
-//! behind this module's dispatcher, each in its own module:
+//! one packed word on the wire), and one engine run hosts,
+//! asynchronously per walk, three roles behind this module's
+//! dispatcher, each in its own module:
 //!
 //! | role | module | messages |
 //! |---|---|---|
-//! | one sampling echo per stitch | [`crate::sample_destination`] | `Wave`, `Agg`, `Chosen`, `Retry` |
-//! | replenishing a drained connector | [`crate::get_more_walks`] | `Gmw`, `GmwAck` |
+//! | the connector's choice and its claim flood | [`crate::sample_destination`] | `Claim` |
+//! | replenishing a drained connector | [`crate::get_more_walks`] | `Gmw`, `Ride`, `Stored` |
 //! | naive tail and regeneration | `tail` (crate-private) | `Tail`, `Replay` |
 //!
-//! The run ends when every walk has landed and every replay token is home.
+//! The run ends when every walk has landed, every replay token is home
+//! and every `GET-MORE-WALKS` invocation is acknowledged.
 //!
 //! A walk stitches while `StitchSpec::action_at` says so: while at
 //! least `2 * lambda` steps remain (Algorithm 1), and, for an unrecorded
 //! walk of at least `2 * lambda` steps, on while `lambda` or more do.
-//! Such a *fitted* epoch's `Wave` carries a cap, the steps left: its
-//! echo counts, and its owner takes, only stored walks no longer than
-//! that, and if none fits the root sends the walk down its naive tail
-//! rather than replenishing. Every epoch's cap is a pure function of
-//! where the walk stands, so each node reads it off the wave.
+//! Such a *fitted* stitch draws only among the connector's walks no
+//! longer than the steps left, and if none fits the walk goes down its
+//! naive tail rather than replenishing. The cap is a pure function of
+//! where the walk stands, so the connector reads it off the walk.
 //!
-//! Per-walk epochs need no global coordination. A sampling epoch's root
-//! finalizes only after it heard from every neighbour, a child's
-//! aggregate says the child heard from all of its own, and so on down
-//! the tree — so by the time a new epoch for the same walk can exist,
-//! every `Wave` and `Agg` of the old one (one per directed edge) has
-//! been delivered. `Chosen` is a single message on a single path, and
-//! the next epoch starts *at* the node that consumes it. What is left
-//! are `Retry`/ack messages, which only exist while the walk's root is
-//! blocked waiting for them; the epoch guards drop any that a re-issued
-//! walk leaves behind.
+//! A claim needs no epoch counter: a walk's claims leave its successive
+//! connectors at strictly growing positions, so the position it carries
+//! orders them. Each node keeps, per lane, the newest position it
+//! forwarded, and drops a claim that is not newer — the copies of its
+//! own flood and the stragglers of an older one.
 
-use crate::get_more_walks::GmwLane;
-use crate::sample_destination::SdLaneSlot;
 use crate::single_walk::{Segment, StitchSetup, WalkAction, WalkDriver, WalkError};
 use crate::state::{NodeWalkState, WalkId, WalkState};
 use crate::tail::{self, pack_walk, unpack_walk};
@@ -105,8 +98,8 @@ impl StitchSpec {
     /// of [`WalkDriver::action_at`], except that an unrecorded walk of at
     /// least `2 * lambda` steps goes on stitching while `lambda` or more
     /// remain — a *fitted* stitch, over the stored walks no longer than
-    /// what is left ([`StitchSpec::cap_at`]). If none fits, the echo's
-    /// root sends the walk down its naive tail, as below `lambda`.
+    /// what is left ([`StitchSpec::cap_at`]). If none fits, the
+    /// connector sends the walk down its naive tail, as below `lambda`.
     ///
     /// A recorded walk keeps the `2 * lambda` rule: its replay walks a
     /// fitted segment again, so the segment saves no rounds. A walk
@@ -146,108 +139,97 @@ impl StitchSpec {
     }
 }
 
-/// `StitchMsg::Wave::cap` of an epoch that may take a stored walk of any
-/// length.
+/// The cap of a stitch that may take a stored walk of any length.
 pub(crate) const NO_CAP: u32 = u32::MAX;
 
 /// One walk's message within the multiplexed Phase-2 run. The walk id
 /// travels as the [`Mux2`] lane (one extra word); every variant fits the
-/// default 4-word CONGEST budget with it. Each variant has one handler,
-/// in the module of its role.
+/// default 4-word CONGEST budget with it. A short walk's id is one
+/// packed word ([`pack_walk`]). Each variant has one handler, in the
+/// module of its role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StitchMsg {
-    /// The epoch's wave, flooding from the root: a node adopts its
-    /// first sender as parent and forwards the wave to everyone else.
-    /// `cap` is the longest stored walk the epoch may take
-    /// ([`StitchSpec::cap_at`]; [`NO_CAP`]: any), packed with the epoch
-    /// into one word `epoch:32 | cap:32` when there is one.
-    Wave { epoch: u32, cap: u32, root: u32 },
-    /// The echo: a subtree's aggregate, sent to the parent once the
-    /// node has heard from every neighbour — its candidate token owner
-    /// and total token count (`count == 0` means none).
-    Agg { owner: u32, count: u64 },
-    /// The root's choice, routed down the tree towards `owner` along
-    /// the children whose aggregates carried it. The owner deletes one
-    /// token of the root and takes over the walk, which stands at
-    /// `completed` steps.
-    Chosen {
-        epoch: u32,
-        owner: u32,
-        completed: u64,
-    },
-    /// Owner-side conflict (a rival walk consumed the pool): routed up
-    /// the tree to the root, which resamples with a fresh epoch.
-    Retry { epoch: u32 },
-    /// One `GET-MORE-WALKS` walk in flight; the receiver is its
+    /// The connector's claim on its stored walk `walk`, flooding out:
+    /// the walk's owner takes it and moves the walk on, which stands at
+    /// `completed` steps; every other node forwards the first copy of a
+    /// newer claim to everyone but its sender.
+    Claim { walk: u64, completed: u64 },
+    /// One stored `GET-MORE-WALKS` walk in flight; the receiver is its
     /// `step`-th node.
-    Gmw { seq: u32, step: u32, total: u32 },
-    /// `GET-MORE-WALKS` completion acknowledgements, routed and merged
-    /// up the epoch's tree toward the waiting root.
-    GmwAck { count: u64 },
+    Gmw { walk: u64, step: u32, total: u32 },
+    /// The `GET-MORE-WALKS` walk the token rides, which started where
+    /// the walk stood at `completed` steps; the receiver is its
+    /// `step`-th node.
+    Ride {
+        walk: u64,
+        completed: u64,
+        step: u32,
+    },
+    /// `count` stored `GET-MORE-WALKS` walks' acknowledgements, going
+    /// home to their source backwards along the arrival log of one of
+    /// them, `walk`; the receiver is that walk's `step`-th node.
+    Stored { walk: u64, step: u32, count: u32 },
     /// The naive tail token: `left` steps remain after this hop.
     Tail { left: u64 },
-    /// A replay token regenerating the short walk `walk`
-    /// ([`pack_walk`]) backwards from the node that took it: the
-    /// receiver is the walk's `step`-th node and sits at global position
-    /// `pos` of the recorded walk.
+    /// A replay token regenerating the short walk `walk` backwards from
+    /// the node that took it: the receiver is the walk's `step`-th node
+    /// and sits at global position `pos` of the recorded walk.
     Replay { walk: u64, step: u32, pos: u64 },
 }
 
+/// Writes a short walk's id as one packed word, `source:32 | seq:32`,
+/// under the field names `names`.
+fn walk_word(w: &mut impl WireSink, names: (&'static str, &'static str), walk: u64) {
+    let id = unpack_walk(walk);
+    w.packed(&[(names.0, id.source.into()), (names.1, id.seq.into())]);
+}
+
+/// Reads a short walk's id written by [`walk_word`].
+fn read_walk(r: &mut WireReader<'_>) -> Option<u64> {
+    Some(pack_walk(WalkId {
+        source: r.read()?,
+        seq: r.read()?,
+    }))
+}
+
 impl Message for StitchMsg {
-    /// Every variant leads with its tag. A walk id is one packed word
-    /// ([`pack_walk`]).
+    /// Every variant leads with its tag.
     fn encode(&self, w: &mut impl WireSink) {
         match *self {
-            StitchMsg::Wave { epoch, cap, root } => {
+            StitchMsg::Claim { walk, completed } => {
                 w.tag(0);
-                w.tag((cap != NO_CAP).into());
-                if cap == NO_CAP {
-                    w.word("Wave.epoch", epoch.into());
-                } else {
-                    w.packed(&[("Wave.epoch", epoch.into()), ("Wave.cap", cap.into())]);
-                }
-                w.word("Wave.root", root.into());
+                walk_word(w, ("Claim.source", "Claim.seq"), walk);
+                w.word("Claim.completed", completed);
             }
-            StitchMsg::Agg { owner, count } => {
+            StitchMsg::Gmw { walk, step, total } => {
                 w.tag(1);
-                w.word("Agg.owner", owner.into());
-                w.word("Agg.count", count);
-            }
-            StitchMsg::Chosen {
-                epoch,
-                owner,
-                completed,
-            } => {
-                w.tag(2);
-                w.word("Chosen.epoch", epoch.into());
-                w.word("Chosen.owner", owner.into());
-                w.word("Chosen.completed", completed);
-            }
-            StitchMsg::Retry { epoch } => {
-                w.tag(3);
-                w.word("Retry.epoch", epoch.into());
-            }
-            StitchMsg::Gmw { seq, step, total } => {
-                w.tag(4);
-                w.word("Gmw.seq", seq.into());
+                walk_word(w, ("Gmw.source", "Gmw.seq"), walk);
                 w.word("Gmw.step", step.into());
                 w.word("Gmw.total", total.into());
             }
-            StitchMsg::GmwAck { count } => {
-                w.tag(5);
-                w.word("GmwAck.count", count);
+            StitchMsg::Ride {
+                walk,
+                completed,
+                step,
+            } => {
+                w.tag(2);
+                walk_word(w, ("Ride.source", "Ride.seq"), walk);
+                w.word("Ride.completed", completed);
+                w.word("Ride.step", step.into());
+            }
+            StitchMsg::Stored { walk, step, count } => {
+                w.tag(3);
+                walk_word(w, ("Stored.source", "Stored.seq"), walk);
+                w.word("Stored.step", step.into());
+                w.word("Stored.count", count.into());
             }
             StitchMsg::Tail { left } => {
-                w.tag(6);
+                w.tag(4);
                 w.word("Tail.left", left);
             }
             StitchMsg::Replay { walk, step, pos } => {
-                w.tag(7);
-                let id = unpack_walk(walk);
-                w.packed(&[
-                    ("Replay.source", id.source.into()),
-                    ("Replay.seq", id.seq.into()),
-                ]);
+                w.tag(5);
+                walk_word(w, ("Replay.source", "Replay.seq"), walk);
                 w.word("Replay.step", step.into());
                 w.word("Replay.pos", pos);
             }
@@ -256,36 +238,28 @@ impl Message for StitchMsg {
 
     fn decode(r: &mut WireReader<'_>) -> Option<Self> {
         Some(match r.read::<u8>()? {
-            0 => {
-                let capped = r.flag()?;
-                StitchMsg::Wave {
-                    epoch: r.read()?,
-                    cap: if capped { r.read()? } else { NO_CAP },
-                    root: r.read()?,
-                }
-            }
-            1 => StitchMsg::Agg {
-                owner: r.read()?,
-                count: r.read()?,
-            },
-            2 => StitchMsg::Chosen {
-                epoch: r.read()?,
-                owner: r.read()?,
+            0 => StitchMsg::Claim {
+                walk: read_walk(r)?,
                 completed: r.read()?,
             },
-            3 => StitchMsg::Retry { epoch: r.read()? },
-            4 => StitchMsg::Gmw {
-                seq: r.read()?,
+            1 => StitchMsg::Gmw {
+                walk: read_walk(r)?,
                 step: r.read()?,
                 total: r.read()?,
             },
-            5 => StitchMsg::GmwAck { count: r.read()? },
-            6 => StitchMsg::Tail { left: r.read()? },
-            7 => StitchMsg::Replay {
-                walk: pack_walk(WalkId {
-                    source: r.read()?,
-                    seq: r.read()?,
-                }),
+            2 => StitchMsg::Ride {
+                walk: read_walk(r)?,
+                completed: r.read()?,
+                step: r.read()?,
+            },
+            3 => StitchMsg::Stored {
+                walk: read_walk(r)?,
+                step: r.read()?,
+                count: r.read()?,
+            },
+            4 => StitchMsg::Tail { left: r.read()? },
+            5 => StitchMsg::Replay {
+                walk: read_walk(r)?,
                 step: r.read()?,
                 pos: r.read()?,
             },
@@ -312,38 +286,6 @@ impl SharedCfg {
     }
 }
 
-/// One node's view of one walk ("lane"): the lane's current sampling
-/// epoch, the hosted token at the connector, and the replenishment
-/// bookkeeping.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct LaneState {
-    /// Current epoch at this node (0 = never participated).
-    pub(crate) epoch: u32,
-    /// The epoch's root (the walk's connector).
-    pub(crate) root: u32,
-    /// The longest stored walk the epoch may take ([`NO_CAP`]: any).
-    pub(crate) cap: u32,
-    /// This node's sampling slot for the epoch.
-    pub(crate) slot: SdLaneSlot,
-    /// `Some(completed)` while this node hosts the walk token as the
-    /// epoch's root.
-    pub(crate) hosted: Option<u64>,
-    /// Root-side `GET-MORE-WALKS` state.
-    pub(crate) gmw: GmwLane,
-}
-
-impl LaneState {
-    /// Resets the lane for (this node's view of) a new epoch.
-    pub(crate) fn enter(&mut self, epoch: u32, root: u32, cap: u32) {
-        self.epoch = epoch;
-        self.root = root;
-        self.cap = cap;
-        self.hosted = None;
-        self.gmw.acked = None;
-        self.slot = SdLaneSlot::default();
-    }
-}
-
 /// What a node accumulates for the post-run result assembly.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tally {
@@ -353,12 +295,18 @@ pub(crate) struct Tally {
     pub(crate) segments: Vec<(u32, Segment)>,
     /// Times this node served as a connector (Lemma 2.7's quantity).
     pub(crate) connector_visits: u32,
+    /// The lane of each `GET-MORE-WALKS` invocation launched here.
+    pub(crate) launches: Vec<u32>,
     /// The last round in which a segment resolved here (0 = none did).
     pub(crate) last_stitch_round: u64,
     /// Replay tokens owed here: `+1` per recorded segment this node took,
     /// `-1` per replay token that stopped here; drained into the run's
     /// count by [`BatchedStitchProtocol::note`].
     pub(crate) replays_open: i32,
+    /// `GET-MORE-WALKS` invocations awaiting acknowledgements: `+1` per
+    /// launch with walks to store, `-1` when its last one came home;
+    /// drained like `replays_open`.
+    pub(crate) launches_open: i32,
 }
 
 /// One node's scratch for the wave in flight, in [`NodeWalkState::wave`]:
@@ -366,56 +314,29 @@ pub(crate) struct Tally {
 /// [`StitchScheduler::run`]. A wave costs the nodes it touches.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WaveScratch {
-    /// One lane per walk, sized by the first message that needs a lane
-    /// (a tail hop needs none).
-    lanes: Vec<LaneState>,
-    tally: Tally,
+    /// Per lane, one past the position of the newest claim this node
+    /// forwarded (0: none), sized by the first claim (a tail hop needs
+    /// no lane).
+    pub(crate) claimed: Vec<u64>,
+    /// The `GET-MORE-WALKS` invocation of this node in flight, if any.
+    pub(crate) launch: Option<crate::get_more_walks::Launch>,
+    pub(crate) tally: Tally,
     /// `tally.finished` entries already in the run's completion count.
     counted: usize,
     /// Whether the run's touched list names this node.
     listed: bool,
 }
 
-/// A call's merge buffers, cleared first and flushed last. One set per
-/// run rather than per call or per node: a call allocates nothing, and
-/// the buffers stay hot in cache (kept in each node's [`WaveScratch`]
-/// they cost 6 % of `warm_stitch`'s wall time in cache misses).
-#[derive(Debug, Default)]
-pub(crate) struct Merge {
-    /// Wave adoptions per `(lane, epoch)`: the parent is the minimum
-    /// sender among the round's arrivals.
-    pub(crate) adopt: Vec<((u32, u32), Adoption)>,
-    /// Lanes whose echo may have completed.
-    pub(crate) ready: Vec<u32>,
-    /// `GET-MORE-WALKS` acknowledgements per lane.
-    pub(crate) acks: Vec<(u32, u64)>,
-}
-
-/// A wave adoption waiting for the round's flush: `(root, from)`.
-pub(crate) type Adoption = (u32, NodeId);
-
-/// Folds `value` into the entry for `key`, or appends one: how a round's
-/// wave adoptions and `GET-MORE-WALKS` acknowledgements merge.
-pub(crate) fn merge_by_key<K: PartialEq, V>(
-    buf: &mut Vec<(K, V)>,
-    key: K,
-    value: V,
-    fold: impl FnOnce(&mut V, V),
-) {
-    match buf.iter_mut().find(|e| e.0 == key) {
-        Some(e) => fold(&mut e.1, value),
-        None => buf.push((key, value)),
-    }
-}
-
 /// One node's handler call, the receiver of every role's handlers: the
-/// node's store and tally, the run's setup and merge buffers, and the
-/// node-scoped context (`ctx.node()` is the node).
+/// node's store, its wave scratch, the run's setup, the run's merge
+/// buffer and the node-scoped context (`ctx.node()` is the node).
 pub(crate) struct NodeCall<'a> {
     pub(crate) shared: &'a SharedCfg,
     pub(crate) ws: &'a mut NodeWalkState,
-    pub(crate) tally: &'a mut Tally,
-    pub(crate) merge: &'a mut Merge,
+    pub(crate) wave: &'a mut WaveScratch,
+    /// The call's acknowledgements to pass on, merged per source
+    /// ([`crate::get_more_walks::Acks`]): cleared first, flushed last.
+    pub(crate) acks: &'a mut crate::get_more_walks::Acks,
     pub(crate) ctx: NodeCtx<'a, BatchMsg>,
 }
 
@@ -427,37 +348,13 @@ impl NodeCall<'_> {
         self.ctx.send(to, msg);
     }
 
-    /// The lane of walk `w`, sizing the table for every walk first if
-    /// this is the node's first use of any lane.
-    pub(crate) fn lane<'l>(&self, lanes: &'l mut Vec<LaneState>, w: u32) -> &'l mut LaneState {
-        if lanes.is_empty() {
-            lanes.resize_with(self.shared.walks.len(), LaneState::default);
-        }
-        &mut lanes[w as usize]
-    }
-
-    /// One hop of `msg` (`Retry`, `GmwAck`) toward `lane`'s epoch root:
-    /// elsewhere it goes to the parent; the root gets `hosted`.
-    pub(crate) fn climb(&mut self, w: u32, lane: &LaneState, msg: StitchMsg) -> Option<u64> {
-        if let (None, Some(p)) = (lane.hosted, lane.slot.parent) {
-            self.send(p, w, msg);
-        }
-        lane.hosted
-    }
-
-    /// Moves walk `w`, standing here at `completed` steps, on: an epoch
-    /// rooted here, the tail, or completion.
-    pub(crate) fn proceed(&mut self, w: u32, lane: &mut LaneState, completed: u64) {
+    /// Moves walk `w`, standing here at `completed` steps, on: a stitch
+    /// from here, the tail, or completion.
+    pub(crate) fn proceed(&mut self, w: u32, completed: u64) {
         match self.shared.walks[w as usize].action_at(completed, self.shared.setup.lambda) {
-            WalkAction::Stitch => {
-                self.tally.connector_visits += 1;
-                self.restart_epoch(w, lane, completed);
-            }
-            WalkAction::Tail(steps) => {
-                lane.hosted = None;
-                tail::hop(self.shared, &mut self.ctx, w, steps);
-            }
-            WalkAction::Done => self.tally.finished.push(w),
+            WalkAction::Stitch => self.stitch(w, completed),
+            WalkAction::Tail(steps) => tail::hop(self.shared, &mut self.ctx, w, steps),
+            WalkAction::Done => self.wave.tally.finished.push(w),
         }
     }
 }
@@ -474,11 +371,14 @@ struct BatchedStitchProtocol<'s> {
     done: usize,
     /// Recorded segments taken whose replay token is not home yet.
     replaying: usize,
+    /// `GET-MORE-WALKS` invocations not yet fully acknowledged.
+    launching: usize,
     /// The last round that began with a walk still under way: the round
     /// the last walk landed in, or the run's last if one never did.
     walking_until: u64,
-    /// The handlers' merge buffers.
-    merge: Merge,
+    /// The handlers' acknowledgement merge buffer, one per run rather
+    /// than per call or per node: a call allocates nothing.
+    acks: crate::get_more_walks::Acks,
 }
 
 impl BatchedStitchProtocol<'_> {
@@ -493,37 +393,37 @@ impl BatchedStitchProtocol<'_> {
         }
         self.done += w.tally.finished.len() - w.counted;
         w.counted = w.tally.finished.len();
-        if w.tally.replays_open != 0 {
-            let delta = std::mem::take(&mut w.tally.replays_open) as isize;
-            let open = self.replaying.checked_add_signed(delta);
-            self.replaying = open.expect("a replay token came home that no stitch owed");
+        let tally = &mut w.tally;
+        for (open, run) in [
+            (&mut tally.replays_open, &mut self.replaying),
+            (&mut tally.launches_open, &mut self.launching),
+        ] {
+            let delta = std::mem::take(open) as isize;
+            *run = run
+                .checked_add_signed(delta)
+                .expect("a token came home that nothing owed");
         }
     }
 
     /// Runs `f` as `node`'s handler call. The node's scratch leaves the
-    /// state for the call, so the roles can hold the store and the lanes
-    /// side by side; the run's facts catch up afterwards.
+    /// state for the call, so the roles can hold the store and the
+    /// scratch side by side; the run's facts catch up afterwards.
     fn call_at(
         &mut self,
         node: NodeId,
         ctx: &mut Ctx<'_, BatchMsg>,
-        f: impl FnOnce(&mut NodeCall<'_>, &mut Vec<LaneState>),
+        f: impl FnOnce(&mut NodeCall<'_>),
     ) {
         let ws = &mut self.nodes[node];
         let mut wave = ws.wave.take().unwrap_or_default();
-        let WaveScratch { lanes, tally, .. } = &mut *wave;
-        let merge = &mut self.merge;
-        merge.adopt.clear();
-        merge.ready.clear();
-        merge.acks.clear();
-        let call = &mut NodeCall {
+        self.acks.clear();
+        f(&mut NodeCall {
             shared: &self.shared,
             ws: &mut *ws,
-            tally,
-            merge,
+            wave: &mut wave,
+            acks: &mut self.acks,
             ctx: ctx.at(node),
-        };
-        f(call, lanes);
+        });
         self.nodes[node].wave = Some(wave);
         self.note(node);
     }
@@ -540,15 +440,13 @@ impl Protocol for BatchedStitchProtocol<'_> {
                 WalkAction::Tail(steps) => {
                     tail::hop(&self.shared, &mut ctx.at(spec.source), w, steps)
                 }
-                _ => self.call_at(spec.source, ctx, |call, lanes| {
-                    call.proceed(w, call.lane(lanes, w), 0)
-                }),
+                _ => self.call_at(spec.source, ctx, |call| call.proceed(w, 0)),
             }
         }
     }
 
     fn is_done(&self) -> bool {
-        self.done == self.shared.walks.len() && self.replaying == 0
+        self.done == self.shared.walks.len() && self.replaying == 0 && self.launching == 0
     }
 
     fn on_round(&mut self, ctx: &mut Ctx<'_, BatchMsg>) {
@@ -557,39 +455,32 @@ impl Protocol for BatchedStitchProtocol<'_> {
         }
     }
 
-    /// Routes every envelope to its role's handler, then flushes the
-    /// round's merges in a fixed order: `GET-MORE-WALKS`
-    /// acknowledgements, wave adoptions, then the echoes they completed.
+    /// Routes every envelope, in inbox order, to its role's handler,
+    /// then sends the round's merged acknowledgements on.
     fn on_receive(&mut self, v: NodeId, inbox: &[Envelope<BatchMsg>], ctx: &mut Ctx<'_, BatchMsg>) {
-        self.call_at(v, ctx, |call, lanes| {
+        self.call_at(v, ctx, |call| {
             for env in inbox {
                 let (w, from) = (u32::from(env.msg.lane), env.from);
                 let req = call.shared.walks[w as usize].req;
                 debug_assert_eq!(env.msg.req, req, "request tag must match the lane's owner");
                 match env.msg.msg {
-                    StitchMsg::Wave { epoch, cap, root } => {
-                        call.on_wave(call.lane(lanes, w), w, (epoch, cap, root), from)
+                    StitchMsg::Claim { walk, completed } => call.on_claim(w, walk, completed, from),
+                    StitchMsg::Gmw { walk, step, total } => {
+                        call.on_gmw(w, (walk, step, total), from)
                     }
-                    StitchMsg::Agg { owner, count } => {
-                        call.on_agg(call.lane(lanes, w), w, (owner, count), from)
-                    }
-                    StitchMsg::Chosen {
-                        epoch,
-                        owner,
+                    StitchMsg::Ride {
+                        walk,
                         completed,
-                    } => call.on_chosen(call.lane(lanes, w), w, (epoch, owner, completed)),
-                    StitchMsg::Retry { epoch } => call.on_retry(call.lane(lanes, w), w, epoch),
-                    StitchMsg::Gmw { seq, step, total } => {
-                        call.on_gmw(call.lane(lanes, w), w, (seq, step, total), from)
+                        step,
+                    } => call.on_ride(w, (walk, completed, step), from),
+                    StitchMsg::Stored { walk, step, count } => {
+                        call.on_stored(w, (walk, step, count))
                     }
-                    StitchMsg::GmwAck { count } => call.on_gmw_ack(w, count),
                     StitchMsg::Tail { left } => call.on_tail(w, left, from),
                     StitchMsg::Replay { walk, step, pos } => call.on_replay(w, (walk, step, pos)),
                 }
             }
-            call.flush_acks(lanes);
-            call.flush_adoptions(lanes);
-            call.flush_echoes(lanes);
+            call.flush_acks();
         });
     }
 }
@@ -624,9 +515,11 @@ pub struct BatchedStitchOutcome {
     /// `report.rounds - rounds_tail - rounds_replay` its stitching bill.
     pub rounds_tail: u64,
     /// Rounds the run continued after its last walk landed, until the
-    /// last recorded segment's replay token was home: what regeneration
-    /// adds to the walk's own critical path. 0 on every run without a
-    /// recorded spec.
+    /// last recorded segment's replay token and the last
+    /// `GET-MORE-WALKS` acknowledgement were home: what regeneration and
+    /// the ledger add to the walks' own critical path. 0 on every run
+    /// without a recorded spec whose acknowledgements beat its last
+    /// walk home.
     pub rounds_replay: u64,
     /// Walk re-issues performed by the self-healing pass: on an
     /// unhealed (fail-silent) network, walks whose token was lost are
@@ -751,15 +644,19 @@ impl StitchScheduler {
     ///
     /// On a fail-silent network (an active unhealed
     /// [`drw_congest::FaultPlan`] on the runner's engine), a lost token
-    /// or echo message leaves the run quiescent with the walk
-    /// unfinished. Quiescence *is* the timeout, and the scheduler then
-    /// re-issues every unfinished walk from its last stitched checkpoint
-    /// in a follow-up pass (walks are memoryless, so re-drawing the lost
+    /// or claim leaves the run quiescent with the walk unfinished.
+    /// Quiescence *is* the timeout, and the scheduler then re-issues
+    /// every unfinished walk from its last stitched checkpoint in a
+    /// follow-up pass (walks are memoryless, so re-drawing the lost
     /// suffix with fresh randomness leaves the law exact), counted in
-    /// [`BatchedStitchOutcome::reissues`]. An echo needs all of its `2m`
-    /// messages, so it survives a drop rate `p` with probability
-    /// `(1 - p)^(2m)`: 5 % at 2 % drops on the 6×6 torus, where a stitch
-    /// then needs about twenty passes.
+    /// [`BatchedStitchOutcome::reissues`]. A claim is lost only when no
+    /// copy reaches the owner, which its flood's redundant paths make
+    /// rare; the tokens that walk (tail, ride, `GET-MORE-WALKS`) have
+    /// one path each, so a walk survives a drop rate `p` about as a
+    /// token of its tail and ride steps does. The walk a lost claim
+    /// drew stays stored outside its connector's ledger until a reclaim
+    /// drops it, as do the walks of an invocation that lost an
+    /// acknowledgement.
     ///
     /// # Errors
     ///
@@ -828,8 +725,9 @@ impl StitchScheduler {
                 touched: Vec::new(),
                 done: 0,
                 replaying: 0,
+                launching: 0,
                 walking_until: 0,
-                merge: Merge::default(),
+                acks: Vec::new(),
             };
             let result = engine(&mut protocol);
 
@@ -846,8 +744,8 @@ impl StitchScheduler {
                 if wave.tally.connector_visits > 0 {
                     *connector_visits.entry(v).or_insert(0) += wave.tally.connector_visits;
                 }
-                for (j, lane) in wave.lanes.iter().enumerate() {
-                    gmw_by_walk[pending[j].0] += lane.gmw.events;
+                for &j in &wave.tally.launches {
+                    gmw_by_walk[pending[j as usize].0] += 1;
                 }
                 for &j in &wave.tally.finished {
                     let w = pending[j as usize].0;
@@ -867,8 +765,15 @@ impl StitchScheduler {
                 return Err(WalkError::MessagesLost);
             }
             assert_eq!(protocol.replaying, 0, "recorded segments never replayed");
+            // A lost acknowledgement strands its invocation's walks
+            // outside the ledger, where the next reclaim drops them.
+            assert!(
+                can_reissue || protocol.launching == 0,
+                "acknowledgements never came home"
+            );
             // A run outlives its last landing only to wait for replay
-            // tokens (a pass that stalls unfinished never outlives it).
+            // tokens and acknowledgements (a pass that stalls unfinished
+            // never outlives it).
             let replay = pass_report.rounds - protocol.walking_until;
             rounds_replay += replay;
             rounds_tail += pass_report.rounds - last_stitch - replay;
@@ -944,6 +849,8 @@ impl StitchScheduler {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    //! The dispatcher's tests, and the fixtures the role modules' tests
+    //! share.
     use super::*;
     use crate::short_walks::ShortWalksProtocol;
     use crate::state::{StoredWalk, Visit};
@@ -951,13 +858,13 @@ pub(crate) mod tests {
     use drw_congest::{EngineConfig, Runner};
     use drw_graph::generators;
 
-    fn phase1(runner: &mut Runner, state: &mut WalkState, per_node: usize, lambda: u32) {
+    pub(crate) fn phase1(runner: &mut Runner, state: &mut WalkState, per_node: usize, lambda: u32) {
         let counts = vec![per_node; runner.graph().n()];
         let mut p1 = ShortWalksProtocol::new(state, counts, lambda, true);
         runner.run(&mut p1).expect("phase 1");
     }
 
-    fn setup(lambda: u32) -> StitchSetup {
+    pub(crate) fn setup(lambda: u32) -> StitchSetup {
         StitchSetup {
             lambda,
             randomize_len: true,
@@ -970,9 +877,9 @@ pub(crate) mod tests {
     /// the connector has no token), then a tail: the one-lane run that
     /// exercises a single `SAMPLE-DESTINATION` / `GET-MORE-WALKS`. A
     /// segment of exactly `lambda` steps leaves `lambda` to go, and with
-    /// them a fitted attempt — one more echo — at its endpoint; fixtures
-    /// that count messages or rounds store longer walks.
-    fn one_stitch(
+    /// them a fitted attempt at its endpoint; fixtures that count
+    /// messages or rounds store longer walks.
+    pub(crate) fn one_stitch(
         g: &drw_graph::Graph,
         state: &mut WalkState,
         source: NodeId,
@@ -990,7 +897,7 @@ pub(crate) mod tests {
     /// `one_stitch` over an empty store with `count` walks per
     /// `GET-MORE-WALKS`: the invocation's `count` new walks minus the
     /// one the stitch consumed are left in `state` to inspect.
-    fn starved_stitch(
+    pub(crate) fn starved_stitch(
         g: &drw_graph::Graph,
         source: NodeId,
         count: u64,
@@ -1009,63 +916,13 @@ pub(crate) mod tests {
         (state, out)
     }
 
-    fn stored(state: &WalkState) -> impl Iterator<Item = &StoredWalk> {
+    pub(crate) fn stored(state: &WalkState) -> impl Iterator<Item = &StoredWalk> {
         state.nodes.iter().flat_map(|ns| &ns.store)
-    }
-
-    #[test]
-    fn sampling_is_uniform_over_tokens() {
-        // 6 tokens spread over the graph; sample repeatedly (a fresh
-        // store each time) and chi-square the selection counts.
-        let g = generators::torus2d(3, 3);
-        let placements = [(0usize, 0u32), (2, 1), (4, 2), (4, 3), (7, 4), (8, 5)];
-        let mut counts = vec![0u64; placements.len()];
-        for trial in 0..1200u64 {
-            let mut state = WalkState::new(g.n());
-            for &(owner, seq) in &placements {
-                state.store_walk(owner, WalkId { source: 0, seq }, 5);
-            }
-            let out = one_stitch(&g, &mut state, 0, &setup(4), 1000 + trial);
-            let seg = out.walks[0].segments[0];
-            let idx = placements
-                .iter()
-                .position(|&(o, s)| o == seg.owner && s == seg.id.seq)
-                .expect("chosen token is one of the placements");
-            counts[idx] += 1;
-            assert_eq!(state.total_stored(), 5, "the chosen token is deleted");
-        }
-        let test = drw_stats::chi_square_uniform(&counts);
-        assert!(test.passes(0.001), "{test:?} counts={counts:?}");
-    }
-
-    #[test]
-    fn tokens_of_other_sources_are_ignored() {
-        let g = generators::cycle(8);
-        let mut state = WalkState::new(g.n());
-        state.store_walk(4, WalkId { source: 1, seq: 0 }, 5);
-        state.store_walk(5, WalkId { source: 2, seq: 0 }, 5);
-        let out = one_stitch(&g, &mut state, 2, &setup(5), 9);
-        let seg = out.walks[0].segments[0];
-        assert_eq!((seg.connector, seg.owner, seg.id.source), (2, 5, 2));
-        assert_eq!(out.gmw_invocations, 0);
-        assert_eq!(state.total_stored(), 1, "source-1 token untouched");
-        assert_eq!(state.stored_from(4, 1), 1);
-    }
-
-    #[test]
-    fn root_owned_token_works() {
-        let g = generators::path(5);
-        let mut state = WalkState::new(g.n());
-        state.store_walk(2, WalkId { source: 2, seq: 0 }, 3);
-        let out = one_stitch(&g, &mut state, 2, &setup(3), 4);
-        assert_eq!(out.walks[0].segments[0].owner, 2);
-        assert_eq!(out.connector_visits, vec![(2, 1)]);
-        assert_eq!(state.total_stored(), 0);
     }
 
     /// `tokens` stored walks of `root`, `len` steps each, spread over
     /// the graph (one of them at `root` itself).
-    fn spread_tokens(n: usize, root: NodeId, tokens: u32, len: u32) -> WalkState {
+    pub(crate) fn spread_tokens(n: usize, root: NodeId, tokens: u32, len: u32) -> WalkState {
         let mut state = WalkState::new(n);
         for seq in 0..tokens {
             let id = WalkId {
@@ -1077,137 +934,24 @@ pub(crate) mod tests {
         state
     }
 
-    #[test]
-    fn a_stitch_is_one_message_per_directed_edge_plus_the_owners_depth() {
-        use rand::SeedableRng;
-        // One lane, capacity-1 edges: nothing queues, so the flood tree
-        // is a BFS tree and the owner's depth in it its distance from
-        // the root. The echo puts exactly one `Wave` or `Agg` on every
-        // directed edge; `Chosen` is the only other sampling message,
-        // and it reaches the owner in `depth` hops only along the tree
-        // path (it is only ever sent to a child).
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let graphs = [
-            ("torus", generators::torus2d(6, 7)),
-            ("4-regular", generators::random_regular(48, 4, &mut rng)),
-        ];
-        let lambda = 5u32;
-        for (name, g) in &graphs {
-            assert!(drw_graph::traversal::is_connected(g), "{name}");
-            let root = 11;
-            let depth = drw_graph::traversal::bfs_distances(g, root);
-            let mut depths_seen = std::collections::BTreeSet::new();
-            for trial in 0..24 {
-                let mut state = spread_tokens(g.n(), root, 12, lambda + 1);
-                let out = one_stitch(g, &mut state, root, &setup(lambda), 300 + trial);
-                let seg = out.walks[0].segments[0];
-                let tail = 2 * u64::from(lambda) - u64::from(seg.len);
-                let owner_depth = u64::from(depth[seg.owner]);
-                assert_eq!(
-                    out.report.messages,
-                    g.dir_edge_count() as u64 + owner_depth + tail,
-                    "{name}, trial {trial}: owner {} at depth {owner_depth}",
-                    seg.owner
-                );
-                assert_eq!(out.gmw_invocations, 0);
-                depths_seen.insert(owner_depth);
-            }
-            assert!(depths_seen.contains(&0), "{name}: the root's own token");
-            assert!(depths_seen.len() >= 3, "{name}: {depths_seen:?}");
-        }
-    }
-
-    #[test]
-    fn eight_lanes_sharing_a_connector_each_consume_a_token_of_their_own() {
-        let g = generators::torus2d(5, 5);
-        let (root, lambda) = (12, 4u32);
-        let mut state = spread_tokens(g.n(), root, 12, lambda);
-        let mut runner = Runner::new(&g, EngineConfig::default(), 41);
-        let mut sched = StitchScheduler::new(&setup(lambda));
-        for _ in 0..8 {
-            sched.add_walk(root, 2 * u64::from(lambda));
-        }
-        let out = sched
-            .run(&mut runner, &mut state)
-            .expect("shared connector");
-        let mut taken = std::collections::BTreeSet::new();
-        for walk in &out.walks {
-            assert_eq!(walk.segments.len(), 1, "one stitch, then the tail");
-            let seg = walk.segments[0];
-            assert!(
-                taken.insert((seg.owner, seg.id.seq)),
-                "token {:?} at {} consumed twice",
-                seg.id,
-                seg.owner
-            );
-        }
-        assert_eq!((out.stitches, out.gmw_invocations), (8, 0));
-        assert_eq!(state.total_stored(), 4, "twelve tokens, eight consumed");
-    }
-
-    #[test]
-    #[should_panic(expected = "came from a child")]
-    fn a_slot_that_forgets_where_its_candidate_came_from_misroutes_the_choice() {
-        // Planted bug: the reservoir replaces its candidate without
-        // updating `cand_from`. The root holds no token of its own, so
-        // its candidate is a child's and the choice has nowhere to go.
-        // The engine runs the handlers on this thread, which is the
-        // only one to see the flag.
-        let g = generators::torus2d(4, 4);
+    /// One recorded `len`-step walk from node 0 of the 6x6 torus over a
+    /// Phase-1 store at `lambda = 6`; returns the outcome and the
+    /// visits it left.
+    pub(crate) fn recorded_walk(
+        len: u64,
+        seed: u64,
+    ) -> (BatchedStitchOutcome, Vec<(NodeId, Visit)>) {
+        let g = generators::torus2d(6, 6);
+        let mut runner = Runner::new(&g, EngineConfig::default(), seed);
         let mut state = WalkState::new(g.n());
-        state.store_walk(9, WalkId { source: 0, seq: 0 }, 4);
-        crate::sample_destination::FORGET_CAND_FROM.set(true);
-        one_stitch(&g, &mut state, 0, &setup(4), 3);
-    }
-
-    #[test]
-    fn sampling_rounds_scale_with_eccentricity_not_walk_count() {
-        // `report.rounds - rounds_tail` is the one stitch: wave out, echo
-        // back and the routed choice, each at most the connector's
-        // eccentricity, however many tokens it holds.
-        let g = generators::path(32);
-        let mut state = WalkState::new(g.n());
-        for seq in 0..20 {
-            state.store_walk((seq as usize * 7) % 32, WalkId { source: 0, seq }, 5);
-        }
-        let out = one_stitch(&g, &mut state, 0, &setup(4), 2);
-        let rounds = out.report.rounds - out.rounds_tail;
-        // Eccentricity of node 0 is 31; three passes plus constant.
-        assert!((31..=3 * 31 + 10).contains(&rounds), "rounds = {rounds}");
-        assert_eq!(out.rounds_tail, 3, "the tail is the 8 - 5 remaining steps");
-    }
-
-    #[test]
-    fn gmw_creates_exactly_count_walks_each_with_its_own_id() {
-        let g = generators::torus2d(4, 4);
-        let lambda = 6;
-        let (state, out) = starved_stitch(&g, 3, 25, lambda, true, 1);
-        assert_eq!(state.total_stored(), 24, "25 created, one stitched");
-        let seg = out.walks[0].segments[0];
-        let walks = stored(&state).map(|w| (w.id, w.len));
-        let mut ids = std::collections::BTreeSet::new();
-        for (id, len) in walks.chain([(seg.id, seg.len)]) {
-            assert_eq!(id.source, 3, "the drained connector launched it");
-            assert!(ids.insert(id), "{id:?} stored twice");
-            assert!(len >= lambda && len < 2 * lambda, "len = {len}");
-        }
-        assert_eq!(ids.len(), 25);
-    }
-
-    #[test]
-    fn gmw_fixed_length_and_unit_lambda_modes() {
-        // Fixed-length mode stops everything at lambda...
-        let (state, _) = starved_stitch(&generators::cycle(10), 0, 30, 5, false, 4);
-        assert_eq!(state.total_stored(), 29);
-        assert!(stored(&state).all(|w| w.len == 5));
-        // ...lambda = 1 yields unit walks...
-        let (state, _) = starved_stitch(&generators::cycle(5), 2, 10, 1, true, 7);
-        assert_eq!(state.total_stored(), 9);
-        assert!(stored(&state).all(|w| w.len == 1));
-        // ...and a zero count is clamped to the one walk the waiting
-        // stitch needs (a replenishment of nothing would never resolve).
-        let (state, _) = starved_stitch(&generators::path(4), 0, 0, 4, true, 8);
-        assert_eq!(state.total_stored(), 0);
+        phase1(&mut runner, &mut state, 4, 6);
+        let mut sched = StitchScheduler::new(&setup(6));
+        sched.add_spec(StitchSpec {
+            record: true,
+            ..StitchSpec::plain(0, len)
+        });
+        let out = sched.run(&mut runner, &mut state).expect("recorded run");
+        (out, state.drain_visits())
     }
 
     #[test]
@@ -1248,52 +992,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn contended_source_replenishes_and_still_completes() {
-        // Eight walks from the same source over a nearly-empty store:
-        // the pool (one token per node) drains instantly, forcing
-        // GET-MORE-WALKS and the optimistic-conflict retry path.
-        let g = generators::torus2d(3, 3);
-        let mut runner = Runner::new(&g, EngineConfig::default(), 11);
-        let mut state = WalkState::new(g.n());
-        phase1(&mut runner, &mut state, 1, 6);
-
-        let mut sched = StitchScheduler::new(&setup(6));
-        for _ in 0..8 {
-            sched.add_walk(0, 120);
-        }
-        let out = sched.run(&mut runner, &mut state).expect("contended run");
-        assert_eq!(out.walks.len(), 8);
-        assert!(
-            out.gmw_invocations > 0,
-            "a starved shared pool must trigger GET-MORE-WALKS"
-        );
-        for walk in &out.walks {
-            assert!(!walk.segments.is_empty());
-        }
-    }
-
-    #[test]
-    fn gmw_segments_are_logged_up_to_their_owner() {
-        // No Phase 1 at all: every stitch takes a GET-MORE-WALKS walk,
-        // and every node after its source logged its arrival.
-        let g = generators::torus2d(4, 4);
-        let mut runner = Runner::new(&g, EngineConfig::default(), 3);
-        let mut state = WalkState::new(g.n());
-        let mut sched = StitchScheduler::new(&setup(6));
-        sched.add_walk(2, 100).add_walk(9, 100);
-        let out = sched.run(&mut runner, &mut state).expect("starved run");
-        assert!(out.gmw_invocations >= 2, "empty store forces GMW per walk");
-        for walk in &out.walks {
-            assert!(!walk.segments.is_empty());
-            for seg in &walk.segments {
-                let log = &state.nodes[seg.owner].forward;
-                let arrival = log.arrival(seg.id.source, seg.id.seq, seg.len);
-                assert!(arrival.is_some(), "{seg:?} left no arrival at its owner");
-            }
-        }
-    }
-
-    #[test]
     fn wave_scratch_is_gone_after_a_run_and_after_an_engine_error() {
         let g = generators::torus2d(4, 4);
         let mut state = WalkState::new(g.n());
@@ -1323,50 +1021,6 @@ pub(crate) mod tests {
         let cap = drw_congest::RunError::MaxRoundsExceeded(12);
         assert_eq!(err, WalkError::Engine(cap));
         assert!(state.nodes.iter().all(|ns| ns.wave.is_none()));
-    }
-
-    #[test]
-    fn zero_and_tail_only_walks() {
-        let g = generators::path(6);
-        let mut runner = Runner::new(&g, EngineConfig::default(), 9);
-        let mut state = WalkState::new(g.n());
-        let mut sched = StitchScheduler::new(&setup(16));
-        sched.add_walk(3, 0); // Done immediately
-        sched.add_walk(2, 5); // < 2*lambda: pure tail
-        let out = sched.run(&mut runner, &mut state).expect("short walks");
-        assert_eq!(out.walks[0].destination, 3);
-        assert!(out.walks[0].segments.is_empty());
-        assert!(out.walks[1].segments.is_empty());
-        assert_eq!(out.stitches, 0);
-        // Parity of the 5-step tail on a path.
-        assert_eq!((out.walks[1].destination + 2) % 2, 1);
-    }
-
-    #[test]
-    fn record_mode_records_tail_visits_at_offset() {
-        // A pure-tail walk (len < 2*lambda) in record mode: every hop is
-        // recorded at pos_offset + local position with its predecessor;
-        // the hand-off position (pos_offset itself) is never recorded.
-        let g = generators::path(8);
-        let mut runner = Runner::new(&g, EngineConfig::default(), 13);
-        let mut state = WalkState::new(g.n());
-        let mut sched = StitchScheduler::new(&setup(16));
-        sched.add_spec(StitchSpec {
-            pos_offset: 100,
-            record: true,
-            ..StitchSpec::plain(3, 5)
-        });
-        let out = sched.run(&mut runner, &mut state).expect("tail walk");
-        let visits = state.drain_visits();
-        assert_eq!(visits.len(), 5);
-        let mut poss: Vec<u64> = visits.iter().map(|(_, v)| v.pos).collect();
-        poss.sort_unstable();
-        assert_eq!(poss, vec![101, 102, 103, 104, 105]);
-        let (last_node, _) = *visits.iter().find(|(_, v)| v.pos == 105).unwrap();
-        assert_eq!(last_node, out.walks[0].destination);
-        for (node, v) in &visits {
-            assert!(g.has_edge(v.pred().expect("tail visits carry preds"), *node));
-        }
     }
 
     #[test]
@@ -1411,23 +1065,6 @@ pub(crate) mod tests {
         assert!(visits.iter().all(|(_, v)| v.pred().is_some()));
     }
 
-    /// One recorded `len`-step walk from node 0 of the 6x6 torus over a
-    /// Phase-1 store at `lambda = 6`; returns the outcome and the
-    /// visits it left.
-    fn recorded_walk(len: u64, seed: u64) -> (BatchedStitchOutcome, Vec<(NodeId, Visit)>) {
-        let g = generators::torus2d(6, 6);
-        let mut runner = Runner::new(&g, EngineConfig::default(), seed);
-        let mut state = WalkState::new(g.n());
-        phase1(&mut runner, &mut state, 4, 6);
-        let mut sched = StitchScheduler::new(&setup(6));
-        sched.add_spec(StitchSpec {
-            record: true,
-            ..StitchSpec::plain(0, len)
-        });
-        let out = sched.run(&mut runner, &mut state).expect("recorded run");
-        (out, state.drain_visits())
-    }
-
     #[test]
     fn fitted_stitches_belong_to_unrecorded_walks_of_at_least_two_lambda() {
         let lambda = 8;
@@ -1458,92 +1095,32 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_fitted_stitch_leaves_a_tail_below_lambda_whenever_a_walk_fits() {
-        // Plain 120-step walks over a 6x6 torus store at lambda = 6: a
-        // segment that starts with fewer than 2λ to go is fitted and fits
-        // what is left; a tail of λ or more means the last connector held
-        // no walk that fits it (one lane: nothing else took one).
-        let (g, lambda, len) = (generators::torus2d(6, 6), 6u32, 120u64);
-        let mut fitted = 0;
-        for seed in 0..16 {
-            let mut runner = Runner::new(&g, EngineConfig::default(), 70 + seed);
-            let mut state = WalkState::new(g.n());
-            phase1(&mut runner, &mut state, 4, lambda);
-            let mut sched = StitchScheduler::new(&setup(lambda));
-            sched.add_walk(0, len);
-            let out = sched.run(&mut runner, &mut state).expect("plain run");
-            let segs = &out.walks[0].segments;
-            for seg in segs {
-                let left = len - seg.start_pos;
-                assert!(
-                    u64::from(seg.len) <= left,
-                    "seed {seed}: {seg:?} overshoots"
-                );
-                fitted += u32::from(left < 2 * u64::from(lambda));
-            }
-            let last = segs.last().expect("a 120-step walk stitches");
-            let tail = len - last.start_pos - u64::from(last.len);
-            let fits: usize = (state.nodes.iter())
-                .map(|ns| ns.count_from(last.owner, tail as u32))
-                .sum();
-            assert!(tail < 2 * u64::from(lambda), "seed {seed}");
-            assert!(
-                tail < u64::from(lambda) || fits == 0,
-                "seed {seed}: tail {tail}"
-            );
-        }
-        assert!(fitted > 0, "no walk ever stitched a fitted segment");
-        // A walk shorter than 2λ walks naively over the same store.
-        let mut runner = Runner::new(&g, EngineConfig::default(), 5);
-        let mut state = WalkState::new(g.n());
-        phase1(&mut runner, &mut state, 4, lambda);
-        let mut sched = StitchScheduler::new(&setup(lambda));
-        sched.add_walk(0, 2 * u64::from(lambda) - 1);
-        let out = sched.run(&mut runner, &mut state).expect("short run");
-        assert_eq!((out.stitches, out.report.messages), (0, 11));
-        // A recorded walk keeps stitching only while 2λ or more remain.
-        for seed in 0..6 {
-            let (out, _) = recorded_walk(len, seed);
-            for seg in &out.walks[0].segments {
-                assert!(len - seg.start_pos >= 2 * u64::from(lambda), "{seg:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn a_recorded_run_regenerates_every_position_while_it_stitches() {
-        let (out, mut visits) = recorded_walk(120, 7);
-        assert!(out.stitches >= 3);
-        visits.sort_unstable_by_key(|(_, v)| v.pos);
-        let positions: Vec<u64> = visits.iter().map(|(_, v)| v.pos).collect();
-        assert_eq!(positions, (1..=120).collect::<Vec<u64>>());
-        assert_eq!(visits.last().unwrap().0, out.walks[0].destination);
-        // Replay rode the wave: what is left of it after the walk landed
-        // is at most the last segment plus the way to its connector.
-        assert!(out.rounds_replay < 12 + 6, "{}", out.rounds_replay);
-        assert!(out.rounds_tail + out.rounds_replay < out.report.rounds);
-    }
-
-    #[test]
     fn the_widest_message_did_not_grow() {
-        // `Chosen` set the size before `Replay` joined; queue entries
-        // copy this many bytes per message.
+        // `Ride` and `Replay` set the size; queue entries copy this many
+        // bytes per message.
         assert_eq!(std::mem::size_of::<StitchMsg>(), 24);
         assert_eq!(std::mem::size_of::<BatchMsg>(), 32);
-        for cap in [NO_CAP, 7] {
-            let wave = StitchMsg::Wave {
-                epoch: 1,
-                cap,
-                root: 0,
-            };
-            assert_eq!(Mux2::new(0, 0, wave).size_words(), 3);
-        }
+        let walk = pack_walk(WalkId { source: 3, seq: 1 });
+        let words = |msg| Mux2::new(0, 0, msg).size_words();
+        assert_eq!(words(StitchMsg::Claim { walk, completed: 9 }), 3);
+        let acks = StitchMsg::Stored {
+            walk,
+            step: 2,
+            count: 5,
+        };
+        assert_eq!(words(acks), 4, "at the budget");
+        let ride = StitchMsg::Ride {
+            walk,
+            completed: 9,
+            step: 2,
+        };
+        assert_eq!(words(ride), 4, "at the budget");
         let replay = StitchMsg::Replay {
-            walk: pack_walk(WalkId { source: 3, seq: 1 }),
+            walk,
             step: 2,
             pos: 9,
         };
-        assert_eq!(Mux2::new(0, 0, replay).size_words(), 4, "at the budget");
+        assert_eq!(words(replay), 4, "at the budget");
     }
 
     #[test]
@@ -1561,29 +1138,25 @@ pub(crate) mod tests {
         // `i`: the largest id, seq or step; `c`: the largest counter.
         let (i, c) = (u32::MAX, u64::MAX);
         let stitch = [
-            StitchMsg::Wave {
-                epoch: i,
-                cap: NO_CAP,
-                root: i,
-            },
-            StitchMsg::Wave {
-                epoch: i,
-                cap: i - 1,
-                root: i,
-            },
-            StitchMsg::Agg { owner: i, count: c },
-            StitchMsg::Chosen {
-                epoch: i,
-                owner: i,
+            StitchMsg::Claim {
+                walk: c,
                 completed: c,
             },
-            StitchMsg::Retry { epoch: i },
             StitchMsg::Gmw {
-                seq: i,
+                walk: c,
                 step: i,
                 total: i,
             },
-            StitchMsg::GmwAck { count: c },
+            StitchMsg::Ride {
+                walk: c,
+                completed: c,
+                step: i,
+            },
+            StitchMsg::Stored {
+                walk: c,
+                step: i,
+                count: i,
+            },
             StitchMsg::Tail { left: c },
             StitchMsg::Replay {
                 walk: c,
@@ -1689,36 +1262,6 @@ pub(crate) mod tests {
             }
         }
         assert!(exercised, "no fault seed in 0..64 stalled a walk");
-    }
-
-    #[test]
-    fn naive_lane_reissues_from_scratch_on_lossy_links() {
-        use drw_congest::FaultPlan;
-        // A forced-naive walk has no checkpoints: losing its tail token
-        // restarts the whole walk (memoryless, so still unbiased). 5%
-        // drop over a 16-hop token loses one run in two, while a fresh
-        // pass completes just as often — stall and recovery are both
-        // likely within the seed scan.
-        let g = generators::path(4);
-        let mut exercised = false;
-        for fault_seed in 0..64 {
-            let cfg = EngineConfig::default().with_faults(FaultPlan::drops(fault_seed, 50).lossy());
-            let mut runner = Runner::new(&g, cfg, 7);
-            let mut state = WalkState::new(g.n());
-            let mut sched = StitchScheduler::new(&setup(8));
-            sched.add_spec(StitchSpec {
-                naive: true,
-                ..StitchSpec::plain(1, 16)
-            });
-            let out = sched.run(&mut runner, &mut state).expect("naive lossy");
-            assert!(out.walks[0].segments.is_empty());
-            assert_eq!(out.walks[0].destination % 2, 1, "16-step parity on a path");
-            if out.reissues > 0 {
-                exercised = true;
-                break;
-            }
-        }
-        assert!(exercised, "no fault seed in 0..64 lost the naive token");
     }
 
     #[test]

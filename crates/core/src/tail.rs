@@ -39,6 +39,14 @@ pub(crate) fn hop(shared: &SharedCfg, ctx: &mut NodeCtx<'_, BatchMsg>, w: u32, s
 }
 
 impl NodeCall<'_> {
+    /// The node walk `id` came from when this node was its `step`-th,
+    /// read off this node's arrival log.
+    pub(crate) fn pred_on(&self, id: WalkId, step: u32) -> NodeId {
+        let port = self.ws.forward.arrival(id.source, id.seq, step);
+        let port = port.unwrap_or_else(|| panic!("walk {id:?} has no arrival at step {step}"));
+        self.ctx.graph().neighbor_at(self.ctx.node(), port as usize)
+    }
+
     /// Lane `w`'s tail token arrives from `from`, `left` steps before
     /// the walk's end.
     pub(crate) fn on_tail(&mut self, w: u32, left: u64, from: NodeId) {
@@ -51,7 +59,7 @@ impl NodeCall<'_> {
                 .record_visit(spec.pos_offset + spec.len - left, Some(from));
         }
         if left == 0 {
-            self.tally.finished.push(w);
+            self.wave.tally.finished.push(w);
         } else {
             hop(self.shared, &mut self.ctx, w, left);
         }
@@ -62,7 +70,7 @@ impl NodeCall<'_> {
     pub(crate) fn replay_taken(&mut self, w: u32, seg: &Segment) {
         let spec = self.shared.walks[w as usize];
         if spec.record {
-            self.tally.replays_open += 1;
+            self.wave.tally.replays_open += 1;
             let pos = spec.pos_offset + seg.start_pos + u64::from(seg.len);
             self.on_replay(w, (pack_walk(seg.id), seg.len, pos));
         }
@@ -74,16 +82,110 @@ impl NodeCall<'_> {
     /// back to it — or, at step 1, whose predecessor is the connector
     /// (its position is on record already), is home.
     pub(crate) fn on_replay(&mut self, w: u32, (walk, step, pos): (u64, u32, u64)) {
-        let id = unpack_walk(walk);
-        let port = self.ws.forward.arrival(id.source, id.seq, step);
-        let port = port.unwrap_or_else(|| panic!("walk {id:?} has no arrival at step {step}"));
-        let pred = self.ctx.graph().neighbor_at(self.ctx.node(), port as usize);
+        let pred = self.pred_on(unpack_walk(walk), step);
         self.ws.record_visit(pos, Some(pred));
         if step == 1 {
-            self.tally.replays_open -= 1;
+            self.wave.tally.replays_open -= 1;
         } else {
             let (step, pos) = (step - 1, pos - 1);
             self.send(pred, w, StitchMsg::Replay { walk, step, pos });
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::state::WalkState;
+    use crate::stitch_scheduler::tests::{recorded_walk, setup};
+    use crate::stitch_scheduler::{StitchScheduler, StitchSpec};
+    use drw_congest::{EngineConfig, Runner};
+    use drw_graph::generators;
+
+    #[test]
+    fn zero_and_tail_only_walks() {
+        let g = generators::path(6);
+        let mut runner = Runner::new(&g, EngineConfig::default(), 9);
+        let mut state = WalkState::new(g.n());
+        let mut sched = StitchScheduler::new(&setup(16));
+        sched.add_walk(3, 0); // Done immediately
+        sched.add_walk(2, 5); // < 2*lambda: pure tail
+        let out = sched.run(&mut runner, &mut state).expect("short walks");
+        assert_eq!(out.walks[0].destination, 3);
+        assert!(out.walks[0].segments.is_empty());
+        assert!(out.walks[1].segments.is_empty());
+        assert_eq!(out.stitches, 0);
+        // Parity of the 5-step tail on a path.
+        assert_eq!((out.walks[1].destination + 2) % 2, 1);
+    }
+
+    #[test]
+    fn record_mode_records_tail_visits_at_offset() {
+        // A pure-tail walk (len < 2*lambda) in record mode: every hop is
+        // recorded at pos_offset + local position with its predecessor;
+        // the hand-off position (pos_offset itself) is never recorded.
+        let g = generators::path(8);
+        let mut runner = Runner::new(&g, EngineConfig::default(), 13);
+        let mut state = WalkState::new(g.n());
+        let mut sched = StitchScheduler::new(&setup(16));
+        sched.add_spec(StitchSpec {
+            pos_offset: 100,
+            record: true,
+            ..StitchSpec::plain(3, 5)
+        });
+        let out = sched.run(&mut runner, &mut state).expect("tail walk");
+        let visits = state.drain_visits();
+        assert_eq!(visits.len(), 5);
+        let mut poss: Vec<u64> = visits.iter().map(|(_, v)| v.pos).collect();
+        poss.sort_unstable();
+        assert_eq!(poss, vec![101, 102, 103, 104, 105]);
+        let (last_node, _) = *visits.iter().find(|(_, v)| v.pos == 105).unwrap();
+        assert_eq!(last_node, out.walks[0].destination);
+        for (node, v) in &visits {
+            assert!(g.has_edge(v.pred().expect("tail visits carry preds"), *node));
+        }
+    }
+
+    #[test]
+    fn a_recorded_run_regenerates_every_position_while_it_stitches() {
+        let (out, mut visits) = recorded_walk(120, 7);
+        assert!(out.stitches >= 3);
+        visits.sort_unstable_by_key(|(_, v)| v.pos);
+        let positions: Vec<u64> = visits.iter().map(|(_, v)| v.pos).collect();
+        assert_eq!(positions, (1..=120).collect::<Vec<u64>>());
+        assert_eq!(visits.last().unwrap().0, out.walks[0].destination);
+        // Replay rode the wave: what is left of it after the walk landed
+        // is at most the last segment plus the way to its connector.
+        assert!(out.rounds_replay < 12 + 6, "{}", out.rounds_replay);
+        assert!(out.rounds_tail + out.rounds_replay < out.report.rounds);
+    }
+
+    #[test]
+    fn naive_lane_reissues_from_scratch_on_lossy_links() {
+        use drw_congest::FaultPlan;
+        // A forced-naive walk has no checkpoints: losing its tail token
+        // restarts the whole walk (memoryless, so still unbiased). 5%
+        // drop over a 16-hop token loses one run in two, while a fresh
+        // pass completes just as often — stall and recovery are both
+        // likely within the seed scan.
+        let g = generators::path(4);
+        let mut exercised = false;
+        for fault_seed in 0..64 {
+            let cfg = EngineConfig::default().with_faults(FaultPlan::drops(fault_seed, 50).lossy());
+            let mut runner = Runner::new(&g, cfg, 7);
+            let mut state = WalkState::new(g.n());
+            let mut sched = StitchScheduler::new(&setup(8));
+            sched.add_spec(StitchSpec {
+                naive: true,
+                ..StitchSpec::plain(1, 16)
+            });
+            let out = sched.run(&mut runner, &mut state).expect("naive lossy");
+            assert!(out.walks[0].segments.is_empty());
+            assert_eq!(out.walks[0].destination % 2, 1, "16-step parity on a path");
+            if out.reissues > 0 {
+                exercised = true;
+                break;
+            }
+        }
+        assert!(exercised, "no fault seed in 0..64 lost the naive token");
     }
 }

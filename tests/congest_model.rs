@@ -182,8 +182,9 @@ fn gmw_edge_words_match_wire_format() {
 }
 
 /// The batched Phase-2 scheduler multiplexes every lane over
-/// `Mux2<StitchMsg>`: widest arm (Chosen/Gmw/Replay, 3 words) plus the
-/// packed `(req, lane)` word — 4 words, at but never over the cap.
+/// `Mux2<StitchMsg>`: widest arm (Gmw/Ride/Replay, 3 words) plus the
+/// packed `(req, lane)` word — 4 words, at but never over the cap. A
+/// claim is 3 words, so the recorded lane's replay is what reaches it.
 #[test]
 fn stitch_scheduler_edge_words_match_wire_format() {
     let g = generators::torus2d(4, 4);
@@ -200,9 +201,13 @@ fn stitch_scheduler_edge_words_match_wire_format() {
         gmw_count: 8,
     };
     let mut sched = StitchScheduler::new(&setup);
-    for source in [0usize, 5, 10] {
+    for source in [0usize, 5] {
         sched.add_walk(source, 128);
     }
+    sched.add_spec(StitchSpec {
+        record: true,
+        ..StitchSpec::plain(10, 128)
+    });
     let out = sched.run(&mut runner, &mut state).unwrap();
     assert_eq!(out.report.max_edge_words_per_round, 4);
     assert!(out.report.max_edge_words_per_round <= cfg.max_message_words);

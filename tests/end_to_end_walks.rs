@@ -86,9 +86,8 @@ fn one_shot_walk_launches_the_short_walks_it_can_use() {
         let lambda = u64::from(r.lambda);
         let demand = len.div_ceil(lambda).max(64);
         assert!(len >= 2 * lambda);
-        // The hub launched no GET-MORE-WALKS walk with a sequence
-        // number: an unrecorded walk aggregates them.
-        let hub = u64::from(r.state.nodes[0].next_seq);
+        // The hub launched its Phase-1 share and no GET-MORE-WALKS walk.
+        let hub = u64::from(r.state.nodes[0].next_seq());
         assert_eq!(hub, (63 * demand).div_ceil(126), "l = {len}");
         assert!(hub < 63, "the cap bites at l = {len}");
     }

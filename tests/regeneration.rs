@@ -6,7 +6,8 @@
 //! over graph edges from the source to the reported destination — over
 //! the situations that start a replay differently: a remote owner, an
 //! owner that is its own connector, a stitch that ends the walk, a
-//! segment that `GET-MORE-WALKS` made, a `seq` in the boxed log.
+//! segment that `GET-MORE-WALKS` made (ridden, or stored and taken), a
+//! `seq` in the boxed log.
 
 use drw_congest::{EngineConfig, FaultPlan, Runner};
 use drw_core::{
@@ -148,8 +149,9 @@ fn a_last_stitch_that_consumes_the_walk_exactly_is_replayed_too() {
 
 #[test]
 fn an_empty_store_replays_get_more_walks_segments() {
-    // No Phase 1: every segment is a per-token `GET-MORE-WALKS` walk
-    // launched, logged, taken and replayed within the one run.
+    // No Phase 1: every segment is a `GET-MORE-WALKS` walk launched
+    // within the one run — ridden and recorded as it goes, or stored,
+    // logged, taken and replayed.
     let cfg = drw_experiments::engine_config_from_env();
     for (name, g) in graphs() {
         for seed in 0..6u64 {
@@ -166,17 +168,20 @@ fn an_empty_store_replays_get_more_walks_segments() {
 fn sequence_numbers_beyond_the_packed_log_budget_replay_identically() {
     // `ForwardLog` packs `seq` into 12 bits and boxes what does not fit;
     // the wire word `source:32 | seq:32` has no such edge. Start every
-    // node's counter just below 2^12 so the walks of the first
-    // `GET-MORE-WALKS` straddle it: the same run, from counter 0 and
-    // from 4094, must visit the same nodes at the same positions.
+    // node's counter just below 2^12 so its three Phase-1 walks straddle
+    // it: the same run, from counter 0 and from 4094, must visit the
+    // same nodes at the same positions.
     let g = generators::torus2d(6, 6);
     let cfg = EngineConfig::default();
     let spec = (3, 80, 500);
     let run = |first_seq: u32| {
         let mut state = WalkState::new(g.n());
         for ns in &mut state.nodes {
-            ns.next_seq = first_seq;
+            ns.ledger_mut().next_seq = first_seq;
         }
+        let mut runner = Runner::new(&g, cfg.clone(), 9);
+        let mut p1 = ShortWalksProtocol::new(&mut state, vec![3; g.n()], LAMBDA, true);
+        runner.run(&mut p1).expect("phase 1");
         recorded_wave(&g, &cfg, &mut state, spec, 41)
     };
     let (low, low_visits) = run(0);
@@ -261,7 +266,9 @@ fn replay_is_a_small_share_of_tree_rounds_over_32_seeds() {
     // outlasts each phase's landing is left. One seed's share swings
     // with its phase count (a walk that covers the torus a phase early
     // skips the longest phase), so the bars hold over seeds 11..=42:
-    // replay at most 7 % of all tree rounds and 23 rounds per phase.
+    // replay at most 20 rounds per phase (17.4 now) and 12 % of all
+    // tree rounds (11.4 %: the claim flood halved the tree's other
+    // rounds, while replay's fell by a tenth).
     let (mut rounds, mut replay, mut phases) = (0u64, 0u64, 0u64);
     for seed in 11..=42 {
         let (r, re, p) = tree_cover(seed);
@@ -271,9 +278,9 @@ fn replay_is_a_small_share_of_tree_rounds_over_32_seeds() {
     }
     let share = replay as f64 / rounds as f64;
     let per_phase = replay as f64 / phases as f64;
-    assert!(share <= 0.07, "replay {replay} of {rounds} rounds");
+    assert!(share <= 0.12, "replay {replay} of {rounds} rounds");
     assert!(
-        per_phase <= 23.0,
+        per_phase <= 20.0,
         "replay {replay} rounds over {phases} phases"
     );
 }

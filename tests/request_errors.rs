@@ -198,32 +198,39 @@ fn oversized_cohort_is_rejected_typed_on_the_shared_paths() {
 
 #[test]
 fn fail_silent_loss_is_a_typed_error_on_every_path() {
-    // Unhealed drops on the 6x6 torus. At 2 % an echo (all 144 of its
-    // messages) survives with probability 0.98^144 ≈ 5 %, so long walks
-    // exhaust their re-issue passes, a recorded walk loses part of its
-    // record and a tree primitive loses its result; at 100 % the
-    // session's BFS reaches no one. Each used to panic.
+    // Unhealed drops, fault seed 5. On the 6x6 torus at 2 % the
+    // session's BFS tree loses a message, so every request there fails
+    // before Phase 2 (whose claims, flooded over redundant routes, would
+    // mostly get through); at 100 % the BFS reaches no one. On the
+    // 16-node path at 0.5 % the BFS survives, but a claim has one route
+    // there and is lost like any token, and so are Phase-1 walks, whose
+    // ledger entries then claim nothing: a 2000-step walk exhausts its
+    // re-issue passes. Each used to panic.
     use drw_congest::FaultPlan;
-    let g = generators::torus2d(6, 6);
+    let (torus, path) = (generators::torus2d(6, 6), generators::path(16));
     let expected = DrwError::Walk(WalkError::MessagesLost);
-    let lossy = |per_mille| {
+    let lossy = |g: &Graph, per_mille| {
         let plan = FaultPlan::drops(5, per_mille).lossy();
-        Network::builder(&g)
+        Network::builder(g)
             .engine(EngineConfig::default().with_faults(plan))
             .build()
     };
     let cases = [
-        (20, Request::walk(0, 400)),
-        (20, Request::many_walks(vec![0, 7, 14], 400)),
-        (20, Request::spanning_tree(0)),
-        (20, Request::mixing_probe(0, 16)),
-        (20, Request::MixingTime(MixingRequest::new(0))),
-        (1000, Request::walk(0, 400)),
-        (1000, Request::many_walks(vec![0, 7], 64)),
-        (1000, Request::spanning_tree(0)),
-        (1000, Request::mixing_probe(0, 16)),
+        (&torus, 20, Request::walk(0, 400)),
+        (&torus, 20, Request::many_walks(vec![0, 7, 14], 400)),
+        (&torus, 20, Request::spanning_tree(0)),
+        (&torus, 20, Request::mixing_probe(0, 16)),
+        (&torus, 20, Request::MixingTime(MixingRequest::new(0))),
+        (&torus, 1000, Request::walk(0, 400)),
+        (&torus, 1000, Request::many_walks(vec![0, 7], 64)),
+        (&torus, 1000, Request::spanning_tree(0)),
+        (&torus, 1000, Request::mixing_probe(0, 16)),
+        (&path, 5, Request::walk(0, 2000)),
     ];
-    for (per_mille, bad) in cases {
+    // The path's BFS does survive its plan: the walk fails in Phase 2.
+    assert!(lossy(&path, 5).run(Request::walk(0, 0)).is_ok());
+    for (g, per_mille, bad) in cases {
+        let lossy = |per_mille| lossy(g, per_mille);
         let label = format!("{per_mille} per mille, {bad:?}");
         assert_eq!(
             lossy(per_mille).run(bad.clone()).unwrap_err(),
