@@ -105,9 +105,11 @@ impl NodeCall<'_> {
             self.wave.tally.launches_open += 1;
         }
         let round = self.ctx.round();
-        let launch = self.wave.launch.get_or_insert_with(|| Launch {
-            round,
-            ..Launch::default()
+        let launch = self.wave.launch.get_or_insert_with(|| {
+            Box::new(Launch {
+                round,
+                ..Launch::default()
+            })
         });
         launch.unacked += count - 1;
         let length = (shared.setup.lambda, shared.setup.randomize_len);

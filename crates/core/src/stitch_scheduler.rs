@@ -303,9 +303,10 @@ pub(crate) struct Tally {
     /// `-1` per replay token that stopped here; drained into the run's
     /// count by [`BatchedStitchProtocol::note`].
     pub(crate) replays_open: i32,
-    /// `GET-MORE-WALKS` invocations awaiting acknowledgements: `+1` per
-    /// launch with walks to store, `-1` when its last one came home;
-    /// drained like `replays_open`.
+    /// `GET-MORE-WALKS` launches awaiting acknowledgements: `+1` when an
+    /// invocation with walks to store finds none of this node's in
+    /// flight, `-1` when the last acknowledgement of those in flight
+    /// came home; drained like `replays_open`.
     pub(crate) launches_open: i32,
 }
 
@@ -318,8 +319,9 @@ pub(crate) struct WaveScratch {
     /// forwarded (0: none), sized by the first claim (a tail hop needs
     /// no lane).
     pub(crate) claimed: Vec<u64>,
-    /// The `GET-MORE-WALKS` invocation of this node in flight, if any.
-    pub(crate) launch: Option<crate::get_more_walks::Launch>,
+    /// This node's `GET-MORE-WALKS` invocations in flight, if any (boxed:
+    /// a tail hop's scratch stays small).
+    pub(crate) launch: Option<Box<crate::get_more_walks::Launch>>,
     pub(crate) tally: Tally,
     /// `tally.finished` entries already in the run's completion count.
     counted: usize,
@@ -394,6 +396,9 @@ impl BatchedStitchProtocol<'_> {
         self.done += w.tally.finished.len() - w.counted;
         w.counted = w.tally.finished.len();
         let tally = &mut w.tally;
+        if (tally.replays_open, tally.launches_open) == (0, 0) {
+            return;
+        }
         for (open, run) in [
             (&mut tally.replays_open, &mut self.replaying),
             (&mut tally.launches_open, &mut self.launching),
