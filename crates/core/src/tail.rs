@@ -4,8 +4,9 @@
 //! or no stored walk fits (every step, on a forced-naive lane) — a walk
 //! moves as a `Tail` token, one random hop per round (Algorithm 1,
 //! line 14). A recorded lane records every tail hop, and replays each
-//! stitched segment while the walk goes on stitching (end of Section
-//! 2.2): the segment's owner, which took the short walk and so knows
+//! segment taken from a store while the walk goes on stitching (end of
+//! Section 2.2; a ridden `GET-MORE-WALKS` walk records itself as it
+//! goes): the segment's owner, which took the short walk and so knows
 //! it, records its own position and sends a `Replay` token back along
 //! the walk's arrival log. Every node on the way records its position
 //! and the predecessor its log names, down to the walk's first step,
