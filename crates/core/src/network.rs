@@ -594,7 +594,9 @@ mod tests {
             let mut session = WalkSession::new(&g, 5, &SingleWalkConfig::default(), seed).unwrap();
             session.provision_for_walk(1024);
             let wave = session.single_walk(5, 1024).unwrap();
-            assert_eq!(session.walks_added(), g.n() as u64, "one per node");
+            // S = 12 stitches over 2m = 256: mu = 0.19 per node, and
+            // ceil(mu + 2 sqrt(mu)) = 2.
+            assert_eq!(session.walks_added(), 2 * g.n() as u64, "two per node");
             assert_eq!(routed.destination, wave.destination, "seed {seed}");
             assert_eq!(routed.segments, wave.segments, "seed {seed}");
             assert_eq!(routed.rounds, session.total_rounds(), "seed {seed}");

@@ -11,9 +11,12 @@
 //!
 //! A one-shot walk ([`crate::Network::run`] of a [`crate::Request::Walk`])
 //! launches no more short walks than it can use: with stitch demand
-//! `S = ceil(l / lambda)` (0 when `l < 2 * lambda`), node `v` launches
-//! `min(ceil(eta * deg(v)), ceil(deg(v) * max(S, n) / 2m))`, or
-//! `min(ceil(eta), ceil(max(S, n) / n))` under flat allocation. Every
+//! `S = ceil(l / lambda)` (0 when `l < 2 * lambda`), node `v` expects
+//! to connect `mu = S * deg(v) / 2m` stitches (`S / n` under flat
+//! allocation) and launches `min(ceil(eta * deg(v)), ceil(mu + 2 sqrt(mu)))`
+//! (`ceil(eta)` in place of the first term under flat allocation): a dry
+//! connector rides a fresh walk of about `1.5 lambda` rounds where a
+//! claim takes about `dist`, so the cap keeps a Poisson margin. Every
 //! store that outlives its request (sessions, batches, the service) and
 //! every other one-shot request keeps `ceil(eta * deg(v))`.
 

@@ -29,8 +29,9 @@
 //! - **Regime upgrades**: the store's base length
 //!   ([`WalkSession::store_lambda`]) only grows. A call stitches at the
 //!   store's regime — exact for any `lambda`, only with more stitches —
-//!   unless relaunching at its own longer `lambda` pays for itself on
-//!   this very call, by the session's own round ledger
+//!   unless relaunching at its own longer `lambda` pays for itself
+//!   within a few calls like it, by the session's own round ledger and
+//!   counting the connectors the short store would leave dry
 //!   (`WalkSession::upgrade_pays`). Then stale short walks are discarded
 //!   (free, local, and exact — the decision reads lengths, never
 //!   trajectories) and the store relaunches in the longer regime.
@@ -101,6 +102,13 @@ use std::sync::Arc;
 /// reaches `1/TOPUP_DEFICIT_DENOM` of the target size (see
 /// `WalkSession::ensure_store`).
 const TOPUP_DEFICIT_DENOM: usize = 4;
+
+/// How many requests like the current one a regime upgrade's relaunch
+/// must repay itself within (`WalkSession::upgrade_pays`): the request
+/// and the next two. The relaunched store outlives the request, so a
+/// horizon of one would keep a short store under a run of long walks
+/// that each stitch only a little slower on it.
+const UPGRADE_HORIZON: f64 = 3.0;
 
 /// Forwarding logs are reclaimed once they hold more than this many
 /// times the live store's steps ([`WalkState::reclaim_forward_logs`]).
@@ -562,26 +570,27 @@ impl WalkSession {
     /// The Phase-1 targets: `ceil(eta * w(v))` walks per node, with
     /// weight `w(v) = deg(v)` (or 1 under the flat ablation — A3). A
     /// session provisioned for stitch demand `S`
-    /// ([`WalkSession::provision_for_walk`]) caps each target at `v`'s
-    /// weighted share of `max(S, n)`, `ceil(w(v) * max(S, n) / W)` with
-    /// `W` the weight total (`2m`, or `n`): a walk consumes at most `S`
-    /// short walks in all, and `GET-MORE-WALKS` covers a connector the
-    /// cap leaves dry, so the walk law is unchanged.
+    /// ([`WalkSession::provision_for_walk`]) caps each target at
+    /// `ceil(mu + 2 sqrt(mu))`, where `mu = S * w(v) / W` (`W` the weight
+    /// total, `2m` or `n`) is about the mean number of stitches `v`
+    /// connects: a node runs dry, and its stitch rides a fresh walk of
+    /// `~1.5 lambda` rounds instead of a claim of `~dist` rounds, only
+    /// in the tail of its visits. `GET-MORE-WALKS` covers that tail, so
+    /// the walk law is unchanged.
     fn targets(&self) -> Vec<usize> {
         let n = self.g.n();
         let by_degree = self.cfg.degree_proportional;
         let weight = |v| if by_degree { self.g.degree(v) } else { 1 };
         let total = if by_degree { 2 * self.g.m() } else { n };
-        let demand = self.stitch_demand.map(|s| u128::from(s.max(n as u64)));
         (0..n)
             .map(|v| {
                 let w = weight(v);
                 let full = self.cfg.params.walks_for_degree(w);
-                match demand {
+                match self.stitch_demand {
                     None => full,
-                    Some(d) => {
-                        let share = (w as u128 * d).div_ceil(total.max(1) as u128);
-                        (full as u128).min(share) as usize
+                    Some(s) => {
+                        let mu = w as f64 * s as f64 / total.max(1) as f64;
+                        full.min((mu + 2.0 * mu.sqrt()).ceil() as usize)
                     }
                 }
             })
@@ -613,6 +622,9 @@ impl WalkSession {
         let mut p1 =
             ShortWalksProtocol::new(&mut self.state, counts, lambda, self.cfg.randomize_len);
         self.runner.run(&mut p1)?;
+        // A token lost in flight leaves its launcher an entry for a walk
+        // no node stores.
+        self.state.drop_unstored_ledger_entries();
         self.topups += 1;
         self.walks_added += added as u64;
         self.rounds_topup += self.runner.total_rounds() - before;
@@ -621,21 +633,52 @@ impl WalkSession {
     }
 
     /// Whether discarding the store and relaunching it at `lambda_call`
-    /// costs a `len`-step request fewer rounds than stitching it at the
+    /// costs `len`-step requests fewer rounds than stitching them at the
     /// store's shorter `lambda`. Priced from the session's own ledger:
     /// a relaunch at its top-ups' rounds per unit `lambda`, a stitch at
     /// its waves' rounds per stitch (before the first: a sweep out and
-    /// back, `2 * d_est`); a walk stitches segments of mean
-    /// `1.5 * lambda` and then walks a tail of about `lambda`.
+    /// back, `2 * d_est`). A walk stitches segments of mean
+    /// `1.5 * lambda`, rides a fresh walk of as many rounds at each
+    /// connector it finds dry ([`WalkSession::dry_stitches`]), and then
+    /// walks a tail of about `lambda`. The store outlives the request,
+    /// so the relaunch is weighed against [`UPGRADE_HORIZON`] requests
+    /// like this one.
     fn upgrade_pays(&self, lambda_call: u32, len: u64) -> bool {
+        if lambda_call <= self.store_lambda {
+            return false;
+        }
         let (call, store) = (f64::from(lambda_call), f64::from(self.store_lambda));
         let per_stitch = match self.stitch_depth {
             0 => 2.0 * f64::from(self.d_est),
             depth => self.rounds_stitch as f64 / depth as f64,
         };
+        let targets = self.targets();
         let relaunch = self.rounds_topup as f64 / self.topup_lambdas.max(1) as f64 * call;
-        let phase2 = |lambda: f64| len as f64 / (1.5 * lambda) * per_stitch + lambda;
-        call > store && relaunch + phase2(call) < phase2(store)
+        let phase2 = |lambda: f64| {
+            let stitches = len as f64 / (1.5 * lambda);
+            stitches * per_stitch + self.dry_stitches(stitches, &targets) * 1.5 * lambda + lambda
+        };
+        relaunch < UPGRADE_HORIZON * (phase2(store) - phase2(call))
+    }
+
+    /// The expected number of dry connectors `stitches` stitches meet
+    /// over a store of `targets` walks per node: node `v` connects about
+    /// `Poisson(mu)` of them, `mu = stitches * deg(v) / 2m` (a walk's
+    /// stationary share), and runs dry on `E[(X - target(v))^+]`.
+    fn dry_stitches(&self, stitches: f64, targets: &[usize]) -> f64 {
+        let two_m = (2 * self.g.m()).max(1) as f64;
+        (targets.iter().enumerate())
+            .map(|(v, &t)| {
+                let mu = stitches * self.g.degree(v) as f64 / two_m;
+                // E[(X - t)^+] = mu - t + sum_{k < t} (t - k) P(X = k).
+                let (mut p, mut short) = ((-mu).exp(), 0.0);
+                for k in 0..t {
+                    short += (t - k) as f64 * p;
+                    p *= mu / (k + 1) as f64;
+                }
+                (mu - t as f64 + short).max(0.0)
+            })
+            .sum()
     }
 
     /// Ensures the store can serve a `len`-step request whose computed
@@ -939,19 +982,9 @@ mod tests {
         s.single_walk(0, 256).unwrap();
         let small = s.store_lambda();
         assert!(small >= 1);
-        // A regime four times longer, named by a request long enough
-        // that the relaunch pays (the wave itself is one naive hop).
-        let big = 4 * small;
-        let hop = StitchSpec {
-            naive: true,
-            ..StitchSpec::plain(0, 1)
-        };
-        s.run_wave(big, 256 * u64::from(big), &[hop]).unwrap();
-        assert_eq!(
-            s.store_lambda(),
-            big,
-            "longer request must upgrade the regime"
-        );
+        s.single_walk(0, 4096).unwrap();
+        let big = s.store_lambda();
+        assert!(big > small, "longer request must upgrade the regime");
         let r = s.single_walk(0, 300).unwrap();
         assert_eq!(s.store_lambda(), big, "short request keeps the regime");
         assert_eq!(parity(0, 6), parity(r.destination, 6));

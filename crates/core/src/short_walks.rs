@@ -328,7 +328,7 @@ mod tests {
     /// repairs (evicting), reclaims its logs and re-launches, calling
     /// `check` on its state after each of 24 steps.
     fn churned_session(mut check: impl FnMut(&WalkState, &drw_graph::Graph)) {
-        use crate::{SingleWalkConfig, StitchSpec, WalkSession};
+        use crate::{SingleWalkConfig, WalkSession};
         use drw_graph::{Topology, TopologyDelta};
         let topo = Topology::new(generators::torus2d(6, 6));
         let mut s = WalkSession::attach(&topo, 0, &SingleWalkConfig::default(), 21).unwrap();
@@ -343,29 +343,21 @@ mod tests {
                 };
                 let _ = topo.apply(&delta).unwrap();
                 evicted += s.sync().unwrap().walks_evicted;
-            } else if i == 9 {
-                // A regime upgrade: a wave whose request is long enough
-                // for the relaunch to pay (the wave itself is one hop).
-                let lambda = 4 * s.store_lambda();
-                let hop = StitchSpec {
-                    naive: true,
-                    ..StitchSpec::plain(at, 1)
-                };
-                let wave = s.run_wave(lambda, 256 * u64::from(lambda), &[hop]).unwrap();
-                at = wave.walks[0].destination;
             } else {
-                // Short walks, then, after the upgrade, walks long enough
-                // to stitch in the new regime.
-                at = s
-                    .single_walk(at, if i < 9 { 256 } else { 1024 })
-                    .unwrap()
-                    .destination;
+                // Short walks, one long walk that upgrades the regime,
+                // then walks long enough to stitch in the new one.
+                let len = match i {
+                    0..=8 => 256,
+                    9 => 4096,
+                    _ => 1024,
+                };
+                at = s.single_walk(at, len).unwrap().destination;
             }
             shrunk += usize::from(s.state().forward_entries() < before);
             check(s.state(), &s.graph());
         }
         assert!(evicted > 0, "the deltas evicted stored walks");
-        assert!(s.walks_discarded() > 0, "the upgrade discarded walks");
+        assert!(s.walks_discarded() > 0, "the long walk upgraded the regime");
         assert!(shrunk >= 5, "logs were reclaimed {shrunk} times");
         assert!(s.topups() > 2, "the store was re-launched");
     }

@@ -640,6 +640,28 @@ impl WalkState {
         before - self.forward_entries()
     }
 
+    /// Drops every ledger entry whose walk no node stores: a short-walk
+    /// token lost in flight under fail-silent loss, whose claim would
+    /// find nothing. Unbilled host bookkeeping, the converse of the
+    /// store sweep in [`WalkState::reclaim_forward_logs`]; the session
+    /// runs it after each Phase-1 launch and the scheduler before each
+    /// re-issue pass. Returns the entries dropped.
+    pub fn drop_unstored_ledger_entries(&mut self) -> usize {
+        let mut stored: Vec<(u32, u32)> = (self.nodes.iter())
+            .flat_map(|ns| ns.store.iter().map(|w| (w.id.source, w.id.seq)))
+            .collect();
+        stored.sort_unstable();
+        let mut dropped = 0;
+        for (v, ns) in self.nodes.iter_mut().enumerate() {
+            if let Some(ledger) = &mut ns.ledger {
+                let before = ledger.unused.len();
+                (ledger.unused).retain(|&(seq, _)| stored.binary_search(&(v as u32, seq)).is_ok());
+                dropped += before - ledger.unused.len();
+            }
+        }
+        dropped
+    }
+
     /// Forwarding-log entries held network-wide.
     pub fn forward_entries(&self) -> usize {
         self.nodes.iter().map(|ns| ns.forward.len()).sum()

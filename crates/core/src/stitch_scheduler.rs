@@ -802,6 +802,9 @@ impl StitchScheduler {
             // Relaunch each lost walk from its last stitched checkpoint
             // with fresh randomness (the next engine run derives a new
             // seed). Naive walks carry no trace, so they restart whole.
+            // First the ledgers forget walks lost before they were
+            // stored, so no claim floods for them again.
+            state.drop_unstored_ledger_entries();
             reissues += unfinished.len() as u64;
             pending = unfinished
                 .into_iter()

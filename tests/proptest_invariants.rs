@@ -41,13 +41,13 @@ fn connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
 /// base length `lambda`: none unless it stitches (`len >= 2 * lambda`),
 /// and otherwise, for stitch demand `S = ceil(len / lambda)`, node `v`
 /// with weight `w(v)` (its degree, or 1 under flat allocation) launches
-/// `min(ceil(eta * w(v)), ceil(w(v) * max(S, n) / W))`, where `W` is the
-/// weight total.
+/// `min(ceil(eta * w(v)), ceil(mu + 2 sqrt(mu)))`, where
+/// `mu = w(v) * S / W` and `W` is the weight total.
 fn provisioned(g: &Graph, cfg: &SingleWalkConfig, len: u64, lambda: u64) -> u64 {
     if len < 2 * lambda {
         return 0;
     }
-    let demand = len.div_ceil(lambda).max(g.n() as u64);
+    let demand = len.div_ceil(lambda) as f64;
     let weight = |v| {
         if cfg.degree_proportional {
             g.degree(v)
@@ -55,12 +55,13 @@ fn provisioned(g: &Graph, cfg: &SingleWalkConfig, len: u64, lambda: u64) -> u64 
             1
         }
     };
-    let total: u64 = (0..g.n()).map(|v| weight(v) as u64).sum();
+    let total: usize = (0..g.n()).map(weight).sum();
     (0..g.n())
         .map(|v| {
             let w = weight(v);
             let full = cfg.params.walks_for_degree(w) as u64;
-            full.min((w as u64 * demand).div_ceil(total))
+            let mu = w as f64 * demand / total as f64;
+            full.min((mu + 2.0 * mu.sqrt()).ceil() as u64)
         })
         .sum()
 }

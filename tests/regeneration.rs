@@ -266,9 +266,7 @@ fn replay_is_a_small_share_of_tree_rounds_over_32_seeds() {
     // outlasts each phase's landing is left. One seed's share swings
     // with its phase count (a walk that covers the torus a phase early
     // skips the longest phase), so the bars hold over seeds 11..=42:
-    // replay at most 20 rounds per phase (17.4 now) and 12 % of all
-    // tree rounds (11.4 %: the claim flood halved the tree's other
-    // rounds, while replay's fell by a tenth).
+    // replay at most 7 % of all tree rounds and 20 rounds per phase.
     let (mut rounds, mut replay, mut phases) = (0u64, 0u64, 0u64);
     for seed in 11..=42 {
         let (r, re, p) = tree_cover(seed);
@@ -278,7 +276,7 @@ fn replay_is_a_small_share_of_tree_rounds_over_32_seeds() {
     }
     let share = replay as f64 / rounds as f64;
     let per_phase = replay as f64 / phases as f64;
-    assert!(share <= 0.12, "replay {replay} of {rounds} rounds");
+    assert!(share <= 0.07, "replay {replay} of {rounds} rounds");
     assert!(
         per_phase <= 20.0,
         "replay {replay} rounds over {phases} phases"

@@ -198,7 +198,7 @@ fn a_reclaim_leaves_exactly_the_stored_walks_steps_in_the_logs() {
     };
     let lambda = 4 * s.store_lambda();
     let wave = s
-        .run_wave(lambda, 256 * u64::from(lambda), &[hop])
+        .run_wave(lambda, 64 * u64::from(lambda), &[hop])
         .expect("wave");
     assert!(wave.rounds_topup > 0 && s.walks_discarded() > 0);
     assert_eq!(s.store_lambda(), lambda, "the wave upgraded the regime");
