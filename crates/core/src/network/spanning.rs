@@ -96,13 +96,13 @@ mod tests {
         net.run(Request::SpanningTree(req)).map(|r| r.into_tree())
     }
 
-    /// Chi-square of 800 sampled K4 trees against uniform over its 16.
+    /// Chi-square of 1600 sampled K4 trees against uniform over its 16.
     fn k4_uniformity(mode: TreeMode, seed_base: u64) -> drw_stats::ChiSquare {
         let g = generators::complete(4);
         let trees = matrix_tree::enumerate_spanning_trees(&g);
         assert_eq!(trees.len(), 16);
         let mut counts = vec![0u64; trees.len()];
-        for seed in 0..800u64 {
+        for seed in 0..1600u64 {
             let req = TreeRequest {
                 mode,
                 ..TreeRequest::new(0)

@@ -10,7 +10,10 @@
 //! and only a stitch whose connector is `v` ever uses it. So `v` keeps a
 //! ledger of its unused `(seq, len)` ([`crate::state::Ledger`]) and
 //! draws one uniformly — among those no longer than the cap, on a fitted
-//! stitch. That is the law the echo's reservoir produced.
+//! stitch. That is the law the echo's reservoir produced. A recorded
+//! walk with under `4 * lambda` steps left instead draws among the walks
+//! whose length `s` minimises `max(s, left - s)`, so its last segment's
+//! replay, one hop a round, ends no later than the walk it runs beside.
 //!
 //! Only the owner is unknown to `v`, so `v` floods a `Claim` for the
 //! walk: a node that holds it takes it and moves the walk on; every
@@ -57,8 +60,15 @@ impl NodeCall<'_> {
             }
         }
         let spec = self.shared.walks[w as usize];
-        let cap = spec.cap_at(completed, self.shared.setup.lambda);
-        let drawn = (self.ws.ledger.as_mut()).and_then(|l| l.draw(cap, self.ctx.rng()));
+        let lambda = self.shared.setup.lambda;
+        let cap = spec.cap_at(completed, lambda);
+        let zone = spec.replay_zone(completed, lambda);
+        let drawn = (self.ws.ledger.as_mut()).and_then(|l| match zone {
+            Some(left) => {
+                l.draw_cheapest(|s| u64::from(s).max(left - u64::from(s)), self.ctx.rng())
+            }
+            None => l.draw(cap, self.ctx.rng()),
+        });
         let Some((seq, _)) = drawn else {
             if cap == NO_CAP {
                 self.wave.tally.connector_visits += 1;

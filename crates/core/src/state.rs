@@ -335,6 +335,25 @@ impl Ledger {
             .0;
         Some(self.unused.swap_remove(idx))
     }
+
+    /// Removes and returns one of the unused walks that minimise
+    /// `cost(len)`, drawn uniformly among them, or `None` if there are
+    /// none. Like [`Ledger::draw`], it reads lengths only.
+    pub fn draw_cheapest<R: rand::Rng + ?Sized>(
+        &mut self,
+        cost: impl Fn(u32) -> u64,
+        rng: &mut R,
+    ) -> Option<(u32, u32)> {
+        let best = self.unused.iter().map(|e| cost(e.1)).min()?;
+        let count = self.unused.iter().filter(|e| cost(e.1) == best).count();
+        let pick = rng.random_range(0..count);
+        let idx = (self.unused.iter().enumerate())
+            .filter(|(_, e)| cost(e.1) == best)
+            .nth(pick)
+            .expect("pick is within the counted matches")
+            .0;
+        Some(self.unused.swap_remove(idx))
+    }
 }
 
 /// One node's private walk state.
@@ -841,6 +860,29 @@ mod tests {
         assert_eq!(s.ledger_mismatch(), None);
         s.nodes[1].store.clear();
         assert!(s.ledger_mismatch().is_some(), "a walk gone from the store");
+    }
+
+    #[test]
+    fn draw_cheapest_is_uniform_among_the_cheapest_lengths() {
+        // Cost max(s, 10 - s): lengths 4 and 6 both cost 6, the least.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut hits = [0u64; 2];
+        for _ in 0..2000 {
+            let mut ledger = Ledger {
+                unused: vec![(0, 8), (1, 4), (2, 3), (3, 6), (4, 9)],
+                ..Ledger::default()
+            };
+            let cost = |s: u32| u64::from(s.max(10 - s));
+            let (seq, _) = ledger.draw_cheapest(cost, &mut rng).expect("five stored");
+            assert!(seq == 1 || seq == 3, "drew seq {seq}");
+            hits[usize::from(seq == 3)] += 1;
+            assert_eq!(ledger.unused.len(), 4);
+        }
+        assert!(hits.iter().all(|&h| (900..1100).contains(&h)), "{hits:?}");
+        assert!(Ledger::default()
+            .draw_cheapest(u64::from, &mut rng)
+            .is_none());
     }
 
     /// Draws one walk under cap 5 from a ledger of lengths 3..=8 (long

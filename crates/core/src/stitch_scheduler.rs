@@ -126,6 +126,17 @@ impl StitchSpec {
         }
     }
 
+    /// The steps left to a recorded walk in its last stitch zone
+    /// (`2 * lambda` to `4 * lambda` left), where its stitch takes a
+    /// stored walk of a length `s` that minimises `max(s, left - s)`:
+    /// the segment's replay walks back one hop a round while the rest of
+    /// the walk goes on, and the wave waits for the later of the two.
+    /// The choice reads lengths, never trajectories: exact.
+    pub(crate) fn replay_zone(&self, completed: u64, lambda: u32) -> Option<u64> {
+        let left = self.len - completed;
+        (self.record && left < 4 * u64::from(lambda)).then_some(left)
+    }
+
     /// Replays the stitch trace `segs` (sorted here by position) through
     /// this walk's state machine: panics on any gap, overlap or broken
     /// connector chain.
